@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race bench vet fuzz-smoke bench-smoke bench-diff store-bench disk-bench chaos-smoke chaos-bench fleet-bench slo-smoke trace-alloc sim-bench sim-alloc
+.PHONY: all build test check race bench vet fuzz-smoke bench-check bench-smoke bench-diff chaos-smoke chaos-bench fleet-bench slo-smoke trace-alloc sim-alloc
 
 all: build test
 
@@ -43,6 +43,14 @@ fuzz-smoke:
 race:
 	$(GO) test -race ./...
 
+# The repo benchmark (bench/, BENCHMARK.json) is its own module, so
+# `make test` cannot see an internal/* API change that breaks it; this
+# vets and short-tests it against the current tree (~8s).  Per-layer
+# speed (trace decode, sim ns/req per scheme, store and disk ops) is
+# measured there: bash bench/run.sh --workload <w> --seed 1 --seconds 20 --trace 1
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
 # ~10s live loopback bench: 2 proxies x 3 client caches over real
 # sockets driven open-loop from a small ProWGen trace, then the same
 # prefix replayed through the simulator with identical capacities.
@@ -50,7 +58,7 @@ race:
 # than 20pp apart (a loose bound — smoke traces are small) or if the
 # BENCH_live.json manifest fails to round-trip the validating reader.
 bench-smoke:
-	$(GO) run ./cmd/hiergdd bench -requests 4000 -objects 400 -clients 40 \
+	$(GO) run ./cmd/hiergdd bench live -requests 4000 -objects 400 -clients 40 \
 		-proxies 2 -caches 3 -mode open -arrival poisson -rate 600 \
 		-duration 10s -object-bytes 512 -warmup 400 -tolerance 0.2 \
 		-manifest BENCH_live.json
@@ -59,36 +67,13 @@ bench-smoke:
 # so the workload fingerprints match), then diff the two manifests
 # with cmd/benchdiff — run-to-run metric drift, mechanically.
 bench-diff:
-	$(GO) run ./cmd/hiergdd bench -requests 1500 -objects 150 -clients 20 \
+	$(GO) run ./cmd/hiergdd bench live -requests 1500 -objects 150 -clients 20 \
 		-proxies 2 -caches 2 -mode closed -workers 8 -object-bytes 128 \
 		-warmup 150 -manifest BENCH_a.json
-	$(GO) run ./cmd/hiergdd bench -requests 1500 -objects 150 -clients 20 \
+	$(GO) run ./cmd/hiergdd bench live -requests 1500 -objects 150 -clients 20 \
 		-proxies 2 -caches 2 -mode closed -workers 8 -object-bytes 128 \
 		-warmup 150 -manifest BENCH_b.json
 	$(GO) run ./cmd/benchdiff BENCH_a.json BENCH_b.json
-
-# ~5s store microbenchmark: closed-loop GetOrLoad on the sharded
-# coalescing store vs the single-mutex uncoalesced baseline, with a
-# 1ms loader delay standing in for the origin round trip.  Fails
-# unless the sharded store at 16 workers beats the baseline at 1
-# worker by at least 2x; writes the BENCH_store.json manifest
-# (diffable run-to-run with cmd/benchdiff, like bench-diff).
-store-bench:
-	$(GO) run ./cmd/hiergdd bench -store -store-ops 4000 -store-load-delay 1ms \
-		-objects 512 -object-bytes 4096 -store-capacity 1048576 \
-		-store-workers 1,4,16 -store-min-speedup 2 -manifest BENCH_store.json
-
-# ~2s disk-tier benchmark: populate the append-only log through the
-# write-behind queue, sustain a closed-loop 90/10 read/write mix, then
-# close and reopen the store timing the journal replay — the recovery
-# rate a restarted daemon's time-to-serving depends on.  The reopen
-# runs with the invariant checker attached (crash-consistency gate).
-# Fails below 20k replayed objects/sec or 10k mixed ops/sec; writes
-# the BENCH_disk.json manifest (diffable run-to-run via cmd/benchdiff).
-disk-bench:
-	$(GO) run ./cmd/hiergdd bench -disk -objects 2000 -object-bytes 1024 \
-		-disk-ops 20000 -disk-workers 8 -disk-read-frac 0.9 \
-		-disk-min-recovery 20000 -disk-min-mixed 10000 -manifest BENCH_disk.json
 
 # ~10s chaos smoke: the two headline adversarial scenarios (slow-peer
 # tail amplification, mass flash-churn) run live and simulated, with
@@ -98,7 +83,7 @@ disk-bench:
 # by less than 1.3x; writes the BENCH_chaos.json manifest (diffable
 # run-to-run via cmd/benchdiff).
 chaos-smoke:
-	$(GO) run ./cmd/hiergdd bench -chaos -chaos-scenarios slow-peer,flash-churn,churn-during-flash-crowd \
+	$(GO) run ./cmd/hiergdd bench chaos -chaos-scenarios slow-peer,flash-churn,churn-during-flash-crowd \
 		-requests 1500 -objects 200 -clients 40 -proxies 2 -caches 3 \
 		-object-bytes 512 -rate 750 -chaos-min-p999-cut 1.3 \
 		-manifest BENCH_chaos.json
@@ -107,7 +92,7 @@ chaos-smoke:
 # flash-churn, byzantine, poison, fleet-partition), same gates as
 # chaos-smoke.
 chaos-bench:
-	$(GO) run ./cmd/hiergdd bench -chaos \
+	$(GO) run ./cmd/hiergdd bench chaos \
 		-requests 1500 -objects 200 -clients 40 -proxies 2 -caches 3 \
 		-object-bytes 512 -rate 750 -chaos-min-p999-cut 1.3 \
 		-manifest BENCH_chaos.json
@@ -122,7 +107,7 @@ chaos-bench:
 # within 1pp; writes the BENCH_slo.json manifest (diffable run-to-run
 # via cmd/benchdiff).
 slo-smoke:
-	$(GO) run ./cmd/hiergdd bench -slo -requests 3000 -objects 300 -clients 40 \
+	$(GO) run ./cmd/hiergdd bench slo -requests 3000 -objects 300 -clients 40 \
 		-proxies 2 -caches 3 -object-bytes 512 -rate 400 \
 		-slo-classes "interactive:100ms:0.99:30s,batch:1s:0.9:30s" \
 		-slo-scenario slow-peer -slo-max-hit-delta 0.01 \
@@ -137,7 +122,7 @@ slo-smoke:
 # single member's (partitioning must not cost hits); writes the
 # BENCH_fleet.json manifest (diffable run-to-run via cmd/benchdiff).
 fleet-bench:
-	$(GO) run ./cmd/hiergdd bench -fleet -requests 8000 -objects 800 \
+	$(GO) run ./cmd/hiergdd bench fleet -requests 8000 -objects 800 \
 		-clients 80 -object-bytes 512 -workers 64 -warmup 800 \
 		-fleet-sizes 1,2,4,8 -fleet-min-speedup 3 -fleet-max-hit-delta 0.02 \
 		-manifest BENCH_fleet.json
@@ -147,19 +132,6 @@ fleet-bench:
 # CI runs this with -benchmem so regressions show up as numbers).
 trace-alloc:
 	$(GO) test -run='^$$' -bench=BenchmarkDisabledTracer -benchmem ./internal/obs
-
-# ~5s simulator hot-path benchmark: the pin-test workload (60k
-# requests, 3k objects) decoded and replayed through both pipeline
-# shapes — the pre-refactor per-record decoder and serial 7-scheme
-# loop kept in the harness as the recorded baseline, vs the batched
-# decoder and the work-stealing sweep scheduler.  Results must be
-# bit-identical; the speedup gate is min(2, 0.8 x usable workers), so
-# multi-core CI enforces the full 2x while a one-core box only
-# checks scheduler overhead.  Writes the BENCH_sim.json manifest
-# (diffable run-to-run via cmd/benchdiff).
-sim-bench:
-	$(GO) run ./cmd/hiergdd bench -sim -requests 60000 -objects 3000 \
-		-clients 200 -sim-min-speedup 2 -manifest BENCH_sim.json
 
 # The hot-path zero-alloc gates: steady-state simulator serves (LFU
 # family + fleet engine) and the live proxy/client-cache memory-hit

@@ -1,13 +1,14 @@
 package main
 
 import (
-	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"strings"
 	"time"
 
 	"webcache/internal/loadgen"
@@ -17,267 +18,285 @@ import (
 	"webcache/internal/trace"
 )
 
-// runBench is the live-benchmark role: stand up a loopback
+// The bench role is four behaviour gates on one runner.  How fast each
+// layer runs is the repo benchmark's business (bench/, BENCHMARK.json);
+// what stays here gates what the system does: sim-vs-live calibration,
+// conservation and the tail cut under faults, the SLO burn-rate cut
+// and aggregator parity, and hit parity across fleet sizes.
+//
+// The first argument names the gate (`hiergdd bench live|chaos|slo|fleet`).
+// Each gate owns a flagset holding only the flags it reads, bound
+// straight into its config struct; the shared workload block supplies
+// the flags and the manifest tail every gate has in common.
+
+// benchGate is one gate: bind registers its own flags, run executes it.
+type benchGate interface {
+	bind(fs *flag.FlagSet)
+	run() error
+}
+
+// gateEntry is one row of the gate table: the name on the command
+// line, the manifest `tool` name (kept from the per-mode days so old
+// BENCH_*.json files stay diffable), and the constructor.
+type gateEntry struct {
+	name, tool string
+	new        func(*workload) benchGate
+}
+
+var benchGates = []gateEntry{
+	{"live", "hiergdd-bench", func(w *workload) benchGate { return &liveGate{workload: w} }},
+	{"chaos", "hiergdd-chaos", func(w *workload) benchGate { return &chaosGate{workload: w} }},
+	{"slo", "hiergdd-slo", func(w *workload) benchGate { return &sloGate{workload: w} }},
+	{"fleet", "hiergdd-fleet", func(w *workload) benchGate { return &fleetGate{workload: w} }},
+}
+
+// flagSet builds the gate with its flags — the shared workload block
+// plus its own — registered on a fresh flagset.
+func (e gateEntry) flagSet() (*flag.FlagSet, *workload, benchGate) {
+	fs := flag.NewFlagSet("bench "+e.name, flag.ContinueOnError)
+	w := &workload{}
+	w.bind(fs)
+	g := e.new(w)
+	g.bind(fs)
+	return fs, w, g
+}
+
+// Knobs that were flags no Makefile line, CI step, test or runbook
+// ever set; every gate runs at these values.
+const (
+	benchSeed        int64 = 1                // workload and arrival-process seed
+	benchProxyFrac         = 0.05             // proxy cache size / infinite cache size
+	benchClientFrac        = 0.005            // per-client cache size / infinite cache size
+	benchMaxInflight       = 512              // open-loop in-flight bound
+	benchTimeout           = 10 * time.Second // per-request timeout
+)
+
+// runBench is the bench role's entry point.
+func runBench(args []string) error {
+	w, g, err := parseBench(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil // the flagset already printed the gate's usage
+	}
+	if err != nil {
+		return err
+	}
+	startPprof(w.pprof)
+	return g.run()
+}
+
+// parseBench resolves the gate named by args[0] and parses the rest
+// against that gate's flagset, without running anything.
+func parseBench(args []string) (*workload, benchGate, error) {
+	gate := ""
+	if len(args) > 0 {
+		gate = args[0]
+	}
+	names := make([]string, len(benchGates))
+	for i, entry := range benchGates {
+		names[i] = entry.name
+		if entry.name != gate {
+			continue
+		}
+		fs, w, g := entry.flagSet()
+		if err := fs.Parse(args[1:]); err != nil {
+			return nil, nil, err
+		}
+		if fs.NArg() > 0 {
+			return nil, nil, fmt.Errorf("bench %s: unexpected argument %q", gate, fs.Arg(0))
+		}
+		if w.manifest != "" {
+			w.man = obs.NewManifest(entry.tool)
+		}
+		return w, g, nil
+	}
+	return nil, nil, fmt.Errorf("unknown bench gate %q; usage: hiergdd bench %s [flags]", gate, strings.Join(names, "|"))
+}
+
+// workload is the block every gate shares: the generated ProWGen
+// workload's shape, the origin body size, and where the manifest goes.
+type workload struct {
+	requests, objects, clients int
+	objectBytes                int
+	manifest, pprof            string
+
+	man *obs.Manifest // started at parse time so wall_seconds spans the run; nil without -manifest
+}
+
+func (w *workload) bind(fs *flag.FlagSet) {
+	fs.IntVar(&w.requests, "requests", 20000, "generated trace length")
+	fs.IntVar(&w.objects, "objects", 2000, "generated distinct objects")
+	fs.IntVar(&w.clients, "clients", 200, "generated client population")
+	fs.IntVar(&w.objectBytes, "object-bytes", 1024, "origin body size per object (1 trace cache unit)")
+	fs.StringVar(&w.manifest, "manifest", "", "write a run-manifest JSON document to this file")
+	fs.StringVar(&w.pprof, "pprof", "", "expose net/http/pprof on this address")
+}
+
+// generate builds the gate's ProWGen workload.
+func (w *workload) generate() (*trace.Trace, error) {
+	return prowgen.Generate(prowgen.Config{
+		NumRequests: w.requests,
+		NumObjects:  w.objects,
+		NumClients:  w.clients,
+		Seed:        benchSeed,
+	})
+}
+
+// finish is the manifest tail every gate shares (a no-op without
+// -manifest): fingerprint the workload so benchdiff refuses to compare
+// manifests of different traces, echo the config, fold the registry
+// in, write the file, and self-check that it round-trips through the
+// validating reader so downstream tooling can rely on it.
+func (w *workload) finish(tr *trace.Trace, reg *obs.Registry, config, notes map[string]any) error {
+	if w.man == nil {
+		return nil
+	}
+	w.man.Trace = map[string]any{
+		"fingerprint":      trace.Fingerprint(tr),
+		"requests":         tr.Len(),
+		"distinct_clients": traceClients(tr),
+	}
+	w.man.Config = config
+	w.man.Notes = notes
+	w.man.Finish(reg)
+	if err := w.man.WriteFile(w.manifest); err != nil {
+		return fmt.Errorf("writing manifest: %w", err)
+	}
+	if _, err := obs.ReadManifestFile(w.manifest); err != nil {
+		return fmt.Errorf("manifest self-check: %w", err)
+	}
+	fmt.Printf("manifest: %s\n", w.manifest)
+	return nil
+}
+
+// topology is the loopback shape and open-loop rate the live, chaos
+// and slo gates share.
+type topology struct {
+	proxies, caches int
+	rate            float64
+}
+
+func (t *topology) bind(fs *flag.FlagSet) {
+	fs.IntVar(&t.proxies, "proxies", 2, "cooperating proxies")
+	fs.IntVar(&t.caches, "caches", 3, "client-cache daemons per proxy")
+	fs.Float64Var(&t.rate, "rate", 500, "open-loop arrival rate in req/s (bursty: peak rate)")
+}
+
+// simConfig is the simulator configuration a loopback topology is
+// sized from (CapacityPlan) and routed by (ProxyFor), so live and
+// simulated runs of one workload share capacities and client mapping.
+func (t topology) simConfig(clients int) sim.Config {
+	return sim.Config{
+		Scheme:            sim.HierGD,
+		NumProxies:        t.proxies,
+		ClientsPerCluster: (clients + t.proxies - 1) / t.proxies,
+		P2PClientCaches:   t.caches,
+		Directory:         sim.DirExact,
+		ProxyCacheFrac:    benchProxyFrac,
+		ClientCacheFrac:   benchClientFrac,
+		Seed:              benchSeed,
+	}
+}
+
+// unitsToBytes scales trace cache units to origin-body bytes.
+func unitsToBytes(units []uint64, objectBytes int) []uint64 {
+	out := make([]uint64, len(units))
+	for i, u := range units {
+		out[i] = u * uint64(objectBytes)
+	}
+	return out
+}
+
+// closeTopology drains a loopback topology within the deadline.
+func closeTopology(topo *loadgen.Topology, drain time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	topo.Close(ctx)
+}
+
+// bindWarmup registers -warmup; resolveWarmup applies its -1 default.
+func bindWarmup(fs *flag.FlagSet, warmup *int) {
+	fs.IntVar(warmup, "warmup", -1, "requests discarded from accounting (-1 = trace length / 10)")
+}
+
+func resolveWarmup(warmup, traceLen int) int {
+	if warmup < 0 {
+		return traceLen / 10
+	}
+	return warmup
+}
+
+// liveGate is the calibration gate: stand up a loopback
 // proxy/client-cache topology sized from the simulator's capacity
 // plan, replay a trace over real HTTP (open- or closed-loop), report
 // per-tier hit ratios and latency quantiles, and calibrate the run
 // against a simulator replay of the same request prefix with
 // identical capacities (EXPERIMENTS.md "Live benchmarking &
 // calibration").
-func runBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	// Workload: an existing trace file, or a generated ProWGen one.
-	tracePath := fs.String("trace", "", "trace file to replay (binary or text; empty = generate with ProWGen)")
-	requests := fs.Int("requests", 20000, "generated trace length (ignored with -trace)")
-	objects := fs.Int("objects", 2000, "generated distinct objects (ignored with -trace)")
-	clients := fs.Int("clients", 200, "generated client population (ignored with -trace)")
-	seed := fs.Int64("seed", 1, "workload and arrival-process seed")
-	// Topology.
-	proxies := fs.Int("proxies", 2, "cooperating proxies")
-	caches := fs.Int("caches", 3, "client-cache daemons per proxy")
-	proxyFrac := fs.Float64("proxy-frac", 0.05, "proxy cache size as a fraction of the infinite cache size")
-	clientFrac := fs.Float64("client-frac", 0.005, "per-client cache size as a fraction of the infinite cache size")
-	objectBytes := fs.Int("object-bytes", 1024, "origin body size per object (1 trace cache unit)")
-	// Driving discipline.
-	mode := fs.String("mode", "open", `driving discipline: "open" or "closed"`)
-	arrivalKind := fs.String("arrival", "poisson", `open-loop arrival process: "poisson" or "bursty"`)
-	rate := fs.Float64("rate", 500, "open-loop arrival rate in req/s (bursty: peak rate)")
-	onPeriod := fs.Duration("on", 2*time.Second, "bursty mean ON window")
-	offPeriod := fs.Duration("off", 6*time.Second, "bursty mean OFF window")
-	maxInflight := fs.Int("max-inflight", 512, "open-loop in-flight bound")
-	workers := fs.Int("workers", 8, "closed-loop concurrency")
-	think := fs.Duration("think", 0, "closed-loop per-worker think time")
-	duration := fs.Duration("duration", 0, "stop issuing after this long (0 = whole trace)")
-	warmup := fs.Int("warmup", -1, "requests discarded from accounting (-1 = trace length / 10)")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-request timeout")
-	// Reporting.  (-trace is the input workload; -trace-out and friends
-	// are the span-tracing exports.)
-	tolerance := fs.Float64("tolerance", 0, "fail if |live - sim| aggregate hit ratio exceeds this (0 = report only)")
-	manifestPath := fs.String("manifest", "", "write a run-manifest JSON document to this file")
-	traceOut := fs.String("trace-out", "", "write sampled request traces (driver roots + daemon hops) as Chrome trace-event JSON to this file")
-	traceJSONL := fs.String("trace-jsonl", "", "write sampled request traces as JSONL to this file")
-	traceSample := fs.Int("trace-sample", 100, "head-sample 1 in N driven requests")
-	drain := fs.Duration("drain", 5*time.Second, "topology shutdown drain deadline")
-	pprofAddr := fs.String("pprof", "", "expose net/http/pprof on this address")
-	// Store microbenchmark mode (-store): drive the data plane directly
-	// instead of standing up the HTTP topology.
-	storeMode := fs.Bool("store", false, "run the store microbenchmark: closed-loop GetOrLoad on the sharded store vs the single-mutex baseline")
-	storeCapacity := fs.Uint64("store-capacity", 1<<20, "store byte budget (store mode)")
-	storeShards := fs.Int("store-shards", 0, "store shard count, 0 = auto (store mode)")
-	storePolicy := fs.String("store-policy", "", "store replacement policy, empty = default (store mode)")
-	storeOps := fs.Int("store-ops", 4000, "timed operations per engine/worker cell (store mode)")
-	storeDelay := fs.Duration("store-load-delay", time.Millisecond, "simulated origin latency a cache miss's loader pays (store mode)")
-	storeWorkers := fs.String("store-workers", "1,4,16", "comma-separated closed-loop worker counts (store mode)")
-	storeMinSpeedup := fs.Float64("store-min-speedup", 0, "fail unless sharded@max-workers ops/sec >= this multiple of baseline@1 (0 = report only)")
-	// Disk-tier benchmark mode (-disk): populate / mixed / recovery
-	// against internal/store/disk instead of the HTTP topology.
-	diskMode := fs.Bool("disk", false, "run the disk-tier benchmark: write-behind throughput, mixed read/write, and recovery replay rate")
-	diskDir := fs.String("disk-dir", "", "disk bench directory (empty = fresh temp dir, removed afterwards)")
-	diskCapacity := fs.Uint64("disk-capacity", 1<<30, "disk-tier byte budget (disk mode)")
-	diskOps := fs.Int("disk-ops", 20000, "timed mixed-phase operations (disk mode)")
-	diskReadFrac := fs.Float64("disk-read-frac", 0.9, "fraction of mixed-phase operations that are reads (disk mode)")
-	diskWorkers := fs.Int("disk-workers", 8, "mixed-phase concurrency (disk mode)")
-	diskMinRecovery := fs.Float64("disk-min-recovery", 0, "fail unless recovery replays at least this many objects/sec (0 = report only)")
-	diskMinMixed := fs.Float64("disk-min-mixed", 0, "fail unless the mixed phase sustains at least this many ops/sec (0 = report only)")
-	// Chaos suite mode (-chaos): run the adversarial scenarios live and
-	// simulated, defenses off and on, gated on conservation and the
-	// slow-peer tail cut (internal/chaos).
-	chaosMode := fs.Bool("chaos", false, "run the chaos scenario suite: fault injection live + simulated, defenses off and on")
-	chaosScenariosFlag := fs.String("chaos-scenarios", "", "comma-separated scenario names (empty = whole suite; chaos mode)")
-	chaosMinP999Cut := fs.Float64("chaos-min-p999-cut", 0, "fail unless slow-peer defenses cut live p999 by this factor (0 = report only; chaos mode)")
-	// SLO-plane smoke mode (-slo): class-tagged load against a
-	// multi-member loopback topology under a chaos scenario, defenses
-	// off and on, gated on the defenses cutting the gated class's
-	// fast-window burn rate and on the cluster aggregator's hit ratio
-	// agreeing with the load generator's.
-	sloMode := fs.Bool("slo", false, "run the SLO-plane smoke: class-tagged load, per-member SLO trackers, cluster aggregation, defenses off vs on")
-	sloClassSpecs := fs.String("slo-classes", "interactive:100ms:0.99:30s,batch:1s:0.9:30s", `SLO classes as "name:latency:availability[:window]", comma-separated; the first class is the burn-rate gate (slo mode)`)
-	sloScenario := fs.String("slo-scenario", "slow-peer", "chaos scenario injected into both cells (slo mode)")
-	sloMaxHitDelta := fs.Float64("slo-max-hit-delta", 0.01, "fail if |aggregator - loadgen| hit ratio exceeds this (0 = report only; slo mode)")
-	sloBurnGate := fs.Bool("slo-burn-gate", true, "fail unless defenses-on cuts the gated class's fast-window burn rate (slo mode)")
-	// Fleet scale sweep mode (-fleet): the same workload and total cache
-	// budget driven closed-loop against consistent-hash fleets of
-	// increasing size, each member behind a concurrency+service-time
-	// gate (internal/fleet via httpcache.EnableFleet).
-	fleetMode := fs.Bool("fleet", false, "run the fleet scale sweep: same workload and total budget across increasing fleet sizes")
-	fleetSizes := fs.String("fleet-sizes", "1,2,4,8", "comma-separated ascending fleet sizes (fleet mode)")
-	fleetReplication := fs.Int("fleet-replication", 1, "hot-object copy count k (fleet mode)")
-	fleetTotalFrac := fs.Float64("fleet-total-frac", 0.2, "TOTAL proxy budget as a fraction of distinct objects, split across members (fleet mode)")
-	fleetService := fs.Duration("fleet-service", time.Millisecond, "modeled per-request service time at each member (fleet mode)")
-	fleetConcurrency := fs.Int("fleet-concurrency", 2, "service slots per member (fleet mode)")
-	fleetMinSpeedup := fs.Float64("fleet-min-speedup", 0, "fail unless the largest fleet sustains this multiple of the single member's throughput (0 = report only; fleet mode)")
-	fleetMaxHitDelta := fs.Float64("fleet-max-hit-delta", 0, "fail if any size's hit ratio drifts more than this from the single member's (0 = report only; fleet mode)")
-	// Simulator hot-path benchmark mode (-sim): the 7-scheme compare
-	// replay through the pre-refactor pipeline shape (per-record decode,
-	// serial scheme loop) vs the refactored one (batched decode,
-	// work-stealing sweep scheduler), cross-checked bit-identical.
-	simMode := fs.Bool("sim", false, "run the simulator hot-path benchmark: batched decode and the steal-scheduled 7-scheme replay vs the pre-refactor serial pipeline")
-	simFrac := fs.Float64("sim-frac", 0.3, "proxy cache size as a fraction of distinct objects (sim mode)")
-	simWorkers := fs.Int("sim-workers", 0, "sweep scheduler workers, 0 = GOMAXPROCS (sim mode)")
-	simMinSpeedup := fs.Float64("sim-min-speedup", 0, "fail unless scheduled/serial speedup >= min(this, 0.8 x usable workers) (0 = report only; sim mode)")
-	fs.Parse(args)
-	startPprof(*pprofAddr)
+type liveGate struct {
+	*workload
+	topology
+	tracePath            string
+	mode, arrival        string
+	onPeriod, offPeriod  time.Duration
+	workers              int
+	think, duration      time.Duration
+	warmup               int
+	tolerance            float64
+	traceOut, traceJSONL string
+	traceSample          int
+	drain                time.Duration
+}
 
-	if *simMode {
-		return runSimBench(simBenchConfig{
-			requests:     *requests,
-			objects:      *objects,
-			clients:      *clients,
-			frac:         *simFrac,
-			workers:      *simWorkers,
-			seed:         *seed,
-			minSpeedup:   *simMinSpeedup,
-			manifestPath: *manifestPath,
-		})
+func (g *liveGate) bind(fs *flag.FlagSet) {
+	g.topology.bind(fs)
+	bindWarmup(fs, &g.warmup)
+	fs.StringVar(&g.tracePath, "trace", "", "trace file to replay (binary or text; empty = generate with ProWGen from -requests/-objects/-clients)")
+	fs.StringVar(&g.mode, "mode", "open", `driving discipline: "open" or "closed"`)
+	fs.StringVar(&g.arrival, "arrival", "poisson", `open-loop arrival process: "poisson" or "bursty"`)
+	fs.DurationVar(&g.onPeriod, "on", 2*time.Second, "bursty mean ON window")
+	fs.DurationVar(&g.offPeriod, "off", 6*time.Second, "bursty mean OFF window")
+	fs.IntVar(&g.workers, "workers", 8, "closed-loop concurrency")
+	fs.DurationVar(&g.think, "think", 0, "closed-loop per-worker think time")
+	fs.DurationVar(&g.duration, "duration", 0, "stop issuing after this long (0 = whole trace)")
+	fs.Float64Var(&g.tolerance, "tolerance", 0, "fail if |live - sim| aggregate hit ratio exceeds this (0 = report only)")
+	// -trace is the input workload; -trace-out and friends are the
+	// span-tracing exports.
+	fs.StringVar(&g.traceOut, "trace-out", "", "write sampled request traces (driver roots + daemon hops) as Chrome trace-event JSON to this file")
+	fs.StringVar(&g.traceJSONL, "trace-jsonl", "", "write sampled request traces as JSONL to this file")
+	fs.IntVar(&g.traceSample, "trace-sample", 100, "head-sample 1 in N driven requests")
+	fs.DurationVar(&g.drain, "drain", 5*time.Second, "topology shutdown drain deadline")
+}
+
+func (g *liveGate) run() error {
+	var tr *trace.Trace
+	var err error
+	if g.tracePath != "" {
+		tr, err = trace.ReadFile(g.tracePath)
+	} else {
+		tr, err = g.generate()
 	}
-
-	if *sloMode {
-		return runSLOBench(sloBenchConfig{
-			requests:    *requests,
-			objects:     *objects,
-			clients:     *clients,
-			proxies:     *proxies,
-			caches:      *caches,
-			objectBytes: *objectBytes,
-			rate:        *rate,
-			seed:        *seed,
-			timeout:     *timeout,
-			scenario:    *sloScenario,
-			classSpecs:  *sloClassSpecs,
-			maxHitDelta: *sloMaxHitDelta,
-			burnGate:    *sloBurnGate,
-			manifest:    *manifestPath,
-		})
-	}
-
-	if *fleetMode {
-		sizes, err := parseSizesList(*fleetSizes)
-		if err != nil {
-			return err
-		}
-		w := *warmup
-		if w < 0 {
-			w = *requests / 10
-		}
-		return runFleetBench(fleetBenchConfig{
-			requests:     *requests,
-			objects:      *objects,
-			clients:      *clients,
-			objectBytes:  *objectBytes,
-			sizes:        sizes,
-			replication:  *fleetReplication,
-			totalFrac:    *fleetTotalFrac,
-			serviceTime:  *fleetService,
-			concurrency:  *fleetConcurrency,
-			workers:      *workers,
-			warmup:       w,
-			seed:         *seed,
-			timeout:      *timeout,
-			minSpeedup:   *fleetMinSpeedup,
-			maxHitDelta:  *fleetMaxHitDelta,
-			manifestPath: *manifestPath,
-		})
-	}
-
-	if *chaosMode {
-		w := *warmup
-		if w < 0 {
-			w = *requests / 10
-		}
-		return runChaosBench(chaosBenchConfig{
-			scenarios:    *chaosScenariosFlag,
-			requests:     *requests,
-			objects:      *objects,
-			clients:      *clients,
-			proxies:      *proxies,
-			caches:       *caches,
-			objectBytes:  *objectBytes,
-			rate:         *rate,
-			warmup:       w,
-			seed:         *seed,
-			minP999Cut:   *chaosMinP999Cut,
-			manifestPath: *manifestPath,
-		})
-	}
-
-	if *diskMode {
-		return runDiskBench(diskBenchConfig{
-			dir:          *diskDir,
-			capacity:     *diskCapacity,
-			objects:      *objects,
-			objectBytes:  *objectBytes,
-			ops:          *diskOps,
-			readFrac:     *diskReadFrac,
-			workers:      *diskWorkers,
-			seed:         *seed,
-			minRecovery:  *diskMinRecovery,
-			minMixed:     *diskMinMixed,
-			manifestPath: *manifestPath,
-		})
-	}
-
-	if *storeMode {
-		wl, err := parseWorkersList(*storeWorkers)
-		if err != nil {
-			return err
-		}
-		return runStoreBench(storeBenchConfig{
-			capacity:     *storeCapacity,
-			shards:       *storeShards,
-			policy:       *storePolicy,
-			objects:      *objects,
-			objectBytes:  *objectBytes,
-			ops:          *storeOps,
-			loadDelay:    *storeDelay,
-			workersList:  wl,
-			seed:         *seed,
-			minSpeedup:   *storeMinSpeedup,
-			manifestPath: *manifestPath,
-		})
-	}
-
-	tr, err := benchTrace(*tracePath, *requests, *objects, *clients, *seed)
 	if err != nil {
 		return err
 	}
-	if *warmup < 0 {
-		*warmup = tr.Len() / 10
-	}
+	warmup := resolveWarmup(g.warmup, tr.Len())
 
-	simCfg := sim.Config{
-		Scheme:            sim.HierGD,
-		NumProxies:        *proxies,
-		ClientsPerCluster: (traceClients(tr) + *proxies - 1) / *proxies,
-		P2PClientCaches:   *caches,
-		Directory:         sim.DirExact,
-		ProxyCacheFrac:    *proxyFrac,
-		ClientCacheFrac:   *clientFrac,
-		WarmupRequests:    *warmup,
-		Seed:              *seed,
-	}
+	simCfg := g.simConfig(traceClients(tr))
+	simCfg.WarmupRequests = warmup
 	proxyCap, clientCap := simCfg.CapacityPlan(tr)
-	toBytes := func(units []uint64) []uint64 {
-		out := make([]uint64, len(units))
-		for i, u := range units {
-			out[i] = u * uint64(*objectBytes)
-		}
-		return out
-	}
 
-	var man *obs.Manifest
+	// Instrumentation stays off (nil registry) unless a manifest wants it.
 	var reg *obs.Registry
-	if *manifestPath != "" {
+	if g.man != nil {
 		reg = obs.NewRegistry("hiergdd-bench")
-		man = obs.NewManifest("hiergdd-bench")
 	}
 	// Span tracing: the driver head-samples roots and stamps the trace
 	// id on the wire; the daemons share one join-only collector, so
 	// every daemon record is a hop of a driver-sampled request and the
 	// merged export shows each request's full decision path.
 	var driverTracer, daemonTracer *obs.Tracer
-	if *traceOut != "" || *traceJSONL != "" {
+	if g.traceOut != "" || g.traceJSONL != "" {
 		driverTracer = obs.NewTracer(obs.TracerOptions{
-			Origin: "loadgen", SampleEvery: *traceSample, Clock: obs.ClockWall,
+			Origin: "loadgen", SampleEvery: g.traceSample, Clock: obs.ClockWall,
 		})
 		daemonTracer = obs.NewTracer(obs.TracerOptions{
 			Origin: "daemon", SampleEvery: obs.SampleNever, Clock: obs.ClockWall,
@@ -285,26 +304,22 @@ func runBench(args []string) error {
 	}
 
 	topo, err := loadgen.StartLoopback(loadgen.TopologyConfig{
-		Proxies:            *proxies,
-		CachesPerProxy:     *caches,
-		ProxyCapacityBytes: toBytes(proxyCap),
-		CacheCapacityBytes: toBytes(clientCap),
-		ObjectBytes:        *objectBytes,
+		Proxies:            g.proxies,
+		CachesPerProxy:     g.caches,
+		ProxyCapacityBytes: unitsToBytes(proxyCap, g.objectBytes),
+		CacheCapacityBytes: unitsToBytes(clientCap, g.objectBytes),
+		ObjectBytes:        g.objectBytes,
 		Tracer:             daemonTracer,
 		Metrics:            reg,
 	})
 	if err != nil {
 		return err
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		topo.Close(ctx)
-	}()
+	defer closeTopology(topo, g.drain)
 	fmt.Printf("hiergdd bench: %d proxies x %d client caches on loopback, origin %s\n",
-		*proxies, *caches, topo.OriginURL)
+		g.proxies, g.caches, topo.OriginURL)
 	fmt.Printf("  capacities (units x %dB objects): proxy %v, per-client %v\n",
-		*objectBytes, proxyCap, clientCap)
+		g.objectBytes, proxyCap, clientCap)
 
 	sched, err := loadgen.BuildSchedule(tr, topo.ProxyURLs, topo.OriginURL, simCfg.ProxyFor)
 	if err != nil {
@@ -312,24 +327,24 @@ func runBench(args []string) error {
 	}
 
 	opts := loadgen.Options{
-		MaxInflight: *maxInflight,
-		Workers:     *workers,
-		Think:       *think,
-		Duration:    *duration,
-		Warmup:      *warmup,
+		MaxInflight: benchMaxInflight,
+		Workers:     g.workers,
+		Think:       g.think,
+		Duration:    g.duration,
+		Warmup:      warmup,
 		Obs:         reg,
 		Tracer:      driverTracer,
 	}
-	switch *mode {
+	switch g.mode {
 	case "open":
 		opts.Mode = loadgen.OpenLoop
-		switch *arrivalKind {
+		switch g.arrival {
 		case "poisson":
-			opts.Arrival, err = loadgen.NewPoisson(*rate, *seed)
+			opts.Arrival, err = loadgen.NewPoisson(g.rate, benchSeed)
 		case "bursty":
-			opts.Arrival, err = loadgen.NewBursty(*rate, *onPeriod, *offPeriod, *seed)
+			opts.Arrival, err = loadgen.NewBursty(g.rate, g.onPeriod, g.offPeriod, benchSeed)
 		default:
-			err = fmt.Errorf("unknown arrival process %q", *arrivalKind)
+			err = fmt.Errorf("unknown arrival process %q", g.arrival)
 		}
 		if err != nil {
 			return err
@@ -337,10 +352,10 @@ func runBench(args []string) error {
 	case "closed":
 		opts.Mode = loadgen.ClosedLoop
 	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+		return fmt.Errorf("unknown mode %q", g.mode)
 	}
 
-	tgt := loadgen.NewHTTPTarget(*timeout)
+	tgt := loadgen.NewHTTPTarget(benchTimeout)
 	res, err := loadgen.Run(context.Background(), sched, tgt, opts)
 	tgt.CloseIdleConnections() // pre-dialed pool conns would stall the drain
 	if err != nil {
@@ -353,7 +368,7 @@ func runBench(args []string) error {
 	// live topology's capacities pinned.
 	simCfg.ProxyCapacityOverride = proxyCap
 	simCfg.ClientCapacityOverride = clientCap
-	rep, err := loadgen.Calibrate(tr, res, simCfg, *tolerance)
+	rep, err := loadgen.Calibrate(tr, res, simCfg, g.tolerance)
 	if err != nil {
 		return err
 	}
@@ -371,22 +386,22 @@ func runBench(args []string) error {
 			fmt.Print(d.Table())
 		}
 		merged := append(driverTracer.Snapshots(), daemonTracer.Snapshots()...)
-		if *traceOut != "" {
-			if err := writeTraces(*traceOut, func(w io.Writer) error {
+		if g.traceOut != "" {
+			if err := writeTraces(g.traceOut, func(w io.Writer) error {
 				return obs.WriteChromeTraces(w, merged)
 			}); err != nil {
 				return fmt.Errorf("trace export: %w", err)
 			}
 			fmt.Printf("\ntrace: %d records (%d sampled roots) -> %s\n",
-				len(merged), driverTracer.Len(), *traceOut)
+				len(merged), driverTracer.Len(), g.traceOut)
 		}
-		if *traceJSONL != "" {
-			if err := writeTraces(*traceJSONL, func(w io.Writer) error {
+		if g.traceJSONL != "" {
+			if err := writeTraces(g.traceJSONL, func(w io.Writer) error {
 				return obs.WriteJSONLTraces(w, merged)
 			}); err != nil {
 				return fmt.Errorf("trace export: %w", err)
 			}
-			fmt.Printf("trace: %d records -> %s\n", len(merged), *traceJSONL)
+			fmt.Printf("trace: %d records -> %s\n", len(merged), g.traceJSONL)
 		}
 		if reg != nil {
 			// Once, at end of run — PublishMetrics accumulates counters.
@@ -395,40 +410,28 @@ func runBench(args []string) error {
 		}
 	}
 
-	if man != nil {
-		man.SetConfig("mode", *mode)
-		man.SetConfig("arrival", *arrivalKind)
-		man.SetConfig("rate", *rate)
-		man.SetConfig("proxies", *proxies)
-		man.SetConfig("caches_per_proxy", *caches)
-		man.SetConfig("object_bytes", *objectBytes)
-		man.SetConfig("proxy_capacity_units", proxyCap)
-		man.SetConfig("client_capacity_units", clientCap)
-		man.SetConfig("warmup", *warmup)
-		man.SetConfig("tolerance", *tolerance)
-		man.SetConfig("seed", *seed)
-		man.Trace = map[string]any{
-			"fingerprint":      trace.Fingerprint(tr),
-			"requests":         tr.Len(),
-			"distinct_clients": traceClients(tr),
-		}
-		man.SetNote("live", res.SummaryNote())
-		man.SetNote("calibration", rep)
-		man.Finish(reg)
-		if err := man.WriteFile(*manifestPath); err != nil {
-			return fmt.Errorf("writing manifest: %w", err)
-		}
-		// Self-check: the file on disk must round-trip through the
-		// validating reader, so downstream tooling can rely on it.
-		if _, err := obs.ReadManifestFile(*manifestPath); err != nil {
-			return fmt.Errorf("manifest self-check: %w", err)
-		}
-		fmt.Printf("\nmanifest: %s\n", *manifestPath)
+	if err := g.finish(tr, reg, map[string]any{
+		"mode":                  g.mode,
+		"arrival":               g.arrival,
+		"rate":                  g.rate,
+		"proxies":               g.proxies,
+		"caches_per_proxy":      g.caches,
+		"object_bytes":          g.objectBytes,
+		"proxy_capacity_units":  proxyCap,
+		"client_capacity_units": clientCap,
+		"warmup":                warmup,
+		"tolerance":             g.tolerance,
+		"seed":                  benchSeed,
+	}, map[string]any{
+		"live":        res.SummaryNote(),
+		"calibration": rep,
+	}); err != nil {
+		return err
 	}
 
-	if *tolerance > 0 && !rep.WithinTolerance {
+	if g.tolerance > 0 && !rep.WithinTolerance {
 		return fmt.Errorf("calibration outside tolerance: |%.3f| > %.3f aggregate hit-ratio delta",
-			math.Abs(rep.AggregateDelta), *tolerance)
+			math.Abs(rep.AggregateDelta), g.tolerance)
 	}
 	return nil
 }
@@ -444,66 +447,6 @@ func writeTraces(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// benchTrace loads the trace at path, or generates a ProWGen workload.
-func benchTrace(path string, requests, objects, clients int, seed int64) (*trace.Trace, error) {
-	if path == "" {
-		return prowgen.Generate(prowgen.Config{
-			NumRequests: requests,
-			NumObjects:  objects,
-			NumClients:  clients,
-			Seed:        seed,
-		})
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	tr, err := readBinaryBatched(f)
-	if err != nil {
-		if _, serr := f.Seek(0, 0); serr == nil {
-			if ttr, terr := trace.ReadText(f); terr == nil {
-				return ttr, nil
-			}
-		}
-		return nil, fmt.Errorf("reading trace %s: %w", path, err)
-	}
-	return tr, nil
-}
-
-// readBinaryBatched loads a binary trace through the batched decoder:
-// the header's declared count sizes one clamped allocation and
-// ReadBatch fills it directly, so multi-million-request replay traces
-// load without the per-record decode overhead or append re-copies.
-func readBinaryBatched(f *os.File) (*trace.Trace, error) {
-	br, err := trace.NewBatchReader(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	// Clamp the pre-allocation like trace.ReadBinary: the declared
-	// count is untrusted until the stream delivers it.
-	pre := br.Len()
-	if pre > 1<<20 {
-		pre = 1 << 20
-	}
-	tr := &trace.Trace{
-		Requests:   make([]trace.Request, 0, pre),
-		NumClients: br.NumClients(),
-		NumObjects: br.NumObjects(),
-	}
-	for br.Remaining() > 0 {
-		if cap(tr.Requests) == len(tr.Requests) {
-			tr.Requests = append(tr.Requests, trace.Request{})[:len(tr.Requests)]
-		}
-		n, err := br.ReadBatch(tr.Requests[len(tr.Requests):cap(tr.Requests)])
-		tr.Requests = tr.Requests[:len(tr.Requests)+n]
-		if err != nil {
-			return nil, err
-		}
-	}
-	return tr, nil
 }
 
 // traceClients is the client population (max id + 1, ids are dense).

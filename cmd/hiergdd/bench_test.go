@@ -1,0 +1,151 @@
+package main
+
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"webcache/internal/obs"
+)
+
+// The runner resolves the gate from the first argument and parses the
+// rest against that gate's own flagset: an unknown gate names the four
+// that exist, and a flag that belongs to a different gate (or to a
+// deleted mode) is rejected at parse time, before anything runs.
+func TestParseBench(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		wantErr []string // substrings of the error; nil = must parse
+	}{
+		{"no gate", nil, []string{"live|chaos|slo|fleet"}},
+		{"unknown gate", []string{"store"}, []string{`"store"`, "live|chaos|slo|fleet"}},
+		{"old boolean spelling", []string{"-chaos"}, []string{`"-chaos"`, "live|chaos|slo|fleet"}},
+		{"other gate's flag", []string{"chaos", "-fleet-sizes", "1,2"}, []string{"-fleet-sizes"}},
+		{"flag a gate does not read", []string{"fleet", "-proxies", "2"}, []string{"-proxies"}},
+		{"deleted knob", []string{"live", "-seed", "2"}, []string{"-seed"}},
+		{"stray argument", []string{"slo", "extra"}, []string{`"extra"`}},
+		{"live", []string{"live", "-trace", "t.bin", "-mode", "closed", "-workers", "4"}, nil},
+		{"chaos", []string{"chaos", "-chaos-scenarios", "poison", "-rate", "750"}, nil},
+		{"slo", []string{"slo", "-slo-scenario", "slow-peer", "-proxies", "2"}, nil},
+		{"fleet", []string{"fleet", "-fleet-sizes", "1,2", "-workers", "64"}, nil},
+	} {
+		_, _, err := parseBench(tc.args)
+		if tc.wantErr == nil {
+			if err != nil {
+				t.Errorf("%s: parseBench(%q) = %v, want success", tc.name, tc.args, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: parseBench(%q) succeeded, want an error", tc.name, tc.args)
+			continue
+		}
+		for _, want := range tc.wantErr {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+			}
+		}
+	}
+}
+
+// The option budget: across the four gates the bench role registers at
+// most 40 distinct flag names (it was 64 on one flagset), and every
+// gate carries the shared workload block.
+func TestBenchFlagBudget(t *testing.T) {
+	distinct := map[string]bool{}
+	for _, entry := range benchGates {
+		fs, _, _ := entry.flagSet()
+		fs.VisitAll(func(f *flag.Flag) { distinct[f.Name] = true })
+		for _, shared := range []string{"requests", "objects", "clients", "object-bytes", "manifest"} {
+			if fs.Lookup(shared) == nil {
+				t.Errorf("gate %s lacks the shared -%s flag", entry.name, shared)
+			}
+		}
+	}
+	if len(distinct) > 40 {
+		t.Errorf("bench registers %d distinct flags, budget is 40", len(distinct))
+	}
+}
+
+// Structural drift gate, in the spirit of obs.CheckMetricsDoc: every
+// `hiergdd bench <gate> ...` recipe in the Makefile must parse against
+// that gate's flagset, so a renamed or removed flag cannot leave a
+// dead `make` target behind.  Nothing is run.
+func TestMakefileBenchTargetsParse(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipes := strings.ReplaceAll(string(data), "\\\n", " ")
+	// A shell word: a double-quoted string or a run of non-space bytes.
+	word := regexp.MustCompile(`"[^"]*"|\S+`)
+	gates := map[string]bool{}
+	for _, line := range strings.Split(recipes, "\n") {
+		_, after, ok := strings.Cut(line, "./cmd/hiergdd bench ")
+		if !ok || strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		args := word.FindAllString(after, -1)
+		for i, a := range args {
+			args[i] = strings.Trim(a, `"`)
+		}
+		if _, _, err := parseBench(args); err != nil {
+			t.Errorf("Makefile recipe `hiergdd bench %s` does not parse: %v", after, err)
+		}
+		gates[args[0]] = true
+	}
+	for _, entry := range benchGates {
+		if !gates[entry.name] {
+			t.Errorf("no Makefile target runs `hiergdd bench %s`", entry.name)
+		}
+	}
+}
+
+// The shared manifest tail, once per gate: the file it writes must
+// round-trip through the validating reader under the gate's historical
+// `tool` name, with the config echo, notes, registry snapshot and
+// workload fingerprint in place.
+func TestBenchManifestRoundTrip(t *testing.T) {
+	for _, entry := range benchGates {
+		path := filepath.Join(t.TempDir(), "BENCH_"+entry.name+".json")
+		w, _, err := parseBench([]string{entry.name, "-requests", "300", "-objects", "30", "-clients", "5", "-manifest", path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := w.generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry("bench-test")
+		reg.Gauge("bench.test.gauge").Set(4.5)
+		if err := w.finish(tr, reg, map[string]any{"requests": w.requests}, map[string]any{"gate": entry.name}); err != nil {
+			t.Fatalf("%s: %v", entry.name, err)
+		}
+		m, err := obs.ReadManifestFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", entry.name, err)
+		}
+		if m.Tool != entry.tool {
+			t.Errorf("%s: manifest tool %q, want %q", entry.name, m.Tool, entry.tool)
+		}
+		if m.Metrics["bench.test.gauge"] != 4.5 || m.Config["requests"] != 300.0 || m.Notes["gate"] != entry.name {
+			t.Errorf("%s: manifest lost content: metrics %v config %v notes %v", entry.name, m.Metrics, m.Config, m.Notes)
+		}
+		if fp, _ := m.Trace["fingerprint"].(string); !strings.HasPrefix(fp, "fnv1a:") {
+			t.Errorf("%s: manifest trace block %v lacks a fingerprint", entry.name, m.Trace)
+		}
+	}
+
+	// Without -manifest the tail is a no-op, not an error.
+	w, _, err := parseBench([]string{"fleet"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.finish(nil, nil, nil, nil); err != nil {
+		t.Errorf("finish without -manifest = %v, want nil", err)
+	}
+}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 	"time"
@@ -9,8 +10,6 @@ import (
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
 	"webcache/internal/obs/slo"
-	"webcache/internal/prowgen"
-	"webcache/internal/trace"
 )
 
 // chaosSLOClass scores every live chaos run against one bench-scale
@@ -23,38 +22,41 @@ var chaosSLOClass = slo.Class{
 	Window:       30 * time.Second,
 }
 
-// chaosBenchConfig sizes the chaos suite run (bench -chaos).
-type chaosBenchConfig struct {
-	scenarios    string // comma-separated names, empty = whole suite
-	requests     int
-	objects      int
-	clients      int
-	proxies      int
-	caches       int
-	objectBytes  int
-	rate         float64
-	warmup       int
-	seed         int64
-	minP999Cut   float64 // slow-peer gate: p999(off)/p999(on) floor
-	manifestPath string
-}
-
-// runChaosBench runs every requested scenario four ways — live and
+// chaosGate runs every requested scenario four ways — live and
 // simulated, defenses off and on — with the conservation accountant
 // attached to each run, and gates on two things: zero accountant
 // violations anywhere, and (for slow-peer) the hedged+deadline
 // defenses cutting the live p999 by at least -chaos-min-p999-cut.
-func runChaosBench(cfg chaosBenchConfig) error {
-	scns, err := chaosScenarios(cfg.scenarios)
+type chaosGate struct {
+	*workload
+	topology
+	warmup     int
+	scenarios  string  // comma-separated names, empty = whole suite
+	minP999Cut float64 // slow-peer gate: p999(off)/p999(on) floor
+}
+
+func (g *chaosGate) bind(fs *flag.FlagSet) {
+	g.topology.bind(fs)
+	bindWarmup(fs, &g.warmup)
+	fs.StringVar(&g.scenarios, "chaos-scenarios", "", "comma-separated scenario names (empty = whole suite)")
+	fs.Float64Var(&g.minP999Cut, "chaos-min-p999-cut", 0, "fail unless slow-peer defenses cut live p999 by this factor (0 = report only)")
+}
+
+func (g *chaosGate) run() error {
+	scns, err := chaosScenarios(g.scenarios)
 	if err != nil {
 		return err
 	}
+	// Every RunLive/RunSim below regenerates this workload from the same
+	// parameters; generating it here validates them once and supplies
+	// the manifest's fingerprint.
+	tr, err := g.generate()
+	if err != nil {
+		return err
+	}
+	warmup := resolveWarmup(g.warmup, g.requests)
 
 	reg := obs.NewRegistry("hiergdd-chaos")
-	var man *obs.Manifest
-	if cfg.manifestPath != "" {
-		man = obs.NewManifest("hiergdd-chaos")
-	}
 
 	var rows []chaos.Row
 	for _, scn := range scns {
@@ -67,15 +69,15 @@ func runChaosBench(cfg chaosBenchConfig) error {
 			chk := invariant.New(reg)
 			rep, err := chaos.RunLive(chaos.LiveConfig{
 				Scenario:       scn,
-				Requests:       cfg.requests,
-				Objects:        cfg.objects,
-				Clients:        cfg.clients,
-				ObjectBytes:    cfg.objectBytes,
-				Rate:           cfg.rate,
-				Warmup:         cfg.warmup,
-				Seed:           cfg.seed,
-				Proxies:        cfg.proxies,
-				CachesPerProxy: cfg.caches,
+				Requests:       g.requests,
+				Objects:        g.objects,
+				Clients:        g.clients,
+				ObjectBytes:    g.objectBytes,
+				Rate:           g.rate,
+				Warmup:         warmup,
+				Seed:           benchSeed,
+				Proxies:        g.proxies,
+				CachesPerProxy: g.caches,
 				DefensesOn:     on,
 				SLOClass:       chaosSLOClass,
 				Check:          chk,
@@ -94,13 +96,13 @@ func runChaosBench(cfg chaosBenchConfig) error {
 			chk := invariant.New(reg)
 			rep, err := chaos.RunSim(chaos.SimConfig{
 				Scenario:       scn,
-				Requests:       cfg.requests,
-				Objects:        cfg.objects,
-				Clients:        cfg.clients,
-				Proxies:        cfg.proxies,
-				CachesPerProxy: cfg.caches,
-				Warmup:         cfg.warmup,
-				Seed:           cfg.seed,
+				Requests:       g.requests,
+				Objects:        g.objects,
+				Clients:        g.clients,
+				Proxies:        g.proxies,
+				CachesPerProxy: g.caches,
+				Warmup:         warmup,
+				Seed:           benchSeed,
 				DefensesOn:     on,
 				Check:          chk,
 			})
@@ -138,52 +140,28 @@ func runChaosBench(cfg chaosBenchConfig) error {
 	// The headline gate: under slow peers, the hedged requests and
 	// per-hop deadlines must actually cut the live tail.
 	for _, row := range rows {
-		if row.Scenario != "slow-peer" || cfg.minP999Cut <= 0 {
+		if row.Scenario != "slow-peer" || g.minP999Cut <= 0 {
 			continue
 		}
-		if cut := row.P999Cut(); cut < cfg.minP999Cut {
+		if cut := row.P999Cut(); cut < g.minP999Cut {
 			return fmt.Errorf("chaos slow-peer: defenses cut p999 only %.2fx (off %.1fms / on %.1fms), gate requires >= %.2fx",
-				cut, row.LiveOff.P999Ms, row.LiveOn.P999Ms, cfg.minP999Cut)
+				cut, row.LiveOff.P999Ms, row.LiveOn.P999Ms, g.minP999Cut)
 		}
-		fmt.Printf("chaos: slow-peer p999 cut %.2fx >= %.2fx gate\n", row.P999Cut(), cfg.minP999Cut)
+		fmt.Printf("chaos: slow-peer p999 cut %.2fx >= %.2fx gate\n", row.P999Cut(), g.minP999Cut)
 	}
 
-	if man != nil {
-		// The same workload every run replays (each RunLive/RunSim
-		// regenerates it from these parameters), fingerprinted so
-		// benchdiff refuses to compare manifests of different traces.
-		if tr, err := prowgen.Generate(prowgen.Config{
-			NumRequests: cfg.requests,
-			NumObjects:  cfg.objects,
-			NumClients:  cfg.clients,
-			Seed:        cfg.seed,
-		}); err == nil {
-			man.Trace = map[string]any{
-				"fingerprint": trace.Fingerprint(tr),
-				"requests":    tr.Len(),
-			}
-		}
-		man.SetConfig("requests", cfg.requests)
-		man.SetConfig("objects", cfg.objects)
-		man.SetConfig("clients", cfg.clients)
-		man.SetConfig("proxies", cfg.proxies)
-		man.SetConfig("caches_per_proxy", cfg.caches)
-		man.SetConfig("object_bytes", cfg.objectBytes)
-		man.SetConfig("rate", cfg.rate)
-		man.SetConfig("warmup", cfg.warmup)
-		man.SetConfig("seed", cfg.seed)
-		man.SetConfig("min_p999_cut", cfg.minP999Cut)
-		man.SetNote("scenarios", rows)
-		man.Finish(reg)
-		if err := man.WriteFile(cfg.manifestPath); err != nil {
-			return fmt.Errorf("writing manifest: %w", err)
-		}
-		if _, err := obs.ReadManifestFile(cfg.manifestPath); err != nil {
-			return fmt.Errorf("manifest self-check: %w", err)
-		}
-		fmt.Printf("manifest: %s\n", cfg.manifestPath)
-	}
-	return nil
+	return g.finish(tr, reg, map[string]any{
+		"requests":         g.requests,
+		"objects":          g.objects,
+		"clients":          g.clients,
+		"proxies":          g.proxies,
+		"caches_per_proxy": g.caches,
+		"object_bytes":     g.objectBytes,
+		"rate":             g.rate,
+		"warmup":           warmup,
+		"seed":             benchSeed,
+		"min_p999_cut":     g.minP999Cut,
+	}, map[string]any{"scenarios": rows})
 }
 
 // chaosScenarios resolves the -chaos-scenarios list (empty = suite).

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math"
 	"net/http"
@@ -12,29 +13,16 @@ import (
 	"webcache/internal/httpcache"
 	"webcache/internal/loadgen"
 	"webcache/internal/obs"
-	"webcache/internal/prowgen"
 	"webcache/internal/trace"
 )
 
-// fleetBenchConfig sizes the fleet scale sweep (bench -fleet).
-type fleetBenchConfig struct {
-	requests     int
-	objects      int
-	clients      int
-	objectBytes  int
-	sizes        []int   // fleet sizes swept, e.g. 1,2,4,8
-	replication  int     // hot-object copy count k
-	totalFrac    float64 // TOTAL proxy capacity as a fraction of distinct objects
-	serviceTime  time.Duration
-	concurrency  int // per-member service slots
-	workers      int // closed-loop drivers
-	warmup       int
-	seed         int64
-	timeout      time.Duration
-	minSpeedup   float64 // gate: rate(max size) / rate(1) floor
-	maxHitDelta  float64 // gate: |hit(n) - hit(1)| ceiling
-	manifestPath string
-}
+// The sweep's fixed shape: the TOTAL proxy budget split across members,
+// and the per-member service gate standing in for member CPU.
+const (
+	fleetTotalFrac   = 0.2              // total proxy budget / distinct objects
+	fleetServiceTime = time.Millisecond // modeled per-request service time at each member
+	fleetConcurrency = 2                // service slots per member
+)
 
 // fleetRow is one sweep point's record in BENCH_fleet.json.
 type fleetRow struct {
@@ -47,7 +35,7 @@ type fleetRow struct {
 	Fleet        httpcache.FleetStats `json:"fleet"`
 }
 
-// runFleetBench sweeps fleet sizes over the SAME workload and the SAME
+// fleetGate sweeps fleet sizes over the SAME workload and the SAME
 // total cache budget (split evenly across members), driving each
 // topology closed-loop through a per-member service gate — a
 // concurrency semaphore plus a fixed service time per client-facing
@@ -59,35 +47,46 @@ type fleetRow struct {
 // single member, and every size's hit ratio within -fleet-max-hit-delta
 // of the single member's (partitioning must not cost hits: n small
 // caches behind the ring ~= one big cache).
-func runFleetBench(cfg fleetBenchConfig) error {
-	if len(cfg.sizes) == 0 {
-		return fmt.Errorf("fleet bench: empty size sweep")
-	}
-	tr, err := prowgen.Generate(prowgen.Config{
-		NumRequests: cfg.requests,
-		NumObjects:  cfg.objects,
-		NumClients:  cfg.clients,
-		Seed:        cfg.seed,
-	})
+type fleetGate struct {
+	*workload
+	sizes       string // ascending fleet sizes, e.g. 1,2,4,8
+	replication int    // hot-object copy count k
+	workers     int    // closed-loop drivers
+	warmup      int
+	minSpeedup  float64 // gate: rate(max size) / rate(1) floor
+	maxHitDelta float64 // gate: |hit(n) - hit(1)| ceiling
+}
+
+func (g *fleetGate) bind(fs *flag.FlagSet) {
+	bindWarmup(fs, &g.warmup)
+	fs.IntVar(&g.workers, "workers", 8, "closed-loop concurrency")
+	fs.StringVar(&g.sizes, "fleet-sizes", "1,2,4,8", "comma-separated ascending fleet sizes")
+	fs.IntVar(&g.replication, "fleet-replication", 1, "hot-object copy count k")
+	fs.Float64Var(&g.minSpeedup, "fleet-min-speedup", 0, "fail unless the largest fleet sustains this multiple of the single member's throughput (0 = report only)")
+	fs.Float64Var(&g.maxHitDelta, "fleet-max-hit-delta", 0, "fail if any size's hit ratio drifts more than this from the single member's (0 = report only)")
+}
+
+func (g *fleetGate) run() error {
+	sizes, err := parseSizesList(g.sizes)
 	if err != nil {
 		return err
 	}
+	tr, err := g.generate()
+	if err != nil {
+		return err
+	}
+	warmup := resolveWarmup(g.warmup, g.requests)
 	distinct := distinctObjects(tr)
-	totalUnits := uint64(math.Round(cfg.totalFrac * float64(distinct)))
+	totalUnits := uint64(math.Round(fleetTotalFrac * float64(distinct)))
 	if totalUnits < 1 {
 		totalUnits = 1
 	}
 	fmt.Printf("hiergdd fleet bench: %d requests / %d objects, total proxy budget %d units, service %v x %d slots/member\n",
-		tr.Len(), distinct, totalUnits, cfg.serviceTime, cfg.concurrency)
-
-	var man *obs.Manifest
-	if cfg.manifestPath != "" {
-		man = obs.NewManifest("hiergdd-fleet")
-	}
+		tr.Len(), distinct, totalUnits, fleetServiceTime, fleetConcurrency)
 
 	var rows []fleetRow
-	for _, n := range cfg.sizes {
-		row, err := runFleetSize(cfg, tr, n, totalUnits)
+	for _, n := range sizes {
+		row, err := g.runSize(tr, n, totalUnits, warmup)
 		if err != nil {
 			return fmt.Errorf("fleet size %d: %w", n, err)
 		}
@@ -107,71 +106,56 @@ func runFleetBench(cfg fleetBenchConfig) error {
 			return fmt.Errorf("fleet bench: throughput not increasing: %.0f req/s at %d members vs %.0f at %d",
 				row.AchievedRate, row.Members, rows[i-1].AchievedRate, rows[i-1].Members)
 		}
-		if d := math.Abs(row.HitRatio - base.HitRatio); cfg.maxHitDelta > 0 && d > cfg.maxHitDelta {
+		if d := math.Abs(row.HitRatio - base.HitRatio); g.maxHitDelta > 0 && d > g.maxHitDelta {
 			return fmt.Errorf("fleet bench: hit ratio at %d members drifted %.3f from single-member %.3f (gate %.3f)",
-				row.Members, d, base.HitRatio, cfg.maxHitDelta)
+				row.Members, d, base.HitRatio, g.maxHitDelta)
 		}
 	}
 	last := rows[len(rows)-1]
 	speedup := last.AchievedRate / base.AchievedRate
-	if cfg.minSpeedup > 0 && speedup < cfg.minSpeedup {
+	if g.minSpeedup > 0 && speedup < g.minSpeedup {
 		return fmt.Errorf("fleet bench: %d members only %.2fx the single member (%.0f vs %.0f req/s), gate requires >= %.2fx",
-			last.Members, speedup, last.AchievedRate, base.AchievedRate, cfg.minSpeedup)
+			last.Members, speedup, last.AchievedRate, base.AchievedRate, g.minSpeedup)
 	}
 	fmt.Printf("fleet bench: %d members %.2fx single-member throughput, hit drift <= %.3f — gates clear\n",
 		last.Members, speedup, maxHitDrift(rows))
 
-	if man != nil {
-		man.Trace = map[string]any{
-			"fingerprint": trace.Fingerprint(tr),
-			"requests":    tr.Len(),
-		}
-		man.SetConfig("requests", cfg.requests)
-		man.SetConfig("objects", cfg.objects)
-		man.SetConfig("clients", cfg.clients)
-		man.SetConfig("object_bytes", cfg.objectBytes)
-		man.SetConfig("sizes", cfg.sizes)
-		man.SetConfig("replication", cfg.replication)
-		man.SetConfig("total_capacity_units", totalUnits)
-		man.SetConfig("service_time", cfg.serviceTime.String())
-		man.SetConfig("concurrency", cfg.concurrency)
-		man.SetConfig("workers", cfg.workers)
-		man.SetConfig("warmup", cfg.warmup)
-		man.SetConfig("seed", cfg.seed)
-		man.SetConfig("min_speedup", cfg.minSpeedup)
-		man.SetConfig("max_hit_delta", cfg.maxHitDelta)
-		man.SetNote("sweep", rows)
-		man.SetNote("speedup", speedup)
-		// Per-size gauges make the sweep benchdiff-able: CI's fleet
-		// manifest diff loop compares these run to run, so throughput
-		// or hit-ratio drift at any size shows up as a numbered delta,
-		// not just a changed opaque note blob.
-		reg := obs.NewRegistry("hiergdd-fleet")
-		for _, row := range rows {
-			pfx := fmt.Sprintf("bench.fleet.n%d.", row.Members)
-			reg.Gauge(pfx + "req_per_sec").Set(row.AchievedRate)
-			reg.Gauge(pfx + "hit_ratio").Set(row.HitRatio)
-			reg.Gauge(pfx + "p999_ms").Set(row.P999Ms)
-			reg.Gauge(pfx + "routed").Set(float64(row.Fleet.Routed))
-			reg.Gauge(pfx + "routed_hits").Set(float64(row.Fleet.RoutedHits))
-			reg.Gauge(pfx + "replicas_out").Set(float64(row.Fleet.ReplicasOut))
-		}
-		reg.Gauge("bench.fleet.speedup").Set(speedup)
-		man.Finish(reg)
-		if err := man.WriteFile(cfg.manifestPath); err != nil {
-			return fmt.Errorf("writing manifest: %w", err)
-		}
-		if _, err := obs.ReadManifestFile(cfg.manifestPath); err != nil {
-			return fmt.Errorf("manifest self-check: %w", err)
-		}
-		fmt.Printf("manifest: %s\n", cfg.manifestPath)
+	// Per-size gauges make the sweep benchdiff-able: CI's fleet manifest
+	// diff loop compares these run to run, so throughput or hit-ratio
+	// drift at any size shows up as a numbered delta, not just a changed
+	// opaque note blob.
+	reg := obs.NewRegistry("hiergdd-fleet")
+	for _, row := range rows {
+		pfx := fmt.Sprintf("bench.fleet.n%d.", row.Members)
+		reg.Gauge(pfx + "req_per_sec").Set(row.AchievedRate)
+		reg.Gauge(pfx + "hit_ratio").Set(row.HitRatio)
+		reg.Gauge(pfx + "p999_ms").Set(row.P999Ms)
+		reg.Gauge(pfx + "routed").Set(float64(row.Fleet.Routed))
+		reg.Gauge(pfx + "routed_hits").Set(float64(row.Fleet.RoutedHits))
+		reg.Gauge(pfx + "replicas_out").Set(float64(row.Fleet.ReplicasOut))
 	}
-	return nil
+	reg.Gauge("bench.fleet.speedup").Set(speedup)
+	return g.finish(tr, reg, map[string]any{
+		"requests":             g.requests,
+		"objects":              g.objects,
+		"clients":              g.clients,
+		"object_bytes":         g.objectBytes,
+		"sizes":                sizes,
+		"replication":          g.replication,
+		"total_capacity_units": totalUnits,
+		"service_time":         fleetServiceTime.String(),
+		"concurrency":          fleetConcurrency,
+		"workers":              g.workers,
+		"warmup":               warmup,
+		"seed":                 benchSeed,
+		"min_speedup":          g.minSpeedup,
+		"max_hit_delta":        g.maxHitDelta,
+	}, map[string]any{"sweep": rows, "speedup": speedup})
 }
 
-// runFleetSize stands one n-member fleet up and drives the whole trace
+// runSize stands one n-member fleet up and drives the whole trace
 // closed-loop through the ring-aware schedule.
-func runFleetSize(cfg fleetBenchConfig, tr *trace.Trace, n int, totalUnits uint64) (fleetRow, error) {
+func (g *fleetGate) runSize(tr *trace.Trace, n int, totalUnits uint64, warmup int) (fleetRow, error) {
 	var row fleetRow
 	perMember := totalUnits / uint64(n)
 	if perMember < 1 {
@@ -180,15 +164,15 @@ func runFleetSize(cfg fleetBenchConfig, tr *trace.Trace, n int, totalUnits uint6
 	row.Members = n
 	row.PerMemberCap = perMember
 
-	// The service gate: cfg.concurrency slots per member, each
-	// client-facing /fetch holding one for cfg.serviceTime.  Fleet hops
+	// The service gate: fleetConcurrency slots per member, each
+	// client-facing /fetch holding one for fleetServiceTime.  Fleet hops
 	// (FleetHopHeader set) pay the service time WITHOUT taking a slot —
 	// a hop is served inline by a member that may itself be saturated,
 	// and letting it queue on the same semaphore its caller holds a
 	// slot of would deadlock the pair under full load.
 	gates := make([]chan struct{}, n)
 	for p := range gates {
-		gates[p] = make(chan struct{}, cfg.concurrency)
+		gates[p] = make(chan struct{}, fleetConcurrency)
 	}
 	wrap := func(p int, h http.Handler) http.Handler {
 		gate := gates[p]
@@ -196,10 +180,10 @@ func runFleetSize(cfg fleetBenchConfig, tr *trace.Trace, n int, totalUnits uint6
 			if r.URL.Path == "/fetch" {
 				if r.Header.Get(httpcache.FleetHopHeader) == "" {
 					gate <- struct{}{}
-					time.Sleep(cfg.serviceTime)
+					time.Sleep(fleetServiceTime)
 					<-gate
 				} else {
-					time.Sleep(cfg.serviceTime)
+					time.Sleep(fleetServiceTime)
 				}
 			}
 			h.ServeHTTP(w, r)
@@ -216,33 +200,29 @@ func runFleetSize(cfg fleetBenchConfig, tr *trace.Trace, n int, totalUnits uint6
 	topo, err := loadgen.StartLoopback(loadgen.TopologyConfig{
 		Proxies:            n,
 		CachesPerProxy:     0,
-		ProxyCapacityBytes: []uint64{perMember * uint64(cfg.objectBytes)},
+		ProxyCapacityBytes: []uint64{perMember * uint64(g.objectBytes)},
 		CacheCapacityBytes: []uint64{1},
-		ObjectBytes:        cfg.objectBytes,
+		ObjectBytes:        g.objectBytes,
 		Defenses:           &defenses,
 		WrapProxy:          wrap,
 		Fleet:              true,
-		FleetReplication:   cfg.replication,
+		FleetReplication:   g.replication,
 	})
 	if err != nil {
 		return row, err
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		topo.Close(ctx)
-	}()
+	defer closeTopology(topo, 5*time.Second)
 
 	sched, err := loadgen.BuildScheduleFleet(tr, topo.ProxyURLs, topo.OriginURL,
-		topo.Proxies[0].FleetRing(), cfg.replication)
+		topo.Proxies[0].FleetRing(), g.replication)
 	if err != nil {
 		return row, err
 	}
-	tgt := loadgen.NewHTTPTarget(cfg.timeout)
+	tgt := loadgen.NewHTTPTarget(benchTimeout)
 	res, err := loadgen.Run(context.Background(), sched, tgt, loadgen.Options{
 		Mode:    loadgen.ClosedLoop,
-		Workers: cfg.workers,
-		Warmup:  cfg.warmup,
+		Workers: g.workers,
+		Warmup:  warmup,
 		Obs:     obs.NewRegistry(fmt.Sprintf("fleet-n%d", n)),
 	})
 	tgt.CloseIdleConnections()

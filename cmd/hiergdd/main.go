@@ -8,12 +8,10 @@
 //	hiergdd proxy -listen :8080 -capacity 67108864 -peers http://other:8080
 //	hiergdd cache -listen :9001 -capacity 16777216 -proxy http://localhost:8080
 //	hiergdd demo                     # whole topology in-process on localhost
-//	hiergdd bench -trace t.bin -rate 500 -duration 10s   # live load + calibration
-//	hiergdd bench -store             # store microbench: sharded vs single-mutex
-//	hiergdd bench -disk              # disk tier: write-behind, mixed load, recovery
-//	hiergdd bench -chaos             # adversarial scenarios, defenses off vs on
-//	hiergdd bench -fleet             # fleet scale sweep: 1 -> 8 members, same budget
-//	hiergdd bench -slo               # SLO gate: burn-rate cut + aggregator agreement
+//	hiergdd bench live -trace t.bin -rate 500 -duration 10s   # live load + sim calibration
+//	hiergdd bench chaos              # adversarial scenarios, defenses off vs on
+//	hiergdd bench fleet              # fleet scale sweep: 1 -> 8 members, same budget
+//	hiergdd bench slo                # SLO gate: burn-rate cut + aggregator agreement
 //	hiergdd top -members a=http://h1:8080,b=http://h2:8080   # live cluster dashboard
 //
 // A proxy started with -fleet-members joins a consistent-hash fleet

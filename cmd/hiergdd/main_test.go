@@ -350,7 +350,7 @@ func TestBenchSmoke(t *testing.T) {
 	traceOut := filepath.Join(dir, "bench_trace.json")
 	traceJSONL := filepath.Join(dir, "bench_trace.jsonl")
 	err := runBench([]string{
-		"-requests", "1500", "-objects", "150", "-clients", "20",
+		"live", "-requests", "1500", "-objects", "150", "-clients", "20",
 		"-proxies", "2", "-caches", "2",
 		"-mode", "closed", "-workers", "8",
 		"-object-bytes", "128", "-warmup", "150",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math"
 	"time"
@@ -12,40 +13,20 @@ import (
 	"webcache/internal/obs"
 	"webcache/internal/obs/cluster"
 	"webcache/internal/obs/slo"
-	"webcache/internal/prowgen"
-	"webcache/internal/sim"
 	"webcache/internal/trace"
 )
 
-// sloBenchConfig sizes the SLO-plane smoke run (bench -slo).
-type sloBenchConfig struct {
-	requests    int
-	objects     int
-	clients     int
-	proxies     int
-	caches      int
-	objectBytes int
-	rate        float64
-	seed        int64
-	timeout     time.Duration
-	scenario    string // chaos scenario injected into both cells
-	classSpecs  string // -slo-classes flag syntax; first class is the gated one
-	maxHitDelta float64
-	burnGate    bool
-	manifest    string
-}
-
 // sloCell is one (defenses off|on) cell's outcome.
 type sloCell struct {
-	DefensesOn  bool               `json:"defenses_on"`
-	LoadgenHit  float64            `json:"loadgen_hit_ratio"`
-	ClusterHit  float64            `json:"cluster_hit_ratio"`
-	HitDelta    float64            `json:"hit_delta"`
-	Requests    int                `json:"requests"`
-	Errors      int                `json:"errors"`
-	MembersUp   int                `json:"members_up"`
+	DefensesOn  bool                  `json:"defenses_on"`
+	LoadgenHit  float64               `json:"loadgen_hit_ratio"`
+	ClusterHit  float64               `json:"cluster_hit_ratio"`
+	HitDelta    float64               `json:"hit_delta"`
+	Requests    int                   `json:"requests"`
+	Errors      int                   `json:"errors"`
+	MembersUp   int                   `json:"members_up"`
 	SLO         []cluster.ClassRollup `json:"slo"`
-	LoadgenNote map[string]any     `json:"loadgen"`
+	LoadgenNote map[string]any        `json:"loadgen"`
 
 	snap *cluster.Snapshot
 }
@@ -60,32 +41,51 @@ func (c *sloCell) rollup(name string) *cluster.ClassRollup {
 	return nil
 }
 
-// runSLOBench is the fleet-wide SLO plane end to end: a loopback
+// sloGate is the fleet-wide SLO plane end to end: a loopback
 // multi-member topology with per-member registries and SLO trackers,
 // driven with class-tagged requests under a chaos scenario, defenses
 // off and on; the cluster aggregator scrapes every member and the
 // gates check that (a) the defenses cut the gated class's fast-window
 // burn rate, and (b) the aggregator's cluster hit ratio agrees with
 // the load generator's own accounting to within -slo-max-hit-delta.
-func runSLOBench(cfg sloBenchConfig) error {
-	classes, err := slo.ParseClasses(cfg.classSpecs)
+type sloGate struct {
+	*workload
+	topology
+	scenario    string // chaos scenario injected into both cells
+	classSpecs  string // slo.ParseClasses syntax; the first class is the gated one
+	maxHitDelta float64
+}
+
+func (g *sloGate) bind(fs *flag.FlagSet) {
+	g.topology.bind(fs)
+	fs.StringVar(&g.classSpecs, "slo-classes", "interactive:100ms:0.99:30s,batch:1s:0.9:30s", `SLO classes as "name:latency:availability[:window]", comma-separated; the first class is the burn-rate gate`)
+	fs.StringVar(&g.scenario, "slo-scenario", "slow-peer", "chaos scenario injected into both cells")
+	fs.Float64Var(&g.maxHitDelta, "slo-max-hit-delta", 0.01, "fail if |aggregator - loadgen| hit ratio exceeds this (0 = report only)")
+}
+
+func (g *sloGate) run() error {
+	classes, err := slo.ParseClasses(g.classSpecs)
 	if err != nil {
 		return err
 	}
 	if len(classes) < 2 {
-		return fmt.Errorf("slo bench: need at least two classes, got %q", cfg.classSpecs)
+		return fmt.Errorf("slo bench: need at least two classes, got %q", g.classSpecs)
 	}
-	scn, err := chaos.Lookup(cfg.scenario)
+	scn, err := chaos.Lookup(g.scenario)
+	if err != nil {
+		return err
+	}
+	tr, err := g.generate()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("slo bench: %d proxies x %d caches, classes %q, scenario %s\n",
-		cfg.proxies, cfg.caches, cfg.classSpecs, scn.Name)
+		g.proxies, g.caches, g.classSpecs, scn.Name)
 
 	reg := obs.NewRegistry("hiergdd-slo")
 	var cells []*sloCell
 	for _, on := range []bool{false, true} {
-		cell, err := runSLOCell(cfg, classes, scn, on)
+		cell, err := g.runCell(tr, classes, scn, on)
 		if err != nil {
 			return fmt.Errorf("slo bench defenses=%v: %w", on, err)
 		}
@@ -96,10 +96,10 @@ func runSLOBench(cfg sloBenchConfig) error {
 		}
 		fmt.Printf("  defenses=%-5v hit live %.3f cluster %.3f (delta %+.4f)  %s burn.fast %.2f burn.slow %.2f  members up %d/%d\n",
 			on, cell.LoadgenHit, cell.ClusterHit, cell.HitDelta,
-			gated.Name, gated.FastBurn, gated.SlowBurn, cell.MembersUp, cfg.proxies)
-		if cfg.maxHitDelta > 0 && math.Abs(cell.HitDelta) > cfg.maxHitDelta {
+			gated.Name, gated.FastBurn, gated.SlowBurn, cell.MembersUp, g.proxies)
+		if g.maxHitDelta > 0 && math.Abs(cell.HitDelta) > g.maxHitDelta {
 			return fmt.Errorf("slo bench defenses=%v: aggregator hit ratio %.4f vs loadgen %.4f — |delta| %.4f > %.4f gate",
-				on, cell.ClusterHit, cell.LoadgenHit, math.Abs(cell.HitDelta), cfg.maxHitDelta)
+				on, cell.ClusterHit, cell.LoadgenHit, math.Abs(cell.HitDelta), g.maxHitDelta)
 		}
 		cells = append(cells, cell)
 	}
@@ -107,104 +107,55 @@ func runSLOBench(cfg sloBenchConfig) error {
 	off, on := cells[0], cells[1]
 	burnOff := off.rollup(classes[0].Name).FastBurn
 	burnOn := on.rollup(classes[0].Name).FastBurn
-	if cfg.burnGate {
-		if burnOn >= burnOff {
-			return fmt.Errorf("slo bench: defenses did not cut the %s fast burn (off %.2f, on %.2f)",
-				classes[0].Name, burnOff, burnOn)
-		}
-		fmt.Printf("slo bench: defenses cut %s fast burn %.2f -> %.2f\n",
+	if burnOn >= burnOff {
+		return fmt.Errorf("slo bench: defenses did not cut the %s fast burn (off %.2f, on %.2f)",
 			classes[0].Name, burnOff, burnOn)
 	}
+	fmt.Printf("slo bench: defenses cut %s fast burn %.2f -> %.2f\n",
+		classes[0].Name, burnOff, burnOn)
 
-	if cfg.manifest != "" {
-		man := obs.NewManifest("hiergdd-slo")
-		if tr, err := prowgen.Generate(prowgen.Config{
-			NumRequests: cfg.requests,
-			NumObjects:  cfg.objects,
-			NumClients:  cfg.clients,
-			Seed:        cfg.seed,
-		}); err == nil {
-			man.Trace = map[string]any{
-				"fingerprint": trace.Fingerprint(tr),
-				"requests":    tr.Len(),
-			}
-		}
-		man.SetConfig("requests", cfg.requests)
-		man.SetConfig("objects", cfg.objects)
-		man.SetConfig("clients", cfg.clients)
-		man.SetConfig("proxies", cfg.proxies)
-		man.SetConfig("caches_per_proxy", cfg.caches)
-		man.SetConfig("object_bytes", cfg.objectBytes)
-		man.SetConfig("rate", cfg.rate)
-		man.SetConfig("seed", cfg.seed)
-		man.SetConfig("scenario", scn.Name)
-		man.SetConfig("classes", cfg.classSpecs)
-		man.SetConfig("max_hit_delta", cfg.maxHitDelta)
-		man.SetNote("defenses_off", off)
-		man.SetNote("defenses_on", on)
-		// The defenses-on cell's merged cluster view (cluster.* gauges,
-		// per-member sums) is the manifest's metric snapshot, so benchdiff
-		// tracks the aggregator's numbers run over run.
-		for k, v := range on.snap.Values {
-			reg.Gauge(k).Set(v)
-		}
-		reg.Gauge("slo.bench.burn_fast_off").Set(burnOff)
-		reg.Gauge("slo.bench.burn_fast_on").Set(burnOn)
-		man.Finish(reg)
-		if err := man.WriteFile(cfg.manifest); err != nil {
-			return fmt.Errorf("writing manifest: %w", err)
-		}
-		if _, err := obs.ReadManifestFile(cfg.manifest); err != nil {
-			return fmt.Errorf("manifest self-check: %w", err)
-		}
-		fmt.Printf("manifest: %s\n", cfg.manifest)
+	// The defenses-on cell's merged cluster view (cluster.* gauges,
+	// per-member sums) is the manifest's metric snapshot, so benchdiff
+	// tracks the aggregator's numbers run over run.
+	for k, v := range on.snap.Values {
+		reg.Gauge(k).Set(v)
 	}
-	return nil
+	reg.Gauge("slo.bench.burn_fast_off").Set(burnOff)
+	reg.Gauge("slo.bench.burn_fast_on").Set(burnOn)
+	return g.finish(tr, reg, map[string]any{
+		"requests":         g.requests,
+		"objects":          g.objects,
+		"clients":          g.clients,
+		"proxies":          g.proxies,
+		"caches_per_proxy": g.caches,
+		"object_bytes":     g.objectBytes,
+		"rate":             g.rate,
+		"seed":             benchSeed,
+		"scenario":         scn.Name,
+		"classes":          g.classSpecs,
+		"max_hit_delta":    g.maxHitDelta,
+	}, map[string]any{"defenses_off": off, "defenses_on": on})
 }
 
-// runSLOCell stands up one class-tagged loopback run: per-member
+// runCell stands up one class-tagged loopback run: per-member
 // registries and SLO trackers, the scenario's fault injectors, the
 // drive, then a real aggregator scrape over the members' /metrics and
 // /fleet/heartbeat endpoints.
-func runSLOCell(cfg sloBenchConfig, classes []slo.Class, scn chaos.Scenario, on bool) (*sloCell, error) {
-	tr, err := prowgen.Generate(prowgen.Config{
-		NumRequests: cfg.requests,
-		NumObjects:  cfg.objects,
-		NumClients:  cfg.clients,
-		Seed:        cfg.seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	simCfg := sim.Config{
-		Scheme:            sim.HierGD,
-		NumProxies:        cfg.proxies,
-		ClientsPerCluster: (cfg.clients + cfg.proxies - 1) / cfg.proxies,
-		P2PClientCaches:   cfg.caches,
-		ProxyCacheFrac:    0.05,
-		ClientCacheFrac:   0.005,
-		Seed:              cfg.seed,
-	}
+func (g *sloGate) runCell(tr *trace.Trace, classes []slo.Class, scn chaos.Scenario, on bool) (*sloCell, error) {
+	simCfg := g.simConfig(g.clients)
 	proxyCap, clientCap := simCfg.CapacityPlan(tr)
-	toBytes := func(units []uint64) []uint64 {
-		out := make([]uint64, len(units))
-		for i, u := range units {
-			out[i] = u * uint64(cfg.objectBytes)
-		}
-		return out
-	}
 
-	inj := chaos.NewInjector(scn, cfg.caches, obs.NewRegistry("slo-inject"))
+	inj := chaos.NewInjector(scn, g.caches, obs.NewRegistry("slo-inject"))
 	var defenses *httpcache.Defenses
 	if on {
 		defenses = chaos.Hardened()
 	}
 	topo, err := loadgen.StartLoopback(loadgen.TopologyConfig{
-		Proxies:            cfg.proxies,
-		CachesPerProxy:     cfg.caches,
-		ProxyCapacityBytes: toBytes(proxyCap),
-		CacheCapacityBytes: toBytes(clientCap),
-		ObjectBytes:        cfg.objectBytes,
+		Proxies:            g.proxies,
+		CachesPerProxy:     g.caches,
+		ProxyCapacityBytes: unitsToBytes(proxyCap, g.objectBytes),
+		CacheCapacityBytes: unitsToBytes(clientCap, g.objectBytes),
+		ObjectBytes:        g.objectBytes,
 		Defenses:           defenses,
 		WrapProxy:          inj.WrapProxy,
 		WrapCache:          inj.WrapCache,
@@ -214,24 +165,20 @@ func runSLOCell(cfg sloBenchConfig, classes []slo.Class, scn chaos.Scenario, on 
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		topo.Close(ctx)
-	}()
+	defer closeTopology(topo, 5*time.Second)
 
 	sched, err := loadgen.BuildSchedule(tr, topo.ProxyURLs, topo.OriginURL, simCfg.ProxyFor)
 	if err != nil {
 		return nil, err
 	}
-	arrival, err := loadgen.NewPoisson(cfg.rate, cfg.seed)
+	arrival, err := loadgen.NewPoisson(g.rate, benchSeed)
 	if err != nil {
 		return nil, err
 	}
 	// Warmup 0: the gate compares the aggregator's counters (which see
 	// every request the daemons served) against the driver's aggregate,
 	// so both sides must account the same population.
-	tgt := loadgen.NewHTTPTarget(cfg.timeout)
+	tgt := loadgen.NewHTTPTarget(benchTimeout)
 	res, err := loadgen.Run(context.Background(), sched, tgt, loadgen.Options{
 		Mode:    loadgen.OpenLoop,
 		Arrival: arrival,
@@ -275,9 +222,9 @@ func runSLOCell(cfg sloBenchConfig, classes []slo.Class, scn chaos.Scenario, on 
 			cell.MembersUp++
 		}
 	}
-	if cell.MembersUp != cfg.proxies {
+	if cell.MembersUp != g.proxies {
 		return nil, fmt.Errorf("aggregator saw %d/%d members up: %+v",
-			cell.MembersUp, cfg.proxies, snap.Members)
+			cell.MembersUp, g.proxies, snap.Members)
 	}
 	return cell, nil
 }

@@ -141,7 +141,7 @@ func run(args []string) (*obs.Registry, error) {
 		return reg, finish(res.Trace)
 
 	case *analyze != "":
-		tr, err := readTrace(*analyze)
+		tr, err := webcache.ReadTraceFile(*analyze)
 		if err != nil {
 			return reg, err
 		}
@@ -171,7 +171,7 @@ func run(args []string) (*obs.Registry, error) {
 		if *out == "" {
 			return reg, fmt.Errorf("-convert requires -o")
 		}
-		tr, err := readTrace(*convert)
+		tr, err := webcache.ReadTraceFile(*convert)
 		if err != nil {
 			return reg, err
 		}
@@ -222,28 +222,6 @@ func isText(path, format string) bool {
 	}
 	ext := filepath.Ext(path)
 	return ext == ".txt" || ext == ".trace"
-}
-
-func readTrace(path string) (*webcache.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if isText(path, "") {
-		return webcache.ReadTraceText(f)
-	}
-	tr, err := webcache.ReadTraceBinary(f)
-	if err != nil {
-		// Fall back to text for unlabeled files.
-		if _, serr := f.Seek(0, 0); serr == nil {
-			if t2, terr := webcache.ReadTraceText(f); terr == nil {
-				return t2, nil
-			}
-		}
-		return nil, err
-	}
-	return tr, nil
 }
 
 func writeTrace(path, format string, tr *webcache.Trace) error {

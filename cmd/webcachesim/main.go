@@ -260,18 +260,7 @@ type traceSource struct {
 func (src traceSource) load() (*webcache.Trace, error) {
 	switch {
 	case src.file != "":
-		f, err := os.Open(src.file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if tr, err := webcache.ReadTraceBinary(f); err == nil {
-			return tr, nil
-		}
-		if _, err := f.Seek(0, 0); err != nil {
-			return nil, err
-		}
-		return webcache.ReadTraceText(f)
+		return webcache.ReadTraceFile(src.file)
 	case src.preset != "":
 		return webcache.GeneratePresetWorkload(src.preset, int(1_000_000*src.scale), src.seed)
 	case src.ucb:

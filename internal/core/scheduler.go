@@ -101,7 +101,7 @@ func (s *stealScheduler) next(w int) (int, bool) {
 // RunJobs executes exec(0..njobs-1) across the work-stealing pool with
 // up to nworkers workers and blocks until every job completes.  It is
 // the sweep scheduler behind runSweep, exported for drivers that batch
-// independent simulator replays (hiergdd bench -sim).  The returned
+// independent simulator replays (the repo benchmark, bench/).  The returned
 // count is the number of successful steal operations (telemetry).
 func RunJobs(nworkers, njobs int, exec func(job int)) (steals int64) {
 	if nworkers > njobs {

@@ -467,7 +467,10 @@ func (p *Proxy) originFetch(url string) ([]byte, error) {
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
+	if err != nil {
+		return nil, fmt.Errorf("reading origin body: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("origin status %d", resp.StatusCode)
 	}
 	return body, nil

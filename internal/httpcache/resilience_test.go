@@ -243,3 +243,40 @@ func TestEmptyBodyStoreReceipt(t *testing.T) {
 		t.Fatal("empty object cached")
 	}
 }
+
+// An origin that declares a longer body than it sends (aborted
+// transfer) must surface as a 502 naming the read failure — not as the
+// self-contradictory "origin status 200" — and the short body must be
+// neither counted as an origin fetch nor cached.
+func TestOriginShortBody(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "100")
+		w.Write([]byte("only-ten-b")) // net/http closes the connection on the shortfall
+	}))
+	t.Cleanup(origin.Close)
+
+	px := NewProxy(1 << 20)
+	pxSrv := httptest.NewServer(px.Handler())
+	t.Cleanup(pxSrv.Close)
+	px.SetSelf(pxSrv.URL)
+
+	resp, err := http.Get(fmt.Sprintf("%s/fetch?url=%s", pxSrv.URL, url.QueryEscape(origin.URL+"/short")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("status %d (%q), want 502", resp.StatusCode, msg)
+	}
+	if !strings.Contains(string(msg), "reading origin body") || !strings.Contains(string(msg), "EOF") ||
+		strings.Contains(string(msg), "origin status 200") {
+		t.Fatalf("502 text %q does not name the read failure", msg)
+	}
+	if st := px.snapshotStats(); st.OriginFetch != 0 {
+		t.Fatalf("origin_fetches = %d after a failed fetch, want 0", st.OriginFetch)
+	}
+	if n := px.Store().Len(); n != 0 {
+		t.Fatalf("proxy cached %d objects from an aborted origin body", n)
+	}
+}

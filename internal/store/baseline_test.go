@@ -7,13 +7,10 @@ import (
 	"webcache/internal/trace"
 )
 
-// Baseline is the pre-sharding design the throughput bench compares
-// the Store against: one mutex in front of one policy instance, and
-// no miss coalescing — N concurrent misses on the same key run N
-// loader calls, exactly like the bounded store the live daemons used
-// to share.  It exists so the sharded store's multicore win is a
-// measured number (BENCH_store.json) rather than a claim, and so
-// behaviour-parity tests can diff the two implementations.
+// Baseline is the reference implementation the differential test
+// (TestStoreMatchesBaselineSequentially) diffs the sharded Store
+// against: one mutex in front of one policy instance, and no miss
+// coalescing — N concurrent misses on the same key run N loader calls.
 type Baseline struct {
 	mu     sync.Mutex
 	policy cache.Policy

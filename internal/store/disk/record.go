@@ -19,8 +19,9 @@
 // crash between 2 and 4 leaves an orphaned log record (dead bytes,
 // reclaimed by compaction) but never a journal entry referencing torn
 // data.  Recovery replays the journal alone — no body reads — which
-// is what makes the `make disk-bench` replay rate a journal-decode
-// rate rather than a disk-bandwidth number; record checksums are
+// is what makes the recovery rate (`disk.replay_obj_per_s` in the
+// repo benchmark) a journal-decode rate rather than a disk-bandwidth
+// number; record checksums are
 // verified lazily on every Get.
 //
 // Like the rest of the repo, observability is zero-cost when

@@ -56,8 +56,7 @@ type Object struct {
 }
 
 // Interface is the store surface the data plane programs against,
-// implemented by the sharded Store and the single-mutex Baseline the
-// throughput bench compares it to.
+// implemented by the sharded Store and the memory-over-disk Tiered.
 type Interface interface {
 	Get(key trace.ObjectID) (Object, bool)
 	Put(key trace.ObjectID, obj Object) (evicted []Object, stored bool, err error)

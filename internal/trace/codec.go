@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -344,6 +345,29 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	return t, nil
+}
+
+// ReadFile loads the trace file at path in either interchange format:
+// binary when the file opens with the binary magic, text otherwise.
+// Only ErrBadMagic falls back to the text parser — a file that is a
+// binary trace but fails to decode (truncated, corrupt) reports the
+// binary decoder's error, not a text parse error about its first line.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	t, err := ReadBinary(f)
+	if errors.Is(err, ErrBadMagic) {
+		if _, err = f.Seek(0, io.SeekStart); err == nil {
+			t, err = ReadText(f)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reading trace %s: %w", path, err)
 	}
 	return t, nil
 }

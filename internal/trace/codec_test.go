@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -122,6 +124,48 @@ func TestReadBinaryTruncated(t *testing.T) {
 		if _, err := ReadBinary(bytes.NewReader(b[:cut])); err == nil {
 			t.Errorf("truncated at %d: no error", cut)
 		}
+	}
+}
+
+// ReadFile sniffs the format: binary and text files both load, and a
+// truncated binary trace reports the binary decoder's error instead of
+// falling through to the text parser (whose "line 1: want 4 fields"
+// would send the user looking for a text problem in a binary file).
+func TestReadFile(t *testing.T) {
+	tr := randomTrace(rand.New(rand.NewSource(5)), 200)
+	var bin, txt bytes.Buffer
+	if err := WriteBinary(&bin, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteText(&txt, tr); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for name, data := range map[string][]byte{"t.bin": bin.Bytes(), "t.txt": txt.Bytes()} {
+		got, err := ReadFile(write(name, data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.Requests, tr.Requests) {
+			t.Errorf("%s: requests differ after ReadFile", name)
+		}
+	}
+	_, err := ReadFile(write("cut.bin", bin.Bytes()[:bin.Len()/2]))
+	if err == nil {
+		t.Fatal("truncated binary trace loaded without error")
+	}
+	if strings.Contains(err.Error(), "line ") || !strings.Contains(err.Error(), "request ") {
+		t.Errorf("truncated binary trace: err = %v, want the binary decoder's per-request error", err)
+	}
+	if _, err := ReadFile(filepath.Join(dir, "absent")); !os.IsNotExist(err) {
+		t.Errorf("missing file: err = %v, want not-exist", err)
 	}
 }
 

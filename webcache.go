@@ -195,6 +195,10 @@ func ReadSquidLog(r io.Reader, opts SquidOptions) (*SquidResult, error) {
 func ReadTraceBinary(r io.Reader) (*Trace, error)   { return trace.ReadBinary(r) }
 func WriteTraceBinary(w io.Writer, tr *Trace) error { return trace.WriteBinary(w, tr) }
 
+// ReadTraceFile loads a trace file in either format, sniffing the
+// binary magic; a damaged binary trace reports the binary decode error.
+func ReadTraceFile(path string) (*Trace, error) { return trace.ReadFile(path) }
+
 // NewNetworkModel resolves latency ratios into a model; DefaultNetwork
 // is the paper's default (Ts/Tc=10, Ts/Tl=20, Tp2p/Tl=1.4).
 func NewNetworkModel(p NetworkParams) (NetworkModel, error) { return netmodel.New(p) }
@@ -389,9 +393,7 @@ func Calibrate(tr *Trace, live *LoadResult, cfg Config, tolerance float64) (*Cal
 
 // Concurrent-store types (internal/store): the live daemons' data
 // plane — a sharded, lock-striped object store composing one
-// replacement policy per shard, with singleflight miss coalescing
-// (`hiergdd bench -store` measures it against the old single-mutex
-// design).
+// replacement policy per shard, with singleflight miss coalescing.
 type (
 	// ObjectStore is the sharded concurrent store.
 	ObjectStore = store.Store
