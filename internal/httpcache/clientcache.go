@@ -170,7 +170,8 @@ func NewClientCacheOpts(o Options) (*ClientCache, error) {
 //	GET  /object?key=HEX          serve a cached object (LAN fetch)
 //	POST /store?key=HEX&cost=F    pass-down from the proxy; ?ifFree=1
 //	                              refuses instead of evicting (the
-//	                              diversion probe)
+//	                              diversion probe); every reply carries
+//	                              the daemon's headroom (FreeHeader)
 //	POST /push?key=HEX&to=URL     push the object up to the proxy for
 //	                              forwarding to a cooperating proxy
 //	GET  /stats                   counters
@@ -244,6 +245,28 @@ func (c *ClientCache) getTiered(key trace.ObjectID) (store.Object, bool) {
 	return obj, ok
 }
 
+// FreeHeader carries the daemon's headroom on every /store reply, 200
+// and 507 alike: the largest body it takes for any key without
+// evicting (store.Headroom, the minimum over its shards).  It is the
+// §4.3 free-space knowledge the proxy places evictions by instead of
+// trial stores; a sender that does not read it loses nothing.
+const FreeHeader = "X-Cache-Free"
+
+// reportHeadroom stamps FreeHeader (already in canonical MIME form) on
+// the reply.  The figure is the memory tier's, as FreeFor's is.
+func (c *ClientCache) reportHeadroom(w http.ResponseWriter) {
+	w.Header()[FreeHeader] = []string{strconv.FormatUint(c.store.Headroom(), 10)}
+}
+
+// refuseStore answers the diversion probe (§4.3): this cache would have
+// to evict, so the sender tries a neighbour.  FreeFor asks the memory
+// tier — the diversion protocol balances the hot tier, and the disk
+// tier's write-behind absorbs whatever lands.
+func (c *ClientCache) refuseStore(w http.ResponseWriter) {
+	c.reportHeadroom(w)
+	http.Error(w, "no free space", http.StatusInsufficientStorage)
+}
+
 func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 	id, hex, err := parseKey(r)
 	if err != nil {
@@ -254,22 +277,28 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 	if cost <= 0 {
 		cost = 1
 	}
+	folded := fold(id)
+	ifFree := queryParam(r.URL.RawQuery, "ifFree") == "1"
+	if ifFree && r.ContentLength > 0 && !c.store.FreeFor(folded, int(r.ContentLength)) {
+		// A declared length that does not fit is refused before the body
+		// is buffered: no pooled read, no retained copy.
+		c.refuseStore(w)
+		return
+	}
 	body, err := readRetainedBody(w, r, 64<<20)
 	if err != nil {
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	folded := fold(id)
-	if queryParam(r.URL.RawQuery, "ifFree") == "1" && !c.store.FreeFor(folded, len(body)) {
-		// Diversion probe: this cache would have to evict; refuse so
-		// the sender can try a neighbour (§4.3).  FreeFor asks the
-		// memory tier — the diversion protocol balances the hot tier,
-		// and the disk tier's write-behind absorbs whatever lands.
-		http.Error(w, "no free space", http.StatusInsufficientStorage)
+	if ifFree && !c.store.FreeFor(folded, len(body)) {
+		// Unknown length (chunked), or the room went while the body was
+		// in flight.
+		c.refuseStore(w)
 		return
 	}
 	evicted, stored, err := c.tier.Put(folded, store.Object{HexKey: hex, Body: body, Cost: cost})
 	c.stats.stores.Add(1)
+	c.reportHeadroom(w)
 	if stored && err == nil && len(evicted) == 0 {
 		// The common steady-state receipt ("stored, nothing evicted")
 		// is pre-serialized: no per-store encoder or receipt struct.
@@ -333,7 +362,7 @@ func (c *ClientCache) handlePush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "push failed: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	resp.Body.Close()
+	drainClose(resp.Body)
 	sp.End()
 	c.stats.pushes.Add(1)
 	w.WriteHeader(http.StatusNoContent)

@@ -267,7 +267,7 @@ func (p *Proxy) fleetStore(member string, obj store.Object, reason string) bool 
 		p.peerFailed(member)
 		return false
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	p.peerOK(member)
 	if resp.StatusCode != http.StatusOK {
 		return false
@@ -588,8 +588,7 @@ func (p *Proxy) JoinFleet() int {
 		if err != nil {
 			continue
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		drainClose(resp.Body)
 		if resp.StatusCode == http.StatusOK {
 			notified++
 		}
@@ -618,8 +617,7 @@ func (p *Proxy) LeaveFleet() int {
 		if err != nil {
 			continue
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		drainClose(resp.Body)
 	}
 	f.ring.Remove(f.opts.Self)
 	f.leaves.Add(1)
@@ -683,7 +681,7 @@ func (p *Proxy) HeartbeatOnce() {
 			if err != nil {
 				return false
 			}
-			defer resp.Body.Close()
+			defer drainClose(resp.Body)
 			return resp.StatusCode == http.StatusOK &&
 				json.NewDecoder(resp.Body).Decode(&hb) == nil
 		}()

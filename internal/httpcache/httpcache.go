@@ -23,10 +23,19 @@
 // once: object placement uses the proxy-side consistent-hash map of
 // registered cacheIds instead of client-side Pastry routing (the
 // proxy already tracks its cluster, so the DHT buys nothing at one
-// organization's scale — the simulator models the full overlay), and
+// organization's scale — the simulator models the full overlay),
 // destaging uses dedicated connections rather than piggybacking
 // (HTTP/1.1 has no response-piggyback channel; the simulator
-// quantifies what piggybacking saves).
+// quantifies what piggybacking saves), and the free-space knowledge
+// §4.3 places evictions by is headroom on every store reply, trial
+// store only when unknown or stale: each /store reply carries the
+// largest body the daemon takes for any key without evicting, the ring
+// keeps the last figure per member, and pass-down picks owner,
+// neighbour or forced store from it.  The figure is the minimum over
+// the daemon's store shards, because free space is per shard and the
+// proxy cannot tell which shard a key lands in; its one cost is that a
+// neighbour with room in only some shards is passed over for the forced
+// store at the owner.
 package httpcache
 
 import (
@@ -66,18 +75,27 @@ type ring struct {
 	mu    sync.RWMutex
 	ids   []pastry.ID // sorted
 	addrs map[pastry.ID]string
+	// free holds, for every member, the headroom its latest /store reply
+	// reported (FreeHeader), or freeUnknown before the first one.
+	free map[string]int64
 }
 
+// freeUnknown marks a member whose headroom has not been reported
+// since it (re-)registered; pass-down probes it with a trial store.
+const freeUnknown = -1
+
 func newRing() *ring {
-	return &ring{addrs: make(map[pastry.ID]string)}
+	return &ring{addrs: make(map[pastry.ID]string), free: make(map[string]int64)}
 }
 
 // add registers a cache daemon; its cacheId is the hash of its
-// address.  Returns the cacheId.
+// address.  Returns the cacheId.  A daemon that registers again has
+// restarted, so whatever headroom it last reported is forgotten.
 func (r *ring) add(addr string) pastry.ID {
 	id := pastry.HashString(addr)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.free[addr] = freeUnknown
 	if _, dup := r.addrs[id]; !dup {
 		i := sort.Search(len(r.ids), func(i int) bool { return !r.ids[i].Less(id) })
 		r.ids = append(r.ids, pastry.ID{})
@@ -97,6 +115,7 @@ func (r *ring) remove(addr string) {
 		return
 	}
 	delete(r.addrs, id)
+	delete(r.free, addr)
 	i := sort.Search(len(r.ids), func(i int) bool { return !r.ids[i].Less(id) })
 	if i < len(r.ids) && r.ids[i] == id {
 		r.ids = append(r.ids[:i], r.ids[i+1:]...)
@@ -120,6 +139,25 @@ func (r *ring) owner(key pastry.ID) (string, bool) {
 		}
 	}
 	return r.addrs[best], true
+}
+
+// noteFree records the headroom a member's /store reply reported; a
+// reply that outlives its sender's membership is dropped.
+func (r *ring) noteFree(addr string, free int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, member := r.free[addr]; member {
+		r.free[addr] = free
+	}
+}
+
+// mayFit reports whether a body of size bytes is worth sending to addr
+// with ifFree: its last reported headroom takes it, or none is known.
+func (r *ring) mayFit(addr string, size int) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	free, member := r.free[addr]
+	return member && (free == freeUnknown || free >= int64(size))
 }
 
 // addresses snapshots the registered cache addresses (liveness sweep).

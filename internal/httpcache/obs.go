@@ -65,6 +65,8 @@ func (p *Proxy) publishStats() {
 	g("coalesced_fetches", st.CoalescedFetches)
 	g("pass_downs", st.PassDowns)
 	g("diversions", st.Diversions)
+	g("store_calls", st.StoreCalls)
+	g("store_refusals", st.StoreRefusals)
 	g("diverted_hits", st.DivertedHits)
 	g("pushes_in", st.PushesIn)
 	g("swept_caches", st.SweptCaches)

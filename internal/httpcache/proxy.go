@@ -40,6 +40,13 @@ type ProxyStats struct {
 	CoalescedFetches int `json:"coalesced_fetches"`
 	PassDowns        int `json:"pass_downs"`
 	Diversions       int `json:"diversions"`
+	// StoreCalls counts the /store POSTs pass-down sent and
+	// StoreRefusals the ones a daemon refused (507 to an ifFree trial),
+	// so StoreCalls / PassDowns is what one pass-down costs in LAN round
+	// trips: 1 when the proxy knows who has room, up to 4 when it finds
+	// out by trial.
+	StoreCalls    int `json:"store_calls"`
+	StoreRefusals int `json:"store_refusals"`
 	// DivertedHits counts client-cache hits served through the
 	// diversion passthrough: the owner missed but a ring neighbour
 	// (where an ifFree store diverted the object) had it.
@@ -67,8 +74,8 @@ type ProxyStats struct {
 // serialize the data plane the way the old mutex-guarded struct did.
 type proxyCounters struct {
 	requests, proxyHits, clientHits, remoteHits, originFetch,
-	coalesced, passDowns, diversions, divertedHits, pushesIn,
-	swept, diskHits atomic.Int64
+	coalesced, passDowns, diversions, storeCalls, storeRefusals,
+	divertedHits, pushesIn, swept, diskHits atomic.Int64
 	// Defense counters (defense.go).
 	hedged, hedgedWins, breakerSkipped, breakerOpens,
 	digestChecks, digestFailures, contribSwept, peerTimeouts atomic.Int64
@@ -552,7 +559,7 @@ func (p *Proxy) lanFetch(ctx context.Context, addr string, id pastry.ID, traceID
 		p.ring.remove(addr)
 		return nil, false
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body) // a 404's unread text would cost the connection
 	if resp.StatusCode != http.StatusOK {
 		return nil, false
 	}
@@ -580,50 +587,46 @@ func (p *Proxy) insertAndDestage(url string, body []byte, cost float64) {
 	}
 }
 
-// passDown routes one evicted object to its destination client cache.
+// passDown routes one evicted object into the client caches: to its
+// ring owner if that has room, else to the first of the owner's two
+// ring neighbours that has (a diversion, §4.3; the neighbours are the
+// HTTP stand-in for the leaf set), else to the owner regardless, which
+// replaces (Figure 1, line 12).  Who has room is read from the headroom
+// each daemon reports on its /store replies, so at steady state — every
+// cache full and known to be — the object crosses the LAN once.  A
+// member whose figure is unknown is asked with a trial (ifFree) store,
+// and so is one whose figure turns out stale: its 507 corrects the
+// figure and the next candidate follows, which is the whole sequence
+// when nothing is known.
 func (p *Proxy) passDown(obj store.Object) {
-	addr, ok := p.ring.owner(keyFromHex(obj.HexKey))
+	owner, ok := p.ring.owner(keyFromHex(obj.HexKey))
 	if !ok {
 		return // no client caches registered: the object is dropped
 	}
-	// Diversion: probe the destination with ifFree; on 507 try the two
-	// ring neighbours (the HTTP stand-in for the leaf set) before
-	// forcing a replacement at the destination.
-	tryStore := func(target string, ifFree bool) (*StoreReceipt, bool) {
-		u := fmt.Sprintf("http://%s/store?key=%s&cost=%g", target, obj.HexKey, obj.Cost)
-		if ifFree {
-			u += "&ifFree=1"
-		}
-		resp, err := p.client.Post(u, "application/octet-stream", bytesReader(obj.Body))
-		if err != nil {
-			p.ring.remove(target) // crashed daemon: drop from the ring
-			return nil, false
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, false
-		}
-		var rec StoreReceipt
-		if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
-			return nil, false
-		}
-		return &rec, true
-	}
+	var rec *StoreReceipt
+	var ownerErr error
 	diverted := false
-	rec, ok := tryStore(addr, true)
-	if !ok {
-		for _, alt := range p.ringNeighbours(addr) {
-			if rec, ok = tryStore(alt, true); ok {
-				p.stats.diversions.Add(1)
-				diverted = true
-				break
-			}
+	for i, cand := range append([]string{owner}, p.ringNeighbours(owner)...) {
+		if !p.ring.mayFit(cand, len(obj.Body)) {
+			continue
+		}
+		r, err := p.storeAt(cand, obj, true)
+		if i == 0 {
+			ownerErr = err
+		}
+		if r != nil {
+			rec, diverted = r, i > 0
+			break
 		}
 	}
-	if !ok {
-		// Everyone is full: force the greedy-dual replacement at the
-		// destination (Figure 1, line 12).
-		if rec, ok = tryStore(addr, false); !ok {
+	if diverted {
+		p.stats.diversions.Add(1)
+	}
+	if rec == nil {
+		if ownerErr != nil {
+			return // the owner just hung or died: not asked twice, the object is lost
+		}
+		if rec, _ = p.storeAt(owner, obj, false); rec == nil {
 			return
 		}
 	}
@@ -643,6 +646,56 @@ func (p *Proxy) passDown(obj store.Object) {
 	for _, evHex := range rec.Evicted {
 		p.dropDigest(fold(keyFromHex(evHex)))
 	}
+}
+
+// storeAt POSTs one evicted object to a client cache, with ifFree as a
+// trial the daemon refuses rather than evict for.  The returns split
+// the daemon's health from its answer the way peerLookup's do: a
+// receipt when it stored, (nil, nil) when it refused, an error when it
+// did not answer.  The hop is bounded by the per-hop deadline, and
+// lanFetch's rule applies: a deadline strikes the daemon's contribution
+// ledger, only a connection-level failure takes it off the ring.  The
+// context does not descend from the /fetch that evicted: the object has
+// already left the proxy, and a requester hanging up must not lose it.
+func (p *Proxy) storeAt(target string, obj store.Object, ifFree bool) (*StoreReceipt, error) {
+	u := fmt.Sprintf("http://%s/store?key=%s&cost=%g", target, obj.HexKey, obj.Cost)
+	if ifFree {
+		u += "&ifFree=1"
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), p.peerTimeout())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "POST", u, bytesReader(obj.Body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	p.stats.storeCalls.Add(1)
+	resp, err := p.client.Do(req)
+	if err != nil {
+		if ctx.Err() != nil {
+			p.stats.peerTimeouts.Add(1)
+			p.contribFor(target).timeouts.Add(1)
+		} else {
+			p.ring.remove(target) // crashed daemon: drop from the ring
+		}
+		return nil, err
+	}
+	defer drainClose(resp.Body)
+	if free, err := strconv.ParseInt(resp.Header.Get(FreeHeader), 10, 64); err == nil && free >= 0 {
+		p.ring.noteFree(target, free)
+	}
+	if resp.StatusCode != http.StatusOK {
+		if resp.StatusCode == http.StatusInsufficientStorage {
+			p.stats.storeRefusals.Add(1)
+			return nil, nil
+		}
+		return nil, fmt.Errorf("store at %s: status %d", target, resp.StatusCode)
+	}
+	var rec StoreReceipt
+	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
+		return nil, fmt.Errorf("store at %s: reading receipt: %w", target, err)
+	}
+	return &rec, nil
 }
 
 // ringNeighbours returns up to two other cache addresses (the
@@ -688,8 +741,7 @@ func (p *Proxy) SweepClientCaches() []string {
 			removed = append(removed, addr)
 			continue
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		drainClose(resp.Body)
 	}
 	return removed
 }
@@ -779,7 +831,7 @@ func (p *Proxy) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		resp.Body.Close()
+		drainClose(resp.Body)
 		if resp.StatusCode == http.StatusNoContent {
 			accepted = true
 			break
@@ -847,6 +899,8 @@ func (p *Proxy) snapshotStats() ProxyStats {
 		CoalescedFetches: int(p.stats.coalesced.Load()),
 		PassDowns:        int(p.stats.passDowns.Load()),
 		Diversions:       int(p.stats.diversions.Load()),
+		StoreCalls:       int(p.stats.storeCalls.Load()),
+		StoreRefusals:    int(p.stats.storeRefusals.Load()),
 		DivertedHits:     int(p.stats.divertedHits.Load()),
 		PushesIn:         int(p.stats.pushesIn.Load()),
 		SweptCaches:      int(p.stats.swept.Load()),

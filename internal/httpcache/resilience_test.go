@@ -280,3 +280,60 @@ func TestOriginShortBody(t *testing.T) {
 		t.Fatalf("proxy cached %d objects from an aborted origin body", n)
 	}
 }
+
+// Pass-down is bounded per hop like every other LAN call: a daemon
+// whose /store hangs costs the /fetch that evicts toward it one per-hop
+// deadline, not the shared client's ten seconds per attempt, and the
+// deadline is a strike on its ledger, not its removal — it may only be
+// slow.  It is not asked a second time for the same object.
+func TestPassDownBoundedPerHop(t *testing.T) {
+	origin := newTestOrigin()
+	t.Cleanup(origin.srv.Close)
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+	addr := strings.TrimPrefix(hung.URL, "http://")
+
+	const deadline = 150 * time.Millisecond
+	px := NewProxy(20) // one 17-byte body: the second fetch evicts the first
+	px.SetDefenses(Defenses{PeerTimeout: deadline})
+	pxSrv := httptest.NewServer(px.Handler())
+	t.Cleanup(pxSrv.Close)
+	px.ring.add(addr)
+
+	fetch := func(path string) string {
+		t.Helper()
+		status, tier, body := fetchVia(t, pxSrv.URL, origin.srv.URL+path)
+		if status != http.StatusOK || tier != TierOrigin {
+			t.Fatalf("fetch %s: status %d via %q", path, status, tier)
+		}
+		return body
+	}
+	fetch("/hang1")
+	start := time.Now()
+	body := fetch("/hang2")
+	elapsed := time.Since(start)
+	if body != "content-of:/hang2" {
+		t.Fatalf("body %q", body)
+	}
+	if elapsed < deadline || elapsed > deadline+2*time.Second {
+		t.Fatalf("evicting fetch took %v, want one %v hop deadline (plus margin)", elapsed, deadline)
+	}
+	st := px.snapshotStats()
+	if st.StoreCalls != 1 || st.PassDowns != 0 || st.Defense.PeerTimeouts != 1 {
+		t.Fatalf("store_calls %d, pass_downs %d, peer_timeouts %d, want 1, 0, 1",
+			st.StoreCalls, st.PassDowns, st.Defense.PeerTimeouts)
+	}
+	if px.ring.size() != 1 {
+		t.Fatal("a deadline took the daemon off the ring")
+	}
+	if got := px.contribFor(addr).timeouts.Load(); got != 1 {
+		t.Fatalf("daemon has %d timeout strikes, want 1", got)
+	}
+}

@@ -1,6 +1,7 @@
 package httpcache
 
 import (
+	"io"
 	"net/http"
 	"time"
 )
@@ -28,6 +29,22 @@ func NewTransport() *http.Transport {
 // newHTTPClient builds a client on a fresh tuned transport.
 func newHTTPClient(timeout time.Duration) *http.Client {
 	return &http.Client{Timeout: timeout, Transport: NewTransport()}
+}
+
+// drainCap bounds what drainClose reads from a reply nobody wants: the
+// error texts and receipts of this protocol are tens of bytes, and past
+// a few KiB a fresh connection is cheaper than the read.
+const drainCap = 4 << 10
+
+// drainClose reads what is left of a reply, up to drainCap, and closes
+// it.  net/http returns a connection to the keep-alive pool only when
+// its reply was read to EOF; closing a refused store's or a missed
+// lookup's short text unread discards the connection, and the next call
+// to that daemon pays a TCP dial.  Every outbound call that can return
+// before reading its reply to the end closes it through here.
+func drainClose(body io.ReadCloser) {
+	io.CopyN(io.Discard, body, drainCap)
+	body.Close()
 }
 
 // CloseIdleConnections drops the proxy's pooled outbound connections.

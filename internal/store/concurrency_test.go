@@ -34,6 +34,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				}
 				if i%97 == 0 {
 					s.FreeFor(key, 64)
+					s.Headroom()
 					s.Len()
 					s.Used()
 				}

@@ -313,6 +313,27 @@ func (s *Store) FreeFor(key trace.ObjectID, size int) bool {
 	return sh.policy.Used()+uint64(size) <= sh.policy.Capacity()
 }
 
+// Headroom reports the largest body the store takes for any key
+// without evicting: the minimum over the shards of capacity − used.
+// FreeFor is a per-shard answer, so total free bytes would promise room
+// a key hashing to a full shard does not have; the minimum is the
+// figure a sender that does not know the shard mapping can rely on
+// (Headroom() ≥ n implies FreeFor(k, n) for every k).  Shards are read
+// one at a time, so under concurrent Puts the result is advisory.
+func (s *Store) Headroom() uint64 {
+	least := ^uint64(0)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		s.lock(sh)
+		free := sh.policy.Capacity() - sh.policy.Used()
+		sh.mu.Unlock()
+		if free < least {
+			least = free
+		}
+	}
+	return least
+}
+
 // Len reports the cached object count across all shards (lock-free).
 func (s *Store) Len() int { return int(s.count.Load()) }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"webcache/internal/invariant"
@@ -136,6 +137,53 @@ func TestStoreFreeFor(t *testing.T) {
 	}
 	if !s.FreeFor(2, 50) {
 		t.Fatal("FreeFor rejects a fitting object")
+	}
+}
+
+// Headroom is capacity − used on one shard and the minimum over the
+// shards on several, so that whatever it promises FreeFor keeps for
+// every key.
+func TestStoreHeadroom(t *testing.T) {
+	one := mustNew(t, Config{CapacityBytes: 200, Shards: 1})
+	if got := one.Headroom(); got != 200 {
+		t.Fatalf("empty one-shard headroom = %d, want 200", got)
+	}
+	one.Put(1, Object{Body: body(150), Cost: 1})
+	if got := one.Headroom(); got != 50 {
+		t.Fatalf("one-shard headroom = %d, want capacity - used = 50", got)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		s := mustNew(t, Config{CapacityBytes: 4000, Shards: 4})
+		for i, puts := 0, rng.Intn(60); i < puts; i++ {
+			s.Put(trace.ObjectID(rng.Uint64()), Object{Body: body(1 + rng.Intn(200)), Cost: 1})
+		}
+		least := ^uint64(0)
+		for _, snap := range s.Snapshot() {
+			if free := snap.Capacity - snap.Used; free < least {
+				least = free
+			}
+		}
+		h := s.Headroom()
+		if h != least {
+			t.Fatalf("round %d: headroom = %d, want the least shard's %d", round, h, least)
+		}
+		for i := 0; i < 200; i++ {
+			k := trace.ObjectID(rng.Uint64())
+			if !s.FreeFor(k, int(h)) {
+				t.Fatalf("round %d: headroom %d but FreeFor(%d, %d) is false", round, h, k, h)
+			}
+		}
+		// The converse is what total free bytes would get wrong: one byte
+		// past the headroom no longer fits the fullest shard's keys.
+		refused := false
+		for i := 0; i < 200 && !refused; i++ {
+			refused = !s.FreeFor(trace.ObjectID(rng.Uint64()), int(h)+1)
+		}
+		if !refused {
+			t.Fatalf("round %d: headroom %d is not tight: %d bytes fit 200 random keys", round, h, h+1)
+		}
 	}
 }
 
