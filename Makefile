@@ -21,8 +21,9 @@ vet:
 # metric registry, the invariant oracles, the simulator that feeds
 # them (the ./internal/sim run includes the checked end-to-end
 # replays), and the concurrent data plane (sharded store + the HTTP
-# daemons built on it).
+# daemons built on it).  It fails on any file gofmt would rewrite.
 check: vet
+	@test -z "$$(gofmt -l . | tee /dev/stderr)" || { echo "gofmt -l . names the files above" >&2; exit 1; }
 	$(GO) test -race ./internal/obs ./internal/invariant ./internal/sim \
 		./internal/core ./internal/store ./internal/store/disk ./internal/httpcache
 
@@ -134,12 +135,13 @@ trace-alloc:
 	$(GO) test -run='^$$' -bench=BenchmarkDisabledTracer -benchmem ./internal/obs
 
 # The hot-path zero-alloc gates: steady-state simulator serves (LFU
-# family + fleet engine) and the live proxy/client-cache memory-hit
+# family + fleet engine), a Pastry route, a P2P lookup hit and
+# pass-down replacement, and the live proxy/client-cache memory-hit
 # paths must not touch the heap.  Run without -race on purpose —
 # race instrumentation allocates on paths the production build does
 # not, so these files are !race-tagged and invisible to `make check`.
 sim-alloc:
-	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs' ./internal/sim ./internal/httpcache
+	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs' ./internal/sim ./internal/httpcache ./internal/pastry ./internal/p2p
 
 # One iteration of every figure bench; set WEBCACHE_BENCH_SCALE and/or
 # WEBCACHE_BENCH_MANIFEST=bench.json to scale up or record a manifest.

@@ -52,12 +52,12 @@ type LiveConfig struct {
 
 // LiveReport is one live scenario run's outcome.
 type LiveReport struct {
-	Scenario   string                 `json:"scenario"`
-	DefensesOn bool                   `json:"defenses_on"`
-	Requests   int                    `json:"requests"`
-	Errors     int                    `json:"errors"`
-	HitRatio   float64                `json:"hit_ratio"`
-	P999Ms     float64                `json:"p999_ms"`
+	Scenario   string  `json:"scenario"`
+	DefensesOn bool    `json:"defenses_on"`
+	Requests   int     `json:"requests"`
+	Errors     int     `json:"errors"`
+	HitRatio   float64 `json:"hit_ratio"`
+	P999Ms     float64 `json:"p999_ms"`
 	// FastBurn / SlowBurn are the end-of-run error-budget burn rates
 	// against LiveConfig.SLOClass (zero when no class was configured).
 	FastBurn float64                `json:"fast_burn"`

@@ -154,7 +154,7 @@ func (p *Proxy) hedgedLanFetch(ctx context.Context, addr string, id pastry.ID, t
 	if !p.defenses.Hedge {
 		return p.lanFetch(ctx, addr, id, traceID)
 	}
-	alts := p.ringNeighbours(addr)
+	alts := p.ring.neighbours(addr)
 	if len(alts) == 0 {
 		return p.lanFetch(ctx, addr, id, traceID)
 	}

@@ -163,8 +163,13 @@ func TestFleetReplicationAndAccounting(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		rig.fetchVia(t, owner, objURL)
 	}
-	if out := rig.proxies[owner].snapshotStats().Fleet.ReplicasOut; out == 0 {
-		t.Fatal("owner recorded no replicas out")
+	// The owner counts a replica out when its store call returns, which
+	// is after the replica holds the object: wait for the counter too.
+	for rig.proxies[owner].snapshotStats().Fleet.ReplicasOut == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("owner recorded no replicas out")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if in := rig.proxies[replica].snapshotStats().Fleet.ReplicasIn; in == 0 {
 		t.Fatal("replica recorded no replicas in")

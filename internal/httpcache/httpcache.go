@@ -122,6 +122,32 @@ func (r *ring) remove(addr string) {
 	}
 }
 
+// neighbours returns the members next to addr on the ring, successor
+// then predecessor (one address on a ring of two, none alone), whether
+// or not addr is still a member itself: the stand-in for the owner's
+// leaf set, and so the diversion candidates (§4.3).
+func (r *ring) neighbours(addr string) []string {
+	id := pastry.HashString(addr)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := len(r.ids)
+	if n == 0 {
+		return nil
+	}
+	i := sort.Search(n, func(i int) bool { return !r.ids[i].Less(id) })
+	succ := i % n
+	if r.ids[succ] == id {
+		succ = (i + 1) % n
+	}
+	var out []string
+	for _, j := range [2]int{succ, (i + n - 1) % n} {
+		if a := r.addrs[r.ids[j]]; a != addr && (len(out) == 0 || out[0] != a) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // owner returns the address of the cache whose id is numerically
 // closest to key (the destination client cache of §4.1).
 func (r *ring) owner(key pastry.ID) (string, bool) {

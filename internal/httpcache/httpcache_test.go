@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -312,6 +313,45 @@ func TestRing(t *testing.T) {
 	}
 	if o, _ := r.owner(key); o == "b:2" {
 		t.Fatal("removed node still owns keys")
+	}
+}
+
+// TestRingNeighbours: the diversion candidates are the owner's own
+// ring neighbours, successor first — not whichever members sort first,
+// which on a ring of more than three left most owners nowhere to
+// divert once those two were full.
+func TestRingNeighbours(t *testing.T) {
+	r := newRing()
+	if got := r.neighbours("a:1"); len(got) != 0 {
+		t.Fatalf("neighbours on an empty ring = %v", got)
+	}
+	var addrs []string
+	for i := 0; i < 7; i++ {
+		addrs = append(addrs, fmt.Sprintf("cache-%d:80", i))
+		r.add(addrs[i])
+		switch got := r.neighbours(addrs[0]); {
+		case i == 0 && len(got) != 0:
+			t.Fatalf("neighbours of the only member = %v", got)
+		case i == 1 && !slices.Equal(got, addrs[1:2]):
+			t.Fatalf("neighbours on a ring of two = %v, want %v", got, addrs[1:2])
+		case i == 2 && !(slices.Contains(got, addrs[1]) && slices.Contains(got, addrs[2]) && len(got) == 2):
+			t.Fatalf("neighbours on a ring of three = %v, want both other members", got)
+		}
+	}
+	sorted := slices.Clone(addrs)
+	slices.SortFunc(sorted, func(a, b string) int { return pastry.HashString(a).Cmp(pastry.HashString(b)) })
+	n := len(sorted)
+	for i, a := range sorted {
+		want := []string{sorted[(i+1)%n], sorted[(i+n-1)%n]}
+		if got := r.neighbours(a); !slices.Equal(got, want) {
+			t.Errorf("neighbours(%s) = %v, want successor and predecessor %v", a, got, want)
+		}
+		// A member that has just left still names the same neighbours.
+		r.remove(a)
+		if got := r.neighbours(a); !slices.Equal(got, want) {
+			t.Errorf("neighbours(%s) after it left = %v, want %v", a, got, want)
+		}
+		r.add(a)
 	}
 }
 

@@ -357,7 +357,7 @@ func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
 			// Diversion passthrough: an ifFree store may have landed
 			// the object on a ring neighbour instead of its owner
 			// (§4.3); probe them before declaring the entry stale.
-			for _, alt := range p.ringNeighbours(addr) {
+			for _, alt := range p.ring.neighbours(addr) {
 				div := st.StartSpan("client.fetch.divert", "Tp2p")
 				if body, ok := p.lanFetch(r.Context(), alt, id, st.TraceID()); ok && p.verifyBody(folded, body) {
 					div.End()
@@ -606,7 +606,7 @@ func (p *Proxy) passDown(obj store.Object) {
 	var rec *StoreReceipt
 	var ownerErr error
 	diverted := false
-	for i, cand := range append([]string{owner}, p.ringNeighbours(owner)...) {
+	for i, cand := range append([]string{owner}, p.ring.neighbours(owner)...) {
 		if !p.ring.mayFit(cand, len(obj.Body)) {
 			continue
 		}
@@ -696,23 +696,6 @@ func (p *Proxy) storeAt(target string, obj store.Object, ifFree bool) (*StoreRec
 		return nil, fmt.Errorf("store at %s: reading receipt: %w", target, err)
 	}
 	return &rec, nil
-}
-
-// ringNeighbours returns up to two other cache addresses (the
-// diversion candidates).
-func (p *Proxy) ringNeighbours(exclude string) []string {
-	p.ring.mu.RLock()
-	defer p.ring.mu.RUnlock()
-	var out []string
-	for _, id := range p.ring.ids {
-		if a := p.ring.addrs[id]; a != exclude {
-			out = append(out, a)
-			if len(out) == 2 {
-				break
-			}
-		}
-	}
-	return out
 }
 
 // SweepClientCaches probes every registered client-cache daemon once
@@ -817,7 +800,7 @@ func (p *Proxy) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 	defer p.pushWaiters.Delete(pushID)
 	push := st.StartSpan("peer.push", "Tp2p")
 	accepted := false
-	for _, cand := range append([]string{addr}, p.ringNeighbours(addr)...) {
+	for _, cand := range append([]string{addr}, p.ring.neighbours(addr)...) {
 		pushURL := fmt.Sprintf("http://%s/push?key=%s&to=%s/accept-push?id=%s", cand, id, p.self, pushID)
 		req, err := http.NewRequest("POST", pushURL, nil)
 		if err != nil {

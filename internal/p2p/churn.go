@@ -88,7 +88,7 @@ func (c *Cluster) JoinClient() (int, error) {
 			if _, held := peer.heldFor[obj]; held {
 				continue // diverted storage stays with its holder
 			}
-			owner, _ := c.overlay.Owner(ObjectKey(obj))
+			owner, _ := c.overlay.Owner(c.objectKey(obj))
 			if owner != id {
 				continue
 			}
@@ -105,7 +105,7 @@ func (c *Cluster) JoinClient() (int, error) {
 		// Pointers whose object key now belongs to the new node move
 		// with the ownership.
 		for obj, holder := range peer.pointerTo {
-			owner, _ := c.overlay.Owner(ObjectKey(obj))
+			owner, _ := c.overlay.Owner(c.objectKey(obj))
 			if owner != id {
 				continue
 			}

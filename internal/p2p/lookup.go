@@ -35,7 +35,7 @@ func (c *Cluster) Lookup(obj trace.ObjectID, fromClient int) (LookupResult, erro
 	if err != nil {
 		return r, err
 	}
-	destID, hops, err := c.overlay.RouteFrom(start, ObjectKey(obj))
+	destID, hops, err := c.overlay.RouteFrom(start, c.objectKey(obj))
 	if err != nil {
 		return r, err
 	}

@@ -131,7 +131,26 @@ type Cluster struct {
 	// load spreads across live clients instead of piling onto the
 	// lowest-index one.
 	rng *rand.Rand
+	// keys memoises ObjectKey: a replay hashes the same few thousand
+	// object ids hundreds of thousands of times.
+	keys []keySlot
+	// leafBuf and evictedBuf back leafCandidates' result and
+	// Receipt.Evicted, so a pass-down does not allocate.
+	leafBuf    []pastry.ID
+	evictedBuf []trace.ObjectID
 }
+
+// keySlot is one entry of the direct-mapped ObjectKey table.
+type keySlot struct {
+	obj trace.ObjectID
+	key pastry.ID
+	ok  bool
+}
+
+// keySlots bounds the ObjectKey table (a power of two; 512 KiB per
+// cluster).  Object ids that collide in it evict each other and are
+// hashed again, so a larger object universe costs time, not memory.
+const keySlots = 1 << 14
 
 // ErrNoLiveClients reports an operation on a fully failed cluster.
 var ErrNoLiveClients = errors.New("p2p: no live client caches")
@@ -160,6 +179,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		dead:      make([]bool, cfg.NumClients),
 		live:      cfg.NumClients,
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x70737472)), // "pstr"
+		keys:      make([]keySlot, keySlots),
 	}
 	for _, id := range ids {
 		c.nodes[id] = newClientNode(id, cfg.PerClientCapacity, cfg.WrapCache)
@@ -170,6 +190,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // ObjectKey maps a simulator object id onto the Pastry id space (the
 // paper's SHA-1 objectId).
 func ObjectKey(obj trace.ObjectID) pastry.ID { return pastry.HashUint64(uint64(obj)) }
+
+// objectKey is ObjectKey through the cluster's table.
+func (c *Cluster) objectKey(obj trace.ObjectID) pastry.ID {
+	s := &c.keys[uint64(obj)%keySlots]
+	if !s.ok || s.obj != obj {
+		*s = keySlot{obj: obj, key: ObjectKey(obj), ok: true}
+	}
+	return s.key
+}
 
 // NumClients returns the configured cluster size.
 func (c *Cluster) NumClients() int { return c.cfg.NumClients }

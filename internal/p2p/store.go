@@ -19,7 +19,8 @@ type Receipt struct {
 	// Diverted reports the object was placed at a leaf-set neighbour.
 	Diverted bool
 	// Evicted lists objects the client caches discarded to make room;
-	// the proxy deletes their directory entries.
+	// the proxy deletes their directory entries.  It is the cluster's
+	// scratch, valid until its next StoreEvicted.
 	Evicted []trace.ObjectID
 	// Hops is the Pastry routing distance the object travelled.
 	Hops int
@@ -54,7 +55,7 @@ func (c *Cluster) StoreEvicted(e cache.Entry, fromClient int, piggyback bool) (R
 	} else {
 		r.Messages++ // dedicated proxy->client transfer
 	}
-	destID, hops, err := c.overlay.RouteFrom(start, ObjectKey(e.Obj))
+	destID, hops, err := c.overlay.RouteFrom(start, c.objectKey(e.Obj))
 	if err != nil {
 		return r, err
 	}
@@ -122,22 +123,26 @@ func (c *Cluster) StoreEvicted(e cache.Entry, fromClient int, piggyback bool) (R
 	evicted := a.cache.Add(e)
 	r.StoredOK = true
 	c.stats.Replacements++
+	c.evictedBuf = c.evictedBuf[:0]
 	for _, ev := range evicted {
 		c.dropEvicted(a, ev.Obj)
-		r.Evicted = append(r.Evicted, ev.Obj)
+		c.evictedBuf = append(c.evictedBuf, ev.Obj)
 		c.stats.Evictions++
 	}
+	r.Evicted = c.evictedBuf
 	return r, nil
 }
 
 // leafCandidates lists a's live leaf-set members in the leaf set's
-// deterministic order for diversion.
+// deterministic order for diversion.  The list is the cluster's
+// scratch, valid until the next call.
 func (c *Cluster) leafCandidates(a *clientNode) []pastry.ID {
 	node, ok := c.overlay.Node(a.id)
 	if !ok {
 		return nil
 	}
-	return node.LeafSet().Members()
+	c.leafBuf = node.LeafSet().AppendMembers(c.leafBuf[:0])
+	return c.leafBuf
 }
 
 // dropEvicted cleans up the bookkeeping when node holder discards obj:

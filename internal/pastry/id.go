@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"unsafe"
 )
 
@@ -102,14 +103,14 @@ func (a ID) sub(b ID) ID {
 }
 
 // Distance returns the circular distance between a and b: the minimum
-// of the two arc lengths.
+// of the two arc lengths.  The arcs sum to 2^128, so the one from b to
+// a is the shorter exactly when its top bit is clear.
 func (a ID) Distance(b ID) ID {
-	d1 := a.sub(b)
-	d2 := b.sub(a)
-	if d1.Less(d2) {
-		return d1
+	d := a.sub(b)
+	if d[0]>>63 != 0 {
+		return b.sub(a)
 	}
-	return d2
+	return d
 }
 
 // CloserToThan reports whether a is strictly closer to key than c is,
@@ -134,15 +135,16 @@ func (a ID) Digit(i, b int) int {
 }
 
 // CommonPrefixLen returns the number of leading base-2^b digits a and b
-// share.
+// share: the leading bits they share, in whole digits (b is a power of
+// two, see ValidateB, so the division is a shift).
 func (a ID) CommonPrefixLen(other ID, b int) int {
-	digits := IDBits / b
-	for i := 0; i < digits; i++ {
-		if a.Digit(i, b) != other.Digit(i, b) {
-			return i
-		}
+	shared := IDBits
+	if x := a[0] ^ other[0]; x != 0 {
+		shared = bits.LeadingZeros64(x)
+	} else if x := a[1] ^ other[1]; x != 0 {
+		shared = 64 + bits.LeadingZeros64(x)
 	}
-	return digits
+	return shared >> uint(bits.TrailingZeros(uint(b)))
 }
 
 // ValidateB checks an overlay digit-width parameter.

@@ -1,7 +1,5 @@
 package pastry
 
-import "sort"
-
 // LeafSet holds the l nodes with ids numerically closest to the owning
 // node *by ring direction*: the l/2 immediate successors (clockwise,
 // wrapping) and the l/2 immediate predecessors (counter-clockwise).
@@ -19,8 +17,18 @@ type LeafSet struct {
 	half  int
 	// smaller: predecessors ordered by increasing counter-clockwise
 	// arc; larger: successors ordered by increasing clockwise arc.
-	smaller []ID
-	larger  []ID
+	// Each member carries its arc, so admission, range and closest-
+	// leaf questions compare arcs instead of recomputing them.
+	smaller []leaf
+	larger  []leaf
+}
+
+// leaf is one member of a side with its arc from the owner in that
+// side's direction.  The arc of an id is unique on its side (it is the
+// id minus the owner, or the reverse), so equal arcs mean equal ids.
+type leaf struct {
+	id  ID
+	arc ID
 }
 
 // DefaultLeafSetSize is Pastry's typical l.
@@ -32,7 +40,10 @@ func NewLeafSet(owner ID, l int) *LeafSet {
 	if l < 2 {
 		l = 2
 	}
-	return &LeafSet{owner: owner, half: (l + 1) / 2}
+	half := (l + 1) / 2
+	// One slot beyond half: an admitted id is inserted before the
+	// farthest member is dropped.
+	return &LeafSet{owner: owner, half: half, smaller: make([]leaf, 0, half+1), larger: make([]leaf, 0, half+1)}
 }
 
 // ccwDist is the counter-clockwise arc length from owner to x.
@@ -48,21 +59,38 @@ func (ls *LeafSet) Insert(x ID) bool {
 	if x == ls.owner {
 		return false
 	}
-	kept := false
-	var k bool
-	if !containsID(ls.larger, x) {
-		ls.larger, k = insertByDist(ls.larger, x, ls.half, ls.cwDist)
-		kept = kept || k
-	}
-	if !containsID(ls.smaller, x) {
-		ls.smaller, k = insertByDist(ls.smaller, x, ls.half, ls.ccwDist)
-		kept = kept || k
-	}
-	return kept
+	var keptCW, keptCCW bool
+	ls.larger, keptCW = insertByArc(ls.larger, leaf{x, ls.cwDist(x)}, ls.half)
+	ls.smaller, keptCCW = insertByArc(ls.smaller, leaf{x, ls.ccwDist(x)}, ls.half)
+	return keptCW || keptCCW
 }
 
-func containsID(side []ID, x ID) bool {
-	for _, v := range side {
+// insertByArc places lf on a side kept sorted by arc and at most half
+// long.  A full side admits only an arc below its farthest member's,
+// so the common refusal — an id from somewhere else on the ring — is
+// one comparison.
+func insertByArc(side []leaf, lf leaf, half int) ([]leaf, bool) {
+	if len(side) == half && !lf.arc.Less(side[half-1].arc) {
+		return side, false
+	}
+	i := len(side)
+	for i > 0 && lf.arc.Less(side[i-1].arc) {
+		i--
+	}
+	if i > 0 && side[i-1].id == lf.id {
+		return side, false // already a member
+	}
+	side = append(side, leaf{})
+	copy(side[i+1:], side[i:])
+	side[i] = lf
+	if len(side) > half {
+		side = side[:half]
+	}
+	return side, true
+}
+
+func containsID(ids []ID, x ID) bool {
+	for _, v := range ids {
 		if v == x {
 			return true
 		}
@@ -70,58 +98,54 @@ func containsID(side []ID, x ID) bool {
 	return false
 }
 
-func insertByDist(side []ID, x ID, half int, dist func(ID) ID) ([]ID, bool) {
-	i := sort.Search(len(side), func(i int) bool {
-		return dist(x).Less(dist(side[i]))
-	})
-	if i >= half {
-		return side, false
+func sideIndex(side []leaf, x ID) int {
+	for i := range side {
+		if side[i].id == x {
+			return i
+		}
 	}
-	side = append(side, ID{})
-	copy(side[i+1:], side[i:])
-	side[i] = x
-	if len(side) > half {
-		side = side[:half]
-	}
-	return side, true
+	return -1
 }
 
 // Remove deletes x from both sides if present.
 func (ls *LeafSet) Remove(x ID) bool {
 	removed := false
-	for i, v := range ls.smaller {
-		if v == x {
-			ls.smaller = append(ls.smaller[:i], ls.smaller[i+1:]...)
-			removed = true
-			break
-		}
+	if i := sideIndex(ls.smaller, x); i >= 0 {
+		ls.smaller = append(ls.smaller[:i], ls.smaller[i+1:]...)
+		removed = true
 	}
-	for i, v := range ls.larger {
-		if v == x {
-			ls.larger = append(ls.larger[:i], ls.larger[i+1:]...)
-			removed = true
-			break
-		}
+	if i := sideIndex(ls.larger, x); i >= 0 {
+		ls.larger = append(ls.larger[:i], ls.larger[i+1:]...)
+		removed = true
 	}
 	return removed
 }
 
 // Contains reports membership on either side.
 func (ls *LeafSet) Contains(x ID) bool {
-	return containsID(ls.smaller, x) || containsID(ls.larger, x)
+	return sideIndex(ls.smaller, x) >= 0 || sideIndex(ls.larger, x) >= 0
 }
 
 // Members returns the deduplicated leaf ids (both sides), owner
-// excluded.
+// excluded: the clockwise side nearest first, then the counter-
+// clockwise members not already listed.
 func (ls *LeafSet) Members() []ID {
-	out := make([]ID, 0, len(ls.smaller)+len(ls.larger))
-	out = append(out, ls.larger...)
-	for _, v := range ls.smaller {
-		if !containsID(out, v) {
-			out = append(out, v)
+	return ls.AppendMembers(make([]ID, 0, len(ls.smaller)+len(ls.larger)))
+}
+
+// AppendMembers appends Members() to dst, for callers that keep a
+// buffer; the result does not alias the leaf set.
+func (ls *LeafSet) AppendMembers(dst []ID) []ID {
+	first := len(dst)
+	for _, lf := range ls.larger {
+		dst = append(dst, lf.id)
+	}
+	for _, lf := range ls.smaller {
+		if !containsID(dst[first:], lf.id) {
+			dst = append(dst, lf.id)
 		}
 	}
-	return out
+	return dst
 }
 
 // Len is the current number of distinct leaves.
@@ -137,26 +161,66 @@ func (ls *LeafSet) Covers(key ID) bool {
 		// Leaf set spans the whole (small) overlay.
 		return true
 	}
-	maxCCW := ls.ccwDist(ls.smaller[len(ls.smaller)-1])
-	maxCW := ls.cwDist(ls.larger[len(ls.larger)-1])
-	dCCW := ls.ccwDist(key)
-	dCW := ls.cwDist(key)
 	// key is inside the arc [owner-maxCCW, owner+maxCW].
-	return !maxCW.Less(dCW) || !maxCCW.Less(dCCW)
+	return !ls.larger[ls.half-1].arc.Less(ls.cwDist(key)) ||
+		!ls.smaller[ls.half-1].arc.Less(ls.ccwDist(key))
 }
 
-// Closest returns the leaf (or owner) numerically closest to key.
+// Closest returns the leaf (or owner) numerically closest to key,
+// ties to the smaller id.  Walking round the ring from the key, the
+// closest node is the first one met in one direction or the other, and
+// on a side sorted by arc those are the two members whose arcs bracket
+// the key's: two candidates per side and the owner, not every leaf.
 func (ls *LeafSet) Closest(key ID) ID {
-	best := ls.owner
-	for _, v := range ls.smaller {
-		if v.CloserToThan(key, best) {
-			best = v
+	cw, ccw := ls.cwDist(key), ls.ccwDist(key)
+	c := closest{key: key, id: ls.owner, dist: cw}
+	if ccw.Less(cw) {
+		c.dist = ccw
+	}
+	c.offerBracket(ls.larger, cw, ccw)
+	c.offerBracket(ls.smaller, ccw, cw)
+	return c.id
+}
+
+// closest carries the best candidate so far with its distance.
+type closest struct {
+	key, id, dist ID
+}
+
+// offer is "if x.CloserToThan(key, c.id) { c.id = x }" with c.id's
+// distance remembered.
+func (c *closest) offer(x ID) {
+	d := x.Distance(c.key)
+	if cmp := d.Cmp(c.dist); cmp < 0 || (cmp == 0 && x.Less(c.id)) {
+		c.id, c.dist = x, d
+	}
+}
+
+// offerBracket offers the members of side on either side of the key,
+// which lies at arc along the side's direction and at back the other
+// way round (the two sum to the ring).  When the key is nearer the
+// other way and every member is short of arc-back, each is farther
+// from the key than the owner by either route, and the side is
+// skipped: on a ring larger than the leaf set that is the side the key
+// is not on.
+func (c *closest) offerBracket(side []leaf, arc, back ID) {
+	n := len(side)
+	if n == 0 || (back.Less(arc) && side[n-1].arc.Less(arc.sub(back))) {
+		return
+	}
+	lo, hi := 0, n
+	for lo < hi { // first member at or beyond arc
+		mid := int(uint(lo+hi) >> 1)
+		if side[mid].arc.Less(arc) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	for _, v := range ls.larger {
-		if v.CloserToThan(key, best) {
-			best = v
-		}
+	if lo < n {
+		c.offer(side[lo].id)
 	}
-	return best
+	if lo > 0 {
+		c.offer(side[lo-1].id)
+	}
 }

@@ -7,6 +7,9 @@ type Node struct {
 	id    ID
 	table *RoutingTable
 	leafs *LeafSet
+	// coord is the node's position on the simulated network plane
+	// (proximity.go), fixed when it joins.
+	coord Coord
 }
 
 // NewNode creates a node with empty state.
@@ -69,22 +72,25 @@ func (n *Node) NextHop(key ID) (next ID, final bool) {
 	if hop, ok := n.table.Lookup(key); ok {
 		return hop, false
 	}
-	// Rare case: union of leaf set and routing table.
+	// Rare case: union of leaf set and routing table.  The choice is
+	// the minimum of a total order, so neither the scan order nor a
+	// leaf listed on both sides matters.
 	myPrefix := n.id.CommonPrefixLen(key, n.table.b)
-	best := n.id
+	c := closest{key: key, id: n.id, dist: n.id.Distance(key)}
 	consider := func(t ID) {
-		if t.CommonPrefixLen(key, n.table.b) >= myPrefix && t.CloserToThan(key, best) {
-			best = t
+		if t.CommonPrefixLen(key, n.table.b) >= myPrefix {
+			c.offer(t)
 		}
 	}
-	for _, t := range n.leafs.Members() {
-		consider(t)
+	for _, lf := range n.leafs.larger {
+		consider(lf.id)
 	}
-	for _, t := range n.table.Entries() {
-		consider(t)
+	for _, lf := range n.leafs.smaller {
+		consider(lf.id)
 	}
-	if best == n.id {
+	n.table.each(consider)
+	if c.id == n.id {
 		return ID{}, true // no better node known: deliver here
 	}
-	return best, false
+	return c.id, false
 }

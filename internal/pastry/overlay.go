@@ -38,7 +38,6 @@ type Overlay struct {
 	ids            []ID // sorted ascending: ground truth ring membership
 	rng            *rand.Rand
 	proximityAware bool
-	coords         map[ID]Coord
 
 	// Routing telemetry.
 	routes    int
@@ -49,6 +48,48 @@ type Overlay struct {
 	// over the simulated network plane.
 	pathDist   float64
 	directDist float64
+
+	// Scratch reused across calls, so routing and repair do not
+	// allocate: the path of the route in progress, and for the repair
+	// in progress the snapshot of the node's members and the ids
+	// already offered to it.
+	path    []*Node
+	members []ID
+	offered idSet
+}
+
+// idSet is a set of ids that empties in O(1): a slot holds a member
+// only while its stamp is the current epoch.  Open addressing on the
+// low bits, linear probing.
+type idSet struct {
+	ids   []ID
+	stamp []uint64
+	epoch uint64
+}
+
+// newIDSet sizes the set for at most n members at a time.
+func newIDSet(n int) idSet {
+	size := 4
+	for size < 2*n {
+		size <<= 1
+	}
+	return idSet{ids: make([]ID, size), stamp: make([]uint64, size), epoch: 1}
+}
+
+func (s *idSet) reset() { s.epoch++ }
+
+// add inserts x and reports whether it was absent.
+func (s *idSet) add(x ID) bool {
+	mask := uint64(len(s.ids) - 1)
+	i := x[1] & mask
+	for s.stamp[i] == s.epoch {
+		if s.ids[i] == x {
+			return false
+		}
+		i = (i + 1) & mask
+	}
+	s.ids[i], s.stamp[i] = x, s.epoch
+	return true
 }
 
 // New creates an empty overlay.
@@ -71,7 +112,8 @@ func New(cfg Config) (*Overlay, error) {
 		nodes:          make(map[ID]*Node),
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		proximityAware: cfg.ProximityAware,
-		coords:         make(map[ID]Coord),
+		// A repair hears at most l ids from each of at most l members.
+		offered: newIDSet(cfg.LeafSetSize * cfg.LeafSetSize),
 	}, nil
 }
 
@@ -123,9 +165,9 @@ func (o *Overlay) Join(id ID) error {
 		return ErrDuplicateID
 	}
 	x := NewNode(id, o.b, o.l)
-	o.coords[id] = Coord{X: o.rng.Float64(), Y: o.rng.Float64()}
+	x.coord = Coord{X: o.rng.Float64(), Y: o.rng.Float64()}
 	if o.proximityAware {
-		x.table.SetPreference(o.closerTo(id))
+		x.table.SetPreference(o.closerTo(x))
 	}
 	if len(o.ids) == 0 {
 		o.nodes[id] = x
@@ -137,19 +179,16 @@ func (o *Overlay) Join(id ID) error {
 	// Routing-table rows from the nodes along the path: node path[i]
 	// shares (at least) i digits of prefix handling, so its row i is a
 	// valid row i for x.
-	for i, hop := range path {
-		n := o.nodes[hop]
-		if n == nil {
-			continue
-		}
+	for i, n := range path {
 		for _, e := range n.table.Row(i) {
 			x.learn(e)
 		}
-		x.learn(hop)
+		x.learn(n.id)
 	}
 	// Leaf set from Z, the numerically closest existing node.
-	z := o.nodes[path[len(path)-1]]
-	for _, e := range z.leafs.Members() {
+	z := path[len(path)-1]
+	o.members = z.leafs.AppendMembers(o.members[:0])
+	for _, e := range o.members {
 		x.learn(e)
 	}
 	x.learn(z.id)
@@ -163,7 +202,8 @@ func (o *Overlay) Join(id ID) error {
 	for _, t := range known {
 		if n := o.nodes[t]; n != nil {
 			n.learn(id)
-			for _, e := range n.leafs.Members() {
+			o.members = n.leafs.AppendMembers(o.members[:0])
+			for _, e := range o.members {
 				x.learn(e)
 			}
 		}
@@ -198,7 +238,6 @@ func (o *Overlay) Fail(id ID) bool {
 		return false
 	}
 	delete(o.nodes, id)
-	delete(o.coords, id)
 	o.removeID(id)
 	// Leaf-set neighbours notice quickly (keep-alive) and repair.
 	for _, m := range n.leafs.Members() {
@@ -217,7 +256,6 @@ func (o *Overlay) Leave(id ID) bool {
 		return false
 	}
 	delete(o.nodes, id)
-	delete(o.coords, id)
 	o.removeID(id)
 	notify := append(n.table.Entries(), n.leafs.Members()...)
 	for _, t := range notify {
@@ -232,18 +270,35 @@ func (o *Overlay) Leave(id ID) bool {
 // repairLeafSet refills a node's leaf set by pulling the leaf sets of
 // its current members (the published repair procedure: ask the live
 // node with the largest index on the side of the failed node).
+//
+// Neighbouring leaf sets overlap almost entirely, so most of what the
+// members offer has been offered already.  Between two forgets a
+// second offer of an id changes nothing — state only fills up, and an
+// id refused by a full side or an occupied slot is refused again — so
+// each id is looked at once.  A forget frees a place that an id
+// refused earlier may now take, and the memory starts over.
 func (o *Overlay) repairLeafSet(n *Node) {
-	for _, m := range n.leafs.Members() {
+	o.members = n.leafs.AppendMembers(o.members[:0])
+	o.offered.reset()
+	pull := func(side []leaf) {
+		for _, lf := range side {
+			if !o.offered.add(lf.id) {
+				continue
+			}
+			if _, live := o.nodes[lf.id]; live {
+				n.learn(lf.id)
+			}
+		}
+	}
+	for _, m := range o.members {
 		peer := o.nodes[m]
 		if peer == nil {
 			n.forget(m)
+			o.offered.reset()
 			continue
 		}
-		for _, e := range peer.leafs.Members() {
-			if _, live := o.nodes[e]; live {
-				n.learn(e)
-			}
-		}
+		pull(peer.leafs.larger)
+		pull(peer.leafs.smaller)
 	}
 }
 
@@ -253,13 +308,13 @@ func (o *Overlay) repairLeafSet(n *Node) {
 func (o *Overlay) maxRouteHops() int { return IDBits/o.b + o.l + 8 }
 
 // RouteFrom routes key from a specific start node.  It returns the
-// destination node id, the hop count (0 when start owns the key), and
-// the path of node ids visited (including start and destination).
+// destination node id and the hop count (0 when start owns the key).
 // Dead routing entries encountered on the way are purged (lazy repair)
 // and routing continues.
 func (o *Overlay) RouteFrom(start ID, key ID) (ID, int, error) {
 	dest, hops, path := o.routeFrom(start, key)
-	if _, ok := o.nodes[dest]; !ok {
+	destNode, ok := o.nodes[dest]
+	if !ok {
 		return ID{}, 0, ErrEmptyOverlay
 	}
 	o.routes++
@@ -268,23 +323,26 @@ func (o *Overlay) RouteFrom(start ID, key ID) (ID, int, error) {
 		o.hopsMax = hops
 	}
 	if hops > 0 {
-		o.pathDist += o.pathDistance(path)
-		o.directDist += o.proximity(start, dest)
+		o.pathDist += pathDistance(path)
+		o.directDist += path[0].coord.DistanceTo(destNode.coord)
 	}
 	return dest, hops, nil
 }
 
-func (o *Overlay) routeFrom(start ID, key ID) (ID, int, []ID) {
+// routeFrom is the router: destination, hops, and the nodes visited
+// (start and destination included).  The path is the overlay's
+// scratch, good until the next route.
+func (o *Overlay) routeFrom(start ID, key ID) (ID, int, []*Node) {
 	cur, ok := o.nodes[start]
 	if !ok {
 		return ID{}, 0, nil
 	}
-	path := []ID{start}
+	o.path = append(o.path[:0], cur)
 	hops := 0
 	for limit := o.maxRouteHops(); limit >= 0; limit-- {
 		next, final := cur.NextHop(key)
 		if final {
-			return cur.id, hops, path
+			return cur.id, hops, o.path
 		}
 		nextNode, alive := o.nodes[next]
 		if !alive {
@@ -297,18 +355,18 @@ func (o *Overlay) routeFrom(start ID, key ID) (ID, int, []ID) {
 		}
 		cur = nextNode
 		hops++
-		path = append(path, next)
+		o.path = append(o.path, cur)
 	}
 	// Routing loop safety valve: deliver at the numerically closest
 	// node among those visited (should be unreachable; tests assert
 	// loops never happen).
-	best := path[0]
-	for _, p := range path {
-		if p.CloserToThan(key, best) {
-			best = p
+	best := start
+	for _, p := range o.path {
+		if p.id.CloserToThan(key, best) {
+			best = p.id
 		}
 	}
-	return best, hops, path
+	return best, hops, o.path
 }
 
 // Route routes key from a uniformly random live node, as a client

@@ -29,27 +29,27 @@ func (c Coord) DistanceTo(o Coord) float64 {
 }
 
 // Coord returns a node's network coordinate (zero if unknown).
-func (o *Overlay) Coord(id ID) Coord { return o.coords[id] }
-
-// proximity returns the network distance between two live nodes.
-func (o *Overlay) proximity(a, b ID) float64 {
-	return o.coords[a].DistanceTo(o.coords[b])
+func (o *Overlay) Coord(id ID) Coord {
+	if n := o.nodes[id]; n != nil {
+		return n.coord
+	}
+	return Coord{}
 }
 
 // closerTo builds the routing-table preference function for a node:
 // candidate x displaces incumbent y when x is proximally closer to the
 // owner.  Ties keep the incumbent (stability).
-func (o *Overlay) closerTo(owner ID) func(candidate, incumbent ID) bool {
+func (o *Overlay) closerTo(owner *Node) func(candidate, incumbent ID) bool {
 	return func(candidate, incumbent ID) bool {
-		return o.proximity(owner, candidate) < o.proximity(owner, incumbent)
+		return owner.coord.DistanceTo(o.Coord(candidate)) < owner.coord.DistanceTo(o.Coord(incumbent))
 	}
 }
 
 // pathDistance sums the proximity lengths of a route's hops.
-func (o *Overlay) pathDistance(path []ID) float64 {
+func pathDistance(path []*Node) float64 {
 	total := 0.0
 	for i := 1; i < len(path); i++ {
-		total += o.proximity(path[i-1], path[i])
+		total += path[i-1].coord.DistanceTo(path[i].coord)
 	}
 	return total
 }

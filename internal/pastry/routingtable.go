@@ -8,8 +8,16 @@ package pastry
 type RoutingTable struct {
 	owner ID
 	b     int
-	rows  [][]ID
-	set   [][]bool
+	// ids and set hold the rows back to back: entry (r, c) is at
+	// r<<b | c.  A join builds one table per node and a route indexes
+	// one per hop, so a table is three heap objects and an entry one
+	// load away.
+	ids []ID
+	set []bool
+	// used[r] counts row r's populated entries: most rows of a table
+	// are empty (a ring of N nodes fills about log_2^b N of them), and
+	// a scan skips those.
+	used []int
 	// prefer, when non-nil, decides whether a candidate should
 	// displace an incumbent entry (proximity-aware Pastry).
 	prefer func(candidate, incumbent ID) bool
@@ -23,28 +31,23 @@ func (rt *RoutingTable) SetPreference(prefer func(candidate, incumbent ID) bool)
 // NewRoutingTable creates an empty table for owner with digit width b.
 func NewRoutingTable(owner ID, b int) *RoutingTable {
 	numRows := IDBits / b
-	cols := 1 << b
-	rt := &RoutingTable{
+	return &RoutingTable{
 		owner: owner,
 		b:     b,
-		rows:  make([][]ID, numRows),
-		set:   make([][]bool, numRows),
+		ids:   make([]ID, numRows<<b),
+		set:   make([]bool, numRows<<b),
+		used:  make([]int, numRows),
 	}
-	for i := range rt.rows {
-		rt.rows[i] = make([]ID, cols)
-		rt.set[i] = make([]bool, cols)
-	}
-	return rt
 }
 
-// slot computes the (row, col) where x belongs in the owner's table,
-// or ok=false if x is the owner itself.
-func (rt *RoutingTable) slot(x ID) (row, col int, ok bool) {
+// slot computes the row and the index into ids/set where x belongs in
+// the owner's table, or ok=false if x is the owner itself.
+func (rt *RoutingTable) slot(x ID) (row, i int, ok bool) {
 	row = rt.owner.CommonPrefixLen(x, rt.b)
-	if row >= len(rt.rows) {
+	if row >= len(rt.used) {
 		return 0, 0, false // x == owner
 	}
-	return row, x.Digit(row, rt.b), true
+	return row, row<<rt.b | x.Digit(row, rt.b), true
 }
 
 // Insert offers x for the table.  An empty slot takes it; an occupied
@@ -52,90 +55,85 @@ func (rt *RoutingTable) slot(x ID) (row, col int, ok bool) {
 // SetPreference) says the candidate is closer, which is how real
 // Pastry builds proximity-aware tables.  Reports whether x was stored.
 func (rt *RoutingTable) Insert(x ID) bool {
-	row, col, ok := rt.slot(x)
+	row, i, ok := rt.slot(x)
 	if !ok {
 		return false
 	}
-	if rt.set[row][col] {
-		if rt.rows[row][col] == x || rt.prefer == nil || !rt.prefer(x, rt.rows[row][col]) {
+	if rt.set[i] {
+		if rt.ids[i] == x || rt.prefer == nil || !rt.prefer(x, rt.ids[i]) {
 			return false
 		}
+	} else {
+		rt.set[i] = true
+		rt.used[row]++
 	}
-	rt.rows[row][col] = x
-	rt.set[row][col] = true
+	rt.ids[i] = x
 	return true
-}
-
-// Replace unconditionally stores x in its slot.
-func (rt *RoutingTable) Replace(x ID) {
-	if row, col, ok := rt.slot(x); ok {
-		rt.rows[row][col] = x
-		rt.set[row][col] = true
-	}
 }
 
 // Lookup returns the entry for routing key from the owner: the node in
 // row CommonPrefixLen(owner, key) at key's next digit.
 func (rt *RoutingTable) Lookup(key ID) (ID, bool) {
-	row := rt.owner.CommonPrefixLen(key, rt.b)
-	if row >= len(rt.rows) {
-		return ID{}, false // key == owner id
+	_, i, ok := rt.slot(key)
+	if !ok || !rt.set[i] {
+		return ID{}, false // key == owner id, or an empty slot
 	}
-	col := key.Digit(row, rt.b)
-	if !rt.set[row][col] {
-		return ID{}, false
-	}
-	return rt.rows[row][col], true
+	return rt.ids[i], true
 }
 
 // Remove deletes x from the table if present (e.g., a failed node).
 func (rt *RoutingTable) Remove(x ID) bool {
-	row, col, ok := rt.slot(x)
-	if !ok || !rt.set[row][col] || rt.rows[row][col] != x {
+	row, i, ok := rt.slot(x)
+	if !ok || !rt.set[i] || rt.ids[i] != x {
 		return false
 	}
-	rt.set[row][col] = false
-	rt.rows[row][col] = ID{}
+	rt.set[i] = false
+	rt.ids[i] = ID{}
+	rt.used[row]--
 	return true
 }
 
 // Row returns the populated entries of row r (for join-time state
 // transfer: the i-th node on the join route donates its row i).
 func (rt *RoutingTable) Row(r int) []ID {
-	if r < 0 || r >= len(rt.rows) {
+	if r < 0 || r >= len(rt.used) {
 		return nil
 	}
 	var out []ID
-	for c, ok := range rt.set[r] {
-		if ok {
-			out = append(out, rt.rows[r][c])
+	for i := r << rt.b; i < (r+1)<<rt.b; i++ {
+		if rt.set[i] {
+			out = append(out, rt.ids[i])
 		}
 	}
 	return out
 }
 
-// Entries returns every populated entry.
-func (rt *RoutingTable) Entries() []ID {
-	var out []ID
-	for r := range rt.rows {
-		for c, ok := range rt.set[r] {
-			if ok {
-				out = append(out, rt.rows[r][c])
+// each calls f on every populated entry in (row, column) order.
+func (rt *RoutingTable) each(f func(ID)) {
+	for r, n := range rt.used {
+		if n == 0 {
+			continue
+		}
+		for i := r << rt.b; i < (r+1)<<rt.b; i++ {
+			if rt.set[i] {
+				f(rt.ids[i])
 			}
 		}
 	}
+}
+
+// Entries returns every populated entry, in (row, column) order.
+func (rt *RoutingTable) Entries() []ID {
+	var out []ID
+	rt.each(func(e ID) { out = append(out, e) })
 	return out
 }
 
 // Size returns the number of populated entries.
 func (rt *RoutingTable) Size() int {
 	n := 0
-	for _, row := range rt.set {
-		for _, ok := range row {
-			if ok {
-				n++
-			}
-		}
+	for _, used := range rt.used {
+		n += used
 	}
 	return n
 }
