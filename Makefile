@@ -134,14 +134,15 @@ fleet-bench:
 trace-alloc:
 	$(GO) test -run='^$$' -bench=BenchmarkDisabledTracer -benchmem ./internal/obs
 
-# The hot-path zero-alloc gates: steady-state simulator serves (LFU
-# family + fleet engine), a Pastry route, a P2P lookup hit and
-# pass-down replacement, and the live proxy/client-cache memory-hit
-# paths must not touch the heap.  Run without -race on purpose —
+# The hot-path zero-alloc gates: a replacement policy's hit and
+# evicting Add, steady-state simulator serves (LFU family + fleet
+# engine), a Pastry route, a P2P lookup hit and pass-down replacement,
+# and the live proxy/client-cache memory-hit paths must not touch the
+# heap.  Run without -race on purpose —
 # race instrumentation allocates on paths the production build does
 # not, so these files are !race-tagged and invisible to `make check`.
 sim-alloc:
-	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs' ./internal/sim ./internal/httpcache ./internal/pastry ./internal/p2p
+	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs' ./internal/cache ./internal/sim ./internal/httpcache ./internal/pastry ./internal/p2p
 
 # One iteration of every figure bench; set WEBCACHE_BENCH_SCALE and/or
 # WEBCACHE_BENCH_MANIFEST=bench.json to scale up or record a manifest.

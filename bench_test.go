@@ -111,31 +111,6 @@ func benchTrace(b *testing.B) *webcache.Trace {
 	return tr
 }
 
-// BenchmarkDirectoryExactVsBloom compares Hier-GD's two lookup
-// directory representations (§4.2): memory footprint versus
-// false-positive-induced wasted P2P lookups.
-func BenchmarkDirectoryExactVsBloom(b *testing.B) {
-	tr := benchTrace(b)
-	for _, kind := range []webcache.DirectoryKind{webcache.DirExact, webcache.DirBloom} {
-		b.Run(kind.String(), func(b *testing.B) {
-			var res *webcache.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = webcache.Run(tr, webcache.Config{
-					Scheme: webcache.HierGD, ProxyCacheFrac: 0.15,
-					Directory: kind, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMetric(b, float64(res.DirectoryMemoryBytes), "dir-bytes")
-			reportMetric(b, float64(res.DirectoryFalsePositives), "false-lookups")
-			reportMetric(b, res.AvgLatency*1000, "mlat")
-		})
-	}
-}
-
 // BenchmarkObjectDiversion measures what leaf-set object diversion
 // (§4.3) buys: client-tier hit ratio and premature evictions with the
 // mechanism on and off.
@@ -190,66 +165,6 @@ func BenchmarkPiggyback(b *testing.B) {
 			reportMetric(b, float64(res.P2P.PiggybackSave), "saved")
 		})
 	}
-}
-
-// BenchmarkPastryRouting measures routing throughput and hop counts
-// against the ⌈log_2^b N⌉ bound (§4.1).
-func BenchmarkPastryRouting(b *testing.B) {
-	for _, digit := range []int{2, 4} {
-		for _, n := range []int{256, 1024} {
-			b.Run(fmt.Sprintf("b=%d/n=%d", digit, n), func(b *testing.B) {
-				ov, err := pastry.New(pastry.Config{B: digit, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ov.JoinN(n, "bench"); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := ov.Route(pastry.HashUint64(uint64(i))); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportMetric(b, ov.Stats().MeanHops, "hops")
-			})
-		}
-	}
-}
-
-// BenchmarkPolicies measures raw replacement-policy throughput: the
-// greedy-dual heap versus LRU and LFU under a Zipf-ish access pattern.
-func BenchmarkPolicies(b *testing.B) {
-	mk := map[string]func() cache.Policy{
-		"lru":         func() cache.Policy { return cache.NewLRU(1000) },
-		"lfu":         func() cache.Policy { return cache.NewLFU(1000) },
-		"lfu-perfect": func() cache.Policy { return cache.NewPerfectLFU(1000) },
-		"greedy-dual": func() cache.Policy { return cache.NewGreedyDual(1000) },
-	}
-	for _, name := range []string{"lru", "lfu", "lfu-perfect", "greedy-dual"} {
-		ctor := mk[name]
-		b.Run(name, func(b *testing.B) {
-			p := ctor()
-			for i := 0; i < b.N; i++ {
-				obj := trace.ObjectID(uint64(i*i) % 5000) // skewed-ish
-				if !p.Access(obj) {
-					p.Add(cache.Entry{Obj: obj, Size: 1, Cost: 1})
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWorkloadGeneration measures the ProWGen generator itself.
-func BenchmarkWorkloadGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := webcache.GenerateWorkload(webcache.WorkloadConfig{
-			NumRequests: 100_000, NumObjects: 2000, NumClients: 200, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(100_000)
 }
 
 // BenchmarkSchemes measures end-to-end replay throughput per scheme

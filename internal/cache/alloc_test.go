@@ -1,0 +1,89 @@
+//go:build !race
+
+package cache
+
+// Zero-alloc gates on the policies' steady state (make sim-alloc).  A
+// full cache serves a hit, and replaces one object by another, without
+// touching the heap: a victim's slab slot (LRU: its list node) goes to
+// a free list and the next Add takes it from there, and Add's return
+// value is the policy's scratch slice.  testing.AllocsPerRun
+// floor-divides total mallocs by runs, so the id -> slot map's rare
+// rehash passes while one allocation per operation fails; a slab that
+// appended instead of recycling would pass the same way (it doubles), so
+// its length is checked too.
+//
+// Excluded under the race detector, whose instrumentation allocates on
+// paths the production build does not.
+
+import (
+	"testing"
+
+	"webcache/internal/trace"
+)
+
+func TestPolicyAllocsPerRun(t *testing.T) {
+	const capacity = 512
+	for _, p := range []Policy{
+		NewLRU(capacity), NewLFU(capacity), NewPerfectLFU(capacity),
+		NewGreedyDual(capacity), NewGDSF(capacity),
+	} {
+		entry := func(i int) Entry {
+			return Entry{Obj: trace.ObjectID(i) * 0x9e3779b97f4a7c15, Size: 1, Cost: float64(1 + i%5)}
+		}
+		// Warm up on twice as many ids as fit, twice over, so the map,
+		// the slab, the scratch slice and (perfect LFU) the history have
+		// all seen every id the measured loops use.
+		next := 0
+		fill := func() {
+			if e := entry(next % (2 * capacity)); !p.Contains(e.Obj) {
+				p.Add(e)
+			}
+			next++
+		}
+		for next < 4*capacity {
+			fill()
+		}
+		if p.Len() != capacity {
+			t.Fatalf("%s: warm-up left %d of %d objects", p.Name(), p.Len(), capacity)
+		}
+
+		hit := p.Objects()[0]
+		if a := testing.AllocsPerRun(2000, func() {
+			if !p.Access(hit) {
+				t.Fatalf("%s: %d fell out", p.Name(), hit)
+			}
+		}); a != 0 {
+			t.Errorf("%s: steady-state hit allocates %.0f per Access, want 0", p.Name(), a)
+		}
+
+		evicted := 0
+		if a := testing.AllocsPerRun(2000, func() {
+			for p.Contains(entry(next % (2 * capacity)).Obj) {
+				next++
+			}
+			evicted += len(p.Add(entry(next % (2 * capacity))))
+		}); a != 0 {
+			t.Errorf("%s: evicting Add allocates %.0f per Add, want 0", p.Name(), a)
+		}
+		if evicted < 2000 {
+			t.Errorf("%s: only %d of 2000 measured Adds evicted", p.Name(), evicted)
+		}
+		if n := slabLen(p); n > capacity {
+			t.Errorf("%s: slab has %d slots for %d unit-size objects: evicted slots are not recycled", p.Name(), n, capacity)
+		}
+	}
+}
+
+// slabLen is the number of slots a heap-ordered policy ever allocated
+// (0 for LRU, which has no slab).
+func slabLen(p Policy) int {
+	switch c := p.(type) {
+	case *LFU:
+		return len(c.nodes)
+	case *GreedyDual:
+		return len(c.nodes)
+	case *GDSF:
+		return len(c.nodes)
+	}
+	return 0
+}

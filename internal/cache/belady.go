@@ -12,10 +12,7 @@ import "webcache/internal/trace"
 // Clairvoyance comes from an index of the full request sequence built
 // up front; Access must be fed the same sequence positions in order.
 type Belady struct {
-	capacity uint64
-	used     uint64
-	entries  map[trace.ObjectID]Entry
-	heap     *keyedHeap // key = -nextUse (max-heap over next use)
+	heapCache // key = -nextUse (max-heap over next use)
 	// nextUse[obj] is a queue of future positions of obj.
 	nextUse map[trace.ObjectID][]int
 	clock   int
@@ -31,12 +28,7 @@ func NewBelady(capacity uint64, sequence []trace.ObjectID) *Belady {
 	for i, obj := range sequence {
 		next[obj] = append(next[obj], i)
 	}
-	return &Belady{
-		capacity: capacity,
-		entries:  make(map[trace.ObjectID]Entry),
-		heap:     newKeyedHeap(64),
-		nextUse:  next,
-	}
+	return &Belady{heapCache: newHeapCache(capacity), nextUse: next}
 }
 
 // Name implements Policy.
@@ -62,76 +54,32 @@ func (c *Belady) Tick() { c.clock++ }
 
 // Access implements Policy.
 func (c *Belady) Access(obj trace.ObjectID) bool {
-	if _, ok := c.entries[obj]; !ok {
-		return false
+	n, ok := c.find(obj)
+	if ok {
+		// Re-key by the next future use; farther = evicted sooner, so
+		// the min-heap holds -nextUse.
+		c.update(n, -float64(c.futureOf(obj)))
 	}
-	// Re-key by the next future use; farther = evicted sooner, so the
-	// min-heap holds -nextUse.
-	c.heap.update(obj, -float64(c.futureOf(obj)))
-	return true
+	return ok
 }
 
 // Add implements Policy.  True MIN may *bypass*: when the incoming
 // object's next use is farther than every cached object's, caching it
 // would only displace something more useful, so it is not cached.
 func (c *Belady) Add(e Entry) []Entry {
-	_, present := c.entries[e.Obj]
-	if err := checkAddable(c.Name(), e, present, c.capacity); err != nil {
+	if !c.admit(c.Name(), e) {
 		return nil
 	}
 	newNext := c.futureOf(e.Obj)
 	if c.used+uint64(e.Size) > c.capacity {
-		if _, farthest, ok := c.heap.min(); ok && float64(newNext) >= -farthest {
+		if farthest, ok := c.min(); ok && float64(newNext) >= -farthest.key {
 			return nil // bypass: everything cached is re-used sooner
 		}
 	}
-	evicted := evictFor(e.Size, &c.used, c.capacity, func() Entry {
-		obj, _ := c.heap.popMin()
-		victim := c.entries[obj]
-		delete(c.entries, obj)
-		return victim
-	}, nil)
-	c.entries[e.Obj] = e
-	c.heap.push(e.Obj, -float64(newNext))
-	c.used += uint64(e.Size)
-	return evicted
+	c.makeRoom(e.Size)
+	c.push(e, -float64(newNext))
+	return c.scratch
 }
-
-// Remove implements Policy.
-func (c *Belady) Remove(obj trace.ObjectID) (Entry, bool) {
-	e, ok := c.entries[obj]
-	if !ok {
-		return Entry{}, false
-	}
-	c.heap.remove(obj)
-	delete(c.entries, obj)
-	c.used -= uint64(e.Size)
-	return e, true
-}
-
-// Contains implements Policy.
-func (c *Belady) Contains(obj trace.ObjectID) bool {
-	_, ok := c.entries[obj]
-	return ok
-}
-
-// Peek implements Policy.
-func (c *Belady) Peek(obj trace.ObjectID) (Entry, bool) {
-	e, ok := c.entries[obj]
-	return e, ok
-}
-
-// Len implements Policy.
-func (c *Belady) Len() int { return len(c.entries) }
-
-// Used implements Policy.
-func (c *Belady) Used() uint64 { return c.used }
-
-// Capacity implements Policy.
-func (c *Belady) Capacity() uint64 { return c.capacity }
-
-// Objects implements Policy.
-func (c *Belady) Objects() []trace.ObjectID { return sortedObjects(c.entries) }
 
 var _ Policy = (*Belady)(nil)
 

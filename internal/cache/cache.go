@@ -12,7 +12,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"webcache/internal/trace"
 )
@@ -70,40 +69,14 @@ type Policy interface {
 	Objects() []trace.ObjectID
 }
 
-// evictFor pops victims via pop() until used+need fits cap.
-// Shared by the policy implementations.
-func evictFor(need uint32, used *uint64, capacity uint64, pop func() Entry, out []Entry) []Entry {
-	for *used+uint64(need) > capacity {
-		v := pop()
-		*used -= uint64(v.Size)
-		out = append(out, v)
-	}
-	return out
-}
-
-func checkAddable(name string, e Entry, contains bool, capacity uint64) error {
-	if contains {
+// addable reports whether Add may cache e.  An entry larger than the
+// whole cache is refused, and so is a zero-size one: it would divide
+// Cost/Size to +Inf in the greedy-dual H value and pin the object
+// forever.  Adding an object that is already cached is a programming
+// error and panics.
+func addable(name string, e Entry, present bool, capacity uint64) bool {
+	if present {
 		panic(fmt.Sprintf("cache: %s.Add(%d): object already cached", name, e.Obj))
 	}
-	if e.Size == 0 {
-		// A zero-size entry would divide Cost/Size to +Inf in the
-		// greedy-dual H value and pin the object forever; reject it like
-		// an oversized entry instead of caching it.
-		return fmt.Errorf("cache: entry %d has zero size", e.Obj)
-	}
-	if uint64(e.Size) > capacity {
-		return fmt.Errorf("cache: entry %d (size %d) exceeds capacity %d", e.Obj, e.Size, capacity)
-	}
-	return nil
-}
-
-// sortedObjects returns the keys of an entry map in ascending order so
-// iteration-dependent behaviour stays deterministic.
-func sortedObjects[V any](m map[trace.ObjectID]V) []trace.ObjectID {
-	out := make([]trace.ObjectID, 0, len(m))
-	for obj := range m {
-		out = append(out, obj)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return e.Size != 0 && uint64(e.Size) <= capacity
 }

@@ -13,108 +13,54 @@ import "webcache/internal/trace"
 // an extension (Config.GDSF in the simulator) together with an
 // ablation comparison in the benchmark harness.
 type GDSF struct {
-	capacity  uint64
-	used      uint64
+	heapCache // key = H value; node.freq = in-cache frequency
 	inflation float64
-	entries   map[trace.ObjectID]Entry
-	freq      map[trace.ObjectID]float64
-	heap      *keyedHeap
-	// scratch backs the slice Add returns; see Policy.Add.
-	scratch []Entry
 }
 
 // NewGDSF returns a GDSF cache of the given capacity.
 func NewGDSF(capacity uint64) *GDSF {
-	return &GDSF{
-		capacity: capacity,
-		entries:  make(map[trace.ObjectID]Entry),
-		freq:     make(map[trace.ObjectID]float64),
-		heap:     newKeyedHeap(64),
-	}
+	return &GDSF{heapCache: newHeapCache(capacity)}
 }
 
 // Name implements Policy.
 func (c *GDSF) Name() string { return "gdsf" }
 
-func (c *GDSF) hvalue(e Entry) float64 {
-	return c.inflation + c.freq[e.Obj]*e.Cost/float64(e.Size)
+func (c *GDSF) hvalue(e Entry, freq float64) float64 {
+	return c.inflation + freq*e.Cost/float64(e.Size)
 }
 
 // Access implements Policy: a hit bumps the in-cache frequency and
 // refreshes H with the current inflation.
 func (c *GDSF) Access(obj trace.ObjectID) bool {
-	e, ok := c.entries[obj]
-	if !ok {
-		return false
+	n, ok := c.find(obj)
+	if ok {
+		n.freq++
+		c.update(n, c.hvalue(n.Entry, n.freq))
 	}
-	c.freq[obj]++
-	c.heap.update(obj, c.hvalue(e))
-	return true
+	return ok
 }
 
 // Add implements Policy.
 func (c *GDSF) Add(e Entry) []Entry {
-	_, present := c.entries[e.Obj]
-	if err := checkAddable(c.Name(), e, present, c.capacity); err != nil {
+	if !c.admit(c.Name(), e) {
 		return nil
 	}
-	c.scratch = evictFor(e.Size, &c.used, c.capacity, func() Entry {
-		obj, h := c.heap.popMin()
+	if h, evicted := c.makeRoom(e.Size); evicted {
 		c.inflation = h
-		victim := c.entries[obj]
-		delete(c.entries, obj)
-		delete(c.freq, obj)
-		return victim
-	}, c.scratch[:0])
-	evicted := c.scratch
-	c.entries[e.Obj] = e
-	c.freq[e.Obj] = 1
-	c.heap.push(e.Obj, c.hvalue(e))
-	c.used += uint64(e.Size)
-	return evicted
-}
-
-// Remove implements Policy.
-func (c *GDSF) Remove(obj trace.ObjectID) (Entry, bool) {
-	e, ok := c.entries[obj]
-	if !ok {
-		return Entry{}, false
 	}
-	c.heap.remove(obj)
-	delete(c.entries, obj)
-	delete(c.freq, obj)
-	c.used -= uint64(e.Size)
-	return e, true
+	c.push(e, c.hvalue(e, 1)).freq = 1
+	return c.scratch
 }
 
-// Contains implements Policy.
-func (c *GDSF) Contains(obj trace.ObjectID) bool {
-	_, ok := c.entries[obj]
-	return ok
+// Frequency exposes the in-cache frequency counter (0 if not cached).
+func (c *GDSF) Frequency(obj trace.ObjectID) float64 {
+	if n, ok := c.find(obj); ok {
+		return n.freq
+	}
+	return 0
 }
-
-// Peek implements Policy.
-func (c *GDSF) Peek(obj trace.ObjectID) (Entry, bool) {
-	e, ok := c.entries[obj]
-	return e, ok
-}
-
-// Frequency exposes the in-cache frequency counter.
-func (c *GDSF) Frequency(obj trace.ObjectID) float64 { return c.freq[obj] }
 
 // Inflation exposes the current L value.
 func (c *GDSF) Inflation() float64 { return c.inflation }
-
-// Len implements Policy.
-func (c *GDSF) Len() int { return len(c.entries) }
-
-// Used implements Policy.
-func (c *GDSF) Used() uint64 { return c.used }
-
-// Capacity implements Policy.
-func (c *GDSF) Capacity() uint64 { return c.capacity }
-
-// Objects implements Policy.
-func (c *GDSF) Objects() []trace.ObjectID { return sortedObjects(c.entries) }
 
 var _ Policy = (*GDSF)(nil)

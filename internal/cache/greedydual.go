@@ -22,23 +22,13 @@ import "webcache/internal/trace"
 // which is the "implicit cache coordination" Korupolu & Dahlin
 // observed.
 type GreedyDual struct {
-	capacity  uint64
-	used      uint64
+	heapCache // key = H value
 	inflation float64
-	entries   map[trace.ObjectID]Entry
-	heap      *keyedHeap
-	// scratch backs the slice Add returns; reused across calls so the
-	// steady-state eviction path never allocates (see Policy.Add).
-	scratch []Entry
 }
 
 // NewGreedyDual returns a greedy-dual cache of the given capacity.
 func NewGreedyDual(capacity uint64) *GreedyDual {
-	return &GreedyDual{
-		capacity: capacity,
-		entries:  make(map[trace.ObjectID]Entry),
-		heap:     newKeyedHeap(64),
-	}
+	return &GreedyDual{heapCache: newHeapCache(capacity)}
 }
 
 // Name implements Policy.
@@ -51,79 +41,37 @@ func (c *GreedyDual) hvalue(e Entry) float64 {
 // Access implements Policy.  A hit restores the object's H value to
 // L + Cost/Size with the current inflation.
 func (c *GreedyDual) Access(obj trace.ObjectID) bool {
-	e, ok := c.entries[obj]
-	if !ok {
-		return false
+	n, ok := c.find(obj)
+	if ok {
+		c.update(n, c.hvalue(n.Entry))
 	}
-	c.heap.update(obj, c.hvalue(e))
-	return true
+	return ok
 }
 
 // Add implements Policy.
 func (c *GreedyDual) Add(e Entry) []Entry {
-	_, present := c.entries[e.Obj]
-	if err := checkAddable(c.Name(), e, present, c.capacity); err != nil {
+	if !c.admit(c.Name(), e) {
 		return nil
 	}
-	c.scratch = evictFor(e.Size, &c.used, c.capacity, func() Entry {
-		obj, h := c.heap.popMin()
-		// The inflation rises to the victim's H value; every later
-		// insertion and refresh builds on it.
+	// The inflation rises to the last victim's H value; every later
+	// insertion and refresh builds on it.
+	if h, evicted := c.makeRoom(e.Size); evicted {
 		c.inflation = h
-		victim := c.entries[obj]
-		delete(c.entries, obj)
-		return victim
-	}, c.scratch[:0])
-	evicted := c.scratch
-	c.entries[e.Obj] = e
-	c.heap.push(e.Obj, c.hvalue(e))
-	c.used += uint64(e.Size)
-	return evicted
-}
-
-// Remove implements Policy.
-func (c *GreedyDual) Remove(obj trace.ObjectID) (Entry, bool) {
-	e, ok := c.entries[obj]
-	if !ok {
-		return Entry{}, false
 	}
-	c.heap.remove(obj)
-	delete(c.entries, obj)
-	c.used -= uint64(e.Size)
-	return e, true
-}
-
-// Contains implements Policy.
-func (c *GreedyDual) Contains(obj trace.ObjectID) bool {
-	_, ok := c.entries[obj]
-	return ok
-}
-
-// Peek implements Policy.
-func (c *GreedyDual) Peek(obj trace.ObjectID) (Entry, bool) {
-	e, ok := c.entries[obj]
-	return e, ok
+	c.push(e, c.hvalue(e))
+	return c.scratch
 }
 
 // HValue exposes the current H value of a cached object for tests and
 // the Hier-GD pass-down logic.
 func (c *GreedyDual) HValue(obj trace.ObjectID) (float64, bool) {
-	return c.heap.key(obj)
+	if n, ok := c.find(obj); ok {
+		return n.key, true
+	}
+	return 0, false
 }
 
 // Inflation exposes the current L value.
 func (c *GreedyDual) Inflation() float64 { return c.inflation }
 
-// Len implements Policy.
-func (c *GreedyDual) Len() int { return len(c.entries) }
-
-// Used implements Policy.
-func (c *GreedyDual) Used() uint64 { return c.used }
-
-// Capacity implements Policy.
-func (c *GreedyDual) Capacity() uint64 { return c.capacity }
-
 var _ Policy = (*GreedyDual)(nil)
-
-// Objects lists the cached object ids in ascending order.
-func (c *GreedyDual) Objects() []trace.ObjectID { return sortedObjects(c.entries) }

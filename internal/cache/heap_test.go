@@ -9,14 +9,29 @@ import (
 	"webcache/internal/trace"
 )
 
+// testHeap adds by-id spellings of update and popMin to the heap.
+type testHeap struct{ keyedHeap }
+
+func newTestHeap(hint int) *testHeap { return &testHeap{newKeyedHeap(hint)} }
+
+func (h *testHeap) rekey(obj trace.ObjectID, key float64) {
+	n, _ := h.find(obj)
+	h.update(n, key)
+}
+
+func (h *testHeap) popObj() trace.ObjectID {
+	e, _ := h.popMin()
+	return e.Obj
+}
+
 func TestKeyedHeapPushPopOrder(t *testing.T) {
-	h := newKeyedHeap(8)
+	h := newTestHeap(8)
 	keys := []float64{5, 1, 4, 2, 3}
 	for i, k := range keys {
-		h.push(trace.ObjectID(i), k)
+		h.push(Entry{Obj: trace.ObjectID(i), Size: 1}, k)
 	}
 	var got []float64
-	for h.len() > 0 {
+	for h.Len() > 0 {
 		_, k := h.popMin()
 		got = append(got, k)
 	}
@@ -26,61 +41,61 @@ func TestKeyedHeapPushPopOrder(t *testing.T) {
 }
 
 func TestKeyedHeapTieBreakFIFO(t *testing.T) {
-	h := newKeyedHeap(8)
+	h := newTestHeap(8)
 	for i := 0; i < 5; i++ {
-		h.push(trace.ObjectID(i), 1.0)
+		h.push(Entry{Obj: trace.ObjectID(i), Size: 1}, 1.0)
 	}
 	for i := 0; i < 5; i++ {
-		obj, _ := h.popMin()
-		if obj != trace.ObjectID(i) {
+		e, _ := h.popMin()
+		if obj := e.Obj; obj != trace.ObjectID(i) {
 			t.Fatalf("tie-break not FIFO: pop %d gave %d", i, obj)
 		}
 	}
 }
 
 func TestKeyedHeapUpdate(t *testing.T) {
-	h := newKeyedHeap(8)
-	h.push(1, 10)
-	h.push(2, 20)
-	h.push(3, 30)
-	h.update(3, 5) // decrease
-	if obj, _ := h.popMin(); obj != 3 {
+	h := newTestHeap(8)
+	h.push(Entry{Obj: 1, Size: 1}, 10)
+	h.push(Entry{Obj: 2, Size: 1}, 20)
+	h.push(Entry{Obj: 3, Size: 1}, 30)
+	h.rekey(3, 5) // decrease
+	if obj := h.popObj(); obj != 3 {
 		t.Fatalf("after decrease, min = %d, want 3", obj)
 	}
-	h.update(1, 100) // increase
-	if obj, _ := h.popMin(); obj != 2 {
+	h.rekey(1, 100) // increase
+	if obj := h.popObj(); obj != 2 {
 		t.Fatalf("after increase, min = %d, want 2", obj)
 	}
-	if k, ok := h.key(1); !ok || k != 100 {
-		t.Fatalf("key(1) = %v %v", k, ok)
+	if n, ok := h.find(1); !ok || n.key != 100 {
+		t.Fatalf("find(1) = %v %v", n, ok)
 	}
 }
 
 func TestKeyedHeapRemove(t *testing.T) {
-	h := newKeyedHeap(8)
+	h := newTestHeap(8)
 	for i := 0; i < 10; i++ {
-		h.push(trace.ObjectID(i), float64(10-i))
+		h.push(Entry{Obj: trace.ObjectID(i), Size: 1}, float64(10-i))
 	}
-	if !h.remove(9) { // current min
+	if _, ok := h.Remove(9); !ok { // current min
 		t.Fatal("remove(9) = false")
 	}
-	if h.remove(9) {
+	if _, ok := h.Remove(9); ok {
 		t.Fatal("double remove succeeded")
 	}
-	obj, k := h.popMin()
-	if obj != 8 || k != 2 {
-		t.Fatalf("min after remove = (%d, %g), want (8, 2)", obj, k)
+	e, k := h.popMin()
+	if e.Obj != 8 || k != 2 {
+		t.Fatalf("min after remove = (%d, %g), want (8, 2)", e.Obj, k)
 	}
-	if h.contains(9) {
+	if h.Contains(9) {
 		t.Fatal("contains removed object")
 	}
 }
 
+// A duplicate id is refused one level up (TestPolicyDuplicateAddPanics); the
+// heap itself only guards its own emptiness.
 func TestKeyedHeapPanics(t *testing.T) {
-	h := newKeyedHeap(2)
-	h.push(1, 1)
-	assertPanics(t, "dup push", func() { h.push(1, 2) })
-	assertPanics(t, "update missing", func() { h.update(42, 1) })
+	h := newTestHeap(2)
+	h.push(Entry{Obj: 1, Size: 1}, 1)
 	h.popMin()
 	assertPanics(t, "pop empty", func() { h.popMin() })
 }
@@ -104,7 +119,7 @@ func TestPropKeyedHeapMatchesModel(t *testing.T) {
 	}
 	f := func(seed int64, opsRaw []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := newKeyedHeap(4)
+		h := newTestHeap(4)
 		model := map[trace.ObjectID]modelItem{}
 		var seq uint64
 		next := trace.ObjectID(0)
@@ -123,7 +138,7 @@ func TestPropKeyedHeapMatchesModel(t *testing.T) {
 			switch op % 4 {
 			case 0:
 				k := float64(rng.Intn(50))
-				h.push(next, k)
+				h.push(Entry{Obj: next, Size: 1}, k)
 				seq++
 				model[next] = modelItem{k, seq}
 				next++
@@ -133,7 +148,7 @@ func TestPropKeyedHeapMatchesModel(t *testing.T) {
 				}
 				o := smallestKeyOf(model)
 				k := float64(rng.Intn(50))
-				h.update(o, k)
+				h.rekey(o, k)
 				seq++
 				model[o] = modelItem{k, seq}
 			case 2:
@@ -141,23 +156,23 @@ func TestPropKeyedHeapMatchesModel(t *testing.T) {
 					continue
 				}
 				o := smallestKeyOf(model)
-				h.remove(o)
+				h.Remove(o)
 				delete(model, o)
 			case 3:
 				if len(model) == 0 {
-					if h.len() != 0 {
+					if h.Len() != 0 {
 						return false
 					}
 					continue
 				}
 				want, _ := modelMin()
-				got, _ := h.popMin()
+				got := h.popObj()
 				if got != want {
 					return false
 				}
 				delete(model, got)
 			}
-			if h.len() != len(model) {
+			if h.Len() != len(model) {
 				return false
 			}
 		}

@@ -16,46 +16,59 @@ import "webcache/internal/trace"
 // Eviction takes the minimum-frequency object, breaking ties by least
 // recent touch.
 type LFU struct {
-	capacity uint64
-	used     uint64
-	perfect  bool
-	entries  map[trace.ObjectID]Entry
-	heap     *keyedHeap
+	heapCache // key = frequency
+	perfect   bool
 	// history holds persistent counts for the perfect variant,
 	// including objects not currently cached.
-	history map[trace.ObjectID]uint64
-	// scratch backs the slice Add returns; see Policy.Add.
-	scratch []Entry
+	history *History
+}
+
+// History is the perfect-LFU reference count of every object seen,
+// cached or not.  Counts live in a slice behind one id -> index map, so
+// counting a known object is a single hashed lookup.
+type History struct {
+	index map[trace.ObjectID]int32
+	count []uint64
+}
+
+// NewHistory returns an empty history.
+func NewHistory() *History {
+	return &History{index: make(map[trace.ObjectID]int32)}
+}
+
+// Count reports how often obj was referenced (0 if never).
+func (h *History) Count(obj trace.ObjectID) uint64 {
+	if i, ok := h.index[obj]; ok {
+		return h.count[i]
+	}
+	return 0
+}
+
+// bump counts one more reference to obj and returns the new count.
+func (h *History) bump(obj trace.ObjectID) uint64 {
+	i, ok := h.index[obj]
+	if !ok {
+		i = int32(len(h.count))
+		h.index[obj] = i
+		h.count = append(h.count, 0)
+	}
+	h.count[i]++
+	return h.count[i]
 }
 
 // NewLFU returns an in-cache LFU cache.
-func NewLFU(capacity uint64) *LFU { return newLFU(capacity, false) }
+func NewLFU(capacity uint64) *LFU { return &LFU{heapCache: newHeapCache(capacity)} }
 
 // NewPerfectLFU returns a perfect-frequency LFU cache.
-func NewPerfectLFU(capacity uint64) *LFU { return newLFU(capacity, true) }
+func NewPerfectLFU(capacity uint64) *LFU { return NewPerfectLFUShared(capacity, NewHistory()) }
 
 // NewPerfectLFUShared returns a perfect-frequency LFU cache whose
-// frequency history is the caller-provided map.  Passing the same map
-// to several caches makes them agree on object frequencies — the EC
-// schemes use this so the proxy tier and client tier of a unified
-// cache rank objects consistently.
-func NewPerfectLFUShared(capacity uint64, history map[trace.ObjectID]uint64) *LFU {
-	c := newLFU(capacity, true)
-	c.history = history
-	return c
-}
-
-func newLFU(capacity uint64, perfect bool) *LFU {
-	c := &LFU{
-		capacity: capacity,
-		perfect:  perfect,
-		entries:  make(map[trace.ObjectID]Entry),
-		heap:     newKeyedHeap(64),
-	}
-	if perfect {
-		c.history = make(map[trace.ObjectID]uint64)
-	}
-	return c
+// frequency history is the caller-provided one.  Passing the same
+// history to several caches makes them agree on object frequencies —
+// the EC schemes use this so the proxy tier and client tier of a
+// unified cache rank objects consistently.
+func NewPerfectLFUShared(capacity uint64, history *History) *LFU {
+	return &LFU{heapCache: newHeapCache(capacity), perfect: true, history: history}
 }
 
 // Name implements Policy.
@@ -71,97 +84,48 @@ func (c *LFU) Name() string {
 // It is a no-op for in-cache LFU.
 func (c *LFU) RecordMiss(obj trace.ObjectID) {
 	if c.perfect {
-		c.history[obj]++
+		c.history.bump(obj)
 	}
 }
 
 // Access implements Policy.
 func (c *LFU) Access(obj trace.ObjectID) bool {
-	if _, ok := c.entries[obj]; !ok {
+	n, ok := c.find(obj)
+	if !ok {
 		return false
 	}
-	var f float64
+	f := n.key + 1
 	if c.perfect {
-		c.history[obj]++
-		f = float64(c.history[obj])
-	} else {
-		cur, _ := c.heap.key(obj)
-		f = cur + 1
+		f = float64(c.history.bump(obj))
 	}
-	c.heap.update(obj, f)
+	c.update(n, f)
 	return true
 }
 
 // Add implements Policy.
 func (c *LFU) Add(e Entry) []Entry {
-	_, present := c.entries[e.Obj]
-	if err := checkAddable(c.Name(), e, present, c.capacity); err != nil {
+	if !c.admit(c.Name(), e) {
 		return nil
 	}
-	c.scratch = evictFor(e.Size, &c.used, c.capacity, func() Entry {
-		obj, _ := c.heap.popMin()
-		victim := c.entries[obj]
-		delete(c.entries, obj)
-		return victim
-	}, c.scratch[:0])
-	evicted := c.scratch
-	c.entries[e.Obj] = e
+	c.makeRoom(e.Size)
 	f := 1.0
 	if c.perfect {
-		c.history[e.Obj]++
-		f = float64(c.history[e.Obj])
+		f = float64(c.history.bump(e.Obj))
 	}
-	c.heap.push(e.Obj, f)
-	c.used += uint64(e.Size)
-	return evicted
-}
-
-// Remove implements Policy.
-func (c *LFU) Remove(obj trace.ObjectID) (Entry, bool) {
-	e, ok := c.entries[obj]
-	if !ok {
-		return Entry{}, false
-	}
-	c.heap.remove(obj)
-	delete(c.entries, obj)
-	c.used -= uint64(e.Size)
-	return e, true
-}
-
-// Contains implements Policy.
-func (c *LFU) Contains(obj trace.ObjectID) bool {
-	_, ok := c.entries[obj]
-	return ok
-}
-
-// Peek implements Policy.
-func (c *LFU) Peek(obj trace.ObjectID) (Entry, bool) {
-	e, ok := c.entries[obj]
-	return e, ok
+	c.push(e, f)
+	return c.scratch
 }
 
 // Frequency reports the policy's current frequency for obj (0 if
 // unknown), exposed for tests and metrics.
 func (c *LFU) Frequency(obj trace.ObjectID) uint64 {
 	if c.perfect {
-		return c.history[obj]
+		return c.history.Count(obj)
 	}
-	if f, ok := c.heap.key(obj); ok {
-		return uint64(f)
+	if n, ok := c.find(obj); ok {
+		return uint64(n.key)
 	}
 	return 0
 }
 
-// Len implements Policy.
-func (c *LFU) Len() int { return len(c.entries) }
-
-// Used implements Policy.
-func (c *LFU) Used() uint64 { return c.used }
-
-// Capacity implements Policy.
-func (c *LFU) Capacity() uint64 { return c.capacity }
-
 var _ Policy = (*LFU)(nil)
-
-// Objects lists the cached object ids in ascending order.
-func (c *LFU) Objects() []trace.ObjectID { return sortedObjects(c.entries) }

@@ -1,11 +1,15 @@
 package cache
 
-import "webcache/internal/trace"
+import (
+	"slices"
+
+	"webcache/internal/trace"
+)
 
 // LRU is a least-recently-used cache.  It is not one of the paper's
 // headline policies but serves as a baseline comparator (the paper
 // cites Korupolu & Dahlin's finding that greedy-dual beats LRU and LFU,
-// which BenchmarkPolicies and the scheme tests reproduce).
+// which BenchmarkBelady and the scheme tests reproduce).
 type LRU struct {
 	capacity uint64
 	used     uint64
@@ -44,6 +48,17 @@ func (c *LRU) unlink(n *lruNode) {
 	n.next.prev = n.prev
 }
 
+// drop takes n out of the cache and onto the free list.
+func (c *LRU) drop(n *lruNode) Entry {
+	c.unlink(n)
+	delete(c.entries, n.entry.Obj)
+	c.used -= uint64(n.entry.Size)
+	n.prev = nil
+	n.next = c.free
+	c.free = n
+	return n.entry
+}
+
 func (c *LRU) pushFront(n *lruNode) {
 	n.next = c.sentinel.next
 	n.prev = &c.sentinel
@@ -64,20 +79,13 @@ func (c *LRU) Access(obj trace.ObjectID) bool {
 
 // Add implements Policy.
 func (c *LRU) Add(e Entry) []Entry {
-	_, present := c.entries[e.Obj]
-	if err := checkAddable(c.Name(), e, present, c.capacity); err != nil {
+	if !addable(c.Name(), e, c.Contains(e.Obj), c.capacity) {
 		return nil
 	}
-	c.scratch = evictFor(e.Size, &c.used, c.capacity, func() Entry {
-		victim := c.sentinel.prev
-		c.unlink(victim)
-		delete(c.entries, victim.entry.Obj)
-		victim.prev = nil
-		victim.next = c.free
-		c.free = victim
-		return victim.entry
-	}, c.scratch[:0])
-	evicted := c.scratch
+	c.scratch = c.scratch[:0]
+	for c.used+uint64(e.Size) > c.capacity {
+		c.scratch = append(c.scratch, c.drop(c.sentinel.prev))
+	}
 	n := c.free
 	if n != nil {
 		c.free = n.next
@@ -89,7 +97,7 @@ func (c *LRU) Add(e Entry) []Entry {
 	c.entries[e.Obj] = n
 	c.pushFront(n)
 	c.used += uint64(e.Size)
-	return evicted
+	return c.scratch
 }
 
 // Remove implements Policy.
@@ -98,14 +106,7 @@ func (c *LRU) Remove(obj trace.ObjectID) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	c.unlink(n)
-	delete(c.entries, obj)
-	c.used -= uint64(n.entry.Size)
-	e := n.entry
-	n.prev = nil
-	n.next = c.free
-	c.free = n
-	return e, true
+	return c.drop(n), true
 }
 
 // Contains implements Policy.
@@ -135,4 +136,11 @@ func (c *LRU) Capacity() uint64 { return c.capacity }
 var _ Policy = (*LRU)(nil)
 
 // Objects lists the cached object ids in ascending order.
-func (c *LRU) Objects() []trace.ObjectID { return sortedObjects(c.entries) }
+func (c *LRU) Objects() []trace.ObjectID {
+	out := make([]trace.ObjectID, 0, len(c.entries))
+	for obj := range c.entries {
+		out = append(out, obj)
+	}
+	slices.Sort(out)
+	return out
+}

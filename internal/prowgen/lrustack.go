@@ -22,35 +22,37 @@ type lruStack struct {
 	capacity int
 	items    []trace.ObjectID // dense in [head, len(items)); top at the end
 	head     int
-	pos      map[trace.ObjectID]int // absolute index into items
+	// pos[obj] is obj's absolute index into items, -1 when it is not in
+	// the stack.  The generator knows its object universe, so this is a
+	// dense table: moveToTop rewrites one entry per shifted item.
+	pos []int32
 }
 
-func newLRUStack(capacity int) *lruStack {
-	return &lruStack{
-		capacity: capacity,
-		pos:      make(map[trace.ObjectID]int, capacity+1),
+// newLRUStack returns an empty stack for object ids below numObjects.
+func newLRUStack(capacity, numObjects int) *lruStack {
+	s := &lruStack{capacity: capacity, pos: make([]int32, numObjects)}
+	for i := range s.pos {
+		s.pos[i] = -1
 	}
+	return s
 }
 
 func (s *lruStack) size() int { return len(s.items) - s.head }
 
-func (s *lruStack) contains(obj trace.ObjectID) bool {
-	_, ok := s.pos[obj]
-	return ok
-}
+func (s *lruStack) contains(obj trace.ObjectID) bool { return s.pos[obj] >= 0 }
 
 // pushTop pushes obj onto the top of the stack.  If that overflows the
 // capacity, the bottom object is evicted and returned with ok=true.
 func (s *lruStack) pushTop(obj trace.ObjectID) (evicted trace.ObjectID, ok bool) {
-	if _, dup := s.pos[obj]; dup {
+	if s.contains(obj) {
 		s.moveToTop(obj)
 		return 0, false
 	}
 	s.items = append(s.items, obj)
-	s.pos[obj] = len(s.items) - 1
+	s.pos[obj] = int32(len(s.items) - 1)
 	if s.size() > s.capacity {
 		evicted = s.items[s.head]
-		delete(s.pos, evicted)
+		s.pos[evicted] = -1
 		s.head++
 		ok = true
 		s.maybeCompact()
@@ -60,8 +62,8 @@ func (s *lruStack) pushTop(obj trace.ObjectID) (evicted trace.ObjectID, ok bool)
 
 // moveToTop moves an in-stack object to the top position.
 func (s *lruStack) moveToTop(obj trace.ObjectID) {
-	i, ok := s.pos[obj]
-	if !ok {
+	i := int(s.pos[obj])
+	if i < 0 {
 		panic("prowgen: moveToTop of object not in stack")
 	}
 	last := len(s.items) - 1
@@ -70,24 +72,23 @@ func (s *lruStack) moveToTop(obj trace.ObjectID) {
 	}
 	copy(s.items[i:], s.items[i+1:])
 	s.items[last] = obj
-	for j := i; j < last; j++ {
-		s.pos[s.items[j]] = j
+	for j := i; j <= last; j++ {
+		s.pos[s.items[j]] = int32(j)
 	}
-	s.pos[obj] = last
 }
 
 // remove deletes an in-stack object (its reference quota is exhausted).
 func (s *lruStack) remove(obj trace.ObjectID) {
-	i, ok := s.pos[obj]
-	if !ok {
+	i := int(s.pos[obj])
+	if i < 0 {
 		panic("prowgen: remove of object not in stack")
 	}
-	delete(s.pos, obj)
+	s.pos[obj] = -1
 	last := len(s.items) - 1
 	copy(s.items[i:], s.items[i+1:])
 	s.items = s.items[:last]
 	for j := i; j < last; j++ {
-		s.pos[s.items[j]] = j
+		s.pos[s.items[j]] = int32(j)
 	}
 }
 
@@ -120,6 +121,6 @@ func (s *lruStack) maybeCompact() {
 	s.items = s.items[:n]
 	s.head = 0
 	for j, obj := range s.items {
-		s.pos[obj] = j
+		s.pos[obj] = int32(j)
 	}
 }

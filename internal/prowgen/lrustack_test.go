@@ -9,7 +9,7 @@ import (
 )
 
 func TestLRUStackPushEvict(t *testing.T) {
-	s := newLRUStack(3)
+	s := newLRUStack(3, 8)
 	for i := 0; i < 3; i++ {
 		if _, ok := s.pushTop(trace.ObjectID(i)); ok {
 			t.Fatalf("push %d evicted early", i)
@@ -28,7 +28,7 @@ func TestLRUStackPushEvict(t *testing.T) {
 }
 
 func TestLRUStackMoveToTopChangesEvictionOrder(t *testing.T) {
-	s := newLRUStack(3)
+	s := newLRUStack(3, 8)
 	s.pushTop(1)
 	s.pushTop(2)
 	s.pushTop(3)
@@ -40,7 +40,7 @@ func TestLRUStackMoveToTopChangesEvictionOrder(t *testing.T) {
 }
 
 func TestLRUStackPushDuplicateMovesToTop(t *testing.T) {
-	s := newLRUStack(3)
+	s := newLRUStack(3, 8)
 	s.pushTop(1)
 	s.pushTop(2)
 	if _, ok := s.pushTop(1); ok {
@@ -57,7 +57,7 @@ func TestLRUStackPushDuplicateMovesToTop(t *testing.T) {
 }
 
 func TestLRUStackRemove(t *testing.T) {
-	s := newLRUStack(4)
+	s := newLRUStack(4, 8)
 	for i := 1; i <= 4; i++ {
 		s.pushTop(trace.ObjectID(i))
 	}
@@ -78,7 +78,7 @@ func TestLRUStackRemove(t *testing.T) {
 }
 
 func TestLRUStackSampleBiasedToTop(t *testing.T) {
-	s := newLRUStack(100)
+	s := newLRUStack(100, 100)
 	for i := 0; i < 100; i++ {
 		s.pushTop(trace.ObjectID(i))
 	}
@@ -99,7 +99,7 @@ func TestLRUStackSampleBiasedToTop(t *testing.T) {
 }
 
 func TestLRUStackCompaction(t *testing.T) {
-	s := newLRUStack(8)
+	s := newLRUStack(8, 5000)
 	// Push enough to force many evictions and trigger compaction.
 	for i := 0; i < 5000; i++ {
 		s.pushTop(trace.ObjectID(i))
@@ -126,7 +126,7 @@ func TestLRUStackCompaction(t *testing.T) {
 func TestPropLRUStackInvariants(t *testing.T) {
 	f := func(seed int64, ops []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := newLRUStack(10)
+		s := newLRUStack(10, len(ops)) // at most one new id per op
 		live := map[trace.ObjectID]bool{}
 		next := trace.ObjectID(0)
 		for _, op := range ops {
@@ -161,9 +161,12 @@ func TestPropLRUStackInvariants(t *testing.T) {
 					return false
 				}
 			}
-			// pos map must index items correctly
+			// pos must index items correctly
 			for o, i := range s.pos {
-				if s.items[i] != o {
+				if i >= 0 && s.items[i] != trace.ObjectID(o) {
+					return false
+				}
+				if (i >= 0) != live[trace.ObjectID(o)] {
 					return false
 				}
 			}

@@ -182,7 +182,7 @@ func Generate(cfg Config) (*trace.Trace, error) {
 	g := &generator{
 		rng:       rng,
 		remaining: remaining,
-		stack:     newLRUStack(stackCap),
+		stack:     newLRUStack(stackCap, cfg.NumObjects),
 	}
 
 	sizes := unitSizes(cfg.NumObjects)

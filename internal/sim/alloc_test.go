@@ -43,8 +43,8 @@ func serveSteadyStateAllocs(t *testing.T, cfg Config) float64 {
 	}
 	replay := func() {
 		for _, r := range tr.Requests {
-			proxy, member := clientMapping(cfg, r.Client)
-			eng.serve(r.Object, r.Size, proxy, member, nil)
+			at := sz.clients[r.Client]
+			eng.serve(r.Object, r.Size, at.proxy, at.member, nil)
 		}
 	}
 	replay() // warm caches, popularity maps, and memoized tables
@@ -53,8 +53,8 @@ func serveSteadyStateAllocs(t *testing.T, cfg Config) float64 {
 	return testing.AllocsPerRun(len(tr.Requests), func() {
 		r := tr.Requests[i%len(tr.Requests)]
 		i++
-		proxy, member := clientMapping(cfg, r.Client)
-		eng.serve(r.Object, r.Size, proxy, member, nil)
+		at := sz.clients[r.Client]
+		eng.serve(r.Object, r.Size, at.proxy, at.member, nil)
 	})
 }
 

@@ -334,12 +334,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// sizing holds the per-cluster capacities derived from the trace.
+// sizing holds what a run derives from the trace before the replay
+// starts: the per-cluster capacities and where each client sits.
 type sizing struct {
-	infinite  []int    // per-cluster infinite cache size, in cache units
-	proxyCap  []uint64 // per-proxy cache capacity
-	clientCap []uint64 // per-client cache capacity per cluster
-	p2pCap    []uint64 // aggregate P2P capacity per cluster
+	clients   []clientSlot // indexed by trace.ClientID, below tr.NumClients
+	infinite  []int        // per-cluster infinite cache size, in cache units
+	proxyCap  []uint64     // per-proxy cache capacity
+	clientCap []uint64     // per-client cache capacity per cluster
+	p2pCap    []uint64     // aggregate P2P capacity per cluster
 }
 
 // computeSizing applies the paper's sizing rules (§5.1).  With
@@ -347,15 +349,19 @@ type sizing struct {
 // rather than objects (they coincide for the paper's unit-size
 // workloads).
 func computeSizing(tr *trace.Trace, cfg Config) sizing {
-	total := cfg.NumProxies * cfg.ClientsPerCluster
+	clients := make([]clientSlot, tr.NumClients)
+	for c := range clients {
+		clients[c].proxy, clients[c].member = clientMapping(&cfg, trace.ClientID(c))
+	}
 	units := trace.InfiniteCacheUnits(tr, cfg.NumProxies, func(c trace.ClientID) int {
-		return (int(c) % total) / cfg.ClientsPerCluster
+		return clients[c].proxy
 	})
 	inf := make([]int, len(units))
 	for i, u := range units {
 		inf[i] = int(u)
 	}
 	s := sizing{
+		clients:   clients,
 		infinite:  inf,
 		proxyCap:  make([]uint64, cfg.NumProxies),
 		clientCap: make([]uint64, cfg.NumProxies),
@@ -413,12 +419,17 @@ func (c Config) CapacityPlan(tr *trace.Trace) (proxyCap, clientCap []uint64) {
 // simulator would.
 func (c Config) ProxyFor(client trace.ClientID) int {
 	c.fillDefaults()
-	p, _ := clientMapping(c, client)
+	p, _ := clientMapping(&c, client)
 	return p
 }
 
+// clientSlot is where a trace client sits: its proxy cluster and its
+// member index there.
+type clientSlot struct{ proxy, member int }
+
 // clientMapping resolves a trace client onto (proxy, member index).
-func clientMapping(cfg Config, c trace.ClientID) (proxy, member int) {
+// Replays read it from sizing.clients, resolved once per run.
+func clientMapping(cfg *Config, c trace.ClientID) (proxy, member int) {
 	total := cfg.NumProxies * cfg.ClientsPerCluster
 	idx := int(c) % total
 	return idx / cfg.ClientsPerCluster, idx % cfg.ClientsPerCluster

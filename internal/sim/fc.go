@@ -86,8 +86,7 @@ func (e *fcEngine) replace(at int) error {
 	}
 	var sizes []uint32
 	for _, r := range e.tr.Requests[lo:hi] {
-		p, _ := clientMapping(e.cfg, r.Client)
-		freq[p][r.Object]++
+		freq[e.sz.clients[r.Client].proxy][r.Object]++
 		if r.Size != 1 && sizes == nil {
 			sizes = make([]uint32, e.tr.NumObjects)
 		}

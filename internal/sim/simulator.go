@@ -107,9 +107,9 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		if hasMaintenance {
 			mnt.maintain(i, res)
 		}
-		proxy, member := clientMapping(cfg, r.Client)
+		at := sz.clients[r.Client]
 		st := cfg.Tracer.StartTrace("request", simClock)
-		src, lat := eng.serve(r.Object, r.Size, proxy, member, st)
+		src, lat := eng.serve(r.Object, r.Size, at.proxy, at.member, st)
 		st.Finish(src.String(), lat)
 		simClock += lat
 		if i < cfg.WarmupRequests {

@@ -124,3 +124,32 @@ func TestPlacementSizesValidation(t *testing.T) {
 		t.Error("mismatched sizes accepted")
 	}
 }
+
+// The per-run client table is the paper's mapping (client c is member
+// c' mod C of proxy c' / C, c' = c mod P*C) for every client id of the
+// trace, also the ones past P*C, and is what ProxyFor hands the live
+// load generator.
+func TestClientTableMatchesMapping(t *testing.T) {
+	cfg := Config{Scheme: NC, NumProxies: 3, ClientsPerCluster: 7}
+	cfg.fillDefaults()
+	tr := &trace.Trace{NumClients: 50, NumObjects: 1,
+		Requests: []trace.Request{{Client: 49, Size: 1}, {Client: 49, Size: 1}}}
+	sz := computeSizing(tr, cfg)
+	if len(sz.clients) != tr.NumClients {
+		t.Fatalf("table covers %d clients, trace has %d", len(sz.clients), tr.NumClients)
+	}
+	for c, at := range sz.clients {
+		wrapped := c % 21
+		if at.proxy != wrapped/7 || at.member != wrapped%7 {
+			t.Errorf("client %d sits at (%d, %d), want (%d, %d)", c, at.proxy, at.member, wrapped/7, wrapped%7)
+		}
+		if p := cfg.ProxyFor(trace.ClientID(c)); p != at.proxy {
+			t.Errorf("ProxyFor(%d) = %d, table says %d", c, p, at.proxy)
+		}
+	}
+	// Client 49 wraps onto cluster (49 mod 21) / 7 = 1: its repeated
+	// object is that cluster's whole infinite cache.
+	if sz.infinite[0] != 0 || sz.infinite[1] != 1 || sz.infinite[2] != 0 {
+		t.Errorf("infinite cache sizes %v, want [0 1 0]", sz.infinite)
+	}
+}

@@ -20,7 +20,7 @@ import (
 type tieredCache struct {
 	upper      cache.Policy
 	lower      cache.Policy
-	history    map[trace.ObjectID]uint64 // shared perfect-LFU history (nil for in-cache LFU)
+	history    *cache.History // shared perfect-LFU history (nil for in-cache LFU)
 	singlePool bool
 	// missLFU is the proxy tier's LFU resolved once at construction
 	// (reaching through the invariant wrapper), so recordMiss on the
@@ -48,7 +48,7 @@ func newTieredCache(proxyCap, p2pCap uint64, kind BasePolicy, singlePool bool, c
 			p = cache.NewGreedyDual(capacity)
 		default: // BasePerfectLFU
 			if t.history == nil {
-				t.history = make(map[trace.ObjectID]uint64)
+				t.history = cache.NewHistory()
 			}
 			p = cache.NewPerfectLFUShared(capacity, t.history)
 		}

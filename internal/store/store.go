@@ -38,7 +38,7 @@ import (
 
 // ErrEmptyObject rejects zero-length bodies: a zero-size entry would
 // make the greedy-dual H value (cost/size) infinite and pin the
-// object forever, so the policies refuse it (cache.checkAddable) and
+// object forever, so the policies refuse it (cache.addable) and
 // the store surfaces the case explicitly instead of silently coercing
 // the size to 1 byte the way the old bounded store did.  Callers
 // serve the empty body without caching it.

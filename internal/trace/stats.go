@@ -110,52 +110,55 @@ func fitZipf(desc []int) float64 {
 // infinite cache size of a client cluster is the number of distinct
 // objects accessed more than once by the clients of that cluster.
 // belongsTo maps a client to its cluster; the function returns the size
-// per cluster index (length = number of clusters).
+// per cluster index (length = number of clusters).  Like every replay
+// it needs a trace that passes Validate (Object < NumObjects).
 func InfiniteCacheSize(t *Trace, clusters int, belongsTo func(ClientID) int) []int {
-	type key struct {
-		cluster int
-		obj     ObjectID
-	}
-	freq := make(map[key]int)
-	for _, r := range t.Requests {
-		c := belongsTo(r.Client)
-		if c < 0 || c >= clusters {
-			continue
-		}
-		freq[key{c, r.Object}]++
-	}
+	units := infiniteCache(t, clusters, belongsTo, false)
 	out := make([]int, clusters)
-	for k, f := range freq {
-		if f > 1 {
-			out[k.cluster]++
-		}
+	for c, u := range units {
+		out[c] = int(u)
 	}
 	return out
 }
 
 // InfiniteCacheUnits generalizes InfiniteCacheSize to variable object
 // sizes: per cluster, the total cache units needed to hold every
-// object accessed more than once by that cluster's clients.  For
-// unit-size traces it equals InfiniteCacheSize.
+// object accessed more than once by that cluster's clients (an object
+// counts at the size of its last request).  For unit-size traces it
+// equals InfiniteCacheSize.
 func InfiniteCacheUnits(t *Trace, clusters int, belongsTo func(ClientID) int) []uint64 {
-	type key struct {
-		cluster int
-		obj     ObjectID
-	}
-	freq := make(map[key]int)
-	size := make(map[ObjectID]uint32, t.NumObjects)
+	return infiniteCache(t, clusters, belongsTo, true)
+}
+
+// infiniteCache sums, per cluster, the objects referenced more than
+// once: at their size if sized, else at 1.  The trace bounds the object
+// universe, so the reference counts are a dense clusters x NumObjects
+// table that saturates at "more than once", filled in one pass.
+func infiniteCache(t *Trace, clusters int, belongsTo func(ClientID) int, sized bool) []uint64 {
+	n := t.NumObjects
+	refs := make([]uint8, clusters*n)
+	size := make([]uint32, n)
 	for _, r := range t.Requests {
 		c := belongsTo(r.Client)
 		if c < 0 || c >= clusters {
 			continue
 		}
-		freq[key{c, r.Object}]++
+		if k := &refs[c*n+int(r.Object)]; *k < 2 {
+			*k++
+		}
 		size[r.Object] = r.Size
 	}
 	out := make([]uint64, clusters)
-	for k, f := range freq {
-		if f > 1 {
-			out[k.cluster] += uint64(size[k.obj])
+	for c := range out {
+		for obj, k := range refs[c*n : (c+1)*n] {
+			if k < 2 {
+				continue
+			}
+			if sized {
+				out[c] += uint64(size[obj])
+			} else {
+				out[c]++
+			}
 		}
 	}
 	return out
