@@ -80,7 +80,7 @@ bench-diff:
 # tail amplification, mass flash-churn) run live and simulated, with
 # the httpcache defenses off and on, the conservation accountant
 # attached to every run.  Fails if any run breaks conservation or if
-# the per-hop deadlines + hedged requests cut the live slow-peer p999
+# the per-hop deadlines + strike sweeps cut the live slow-peer p999
 # by less than 1.3x; writes the BENCH_chaos.json manifest (diffable
 # run-to-run via cmd/benchdiff).
 chaos-smoke:

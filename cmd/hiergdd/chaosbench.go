@@ -25,8 +25,8 @@ var chaosSLOClass = slo.Class{
 // chaosGate runs every requested scenario four ways — live and
 // simulated, defenses off and on — with the conservation accountant
 // attached to each run, and gates on two things: zero accountant
-// violations anywhere, and (for slow-peer) the hedged+deadline
-// defenses cutting the live p999 by at least -chaos-min-p999-cut.
+// violations anywhere, and (for slow-peer) the per-hop deadlines and
+// strike sweeps cutting the live p999 by at least -chaos-min-p999-cut.
 type chaosGate struct {
 	*workload
 	topology
@@ -125,8 +125,7 @@ func (g *chaosGate) run() error {
 		fmt.Printf("  sim:  hit %.3f -> %.3f  mean %6.3f -> %6.3f  p999 %6.1f -> %6.1f (model units as ms)\n",
 			row.SimOff.HitRatio, row.SimOn.HitRatio,
 			row.SimOff.MeanMs, row.SimOn.MeanMs, row.SimOff.P999Ms, row.SimOn.P999Ms)
-		fmt.Printf("  defense activity (on): hedged %d (won %d), breaker-skipped %d, digests %d/%d failed, swept %d, timeouts %d\n",
-			row.LiveOn.Defense.HedgedRequests, row.LiveOn.Defense.HedgedWins,
+		fmt.Printf("  defense activity (on): breaker-skipped %d, digests %d/%d failed, swept %d, timeouts %d\n",
 			row.LiveOn.Defense.BreakerSkipped,
 			row.LiveOn.Defense.DigestFailures, row.LiveOn.Defense.DigestChecks,
 			row.LiveOn.Defense.ContribSwept, row.LiveOn.Defense.PeerTimeouts)
@@ -137,8 +136,8 @@ func (g *chaosGate) run() error {
 		rows = append(rows, row)
 	}
 
-	// The headline gate: under slow peers, the hedged requests and
-	// per-hop deadlines must actually cut the live tail.
+	// The headline gate: under slow peers, the per-hop deadlines and
+	// strike sweeps must actually cut the live tail.
 	for _, row := range rows {
 		if row.Scenario != "slow-peer" || g.minP999Cut <= 0 {
 			continue

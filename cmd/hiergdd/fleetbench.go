@@ -193,7 +193,6 @@ func (g *fleetGate) runSize(tr *trace.Trace, n int, totalUnits uint64, warmup in
 	defenses := httpcache.Defenses{
 		PeerTimeout:         500 * time.Millisecond,
 		AdaptivePeerTimeout: true,
-		Hedge:               true,
 		BreakerFailures:     3,
 		BreakerCooldown:     500 * time.Millisecond,
 	}

@@ -33,8 +33,7 @@ type LiveConfig struct {
 	// Topology.
 	Proxies, CachesPerProxy int
 	// DefensesOn runs the hardened proxy (short per-hop deadlines,
-	// hedging, digest sampling, breakers); off runs the pre-defense
-	// defaults.
+	// digest sampling, breakers); off runs the pre-defense defaults.
 	DefensesOn bool
 	// SLOClass, when named, attaches a driver-side slo.Tracker to the
 	// run: every measured request is scored against the class's latency
@@ -72,7 +71,7 @@ type LiveReport struct {
 }
 
 // Hardened is the defenses-on tuning for loopback chaos runs: per-hop
-// deadlines far under the injected 250ms stall, hedging from the
+// deadlines far under the injected 250ms stall, tightened from the
 // observed p99, a digest check on every second client serve, and a
 // fast breaker so degradation to origin happens within the run.  The
 // SLO bench reuses it so its defenses-on cell runs the same posture
@@ -81,7 +80,6 @@ func Hardened() *httpcache.Defenses {
 	return &httpcache.Defenses{
 		PeerTimeout:         75 * time.Millisecond,
 		AdaptivePeerTimeout: true,
-		Hedge:               true,
 		VerifyEvery:         2,
 		BreakerFailures:     3,
 		BreakerCooldown:     500 * time.Millisecond,

@@ -1,6 +1,7 @@
 package httpcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -344,7 +345,7 @@ func (c *ClientCache) handlePush(w http.ResponseWriter, r *http.Request) {
 	// The push (§4.5): the client cache opens the connection to the
 	// proxy — never the other way around across organizations.  The
 	// trace id rides along so the accept-push hop stays in the trace.
-	req, err := http.NewRequest("POST", to, bytesReader(obj.Body))
+	req, err := http.NewRequest("POST", to, bytes.NewReader(obj.Body))
 	if err != nil {
 		sp.EndWasted()
 		st.FinishWall("error")

@@ -1,13 +1,11 @@
 package httpcache
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
 	"webcache/internal/invariant"
 	"webcache/internal/p2p"
-	"webcache/internal/pastry"
 	"webcache/internal/trace"
 )
 
@@ -16,12 +14,9 @@ import (
 // (it trusts client caches completely and assumes peers answer
 // promptly — see DESIGN.md §11):
 //
-//   - per-call deadlines: every lanFetch / peerLookup carries the
-//     requester's context bounded by PeerTimeout, so one slow peer
+//   - per-call deadlines: every hop to a client cache or another
+//     proxy (Proxy.hop) is bounded by PeerTimeout, so one slow peer
 //     cannot stall the whole fetch chain;
-//   - hedged LAN fetches: after a p99-derived delay, a second request
-//     races a ring neighbour against a slow owner (tail-latency
-//     hedging a la "The Tail at Scale");
 //   - receipt-verification sampling: every VerifyEvery-th client-cache
 //     serve is digest-checked against the body the proxy passed down,
 //     catching byzantine daemons that serve corrupted objects;
@@ -36,25 +31,18 @@ import (
 // are filled by SetDefenses (and by NewProxyOpts for proxies that
 // never call it).
 type Defenses struct {
-	// PeerTimeout is the per-call deadline on lanFetch, peerLookup and
-	// the fleet hop (default 2s).  It layers under the shared client
-	// timeout: the context is derived from the inbound request, so a
+	// PeerTimeout is the per-call deadline on every hop (default 2s).
+	// It layers under the shared client timeout: a hop made for a
+	// requester derives its context from the inbound request, so a
 	// disconnected requester also cancels the downstream call.
 	PeerTimeout time.Duration
 	// AdaptivePeerTimeout auto-tunes the per-call deadline from the
-	// observed LAN p99 the same way the hedge delay is derived: once
-	// enough successful LAN fetches have been measured, the effective
-	// deadline becomes 4x their p99, clamped to [minPeerTimeout,
-	// PeerTimeout].  The configured PeerTimeout stays the ceiling (and
-	// the fallback until the histogram warms up), so a cold or
-	// recovering proxy never times peers out on a guess.
+	// observed LAN p99: once enough successful LAN fetches have been
+	// measured, the effective deadline becomes 4x their p99, clamped to
+	// [minPeerTimeout, PeerTimeout].  The configured PeerTimeout stays
+	// the ceiling (and the fallback until the histogram warms up), so a
+	// cold or recovering proxy never times peers out on a guess.
 	AdaptivePeerTimeout bool
-	// Hedge enables the hedged second LAN fetch to a ring neighbour.
-	Hedge bool
-	// HedgeDelay is how long the primary LAN fetch runs before the
-	// hedge fires; 0 derives it from the observed p99 of successful
-	// LAN fetches (clamped to [minHedgeDelay, PeerTimeout/2]).
-	HedgeDelay time.Duration
 	// VerifyEvery digest-checks every Nth client-cache serve against
 	// the body digest recorded at pass-down (0 = off).  A mismatch is
 	// treated as a miss and strikes the serving client.
@@ -73,11 +61,6 @@ type Defenses struct {
 	// (default 3s, the old hardcoded value).
 	PushTimeout time.Duration
 }
-
-// Hedge-delay clamp: never hedge sooner than this (a hedge below the
-// LAN RTT floor just doubles traffic), never later than half the
-// per-call deadline (or it cannot win before the primary times out).
-const minHedgeDelay = 2 * time.Millisecond
 
 // Adaptive-deadline clamp: never tighten the per-call deadline below
 // this floor, and never trust the histogram before it has this many
@@ -112,9 +95,8 @@ func (p *Proxy) SetDefenses(d Defenses) {
 
 // peerTimeout resolves the effective per-call deadline: the configured
 // PeerTimeout, tightened to 4x the observed LAN p99 once
-// AdaptivePeerTimeout is on and the latency histogram has warmed up
-// (ROADMAP item 4: derive PeerTimeout the way the hedge delay already
-// is).  Clamped to [minPeerTimeout, PeerTimeout].
+// AdaptivePeerTimeout is on and the latency histogram has warmed up.
+// Clamped to [minPeerTimeout, PeerTimeout].
 func (p *Proxy) peerTimeout() time.Duration {
 	d := p.defenses.PeerTimeout
 	if !p.defenses.AdaptivePeerTimeout || p.lanLat.Count() < adaptiveTimeoutSamples {
@@ -128,77 +110,6 @@ func (p *Proxy) peerTimeout() time.Duration {
 		t = d
 	}
 	return t
-}
-
-// hedgeDelay resolves the hedge trigger: the configured delay, or the
-// p99 of observed successful LAN fetches, clamped.
-func (p *Proxy) hedgeDelay() time.Duration {
-	if d := p.defenses.HedgeDelay; d > 0 {
-		return d
-	}
-	d := p.lanLat.Quantile(0.99)
-	if d < minHedgeDelay {
-		d = minHedgeDelay
-	}
-	if max := p.peerTimeout() / 2; d > max {
-		d = max
-	}
-	return d
-}
-
-// hedgedLanFetch fetches from the owner, racing a ring neighbour
-// after the hedge delay when hedging is enabled.  The first success
-// wins; a losing leg's goroutine delivers into a buffered channel and
-// exits (no leak).
-func (p *Proxy) hedgedLanFetch(ctx context.Context, addr string, id pastry.ID, traceID string) ([]byte, bool) {
-	if !p.defenses.Hedge {
-		return p.lanFetch(ctx, addr, id, traceID)
-	}
-	alts := p.ring.neighbours(addr)
-	if len(alts) == 0 {
-		return p.lanFetch(ctx, addr, id, traceID)
-	}
-	type leg struct {
-		body []byte
-		addr string
-		ok   bool
-	}
-	results := make(chan leg, 2)
-	launch := func(a string) {
-		go func() {
-			body, ok := p.lanFetch(ctx, a, id, traceID)
-			results <- leg{body, a, ok}
-		}()
-	}
-	launch(addr)
-	timer := time.NewTimer(p.hedgeDelay())
-	defer timer.Stop()
-	hedged := false
-	pending := 1
-	for {
-		select {
-		case r := <-results:
-			pending--
-			if r.ok {
-				if hedged && r.addr != addr {
-					p.stats.hedgedWins.Add(1)
-				}
-				return r.body, true
-			}
-			if pending == 0 || !hedged {
-				// Both legs missed, or the primary missed before the
-				// hedge fired — the caller's diversion probes take over.
-				return nil, false
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				pending++
-				p.stats.hedged.Add(1)
-				launch(alts[0])
-			}
-		}
-	}
 }
 
 // bodyDigest is the FNV-1a 64-bit hash of an object body — cheap
@@ -401,8 +312,6 @@ func (p *Proxy) recordReceipt(hexKey string, rec *StoreReceipt, diverted bool) {
 // named struct so chaos reports can aggregate it without pulling the
 // whole stats payload apart.
 type DefenseStats struct {
-	HedgedRequests int `json:"hedged_requests"`
-	HedgedWins     int `json:"hedged_wins"`
 	BreakerSkipped int `json:"breaker_skipped"`
 	BreakerOpens   int `json:"breaker_opens"`
 	DigestChecks   int `json:"digest_checks"`
@@ -413,8 +322,6 @@ type DefenseStats struct {
 
 // Add accumulates another proxy's defense counters (chaos reports).
 func (d *DefenseStats) Add(o DefenseStats) {
-	d.HedgedRequests += o.HedgedRequests
-	d.HedgedWins += o.HedgedWins
 	d.BreakerSkipped += o.BreakerSkipped
 	d.BreakerOpens += o.BreakerOpens
 	d.DigestChecks += o.DigestChecks

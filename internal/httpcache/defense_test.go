@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -73,96 +74,122 @@ func plantDir(px *Proxy, objURL string) {
 }
 
 // TestSlowPeerDeadline is the slow-peer regression test: a client
-// cache that stalls far past the per-call deadline must cost at most
-// PeerTimeout before the request degrades to origin — not the shared
-// 10s client timeout the pre-defense code paid.
+// cache that stalls far past the per-call deadline must cost one
+// PeerTimeout before the request moves on — not the shared 10s client
+// timeout the pre-defense code paid.  It moves on to the owner's ring
+// neighbour, which serves the object if a diversion left it there (the
+// federation keeps one copy of an object, so that is the only other
+// place it can be), and to the origin if not.
 func TestSlowPeerDeadline(t *testing.T) {
-	origin := newTestOrigin()
-	t.Cleanup(origin.srv.Close)
-	daemon := newFakeDaemon(t, []byte("stale"))
-	daemon.delay.Store(int64(500 * time.Millisecond))
+	const deadline = 50 * time.Millisecond
+	for _, tc := range []struct {
+		name      string
+		neighbour bool
+		tier      string
+		diverted  int
+	}{
+		{"no copy anywhere: origin", false, TierOrigin, 0},
+		{"diverted copy next door: client cache", true, TierClientCache, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			origin := newTestOrigin()
+			t.Cleanup(origin.srv.Close)
+			objURL := origin.srv.URL + "/slow"
+			daemons := []*fakeDaemon{newFakeDaemon(t, []byte("content-of:/slow"))}
+			if tc.neighbour {
+				daemons = append(daemons, newFakeDaemon(t, []byte("content-of:/slow")))
+			}
+			px, srv := defenseProxy(t, Defenses{PeerTimeout: deadline}, daemons...)
+			plantDir(px, objURL)
+			owner, _ := px.ring.owner(keyOf(objURL))
+			slow := daemons[0]
+			if owner != slow.addr {
+				slow = daemons[1]
+			}
+			slow.delay.Store(int64(500 * time.Millisecond))
 
-	px, srv := defenseProxy(t, Defenses{PeerTimeout: 50 * time.Millisecond}, daemon)
-	objURL := origin.srv.URL + "/slow"
-	plantDir(px, objURL)
-
-	start := time.Now()
-	status, tier := get(t, fmt.Sprintf("%s/fetch?url=%s", srv.URL, url.QueryEscape(objURL)))
-	elapsed := time.Since(start)
-	if status != http.StatusOK || tier != TierOrigin {
-		t.Fatalf("slow-peer fetch: status %d tier %q, want 200 %q", status, tier, TierOrigin)
-	}
-	// Budget: one bounded LAN probe (~50ms) plus the origin round trip,
-	// with slack for CI.  The old behaviour was the full 500ms stall.
-	if elapsed > 300*time.Millisecond {
-		t.Fatalf("slow-peer fetch took %v, deadline is not bounding the LAN hop", elapsed)
-	}
-	st := px.snapshotStats()
-	if st.Defense.PeerTimeouts == 0 {
-		t.Fatal("no peer timeout recorded")
-	}
-	// A timeout is a strike, not a death: the daemon stays in the ring
-	// (only connection-level failures evict) and its ledger carries the
-	// strike for the sweeper to judge.
-	found := false
-	for _, a := range px.ring.addresses() {
-		if a == daemon.addr {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("timed-out daemon was evicted from the ring; timeouts must only strike")
-	}
-	if c := px.contribFor(daemon.addr); c.timeouts.Load() == 0 {
-		t.Fatal("timeout did not land on the contribution ledger")
+			start := time.Now()
+			status, tier := get(t, fmt.Sprintf("%s/fetch?url=%s", srv.URL, url.QueryEscape(objURL)))
+			elapsed := time.Since(start)
+			if status != http.StatusOK || tier != tc.tier {
+				t.Fatalf("slow-peer fetch: status %d tier %q, want 200 %q", status, tier, tc.tier)
+			}
+			// Budget: one bounded LAN probe (~50ms) plus the serving round
+			// trip, with slack for CI.  The old behaviour was the full
+			// 500ms stall.
+			if elapsed < deadline || elapsed > 300*time.Millisecond {
+				t.Fatalf("slow-peer fetch took %v, want one %v hop deadline", elapsed, deadline)
+			}
+			st := px.snapshotStats()
+			if st.Defense.PeerTimeouts != 1 || st.DivertedHits != tc.diverted {
+				t.Fatalf("peer_timeouts %d, diverted_hits %d, want 1, %d",
+					st.Defense.PeerTimeouts, st.DivertedHits, tc.diverted)
+			}
+			// A timeout is a strike, not a death: the daemon stays in the
+			// ring (only connection-level failures evict) and its ledger
+			// carries the strike for the sweeper to judge.
+			if !slices.Contains(px.ring.addresses(), slow.addr) {
+				t.Fatal("timed-out daemon was evicted from the ring; timeouts must only strike")
+			}
+			if got := px.contribFor(slow.addr).timeouts.Load(); got != 1 {
+				t.Fatalf("daemon has %d timeout strikes, want 1", got)
+			}
+		})
 	}
 }
 
-// TestHedgedFetchWins pins the hedge's win path: with the ring owner
-// stalling and a neighbour holding a (diverted) copy, the hedged
-// second request must serve the object fast from the neighbour and
-// count a hedged win — the response still attributed to the
-// client-cache tier.
-func TestHedgedFetchWins(t *testing.T) {
-	origin := newTestOrigin()
-	t.Cleanup(origin.srv.Close)
-	objURL := origin.srv.URL + "/hedged"
-	body := []byte("content-of:/hedged")
-	a := newFakeDaemon(t, body)
-	b := newFakeDaemon(t, body)
+// A daemon that hangs on /push is a slow peer like any other: the
+// peer-lookup that asked it pays one per-hop deadline (at the parent,
+// the shared client's ten seconds, past the asking proxy's own
+// deadline), strikes its ledger, and asks the next ring candidate,
+// which here holds the object and pushes it up.
+func TestPushHopDeadline(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+	hungAddr := strings.TrimPrefix(hung.URL, "http://")
+	cc := NewClientCache(1 << 20)
+	ccSrv := httptest.NewServer(cc.Handler())
+	t.Cleanup(ccSrv.Close)
 
-	px, srv := defenseProxy(t, Defenses{
-		Hedge:       true,
-		HedgeDelay:  5 * time.Millisecond,
-		PeerTimeout: 2 * time.Second,
-	}, a, b)
+	const deadline = 100 * time.Millisecond
+	px, srv := defenseProxy(t, Defenses{PeerTimeout: deadline})
+	px.ring.add(hungAddr)
+	px.ring.add(strings.TrimPrefix(ccSrv.URL, "http://"))
+	objURL := urlsOwnedBy(t, px, hungAddr, "push", 1)[0]
+	key := keyOf(objURL).String()
+	resp, err := http.Post(ccSrv.URL+"/store?key="+key+"&cost=1", "application/octet-stream",
+		strings.NewReader("pushed-body"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	plantDir(px, objURL)
 
-	owner, ok := px.ring.owner(keyOf(objURL))
-	if !ok {
-		t.Fatal("no ring owner")
-	}
-	slow := a
-	if owner == b.addr {
-		slow = b
-	}
-	slow.delay.Store(int64(300 * time.Millisecond))
-
 	start := time.Now()
-	status, tier := get(t, fmt.Sprintf("%s/fetch?url=%s", srv.URL, url.QueryEscape(objURL)))
+	status, tier := get(t, srv.URL+"/peer-lookup?key="+key)
 	elapsed := time.Since(start)
-	if status != http.StatusOK || tier != TierClientCache {
-		t.Fatalf("hedged fetch: status %d tier %q, want 200 %q", status, tier, TierClientCache)
+	if status != http.StatusOK || tier != TierPeerP2P {
+		t.Fatalf("peer-lookup: status %d tier %q, want 200 %q from the next candidate", status, tier, TierPeerP2P)
 	}
-	if elapsed > 200*time.Millisecond {
-		t.Fatalf("hedged fetch took %v; the hedge should win well before the owner's 300ms stall", elapsed)
+	if elapsed < deadline || elapsed > deadline+2*time.Second {
+		t.Fatalf("peer-lookup took %v, want one %v hop deadline (plus margin)", elapsed, deadline)
 	}
 	st := px.snapshotStats()
-	if st.Defense.HedgedRequests != 1 {
-		t.Fatalf("hedged requests = %d, want 1", st.Defense.HedgedRequests)
+	if st.Defense.PeerTimeouts != 1 || st.PushesIn != 1 {
+		t.Fatalf("peer_timeouts %d, pushes_in %d, want 1, 1", st.Defense.PeerTimeouts, st.PushesIn)
 	}
-	if st.Defense.HedgedWins != 1 {
-		t.Fatalf("hedged wins = %d, want 1", st.Defense.HedgedWins)
+	if px.ring.size() != 2 {
+		t.Fatal("a deadline took the daemon off the ring")
+	}
+	if got := px.contribFor(hungAddr).timeouts.Load(); got != 1 {
+		t.Fatalf("hung daemon has %d timeout strikes, want 1", got)
 	}
 }
 

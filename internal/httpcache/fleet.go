@@ -6,9 +6,9 @@ package httpcache
 // replica) before falling back to origin, hot keys it owns are
 // replicated k-way onto the least-loaded successor members, and a
 // membership change migrates exactly the keys whose ownership moved
-// (fleet.MigrationSet).  The inter-proxy hop carries the full PR 7
-// defense kit: the (optionally adaptive) per-hop deadline, the
-// per-member circuit breaker, and a hedged second fetch.
+// (fleet.MigrationSet).  The inter-proxy hop carries the defenses of
+// every other hop: the (optionally adaptive) per-hop deadline and the
+// per-member circuit breaker.
 
 import (
 	"context"
@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -24,7 +25,6 @@ import (
 
 	"webcache/internal/fleet"
 	"webcache/internal/invariant"
-	"webcache/internal/obs"
 	"webcache/internal/p2p"
 	"webcache/internal/pastry"
 	"webcache/internal/store"
@@ -157,6 +157,9 @@ func (p *Proxy) EnableFleet(opts FleetOptions) {
 	}
 	f.ring.Add(opts.Self)
 	p.fleet = f
+	// The fleet route comes after the proxy's own caches and before the
+	// last two tiers, the cooperating proxies and the origin.
+	p.tiers = slices.Insert(p.tiers, len(p.tiers)-2, p.fleetTier())
 	p.acctMu.Lock()
 	if p.chk != nil {
 		f.acct = invariant.NewClusterAccountant(p.chk, "fleet-live")
@@ -252,28 +255,17 @@ func (p *Proxy) replicateOut(id pastry.ID, folded trace.ObjectID) {
 
 // fleetStore pushes one object to another member's proxy tier (the
 // proxy-to-proxy analogue of the client-cache /store path, same
-// StoreReceipt contract).  reason is "replica" or "rebalance".
+// StoreReceipt contract).  reason is "replica" or "rebalance".  Like a
+// pass-down it outlives whichever request caused it.
 func (p *Proxy) fleetStore(member string, obj store.Object, reason string) bool {
-	u := fmt.Sprintf("%s/fleet/store?key=%s&cost=%g&reason=%s", member, obj.HexKey, obj.Cost, reason)
-	ctx, cancel := context.WithTimeout(context.Background(), p.defenses.PushTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "POST", u, bytesReader(obj.Body))
+	path := fmt.Sprintf("/fleet/store?key=%s&cost=%g&reason=%s", obj.HexKey, obj.Cost, reason)
+	rep, err := p.hop(context.Background(), peer{fleetMember, member}, "POST", path, obj.Body, "")
 	if err != nil {
 		return false
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		p.peerFailed(member)
-		return false
-	}
-	defer drainClose(resp.Body)
 	p.peerOK(member)
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
 	var rec StoreReceipt
-	return json.NewDecoder(resp.Body).Decode(&rec) == nil && rec.Stored
+	return rep.status == http.StatusOK && json.Unmarshal(rep.body, &rec) == nil && rec.Stored
 }
 
 // handleFleetStore accepts a replica or rebalanced object into this
@@ -344,158 +336,63 @@ func (p *Proxy) recordFleetReceipt(folded trace.ObjectID, rec *StoreReceipt, rea
 	f.acct.RecordStore(r)
 }
 
-// fleetRoute forwards a local miss to the key's owner or a replica.
-// It returns the body and the serving tier to report: the member's
-// cache hit counts as TierRemoteProxy; an origin fill at the owner is
-// reported as TierOrigin so the aggregate hit ratio stays honest.
-func (p *Proxy) fleetRoute(r *http.Request, objURL string, folded trace.ObjectID, st *obs.SpanTrace) ([]byte, string, bool) {
+// fleetTier is the fleet member's rung of the cascade: a key of another
+// member's partition is asked of its holders, owner and replicas,
+// least-loaded first, each behind its breaker and the per-hop deadline.
+// A holder's cache hit is served as TierRemoteProxy and its origin fill
+// as TierOrigin, so the aggregate hit ratio stays honest.  The body is
+// NOT inserted locally: ownership is the whole point of partitioning.
+func (p *Proxy) fleetTier() tier {
 	f := p.fleet
-	if f == nil {
-		return nil, "", false
-	}
-	if r.Header.Get(FleetHopHeader) != "" {
-		// Terminal member of a hop (already counted at arrival): serve
-		// locally or origin-fill; never re-route (a stale ring must not
-		// loop requests).
-		return nil, "", false
-	}
-	cands := f.ring.ReplicasOf(folded, f.opts.Replication)
-	var remote []string
-	for _, m := range cands {
-		if m == f.opts.Self {
-			// We are a designated holder that just missed: origin-fill
-			// locally (and let fleetTouch replicate when hot).
-			return nil, "", false
-		}
-		remote = append(remote, m)
-	}
-	if len(remote) == 0 {
-		return nil, "", false
-	}
-	var allowed []string
-	for _, m := range f.peers.Order(remote) {
-		if p.peerAllowed(m) {
-			allowed = append(allowed, m)
-		} else {
+	return tier{
+		spans: []string{"fleet.route"}, cat: "Tc",
+		from: func(q fetchReq) []string {
+			if q.r.Header.Get(FleetHopHeader) != "" {
+				// Terminal member of a hop (already counted at arrival):
+				// serve locally or origin-fill; never re-route (a stale
+				// ring must not loop requests).
+				return nil
+			}
+			holders := f.ring.ReplicasOf(q.folded, f.opts.Replication)
+			if slices.Contains(holders, f.opts.Self) {
+				// We are a designated holder that just missed: origin-fill
+				// locally (and let fleetTouch replicate when hot).
+				return nil
+			}
+			return f.peers.Order(holders)
+		},
+		admit: func(member string) bool {
+			if p.peerAllowed(member) {
+				return true
+			}
 			p.stats.breakerSkipped.Add(1)
 			f.routeSkipped.Add(1)
-		}
-	}
-	if len(allowed) == 0 {
-		f.routeFailed.Add(1)
-		return nil, "", false
-	}
-	span := st.StartSpan("fleet.route", "Tc")
-	body, tier, ok := p.hedgedFleetFetch(r.Context(), allowed, objURL, st.TraceID())
-	if !ok {
-		span.EndWasted()
-		f.routeFailed.Add(1)
-		return nil, "", false
-	}
-	span.End()
-	f.routed.Add(1)
-	if tier == TierOrigin {
-		f.routedOrigin.Add(1)
-	} else {
-		f.routedHits.Add(1)
-		tier = TierRemoteProxy
-	}
-	return body, tier, true
-}
-
-// fleetFetch is one leg of the inter-proxy hop: a /fetch against one
-// member with the hop header, bounded by the (adaptive) per-hop
-// deadline.  Transport failures and bad statuses feed the member's
-// breaker; the returned tier is what the member reported serving from.
-func (p *Proxy) fleetFetch(ctx context.Context, member, objURL, traceID string) ([]byte, string, error) {
-	ctx, cancel := context.WithTimeout(ctx, p.peerTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET",
-		fmt.Sprintf("%s/fetch?url=%s", member, url.QueryEscape(objURL)), nil)
-	if err != nil {
-		return nil, "", err
-	}
-	req.Header.Set(FleetHopHeader, "1")
-	if traceID != "" {
-		req.Header.Set(TraceHeader, traceID)
-	}
-	release := p.fleet.peers.Acquire(member)
-	defer release()
-	resp, err := p.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			p.stats.peerTimeouts.Add(1)
-		}
-		p.peerFailed(member)
-		return nil, "", err
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil || resp.StatusCode != http.StatusOK {
-		p.peerFailed(member)
-		return nil, "", fmt.Errorf("fleet member status %d", resp.StatusCode)
-	}
-	p.peerOK(member)
-	return body, resp.Header.Get(ServedByHeader), nil
-}
-
-// hedgedFleetFetch runs the hop against the first candidate, racing
-// the second after the hedge delay when hedging is on — the same
-// tail-at-scale pattern hedgedLanFetch applies to client caches.
-func (p *Proxy) hedgedFleetFetch(ctx context.Context, cands []string, objURL, traceID string) ([]byte, string, bool) {
-	if !p.defenses.Hedge || len(cands) < 2 {
-		for _, m := range cands {
-			if body, tier, err := p.fleetFetch(ctx, m, objURL, traceID); err == nil {
-				return body, tier, true
+			return false
+		},
+		ask: func(q fetchReq, member string, _ int) (served, error) {
+			release := f.peers.Acquire(member)
+			rep, err := p.hop(q.r.Context(), peer{fleetMember, member}, "GET", "/fetch?url="+url.QueryEscape(q.url), nil, q.st.TraceID())
+			release()
+			if err != nil {
+				return served{}, err
 			}
-		}
-		return nil, "", false
-	}
-	type leg struct {
-		body []byte
-		tier string
-		err  error
-	}
-	results := make(chan leg, 2)
-	launch := func(m string) {
-		go func() {
-			body, tier, err := p.fleetFetch(ctx, m, objURL, traceID)
-			results <- leg{body, tier, err}
-		}()
-	}
-	launch(cands[0])
-	timer := time.NewTimer(p.hedgeDelay())
-	defer timer.Stop()
-	hedged := false
-	pending := 1
-	for {
-		select {
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				if hedged {
-					p.stats.hedgedWins.Add(1)
-				}
-				return r.body, r.tier, true
+			if rep.status != http.StatusOK {
+				p.peerFailed(member)
+				return served{}, errMiss
 			}
-			if pending == 0 {
-				return nil, "", false
+			p.peerOK(member)
+			s := served{body: rep.body, by: TierRemoteProxy, hits: &f.routed}
+			if rep.header.Get(ServedByHeader) == TierOrigin {
+				f.routedOrigin.Add(1)
+				s.by = TierOrigin
+			} else {
+				f.routedHits.Add(1)
 			}
-			if !hedged {
-				// Primary failed before the hedge fired: promote the
-				// second candidate immediately.
-				hedged = true
-				pending++
-				launch(cands[1])
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				pending++
-				p.stats.hedged.Add(1)
-				launch(cands[1])
-			}
-		}
+			return s, nil
+		},
+		// Every holder was passed over or failed: the request goes on to
+		// the cooperating proxies and the origin.
+		missed: func(fetchReq) { f.routeFailed.Add(1) },
 	}
 }
 
@@ -706,21 +603,7 @@ func (p *Proxy) HeartbeatOnce() {
 // StartFleetHeartbeat runs HeartbeatOnce every interval until the
 // returned stop func is called.
 func (p *Proxy) StartFleetHeartbeat(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				p.HeartbeatOnce()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+	return every(interval, p.HeartbeatOnce)
 }
 
 // snapshotFleet fills the fleet slice of ProxyStats.

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,6 +123,57 @@ func TestFleetRouting(t *testing.T) {
 	}
 	if hop := rig.proxies[owner].snapshotStats().Fleet.HopServes; hop != 2 {
 		t.Fatalf("owner hop serves = %d, want 2", hop)
+	}
+}
+
+// The hop tries every holder the breakers admit, not the first two:
+// with replication 3 and the two least-loaded holders dead, the third
+// serves, first its origin fill and then its cache hit, and the front
+// keeps no copy.  The defenses are chaos.Hardened()'s (which imports
+// this package); under them the parent raced the first two holders
+// only and the front filled from origin itself.
+func TestFleetHopTriesEveryHolder(t *testing.T) {
+	rig := newFleetRig(t, 4, 3, 0, nil)
+	for _, px := range rig.proxies {
+		px.SetDefenses(Defenses{
+			PeerTimeout:         75 * time.Millisecond,
+			AdaptivePeerTimeout: true,
+			VerifyEvery:         2,
+			BreakerFailures:     3,
+			BreakerCooldown:     500 * time.Millisecond,
+			PushTimeout:         time.Second,
+		})
+	}
+	objURL := rig.origin.srv.URL + "/fleet-third-holder"
+	folded := fold(keyOf(objURL))
+	holders := rig.proxies[0].FleetRing().ReplicasOf(folded, 3)
+	front := -1
+	for i, u := range rig.urls {
+		switch {
+		case !slices.Contains(holders, u):
+			front = i
+		case u != holders[2]:
+			rig.servers[i].Close() // idempotent: the rig's cleanup closes it again
+		}
+	}
+	if len(holders) != 3 || front < 0 {
+		t.Fatalf("holders %v of members %v", holders, rig.urls)
+	}
+
+	for i, want := range []string{TierOrigin, TierRemoteProxy} {
+		if status, tier := rig.fetchVia(t, front, objURL); status != 200 || tier != want {
+			t.Fatalf("fetch %d: status %d tier %q, want 200 %q", i, status, tier, want)
+		}
+	}
+	if hits := rig.origin.hits.Load(); hits != 1 {
+		t.Fatalf("origin hits = %d, want 1 (the third holder's fill)", hits)
+	}
+	if rig.proxies[front].store.Contains(folded) {
+		t.Fatal("front cached a key it does not hold")
+	}
+	fs := rig.proxies[front].snapshotStats().Fleet
+	if fs.Routed != 2 || fs.RoutedOrigin != 1 || fs.RoutedHits != 1 || fs.RouteFailed != 0 {
+		t.Fatalf("front fleet stats = %+v, want routed 2 / origin 1 / hits 1 / failed 0", fs)
 	}
 }
 

@@ -148,6 +148,13 @@ func (r *ring) neighbours(addr string) []string {
 	return out
 }
 
+// candidates returns owner followed by its ring neighbours: the caches
+// an object of owner's may be at, a diversion having placed it next
+// door (§4.3), in the order to place it or to look for it.
+func (r *ring) candidates(owner string) []string {
+	return append([]string{owner}, r.neighbours(owner)...)
+}
+
 // owner returns the address of the cache whose id is numerically
 // closest to key (the destination client cache of §4.1).
 func (r *ring) owner(key pastry.ID) (string, bool) {

@@ -73,8 +73,6 @@ func (p *Proxy) publishStats() {
 	g("disk_hits", st.DiskHits)
 	g("directory_entries", st.DirEntries)
 	g("client_caches", p.ring.size())
-	g("hedged_requests", st.Defense.HedgedRequests)
-	g("hedged_wins", st.Defense.HedgedWins)
 	g("breaker_skipped", st.Defense.BreakerSkipped)
 	g("breaker_opens", st.Defense.BreakerOpens)
 	g("digest_checks", st.Defense.DigestChecks)

@@ -1,7 +1,6 @@
 package httpcache
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,10 +19,8 @@ import (
 	"webcache/internal/pastry"
 	"webcache/internal/store"
 	"webcache/internal/store/disk"
+	"webcache/internal/trace"
 )
-
-// bytesReader avoids importing bytes in two files.
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
 
 // ProxyStats is the proxy's /stats payload: where requests were served
 // from, plus pass-down and push activity.
@@ -60,9 +57,9 @@ type ProxyStats struct {
 	DiskHits   int `json:"disk_hits"`
 	DirEntries int `json:"directory_entries"`
 	ClientPool int `json:"client_caches"`
-	// Defense holds the chaos-defense counters (defense.go): hedged
-	// LAN fetches, breaker activity, digest verification, contribution
-	// sweeps, and per-hop peer timeouts.
+	// Defense holds the chaos-defense counters (defense.go): breaker
+	// activity, digest verification, contribution sweeps, and per-hop
+	// peer timeouts.
 	Defense DefenseStats `json:"defense"`
 	// Fleet holds the fleet-membership counters (fleet.go); zero value
 	// with Enabled=false when the proxy is not a fleet member.
@@ -77,8 +74,8 @@ type proxyCounters struct {
 	coalesced, passDowns, diversions, storeCalls, storeRefusals,
 	divertedHits, pushesIn, swept, diskHits atomic.Int64
 	// Defense counters (defense.go).
-	hedged, hedgedWins, breakerSkipped, breakerOpens,
-	digestChecks, digestFailures, contribSwept, peerTimeouts atomic.Int64
+	breakerSkipped, breakerOpens, digestChecks, digestFailures,
+	contribSwept, peerTimeouts atomic.Int64
 }
 
 // Proxy is the caching forward proxy of the paper's architecture: a
@@ -89,7 +86,9 @@ type Proxy struct {
 	disk  *disk.Store  // persistent tier; nil without Options.DiskDir
 	// tier is the serving surface: store alone, or the Tiered layering
 	// when a disk tier is configured.
-	tier   store.Interface
+	tier store.Interface
+	// tiers is the /fetch cascade in the order it is walked (tiers.go).
+	tiers  []tier
 	ring   *ring
 	client *http.Client
 	// probeClient is the liveness sweep's short-deadline client; a
@@ -109,7 +108,7 @@ type Proxy struct {
 
 	// Defense state (defense.go): knobs, per-peer breakers, per-client
 	// contribution ledgers, sampled body digests, and the LAN-fetch
-	// latency histogram the hedge delay derives from.
+	// latency histogram the adaptive per-hop deadline derives from.
 	defenses  Defenses
 	breakers  sync.Map // peer URL -> *breaker
 	contrib   sync.Map // cache addr -> *contribution
@@ -172,6 +171,7 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		lanLat:      &obs.Histogram{},
 	}
 	p.defenses.fillDefaults()
+	p.tiers = p.cascade()
 	return p, nil
 }
 
@@ -273,8 +273,8 @@ func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if len(body.Recovered) > 0 {
 		// Directory entries route through ring.owner, which may name a
 		// neighbour of the daemon that actually holds the object — the
-		// diversion passthrough in handleFetch probes neighbours on an
-		// owner miss, so recovered objects stay reachable either way.
+		// client-cache tier of /fetch probes neighbours on an owner
+		// miss, so recovered objects stay reachable either way.
 		p.mu.Lock()
 		for _, hex := range body.Recovered {
 			p.dir.Add(fold(keyFromHex(hex)))
@@ -285,185 +285,12 @@ func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"cacheId": id.String()})
 }
 
-func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
-	url := queryParam(r.URL.RawQuery, "url")
-	if url == "" {
-		http.Error(w, "missing url", http.StatusBadRequest)
-		return
-	}
-	p.stats.requests.Add(1)
-	id := keyOf(url)
-	folded := fold(id)
-	st := traceStart(p.tracer, r, "fetch")
-	if p.fleet != nil {
-		// Owner-side load accounting: hot keys this member owns
-		// replicate onto their ring successors (fleet.go).
-		p.fleetTouch(id, folded)
-		if r.Header.Get(FleetHopHeader) != "" {
-			// Counted at arrival, whatever tier ends up serving it —
-			// a hop the owner answers from cache is still a hop served.
-			p.fleet.hopServes.Add(1)
-		}
-	}
-
-	// 1. Proxy cache: memory, then the persistent disk tier (which
-	// promotes the hit back into a free memory slot).
-	probe := st.StartSpan("proxy.cache", "Tl")
-	if obj, ok := p.store.Get(folded); ok {
-		probe.End()
-		p.stats.proxyHits.Add(1)
-		serve(w, obj.Body, TierProxy)
-		st.FinishWall(TierProxy)
-		return
-	}
-	probe.End()
-	if p.disk != nil {
-		dsp := st.StartSpan("proxy.disk", "Tl")
-		if obj, ok := p.tier.Get(folded); ok {
-			dsp.End()
-			p.stats.diskHits.Add(1)
-			serve(w, obj.Body, TierProxyDisk)
-			st.FinishWall(TierProxyDisk)
-			return
-		}
-		dsp.EndWasted()
-	}
-
-	// 2. Own P2P client cache, per the lookup directory (§4.2).  Every
-	// LAN hop is bounded by the per-call deadline and derives from the
-	// requester's context, so a disconnected client cancels the chain.
+// inDirectory reports whether the lookup directory lists the object as
+// held by one of this proxy's client caches.
+func (p *Proxy) inDirectory(folded trace.ObjectID) bool {
 	p.mu.Lock()
-	inDir := p.dir.MayContain(folded)
-	p.mu.Unlock()
-	if inDir {
-		if addr, ok := p.ring.owner(id); ok {
-			lan := st.StartSpan("client.fetch", "Tp2p")
-			if body, ok := p.hedgedLanFetch(r.Context(), addr, id, st.TraceID()); ok {
-				if p.verifyBody(folded, body) {
-					lan.End()
-					p.stats.clientHits.Add(1)
-					serve(w, body, TierClientCache)
-					st.FinishWall(TierClientCache)
-					return
-				}
-				// Digest mismatch: a byzantine serve.  Strike the
-				// owner's ledger, treat as a miss, and let the
-				// diversion probes / origin take over.
-				p.contribFor(addr).digestFails.Add(1)
-				lan.EndWasted()
-			} else {
-				lan.EndWasted()
-			}
-			// Diversion passthrough: an ifFree store may have landed
-			// the object on a ring neighbour instead of its owner
-			// (§4.3); probe them before declaring the entry stale.
-			for _, alt := range p.ring.neighbours(addr) {
-				div := st.StartSpan("client.fetch.divert", "Tp2p")
-				if body, ok := p.lanFetch(r.Context(), alt, id, st.TraceID()); ok && p.verifyBody(folded, body) {
-					div.End()
-					p.stats.clientHits.Add(1)
-					p.stats.divertedHits.Add(1)
-					serve(w, body, TierClientCache)
-					st.FinishWall(TierClientCache)
-					return
-				}
-				div.EndWasted()
-			}
-		}
-		// Stale entry (crashed daemon or raced eviction): repair.
-		p.mu.Lock()
-		p.dir.Remove(folded)
-		p.mu.Unlock()
-		p.dropDigest(folded)
-	}
-
-	// 2b. Fleet routing: when this proxy is a fleet member and the key
-	// belongs to another member's partition, forward there (owner or
-	// replica, least-loaded first) behind the per-hop deadline,
-	// breaker, and hedge.  A hop that reports an origin fill is served
-	// as TierOrigin so hit accounting stays honest; the body is NOT
-	// inserted locally — ownership is the whole point of partitioning.
-	if p.fleet != nil {
-		if body, tier, ok := p.fleetRoute(r, url, folded, st); ok {
-			serve(w, body, tier)
-			st.FinishWall(tier)
-			return
-		}
-	}
-
-	// 3. Cooperating proxies, each behind its error-rate breaker: a
-	// peer that keeps failing at the transport level is skipped (the
-	// request degrades toward origin) until its cooldown expires.
-	p.mu.Lock()
-	peers := p.peers
-	p.mu.Unlock()
-	for _, peer := range peers {
-		if !p.peerAllowed(peer) {
-			p.stats.breakerSkipped.Add(1)
-			continue
-		}
-		look := st.StartSpan("peer.lookup", "Tc")
-		body, ok, err := p.peerLookup(r.Context(), peer, id, st.TraceID())
-		if err != nil {
-			p.peerFailed(peer)
-		} else {
-			p.peerOK(peer)
-		}
-		if ok {
-			look.End()
-			p.stats.remoteHits.Add(1)
-			p.insertAndDestage(url, body, remoteCost)
-			serve(w, body, TierRemoteProxy)
-			st.FinishWall(TierRemoteProxy)
-			return
-		}
-		look.EndWasted()
-	}
-
-	// 4. Origin, through the coalescer: concurrent misses on one URL
-	// share a single origin fetch (the winner inserts and destages;
-	// every waiter serves the winner's body).
-	org := st.StartSpan("origin.fetch", "Ts")
-	view, err := p.tier.GetOrLoad(folded, func() (store.Object, string, error) {
-		body, ferr := p.originFetch(url)
-		if ferr != nil {
-			return store.Object{}, "", ferr
-		}
-		p.stats.originFetch.Add(1)
-		return store.Object{HexKey: id.String(), Body: body, Cost: originCost}, TierOrigin, nil
-	})
-	if err != nil {
-		org.EndWasted()
-		st.FinishWall("error")
-		http.Error(w, "origin fetch: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	org.End()
-	switch view.Outcome {
-	case store.OutcomeHit:
-		// Another request's insert landed between step 1 and here: a
-		// proxy cache hit after all.
-		p.stats.proxyHits.Add(1)
-		serve(w, view.Object.Body, TierProxy)
-		st.FinishWall(TierProxy)
-	case store.OutcomeCoalesced:
-		p.stats.coalesced.Add(1)
-		serve(w, view.Object.Body, view.Tag)
-		st.FinishWall(view.Tag)
-	default: // store.OutcomeLoaded: the flight winner destages.
-		for _, ev := range view.Evicted {
-			p.passDown(ev)
-		}
-		// The tier reports where the flight's load actually came from:
-		// TierOrigin from the loader, or TierProxyDisk when the tiered
-		// store satisfied the flight from its log (a disk-resident key
-		// that raced past the step-1 probe).
-		if view.Tag == TierProxyDisk {
-			p.stats.diskHits.Add(1)
-		}
-		serve(w, view.Object.Body, view.Tag)
-		st.FinishWall(view.Tag)
-	}
+	defer p.mu.Unlock()
+	return p.dir.MayContain(folded)
 }
 
 // originFetch GETs the object body from its origin server.
@@ -483,44 +310,6 @@ func (p *Proxy) originFetch(url string) ([]byte, error) {
 	return body, nil
 }
 
-// peerLookup asks one cooperating proxy for an object, forwarding the
-// request's trace id so the peer's spans join the same trace.  The
-// call is bounded by the per-hop deadline layered on the caller's
-// context.  The error return discriminates peer *health* from a plain
-// miss: a 404 is (nil, false, nil) — the peer answered, it just does
-// not have the object — while transport failures and unexpected
-// statuses return an error that feeds the peer's circuit breaker.
-func (p *Proxy) peerLookup(ctx context.Context, peer string, id pastry.ID, traceID string) ([]byte, bool, error) {
-	ctx, cancel := context.WithTimeout(ctx, p.peerTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", fmt.Sprintf("%s/peer-lookup?key=%s", peer, id), nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if traceID != "" {
-		req.Header.Set(TraceHeader, traceID)
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			p.stats.peerTimeouts.Add(1)
-		}
-		return nil, false, err
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, false, nil
-	}
-	if rerr != nil {
-		return nil, false, rerr
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("peer status %d", resp.StatusCode)
-	}
-	return body, true, nil
-}
-
 // Greedy-dual costs mirror the latency model: origin fetches are the
 // expensive ones, remote-proxy fetches cheap.
 const (
@@ -531,60 +320,16 @@ const (
 // lanFetch pulls an object from one of this proxy's own client caches
 // (same intranet — direct connections are allowed here; it is only
 // *cross-organization* inbound connections the firewall forbids, which
-// is why cooperating proxies use the push path instead).  The call is
-// bounded by the per-hop deadline layered on the caller's context.
+// is why cooperating proxies use the push path instead).
 func (p *Proxy) lanFetch(ctx context.Context, addr string, id pastry.ID, traceID string) ([]byte, bool) {
-	ctx, cancel := context.WithTimeout(ctx, p.peerTimeout())
-	defer cancel()
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, "GET", fmt.Sprintf("http://%s/object?key=%s", addr, id), nil)
-	if err != nil {
-		return nil, false
-	}
-	if traceID != "" {
-		req.Header.Set(TraceHeader, traceID)
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Deadline, not death: the daemon may just be slow (or the
-			// requester hung up).  Strike its contribution ledger but
-			// keep it in the ring — the sweeper evicts repeat offenders.
-			p.stats.peerTimeouts.Add(1)
-			p.contribFor(addr).timeouts.Add(1)
-			return nil, false
-		}
-		// Connection-level failure: the daemon is gone; its keys
-		// re-home to the ring neighbours on the next pass-down.
-		p.ring.remove(addr)
-		return nil, false
-	}
-	defer drainClose(resp.Body) // a 404's unread text would cost the connection
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	rep, err := p.hop(ctx, peer{clientCache, addr}, "GET", "/object?key="+id.String(), nil, traceID)
+	if err != nil || rep.status != http.StatusOK {
 		return nil, false
 	}
 	p.lanLat.Observe(time.Since(start))
 	p.contribFor(addr).serves.Add(1)
-	return body, true
-}
-
-// insertAndDestage caches a fetched object at the proxy and passes any
-// evicted objects down into the client caches (§4.3 with the
-// diversion probe), updating the directory from the store receipts.
-// Empty bodies are served without caching (store.ErrEmptyObject).
-func (p *Proxy) insertAndDestage(url string, body []byte, cost float64) {
-	id := keyOf(url)
-	evicted, _, err := p.tier.Put(fold(id), store.Object{HexKey: id.String(), Body: body, Cost: cost})
-	if err != nil {
-		return
-	}
-	for _, ev := range evicted {
-		p.passDown(ev)
-	}
+	return rep.body, true
 }
 
 // passDown routes one evicted object into the client caches: to its
@@ -606,7 +351,7 @@ func (p *Proxy) passDown(obj store.Object) {
 	var rec *StoreReceipt
 	var ownerErr error
 	diverted := false
-	for i, cand := range append([]string{owner}, p.ring.neighbours(owner)...) {
+	for i, cand := range p.ring.candidates(owner) {
 		if !p.ring.mayFit(cand, len(obj.Body)) {
 			continue
 		}
@@ -650,49 +395,33 @@ func (p *Proxy) passDown(obj store.Object) {
 
 // storeAt POSTs one evicted object to a client cache, with ifFree as a
 // trial the daemon refuses rather than evict for.  The returns split
-// the daemon's health from its answer the way peerLookup's do: a
-// receipt when it stored, (nil, nil) when it refused, an error when it
-// did not answer.  The hop is bounded by the per-hop deadline, and
-// lanFetch's rule applies: a deadline strikes the daemon's contribution
-// ledger, only a connection-level failure takes it off the ring.  The
-// context does not descend from the /fetch that evicted: the object has
-// already left the proxy, and a requester hanging up must not lose it.
+// the daemon's health from its answer: a receipt when it stored,
+// (nil, nil) when it refused, an error when it did not answer or made
+// no sense.  The hop does not descend from the /fetch that evicted: the
+// object has already left the proxy, and a requester hanging up must
+// not lose it.
 func (p *Proxy) storeAt(target string, obj store.Object, ifFree bool) (*StoreReceipt, error) {
-	u := fmt.Sprintf("http://%s/store?key=%s&cost=%g", target, obj.HexKey, obj.Cost)
+	path := fmt.Sprintf("/store?key=%s&cost=%g", obj.HexKey, obj.Cost)
 	if ifFree {
-		u += "&ifFree=1"
+		path += "&ifFree=1"
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), p.peerTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "POST", u, bytesReader(obj.Body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
 	p.stats.storeCalls.Add(1)
-	resp, err := p.client.Do(req)
+	rep, err := p.hop(context.Background(), peer{clientCache, target}, "POST", path, obj.Body, "")
 	if err != nil {
-		if ctx.Err() != nil {
-			p.stats.peerTimeouts.Add(1)
-			p.contribFor(target).timeouts.Add(1)
-		} else {
-			p.ring.remove(target) // crashed daemon: drop from the ring
-		}
 		return nil, err
 	}
-	defer drainClose(resp.Body)
-	if free, err := strconv.ParseInt(resp.Header.Get(FreeHeader), 10, 64); err == nil && free >= 0 {
+	if free, err := strconv.ParseInt(rep.header.Get(FreeHeader), 10, 64); err == nil && free >= 0 {
 		p.ring.noteFree(target, free)
 	}
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode == http.StatusInsufficientStorage {
+	if rep.status != http.StatusOK {
+		if rep.status == http.StatusInsufficientStorage {
 			p.stats.storeRefusals.Add(1)
 			return nil, nil
 		}
-		return nil, fmt.Errorf("store at %s: status %d", target, resp.StatusCode)
+		return nil, fmt.Errorf("store at %s: status %d", target, rep.status)
 	}
 	var rec StoreReceipt
-	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
+	if err := json.Unmarshal(rep.body, &rec); err != nil {
 		return nil, fmt.Errorf("store at %s: reading receipt: %w", target, err)
 	}
 	return &rec, nil
@@ -735,6 +464,12 @@ func (p *Proxy) SweepClientCaches() []string {
 // catch dying; the sweep is the active guarantee that a daemon
 // crashing while idle is still evicted from the ring.
 func (p *Proxy) StartSweeper(interval time.Duration) (stop func()) {
+	return every(interval, func() { p.SweepClientCaches() })
+}
+
+// every runs f each interval on a goroutine of its own until the
+// returned stop func is called (any number of times).
+func every(interval time.Duration, f func()) (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		t := time.NewTicker(interval)
@@ -744,7 +479,7 @@ func (p *Proxy) StartSweeper(interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				p.SweepClientCaches()
+				f()
 			}
 		}
 	}()
@@ -774,16 +509,8 @@ func (p *Proxy) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	probe.EndWasted()
-	p.mu.Lock()
-	inDir := p.dir.MayContain(folded)
-	p.mu.Unlock()
-	if !inDir {
-		st.FinishWall("miss")
-		http.NotFound(w, r)
-		return
-	}
 	addr, ok := p.ring.owner(id)
-	if !ok {
+	if !ok || !p.inDirectory(folded) {
 		st.FinishWall("miss")
 		http.NotFound(w, r)
 		return
@@ -793,29 +520,20 @@ func (p *Proxy) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 	// channel's diversion passthrough, since an ifFree store may have
 	// diverted the object off its owner (§4.3).  A push is awaited
 	// only after a daemon accepts it (204): waiting on a 404 would
-	// stall the cooperating proxy for the full push timeout.
+	// stall the cooperating proxy for the full push timeout.  Each ask
+	// is a hop like any other: a daemon that hangs on it costs one
+	// per-hop deadline and a strike, and the next candidate is asked
+	// (unless the asking proxy has given up by then: hop asks nobody).
 	pushID := strconv.FormatUint(p.pushSeq.Add(1), 10)
 	ch := make(chan []byte, 1)
 	p.pushWaiters.Store(pushID, ch)
 	defer p.pushWaiters.Delete(pushID)
 	push := st.StartSpan("peer.push", "Tp2p")
 	accepted := false
-	for _, cand := range append([]string{addr}, p.ring.neighbours(addr)...) {
-		pushURL := fmt.Sprintf("http://%s/push?key=%s&to=%s/accept-push?id=%s", cand, id, p.self, pushID)
-		req, err := http.NewRequest("POST", pushURL, nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set("Content-Type", "text/plain")
-		if tid := st.TraceID(); tid != "" {
-			req.Header.Set(TraceHeader, tid)
-		}
-		resp, err := p.client.Do(req)
-		if err != nil {
-			continue
-		}
-		drainClose(resp.Body)
-		if resp.StatusCode == http.StatusNoContent {
+	path := fmt.Sprintf("/push?key=%s&to=%s/accept-push?id=%s", id, p.self, pushID)
+	for _, cand := range p.ring.candidates(addr) {
+		rep, err := p.hop(r.Context(), peer{clientCache, cand}, "POST", path, nil, st.TraceID())
+		if err == nil && rep.status == http.StatusNoContent {
 			accepted = true
 			break
 		}
@@ -890,8 +608,6 @@ func (p *Proxy) snapshotStats() ProxyStats {
 		DiskHits:         int(p.stats.diskHits.Load()),
 		DirEntries:       dirLen,
 		Defense: DefenseStats{
-			HedgedRequests: int(p.stats.hedged.Load()),
-			HedgedWins:     int(p.stats.hedgedWins.Load()),
 			BreakerSkipped: int(p.stats.breakerSkipped.Load()),
 			BreakerOpens:   int(p.stats.breakerOpens.Load()),
 			DigestChecks:   int(p.stats.digestChecks.Load()),

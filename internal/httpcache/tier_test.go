@@ -291,7 +291,7 @@ func TestServedByHeaderPerPath(t *testing.T) {
 			url:   roomy0.fetchURL(roomyD.origin.srv.URL + "/cold"),
 			tier:  TierOrigin,
 			delta: ProxyStats{Requests: 1, OriginFetch: 1},
-			spans: []string{"proxy.cache", "!peer.lookup", "origin.fetch"}},
+			spans: []string{"!proxy.cache", "!peer.lookup", "origin.fetch"}},
 		{name: "fetch proxy cache hit", at: &roomy0,
 			url:   roomy0.fetchURL(roomyD.origin.srv.URL + "/warm"),
 			tier:  TierProxy,
@@ -301,52 +301,52 @@ func TestServedByHeaderPerPath(t *testing.T) {
 			url:   from(dsk, "/on-disk"),
 			tier:  TierProxyDisk,
 			delta: ProxyStats{Requests: 1, DiskHits: 1},
-			spans: []string{"proxy.cache", "proxy.disk"}},
+			spans: []string{"!proxy.cache", "proxy.disk"}},
 		{name: "fetch cooperating proxy", at: &roomy1,
 			url:   roomy1.fetchURL(roomyD.origin.srv.URL + "/warm"),
 			tier:  TierRemoteProxy,
 			delta: ProxyStats{Requests: 1, RemoteHits: 1},
-			spans: []string{"proxy.cache", "peer.lookup"}},
+			spans: []string{"!proxy.cache", "peer.lookup"}},
 		{name: "fetch destaged object from client cache", at: &tiny,
 			url:   tiny.fetchURL(tinyD.origin.srv.URL + "/obj00"),
 			tier:  TierClientCache,
 			delta: ProxyStats{Requests: 1, ClientHits: 1},
-			spans: []string{"proxy.cache", "client.fetch"}},
+			spans: []string{"!proxy.cache", "client.fetch"}},
 		{name: "fetch diverted object from the owner's neighbour", at: &div,
 			url:   div.fetchURL(divertedURL),
 			tier:  TierClientCache,
 			delta: ProxyStats{Requests: 1, ClientHits: 1, DivertedHits: 1},
-			spans: []string{"proxy.cache", "!client.fetch", "client.fetch.divert"}},
+			spans: []string{"!proxy.cache", "!client.fetch", "client.fetch.divert"}},
 		{name: "fetch stale directory entry, repaired, from origin", at: &stale,
 			url:   from(stale, "/stale"),
 			tier:  TierOrigin,
 			delta: ProxyStats{Requests: 1, OriginFetch: 1, DirEntries: -1},
-			spans: []string{"proxy.cache", "!client.fetch", "!client.fetch.divert", "origin.fetch"}},
+			spans: []string{"!proxy.cache", "!client.fetch", "!client.fetch.divert", "origin.fetch"}},
 		{name: "fetch past a breaker-open peer from origin", at: &brk,
 			url:   from(brk, "/skips-the-peer"),
 			tier:  TierOrigin,
 			delta: ProxyStats{Requests: 1, OriginFetch: 1, Defense: DefenseStats{BreakerSkipped: 1}},
-			spans: []string{"proxy.cache", "origin.fetch"}},
+			spans: []string{"!proxy.cache", "origin.fetch"}},
 		{name: "fetch fleet owner's origin fill", at: &front,
 			url:   front.fetchURL(fleetObj),
 			tier:  TierOrigin,
 			delta: ProxyStats{Requests: 1, Fleet: FleetStats{Routed: 1, RoutedOrigin: 1}},
-			spans: []string{"proxy.cache", "fleet.route"}},
+			spans: []string{"!proxy.cache", "fleet.route"}},
 		{name: "fetch fleet owner's cache hit", at: &front,
 			url:   front.fetchURL(fleetObj),
 			tier:  TierRemoteProxy,
 			delta: ProxyStats{Requests: 1, Fleet: FleetStats{Routed: 1, RoutedHits: 1}},
-			spans: []string{"proxy.cache", "fleet.route"}},
+			spans: []string{"!proxy.cache", "fleet.route"}},
 		{name: "fetch coalesced onto another request's origin fetch", at: &herd,
 			run:   coalesced,
 			tier:  TierOrigin,
 			delta: ProxyStats{Requests: 2, OriginFetch: 1, CoalescedFetches: 1}, // winner and waiter
-			spans: []string{"proxy.cache", "origin.fetch"}},
+			spans: []string{"!proxy.cache", "origin.fetch"}},
 		{name: "fetch origin failure", at: &div,
 			url:   div.fetchURL(badOrigin.URL + "/broken"),
 			label: "error",
 			delta: ProxyStats{Requests: 1},
-			spans: []string{"proxy.cache", "!origin.fetch"}},
+			spans: []string{"!proxy.cache", "!origin.fetch"}},
 		{name: "peer-lookup served from proxy cache", at: &roomy0,
 			url:   fmt.Sprintf("%s/peer-lookup?key=%s", roomy0.base, peerKey(roomyD, "/warm")),
 			tier:  TierPeerProxy,

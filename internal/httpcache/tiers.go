@@ -1,0 +1,268 @@
+package httpcache
+
+import (
+	"errors"
+	"net/http"
+	"sync/atomic"
+
+	"webcache/internal/obs"
+	"webcache/internal/pastry"
+	"webcache/internal/store"
+	"webcache/internal/trace"
+)
+
+// This file is the paper's lookup cascade as the proxy runs it: proxy
+// cache, own P2P client cache by way of the directory (§4.2),
+// cooperating proxies (§4.5), origin.  The order is data, the table
+// cascade builds once per proxy, and handleFetch is the one loop that
+// walks it.
+
+// fetchReq is one /fetch as a tier sees it.  Tiers get it by value: a
+// pointer handed through a tier's func value would move it to the heap,
+// and a memory hit allocates nothing (TestFetchHitPathAllocs).
+type fetchReq struct {
+	// r gives a tier the requester's context, which a hop made on its
+	// behalf descends from, and its headers.
+	r      *http.Request
+	url    string
+	id     pastry.ID
+	folded trace.ObjectID
+	st     *obs.SpanTrace
+}
+
+// served is a tier's answer when it has the object.
+type served struct {
+	body []byte
+	by   string        // the X-Served-By label
+	hits *atomic.Int64 // the counter the serve is booked under
+	// evicted is what caching the body at this proxy displaced; the loop
+	// passes it down into the client caches.
+	evicted []store.Object
+}
+
+// errMiss is a tier's plain "not here".
+var errMiss = errors.New("miss")
+
+// tier is one rung of the cascade: whom to ask for the object, and how.
+type tier struct {
+	// spans names the span an attempt runs under, by attempt, the last
+	// name repeating; cat is its category, §5.1's latency component.
+	spans []string
+	cat   string
+	// from lists whom to ask, in order: nobody when the tier has no
+	// reason to think anyone has the object.  A tier that looks inside
+	// the proxy has none, and the one place to ask, here.
+	from func(q fetchReq) []string
+	// admit, when set, is put to each address as its turn comes; one it
+	// refuses is passed over without a span.
+	admit func(addr string) bool
+	// ask asks the n-th address for the object.  A nil error is a serve;
+	// the last tier's error is what a 502 reports.
+	ask func(q fetchReq, addr string, n int) (served, error)
+	// missed, when set, runs once everyone from listed has been passed
+	// over or asked in vain.
+	missed func(q fetchReq)
+}
+
+var here = []string{""}
+
+// handleFetch walks the tiers until one serves.  Every attempt runs
+// under a span closed End when it serves and EndWasted when it does
+// not, whichever tier it belongs to; the serving tier's counter, the
+// pass-down of what caching the body evicted, the reply and the trace's
+// label are written here and nowhere else.  Evictions go down before
+// the reply does (ROADMAP item 1 wants the order reversed: this is the
+// place).
+func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
+	url := queryParam(r.URL.RawQuery, "url")
+	if url == "" {
+		http.Error(w, "missing url", http.StatusBadRequest)
+		return
+	}
+	p.stats.requests.Add(1)
+	id := keyOf(url)
+	q := fetchReq{r: r, url: url, id: id, folded: fold(id), st: traceStart(p.tracer, r, "fetch")}
+	if f := p.fleet; f != nil {
+		// Owner-side load accounting: hot keys this member owns
+		// replicate onto their ring successors (fleet.go).
+		p.fleetTouch(q.id, q.folded)
+		if r.Header.Get(FleetHopHeader) != "" {
+			// Counted at arrival, whatever tier ends up serving it —
+			// a hop the owner answers from cache is still a hop served.
+			f.hopServes.Add(1)
+		}
+	}
+	var err error
+	for i := range p.tiers {
+		t := &p.tiers[i]
+		asked := here
+		if t.from != nil {
+			asked = t.from(q)
+		}
+		for n, addr := range asked {
+			if t.admit != nil && !t.admit(addr) {
+				continue
+			}
+			span := q.st.StartSpan(t.spans[min(n, len(t.spans)-1)], t.cat)
+			var s served
+			if s, err = t.ask(q, addr, n); err != nil {
+				span.EndWasted()
+				continue
+			}
+			span.End()
+			s.hits.Add(1)
+			for _, ev := range s.evicted {
+				p.passDown(ev)
+			}
+			serve(w, s.body, s.by)
+			q.st.FinishWall(s.by)
+			return
+		}
+		if len(asked) > 0 && t.missed != nil {
+			t.missed(q)
+		}
+	}
+	// The origin is the last tier and is always asked: err is its.
+	q.st.FinishWall("error")
+	http.Error(w, "origin fetch: "+err.Error(), http.StatusBadGateway)
+}
+
+// cascade builds the tier table of a proxy that is no fleet member;
+// EnableFleet inserts the fleet route.
+func (p *Proxy) cascade() []tier {
+	// unlist repairs a directory entry no cache backs any more (a
+	// crashed daemon, a raced eviction).
+	unlist := func(q fetchReq) {
+		p.mu.Lock()
+		p.dir.Remove(q.folded)
+		p.mu.Unlock()
+		p.dropDigest(q.folded)
+	}
+
+	tiers := []tier{{
+		// 1. Proxy cache, memory.
+		spans: []string{"proxy.cache"}, cat: "Tl",
+		ask: func(q fetchReq, _ string, _ int) (served, error) {
+			obj, ok := p.store.Get(q.folded)
+			if !ok {
+				return served{}, errMiss
+			}
+			return served{body: obj.Body, by: TierProxy, hits: &p.stats.proxyHits}, nil
+		},
+	}}
+	if p.disk != nil {
+		tiers = append(tiers, tier{
+			// The persistent tier, which promotes a hit back into a free
+			// memory slot.
+			spans: []string{"proxy.disk"}, cat: "Tl",
+			ask: func(q fetchReq, _ string, _ int) (served, error) {
+				obj, ok := p.tier.Get(q.folded)
+				if !ok {
+					return served{}, errMiss
+				}
+				return served{body: obj.Body, by: TierProxyDisk, hits: &p.stats.diskHits}, nil
+			},
+		})
+	}
+	return append(tiers, tier{
+		// 2. Own P2P client cache, per the lookup directory (§4.2): the
+		// ring owner, then its neighbours, where an ifFree store may have
+		// diverted the object (§4.3).  When none of them has it the entry
+		// is stale and is repaired.
+		spans: []string{"client.fetch", "client.fetch.divert"}, cat: "Tp2p",
+		from: func(q fetchReq) []string {
+			if !p.inDirectory(q.folded) {
+				return nil
+			}
+			owner, ok := p.ring.owner(q.id)
+			if !ok {
+				unlist(q) // listed, and no cache left that could hold it
+				return nil
+			}
+			return p.ring.candidates(owner)
+		},
+		ask: func(q fetchReq, addr string, n int) (served, error) {
+			body, ok := p.lanFetch(q.r.Context(), addr, q.id, q.st.TraceID())
+			if !ok {
+				return served{}, errMiss
+			}
+			if !p.verifyBody(q.folded, body) {
+				// Digest mismatch, a byzantine serve: a strike on the
+				// daemon's ledger and a miss, for the next candidate or
+				// the origin to make good.
+				p.contribFor(addr).digestFails.Add(1)
+				return served{}, errMiss
+			}
+			if n > 0 {
+				p.stats.divertedHits.Add(1)
+			}
+			return served{body: body, by: TierClientCache, hits: &p.stats.clientHits}, nil
+		},
+		missed: unlist,
+	}, tier{
+		// 3. Cooperating proxies, each behind its error-rate breaker: a
+		// peer that keeps failing at the transport level is passed over
+		// (the request degrades toward origin) until its cooldown admits
+		// a probe.
+		spans: []string{"peer.lookup"}, cat: "Tc",
+		from: func(fetchReq) []string {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return p.peers
+		},
+		admit: func(base string) bool {
+			if p.peerAllowed(base) {
+				return true
+			}
+			p.stats.breakerSkipped.Add(1)
+			return false
+		},
+		ask: func(q fetchReq, base string, _ int) (served, error) {
+			rep, err := p.hop(q.r.Context(), peer{coopProxy, base}, "GET", "/peer-lookup?key="+q.id.String(), nil, q.st.TraceID())
+			if err != nil {
+				return served{}, err
+			}
+			if rep.status != http.StatusOK && rep.status != http.StatusNotFound {
+				p.peerFailed(base)
+				return served{}, errMiss
+			}
+			p.peerOK(base) // it answered, if only that it has not got the object
+			if rep.status == http.StatusNotFound {
+				return served{}, errMiss
+			}
+			// An empty body is served without being cached
+			// (store.ErrEmptyObject), which evicts nothing.
+			evicted, _, _ := p.tier.Put(q.folded, store.Object{HexKey: q.id.String(), Body: rep.body, Cost: remoteCost})
+			return served{body: rep.body, by: TierRemoteProxy, hits: &p.stats.remoteHits, evicted: evicted}, nil
+		},
+	}, tier{
+		// 4. Origin, through the coalescer: concurrent misses on one URL
+		// share a single origin fetch.  The flight's winner inserts and
+		// has the evictions to pass down; a waiter serves the winner's
+		// body and has none.
+		spans: []string{"origin.fetch"}, cat: "Ts",
+		ask: func(q fetchReq, _ string, _ int) (served, error) {
+			view, err := p.tier.GetOrLoad(q.folded, func() (store.Object, string, error) {
+				body, err := p.originFetch(q.url)
+				return store.Object{HexKey: q.id.String(), Body: body, Cost: originCost}, TierOrigin, err
+			})
+			if err != nil {
+				return served{}, err
+			}
+			s := served{body: view.Object.Body, by: view.Tag, hits: &p.stats.originFetch, evicted: view.Evicted}
+			switch {
+			case view.Outcome == store.OutcomeHit:
+				// Another request's insert landed between the first tier
+				// and here: a proxy cache hit after all.
+				s.by, s.hits = TierProxy, &p.stats.proxyHits
+			case view.Outcome == store.OutcomeCoalesced:
+				s.hits = &p.stats.coalesced
+			case view.Tag == TierProxyDisk:
+				// The tiered store satisfied the flight from its log: a
+				// disk-resident key that raced past the disk tier's probe.
+				s.hits = &p.stats.diskHits
+			}
+			return s, nil
+		},
+	})
+}

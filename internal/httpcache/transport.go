@@ -1,6 +1,8 @@
 package httpcache
 
 import (
+	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"time"
@@ -45,6 +47,98 @@ const drainCap = 4 << 10
 func drainClose(body io.ReadCloser) {
 	io.CopyN(io.Discard, body, drainCap)
 	body.Close()
+}
+
+// peer names the far end of a hop.
+type peer struct {
+	kind peerKind
+	addr string
+}
+
+type peerKind int
+
+const (
+	clientCache peerKind = iota // a daemon on this proxy's ring, by the host:port it registered
+	coopProxy                   // a cooperating proxy, by base URL
+	fleetMember                 // a member of this proxy's fleet, by base URL
+)
+
+// reply is what a hop brought back: status and headers, and the whole
+// body when the status is 200 (any other reply's text is drained).
+type reply struct {
+	status int
+	header http.Header
+	body   []byte
+}
+
+// hop is one call to another daemon of the federation, and the only
+// place a per-hop deadline is set.  The deadline is peerTimeout()
+// layered on parent: a hop made for a requester passes the requester's
+// context, so hanging up cancels it, and one that must outlive the
+// request that caused it (a pass-down, a replica) passes its own.  A
+// non-nil body is POSTed; traceID, when set, joins the far end's spans
+// to the caller's trace.
+//
+// A hop that brings no complete reply is judged here, the same way for
+// every caller.  The deadline (or the parent's cancellation while the
+// hop is out) means the far end may only be slow: it counts as a peer_timeout and, for a
+// client cache, as a strike on its contribution ledger, which the
+// sweeper weighs.  Anything else is a connection-level failure, and
+// only that takes a client cache off the ring.  For a proxy both are a
+// failure for its breaker.  What a status means is the caller's
+// business, a proxy's peerOK included.  A fleet member is told the
+// call is a fleet hop (FleetHopHeader).
+func (p *Proxy) hop(parent context.Context, to peer, method, pathQuery string, body []byte, traceID string) (reply, error) {
+	if err := parent.Err(); err != nil {
+		return reply{}, err // whoever the hop was for is gone: nobody is asked, nobody judged
+	}
+	ctx, cancel := context.WithTimeout(parent, p.peerTimeout())
+	defer cancel()
+	base := to.addr
+	if to.kind == clientCache {
+		base = "http://" + to.addr
+	}
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, base+pathQuery, rd)
+	if err != nil {
+		return reply{}, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
+	}
+	if traceID != "" {
+		req.Header.Set(TraceHeader, traceID)
+	}
+	if to.kind == fleetMember {
+		req.Header.Set(FleetHopHeader, "1")
+	}
+	resp, err := p.client.Do(req)
+	if err == nil {
+		defer drainClose(resp.Body)
+		rep := reply{status: resp.StatusCode, header: resp.Header}
+		if resp.StatusCode == http.StatusOK {
+			rep.body, err = io.ReadAll(resp.Body)
+		}
+		if err == nil {
+			return rep, nil
+		}
+	}
+	timedOut := ctx.Err() != nil
+	if timedOut {
+		p.stats.peerTimeouts.Add(1)
+	}
+	switch {
+	case to.kind != clientCache:
+		p.peerFailed(to.addr)
+	case timedOut:
+		p.contribFor(to.addr).timeouts.Add(1)
+	default:
+		p.ring.remove(to.addr)
+	}
+	return reply{}, err
 }
 
 // CloseIdleConnections drops the proxy's pooled outbound connections.
