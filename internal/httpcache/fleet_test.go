@@ -27,7 +27,7 @@ func newFleetRig(t *testing.T, n, replication, hotThreshold int, chk *invariant.
 	rig := &fleetRig{origin: newTestOrigin()}
 	t.Cleanup(rig.origin.srv.Close)
 	for i := 0; i < n; i++ {
-		px := NewProxy(1 << 20)
+		px := NewProxy(16 << 20)
 		srv := httptest.NewServer(px.Handler())
 		t.Cleanup(srv.Close)
 		rig.proxies = append(rig.proxies, px)
