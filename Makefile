@@ -40,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRecord -fuzztime=$(FUZZTIME) ./internal/store/disk
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/store/disk
 	$(GO) test -run='^$$' -fuzz=FuzzFleetRingChurn -fuzztime=$(FUZZTIME) ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzHopReply -fuzztime=$(FUZZTIME) ./internal/httpcache
 
 race:
 	$(GO) test -race ./...

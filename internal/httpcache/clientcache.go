@@ -281,12 +281,12 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 	folded := fold(id)
 	ifFree := queryParam(r.URL.RawQuery, "ifFree") == "1"
 	if ifFree && r.ContentLength > 0 && !c.store.FreeFor(folded, int(r.ContentLength)) {
-		// A declared length that does not fit is refused before the body
-		// is buffered: no pooled read, no retained copy.
+		// A declared length that does not fit is refused before a byte of
+		// the body is read.
 		c.refuseStore(w)
 		return
 	}
-	body, err := readRetainedBody(w, r, 64<<20)
+	body, err := readRetainedBody(w, r)
 	if err != nil {
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -344,15 +344,18 @@ func (c *ClientCache) handlePush(w http.ResponseWriter, r *http.Request) {
 	}
 	// The push (§4.5): the client cache opens the connection to the
 	// proxy — never the other way around across organizations.  The
-	// trace id rides along so the accept-push hop stays in the trace.
-	req, err := http.NewRequest("POST", to, bytes.NewReader(obj.Body))
+	// POST descends from the ask: when the asking proxy hangs up (its
+	// per-hop deadline, or the cooperating proxy gone) the body stops
+	// going to a waiter that no longer listens.  The trace id rides along
+	// so the accept-push hop stays in the trace.
+	req, err := http.NewRequestWithContext(r.Context(), "POST", to, bytes.NewReader(obj.Body))
 	if err != nil {
 		sp.EndWasted()
 		st.FinishWall("error")
 		http.Error(w, "push failed: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header["Content-Type"] = contentTypeOctet
 	if tid := st.TraceID(); tid != "" {
 		req.Header.Set(TraceHeader, tid)
 	}

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"webcache/internal/wiretest"
 )
 
 // fakeDaemon is a scriptable stand-in for a client-cache daemon: it
@@ -58,7 +60,7 @@ func defenseProxy(t *testing.T, d Defenses, daemons ...*fakeDaemon) (*Proxy, *ht
 	t.Helper()
 	px := NewProxy(1 << 20)
 	px.SetDefenses(d)
-	srv := httptest.NewServer(px.Handler())
+	srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(srv.Close)
 	px.SetSelf(srv.URL)
 	for _, fd := range daemons {
@@ -155,7 +157,7 @@ func TestPushHopDeadline(t *testing.T) {
 	t.Cleanup(func() { close(release) })
 	hungAddr := strings.TrimPrefix(hung.URL, "http://")
 	cc := NewClientCache(1 << 20)
-	ccSrv := httptest.NewServer(cc.Handler())
+	ccSrv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	t.Cleanup(ccSrv.Close)
 
 	const deadline = 100 * time.Millisecond

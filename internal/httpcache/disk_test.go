@@ -10,6 +10,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"webcache/internal/wiretest"
 )
 
 // fetchVia GETs objURL through the proxy at proxyURL and returns
@@ -45,7 +47,7 @@ func TestProxyDiskTierSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := httptest.NewServer(p1.Handler())
+	srv1 := httptest.NewServer(wiretest.StrictFraming(t, p1.Handler()))
 	status, tier, body := fetchVia(t, srv1.URL, objURL)
 	if status != http.StatusOK || tier != TierOrigin {
 		t.Fatalf("cold fetch: status %d tier %q", status, tier)
@@ -67,7 +69,7 @@ func TestProxyDiskTierSurvivesRestart(t *testing.T) {
 	if got := p2.Disk().Recovered(); got != 1 {
 		t.Fatalf("recovered %d objects, want 1", got)
 	}
-	srv2 := httptest.NewServer(p2.Handler())
+	srv2 := httptest.NewServer(wiretest.StrictFraming(t, p2.Handler()))
 	defer srv2.Close()
 
 	status, tier, got := fetchVia(t, srv2.URL, objURL)
@@ -107,7 +109,7 @@ func TestOversizedObjectServedFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	srv := httptest.NewServer(p.Handler())
+	srv := httptest.NewServer(wiretest.StrictFraming(t, p.Handler()))
 	defer srv.Close()
 	objURL := origin.URL + "/big"
 
@@ -140,7 +142,7 @@ func TestClientCacheRecoveryReRegisters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := httptest.NewServer(cc1.Handler())
+	srv1 := httptest.NewServer(wiretest.StrictFraming(t, cc1.Handler()))
 	resp, err := http.Post(srv1.URL+"/store?key="+id.String()+"&cost=1",
 		"application/octet-stream", strings.NewReader("recovered-body"))
 	if err != nil {
@@ -167,11 +169,11 @@ func TestClientCacheRecoveryReRegisters(t *testing.T) {
 	if !found {
 		t.Fatalf("recovered keys %v do not include %s", rec, id.String())
 	}
-	srv2 := httptest.NewServer(cc2.Handler())
+	srv2 := httptest.NewServer(wiretest.StrictFraming(t, cc2.Handler()))
 	defer srv2.Close()
 
 	px := NewProxy(1 << 20)
-	pxSrv := httptest.NewServer(px.Handler())
+	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	defer pxSrv.Close()
 	px.SetSelf(pxSrv.URL)
 	payload, err := json.Marshal(registerBody{Recovered: rec})

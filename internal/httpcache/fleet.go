@@ -14,7 +14,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"slices"
@@ -258,7 +257,7 @@ func (p *Proxy) replicateOut(id pastry.ID, folded trace.ObjectID) {
 // StoreReceipt contract).  reason is "replica" or "rebalance".  Like a
 // pass-down it outlives whichever request caused it.
 func (p *Proxy) fleetStore(member string, obj store.Object, reason string) bool {
-	path := fmt.Sprintf("/fleet/store?key=%s&cost=%g&reason=%s", obj.HexKey, obj.Cost, reason)
+	path := "/fleet/store?key=" + obj.HexKey + "&cost=" + strconv.FormatFloat(obj.Cost, 'g', -1, 64) + "&reason=" + reason
 	rep, err := p.hop(context.Background(), peer{fleetMember, member}, "POST", path, obj.Body, "")
 	if err != nil {
 		return false
@@ -285,7 +284,7 @@ func (p *Proxy) handleFleetStore(w http.ResponseWriter, r *http.Request) {
 	if cost <= 0 {
 		cost = 1
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body, err := readRetainedBody(w, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -11,6 +11,7 @@ import (
 
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
+	"webcache/internal/wiretest"
 )
 
 // fleetRig deploys n fleet-enabled proxies (no client caches) over
@@ -28,7 +29,7 @@ func newFleetRig(t *testing.T, n, replication, hotThreshold int, chk *invariant.
 	t.Cleanup(rig.origin.srv.Close)
 	for i := 0; i < n; i++ {
 		px := NewProxy(16 << 20)
-		srv := httptest.NewServer(px.Handler())
+		srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 		t.Cleanup(srv.Close)
 		rig.proxies = append(rig.proxies, px)
 		rig.servers = append(rig.servers, srv)
@@ -259,7 +260,7 @@ func TestFleetJoinLeaveRebalance(t *testing.T) {
 	t.Cleanup(rig.origin.srv.Close)
 	for i := 0; i < 3; i++ {
 		px := NewProxy(1 << 20)
-		srv := httptest.NewServer(px.Handler())
+		srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 		t.Cleanup(srv.Close)
 		rig.proxies = append(rig.proxies, px)
 		rig.servers = append(rig.servers, srv)

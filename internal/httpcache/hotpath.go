@@ -1,11 +1,11 @@
 package httpcache
 
 import (
-	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 )
 
 // This file holds the request-path allocation helpers: the live data
@@ -60,15 +60,48 @@ var servedBy = map[string][]string{
 	TierPeerP2P:     {TierPeerP2P},
 }
 
-// serve writes an object body with its serving-tier header.
+// contentTypeOctet is what every body of the protocol is declared as,
+// replies and POSTs alike; an undeclared reply has its first 512 bytes
+// sniffed for a type nobody reads.
+var contentTypeOctet = []string{"application/octet-stream"}
+
+// lengthValues memoizes Content-Length header values, one slot per length
+// modulo the table size: a cache serves the same objects again and again,
+// so a hit finds its value here and allocates nothing, and lengths that
+// share a slot only cost each other a re-format.  Entries are immutable.
+var lengthValues [1 << 10]atomic.Pointer[lengthValue]
+
+type lengthValue struct {
+	n int
+	v []string
+}
+
+func contentLength(n int) []string {
+	slot := &lengthValues[uint(n)%uint(len(lengthValues))]
+	if e := slot.Load(); e != nil && e.n == n {
+		return e.v
+	}
+	e := &lengthValue{n, []string{strconv.Itoa(n)}}
+	slot.Store(e)
+	return e.v
+}
+
+// serve writes an object body with its serving-tier header, and is the
+// only place one is written.  It declares the length: net/http fills one
+// in only for a reply that fits its 2 KiB pre-chunk buffer, and a longer
+// one would leave chunked, with no size for the far end to read to
+// (DESIGN.md §9, "The wire").
 func serve(w http.ResponseWriter, body []byte, tier string) {
+	h := w.Header()
 	if v, ok := servedBy[tier]; ok {
-		w.Header()[ServedByHeader] = v
+		h[ServedByHeader] = v
 	} else {
 		// Unknown tier label (a fleet hop relaying a peer's tag):
 		// fall back to the allocating path.
-		w.Header().Set(ServedByHeader, tier)
+		h.Set(ServedByHeader, tier)
 	}
+	h["Content-Length"] = contentLength(len(body))
+	h["Content-Type"] = contentTypeOctet
 	w.Write(body)
 }
 
@@ -83,38 +116,15 @@ var (
 	receiptStoredClean = []byte("{\"stored\":true}\n")
 )
 
-// bodyBuf is a pooled scratch buffer for reading request bodies whose
-// final destination retains the bytes (the store keeps object bodies
-// forever, so they cannot live in a pool).  Reading through pooled
-// scratch and copying once means each store costs exactly one
-// right-sized allocation — the retained body — instead of io.ReadAll's
-// log-of-size growth garbage.
-type bodyBuf struct{ b []byte }
+// maxBody bounds a POSTed object body.
+const maxBody = 64 << 20
 
-var bodyBufPool = sync.Pool{New: func() any { return &bodyBuf{b: make([]byte, 0, 64<<10)} }}
-
-// readRetainedBody reads the request body (bounded by limit, with
-// MaxBytesReader's 413 semantics) into pooled scratch and returns an
-// exact-size copy the caller owns.
-func readRetainedBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	bb := bodyBufPool.Get().(*bodyBuf)
-	defer bodyBufPool.Put(bb)
-	rd := http.MaxBytesReader(w, r.Body, limit)
-	bb.b = bb.b[:0]
-	for {
-		if len(bb.b) == cap(bb.b) {
-			bb.b = append(bb.b, 0)[:len(bb.b)]
-		}
-		n, err := rd.Read(bb.b[len(bb.b):cap(bb.b)])
-		bb.b = bb.b[:len(bb.b)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+// readRetainedBody reads a POSTed object body into the slice the store
+// retains.  A declared length past maxBody is refused unread; an undeclared
+// body is cut off there, with MaxBytesReader's 413 semantics.
+func readRetainedBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxBody {
+		return nil, &http.MaxBytesError{Limit: maxBody}
 	}
-	out := make([]byte, len(bb.b))
-	copy(out, bb.b)
-	return out, nil
+	return readBody(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength)
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"webcache/internal/pastry"
+	"webcache/internal/wiretest"
 )
 
 // testOrigin is a deterministic origin server counting its hits.
@@ -46,7 +47,7 @@ func deploy(t *testing.T, numProxies, cachesPerProxy int, proxyCap, cacheCap uin
 	t.Cleanup(func() { d.origin.srv.Close() })
 	for p := 0; p < numProxies; p++ {
 		px := NewProxy(proxyCap)
-		srv := httptest.NewServer(px.Handler())
+		srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 		t.Cleanup(srv.Close)
 		px.SetSelf(srv.URL)
 		d.proxies = append(d.proxies, px)
@@ -56,7 +57,7 @@ func deploy(t *testing.T, numProxies, cachesPerProxy int, proxyCap, cacheCap uin
 		var ccsrv []*httptest.Server
 		for c := 0; c < cachesPerProxy; c++ {
 			cc := NewClientCache(cacheCap)
-			s := httptest.NewServer(cc.Handler())
+			s := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 			t.Cleanup(s.Close)
 			addr := strings.TrimPrefix(s.URL, "http://")
 			resp, err := http.Post(fmt.Sprintf("%s/register?addr=%s", srv.URL, addr), "text/plain", nil)
@@ -238,7 +239,7 @@ func TestDiversionOverHTTP(t *testing.T) {
 
 func TestClientCacheDaemonEndpoints(t *testing.T) {
 	cc := NewClientCache(1 << 20)
-	srv := httptest.NewServer(cc.Handler())
+	srv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	defer srv.Close()
 	key := pastry.HashString("http://x/y").String()
 

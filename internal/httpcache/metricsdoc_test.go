@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"webcache/internal/obs"
+	"webcache/internal/wiretest"
 )
 
 // TestMetricsDocHTTPCache holds the httpcache.* namespace in
@@ -28,8 +29,8 @@ func TestMetricsDocHTTPCache(t *testing.T) {
 	for _, h := range []struct {
 		srv *httptest.Server
 	}{
-		{httptest.NewServer(px.Handler())},
-		{httptest.NewServer(cc.Handler())},
+		{httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))},
+		{httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))},
 	} {
 		defer h.srv.Close()
 		resp, err := h.srv.Client().Get(h.srv.URL + "/metrics")

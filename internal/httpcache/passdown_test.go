@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"webcache/internal/store"
+	"webcache/internal/wiretest"
 )
 
 // urlsOwnedBy returns n distinct URLs whose ring owner is addr.  Cache
@@ -48,7 +49,7 @@ func ringOf(t *testing.T, capacities ...uint64) (*Proxy, []*ClientCache, []strin
 	var addrs []string
 	for _, c := range capacities {
 		cc := NewClientCache(c)
-		srv := httptest.NewServer(cc.Handler())
+		srv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 		t.Cleanup(srv.Close)
 		addr := strings.TrimPrefix(srv.URL, "http://")
 		px.ring.add(addr)
@@ -176,7 +177,7 @@ func TestPassDownStaleFigureCorrected(t *testing.T) {
 // for a neighbour, and an empty cache stores without evicting.
 func TestPassDownReRegisterForgetsFigure(t *testing.T) {
 	px := NewProxy(1 << 20)
-	pxSrv := httptest.NewServer(px.Handler())
+	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
 
 	var owner atomic.Pointer[ClientCache] // swapped to restart the daemon on its address
@@ -186,7 +187,7 @@ func TestPassDownReRegisterForgetsFigure(t *testing.T) {
 	}))
 	t.Cleanup(ownerSrv.Close)
 	roomy := NewClientCache(1 << 20)
-	roomySrv := httptest.NewServer(roomy.Handler())
+	roomySrv := httptest.NewServer(wiretest.StrictFraming(t, roomy.Handler()))
 	t.Cleanup(roomySrv.Close)
 	a := strings.TrimPrefix(ownerSrv.URL, "http://")
 	px.ring.add(a)
@@ -254,7 +255,7 @@ func TestRefusedAndMissedRepliesKeepConnection(t *testing.T) {
 	cc := NewClientCache(15)
 	cc.store.Put(fold(keyOf("filler")), store.Object{HexKey: keyOf("filler").String(), Body: []byte("0123456789"), Cost: 1})
 	var opened atomic.Int64
-	srv := httptest.NewUnstartedServer(cc.Handler())
+	srv := httptest.NewUnstartedServer(wiretest.StrictFraming(t, cc.Handler()))
 	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
 		if s == http.StateNew {
 			opened.Add(1)

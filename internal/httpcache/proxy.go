@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -299,7 +298,7 @@ func (p *Proxy) originFetch(url string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp.Body, resp.ContentLength)
 	resp.Body.Close()
 	if err != nil {
 		return nil, fmt.Errorf("reading origin body: %w", err)
@@ -401,7 +400,7 @@ func (p *Proxy) passDown(obj store.Object) {
 // object has already left the proxy, and a requester hanging up must
 // not lose it.
 func (p *Proxy) storeAt(target string, obj store.Object, ifFree bool) (*StoreReceipt, error) {
-	path := fmt.Sprintf("/store?key=%s&cost=%g", obj.HexKey, obj.Cost)
+	path := "/store?key=" + obj.HexKey + "&cost=" + strconv.FormatFloat(obj.Cost, 'g', -1, 64)
 	if ifFree {
 		path += "&ifFree=1"
 	}
@@ -530,7 +529,7 @@ func (p *Proxy) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 	defer p.pushWaiters.Delete(pushID)
 	push := st.StartSpan("peer.push", "Tp2p")
 	accepted := false
-	path := fmt.Sprintf("/push?key=%s&to=%s/accept-push?id=%s", id, p.self, pushID)
+	path := "/push?key=" + id.String() + "&to=" + p.self + "/accept-push?id=" + pushID
 	for _, cand := range p.ring.candidates(addr) {
 		rep, err := p.hop(r.Context(), peer{clientCache, cand}, "POST", path, nil, st.TraceID())
 		if err == nil && rep.status == http.StatusNoContent {
@@ -574,7 +573,7 @@ func (p *Proxy) handleAcceptPush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown push id", http.StatusGone)
 		return
 	}
-	body, err := readRetainedBody(w, r, 64<<20)
+	body, err := readRetainedBody(w, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

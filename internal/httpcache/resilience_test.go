@@ -1,17 +1,22 @@
 package httpcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"webcache/internal/wiretest"
 )
 
 // A crashed client-cache daemon must not break the proxy: the stale
@@ -91,9 +96,9 @@ func TestConcurrentFetches(t *testing.T) {
 func TestLivenessSweep(t *testing.T) {
 	px := NewProxy(1 << 20)
 	live := NewClientCache(1 << 20)
-	liveSrv := httptest.NewServer(live.Handler())
+	liveSrv := httptest.NewServer(wiretest.StrictFraming(t, live.Handler()))
 	t.Cleanup(liveSrv.Close)
-	deadSrv := httptest.NewServer(NewClientCache(1 << 20).Handler())
+	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, NewClientCache(1<<20).Handler()))
 	liveAddr := strings.TrimPrefix(liveSrv.URL, "http://")
 	deadAddr := strings.TrimPrefix(deadSrv.URL, "http://")
 	px.ring.add(liveAddr)
@@ -123,7 +128,7 @@ func TestLivenessSweep(t *testing.T) {
 // cleanly (stop is idempotent).
 func TestStartSweeper(t *testing.T) {
 	px := NewProxy(1 << 20)
-	deadSrv := httptest.NewServer(NewClientCache(1 << 20).Handler())
+	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, NewClientCache(1<<20).Handler()))
 	deadAddr := strings.TrimPrefix(deadSrv.URL, "http://")
 	px.ring.add(deadAddr)
 	deadSrv.Close()
@@ -155,7 +160,7 @@ func TestCoalescedOriginFetch(t *testing.T) {
 	t.Cleanup(origin.Close)
 
 	px := NewProxy(1 << 20)
-	pxSrv := httptest.NewServer(px.Handler())
+	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
 	px.SetSelf(pxSrv.URL)
 
@@ -223,7 +228,7 @@ func TestCoalescedOriginFetch(t *testing.T) {
 // receipt says so explicitly instead of silently coercing the size.
 func TestEmptyBodyStoreReceipt(t *testing.T) {
 	cc := NewClientCache(1 << 20)
-	srv := httptest.NewServer(cc.Handler())
+	srv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	t.Cleanup(srv.Close)
 	key := keyOf("http://origin.test/empty").String()
 	resp, err := http.Post(fmt.Sprintf("%s/store?key=%s&cost=1", srv.URL, key),
@@ -256,7 +261,7 @@ func TestOriginShortBody(t *testing.T) {
 	t.Cleanup(origin.Close)
 
 	px := NewProxy(1 << 20)
-	pxSrv := httptest.NewServer(px.Handler())
+	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
 	px.SetSelf(pxSrv.URL)
 
@@ -278,6 +283,156 @@ func TestOriginShortBody(t *testing.T) {
 	}
 	if n := px.Store().Len(); n != 0 {
 		t.Fatalf("proxy cached %d objects from an aborted origin body", n)
+	}
+}
+
+// shortFarEnd answers every request as the named tier would, with a body
+// that declares n bytes and ends after n/2: net/http closes the
+// connection on the shortfall, which is what a daemon dying mid-reply
+// looks like from the other side.
+func shortFarEnd(t *testing.T, n int, tier string) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(ServedByHeader, tier)
+		w.Header().Set("Content-Length", strconv.Itoa(n))
+		w.Write(bytes.Repeat([]byte("s"), n/2))
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// The short-body row of the failure matrix, for every hop that carries a
+// body back: a client cache, a cooperating proxy and a fleet holder that
+// declare 8 KiB and close after 4.  The /fetch is served whole by the next
+// candidate or the origin, the short body is served to nobody and cached
+// nowhere, and the far end is judged as hop judges any connection that
+// broke before its deadline: a daemon leaves the ring, a proxy takes a
+// failure on its breaker (one failure opens it here), and nobody is
+// booked a timeout.
+func TestShortBodyPerHop(t *testing.T) {
+	const declared = 8 << 10
+	origin := newTestOrigin()
+	t.Cleanup(origin.srv.Close)
+	oneStrike := Defenses{BreakerFailures: 1, BreakerCooldown: time.Minute}
+
+	tests := []struct {
+		name  string
+		setup func(t *testing.T) (f pinned, objURL string, judged func(t *testing.T))
+		tier  string
+		body  string // "" = the origin's
+		delta ProxyStats
+		spans []string
+	}{
+		{name: "client cache, the neighbour has a copy",
+			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
+				short := shortFarEnd(t, declared, TierClientCache)
+				shortAddr := strings.TrimPrefix(short.URL, "http://")
+				px, _, addrs := ringOf(t, 1<<20)
+				px.ring.add(shortAddr)
+				objURL := urlsOwnedBy(t, px, shortAddr, "short", 1)[0]
+				resp, err := http.Post(fmt.Sprintf("http://%s/store?key=%s&cost=1", addrs[0], keyOf(objURL)),
+					"application/octet-stream", strings.NewReader("the-neighbour's-copy"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				plantDir(px, objURL)
+				return pin(t, px, ""), objURL, func(t *testing.T) {
+					if got := px.ring.addresses(); !slices.Equal(got, addrs) {
+						t.Errorf("ring = %v, want only the live daemon %v", got, addrs)
+					}
+					if got := px.contribFor(shortAddr).timeouts.Load(); got != 0 {
+						t.Errorf("short daemon booked %d timeout strikes, want 0", got)
+					}
+				}
+			},
+			tier:  TierClientCache,
+			body:  "the-neighbour's-copy",
+			delta: ProxyStats{Requests: 1, ClientHits: 1, DivertedHits: 1},
+			spans: []string{"!proxy.cache", "!client.fetch", "client.fetch.divert"}},
+		{name: "client cache, the only holder",
+			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
+				short := shortFarEnd(t, declared, TierClientCache)
+				px := NewProxy(1 << 20)
+				px.ring.add(strings.TrimPrefix(short.URL, "http://"))
+				objURL := origin.srv.URL + "/short-daemon"
+				plantDir(px, objURL)
+				return pin(t, px, ""), objURL, func(t *testing.T) {
+					if n := px.ring.size(); n != 0 {
+						t.Errorf("ring holds %d daemons, want the short one removed", n)
+					}
+				}
+			},
+			tier:  TierOrigin,
+			delta: ProxyStats{Requests: 1, OriginFetch: 1, DirEntries: -1},
+			spans: []string{"!proxy.cache", "!client.fetch", "origin.fetch"}},
+		{name: "cooperating proxy",
+			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
+				short := shortFarEnd(t, declared, TierPeerProxy)
+				px := NewProxy(1 << 20)
+				px.SetDefenses(oneStrike)
+				px.SetPeers([]string{short.URL})
+				return pin(t, px, ""), origin.srv.URL + "/short-peer", func(t *testing.T) {
+					if px.peerAllowed(short.URL) {
+						t.Error("the short peer's breaker is still closed")
+					}
+				}
+			},
+			tier:  TierOrigin,
+			delta: ProxyStats{Requests: 1, OriginFetch: 1, Defense: DefenseStats{BreakerOpens: 1}},
+			spans: []string{"!proxy.cache", "!peer.lookup", "origin.fetch"}},
+		{name: "fleet holder",
+			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
+				short := shortFarEnd(t, declared, TierProxy)
+				px := NewProxy(1 << 20)
+				px.SetDefenses(oneStrike)
+				f := pin(t, px, "")
+				px.EnableFleet(FleetOptions{Self: f.base, Members: []string{f.base, short.URL}})
+				for i := 0; ; i++ {
+					objURL := fmt.Sprintf("%s/short-holder-%d", origin.srv.URL, i)
+					if owner, _ := px.FleetRing().OwnerOf(fold(keyOf(objURL))); owner == short.URL {
+						return f, objURL, func(t *testing.T) {
+							if px.peerAllowed(short.URL) {
+								t.Error("the short holder's breaker is still closed")
+							}
+						}
+					}
+				}
+			},
+			tier:  TierOrigin,
+			delta: ProxyStats{Requests: 1, OriginFetch: 1, Defense: DefenseStats{BreakerOpens: 1}, Fleet: FleetStats{RouteFailed: 1}},
+			spans: []string{"!proxy.cache", "!fleet.route", "origin.fetch"}},
+	}
+	for i, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			f, objURL, judged := tc.setup(t)
+			before := f.px.snapshotStats()
+			traceID := fmt.Sprintf("short-%d", i)
+			resp, body := framedGet(t, f.fetchURL(objURL), TraceHeader, traceID)
+			want := tc.body
+			if want == "" {
+				want = "content-of:" + strings.TrimPrefix(objURL, origin.srv.URL)
+			}
+			if resp.StatusCode != http.StatusOK || string(body) != want {
+				t.Fatalf("status %d, %d body bytes %.40q, want 200 %q", resp.StatusCode, len(body), body, want)
+			}
+			if tier := resp.Header.Get(ServedByHeader); tier != tc.tier {
+				t.Errorf("%s = %q, want %q", ServedByHeader, tier, tc.tier)
+			}
+			label, spans := finishedTrace(t, f.tr, traceID)
+			if label != tc.tier || !slices.Equal(spans, tc.spans) {
+				t.Errorf("trace closed as %q with spans %v, want %q %v", label, spans, tc.tier, tc.spans)
+			}
+			if got := statsDelta(before, f.px.snapshotStats()); got != tc.delta {
+				t.Errorf("counters moved by %+v, want %+v", got, tc.delta)
+			}
+			judged(t)
+			// Nothing short was cached: what the proxy holds under the key,
+			// if anything, is the whole object it served.
+			if obj, ok := f.px.Store().Get(fold(keyOf(objURL))); ok && string(obj.Body) != want {
+				t.Errorf("proxy cached %d bytes under the key, want the %d it served", len(obj.Body), len(want))
+			}
+		})
 	}
 }
 
@@ -303,7 +458,7 @@ func TestPassDownBoundedPerHop(t *testing.T) {
 	const deadline = 150 * time.Millisecond
 	px := NewProxy(20) // one 17-byte body: the second fetch evicts the first
 	px.SetDefenses(Defenses{PeerTimeout: deadline})
-	pxSrv := httptest.NewServer(px.Handler())
+	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
 	px.ring.add(addr)
 

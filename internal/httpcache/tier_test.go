@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"webcache/internal/obs"
+	"webcache/internal/wiretest"
 )
 
 // get issues a GET and returns (status, tier header).
@@ -114,7 +115,7 @@ func pin(t *testing.T, px *Proxy, base string) pinned {
 	tr := obs.NewTracer(obs.TracerOptions{Origin: "pinned", Clock: obs.ClockWall})
 	px.SetTracer(tr)
 	if base == "" {
-		srv := httptest.NewServer(px.Handler())
+		srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 		t.Cleanup(srv.Close)
 		px.SetSelf(srv.URL)
 		base = srv.URL
@@ -152,7 +153,7 @@ func TestServedByHeaderPerPath(t *testing.T) {
 
 	// One client cache holding a known object, for the /object path.
 	cc := NewClientCache(1 << 20)
-	ccSrv := httptest.NewServer(cc.Handler())
+	ccSrv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	t.Cleanup(ccSrv.Close)
 	storedKey := keyOf("http://origin.test/direct").String()
 	resp, err := http.Post(ccSrv.URL+"/store?key="+storedKey+"&cost=1", "application/octet-stream",

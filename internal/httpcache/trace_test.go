@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"webcache/internal/obs"
+	"webcache/internal/wiretest"
 )
 
 // attachObs wires a tracer and registry into every daemon of a
@@ -190,7 +191,7 @@ func TestMetricsEndpointsParse(t *testing.T) {
 
 	// Without a registry the endpoint still serves a valid (empty)
 	// exposition.
-	bare := httptest.NewServer(NewProxy(1 << 20).Handler())
+	bare := httptest.NewServer(wiretest.StrictFraming(t, NewProxy(1<<20).Handler()))
 	defer bare.Close()
 	if n, err := obs.ParsePrometheusText(strings.NewReader(get(bare.URL + "/metrics"))); err != nil || n != 0 {
 		t.Fatalf("bare /metrics: %d samples, err %v", n, err)

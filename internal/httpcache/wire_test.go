@@ -1,14 +1,24 @@
 package httpcache
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"webcache/internal/store"
+	"webcache/internal/wiretest"
 )
 
 // sizedOrigin serves /<anything> with a body of exactly size bytes and,
@@ -76,7 +86,7 @@ func TestBodyRepliesDeclareLength(t *testing.T) {
 			dsk := pin(t, dskPx, "")
 
 			cc := NewClientCache(capacity)
-			ccSrv := httptest.NewServer(cc.Handler())
+			ccSrv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 			t.Cleanup(ccSrv.Close)
 			resp, err := http.Post(ccSrv.URL+"/store?key="+key("/direct")+"&cost=1", "application/octet-stream",
 				bytes.NewReader(sizedBody("/direct", size)))
@@ -135,7 +145,280 @@ func TestBodyRepliesDeclareLength(t *testing.T) {
 					t.Errorf("%s: Content-Length %q, Transfer-Encoding %v, want %d declared and no transfer coding",
 						row.name, got, resp.TransferEncoding, size)
 				}
+				if got := resp.Header.Get("Content-Type"); got != "application/octet-stream" {
+					t.Errorf("%s: Content-Type %q, want the declared application/octet-stream, not a sniffed one", row.name, got)
+				}
 			}
 		})
+	}
+}
+
+// countingConn counts the write calls a connection takes and the read
+// calls that bring bytes back, which on a socket are syscalls.
+type countingConn struct {
+	net.Conn
+	writes, reads *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+// TestHopWritesOnce pins what the transport's buffers are sized for
+// (wireBuf): an object-sized message is one write, headers and body
+// together, and its reply is taken in by as many reads as the far end
+// made writes.  net/http's server writes an 8 KiB reply in two, through
+// its fixed 4 KiB buffer, so two reads is the floor for a LAN fetch.  A
+// body read to its declared end also leaves the connection in the pool
+// with nothing more to drain: every exchange below shares one.
+func TestHopWritesOnce(t *testing.T) {
+	var dials, writes, reads atomic.Int64
+	px, _, addrs := ringOf(t, 1<<20)
+	tr := px.client.Transport.(*http.Transport)
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		return countingConn{conn, &writes, &reads}, err
+	}
+	obj := store.Object{HexKey: keyOf("http://origin.test/8k").String(), Body: sizedBody("/8k", 8<<10), Cost: 1}
+	for i := 0; i < 5; i++ {
+		w, r := writes.Load(), reads.Load()
+		if rec, err := px.storeAt(addrs[0], obj, false); rec == nil || err != nil {
+			t.Fatalf("store = (%v, %v)", rec, err)
+		}
+		if got := writes.Load() - w; got != 1 {
+			t.Errorf("round %d: an 8 KiB /store POST took %d writes, want 1", i, got)
+		}
+		if got := reads.Load() - r; got != 1 {
+			t.Errorf("round %d: its receipt took %d reads, want 1", i, got)
+		}
+		w, r = writes.Load(), reads.Load()
+		body, ok := px.lanFetch(context.Background(), addrs[0], keyOf("http://origin.test/8k"), "")
+		if !ok || !bytes.Equal(body, obj.Body) {
+			t.Fatalf("LAN fetch = (%d bytes, %v)", len(body), ok)
+		}
+		if got := writes.Load() - w; got != 1 {
+			t.Errorf("round %d: a LAN fetch's GET took %d writes, want 1", i, got)
+		}
+		if got := reads.Load() - r; got > 2 {
+			t.Errorf("round %d: an 8 KiB LAN-fetch reply took %d reads, want at most 2", i, got)
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Errorf("ten exchanges with one daemon dialed %d connections, want 1", got)
+	}
+}
+
+// A declared length is the far end's word, not a fact.  An origin that
+// declares a terabyte and sends ten bytes is the existing short-body 502,
+// and costs no more memory than bodyTrust; an origin that declares nothing
+// (chunked) is still served, whole, and cached.
+func TestDeclaredLengthUntrusted(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/liar":
+			w.Header().Set("Content-Length", "1099511627776")
+			w.Write([]byte("only-ten-b"))
+		case "/chunked":
+			for i := 0; i < 4; i++ {
+				w.Write(sizedBody("/chunked", 8<<10)[i*2048 : (i+1)*2048])
+				w.(http.Flusher).Flush()
+			}
+		}
+	}))
+	t.Cleanup(origin.Close)
+	f := pin(t, NewProxy(1<<20), "")
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, msg := framedGet(t, f.fetchURL(origin.URL+"/liar"))
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(msg), "reading origin body") {
+		t.Fatalf("lying origin: status %d %q, want the short-body 502", resp.StatusCode, msg)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*bodyTrust {
+		t.Errorf("a declared terabyte cost %d bytes of allocation, want no more than bodyTrust (%d) and change", got, bodyTrust)
+	}
+	if n := f.px.Store().Len(); n != 0 {
+		t.Errorf("proxy cached %d objects from the lying origin", n)
+	}
+
+	for _, tier := range []string{TierOrigin, TierProxy} {
+		resp, body := framedGet(t, f.fetchURL(origin.URL+"/chunked"))
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, sizedBody("/chunked", 8<<10)) ||
+			resp.Header.Get(ServedByHeader) != tier {
+			t.Fatalf("chunked origin: status %d, %d bytes by %q, want 200 and all 8 KiB by %q",
+				resp.StatusCode, len(body), resp.Header.Get(ServedByHeader), tier)
+		}
+	}
+}
+
+// replyServer is a far end that speaks raw bytes: each request's query
+// says which status and Content-Length to announce (declared < 0: none),
+// how many body bytes to send, and after how many bytes of the reply as a
+// whole to close the connection.
+func replyServer(t testing.TB) (addr string) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				req, err := http.ReadRequest(bufio.NewReader(conn))
+				if err != nil {
+					return
+				}
+				q := req.URL.Query()
+				declared, _ := strconv.ParseInt(q.Get("declared"), 10, 64)
+				sent, _ := strconv.Atoi(q.Get("sent"))
+				closeAt, _ := strconv.Atoi(q.Get("closeAt"))
+				reply := "HTTP/1.1 " + q.Get("status") + " Fuzzed\r\n"
+				if declared >= 0 {
+					reply += "Content-Length: " + strconv.FormatInt(declared, 10) + "\r\n"
+				}
+				reply += "\r\n" + strings.Repeat("b", sent)
+				conn.Write([]byte(reply[:min(closeAt, len(reply))]))
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// FuzzHopReply puts hop in front of a far end that may announce one
+// length, send another and hang up anywhere.  Whatever it does, hop does
+// not panic, a body it returns is exactly as long as was declared, and no
+// declaration makes it allocate past bodyTrust before the bytes are there.
+func FuzzHopReply(f *testing.F) {
+	// The seeds are in testdata/fuzz/FuzzHopReply, one named file each: an
+	// honest reply, a terabyte declared and ten bytes sent, a hang-up
+	// inside the headers, no length at all, more sent than declared.
+	addr := replyServer(f)
+	px := NewProxy(1 << 20)
+	px.SetDefenses(Defenses{PeerTimeout: 2 * time.Second})
+	f.Fuzz(func(t *testing.T, status uint16, declared int64, sent, closeAt uint16) {
+		path := fmt.Sprintf("/object?status=%03d&declared=%d&sent=%d&closeAt=%d", status, declared, sent, closeAt)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := px.hop(context.Background(), peer{clientCache, addr}, "GET", path, nil, "")
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*bodyTrust {
+			t.Errorf("%s: hop allocated %d bytes, want no more than bodyTrust (%d) and change", path, got, bodyTrust)
+		}
+		if err != nil {
+			return
+		}
+		if rep.status != http.StatusOK && rep.body != nil {
+			t.Errorf("%s: status %d came back with a %d-byte body", path, rep.status, len(rep.body))
+		}
+		if rep.status == http.StatusOK && declared >= 0 && int64(len(rep.body)) != declared {
+			t.Errorf("%s: hop returned %d body bytes of a reply that declared %d", path, len(rep.body), declared)
+		}
+	})
+}
+
+// The push descends from the ask (§4.5's push is made for one waiting
+// proxy): when the asking side hangs up while the daemon is shipping the
+// body, the daemon abandons its POST, and a push nobody received is not
+// counted.
+func TestPushDescendsFromAsk(t *testing.T) {
+	arrived, abandoned := make(chan struct{}), make(chan struct{})
+	acceptPush := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The body is in, the reply is not: this is where a real waiter
+		// would be handing the object to its peer.  (net/http watches a
+		// connection for closing only once the request body is read.)
+		io.Copy(io.Discard, r.Body)
+		close(arrived)
+		<-r.Context().Done() // the daemon's connection closing: its POST given up
+		close(abandoned)
+	}))
+	t.Cleanup(acceptPush.Close)
+
+	cc := NewClientCache(1 << 20)
+	pushReturned := make(chan struct{})
+	ccSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		wiretest.StrictFraming(t, cc.Handler()).ServeHTTP(w, r)
+		close(pushReturned) // the one request of this test
+	}))
+	t.Cleanup(ccSrv.Close)
+	key := keyOf("http://origin.test/pushed")
+	cc.store.Put(fold(key), store.Object{HexKey: key.String(), Body: sizedBody("/pushed", 8<<10), Cost: 1})
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	ask, err := http.NewRequestWithContext(ctx, "POST", ccSrv.URL+"/push?key="+key.String()+"&to="+acceptPush.URL+"/accept-push?id=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(ask)
+		if err == nil {
+			resp.Body.Close()
+		}
+		asked <- err
+	}()
+	<-arrived
+	hangUp()
+	if err := <-asked; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the ask returned %v, want its cancellation", err)
+	}
+	select {
+	case <-abandoned:
+	case <-time.After(3 * time.Second): // the daemon's own client gives up after 5 s
+		t.Fatal("the daemon kept its push POST going after the asking proxy hung up")
+	}
+	<-pushReturned // the handler books a push only after its POST returns
+	if got := cc.snapshotStats().Pushes; got != 0 {
+		t.Errorf("pushes = %d after an abandoned push, want 0", got)
+	}
+}
+
+// readBody itself, on both sides of bodyTrust: a declaration honoured is
+// one slice of exactly that length, one cut short anywhere is an error.
+func TestReadBody(t *testing.T) {
+	for _, tc := range []struct{ declared, available int64 }{
+		{0, 0},
+		{0, 10}, // the rest is the next message's
+		{8 << 10, 8 << 10},
+		{8 << 10, 4 << 10},
+		{8 << 10, 0},
+		{bodyTrust, bodyTrust},
+		{3*bodyTrust + 17, 3*bodyTrust + 17},
+		{3*bodyTrust + 17, bodyTrust}, // ends where the trusted part does
+		{3*bodyTrust + 17, 3 * bodyTrust},
+		{-1, 5000},
+	} {
+		src := bytes.Repeat([]byte("0123456789abcdef"), int(tc.available/16)+1)[:tc.available]
+		body, err := readBody(bytes.NewReader(src), tc.declared)
+		if short := tc.declared > tc.available; short {
+			if err == nil || body != nil {
+				t.Errorf("declared %d, %d available: got %d bytes, err %v, want an error and no body",
+					tc.declared, tc.available, len(body), err)
+			}
+			continue
+		}
+		want := src
+		if tc.declared >= 0 {
+			want = src[:tc.declared]
+		}
+		if err != nil || !bytes.Equal(body, want) || tc.declared >= 0 && cap(body) != len(body) {
+			t.Errorf("declared %d, %d available: got %d bytes (cap %d), err %v, want the first %d in a slice of that size",
+				tc.declared, tc.available, len(body), cap(body), err, len(want))
+		}
 	}
 }

@@ -12,13 +12,13 @@ import (
 // topology where half the servers are already gone.
 func TestFlashDisconnect(t *testing.T) {
 	start := func() *Topology {
-		topo, err := StartLoopback(TopologyConfig{
+		topo, err := StartLoopback(strictly(t, TopologyConfig{
 			Proxies:            2,
 			CachesPerProxy:     3,
 			ProxyCapacityBytes: []uint64{1 << 20, 1 << 20},
 			CacheCapacityBytes: []uint64{1 << 20, 1 << 20, 1 << 20, 1 << 20, 1 << 20, 1 << 20},
 			ObjectBytes:        64,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}

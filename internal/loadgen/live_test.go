@@ -3,12 +3,23 @@ package loadgen
 import (
 	"context"
 	"math"
+	"net/http"
 	"testing"
 	"time"
 
 	"webcache/internal/prowgen"
 	"webcache/internal/sim"
+	"webcache/internal/wiretest"
 )
+
+// strictly puts every daemon of a loopback topology behind the framing
+// check: a handler that writes an object body without declaring its
+// length fails the test that started it.
+func strictly(t *testing.T, cfg TopologyConfig) TopologyConfig {
+	cfg.WrapProxy = func(_ int, h http.Handler) http.Handler { return wiretest.StrictFraming(t, h) }
+	cfg.WrapCache = func(_, _ int, h http.Handler) http.Handler { return wiretest.StrictFraming(t, h) }
+	return cfg
+}
 
 // End-to-end: generate a small ProWGen trace, stand up a loopback
 // topology sized from the simulator's capacity plan, drive the whole
@@ -30,7 +41,9 @@ func TestLoopbackCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const objectBytes = 64
+	// Past net/http's 2 KiB pre-chunk buffer, so that an undeclared
+	// length anywhere in the cascade shows (strictly).
+	const objectBytes = 4096
 	simCfg := sim.Config{
 		Scheme:            sim.HierGD,
 		NumProxies:        2,
@@ -50,13 +63,13 @@ func TestLoopbackCalibration(t *testing.T) {
 		}
 		return out
 	}
-	topo, err := StartLoopback(TopologyConfig{
+	topo, err := StartLoopback(strictly(t, TopologyConfig{
 		Proxies:            simCfg.NumProxies,
 		CachesPerProxy:     simCfg.P2PClientCaches,
 		ProxyCapacityBytes: toBytes(proxyCap),
 		CacheCapacityBytes: toBytes(clientCap),
 		ObjectBytes:        objectBytes,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestClassTaggedRun(t *testing.T) {
 		{Name: "batch", Latency: 5 * time.Second, Availability: 0.9, Window: time.Minute},
 	}
 	var eventBuf bytes.Buffer
-	topo, err := StartLoopback(TopologyConfig{
+	topo, err := StartLoopback(strictly(t, TopologyConfig{
 		Proxies:            2,
 		CachesPerProxy:     1,
 		ProxyCapacityBytes: []uint64{4096},
@@ -47,7 +47,7 @@ func TestClassTaggedRun(t *testing.T) {
 		MetricsPerDaemon:   true,
 		SLOClasses:         classes,
 		Events:             &eventBuf,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -147,13 +148,17 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 
 	// Origin: a deterministic body per object path, padded to
 	// ObjectBytes so live cache occupancy matches trace cache units.
+	// It declares its length and type as any real origin does; left to
+	// net/http, bodies past 2 KiB would leave chunked.
 	pad := strings.Repeat("x", cfg.ObjectBytes)
+	length, textPlain := []string{strconv.Itoa(cfg.ObjectBytes)}, []string{"text/plain; charset=utf-8"}
 	originLn, err := listen()
 	if err != nil {
 		return nil, err
 	}
 	t.serve(originLn, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body := "origin:" + r.URL.Path + ":" + pad
+		w.Header()["Content-Length"], w.Header()["Content-Type"] = length, textPlain
 		w.Write([]byte(body[:cfg.ObjectBytes]))
 	}))
 	t.OriginURL = "http://" + originLn.Addr().String()

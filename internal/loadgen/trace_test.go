@@ -40,7 +40,7 @@ func TestLiveTracePropagation(t *testing.T) {
 	}
 	daemonTracer := obs.NewTracer(obs.TracerOptions{Origin: "daemon", Clock: obs.ClockWall})
 	reg := obs.NewRegistry("live-trace-test")
-	topo, err := StartLoopback(TopologyConfig{
+	topo, err := StartLoopback(strictly(t, TopologyConfig{
 		Proxies:            simCfg.NumProxies,
 		CachesPerProxy:     simCfg.P2PClientCaches,
 		ProxyCapacityBytes: toBytes(proxyCap),
@@ -48,7 +48,7 @@ func TestLiveTracePropagation(t *testing.T) {
 		ObjectBytes:        objectBytes,
 		Tracer:             daemonTracer,
 		Metrics:            reg,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
