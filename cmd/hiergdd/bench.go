@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"webcache/internal/httpcache"
 	"webcache/internal/loadgen"
 	"webcache/internal/obs"
 	"webcache/internal/prowgen"
@@ -184,6 +185,8 @@ func (t *topology) bind(fs *flag.FlagSet) {
 // simConfig is the simulator configuration a loopback topology is
 // sized from (CapacityPlan) and routed by (ProxyFor), so live and
 // simulated runs of one workload share capacities and client mapping.
+// Its digests are the live proxies' (httpcache.DigestEvery of each
+// proxy's requests is that many times the proxies of all of them).
 func (t topology) simConfig(clients int) sim.Config {
 	return sim.Config{
 		Scheme:            sim.HierGD,
@@ -193,6 +196,7 @@ func (t topology) simConfig(clients int) sim.Config {
 		Directory:         sim.DirExact,
 		ProxyCacheFrac:    benchProxyFrac,
 		ClientCacheFrac:   benchClientFrac,
+		DigestInterval:    httpcache.DigestEvery * t.proxies,
 		Seed:              benchSeed,
 	}
 }

@@ -1,7 +1,7 @@
 // Command hiergdd runs the HTTP deployment of the paper's system: a
 // caching proxy that destages evictions into client-cache daemons,
-// with lookup directories, diversion, and the cross-proxy push
-// mechanism (package internal/httpcache).
+// with lookup directories, diversion, and cooperating proxies that
+// exchange digests (package internal/httpcache).
 //
 // Roles:
 //
@@ -333,7 +333,6 @@ func runProxy(args []string) error {
 		ln.Close()
 		return err
 	}
-	p.SetSelf(base)
 	if *peers != "" {
 		p.SetPeers(strings.Split(*peers, ","))
 	}
@@ -531,7 +530,6 @@ func runDemo(args []string) error {
 		}
 		p := httpcache.NewProxy(*proxyCap)
 		u := "http://" + ln.Addr().String()
-		p.SetSelf(u)
 		go http.Serve(ln, p.Handler())
 		proxies = append(proxies, p)
 		proxyURLs = append(proxyURLs, u)
@@ -578,7 +576,7 @@ func runDemo(args []string) error {
 		{0, "/b", "cold miss (evicts /a into the client caches)"},
 		{0, "/c", "cold miss (more destaging)"},
 		{0, "/a", "client-cache hit via the lookup directory"},
-		{1, "/c", "cooperating proxy serves it (push if destaged)"},
+		{1, "/c", "cooperating proxy serves it (relayed if destaged)"},
 		{1, "/c", "now cached at proxy B"},
 	}
 	for _, stp := range script {

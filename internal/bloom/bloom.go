@@ -7,6 +7,7 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -66,13 +67,11 @@ func NewForCapacity(n int, p float64) *Filter {
 	return f
 }
 
-// indexes derives the k bit positions for a key by double hashing
-// (Kirsch & Mitzenmacher): h_i = h1 + i*h2 mod m.
-func (f *Filter) index(key uint64, i int) uint64 {
-	h1 := mix64(key)
-	h2 := mix64(key ^ 0x9e3779b97f4a7c15)
-	h2 |= 1 // keep the stride odd so indexes cycle through the table
-	return (h1 + uint64(i)*h2) % f.m
+// hashes derives the double-hashing pair (Kirsch & Mitzenmacher) the k
+// bit positions of a key come from: h_i = h1 + i*h2 mod m.
+func hashes(key uint64) (h1, h2 uint64) {
+	// The stride is kept odd so indexes cycle through the table.
+	return mix64(key), mix64(key^0x9e3779b97f4a7c15) | 1
 }
 
 // mix64 is the splitmix64 finalizer — a strong 64-bit mixer.
@@ -85,8 +84,9 @@ func mix64(x uint64) uint64 {
 
 // Add inserts key.
 func (f *Filter) Add(key uint64) {
+	h1, h2 := hashes(key)
 	for i := 0; i < f.k; i++ {
-		idx := f.index(key, i)
+		idx := (h1 + uint64(i)*h2) % f.m
 		f.bits[idx/64] |= 1 << (idx % 64)
 	}
 	f.n++
@@ -95,8 +95,9 @@ func (f *Filter) Add(key uint64) {
 // MayContain reports whether key may have been added (no false
 // negatives; false positives at the configured rate).
 func (f *Filter) MayContain(key uint64) bool {
+	h1, h2 := hashes(key)
 	for i := 0; i < f.k; i++ {
-		idx := f.index(key, i)
+		idx := (h1 + uint64(i)*h2) % f.m
 		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
 			return false
 		}
@@ -124,6 +125,64 @@ func (f *Filter) MemoryBytes() uint64 { return uint64(len(f.bits)) * 8 }
 // K returns the hash count; M the bit count.
 func (f *Filter) K() int    { return f.k }
 func (f *Filter) M() uint64 { return f.m }
+
+// The wire form of a Filter, as one cache publishes its digest to
+// another (Summary Cache): a header of wireMagic, k as uint32, m and n
+// as uint64, then the ceil(m/64) words of the bit array, all
+// little-endian.  The bit positions depend on nothing but the key, m
+// and k, so a filter unmarshalled in another process answers exactly as
+// the one marshalled.
+const (
+	wireMagic  = "BLM1"
+	wireHeader = len(wireMagic) + 4 + 8 + 8
+	// MaxWireK and MaxWireM bound what the wire form carries: a filter
+	// is data from another process, and k hashes per probe or m bits of
+	// table past these are no digest anyone sent in good faith.
+	MaxWireK = 64
+	MaxWireM = 1 << 32
+)
+
+// MarshalBinary encodes the filter in its wire form; it fails only for
+// a filter past MaxWireK or MaxWireM.
+func (f *Filter) MarshalBinary() ([]byte, error) {
+	if f.k > MaxWireK || f.m > MaxWireM {
+		return nil, fmt.Errorf("bloom: filter m=%d k=%d too large for the wire", f.m, f.k)
+	}
+	b := make([]byte, wireHeader, wireHeader+8*len(f.bits))
+	copy(b, wireMagic)
+	binary.LittleEndian.PutUint32(b[4:], uint32(f.k))
+	binary.LittleEndian.PutUint64(b[8:], f.m)
+	binary.LittleEndian.PutUint64(b[16:], f.n)
+	for _, w := range f.bits {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary replaces f with the filter data encodes.  The data is
+// untrusted: k and m are bounded, and the length is checked against m
+// before anything is allocated, so a filter never costs more memory
+// than the bytes that carried it.
+func (f *Filter) UnmarshalBinary(data []byte) error {
+	if len(data) < wireHeader || string(data[:len(wireMagic)]) != wireMagic {
+		return fmt.Errorf("bloom: not a filter (%d bytes)", len(data))
+	}
+	k := binary.LittleEndian.Uint32(data[4:])
+	m := binary.LittleEndian.Uint64(data[8:])
+	if k < 1 || k > MaxWireK || m < 1 || m > MaxWireM {
+		return fmt.Errorf("bloom: filter parameters m=%d k=%d out of bounds", m, k)
+	}
+	words := (m + 63) / 64
+	if uint64(len(data)-wireHeader) != 8*words {
+		return fmt.Errorf("bloom: %d bytes of bits for m=%d, want %d", len(data)-wireHeader, m, 8*words)
+	}
+	bits := make([]uint64, words)
+	for i := range bits {
+		bits[i] = binary.LittleEndian.Uint64(data[wireHeader+8*i:])
+	}
+	*f = Filter{bits: bits, m: m, k: int(k), n: binary.LittleEndian.Uint64(data[16:])}
+	return nil
+}
 
 // Counting is a counting Bloom filter with 4-bit counters, supporting
 // Remove.  Counters saturate at 15 and, once saturated, are never
@@ -171,8 +230,7 @@ func NewCountingForCapacity(n int, p float64) *Counting {
 }
 
 func (c *Counting) index(key uint64, i int) uint64 {
-	h1 := mix64(key)
-	h2 := mix64(key^0x9e3779b97f4a7c15) | 1
+	h1, h2 := hashes(key)
 	return (h1 + uint64(i)*h2) % c.m
 }
 

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,6 +39,53 @@ func TestFilterFalsePositiveRateNearTarget(t *testing.T) {
 	}
 	if est := f.EstimatedFPRate(); est > 2*target {
 		t.Errorf("estimated rate %.4f above target", est)
+	}
+}
+
+// The wire form answers exactly as the filter it came from, and a
+// header that lies about its size or parameters is refused.
+func TestFilterWireRoundTrip(t *testing.T) {
+	f := NewForCapacity(500, 0.01)
+	for i := uint64(0); i < 500; i += 2 {
+		f.Add(i)
+	}
+	data, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g Filter
+	if err := g.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if g.M() != f.M() || g.K() != f.K() || g.EstimatedFPRate() != f.EstimatedFPRate() {
+		t.Fatalf("m, k = %d, %d, want %d, %d", g.M(), g.K(), f.M(), f.K())
+	}
+	for i := uint64(0); i < 5000; i++ {
+		if g.MayContain(i) != f.MayContain(i) {
+			t.Fatalf("key %d: the unmarshalled filter answers %v", i, g.MayContain(i))
+		}
+	}
+	header := func(k uint32, m uint64) []byte {
+		b := []byte(wireMagic)
+		b = binary.LittleEndian.AppendUint32(b, k)
+		b = binary.LittleEndian.AppendUint64(b, m)
+		return binary.LittleEndian.AppendUint64(b, 0)
+	}
+	for name, bad := range map[string][]byte{
+		"empty":           nil,
+		"short header":    data[:wireHeader-1],
+		"wrong magic":     append([]byte("BLM2"), data[4:]...),
+		"k of zero":       append(header(0, 64), make([]byte, 8)...),
+		"k past the cap":  append(header(MaxWireK+1, 64), make([]byte, 8)...),
+		"m of zero":       header(7, 0),
+		"m past the cap":  header(7, MaxWireM+1),
+		"bits cut short":  data[:len(data)-1],
+		"bits left over":  append(append([]byte(nil), data...), 0),
+		"2^32 bits in 8B": append(header(7, MaxWireM), make([]byte, 8)...),
+	} {
+		if err := new(Filter).UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -1,6 +1,34 @@
 package bloom
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzFilterUnmarshal feeds arbitrary bytes to UnmarshalBinary, as a
+// cache receiving a peer's digest does.  Whatever the bytes, it does not
+// panic, a filter it accepts costs no more memory than the bytes that
+// carried it, and that filter marshals back to exactly those bytes.  The
+// seeds are in testdata/fuzz/FuzzFilterUnmarshal: an honest digest, an
+// empty one, a header alone, a header announcing 2^32 bits with eight
+// bytes of them, k of zero.
+func FuzzFilterUnmarshal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var g Filter
+		allocs := testing.AllocsPerRun(1, func() { g = Filter{}; _ = g.UnmarshalBinary(data) })
+		if err := g.UnmarshalBinary(data); err != nil {
+			return
+		}
+		if allocs > 1 || uint64(len(g.bits))*8 > uint64(len(data)) {
+			t.Fatalf("a %d-byte filter made %.0f allocations of %d words", len(data), allocs, len(g.bits))
+		}
+		back, err := g.MarshalBinary()
+		if err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("round trip: %d bytes in, %d out, err %v", len(data), len(back), err)
+		}
+		g.MayContain(uint64(len(data))) // a probe stays inside the table
+	})
+}
 
 // FuzzCounting replays an op script against a deliberately tiny
 // nibble-packed counting filter while a shadow multiset tracks which

@@ -113,7 +113,7 @@ func (in *Injector) WrapCache(_, cache int, h http.Handler) http.Handler {
 		return h
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if slow && (r.URL.Path == "/object" || r.URL.Path == "/push") {
+		if slow && r.URL.Path == "/object" {
 			in.slowHolds.Inc()
 			time.Sleep(in.scn.SlowPeerDelay)
 		}

@@ -83,7 +83,6 @@ func Hardened() *httpcache.Defenses {
 		VerifyEvery:         2,
 		BreakerFailures:     3,
 		BreakerCooldown:     500 * time.Millisecond,
-		PushTimeout:         time.Second,
 	}
 }
 

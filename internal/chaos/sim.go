@@ -3,6 +3,7 @@ package chaos
 import (
 	"time"
 
+	"webcache/internal/httpcache"
 	"webcache/internal/invariant"
 	"webcache/internal/netmodel"
 	"webcache/internal/obs"
@@ -88,6 +89,10 @@ func simKnobs(cfg *sim.Config, scn Scenario, requests int, defensesOn bool) {
 			// Same midpoint the live adapter's partition timer uses.
 			cfg.FleetPartitionAt = requests / 2
 		}
+	} else {
+		// The live side's cooperating proxies ask each other on digests
+		// pulled every DigestEvery of their own requests (DESIGN.md §9).
+		cfg.DigestInterval = httpcache.DigestEvery * cfg.NumProxies
 	}
 }
 

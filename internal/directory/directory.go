@@ -163,5 +163,15 @@ func sortedIDs[V any](m map[trace.ObjectID]V) []trace.ObjectID {
 // Objects implements Directory.
 func (d *Exact) Objects() []trace.ObjectID { return sortedIDs(d.set) }
 
+// AppendObjects appends the recorded object ids to dst in no particular
+// order: Objects without the sort, for a snapshot taken under a lock
+// the request path also needs.
+func (d *Exact) AppendObjects(dst []trace.ObjectID) []trace.ObjectID {
+	for obj := range d.set {
+		dst = append(dst, obj)
+	}
+	return dst
+}
+
 // Objects implements Directory.
 func (d *Bloom) Objects() []trace.ObjectID { return sortedIDs(d.present) }

@@ -1,14 +1,12 @@
 package httpcache
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"webcache/internal/fleet"
 	"webcache/internal/obs"
@@ -110,7 +108,6 @@ type ClientCacheStats struct {
 	Hits    int `json:"hits"`
 	Misses  int `json:"misses"`
 	Stores  int `json:"stores"`
-	Pushes  int `json:"pushes"`
 	// DiskHits counts hits served from the persistent disk tier after a
 	// memory miss (always 0 without Options.DiskDir).
 	DiskHits int `json:"disk_hits"`
@@ -118,7 +115,7 @@ type ClientCacheStats struct {
 
 // clientCounters is the lock-free backing for ClientCacheStats.
 type clientCounters struct {
-	hits, misses, stores, pushes, diskHits atomic.Int64
+	hits, misses, stores, diskHits atomic.Int64
 }
 
 // ClientCache is a browser-cache daemon: the cooperative partition of
@@ -128,9 +125,8 @@ type ClientCache struct {
 	disk  *disk.Store  // persistent tier; nil without Options.DiskDir
 	// tier is the serving surface: store alone, or the Tiered layering
 	// when a disk tier is configured.
-	tier   store.Interface
-	client *http.Client
-	stats  clientCounters
+	tier  store.Interface
+	stats clientCounters
 
 	// tracer and metrics are the observability hooks (obs.go).
 	tracer  *obs.Tracer
@@ -158,12 +154,7 @@ func NewClientCacheOpts(o Options) (*ClientCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ClientCache{
-		store:  st,
-		disk:   dsk,
-		tier:   tier,
-		client: newHTTPClient(5 * time.Second),
-	}, nil
+	return &ClientCache{store: st, disk: dsk, tier: tier}, nil
 }
 
 // Handler returns the daemon's HTTP interface:
@@ -173,8 +164,6 @@ func NewClientCacheOpts(o Options) (*ClientCache, error) {
 //	                              refuses instead of evicting (the
 //	                              diversion probe); every reply carries
 //	                              the daemon's headroom (FreeHeader)
-//	POST /push?key=HEX&to=URL     push the object up to the proxy for
-//	                              forwarding to a cooperating proxy
 //	GET  /stats                   counters
 //	GET  /healthz                 liveness probe (health.go)
 //	GET  /readyz                  readiness probe (health.go)
@@ -182,7 +171,6 @@ func (c *ClientCache) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /object", c.handleObject)
 	mux.HandleFunc("POST /store", c.handleStore)
-	mux.HandleFunc("POST /push", c.handlePush)
 	mux.HandleFunc("GET /stats", c.handleStats)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	c.registerHealth(mux)
@@ -213,7 +201,14 @@ func (c *ClientCache) handleObject(w http.ResponseWriter, r *http.Request) {
 	}
 	st := traceStart(c.tracer, r, "object")
 	sp := st.StartSpan("client.object", "Tp2p")
-	obj, ok := c.getTiered(fold(id))
+	// A disk-tier fallback is booked as the daemon's own DiskHits; the wire
+	// tier is TierClientCache whichever medium held the object.
+	obj, ok := c.store.Get(fold(id))
+	if !ok && c.disk != nil {
+		if obj, ok = c.tier.Get(fold(id)); ok {
+			c.stats.diskHits.Add(1)
+		}
+	}
 	if !ok {
 		sp.EndWasted()
 		st.FinishWall("miss")
@@ -225,25 +220,6 @@ func (c *ClientCache) handleObject(w http.ResponseWriter, r *http.Request) {
 	c.stats.hits.Add(1)
 	serve(w, obj.Body, TierClientCache)
 	st.FinishWall(TierClientCache)
-}
-
-// getTiered reads through the serving surface, attributing disk-tier
-// fallbacks to the DiskHits counter.  The wire tier stays
-// TierClientCache either way — from the proxy's point of view the
-// object was served by this client cache; which medium held it is the
-// daemon's own accounting.
-func (c *ClientCache) getTiered(key trace.ObjectID) (store.Object, bool) {
-	if obj, ok := c.store.Get(key); ok {
-		return obj, true
-	}
-	if c.disk == nil {
-		return store.Object{}, false
-	}
-	obj, ok := c.tier.Get(key)
-	if ok {
-		c.stats.diskHits.Add(1)
-	}
-	return obj, ok
 }
 
 // FreeHeader carries the daemon's headroom on every /store reply, 200
@@ -322,57 +298,6 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(receipt)
 }
 
-func (c *ClientCache) handlePush(w http.ResponseWriter, r *http.Request) {
-	id, _, err := parseKey(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	to := queryParam(r.URL.RawQuery, "to")
-	if to == "" {
-		http.Error(w, "missing to", http.StatusBadRequest)
-		return
-	}
-	st := traceStart(c.tracer, r, "push")
-	sp := st.StartSpan("client.push", "Tp2p")
-	obj, ok := c.getTiered(fold(id))
-	if !ok {
-		sp.EndWasted()
-		st.FinishWall("miss")
-		http.NotFound(w, r)
-		return
-	}
-	// The push (§4.5): the client cache opens the connection to the
-	// proxy — never the other way around across organizations.  The
-	// POST descends from the ask: when the asking proxy hangs up (its
-	// per-hop deadline, or the cooperating proxy gone) the body stops
-	// going to a waiter that no longer listens.  The trace id rides along
-	// so the accept-push hop stays in the trace.
-	req, err := http.NewRequestWithContext(r.Context(), "POST", to, bytes.NewReader(obj.Body))
-	if err != nil {
-		sp.EndWasted()
-		st.FinishWall("error")
-		http.Error(w, "push failed: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	req.Header["Content-Type"] = contentTypeOctet
-	if tid := st.TraceID(); tid != "" {
-		req.Header.Set(TraceHeader, tid)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		sp.EndWasted()
-		st.FinishWall("error")
-		http.Error(w, "push failed: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	drainClose(resp.Body)
-	sp.End()
-	c.stats.pushes.Add(1)
-	w.WriteHeader(http.StatusNoContent)
-	st.FinishWall(TierPeerP2P)
-}
-
 // snapshotStats reads the lock-free counters into the /stats payload.
 func (c *ClientCache) snapshotStats() ClientCacheStats {
 	return ClientCacheStats{
@@ -380,7 +305,6 @@ func (c *ClientCache) snapshotStats() ClientCacheStats {
 		Hits:     int(c.stats.hits.Load()),
 		Misses:   int(c.stats.misses.Load()),
 		Stores:   int(c.stats.stores.Load()),
-		Pushes:   int(c.stats.pushes.Load()),
 		DiskHits: int(c.stats.diskHits.Load()),
 	}
 }

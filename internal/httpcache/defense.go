@@ -57,9 +57,6 @@ type Defenses struct {
 	// failures) past which the sweeper deregisters a client cache
 	// regardless of liveness (default 8).
 	SweepStrikes int64
-	// PushTimeout bounds the peer-lookup wait for a client-cache push
-	// (default 3s, the old hardcoded value).
-	PushTimeout time.Duration
 }
 
 // Adaptive-deadline clamp: never tighten the per-call deadline below
@@ -80,9 +77,6 @@ func (d *Defenses) fillDefaults() {
 	}
 	if d.SweepStrikes <= 0 {
 		d.SweepStrikes = 8
-	}
-	if d.PushTimeout <= 0 {
-		d.PushTimeout = 3 * time.Second
 	}
 }
 

@@ -1,11 +1,11 @@
 package httpcache
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -16,8 +16,7 @@ import (
 )
 
 // fakeDaemon is a scriptable stand-in for a client-cache daemon: it
-// serves a fixed body on /object, optionally stalling first, and
-// accepts /push without ever delivering (the byzantine push pattern).
+// serves a fixed body on /object, optionally stalling first.
 type fakeDaemon struct {
 	srv   *httptest.Server
 	addr  string
@@ -39,12 +38,6 @@ func newFakeDaemon(t *testing.T, body []byte) *fakeDaemon {
 		}
 		w.Write(d.body)
 	})
-	mux.HandleFunc("POST /push", func(w http.ResponseWriter, r *http.Request) {
-		// Accept the push (204) but never deliver the object to
-		// /accept-push: the handler's push wait must time out on its
-		// own, not hang on this daemon's goodwill.
-		w.WriteHeader(http.StatusNoContent)
-	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("{}"))
 	})
@@ -62,7 +55,6 @@ func defenseProxy(t *testing.T, d Defenses, daemons ...*fakeDaemon) (*Proxy, *ht
 	px.SetDefenses(d)
 	srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(srv.Close)
-	px.SetSelf(srv.URL)
 	for _, fd := range daemons {
 		px.ring.add(fd.addr)
 	}
@@ -140,12 +132,11 @@ func TestSlowPeerDeadline(t *testing.T) {
 	}
 }
 
-// A daemon that hangs on /push is a slow peer like any other: the
-// peer-lookup that asked it pays one per-hop deadline (at the parent,
-// the shared client's ten seconds, past the asking proxy's own
-// deadline), strikes its ledger, and asks the next ring candidate,
-// which here holds the object and pushes it up.
-func TestPushHopDeadline(t *testing.T) {
+// A daemon that hangs on the relay's /object is a slow peer like any
+// other: the peer-lookup that asked it pays one per-hop deadline,
+// strikes its ledger, and asks the next ring candidate, which here holds
+// the object for the proxy to relay.
+func TestRelayHopDeadline(t *testing.T) {
 	release := make(chan struct{})
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
@@ -164,10 +155,10 @@ func TestPushHopDeadline(t *testing.T) {
 	px, srv := defenseProxy(t, Defenses{PeerTimeout: deadline})
 	px.ring.add(hungAddr)
 	px.ring.add(strings.TrimPrefix(ccSrv.URL, "http://"))
-	objURL := urlsOwnedBy(t, px, hungAddr, "push", 1)[0]
+	objURL := urlsOwnedBy(t, px, hungAddr, "relay", 1)[0]
 	key := keyOf(objURL).String()
 	resp, err := http.Post(ccSrv.URL+"/store?key="+key+"&cost=1", "application/octet-stream",
-		strings.NewReader("pushed-body"))
+		strings.NewReader("relayed-body"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +174,10 @@ func TestPushHopDeadline(t *testing.T) {
 	if elapsed < deadline || elapsed > deadline+2*time.Second {
 		t.Fatalf("peer-lookup took %v, want one %v hop deadline (plus margin)", elapsed, deadline)
 	}
-	st := px.snapshotStats()
-	if st.Defense.PeerTimeouts != 1 || st.PushesIn != 1 {
-		t.Fatalf("peer_timeouts %d, pushes_in %d, want 1, 1", st.Defense.PeerTimeouts, st.PushesIn)
+	// A relay books nothing at the proxy that relays: the asking proxy
+	// counts the serve.
+	if got := px.snapshotStats(); got != (ProxyStats{DirEntries: 1, Defense: DefenseStats{PeerTimeouts: 1}}) {
+		t.Fatalf("counters %+v, want one peer timeout and the entry kept", got)
 	}
 	if px.ring.size() != 2 {
 		t.Fatal("a deadline took the daemon off the ring")
@@ -220,58 +212,6 @@ func TestRegisterBodyCap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plain register: status %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestPushTimeoutNoGoroutineLeak pins the push wait's cleanup: a
-// daemon that accepts a push (204) but never delivers must cost one
-// bounded 504, a late /accept-push must get 410 Gone (the waiter is
-// unregistered), and repeated occurrences must not accrete goroutines.
-func TestPushTimeoutNoGoroutineLeak(t *testing.T) {
-	daemon := newFakeDaemon(t, nil) // /push accepts, never delivers
-	px, srv := defenseProxy(t, Defenses{PushTimeout: 100 * time.Millisecond}, daemon)
-	objURL := "http://origin.test/pushed"
-	plantDir(px, objURL)
-	key := keyOf(objURL).String()
-
-	before := runtime.NumGoroutine()
-	const rounds = 20
-	for i := 0; i < rounds; i++ {
-		// Each round re-plants the directory entry (the 504 path
-		// repairs it away as stale).
-		plantDir(px, objURL)
-		resp, err := http.Get(srv.URL + "/peer-lookup?key=" + key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusGatewayTimeout {
-			t.Fatalf("round %d: status %d, want 504", i, resp.StatusCode)
-		}
-	}
-
-	// The first round's waiter was pushID 1; it is long unregistered.
-	resp, err := http.Post(srv.URL+"/accept-push?id=1", "application/octet-stream",
-		strings.NewReader("too late"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("late accept-push: status %d, want 410", resp.StatusCode)
-	}
-
-	// Server keep-alive goroutines settle asynchronously; poll.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before+5 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines %d (was %d before %d timed-out pushes): push waits are leaking",
-				runtime.NumGoroutine(), before, rounds)
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -401,5 +341,100 @@ func TestAdaptivePeerTimeout(t *testing.T) {
 	}
 	if got := px4.peerTimeout(); got != configured {
 		t.Fatalf("flag-off peerTimeout = %v, want configured %v", got, configured)
+	}
+}
+
+// The relay is the client-cache rung, repairs and defenses included.  A
+// lookup of a directory entry nothing backs any more is a 404 that
+// unlists it, so the next digest the peer publishes stops endorsing the
+// object; a daemon that corrupts what it serves takes a digest-mismatch
+// strike and the next candidate is asked, and when there is none the
+// lookup is a 404.
+func TestRelayRepairs(t *testing.T) {
+	t.Run("stale entry", func(t *testing.T) {
+		origin := newTestOrigin()
+		t.Cleanup(origin.srv.Close)
+		peerPx, _, _ := ringOf(t, 1<<20, 1<<20)
+		peerSrv := httptest.NewServer(wiretest.StrictFraming(t, peerPx.Handler()))
+		t.Cleanup(peerSrv.Close)
+		objURL := origin.srv.URL + "/stale"
+		plantDir(peerPx, objURL)
+		px := NewProxy(1 << 20)
+		px.SetPeers([]string{peerSrv.URL})
+		f := pin(t, px, "")
+		pullDigests(px)
+		endorsed := func() bool {
+			return px.coop.Load().digests[peerSrv.URL].filter.Load().MayContain(uint64(fold(keyOf(objURL))))
+		}
+		if !endorsed() {
+			t.Fatal("the peer's digest does not endorse its directory entry")
+		}
+
+		before, peerBefore := px.snapshotStats(), peerPx.snapshotStats()
+		if status, tier := get(t, f.fetchURL(objURL)); status != http.StatusOK || tier != TierOrigin {
+			t.Fatalf("status %d tier %q, want 200 %q", status, tier, TierOrigin)
+		}
+		px.pulls.Wait()
+		if got, want := statsDelta(before, px.snapshotStats()), (ProxyStats{Requests: 1, OriginFetch: 1, DigestFalsePos: 1}); got != want {
+			t.Errorf("asking proxy moved by %+v, want %+v", got, want)
+		}
+		if got, want := statsDelta(peerBefore, peerPx.snapshotStats()), (ProxyStats{DirEntries: -1}); got != want {
+			t.Errorf("peer moved by %+v, want %+v", got, want)
+		}
+		pullDigests(px)
+		if endorsed() {
+			t.Error("the next digest still endorses the repaired entry")
+		}
+	})
+
+	good := []byte("the-good-body")
+	for _, tc := range []struct {
+		name         string
+		copyNextDoor bool
+		status       int
+		tier         string
+		delta        ProxyStats
+	}{
+		{"corrupting owner, a good copy next door", true, http.StatusOK, TierPeerP2P,
+			ProxyStats{Defense: DefenseStats{DigestChecks: 2, DigestFailures: 1}}},
+		{"corrupting owner, no other copy", false, http.StatusNotFound, "",
+			ProxyStats{DirEntries: -1, Defense: DefenseStats{DigestChecks: 1, DigestFailures: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := newFakeDaemon(t, []byte("the-bad!-body"))
+			peerPx, _, addrs := ringOf(t, 1<<20)
+			peerPx.SetDefenses(Defenses{VerifyEvery: 1})
+			peerPx.ring.add(bad.addr)
+			objURL := urlsOwnedBy(t, peerPx, bad.addr, "corrupt", 1)[0]
+			key := keyOf(objURL)
+			// What a pass-down to the owner records.
+			peerPx.recordDigest(fold(key), good)
+			plantDir(peerPx, objURL)
+			if tc.copyNextDoor {
+				resp, err := http.Post(fmt.Sprintf("http://%s/store?key=%s&cost=1", addrs[0], key),
+					"application/octet-stream", bytes.NewReader(good))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+			}
+			peerSrv := httptest.NewServer(wiretest.StrictFraming(t, peerPx.Handler()))
+			t.Cleanup(peerSrv.Close)
+
+			before := peerPx.snapshotStats()
+			resp, body := framedGet(t, peerSrv.URL+"/peer-lookup?key="+key.String())
+			if resp.StatusCode != tc.status || resp.Header.Get(ServedByHeader) != tc.tier {
+				t.Fatalf("status %d tier %q, want %d %q", resp.StatusCode, resp.Header.Get(ServedByHeader), tc.status, tc.tier)
+			}
+			if tc.status == http.StatusOK && !bytes.Equal(body, good) {
+				t.Fatalf("relayed %q, want %q", body, good)
+			}
+			if got := statsDelta(before, peerPx.snapshotStats()); got != tc.delta {
+				t.Errorf("peer moved by %+v, want %+v", got, tc.delta)
+			}
+			if got := peerPx.contribFor(bad.addr).digestFails.Load(); got != 1 {
+				t.Errorf("the corrupting daemon has %d digest strikes, want 1", got)
+			}
+		})
 	}
 }

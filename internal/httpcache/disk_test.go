@@ -175,7 +175,6 @@ func TestClientCacheRecoveryReRegisters(t *testing.T) {
 	px := NewProxy(1 << 20)
 	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	defer pxSrv.Close()
-	px.SetSelf(pxSrv.URL)
 	payload, err := json.Marshal(registerBody{Recovered: rec})
 	if err != nil {
 		t.Fatal(err)

@@ -360,7 +360,7 @@ func (p *Proxy) fleetTier() tier {
 			}
 			return f.peers.Order(holders)
 		},
-		admit: func(member string) bool {
+		admit: func(_ fetchReq, member string) bool {
 			if p.peerAllowed(member) {
 				return true
 			}

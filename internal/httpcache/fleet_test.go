@@ -36,7 +36,6 @@ func newFleetRig(t *testing.T, n, replication, hotThreshold int, chk *invariant.
 		rig.urls = append(rig.urls, srv.URL)
 	}
 	for i, px := range rig.proxies {
-		px.SetSelf(rig.urls[i])
 		px.SetDefenses(Defenses{})
 		if chk != nil {
 			px.EnableAccounting(chk)
@@ -142,7 +141,6 @@ func TestFleetHopTriesEveryHolder(t *testing.T) {
 			VerifyEvery:         2,
 			BreakerFailures:     3,
 			BreakerCooldown:     500 * time.Millisecond,
-			PushTimeout:         time.Second,
 		})
 	}
 	objURL := rig.origin.srv.URL + "/fleet-third-holder"
@@ -267,7 +265,6 @@ func TestFleetJoinLeaveRebalance(t *testing.T) {
 		rig.urls = append(rig.urls, srv.URL)
 	}
 	for i, px := range rig.proxies {
-		px.SetSelf(rig.urls[i])
 		members := rig.urls[:2]
 		if i == 2 {
 			members = rig.urls // the joiner knows the full roster

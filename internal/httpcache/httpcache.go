@@ -1,9 +1,9 @@
 // Package httpcache is a working HTTP deployment of the paper's
 // system: a caching forward proxy whose evictions are passed down into
 // the browser-cache daemons of its client machines, with a lookup
-// directory, store receipts, the push mechanism for cooperating
-// proxies, and greedy-dual replacement everywhere — Hier-GD over real
-// sockets rather than the simulator's function calls.
+// directory, store receipts, cooperating proxies that ask each other
+// only on a digest's word, and greedy-dual replacement everywhere —
+// Hier-GD over real sockets rather than the simulator's function calls.
 //
 // The paper argues Hier-GD "is technically practical" (§5.3); this
 // package is that argument made executable:
@@ -16,14 +16,19 @@
 //	GET http://proxyA/fetch?url=http://origin/page
 //
 // serves from, in order: proxyA's cache, proxyA's client caches (via
-// the directory and a direct LAN fetch), proxyB (from its cache or —
-// via the push mechanism — its client caches), the origin.
+// the directory and a direct LAN fetch), proxyB (from its cache or its
+// client caches, which proxyB fetches from and relays), the origin.
 //
 // Deployment simplifications relative to the paper, documented here
 // once: object placement uses the proxy-side consistent-hash map of
 // registered cacheIds instead of client-side Pastry routing (the
 // proxy already tracks its cluster, so the DHT buys nothing at one
-// organization's scale — the simulator models the full overlay),
+// organization's scale — the simulator models the full overlay), a
+// cooperating proxy's lookup of a client-cache copy is relayed by the
+// peer proxy rather than pushed up by the client cache (§4.5's push has
+// the client connect out to the proxy so nothing connects in across
+// organizations; the relay keeps that, and the proxy already fetches
+// from its own client caches for its own hits),
 // destaging uses dedicated connections rather than piggybacking
 // (HTTP/1.1 has no response-piggyback channel; the simulator
 // quantifies what piggybacking saves), and the free-space knowledge
@@ -62,7 +67,7 @@ const (
 	TierRemoteProxy = "remote-proxy" // served through a cooperating proxy
 	TierOrigin      = "origin"       // fetched from the origin server
 	TierPeerProxy   = "peer-proxy"   // peer-lookup: from this proxy's cache
-	TierPeerP2P     = "peer-p2p"     // peer-lookup: pushed up from a client cache
+	TierPeerP2P     = "peer-p2p"     // peer-lookup: relayed from a client cache
 )
 
 // keyOf derives the 128-bit objectId of a URL (§4.1: SHA-1 of the

@@ -49,7 +49,6 @@ func deploy(t *testing.T, numProxies, cachesPerProxy int, proxyCap, cacheCap uin
 		px := NewProxy(proxyCap)
 		srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 		t.Cleanup(srv.Close)
-		px.SetSelf(srv.URL)
 		d.proxies = append(d.proxies, px)
 		d.proxyS = append(d.proxyS, srv)
 
@@ -187,34 +186,37 @@ func TestRemoteProxyHit(t *testing.T) {
 	}
 }
 
-// The push mechanism: an object living only in proxy 0's *client
-// caches* is served to proxy 1 via push, never via an inbound
-// connection from proxy 1 to a client.
-func TestPushAcrossProxies(t *testing.T) {
+// The relay (§4.5): an object living only in proxy 0's *client caches*
+// is served to proxy 1 by proxy 0, which fetches it from the client
+// cache; proxy 1 is never told a client cache's address.
+func TestRelayAcrossProxies(t *testing.T) {
 	d := deploy(t, 2, 3, 52, 1<<20)
 	const n = 12
 	for i := 0; i < n; i++ {
 		d.fetch(0, fmt.Sprintf("/p%02d", i))
 	}
-	st := d.proxyStats(0)
-	if st.DirEntries == 0 {
+	if d.proxyStats(0).DirEntries == 0 {
 		t.Fatal("nothing destaged to client caches")
 	}
-	// Find an object that is in the directory but not the proxy cache:
-	// fetch each from proxy 1 and look for the peer-p2p tier.
+	// Proxy 0 fetched each object once, from the origin, so every
+	// client-cache hit from here on is a relay.
+	relays := func() (n int) {
+		for _, cc := range d.caches[0] {
+			n += cc.snapshotStats().Hits
+		}
+		return n
+	}
 	origin := d.origin.hits.Load()
-	sawPush := false
-	for i := 0; i < n && !sawPush; i++ {
-		_, tier := d.fetch(1, fmt.Sprintf("/p%02d", i))
-		if tier == "remote-proxy" && d.proxyStats(0).PushesIn > 0 {
-			sawPush = true
+	for i := 0; i < n; i++ {
+		if _, tier := d.fetch(1, fmt.Sprintf("/p%02d", i)); tier != TierRemoteProxy {
+			t.Fatalf("/p%02d served by %q, want %q", i, tier, TierRemoteProxy)
 		}
 	}
-	if !sawPush {
-		t.Fatalf("push mechanism never used (pushes_in=%d)", d.proxyStats(0).PushesIn)
+	if relays() == 0 {
+		t.Fatal("proxy 0 relayed nothing from its client caches")
 	}
 	if d.origin.hits.Load() != origin {
-		t.Fatal("push-served objects still hit the origin")
+		t.Fatal("objects held by the cooperating proxy's clients still hit the origin")
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 )
 
 // TraceHeader carries a span-trace id across hops: the load generator
-// stamps it on /fetch, the proxy forwards it on LAN fetches and
-// peer-lookups, and the push channel relays it through the client
-// cache's POST — so one request's spans join up across every daemon it
-// touched (each daemon records its own trace under the shared id; the
-// exports are merged offline by id).
+// stamps it on /fetch, and the proxy forwards it on LAN fetches and
+// peer-lookups, whose relays forward it on to the client caches — so
+// one request's spans join up across every daemon it touched (each
+// daemon records its own trace under the shared id; the exports are
+// merged offline by id).
 const TraceHeader = "X-Webcache-Trace"
 
 // SetTracer attaches a span tracer (wall clock); nil disables tracing
@@ -68,7 +68,10 @@ func (p *Proxy) publishStats() {
 	g("store_calls", st.StoreCalls)
 	g("store_refusals", st.StoreRefusals)
 	g("diverted_hits", st.DivertedHits)
-	g("pushes_in", st.PushesIn)
+	g("digest_pulls", st.DigestPulls)
+	g("digest_pull_fails", st.DigestPullFails)
+	g("digest_skips", st.DigestSkips)
+	g("digest_false_pos", st.DigestFalsePos)
 	g("swept_caches", st.SweptCaches)
 	g("disk_hits", st.DiskHits)
 	g("directory_entries", st.DirEntries)
@@ -126,7 +129,6 @@ func (c *ClientCache) publishStats() {
 	g("hits", st.Hits)
 	g("misses", st.Misses)
 	g("stores", st.Stores)
-	g("pushes", st.Pushes)
 	g("disk_hits", st.DiskHits)
 	c.store.PublishMetrics()
 	if c.disk != nil {

@@ -18,11 +18,10 @@ import (
 	"webcache/internal/pastry"
 	"webcache/internal/store"
 	"webcache/internal/store/disk"
-	"webcache/internal/trace"
 )
 
 // ProxyStats is the proxy's /stats payload: where requests were served
-// from, plus pass-down and push activity.
+// from, plus pass-down and digest activity.
 type ProxyStats struct {
 	Requests    int `json:"requests"`
 	ProxyHits   int `json:"proxy_hits"`
@@ -47,7 +46,15 @@ type ProxyStats struct {
 	// diversion passthrough: the owner missed but a ring neighbour
 	// (where an ifFree store diverted the object) had it.
 	DivertedHits int `json:"diverted_hits"`
-	PushesIn     int `json:"pushes_in"`
+	// DigestPulls counts cooperating proxies' digests pulled and held,
+	// DigestPullFails the pulls that brought none (refused, hung, not 200,
+	// malformed), each dropping the digest held.  DigestSkips counts peers
+	// not asked because their digest said no, DigestFalsePos peers asked on
+	// their digest's word that answered 404 (digest.go).
+	DigestPulls     int `json:"digest_pulls"`
+	DigestPullFails int `json:"digest_pull_fails"`
+	DigestSkips     int `json:"digest_skips"`
+	DigestFalsePos  int `json:"digest_false_pos"`
 	// SweptCaches counts client-cache daemons the liveness sweep
 	// deregistered after a failed probe.
 	SweptCaches int `json:"swept_caches"`
@@ -71,7 +78,8 @@ type ProxyStats struct {
 type proxyCounters struct {
 	requests, proxyHits, clientHits, remoteHits, originFetch,
 	coalesced, passDowns, diversions, storeCalls, storeRefusals,
-	divertedHits, pushesIn, swept, diskHits atomic.Int64
+	divertedHits, swept, diskHits atomic.Int64
+	digestPulls, digestPullFails, digestSkips, digestFalsePos atomic.Int64
 	// Defense counters (defense.go).
 	breakerSkipped, breakerOpens, digestChecks, digestFailures,
 	contribSwept, peerTimeouts atomic.Int64
@@ -86,10 +94,11 @@ type Proxy struct {
 	// tier is the serving surface: store alone, or the Tiered layering
 	// when a disk tier is configured.
 	tier store.Interface
-	// tiers is the /fetch cascade in the order it is walked (tiers.go).
-	tiers  []tier
-	ring   *ring
-	client *http.Client
+	// tiers is the /fetch cascade in the order it is walked, local its
+	// head that a /peer-lookup walks (tiers.go).
+	tiers, local []tier
+	ring         *ring
+	client       *http.Client
 	// probeClient is the liveness sweep's short-deadline client; a
 	// probe that cannot connect within its timeout marks the daemon
 	// dead.  It shares the tuned transport shape (transport.go).
@@ -97,13 +106,13 @@ type Proxy struct {
 
 	stats proxyCounters
 
-	mu    sync.Mutex
-	dir   directory.Directory
-	peers []string // cooperating proxies' base URLs
-	self  string   // this proxy's base URL (for push-back addressing)
+	mu  sync.Mutex
+	dir *directory.Exact
 
-	pushSeq     atomic.Uint64
-	pushWaiters sync.Map // pushID string -> chan []byte
+	// coop is the cooperating proxies and their digests (digest.go);
+	// pulls tracks the digest pulls in flight.
+	coop  atomic.Pointer[peerSet]
+	pulls sync.WaitGroup
 
 	// Defense state (defense.go): knobs, per-peer breakers, per-client
 	// contribution ledgers, sampled body digests, and the LAN-fetch
@@ -170,20 +179,19 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		lanLat:      &obs.Histogram{},
 	}
 	p.defenses.fillDefaults()
-	p.tiers = p.cascade()
+	p.local, p.tiers = p.cascade()
+	p.coop.Store(&peerSet{})
 	return p, nil
 }
 
-// SetSelf tells the proxy its own externally reachable base URL
-// (needed to address push-backs); SetPeers configures the cooperating
-// proxies.
-func (p *Proxy) SetSelf(baseURL string) { p.self = baseURL }
-
-// SetPeers configures the cooperating proxy cluster.
+// SetPeers configures the cooperating proxy cluster, by base URL.  No
+// digest is held of any of them until the first pull.
 func (p *Proxy) SetPeers(urls []string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.peers = append([]string(nil), urls...)
+	set := &peerSet{bases: append([]string(nil), urls...), digests: make(map[string]*peerDigest, len(urls))}
+	for _, u := range urls {
+		set.digests[u] = &peerDigest{}
+	}
+	p.coop.Store(set)
 }
 
 // Store exposes the proxy's sharded memory store (tests and
@@ -202,11 +210,12 @@ func (p *Proxy) Sync() bool {
 	return p.disk.Sync()
 }
 
-// Close drains the disk tier's write-behind queue and closes its
-// files; a proxy without a disk tier needs no teardown.  Call after
-// the HTTP listener has drained, so every acknowledged insert is
-// journaled before exit.
+// Close waits out the digest pulls in flight (each bounded by the
+// per-hop deadline), then drains the disk tier's write-behind queue and
+// closes its files.  Call after the HTTP listener has drained, so every
+// acknowledged insert is journaled before exit.
 func (p *Proxy) Close() error {
+	p.pulls.Wait()
 	if p.disk == nil {
 		return nil
 	}
@@ -217,7 +226,7 @@ func (p *Proxy) Close() error {
 //
 //	GET  /fetch?url=U        the client entry point
 //	GET  /peer-lookup?key=K  a cooperating proxy asking for an object
-//	POST /accept-push?id=N   a client cache pushing an object up
+//	GET  /digest             what /peer-lookup can serve, as a Bloom filter
 //	POST /register?addr=A    a client cache joining the cluster
 //	GET  /stats              counters
 //	GET  /healthz            liveness probe (health.go)
@@ -228,7 +237,7 @@ func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /fetch", p.withSLO(p.handleFetch))
 	mux.HandleFunc("GET /peer-lookup", p.handlePeerLookup)
-	mux.HandleFunc("POST /accept-push", p.handleAcceptPush)
+	mux.HandleFunc("GET /digest", p.handleDigest)
 	mux.HandleFunc("POST /register", p.handleRegister)
 	mux.HandleFunc("GET /stats", p.handleStats)
 	mux.HandleFunc("GET /metrics", p.handleMetrics)
@@ -284,14 +293,6 @@ func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"cacheId": id.String()})
 }
 
-// inDirectory reports whether the lookup directory lists the object as
-// held by one of this proxy's client caches.
-func (p *Proxy) inDirectory(folded trace.ObjectID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dir.MayContain(folded)
-}
-
 // originFetch GETs the object body from its origin server.
 func (p *Proxy) originFetch(url string) ([]byte, error) {
 	resp, err := p.client.Get(url)
@@ -318,8 +319,8 @@ const (
 
 // lanFetch pulls an object from one of this proxy's own client caches
 // (same intranet — direct connections are allowed here; it is only
-// *cross-organization* inbound connections the firewall forbids, which
-// is why cooperating proxies use the push path instead).
+// *cross-organization* connections the firewall forbids, which is why a
+// cooperating proxy's lookup is relayed through this proxy instead).
 func (p *Proxy) lanFetch(ctx context.Context, addr string, id pastry.ID, traceID string) ([]byte, bool) {
 	start := time.Now()
 	rep, err := p.hop(ctx, peer{clientCache, addr}, "GET", "/object?key="+id.String(), nil, traceID)
@@ -486,105 +487,6 @@ func every(interval time.Duration, f func()) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// handlePeerLookup serves a cooperating proxy: from the local proxy
-// cache directly, or from the P2P client cache via the push mechanism
-// (§4.5) — the client cache connects *out* to this proxy, which then
-// relays the object to the peer; the peer never connects to a client.
-func (p *Proxy) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
-	id, _, err := parseKey(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	folded := fold(id)
-	st := traceStart(p.tracer, r, "peer-lookup")
-	probe := st.StartSpan("proxy.cache", "Tl")
-	// The serving surface includes the disk tier: a peer's request for
-	// a disk-resident object is still a local serve (TierPeerProxy).
-	if obj, ok := p.tier.Get(folded); ok {
-		probe.End()
-		serve(w, obj.Body, TierPeerProxy)
-		st.FinishWall(TierPeerProxy)
-		return
-	}
-	probe.EndWasted()
-	addr, ok := p.ring.owner(id)
-	if !ok || !p.inDirectory(folded) {
-		st.FinishWall("miss")
-		http.NotFound(w, r)
-		return
-	}
-	// Ask the client cache to push the object up to us.  The owner is
-	// probed first; on a miss the ring neighbours follow — the push
-	// channel's diversion passthrough, since an ifFree store may have
-	// diverted the object off its owner (§4.3).  A push is awaited
-	// only after a daemon accepts it (204): waiting on a 404 would
-	// stall the cooperating proxy for the full push timeout.  Each ask
-	// is a hop like any other: a daemon that hangs on it costs one
-	// per-hop deadline and a strike, and the next candidate is asked
-	// (unless the asking proxy has given up by then: hop asks nobody).
-	pushID := strconv.FormatUint(p.pushSeq.Add(1), 10)
-	ch := make(chan []byte, 1)
-	p.pushWaiters.Store(pushID, ch)
-	defer p.pushWaiters.Delete(pushID)
-	push := st.StartSpan("peer.push", "Tp2p")
-	accepted := false
-	path := "/push?key=" + id.String() + "&to=" + p.self + "/accept-push?id=" + pushID
-	for _, cand := range p.ring.candidates(addr) {
-		rep, err := p.hop(r.Context(), peer{clientCache, cand}, "POST", path, nil, st.TraceID())
-		if err == nil && rep.status == http.StatusNoContent {
-			accepted = true
-			break
-		}
-	}
-	if !accepted {
-		push.EndWasted()
-		st.FinishWall("miss")
-		http.NotFound(w, r)
-		return
-	}
-	timer := time.NewTimer(p.defenses.PushTimeout)
-	defer timer.Stop()
-	select {
-	case body := <-ch:
-		push.End()
-		p.stats.pushesIn.Add(1)
-		serve(w, body, TierPeerP2P)
-		st.FinishWall(TierPeerP2P)
-	case <-timer.C:
-		push.EndWasted()
-		st.FinishWall("error")
-		http.Error(w, "push timed out", http.StatusGatewayTimeout)
-	case <-r.Context().Done():
-		// The peer gave up (its per-hop deadline fired, or it
-		// disconnected).  Without this arm the handler pins the
-		// connection active for the full push timeout after the caller
-		// is gone — every graceful drain then stalls behind abandoned
-		// push waits.
-		push.EndWasted()
-		st.FinishWall("error")
-	}
-}
-
-func (p *Proxy) handleAcceptPush(w http.ResponseWriter, r *http.Request) {
-	pushID := queryParam(r.URL.RawQuery, "id")
-	chAny, ok := p.pushWaiters.Load(pushID)
-	if !ok {
-		http.Error(w, "unknown push id", http.StatusGone)
-		return
-	}
-	body, err := readRetainedBody(w, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	select {
-	case chAny.(chan []byte) <- body:
-	default:
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // snapshotStats reads the lock-free counters into the /stats payload.
 func (p *Proxy) snapshotStats() ProxyStats {
 	p.mu.Lock()
@@ -602,7 +504,10 @@ func (p *Proxy) snapshotStats() ProxyStats {
 		StoreCalls:       int(p.stats.storeCalls.Load()),
 		StoreRefusals:    int(p.stats.storeRefusals.Load()),
 		DivertedHits:     int(p.stats.divertedHits.Load()),
-		PushesIn:         int(p.stats.pushesIn.Load()),
+		DigestPulls:      int(p.stats.digestPulls.Load()),
+		DigestPullFails:  int(p.stats.digestPullFails.Load()),
+		DigestSkips:      int(p.stats.digestSkips.Load()),
+		DigestFalsePos:   int(p.stats.digestFalsePos.Load()),
 		SweptCaches:      int(p.stats.swept.Load()),
 		DiskHits:         int(p.stats.diskHits.Load()),
 		DirEntries:       dirLen,

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -162,7 +163,6 @@ func TestCoalescedOriginFetch(t *testing.T) {
 	px := NewProxy(1 << 20)
 	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
-	px.SetSelf(pxSrv.URL)
 
 	const K = 16
 	u := fmt.Sprintf("%s/fetch?url=%s", pxSrv.URL, url.QueryEscape(origin.URL+"/herd"))
@@ -263,7 +263,6 @@ func TestOriginShortBody(t *testing.T) {
 	px := NewProxy(1 << 20)
 	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
-	px.SetSelf(pxSrv.URL)
 
 	resp, err := http.Get(fmt.Sprintf("%s/fetch?url=%s", pxSrv.URL, url.QueryEscape(origin.URL+"/short")))
 	if err != nil {
@@ -378,8 +377,9 @@ func TestShortBodyPerHop(t *testing.T) {
 					}
 				}
 			},
+			// The lookup pulled the peer's digest on the way, short too.
 			tier:  TierOrigin,
-			delta: ProxyStats{Requests: 1, OriginFetch: 1, Defense: DefenseStats{BreakerOpens: 1}},
+			delta: ProxyStats{Requests: 1, OriginFetch: 1, DigestPullFails: 1, Defense: DefenseStats{BreakerOpens: 1}},
 			spans: []string{"!proxy.cache", "!peer.lookup", "origin.fetch"}},
 		{name: "fleet holder",
 			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
@@ -420,6 +420,7 @@ func TestShortBodyPerHop(t *testing.T) {
 				t.Errorf("%s = %q, want %q", ServedByHeader, tier, tc.tier)
 			}
 			label, spans := finishedTrace(t, f.tr, traceID)
+			f.px.pulls.Wait()
 			if label != tc.tier || !slices.Equal(spans, tc.spans) {
 				t.Errorf("trace closed as %q with spans %v, want %q %v", label, spans, tc.tier, tc.spans)
 			}
@@ -490,5 +491,101 @@ func TestPassDownBoundedPerHop(t *testing.T) {
 	}
 	if got := px.contribFor(addr).timeouts.Load(); got != 1 {
 		t.Fatalf("daemon has %d timeout strikes, want 1", got)
+	}
+}
+
+// The digest row of the failure matrix: a cooperating proxy whose
+// /digest answers garbage, 5xx, a short body, a refusal or nothing at
+// all.  Each drops the digest held, so the peer is asked again as if
+// there were no digests, and each is judged as hop judges any proxy:
+// what broke the connection or ran out the deadline is a failure for
+// its breaker (one opens it here, and the peer is then passed over),
+// what answered is not.  The pull leaves no goroutine behind.
+func TestDigestPullFailures(t *testing.T) {
+	origin := newTestOrigin()
+	t.Cleanup(origin.srv.Close)
+	const deadline = 50 * time.Millisecond
+	faults := []struct {
+		name  string
+		fault http.HandlerFunc // nil: the peer stops listening
+		tier  string
+		delta ProxyStats
+	}{
+		{name: "garbage",
+			fault: func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("not a digest")) },
+			tier:  TierRemoteProxy,
+			delta: ProxyStats{Requests: 1, RemoteHits: 1, DigestPullFails: 1}},
+		{name: "5xx",
+			fault: func(w http.ResponseWriter, r *http.Request) { http.Error(w, "broken", http.StatusInternalServerError) },
+			tier:  TierRemoteProxy,
+			delta: ProxyStats{Requests: 1, RemoteHits: 1, DigestPullFails: 1}},
+		{name: "short",
+			fault: shortFarEnd(t, 8<<10, "").Config.Handler.ServeHTTP,
+			tier:  TierOrigin,
+			delta: ProxyStats{Requests: 1, OriginFetch: 1, DigestPullFails: 1,
+				Defense: DefenseStats{BreakerSkipped: 1, BreakerOpens: 1}}},
+		{name: "refused",
+			tier: TierOrigin,
+			delta: ProxyStats{Requests: 1, OriginFetch: 1, DigestPullFails: 1,
+				Defense: DefenseStats{BreakerSkipped: 1, BreakerOpens: 1}}},
+		{name: "hung",
+			fault: func(w http.ResponseWriter, r *http.Request) { <-r.Context().Done() },
+			tier:  TierOrigin,
+			delta: ProxyStats{Requests: 1, OriginFetch: 1, DigestPullFails: 1,
+				Defense: DefenseStats{BreakerSkipped: 1, BreakerOpens: 1, PeerTimeouts: 1}}},
+	}
+	for _, tc := range faults {
+		t.Run(tc.name, func(t *testing.T) {
+			peerPx := NewProxy(1 << 20)
+			var faulty atomic.Bool
+			peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if faulty.Load() && r.URL.Path == "/digest" {
+					tc.fault(w, r)
+					return
+				}
+				peerPx.Handler().ServeHTTP(w, r)
+			}))
+			t.Cleanup(peerSrv.Close)
+			px := NewProxy(1 << 20)
+			px.SetDefenses(Defenses{PeerTimeout: deadline, BreakerFailures: 1, BreakerCooldown: time.Minute})
+			px.SetPeers([]string{peerSrv.URL})
+			f := pin(t, px, "")
+			held := px.coop.Load().digests[peerSrv.URL]
+
+			// A good digest of the peer while it holds nothing; then the
+			// peer gains the object, which that digest says it has not got.
+			pullDigests(px)
+			objURL := origin.srv.URL + "/gained-" + tc.name
+			if held.filter.Load() == nil {
+				t.Fatal("no digest held after a good pull")
+			}
+			get(t, pinned{base: peerSrv.URL}.fetchURL(objURL))
+
+			goroutines := runtime.NumGoroutine()
+			before := px.snapshotStats()
+			if tc.fault == nil {
+				peerSrv.Close()
+			} else {
+				faulty.Store(true)
+			}
+			pullDigests(px)
+			if held.filter.Load() != nil {
+				t.Fatal("the digest survived a failed pull")
+			}
+			if status, tier := get(t, f.fetchURL(objURL)); status != http.StatusOK || tier != tc.tier {
+				t.Fatalf("status %d tier %q, want 200 %q", status, tier, tc.tier)
+			}
+			px.pulls.Wait()
+			if got := statsDelta(before, px.snapshotStats()); got != tc.delta {
+				t.Errorf("counters moved by %+v, want %+v", got, tc.delta)
+			}
+			px.CloseIdleConnections()
+			http.DefaultClient.CloseIdleConnections()
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines, %d before the failed pull", runtime.NumGoroutine(), goroutines)
+				}
+			}
+		})
 	}
 }

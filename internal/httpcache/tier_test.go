@@ -97,6 +97,13 @@ func finishedTrace(t *testing.T, tr *obs.Tracer, id string) (label string, spans
 	}
 }
 
+// pullDigests has px pull every cooperating proxy's digest now.
+func pullDigests(px *Proxy) {
+	for base, d := range px.coop.Load().digests {
+		px.pullDigest(base, d)
+	}
+}
+
 // pinned is a proxy whose counters and spans a row reads.
 type pinned struct {
 	px   *Proxy
@@ -117,7 +124,6 @@ func pin(t *testing.T, px *Proxy, base string) pinned {
 	if base == "" {
 		srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 		t.Cleanup(srv.Close)
-		px.SetSelf(srv.URL)
 		base = srv.URL
 	}
 	return pinned{px, tr, base}
@@ -140,10 +146,12 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	roomy1 := pin(t, roomyD.proxies[1], roomyD.proxyS[1].URL)
 	tiny := pin(t, tinyD.proxies[0], tinyD.proxyS[0].URL)
 
-	// Warm the fixtures.  roomy: /warm cached at proxy 0; tiny: twelve
-	// objects fetched, so the earliest are long since destaged into the
-	// client caches.
+	// Warm the fixtures.  roomy: /warm cached at proxy 0, which on the
+	// way pulled proxy 1's digest, empty; proxy 1 holds no digest of proxy
+	// 0.  tiny: twelve objects fetched, so the earliest are long since
+	// destaged into the client caches.
 	roomyD.fetch(0, "/warm")
+	roomy0.px.pulls.Wait()
 	for i := 0; i < 12; i++ {
 		tinyD.fetch(0, fmt.Sprintf("/obj%02d", i))
 	}
@@ -211,9 +219,26 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	brkPx.SetPeers([]string{badPeer.URL})
 	brk := pin(t, brkPx, "")
 	get(t, from(brk, "/trips-the-breaker"))
+	brkPx.pulls.Wait() // its /digest answers 500 too: no digest held
 	if st := brkPx.snapshotStats(); st.Defense.BreakerOpens != 1 {
 		t.Fatalf("breaker fixture: opens = %d, want 1", st.Defense.BreakerOpens)
 	}
+
+	// Two cooperating proxies without client caches, so what one evicts
+	// is gone.  drop: proxy 0 pulled proxy 1's digest while proxy 1 held
+	// /dropped, which proxy 1 has evicted since, its room of one object
+	// going to /filler.  gain: proxy 0 pulled proxy 1's digest while proxy
+	// 1 held nothing, and proxy 1 has fetched two objects since.
+	dropD := deploy(t, 2, 0, 30, 0)
+	drop := pin(t, dropD.proxies[0], dropD.proxyS[0].URL)
+	dropD.fetch(1, "/dropped")
+	pullDigests(drop.px)
+	dropD.fetch(1, "/filler")
+	gainD := deploy(t, 2, 0, 1<<20, 0)
+	gain := pin(t, gainD.proxies[0], gainD.proxyS[0].URL)
+	pullDigests(gain.px)
+	gainD.fetch(1, "/gained1")
+	gainD.fetch(1, "/gained2")
 
 	// A fleet of three; the pinned member owns nothing of /fleet.
 	rig := newFleetRig(t, 3, 1, 0, nil)
@@ -288,11 +313,13 @@ func TestServedByHeaderPerPath(t *testing.T) {
 		spans []string
 		label string
 	}{
+		// The cooperating proxy's digest says it has not got the object:
+		// it is not asked.
 		{name: "fetch origin (cold miss)", at: &roomy0,
 			url:   roomy0.fetchURL(roomyD.origin.srv.URL + "/cold"),
 			tier:  TierOrigin,
-			delta: ProxyStats{Requests: 1, OriginFetch: 1},
-			spans: []string{"!proxy.cache", "!peer.lookup", "origin.fetch"}},
+			delta: ProxyStats{Requests: 1, OriginFetch: 1, DigestSkips: 1},
+			spans: []string{"!proxy.cache", "origin.fetch"}},
 		{name: "fetch proxy cache hit", at: &roomy0,
 			url:   roomy0.fetchURL(roomyD.origin.srv.URL + "/warm"),
 			tier:  TierProxy,
@@ -303,10 +330,33 @@ func TestServedByHeaderPerPath(t *testing.T) {
 			tier:  TierProxyDisk,
 			delta: ProxyStats{Requests: 1, DiskHits: 1},
 			spans: []string{"!proxy.cache", "proxy.disk"}},
+		// No digest held yet: the peer is asked, and its digest pulled.
 		{name: "fetch cooperating proxy", at: &roomy1,
 			url:   roomy1.fetchURL(roomyD.origin.srv.URL + "/warm"),
 			tier:  TierRemoteProxy,
-			delta: ProxyStats{Requests: 1, RemoteHits: 1},
+			delta: ProxyStats{Requests: 1, RemoteHits: 1, DigestPulls: 1},
+			spans: []string{"!proxy.cache", "peer.lookup"}},
+		{name: "fetch past a stale digest's yes from origin", at: &drop,
+			url:   drop.fetchURL(dropD.origin.srv.URL + "/dropped"),
+			tier:  TierOrigin,
+			delta: ProxyStats{Requests: 1, OriginFetch: 1, DigestFalsePos: 1},
+			spans: []string{"!proxy.cache", "!peer.lookup", "origin.fetch"}},
+		{name: "fetch past a stale digest's no from origin", at: &gain,
+			url:   gain.fetchURL(gainD.origin.srv.URL + "/gained1"),
+			tier:  TierOrigin,
+			delta: ProxyStats{Requests: 1, OriginFetch: 1, DigestSkips: 1},
+			spans: []string{"!proxy.cache", "origin.fetch"}},
+		{name: "fetch cooperating proxy on a refreshed digest", at: &gain,
+			run: func(t *testing.T, id string) (int, string) {
+				pullDigests(gain.px)
+				status, tier, err := tracedGet(gain.fetchURL(gainD.origin.srv.URL+"/gained2"), id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return status, tier
+			},
+			tier:  TierRemoteProxy,
+			delta: ProxyStats{Requests: 1, RemoteHits: 1, DigestPulls: 1},
 			spans: []string{"!proxy.cache", "peer.lookup"}},
 		{name: "fetch destaged object from client cache", at: &tiny,
 			url:   tiny.fetchURL(tinyD.origin.srv.URL + "/obj00"),
@@ -352,11 +402,10 @@ func TestServedByHeaderPerPath(t *testing.T) {
 			url:   fmt.Sprintf("%s/peer-lookup?key=%s", roomy0.base, peerKey(roomyD, "/warm")),
 			tier:  TierPeerProxy,
 			spans: []string{"proxy.cache"}},
-		{name: "peer-lookup push-served from client cache", at: &tiny,
+		{name: "peer-lookup relayed from client cache", at: &tiny,
 			url:   fmt.Sprintf("%s/peer-lookup?key=%s", tiny.base, peerKey(tinyD, "/obj01")),
 			tier:  TierPeerP2P,
-			delta: ProxyStats{PushesIn: 1},
-			spans: []string{"!proxy.cache", "peer.push"}},
+			spans: []string{"!proxy.cache", "client.fetch"}},
 		{name: "client-cache /object",
 			url:  ccSrv.URL + "/object?key=" + storedKey,
 			tier: TierClientCache},
@@ -365,6 +414,7 @@ func TestServedByHeaderPerPath(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var before ProxyStats
 			if tc.at != nil {
+				tc.at.px.pulls.Wait()
 				before = tc.at.px.snapshotStats()
 			}
 			traceID := fmt.Sprintf("row-%d", i)
@@ -395,6 +445,7 @@ func TestServedByHeaderPerPath(t *testing.T) {
 				return
 			}
 			label, spans := finishedTrace(t, tc.at.tr, traceID)
+			tc.at.px.pulls.Wait()
 			if label != wantLabel {
 				t.Errorf("trace closed as %q, want %q", label, wantLabel)
 			}

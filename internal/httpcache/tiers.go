@@ -14,8 +14,8 @@ import (
 // This file is the paper's lookup cascade as the proxy runs it: proxy
 // cache, own P2P client cache by way of the directory (§4.2),
 // cooperating proxies (§4.5), origin.  The order is data, the table
-// cascade builds once per proxy, and handleFetch is the one loop that
-// walks it.
+// cascade builds once per proxy, and walk is the one loop that walks
+// it, for a /fetch and for a cooperating proxy's /peer-lookup alike.
 
 // fetchReq is one /fetch as a tier sees it.  Tiers get it by value: a
 // pointer handed through a tier's func value would move it to the heap,
@@ -35,6 +35,9 @@ type served struct {
 	body []byte
 	by   string        // the X-Served-By label
 	hits *atomic.Int64 // the counter the serve is booked under
+	// diverted marks a client-cache serve by one of the owner's
+	// neighbours, where an ifFree store had diverted the object (§4.3).
+	diverted bool
 	// evicted is what caching the body at this proxy displaced; the loop
 	// passes it down into the client caches.
 	evicted []store.Object
@@ -55,7 +58,7 @@ type tier struct {
 	from func(q fetchReq) []string
 	// admit, when set, is put to each address as its turn comes; one it
 	// refuses is passed over without a span.
-	admit func(addr string) bool
+	admit func(q fetchReq, addr string) bool
 	// ask asks the n-th address for the object.  A nil error is a serve;
 	// the last tier's error is what a 502 reports.
 	ask func(q fetchReq, addr string, n int) (served, error)
@@ -66,9 +69,38 @@ type tier struct {
 
 var here = []string{""}
 
-// handleFetch walks the tiers until one serves.  Every attempt runs
+// walk asks the tiers in order until one serves.  Every attempt runs
 // under a span closed End when it serves and EndWasted when it does
-// not, whichever tier it belongs to; the serving tier's counter, the
+// not, whichever tier it belongs to.  Without a serve the error is the
+// last attempt's.
+func walk(q fetchReq, tiers []tier) (s served, err error) {
+	err = errMiss
+	for i := range tiers {
+		t := &tiers[i]
+		asked := here
+		if t.from != nil {
+			asked = t.from(q)
+		}
+		for n, addr := range asked {
+			if t.admit != nil && !t.admit(q, addr) {
+				continue
+			}
+			span := q.st.StartSpan(t.spans[min(n, len(t.spans)-1)], t.cat)
+			if s, err = t.ask(q, addr, n); err != nil {
+				span.EndWasted()
+				continue
+			}
+			span.End()
+			return s, nil
+		}
+		if len(asked) > 0 && t.missed != nil {
+			t.missed(q)
+		}
+	}
+	return served{}, err
+}
+
+// handleFetch walks the whole cascade.  The serving tier's counter, the
 // pass-down of what caching the body evicted, the reply and the trace's
 // label are written here and nowhere else.  Evictions go down before
 // the reply does (ROADMAP item 1 wants the order reversed: this is the
@@ -92,44 +124,54 @@ func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
 			f.hopServes.Add(1)
 		}
 	}
-	var err error
-	for i := range p.tiers {
-		t := &p.tiers[i]
-		asked := here
-		if t.from != nil {
-			asked = t.from(q)
-		}
-		for n, addr := range asked {
-			if t.admit != nil && !t.admit(addr) {
-				continue
-			}
-			span := q.st.StartSpan(t.spans[min(n, len(t.spans)-1)], t.cat)
-			var s served
-			if s, err = t.ask(q, addr, n); err != nil {
-				span.EndWasted()
-				continue
-			}
-			span.End()
-			s.hits.Add(1)
-			for _, ev := range s.evicted {
-				p.passDown(ev)
-			}
-			serve(w, s.body, s.by)
-			q.st.FinishWall(s.by)
-			return
-		}
-		if len(asked) > 0 && t.missed != nil {
-			t.missed(q)
-		}
+	s, err := walk(q, p.tiers)
+	if err != nil {
+		// The origin is the last tier and is always asked: err is its.
+		q.st.FinishWall("error")
+		http.Error(w, "origin fetch: "+err.Error(), http.StatusBadGateway)
+		return
 	}
-	// The origin is the last tier and is always asked: err is its.
-	q.st.FinishWall("error")
-	http.Error(w, "origin fetch: "+err.Error(), http.StatusBadGateway)
+	s.hits.Add(1)
+	if s.diverted {
+		p.stats.divertedHits.Add(1)
+	}
+	for _, ev := range s.evicted {
+		p.passDown(ev)
+	}
+	serve(w, s.body, s.by)
+	q.st.FinishWall(s.by)
 }
 
-// cascade builds the tier table of a proxy that is no fleet member;
-// EnableFleet inserts the fleet route.
-func (p *Proxy) cascade() []tier {
+// handlePeerLookup serves a cooperating proxy (§4.5) from the rungs of
+// the cascade that are this proxy's own: its caches, then its client
+// caches, whose copy it relays (DESIGN.md §2 item 6), verified and with
+// a stale entry repaired as for a /fetch.  The asking proxy books the
+// serve.
+func (p *Proxy) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
+	id, _, err := parseKey(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	q := fetchReq{r: r, id: id, folded: fold(id), st: traceStart(p.tracer, r, "peer-lookup")}
+	s, err := walk(q, p.local)
+	if err != nil {
+		q.st.FinishWall("miss")
+		http.NotFound(w, r)
+		return
+	}
+	by := TierPeerProxy
+	if s.by == TierClientCache {
+		by = TierPeerP2P
+	}
+	serve(w, s.body, by)
+	q.st.FinishWall(by)
+}
+
+// cascade builds the tier table of a proxy that is no fleet member, and
+// its head that the proxy serves from what it holds itself; EnableFleet
+// inserts the fleet route.
+func (p *Proxy) cascade() (local, tiers []tier) {
 	// unlist repairs a directory entry no cache backs any more (a
 	// crashed daemon, a raced eviction).
 	unlist := func(q fetchReq) {
@@ -139,7 +181,7 @@ func (p *Proxy) cascade() []tier {
 		p.dropDigest(q.folded)
 	}
 
-	tiers := []tier{{
+	local = []tier{{
 		// 1. Proxy cache, memory.
 		spans: []string{"proxy.cache"}, cat: "Tl",
 		ask: func(q fetchReq, _ string, _ int) (served, error) {
@@ -151,7 +193,7 @@ func (p *Proxy) cascade() []tier {
 		},
 	}}
 	if p.disk != nil {
-		tiers = append(tiers, tier{
+		local = append(local, tier{
 			// The persistent tier, which promotes a hit back into a free
 			// memory slot.
 			spans: []string{"proxy.disk"}, cat: "Tl",
@@ -164,14 +206,17 @@ func (p *Proxy) cascade() []tier {
 			},
 		})
 	}
-	return append(tiers, tier{
+	local = append(local, tier{
 		// 2. Own P2P client cache, per the lookup directory (§4.2): the
 		// ring owner, then its neighbours, where an ifFree store may have
 		// diverted the object (§4.3).  When none of them has it the entry
 		// is stale and is repaired.
 		spans: []string{"client.fetch", "client.fetch.divert"}, cat: "Tp2p",
 		from: func(q fetchReq) []string {
-			if !p.inDirectory(q.folded) {
+			p.mu.Lock()
+			listed := p.dir.MayContain(q.folded)
+			p.mu.Unlock()
+			if !listed {
 				return nil
 			}
 			owner, ok := p.ring.owner(q.id)
@@ -193,29 +238,26 @@ func (p *Proxy) cascade() []tier {
 				p.contribFor(addr).digestFails.Add(1)
 				return served{}, errMiss
 			}
-			if n > 0 {
-				p.stats.divertedHits.Add(1)
-			}
-			return served{body: body, by: TierClientCache, hits: &p.stats.clientHits}, nil
+			return served{body: body, by: TierClientCache, hits: &p.stats.clientHits, diverted: n > 0}, nil
 		},
 		missed: unlist,
-	}, tier{
-		// 3. Cooperating proxies, each behind its error-rate breaker: a
-		// peer that keeps failing at the transport level is passed over
-		// (the request degrades toward origin) until its cooldown admits
-		// a probe.
+	})
+	return local[:len(local):len(local)], append(local, tier{
+		// 3. Cooperating proxies, each behind its error-rate breaker (a
+		// peer that keeps failing at the transport level is passed over,
+		// the request degrading toward origin, until its cooldown admits
+		// a probe) and its digest (one that says the peer cannot serve
+		// the object passes it over, digest.go).
 		spans: []string{"peer.lookup"}, cat: "Tc",
 		from: func(fetchReq) []string {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return p.peers
+			return p.coop.Load().bases
 		},
-		admit: func(base string) bool {
-			if p.peerAllowed(base) {
-				return true
+		admit: func(q fetchReq, base string) bool {
+			if !p.peerAllowed(base) {
+				p.stats.breakerSkipped.Add(1)
+				return false
 			}
-			p.stats.breakerSkipped.Add(1)
-			return false
+			return p.digestAdmits(q, base)
 		},
 		ask: func(q fetchReq, base string, _ int) (served, error) {
 			rep, err := p.hop(q.r.Context(), peer{coopProxy, base}, "GET", "/peer-lookup?key="+q.id.String(), nil, q.st.TraceID())
@@ -228,6 +270,9 @@ func (p *Proxy) cascade() []tier {
 			}
 			p.peerOK(base) // it answered, if only that it has not got the object
 			if rep.status == http.StatusNotFound {
+				if d := p.coop.Load().digests[base]; d != nil && d.filter.Load() != nil {
+					p.stats.digestFalsePos.Add(1) // it was asked on its digest's word
+				}
 				return served{}, errMiss
 			}
 			// An empty body is served without being cached

@@ -59,7 +59,7 @@ func tracedFetch(t *testing.T, d *deployment, p int, path, traceID string) strin
 
 // A propagated trace id must join the traces recorded at every hop of
 // a cross-proxy fetch: the requesting proxy, the peer proxy, and the
-// peer's client cache on the push path.
+// peer's client cache on the relay.
 func TestTraceIDPropagatesAcrossHops(t *testing.T) {
 	d := deploy(t, 2, 2, 1<<20, 1<<20)
 	proxyT, cacheT := attachObs(d)
@@ -103,44 +103,42 @@ func TestTraceIDPropagatesAcrossHops(t *testing.T) {
 	_ = cacheT
 }
 
-// The push path must carry the trace id down into the client cache:
-// requester proxy → peer proxy → peer's client cache → accept-push.
-func TestTraceIDReachesClientCacheOnPush(t *testing.T) {
+// The relay must carry the trace id down into the client cache:
+// requester proxy → peer proxy → peer's client cache.
+func TestTraceIDReachesClientCacheOnRelay(t *testing.T) {
 	d := deploy(t, 2, 3, 52, 1<<20)
 	proxyT, cacheT := attachObs(d)
 
 	// Overflow proxy 0's tiny cache so objects destage into its client
-	// caches (the TestPushAcrossProxies layout); then fetch the evicted
-	// ones via proxy 1 → peer-lookup → push from proxy 0's clients.
-	// The requester observes remote-proxy either way; the peer's
-	// PushesIn counter tells us which fetch actually went via push.
+	// caches (the TestRelayAcrossProxies layout); then fetch them via
+	// proxy 1 → peer-lookup → relay from proxy 0's clients.  The
+	// requester observes remote-proxy either way; the label proxy 0
+	// closed the lookup's trace under tells which went by relay.
 	for i := 0; i < 12; i++ {
 		tracedFetch(t, d, 0, fmt.Sprintf("/p%02d", i), fmt.Sprintf("t-fill%d", i))
 	}
-	var pushed string
-	for i := 0; i < 12 && pushed == ""; i++ {
-		before := d.proxyStats(0).PushesIn
-		id := fmt.Sprintf("t-push%d", i)
-		tracedFetch(t, d, 1, fmt.Sprintf("/p%02d", i), id)
-		if d.proxyStats(0).PushesIn > before {
-			pushed = id
+	id := ""
+	for i := 0; i < 12 && id == ""; i++ {
+		tracedFetch(t, d, 1, fmt.Sprintf("/p%02d", i), fmt.Sprintf("t-relay%d", i))
+		if label, _ := finishedTrace(t, proxyT[0], fmt.Sprintf("t-relay%d", i)); label == TierPeerP2P {
+			id = fmt.Sprintf("t-relay%d", i)
 		}
 	}
-	if pushed == "" {
-		t.Fatal("push mechanism never used")
+	if id == "" {
+		t.Fatal("proxy 0 relayed nothing from its client caches")
 	}
 	joined := false
 	for _, row := range cacheT {
 		for _, ct := range row {
 			for _, st := range ct.Snapshots() {
-				if st.ID == pushed {
+				if st.ID == id {
 					joined = true
 				}
 			}
 		}
 	}
 	if !joined {
-		t.Fatalf("no client cache joined trace %s", pushed)
+		t.Fatalf("no client cache joined trace %s", id)
 	}
 	if len(proxyT[1].Snapshots()) == 0 {
 		t.Fatal("peer proxy recorded no traces")

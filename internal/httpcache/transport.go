@@ -10,9 +10,8 @@ import (
 
 // NewTransport returns the tuned *http.Transport every component of
 // the live system shares the shape of: the proxy's outbound client
-// (origin fetches, LAN fetches, peer lookups, pass-downs), the
-// client-cache daemon's push client, and the load generator's driver
-// (internal/loadgen).
+// (origin fetches, LAN fetches, peer lookups, digest pulls, pass-downs)
+// and the load generator's driver (internal/loadgen).
 //
 // The stock http.DefaultTransport keeps only 2 idle connections per
 // host (MaxIdleConnsPerHost), so under load every hot peer or origin
@@ -188,7 +187,3 @@ func (p *Proxy) hop(parent context.Context, to peer, method, pathQuery string, b
 // and http.Server.Shutdown only reaps those after a hard-coded 5s
 // grace — every graceful drain would stall that long otherwise.
 func (p *Proxy) CloseIdleConnections() { p.client.CloseIdleConnections() }
-
-// CloseIdleConnections drops the daemon's pooled outbound connections
-// (push deliveries to proxies); see Proxy.CloseIdleConnections.
-func (c *ClientCache) CloseIdleConnections() { c.client.CloseIdleConnections() }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -120,7 +119,7 @@ func TestBodyRepliesDeclareLength(t *testing.T) {
 					before: func() {
 						p2p.proxies[0].passDown(store.Object{HexKey: key("/b"), Body: sizedBody("/b", size), Cost: 1})
 					}},
-				{name: "peer-lookup pushed up from a client cache", url: p2p.proxyS[0].URL + "/peer-lookup?key=" + key("/b"),
+				{name: "peer-lookup relayed from a client cache", url: p2p.proxyS[0].URL + "/peer-lookup?key=" + key("/b"),
 					path: "/b", tier: TierPeerP2P},
 				{name: "client-cache /object", url: ccSrv.URL + "/object?key=" + key("/direct"),
 					path: "/direct", tier: TierClientCache},
@@ -330,62 +329,6 @@ func FuzzHopReply(f *testing.F) {
 			t.Errorf("%s: hop returned %d body bytes of a reply that declared %d", path, len(rep.body), declared)
 		}
 	})
-}
-
-// The push descends from the ask (§4.5's push is made for one waiting
-// proxy): when the asking side hangs up while the daemon is shipping the
-// body, the daemon abandons its POST, and a push nobody received is not
-// counted.
-func TestPushDescendsFromAsk(t *testing.T) {
-	arrived, abandoned := make(chan struct{}), make(chan struct{})
-	acceptPush := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// The body is in, the reply is not: this is where a real waiter
-		// would be handing the object to its peer.  (net/http watches a
-		// connection for closing only once the request body is read.)
-		io.Copy(io.Discard, r.Body)
-		close(arrived)
-		<-r.Context().Done() // the daemon's connection closing: its POST given up
-		close(abandoned)
-	}))
-	t.Cleanup(acceptPush.Close)
-
-	cc := NewClientCache(1 << 20)
-	pushReturned := make(chan struct{})
-	ccSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		wiretest.StrictFraming(t, cc.Handler()).ServeHTTP(w, r)
-		close(pushReturned) // the one request of this test
-	}))
-	t.Cleanup(ccSrv.Close)
-	key := keyOf("http://origin.test/pushed")
-	cc.store.Put(fold(key), store.Object{HexKey: key.String(), Body: sizedBody("/pushed", 8<<10), Cost: 1})
-
-	ctx, hangUp := context.WithCancel(context.Background())
-	ask, err := http.NewRequestWithContext(ctx, "POST", ccSrv.URL+"/push?key="+key.String()+"&to="+acceptPush.URL+"/accept-push?id=1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asked := make(chan error, 1)
-	go func() {
-		resp, err := http.DefaultClient.Do(ask)
-		if err == nil {
-			resp.Body.Close()
-		}
-		asked <- err
-	}()
-	<-arrived
-	hangUp()
-	if err := <-asked; !errors.Is(err, context.Canceled) {
-		t.Fatalf("the ask returned %v, want its cancellation", err)
-	}
-	select {
-	case <-abandoned:
-	case <-time.After(3 * time.Second): // the daemon's own client gives up after 5 s
-		t.Fatal("the daemon kept its push POST going after the asking proxy hung up")
-	}
-	<-pushReturned // the handler books a push only after its POST returns
-	if got := cc.snapshotStats().Pushes; got != 0 {
-		t.Errorf("pushes = %d after an abandoned push, want 0", got)
-	}
 }
 
 // readBody itself, on both sides of bodyTrust: a declaration honoured is

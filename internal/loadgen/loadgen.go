@@ -44,8 +44,8 @@ const (
 	TierProxy Tier = iota
 	// TierClientCache: the proxy's own P2P client cache (Tp2p).
 	TierClientCache
-	// TierRemoteProxy: a cooperating proxy, from its cache or its
-	// client caches via the push mechanism (Tc).
+	// TierRemoteProxy: a cooperating proxy, from its cache or relayed
+	// from its client caches (Tc).
 	TierRemoteProxy
 	// TierOrigin: the origin server (Ts).
 	TierOrigin

@@ -203,7 +203,6 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		}
 		t.serve(ln, ph)
 		u := "http://" + ln.Addr().String()
-		px.SetSelf(u)
 		t.Proxies = append(t.Proxies, px)
 		t.ProxyURLs = append(t.ProxyURLs, u)
 
@@ -383,9 +382,6 @@ func (t *Topology) Close(ctx context.Context) error {
 	// leaving them open stalls every drain by exactly that long.
 	for _, px := range t.Proxies {
 		px.CloseIdleConnections()
-	}
-	for _, cc := range t.caches {
-		cc.CloseIdleConnections()
 	}
 	http.DefaultClient.CloseIdleConnections() // registration + /stats probes
 	var firstErr error

@@ -358,6 +358,17 @@ func (d *Store) dropCorrupt(key trace.ObjectID, e indexEntry) {
 	d.misses.Inc()
 }
 
+// Keys snapshots the indexed keys, in no particular order.
+func (d *Store) Keys() []trace.ObjectID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]trace.ObjectID, 0, len(d.idx))
+	for key := range d.idx {
+		out = append(out, key)
+	}
+	return out
+}
+
 // Len reports the live object count.
 func (d *Store) Len() int {
 	d.mu.Lock()
