@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"webcache/internal/obs"
+	"webcache/internal/store"
 	"webcache/internal/wiretest"
 )
 
@@ -456,5 +457,41 @@ func TestServedByHeaderPerPath(t *testing.T) {
 				t.Errorf("counters moved by %+v, want %+v", got, tc.delta)
 			}
 		})
+	}
+}
+
+// A digest covers everything /peer-lookup can serve: the memory tier,
+// the disk tier and the client caches the directory lists.
+func TestDigestCoversWhatPeerLookupServes(t *testing.T) {
+	origin := newTestOrigin()
+	t.Cleanup(origin.srv.Close)
+	// Memory for one eight-byte body, so a fetched object lives on disk.
+	peerPx, err := NewProxyOpts(Options{CapacityBytes: 8, DiskDir: t.TempDir(), DiskCapacityBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peerPx.Close() })
+	peer := pin(t, peerPx, "")
+	get(t, peer.fetchURL(origin.srv.URL+"/on-disk"))
+	if !peerPx.Sync() {
+		t.Fatal("disk sync failed")
+	}
+	plantDir(peerPx, origin.srv.URL+"/listed")
+	inMemory := origin.srv.URL + "/in-memory"
+	if _, stored, err := peerPx.store.Put(fold(keyOf(inMemory)), store.Object{HexKey: keyOf(inMemory).String(), Body: []byte("eight-b!"), Cost: 1}); !stored || err != nil {
+		t.Fatalf("memory fixture: stored %v, err %v", stored, err)
+	}
+
+	px := NewProxy(1 << 20)
+	px.SetPeers([]string{peer.base})
+	pullDigests(px)
+	f := px.coop.Load().digests[peer.base].filter.Load()
+	if f == nil {
+		t.Fatal("no digest pulled")
+	}
+	for _, path := range []string{"/on-disk", "/listed", "/in-memory"} {
+		if !f.MayContain(uint64(fold(keyOf(origin.srv.URL + path)))) {
+			t.Errorf("the digest does not endorse %s", path)
+		}
 	}
 }
