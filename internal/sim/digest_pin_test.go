@@ -53,7 +53,11 @@ func TestResultDigestPinned(t *testing.T) {
 // client caches crash and re-join.  The first two runs are the repo
 // benchmark's sim_churn workload at seed 1 (bench/sizes.go), the last
 // two add a flash-churn storm and hot-object replication on the small
-// test trace.  (The Squirrel engine has no maintenance hook, so
+// test trace.  The rows after those pin the engine paths that share
+// code across schemes: Summary-Cache digests under SC, SC-EC and
+// Hier-GD, directory poisoning with its sweep, Byzantine serves with
+// sampled verification, and the fleet engine across a partition.
+// (The Squirrel engine has no maintenance hook, so
 // FailEvery does not reach it; its row pins it as sim_churn runs it.)
 // The digest is over the whole JSON Result, so it moves
 // on a change to P2P.RouteHops or Messages that leaves every serve and
@@ -84,6 +88,24 @@ func TestChurnResultDigestPinned(t *testing.T) {
 		{"hier-gd-hot-replication", small,
 			Config{Scheme: HierGD, Seed: 1, ProxyCacheFrac: 0.3, FailEvery: 500, ReplaceFailed: true, ReplicateHotAfter: 4},
 			"f95c8cd8415f56d709f2fe89ba04529f0327c739d93e27594555329175da6e0e"},
+		{"sc-digests", small,
+			Config{Scheme: SC, Seed: 1, ProxyCacheFrac: 0.3, DigestInterval: 1_000},
+			"63c011210831c05a0560bfac1bd304ddbba5dbbe4408330180802e454868d7ec"},
+		{"sc-ec-digests", small,
+			Config{Scheme: SCEC, Seed: 1, ProxyCacheFrac: 0.3, DigestInterval: 1_000},
+			"dc9dc1db9678226ba26bcffcfb859b4fea73051d4be880a8cbfb2a976f024b53"},
+		{"hier-gd-digests", small,
+			Config{Scheme: HierGD, Seed: 1, ProxyCacheFrac: 0.3, DigestInterval: 1_000, Directory: DirBloom},
+			"2cc3f18cf2b7dfa755380ad4e94181d22b12320bcc35a9868ff6ddef5fbc4157"},
+		{"hier-gd-poison-sweep", small,
+			Config{Scheme: HierGD, Seed: 1, ProxyCacheFrac: 0.3, PoisonEvery: 700, DirSweepEvery: 5_000},
+			"3a0b734e4486513e3f2a19cbc73566c69e9b4d4bac8486a62c87a580e380eb7c"},
+		{"hier-gd-byzantine", small,
+			Config{Scheme: HierGD, Seed: 1, ProxyCacheFrac: 0.3, ByzantineFraction: 0.1, VerifyFraction: 0.5},
+			"f01d18edd2f150a40aba443358fd46801c440d3c772557d619dd65e745c80ae3"},
+		{"fleet-partition", small,
+			Config{Scheme: HierGD, Seed: 1, ProxyCacheFrac: 0.3, ClientsPerCluster: 16, FleetSize: 4, FleetReplication: 2, FleetPartitionAt: 30_000},
+			"43e6ce2815ca127445315699f56be430cec32a39b30b2430f1703548dd4e7699"},
 	} {
 		// Subtests, so one replay can be profiled alone:
 		// -run TestChurnResultDigestPinned/squirrel-churn -cpuprofile ...
