@@ -21,9 +21,12 @@ vet:
 # metric registry, the invariant oracles, the simulator that feeds
 # them (the ./internal/sim run includes the checked end-to-end
 # replays), and the concurrent data plane (sharded store + the HTTP
-# daemons built on it).  It fails on any file gofmt would rewrite.
+# daemons built on it).  It fails on any file gofmt would rewrite, and
+# if the simulator library (the root webcache package) links any
+# package of the live data plane.
 check: vet
 	@test -z "$$(gofmt -l . | tee /dev/stderr)" || { echo "gofmt -l . names the files above" >&2; exit 1; }
+	@test -z "$$($(GO) list -deps . | grep -E '^webcache/internal/(httpcache|loadgen|store|obs/slo)(/|$$)' | tee /dev/stderr)" || { echo "go list -deps . names the live data-plane packages above" >&2; exit 1; }
 	$(GO) test -race ./internal/obs ./internal/invariant ./internal/sim \
 		./internal/core ./internal/store ./internal/store/disk ./internal/httpcache
 

@@ -215,33 +215,6 @@ func BenchmarkInterProxyDigests(b *testing.B) {
 	}
 }
 
-// BenchmarkProxyGDSF compares Hier-GD's paper policy (greedy-dual)
-// with the GDSF extension at the proxies.
-func BenchmarkProxyGDSF(b *testing.B) {
-	tr := benchTrace(b)
-	for _, gdsf := range []bool{false, true} {
-		name := "greedy-dual"
-		if gdsf {
-			name = "gdsf"
-		}
-		b.Run(name, func(b *testing.B) {
-			var res *webcache.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = webcache.Run(tr, webcache.Config{
-					Scheme: webcache.HierGD, ProxyCacheFrac: 0.15,
-					ProxyGDSF: gdsf, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMetric(b, 100*res.HitRatio(webcache.SrcLocalProxy), "proxy-hit%")
-			reportMetric(b, res.AvgLatency*1000, "mlat")
-		})
-	}
-}
-
 // BenchmarkVariableSizes replays the extension workload (lognormal
 // body + Pareto tail object sizes) through the size-aware policies.
 func BenchmarkVariableSizes(b *testing.B) {

@@ -68,7 +68,8 @@ func New(p Params) (Model, error) {
 	if p.P2PClientRatio == 0 {
 		p.P2PClientRatio = DefaultP2PClientRatio
 	}
-	if p.Ts <= 0 || p.ServerProxyRatio <= 0 || p.ServerClientRatio <= 0 || p.P2PClientRatio <= 0 {
+	// Written !(x > 0) so NaN, which fails every comparison, is rejected.
+	if !(p.Ts > 0) || !(p.ServerProxyRatio > 0) || !(p.ServerClientRatio > 0) || !(p.P2PClientRatio > 0) {
 		return Model{}, ErrBadRatio
 	}
 	tl := p.Ts / p.ServerClientRatio
@@ -239,7 +240,7 @@ func (m Model) FetchCost(src Source) float64 {
 // enforcing that ordering would reject the paper's own parameter space.
 func (m Model) Validate() error {
 	switch {
-	case m.Tl <= 0 || m.Tp2p <= 0 || m.Tc <= 0 || m.Ts <= 0:
+	case !(m.Tl > 0) || !(m.Tp2p > 0) || !(m.Tc > 0) || !(m.Ts > 0): // NaN fails > 0 too
 		return fmt.Errorf("netmodel: latencies must be positive: %+v", m)
 	case m.Tp2p < m.Tl:
 		return fmt.Errorf("netmodel: Tp2p (%g) < Tl (%g)", m.Tp2p, m.Tl)

@@ -50,6 +50,10 @@ func TestNewRejectsNegativeRatios(t *testing.T) {
 		{ServerClientRatio: -2},
 		{P2PClientRatio: -0.5},
 		{Ts: -1},
+		{ServerProxyRatio: math.NaN()},
+		{ServerClientRatio: math.NaN()},
+		{P2PClientRatio: math.NaN()},
+		{Ts: math.NaN()},
 	} {
 		if _, err := New(p); err == nil {
 			t.Errorf("New(%+v) succeeded, want error", p)
@@ -166,6 +170,11 @@ func TestValidateCatchesInversions(t *testing.T) {
 	m.Tl = -1
 	if err := m.Validate(); err == nil {
 		t.Error("Validate accepted negative Tl")
+	}
+	m = Default()
+	m.Tl = math.NaN()
+	if err := m.Validate(); err == nil {
+		t.Error("Validate accepted NaN Tl")
 	}
 }
 

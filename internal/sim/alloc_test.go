@@ -28,16 +28,7 @@ func serveSteadyStateAllocs(t *testing.T, cfg Config) float64 {
 		t.Fatal(err)
 	}
 	sz := computeSizing(tr, cfg)
-	var eng engine
-	var err error
-	switch {
-	case cfg.Scheme == HierGD && cfg.FleetSize > 1:
-		eng, err = newFleetEngine(cfg, sz)
-	case cfg.Scheme == HierGD:
-		eng, err = newHierGDEngine(cfg, sz)
-	default:
-		eng = newLFUEngine(cfg, sz)
-	}
+	eng, err := newEngine(tr, cfg, sz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +50,14 @@ func serveSteadyStateAllocs(t *testing.T, cfg Config) float64 {
 }
 
 // TestServeZeroAllocLFU gates the NC/SC/EC engine family: the per-proxy
-// tiered LFU caches with inter-proxy cooperation.
+// tiered LFU caches with inter-proxy cooperation, under perfect
+// knowledge and through the digest-gated peer tier.
 func TestServeZeroAllocLFU(t *testing.T) {
-	cfg := Config{Scheme: SCEC, ProxyCacheFrac: 0.3, ClientsPerCluster: 16, Seed: 1}
-	if allocs := serveSteadyStateAllocs(t, cfg); allocs != 0 {
-		t.Errorf("SC-EC steady-state serve allocates %.1f objects/request, want 0", allocs)
+	for _, interval := range []int{0, 1_000} {
+		cfg := Config{Scheme: SCEC, ProxyCacheFrac: 0.3, ClientsPerCluster: 16, Seed: 1, DigestInterval: interval}
+		if allocs := serveSteadyStateAllocs(t, cfg); allocs != 0 {
+			t.Errorf("SC-EC (digest interval %d) steady-state serve allocates %.1f objects/request, want 0", interval, allocs)
+		}
 	}
 }
 

@@ -26,12 +26,3 @@ func TestBasePolicyChangesBehaviour(t *testing.T) {
 		t.Error("LRU and LFU baselines identical — knob inert")
 	}
 }
-
-func TestLFUInCacheShorthand(t *testing.T) {
-	tr := testTrace(t, 82)
-	a := run(t, tr, Config{Scheme: NC, ProxyCacheFrac: 0.2, LFUInCache: true, Seed: 1})
-	b := run(t, tr, Config{Scheme: NC, ProxyCacheFrac: 0.2, BasePolicy: BaseLFUInCache, Seed: 1})
-	if a.AvgLatency != b.AvgLatency {
-		t.Error("LFUInCache shorthand diverges from BasePolicy")
-	}
-}

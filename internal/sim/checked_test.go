@@ -43,8 +43,7 @@ func TestCheckedRunAllSchemes(t *testing.T) {
 // TestCheckedRunHierGDVariants stresses the Hier-GD oracles under the
 // configurations that bend the receipts flow: Bloom directories (false
 // positives), stale digests, client-cache churn with and without
-// replacement, hot-object replication, GDSF proxies, and the ablation
-// switches.
+// replacement, hot-object replication, and the ablation switches.
 func TestCheckedRunHierGDVariants(t *testing.T) {
 	tr := testTrace(t, 1)
 	variants := map[string]Config{
@@ -53,7 +52,6 @@ func TestCheckedRunHierGDVariants(t *testing.T) {
 		"churn":           {FailEvery: 9_000},
 		"churn-replace":   {FailEvery: 9_000, ReplaceFailed: true},
 		"replication":     {ReplicateHotAfter: 50},
-		"gdsf":            {ProxyGDSF: true},
 		"no-piggyback":    {DisablePiggyback: true},
 		"no-diversion":    {DisableDiversion: true},
 		"bloom-churn":     {Directory: DirBloom, FailEvery: 9_000},

@@ -104,10 +104,6 @@ type Config struct {
 	// DisableDiversion turns off Hier-GD's leaf-set object diversion
 	// (§4.3) for the ablation bench.
 	DisableDiversion bool
-	// ProxyGDSF runs Hier-GD's proxy caches with GreedyDual-Size-
-	// Frequency instead of plain greedy-dual — the extension policy
-	// the library offers beyond the paper.
-	ProxyGDSF bool
 	// ReplicateHotAfter enables PAST-style hot-object replication in
 	// Hier-GD's P2P client caches (see internal/p2p/replicate.go);
 	// 0 disables it (the paper's single-copy design).
@@ -158,17 +154,10 @@ type Config struct {
 	FleetReplication int
 	FleetHotAfter    int
 	FleetPartitionAt int
-	// LFUInCache switches NC/SC/NC-EC/SC-EC from perfect-frequency
-	// LFU (default) to in-cache LFU.  Shorthand for
-	// BasePolicy == BaseLFUInCache.
-	LFUInCache bool
 	// BasePolicy selects the replacement policy of the LFU-family
 	// schemes (NC, SC, NC-EC, SC-EC): the paper fixes LFU (§2); the
 	// other values ablate that design choice.
 	BasePolicy BasePolicy
-	// FCWindow is the re-placement period (in requests) of the FC and
-	// FC-EC cost-benefit placement; 0 uses the default (10k).
-	FCWindow int
 	// FCTrailing computes each FC/FC-EC window placement from the
 	// *previous* window's frequencies instead of the upcoming window.
 	// The default (upcoming window) matches the paper's framing of
@@ -181,10 +170,9 @@ type Config struct {
 	// instantaneous knowledge (0, the paper's idealization) to
 	// Summary-Cache-style Bloom digests rebuilt and exchanged every N
 	// requests.  Stale digest entries cost a wasted Tc probe, charged
-	// on top of the final fetch.  Applies to SC, SC-EC and Hier-GD.
+	// on top of the final fetch.  Applies to SC, SC-EC and Hier-GD;
+	// the digests are Bloom filters at DefaultBloomFPRate.
 	DigestInterval int
-	// DigestFPRate sizes the digest filters (default 1%).
-	DigestFPRate float64
 	// WarmupRequests excludes the first N requests from the latency
 	// and hit-ratio accounting (caches still process them), isolating
 	// steady-state behaviour from cold-start compulsory misses.  The
@@ -250,12 +238,6 @@ func (c *Config) fillDefaults() {
 	if c.BloomFPRate == 0 {
 		c.BloomFPRate = DefaultBloomFPRate
 	}
-	if c.DigestFPRate == 0 {
-		c.DigestFPRate = DefaultBloomFPRate
-	}
-	if c.LFUInCache && c.BasePolicy == BasePerfectLFU {
-		c.BasePolicy = BaseLFUInCache
-	}
 	if c.FlashChurnAt > 0 && c.FlashChurnFraction == 0 {
 		c.FlashChurnFraction = 0.5
 	}
@@ -287,13 +269,15 @@ func (c Config) Validate() error {
 	if c.P2PClientCaches < 0 {
 		return fmt.Errorf("sim: negative P2P client cache count %d", c.P2PClientCaches)
 	}
-	if c.ProxyCacheFrac <= 0 || c.ProxyCacheFrac > 1 {
+	// Range checks are written !(in range) so NaN, which fails every
+	// comparison, is rejected.
+	if !(c.ProxyCacheFrac > 0 && c.ProxyCacheFrac <= 1) {
 		return fmt.Errorf("sim: proxy cache fraction %g outside (0,1]", c.ProxyCacheFrac)
 	}
-	if c.ClientCacheFrac <= 0 || c.ClientCacheFrac > 1 {
+	if !(c.ClientCacheFrac > 0 && c.ClientCacheFrac <= 1) {
 		return fmt.Errorf("sim: client cache fraction %g outside (0,1]", c.ClientCacheFrac)
 	}
-	if c.BloomFPRate <= 0 || c.BloomFPRate >= 1 {
+	if !(c.BloomFPRate > 0 && c.BloomFPRate < 1) {
 		return fmt.Errorf("sim: bloom FP rate %g outside (0,1)", c.BloomFPRate)
 	}
 	if c.DigestInterval < 0 {
@@ -302,19 +286,16 @@ func (c Config) Validate() error {
 	if c.WarmupRequests < 0 {
 		return fmt.Errorf("sim: negative warmup %d", c.WarmupRequests)
 	}
-	if c.DigestFPRate <= 0 || c.DigestFPRate >= 1 {
-		return fmt.Errorf("sim: digest FP rate %g outside (0,1)", c.DigestFPRate)
-	}
 	if c.FlashChurnAt < 0 || c.PoisonEvery < 0 || c.PoisonBatch < 0 || c.DirSweepEvery < 0 {
 		return fmt.Errorf("sim: negative chaos period")
 	}
-	if c.FlashChurnFraction < 0 || c.FlashChurnFraction > 1 {
+	if !(c.FlashChurnFraction >= 0 && c.FlashChurnFraction <= 1) {
 		return fmt.Errorf("sim: flash churn fraction %g outside [0,1]", c.FlashChurnFraction)
 	}
-	if c.ByzantineFraction < 0 || c.ByzantineFraction > 1 {
+	if !(c.ByzantineFraction >= 0 && c.ByzantineFraction <= 1) {
 		return fmt.Errorf("sim: byzantine fraction %g outside [0,1]", c.ByzantineFraction)
 	}
-	if c.VerifyFraction < 0 || c.VerifyFraction > 1 {
+	if !(c.VerifyFraction >= 0 && c.VerifyFraction <= 1) {
 		return fmt.Errorf("sim: verify fraction %g outside [0,1]", c.VerifyFraction)
 	}
 	if c.FleetSize < 0 || c.FleetPartitionAt < 0 {
@@ -328,10 +309,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("sim: fleet replication %d outside [1,%d]", c.FleetReplication, c.FleetSize)
 		}
 	}
-	if err := c.Net.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return c.Net.Validate()
 }
 
 // sizing holds what a run derives from the trace before the replay

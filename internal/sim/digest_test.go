@@ -9,28 +9,32 @@ import (
 
 func TestDigestRebuildTracksContents(t *testing.T) {
 	contents := []trace.ObjectID{1, 2, 3}
-	d := newDigest(100, 0.01, func() []trace.ObjectID { return contents })
+	d := newPeerTier(Config{Scheme: SC, NumProxies: 1, DigestInterval: 1},
+		sizing{proxyCap: []uint64{100}, p2pCap: []uint64{0}},
+		func(int) []trace.ObjectID { return contents })
 	for _, obj := range contents {
-		if !d.mayContain(obj) {
+		if !d.mayContain(0, obj) {
 			t.Fatalf("object %d missing after initial build", obj)
 		}
 	}
 	// Change contents; the digest is stale until rebuilt.
 	contents = []trace.ObjectID{4, 5}
-	if !d.mayContain(1) {
+	if !d.mayContain(0, 1) {
 		t.Error("digest rebuilt itself spontaneously")
 	}
 	d.rebuild()
-	if d.mayContain(1) && d.mayContain(2) && d.mayContain(3) {
+	if d.mayContain(0, 1) && d.mayContain(0, 2) && d.mayContain(0, 3) {
 		t.Error("all stale entries survive a rebuild (FP rate can't explain 3/3)")
 	}
-	if !d.mayContain(4) || !d.mayContain(5) {
+	if !d.mayContain(0, 4) || !d.mayContain(0, 5) {
 		t.Error("fresh contents missing after rebuild")
 	}
-	if d.rebuilds != 2 {
-		t.Errorf("rebuilds = %d, want 2", d.rebuilds)
+	var res Result
+	d.finish(&res)
+	if res.DigestRebuilds != 2 {
+		t.Errorf("rebuilds = %d, want 2", res.DigestRebuilds)
 	}
-	if d.memoryBytes() == 0 {
+	if res.DigestMemoryBytes == 0 {
 		t.Error("zero digest memory")
 	}
 }
@@ -94,8 +98,5 @@ func TestDigestConfigValidation(t *testing.T) {
 	tr := testTrace(t, 23)
 	if _, err := Run(tr, Config{Scheme: SC, DigestInterval: -5}); err == nil {
 		t.Error("negative digest interval accepted")
-	}
-	if _, err := Run(tr, Config{Scheme: SC, DigestFPRate: 2}); err == nil {
-		t.Error("digest FP rate 2 accepted")
 	}
 }

@@ -15,7 +15,7 @@ import (
 //
 // We realize perfect frequency knowledge as a *windowed* greedy
 // cost-benefit placement (see internal/cache/costbenefit.go and
-// DESIGN.md §2.4): every FCWindow requests the cluster's caches are
+// DESIGN.md §2.4): every fcWindow requests the cluster's caches are
 // re-placed optimally (greedily) for the per-proxy object frequencies
 // of the upcoming window.  That is deliberately clairvoyant — the
 // paper frames FC/FC-EC as "the upper bound on performance benefit of
@@ -32,7 +32,6 @@ type fcEngine struct {
 	cfg       Config
 	tr        *trace.Trace
 	sz        sizing
-	window    int
 	placement *cache.Placement
 	// tierKind[t] maps tier index -> serving source for a local hit.
 	tierKind []netmodel.Source
@@ -45,14 +44,11 @@ type fcEngine struct {
 	anywhere []bool
 }
 
-// defaultFCWindow is the re-placement period in requests.
-const defaultFCWindow = 10_000
+// fcWindow is the re-placement period in requests.
+const fcWindow = 10_000
 
 func newFCEngine(tr *trace.Trace, cfg Config, sz sizing) (*fcEngine, error) {
-	e := &fcEngine{cfg: cfg, tr: tr, sz: sz, window: cfg.FCWindow}
-	if e.window <= 0 {
-		e.window = defaultFCWindow
-	}
+	e := &fcEngine{cfg: cfg, tr: tr, sz: sz}
 	for p := 0; p < cfg.NumProxies; p++ {
 		e.tierKind = append(e.tierKind, netmodel.SrcLocalProxy)
 		if cfg.Scheme == FCEC {
@@ -66,13 +62,14 @@ func newFCEngine(tr *trace.Trace, cfg Config, sz sizing) (*fcEngine, error) {
 }
 
 // replace recomputes the coordinated placement when the replay reaches
-// request index at: from the upcoming window [at, at+window) by
-// default, or under FCTrailing from the previous window [at-window,
-// at) (the very first window has no past and always looks forward).
+// request index at: from the upcoming window [at, at+fcWindow) by
+// default, or under FCTrailing from the previous window
+// [at-fcWindow, at) (the very first window has no past and always
+// looks forward).
 func (e *fcEngine) replace(at int) error {
-	lo, hi := at, at+e.window
+	lo, hi := at, at+fcWindow
 	if e.cfg.FCTrailing && at > 0 {
-		lo, hi = at-e.window, at
+		lo, hi = at-fcWindow, at
 	}
 	if lo < 0 {
 		lo = 0
@@ -148,7 +145,7 @@ func (e *fcEngine) replace(at int) error {
 
 // maintain re-places the caches at window boundaries.
 func (e *fcEngine) maintain(reqIdx int, res *Result) {
-	if reqIdx == 0 || reqIdx%e.window != 0 {
+	if !every(reqIdx, fcWindow) {
 		return
 	}
 	res.MaintenanceTicks++

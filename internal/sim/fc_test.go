@@ -19,17 +19,6 @@ func TestFCTrailingWeakerThanOracle(t *testing.T) {
 	}
 }
 
-// A smaller re-placement window adapts faster and cannot hurt the
-// oracle variant on a temporally local workload.
-func TestFCWindowSizeEffect(t *testing.T) {
-	tr := testTrace(t, 31)
-	small := run(t, tr, Config{Scheme: FC, ProxyCacheFrac: 0.2, FCWindow: 2_000, Seed: 1})
-	large := run(t, tr, Config{Scheme: FC, ProxyCacheFrac: 0.2, FCWindow: 60_000, Seed: 1})
-	if small.AvgLatency > large.AvgLatency*1.02 {
-		t.Errorf("smaller oracle window hurt: %.4f vs %.4f", small.AvgLatency, large.AvgLatency)
-	}
-}
-
 // The trailing (implementable) variant documents *why* the paper's FC
 // needs perfect frequency knowledge: placements computed from the past
 // miss every object introduced in the current window, and under the

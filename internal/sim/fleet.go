@@ -71,7 +71,7 @@ type fleetMember struct {
 	evictions obs.Counter
 }
 
-func newFleetEngine(cfg Config, sz sizing) (*fleetEngine, error) {
+func newFleetEngine(cfg Config, sz sizing) *fleetEngine {
 	e := &fleetEngine{
 		cfg:    cfg,
 		net:    cfg.Net,
@@ -84,13 +84,9 @@ func newFleetEngine(cfg Config, sz sizing) (*fleetEngine, error) {
 		name := fmt.Sprintf("fleet%d", p)
 		names[p] = name
 		e.idx[name] = p
-		var c cache.Policy = cache.NewGreedyDual(sz.proxyCap[p])
-		if cfg.ProxyGDSF {
-			c = cache.NewGDSF(sz.proxyCap[p])
-		}
 		e.members = append(e.members, &fleetMember{
 			name:  name,
-			cache: invariant.WrapPolicy(c, cfg.Check, name+".cache"),
+			cache: invariant.WrapPolicy(cache.NewGreedyDual(sz.proxyCap[p]), cfg.Check, name+".cache"),
 		})
 	}
 	e.ring = fleet.NewRingOf(fleet.DefaultVirtualNodes, names)
@@ -103,7 +99,7 @@ func newFleetEngine(cfg Config, sz sizing) (*fleetEngine, error) {
 		// only the ledger identity stays checkable.
 		e.acct.Lenient()
 	}
-	return e, nil
+	return e
 }
 
 // cut reports whether member i is on the wrong side of the partition.
@@ -208,7 +204,7 @@ func (e *fleetEngine) insertAt(i int, obj trace.ObjectID, size uint32) {
 		}
 	}
 	m := e.members[i]
-	evicted := m.cache.Add(entryFor(obj, size, e.net.FetchCost(netmodel.SrcServer)))
+	evicted := m.cache.Add(cache.Entry{Obj: obj, Size: size, Cost: e.net.FetchCost(netmodel.SrcServer)})
 	m.evictions.Add(int64(len(evicted)))
 	if !e.checking {
 		return
@@ -241,7 +237,7 @@ func (e *fleetEngine) touch(holder int, obj trace.ObjectID, size uint32) {
 		}
 		// Replicas arrive over the Tc hop, so that is their re-fetch
 		// cost under greedy-dual.
-		evicted := m.cache.Add(entryFor(obj, size, e.net.FetchCost(netmodel.SrcRemoteProxy)))
+		evicted := m.cache.Add(cache.Entry{Obj: obj, Size: size, Cost: e.net.FetchCost(netmodel.SrcRemoteProxy)})
 		m.evictions.Add(int64(len(evicted)))
 		if e.checking {
 			e.acct.RecordReplica(obj, e.ar.evictedIDs(evicted))

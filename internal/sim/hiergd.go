@@ -28,46 +28,87 @@ type hierGDEngine struct {
 	cfg     Config
 	net     netmodel.Model
 	proxies []*hierGDProxy
+	peers   peerTier
 	rng     *rand.Rand
-	failed  int
-	// staleProbes counts wasted Tc probes against stale inter-proxy
-	// digests (obs.Counter rather than an ad-hoc int so the value is
-	// shareable with a live registry; folded into the Result at
-	// finish).
-	staleProbes obs.Counter
 	// recent is a ring buffer of recently requested objects — the
 	// directory-poisoning attack's candidate pool (only maintained
 	// when PoisonEvery > 0, so the default run's state is untouched).
 	recent    []trace.ObjectID
 	recentIdx int
-	// Chaos telemetry (folded into the Result at finish).
-	flashChurned, poisonInjected, poisonSwept int
-	byzantineServes, byzantineDetected        int
+	// Byzantine telemetry (folded into the Result at finish).
+	byzantineServes, byzantineDetected int
 }
 
 type hierGDProxy struct {
-	// cache is greedy-dual per the paper, or GDSF with Config.ProxyGDSF
-	// (the extension policy).
-	cache   cache.Policy
-	cluster *p2p.Cluster
-	dir     directory.Directory
+	clientCluster
+	cache cache.Policy // greedy-dual, per the paper
+	dir   directory.Directory
 	// dirFP counts lookup-directory false positives (Bloom aliasing or
 	// churn staleness); evictions counts destaged proxy evictions.
 	dirFP     obs.Counter
 	evictions obs.Counter
-	// digest advertises everything this proxy can serve to its
-	// cooperating proxies (proxy cache + P2P client cache); nil under
-	// perfect inter-proxy knowledge.
-	digest *digest
-	// acct is the P2P conservation oracle fed from this proxy's receipt
-	// stream; nil when invariant checking is off.
-	acct *invariant.ClusterAccountant
 }
 
-// serveable snapshots everything the proxy can serve a peer: its own
-// cache plus the P2P client cache (as recorded in its directory).
-func (px *hierGDProxy) serveable() []trace.ObjectID {
-	return append(px.cache.Objects(), px.dir.Objects()...)
+// clientCluster is one proxy's P2P client cache, a Pastry overlay of
+// client caches, with its conservation oracle.  Hier-GD and Squirrel
+// build and check theirs the same way.
+type clientCluster struct {
+	cluster *p2p.Cluster
+	acct    *invariant.ClusterAccountant // nil when checking is off
+}
+
+// newClientCluster builds cluster p of a run.  label names it in
+// violation reports; seedStride spaces the clusters' overlay seeds
+// (each scheme keeps its own stride, so its overlays never move).
+func newClientCluster(cfg Config, sz sizing, p int, label string, seedStride int64) (clientCluster, error) {
+	pcfg := p2p.Config{
+		NumClients:        cfg.P2PClientCaches,
+		PerClientCapacity: sz.clientCap[p],
+		DisableDiversion:  cfg.DisableDiversion,
+		ReplicateHotAfter: cfg.ReplicateHotAfter,
+		Seed:              cfg.Seed + int64(p)*seedStride,
+	}
+	if cfg.Check != nil {
+		pcfg.WrapCache = func(cp cache.Policy, clabel string) cache.Policy {
+			return invariant.WrapPolicy(cp, cfg.Check, label+"."+clabel)
+		}
+	}
+	cluster, err := p2p.NewCluster(pcfg)
+	if err != nil {
+		return clientCluster{}, err
+	}
+	return clientCluster{cluster, invariant.NewClusterAccountant(cfg.Check, label)}, nil
+}
+
+// finishCluster checks the cluster against its oracles when chk is
+// set and folds its P2P telemetry into res.  The ring may carry
+// lazily-unrepaired state after churn; one maintenance round first puts
+// it in the stable state the ring oracle is specified against.
+func (c clientCluster) finishCluster(chk *invariant.Checker, res *Result) {
+	if chk != nil {
+		c.cluster.Overlay().Stabilize()
+		invariant.CheckRing(chk, c.cluster.Overlay(), 32)
+		c.acct.Reconcile(c.cluster)
+	}
+	res.addP2P(c.cluster.Stats())
+}
+
+// found records a client-cache lookup's receipt and the directory
+// repairs it implies: on a hit, the entries a hot-object replica
+// displaced; on a miss, the false-positive entry itself.
+func (px *hierGDProxy) found(obj trace.ObjectID, lr p2p.LookupResult, err error) bool {
+	if err == nil {
+		px.acct.RecordLookup(obj, lr)
+	}
+	if err != nil || !lr.Found {
+		px.dir.Remove(obj)
+		px.dirFP.Inc()
+		return false
+	}
+	for _, gone := range lr.Displaced {
+		px.dir.Remove(gone)
+	}
+	return true
 }
 
 func newHierGDEngine(cfg Config, sz sizing) (*hierGDEngine, error) {
@@ -78,38 +119,18 @@ func newHierGDEngine(cfg Config, sz sizing) (*hierGDEngine, error) {
 	}
 	for p := 0; p < cfg.NumProxies; p++ {
 		label := fmt.Sprintf("proxy%d", p)
-		pcfg := p2p.Config{
-			NumClients:        cfg.P2PClientCaches,
-			PerClientCapacity: sz.clientCap[p],
-			DisableDiversion:  cfg.DisableDiversion,
-			ReplicateHotAfter: cfg.ReplicateHotAfter,
-			Seed:              cfg.Seed + int64(p)*7919,
-		}
-		if cfg.Check != nil {
-			pcfg.WrapCache = func(cp cache.Policy, clabel string) cache.Policy {
-				return invariant.WrapPolicy(cp, cfg.Check, label+"."+clabel)
-			}
-		}
-		cluster, err := p2p.NewCluster(pcfg)
+		cc, err := newClientCluster(cfg, sz, p, label, 7919)
 		if err != nil {
 			return nil, err
 		}
-		var dir directory.Directory
+		var dir directory.Directory = directory.NewExact()
 		if cfg.Directory == DirBloom {
 			dir = directory.NewBloom(int(sz.p2pCap[p])+1, cfg.BloomFPRate)
-		} else {
-			dir = directory.NewExact()
-		}
-		dir = invariant.WrapDirectory(dir, cfg.Check, label)
-		var proxyCache cache.Policy = cache.NewGreedyDual(sz.proxyCap[p])
-		if cfg.ProxyGDSF {
-			proxyCache = cache.NewGDSF(sz.proxyCap[p])
 		}
 		px := &hierGDProxy{
-			cache:   invariant.WrapPolicy(proxyCache, cfg.Check, label+".cache"),
-			cluster: cluster,
-			dir:     dir,
-			acct:    invariant.NewClusterAccountant(cfg.Check, label),
+			clientCluster: cc,
+			cache:         invariant.WrapPolicy(cache.NewGreedyDual(sz.proxyCap[p]), cfg.Check, label+".cache"),
+			dir:           invariant.WrapDirectory(dir, cfg.Check, label),
 		}
 		if cfg.ReplaceFailed || cfg.ReplicateHotAfter > 0 {
 			// Churn joins hand objects off without receipts and hot-object
@@ -118,11 +139,13 @@ func newHierGDEngine(cfg Config, sz sizing) (*hierGDEngine, error) {
 			// stays on.
 			px.acct.Lenient()
 		}
-		if cfg.DigestInterval > 0 {
-			px.digest = newDigest(int(sz.proxyCap[p]+sz.p2pCap[p]), cfg.DigestFPRate, px.serveable)
-		}
 		e.proxies = append(e.proxies, px)
 	}
+	// A proxy can serve a peer from its own cache and from its P2P
+	// client cache, as recorded in its directory.
+	e.peers = newPeerTier(cfg, sz, func(q int) []trace.ObjectID {
+		return append(e.proxies[q].cache.Objects(), e.proxies[q].dir.Objects()...)
+	})
 	return e, nil
 }
 
@@ -163,96 +186,43 @@ func (e *hierGDEngine) serve(obj trace.ObjectID, size uint32, proxy, member int,
 	//    through the proxy cache.
 	if px.dir.MayContain(obj) {
 		lr, err := px.cluster.Lookup(obj, member)
-		if err == nil {
-			px.acct.RecordLookup(obj, lr)
-		}
-		if err == nil && lr.Found {
-			for _, gone := range lr.Displaced {
-				px.dir.Remove(gone) // hot-object replica displaced these
-			}
+		if !px.found(obj, lr, err) {
+			// False positive (Bloom aliasing, poisoning, or object lost
+			// to churn): found repaired the directory; fall through.
+			st.WastedSpan("dir.false_positive", string(netmodel.CompTp2p), e.net.Tp2p)
+			extra += e.net.Tp2p
+		} else {
 			lat := e.net.LatencyHops(netmodel.SrcP2P, lr.Hops)
 			// Byzantine clients corrupt a fraction of P2P serves.  A
 			// detected corruption (the digest-sampling defense) wastes
 			// the P2P fetch and falls through toward peers/origin — the
 			// object *is* resident, so the directory entry stands.  An
 			// undetected one is served to the client as if it were good.
-			if e.cfg.ByzantineFraction > 0 && e.rng.Float64() < e.cfg.ByzantineFraction {
+			corrupt := e.cfg.ByzantineFraction > 0 && e.rng.Float64() < e.cfg.ByzantineFraction
+			detected := corrupt && e.cfg.VerifyFraction > 0 && e.rng.Float64() < e.cfg.VerifyFraction
+			if corrupt {
 				e.byzantineServes++
-				if e.cfg.VerifyFraction > 0 && e.rng.Float64() < e.cfg.VerifyFraction {
-					e.byzantineDetected++
-					st.WastedSpan("p2p.corrupt", string(netmodel.CompTp2p), lat-e.net.Tl)
-					extra += lat - e.net.Tl
-				} else {
-					st.Span("p2p.fetch", string(netmodel.CompTp2p), lat-e.net.Tl)
-					return netmodel.SrcP2P, lat + extra
-				}
-			} else {
+			}
+			if !detected {
 				st.Span("p2p.fetch", string(netmodel.CompTp2p), lat-e.net.Tl)
 				return netmodel.SrcP2P, lat + extra
 			}
-		} else {
-			// False positive (Bloom aliasing, poisoning, or object lost
-			// to churn): repair the directory and fall through.  The
-			// wasted LAN lookup is charged on top of wherever the object
-			// is finally found.
-			px.dir.Remove(obj)
-			px.dirFP.Inc()
-			st.WastedSpan("dir.false_positive", string(netmodel.CompTp2p), e.net.Tp2p)
-			extra += e.net.Tp2p
+			e.byzantineDetected++
+			st.WastedSpan("p2p.corrupt", string(netmodel.CompTp2p), lat-e.net.Tl)
+			extra += lat - e.net.Tl
 		}
 	}
 
 	// 3. Cooperating proxies: their proxy caches first, then their P2P
-	//    client caches via push (§4.5).  With digests enabled, a peer
-	//    is only probed when its (possibly stale) digest endorses the
-	//    object; a wasted probe costs an extra Tc round trip.
-	src := netmodel.SrcServer
-	for q := 1; q < len(e.proxies); q++ {
-		peer := e.proxies[(proxy+q)%len(e.proxies)]
-		if peer.digest != nil && !peer.digest.mayContain(obj) {
-			continue
-		}
-		if peer.cache.Access(obj) {
-			st.Span("peer.fetch", string(netmodel.CompTc), e.net.Tc)
-			src = netmodel.SrcRemoteProxy
-			break
-		}
-		if peer.dir.MayContain(obj) {
-			lr, err := peer.cluster.PushFetch(obj)
-			if err == nil {
-				peer.acct.RecordLookup(obj, lr)
-			}
-			if err == nil && lr.Found {
-				for _, gone := range lr.Displaced {
-					peer.dir.Remove(gone) // replica displacement receipts
-				}
-				st.Span("peer.push", string(netmodel.CompTc), e.net.Tc)
-				src = netmodel.SrcRemoteProxy
-				break
-			}
-			// Wasted probe into the peer's P2P client cache: the peer
-			// proxy paid a Tp2p round trip before reporting the miss.
-			peer.dir.Remove(obj)
-			peer.dirFP.Inc()
-			st.WastedSpan("peer.dir.false_positive", string(netmodel.CompTp2p), e.net.Tp2p)
-			extra += e.net.Tp2p
-		}
-		if peer.digest != nil {
-			e.staleProbes.Inc()
-			st.WastedSpan("peer.probe.stale", string(netmodel.CompTc), e.net.Tc)
-			extra += e.net.Tc
-		}
-	}
-	if src == netmodel.SrcServer {
-		st.Span("origin.fetch", string(netmodel.CompTs), e.net.Ts)
-	}
+	//    client caches via push (§4.5), each asked only when its digest
+	//    (if any) endorses the object.
+	src, extra := e.peers.fetch(obj, proxy, st, extra, e.peerServes)
 
 	// 4. Fetch and cache at the proxy; greedy-dual cost is the fetch
 	//    latency actually paid.  Evictions pass down into the P2P
 	//    client cache (§3, Figure 1), piggybacked on the HTTP response
 	//    to the requesting client (§4.4).
-	cost := e.net.FetchCost(src)
-	evicted := px.cache.Add(entryFor(obj, size, cost))
+	evicted := px.cache.Add(cache.Entry{Obj: obj, Size: size, Cost: e.net.FetchCost(src)})
 	px.evictions.Add(int64(len(evicted)))
 	for _, ev := range evicted {
 		r, err := px.cluster.StoreEvicted(ev, member, !e.cfg.DisablePiggyback)
@@ -270,59 +240,78 @@ func (e *hierGDEngine) serve(obj trace.ObjectID, size uint32, proxy, member int,
 	return src, e.net.Latency(src) + extra
 }
 
+// peerServes asks cooperating proxy q for obj: its proxy cache first,
+// then its P2P client cache via push (§4.5).  A directory false
+// positive at q wastes the Tp2p round trip q paid before reporting the
+// miss.
+func (e *hierGDEngine) peerServes(q int, obj trace.ObjectID, st *obs.SpanTrace) (bool, float64) {
+	peer := e.proxies[q]
+	if peer.cache.Access(obj) {
+		st.Span("peer.fetch", string(netmodel.CompTc), e.net.Tc)
+		return true, 0
+	}
+	if !peer.dir.MayContain(obj) {
+		return false, 0
+	}
+	if lr, err := peer.cluster.PushFetch(obj); peer.found(obj, lr, err) {
+		st.Span("peer.push", string(netmodel.CompTc), e.net.Tc)
+		return true, 0
+	}
+	st.WastedSpan("peer.dir.false_positive", string(netmodel.CompTp2p), e.net.Tp2p)
+	return false, e.net.Tp2p
+}
+
 // maintain rebuilds inter-proxy digests and injects client-cache
 // failures (and optional replacements) on their respective periods,
 // plus the chaos scenarios: the flash-churn storm, directory
 // poisoning, and the periodic directory sweep that defends against it.
+// FailEvery draws from e.rng after every other event.
 func (e *hierGDEngine) maintain(reqIdx int, res *Result) {
-	if e.cfg.DigestInterval > 0 && reqIdx > 0 && reqIdx%e.cfg.DigestInterval == 0 {
-		res.MaintenanceTicks++
-		for _, px := range e.proxies {
-			px.digest.rebuild()
-		}
-	}
+	e.peers.maintain(reqIdx, res)
 	if e.cfg.FlashChurnAt > 0 && reqIdx == e.cfg.FlashChurnAt {
 		res.MaintenanceTicks++
 		e.flashChurn(res)
 	}
-	if e.cfg.PoisonEvery > 0 && reqIdx > 0 && reqIdx%e.cfg.PoisonEvery == 0 {
+	if every(reqIdx, e.cfg.PoisonEvery) {
 		res.MaintenanceTicks++
-		e.poisonDirectories()
+		e.poisonDirectories(res)
 	}
-	if e.cfg.DirSweepEvery > 0 && reqIdx > 0 && reqIdx%e.cfg.DirSweepEvery == 0 {
+	if every(reqIdx, e.cfg.DirSweepEvery) {
 		res.MaintenanceTicks++
-		e.sweepDirectories()
+		e.sweepDirectories(res)
 	}
-	if e.cfg.FailEvery <= 0 || reqIdx == 0 || reqIdx%e.cfg.FailEvery != 0 {
+	if !every(reqIdx, e.cfg.FailEvery) {
 		return
 	}
 	res.MaintenanceTicks++
-	p := e.rng.Intn(len(e.proxies))
-	px := e.proxies[p]
-	if px.cluster.LiveClients() <= 1 {
-		return
+	// Pick a random live client, sparing a cluster's last one.
+	px := e.proxies[e.rng.Intn(len(e.proxies))]
+	for attempts := 0; attempts < 100 && px.cluster.LiveClients() > 1; attempts++ {
+		if e.failClient(px, e.rng.Intn(e.cfg.P2PClientCaches), res) {
+			if e.cfg.ReplaceFailed {
+				px.cluster.JoinClient()
+			}
+			return
+		}
 	}
-	// Pick a random live client.
-	for attempts := 0; attempts < 100; attempts++ {
-		i := e.rng.Intn(e.cfg.P2PClientCaches)
-		if px.cluster.IsDead(i) {
-			continue
-		}
-		lost, err := px.cluster.FailClient(i)
-		if err != nil {
-			continue
-		}
-		px.acct.RecordFailure(lost)
-		for _, obj := range lost {
-			px.dir.Remove(obj)
-		}
-		e.failed++
-		res.FailedClients++
-		if e.cfg.ReplaceFailed {
-			px.cluster.JoinClient()
-		}
-		return
+}
+
+// failClient crashes client i of px's cluster unless it is already
+// dead, and drops what it held from the lookup directory.
+func (e *hierGDEngine) failClient(px *hierGDProxy, i int, res *Result) bool {
+	if px.cluster.IsDead(i) {
+		return false
 	}
+	lost, err := px.cluster.FailClient(i)
+	if err != nil {
+		return false
+	}
+	px.acct.RecordFailure(lost)
+	for _, obj := range lost {
+		px.dir.Remove(obj)
+	}
+	res.FailedClients++
+	return true
 }
 
 // flashChurn fails FlashChurnFraction of every cluster's live clients
@@ -333,25 +322,11 @@ func (e *hierGDEngine) maintain(reqIdx int, res *Result) {
 func (e *hierGDEngine) flashChurn(res *Result) {
 	for _, px := range e.proxies {
 		kill := int(float64(px.cluster.LiveClients()) * e.cfg.FlashChurnFraction)
-		for i := 0; i < e.cfg.P2PClientCaches && kill > 0; i++ {
-			if px.cluster.LiveClients() <= 1 {
-				break
+		for i := 0; i < e.cfg.P2PClientCaches && kill > 0 && px.cluster.LiveClients() > 1; i++ {
+			if e.failClient(px, i, res) {
+				kill--
+				res.FlashChurned++
 			}
-			if px.cluster.IsDead(i) {
-				continue
-			}
-			lost, err := px.cluster.FailClient(i)
-			if err != nil {
-				continue
-			}
-			px.acct.RecordFailure(lost)
-			for _, obj := range lost {
-				px.dir.Remove(obj)
-			}
-			kill--
-			e.failed++
-			e.flashChurned++
-			res.FailedClients++
 		}
 	}
 }
@@ -360,7 +335,7 @@ func (e *hierGDEngine) flashChurn(res *Result) {
 // random proxy's directory: recently requested objects the cluster
 // does not hold, so Zipf re-requests pay the wasted Tp2p probe before
 // the serve path repairs the entry.
-func (e *hierGDEngine) poisonDirectories() {
+func (e *hierGDEngine) poisonDirectories(res *Result) {
 	if len(e.recent) == 0 {
 		return
 	}
@@ -369,7 +344,7 @@ func (e *hierGDEngine) poisonDirectories() {
 		obj := e.recent[e.rng.Intn(len(e.recent))]
 		if !px.cluster.Contains(obj) && !px.dir.MayContain(obj) {
 			px.dir.Add(obj)
-			e.poisonInjected++
+			res.PoisonInjected++
 		}
 	}
 }
@@ -377,12 +352,12 @@ func (e *hierGDEngine) poisonDirectories() {
 // sweepDirectories is the poisoning defense: drop every directory
 // entry the cluster cannot back (ground-truth audit, the simulator
 // stand-in for the live proxy's receipt-fed repair).
-func (e *hierGDEngine) sweepDirectories() {
+func (e *hierGDEngine) sweepDirectories(res *Result) {
 	for _, px := range e.proxies {
 		for _, obj := range px.dir.Objects() {
 			if !px.cluster.Contains(obj) {
 				px.dir.Remove(obj)
-				e.poisonSwept++
+				res.PoisonSwept++
 			}
 		}
 	}
@@ -393,39 +368,22 @@ func (e *hierGDEngine) finish(res *Result) {
 	// reconciliation (by design: the oracle is exact); a final sweep is
 	// part of the scenario's defense contract.
 	if e.cfg.PoisonEvery > 0 {
-		e.sweepDirectories()
+		e.sweepDirectories(res)
 	}
-	res.FlashChurned += e.flashChurned
-	res.PoisonInjected += e.poisonInjected
-	res.PoisonSwept += e.poisonSwept
 	res.ByzantineServes += e.byzantineServes
 	res.ByzantineDetected += e.byzantineDetected
-	res.DigestStaleProbes += int(e.staleProbes.Value())
-	if chk := e.cfg.Check; chk != nil {
-		for p, px := range e.proxies {
-			// The ring may carry lazily-unrepaired state after churn;
-			// one maintenance round puts it in the stable state the ring
-			// oracle is specified against.
-			px.cluster.Overlay().Stabilize()
-			invariant.CheckRing(chk, px.cluster.Overlay(), 32)
-			px.acct.Reconcile(px.cluster)
-			if px.acct.Strict() {
-				invariant.ReconcileDirectory(chk, fmt.Sprintf("proxy%d", p), px.dir,
-					px.cluster.Contains, px.acct.Resident())
-			}
+	e.peers.finish(res)
+	for p, px := range e.proxies {
+		px.finishCluster(e.cfg.Check, res)
+		if chk := e.cfg.Check; chk != nil && px.acct.Strict() {
+			invariant.ReconcileDirectory(chk, fmt.Sprintf("proxy%d", p), px.dir,
+				px.cluster.Contains, px.acct.Resident())
 		}
-	}
-	for _, px := range e.proxies {
-		res.addP2P(px.cluster.Stats())
 		if lb := px.cluster.LoadBalance(); lb.MaxServes > res.P2PMaxNodeServes {
 			res.P2PMaxNodeServes = lb.MaxServes
 		}
 		res.ProxyEvictions += int(px.evictions.Value())
 		res.DirectoryFalsePositives += int(px.dirFP.Value())
 		res.DirectoryMemoryBytes += px.dir.MemoryBytes()
-		if px.digest != nil {
-			res.DigestMemoryBytes += px.digest.memoryBytes()
-			res.DigestRebuilds += px.digest.rebuilds
-		}
 	}
 }

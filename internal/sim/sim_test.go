@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"webcache/internal/cache"
 	"webcache/internal/netmodel"
 	"webcache/internal/prowgen"
 	"webcache/internal/trace"
@@ -157,6 +158,12 @@ func TestConfigValidation(t *testing.T) {
 		{Scheme: NC, ClientCacheFrac: 2},
 		{Scheme: NC, NumProxies: -1},
 		{Scheme: HierGD, BloomFPRate: 2},
+		{Scheme: NC, ProxyCacheFrac: math.NaN()},
+		{Scheme: NC, ClientCacheFrac: math.NaN()},
+		{Scheme: HierGD, BloomFPRate: math.NaN()},
+		{Scheme: HierGD, ByzantineFraction: math.NaN()},
+		{Scheme: HierGD, VerifyFraction: math.NaN()},
+		{Scheme: HierGD, FlashChurnAt: 100, FlashChurnFraction: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(tr, cfg); err == nil {
@@ -354,7 +361,7 @@ func TestResultString(t *testing.T) {
 
 func TestTieredCachePromoteDemote(t *testing.T) {
 	tc := newTieredCache(2, 3, BasePerfectLFU, false, nil, "t")
-	ins := func(obj trace.ObjectID) { tc.insert(entryFor(obj, 1, 1)) }
+	ins := func(obj trace.ObjectID) { tc.insert(cache.Entry{Obj: obj, Size: 1, Cost: 1}) }
 	ins(1)
 	ins(2)
 	ins(3) // proxy tier full: someone demotes to client tier
@@ -381,8 +388,8 @@ func TestTieredCachePromoteDemote(t *testing.T) {
 
 func TestTieredCacheClientHitPromotes(t *testing.T) {
 	tc := newTieredCache(1, 2, BasePerfectLFU, false, nil, "t")
-	tc.insert(entryFor(1, 1, 1))
-	tc.insert(entryFor(2, 1, 1)) // 1 demotes
+	tc.insert(cache.Entry{Obj: 1, Size: 1, Cost: 1})
+	tc.insert(cache.Entry{Obj: 2, Size: 1, Cost: 1}) // 1 demotes
 	if !tc.lower.Contains(1) {
 		t.Fatal("expected 1 in client tier")
 	}
@@ -400,7 +407,7 @@ func TestTieredCacheClientHitPromotes(t *testing.T) {
 func TestTieredCacheSinglePool(t *testing.T) {
 	tc := newTieredCache(2, 3, BasePerfectLFU, true, nil, "t")
 	for obj := trace.ObjectID(0); obj < 5; obj++ {
-		tc.insert(entryFor(obj, 1, 1))
+		tc.insert(cache.Entry{Obj: obj, Size: 1, Cost: 1})
 	}
 	if tc.len() != 5 {
 		t.Fatalf("single pool holds %d, want 5", tc.len())

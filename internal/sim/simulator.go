@@ -20,14 +20,33 @@ import (
 // (CheckDecomposition) holds them to it.
 type engine interface {
 	serve(obj trace.ObjectID, size uint32, proxy, member int, st *obs.SpanTrace) (netmodel.Source, float64)
+	// maintain runs background work due before request reqIdx: digest
+	// rebuilds, FC re-placement, failure injection.
+	maintain(reqIdx int, res *Result)
 	// finish folds engine-specific telemetry into the result.
 	finish(res *Result)
 }
 
-// maintainer is implemented by engines with background maintenance
-// (Hier-GD's failure injection).
-type maintainer interface {
-	maintain(reqIdx int, res *Result)
+// every reports whether a period of n requests (0 = never) ends at
+// request index reqIdx.
+func every(reqIdx, n int) bool { return n > 0 && reqIdx > 0 && reqIdx%n == 0 }
+
+// newEngine builds the engine for cfg's scheme.
+func newEngine(tr *trace.Trace, cfg Config, sz sizing) (engine, error) {
+	switch cfg.Scheme {
+	case NC, SC, NCEC, SCEC:
+		return newLFUEngine(cfg, sz), nil
+	case FC, FCEC:
+		return newFCEngine(tr, cfg, sz)
+	case HierGD:
+		if cfg.FleetSize > 1 {
+			return newFleetEngine(cfg, sz), nil
+		}
+		return newHierGDEngine(cfg, sz)
+	case Squirrel:
+		return newSquirrelEngine(cfg, sz)
+	}
+	return nil, fmt.Errorf("sim: unhandled scheme %v", cfg.Scheme)
 }
 
 // Run replays the trace under the configured scheme.  With cfg.Obs
@@ -56,24 +75,7 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		}
 	}
 
-	var eng engine
-	var err error
-	switch cfg.Scheme {
-	case NC, SC, NCEC, SCEC:
-		eng = newLFUEngine(cfg, sz)
-	case FC, FCEC:
-		eng, err = newFCEngine(tr, cfg, sz)
-	case HierGD:
-		if cfg.FleetSize > 1 {
-			eng, err = newFleetEngine(cfg, sz)
-		} else {
-			eng, err = newHierGDEngine(cfg, sz)
-		}
-	case Squirrel:
-		eng, err = newSquirrelEngine(cfg, sz)
-	default:
-		err = fmt.Errorf("sim: unhandled scheme %v", cfg.Scheme)
-	}
+	eng, err := newEngine(tr, cfg, sz)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +86,6 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		ProxyCapacities:    sz.proxyCap,
 		ClientCapacity:     sz.clientCap[0],
 	}
-	mnt, hasMaintenance := eng.(maintainer)
 	// latHist records the per-request latency distribution (1 model
 	// latency unit observed as 1ms), so chaos runs can read a simulated
 	// p999 the same way live runs read the loadgen histogram.  Nil
@@ -104,9 +105,7 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		runtime.ReadMemStats(&memBefore)
 	}
 	for i, r := range tr.Requests {
-		if hasMaintenance {
-			mnt.maintain(i, res)
-		}
+		eng.maintain(i, res)
 		at := sz.clients[r.Client]
 		st := cfg.Tracer.StartTrace("request", simClock)
 		src, lat := eng.serve(r.Object, r.Size, at.proxy, at.member, st)
@@ -145,10 +144,9 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 // (unified with the P2P client-cache tier for the EC variants) with
 // optional inter-proxy miss sharing, no replacement coordination.
 type lfuEngine struct {
-	cfg     Config
-	caches  []*tieredCache
-	digests []*digest // nil with perfect inter-proxy knowledge
-	stale   int
+	cfg    Config
+	caches []*tieredCache
+	peers  peerTier
 }
 
 func newLFUEngine(cfg Config, sz sizing) *lfuEngine {
@@ -164,26 +162,11 @@ func newLFUEngine(cfg Config, sz sizing) *lfuEngine {
 		e.caches[p] = newTieredCache(sz.proxyCap[p], p2pCap, cfg.BasePolicy, single,
 			cfg.Check, fmt.Sprintf("proxy%d", p))
 	}
-	if cfg.DigestInterval > 0 && cfg.Scheme.Cooperative() {
-		for p := range e.caches {
-			c := e.caches[p]
-			e.digests = append(e.digests, newDigest(
-				int(sz.proxyCap[p]+sz.p2pCap[p]), cfg.DigestFPRate, c.objects))
-		}
-	}
+	e.peers = newPeerTier(cfg, sz, func(p int) []trace.ObjectID { return e.caches[p].objects() })
 	return e
 }
 
-// maintain rebuilds the inter-proxy digests on their exchange period.
-func (e *lfuEngine) maintain(reqIdx int, res *Result) {
-	if e.digests == nil || reqIdx == 0 || reqIdx%e.cfg.DigestInterval != 0 {
-		return
-	}
-	res.MaintenanceTicks++
-	for _, d := range e.digests {
-		d.rebuild()
-	}
-}
+func (e *lfuEngine) maintain(reqIdx int, res *Result) { e.peers.maintain(reqIdx, res) }
 
 func (e *lfuEngine) serve(obj trace.ObjectID, size uint32, proxy, _ int, st *obs.SpanTrace) (netmodel.Source, float64) {
 	net := e.cfg.Net
@@ -199,50 +182,28 @@ func (e *lfuEngine) serve(obj trace.ObjectID, size uint32, proxy, _ int, st *obs
 	}
 	c.recordMiss(obj)
 	st.Span("proxy.cache", string(netmodel.CompTl), net.Tl)
-	src := netmodel.SrcServer
-	extra := 0.0
-	if e.cfg.Scheme.Cooperative() {
-		for q := 1; q < len(e.caches); q++ {
-			pi := (proxy + q) % len(e.caches)
-			peer := e.caches[pi]
-			if e.digests != nil && !e.digests[pi].mayContain(obj) {
-				continue // digest says the peer cannot serve it
-			}
-			if peer.contains(obj) {
-				peer.touchRemote(obj)
-				st.Span("peer.fetch", string(netmodel.CompTc), net.Tc)
-				src = netmodel.SrcRemoteProxy
-				break
-			}
-			if e.digests != nil {
-				// Stale digest entry: the probe was wasted.
-				e.stale++
-				st.WastedSpan("peer.probe.stale", string(netmodel.CompTc), net.Tc)
-				extra += net.Tc
-			}
-		}
-	}
-	if src == netmodel.SrcServer {
-		st.Span("origin.fetch", string(netmodel.CompTs), net.Ts)
-	}
+	src, extra := e.peers.fetch(obj, proxy, st, 0, e.peerServes)
 	// "Once a proxy fetches an object from another proxy, it caches
 	// the object locally" (§2) — and likewise for server fetches.
-	c.insert(entryFor(obj, size, net.FetchCost(src)))
+	c.insert(cache.Entry{Obj: obj, Size: size, Cost: net.FetchCost(src)})
 	return src, net.Latency(src) + extra
 }
 
+// peerServes serves obj to a cooperating proxy from proxy q's unified
+// cache, when it holds a copy.
+func (e *lfuEngine) peerServes(q int, obj trace.ObjectID, st *obs.SpanTrace) (bool, float64) {
+	peer := e.caches[q]
+	if !peer.contains(obj) {
+		return false, 0
+	}
+	peer.touchRemote(obj)
+	st.Span("peer.fetch", string(netmodel.CompTc), e.cfg.Net.Tc)
+	return true, 0
+}
+
 func (e *lfuEngine) finish(res *Result) {
-	res.DigestStaleProbes += e.stale
+	e.peers.finish(res)
 	for _, c := range e.caches {
 		res.ProxyEvictions += c.upperEvictions
 	}
-	for _, d := range e.digests {
-		res.DigestMemoryBytes += d.memoryBytes()
-		res.DigestRebuilds += d.rebuilds
-	}
-}
-
-// entryFor builds a cache entry for a fetched object.
-func entryFor(obj trace.ObjectID, size uint32, cost float64) cache.Entry {
-	return cache.Entry{Obj: obj, Size: size, Cost: cost}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"webcache/internal/cache"
-	"webcache/internal/invariant"
 	"webcache/internal/netmodel"
 	"webcache/internal/obs"
-	"webcache/internal/p2p"
 	"webcache/internal/trace"
 )
 
@@ -39,46 +37,32 @@ import (
 type squirrelEngine struct {
 	cfg      Config
 	net      netmodel.Model
-	clusters []*p2p.Cluster
-	// accts are the per-cluster conservation oracles; nil entries when
-	// invariant checking is off.
-	accts []*invariant.ClusterAccountant
+	clusters []clientCluster
 }
 
 func newSquirrelEngine(cfg Config, sz sizing) (*squirrelEngine, error) {
+	// The home-store model keeps one copy of each object.
+	cfg.ReplicateHotAfter = 0
 	e := &squirrelEngine{cfg: cfg, net: cfg.Net}
 	for p := 0; p < cfg.NumProxies; p++ {
-		label := fmt.Sprintf("squirrel%d", p)
 		// Squirrel pools the whole client cache budget: the proxy-tier
 		// budget does not exist, so each client contributes only its
 		// cooperative partition, as in Hier-GD.
-		pcfg := p2p.Config{
-			NumClients:        cfg.P2PClientCaches,
-			PerClientCapacity: sz.clientCap[p],
-			DisableDiversion:  cfg.DisableDiversion,
-			Seed:              cfg.Seed + int64(p)*104729,
-		}
-		if cfg.Check != nil {
-			pcfg.WrapCache = func(cp cache.Policy, clabel string) cache.Policy {
-				return invariant.WrapPolicy(cp, cfg.Check, label+"."+clabel)
-			}
-		}
-		cluster, err := p2p.NewCluster(pcfg)
+		cc, err := newClientCluster(cfg, sz, p, fmt.Sprintf("squirrel%d", p), 104729)
 		if err != nil {
 			return nil, err
 		}
-		e.clusters = append(e.clusters, cluster)
-		e.accts = append(e.accts, invariant.NewClusterAccountant(cfg.Check, label))
+		e.clusters = append(e.clusters, cc)
 	}
 	return e, nil
 }
 
 func (e *squirrelEngine) serve(obj trace.ObjectID, size uint32, proxy, member int, st *obs.SpanTrace) (netmodel.Source, float64) {
-	cl := e.clusters[proxy]
+	cc := e.clusters[proxy]
 	member %= e.cfg.P2PClientCaches
-	lr, err := cl.Lookup(obj, member)
+	lr, err := cc.cluster.Lookup(obj, member)
 	if err == nil {
-		e.accts[proxy].RecordLookup(obj, lr)
+		cc.acct.RecordLookup(obj, lr)
 	}
 	if err == nil && lr.Found {
 		// Home-node hit: the request goes client -> home node directly
@@ -96,21 +80,16 @@ func (e *squirrelEngine) serve(obj trace.ObjectID, size uint32, proxy, member in
 	// decomposition deliberately shows Squirrel off the end-to-end
 	// model every other scheme follows (see CheckDecomposition).
 	st.Span("origin.fetch", string(netmodel.CompTs), e.net.Ts)
-	r, err := cl.StoreEvicted(entryFor(obj, size, e.net.Ts), member, true)
-	if err != nil {
-		return netmodel.SrcServer, e.net.Ts
+	if r, err := cc.cluster.StoreEvicted(cache.Entry{Obj: obj, Size: size, Cost: e.net.Ts}, member, true); err == nil {
+		cc.acct.RecordStore(r)
 	}
-	e.accts[proxy].RecordStore(r)
 	return netmodel.SrcServer, e.net.Ts
 }
 
+func (e *squirrelEngine) maintain(int, *Result) {}
+
 func (e *squirrelEngine) finish(res *Result) {
-	for p, cl := range e.clusters {
-		if chk := e.cfg.Check; chk != nil {
-			cl.Overlay().Stabilize()
-			invariant.CheckRing(chk, cl.Overlay(), 32)
-			e.accts[p].Reconcile(cl)
-		}
-		res.addP2P(cl.Stats())
+	for _, cc := range e.clusters {
+		cc.finishCluster(e.cfg.Check, res)
 	}
 }

@@ -18,7 +18,6 @@
 //	internal/sim        the seven caching schemes + Squirrel baseline
 //	internal/core       experiment sweeps for every paper figure
 //	internal/stats      replication statistics (means, CIs)
-//	internal/httpcache  the real HTTP deployment (see cmd/hiergdd)
 //
 // # Quick start
 //
@@ -37,17 +36,13 @@ package webcache
 
 import (
 	"io"
-	"net/http"
 
-	"webcache/internal/cache"
 	"webcache/internal/core"
 	"webcache/internal/invariant"
-	"webcache/internal/loadgen"
 	"webcache/internal/netmodel"
 	"webcache/internal/obs"
 	"webcache/internal/prowgen"
 	"webcache/internal/sim"
-	"webcache/internal/store"
 	"webcache/internal/trace"
 )
 
@@ -95,10 +90,6 @@ type (
 	Source = netmodel.Source
 	// Figure is a regenerated paper figure.
 	Figure = core.Figure
-	// FigureSeries is one curve of a figure.
-	FigureSeries = core.Series
-	// FigurePoint is one sample of a curve.
-	FigurePoint = core.Point
 	// FigureOptions scales and seeds a figure run.
 	FigureOptions = core.Options
 )
@@ -218,14 +209,12 @@ func RunFigureReplicated(id string, opts FigureOptions, replicates int) (*Figure
 	return core.RunFigureReplicated(id, opts, replicates)
 }
 
-// WriteFigureJSON / ReadFigureJSON exchange figures as JSON.
+// WriteFigureJSON writes a figure as JSON.
 func WriteFigureJSON(w io.Writer, f *Figure) error { return core.WriteJSON(w, f) }
-func ReadFigureJSON(r io.Reader) (*Figure, error)  { return core.ReadJSON(r) }
 
-// WriteFigureDAT writes gnuplot-ready columns; ExportGnuplot writes a
-// .dat plus a .gp script that renders the figure.
-func WriteFigureDAT(w io.Writer, f *Figure) error { return core.WriteDAT(w, f) }
-func ExportGnuplot(dir string, f *Figure) error   { return core.ExportGnuplot(dir, f) }
+// ExportGnuplot writes a figure's gnuplot-ready .dat plus a .gp script
+// that renders it.
+func ExportGnuplot(dir string, f *Figure) error { return core.ExportGnuplot(dir, f) }
 
 // FigureIDs lists the reproducible figures.
 func FigureIDs() []string { return core.FigureIDs() }
@@ -254,24 +243,11 @@ const (
 	BaseGreedyDual = sim.BaseGreedyDual
 )
 
-// Observability types (see METRICS.md for the metric glossary and the
-// run-manifest schema).
-type (
-	// MetricsRegistry is a run-scoped set of named counters, gauges,
-	// and timers; attach one via Config.Obs or FigureOptions.Obs.  A
-	// nil registry disables instrumentation at zero cost.
-	MetricsRegistry = obs.Registry
-	// Metric is one named observation in a registry snapshot.
-	Metric = obs.Metric
-	// RunManifest is one run's machine-readable record (config echo,
-	// workload fingerprint, wall/CPU time, metrics).
-	RunManifest = obs.Manifest
-	// SweepProgress tracks job completion with an ETA estimate.
-	SweepProgress = obs.Progress
-)
-
-// ManifestSchema is the run-manifest JSON schema version.
-const ManifestSchema = obs.ManifestSchema
+// MetricsRegistry is a run-scoped set of named counters, gauges, and
+// timers (METRICS.md has the glossary); attach one via Config.Obs or
+// FigureOptions.Obs.  A nil registry disables instrumentation at zero
+// cost.
+type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry creates an enabled metric registry scoped to the
 // named run.
@@ -287,24 +263,16 @@ type (
 	// SpanTracerOptions configures NewSpanTracer (origin, head-sampling
 	// rate, retention limit, virtual vs wall clock).
 	SpanTracerOptions = obs.TracerOptions
-	// RequestTrace is one sampled request's span trace.
-	RequestTrace = obs.SpanTrace
 	// LatencyDecomposition is span traces folded into a per-tier
 	// latency-decomposition table.
 	LatencyDecomposition = obs.Decomposition
 	// DecompositionReport cross-checks a decomposition against the
 	// analytic netmodel latency per tier.
 	DecompositionReport = sim.DecompReport
-	// ManifestDiff compares two run manifests metric by metric.
-	ManifestDiff = obs.ManifestDiff
 )
 
 // NewSpanTracer creates an enabled request tracer.
 func NewSpanTracer(opts SpanTracerOptions) *SpanTracer { return obs.NewTracer(opts) }
-
-// ValidateChromeTrace checks that data is well-formed Chrome
-// trace-event JSON (the tracer's Perfetto-loadable export format).
-func ValidateChromeTrace(data []byte) error { return obs.ValidateChromeTrace(data) }
 
 // CheckDecomposition compares each tier's span-derived mean served
 // latency against the analytic model's prediction for that tier.
@@ -312,39 +280,14 @@ func CheckDecomposition(m NetworkModel, d *LatencyDecomposition, tol float64) *D
 	return sim.CheckDecomposition(m, d, tol)
 }
 
-// WritePrometheus renders a registry in Prometheus/OpenMetrics text
-// exposition format; PrometheusHandler serves it over HTTP (the
-// hiergdd daemons' /metrics endpoint).
-func WritePrometheus(w io.Writer, reg *MetricsRegistry) error { return obs.WritePrometheus(w, reg) }
-func PrometheusHandler(reg *MetricsRegistry) http.Handler     { return obs.PrometheusHandler(reg) }
-
-// DiffManifests compares two run manifests (same schema, and same
-// workload fingerprint unless force) metric by metric — the engine
-// behind `make bench-diff` and cmd/benchdiff.
-func DiffManifests(a, b *RunManifest, force bool) (*ManifestDiff, error) {
-	return obs.DiffManifests(a, b, force)
-}
-
-// Invariant-checking types (see DESIGN.md for the oracle catalog).
-type (
-	// Checker collects cross-layer invariant checks and violations;
-	// attach one via Config.Check or FigureOptions.Check.  A nil
-	// Checker disables checking at zero cost.
-	Checker = invariant.Checker
-	// InvariantViolation is one observed invariant breach.
-	InvariantViolation = invariant.Violation
-)
+// Checker collects cross-layer invariant checks and violations (see
+// DESIGN.md for the oracle catalog); attach one via Config.Check or
+// FigureOptions.Check.  A nil Checker disables checking at zero cost.
+type Checker = invariant.Checker
 
 // NewChecker creates an enabled invariant checker.  reg may be nil;
 // when set, check.* counters are published into it.
 func NewChecker(reg *MetricsRegistry) *Checker { return invariant.New(reg) }
-
-// NewRunManifest starts a manifest for the named tool, stamping the
-// start time, command line, build version, and host environment.
-func NewRunManifest(tool string) *RunManifest { return obs.NewManifest(tool) }
-
-// ReadRunManifest parses and validates a manifest document.
-func ReadRunManifest(r io.Reader) (*RunManifest, error) { return obs.ReadManifest(r) }
 
 // TraceFingerprint hashes a trace's full content into a short stable
 // string for manifest comparison.
@@ -365,55 +308,3 @@ func TimeSliceTrace(tr *Trace, from, to uint32) (*Trace, error) {
 
 // CompactTrace renumbers clients and objects densely after filtering.
 func CompactTrace(tr *Trace) *Trace { return trace.Compact(tr) }
-
-// Live load-generation types (internal/loadgen, `hiergdd bench`): the
-// subsystem that replays a trace over real HTTP against the deployed
-// topology and calibrates the measurements against the simulator.
-type (
-	// LoadResult is one live driving run's measurements: issue counts,
-	// per-tier attribution, and latency histograms.
-	LoadResult = loadgen.Result
-	// LatencyHistogram is the fixed-bucket log-scale histogram behind
-	// the bench's quantile reports (≤ ~4.4% relative error).
-	LatencyHistogram = loadgen.Histogram
-	// LatencySummary is a histogram flattened to count/mean/quantiles.
-	LatencySummary = loadgen.QuantileSummary
-	// CalibrationReport is the live-vs-simulated hit-ratio comparison.
-	CalibrationReport = loadgen.CalibrationReport
-	// TierComparison is one serving tier's live-vs-sim pair.
-	TierComparison = loadgen.TierComparison
-)
-
-// Calibrate replays the prefix of tr that the live run issued through
-// the simulator under cfg (carrying the capacity overrides the live
-// topology was sized from) and compares hit ratios per serving tier.
-func Calibrate(tr *Trace, live *LoadResult, cfg Config, tolerance float64) (*CalibrationReport, error) {
-	return loadgen.Calibrate(tr, live, cfg, tolerance)
-}
-
-// Concurrent-store types (internal/store): the live daemons' data
-// plane — a sharded, lock-striped object store composing one
-// replacement policy per shard, with singleflight miss coalescing.
-type (
-	// ObjectStore is the sharded concurrent store.
-	ObjectStore = store.Store
-	// StoreConfig sizes and parameterizes an ObjectStore.
-	StoreConfig = store.Config
-	// StoredObject is one cached body with its wire key and cost.
-	StoredObject = store.Object
-	// StoreLoader fetches an object on a coalesced miss.
-	StoreLoader = store.Loader
-	// StoreLoadView is one GetOrLoad outcome (hit, loaded, coalesced).
-	StoreLoadView = store.LoadView
-)
-
-// ErrEmptyObject is returned by ObjectStore.Put for zero-length
-// bodies, which are never cached.
-var ErrEmptyObject = store.ErrEmptyObject
-
-// NewObjectStore builds a sharded concurrent store.
-func NewObjectStore(cfg StoreConfig) (*ObjectStore, error) { return store.New(cfg) }
-
-// CachePolicies lists the replacement-policy names the internal/cache
-// factory registry accepts (StoreConfig.Policy, hiergdd -policy).
-func CachePolicies() []string { return cache.PolicyNames() }
