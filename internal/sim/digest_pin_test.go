@@ -59,6 +59,9 @@ func TestResultDigestPinned(t *testing.T) {
 // sampled verification, and the fleet engine across a partition.
 // (The Squirrel engine has no maintenance hook, so
 // FailEvery does not reach it; its row pins it as sim_churn runs it.)
+// The last rows pin what TestResultDigestPinned's seven schemes do not
+// reach: Squirrel on the small trace, FC and FC-EC's size-density
+// placement on the variable-size trace, and FC's trailing window.
 // The digest is over the whole JSON Result, so it moves
 // on a change to P2P.RouteHops or Messages that leaves every serve and
 // byte in place — which bench/'s goldens (requests, sources, bytes,
@@ -70,6 +73,7 @@ func TestChurnResultDigestPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := testTrace(t, 1)
+	sized := variableSizeTrace(t)
 	for _, tc := range []struct {
 		name   string
 		tr     *trace.Trace
@@ -106,6 +110,18 @@ func TestChurnResultDigestPinned(t *testing.T) {
 		{"fleet-partition", small,
 			Config{Scheme: HierGD, Seed: 1, ProxyCacheFrac: 0.3, ClientsPerCluster: 16, FleetSize: 4, FleetReplication: 2, FleetPartitionAt: 30_000},
 			"43e6ce2815ca127445315699f56be430cec32a39b30b2430f1703548dd4e7699"},
+		{"squirrel", small,
+			Config{Scheme: Squirrel, Seed: 1, ProxyCacheFrac: 0.3, ClientsPerCluster: 16},
+			"e160a76e7b1e4c7111ed28e993b099a5160578e685bf9fdd6f2598524231132e"},
+		{"fc-variable-sizes", sized,
+			Config{Scheme: FC, Seed: 1, ProxyCacheFrac: 0.2},
+			"cecf7db332cad8920a0952dcccbd295f6e99e20811a7deb63b2255850657df2a"},
+		{"fc-ec-variable-sizes", sized,
+			Config{Scheme: FCEC, Seed: 1, ProxyCacheFrac: 0.2},
+			"43bd474dd63c37af1d79843d801a8a7523c0ceeae93d4343be99404b04b307e6"},
+		{"fc-trailing", small,
+			Config{Scheme: FC, Seed: 1, ProxyCacheFrac: 0.3, FCTrailing: true},
+			"7f53b4e1898ecbb7ef983cf98bde67b20b771e1cdecb4fb29efd8fab332a65bc"},
 	} {
 		// Subtests, so one replay can be profiled alone:
 		// -run TestChurnResultDigestPinned/squirrel-churn -cpuprofile ...
