@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/store/disk
 	$(GO) test -run='^$$' -fuzz=FuzzFleetRingChurn -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run='^$$' -fuzz=FuzzHopReply -fuzztime=$(FUZZTIME) ./internal/httpcache
+	$(GO) test -run='^$$' -fuzz=FuzzIDTable -fuzztime=$(FUZZTIME) ./internal/pastry
 
 race:
 	$(GO) test -race ./...
@@ -140,8 +141,9 @@ trace-alloc:
 	$(GO) test -run='^$$' -bench=BenchmarkDisabledTracer -benchmem ./internal/obs
 
 # The hot-path zero-alloc gates: a replacement policy's hit and
-# evicting Add, steady-state simulator serves (LFU family + fleet
-# engine), a Pastry route, a P2P lookup hit and pass-down replacement,
+# evicting Add, steady-state simulator serves (LFU family, fleet
+# engine, Hier-GD and Squirrel over Pastry), a Pastry route, a P2P
+# lookup hit and pass-down replacement,
 # and the live proxy/client-cache memory-hit paths must not touch the
 # heap.  Run without -race on purpose —
 # race instrumentation allocates on paths the production build does

@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"webcache/internal/trace"
 )
@@ -21,7 +24,9 @@ import (
 // the highest marginal latency saving until every tier is full or no
 // placement helps.  Marginal benefits only decrease as copies appear
 // (the benefit function is submodular), so a lazy priority queue yields
-// the exact greedy solution without re-scanning.
+// the exact greedy solution without re-scanning.  The queue is a list
+// sorted once plus a small heap for the candidates found stale (see
+// Compute).
 //
 // Tiers generalize proxies so FC-EC falls out for free: each proxy has
 // a proxy tier at latency Tl and (for FC-EC) a P2P client-cache tier at
@@ -70,33 +75,38 @@ func (in *PlacementInput) objectSize(o int) int {
 	return int(in.Sizes[o])
 }
 
-// Placement is the result: for each proxy, object -> tier index (into
-// PlacementInput.Tiers).
+// Placement is the result: for each proxy, the tier holding its copy
+// of each object.  A Placement keeps the greedy's buffers, so Compute
+// on the same Placement reuses them.
 type Placement struct {
-	// ByProxy[p][o] gives the tier holding proxy p's copy of o.
-	ByProxy []map[trace.ObjectID]int
+	// ByProxy[p][o] is the index (into PlacementInput.Tiers) of the tier
+	// holding proxy p's copy of o, or -1 when p holds none.
+	ByProxy [][]int16
 	// Tiers echoes the input tiers for latency lookup during replay.
 	Tiers []Tier
+
+	// copies[o] counts the proxies holding o.
+	copies []int
+	// The greedy's scratch: latency each proxy's clients pay for each
+	// object, room left per tier, the sorted candidates and the heap of
+	// re-inserted ones.
+	localLat  []float64
+	remaining []int
+	cands     []candidate
+	stale     candidateHeap
 }
 
 // HasCopy reports whether proxy p holds o, and at what hit latency.
 func (pl *Placement) HasCopy(p int, o trace.ObjectID) (float64, bool) {
-	t, ok := pl.ByProxy[p][o]
-	if !ok {
+	t := pl.ByProxy[p][o]
+	if t < 0 {
 		return 0, false
 	}
 	return pl.Tiers[t].HitLatency, true
 }
 
 // Anywhere reports whether any proxy holds o.
-func (pl *Placement) Anywhere(o trace.ObjectID) bool {
-	for _, m := range pl.ByProxy {
-		if _, ok := m[o]; ok {
-			return true
-		}
-	}
-	return false
-}
+func (pl *Placement) Anywhere(o trace.ObjectID) bool { return pl.copies[o] > 0 }
 
 // candidate is one potential (object, tier) placement in the lazy queue.
 type candidate struct {
@@ -105,19 +115,28 @@ type candidate struct {
 	benefit float64
 }
 
-// candidateHeap is a max-heap on benefit (tie-break object id then tier
-// for determinism).
+// compareCandidates is the queue's total order: benefit descending,
+// then object id, then tier ascending.  Benefits in the queue are
+// positive (never NaN) and an (object, tier) pair is in it at most
+// once, so no two candidates compare equal.
+func compareCandidates(a, b candidate) int {
+	switch {
+	case a.benefit > b.benefit:
+		return -1
+	case a.benefit < b.benefit:
+		return 1
+	case a.obj != b.obj:
+		return cmp.Compare(a.obj, b.obj)
+	default:
+		return cmp.Compare(a.tier, b.tier)
+	}
+}
+
+// candidateHeap is a min-heap under compareCandidates: its root is the
+// candidate the greedy takes first.
 type candidateHeap []candidate
 
-func (h candidateHeap) less(i, j int) bool {
-	if h[i].benefit != h[j].benefit {
-		return h[i].benefit > h[j].benefit
-	}
-	if h[i].obj != h[j].obj {
-		return h[i].obj < h[j].obj
-	}
-	return h[i].tier < h[j].tier
-}
+func (h candidateHeap) less(i, j int) bool { return compareCandidates(h[i], h[j]) < 0 }
 
 func (h candidateHeap) swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
@@ -159,55 +178,88 @@ func (h *candidateHeap) pop() candidate {
 	return top
 }
 
+// resize returns s with length n, reusing its array when it is large
+// enough; the contents are unspecified.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
+}
+
 // ComputePlacement runs the greedy cost-benefit placement.
 func ComputePlacement(in PlacementInput) (*Placement, error) {
+	pl := new(Placement)
+	if err := pl.Compute(in); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// Compute runs the greedy cost-benefit placement into pl, replacing
+// what an earlier Compute left there and reusing its buffers.
+//
+// The lazy greedy pops candidates in compareCandidates order, and a
+// candidate whose recomputed density fell below the queue's best is
+// re-inserted.  A heap of every candidate pops them in that order;
+// here the initial candidates are sorted once and only re-inserted
+// ones go to a heap, and each step takes the earlier of the two heads.
+// Since the order is total, both pop the same sequence: the placement
+// is the one a single heap gives.
+func (pl *Placement) Compute(in PlacementInput) error {
 	numProxies := len(in.Freq)
 	if numProxies == 0 {
-		return nil, fmt.Errorf("cache: placement needs at least one proxy")
+		return fmt.Errorf("cache: placement needs at least one proxy")
 	}
 	numObjects := len(in.Freq[0])
 	for p, f := range in.Freq {
 		if len(f) != numObjects {
-			return nil, fmt.Errorf("cache: freq row %d has %d objects, want %d", p, len(f), numObjects)
+			return fmt.Errorf("cache: freq row %d has %d objects, want %d", p, len(f), numObjects)
 		}
+	}
+	if len(in.Tiers) > math.MaxInt16 {
+		return fmt.Errorf("cache: %d tiers, at most %d", len(in.Tiers), math.MaxInt16)
 	}
 	for i, t := range in.Tiers {
 		if t.Proxy < 0 || t.Proxy >= numProxies {
-			return nil, fmt.Errorf("cache: tier %d references proxy %d of %d", i, t.Proxy, numProxies)
+			return fmt.Errorf("cache: tier %d references proxy %d of %d", i, t.Proxy, numProxies)
 		}
 		if t.Capacity < 0 || t.HitLatency < 0 {
-			return nil, fmt.Errorf("cache: tier %d has negative capacity or latency", i)
+			return fmt.Errorf("cache: tier %d has negative capacity or latency", i)
 		}
 	}
 	if in.Sizes != nil && len(in.Sizes) != numObjects {
-		return nil, fmt.Errorf("cache: %d sizes for %d objects", len(in.Sizes), numObjects)
+		return fmt.Errorf("cache: %d sizes for %d objects", len(in.Sizes), numObjects)
 	}
 	if in.ServerLatency <= 0 || in.RemoteLatency <= 0 {
-		return nil, fmt.Errorf("cache: latencies must be positive")
+		return fmt.Errorf("cache: latencies must be positive")
 	}
 
-	pl := &Placement{
-		ByProxy: make([]map[trace.ObjectID]int, numProxies),
-		Tiers:   in.Tiers,
-	}
+	pl.Tiers = in.Tiers
+	pl.ByProxy = resize(pl.ByProxy, numProxies)
 	for p := range pl.ByProxy {
-		pl.ByProxy[p] = make(map[trace.ObjectID]int)
+		row := resize(pl.ByProxy[p], numObjects)
+		for o := range row {
+			row[o] = -1
+		}
+		pl.ByProxy[p] = row
 	}
 
 	// copies[o] counts placed copies of o cluster-wide; localLat[p*N+o]
 	// is the latency proxy p's clients currently pay for o.
-	copies := make([]int, numObjects)
-	localLat := make([]float64, numProxies*numObjects)
+	pl.copies = resize(pl.copies, numObjects)
+	copies := pl.copies
+	clear(copies)
+	pl.localLat = resize(pl.localLat, numProxies*numObjects)
+	localLat := pl.localLat
+	for i := range localLat {
+		localLat[i] = in.ServerLatency
+	}
 	baseRemote := func(o int) float64 {
 		if in.Cooperative && copies[o] > 0 {
 			return in.RemoteLatency
 		}
 		return in.ServerLatency
-	}
-	for p := 0; p < numProxies; p++ {
-		for o := 0; o < numObjects; o++ {
-			localLat[p*numObjects+o] = in.ServerLatency
-		}
 	}
 
 	// marginalBenefit of placing o in tier t right now.
@@ -243,10 +295,22 @@ func ComputePlacement(in PlacementInput) (*Placement, error) {
 	density := func(o, t int) float64 {
 		return marginalBenefit(o, t) / float64(in.objectSize(o))
 	}
-	remaining := make([]int, len(in.Tiers))
-	var h candidateHeap
+	// A tier with less room than the smallest object takes nothing
+	// more; once no tier has room the rest of the queue would only be
+	// skipped, so the greedy stops.
+	minSize := 1
+	if in.Sizes != nil && numObjects > 0 {
+		minSize = int(slices.Min(in.Sizes))
+	}
+	open := 0
+	pl.remaining = resize(pl.remaining, len(in.Tiers))
+	remaining := pl.remaining
+	cands := pl.cands[:0]
 	for t := range in.Tiers {
 		remaining[t] = in.Tiers[t].Capacity
+		if remaining[t] >= minSize {
+			open++
+		}
 		if in.Tiers[t].Capacity == 0 {
 			continue
 		}
@@ -255,15 +319,23 @@ func ComputePlacement(in PlacementInput) (*Placement, error) {
 				continue
 			}
 			if d := density(o, t); d > 0 {
-				h.push(candidate{obj: trace.ObjectID(o), tier: t, benefit: d})
+				cands = append(cands, candidate{obj: trace.ObjectID(o), tier: t, benefit: d})
 			}
 		}
 	}
+	slices.SortFunc(cands, compareCandidates)
+	stale := pl.stale[:0]
 
 	// Lazy greedy: densities only shrink, so a popped candidate whose
-	// recomputed density still tops the heap is the true maximum.
-	for len(h) > 0 {
-		c := h.pop()
+	// recomputed density still tops the queue is the true maximum.
+	for next := 0; open > 0 && (next < len(cands) || len(stale) > 0); {
+		var c candidate
+		if len(stale) > 0 && (next == len(cands) || compareCandidates(stale[0], cands[next]) < 0) {
+			c = stale.pop()
+		} else {
+			c = cands[next]
+			next++
+		}
 		t := c.tier
 		o := int(c.obj)
 		size := in.objectSize(o)
@@ -271,25 +343,29 @@ func ComputePlacement(in PlacementInput) (*Placement, error) {
 			continue
 		}
 		p := in.Tiers[t].Proxy
-		if _, dup := pl.ByProxy[p][c.obj]; dup {
+		if pl.ByProxy[p][o] >= 0 {
 			continue // proxy already holds o in some tier
 		}
 		d := density(o, t)
 		if d <= 0 {
 			continue
 		}
-		if len(h) > 0 && h[0].benefit > d {
+		if (next < len(cands) && cands[next].benefit > d) || (len(stale) > 0 && stale[0].benefit > d) {
 			// Stale: reinsert with the fresh density.
-			h.push(candidate{obj: c.obj, tier: t, benefit: d})
+			stale.push(candidate{obj: c.obj, tier: t, benefit: d})
 			continue
 		}
 		// Commit the placement.
-		pl.ByProxy[p][c.obj] = t
+		pl.ByProxy[p][o] = int16(t)
 		remaining[t] -= size
+		if remaining[t] < minSize {
+			open--
+		}
 		copies[o]++
 		if lat := in.Tiers[t].HitLatency; lat < localLat[p*numObjects+o] {
 			localLat[p*numObjects+o] = lat
 		}
 	}
-	return pl, nil
+	pl.cands, pl.stale = cands, stale
+	return nil
 }

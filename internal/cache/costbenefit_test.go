@@ -34,7 +34,9 @@ func TestPlacementRespectsCapacity(t *testing.T) {
 	counts := make([]int, len(in.Tiers))
 	for p := range pl.ByProxy {
 		for _, tier := range pl.ByProxy[p] {
-			counts[tier]++
+			if tier >= 0 {
+				counts[tier]++
+			}
 		}
 	}
 	for i, c := range counts {
@@ -75,8 +77,10 @@ func TestPlacementCooperationAvoidsDuplication(t *testing.T) {
 	distinct := func(pl *Placement) int {
 		s := map[trace.ObjectID]bool{}
 		for p := range pl.ByProxy {
-			for o := range pl.ByProxy[p] {
-				s[o] = true
+			for o, tier := range pl.ByProxy[p] {
+				if tier >= 0 {
+					s[trace.ObjectID(o)] = true
+				}
 			}
 		}
 		return len(s)
@@ -126,12 +130,12 @@ func TestPlacementTwoTiersPutsHotObjectsInFastTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	for o := trace.ObjectID(0); o < 2; o++ {
-		if tier, ok := pl.ByProxy[0][o]; !ok || tier != 0 {
+		if tier := pl.ByProxy[0][o]; tier != 0 {
 			t.Errorf("hot object %d in tier %d, want proxy tier 0", o, tier)
 		}
 	}
 	for o := trace.ObjectID(2); o < 4; o++ {
-		if tier, ok := pl.ByProxy[0][o]; !ok || tier != 1 {
+		if tier := pl.ByProxy[0][o]; tier != 1 {
 			t.Errorf("warm object %d in tier %d, want p2p tier 1", o, tier)
 		}
 	}
@@ -215,15 +219,19 @@ func bruteForce(in PlacementInput) float64 {
 				continue
 			}
 			pl := &Placement{
-				ByProxy: []map[trace.ObjectID]int{{}, {}},
+				ByProxy: [][]int16{make([]int16, numObjects), make([]int16, numObjects)},
 				Tiers:   in.Tiers,
+				copies:  make([]int, numObjects),
 			}
 			for o := 0; o < numObjects; o++ {
+				pl.ByProxy[0][o], pl.ByProxy[1][o] = -1, -1
 				if m0&(1<<o) != 0 {
-					pl.ByProxy[0][trace.ObjectID(o)] = 0
+					pl.ByProxy[0][o] = 0
+					pl.copies[o]++
 				}
 				if m1&(1<<o) != 0 {
-					pl.ByProxy[1][trace.ObjectID(o)] = 1
+					pl.ByProxy[1][o] = 1
+					pl.copies[o]++
 				}
 			}
 			v := evaluate(in, pl)
@@ -286,5 +294,226 @@ func TestPropPlacementNearOptimal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refCandidateHeap and refPlacement are the placement greedy as it
+// was before the sorted candidate list: every candidate in one lazy
+// max-heap and a map per proxy for the result, kept as the oracle for
+// TestPlacementMatchesHeapReference.  Test-only.
+type refCandidateHeap []candidate
+
+func (h refCandidateHeap) less(i, j int) bool {
+	if h[i].benefit != h[j].benefit {
+		return h[i].benefit > h[j].benefit
+	}
+	if h[i].obj != h[j].obj {
+		return h[i].obj < h[j].obj
+	}
+	return h[i].tier < h[j].tier
+}
+
+func (h refCandidateHeap) swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+func (h *refCandidateHeap) push(c candidate) {
+	*h = append(*h, c)
+	i := len(*h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h *refCandidateHeap) pop() candidate {
+	old := *h
+	top := old[0]
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		best := i
+		if l < n && (*h).less(l, best) {
+			best = l
+		}
+		if r < n && (*h).less(r, best) {
+			best = r
+		}
+		if best == i {
+			break
+		}
+		(*h).swap(i, best)
+		i = best
+	}
+	return top
+}
+
+// refPlacement assumes in is valid.
+func refPlacement(in PlacementInput) []map[trace.ObjectID]int {
+	numProxies := len(in.Freq)
+	numObjects := len(in.Freq[0])
+	byProxy := make([]map[trace.ObjectID]int, numProxies)
+	for p := range byProxy {
+		byProxy[p] = make(map[trace.ObjectID]int)
+	}
+	copies := make([]int, numObjects)
+	localLat := make([]float64, numProxies*numObjects)
+	baseRemote := func(o int) float64 {
+		if in.Cooperative && copies[o] > 0 {
+			return in.RemoteLatency
+		}
+		return in.ServerLatency
+	}
+	for i := range localLat {
+		localLat[i] = in.ServerLatency
+	}
+	marginalBenefit := func(o int, t int) float64 {
+		tier := in.Tiers[t]
+		p := tier.Proxy
+		cur := localLat[p*numObjects+o]
+		if base := baseRemote(o); base < cur {
+			cur = base
+		}
+		b := 0.0
+		if tier.HitLatency < cur {
+			b += in.Freq[p][o] * (cur - tier.HitLatency)
+		}
+		if in.Cooperative && copies[o] == 0 && in.RemoteLatency < in.ServerLatency {
+			for q := 0; q < numProxies; q++ {
+				if q == p {
+					continue
+				}
+				if cur := localLat[q*numObjects+o]; in.RemoteLatency < cur {
+					b += in.Freq[q][o] * (cur - in.RemoteLatency)
+				}
+			}
+		}
+		return b
+	}
+	density := func(o, t int) float64 {
+		return marginalBenefit(o, t) / float64(in.objectSize(o))
+	}
+	remaining := make([]int, len(in.Tiers))
+	var h refCandidateHeap
+	for t := range in.Tiers {
+		remaining[t] = in.Tiers[t].Capacity
+		if in.Tiers[t].Capacity == 0 {
+			continue
+		}
+		for o := 0; o < numObjects; o++ {
+			if in.objectSize(o) > in.Tiers[t].Capacity {
+				continue
+			}
+			if d := density(o, t); d > 0 {
+				h.push(candidate{obj: trace.ObjectID(o), tier: t, benefit: d})
+			}
+		}
+	}
+	for len(h) > 0 {
+		c := h.pop()
+		t := c.tier
+		o := int(c.obj)
+		size := in.objectSize(o)
+		if remaining[t] < size {
+			continue
+		}
+		p := in.Tiers[t].Proxy
+		if _, dup := byProxy[p][c.obj]; dup {
+			continue
+		}
+		d := density(o, t)
+		if d <= 0 {
+			continue
+		}
+		if len(h) > 0 && h[0].benefit > d {
+			h.push(candidate{obj: c.obj, tier: t, benefit: d})
+			continue
+		}
+		byProxy[p][c.obj] = t
+		remaining[t] -= size
+		copies[o]++
+		if lat := in.Tiers[t].HitLatency; lat < localLat[p*numObjects+o] {
+			localLat[p*numObjects+o] = lat
+		}
+	}
+	return byProxy
+}
+
+// TestPlacementMatchesHeapReference: the sorted-list greedy places
+// exactly what the single-heap greedy places, on random problems full
+// of ties (small integer frequencies, few distinct latencies), with
+// unit, variable and occasionally zero sizes, zero-capacity tiers, and
+// cooperation on and off.  One Placement is reused across every
+// problem, so nothing of an earlier Compute may leak into a later one.
+func TestPlacementMatchesHeapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var pl Placement
+	for trial := 0; trial < 20000; trial++ {
+		numProxies := 1 + rng.Intn(4)
+		numObjects := rng.Intn(40)
+		in := PlacementInput{
+			Freq:          make([][]float64, numProxies),
+			ServerLatency: 1,
+			RemoteLatency: []float64{0.1, 0.5, 1, 2}[rng.Intn(4)],
+			Cooperative:   rng.Intn(2) == 0,
+		}
+		for p := range in.Freq {
+			in.Freq[p] = make([]float64, numObjects)
+			for o := range in.Freq[p] {
+				if rng.Intn(3) > 0 {
+					in.Freq[p][o] = float64(rng.Intn(6))
+				}
+			}
+		}
+		for p := 0; p < numProxies; p++ {
+			for n := 1 + rng.Intn(2); n > 0; n-- {
+				in.Tiers = append(in.Tiers, Tier{
+					Proxy:      p,
+					Capacity:   []int{0, 1, 2, 3, 5, 8, 20}[rng.Intn(7)],
+					HitLatency: []float64{0.05, 0.07, 0.1}[rng.Intn(3)],
+				})
+			}
+		}
+		if rng.Intn(2) == 0 {
+			in.Sizes = make([]uint32, numObjects)
+			zeros := rng.Intn(5) == 0
+			for o := range in.Sizes {
+				in.Sizes[o] = uint32(1 + rng.Intn(4))
+				if zeros && rng.Intn(8) == 0 {
+					in.Sizes[o] = 0
+				}
+			}
+		}
+		if err := pl.Compute(in); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want := refPlacement(in)
+		for p := range want {
+			for o := 0; o < numObjects; o++ {
+				wantTier, ok := want[p][trace.ObjectID(o)]
+				if !ok {
+					wantTier = -1
+				}
+				if got := int(pl.ByProxy[p][o]); got != wantTier {
+					t.Fatalf("trial %d (%d proxies, %d objects, %d tiers, sizes %v, coop %v): proxy %d object %d in tier %d, reference %d",
+						trial, numProxies, numObjects, len(in.Tiers), in.Sizes != nil, in.Cooperative, p, o, got, wantTier)
+				}
+			}
+		}
+		for o := 0; o < numObjects; o++ {
+			anywhere := false
+			for p := range want {
+				_, held := want[p][trace.ObjectID(o)]
+				anywhere = anywhere || held
+			}
+			if got := pl.Anywhere(trace.ObjectID(o)); got != anywhere {
+				t.Fatalf("trial %d: Anywhere(%d) = %v, reference %v", trial, o, got, anywhere)
+			}
+		}
 	}
 }

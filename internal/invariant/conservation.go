@@ -146,7 +146,7 @@ func (a *ClusterAccountant) RecordReplica(obj trace.ObjectID, evicted []trace.Ob
 // ledger.  In strict mode the hit/miss answer must match the ledger
 // exactly: a hit on an unknown object is a ghost, a miss on a resident
 // object means the cluster lost it without a receipt.
-func (a *ClusterAccountant) RecordLookup(obj trace.ObjectID, lr p2p.LookupResult) {
+func (a *ClusterAccountant) RecordLookup(obj trace.ObjectID, lr *p2p.LookupResult) {
 	if a == nil {
 		return
 	}

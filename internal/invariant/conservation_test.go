@@ -47,7 +47,7 @@ func TestClusterAccountantCleanRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acct.RecordLookup(obj, lr)
+		acct.RecordLookup(obj, &lr)
 	}
 	acct.Reconcile(cl)
 	if err := chk.Err(); err != nil {
@@ -139,7 +139,7 @@ func TestClusterAccountantGhostHit(t *testing.T) {
 	if !lr.Found {
 		t.Fatal("setup: object not found")
 	}
-	acct.RecordLookup(5, lr)
+	acct.RecordLookup(5, &lr)
 	seen := false
 	for _, v := range chk.Violations() {
 		if v.Rule == "ghost-hit" {
@@ -170,8 +170,8 @@ func TestClusterAccountantReplicaConservation(t *testing.T) {
 		t.Fatalf("violations on a correct replica run: %v", err)
 	}
 	// Evicting 1 twice drains its last surplus copy then the primary.
-	acct.RecordLookup(1, p2p.LookupResult{Found: true, Displaced: []trace.ObjectID{1}})
-	acct.RecordLookup(1, p2p.LookupResult{Found: true, Displaced: []trace.ObjectID{1}})
+	acct.RecordLookup(1, &p2p.LookupResult{Found: true, Displaced: []trace.ObjectID{1}})
+	acct.RecordLookup(1, &p2p.LookupResult{Found: true, Displaced: []trace.ObjectID{1}})
 	acct.ReconcileCopies(map[trace.ObjectID]int64{2: 2})
 	if err := chk.Err(); err != nil {
 		t.Fatalf("violations after replica drain: %v", err)

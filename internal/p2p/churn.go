@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"fmt"
+	"slices"
 
 	"webcache/internal/pastry"
 	"webcache/internal/trace"
@@ -20,16 +21,18 @@ func (c *Cluster) FailClient(i int) ([]trace.ObjectID, error) {
 		return nil, fmt.Errorf("p2p: client %d already failed", i)
 	}
 	id := c.clientIDs[i]
-	node := c.nodes[id]
+	node := c.nodes.Get(id)
 	c.dead[i] = true
-	c.live--
+	if at, ok := slices.BinarySearch(c.live, i); ok {
+		c.live = slices.Delete(c.live, at, at+1)
+	}
 	c.overlay.Fail(id)
-	delete(c.nodes, id)
+	c.nodes.Delete(id)
 
 	var lost []trace.ObjectID
 	// Objects it held on behalf of others: scrub the owners' pointers.
 	for obj, ownerID := range node.heldFor {
-		if owner := c.nodes[ownerID]; owner != nil {
+		if owner := c.nodes.Get(ownerID); owner != nil {
 			delete(owner.pointerTo, obj)
 		}
 	}
@@ -41,7 +44,7 @@ func (c *Cluster) FailClient(i int) ([]trace.ObjectID, error) {
 	// Objects it diverted elsewhere are orphaned: the holder discards
 	// them (their DHT owner no longer knows where they are).
 	for obj, holderID := range node.pointerTo {
-		if holder := c.nodes[holderID]; holder != nil {
+		if holder := c.nodes.Get(holderID); holder != nil {
 			if _, ok := holder.cache.Remove(obj); ok {
 				delete(holder.heldFor, obj)
 				lost = append(lost, obj)
@@ -70,17 +73,17 @@ func (c *Cluster) JoinClient() (int, error) {
 		}
 	}
 	n := newClientNode(id, c.cfg.PerClientCapacity, c.cfg.WrapCache)
-	c.nodes[id] = n
+	c.nodes.Put(id, n)
 	c.clientIDs = append(c.clientIDs, id)
 	c.dead = append(c.dead, false)
-	c.live++
+	c.live = append(c.live, idx)
 
 	// Handoff: leaf-set neighbours transfer objects the new node now
 	// owns.  Diverted placements keep their pointers (the pointer
 	// owner re-homes instead).
 	node, _ := c.overlay.Node(id)
 	for _, leafID := range node.LeafSet().Members() {
-		peer := c.nodes[leafID]
+		peer := c.nodes.Get(leafID)
 		if peer == nil {
 			continue
 		}
@@ -111,7 +114,7 @@ func (c *Cluster) JoinClient() (int, error) {
 			}
 			delete(peer.pointerTo, obj)
 			n.pointerTo[obj] = holder
-			if h := c.nodes[holder]; h != nil {
+			if h := c.nodes.Get(holder); h != nil {
 				h.heldFor[obj] = id
 			}
 			c.stats.Messages++

@@ -120,12 +120,12 @@ func (n *clientNode) hasFreeSpace(size uint32) bool {
 type Cluster struct {
 	cfg     Config
 	overlay *pastry.Overlay
-	nodes   map[pastry.ID]*clientNode
+	nodes   pastry.IDTable[clientNode]
 	// clientIDs[i] is client i's overlay id; dead[i] marks failed
-	// clients.
+	// clients, and live lists the other indices in ascending order.
 	clientIDs []pastry.ID
 	dead      []bool
-	live      int
+	live      []int
 	stats     Stats
 	// rng drives the fallback start-node choice in startNode so routing
 	// load spreads across live clients instead of piling onto the
@@ -174,15 +174,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:       cfg,
 		overlay:   ov,
-		nodes:     make(map[pastry.ID]*clientNode, cfg.NumClients),
 		clientIDs: ids,
 		dead:      make([]bool, cfg.NumClients),
-		live:      cfg.NumClients,
+		live:      make([]int, cfg.NumClients),
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x70737472)), // "pstr"
 		keys:      make([]keySlot, keySlots),
 	}
-	for _, id := range ids {
-		c.nodes[id] = newClientNode(id, cfg.PerClientCapacity, cfg.WrapCache)
+	for i, id := range ids {
+		c.nodes.Put(id, newClientNode(id, cfg.PerClientCapacity, cfg.WrapCache))
+		c.live[i] = i
 	}
 	return c, nil
 }
@@ -204,11 +204,11 @@ func (c *Cluster) objectKey(obj trace.ObjectID) pastry.ID {
 func (c *Cluster) NumClients() int { return c.cfg.NumClients }
 
 // LiveClients returns the number of live client caches.
-func (c *Cluster) LiveClients() int { return c.live }
+func (c *Cluster) LiveClients() int { return len(c.live) }
 
 // Capacity returns the cluster's aggregate cooperative capacity.
 func (c *Cluster) Capacity() uint64 {
-	return uint64(c.live) * c.cfg.PerClientCapacity
+	return uint64(len(c.live)) * c.cfg.PerClientCapacity
 }
 
 // Stats returns a snapshot of the mechanism telemetry.
@@ -225,18 +225,8 @@ func (c *Cluster) startNode(fromClient int) (pastry.ID, error) {
 	if fromClient >= 0 && fromClient < len(c.clientIDs) && !c.dead[fromClient] {
 		return c.clientIDs[fromClient], nil
 	}
-	if c.live <= 0 {
+	if len(c.live) == 0 {
 		return pastry.ID{}, ErrNoLiveClients
 	}
-	skip := c.rng.Intn(c.live)
-	for i, id := range c.clientIDs {
-		if c.dead[i] {
-			continue
-		}
-		if skip == 0 {
-			return id, nil
-		}
-		skip--
-	}
-	return pastry.ID{}, ErrNoLiveClients
+	return c.clientIDs[c.live[c.rng.Intn(len(c.live))]], nil
 }

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -405,5 +406,69 @@ func TestPropStoredImpliesFindable(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// LookupOrStore is Lookup followed, on a miss, by StoreEvicted with
+// piggybacking, in one route: two identical clusters, one driven each
+// way through the same requests while clients crash and join, must
+// report the same results and the same stats after every request, and
+// leave the start-node rng in the same state.  Requests from dead
+// clients and from indices past the cluster take the fallback start,
+// which both sides draw twice on a miss.
+func TestLookupOrStoreMatchesLookupThenStore(t *testing.T) {
+	pair, one := testCluster(t, 40, 3), testCluster(t, 40, 3)
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 4000; step++ {
+		if step%150 == 149 {
+			victim := rng.Intn(pair.NumClients())
+			if !pair.IsDead(victim) && pair.LiveClients() > 2 {
+				if _, err := pair.FailClient(victim); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := one.FailClient(victim); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := pair.JoinClient(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := one.JoinClient(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := entry(trace.ObjectID(rng.Intn(400)))
+		from := rng.Intn(pair.NumClients() + 60)
+		lr, err := pair.Lookup(e.Obj, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r Receipt
+		if !lr.Found {
+			if r, err = pair.StoreEvicted(e, from, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lr2, r2, err := one.LookupOrStore(e, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lr.Found != lr2.Found || lr.Hops != lr2.Hops || lr.Messages != lr2.Messages || lr.ViaPointer != lr2.ViaPointer {
+			t.Fatalf("step %d: lookup of %d from %d: %+v, then-store side %+v", step, e.Obj, from, lr2, lr)
+		}
+		if !lr.Found && (r.StoredOK != r2.StoredOK || r.Diverted != r2.Diverted || r.Hops != r2.Hops ||
+			r.Messages != r2.Messages || !slices.Equal(r.Evicted, r2.Evicted)) {
+			t.Fatalf("step %d: store of %d from %d: %+v, then-store side %+v", step, e.Obj, from, r2, r)
+		}
+		if pair.Stats() != one.Stats() {
+			t.Fatalf("step %d: stats %+v, then-store side %+v", step, one.Stats(), pair.Stats())
+		}
+	}
+	for i := 0; i < 20; i++ {
+		a, _ := pair.startNode(-1)
+		b, _ := one.startNode(-1)
+		if a != b {
+			t.Fatalf("fallback start %d: %v, then-store side %v: the rng streams parted", i, b, a)
+		}
 	}
 }

@@ -55,16 +55,22 @@ func (c *Cluster) StoreEvicted(e cache.Entry, fromClient int, piggyback bool) (R
 	} else {
 		r.Messages++ // dedicated proxy->client transfer
 	}
-	destID, hops, err := c.overlay.RouteFrom(start, c.objectKey(e.Obj))
+	a, hops, err := c.route(start, e.Obj)
 	if err != nil {
 		return r, err
 	}
+	c.storeAt(a, e, hops, &r)
+	return r, nil
+}
+
+// storeAt is a pass-down's work once its route of hops reached a: the
+// steps of StoreEvicted from (3) on, recorded in r.
+func (c *Cluster) storeAt(a *clientNode, e cache.Entry, hops int, r *Receipt) {
 	r.Hops = hops
 	r.Messages += hops
 	c.stats.RouteHops += hops
 	c.stats.Stores++
 
-	a := c.nodes[destID]
 	r.Messages++ // store receipt back to the proxy
 	c.stats.Messages += r.Messages
 
@@ -72,25 +78,25 @@ func (c *Cluster) StoreEvicted(e cache.Entry, fromClient int, piggyback bool) (R
 	// (possible after directory false negatives or churn handoffs).
 	if a.cache.Access(e.Obj) {
 		r.StoredOK = true
-		return r, nil
+		return
 	}
 	if holder, ok := a.pointerTo[e.Obj]; ok {
-		if b := c.nodes[holder]; b != nil && b.cache.Access(e.Obj) {
+		if b := c.nodes.Get(holder); b != nil && b.cache.Access(e.Obj) {
 			r.StoredOK = true
-			return r, nil
+			return
 		}
 		delete(a.pointerTo, e.Obj) // stale pointer
 	}
 
 	if uint64(e.Size) > a.cache.Capacity() {
 		// Larger than a whole client cache: cannot be passed down.
-		return r, nil
+		return
 	}
 
 	if a.hasFreeSpace(e.Size) {
 		a.cache.Add(e)
 		r.StoredOK = true
-		return r, nil
+		return
 	}
 
 	// Object diversion: find a leaf-set neighbour with free space.
@@ -99,7 +105,7 @@ func (c *Cluster) StoreEvicted(e cache.Entry, fromClient int, piggyback bool) (R
 		candidates = nil
 	}
 	for _, leafID := range candidates {
-		b := c.nodes[leafID]
+		b := c.nodes.Get(leafID)
 		if b == nil || !b.hasFreeSpace(e.Size) || b.cache.Contains(e.Obj) {
 			continue
 		}
@@ -115,7 +121,7 @@ func (c *Cluster) StoreEvicted(e cache.Entry, fromClient int, piggyback bool) (R
 		r.Messages += msgs
 		c.stats.Messages += msgs
 		c.stats.Diversions++
-		return r, nil
+		return
 	}
 
 	// No free space anywhere in the leaf set: local greedy-dual
@@ -130,7 +136,6 @@ func (c *Cluster) StoreEvicted(e cache.Entry, fromClient int, piggyback bool) (R
 		c.stats.Evictions++
 	}
 	r.Evicted = c.evictedBuf
-	return r, nil
 }
 
 // leafCandidates lists a's live leaf-set members in the leaf set's
@@ -151,7 +156,7 @@ func (c *Cluster) leafCandidates(a *clientNode) []pastry.ID {
 func (c *Cluster) dropEvicted(holder *clientNode, obj trace.ObjectID) {
 	if ownerID, ok := holder.heldFor[obj]; ok {
 		delete(holder.heldFor, obj)
-		if owner := c.nodes[ownerID]; owner != nil {
+		if owner := c.nodes.Get(ownerID); owner != nil {
 			delete(owner.pointerTo, obj)
 			c.stats.Messages++ // holder -> owner pointer invalidation
 		}

@@ -117,7 +117,7 @@ func (p *diffPair) compare(after string) {
 		p.t.Fatalf("%s: after %s: live ids differ", p.name, after)
 	}
 	for _, id := range p.ref.ids {
-		n, rn := p.o.nodes[id], p.ref.nodes[id]
+		n, rn := p.o.nodes.Get(id), p.ref.nodes[id]
 		if got, want := sideIDs(n.leafs.larger), rn.leafs.larger; !slices.Equal(got, want) {
 			p.t.Fatalf("%s: after %s: node %v clockwise side\n got  %v\n want %v", p.name, after, id, got, want)
 		}
@@ -133,7 +133,7 @@ func (p *diffPair) compare(after string) {
 	}
 	for i := 0; i < 4; i++ {
 		key, at := p.randomKey(), p.randomLive()
-		n, rn := p.o.nodes[at], p.ref.nodes[at]
+		n, rn := p.o.nodes.Get(at), p.ref.nodes[at]
 		if got, want := n.leafs.Covers(key), rn.leafs.Covers(key); got != want {
 			p.t.Fatalf("%s: after %s: node %v Covers(%v) = %v, reference %v", p.name, after, at, key, got, want)
 		}
@@ -206,12 +206,12 @@ func TestRepairRelearnsAfterForget(t *testing.T) {
 		}
 		ref.Join(idNum(v))
 	}
-	n, rn := o.nodes[idNum(1000)], ref.nodes[idNum(1000)]
+	n, rn := o.nodes.Get(idNum(1000)), ref.nodes[idNum(1000)]
 	if got, want := sideIDs(n.leafs.larger), []ID{idNum(1010), idNum(1020)}; !slices.Equal(got, want) {
 		t.Fatalf("clockwise side before the crash = %v, want %v", got, want)
 	}
 	// 1020 crashes and nobody has noticed yet.
-	delete(o.nodes, idNum(1020))
+	o.nodes.Delete(idNum(1020))
 	o.removeID(idNum(1020))
 	ref.crash(idNum(1020))
 

@@ -1,5 +1,7 @@
 package pastry
 
+import "math/bits"
+
 // LeafSet holds the l nodes with ids numerically closest to the owning
 // node *by ring direction*: the l/2 immediate successors (clockwise,
 // wrapping) and the l/2 immediate predecessors (counter-clockwise).
@@ -140,12 +142,27 @@ func (ls *LeafSet) AppendMembers(dst []ID) []ID {
 	for _, lf := range ls.larger {
 		dst = append(dst, lf.id)
 	}
+	overlap := ls.sidesOverlap()
 	for _, lf := range ls.smaller {
-		if !containsID(dst[first:], lf.id) {
+		if !overlap || !containsID(dst[first:], lf.id) {
 			dst = append(dst, lf.id)
 		}
 	}
 	return dst
+}
+
+// sidesOverlap reports whether an id can sit on both sides.  Its two
+// arcs from the owner sum to the whole ring, so it can only when the
+// farthest arcs of the two sides together reach round it; on a ring
+// larger than the leaf set they fall short, and the sides are disjoint.
+func (ls *LeafSet) sidesOverlap() bool {
+	if len(ls.larger) == 0 || len(ls.smaller) == 0 {
+		return false
+	}
+	a, b := ls.larger[len(ls.larger)-1].arc, ls.smaller[len(ls.smaller)-1].arc
+	_, carry := bits.Add64(a[1], b[1], 0)
+	_, carry = bits.Add64(a[0], b[0], carry)
+	return carry != 0
 }
 
 // Len is the current number of distinct leaves.

@@ -21,16 +21,16 @@ import (
 func (o *Overlay) Stabilize() int {
 	repairs := 0
 	for _, id := range o.ids {
-		n := o.nodes[id]
+		n := o.nodes.Get(id)
 		// Purge dead entries from both structures.
 		for _, m := range n.leafs.Members() {
-			if _, live := o.nodes[m]; !live {
+			if o.nodes.Get(m) == nil {
 				n.forget(m)
 				repairs++
 			}
 		}
 		for _, e := range n.table.Entries() {
-			if _, live := o.nodes[e]; !live {
+			if o.nodes.Get(e) == nil {
 				n.table.Remove(e)
 				repairs++
 			}
@@ -46,7 +46,7 @@ func (o *Overlay) Stabilize() int {
 	// converged fixed point of repeated neighbour exchange).
 	half := o.l / 2
 	for i, id := range o.ids {
-		n := o.nodes[id]
+		n := o.nodes.Get(id)
 		for d := 1; d <= half; d++ {
 			cw := o.ids[(i+d)%len(o.ids)]
 			ccw := o.ids[((i-d)%len(o.ids)+len(o.ids))%len(o.ids)]
@@ -85,14 +85,14 @@ func (o *Overlay) CheckConsistency() []Violation {
 	var out []Violation
 	half := o.l / 2
 	for i, id := range o.ids {
-		n := o.nodes[id]
+		n := o.nodes.Get(id)
 		for _, m := range n.leafs.Members() {
-			if _, live := o.nodes[m]; !live {
+			if o.nodes.Get(m) == nil {
 				out = append(out, Violation{id, fmt.Sprintf("leaf %v is dead", m)})
 			}
 		}
 		for _, e := range n.table.Entries() {
-			if _, live := o.nodes[e]; !live {
+			if o.nodes.Get(e) == nil {
 				out = append(out, Violation{id, fmt.Sprintf("table entry %v is dead", e)})
 				continue
 			}
@@ -137,7 +137,7 @@ func (o *Overlay) Diagnose() Diagnostics {
 	fills := make([]int, 0, d.Nodes)
 	leafSum := 0
 	for i, id := range o.ids {
-		n := o.nodes[id]
+		n := o.nodes.Get(id)
 		fills = append(fills, n.table.Size())
 		leafSum += n.leafs.Len()
 		complete := true

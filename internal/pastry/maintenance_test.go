@@ -74,7 +74,7 @@ func TestDiagnoseEmptyOverlay(t *testing.T) {
 func TestCheckConsistencyDetectsDamage(t *testing.T) {
 	o, ids := buildOverlay(t, 40, Config{Seed: 5})
 	// Surgically break one node: forget a live ring neighbour.
-	n := o.nodes[ids[0]]
+	n := o.nodes.Get(ids[0])
 	members := n.leafs.Members()
 	if len(members) == 0 {
 		t.Fatal("no leaf members")

@@ -34,7 +34,7 @@ type Config struct {
 type Overlay struct {
 	b              int
 	l              int
-	nodes          map[ID]*Node
+	nodes          IDTable[Node]
 	ids            []ID // sorted ascending: ground truth ring membership
 	rng            *rand.Rand
 	proximityAware bool
@@ -109,7 +109,6 @@ func New(cfg Config) (*Overlay, error) {
 	return &Overlay{
 		b:              cfg.B,
 		l:              cfg.LeafSetSize,
-		nodes:          make(map[ID]*Node),
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		proximityAware: cfg.ProximityAware,
 		// A repair hears at most l ids from each of at most l members.
@@ -128,8 +127,8 @@ func (o *Overlay) Len() int { return len(o.ids) }
 
 // Node returns the live node with the given id.
 func (o *Overlay) Node(id ID) (*Node, bool) {
-	n, ok := o.nodes[id]
-	return n, ok
+	n := o.nodes.Get(id)
+	return n, n != nil
 }
 
 // IDs returns the sorted live node ids (shared slice; do not mutate).
@@ -161,7 +160,7 @@ func (o *Overlay) removeID(id ID) {
 // i-th node on the route and its leaf set from Z, then announces itself
 // to every node it has learned of.
 func (o *Overlay) Join(id ID) error {
-	if _, dup := o.nodes[id]; dup {
+	if o.nodes.Get(id) != nil {
 		return ErrDuplicateID
 	}
 	x := NewNode(id, o.b, o.l)
@@ -170,7 +169,7 @@ func (o *Overlay) Join(id ID) error {
 		x.table.SetPreference(o.closerTo(x))
 	}
 	if len(o.ids) == 0 {
-		o.nodes[id] = x
+		o.nodes.Put(id, x)
 		o.insertID(id)
 		return nil
 	}
@@ -193,14 +192,14 @@ func (o *Overlay) Join(id ID) error {
 	}
 	x.learn(z.id)
 
-	o.nodes[id] = x
+	o.nodes.Put(id, x)
 	o.insertID(id)
 
 	// Announce: everyone x knows learns x, and x pulls their leaf
 	// members too (Pastry's state exchange on join).
 	known := append(x.table.Entries(), x.leafs.Members()...)
 	for _, t := range known {
-		if n := o.nodes[t]; n != nil {
+		if n := o.nodes.Get(t); n != nil {
 			n.learn(id)
 			o.members = n.leafs.AppendMembers(o.members[:0])
 			for _, e := range o.members {
@@ -233,15 +232,15 @@ func (o *Overlay) JoinN(count int, namespace string) ([]ID, error) {
 // immediately, as the Pastry failure protocol does when keep-alives
 // stop.
 func (o *Overlay) Fail(id ID) bool {
-	n, ok := o.nodes[id]
-	if !ok {
+	n := o.nodes.Get(id)
+	if n == nil {
 		return false
 	}
-	delete(o.nodes, id)
+	o.nodes.Delete(id)
 	o.removeID(id)
 	// Leaf-set neighbours notice quickly (keep-alive) and repair.
 	for _, m := range n.leafs.Members() {
-		if peer := o.nodes[m]; peer != nil {
+		if peer := o.nodes.Get(m); peer != nil {
 			peer.forget(id)
 			o.repairLeafSet(peer)
 		}
@@ -251,15 +250,15 @@ func (o *Overlay) Fail(id ID) bool {
 
 // Leave gracefully removes a node: it notifies everything in its state.
 func (o *Overlay) Leave(id ID) bool {
-	n, ok := o.nodes[id]
-	if !ok {
+	n := o.nodes.Get(id)
+	if n == nil {
 		return false
 	}
-	delete(o.nodes, id)
+	o.nodes.Delete(id)
 	o.removeID(id)
 	notify := append(n.table.Entries(), n.leafs.Members()...)
 	for _, t := range notify {
-		if peer := o.nodes[t]; peer != nil {
+		if peer := o.nodes.Get(t); peer != nil {
 			peer.forget(id)
 			o.repairLeafSet(peer)
 		}
@@ -285,13 +284,13 @@ func (o *Overlay) repairLeafSet(n *Node) {
 			if !o.offered.add(lf.id) {
 				continue
 			}
-			if _, live := o.nodes[lf.id]; live {
+			if o.nodes.Get(lf.id) != nil {
 				n.learn(lf.id)
 			}
 		}
 	}
 	for _, m := range o.members {
-		peer := o.nodes[m]
+		peer := o.nodes.Get(m)
 		if peer == nil {
 			n.forget(m)
 			o.offered.reset()
@@ -313,8 +312,8 @@ func (o *Overlay) maxRouteHops() int { return IDBits/o.b + o.l + 8 }
 // and routing continues.
 func (o *Overlay) RouteFrom(start ID, key ID) (ID, int, error) {
 	dest, hops, path := o.routeFrom(start, key)
-	destNode, ok := o.nodes[dest]
-	if !ok {
+	destNode := o.nodes.Get(dest)
+	if destNode == nil {
 		return ID{}, 0, ErrEmptyOverlay
 	}
 	o.routes++
@@ -333,8 +332,8 @@ func (o *Overlay) RouteFrom(start ID, key ID) (ID, int, error) {
 // (start and destination included).  The path is the overlay's
 // scratch, good until the next route.
 func (o *Overlay) routeFrom(start ID, key ID) (ID, int, []*Node) {
-	cur, ok := o.nodes[start]
-	if !ok {
+	cur := o.nodes.Get(start)
+	if cur == nil {
 		return ID{}, 0, nil
 	}
 	o.path = append(o.path[:0], cur)
@@ -344,8 +343,8 @@ func (o *Overlay) routeFrom(start ID, key ID) (ID, int, []*Node) {
 		if final {
 			return cur.id, hops, o.path
 		}
-		nextNode, alive := o.nodes[next]
-		if !alive {
+		nextNode := o.nodes.Get(next)
+		if nextNode == nil {
 			// Lazy failure discovery: purge and retry from the same
 			// node; its next-best option takes over.
 			cur.forget(next)

@@ -30,7 +30,7 @@ func (c Coord) DistanceTo(o Coord) float64 {
 
 // Coord returns a node's network coordinate (zero if unknown).
 func (o *Overlay) Coord(id ID) Coord {
-	if n := o.nodes[id]; n != nil {
+	if n := o.nodes.Get(id); n != nil {
 		return n.coord
 	}
 	return Coord{}

@@ -5,9 +5,9 @@ package sim
 // Zero-alloc gates on the simulator's steady-state inner loop.  After
 // one warmup replay, a serve must not touch the heap: the arena and
 // policy scratch buffers (arena.go, cache.Policy.Add) absorb every
-// per-request record, and the hoisted lookup tables (fc.go tierOf,
-// fleet.go cands, tiered.go missLFU) replace the per-request map and
-// interface work.  testing.AllocsPerRun floor-divides total mallocs by
+// per-request record, and the hoisted lookup tables (fc.go's dense
+// placement, fleet.go cands, tiered.go missLFU) replace the per-request
+// map and interface work.  testing.AllocsPerRun floor-divides total mallocs by
 // runs, so a rare map-rehash still passes while any per-request
 // allocation fails the gate at >= 1.
 //
@@ -74,5 +74,19 @@ func TestServeZeroAllocFleet(t *testing.T) {
 	}
 	if allocs := serveSteadyStateAllocs(t, cfg); allocs != 0 {
 		t.Errorf("fleet steady-state serve allocates %.1f objects/request, want 0", allocs)
+	}
+}
+
+// TestServeZeroAllocPastry gates the engines that route through a
+// Pastry client cluster: Hier-GD (directory, lookups, pass-downs) and
+// Squirrel (one route per request to the home node, a store on every
+// miss).  Node tables, routes, object keys and receipts all come from
+// scratch the overlay and cluster keep.
+func TestServeZeroAllocPastry(t *testing.T) {
+	for _, s := range []Scheme{HierGD, Squirrel} {
+		cfg := Config{Scheme: s, ProxyCacheFrac: 0.3, ClientsPerCluster: 16, Seed: 1}
+		if allocs := serveSteadyStateAllocs(t, cfg); allocs != 0 {
+			t.Errorf("%v steady-state serve allocates %.1f objects/request, want 0", s, allocs)
+		}
 	}
 }

@@ -96,7 +96,7 @@ func (c clientCluster) finishCluster(chk *invariant.Checker, res *Result) {
 // found records a client-cache lookup's receipt and the directory
 // repairs it implies: on a hit, the entries a hot-object replica
 // displaced; on a miss, the false-positive entry itself.
-func (px *hierGDProxy) found(obj trace.ObjectID, lr p2p.LookupResult, err error) bool {
+func (px *hierGDProxy) found(obj trace.ObjectID, lr *p2p.LookupResult, err error) bool {
 	if err == nil {
 		px.acct.RecordLookup(obj, lr)
 	}
@@ -186,7 +186,7 @@ func (e *hierGDEngine) serve(obj trace.ObjectID, size uint32, proxy, member int,
 	//    through the proxy cache.
 	if px.dir.MayContain(obj) {
 		lr, err := px.cluster.Lookup(obj, member)
-		if !px.found(obj, lr, err) {
+		if !px.found(obj, &lr, err) {
 			// False positive (Bloom aliasing, poisoning, or object lost
 			// to churn): found repaired the directory; fall through.
 			st.WastedSpan("dir.false_positive", string(netmodel.CompTp2p), e.net.Tp2p)
@@ -253,7 +253,7 @@ func (e *hierGDEngine) peerServes(q int, obj trace.ObjectID, st *obs.SpanTrace) 
 	if !peer.dir.MayContain(obj) {
 		return false, 0
 	}
-	if lr, err := peer.cluster.PushFetch(obj); peer.found(obj, lr, err) {
+	if lr, err := peer.cluster.PushFetch(obj); peer.found(obj, &lr, err) {
 		st.Span("peer.push", string(netmodel.CompTc), e.net.Tc)
 		return true, 0
 	}

@@ -77,8 +77,10 @@ func TestPlacementWithSizesRespectsUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	used := 0
-	for o := range pl.ByProxy[0] {
-		used += int(in.Sizes[o])
+	for o, tier := range pl.ByProxy[0] {
+		if tier >= 0 {
+			used += int(in.Sizes[o])
+		}
 	}
 	if used > 10 {
 		t.Fatalf("placement used %d units of 10", used)
@@ -86,11 +88,11 @@ func TestPlacementWithSizesRespectsUnits(t *testing.T) {
 	// Density favours the small objects: 90/4, 80/4 and 70/2 beat
 	// 100/8, so objects 1,2,3 (10 units) should fill the tier.
 	for _, o := range []trace.ObjectID{1, 2, 3} {
-		if _, ok := pl.ByProxy[0][o]; !ok {
+		if _, ok := pl.HasCopy(0, o); !ok {
 			t.Errorf("dense object %d not placed", o)
 		}
 	}
-	if _, ok := pl.ByProxy[0][0]; ok {
+	if _, ok := pl.HasCopy(0, 0); ok {
 		t.Error("bulky object 0 placed over denser set")
 	}
 }

@@ -60,9 +60,14 @@ func newSquirrelEngine(cfg Config, sz sizing) (*squirrelEngine, error) {
 func (e *squirrelEngine) serve(obj trace.ObjectID, size uint32, proxy, member int, st *obs.SpanTrace) (netmodel.Source, float64) {
 	cc := e.clusters[proxy]
 	member %= e.cfg.P2PClientCaches
-	lr, err := cc.cluster.Lookup(obj, member)
+	// One route to the home node serves both halves: the lookup and, on
+	// a miss, the store of what the requester fetched from the origin.
+	lr, r, err := cc.cluster.LookupOrStore(cache.Entry{Obj: obj, Size: size, Cost: e.net.Ts}, member)
 	if err == nil {
-		cc.acct.RecordLookup(obj, lr)
+		cc.acct.RecordLookup(obj, &lr)
+		if !lr.Found {
+			cc.acct.RecordStore(r)
+		}
 	}
 	if err == nil && lr.Found {
 		// Home-node hit: the request goes client -> home node directly
@@ -74,15 +79,12 @@ func (e *squirrelEngine) serve(obj trace.ObjectID, size uint32, proxy, member in
 		st.Span("p2p.route", string(netmodel.CompTp2p), lat)
 		return netmodel.SrcP2P, lat
 	}
-	// Miss: the requesting client fetches from the origin server and
-	// hands the object to its home node for storage.  No proxy: the
+	// Miss: the requesting client fetched from the origin server and
+	// handed the object to its home node for storage.  No proxy: the
 	// client pays the server latency without the Tl leg — the
 	// decomposition deliberately shows Squirrel off the end-to-end
 	// model every other scheme follows (see CheckDecomposition).
 	st.Span("origin.fetch", string(netmodel.CompTs), e.net.Ts)
-	if r, err := cc.cluster.StoreEvicted(cache.Entry{Obj: obj, Size: size, Cost: e.net.Ts}, member, true); err == nil {
-		cc.acct.RecordStore(r)
-	}
 	return netmodel.SrcServer, e.net.Ts
 }
 
