@@ -61,8 +61,10 @@ func TestResultDigestPinned(t *testing.T) {
 // FailEvery does not reach it; its row pins it as sim_churn runs it.)
 // The last rows pin what TestResultDigestPinned's seven schemes do not
 // reach: Squirrel on the small trace, FC and FC-EC's size-density
-// placement on the variable-size trace, and FC's trailing window.
-// The digest is over the whole JSON Result, so it moves
+// placement on the variable-size trace, FC's trailing window, the
+// LFU-family engine under the LRU, in-cache LFU and greedy-dual base
+// policies, and NC-EC's heap evicting several objects per Add on the
+// variable-size trace.  The digest is over the whole JSON Result, so it moves
 // on a change to P2P.RouteHops or Messages that leaves every serve and
 // byte in place — which bench/'s goldens (requests, sources, bytes,
 // latency) do not notice.  A change to internal/pastry or internal/p2p
@@ -122,6 +124,18 @@ func TestChurnResultDigestPinned(t *testing.T) {
 		{"fc-trailing", small,
 			Config{Scheme: FC, Seed: 1, ProxyCacheFrac: 0.3, FCTrailing: true},
 			"7f53b4e1898ecbb7ef983cf98bde67b20b771e1cdecb4fb29efd8fab332a65bc"},
+		{"nc-lru", small,
+			Config{Scheme: NC, Seed: 1, ProxyCacheFrac: 0.3, BasePolicy: BaseLRU},
+			"4d263bf0663d63cb414b318468329dd845658cf5c6da6419c975fc2e730bcf60"},
+		{"nc-ec-lfu-in-cache", small,
+			Config{Scheme: NCEC, Seed: 1, ProxyCacheFrac: 0.3, BasePolicy: BaseLFUInCache},
+			"5e083f17513c2122b75dac58f893f9db16c668cfb6f2ed27df29d97855ba58f5"},
+		{"sc-ec-greedy-dual", small,
+			Config{Scheme: SCEC, Seed: 1, ProxyCacheFrac: 0.3, BasePolicy: BaseGreedyDual},
+			"f0f25cd0646d9fcde75674342d97d753f00dbddff4f94cf999f6e6ba18971901"},
+		{"nc-ec-variable-sizes", sized,
+			Config{Scheme: NCEC, Seed: 1, ProxyCacheFrac: 0.2},
+			"8e472fd11ac8d5850ec4164b2cffef59af80c153565bc018bcb07a671f912c3f"},
 	} {
 		// Subtests, so one replay can be profiled alone:
 		// -run TestChurnResultDigestPinned/squirrel-churn -cpuprofile ...
