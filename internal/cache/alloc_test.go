@@ -7,10 +7,9 @@ package cache
 // touching the heap: a victim's slab slot (LRU: its list node) goes to
 // a free list and the next Add takes it from there, and Add's return
 // value is the policy's scratch slice.  testing.AllocsPerRun
-// floor-divides total mallocs by runs, so the id -> slot map's rare
-// rehash passes while one allocation per operation fails; a slab that
-// appended instead of recycling would pass the same way (it doubles), so
-// its length is checked too.
+// floor-divides total mallocs by runs, so a rare doubling passes while
+// one allocation per operation fails: the id -> slot table's size and
+// the slab's length are checked across the measured loops too.
 //
 // Excluded under the race detector, whose instrumentation allocates on
 // paths the production build does not.
@@ -30,7 +29,7 @@ func TestPolicyAllocsPerRun(t *testing.T) {
 		entry := func(i int) Entry {
 			return Entry{Obj: trace.ObjectID(i) * 0x9e3779b97f4a7c15, Size: 1, Cost: float64(1 + i%5)}
 		}
-		// Warm up on twice as many ids as fit, twice over, so the map,
+		// Warm up on twice as many ids as fit, twice over, so the table,
 		// the slab, the scratch slice and (perfect LFU) the history have
 		// all seen every id the measured loops use.
 		next := 0
@@ -47,6 +46,7 @@ func TestPolicyAllocsPerRun(t *testing.T) {
 			t.Fatalf("%s: warm-up left %d of %d objects", p.Name(), p.Len(), capacity)
 		}
 
+		tables := tableSizes(p)
 		hit := p.Objects()[0]
 		if a := testing.AllocsPerRun(2000, func() {
 			if !p.Access(hit) {
@@ -71,13 +71,17 @@ func TestPolicyAllocsPerRun(t *testing.T) {
 		if n := slabLen(p); n > capacity {
 			t.Errorf("%s: slab has %d slots for %d unit-size objects: evicted slots are not recycled", p.Name(), n, capacity)
 		}
+		if got := tableSizes(p); got != tables {
+			t.Errorf("%s: id -> slot tables went from %v to %v entries across the measured loops", p.Name(), tables, got)
+		}
 	}
 }
 
-// slabLen is the number of slots a heap-ordered policy ever allocated
-// (0 for LRU, which has no slab).
+// slabLen is the number of object slots a policy ever allocated.
 func slabLen(p Policy) int {
 	switch c := p.(type) {
+	case *LRU:
+		return len(c.nodes) - 1 // the sentinel holds no object
 	case *LFU:
 		return len(c.nodes)
 	case *GreedyDual:
@@ -86,4 +90,23 @@ func slabLen(p Policy) int {
 		return len(c.nodes)
 	}
 	return 0
+}
+
+// tableSizes is the entry count of p's id -> slot table and, for
+// perfect LFU, of its history's.
+func tableSizes(p Policy) [2]int {
+	switch c := p.(type) {
+	case *LRU:
+		return [2]int{len(c.index.ents)}
+	case *LFU:
+		if c.perfect {
+			return [2]int{len(c.slot.ents), len(c.history.index.ents)}
+		}
+		return [2]int{len(c.slot.ents)}
+	case *GreedyDual:
+		return [2]int{len(c.slot.ents)}
+	case *GDSF:
+		return [2]int{len(c.slot.ents)}
+	}
+	return [2]int{}
 }

@@ -72,7 +72,7 @@ func (c *Belady) Add(e Entry) []Entry {
 	}
 	newNext := c.futureOf(e.Obj)
 	if c.used+uint64(e.Size) > c.capacity {
-		if farthest, ok := c.min(); ok && float64(newNext) >= -farthest.key {
+		if farthest, ok := c.minKey(); ok && float64(newNext) >= -farthest {
 			return nil // bypass: everything cached is re-used sooner
 		}
 	}

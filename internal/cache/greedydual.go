@@ -66,7 +66,7 @@ func (c *GreedyDual) Add(e Entry) []Entry {
 // the Hier-GD pass-down logic.
 func (c *GreedyDual) HValue(obj trace.ObjectID) (float64, bool) {
 	if n, ok := c.find(obj); ok {
-		return n.key, true
+		return c.key(n), true
 	}
 	return 0, false
 }

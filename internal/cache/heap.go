@@ -8,36 +8,46 @@ import (
 
 // keyedHeap is the slab the heap-ordered policies (LFU, greedy-dual,
 // GDSF, Belady) keep all per-object state in: a node holds the cached
-// Entry, its float64 priority, the tie-break sequence, its position in
-// the heap and the policy's per-object scalar.  One map resolves an
-// object id to its slot — the only hashed lookup an operation needs —
-// and the binary min-heap orders slot numbers, so a sift step writes
-// slice elements, never a map.  Ties break by insertion sequence
-// (FIFO), which makes every policy built on it fully deterministic.
+// Entry, its position in the heap and the policy's per-object scalar.
+// A slotTable resolves an object id to its slot, the only hashed lookup
+// an operation needs.  The binary min-heap holds items that carry their
+// own float64 key and tie-break sequence beside the slot, so a sift
+// step compares and moves heap elements without reading the slab.  Ties
+// break by insertion sequence (FIFO), which makes every policy built on
+// it fully deterministic.
 //
-// Ids stay arbitrary 64-bit values (the live store feeds folded URL
-// hashes), so there is no dense id-indexed table here; slots released
-// by remove/popMin are recycled before the slab grows.
+// Slots released by remove/popMin are recycled before the slab grows.
 type keyedHeap struct {
 	nodes []node
-	order []int32                  // min-heap of slots by (key, seq)
-	slot  map[trace.ObjectID]int32 // id -> index into nodes
-	free  int32                    // recycled slots, chained through node.idx; -1 = none
+	order []item    // min-heap by (key, seq)
+	slot  slotTable // id -> index into nodes
+	free  int32     // recycled slots, chained through node.idx; -1 = none
 	seq   uint64
 	used  uint64 // total Size of the held entries
 }
 
 type node struct {
 	Entry
-	key  float64
-	seq  uint64
 	freq float64 // GDSF's in-cache frequency
 	idx  int32   // position in order; on the free list, the next free slot
 }
 
-func newKeyedHeap(hint int) keyedHeap {
-	return keyedHeap{slot: make(map[trace.ObjectID]int32, hint), free: -1}
+// item is one heap element: the ordering key of the node at slot s.
+type item struct {
+	key float64
+	seq uint64
+	s   int32
 }
+
+// less orders items by key, then insertion order.
+func (a item) less(b item) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.seq < b.seq
+}
+
+func newKeyedHeap() keyedHeap { return keyedHeap{free: -1} }
 
 // Len implements Policy.
 func (h *keyedHeap) Len() int { return len(h.order) }
@@ -47,18 +57,18 @@ func (h *keyedHeap) Used() uint64 { return h.used }
 
 // find returns obj's node, valid until the next push.
 func (h *keyedHeap) find(obj trace.ObjectID) (*node, bool) {
-	s, ok := h.slot[obj]
+	s, ok := h.slot.get(obj)
 	if !ok {
 		return nil, false
 	}
 	return &h.nodes[s], true
 }
 
+// key returns n's ordering key.
+func (h *keyedHeap) key(n *node) float64 { return h.order[n.idx].key }
+
 // Contains implements Policy.
-func (h *keyedHeap) Contains(obj trace.ObjectID) bool {
-	_, ok := h.slot[obj]
-	return ok
-}
+func (h *keyedHeap) Contains(obj trace.ObjectID) bool { return h.slot.has(obj) }
 
 // Peek implements Policy.
 func (h *keyedHeap) Peek(obj trace.ObjectID) (Entry, bool) {
@@ -68,49 +78,40 @@ func (h *keyedHeap) Peek(obj trace.ObjectID) (Entry, bool) {
 	return Entry{}, false
 }
 
-// less orders slots by key, then insertion order.
-func (h *keyedHeap) less(a, b int32) bool {
-	x, y := &h.nodes[a], &h.nodes[b]
-	if x.key != y.key {
-		return x.key < y.key
-	}
-	return x.seq < y.seq
-}
-
-// place puts slot s at heap position i.
-func (h *keyedHeap) place(i int, s int32) {
-	h.order[i] = s
-	h.nodes[s].idx = int32(i)
+// place puts it at heap position i.
+func (h *keyedHeap) place(i int, it item) {
+	h.order[i] = it
+	h.nodes[it.s].idx = int32(i)
 }
 
 func (h *keyedHeap) up(i int) {
-	s := h.order[i]
+	it := h.order[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(s, h.order[parent]) {
+		if !it.less(h.order[parent]) {
 			break
 		}
 		h.place(i, h.order[parent])
 		i = parent
 	}
-	h.place(i, s)
+	h.place(i, it)
 }
 
 func (h *keyedHeap) down(i int) {
-	s, n := h.order[i], len(h.order)
+	it, n := h.order[i], len(h.order)
 	for {
 		l, r := 2*i+1, 2*i+2
 		child := l
-		if r < n && h.less(h.order[r], h.order[l]) {
+		if r < n && h.order[r].less(h.order[l]) {
 			child = r
 		}
-		if child >= n || !h.less(h.order[child], s) {
+		if child >= n || !h.order[child].less(it) {
 			break
 		}
 		h.place(i, h.order[child])
 		i = child
 	}
-	h.place(i, s)
+	h.place(i, it)
 }
 
 // push inserts e with the given key and returns its node; e.Obj must
@@ -124,10 +125,10 @@ func (h *keyedHeap) push(e Entry, key float64) *node {
 		h.nodes = append(h.nodes, node{})
 	}
 	h.seq++
-	h.nodes[s] = node{Entry: e, key: key, seq: h.seq}
-	h.slot[e.Obj] = s
+	h.nodes[s] = node{Entry: e}
+	h.slot.put(e.Obj, s)
 	h.used += uint64(e.Size)
-	h.order = append(h.order, s)
+	h.order = append(h.order, item{key, h.seq, s})
 	h.up(len(h.order) - 1)
 	return &h.nodes[s]
 }
@@ -136,32 +137,34 @@ func (h *keyedHeap) push(e Entry, key float64) *node {
 // equal-key re-touches behave FIFO-by-last-touch).
 func (h *keyedHeap) update(n *node, key float64) {
 	h.seq++
-	old := n.key
-	n.key, n.seq = key, h.seq
+	i := int(n.idx)
+	it := &h.order[i]
+	old := it.key
+	it.key, it.seq = key, h.seq
 	if key < old {
-		h.up(int(n.idx))
+		h.up(i)
 	} else {
-		h.down(int(n.idx))
+		h.down(i)
 	}
 }
 
-// min peeks at the minimum-key node without removing it.
-func (h *keyedHeap) min() (*node, bool) {
+// minKey peeks at the minimum key without removing its entry.
+func (h *keyedHeap) minKey() (float64, bool) {
 	if len(h.order) == 0 {
-		return nil, false
+		return 0, false
 	}
-	return &h.nodes[h.order[0]], true
+	return h.order[0].key, true
 }
 
 // popMin removes the minimum-key entry and returns it with its key.
 func (h *keyedHeap) popMin() (Entry, float64) {
-	n, ok := h.min()
-	if !ok {
+	if len(h.order) == 0 {
 		panic("cache: keyedHeap.popMin: empty heap")
 	}
-	e, key := n.Entry, n.key
+	top := h.order[0]
+	e := h.nodes[top.s].Entry
 	h.removeAt(0)
-	return e, key
+	return e, top.key
 }
 
 // Remove implements Policy.
@@ -176,9 +179,9 @@ func (h *keyedHeap) Remove(obj trace.ObjectID) (Entry, bool) {
 }
 
 func (h *keyedHeap) removeAt(i int) {
-	s := h.order[i]
+	s := h.order[i].s
 	n := &h.nodes[s]
-	delete(h.slot, n.Obj)
+	h.slot.delete(n.Obj)
 	h.used -= uint64(n.Size)
 	n.idx, h.free = h.free, s
 	last := len(h.order) - 1
@@ -187,15 +190,15 @@ func (h *keyedHeap) removeAt(i int) {
 	if i < last {
 		h.place(i, moved)
 		h.down(i)
-		h.up(int(h.nodes[moved].idx))
+		h.up(int(h.nodes[moved.s].idx))
 	}
 }
 
 // Objects lists the held ids in ascending order.
 func (h *keyedHeap) Objects() []trace.ObjectID {
 	out := make([]trace.ObjectID, len(h.order))
-	for i, s := range h.order {
-		out[i] = h.nodes[s].Obj
+	for i, it := range h.order {
+		out[i] = h.nodes[it.s].Obj
 	}
 	slices.Sort(out)
 	return out
@@ -213,7 +216,7 @@ type heapCache struct {
 }
 
 func newHeapCache(capacity uint64) heapCache {
-	return heapCache{keyedHeap: newKeyedHeap(64), capacity: capacity}
+	return heapCache{keyedHeap: newKeyedHeap(), capacity: capacity}
 }
 
 // admit reports whether Add may cache e (see addable).

@@ -12,7 +12,7 @@ import (
 // testHeap adds by-id spellings of update and popMin to the heap.
 type testHeap struct{ keyedHeap }
 
-func newTestHeap(hint int) *testHeap { return &testHeap{newKeyedHeap(hint)} }
+func newTestHeap() *testHeap { return &testHeap{newKeyedHeap()} }
 
 func (h *testHeap) rekey(obj trace.ObjectID, key float64) {
 	n, _ := h.find(obj)
@@ -25,7 +25,7 @@ func (h *testHeap) popObj() trace.ObjectID {
 }
 
 func TestKeyedHeapPushPopOrder(t *testing.T) {
-	h := newTestHeap(8)
+	h := newTestHeap()
 	keys := []float64{5, 1, 4, 2, 3}
 	for i, k := range keys {
 		h.push(Entry{Obj: trace.ObjectID(i), Size: 1}, k)
@@ -41,7 +41,7 @@ func TestKeyedHeapPushPopOrder(t *testing.T) {
 }
 
 func TestKeyedHeapTieBreakFIFO(t *testing.T) {
-	h := newTestHeap(8)
+	h := newTestHeap()
 	for i := 0; i < 5; i++ {
 		h.push(Entry{Obj: trace.ObjectID(i), Size: 1}, 1.0)
 	}
@@ -54,7 +54,7 @@ func TestKeyedHeapTieBreakFIFO(t *testing.T) {
 }
 
 func TestKeyedHeapUpdate(t *testing.T) {
-	h := newTestHeap(8)
+	h := newTestHeap()
 	h.push(Entry{Obj: 1, Size: 1}, 10)
 	h.push(Entry{Obj: 2, Size: 1}, 20)
 	h.push(Entry{Obj: 3, Size: 1}, 30)
@@ -66,13 +66,13 @@ func TestKeyedHeapUpdate(t *testing.T) {
 	if obj := h.popObj(); obj != 2 {
 		t.Fatalf("after increase, min = %d, want 2", obj)
 	}
-	if n, ok := h.find(1); !ok || n.key != 100 {
+	if n, ok := h.find(1); !ok || h.key(n) != 100 {
 		t.Fatalf("find(1) = %v %v", n, ok)
 	}
 }
 
 func TestKeyedHeapRemove(t *testing.T) {
-	h := newTestHeap(8)
+	h := newTestHeap()
 	for i := 0; i < 10; i++ {
 		h.push(Entry{Obj: trace.ObjectID(i), Size: 1}, float64(10-i))
 	}
@@ -94,7 +94,7 @@ func TestKeyedHeapRemove(t *testing.T) {
 // A duplicate id is refused one level up (TestPolicyDuplicateAddPanics); the
 // heap itself only guards its own emptiness.
 func TestKeyedHeapPanics(t *testing.T) {
-	h := newTestHeap(2)
+	h := newTestHeap()
 	h.push(Entry{Obj: 1, Size: 1}, 1)
 	h.popMin()
 	assertPanics(t, "pop empty", func() { h.popMin() })
@@ -119,7 +119,7 @@ func TestPropKeyedHeapMatchesModel(t *testing.T) {
 	}
 	f := func(seed int64, opsRaw []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := newTestHeap(4)
+		h := newTestHeap()
 		model := map[trace.ObjectID]modelItem{}
 		var seq uint64
 		next := trace.ObjectID(0)

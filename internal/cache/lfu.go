@@ -24,21 +24,19 @@ type LFU struct {
 }
 
 // History is the perfect-LFU reference count of every object seen,
-// cached or not.  Counts live in a slice behind one id -> index map, so
-// counting a known object is a single hashed lookup.
+// cached or not.  Counts live in a slice behind one id -> index
+// slotTable, so counting a known object is a single hashed lookup.
 type History struct {
-	index map[trace.ObjectID]int32
+	index slotTable
 	count []uint64
 }
 
 // NewHistory returns an empty history.
-func NewHistory() *History {
-	return &History{index: make(map[trace.ObjectID]int32)}
-}
+func NewHistory() *History { return &History{} }
 
 // Count reports how often obj was referenced (0 if never).
 func (h *History) Count(obj trace.ObjectID) uint64 {
-	if i, ok := h.index[obj]; ok {
+	if i, ok := h.index.get(obj); ok {
 		return h.count[i]
 	}
 	return 0
@@ -46,10 +44,10 @@ func (h *History) Count(obj trace.ObjectID) uint64 {
 
 // bump counts one more reference to obj and returns the new count.
 func (h *History) bump(obj trace.ObjectID) uint64 {
-	i, ok := h.index[obj]
+	i, ok := h.index.get(obj)
 	if !ok {
 		i = int32(len(h.count))
-		h.index[obj] = i
+		h.index.put(obj, i)
 		h.count = append(h.count, 0)
 	}
 	h.count[i]++
@@ -94,7 +92,7 @@ func (c *LFU) Access(obj trace.ObjectID) bool {
 	if !ok {
 		return false
 	}
-	f := n.key + 1
+	f := c.key(n) + 1
 	if c.perfect {
 		f = float64(c.history.bump(obj))
 	}
@@ -123,7 +121,7 @@ func (c *LFU) Frequency(obj trace.ObjectID) uint64 {
 		return c.history.Count(obj)
 	}
 	if n, ok := c.find(obj); ok {
-		return uint64(n.key)
+		return uint64(c.key(n))
 	}
 	return 0
 }
