@@ -64,7 +64,11 @@ func TestResultDigestPinned(t *testing.T) {
 // placement on the variable-size trace, FC's trailing window, the
 // LFU-family engine under the LRU, in-cache LFU and greedy-dual base
 // policies, and NC-EC's heap evicting several objects per Add on the
-// variable-size trace.  The digest is over the whole JSON Result, so it moves
+// variable-size trace.  The final four pin the P2P store where a
+// diversion depends on how much room is left rather than on whether
+// any is: Hier-GD and Squirrel on the variable-size trace, Hier-GD
+// there under churn, and Hier-GD with diversion off.  The digest is
+// over the whole JSON Result, so it moves
 // on a change to P2P.RouteHops or Messages that leaves every serve and
 // byte in place — which bench/'s goldens (requests, sources, bytes,
 // latency) do not notice.  A change to internal/pastry or internal/p2p
@@ -136,6 +140,18 @@ func TestChurnResultDigestPinned(t *testing.T) {
 		{"nc-ec-variable-sizes", sized,
 			Config{Scheme: NCEC, Seed: 1, ProxyCacheFrac: 0.2},
 			"8e472fd11ac8d5850ec4164b2cffef59af80c153565bc018bcb07a671f912c3f"},
+		{"hier-gd-variable-sizes", sized,
+			Config{Scheme: HierGD, Seed: 1, ProxyCacheFrac: 0.2},
+			"86fdfdce20688c7e467c6232cc1529fa10926c67e5d1eee3dfbf1f9b0ac5ea33"},
+		{"squirrel-variable-sizes", sized,
+			Config{Scheme: Squirrel, Seed: 1, ProxyCacheFrac: 0.2},
+			"a46969beac841780640d29c35fbb71fcff2d8b014e213530e84ed819147d6739"},
+		{"hier-gd-churn-variable-sizes", sized,
+			Config{Scheme: HierGD, Seed: 1, ProxyCacheFrac: 0.2, FailEvery: 500, ReplaceFailed: true},
+			"8405d0f8b5f9c1fa439cacbe0629858ee311faf0aae309a8965de5c80c746b07"},
+		{"hier-gd-no-diversion", small,
+			Config{Scheme: HierGD, Seed: 1, ProxyCacheFrac: 0.3, DisableDiversion: true},
+			"cd31f766aec70e68a4cc6688866a03d1b8eb0876547a6b74e7da4b63cac870d9"},
 	} {
 		// Subtests, so one replay can be profiled alone:
 		// -run TestChurnResultDigestPinned/squirrel-churn -cpuprofile ...
