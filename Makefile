@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzHopReply -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzIDTable -fuzztime=$(FUZZTIME) ./internal/pastry
 	$(GO) test -run='^$$' -fuzz=FuzzSlotTable -fuzztime=$(FUZZTIME) ./internal/cache
+	$(GO) test -run='^$$' -fuzz=FuzzClusterFreeTally -fuzztime=$(FUZZTIME) ./internal/p2p
 
 race:
 	$(GO) test -race ./...

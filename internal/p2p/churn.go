@@ -36,16 +36,18 @@ func (c *Cluster) FailClient(i int) ([]trace.ObjectID, error) {
 			delete(owner.pointerTo, obj)
 		}
 	}
-	// Everything in its cache is gone.
+	// Everything in its cache is gone, and its free space leaves the
+	// cluster's tally.
 	for _, obj := range node.cache.Objects() {
-		node.cache.Remove(obj)
+		c.remove(node, obj)
 		lost = append(lost, obj)
 	}
+	c.free -= node.cache.Capacity() - node.cache.Used()
 	// Objects it diverted elsewhere are orphaned: the holder discards
 	// them (their DHT owner no longer knows where they are).
 	for obj, holderID := range node.pointerTo {
 		if holder := c.nodes.Get(holderID); holder != nil {
-			if _, ok := holder.cache.Remove(obj); ok {
+			if _, ok := c.remove(holder, obj); ok {
 				delete(holder.heldFor, obj)
 				lost = append(lost, obj)
 			}
@@ -74,6 +76,7 @@ func (c *Cluster) JoinClient() (int, error) {
 	}
 	n := newClientNode(id, c.cfg.PerClientCapacity, c.cfg.WrapCache)
 	c.nodes.Put(id, n)
+	c.free += n.cache.Capacity()
 	c.clientIDs = append(c.clientIDs, id)
 	c.dead = append(c.dead, false)
 	c.live = append(c.live, idx)
@@ -95,13 +98,14 @@ func (c *Cluster) JoinClient() (int, error) {
 			if owner != id {
 				continue
 			}
-			e, _ := peer.cache.Remove(obj)
+			e, _ := c.remove(peer, obj)
 			c.stats.Messages++ // transfer message
-			if n.hasFreeSpace(e.Size) {
-				n.cache.Add(e)
+			if n.hasFreeSpace(e.Size) && !n.cache.Contains(obj) {
+				c.add(n, e)
 				c.stats.Handoffs++
 			} else {
-				// New node full: treat as an eviction.
+				// New node full, or it already took a copy (a hot-object
+				// replica on another leaf): treat as an eviction.
 				c.stats.Evictions++
 			}
 		}

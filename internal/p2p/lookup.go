@@ -9,7 +9,6 @@ import (
 // LookupResult reports a P2P lookup outcome.
 type LookupResult struct {
 	Found bool
-	Entry cache.Entry
 	// ViaPointer marks a hit served through a diversion pointer (one
 	// extra LAN hop).
 	ViaPointer bool
@@ -101,8 +100,7 @@ func (c *Cluster) lookupAt(a *clientNode, obj trace.ObjectID, hops int, r *Looku
 	c.stats.Lookups++
 	c.stats.RouteHops += hops
 
-	if e, ok := a.cache.Peek(obj); ok {
-		a.cache.Access(obj)
+	if a.cache.Access(obj) {
 		// Hot-object replication (extension): the owner may redirect
 		// this serve to one of its replicas to spread load.
 		server, extraHops, extraMsgs, displaced := c.maybeServeFromReplica(a, obj)
@@ -112,27 +110,22 @@ func (c *Cluster) lookupAt(a *clientNode, obj trace.ObjectID, hops int, r *Looku
 		r.Displaced = displaced
 		c.stats.RouteHops += extraHops
 		r.Found = true
-		r.Entry = e
 		c.stats.LookupHits++
 		c.stats.Messages += r.Messages
 		return
 	}
 	if holder, ok := a.pointerTo[obj]; ok {
-		if b := c.nodes.Get(holder); b != nil {
-			if e, ok := b.cache.Peek(obj); ok {
-				b.cache.Access(obj)
-				b.served++
-				r.Found = true
-				r.Entry = e
-				r.ViaPointer = true
-				r.Hops++
-				r.Messages += 2 // A->B redirect + B response
-				c.stats.LookupHits++
-				c.stats.PointerHits++
-				c.stats.RouteHops++
-				c.stats.Messages += r.Messages
-				return
-			}
+		if b := c.nodes.Get(holder); b != nil && b.cache.Access(obj) {
+			b.served++
+			r.Found = true
+			r.ViaPointer = true
+			r.Hops++
+			r.Messages += 2 // A->B redirect + B response
+			c.stats.LookupHits++
+			c.stats.PointerHits++
+			c.stats.RouteHops++
+			c.stats.Messages += r.Messages
+			return
 		}
 		delete(a.pointerTo, obj) // stale pointer cleanup
 	}

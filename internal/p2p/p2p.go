@@ -126,7 +126,13 @@ type Cluster struct {
 	clientIDs []pastry.ID
 	dead      []bool
 	live      []int
-	stats     Stats
+	// free is the sum over live client caches of capacity minus used.
+	// A leaf can take a diverted object of size s only if it has s free,
+	// and then free >= s, so a store with free < s skips the leaf scan.
+	// add and remove are the only callers of a client cache's Add and
+	// Remove, and keep it exact.
+	free  uint64
+	stats Stats
 	// rng drives the fallback start-node choice in startNode so routing
 	// load spreads across live clients instead of piling onto the
 	// lowest-index one.
@@ -181,10 +187,29 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		keys:      make([]keySlot, keySlots),
 	}
 	for i, id := range ids {
-		c.nodes.Put(id, newClientNode(id, cfg.PerClientCapacity, cfg.WrapCache))
+		n := newClientNode(id, cfg.PerClientCapacity, cfg.WrapCache)
+		c.nodes.Put(id, n)
+		c.free += n.cache.Capacity()
 		c.live[i] = i
 	}
 	return c, nil
+}
+
+// add stores e in n's cache, returning what it evicted, and keeps
+// c.free in step.
+func (c *Cluster) add(n *clientNode, e cache.Entry) []cache.Entry {
+	before := n.cache.Used()
+	evicted := n.cache.Add(e)
+	c.free += before - n.cache.Used()
+	return evicted
+}
+
+// remove drops obj from n's cache and keeps c.free in step.
+func (c *Cluster) remove(n *clientNode, obj trace.ObjectID) (cache.Entry, bool) {
+	before := n.cache.Used()
+	e, ok := n.cache.Remove(obj)
+	c.free += before - n.cache.Used()
+	return e, ok
 }
 
 // ObjectKey maps a simulator object id onto the Pastry id space (the

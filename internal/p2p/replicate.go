@@ -118,7 +118,7 @@ func (c *Cluster) replicateTo(owner *clientNode, obj trace.ObjectID) []trace.Obj
 	}
 	var displaced []trace.ObjectID
 	ent, _ := owner.cache.Peek(obj)
-	for _, ev := range fallback.cache.Add(ent) {
+	for _, ev := range c.add(fallback, ent) {
 		c.dropEvicted(fallback, ev.Obj)
 		displaced = append(displaced, ev.Obj)
 		c.stats.Evictions++
@@ -131,7 +131,7 @@ func (c *Cluster) replicateTo(owner *clientNode, obj trace.ObjectID) []trace.Obj
 
 // commitReplica records a replica stored without eviction.
 func (c *Cluster) commitReplica(rs *replicaState, b *clientNode, obj trace.ObjectID, size uint32, cost float64) {
-	b.cache.Add(cacheEntry(obj, size, cost))
+	c.add(b, cacheEntry(obj, size, cost))
 	rs.holders[obj] = append(rs.holders[obj], b.id)
 	c.stats.Replications++
 	c.stats.Messages += 2 // owner -> holder copy + ack

@@ -94,39 +94,35 @@ func (c *Cluster) storeAt(a *clientNode, e cache.Entry, hops int, r *Receipt) {
 	}
 
 	if a.hasFreeSpace(e.Size) {
-		a.cache.Add(e)
+		c.add(a, e)
 		r.StoredOK = true
 		return
 	}
 
-	// Object diversion: find a leaf-set neighbour with free space.
-	candidates := c.leafCandidates(a)
-	if c.cfg.DisableDiversion {
-		candidates = nil
-	}
-	for _, leafID := range candidates {
-		b := c.nodes.Get(leafID)
-		if b == nil || !b.hasFreeSpace(e.Size) || b.cache.Contains(e.Obj) {
-			continue
+	// Object diversion: find a leaf-set neighbour with free space, if
+	// the whole cluster has that much (see Cluster.free).
+	if !c.cfg.DisableDiversion && c.free >= uint64(e.Size) {
+		for _, leafID := range c.leafCandidates(a) {
+			b := c.nodes.Get(leafID)
+			if b == nil || !b.hasFreeSpace(e.Size) || b.cache.Contains(e.Obj) {
+				continue
+			}
+			c.add(b, e)
+			b.heldFor[e.Obj] = a.id
+			a.pointerTo[e.Obj] = b.id
+			r.StoredOK = true
+			r.Diverted = true
+			msgs := 2 // A->B store + B->A ack
+			r.Messages += msgs
+			c.stats.Messages += msgs
+			c.stats.Diversions++
+			return
 		}
-		if uint64(e.Size) > b.cache.Capacity() {
-			continue
-		}
-		b.cache.Add(e)
-		b.heldFor[e.Obj] = a.id
-		a.pointerTo[e.Obj] = b.id
-		r.StoredOK = true
-		r.Diverted = true
-		msgs := 2 // A->B store + B->A ack
-		r.Messages += msgs
-		c.stats.Messages += msgs
-		c.stats.Diversions++
-		return
 	}
 
 	// No free space anywhere in the leaf set: local greedy-dual
 	// replacement at A.
-	evicted := a.cache.Add(e)
+	evicted := c.add(a, e)
 	r.StoredOK = true
 	c.stats.Replacements++
 	c.evictedBuf = c.evictedBuf[:0]

@@ -134,12 +134,9 @@ func (p *diffPair) compare(after string) {
 	for i := 0; i < 4; i++ {
 		key, at := p.randomKey(), p.randomLive()
 		n, rn := p.o.nodes.Get(at), p.ref.nodes[at]
-		if got, want := n.leafs.Covers(key), rn.leafs.Covers(key); got != want {
-			p.t.Fatalf("%s: after %s: node %v Covers(%v) = %v, reference %v", p.name, after, at, key, got, want)
-		}
-		// Closest is asked whether or not the key is covered.
-		if got, want := n.leafs.Closest(key), rn.leafs.Closest(key); got != want {
-			p.t.Fatalf("%s: after %s: node %v Closest(%v) = %v, reference %v", p.name, after, at, key, got, want)
+		if got, ok := n.leafs.Deliver(key); !rn.leafs.delivers(got, ok, key) {
+			p.t.Fatalf("%s: after %s: node %v Deliver(%v) = (%v, %v), reference Covers %v, Closest %v",
+				p.name, after, at, key, got, ok, rn.leafs.Covers(key), rn.leafs.Closest(key))
 		}
 		next, final := n.NextHop(key)
 		wantNext, wantFinal := rn.NextHop(key)
@@ -246,8 +243,8 @@ func TestClosestEquidistantTie(t *testing.T) {
 			ls.Insert(idNum(v))
 			ref.Insert(idNum(v))
 		}
-		if got := ls.Closest(idNum(tc.key)); got != idNum(tc.want) {
-			t.Errorf("owner %d leaves %v: Closest(%d) = %v, want %d", tc.owner, tc.leaves, tc.key, got, tc.want)
+		if got, ok := ls.Deliver(idNum(tc.key)); !ok || got != idNum(tc.want) {
+			t.Errorf("owner %d leaves %v: Deliver(%d) = (%v, %v), want (%d, true)", tc.owner, tc.leaves, tc.key, got, ok, tc.want)
 		}
 		if got := ref.Closest(idNum(tc.key)); got != idNum(tc.want) {
 			t.Errorf("owner %d leaves %v: reference Closest(%d) = %v, want %d", tc.owner, tc.leaves, tc.key, got, tc.want)
@@ -257,7 +254,7 @@ func TestClosestEquidistantTie(t *testing.T) {
 
 // TestLeafSetMatchesReference offers random ids — drawn from a narrow
 // band so sides fill, collide and wrap — and removes some, comparing
-// both sides, the admission verdict and the two queries at every step.
+// both sides, the admission verdict and Deliver's answer at every step.
 func TestLeafSetMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -297,11 +294,9 @@ func TestLeafSetMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d step %d: Members() = %v, reference %v", trial, i, ls.Members(), ref.Members())
 			}
 			key := draw()
-			if got, want := ls.Covers(key), ref.Covers(key); got != want {
-				t.Fatalf("trial %d step %d: Covers(%v) = %v, reference %v", trial, i, key, got, want)
-			}
-			if got, want := ls.Closest(key), ref.Closest(key); got != want {
-				t.Fatalf("trial %d step %d: Closest(%v) = %v, reference %v", trial, i, key, got, want)
+			if got, ok := ls.Deliver(key); !ref.delivers(got, ok, key) {
+				t.Fatalf("trial %d step %d: Deliver(%v) = (%v, %v), reference Covers %v, Closest %v",
+					trial, i, key, got, ok, ref.Covers(key), ref.Closest(key))
 			}
 		}
 	}

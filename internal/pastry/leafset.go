@@ -168,35 +168,29 @@ func (ls *LeafSet) sidesOverlap() bool {
 // Len is the current number of distinct leaves.
 func (ls *LeafSet) Len() int { return len(ls.Members()) }
 
-// Covers reports whether key falls within the leaf set's id range
-// (between the farthest predecessor and the farthest successor), the
-// condition under which Pastry routes directly to the numerically
-// closest leaf.  With an unfilled side (small overlays) the range is
-// considered open on that side.
-func (ls *LeafSet) Covers(key ID) bool {
-	if len(ls.smaller) < ls.half || len(ls.larger) < ls.half {
-		// Leaf set spans the whole (small) overlay.
-		return true
-	}
-	// key is inside the arc [owner-maxCCW, owner+maxCW].
-	return !ls.larger[ls.half-1].arc.Less(ls.cwDist(key)) ||
-		!ls.smaller[ls.half-1].arc.Less(ls.ccwDist(key))
-}
-
-// Closest returns the leaf (or owner) numerically closest to key,
+// Deliver is the leaf-set step of Pastry routing.  It reports ok=false
+// when key falls outside the leaf set's id range (beyond both the
+// farthest predecessor and the farthest successor; with an unfilled
+// side, as on small overlays, the range is open and holds every key).
+// Otherwise it returns the leaf (or owner) numerically closest to key,
 // ties to the smaller id.  Walking round the ring from the key, the
 // closest node is the first one met in one direction or the other, and
 // on a side sorted by arc those are the two members whose arcs bracket
 // the key's: two candidates per side and the owner, not every leaf.
-func (ls *LeafSet) Closest(key ID) ID {
+// The key's two arcs serve both questions.
+func (ls *LeafSet) Deliver(key ID) (ID, bool) {
 	cw, ccw := ls.cwDist(key), ls.ccwDist(key)
+	if len(ls.smaller) == ls.half && len(ls.larger) == ls.half &&
+		ls.larger[ls.half-1].arc.Less(cw) && ls.smaller[ls.half-1].arc.Less(ccw) {
+		return ID{}, false
+	}
 	c := closest{key: key, id: ls.owner, dist: cw}
 	if ccw.Less(cw) {
 		c.dist = ccw
 	}
 	c.offerBracket(ls.larger, cw, ccw)
 	c.offerBracket(ls.smaller, ccw, cw)
-	return c.id
+	return c.id, true
 }
 
 // closest carries the best candidate so far with its distance.

@@ -62,15 +62,17 @@ func TestLeafSetClosest(t *testing.T) {
 	for _, v := range []uint64{80, 90, 110, 120} {
 		ls.Insert(idNum(v))
 	}
-	if got := ls.Closest(idNum(91)); got != idNum(90) {
-		t.Errorf("closest(91) = %v, want 90", got)
+	for _, tc := range []struct{ key, want uint64 }{{91, 90}, {101, 100}, {119, 120}} {
+		if got, ok := ls.Deliver(idNum(tc.key)); !ok || got != idNum(tc.want) {
+			t.Errorf("Deliver(%d) = (%v, %v), want (%d, true)", tc.key, got, ok, tc.want)
+		}
 	}
-	if got := ls.Closest(idNum(101)); got != idNum(100) {
-		t.Errorf("closest(101) = %v, want owner 100", got)
-	}
-	if got := ls.Closest(idNum(119)); got != idNum(120) {
-		t.Errorf("closest(119) = %v, want 120", got)
-	}
+}
+
+// covers is Deliver's range verdict alone.
+func covers(ls *LeafSet, key ID) bool {
+	_, ok := ls.Deliver(key)
+	return ok
 }
 
 func TestLeafSetCoversUnderfilled(t *testing.T) {
@@ -78,7 +80,7 @@ func TestLeafSetCoversUnderfilled(t *testing.T) {
 	ls.Insert(idNum(90))
 	// With fewer members than capacity, the leaf set spans the whole
 	// (tiny) overlay and must cover everything.
-	if !ls.Covers(idNum(5)) || !ls.Covers(ID{^uint64(0), 0}) {
+	if !covers(ls, idNum(5)) || !covers(ls, ID{^uint64(0), 0}) {
 		t.Error("underfilled leaf set should cover all keys")
 	}
 }
@@ -89,12 +91,12 @@ func TestLeafSetCoversRange(t *testing.T) {
 		ls.Insert(idNum(v))
 	}
 	for _, v := range []uint64{80, 85, 100, 115, 120} {
-		if !ls.Covers(idNum(v)) {
+		if !covers(ls, idNum(v)) {
 			t.Errorf("should cover %d", v)
 		}
 	}
 	for _, v := range []uint64{5, 70, 200} {
-		if ls.Covers(idNum(v)) {
+		if covers(ls, idNum(v)) {
 			t.Errorf("should not cover %d", v)
 		}
 	}
@@ -111,14 +113,15 @@ func TestLeafSetWraparound(t *testing.T) {
 	if !ls.Contains(lo) || !ls.Contains(hi) {
 		t.Fatal("wraparound inserts lost")
 	}
-	if got := ls.Closest(idNum(1)); got != lo {
-		t.Errorf("closest across wrap = %v, want %v", got, lo)
+	if got, ok := ls.Deliver(idNum(1)); !ok || got != lo {
+		t.Errorf("Deliver across wrap = (%v, %v), want (%v, true)", got, ok, lo)
 	}
 }
 
-// Property: after inserting arbitrary ids, the leaf set holds exactly
-// the (up to) l/2 closest per side, and Closest agrees with brute
-// force over members+owner.
+// Property: Deliver agrees with brute force over members+owner.  A
+// key it calls out of range lies beyond every successor clockwise and
+// every predecessor counter-clockwise, with both sides full; half the
+// keys sit next to a member, so both answers come up.
 func TestPropLeafSetClosestMatchesBruteForce(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -134,7 +137,24 @@ func TestPropLeafSetClosestMatchesBruteForce(t *testing.T) {
 			all = append(all, x)
 		}
 		key := ridRand(rng)
-		got := ls.Closest(key)
+		if len(all) > 0 && rng.Intn(2) == 0 {
+			near := all[rng.Intn(len(all))]
+			key = ID{near[0], near[1] + uint64(rng.Intn(9)) - 4}
+		}
+		got, ok := ls.Deliver(key)
+		if !ok {
+			for _, lf := range ls.larger {
+				if !lf.arc.Less(key.sub(owner)) {
+					return false
+				}
+			}
+			for _, lf := range ls.smaller {
+				if !lf.arc.Less(owner.sub(key)) {
+					return false
+				}
+			}
+			return len(ls.larger) == 4 && len(ls.smaller) == 4
+		}
 		// Brute force over current members + owner.
 		best := owner
 		for _, m := range ls.Members() {

@@ -2,11 +2,13 @@ package pastry
 
 // Node is one Pastry overlay participant: its id, routing table, and
 // leaf set.  Nodes are passive state holders; the Overlay drives the
-// routing and membership protocols against them.
+// routing and membership protocols against them.  The leaf set and
+// table are held by value, so a routing step reaches a side's slice
+// from the node without another pointer.
 type Node struct {
 	id    ID
-	table *RoutingTable
-	leafs *LeafSet
+	leafs LeafSet
+	table RoutingTable
 	// coord is the node's position on the simulated network plane
 	// (proximity.go), fixed when it joins.
 	coord Coord
@@ -16,8 +18,8 @@ type Node struct {
 func NewNode(id ID, b, leafSetSize int) *Node {
 	return &Node{
 		id:    id,
-		table: NewRoutingTable(id, b),
-		leafs: NewLeafSet(id, leafSetSize),
+		leafs: *NewLeafSet(id, leafSetSize),
+		table: *NewRoutingTable(id, b),
 	}
 }
 
@@ -26,10 +28,10 @@ func (n *Node) ID() ID { return n.id }
 
 // Table exposes the routing table (read-mostly; the overlay mutates it
 // during joins and failure repair).
-func (n *Node) Table() *RoutingTable { return n.table }
+func (n *Node) Table() *RoutingTable { return &n.table }
 
 // LeafSet exposes the leaf set.
-func (n *Node) LeafSet() *LeafSet { return n.leafs }
+func (n *Node) LeafSet() *LeafSet { return &n.leafs }
 
 // learn records another node in whichever structures it fits.
 func (n *Node) learn(x ID) {
@@ -62,8 +64,7 @@ func (n *Node) NextHop(key ID) (next ID, final bool) {
 	if key == n.id {
 		return ID{}, true
 	}
-	if n.leafs.Covers(key) {
-		dest := n.leafs.Closest(key)
+	if dest, ok := n.leafs.Deliver(key); ok {
 		if dest == n.id {
 			return ID{}, true
 		}

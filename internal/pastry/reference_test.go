@@ -135,6 +135,15 @@ func (ls *refLeafSet) Closest(key ID) ID {
 	return best
 }
 
+// delivers reports whether (got, ok) is LeafSet.Deliver's answer for
+// key: ok is Covers, and a covered key goes to Closest.
+func (ls *refLeafSet) delivers(got ID, ok bool, key ID) bool {
+	if !ls.Covers(key) {
+		return !ok
+	}
+	return ok && got == ls.Closest(key)
+}
+
 // refRoutingTable is the routing table with one slice per row and a
 // scan of every row per listing: rows[r][c] names a node sharing r
 // digits with the owner whose next digit is c.
