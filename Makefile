@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzHopReply -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzIDTable -fuzztime=$(FUZZTIME) ./internal/pastry
 	$(GO) test -run='^$$' -fuzz=FuzzSlotTable -fuzztime=$(FUZZTIME) ./internal/cache
+	$(GO) test -run='^$$' -fuzz=FuzzPlacement -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzClusterFreeTally -fuzztime=$(FUZZTIME) ./internal/p2p
 
 race:
@@ -143,7 +144,7 @@ trace-alloc:
 	$(GO) test -run='^$$' -bench=BenchmarkDisabledTracer -benchmem ./internal/obs
 
 # The hot-path zero-alloc gates: a replacement policy's hit and
-# evicting Add, steady-state simulator serves (LFU family, fleet
+# evicting Add, an FC re-placement, steady-state simulator serves (LFU family, fleet
 # engine, Hier-GD and Squirrel over Pastry), a Pastry route, a P2P
 # lookup hit and pass-down replacement,
 # and the live proxy/client-cache memory-hit paths must not touch the
