@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -193,6 +194,19 @@ func parseKey(r *http.Request) (pastry.ID, string, error) {
 	return pastry.IDFromBytes(raw[:]), hex, nil
 }
 
+// parseCost reads a /store's greedy-dual cost from the query: 1 unless
+// it is a finite positive number.  The value becomes H = L + Cost/Size,
+// so an infinite cost (1e400 overflows to one) would pin the object for
+// good, and a NaN would break the heap order and, once evicted, turn
+// the shard's inflation L into NaN; the disk tier would journal either.
+func parseCost(s string) float64 {
+	c, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(c > 0 && c <= math.MaxFloat64) {
+		return 1
+	}
+	return c
+}
+
 func (c *ClientCache) handleObject(w http.ResponseWriter, r *http.Request) {
 	id, _, err := parseKey(r)
 	if err != nil {
@@ -250,10 +264,7 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	cost, _ := strconv.ParseFloat(queryParam(r.URL.RawQuery, "cost"), 64)
-	if cost <= 0 {
-		cost = 1
-	}
+	cost := parseCost(queryParam(r.URL.RawQuery, "cost"))
 	folded := fold(id)
 	ifFree := queryParam(r.URL.RawQuery, "ifFree") == "1"
 	if ifFree && r.ContentLength > 0 && !c.store.FreeFor(folded, int(r.ContentLength)) {

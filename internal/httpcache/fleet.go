@@ -280,10 +280,7 @@ func (p *Proxy) handleFleetStore(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	cost, _ := strconv.ParseFloat(r.URL.Query().Get("cost"), 64)
-	if cost <= 0 {
-		cost = 1
-	}
+	cost := parseCost(queryParam(r.URL.RawQuery, "cost"))
 	body, err := readRetainedBody(w, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -3,9 +3,12 @@ package httpcache
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"testing"
+
+	"webcache/internal/store"
 )
 
 // TestQueryParamMatchesURLValues holds the zero-alloc query scanner to
@@ -59,5 +62,42 @@ func TestServedByFallback(t *testing.T) {
 	serve(rec, []byte("body"), TierProxy)
 	if got := rec.Header().Get(ServedByHeader); got != TierProxy {
 		t.Fatalf("ServedBy = %q, want %q", got, TierProxy)
+	}
+}
+
+// TestStoreCostSanitized holds both store handlers, the client cache's
+// /store and a fleet member's /fleet/store, to one rule: the stored
+// greedy-dual cost is the query's when finite and positive, else 1.
+func TestStoreCostSanitized(t *testing.T) {
+	id := keyOf("http://origin/cost")
+	for _, tc := range []struct {
+		cost string
+		want float64
+	}{
+		{"NaN", 1}, {"Inf", 1}, {"-Inf", 1}, {"1e400", 1}, {"-1", 1},
+		{"0", 1}, {"", 1}, {"x", 1}, {"2.5", 2.5},
+	} {
+		cc := NewClientCache(1 << 20)
+		px := NewProxy(1 << 20)
+		px.EnableFleet(FleetOptions{Self: "http://self", Members: []string{"http://self"}})
+		for _, d := range []struct {
+			path string
+			h    http.Handler
+			st   *store.Store
+		}{
+			{"/store", cc.Handler(), cc.Store()},
+			{"/fleet/store", px.Handler(), px.Store()},
+		} {
+			target := d.path + "?key=" + id.String() + "&cost=" + url.QueryEscape(tc.cost)
+			rec := httptest.NewRecorder()
+			d.h.ServeHTTP(rec, httptest.NewRequest("POST", target, bytes.NewReader([]byte("body"))))
+			obj, ok := d.st.Get(fold(id))
+			if rec.Code != http.StatusOK || !ok {
+				t.Fatalf("%s cost=%q: status %d, stored %v", d.path, tc.cost, rec.Code, ok)
+			}
+			if obj.Cost != tc.want {
+				t.Errorf("%s cost=%q: stored cost %v, want %v", d.path, tc.cost, obj.Cost, tc.want)
+			}
+		}
 	}
 }
