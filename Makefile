@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race bench vet fuzz-smoke bench-check bench-smoke bench-diff chaos-smoke chaos-bench fleet-bench slo-smoke trace-alloc sim-alloc
+.PHONY: all build test check race bench vet fuzz-smoke bench-check bench-smoke chaos-smoke chaos-bench trace-alloc sim-alloc
 
 all: build test
 
@@ -73,69 +73,32 @@ bench-smoke:
 		-duration 10s -object-bytes 512 -warmup 400 -tolerance 0.2 \
 		-manifest BENCH_live.json
 
-# The manifest-diff loop: run the same small bench twice (same seed,
-# so the workload fingerprints match), then diff the two manifests
-# with cmd/benchdiff — run-to-run metric drift, mechanically.
-bench-diff:
-	$(GO) run ./cmd/hiergdd bench live -requests 1500 -objects 150 -clients 20 \
-		-proxies 2 -caches 2 -mode closed -workers 8 -object-bytes 128 \
-		-warmup 150 -manifest BENCH_a.json
-	$(GO) run ./cmd/hiergdd bench live -requests 1500 -objects 150 -clients 20 \
-		-proxies 2 -caches 2 -mode closed -workers 8 -object-bytes 128 \
-		-warmup 150 -manifest BENCH_b.json
-	$(GO) run ./cmd/benchdiff BENCH_a.json BENCH_b.json
-
-# ~10s chaos smoke: the two headline adversarial scenarios (slow-peer
-# tail amplification, mass flash-churn) run live and simulated, with
-# the httpcache defenses off and on, the conservation accountant
-# attached to every run.  Fails if any run breaks conservation or if
-# the per-hop deadlines + strike sweeps cut the live slow-peer p999
-# by less than 1.3x; writes the BENCH_chaos.json manifest (diffable
-# run-to-run via cmd/benchdiff).
+# ~20s chaos smoke: the two headline adversarial scenarios (slow-peer
+# tail amplification, mass flash-churn) plus churn during a flash
+# crowd, run live with the httpcache defenses off and on and replayed
+# through the simulator, the conservation accountant attached to every
+# run and every request counted (no warmup).  Requests are tagged
+# interactive (100ms @ 99%) or batch (1s @ 90%); each proxy tracks the
+# classes server-side and the cluster aggregator scrapes every member
+# after each live run.  Fails if any run breaks conservation, if any
+# live run has a member down or an aggregator hit ratio more than 1pp
+# from the load generator's, or if on slow-peer the per-hop deadlines
+# and strike sweeps fail to cut the interactive fast-window burn or
+# cut the live p999 by less than 1.3x; writes BENCH_chaos.json.
 chaos-smoke:
 	$(GO) run ./cmd/hiergdd bench chaos -chaos-scenarios slow-peer,flash-churn,churn-during-flash-crowd \
 		-requests 1500 -objects 200 -clients 40 -proxies 2 -caches 3 \
 		-object-bytes 512 -rate 750 -chaos-min-p999-cut 1.3 \
 		-manifest BENCH_chaos.json
 
-# ~30s full chaos suite: every scenario (baseline, slow-peer,
-# flash-churn, byzantine, poison, fleet-partition), same gates as
-# chaos-smoke.
+# ~40s full chaos suite: every scenario (baseline, slow-peer,
+# flash-churn, churn-during-flash-crowd, byzantine, poison,
+# fleet-partition), same gates as chaos-smoke.
 chaos-bench:
 	$(GO) run ./cmd/hiergdd bench chaos \
 		-requests 1500 -objects 200 -clients 40 -proxies 2 -caches 3 \
 		-object-bytes 512 -rate 750 -chaos-min-p999-cut 1.3 \
 		-manifest BENCH_chaos.json
-
-# ~15s SLO-plane smoke: class-tagged load (interactive 100ms @ 99%,
-# batch 1s @ 90%) against a 2-proxy loopback topology with per-member
-# registries and SLO trackers, under the slow-peer chaos scenario,
-# defenses off and on.  After each cell the cluster aggregator scrapes
-# every member's /metrics over HTTP and merges them.  Fails unless the
-# defenses cut the interactive class's fast-window burn rate and the
-# aggregator's cluster hit ratio agrees with the load generator's to
-# within 1pp; writes the BENCH_slo.json manifest (diffable run-to-run
-# via cmd/benchdiff).
-slo-smoke:
-	$(GO) run ./cmd/hiergdd bench slo -requests 3000 -objects 300 -clients 40 \
-		-proxies 2 -caches 3 -object-bytes 512 -rate 400 \
-		-slo-classes "interactive:100ms:0.99:30s,batch:1s:0.9:30s" \
-		-slo-scenario slow-peer -slo-max-hit-delta 0.01 \
-		-manifest BENCH_slo.json
-
-# ~10s fleet scale sweep: the same ProWGen workload and the same TOTAL
-# proxy budget (split evenly) driven closed-loop against 1, 2, 4, and 8
-# consistent-hash fleet members, each behind a 2-slot x 1ms service
-# gate standing in for member CPU.  Fails unless throughput strictly
-# increases with fleet size, 8 members sustain >= 3x the single
-# member's rate, and every size's hit ratio stays within 2pp of the
-# single member's (partitioning must not cost hits); writes the
-# BENCH_fleet.json manifest (diffable run-to-run via cmd/benchdiff).
-fleet-bench:
-	$(GO) run ./cmd/hiergdd bench fleet -requests 8000 -objects 800 \
-		-clients 80 -object-bytes 512 -workers 64 -warmup 800 \
-		-fleet-sizes 1,2,4,8 -fleet-min-speedup 3 -fleet-max-hit-delta 0.02 \
-		-manifest BENCH_fleet.json
 
 # The disabled-tracer cost gate: the nil tracer must stay zero-alloc
 # on the request path (also asserted by TestDisabledTracerZeroAlloc;

@@ -10,8 +10,8 @@
 //
 // Two manifests are comparable only when their schema version and
 // workload fingerprint agree; -force overrides the fingerprint check
-// (never the schema check).  `make bench-diff` demonstrates the loop:
-// two identical benches, then this diff.
+// (never the schema check).  It is an operator's tool: run a gate at
+// two commits with the same flags, then diff the two manifests.
 package main
 
 import (

@@ -19,13 +19,13 @@ import (
 	"webcache/internal/trace"
 )
 
-// The bench role is four behaviour gates on one runner.  How fast each
+// The bench role is two behaviour gates on one runner.  How fast each
 // layer runs is the repo benchmark's business (bench/, BENCHMARK.json);
 // what stays here gates what the system does: sim-vs-live calibration,
-// conservation and the tail cut under faults, the SLO burn-rate cut
-// and aggregator parity, and hit parity across fleet sizes.
+// and under faults conservation, the tail and burn-rate cuts, and
+// aggregator parity.
 //
-// The first argument names the gate (`hiergdd bench live|chaos|slo|fleet`).
+// The first argument names the gate (`hiergdd bench live|chaos`).
 // Each gate owns a flagset holding only the flags it reads, bound
 // straight into its config struct; the shared workload block supplies
 // the flags and the manifest tail every gate has in common.
@@ -47,8 +47,6 @@ type gateEntry struct {
 var benchGates = []gateEntry{
 	{"live", "hiergdd-bench", func(w *workload) benchGate { return &liveGate{workload: w} }},
 	{"chaos", "hiergdd-chaos", func(w *workload) benchGate { return &chaosGate{workload: w} }},
-	{"slo", "hiergdd-slo", func(w *workload) benchGate { return &sloGate{workload: w} }},
-	{"fleet", "hiergdd-fleet", func(w *workload) benchGate { return &fleetGate{workload: w} }},
 }
 
 // flagSet builds the gate with its flags — the shared workload block
@@ -169,8 +167,7 @@ func (w *workload) finish(tr *trace.Trace, reg *obs.Registry, config, notes map[
 	return nil
 }
 
-// topology is the loopback shape and open-loop rate the live, chaos
-// and slo gates share.
+// topology is the loopback shape and open-loop rate both gates share.
 type topology struct {
 	proxies, caches int
 	rate            float64
@@ -217,18 +214,6 @@ func closeTopology(topo *loadgen.Topology, drain time.Duration) {
 	topo.Close(ctx)
 }
 
-// bindWarmup registers -warmup; resolveWarmup applies its -1 default.
-func bindWarmup(fs *flag.FlagSet, warmup *int) {
-	fs.IntVar(warmup, "warmup", -1, "requests discarded from accounting (-1 = trace length / 10)")
-}
-
-func resolveWarmup(warmup, traceLen int) int {
-	if warmup < 0 {
-		return traceLen / 10
-	}
-	return warmup
-}
-
 // liveGate is the calibration gate: stand up a loopback
 // proxy/client-cache topology sized from the simulator's capacity
 // plan, replay a trace over real HTTP (open- or closed-loop), report
@@ -253,7 +238,7 @@ type liveGate struct {
 
 func (g *liveGate) bind(fs *flag.FlagSet) {
 	g.topology.bind(fs)
-	bindWarmup(fs, &g.warmup)
+	fs.IntVar(&g.warmup, "warmup", -1, "requests discarded from accounting (-1 = trace length / 10)")
 	fs.StringVar(&g.tracePath, "trace", "", "trace file to replay (binary or text; empty = generate with ProWGen from -requests/-objects/-clients)")
 	fs.StringVar(&g.mode, "mode", "open", `driving discipline: "open" or "closed"`)
 	fs.StringVar(&g.arrival, "arrival", "poisson", `open-loop arrival process: "poisson" or "bursty"`)
@@ -282,7 +267,10 @@ func (g *liveGate) run() error {
 	if err != nil {
 		return err
 	}
-	warmup := resolveWarmup(g.warmup, tr.Len())
+	warmup := g.warmup
+	if warmup < 0 {
+		warmup = tr.Len() / 10
+	}
 
 	simCfg := g.simConfig(traceClients(tr))
 	simCfg.WarmupRequests = warmup

@@ -12,7 +12,7 @@ import (
 )
 
 // The runner resolves the gate from the first argument and parses the
-// rest against that gate's own flagset: an unknown gate names the four
+// rest against that gate's own flagset: an unknown gate names the two
 // that exist, and a flag that belongs to a different gate (or to a
 // deleted mode) is rejected at parse time, before anything runs.
 func TestParseBench(t *testing.T) {
@@ -21,17 +21,16 @@ func TestParseBench(t *testing.T) {
 		args    []string
 		wantErr []string // substrings of the error; nil = must parse
 	}{
-		{"no gate", nil, []string{"live|chaos|slo|fleet"}},
-		{"unknown gate", []string{"store"}, []string{`"store"`, "live|chaos|slo|fleet"}},
-		{"old boolean spelling", []string{"-chaos"}, []string{`"-chaos"`, "live|chaos|slo|fleet"}},
-		{"other gate's flag", []string{"chaos", "-fleet-sizes", "1,2"}, []string{"-fleet-sizes"}},
-		{"flag a gate does not read", []string{"fleet", "-proxies", "2"}, []string{"-proxies"}},
+		{"no gate", nil, []string{"live|chaos"}},
+		{"unknown gate", []string{"store"}, []string{`"store"`, "live|chaos"}},
+		{"deleted gate", []string{"slo"}, []string{`"slo"`, "live|chaos"}},
+		{"old boolean spelling", []string{"-chaos"}, []string{`"-chaos"`, "live|chaos"}},
+		{"other gate's flag", []string{"chaos", "-workers", "4"}, []string{"-workers"}},
+		{"chaos counts every request", []string{"chaos", "-warmup", "100"}, []string{"-warmup"}},
 		{"deleted knob", []string{"live", "-seed", "2"}, []string{"-seed"}},
-		{"stray argument", []string{"slo", "extra"}, []string{`"extra"`}},
+		{"stray argument", []string{"chaos", "extra"}, []string{`"extra"`}},
 		{"live", []string{"live", "-trace", "t.bin", "-mode", "closed", "-workers", "4"}, nil},
 		{"chaos", []string{"chaos", "-chaos-scenarios", "poison", "-rate", "750"}, nil},
-		{"slo", []string{"slo", "-slo-scenario", "slow-peer", "-proxies", "2"}, nil},
-		{"fleet", []string{"fleet", "-fleet-sizes", "1,2", "-workers", "64"}, nil},
 	} {
 		_, _, err := parseBench(tc.args)
 		if tc.wantErr == nil {
@@ -52,8 +51,8 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
-// The option budget: across the four gates the bench role registers at
-// most 40 distinct flag names (it was 64 on one flagset), and every
+// The option budget: across the two gates the bench role registers at
+// most 25 distinct flag names (it was 64 on one flagset), and every
 // gate carries the shared workload block.
 func TestBenchFlagBudget(t *testing.T) {
 	distinct := map[string]bool{}
@@ -66,8 +65,8 @@ func TestBenchFlagBudget(t *testing.T) {
 			}
 		}
 	}
-	if len(distinct) > 40 {
-		t.Errorf("bench registers %d distinct flags, budget is 40", len(distinct))
+	if len(distinct) > 25 {
+		t.Errorf("bench registers %d distinct flags, budget is 25", len(distinct))
 	}
 }
 
@@ -141,7 +140,7 @@ func TestBenchManifestRoundTrip(t *testing.T) {
 	}
 
 	// Without -manifest the tail is a no-op, not an error.
-	w, _, err := parseBench([]string{"fleet"})
+	w, _, err := parseBench([]string{"chaos"})
 	if err != nil {
 		t.Fatal(err)
 	}

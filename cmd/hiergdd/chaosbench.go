@@ -4,40 +4,30 @@ import (
 	"flag"
 	"fmt"
 	"strings"
-	"time"
 
 	"webcache/internal/chaos"
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
-	"webcache/internal/obs/slo"
 )
 
-// chaosSLOClass scores every live chaos run against one bench-scale
-// SLO, so each scenario row shows the defenses' error-budget effect
-// (the burn-rate delta) alongside the raw tail cut.
-var chaosSLOClass = slo.Class{
-	Name:         "chaos",
-	Latency:      100 * time.Millisecond,
-	Availability: 0.99,
-	Window:       30 * time.Second,
-}
-
-// chaosGate runs every requested scenario four ways — live and
-// simulated, defenses off and on — with the conservation accountant
-// attached to each run, and gates on two things: zero accountant
-// violations anywhere, and (for slow-peer) the per-hop deadlines and
-// strike sweeps cutting the live p999 by at least -chaos-min-p999-cut.
+// chaosGate runs every requested scenario live with defenses off and
+// on, and simulated (defenses on as well where the simulator models
+// one), with the conservation accountant attached to each run.  Every
+// request counts on both sides (no warmup).  It gates on zero
+// accountant violations anywhere; on every live run, all members up
+// and the cluster aggregator's hit ratio within chaos.MaxClusterDelta
+// of the driver's; and, for slow-peer, the per-hop deadlines and
+// strike sweeps cutting the interactive class's fast burn and the live
+// p999 by at least -chaos-min-p999-cut.
 type chaosGate struct {
 	*workload
 	topology
-	warmup     int
 	scenarios  string  // comma-separated names, empty = whole suite
 	minP999Cut float64 // slow-peer gate: p999(off)/p999(on) floor
 }
 
 func (g *chaosGate) bind(fs *flag.FlagSet) {
 	g.topology.bind(fs)
-	bindWarmup(fs, &g.warmup)
 	fs.StringVar(&g.scenarios, "chaos-scenarios", "", "comma-separated scenario names (empty = whole suite)")
 	fs.Float64Var(&g.minP999Cut, "chaos-min-p999-cut", 0, "fail unless slow-peer defenses cut live p999 by this factor (0 = report only)")
 }
@@ -54,7 +44,6 @@ func (g *chaosGate) run() error {
 	if err != nil {
 		return err
 	}
-	warmup := resolveWarmup(g.warmup, g.requests)
 
 	reg := obs.NewRegistry("hiergdd-chaos")
 
@@ -63,8 +52,8 @@ func (g *chaosGate) run() error {
 		fmt.Printf("chaos: scenario %-12s %s\n", scn.Name, scn.Description)
 		row := chaos.Row{Scenario: scn.Name, Description: scn.Description}
 
-		// Each of the four runs gets its own checker so a violation is
-		// attributable to one (scenario, side, defenses) cell.
+		// Each run gets its own checker so a violation is attributable to
+		// one (scenario, side, defenses) cell.
 		for _, on := range []bool{false, true} {
 			chk := invariant.New(reg)
 			rep, err := chaos.RunLive(chaos.LiveConfig{
@@ -74,16 +63,19 @@ func (g *chaosGate) run() error {
 				Clients:        g.clients,
 				ObjectBytes:    g.objectBytes,
 				Rate:           g.rate,
-				Warmup:         warmup,
 				Seed:           benchSeed,
 				Proxies:        g.proxies,
 				CachesPerProxy: g.caches,
 				DefensesOn:     on,
-				SLOClass:       chaosSLOClass,
 				Check:          chk,
 				Registry:       reg,
 			})
 			if err != nil {
+				return fmt.Errorf("chaos %s live defenses=%v: %w", scn.Name, on, err)
+			}
+			fmt.Printf("  live defenses=%-5v cluster hit %.3f (delta %+.4f)  members up %d/%d\n",
+				on, rep.ClusterHit, rep.ClusterHit-rep.HitRatio, rep.MembersUp, rep.Members)
+			if err := rep.CheckCluster(); err != nil {
 				return fmt.Errorf("chaos %s live defenses=%v: %w", scn.Name, on, err)
 			}
 			if on {
@@ -92,7 +84,11 @@ func (g *chaosGate) run() error {
 				row.LiveOff = rep
 			}
 		}
-		for _, on := range []bool{false, true} {
+		sides := []bool{false}
+		if chaos.SimDefended(scn) {
+			sides = append(sides, true)
+		}
+		for _, on := range sides {
 			chk := invariant.New(reg)
 			rep, err := chaos.RunSim(chaos.SimConfig{
 				Scenario:       scn,
@@ -101,7 +97,6 @@ func (g *chaosGate) run() error {
 				Clients:        g.clients,
 				Proxies:        g.proxies,
 				CachesPerProxy: g.caches,
-				Warmup:         warmup,
 				Seed:           benchSeed,
 				DefensesOn:     on,
 				Check:          chk,
@@ -120,11 +115,19 @@ func (g *chaosGate) run() error {
 			row.LiveOff.HitRatio, row.LiveOn.HitRatio,
 			row.LiveOff.P999Ms, row.LiveOn.P999Ms, row.P999Cut(),
 			row.LiveOff.Errors, row.LiveOn.Errors)
-		fmt.Printf("  slo:  %s fast burn %.2f -> %.2f (delta %+.2f)\n",
-			chaosSLOClass.Name, row.LiveOff.FastBurn, row.LiveOn.FastBurn, row.BurnDelta())
-		fmt.Printf("  sim:  hit %.3f -> %.3f  mean %6.3f -> %6.3f  p999 %6.1f -> %6.1f (model units as ms)\n",
-			row.SimOff.HitRatio, row.SimOn.HitRatio,
-			row.SimOff.MeanMs, row.SimOn.MeanMs, row.SimOff.P999Ms, row.SimOn.P999Ms)
+		fmt.Printf("  slo:  fast burn")
+		for _, class := range []string{chaos.Interactive.Name, chaos.Batch.Name} {
+			fmt.Printf("  %s %.2f -> %.2f", class, row.LiveOff.FastBurn(class), row.LiveOn.FastBurn(class))
+		}
+		fmt.Println()
+		if row.SimOn != nil {
+			fmt.Printf("  sim:  hit %.3f -> %.3f  mean %6.3f -> %6.3f  p999 %6.1f -> %6.1f (model units as ms)\n",
+				row.SimOff.HitRatio, row.SimOn.HitRatio,
+				row.SimOff.MeanMs, row.SimOn.MeanMs, row.SimOff.P999Ms, row.SimOn.P999Ms)
+		} else {
+			fmt.Printf("  sim:  hit %.3f  mean %6.3f  p999 %6.1f (model units as ms; no defense modeled)\n",
+				row.SimOff.HitRatio, row.SimOff.MeanMs, row.SimOff.P999Ms)
+		}
 		fmt.Printf("  defense activity (on): breaker-skipped %d, digests %d/%d failed, swept %d, timeouts %d\n",
 			row.LiveOn.Defense.BreakerSkipped,
 			row.LiveOn.Defense.DigestFailures, row.LiveOn.Defense.DigestChecks,
@@ -137,9 +140,19 @@ func (g *chaosGate) run() error {
 	}
 
 	// The headline gate: under slow peers, the per-hop deadlines and
-	// strike sweeps must actually cut the live tail.
+	// strike sweeps must actually cut the interactive burn and the live
+	// tail.
 	for _, row := range rows {
-		if row.Scenario != "slow-peer" || g.minP999Cut <= 0 {
+		if row.Scenario != "slow-peer" {
+			continue
+		}
+		off, on := row.LiveOff.FastBurn(chaos.Interactive.Name), row.LiveOn.FastBurn(chaos.Interactive.Name)
+		if on >= off {
+			return fmt.Errorf("chaos slow-peer: defenses did not cut the %s fast burn (off %.2f, on %.2f)",
+				chaos.Interactive.Name, off, on)
+		}
+		fmt.Printf("chaos: slow-peer %s fast burn cut %.2f -> %.2f\n", chaos.Interactive.Name, off, on)
+		if g.minP999Cut <= 0 {
 			continue
 		}
 		if cut := row.P999Cut(); cut < g.minP999Cut {
@@ -157,7 +170,6 @@ func (g *chaosGate) run() error {
 		"caches_per_proxy": g.caches,
 		"object_bytes":     g.objectBytes,
 		"rate":             g.rate,
-		"warmup":           warmup,
 		"seed":             benchSeed,
 		"min_p999_cut":     g.minP999Cut,
 	}, map[string]any{"scenarios": rows})

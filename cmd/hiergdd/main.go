@@ -9,9 +9,7 @@
 //	hiergdd cache -listen :9001 -capacity 16777216 -proxy http://localhost:8080
 //	hiergdd demo                     # whole topology in-process on localhost
 //	hiergdd bench live -trace t.bin -rate 500 -duration 10s   # live load + sim calibration
-//	hiergdd bench chaos              # adversarial scenarios, defenses off vs on
-//	hiergdd bench fleet              # fleet scale sweep: 1 -> 8 members, same budget
-//	hiergdd bench slo                # SLO gate: burn-rate cut + aggregator agreement
+//	hiergdd bench chaos              # adversarial scenarios, defenses off vs on: tail and SLO burn cuts, aggregator agreement
 //	hiergdd top -members a=http://h1:8080,b=http://h2:8080   # live cluster dashboard
 //
 // A proxy started with -fleet-members joins a consistent-hash fleet

@@ -4,10 +4,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"testing"
 
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
+	"webcache/internal/obs/cluster"
 )
 
 func TestLookup(t *testing.T) {
@@ -110,7 +112,6 @@ func TestChurnStormE2E(t *testing.T) {
 		Clients:        20,
 		ObjectBytes:    256,
 		Rate:           600,
-		Warmup:         50,
 		Seed:           1,
 		Proxies:        2,
 		CachesPerProxy: 3,
@@ -159,7 +160,6 @@ func TestFleetPartitionE2E(t *testing.T) {
 		Clients:        21,
 		ObjectBytes:    256,
 		Rate:           600,
-		Warmup:         50,
 		Seed:           1,
 		Proxies:        1, // overridden: the scenario's FleetSize wins
 		CachesPerProxy: 2,
@@ -197,6 +197,16 @@ func TestFleetPartitionE2E(t *testing.T) {
 	if rep.Defense.BreakerOpens == 0 {
 		t.Fatalf("no breaker opened against the partitioned member: %+v", rep.Defense)
 	}
+	// The aggregator's fleet-hop dedup: a routed request is a request
+	// at the front and at the owner, yet must count once.
+	if err := rep.CheckCluster(); err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range []string{Interactive.Name, Batch.Name} {
+		if !slices.ContainsFunc(rep.SLO, func(c cluster.ClassRollup) bool { return c.Name == class && c.Good+c.Bad > 0 }) {
+			t.Fatalf("class %q missing from the SLO rollup %+v", class, rep.SLO)
+		}
+	}
 }
 
 // TestChurnDuringFlashCrowdE2E combines the two headline storms: half
@@ -224,7 +234,6 @@ func TestChurnDuringFlashCrowdE2E(t *testing.T) {
 		Clients:        20,
 		ObjectBytes:    256,
 		Rate:           600,
-		Warmup:         50,
 		Seed:           1,
 		Proxies:        2,
 		CachesPerProxy: 3,
@@ -269,7 +278,6 @@ func TestChurnDuringFlashCrowdSim(t *testing.T) {
 		Clients:        60,
 		Proxies:        2,
 		CachesPerProxy: 3,
-		Warmup:         200,
 		Seed:           1,
 		DefensesOn:     true,
 		Check:          chk,
@@ -307,7 +315,6 @@ func TestFleetPartitionSim(t *testing.T) {
 		Clients:        60,
 		Proxies:        1, // overridden: the scenario's FleetSize wins
 		CachesPerProxy: 2,
-		Warmup:         200,
 		Seed:           1,
 		DefensesOn:     true,
 		Check:          chk,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"webcache/internal/invariant"
 	"webcache/internal/loadgen"
 	"webcache/internal/obs"
+	"webcache/internal/obs/cluster"
 	"webcache/internal/obs/slo"
 	"webcache/internal/pastry"
 	"webcache/internal/prowgen"
@@ -28,18 +30,12 @@ type LiveConfig struct {
 	Requests, Objects, Clients int
 	ObjectBytes                int
 	Rate                       float64
-	Warmup                     int
 	Seed                       int64
 	// Topology.
 	Proxies, CachesPerProxy int
 	// DefensesOn runs the hardened proxy (short per-hop deadlines,
 	// digest sampling, breakers); off runs the pre-defense defaults.
 	DefensesOn bool
-	// SLOClass, when named, attaches a driver-side slo.Tracker to the
-	// run: every measured request is scored against the class's latency
-	// objective and the report carries the end-of-run burn rates, so
-	// the suite can show each defense's error-budget effect.
-	SLOClass slo.Class
 	// Check, when non-nil, attaches the conservation accountant to
 	// every proxy and counts violations into the report.
 	Check *invariant.Checker
@@ -49,7 +45,21 @@ type LiveConfig struct {
 	Timeout time.Duration
 }
 
-// LiveReport is one live scenario run's outcome.
+// The two SLO classes every live run's requests are tagged with (every
+// third client is batch).  Each proxy scores them server-side, and the
+// cluster aggregator rolls them up after the drive.
+var (
+	Interactive = slo.Class{Name: "interactive", Latency: 100 * time.Millisecond, Availability: 0.99, Window: 30 * time.Second}
+	Batch       = slo.Class{Name: "batch", Latency: time.Second, Availability: 0.9, Window: 30 * time.Second}
+)
+
+// MaxClusterDelta bounds |ClusterHit - HitRatio|: the aggregator's
+// merged server-side counters must tell the same story as the driver.
+const MaxClusterDelta = 0.01
+
+// LiveReport is one live scenario run's outcome.  Every request counts
+// (no warmup discard), so the driver's HitRatio and the aggregator's
+// ClusterHit account for the same population.
 type LiveReport struct {
 	Scenario   string  `json:"scenario"`
 	DefensesOn bool    `json:"defenses_on"`
@@ -57,11 +67,15 @@ type LiveReport struct {
 	Errors     int     `json:"errors"`
 	HitRatio   float64 `json:"hit_ratio"`
 	P999Ms     float64 `json:"p999_ms"`
-	// FastBurn / SlowBurn are the end-of-run error-budget burn rates
-	// against LiveConfig.SLOClass (zero when no class was configured).
-	FastBurn float64                `json:"fast_burn"`
-	SlowBurn float64                `json:"slow_burn"`
-	Defense  httpcache.DefenseStats `json:"defense"`
+	// ClusterHit is the aggregator's deduplicated hit ratio from one
+	// scrape of every member's /metrics after the drive; MembersUp of
+	// Members answered it.  SLO is its per-class rollup (worst member's
+	// burn rates).
+	ClusterHit float64                `json:"cluster_hit_ratio"`
+	Members    int                    `json:"members"`
+	MembersUp  int                    `json:"members_up"`
+	SLO        []cluster.ClassRollup  `json:"slo"`
+	Defense    httpcache.DefenseStats `json:"defense"`
 	// Fleet aggregates every member's fleet counters (fleet-partition
 	// scenario; zero when the topology runs the cooperating mesh).
 	Fleet      httpcache.FleetStats `json:"fleet"`
@@ -70,12 +84,35 @@ type LiveReport struct {
 	Violations int64                `json:"invariant_violations"`
 }
 
+// FastBurn is the named class's fast-window burn rate in the rollup
+// (0 when the class saw no traffic).
+func (r *LiveReport) FastBurn(class string) float64 {
+	for _, c := range r.SLO {
+		if c.Name == class {
+			return c.FastBurn
+		}
+	}
+	return 0
+}
+
+// CheckCluster fails unless every member answered the scrape and the
+// aggregator's hit ratio agrees with the driver's within
+// MaxClusterDelta.
+func (r *LiveReport) CheckCluster() error {
+	if r.MembersUp != r.Members {
+		return fmt.Errorf("aggregator saw %d/%d members up", r.MembersUp, r.Members)
+	}
+	if d := r.ClusterHit - r.HitRatio; math.Abs(d) > MaxClusterDelta {
+		return fmt.Errorf("aggregator hit ratio %.4f vs loadgen %.4f: |delta| %.4f > %.2f",
+			r.ClusterHit, r.HitRatio, math.Abs(d), MaxClusterDelta)
+	}
+	return nil
+}
+
 // Hardened is the defenses-on tuning for loopback chaos runs: per-hop
 // deadlines far under the injected 250ms stall, tightened from the
 // observed p99, a digest check on every second client serve, and a
-// fast breaker so degradation to origin happens within the run.  The
-// SLO bench reuses it so its defenses-on cell runs the same posture
-// the chaos suite gates on.
+// fast breaker so degradation to origin happens within the run.
 func Hardened() *httpcache.Defenses {
 	return &httpcache.Defenses{
 		PeerTimeout:         75 * time.Millisecond,
@@ -144,6 +181,8 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 		Fleet:              cfg.Scenario.FleetSize > 1,
 		FleetReplication:   cfg.Scenario.FleetReplication,
 		FleetHotAfter:      8,
+		MetricsPerDaemon:   true,
+		SLOClasses:         []slo.Class{Interactive, Batch},
 	})
 	if err != nil {
 		return nil, err
@@ -200,11 +239,9 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 		defer partitionTimer.Stop()
 	}
 
-	// Fleet runs front requests at the client's home proxy too — NOT at
-	// the object's ring members (that ring-aware balancer is
-	// loadgen.BuildScheduleFleet, the fleet bench's front): chaos wants
-	// the proxy-miss -> owner hop and its partition fallback exercised,
-	// which a holder-fronted schedule would route around entirely.
+	// Fleet runs front requests at the client's home proxy too, not at
+	// the object's ring members: chaos wants the proxy-miss -> owner hop
+	// and its partition fallback exercised.
 	sched, err := loadgen.BuildSchedule(tr, topo.ProxyURLs, topo.OriginURL, simCfg.ProxyFor)
 	if err != nil {
 		return nil, err
@@ -224,17 +261,17 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	// The drive gets a private registry: loadgen.latency is a registry
 	// histogram, so sharing cfg.Registry across the suite's runs would
 	// pollute every later run's p999 with every earlier run's tail.
-	var sloTracker *slo.Tracker
-	if cfg.SLOClass.Name != "" {
-		sloTracker = slo.NewTracker(nil, []slo.Class{cfg.SLOClass}, slo.DefaultThresholds)
-	}
 	tgt := loadgen.NewHTTPTarget(cfg.Timeout)
 	res, err := loadgen.Run(context.Background(), sched, tgt, loadgen.Options{
 		Mode:    loadgen.OpenLoop,
 		Arrival: arrival,
-		Warmup:  cfg.Warmup,
 		Obs:     obs.NewRegistry("chaos-live"),
-		SLO:     sloTracker,
+		ClassFor: func(r loadgen.ScheduledRequest) string {
+			if r.Client%3 == 0 {
+				return Batch.Name
+			}
+			return Interactive.Name
+		},
 	})
 	tgt.CloseIdleConnections() // pre-dialed pool conns would stall the drain
 	if err != nil {
@@ -258,12 +295,6 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	rep.Errors = res.Errors
 	rep.HitRatio = res.AggregateHitRatio()
 	rep.P999Ms = float64(res.Overall.Quantile(0.999)) / float64(time.Millisecond)
-	if sloTracker != nil {
-		if reports := sloTracker.Report(); len(reports) > 0 {
-			rep.FastBurn = reports[0].FastBurn
-			rep.SlowBurn = reports[0].SlowBurn
-		}
-	}
 	for p := range topo.Proxies {
 		st, err := topo.ProxyStats(p)
 		if err != nil {
@@ -274,6 +305,22 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	}
 	for _, px := range topo.Proxies {
 		px.ReconcileAccounting()
+	}
+
+	// The aggregation path `hiergdd top` and /cluster/metrics use: scrape
+	// every member's /metrics (and /fleet/heartbeat) over HTTP and merge.
+	members := make([]cluster.Member, len(topo.ProxyURLs))
+	for i, u := range topo.ProxyURLs {
+		members[i] = cluster.Member{Name: fmt.Sprintf("member-%d", i), URL: u}
+	}
+	snap := cluster.New(members, cluster.Options{}).ScrapeOnce(context.Background())
+	rep.ClusterHit = snap.HitRatio
+	rep.Members = len(members)
+	rep.SLO = snap.SLO
+	for _, m := range snap.Members {
+		if m.Up {
+			rep.MembersUp++
+		}
 	}
 	if cfg.Check != nil {
 		rep.Violations = cfg.Check.ViolationCount()

@@ -1,15 +1,16 @@
 package chaos
 
 // Row is one scenario's BENCH_chaos.json record: the scenario run
-// live and simulated, each with defenses off and on, plus the derived
-// deltas the gate reads.
+// live with defenses off and on, and simulated with defenses off (and
+// on, where SimDefended maps a defense into the simulator), plus the
+// derived deltas the gate reads.
 type Row struct {
 	Scenario    string      `json:"scenario"`
 	Description string      `json:"description"`
 	LiveOff     *LiveReport `json:"live_off"`
 	LiveOn      *LiveReport `json:"live_on"`
 	SimOff      *SimReport  `json:"sim_off"`
-	SimOn       *SimReport  `json:"sim_on"`
+	SimOn       *SimReport  `json:"sim_on,omitempty"`
 }
 
 // P999Cut is how much the defenses cut the live tail:
@@ -19,25 +20,6 @@ func (r Row) P999Cut() float64 {
 		return 0
 	}
 	return r.LiveOff.P999Ms / r.LiveOn.P999Ms
-}
-
-// BurnDelta is the live fast-window burn-rate change defenses-on
-// minus defenses-off (negative = defenses slowed the error-budget
-// burn; zero when no SLO class was configured).
-func (r Row) BurnDelta() float64 {
-	if r.LiveOff == nil || r.LiveOn == nil {
-		return 0
-	}
-	return r.LiveOn.FastBurn - r.LiveOff.FastBurn
-}
-
-// HitRatioDelta is the live hit-ratio change defenses-on minus
-// defenses-off (positive = defenses recovered hits).
-func (r Row) HitRatioDelta() float64 {
-	if r.LiveOff == nil || r.LiveOn == nil {
-		return 0
-	}
-	return r.LiveOn.HitRatio - r.LiveOff.HitRatio
 }
 
 // Violations sums accountant violations across every run of the row —

@@ -13,12 +13,12 @@ import (
 
 // SimConfig sizes the simulator-side run of a scenario.  The same
 // workload shape as the live side, replayed through the Hier-GD engine
-// with the scenario mapped onto the sim chaos knobs.
+// with the scenario mapped onto the sim chaos knobs; like the live
+// side, it counts every request (no warmup discard).
 type SimConfig struct {
 	Scenario                   Scenario
 	Requests, Objects, Clients int
 	Proxies, CachesPerProxy    int
-	Warmup                     int
 	Seed                       int64
 	DefensesOn                 bool
 	// Check, when non-nil, threads the full invariant subsystem
@@ -96,6 +96,14 @@ func simKnobs(cfg *sim.Config, scn Scenario, requests int, defensesOn bool) {
 	}
 }
 
+// SimDefended reports whether simKnobs maps a defense for the scenario
+// (digest verification for byzantine serves, the directory sweep for
+// poisoning).  For every other scenario a defenses-on replay is the
+// defenses-off replay, so the suite runs it once.
+func SimDefended(scn Scenario) bool {
+	return scn.ByzantineFraction > 0 || scn.PoisonKeys > 0
+}
+
 // RunSim replays the scenario through the simulator and reports the
 // same degradation metrics as the live side.
 func RunSim(cfg SimConfig) (*SimReport, error) {
@@ -125,7 +133,6 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 		P2PClientCaches:   cfg.CachesPerProxy,
 		ProxyCacheFrac:    0.05,
 		ClientCacheFrac:   0.005,
-		WarmupRequests:    cfg.Warmup,
 		Seed:              cfg.Seed,
 		Obs:               reg,
 		Check:             cfg.Check,

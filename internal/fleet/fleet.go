@@ -6,10 +6,9 @@
 // migrate when a member joins or leaves.
 //
 // The package is pure data structures — no sockets, no goroutines —
-// so the same ring drives three consumers: the live proxy daemons
+// so the same ring drives two consumers: the live proxy daemons
 // (internal/httpcache routes misses to the owner and rebalances on
-// join/leave), the simulator's fleet engine (internal/sim), and the
-// load generator's by-key request routing (internal/loadgen).  The
+// join/leave) and the simulator's fleet engine (internal/sim).  The
 // replication blueprint follows PAPERS.md's cluster-based replication
 // and QoS-aware replica management architectures: partition first,
 // then replicate the hot tail with load-aware placement.
@@ -32,16 +31,10 @@ const DefaultVirtualNodes = 128
 
 // Fold compresses a 128-bit pastry objectId into the 64-bit key the
 // data plane uses everywhere (the same folding internal/httpcache
-// applies; defined here so the ring, the proxies, and the load
-// generator derive identical keys from one formula).
+// applies; defined here so the ring and the proxies derive identical
+// keys from one formula).
 func Fold(id pastry.ID) trace.ObjectID {
 	return trace.ObjectID(id[0] ^ bits.RotateLeft64(id[1], 31))
-}
-
-// KeyForURL derives the fleet routing key of an object URL: the
-// paper's hash-of-URL objectId (§4.1), folded.
-func KeyForURL(url string) trace.ObjectID {
-	return Fold(pastry.HashString(url))
 }
 
 // point is one virtual node: a position on the 64-bit ring owned by a

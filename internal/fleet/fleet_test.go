@@ -126,9 +126,6 @@ func TestFoldMatchesHTTPCacheFolding(t *testing.T) {
 	if got := Fold(id); got != want {
 		t.Fatalf("Fold = %x, want %x", got, want)
 	}
-	if KeyForURL("http://origin/obj/7") != want {
-		t.Fatal("KeyForURL disagrees with Fold(HashString)")
-	}
 }
 
 func TestLoadTrackerDecay(t *testing.T) {

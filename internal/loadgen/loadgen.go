@@ -33,7 +33,6 @@ import (
 	"webcache/internal/httpcache"
 	"webcache/internal/netmodel"
 	"webcache/internal/obs"
-	"webcache/internal/obs/slo"
 )
 
 // Tier is the serving tier a live response was attributed to.
@@ -240,10 +239,6 @@ type Options struct {
 	// proxies account it server-side, and the driver keeps its own
 	// per-class ledger in Result.PerClass.
 	ClassFor func(ScheduledRequest) string
-	// SLO, when non-nil, receives every post-warmup outcome — the
-	// client-side error-budget view of the same request stream the
-	// proxies track server-side.
-	SLO *slo.Tracker
 }
 
 // Result is one driving run's measurements.
@@ -302,7 +297,6 @@ type recorder struct {
 	// post-warmup outcome lands in the per-class ledger, tagged or not.
 	trackClasses bool
 	classes      classRecorder
-	slo          *slo.Tracker
 
 	reg      *obs.Registry
 	reqTimer *obs.Timer
@@ -352,7 +346,6 @@ func (rec *recorder) record(idx int, class string, o Outcome) {
 	if rec.trackClasses {
 		rec.classes.record(class, o)
 	}
-	rec.slo.Observe(class, o.Latency, o.Tier == TierError)
 	rec.tiers[o.Tier].Add(1)
 	rec.perTier[o.Tier].Observe(o.Latency)
 	rec.reg.Counter("loadgen.serves." + o.Tier.String()).Inc()
@@ -405,7 +398,6 @@ func Run(ctx context.Context, sched *Schedule, tgt Target, opts Options) (*Resul
 	}
 	rec := newRecorder(opts.Warmup, opts.Obs)
 	rec.trackClasses = opts.ClassFor != nil
-	rec.slo = opts.SLO
 	// issue runs one scheduled request, wrapping it in a span trace
 	// when the tracer samples it: the trace id propagates to every
 	// daemon hop, and the root trace records the client-observed RTT.

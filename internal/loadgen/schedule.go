@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/url"
 
-	"webcache/internal/fleet"
 	"webcache/internal/trace"
 )
 
@@ -63,55 +62,6 @@ func BuildSchedule(tr *trace.Trace, proxyURLs []string, originURL string,
 			Object: r.Object,
 			Proxy:  p,
 			URL:    fmt.Sprintf("%s/fetch?url=%s", proxyURLs[p], url.QueryEscape(objURL)),
-		})
-	}
-	return s, nil
-}
-
-// BuildScheduleFleet resolves a trace onto a fleet topology: each
-// request fronts at one of its object's k replica members (spread by
-// client id), so reads fan out across the copies the way a
-// fleet-aware client-side balancer would.  With k == 1 every request
-// for an object lands on its owner — pure partitioning.
-func BuildScheduleFleet(tr *trace.Trace, proxyURLs []string, originURL string,
-	ring *fleet.Ring, k int) (*Schedule, error) {
-	if len(proxyURLs) == 0 {
-		return nil, fmt.Errorf("loadgen: no proxy URLs")
-	}
-	if ring == nil || ring.Size() == 0 {
-		return nil, fmt.Errorf("loadgen: empty fleet ring")
-	}
-	if k < 1 {
-		k = 1
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	idx := make(map[string]int, len(proxyURLs))
-	for i, u := range proxyURLs {
-		idx[u] = i
-	}
-	s := &Schedule{
-		Requests:   make([]ScheduledRequest, 0, len(tr.Requests)),
-		NumProxies: len(proxyURLs),
-	}
-	for i, r := range tr.Requests {
-		objURL := fmt.Sprintf("%s/obj/%d", originURL, r.Object)
-		cands := ring.ReplicasOf(fleet.KeyForURL(objURL), k)
-		if len(cands) == 0 {
-			return nil, fmt.Errorf("loadgen: request %d: ring returned no members", i)
-		}
-		front, ok := idx[cands[int(r.Client)%len(cands)]]
-		if !ok {
-			return nil, fmt.Errorf("loadgen: request %d: ring member %q is not a proxy URL",
-				i, cands[int(r.Client)%len(cands)])
-		}
-		s.Requests = append(s.Requests, ScheduledRequest{
-			Index:  i,
-			Client: r.Client,
-			Object: r.Object,
-			Proxy:  front,
-			URL:    fmt.Sprintf("%s/fetch?url=%s", proxyURLs[front], url.QueryEscape(objURL)),
 		})
 	}
 	return s, nil

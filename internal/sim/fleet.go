@@ -15,8 +15,8 @@ import (
 // fleetEngine simulates the cooperating proxy fleet (DESIGN.md §12):
 // FleetSize proxy caches partitioned by a consistent-hash ring, with
 // k-way replication of hot objects.  There is no P2P client tier —
-// the fleet variant isolates the proxy-tier scaling question that
-// `make fleet-bench` measures live:
+// the fleet variant isolates the proxy tier (the chaos suite's
+// fleet-partition scenario runs it beside a live fleet):
 //
 //   - a request lands at its cluster's front proxy; a local hit means
 //     the front owns the key or holds a hot replica of it;
