@@ -20,10 +20,10 @@
 // dead members, and a graceful shutdown leaves the fleet first so the
 // departing member's objects migrate to their new owners.
 //
-// Both daemons take -policy (any internal/cache registry name) and
-// -shards (lock stripes of the internal/store data plane, 0 = auto);
-// the proxy additionally takes -sweep to probe registered client
-// caches periodically and deregister dead ones.
+// Both daemons run greedy-dual, the paper's policy, in a store
+// (internal/store) striped by core count; the proxy takes -sweep to
+// probe registered client caches periodically and deregister dead
+// ones.
 //
 // Both daemons take -disk-dir to layer a persistent disk tier
 // (internal/store/disk) under the memory cache: acknowledged stores
@@ -281,8 +281,6 @@ func runProxy(args []string) error {
 	fs := flag.NewFlagSet("proxy", flag.ExitOnError)
 	listen := fs.String("listen", ":8080", "listen address")
 	capacity := fs.Uint64("capacity", 64<<20, "proxy cache capacity in bytes")
-	policy := fs.String("policy", "", "replacement policy (empty = greedy-dual; see internal/cache registry)")
-	shards := fs.Int("shards", 0, "store shard count (0 = auto-size from GOMAXPROCS)")
 	sweep := fs.Duration("sweep", 0, "probe registered client caches this often and deregister dead ones (0 = passive detection only)")
 	self := fs.String("self", "", "externally reachable base URL (default derived from the bound address)")
 	peers := fs.String("peers", "", "comma-separated cooperating proxy base URLs")
@@ -321,8 +319,6 @@ func runProxy(args []string) error {
 	defer closeEvents()
 	p, err := httpcache.NewProxyOpts(httpcache.Options{
 		CapacityBytes:     *capacity,
-		Policy:            *policy,
-		Shards:            *shards,
 		DiskDir:           *diskDir,
 		DiskCapacityBytes: *diskCap,
 		DiskMetrics:       reg,
@@ -370,8 +366,8 @@ func runProxy(args []string) error {
 		fmt.Printf("hiergdd proxy: fleet member among %d (replication k=%d)\n",
 			p.FleetRing().Size(), *fleetReplication)
 	}
-	fmt.Printf("hiergdd proxy: listening on %s (self=%s, %d-byte cache, %s policy, %d shards)\n",
-		ln.Addr(), base, *capacity, p.Store().PolicyName(), p.Store().NumShards())
+	fmt.Printf("hiergdd proxy: listening on %s (self=%s, %d-byte cache, %d shards)\n",
+		ln.Addr(), base, *capacity, p.Store().NumShards())
 	if *diskDir != "" {
 		fmt.Printf("hiergdd proxy: disk tier %s (%d-byte budget) recovered %d objects\n",
 			*diskDir, p.Disk().Capacity(), p.Disk().Recovered())
@@ -436,8 +432,6 @@ func runCache(args []string) error {
 	fs := flag.NewFlagSet("cache", flag.ExitOnError)
 	listen := fs.String("listen", ":9001", "listen address")
 	capacity := fs.Uint64("capacity", 16<<20, "cooperative cache capacity in bytes")
-	policy := fs.String("policy", "", "replacement policy (empty = greedy-dual; see internal/cache registry)")
-	shards := fs.Int("shards", 0, "store shard count (0 = auto-size from GOMAXPROCS)")
 	proxy := fs.String("proxy", "http://localhost:8080", "local proxy base URL")
 	diskDir := fs.String("disk-dir", "", "enable the persistent disk tier under this directory (recovered on boot)")
 	diskCap := fs.Uint64("disk-cap", 0, "disk-tier capacity in bytes (0 = 16x -capacity)")
@@ -451,8 +445,6 @@ func runCache(args []string) error {
 	tracer, reg, flush := dobs.build("cache")
 	cc, err := httpcache.NewClientCacheOpts(httpcache.Options{
 		CapacityBytes:     *capacity,
-		Policy:            *policy,
-		Shards:            *shards,
 		DiskDir:           *diskDir,
 		DiskCapacityBytes: *diskCap,
 		DiskMetrics:       reg,

@@ -28,18 +28,13 @@ func fold(id pastry.ID) trace.ObjectID {
 	return fleet.Fold(id)
 }
 
-// Options configures a daemon's data plane beyond the capacity: the
-// per-shard replacement policy (any cache.New registry name), the
-// lock-stripe count of the concurrent store (internal/store), and the
-// optional persistent disk tier (internal/store/disk).  The zero
-// value means greedy-dual with auto-sized sharding and no disk tier.
+// Options configures a daemon's data plane: the memory budget of the
+// concurrent store (internal/store) and the optional persistent disk
+// tier (internal/store/disk).  Both tiers run greedy-dual, the policy
+// the paper runs everywhere (§4.4); the zero value means no disk tier.
 type Options struct {
 	// CapacityBytes is the memory cache byte budget.
 	CapacityBytes uint64
-	// Policy names the replacement policy ("" = greedy-dual).
-	Policy string
-	// Shards is the store's lock-stripe count (0 = auto).
-	Shards int
 	// DiskDir, when non-empty, enables the persistent disk tier under
 	// this directory: writes ride its write-behind log, reads fall back
 	// to it on memory misses, and a restart recovers its contents.
@@ -54,22 +49,12 @@ type Options struct {
 	DiskMetrics *obs.Registry
 }
 
-// newStore builds a daemon's sharded store from its options.
-func (o Options) newStore(label string) (*store.Store, error) {
-	return store.New(store.Config{
-		CapacityBytes: o.CapacityBytes,
-		Policy:        o.Policy,
-		Shards:        o.Shards,
-		Label:         label,
-	})
-}
-
 // newTier builds a daemon's serving surface: the sharded memory store
 // alone, or — with DiskDir set — a store.Tiered layering it over the
 // persistent disk tier (opened here, so recovery happens before the
 // daemon serves its first request).
 func (o Options) newTier(label string) (mem *store.Store, dsk *disk.Store, tier store.Interface, err error) {
-	mem, err = o.newStore(label)
+	mem, err = store.New(store.Config{CapacityBytes: o.CapacityBytes, Label: label})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -83,7 +68,6 @@ func (o Options) newTier(label string) (mem *store.Store, dsk *disk.Store, tier 
 	dsk, err = disk.Open(disk.Config{
 		Dir:           o.DiskDir,
 		CapacityBytes: diskCap,
-		Policy:        o.Policy,
 		Metrics:       o.DiskMetrics,
 		Label:         label + "-disk",
 	})
@@ -142,14 +126,13 @@ type ClientCache struct {
 func NewClientCache(capacityBytes uint64) *ClientCache {
 	c, err := NewClientCacheOpts(Options{CapacityBytes: capacityBytes})
 	if err != nil {
-		panic(err) // unreachable: default options always construct
+		panic(err) // unreachable: without a disk tier nothing can fail
 	}
 	return c
 }
 
 // NewClientCacheOpts creates a daemon with explicit data-plane
-// options; it fails only on an unknown policy name or a bad shard
-// count.
+// options; it fails only when the disk tier cannot be opened.
 func NewClientCacheOpts(o Options) (*ClientCache, error) {
 	st, dsk, tier, err := o.newTier("client-cache")
 	if err != nil {

@@ -152,17 +152,17 @@ type Proxy struct {
 }
 
 // NewProxy creates a proxy with the given cache capacity in bytes and
-// default options (greedy-dual, auto sharding).
+// no disk tier.
 func NewProxy(capacityBytes uint64) *Proxy {
 	p, err := NewProxyOpts(Options{CapacityBytes: capacityBytes})
 	if err != nil {
-		panic(err) // unreachable: default options always construct
+		panic(err) // unreachable: without a disk tier nothing can fail
 	}
 	return p
 }
 
 // NewProxyOpts creates a proxy with explicit data-plane options; it
-// fails only on an unknown policy name or a bad shard count.
+// fails only when the disk tier cannot be opened.
 func NewProxyOpts(o Options) (*Proxy, error) {
 	st, dsk, tier, err := o.newTier("proxy")
 	if err != nil {

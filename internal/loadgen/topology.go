@@ -35,11 +35,6 @@ type TopologyConfig struct {
 	// caches hold exactly capacity_units objects, keeping the live
 	// topology unit-for-unit comparable with a sim capacity plan.
 	ObjectBytes int
-	// Policy and Shards pass through to every daemon's data plane
-	// (httpcache.Options): the replacement policy by registry name
-	// ("" = greedy-dual) and the store's lock-stripe count (0 = auto).
-	Policy string
-	Shards int
 	// Tracer, when non-nil, is shared by every daemon: each records its
 	// hop of a propagated trace id into the one collector (wall clock).
 	Tracer *obs.Tracer
@@ -168,12 +163,7 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		if err != nil {
 			return nil, err
 		}
-		px, err := httpcache.NewProxyOpts(httpcache.Options{
-			CapacityBytes: capBytes, Policy: cfg.Policy, Shards: cfg.Shards,
-		})
-		if err != nil {
-			return nil, err
-		}
+		px := httpcache.NewProxy(capBytes)
 		px.SetTracer(cfg.Tracer)
 		pxReg := cfg.Metrics
 		if cfg.MetricsPerDaemon {
@@ -212,12 +202,7 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		}
 		var addrs []string
 		for c := 0; c < cfg.CachesPerProxy; c++ {
-			cc, err := httpcache.NewClientCacheOpts(httpcache.Options{
-				CapacityBytes: cacheBytes, Policy: cfg.Policy, Shards: cfg.Shards,
-			})
-			if err != nil {
-				return nil, err
-			}
+			cc := httpcache.NewClientCache(cacheBytes)
 			cc.SetTracer(cfg.Tracer)
 			if cfg.MetricsPerDaemon {
 				cc.SetMetrics(obs.NewRegistry(fmt.Sprintf("cache-%d-%d", p, c)))

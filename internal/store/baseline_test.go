@@ -17,14 +17,9 @@ type Baseline struct {
 	bodies map[trace.ObjectID]Object
 }
 
-// NewBaseline builds a single-mutex store with the named policy
-// ("" = cache.DefaultPolicy).
-func NewBaseline(capacityBytes uint64, policy string) (*Baseline, error) {
-	p, err := cache.New(policy, capacityBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &Baseline{policy: p, bodies: make(map[trace.ObjectID]Object)}, nil
+// NewBaseline builds a single-mutex greedy-dual store.
+func NewBaseline(capacityBytes uint64) *Baseline {
+	return &Baseline{policy: cache.NewGreedyDual(capacityBytes), bodies: make(map[trace.ObjectID]Object)}
 }
 
 // Get returns the object and refreshes its replacement metadata.

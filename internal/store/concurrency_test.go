@@ -19,7 +19,7 @@ import (
 // that reconcile.
 func TestStoreConcurrentAccess(t *testing.T) {
 	chk := invariant.New(nil)
-	s := mustNew(t, Config{CapacityBytes: 8 << 10, Shards: 8, Check: chk, Metrics: obs.NewRegistry("race")})
+	s := mustNew(t, Config{CapacityBytes: 8 << 10, shards: 8, Check: chk, Metrics: obs.NewRegistry("race")})
 	const workers = 8
 	const opsPerWorker = 2000
 	var wg sync.WaitGroup
@@ -67,7 +67,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 // body, and the coalesced counter accounts for the K-1 waiters.
 func TestStoreCoalescedLoad(t *testing.T) {
 	reg := obs.NewRegistry("coalesce")
-	s := mustNew(t, Config{CapacityBytes: 1 << 20, Shards: 4, Metrics: reg})
+	s := mustNew(t, Config{CapacityBytes: 1 << 20, shards: 4, Metrics: reg})
 	const K = 32
 	var loads atomic.Int64
 	gate := make(chan struct{})
@@ -218,7 +218,7 @@ func TestStoreCoalesceEmptyBody(t *testing.T) {
 // TestStoreParallelDistinctLoads: misses on distinct keys do not
 // serialize on each other's flights.
 func TestStoreParallelDistinctLoads(t *testing.T) {
-	s := mustNew(t, Config{CapacityBytes: 1 << 20, Shards: 8})
+	s := mustNew(t, Config{CapacityBytes: 1 << 20, shards: 8})
 	const K = 64
 	var loads atomic.Int64
 	var wg sync.WaitGroup

@@ -18,14 +18,10 @@ type Config struct {
 	// Dir is the store directory (created if absent).  One Store owns
 	// a directory exclusively.
 	Dir string
-	// CapacityBytes bounds the live (indexed) object bytes; the policy
-	// evicts past it.  Dead log bytes on top of it are bounded by
-	// compaction.
+	// CapacityBytes bounds the live (indexed) object bytes; greedy-dual,
+	// as in the memory tier, evicts past it.  Dead log bytes on top of
+	// it are bounded by compaction.
 	CapacityBytes uint64
-	// Policy names the replacement policy governing disk-tier eviction
-	// ("" = cache.DefaultPolicy, the same registry as the memory
-	// tier).
-	Policy string
 	// SegmentBytes rotates the active log segment past this size
 	// (0 = 64 MiB).  Sealed segments are the compaction unit.
 	SegmentBytes int64
@@ -103,7 +99,7 @@ type Store struct {
 	// mu only for the index lookup.
 	mu      sync.Mutex
 	idx     map[trace.ObjectID]indexEntry
-	policy  cache.Policy
+	policy  *cache.GreedyDual
 	segs    map[uint32]*segment
 	active  *segment
 	journal *os.File
@@ -167,14 +163,6 @@ func Open(cfg Config) (*Store, error) {
 	if queueDepth <= 0 {
 		queueDepth = defaultQueueDepth
 	}
-	policyName := cfg.Policy
-	if policyName == "" {
-		policyName = cache.DefaultPolicy
-	}
-	pol, err := cache.New(policyName, cfg.CapacityBytes)
-	if err != nil {
-		return nil, err
-	}
 	d := &Store{
 		dir:      cfg.Dir,
 		capacity: cfg.CapacityBytes,
@@ -182,7 +170,7 @@ func Open(cfg Config) (*Store, error) {
 		label:    label,
 		check:    cfg.Check,
 		idx:      make(map[trace.ObjectID]indexEntry),
-		policy:   pol,
+		policy:   cache.NewGreedyDual(cfg.CapacityBytes),
 		segs:     make(map[uint32]*segment),
 		queue:    make(chan persistReq, queueDepth),
 	}
@@ -399,9 +387,6 @@ func (d *Store) RecoveredHexKeys() []string {
 	copy(out, d.recoveredHex)
 	return out
 }
-
-// PolicyName reports the disk tier's replacement policy.
-func (d *Store) PolicyName() string { return d.policy.Name() }
 
 // worker is the write-behind goroutine: it drains the queue into
 // batches and runs the durability protocol (package comment) per

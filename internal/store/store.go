@@ -1,16 +1,16 @@
 // Package store is the live data plane's concurrent object store: a
-// sharded, lock-striped cache of HTTP bodies that composes any
-// registered replacement policy (internal/cache) per shard and
+// sharded, lock-striped cache of HTTP bodies that runs greedy-dual
+// (internal/cache), the paper's policy at every tier, in each shard and
 // coalesces concurrent misses on the same key into one loader call.
 //
 // The paper's closing claim is that Hier-GD "is technically
 // practical" at proxy scale (§5.3); a proxy whose every request
 // serializes on one mutex is not.  The store splits the key space
-// over N shards by key hash, each shard owning an independent policy
-// instance and byte budget (the budgets partition the configured
-// capacity exactly), so requests for different shards proceed in
-// parallel and cross-shard totals are answered from atomics without
-// taking any lock.  GetOrLoad adds singleflight miss coalescing: a
+// over N shards by key hash, each shard owning an independent
+// greedy-dual instance and byte budget (the budgets partition the
+// configured capacity exactly), so requests for different shards
+// proceed in parallel and cross-shard totals are answered from atomics
+// without taking any lock.  GetOrLoad adds singleflight miss coalescing: a
 // thundering herd of K concurrent getters of an absent key costs one
 // origin fetch, not K.
 //
@@ -70,16 +70,11 @@ type Interface interface {
 // Config sizes a Store.
 type Config struct {
 	// CapacityBytes is the total byte budget, partitioned exactly over
-	// the shards.
+	// the shards.  The shard count is a power of two near GOMAXPROCS,
+	// backed off until every shard's budget clears minShardBudget, so
+	// tiny caches degenerate to one shard (and behave exactly like the
+	// unsharded design).
 	CapacityBytes uint64
-	// Shards is the lock-stripe count; 0 auto-sizes to a power of two
-	// near GOMAXPROCS, backing off until every shard's budget clears
-	// MinShardBudget so tiny caches degenerate to one shard (and
-	// behave exactly like the unsharded design).
-	Shards int
-	// Policy names the per-shard replacement policy in the
-	// cache.New registry ("" = cache.DefaultPolicy, greedy-dual).
-	Policy string
 	// Metrics, when non-nil, receives the store.* namespace (see
 	// METRICS.md): the shard-lock wait timer and miss-coalescing
 	// counters live, per-shard occupancy on PublishMetrics.
@@ -91,18 +86,18 @@ type Config struct {
 	// Label distinguishes multiple stores in violation details and
 	// defaults to "store".
 	Label string
+
+	// shards, when non-zero, pins the stripe count (a power of two) so
+	// this package's tests do not depend on the host's core count.
+	shards int
 }
 
-// MinShardBudget is the smallest per-shard byte budget auto-sharding
-// will accept; below it, fewer shards are used.  64 KiB keeps typical
-// web objects well under the per-shard capacity so sharding never
-// rejects an object the unsharded store would have taken, while any
+// minShardBudget is the smallest per-shard byte budget sharding will
+// accept; below it, fewer shards are used.  64 KiB keeps typical web
+// objects well under the per-shard capacity so sharding never rejects
+// an object the unsharded store would have taken, while any
 // realistically-sized proxy cache still gets full striping.
-const MinShardBudget = 64 << 10
-
-// maxShards bounds the stripe count; past this, stripe selection and
-// per-shard metrics cost more than the contention they remove.
-const maxShards = 256
+const minShardBudget = 64 << 10
 
 // checkEvery is the mutation period of the cross-shard reconciliation
 // when a Checker is attached.
@@ -129,7 +124,6 @@ type Store struct {
 	muts  atomic.Int64 // mutation counter driving the periodic check
 
 	capacity uint64
-	policy   string
 	label    string
 	check    *invariant.Checker
 
@@ -142,19 +136,13 @@ type Store struct {
 	coalesced *obs.Counter
 }
 
-// New builds a Store.  An explicit Config.Shards is rounded up to a
-// power of two; 0 auto-sizes (see Config.Shards).  A zero capacity is
-// legal and stores nothing (every object is oversized), matching the
-// policies' own contract.
+// New builds a Store.  A zero capacity is legal and stores nothing
+// (every object is oversized), matching the policies' own contract.
+// The returned error is always nil.
 func New(cfg Config) (*Store, error) {
-	n := cfg.Shards
-	switch {
-	case n < 0 || n > maxShards:
-		return nil, fmt.Errorf("store: shard count %d outside [0, %d]", n, maxShards)
-	case n == 0:
+	n := cfg.shards
+	if n == 0 {
 		n = autoShards(cfg.CapacityBytes)
-	default:
-		n = ceilPow2(n)
 	}
 	label := cfg.Label
 	if label == "" {
@@ -164,12 +152,8 @@ func New(cfg Config) (*Store, error) {
 		shards:   make([]shard, n),
 		shift:    uint(64 - bits.TrailingZeros(uint(n))),
 		capacity: cfg.CapacityBytes,
-		policy:   cfg.Policy,
 		label:    label,
 		check:    cfg.Check,
-	}
-	if s.policy == "" {
-		s.policy = cache.DefaultPolicy
 	}
 	s.flight.calls = make(map[trace.ObjectID]*flightCall)
 	// Partition the capacity exactly: every shard gets capacity/n,
@@ -180,11 +164,7 @@ func New(cfg Config) (*Store, error) {
 		if uint64(i) < extra {
 			budget++
 		}
-		p, err := cache.New(s.policy, budget)
-		if err != nil {
-			return nil, err
-		}
-		s.shards[i].policy = invariant.WrapPolicy(p, cfg.Check, fmt.Sprintf("%s.shard%d", label, i))
+		s.shards[i].policy = invariant.WrapPolicy(cache.NewGreedyDual(budget), cfg.Check, fmt.Sprintf("%s.shard%d", label, i))
 		s.shards[i].bodies = make(map[trace.ObjectID]Object)
 	}
 	s.SetMetrics(cfg.Metrics)
@@ -206,13 +186,13 @@ func (s *Store) SetMetrics(reg *obs.Registry) {
 }
 
 // autoShards picks a power-of-two stripe count near GOMAXPROCS,
-// backed off until each shard's budget clears MinShardBudget.
+// backed off until each shard's budget clears minShardBudget.
 func autoShards(capacity uint64) int {
 	n := ceilPow2(runtime.GOMAXPROCS(0))
 	if n > 64 {
 		n = 64
 	}
-	for n > 1 && capacity/uint64(n) < MinShardBudget {
+	for n > 1 && capacity/uint64(n) < minShardBudget {
 		n >>= 1
 	}
 	return n
@@ -346,10 +326,6 @@ func (s *Store) Capacity() uint64 { return s.capacity }
 
 // NumShards reports the stripe count.
 func (s *Store) NumShards() int { return len(s.shards) }
-
-// PolicyName reports the per-shard replacement policy's registry
-// name.
-func (s *Store) PolicyName() string { return s.policy }
 
 // mutated drives the periodic cross-shard reconciliation when a
 // Checker is attached.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"webcache/internal/cache"
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
 	"webcache/internal/trace"
@@ -29,7 +30,7 @@ func mustNew(t *testing.T, cfg Config) *Store {
 }
 
 func TestStoreBasicPutGet(t *testing.T) {
-	s := mustNew(t, Config{CapacityBytes: 1000, Shards: 4})
+	s := mustNew(t, Config{CapacityBytes: 1000, shards: 4})
 	if _, ok := s.Get(1); ok {
 		t.Fatal("empty store reports a hit")
 	}
@@ -74,7 +75,7 @@ func TestStoreShardBudgetEdgeCases(t *testing.T) {
 	// 4 shards x 250 bytes: an object that fits the total capacity but
 	// not any single shard's budget is rejected (stored=false, no
 	// error) — the documented sharding artifact.
-	s := mustNew(t, Config{CapacityBytes: 1000, Shards: 4})
+	s := mustNew(t, Config{CapacityBytes: 1000, shards: 4})
 	_, stored, err := s.Put(1, Object{Body: body(600), Cost: 1})
 	if stored || err != nil {
 		t.Fatalf("shard-oversized Put = (stored=%v, err=%v), want (false, nil)", stored, err)
@@ -94,7 +95,7 @@ func TestStoreCapacityPartitionExact(t *testing.T) {
 	// one byte at a time), verified via the invariant checker.
 	for _, shards := range []int{1, 2, 4, 8, 16} {
 		chk := invariant.New(nil)
-		s := mustNew(t, Config{CapacityBytes: 1003, Shards: shards, Check: chk})
+		s := mustNew(t, Config{CapacityBytes: 1003, shards: shards, Check: chk})
 		s.CheckInvariants()
 		if err := chk.Err(); err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
@@ -111,7 +112,7 @@ func TestStoreCapacityPartitionExact(t *testing.T) {
 
 func TestStoreEvictionAccounting(t *testing.T) {
 	chk := invariant.New(nil)
-	s := mustNew(t, Config{CapacityBytes: 300, Shards: 1, Check: chk})
+	s := mustNew(t, Config{CapacityBytes: 300, shards: 1, Check: chk})
 	for i := 0; i < 10; i++ {
 		if _, stored, err := s.Put(trace.ObjectID(i), Object{HexKey: fmt.Sprintf("%02d", i), Body: body(100), Cost: 1}); !stored || err != nil {
 			t.Fatalf("Put %d failed (stored=%v, err=%v)", i, stored, err)
@@ -127,7 +128,7 @@ func TestStoreEvictionAccounting(t *testing.T) {
 }
 
 func TestStoreFreeFor(t *testing.T) {
-	s := mustNew(t, Config{CapacityBytes: 200, Shards: 1})
+	s := mustNew(t, Config{CapacityBytes: 200, shards: 1})
 	if !s.FreeFor(1, 200) {
 		t.Fatal("empty store reports no space for a capacity-sized object")
 	}
@@ -144,7 +145,7 @@ func TestStoreFreeFor(t *testing.T) {
 // shards on several, so that whatever it promises FreeFor keeps for
 // every key.
 func TestStoreHeadroom(t *testing.T) {
-	one := mustNew(t, Config{CapacityBytes: 200, Shards: 1})
+	one := mustNew(t, Config{CapacityBytes: 200, shards: 1})
 	if got := one.Headroom(); got != 200 {
 		t.Fatalf("empty one-shard headroom = %d, want 200", got)
 	}
@@ -155,7 +156,7 @@ func TestStoreHeadroom(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 20; round++ {
-		s := mustNew(t, Config{CapacityBytes: 4000, Shards: 4})
+		s := mustNew(t, Config{CapacityBytes: 4000, shards: 4})
 		for i, puts := 0, rng.Intn(60); i < puts; i++ {
 			s.Put(trace.ObjectID(rng.Uint64()), Object{Body: body(1 + rng.Intn(200)), Cost: 1})
 		}
@@ -193,12 +194,13 @@ func TestStoreShardSizing(t *testing.T) {
 	if s := mustNew(t, Config{CapacityBytes: 4096}); s.NumShards() != 1 {
 		t.Fatalf("tiny store has %d shards, want 1", s.NumShards())
 	}
-	// Explicit shard counts round up to powers of two.
-	if s := mustNew(t, Config{CapacityBytes: 1 << 20, Shards: 3}); s.NumShards() != 4 {
-		t.Fatalf("Shards:3 rounds to %d, want 4", s.NumShards())
-	}
-	if _, err := New(Config{CapacityBytes: 1 << 20, Shards: maxShards + 1}); err == nil {
-		t.Fatal("shard count above maxShards accepted")
+	// A large one stripes to a power of two, every shard's budget at
+	// least minShardBudget.
+	for _, capacity := range []uint64{minShardBudget, 3 * minShardBudget, 1 << 30} {
+		n := mustNew(t, Config{CapacityBytes: capacity}).NumShards()
+		if n < 1 || n&(n-1) != 0 || (n > 1 && capacity/uint64(n) < minShardBudget) {
+			t.Fatalf("capacity %d: %d shards", capacity, n)
+		}
 	}
 	// Zero capacity is legal and stores nothing.
 	z := mustNew(t, Config{})
@@ -207,15 +209,29 @@ func TestStoreShardSizing(t *testing.T) {
 	}
 }
 
+// TestStoreShardsRunGreedyDual: every shard runs the paper's policy,
+// with or without the invariant oracle wrapped around it.
+func TestStoreShardsRunGreedyDual(t *testing.T) {
+	for _, chk := range []*invariant.Checker{nil, invariant.New(nil)} {
+		s := mustNew(t, Config{CapacityBytes: 1 << 20, shards: 4, Check: chk})
+		for i := range s.shards {
+			p := s.shards[i].policy
+			if w, ok := p.(*invariant.CheckedPolicy); ok {
+				p = w.Unwrap()
+			}
+			if _, ok := p.(*cache.GreedyDual); !ok {
+				t.Fatalf("shard %d runs %T, want *cache.GreedyDual", i, p)
+			}
+		}
+	}
+}
+
 // TestStoreMatchesBaselineSequentially diffs the sharded store
 // (forced to one shard) against the single-mutex Baseline over a
 // deterministic op mix: identical stores, hits, and evictions.
 func TestStoreMatchesBaselineSequentially(t *testing.T) {
-	s := mustNew(t, Config{CapacityBytes: 1000, Shards: 1})
-	b, err := NewBaseline(1000, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustNew(t, Config{CapacityBytes: 1000, shards: 1})
+	b := NewBaseline(1000)
 	for i := 0; i < 500; i++ {
 		key := trace.ObjectID(i % 37)
 		size := 1 + (i*13)%200
@@ -239,7 +255,7 @@ func TestStoreMatchesBaselineSequentially(t *testing.T) {
 
 func TestStorePublishMetrics(t *testing.T) {
 	reg := obs.NewRegistry("store-test")
-	s := mustNew(t, Config{CapacityBytes: 1000, Shards: 2, Metrics: reg})
+	s := mustNew(t, Config{CapacityBytes: 1000, shards: 2, Metrics: reg})
 	s.Put(1, Object{Body: body(10), Cost: 1})
 	s.PublishMetrics()
 	vals := reg.Values()

@@ -12,7 +12,7 @@ import (
 // temp dir.
 func newTestTiered(t *testing.T, memCap, diskCap uint64) *Tiered {
 	t.Helper()
-	mem, err := New(Config{CapacityBytes: memCap, Shards: 1, Label: "tiered-test"})
+	mem, err := New(Config{CapacityBytes: memCap, shards: 1, Label: "tiered-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
