@@ -5,9 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"strings"
 	"time"
 
@@ -28,7 +26,7 @@ import (
 // The first argument names the gate (`hiergdd bench live|chaos`).
 // Each gate owns a flagset holding only the flags it reads, bound
 // straight into its config struct; the shared workload block supplies
-// the flags and the manifest tail every gate has in common.
+// the workload flags and the gate's obs.Session.
 
 // benchGate is one gate: bind registers its own flags, run executes it.
 type benchGate interface {
@@ -38,7 +36,8 @@ type benchGate interface {
 
 // gateEntry is one row of the gate table: the name on the command
 // line, the manifest `tool` name (kept from the per-mode days so old
-// BENCH_*.json files stay diffable), and the constructor.
+// BENCH_*.json files stay diffable; it also selects the gate's
+// observability flags), and the constructor.
 type gateEntry struct {
 	name, tool string
 	new        func(*workload) benchGate
@@ -49,12 +48,13 @@ var benchGates = []gateEntry{
 	{"chaos", "hiergdd-chaos", func(w *workload) benchGate { return &chaosGate{workload: w} }},
 }
 
-// flagSet builds the gate with its flags — the shared workload block
-// plus its own — registered on a fresh flagset.
+// flagSet builds the gate with its flags — the shared workload block,
+// the session's, and its own — registered on a fresh flagset.
 func (e gateEntry) flagSet() (*flag.FlagSet, *workload, benchGate) {
 	fs := flag.NewFlagSet("bench "+e.name, flag.ContinueOnError)
 	w := &workload{}
 	w.bind(fs)
+	w.sess = obs.NewSession(fs, e.tool)
 	g := e.new(w)
 	g.bind(fs)
 	return fs, w, g
@@ -72,19 +72,19 @@ const (
 
 // runBench is the bench role's entry point.
 func runBench(args []string) error {
-	w, g, err := parseBench(args)
+	_, g, err := parseBench(args)
 	if errors.Is(err, flag.ErrHelp) {
 		return nil // the flagset already printed the gate's usage
 	}
 	if err != nil {
 		return err
 	}
-	startPprof(w.pprof)
 	return g.run()
 }
 
-// parseBench resolves the gate named by args[0] and parses the rest
-// against that gate's flagset, without running anything.
+// parseBench resolves the gate named by args[0], parses the rest
+// against that gate's flagset and starts its session (so the
+// manifest's wall clock spans the run), without running the gate.
 func parseBench(args []string) (*workload, benchGate, error) {
 	gate := ""
 	if len(args) > 0 {
@@ -103,8 +103,8 @@ func parseBench(args []string) (*workload, benchGate, error) {
 		if fs.NArg() > 0 {
 			return nil, nil, fmt.Errorf("bench %s: unexpected argument %q", gate, fs.Arg(0))
 		}
-		if w.manifest != "" {
-			w.man = obs.NewManifest(entry.tool)
+		if err := w.sess.Start(); err != nil {
+			return nil, nil, err
 		}
 		return w, g, nil
 	}
@@ -112,13 +112,12 @@ func parseBench(args []string) (*workload, benchGate, error) {
 }
 
 // workload is the block every gate shares: the generated ProWGen
-// workload's shape, the origin body size, and where the manifest goes.
+// workload's shape, the origin body size, and the gate's run record.
 type workload struct {
 	requests, objects, clients int
 	objectBytes                int
-	manifest, pprof            string
 
-	man *obs.Manifest // started at parse time so wall_seconds spans the run; nil without -manifest
+	sess *obs.Session
 }
 
 func (w *workload) bind(fs *flag.FlagSet) {
@@ -126,8 +125,6 @@ func (w *workload) bind(fs *flag.FlagSet) {
 	fs.IntVar(&w.objects, "objects", 2000, "generated distinct objects")
 	fs.IntVar(&w.clients, "clients", 200, "generated client population")
 	fs.IntVar(&w.objectBytes, "object-bytes", 1024, "origin body size per object (1 trace cache unit)")
-	fs.StringVar(&w.manifest, "manifest", "", "write a run-manifest JSON document to this file")
-	fs.StringVar(&w.pprof, "pprof", "", "expose net/http/pprof on this address")
 }
 
 // generate builds the gate's ProWGen workload.
@@ -140,31 +137,22 @@ func (w *workload) generate() (*trace.Trace, error) {
 	})
 }
 
-// finish is the manifest tail every gate shares (a no-op without
-// -manifest): fingerprint the workload so benchdiff refuses to compare
-// manifests of different traces, echo the config, fold the registry
-// in, write the file, and self-check that it round-trips through the
-// validating reader so downstream tooling can rely on it.
+// finish is the tail every gate shares: fingerprint the workload so
+// benchdiff refuses to compare manifests of different traces, echo the
+// config and notes, and close the session with reg (the gate's
+// registry) as the manifest's metrics.
 func (w *workload) finish(tr *trace.Trace, reg *obs.Registry, config, notes map[string]any) error {
-	if w.man == nil {
-		return nil
+	w.sess.Reg = reg
+	if tr != nil {
+		w.sess.SetTrace(tr, map[string]any{"distinct_clients": traceClients(tr)})
 	}
-	w.man.Trace = map[string]any{
-		"fingerprint":      trace.Fingerprint(tr),
-		"requests":         tr.Len(),
-		"distinct_clients": traceClients(tr),
+	for k, v := range config {
+		w.sess.SetConfig(k, v)
 	}
-	w.man.Config = config
-	w.man.Notes = notes
-	w.man.Finish(reg)
-	if err := w.man.WriteFile(w.manifest); err != nil {
-		return fmt.Errorf("writing manifest: %w", err)
+	for k, v := range notes {
+		w.sess.SetNote(k, v)
 	}
-	if _, err := obs.ReadManifestFile(w.manifest); err != nil {
-		return fmt.Errorf("manifest self-check: %w", err)
-	}
-	fmt.Printf("manifest: %s\n", w.manifest)
-	return nil
+	return w.sess.Close()
 }
 
 // topology is the loopback shape and open-loop rate both gates share.
@@ -224,21 +212,21 @@ func closeTopology(topo *loadgen.Topology, drain time.Duration) {
 type liveGate struct {
 	*workload
 	topology
-	tracePath            string
-	mode, arrival        string
-	onPeriod, offPeriod  time.Duration
-	workers              int
-	think, duration      time.Duration
-	warmup               int
-	tolerance            float64
-	traceOut, traceJSONL string
-	traceSample          int
-	drain                time.Duration
+	tracePath           string
+	mode, arrival       string
+	onPeriod, offPeriod time.Duration
+	workers             int
+	think, duration     time.Duration
+	warmup              int
+	tolerance           float64
+	drain               time.Duration
 }
 
 func (g *liveGate) bind(fs *flag.FlagSet) {
 	g.topology.bind(fs)
 	fs.IntVar(&g.warmup, "warmup", -1, "requests discarded from accounting (-1 = trace length / 10)")
+	// -trace is the input workload; the session's -trace-out and
+	// friends are the span-tracing exports.
 	fs.StringVar(&g.tracePath, "trace", "", "trace file to replay (binary or text; empty = generate with ProWGen from -requests/-objects/-clients)")
 	fs.StringVar(&g.mode, "mode", "open", `driving discipline: "open" or "closed"`)
 	fs.StringVar(&g.arrival, "arrival", "poisson", `open-loop arrival process: "poisson" or "bursty"`)
@@ -248,11 +236,6 @@ func (g *liveGate) bind(fs *flag.FlagSet) {
 	fs.DurationVar(&g.think, "think", 0, "closed-loop per-worker think time")
 	fs.DurationVar(&g.duration, "duration", 0, "stop issuing after this long (0 = whole trace)")
 	fs.Float64Var(&g.tolerance, "tolerance", 0, "fail if |live - sim| aggregate hit ratio exceeds this (0 = report only)")
-	// -trace is the input workload; -trace-out and friends are the
-	// span-tracing exports.
-	fs.StringVar(&g.traceOut, "trace-out", "", "write sampled request traces (driver roots + daemon hops) as Chrome trace-event JSON to this file")
-	fs.StringVar(&g.traceJSONL, "trace-jsonl", "", "write sampled request traces as JSONL to this file")
-	fs.IntVar(&g.traceSample, "trace-sample", 100, "head-sample 1 in N driven requests")
 	fs.DurationVar(&g.drain, "drain", 5*time.Second, "topology shutdown drain deadline")
 }
 
@@ -277,23 +260,12 @@ func (g *liveGate) run() error {
 	proxyCap, clientCap := simCfg.CapacityPlan(tr)
 
 	// Instrumentation stays off (nil registry) unless a manifest wants it.
-	var reg *obs.Registry
-	if g.man != nil {
-		reg = obs.NewRegistry("hiergdd-bench")
-	}
+	reg := g.sess.Reg
 	// Span tracing: the driver head-samples roots and stamps the trace
 	// id on the wire; the daemons share one join-only collector, so
 	// every daemon record is a hop of a driver-sampled request and the
 	// merged export shows each request's full decision path.
-	var driverTracer, daemonTracer *obs.Tracer
-	if g.traceOut != "" || g.traceJSONL != "" {
-		driverTracer = obs.NewTracer(obs.TracerOptions{
-			Origin: "loadgen", SampleEvery: g.traceSample, Clock: obs.ClockWall,
-		})
-		daemonTracer = obs.NewTracer(obs.TracerOptions{
-			Origin: "daemon", SampleEvery: obs.SampleNever, Clock: obs.ClockWall,
-		})
-	}
+	driverTracer, daemonTracer := g.sess.Tracer, g.sess.JoinTracer("daemon")
 
 	topo, err := loadgen.StartLoopback(loadgen.TopologyConfig{
 		Proxies:            g.proxies,
@@ -367,39 +339,15 @@ func (g *liveGate) run() error {
 	fmt.Println()
 	fmt.Print(rep.Table())
 
-	if driverTracer != nil {
-		// Driver-observed per-tier latency decomposition.  Report-only:
-		// live tiers are wall-clock RTTs, not analytic netmodel units, so
-		// no tolerance check applies here (the asserted cross-check
-		// against netmodel lives in the simulator's trace path).
-		if d := driverTracer.Decompose(); len(d.Tiers) > 0 {
-			fmt.Println()
-			fmt.Println("live latency decomposition (seconds, driver-observed):")
-			fmt.Print(d.Table())
-		}
-		merged := append(driverTracer.Snapshots(), daemonTracer.Snapshots()...)
-		if g.traceOut != "" {
-			if err := writeTraces(g.traceOut, func(w io.Writer) error {
-				return obs.WriteChromeTraces(w, merged)
-			}); err != nil {
-				return fmt.Errorf("trace export: %w", err)
-			}
-			fmt.Printf("\ntrace: %d records (%d sampled roots) -> %s\n",
-				len(merged), driverTracer.Len(), g.traceOut)
-		}
-		if g.traceJSONL != "" {
-			if err := writeTraces(g.traceJSONL, func(w io.Writer) error {
-				return obs.WriteJSONLTraces(w, merged)
-			}); err != nil {
-				return fmt.Errorf("trace export: %w", err)
-			}
-			fmt.Printf("trace: %d records -> %s\n", len(merged), g.traceJSONL)
-		}
-		if reg != nil {
-			// Once, at end of run — PublishMetrics accumulates counters.
-			driverTracer.PublishMetrics(reg)
-			daemonTracer.PublishMetrics(reg)
-		}
+	// Driver-observed per-tier latency decomposition (none without
+	// tracing).  Report-only: live tiers are wall-clock RTTs, not
+	// analytic netmodel units, so no tolerance check applies here (the
+	// asserted cross-check against netmodel lives in the simulator's
+	// trace path).
+	if d := driverTracer.Decompose(); len(d.Tiers) > 0 {
+		fmt.Println()
+		fmt.Println("live latency decomposition (seconds, driver-observed):")
+		fmt.Print(d.Table())
 	}
 
 	if err := g.finish(tr, reg, map[string]any{
@@ -426,19 +374,6 @@ func (g *liveGate) run() error {
 			math.Abs(rep.AggregateDelta), g.tolerance)
 	}
 	return nil
-}
-
-// writeTraces creates path and streams one export into it.
-func writeTraces(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // traceClients is the client population (max id + 1, ids are dense).

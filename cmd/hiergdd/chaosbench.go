@@ -7,7 +7,6 @@ import (
 
 	"webcache/internal/chaos"
 	"webcache/internal/invariant"
-	"webcache/internal/obs"
 )
 
 // chaosGate runs every requested scenario live with defenses off and
@@ -18,7 +17,8 @@ import (
 // and the cluster aggregator's hit ratio within chaos.MaxClusterDelta
 // of the driver's; and, for slow-peer, the per-hop deadlines and
 // strike sweeps cutting the interactive class's fast burn and the live
-// p999 by at least -chaos-min-p999-cut.
+// p999 by at least -chaos-min-p999-cut, at a live hit-ratio price of at
+// most chaos.MaxDefensePrice.
 type chaosGate struct {
 	*workload
 	topology
@@ -45,7 +45,7 @@ func (g *chaosGate) run() error {
 		return err
 	}
 
-	reg := obs.NewRegistry("hiergdd-chaos")
+	reg := g.sess.Reg
 
 	var rows []chaos.Row
 	for _, scn := range scns {
@@ -141,7 +141,8 @@ func (g *chaosGate) run() error {
 
 	// The headline gate: under slow peers, the per-hop deadlines and
 	// strike sweeps must actually cut the interactive burn and the live
-	// tail.
+	// tail, and not pay for it with more than chaos.MaxDefensePrice of
+	// the hit ratio.
 	for _, row := range rows {
 		if row.Scenario != "slow-peer" {
 			continue
@@ -151,7 +152,13 @@ func (g *chaosGate) run() error {
 			return fmt.Errorf("chaos slow-peer: defenses did not cut the %s fast burn (off %.2f, on %.2f)",
 				chaos.Interactive.Name, off, on)
 		}
-		fmt.Printf("chaos: slow-peer %s fast burn cut %.2f -> %.2f\n", chaos.Interactive.Name, off, on)
+		price := row.DefensePrice()
+		fmt.Printf("chaos: slow-peer %s fast burn cut %.2f -> %.2f, defense price %.4f hit ratio (gate <= %.2f)\n",
+			chaos.Interactive.Name, off, on, price, chaos.MaxDefensePrice)
+		if price > chaos.MaxDefensePrice {
+			return fmt.Errorf("chaos slow-peer: defenses cost %.4f of the live hit ratio (%.3f -> %.3f), gate allows %.2f",
+				price, row.LiveOff.HitRatio, row.LiveOn.HitRatio, chaos.MaxDefensePrice)
+		}
 		if g.minP999Cut <= 0 {
 			continue
 		}

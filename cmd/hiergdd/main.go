@@ -40,10 +40,11 @@
 // to finish, then the process exits.
 //
 // Observability: both daemons serve Prometheus text exposition on
-// GET /metrics, and -trace FILE / -trace-jsonl FILE enable per-request
-// span tracing (head-sampling 1 in -trace-sample untagged requests;
-// requests carrying the X-Webcache-Trace header always join), with the
-// exports flushed during graceful shutdown after the drain completes.
+// GET /metrics, and -trace-out FILE / -trace-jsonl FILE enable
+// per-request span tracing (head-sampling 1 in -trace-sample untagged
+// requests; requests carrying the X-Webcache-Trace header always
+// join), with the exports flushed during graceful shutdown after the
+// drain completes.  Every role wires these flags through obs.Session.
 //
 // The SLO plane: both daemons serve /healthz (liveness) and /readyz
 // (readiness — 503 until recovery/registration/fleet wiring finish,
@@ -59,9 +60,9 @@
 // live terminal dashboard.
 //
 // The demo starts an origin, two cooperating proxies with three client
-// caches each, drives a request script through them, and prints which
-// tier served every request — the paper's architecture observable
-// with curl.
+// caches each (loadgen.StartLoopback), drives a request script through
+// them, and prints which tier served every request — the paper's
+// architecture observable with curl.
 package main
 
 import (
@@ -81,26 +82,11 @@ import (
 	"time"
 
 	"webcache/internal/httpcache"
+	"webcache/internal/loadgen"
 	"webcache/internal/obs"
 	"webcache/internal/obs/cluster"
 	"webcache/internal/obs/slo"
 )
-
-// startPprof exposes net/http/pprof on addr ("" disables).  Serve
-// errors surface asynchronously so a taken port doesn't kill the
-// daemon silently.
-func startPprof(addr string) {
-	if addr == "" {
-		return
-	}
-	errc := obs.ServePprof(addr)
-	go func() {
-		if err := <-errc; err != nil {
-			fmt.Fprintln(os.Stderr, "hiergdd: pprof listener:", err)
-		}
-	}()
-	fmt.Printf("hiergdd: pprof on http://%s/debug/pprof/\n", addr)
-}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -185,59 +171,12 @@ func serveDaemon(ln net.Listener, h http.Handler, drain time.Duration, markDrain
 	return nil
 }
 
-// daemonObs bundles the observability flags shared by the proxy and
-// cache roles: a per-request span tracer (Chrome trace-event and/or
-// JSONL export, written at shutdown) and the obs registry backing the
-// daemon's /metrics Prometheus endpoint.
-type daemonObs struct {
-	traceOut   *string
-	traceJSONL *string
-	sample     *int
-}
-
-func addObsFlags(fs *flag.FlagSet) *daemonObs {
-	return &daemonObs{
-		traceOut:   fs.String("trace", "", "write sampled request traces as Chrome trace-event JSON to this file at shutdown"),
-		traceJSONL: fs.String("trace-jsonl", "", "write sampled request traces as JSONL to this file at shutdown"),
-		sample:     fs.Int("trace-sample", 100, "head-sample 1 in N untagged requests (tagged requests always join)"),
+// closeSession writes a daemon's trace exports at shutdown; a failed
+// export is reported, not fatal, so the disk drain still runs.
+func closeSession(sess *obs.Session) {
+	if err := sess.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "hiergdd:", err)
 	}
-}
-
-// build returns the tracer (nil when no export was requested — the
-// nil tracer is the zero-cost disabled path), the /metrics registry,
-// and the shutdown flush that writes the exports and folds the
-// tracer's totals into the registry exactly once.
-func (d *daemonObs) build(role string) (*obs.Tracer, *obs.Registry, func()) {
-	reg := obs.NewRegistry("hiergdd-" + role)
-	var tracer *obs.Tracer
-	if *d.traceOut != "" || *d.traceJSONL != "" {
-		tracer = obs.NewTracer(obs.TracerOptions{
-			Origin:      role,
-			SampleEvery: *d.sample,
-			Clock:       obs.ClockWall,
-		})
-	}
-	flush := func() {
-		if tracer == nil {
-			return
-		}
-		tracer.PublishMetrics(reg)
-		if *d.traceOut != "" {
-			if err := tracer.WriteChromeFile(*d.traceOut); err != nil {
-				fmt.Fprintln(os.Stderr, "hiergdd: trace export:", err)
-			} else {
-				fmt.Printf("hiergdd: wrote %d traces to %s\n", tracer.Len(), *d.traceOut)
-			}
-		}
-		if *d.traceJSONL != "" {
-			if err := tracer.WriteJSONLFile(*d.traceJSONL); err != nil {
-				fmt.Fprintln(os.Stderr, "hiergdd: trace export:", err)
-			} else {
-				fmt.Printf("hiergdd: wrote %d traces to %s\n", tracer.Len(), *d.traceJSONL)
-			}
-		}
-	}
-	return tracer, reg, flush
 }
 
 // bindBase listens on addr and derives the externally reachable base
@@ -295,11 +234,15 @@ func runProxy(args []string) error {
 	eventsPath := fs.String("events", "", "append structured JSONL state-transition events (readiness, breaker, fleet membership, SLO burn crossings) to this file")
 	clusterMembers := fs.String("cluster-members", "", `fleet members to aggregate as "name=url,..." — mounts /cluster/metrics and /cluster/snapshot on this daemon, scraping every member's /metrics + /fleet/heartbeat`)
 	clusterScrape := fs.Duration("cluster-scrape", 2*time.Second, "cluster aggregator scrape interval")
-	pprofAddr := fs.String("pprof", "", "expose net/http/pprof on this address")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
-	dobs := addObsFlags(fs)
+	sess := obs.NewSession(fs, "hiergdd-proxy")
 	fs.Parse(args)
-	startPprof(*pprofAddr)
+	// The registry opens before the proxy so the disk tier's recovery
+	// instruments (store.disk.replay.*) record boot progress.
+	if err := sess.Start(); err != nil {
+		return err
+	}
+	reg := sess.Reg
 
 	ln, base, err := bindBase(*listen)
 	if err != nil {
@@ -308,9 +251,6 @@ func runProxy(args []string) error {
 	if *self != "" {
 		base = *self
 	}
-	// The registry is built before the proxy so the disk tier's
-	// recovery instruments (store.disk.replay.*) record boot progress.
-	tracer, reg, flush := dobs.build("proxy")
 	events, closeEvents, err := openEventLog(*eventsPath, "proxy@"+base)
 	if err != nil {
 		ln.Close()
@@ -330,7 +270,7 @@ func runProxy(args []string) error {
 	if *peers != "" {
 		p.SetPeers(strings.Split(*peers, ","))
 	}
-	p.SetTracer(tracer)
+	p.SetTracer(sess.Tracer)
 	p.SetMetrics(reg)
 	p.SetEvents(events)
 	if *sloClasses != "" {
@@ -408,7 +348,7 @@ func runProxy(args []string) error {
 		if fleetOn {
 			fmt.Printf("hiergdd proxy: fleet leave migrated %d objects\n", p.LeaveFleet())
 		}
-		flush()
+		closeSession(sess)
 		if err := p.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "hiergdd: disk close:", err)
 		}
@@ -436,24 +376,24 @@ func runCache(args []string) error {
 	diskDir := fs.String("disk-dir", "", "enable the persistent disk tier under this directory (recovered on boot)")
 	diskCap := fs.Uint64("disk-cap", 0, "disk-tier capacity in bytes (0 = 16x -capacity)")
 	eventsPath := fs.String("events", "", "append structured JSONL state-transition events (readiness, recovery) to this file")
-	pprofAddr := fs.String("pprof", "", "expose net/http/pprof on this address")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
-	dobs := addObsFlags(fs)
+	sess := obs.NewSession(fs, "hiergdd-cache")
 	fs.Parse(args)
-	startPprof(*pprofAddr)
+	if err := sess.Start(); err != nil {
+		return err
+	}
 
-	tracer, reg, flush := dobs.build("cache")
 	cc, err := httpcache.NewClientCacheOpts(httpcache.Options{
 		CapacityBytes:     *capacity,
 		DiskDir:           *diskDir,
 		DiskCapacityBytes: *diskCap,
-		DiskMetrics:       reg,
+		DiskMetrics:       sess.Reg,
 	})
 	if err != nil {
 		return err
 	}
-	cc.SetTracer(tracer)
-	cc.SetMetrics(reg)
+	cc.SetTracer(sess.Tracer)
+	cc.SetMetrics(sess.Reg)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
@@ -487,7 +427,7 @@ func runCache(args []string) error {
 	// Recovery and proxy registration are done: flip /readyz to 200.
 	cc.MarkReady()
 	return serveDaemon(ln, cc.Handler(), *drain, cc.MarkDraining, func() {
-		flush()
+		closeSession(sess)
 		if err := cc.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "hiergdd: disk close:", err)
 		}
@@ -499,54 +439,32 @@ func runDemo(args []string) error {
 	proxyCap := fs.Uint64("proxy-capacity", 40, "tiny proxy cache (bytes) so destaging is visible")
 	cacheCap := fs.Uint64("cache-capacity", 4096, "client cache capacity (bytes)")
 	fs.Parse(args)
+	_, err := demo(os.Stdout, *proxyCap, *cacheCap)
+	return err
+}
 
-	// Origin.
-	originLn, err := net.Listen("tcp", "127.0.0.1:0")
+// demoObjectBytes is the origin's body size: the default 40-byte proxy
+// cache holds two objects, so the third evicts.
+const demoObjectBytes = 17
+
+// demo stands up the topology on loopback, drives the request script
+// through it, and prints and returns the tier that served each request.
+func demo(out io.Writer, proxyCap, cacheCap uint64) ([]string, error) {
+	topo, err := loadgen.StartLoopback(loadgen.TopologyConfig{
+		Proxies:            2,
+		CachesPerProxy:     3,
+		ProxyCapacityBytes: []uint64{proxyCap},
+		CacheCapacityBytes: []uint64{cacheCap},
+		ObjectBytes:        demoObjectBytes,
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	go http.Serve(originLn, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "origin-content:%s", r.URL.Path)
-	}))
-	origin := "http://" + originLn.Addr().String()
-
-	// Two proxies.
-	var proxyURLs []string
-	var proxies []*httpcache.Proxy
-	for i := 0; i < 2; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		p := httpcache.NewProxy(*proxyCap)
-		u := "http://" + ln.Addr().String()
-		go http.Serve(ln, p.Handler())
-		proxies = append(proxies, p)
-		proxyURLs = append(proxyURLs, u)
-	}
-	proxies[0].SetPeers([]string{proxyURLs[1]})
-	proxies[1].SetPeers([]string{proxyURLs[0]})
-
-	// Three client caches per proxy.
-	for i := range proxies {
-		for c := 0; c < 3; c++ {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return err
-			}
-			cc := httpcache.NewClientCache(*cacheCap)
-			go http.Serve(ln, cc.Handler())
-			resp, err := http.Post(fmt.Sprintf("%s/register?addr=%s", proxyURLs[i], ln.Addr().String()), "text/plain", nil)
-			if err != nil {
-				return err
-			}
-			resp.Body.Close()
-		}
-	}
-	fmt.Printf("topology: origin %s, proxies %v, 3 client caches each\n\n", origin, proxyURLs)
+	defer closeTopology(topo, 5*time.Second)
+	fmt.Fprintf(out, "topology: origin %s, proxies %v, 3 client caches each\n\n", topo.OriginURL, topo.ProxyURLs)
 
 	fetch := func(proxy int, path string) (string, error) {
-		u := fmt.Sprintf("%s/fetch?url=%s", proxyURLs[proxy], url.QueryEscape(origin+path))
+		u := fmt.Sprintf("%s/fetch?url=%s", topo.ProxyURLs[proxy], url.QueryEscape(topo.OriginURL+path))
 		resp, err := http.Get(u)
 		if err != nil {
 			return "", err
@@ -563,30 +481,29 @@ func runDemo(args []string) error {
 	}{
 		{0, "/a", "cold miss"},
 		{0, "/a", "proxy cache hit"},
-		{0, "/b", "cold miss (evicts /a into the client caches)"},
-		{0, "/c", "cold miss (more destaging)"},
+		{0, "/b", "cold miss (the proxy cache is now full)"},
+		{0, "/c", "cold miss (evicts /a into the client caches)"},
 		{0, "/a", "client-cache hit via the lookup directory"},
 		{1, "/c", "cooperating proxy serves it (relayed if destaged)"},
 		{1, "/c", "now cached at proxy B"},
 	}
+	var tiers []string
 	for _, stp := range script {
 		tier, err := fetch(stp.proxy, stp.path)
 		if err != nil {
-			return err
+			return tiers, err
 		}
-		fmt.Printf("  proxy%d GET %-3s -> %-13s (%s)\n", stp.proxy, stp.path, tier, stp.note)
+		tiers = append(tiers, tier)
+		fmt.Fprintf(out, "  proxy%d GET %-3s -> %-13s (%s)\n", stp.proxy, stp.path, tier, stp.note)
 	}
 
-	for i, u := range proxyURLs {
-		resp, err := http.Get(u + "/stats")
+	for i := range topo.ProxyURLs {
+		st, err := topo.ProxyStats(i)
 		if err != nil {
-			return err
+			return tiers, err
 		}
-		var st httpcache.ProxyStats
-		json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		fmt.Printf("\nproxy%d stats: %+v\n", i, st)
+		fmt.Fprintf(out, "\nproxy%d stats: %+v\n", i, st)
 	}
-	fmt.Println("\nEverything above travelled over real localhost TCP connections.")
-	return nil
+	fmt.Fprintln(out, "\nEverything above travelled over real localhost TCP connections.")
+	return tiers, nil
 }

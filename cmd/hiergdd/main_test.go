@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -146,11 +149,17 @@ func TestServeDaemonDrainFlushesExports(t *testing.T) {
 	dir := t.TempDir()
 	traceOut := filepath.Join(dir, "trace.json")
 	traceJSONL := filepath.Join(dir, "trace.jsonl")
-	sample := 1
-	d := &daemonObs{traceOut: &traceOut, traceJSONL: &traceJSONL, sample: &sample}
-	tracer, reg, flush := d.build("proxy")
+	fs := flag.NewFlagSet("proxy", flag.ContinueOnError)
+	sess := obs.NewSession(fs, "hiergdd-proxy")
+	if err := fs.Parse([]string{"-trace-out", traceOut, "-trace-jsonl", traceJSONL, "-trace-sample", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Start(); err != nil {
+		t.Fatal(err)
+	}
+	tracer, reg, flush := sess.Tracer, sess.Reg, func() { closeSession(sess) }
 	if tracer == nil {
-		t.Fatal("tracer not built despite -trace")
+		t.Fatal("tracer not built despite -trace-out")
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -321,6 +330,22 @@ func TestServeDaemonDrainFlushesDiskQueue(t *testing.T) {
 			t.Fatalf("acknowledged store %s lost across SIGTERM (recovered %d of %d)",
 				hex, len(recovered), len(acked))
 		}
+	}
+}
+
+// The demo's script shows every tier of the cascade once, in the order
+// its notes promise.
+func TestDemoServedByTiers(t *testing.T) {
+	tiers, err := demo(io.Discard, 40, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		httpcache.TierOrigin, httpcache.TierProxy, httpcache.TierOrigin, httpcache.TierOrigin,
+		httpcache.TierClientCache, httpcache.TierRemoteProxy, httpcache.TierProxy,
+	}
+	if !slices.Equal(tiers, want) {
+		t.Fatalf("demo served by %v, want %v", tiers, want)
 	}
 }
 

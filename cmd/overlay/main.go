@@ -40,48 +40,39 @@ func main() {
 // populated (nil unless -metrics/-manifest asked for one), so tests —
 // the METRICS.md doc-drift check in particular — can hold the
 // registered names against the documented overlay.* namespace.
-func run(args []string) (*obs.Registry, error) {
+func run(args []string) (reg *obs.Registry, err error) {
 	fs := flag.NewFlagSet("overlay", flag.ContinueOnError)
 	var (
-		nodes      = fs.Int("nodes", 1024, "overlay size (the paper's client cluster size)")
-		b          = fs.Int("b", 4, "Pastry digit width in bits (1, 2, 4, 8)")
-		leafs      = fs.Int("l", 16, "leaf set size")
-		routes     = fs.Int("routes", 10_000, "number of random routes to measure")
-		fail       = fs.Float64("fail", 0, "fraction of nodes to crash before routing")
-		seed       = fs.Int64("seed", 1, "random seed")
-		verify     = fs.Bool("verify", false, "check every route against the ground-truth owner")
-		stabilize  = fs.Bool("stabilize", false, "run a maintenance round after failures")
-		diagnose   = fs.Bool("diagnose", false, "print overlay health diagnostics")
-		proximity  = fs.Bool("proximity", false, "proximity-aware routing tables (report stretch)")
-		progress   = fs.Bool("progress", false, "print live routing progress with ETA to stderr")
-		metrics    = fs.Bool("metrics", false, "dump the run's metric registry to stderr on exit")
-		manifest   = fs.String("manifest", "", "write a run-manifest JSON document to this file")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		nodes     = fs.Int("nodes", 1024, "overlay size (the paper's client cluster size)")
+		b         = fs.Int("b", 4, "Pastry digit width in bits (1, 2, 4, 8)")
+		leafs     = fs.Int("l", 16, "leaf set size")
+		routes    = fs.Int("routes", 10_000, "number of random routes to measure")
+		fail      = fs.Float64("fail", 0, "fraction of nodes to crash before routing")
+		seed      = fs.Int64("seed", 1, "random seed")
+		verify    = fs.Bool("verify", false, "check every route against the ground-truth owner")
+		stabilize = fs.Bool("stabilize", false, "run a maintenance round after failures")
+		diagnose  = fs.Bool("diagnose", false, "print overlay health diagnostics")
+		proximity = fs.Bool("proximity", false, "proximity-aware routing tables (report stretch)")
 	)
+	sess := obs.NewSession(fs, "overlay")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-
-	var reg *obs.Registry
-	var man *obs.Manifest
-	if *metrics || *manifest != "" {
-		reg = obs.NewRegistry("overlay")
-		man = obs.NewManifest("overlay")
-		for k, v := range map[string]any{
-			"nodes": *nodes, "b": *b, "l": *leafs, "routes": *routes,
-			"fail": *fail, "seed": *seed, "stabilize": *stabilize,
-			"proximity": *proximity,
-		} {
-			man.SetConfig(k, v)
-		}
+	if err := sess.Start(); err != nil {
+		return nil, err
 	}
-	if *cpuprofile != "" {
-		stop, err := obs.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			return reg, err
+	defer func() {
+		if cerr := sess.Close(); err == nil {
+			err = cerr
 		}
-		defer stop()
+	}()
+	reg = sess.Reg
+	for k, v := range map[string]any{
+		"nodes": *nodes, "b": *b, "l": *leafs, "routes": *routes,
+		"fail": *fail, "seed": *seed, "stabilize": *stabilize,
+		"proximity": *proximity,
+	} {
+		sess.SetConfig(k, v)
 	}
 
 	ov, err := pastry.New(pastry.Config{B: *b, LeafSetSize: *leafs, Seed: *seed, ProximityAware: *proximity})
@@ -120,10 +111,7 @@ func run(args []string) (*obs.Registry, error) {
 		}
 	}
 
-	var pp *obs.ProgressPrinter
-	if *progress {
-		pp = obs.NewProgressPrinter(os.Stderr, "routing", *routes)
-	}
+	step, finishProgress := sess.Progress("routing")
 	routeStop := reg.Timer("overlay.routing").Start()
 	hist := map[int]int{}
 	mismatches := 0
@@ -139,14 +127,12 @@ func run(args []string) (*obs.Registry, error) {
 				mismatches++
 			}
 		}
-		if pp != nil {
-			pp.Step(1)
+		if step != nil {
+			step(i+1, *routes)
 		}
 	}
 	routeStop()
-	if pp != nil {
-		pp.Finish()
-	}
+	finishProgress()
 
 	st := ov.Stats()
 	if reg.Enabled() {
@@ -188,21 +174,6 @@ func run(args []string) (*obs.Registry, error) {
 			bar += "#"
 		}
 		fmt.Printf("  %2d hops  %6d  %s\n", h, n, bar)
-	}
-
-	if *memprofile != "" {
-		if err := obs.WriteHeapProfile(*memprofile); err != nil {
-			return reg, err
-		}
-	}
-	if *metrics {
-		fmt.Fprint(os.Stderr, reg.String())
-	}
-	if *manifest != "" {
-		man.Finish(reg)
-		if err := man.WriteFile(*manifest); err != nil {
-			return reg, err
-		}
 	}
 
 	if *verify {

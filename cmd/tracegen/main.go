@@ -40,7 +40,7 @@ var errUsage = fmt.Errorf("no mode selected (need -o, -analyze, -convert, or -sq
 // populated (nil without -manifest), so tests — the METRICS.md
 // doc-drift check in particular — can hold the registered names
 // against the documented tracegen.* namespace.
-func run(args []string) (*obs.Registry, error) {
+func run(args []string) (reg *obs.Registry, err error) {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	var (
 		out       = fs.String("o", "", "output file (required for generation)")
@@ -61,64 +61,31 @@ func run(args []string) (*obs.Registry, error) {
 		squid     = fs.String("squid", "", "ingest a Squid access.log into -o")
 		unitSizes = fs.Bool("unit-sizes", false, "with -squid: force unit object sizes")
 		verbose   = fs.Bool("v", false, "with -analyze: temporal-locality and popularity profiles")
-
-		manifest   = fs.String("manifest", "", "write a run-manifest JSON document to this file")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
+	sess := obs.NewSession(fs, "tracegen")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-
-	if *cpuprofile != "" {
-		stop, err := obs.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			return nil, err
-		}
-		defer stop()
+	if err := sess.Start(); err != nil {
+		return nil, err
 	}
-	var man *obs.Manifest
-	reg := (*obs.Registry)(nil)
-	if *manifest != "" {
-		reg = obs.NewRegistry("tracegen")
-		man = obs.NewManifest("tracegen")
-		for k, v := range map[string]any{
-			"requests": *requests, "objects": *objects, "clients": *clients,
-			"one-timers": *oneTimers, "alpha": *alpha, "stack": *stack,
-			"sizes": *sizes, "seed": *seed, "ucb": *ucb, "preset": *preset,
-			"scale": *scale, "o": *out,
-		} {
-			man.SetConfig(k, v)
+	defer func() {
+		if cerr := sess.Close(); err == nil {
+			err = cerr
 		}
-	}
-	// finish seals the manifest (and heap profile) after the produced
-	// or analyzed trace is known.
-	finish := func(tr *webcache.Trace) error {
-		if tr != nil && reg.Enabled() {
-			reg.Counter("tracegen.requests").Add(int64(tr.Len()))
-			reg.Counter("tracegen.objects").Add(int64(tr.NumObjects))
-			reg.Counter("tracegen.clients").Add(int64(tr.NumClients))
-		}
-		if *memprofile != "" {
-			if err := obs.WriteHeapProfile(*memprofile); err != nil {
-				return err
-			}
-		}
-		if man != nil {
-			if tr != nil {
-				man.Trace = map[string]any{
-					"fingerprint": webcache.TraceFingerprint(tr),
-					"requests":    tr.Len(),
-				}
-			}
-			man.Finish(reg)
-			if err := man.WriteFile(*manifest); err != nil {
-				return err
-			}
-		}
-		return nil
+	}()
+	reg = sess.Reg
+	for k, v := range map[string]any{
+		"requests": *requests, "objects": *objects, "clients": *clients,
+		"one-timers": *oneTimers, "alpha": *alpha, "stack": *stack,
+		"sizes": *sizes, "seed": *seed, "ucb": *ucb, "preset": *preset,
+		"scale": *scale, "o": *out,
+	} {
+		sess.SetConfig(k, v)
 	}
 
+	// tr is the produced or analyzed trace the manifest fingerprints.
+	var tr *webcache.Trace
 	switch {
 	case *squid != "":
 		if *out == "" {
@@ -138,11 +105,10 @@ func run(args []string) (*obs.Registry, error) {
 		}
 		fmt.Printf("ingested %d/%d log lines (%d skipped): %s\n",
 			res.Trace.Len(), res.Lines, res.Skipped, webcache.AnalyzeTrace(res.Trace))
-		return reg, finish(res.Trace)
+		tr = res.Trace
 
 	case *analyze != "":
-		tr, err := webcache.ReadTraceFile(*analyze)
-		if err != nil {
+		if tr, err = webcache.ReadTraceFile(*analyze); err != nil {
 			return reg, err
 		}
 		st := webcache.AnalyzeTrace(tr)
@@ -165,25 +131,20 @@ func run(args []string) (*obs.Registry, error) {
 			}
 			fmt.Println()
 		}
-		return reg, finish(tr)
 
 	case *convert != "":
 		if *out == "" {
 			return reg, fmt.Errorf("-convert requires -o")
 		}
-		tr, err := webcache.ReadTraceFile(*convert)
-		if err != nil {
+		if tr, err = webcache.ReadTraceFile(*convert); err != nil {
 			return reg, err
 		}
 		if err := writeTrace(*out, *format, tr); err != nil {
 			return reg, err
 		}
 		fmt.Printf("wrote %d requests to %s\n", tr.Len(), *out)
-		return reg, finish(tr)
 
 	case *out != "":
-		var tr *webcache.Trace
-		var err error
 		if *preset != "" {
 			tr, err = webcache.GeneratePresetWorkload(*preset, *requests, *seed)
 		} else if *ucb {
@@ -206,14 +167,20 @@ func run(args []string) (*obs.Registry, error) {
 		if err := writeTrace(*out, *format, tr); err != nil {
 			return reg, err
 		}
-		st := webcache.AnalyzeTrace(tr)
-		fmt.Printf("wrote %s: %s\n", *out, st)
-		return reg, finish(tr)
+		fmt.Printf("wrote %s: %s\n", *out, webcache.AnalyzeTrace(tr))
 
 	default:
 		fs.Usage()
 		return reg, errUsage
 	}
+
+	if reg.Enabled() {
+		reg.Counter("tracegen.requests").Add(int64(tr.Len()))
+		reg.Counter("tracegen.objects").Add(int64(tr.NumObjects))
+		reg.Counter("tracegen.clients").Add(int64(tr.NumClients))
+	}
+	sess.SetTrace(tr, nil)
+	return reg, nil
 }
 
 func isText(path, format string) bool {

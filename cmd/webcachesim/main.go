@@ -68,8 +68,7 @@ func main() {
 		check      = flag.Bool("check", false, "run with cross-layer invariant checking (shadow oracles on every cache, directory, ring, and cluster; see DESIGN.md); exits non-zero on violations")
 		verbose    = flag.Bool("v", false, "print timing")
 	)
-	var of obsFlags
-	of.register()
+	sess := obs.NewSession(flag.CommandLine, "webcachesim")
 	flag.Parse()
 
 	if *listPre {
@@ -83,8 +82,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	sess, err := of.start("webcachesim")
-	if err != nil {
+	if err := sess.Start(); err != nil {
 		fatal(err)
 	}
 	for k, v := range map[string]any{
@@ -93,15 +91,16 @@ func main() {
 		"workers": *workers, "replicates": *replicates,
 		"ucb": *ucb, "trace": *traceFile, "preset": *preset,
 	} {
-		sess.setConfig(k, v)
+		sess.SetConfig(k, v)
 	}
 
 	var chk *webcache.Checker
 	if *check {
-		chk = webcache.NewChecker(sess.reg)
+		chk = webcache.NewChecker(sess.Reg)
 	}
 
 	src := traceSource{scale: *scale, seed: *seed, ucb: *ucb, file: *traceFile, preset: *preset}
+	var err error
 	switch {
 	case *compare:
 		err = compareSchemes(src, *frac, sess, chk)
@@ -110,7 +109,7 @@ func main() {
 	default:
 		// Timing goes through the obs timer API; when no registry was
 		// requested a private one backs the -v output.
-		treg := sess.reg
+		treg := sess.Reg
 		if treg == nil {
 			treg = obs.NewRegistry("webcachesim-timing")
 		}
@@ -118,7 +117,7 @@ func main() {
 		if *fig == "all" {
 			ids = webcache.FigureIDs()
 		}
-		sess.setNote("figures", ids)
+		sess.SetNote("figures", ids)
 		for _, id := range ids {
 			if err = runFigure(id, sess, treg, *verbose, figureParams{
 				scale: *scale, seed: *seed, workers: *workers,
@@ -133,7 +132,7 @@ func main() {
 		fmt.Printf("\ninvariants: %d checks, %d violations\n", chk.Checks(), chk.ViolationCount())
 		err = chk.Err()
 	}
-	if cerr := sess.close(); cerr != nil && err == nil {
+	if cerr := sess.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	if err != nil {
@@ -155,11 +154,11 @@ type figureParams struct {
 
 // runFigure regenerates and renders one figure, timing it under
 // "figure.<id>" in treg and reporting sweep progress when enabled.
-func runFigure(id string, sess *obsSession, treg *obs.Registry, verbose bool, p figureParams) error {
+func runFigure(id string, sess *obs.Session, treg *obs.Registry, verbose bool, p figureParams) error {
 	timer := treg.Timer("figure." + id)
 	stop := timer.Start()
-	opts := webcache.FigureOptions{Scale: p.scale, Seed: p.seed, Workers: p.workers, Obs: sess.reg, Check: p.check}
-	progress, finishProgress := sess.progressFunc("fig " + id)
+	opts := webcache.FigureOptions{Scale: p.scale, Seed: p.seed, Workers: p.workers, Obs: sess.Reg, Check: p.check}
+	progress, finishProgress := sess.Progress("fig " + id)
 	opts.Progress = progress
 
 	var f *webcache.Figure
@@ -196,28 +195,26 @@ func runFigure(id string, sess *obsSession, treg *obs.Registry, verbose bool, p 
 	return nil
 }
 
-func runScheme(name string, src traceSource, frac float64, sess *obsSession, chk *webcache.Checker) error {
+func runScheme(name string, src traceSource, frac float64, sess *obs.Session, chk *webcache.Checker) error {
 	scheme, err := webcache.ParseScheme(name)
 	if err != nil {
 		return err
 	}
-	tr, err := src.load()
+	tr, st, err := src.load(sess)
 	if err != nil {
 		return err
 	}
-	sess.setTrace(tr)
-	st := webcache.AnalyzeTrace(tr)
 	fmt.Printf("workload: %s\n", st)
 
-	nc, err := webcache.Run(tr, webcache.Config{Scheme: webcache.NC, ProxyCacheFrac: frac, Seed: src.seed, Obs: sess.reg, Check: chk})
+	nc, err := webcache.Run(tr, webcache.Config{Scheme: webcache.NC, ProxyCacheFrac: frac, Seed: src.seed, Obs: sess.Reg, Check: chk})
 	if err != nil {
 		return err
 	}
-	res, err := webcache.Run(tr, webcache.Config{Scheme: scheme, ProxyCacheFrac: frac, Seed: src.seed, Obs: sess.reg, Check: chk, Tracer: sess.tracer})
+	res, err := webcache.Run(tr, webcache.Config{Scheme: scheme, ProxyCacheFrac: frac, Seed: src.seed, Obs: sess.Reg, Check: chk, Tracer: sess.Tracer})
 	if err != nil {
 		return err
 	}
-	sess.setNote("latency_gain", webcache.Gain(res.AvgLatency, nc.AvgLatency))
+	sess.SetNote("latency_gain", webcache.Gain(res.AvgLatency, nc.AvgLatency))
 	fmt.Printf("\n%s at %.0f%% proxy cache:\n", scheme, frac*100)
 	fmt.Printf("  avg latency      %.4f (NC: %.4f)\n", res.AvgLatency, nc.AvgLatency)
 	fmt.Printf("  latency gain     %.1f%%\n", 100*webcache.Gain(res.AvgLatency, nc.AvgLatency))
@@ -233,16 +230,16 @@ func runScheme(name string, src traceSource, frac float64, sess *obsSession, chk
 	}
 	fmt.Printf("  infinite cache sizes: %v, proxy caps: %v\n",
 		res.InfiniteCacheSizes, res.ProxyCapacities)
-	if sess.tracer != nil {
+	if sess.Tracer != nil {
 		// Fold the sampled span traces into a per-tier latency
 		// decomposition and cross-check each tier's span-derived mean
 		// against the analytic netmodel latency (METRICS.md "Span
 		// tracing"); the known scheme deviations are documented on
 		// CheckDecomposition.
-		rep := webcache.CheckDecomposition(webcache.DefaultNetwork(), sess.tracer.Decompose(), 1e-9)
+		rep := webcache.CheckDecomposition(webcache.DefaultNetwork(), sess.Tracer.Decompose(), 1e-9)
 		fmt.Printf("\nlatency decomposition (%d sampled traces, span-derived vs analytic):\n%s",
-			sess.tracer.Len(), rep.Table())
-		sess.setNote("decomposition", rep)
+			sess.Tracer.Len(), rep.Table())
+		sess.SetNote("decomposition", rep)
 	}
 	return nil
 }
@@ -257,31 +254,44 @@ type traceSource struct {
 	preset string
 }
 
-func (src traceSource) load() (*webcache.Trace, error) {
+// load loads the workload, records its identity in the session's
+// manifest, and returns it with its statistics.
+func (src traceSource) load(sess *obs.Session) (*webcache.Trace, webcache.TraceStats, error) {
+	var tr *webcache.Trace
+	var err error
 	switch {
 	case src.file != "":
-		return webcache.ReadTraceFile(src.file)
+		tr, err = webcache.ReadTraceFile(src.file)
 	case src.preset != "":
-		return webcache.GeneratePresetWorkload(src.preset, int(1_000_000*src.scale), src.seed)
+		tr, err = webcache.GeneratePresetWorkload(src.preset, int(1_000_000*src.scale), src.seed)
 	case src.ucb:
-		return webcache.GenerateUCBWorkload(webcache.UCBConfig{Scale: src.scale / 9.2, Seed: src.seed})
+		tr, err = webcache.GenerateUCBWorkload(webcache.UCBConfig{Scale: src.scale / 9.2, Seed: src.seed})
 	default:
 		cfg := webcache.DefaultWorkload()
 		cfg.NumRequests = int(float64(cfg.NumRequests) * src.scale)
 		cfg.NumObjects = int(float64(cfg.NumObjects) * src.scale)
 		cfg.Seed = src.seed
-		return webcache.GenerateWorkload(cfg)
+		tr, err = webcache.GenerateWorkload(cfg)
 	}
+	if err != nil {
+		return nil, webcache.TraceStats{}, err
+	}
+	st := webcache.AnalyzeTrace(tr)
+	sess.SetTrace(tr, map[string]any{
+		"distinct_objects": st.DistinctObjs,
+		"distinct_clients": st.DistinctClients,
+		"zipf_alpha":       st.ZipfAlpha,
+	})
+	return tr, st, nil
 }
 
-func compareSchemes(src traceSource, frac float64, sess *obsSession, chk *webcache.Checker) error {
-	tr, err := src.load()
+func compareSchemes(src traceSource, frac float64, sess *obs.Session, chk *webcache.Checker) error {
+	tr, st, err := src.load(sess)
 	if err != nil {
 		return err
 	}
-	sess.setTrace(tr)
-	fmt.Printf("workload: %s\nproxy cache: %.0f%% of infinite\n\n", webcache.AnalyzeTrace(tr), frac*100)
-	nc, err := webcache.Run(tr, webcache.Config{Scheme: webcache.NC, ProxyCacheFrac: frac, Seed: src.seed, Obs: sess.reg, Check: chk})
+	fmt.Printf("workload: %s\nproxy cache: %.0f%% of infinite\n\n", st, frac*100)
+	nc, err := webcache.Run(tr, webcache.Config{Scheme: webcache.NC, ProxyCacheFrac: frac, Seed: src.seed, Obs: sess.Reg, Check: chk})
 	if err != nil {
 		return err
 	}
@@ -289,7 +299,7 @@ func compareSchemes(src traceSource, frac float64, sess *obsSession, chk *webcac
 		"scheme", "latency", "gain%", "proxy%", "p2p%", "remote%", "server%", "srv-bytes%")
 	schemes := append(webcache.AllSchemes(), webcache.Squirrel)
 	for _, s := range schemes {
-		res, err := webcache.Run(tr, webcache.Config{Scheme: s, ProxyCacheFrac: frac, Seed: src.seed, Obs: sess.reg, Check: chk})
+		res, err := webcache.Run(tr, webcache.Config{Scheme: s, ProxyCacheFrac: frac, Seed: src.seed, Obs: sess.Reg, Check: chk})
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,25 +10,36 @@ import (
 	"webcache/internal/obs"
 )
 
+// startSession opens webcachesim's observability session from the
+// given command-line flags.
+func startSession(t *testing.T, args ...string) *obs.Session {
+	t.Helper()
+	fs := flag.NewFlagSet("webcachesim", flag.ContinueOnError)
+	sess := obs.NewSession(fs, "webcachesim")
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
 // TestRunManifestGolden drives a small -run end to end through the
 // observability session and checks the emitted manifest is
 // schema-valid, echoes the config, fingerprints the trace, and
 // carries the full metric set.
 func TestRunManifestGolden(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
-	of := obsFlags{manifest: path}
-	sess, err := of.start("webcachesim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.setConfig("run", "hier-gd")
-	sess.setConfig("frac", 0.3)
+	sess := startSession(t, "-manifest", path)
+	sess.SetConfig("run", "hier-gd")
+	sess.SetConfig("frac", 0.3)
 
 	src := traceSource{scale: 0.02, seed: 1}
 	if err := runScheme("hier-gd", src, 0.3, sess, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.close(); err != nil {
+	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,15 +81,11 @@ func TestRunTraceExport(t *testing.T) {
 	out := filepath.Join(dir, "trace.json")
 	jsonl := filepath.Join(dir, "trace.jsonl")
 	manifest := filepath.Join(dir, "run.json")
-	of := obsFlags{manifest: manifest, traceOut: out, traceJSONL: jsonl, traceSample: 50}
-	sess, err := of.start("webcachesim")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := startSession(t, "-manifest", manifest, "-trace-out", out, "-trace-jsonl", jsonl, "-trace-sample", "50")
 	if err := runScheme("hier-gd", traceSource{scale: 0.02, seed: 1}, 0.3, sess, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.close(); err != nil {
+	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,15 +125,11 @@ func TestRunTraceExport(t *testing.T) {
 // file (gzip-framed protobuf) even for a short run.
 func TestCPUProfileFlag(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cpu.out")
-	of := obsFlags{cpuprofile: path}
-	sess, err := of.start("webcachesim")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := startSession(t, "-cpuprofile", path)
 	if err := runScheme("sc", traceSource{scale: 0.02, seed: 1}, 0.3, sess, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.close(); err != nil {
+	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)

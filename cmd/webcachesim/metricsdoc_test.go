@@ -15,16 +15,12 @@ func TestMetricsDocFigureNamespace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	of := obsFlags{}
-	sess, err := of.start("webcachesim")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := startSession(t)
 	treg := obs.NewRegistry("doc-smoke")
 	if err := runFigure("5a", sess, treg, false, figureParams{scale: 0.02, seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.close(); err != nil {
+	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var names []string

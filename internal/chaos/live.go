@@ -55,7 +55,13 @@ var (
 
 // MaxClusterDelta bounds |ClusterHit - HitRatio|: the aggregator's
 // merged server-side counters must tell the same story as the driver.
-const MaxClusterDelta = 0.01
+// MaxDefensePrice bounds Row.DefensePrice on slow-peer: the deadlines
+// and sweeps may cost at most this much live hit ratio for the tail
+// they cut.
+const (
+	MaxClusterDelta = 0.01
+	MaxDefensePrice = 0.05
+)
 
 // LiveReport is one live scenario run's outcome.  Every request counts
 // (no warmup discard), so the driver's HitRatio and the aggregator's

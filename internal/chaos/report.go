@@ -22,6 +22,15 @@ func (r Row) P999Cut() float64 {
 	return r.LiveOff.P999Ms / r.LiveOn.P999Ms
 }
 
+// DefensePrice is the live hit ratio the defenses cost:
+// hit(off) - hit(on).  >0 means the defenses gave up hits.
+func (r Row) DefensePrice() float64 {
+	if r.LiveOff == nil || r.LiveOn == nil {
+		return 0
+	}
+	return r.LiveOff.HitRatio - r.LiveOn.HitRatio
+}
+
 // Violations sums accountant violations across every run of the row —
 // the acceptance gate requires zero.
 func (r Row) Violations() int64 {

@@ -163,18 +163,41 @@ func (c *ClientCache) Handler() http.Handler {
 
 func parseKey(r *http.Request) (pastry.ID, string, error) {
 	hex := queryParam(r.URL.RawQuery, "key")
-	if len(hex) != 32 {
+	id, ok := hexID(hex)
+	if !ok {
 		return pastry.ID{}, "", fmt.Errorf("httpcache: bad key %q", hex)
+	}
+	return id, hex, nil
+}
+
+// hexID parses a 32-hex-digit objectId, the one key form a daemon
+// takes from the wire.
+func hexID(hex string) (pastry.ID, bool) {
+	if len(hex) != 32 {
+		return pastry.ID{}, false
 	}
 	var raw [16]byte
 	for i := 0; i < 32; i += 2 {
 		v, err := strconv.ParseUint(hex[i:i+2], 16, 8)
 		if err != nil {
-			return pastry.ID{}, "", fmt.Errorf("httpcache: bad key %q", hex)
+			return pastry.ID{}, false
 		}
 		raw[i/2] = byte(v)
 	}
-	return pastry.IDFromBytes(raw[:]), hex, nil
+	return pastry.IDFromBytes(raw[:]), true
+}
+
+// foldHex folds the well-formed keys of a list another daemon sent (a
+// /register recovered set, a store receipt's evictions) and skips the
+// rest.
+func foldHex(hexes []string) []trace.ObjectID {
+	var out []trace.ObjectID
+	for _, hex := range hexes {
+		if id, ok := hexID(hex); ok {
+			out = append(out, fold(id))
+		}
+	}
+	return out
 }
 
 // parseCost reads a /store's greedy-dual cost from the query: 1 unless

@@ -53,10 +53,6 @@ type Defenses struct {
 	// allowing a half-open probe (default 5s).
 	BreakerFailures int
 	BreakerCooldown time.Duration
-	// SweepStrikes is the strike budget (timeouts + 4x digest
-	// failures) past which the sweeper deregisters a client cache
-	// regardless of liveness (default 8).
-	SweepStrikes int64
 }
 
 // Adaptive-deadline clamp: never tighten the per-call deadline below
@@ -68,15 +64,17 @@ const (
 	adaptiveTimeoutSamples = 32
 )
 
+// sweepStrikes is the strike budget (timeouts + 4x digest failures)
+// past which the sweeper deregisters a client cache regardless of
+// liveness.
+const sweepStrikes = 8
+
 func (d *Defenses) fillDefaults() {
 	if d.PeerTimeout <= 0 {
 		d.PeerTimeout = 2 * time.Second
 	}
 	if d.BreakerCooldown <= 0 {
 		d.BreakerCooldown = 5 * time.Second
-	}
-	if d.SweepStrikes <= 0 {
-		d.SweepStrikes = 8
 	}
 }
 
@@ -187,7 +185,7 @@ func (p *Proxy) contribCondemned(addr string) bool {
 	}
 	c := v.(*contribution)
 	s := c.strikes()
-	return s >= p.defenses.SweepStrikes && s > c.serves.Load()/4
+	return s >= sweepStrikes && s > c.serves.Load()/4
 }
 
 // breaker is a per-peer circuit breaker: consecutive transport
@@ -285,17 +283,9 @@ func (p *Proxy) ReconcileAccounting() {
 
 // recordReceipt feeds one pass-down store receipt into the live
 // accountant.
-func (p *Proxy) recordReceipt(hexKey string, rec *StoreReceipt, diverted bool) {
+func (p *Proxy) recordReceipt(r p2p.Receipt) {
 	if p.acct == nil {
 		return
-	}
-	r := p2p.Receipt{
-		Stored:   fold(keyFromHex(hexKey)),
-		StoredOK: rec.Stored,
-		Diverted: diverted,
-	}
-	for _, ev := range rec.Evicted {
-		r.Evicted = append(r.Evicted, fold(keyFromHex(ev)))
 	}
 	p.acctMu.Lock()
 	p.acct.RecordStore(r)

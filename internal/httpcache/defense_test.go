@@ -215,6 +215,22 @@ func TestRegisterBodyCap(t *testing.T) {
 	}
 }
 
+// A /register recovered list is outside input: only 32-hex-digit keys
+// reach the directory, and a malformed one is skipped, not read as id 0.
+func TestRegisterSkipsMalformedKeys(t *testing.T) {
+	px, srv := defenseProxy(t, Defenses{})
+	valid := keyOf("http://origin.test/recovered").String()
+	resp, err := http.Post(srv.URL+"/register?addr=10.0.0.3:999", "application/json",
+		strings.NewReader(`{"recovered":["zz","`+valid+`"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := px.snapshotStats().DirEntries; got != 1 {
+		t.Fatalf("directory_entries = %d after one valid and one malformed key, want 1", got)
+	}
+}
+
 // TestBreakerDegradesToOrigin pins the per-peer circuit breaker and
 // the breaker-open serving path's X-Served-By attribution: a peer
 // failing at the transport level is consulted BreakerFailures times,
@@ -262,20 +278,17 @@ func TestContributionSweep(t *testing.T) {
 	daemon := newFakeDaemon(t, []byte("x"))
 	daemon.delay.Store(int64(200 * time.Millisecond))
 
-	px, srv := defenseProxy(t, Defenses{
-		PeerTimeout:  20 * time.Millisecond,
-		SweepStrikes: 3,
-	}, daemon)
+	px, srv := defenseProxy(t, Defenses{PeerTimeout: 20 * time.Millisecond}, daemon)
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < sweepStrikes; i++ {
 		objURL := fmt.Sprintf("%s/strike%d", origin.srv.URL, i)
 		plantDir(px, objURL)
 		if status, _ := get(t, fmt.Sprintf("%s/fetch?url=%s", srv.URL, url.QueryEscape(objURL))); status != http.StatusOK {
 			t.Fatalf("fetch %d: status %d", i, status)
 		}
 	}
-	if c := px.contribFor(daemon.addr); c.strikes() < 3 {
-		t.Fatalf("strikes = %d, want >= 3", c.strikes())
+	if c := px.contribFor(daemon.addr); c.strikes() < sweepStrikes {
+		t.Fatalf("strikes = %d, want >= %d", c.strikes(), sweepStrikes)
 	}
 	removed := px.SweepClientCaches()
 	if len(removed) != 1 || removed[0] != daemon.addr {

@@ -50,8 +50,6 @@ type FleetOptions struct {
 	// HotThreshold is the per-key load estimate at which the owner
 	// replicates the key (default 16 touches).
 	HotThreshold int
-	// VirtualNodes per member (default fleet.DefaultVirtualNodes).
-	VirtualNodes int
 }
 
 func (o *FleetOptions) fillDefaults() {
@@ -149,7 +147,7 @@ func (p *Proxy) EnableFleet(opts FleetOptions) {
 	opts.fillDefaults()
 	f := &fleetState{
 		opts:    opts,
-		ring:    fleet.NewRingOf(opts.VirtualNodes, opts.Members),
+		ring:    fleet.NewRingOf(fleet.DefaultVirtualNodes, opts.Members),
 		loads:   fleet.NewLoadTracker(0),
 		peers:   fleet.NewMemberLoads(),
 		hbFails: make(map[string]int),
@@ -316,10 +314,7 @@ func (p *Proxy) recordFleetReceipt(folded trace.ObjectID, rec *StoreReceipt, rea
 	if f == nil || f.acct == nil {
 		return
 	}
-	var evicted []trace.ObjectID
-	for _, ev := range rec.Evicted {
-		evicted = append(evicted, fold(keyFromHex(ev)))
-	}
+	evicted := foldHex(rec.Evicted)
 	p.acctMu.Lock()
 	defer p.acctMu.Unlock()
 	if reason == "replica" {

@@ -369,8 +369,12 @@ func TestFoldDeterministic(t *testing.T) {
 
 func TestKeyFromHexRoundTrip(t *testing.T) {
 	id := pastry.HashString("round-trip")
-	got := pastry.ID(keyFromHex(id.String()))
-	if got != id {
-		t.Fatalf("keyFromHex(%s) = %v, want %v", id, got, id)
+	if got, ok := hexID(id.String()); !ok || got != id {
+		t.Fatalf("hexID(%s) = %v, %v, want %v", id, got, ok, id)
+	}
+	for _, bad := range []string{"", "zz", id.String()[:31], id.String() + "0", "zz" + id.String()[2:]} {
+		if _, ok := hexID(bad); ok {
+			t.Errorf("hexID(%q) accepted a malformed key", bad)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
 	"webcache/internal/obs/slo"
+	"webcache/internal/p2p"
 	"webcache/internal/pastry"
 	"webcache/internal/store"
 	"webcache/internal/store/disk"
@@ -283,9 +284,10 @@ func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// neighbour of the daemon that actually holds the object — the
 		// client-cache tier of /fetch probes neighbours on an owner
 		// miss, so recovered objects stay reachable either way.
+		keys := foldHex(body.Recovered)
 		p.mu.Lock()
-		for _, hex := range body.Recovered {
-			p.dir.Add(fold(keyFromHex(hex)))
+		for _, key := range keys {
+			p.dir.Add(key)
 		}
 		p.mu.Unlock()
 	}
@@ -344,7 +346,8 @@ func (p *Proxy) lanFetch(ctx context.Context, addr string, id pastry.ID, traceID
 // figure and the next candidate follows, which is the whole sequence
 // when nothing is known.
 func (p *Proxy) passDown(obj store.Object) {
-	owner, ok := p.ring.owner(keyFromHex(obj.HexKey))
+	id, _ := hexID(obj.HexKey) // the store holds only keys parseKey took
+	owner, ok := p.ring.owner(id)
 	if !ok {
 		return // no client caches registered: the object is dropped
 	}
@@ -376,20 +379,21 @@ func (p *Proxy) passDown(obj store.Object) {
 		}
 	}
 	p.stats.passDowns.Add(1)
-	p.recordReceipt(obj.HexKey, rec, diverted)
+	folded, evicted := fold(id), foldHex(rec.Evicted)
+	p.recordReceipt(p2p.Receipt{Stored: folded, StoredOK: rec.Stored, Diverted: diverted, Evicted: evicted})
 	p.mu.Lock()
 	if rec.Stored {
-		p.dir.Add(fold(keyFromHex(obj.HexKey)))
+		p.dir.Add(folded)
 	}
-	for _, evHex := range rec.Evicted {
-		p.dir.Remove(fold(keyFromHex(evHex)))
+	for _, ev := range evicted {
+		p.dir.Remove(ev)
 	}
 	p.mu.Unlock()
 	if rec.Stored {
-		p.recordDigest(fold(keyFromHex(obj.HexKey)), obj.Body)
+		p.recordDigest(folded, obj.Body)
 	}
-	for _, evHex := range rec.Evicted {
-		p.dropDigest(fold(keyFromHex(evHex)))
+	for _, ev := range evicted {
+		p.dropDigest(ev)
 	}
 }
 
@@ -528,17 +532,4 @@ func (p *Proxy) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st.ClientPool = p.ring.size()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
-}
-
-// keyFromHex parses a 32-hex-digit objectId.
-func keyFromHex(hex string) (id [2]uint64) {
-	for i := 0; i < 16 && i*2+2 <= len(hex); i++ {
-		v, _ := strconv.ParseUint(hex[i*2:i*2+2], 16, 8)
-		if i < 8 {
-			id[0] = id[0]<<8 | v
-		} else {
-			id[1] = id[1]<<8 | v
-		}
-	}
-	return id
 }

@@ -236,8 +236,7 @@ type Options struct {
 	Tracer *obs.Tracer
 	// ClassFor, when non-nil, tags each request with an SLO class at
 	// issue time (ScheduledRequest.Class → httpcache.SLOHeader): the
-	// proxies account it server-side, and the driver keeps its own
-	// per-class ledger in Result.PerClass.
+	// proxies account it server-side (slo.Tracker).
 	ClassFor func(ScheduledRequest) string
 }
 
@@ -259,10 +258,6 @@ type Result struct {
 	Tiers   [numTiers]int
 	PerTier [numTiers]*Histogram
 	Overall *Histogram
-	// PerClass is the per-SLO-class ledger (nil when Options.ClassFor
-	// tagged nothing): requests, errors, hit ratio, and latency
-	// quantiles keyed by class name, "" for untagged requests.
-	PerClass map[string]*ClassResult
 }
 
 // HitRatio is the fraction of measured (post-warmup, successful)
@@ -293,10 +288,6 @@ type recorder struct {
 	tiers     [numTiers]atomic.Int64
 	perTier   [numTiers]*Histogram
 	overall   *Histogram
-	// trackClasses is set when Options.ClassFor is present: every
-	// post-warmup outcome lands in the per-class ledger, tagged or not.
-	trackClasses bool
-	classes      classRecorder
 
 	reg      *obs.Registry
 	reqTimer *obs.Timer
@@ -334,7 +325,7 @@ func newRecorder(warmup int, reg *obs.Registry) *recorder {
 	return rec
 }
 
-func (rec *recorder) record(idx int, class string, o Outcome) {
+func (rec *recorder) record(idx int, o Outcome) {
 	rec.issued.Add(1)
 	rec.reg.Counter("loadgen.issued").Inc()
 	rec.reqTimer.Observe(o.Latency)
@@ -342,9 +333,6 @@ func (rec *recorder) record(idx int, class string, o Outcome) {
 		rec.discarded.Add(1)
 		rec.reg.Counter("loadgen.warmup_discarded").Inc()
 		return
-	}
-	if rec.trackClasses {
-		rec.classes.record(class, o)
 	}
 	rec.tiers[o.Tier].Add(1)
 	rec.perTier[o.Tier].Observe(o.Latency)
@@ -368,7 +356,6 @@ func (rec *recorder) result(mode Mode, elapsed time.Duration, throttled int) *Re
 		Elapsed:         elapsed,
 		Overall:         rec.overall,
 	}
-	res.PerClass = rec.classes.result()
 	for i := range res.Tiers {
 		res.Tiers[i] = int(rec.tiers[i].Load())
 		res.PerTier[i] = rec.perTier[i]
@@ -397,7 +384,6 @@ func Run(ctx context.Context, sched *Schedule, tgt Target, opts Options) (*Resul
 		clock = realClock{}
 	}
 	rec := newRecorder(opts.Warmup, opts.Obs)
-	rec.trackClasses = opts.ClassFor != nil
 	// issue runs one scheduled request, wrapping it in a span trace
 	// when the tracer samples it: the trace id propagates to every
 	// daemon hop, and the root trace records the client-observed RTT.
@@ -415,7 +401,7 @@ func Run(ctx context.Context, sched *Schedule, tgt Target, opts Options) (*Resul
 		}
 		st.Span("fetch."+o.Tier.String(), comp, o.Latency.Seconds())
 		st.FinishWall(o.Tier.String())
-		rec.record(i, req.Class, o)
+		rec.record(i, o)
 	}
 	start := clock.Now()
 	var deadline time.Time

@@ -47,9 +47,6 @@ func (r *Result) Table() string {
 		row(t.String(), r.Tiers[t], r.HitRatio(t), r.PerTier[t])
 	}
 	row("overall", r.Measured, 1.0, r.Overall)
-	if r.PerClass != nil {
-		classTable(&b, r.PerClass)
-	}
 	return b.String()
 }
 
@@ -66,7 +63,7 @@ func (r *Result) SummaryNote() map[string]any {
 			"latency":   r.PerTier[t].Summary(),
 		}
 	}
-	note := map[string]any{
+	return map[string]any{
 		"mode":             r.Mode.String(),
 		"issued":           r.Issued,
 		"measured":         r.Measured,
@@ -79,20 +76,4 @@ func (r *Result) SummaryNote() map[string]any {
 		"tiers":            tiers,
 		"overall_latency":  r.Overall.Summary(),
 	}
-	if r.PerClass != nil {
-		classes := map[string]any{}
-		for name, c := range r.PerClass {
-			if name == "" {
-				name = "untagged"
-			}
-			classes[name] = map[string]any{
-				"requests":  c.Requests,
-				"errors":    c.Errors,
-				"hit_ratio": c.HitRatio(),
-				"latency":   c.Latency.Summary(),
-			}
-		}
-		note["classes"] = classes
-	}
-	return note
 }

@@ -21,8 +21,7 @@ type ScheduledRequest struct {
 	TraceID string
 	// Class, when non-empty, rides the request as the
 	// httpcache.SLOHeader so the proxy accounts it against that SLO
-	// class's error budget; the driver keeps its own per-class ledger
-	// (Result.PerClass).  Options.ClassFor stamps it at issue time.
+	// class's error budget.  Options.ClassFor stamps it at issue time.
 	Class string
 }
 

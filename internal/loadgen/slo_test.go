@@ -18,10 +18,10 @@ import (
 )
 
 // TestClassTaggedRun drives a small loopback run with two SLO classes
-// and checks the whole tagging loop: the driver's per-class ledger,
-// the per-member registries the proxies publish their server-side
-// slo.* gauges to, and the JSONL event stream — and that the client-
-// and server-side request counts agree exactly.
+// and checks the whole tagging loop: the per-member registries the
+// proxies publish their server-side slo.* gauges to, and the JSONL
+// event stream — and that the server-side ledgers count exactly the
+// requests the driver issued.
 func TestClassTaggedRun(t *testing.T) {
 	tr, err := prowgen.Generate(prowgen.Config{
 		NumRequests: 600,
@@ -81,26 +81,9 @@ func TestClassTaggedRun(t *testing.T) {
 		t.Fatalf("%d errors", res.Errors)
 	}
 
-	// Driver-side ledger: both classes present, counts covering the run.
-	if len(res.PerClass) != 2 {
-		t.Fatalf("classes = %v", classNames(res.PerClass))
-	}
-	total := 0
-	for _, c := range res.PerClass {
-		total += c.Requests
-		if c.Latency.Summary().Count != int64(c.Requests) {
-			t.Fatalf("class ledger latency count mismatch: %+v", c)
-		}
-	}
-	if total != res.Measured+res.Errors {
-		t.Fatalf("per-class total %d != measured+errors %d", total, res.Measured+res.Errors)
-	}
-	if hr := res.PerClass["interactive"].HitRatio(); hr <= 0 || hr > 1 {
-		t.Fatalf("interactive hit ratio = %v", hr)
-	}
-
-	// Server-side: the per-member registries hold the same requests —
-	// summed across members, the slo ledgers must equal the driver's.
+	// Server-side: the per-member registries hold every tagged request —
+	// summed across members, the slo ledgers must equal the driver's count.
+	total := res.Measured + res.Errors
 	// A /metrics scrape refreshes each member's slo.* gauges first
 	// (publishStats calls the tracker's Report).
 	for _, u := range topo.ProxyURLs {
@@ -119,15 +102,6 @@ func TestClassTaggedRun(t *testing.T) {
 	}
 	if math.Abs(serverTotal-float64(total)) > 1e-9 {
 		t.Fatalf("server-side slo total %v != driver total %d", serverTotal, total)
-	}
-
-	// The report surfaces carry the class block.
-	if !strings.Contains(res.Table(), "interactive") {
-		t.Fatalf("table missing class rows:\n%s", res.Table())
-	}
-	note := res.SummaryNote()
-	if _, ok := note["classes"].(map[string]any)["batch"]; !ok {
-		t.Fatalf("manifest note missing classes: %v", note)
 	}
 
 	// The topology's event stream recorded the readiness flips as JSONL.

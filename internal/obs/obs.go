@@ -1,7 +1,8 @@
 // Package obs provides the simulator's run-scoped observability: cheap
 // atomic counters, gauges, and timers collected into named Registry
 // instances, plus run manifests (manifest.go), progress/ETA tracking
-// (progress.go), and pprof wiring (profile.go).
+// (progress.go), and the per-command Session that wires them, the span
+// tracer and the profiles to a command's flags (session.go).
 //
 // Instrumentation is opt-in and free when disabled: every method is a
 // no-op on a nil receiver, so code holds plain *Counter / *Gauge /

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -491,31 +490,6 @@ func groupByTraceID(traces []SpanTrace) []SpanTrace {
 		return out[i].Root && !out[j].Root
 	})
 	return out
-}
-
-// WriteChromeFile / WriteJSONLFile write the export to a file.
-func (t *Tracer) WriteChromeFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func (t *Tracer) WriteJSONLFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // ValidateChromeTrace checks that data is well-formed Chrome
