@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -13,6 +16,21 @@ func tinyOpts() Options {
 		Fracs: []float64{0.1, 0.5, 0.9},
 		Seed:  1,
 	}
+}
+
+// figurePins are SHA-256 digests of each figure's JSON under
+// TestFigureIDsAllRunnable's options.  A refactor of the sweep, the
+// figure definitions or the simulator that moves any point changes a
+// pin; a deliberate model change re-pins them here.
+var figurePins = map[string]string{
+	"2a": "cb6979a24046a0ed0ba6cbedee4ea8609b94a138bdb1f081118ce3a3047f56e7",
+	"2b": "c42b653d104730832d4ddf1e974452ab45cd5ddfa7806020548a27f37a09ee9a",
+	"3":  "17ca08c34a6d97d9d809e749bafd4d3c496a39df1a9deeb3b6b3e4ed220385b2",
+	"4":  "6c9316e8b42e0d87d250ca13c97cc31f80319c9d34be5d9a6466226142f6bdd5",
+	"5a": "37c7471615f5edb9cc3e956eb051663b686e7cf4cabf8eb4b5b70cddce41d7db",
+	"5b": "0bf8f7ee7c1ece070022177d5def199a638d9fcd5072c2ac3a625382dd2a513c",
+	"5c": "efa653cfae8a5aaed39a6f4ae81431177ac00c6d5594badbc1712217de6f5aee",
+	"5d": "90f11ca0cccf3bb976c89a0cddcb573acf99ab07cfbaba7e8723b4bcaccd1694",
 }
 
 func TestFigureIDsAllRunnable(t *testing.T) {
@@ -46,6 +64,14 @@ func TestFigureIDsAllRunnable(t *testing.T) {
 						t.Errorf("series %q: gain %g out of range", s.Label, p.Gain)
 					}
 				}
+			}
+			blob, err := json.Marshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(blob)
+			if got := hex.EncodeToString(sum[:]); got != figurePins[id] {
+				t.Errorf("figure %s digest = %s, want %s", id, got, figurePins[id])
 			}
 		})
 	}
