@@ -67,7 +67,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -409,19 +408,13 @@ func runCache(args []string) error {
 	// A daemon restarting over its disk directory re-registers the
 	// recovered objects in the /register body, so the proxy's lookup
 	// directory re-learns what this partition still holds.
-	regBody, contentType := io.Reader(nil), "text/plain"
-	if rec := cc.RecoveredHexKeys(); len(rec) > 0 {
-		b, merr := json.Marshal(map[string][]string{"recovered": rec})
-		if merr == nil {
-			regBody, contentType = strings.NewReader(string(b)), "application/json"
-			fmt.Printf("hiergdd cache: disk tier %s recovered %d objects\n", *diskDir, len(rec))
-		}
+	rec := cc.RecoveredHexKeys()
+	if len(rec) > 0 {
+		fmt.Printf("hiergdd cache: disk tier %s recovered %d objects\n", *diskDir, len(rec))
 	}
-	if resp, err := http.Post(fmt.Sprintf("%s/register?addr=%s", *proxy, addr), contentType, regBody); err != nil {
+	if err := httpcache.Register(*proxy, addr, rec); err != nil {
 		ln.Close()
-		return fmt.Errorf("registering with proxy: %w", err)
-	} else {
-		resp.Body.Close()
+		return err
 	}
 	fmt.Printf("hiergdd cache: %s registered with %s (%d-byte partition)\n", addr, *proxy, *capacity)
 	// Recovery and proxy registration are done: flip /readyz to 200.

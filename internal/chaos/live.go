@@ -1,12 +1,9 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"time"
 
 	"webcache/internal/httpcache"
@@ -210,13 +207,9 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 			if len(topo.CacheAddrs[p]) == 0 {
 				continue
 			}
-			blob, _ := json.Marshal(map[string][]string{"recovered": keys})
-			resp, err := http.Post(fmt.Sprintf("%s/register?addr=%s", u, topo.CacheAddrs[p][0]),
-				"application/json", bytes.NewReader(blob))
-			if err != nil {
-				return nil, fmt.Errorf("chaos: poisoning %s: %w", u, err)
+			if err := httpcache.Register(u, topo.CacheAddrs[p][0], keys); err != nil {
+				return nil, fmt.Errorf("chaos: poisoning: %w", err)
 			}
-			resp.Body.Close()
 			rep.Poisoned += len(keys)
 		}
 		cfg.Registry.Counter("chaos.poisoned_keys").Add(int64(rep.Poisoned))

@@ -6,22 +6,18 @@
 // Every figure is identified by its paper label ("2a".."5d"); RunFigure
 // regenerates it as a Figure (series of latency-gain-vs-cache-size
 // points) that cmd/webcachesim prints and EXPERIMENTS.md records.
-// Sweep points are independent simulations and run on a worker pool.
+// Sweep points and their NC baselines are independent simulations and
+// run on one worker pool.
 package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"webcache/internal/invariant"
-	"webcache/internal/netmodel"
 	"webcache/internal/obs"
 	"webcache/internal/prowgen"
-	"webcache/internal/sim"
 	"webcache/internal/trace"
 )
 
@@ -65,9 +61,10 @@ type Options struct {
 	// Seed drives workload generation and simulation.
 	Seed int64
 	// Progress, if non-nil, is called after every completed sweep job
-	// with the cumulative finished count and the figure's job total —
-	// the hook behind webcachesim's -progress live ETA display.
-	// Callbacks may arrive concurrently from the worker pool.
+	// (NC baseline replays included) with the cumulative finished count
+	// and the figure's job total — the hook behind webcachesim's
+	// -progress live ETA display.  Callbacks may arrive concurrently
+	// from the worker pool.
 	Progress func(done, total int)
 	// Obs, if non-nil, receives sweep instrumentation: per-job timing
 	// ("core.sweep.job"), job counts, and worker utilization, plus
@@ -81,7 +78,10 @@ type Options struct {
 	Check *invariant.Checker
 }
 
-func (o *Options) fill() {
+func (o *Options) fill() error {
+	if o.Scale < 0 || math.IsNaN(o.Scale) {
+		return fmt.Errorf("core: workload scale %g, want > 0 (or 0 for the paper's size)", o.Scale)
+	}
 	if o.Scale == 0 {
 		o.Scale = 1
 	}
@@ -91,6 +91,7 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
+	return nil
 }
 
 // DefaultFracs is the paper's x-axis: 10%..100% in steps of 10.
@@ -133,178 +134,28 @@ func paperTrace(scale float64, seed int64, alpha, stackFrac float64, clients int
 	return prowgen.Generate(cfg)
 }
 
-// sweepJob is one (series, point) simulation.
-type sweepJob struct {
-	series, point int
-	tr            *trace.Trace
-	cfg           sim.Config
-	ncCfg         sim.Config
-}
-
-// runSweep executes jobs on a worker pool and assembles the points.
-// The NC baseline for each distinct baseline configuration is computed
-// once and shared.  Each job is timed into opts.Obs ("core.sweep.job",
-// with the baseline computation under "core.sweep.baseline") and
-// opts.Progress is notified as jobs complete; after the pool drains,
-// worker utilization (busy time over workers x wall time) is recorded.
-func runSweep(labels []string, jobs []sweepJob, opts Options) ([]Series, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	series := make([]Series, len(labels))
-	for i, l := range labels {
-		series[i] = Series{Label: l, Points: make([]Point, 0)}
-	}
-	type slot struct {
-		p   Point
-		err error
-	}
-	results := make([][]slot, len(labels))
-	counts := make([]int, len(labels))
-	for _, j := range jobs {
-		if j.point+1 > counts[j.series] {
-			counts[j.series] = j.point + 1
-		}
-	}
-	for i := range results {
-		results[i] = make([]slot, counts[i])
-	}
-
-	// NC baselines keyed by the parts of the config that affect NC.
-	type ncKey struct {
-		frac    float64
-		proxies int
-		cpc     int
-		net     netmodel.Model
-		tr      *trace.Trace
-	}
-	var baseMu sync.Mutex
-	baselines := map[ncKey]float64{}
-
-	baseline := func(j sweepJob) (float64, error) {
-		k := ncKey{j.ncCfg.ProxyCacheFrac, j.ncCfg.NumProxies, j.ncCfg.ClientsPerCluster, j.ncCfg.Net, j.tr}
-		baseMu.Lock()
-		v, ok := baselines[k]
-		baseMu.Unlock()
-		if ok {
-			return v, nil
-		}
-		defer opts.Obs.Timer("core.sweep.baseline").Start()()
-		ncCfg := j.ncCfg
-		ncCfg.Obs = opts.Obs
-		ncCfg.Check = opts.Check
-		res, err := sim.Run(j.tr, ncCfg)
-		if err != nil {
-			return 0, err
-		}
-		baseMu.Lock()
-		baselines[k] = res.AvgLatency
-		baseMu.Unlock()
-		return res.AvgLatency, nil
-	}
-
-	// One work-stealing pass replaces the old semaphore pool (and its
-	// duplicated instrumented/plain loops): jobs are dealt across
-	// per-worker queues and idle workers steal from loaded ones, so the
-	// pool saturates even when series have very uneven costs.  All
-	// instrumentation is nil-safe and costs one no-op call per job —
-	// noise against jobs that are whole trace replays.  Results are
-	// slot-addressed by (series, point), so the steal schedule cannot
-	// affect output order (see scheduler.go).
-	jobTimer := opts.Obs.Timer("core.sweep.job")
-	var done atomic.Int64
-	start := time.Now()
-	nworkers := workers
-	if nworkers > len(jobs) {
-		nworkers = len(jobs)
-	}
-	if nworkers < 1 {
-		nworkers = 1
-	}
-	sch := newStealScheduler(nworkers, len(jobs))
-	sch.run(func(ji int) {
-		j := jobs[ji]
-		defer jobTimer.Start()()
-		if opts.Progress != nil {
-			defer func() { opts.Progress(int(done.Add(1)), len(jobs)) }()
-		}
-		nc, err := baseline(j)
-		if err != nil {
-			results[j.series][j.point] = slot{err: err}
-			return
-		}
-		cfg := j.cfg
-		cfg.Obs = opts.Obs
-		cfg.Check = opts.Check
-		res, err := sim.Run(j.tr, cfg)
-		if err != nil {
-			results[j.series][j.point] = slot{err: err}
-			return
-		}
-		results[j.series][j.point] = slot{p: Point{
-			CacheFrac:  j.cfg.ProxyCacheFrac,
-			Gain:       netmodel.Gain(res.AvgLatency, nc),
-			AvgLatency: res.AvgLatency,
-			NCLatency:  nc,
-		}}
-	})
-
-	if opts.Obs.Enabled() {
-		opts.Obs.Counter("core.sweep.jobs").Add(int64(len(jobs)))
-		opts.Obs.Gauge("core.sweep.workers").Set(float64(nworkers))
-		opts.Obs.Counter("core.sweep.steals").Add(sch.steals.Load())
-		opts.Obs.Counter("core.sweep.steal_jobs").Add(sch.stolenJobs.Load())
-		// Busy time over the pool's total capacity: 1.0 means every
-		// worker computed the whole time (jobs may outnumber
-		// workers, so utilization is also capped by job
-		// granularity).
-		if wall := time.Since(start).Seconds(); wall > 0 {
-			util := jobTimer.Total().Seconds() / (wall * float64(nworkers))
-			opts.Obs.Gauge("core.sweep.worker_utilization").Set(util)
-		}
-	}
-
-	for si := range results {
-		for _, s := range results[si] {
-			if s.err != nil {
-				return nil, s.err
-			}
-			series[si].Points = append(series[si].Points, s.p)
-		}
-		sort.Slice(series[si].Points, func(a, b int) bool {
-			return series[si].Points[a].CacheFrac < series[si].Points[b].CacheFrac
-		})
-	}
-	return series, nil
-}
-
 // FigureIDs lists the reproducible figures in paper order.
 func FigureIDs() []string {
-	return []string{"2a", "2b", "3", "4", "5a", "5b", "5c", "5d"}
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
 }
 
 // RunFigure regenerates the figure with the given paper label.
 func RunFigure(id string, opts Options) (*Figure, error) {
-	opts.fill()
-	switch id {
-	case "2a":
-		return Fig2a(opts)
-	case "2b":
-		return Fig2b(opts)
-	case "3":
-		return Fig3(opts)
-	case "4":
-		return Fig4(opts)
-	case "5a":
-		return Fig5a(opts)
-	case "5b":
-		return Fig5b(opts)
-	case "5c":
-		return Fig5c(opts)
-	case "5d":
-		return Fig5d(opts)
-	default:
-		return nil, fmt.Errorf("core: unknown figure %q (have %v)", id, FigureIDs())
+	if err := opts.fill(); err != nil {
+		return nil, err
 	}
+	for _, f := range figures {
+		if f.id == id {
+			curves, err := f.curves(opts)
+			if err != nil {
+				return nil, err
+			}
+			return sweep(f.id, f.title, curves, opts)
+		}
+	}
+	return nil, fmt.Errorf("core: unknown figure %q (have %v)", id, FigureIDs())
 }

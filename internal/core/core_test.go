@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -77,14 +78,27 @@ func TestFigureIDsAllRunnable(t *testing.T) {
 	}
 }
 
+// TestRunFigureUnknown: an unknown figure, a negative scale and a NaN
+// scale are errors, never a table drawn from the trace generator's
+// floors.
 func TestRunFigureUnknown(t *testing.T) {
-	if _, err := RunFigure("99z", tinyOpts()); err == nil {
-		t.Error("unknown figure accepted")
+	for _, c := range []struct {
+		id    string
+		scale float64
+	}{{"99z", 0.05}, {"2a", -1}, {"5d", math.NaN()}} {
+		opts := tinyOpts()
+		opts.Scale = c.scale
+		if _, err := RunFigure(c.id, opts); err == nil {
+			t.Errorf("RunFigure(%q) at scale %g accepted", c.id, c.scale)
+		}
+		if _, err := RunFigureReplicated(c.id, opts, 2); err == nil {
+			t.Errorf("RunFigureReplicated(%q) at scale %g accepted", c.id, c.scale)
+		}
 	}
 }
 
 func TestFig2aShape(t *testing.T) {
-	f, err := Fig2a(tinyOpts())
+	f, err := RunFigure("2a", tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,16 +55,7 @@ func WriteDAT(w io.Writer, f *Figure) error {
 		}
 	}
 	fmt.Fprintln(w)
-	var xs []float64
-	for _, s := range f.Series {
-		if len(s.Points) > len(xs) {
-			xs = xs[:0]
-			for _, p := range s.Points {
-				xs = append(xs, p.CacheFrac)
-			}
-		}
-	}
-	for i, x := range xs {
+	for i, x := range f.grid() {
 		fmt.Fprintf(w, "%.0f", x*100)
 		for _, s := range f.Series {
 			if i < len(s.Points) {

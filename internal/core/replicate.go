@@ -17,7 +17,6 @@ func RunFigureReplicated(id string, opts Options, replicates int) (*Figure, erro
 	if replicates < 1 {
 		return nil, fmt.Errorf("core: replicates must be >= 1 (got %d)", replicates)
 	}
-	opts.fill()
 	var figs []*Figure
 	for r := 0; r < replicates; r++ {
 		o := opts

@@ -11,16 +11,6 @@ import (
 func FormatTable(f *Figure) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure %s: %s\n", f.ID, f.Title)
-	// Collect the x values from the longest series.
-	var xs []float64
-	for _, s := range f.Series {
-		if len(s.Points) > len(xs) {
-			xs = xs[:0]
-			for _, p := range s.Points {
-				xs = append(xs, p.CacheFrac)
-			}
-		}
-	}
 	width := 12
 	for _, s := range f.Series {
 		if len(s.Label)+2 > width {
@@ -32,7 +22,7 @@ func FormatTable(f *Figure) string {
 		fmt.Fprintf(&b, "%*s", width, s.Label)
 	}
 	b.WriteByte('\n')
-	for i, x := range xs {
+	for i, x := range f.grid() {
 		fmt.Fprintf(&b, "%-10.0f", x*100)
 		for _, s := range f.Series {
 			if i < len(s.Points) {
@@ -59,16 +49,7 @@ func FormatMarkdown(f *Figure) string {
 		b.WriteString("---|")
 	}
 	b.WriteByte('\n')
-	var xs []float64
-	for _, s := range f.Series {
-		if len(s.Points) > len(xs) {
-			xs = xs[:0]
-			for _, p := range s.Points {
-				xs = append(xs, p.CacheFrac)
-			}
-		}
-	}
-	for i, x := range xs {
+	for i, x := range f.grid() {
 		fmt.Fprintf(&b, "| %.0f |", x*100)
 		for _, s := range f.Series {
 			if i < len(s.Points) {
@@ -80,6 +61,23 @@ func FormatMarkdown(f *Figure) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// grid is the figure's x axis, the cache fractions of its longest
+// series: every rendering has one row per fraction, and a shorter
+// series leaves its missing rows empty.
+func (f *Figure) grid() []float64 {
+	var longest []Point
+	for _, s := range f.Series {
+		if len(s.Points) > len(longest) {
+			longest = s.Points
+		}
+	}
+	xs := make([]float64, len(longest))
+	for i, p := range longest {
+		xs[i] = p.CacheFrac
+	}
+	return xs
 }
 
 // SeriesByLabel finds a series by its label.

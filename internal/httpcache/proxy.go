@@ -1,10 +1,12 @@
 package httpcache
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -257,6 +259,34 @@ type registerBody struct {
 // registerBodyMax caps the /register payload: 1 MiB holds ~30k
 // recovered keys, far beyond any real daemon's disk tier.
 const registerBodyMax = 1 << 20
+
+// registerTimeout bounds one POST /register: a proxy that accepts the
+// connection and never answers must not hold a daemon's start-up.
+const registerTimeout = 10 * time.Second
+
+// Register joins the client cache at addr (host:port) to the proxy at
+// proxyURL, announcing the hex objectIds its disk tier recovered, if
+// any.  Any answer but 200 is an error: the proxy refused the daemon
+// (400, or 413 for a recovered list over registerBodyMax) and it is
+// not on the proxy's ring.
+func Register(proxyURL, addr string, recovered []string) error {
+	var body io.Reader
+	contentType := "text/plain"
+	if len(recovered) > 0 {
+		b, _ := json.Marshal(registerBody{Recovered: recovered}) // a []string always marshals
+		body, contentType = bytes.NewReader(b), "application/json"
+	}
+	client := http.Client{Timeout: registerTimeout}
+	resp, err := client.Post(fmt.Sprintf("%s/register?addr=%s", proxyURL, addr), contentType, body)
+	if err != nil {
+		return fmt.Errorf("registering %s with %s: %w", addr, proxyURL, err)
+	}
+	defer drainClose(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("registering %s with %s: proxy answered %s", addr, proxyURL, resp.Status)
+	}
+	return nil
+}
 
 func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 	addr := queryParam(r.URL.RawQuery, "addr")

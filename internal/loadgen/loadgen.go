@@ -291,6 +291,10 @@ type recorder struct {
 
 	reg      *obs.Registry
 	reqTimer *obs.Timer
+	// The per-request counters, resolved once (nil without a registry)
+	// so record neither builds a name nor takes the registry lock.
+	issuedCtr, discardedCtr *obs.Counter
+	servesCtr               [numTiers]*obs.Counter
 }
 
 func newRecorder(warmup int, reg *obs.Registry) *recorder {
@@ -302,41 +306,39 @@ func newRecorder(warmup int, reg *obs.Registry) *recorder {
 	if overall == nil {
 		overall = &Histogram{}
 	}
+	// Resolving a handle registers it, so every run exports the same
+	// metric names regardless of which paths fired — manifests stay
+	// diffable run to run and the doc-drift test can hold any smoke run
+	// against the METRICS.md glossary.
 	rec := &recorder{warmup: warmup, reg: reg, overall: overall,
-		reqTimer: reg.Timer("loadgen.request")}
+		reqTimer:     reg.Timer("loadgen.request"),
+		issuedCtr:    reg.Counter("loadgen.issued"),
+		discardedCtr: reg.Counter("loadgen.warmup_discarded")}
 	for i := range rec.perTier {
 		h := reg.Histogram("loadgen.latency.tier." + Tier(i).String())
 		if h == nil {
 			h = &Histogram{}
 		}
 		rec.perTier[i] = h
+		rec.servesCtr[i] = reg.Counter("loadgen.serves." + Tier(i).String())
 	}
-	// Pre-register the full counter/gauge set so every run exports the
-	// same metric names regardless of which paths fired — manifests
-	// stay diffable run to run and the doc-drift test can hold any
-	// smoke run against the METRICS.md glossary.
-	reg.Counter("loadgen.issued").Add(0)
-	reg.Counter("loadgen.warmup_discarded").Add(0)
 	reg.Counter("loadgen.throttled").Add(0)
-	for i := 0; i < int(numTiers); i++ {
-		reg.Counter("loadgen.serves." + Tier(i).String()).Add(0)
-	}
 	reg.Gauge("loadgen.inflight.max").SetMax(0)
 	return rec
 }
 
 func (rec *recorder) record(idx int, o Outcome) {
 	rec.issued.Add(1)
-	rec.reg.Counter("loadgen.issued").Inc()
+	rec.issuedCtr.Inc()
 	rec.reqTimer.Observe(o.Latency)
 	if idx < rec.warmup {
 		rec.discarded.Add(1)
-		rec.reg.Counter("loadgen.warmup_discarded").Inc()
+		rec.discardedCtr.Inc()
 		return
 	}
 	rec.tiers[o.Tier].Add(1)
 	rec.perTier[o.Tier].Observe(o.Latency)
-	rec.reg.Counter("loadgen.serves." + o.Tier.String()).Inc()
+	rec.servesCtr[o.Tier].Inc()
 	if o.Tier == TierError {
 		rec.errors.Add(1)
 		return

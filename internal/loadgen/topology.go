@@ -223,12 +223,9 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 			addr := cln.Addr().String()
 			t.caches = append(t.caches, cc)
 			t.cacheServers[addr] = t.serve(cln, ch)
-			resp, err := http.Post(fmt.Sprintf("%s/register?addr=%s", u, addr),
-				"text/plain", nil)
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: registering cache with %s: %w", u, err)
+			if err := httpcache.Register(u, addr, nil); err != nil {
+				return nil, fmt.Errorf("loadgen: %w", err)
 			}
-			resp.Body.Close()
 			addrs = append(addrs, addr)
 		}
 		t.CacheAddrs = append(t.CacheAddrs, addrs)
