@@ -20,15 +20,18 @@ vet:
 # The instrumentation gate: full vet plus race-enabled tests of the
 # metric registry, the invariant oracles, the simulator that feeds
 # them (the ./internal/sim run includes the checked end-to-end
-# replays), and the concurrent data plane (sharded store + the HTTP
-# daemons built on it).  It fails on any file gofmt would rewrite, and
-# if the simulator library (the root webcache package) links any
-# package of the live data plane.
+# replays), the concurrent data plane (sharded store + the HTTP
+# daemons built on it), and what runs live traffic over it (load
+# generator, chaos suite, cluster aggregator), as CI's race job does.
+# It fails on any file gofmt would rewrite, and if the simulator
+# library (the root webcache package) links any package of the live
+# data plane.
 check: vet
 	@test -z "$$(gofmt -l . | tee /dev/stderr)" || { echo "gofmt -l . names the files above" >&2; exit 1; }
 	@test -z "$$($(GO) list -deps . | grep -E '^webcache/internal/(httpcache|loadgen|store|obs/slo)(/|$$)' | tee /dev/stderr)" || { echo "go list -deps . names the live data-plane packages above" >&2; exit 1; }
 	$(GO) test -race ./internal/obs ./internal/invariant ./internal/sim \
-		./internal/core ./internal/store ./internal/store/disk ./internal/httpcache
+		./internal/core ./internal/store ./internal/store/disk ./internal/httpcache \
+		./internal/loadgen ./internal/chaos ./internal/obs/cluster
 
 # Ten seconds of each fuzz target (beyond replaying the checked-in
 # seed corpora, which plain `make test` already does).  FUZZTIME=1m
@@ -81,8 +84,8 @@ bench-smoke:
 # interactive (100ms @ 99%) or batch (1s @ 90%); each proxy tracks the
 # classes server-side and the cluster aggregator scrapes every member
 # after each live run.  Fails if any run breaks conservation, if any
-# live run has a member down or an aggregator hit ratio more than 1pp
-# from the load generator's, or if on slow-peer the per-hop deadlines
+# live run has a member down or an aggregator hit ratio more than
+# 0.1pp from the load generator's, or if on slow-peer the per-hop deadlines
 # and strike sweeps fail to cut the interactive fast-window burn or
 # cut the live p999 by less than 1.3x; writes BENCH_chaos.json.
 chaos-smoke:

@@ -20,6 +20,12 @@
 // dead members, and a graceful shutdown leaves the fleet first so the
 // departing member's objects migrate to their new owners.
 //
+// Each daemon role binds its listener, builds its daemon from one
+// httpcache.Options value (registry, tracer, event log, disk tier and,
+// for a proxy, its peers, fleet roster, SLO classes), and only then
+// serves.  -peers, -self and -fleet-members take base URLs or
+// host:port shorthand; the proxy normalizes them.
+//
 // Both daemons run greedy-dual, the paper's policy, in a store
 // (internal/store) striped by core count; the proxy takes -sweep to
 // probe registered client caches periodically and deregister dead
@@ -195,26 +201,6 @@ func bindBase(addr string) (net.Listener, string, error) {
 	return ln, fmt.Sprintf("http://%s:%d", host, bound.Port), nil
 }
 
-// normalizeBaseURLs canonicalizes a comma-split roster so operator
-// shorthand ("host:port", stray spaces, trailing slashes) produces the
-// exact base-URL strings the ring keys members by — otherwise a
-// scheme-less roster entry and the derived self URL would coexist as
-// two distinct ring members.
-func normalizeBaseURLs(in []string) []string {
-	out := in[:0]
-	for _, m := range in {
-		m = strings.TrimSpace(m)
-		if m == "" {
-			continue
-		}
-		if !strings.Contains(m, "://") {
-			m = "http://" + m
-		}
-		out = append(out, strings.TrimRight(m, "/"))
-	}
-	return out
-}
-
 func runProxy(args []string) error {
 	fs := flag.NewFlagSet("proxy", flag.ExitOnError)
 	listen := fs.String("listen", ":8080", "listen address")
@@ -241,7 +227,6 @@ func runProxy(args []string) error {
 	if err := sess.Start(); err != nil {
 		return err
 	}
-	reg := sess.Reg
 
 	ln, base, err := bindBase(*listen)
 	if err != nil {
@@ -256,45 +241,43 @@ func runProxy(args []string) error {
 		return err
 	}
 	defer closeEvents()
-	p, err := httpcache.NewProxyOpts(httpcache.Options{
+	o := httpcache.Options{
 		CapacityBytes:     *capacity,
 		DiskDir:           *diskDir,
 		DiskCapacityBytes: *diskCap,
-		DiskMetrics:       reg,
-	})
+		Metrics:           sess.Reg,
+		Tracer:            sess.Tracer,
+		Events:            events,
+		Peers:             strings.Split(*peers, ","),
+	}
+	if *sloClasses != "" {
+		if o.SLOClasses, err = slo.ParseClasses(*sloClasses); err != nil {
+			ln.Close()
+			return err
+		}
+	}
+	fleetOn := *fleetMembers != ""
+	if fleetOn {
+		o.Fleet = &httpcache.FleetOptions{
+			Self:         base,
+			Members:      strings.Split(*fleetMembers, ","),
+			Replication:  *fleetReplication,
+			HotThreshold: *fleetHotAfter,
+		}
+	}
+	p, err := httpcache.NewProxyOpts(o)
 	if err != nil {
 		ln.Close()
 		return err
 	}
-	if *peers != "" {
-		p.SetPeers(strings.Split(*peers, ","))
-	}
-	p.SetTracer(sess.Tracer)
-	p.SetMetrics(reg)
-	p.SetEvents(events)
-	if *sloClasses != "" {
-		classes, err := slo.ParseClasses(*sloClasses)
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		tr := slo.NewTracker(reg, classes, slo.DefaultThresholds)
-		tr.SetEvents(events)
-		p.SetSLO(tr)
-		fmt.Printf("hiergdd proxy: tracking %d SLO classes\n", len(classes))
+	if len(o.SLOClasses) > 0 {
+		fmt.Printf("hiergdd proxy: tracking %d SLO classes\n", len(o.SLOClasses))
 	}
 	if *sweep > 0 {
 		stop := p.StartSweeper(*sweep)
 		defer stop()
 	}
-	fleetOn := *fleetMembers != ""
 	if fleetOn {
-		p.EnableFleet(httpcache.FleetOptions{
-			Self:         base,
-			Members:      normalizeBaseURLs(strings.Split(*fleetMembers, ",")),
-			Replication:  *fleetReplication,
-			HotThreshold: *fleetHotAfter,
-		})
 		if *fleetJoin {
 			fmt.Printf("hiergdd proxy: fleet join announced to %d members\n", p.JoinFleet())
 		}
@@ -382,17 +365,6 @@ func runCache(args []string) error {
 		return err
 	}
 
-	cc, err := httpcache.NewClientCacheOpts(httpcache.Options{
-		CapacityBytes:     *capacity,
-		DiskDir:           *diskDir,
-		DiskCapacityBytes: *diskCap,
-		DiskMetrics:       sess.Reg,
-	})
-	if err != nil {
-		return err
-	}
-	cc.SetTracer(sess.Tracer)
-	cc.SetMetrics(sess.Reg)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
@@ -404,7 +376,18 @@ func runCache(args []string) error {
 		return err
 	}
 	defer closeEvents()
-	cc.SetEvents(events)
+	cc, err := httpcache.NewClientCacheOpts(httpcache.Options{
+		CapacityBytes:     *capacity,
+		DiskDir:           *diskDir,
+		DiskCapacityBytes: *diskCap,
+		Metrics:           sess.Reg,
+		Tracer:            sess.Tracer,
+		Events:            events,
+	})
+	if err != nil {
+		ln.Close()
+		return err
+	}
 	// A daemon restarting over its disk directory re-registers the
 	// recovered objects in the /register body, so the proxy's lookup
 	// directory re-learns what this partition still holds.

@@ -31,7 +31,7 @@ func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(int)             {}
 
 func TestFetchHitPathAllocs(t *testing.T) {
-	p := NewProxy(1 << 20)
+	p := newProxy(t, Options{CapacityBytes: 1 << 20})
 	const url = "http://origin.example.com/objects/alloc-gate-object-0001"
 	id := keyOf(url)
 	body := bytes.Repeat([]byte("x"), 4096)
@@ -54,7 +54,7 @@ func TestFetchHitPathAllocs(t *testing.T) {
 // path to the same bar — it is the LAN-fetch server side of every P2P
 // hit.
 func TestObjectHitPathAllocs(t *testing.T) {
-	c := NewClientCache(1 << 20)
+	c := newClientCache(t, Options{CapacityBytes: 1 << 20})
 	const url = "http://origin.example.com/objects/alloc-gate-object-0002"
 	id := keyOf(url)
 	body := bytes.Repeat([]byte("y"), 4096)

@@ -10,7 +10,9 @@ import (
 	"sync/atomic"
 
 	"webcache/internal/fleet"
+	"webcache/internal/invariant"
 	"webcache/internal/obs"
+	"webcache/internal/obs/slo"
 	"webcache/internal/pastry"
 	"webcache/internal/store"
 	"webcache/internal/store/disk"
@@ -28,10 +30,10 @@ func fold(id pastry.ID) trace.ObjectID {
 	return fleet.Fold(id)
 }
 
-// Options configures a daemon's data plane: the memory budget of the
-// concurrent store (internal/store) and the optional persistent disk
-// tier (internal/store/disk).  Both tiers run greedy-dual, the policy
-// the paper runs everywhere (§4.4); the zero value means no disk tier.
+// Options is everything a daemon is built from; nothing is attached
+// after its constructor returns.  Both store tiers run greedy-dual, the
+// policy the paper runs everywhere (§4.4).  Every field but
+// CapacityBytes is off at its zero value.
 type Options struct {
 	// CapacityBytes is the memory cache byte budget.
 	CapacityBytes uint64
@@ -42,39 +44,94 @@ type Options struct {
 	// DiskCapacityBytes bounds the disk tier's live bytes
 	// (0 = 16 x CapacityBytes — disk is the big tier).
 	DiskCapacityBytes uint64
-	// DiskMetrics, when non-nil, receives the disk tier's store.disk.*
-	// instruments at Open time — before recovery runs, so the replay
-	// counters observe boot progress.  (The memory tiers attach later
-	// via SetMetrics, which cannot retro-date recovery.)
-	DiskMetrics *obs.Registry
+	// Metrics backs /metrics (nil serves an empty, valid exposition).
+	// The store layers' store.* and store.disk.* instruments attach to it
+	// before the disk tier recovers, so the replay counters see boot.
+	Metrics *obs.Registry
+	// Tracer records the daemon's request spans (wall clock); nil
+	// disables tracing at zero cost.
+	Tracer *obs.Tracer
+	// Events receives the daemon's state transitions: readiness flips
+	// and, on a proxy, breaker, fleet membership and SLO burn events.
+	Events *obs.EventLog
+
+	// The fields below configure a proxy; a client cache ignores them.
+
+	// SLOClasses accounts every /fetch against the class its
+	// X-SLO-Class header names (unknown ones fold into the first) and
+	// publishes slo.* burn-rate gauges on Metrics.
+	SLOClasses []slo.Class
+	// Defenses are the request-path protections; zero fields take their
+	// defaults.
+	Defenses Defenses
+	// Peers are the cooperating proxies, by base URL or host:port.
+	Peers []string
+	// Fleet makes the proxy a consistent-hash fleet member (fleet.go).
+	Fleet *FleetOptions
+	// Check, when non-nil, threads a live conservation oracle through the
+	// pass-down receipt stream and, on a fleet member, the /fleet/store
+	// one (ReconcileAccounting).
+	Check *invariant.Checker
 }
 
-// newTier builds a daemon's serving surface: the sharded memory store
-// alone, or — with DiskDir set — a store.Tiered layering it over the
-// persistent disk tier (opened here, so recovery happens before the
-// daemon serves its first request).
-func (o Options) newTier(label string) (mem *store.Store, dsk *disk.Store, tier store.Interface, err error) {
-	mem, err = store.New(store.Config{CapacityBytes: o.CapacityBytes, Label: label})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if o.DiskDir == "" {
-		return mem, nil, mem, nil
+// storage is the serving surface both daemons embed: the sharded memory
+// store, the persistent disk tier under it (nil without DiskDir), and
+// tier, the store alone or the Tiered layering of the two.
+type storage struct {
+	store *store.Store
+	disk  *disk.Store
+	tier  store.Interface
+}
+
+// newStorage builds a daemon's storage, opening the disk tier here so
+// that recovery happens before the daemon serves its first request.
+func (o Options) newStorage(label string) (storage, error) {
+	mem, err := store.New(store.Config{CapacityBytes: o.CapacityBytes, Label: label, Metrics: o.Metrics})
+	if err != nil || o.DiskDir == "" {
+		return storage{mem, nil, mem}, err
 	}
 	diskCap := o.DiskCapacityBytes
 	if diskCap == 0 {
 		diskCap = 16 * o.CapacityBytes
 	}
-	dsk, err = disk.Open(disk.Config{
+	dsk, err := disk.Open(disk.Config{
 		Dir:           o.DiskDir,
 		CapacityBytes: diskCap,
-		Metrics:       o.DiskMetrics,
+		Metrics:       o.Metrics,
 		Label:         label + "-disk",
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return storage{}, err
 	}
-	return mem, dsk, store.NewTiered(mem, dsk, TierProxyDisk), nil
+	return storage{mem, dsk, store.NewTiered(mem, dsk, TierProxyDisk)}, nil
+}
+
+// Store exposes the daemon's sharded memory store (tests and telemetry).
+func (s *storage) Store() *store.Store { return s.store }
+
+// Disk exposes the persistent tier (nil without Options.DiskDir).
+func (s *storage) Disk() *disk.Store { return s.disk }
+
+// Sync blocks until every acknowledged insert is durable on disk
+// (trivially true without a disk tier).
+func (s *storage) Sync() bool { return s.disk == nil || s.disk.Sync() }
+
+// Close drains the disk tier's write-behind queue and closes its files;
+// a daemon without one needs no teardown.  Call after the HTTP listener
+// has drained, so every acknowledged insert is journaled before exit.
+func (s *storage) Close() error {
+	if s.disk == nil {
+		return nil
+	}
+	return s.disk.Close()
+}
+
+// publishMetrics refreshes the store layers' scrape-time gauges.
+func (s *storage) publishMetrics() {
+	s.store.PublishMetrics()
+	if s.disk != nil {
+		s.disk.PublishMetrics()
+	}
 }
 
 // StoreReceipt is the §4.3 store receipt a client cache returns to its
@@ -106,11 +163,7 @@ type clientCounters struct {
 // ClientCache is a browser-cache daemon: the cooperative partition of
 // one client machine's cache, serving its local proxy over HTTP.
 type ClientCache struct {
-	store *store.Store // memory tier
-	disk  *disk.Store  // persistent tier; nil without Options.DiskDir
-	// tier is the serving surface: store alone, or the Tiered layering
-	// when a disk tier is configured.
-	tier  store.Interface
+	storage
 	stats clientCounters
 
 	// tracer and metrics are the observability hooks (obs.go).
@@ -121,24 +174,14 @@ type ClientCache struct {
 	readiness
 }
 
-// NewClientCache creates a daemon with the given cooperative-partition
-// capacity in bytes and default options (greedy-dual, auto sharding).
-func NewClientCache(capacityBytes uint64) *ClientCache {
-	c, err := NewClientCacheOpts(Options{CapacityBytes: capacityBytes})
-	if err != nil {
-		panic(err) // unreachable: without a disk tier nothing can fail
-	}
-	return c
-}
-
-// NewClientCacheOpts creates a daemon with explicit data-plane
-// options; it fails only when the disk tier cannot be opened.
+// NewClientCacheOpts creates a daemon from o, proxy-only fields
+// ignored; it fails only when the disk tier cannot be opened.
 func NewClientCacheOpts(o Options) (*ClientCache, error) {
-	st, dsk, tier, err := o.newTier("client-cache")
+	st, err := o.newStorage("client-cache")
 	if err != nil {
 		return nil, err
 	}
-	return &ClientCache{store: st, disk: dsk, tier: tier}, nil
+	return &ClientCache{storage: st, tracer: o.Tracer, metrics: o.Metrics, readiness: readiness{events: o.Events}}, nil
 }
 
 // Handler returns the daemon's HTTP interface:
@@ -334,13 +377,6 @@ func (c *ClientCache) handleStats(w http.ResponseWriter, _ *http.Request) {
 // Objects reports the current cached-object count (tests).
 func (c *ClientCache) Objects() int { return c.store.Len() }
 
-// Store exposes the daemon's sharded memory store (tests and
-// telemetry).
-func (c *ClientCache) Store() *store.Store { return c.store }
-
-// Disk exposes the persistent tier (nil without Options.DiskDir).
-func (c *ClientCache) Disk() *disk.Store { return c.disk }
-
 // RecoveredHexKeys lists the hex objectIds the disk tier recovered at
 // startup, in journal order — the payload the daemon re-registers
 // with its proxy so the lookup directory learns what survived the
@@ -350,24 +386,4 @@ func (c *ClientCache) RecoveredHexKeys() []string {
 		return nil
 	}
 	return c.disk.RecoveredHexKeys()
-}
-
-// Sync blocks until every acknowledged store is durable on disk
-// (trivially true without a disk tier).
-func (c *ClientCache) Sync() bool {
-	if c.disk == nil {
-		return true
-	}
-	return c.disk.Sync()
-}
-
-// Close drains the disk tier's write-behind queue and closes its
-// files; a daemon without a disk tier needs no teardown.  Call after
-// the HTTP listener has drained, so every acknowledged /store is
-// journaled before exit.
-func (c *ClientCache) Close() error {
-	if c.disk == nil {
-		return nil
-	}
-	return c.disk.Close()
 }

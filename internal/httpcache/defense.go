@@ -27,9 +27,8 @@ import (
 //     transport failures open the breaker and the proxy degrades to
 //     origin until BreakerCooldown permits a half-open probe.
 //
-// The zero value means "deadlines only, everything else off"; defaults
-// are filled by SetDefenses (and by NewProxyOpts for proxies that
-// never call it).
+// The zero value means "deadlines only, everything else off"; NewProxyOpts
+// fills the defaults.
 type Defenses struct {
 	// PeerTimeout is the per-call deadline on every hop (default 2s).
 	// It layers under the shared client timeout: a hop made for a
@@ -76,13 +75,6 @@ func (d *Defenses) fillDefaults() {
 	if d.BreakerCooldown <= 0 {
 		d.BreakerCooldown = 5 * time.Second
 	}
-}
-
-// SetDefenses configures the proxy's request-path protections.  Zero
-// fields take their defaults.  Not safe to call after Serve starts.
-func (p *Proxy) SetDefenses(d Defenses) {
-	d.fillDefaults()
-	p.defenses = d
 }
 
 // peerTimeout resolves the effective per-call deadline: the configured
@@ -251,27 +243,20 @@ func (p *Proxy) peerOK(peer string) {
 	}
 }
 
-// EnableAccounting threads a live conservation oracle through the
-// proxy's pass-down receipt stream (invariant.ClusterAccountant, in
-// lenient mode — live receipts do not cover crash losses or races the
-// way the simulator's do, so only the ledger identity and the
-// receipt-shape assertions apply).  Call before Serve starts;
-// ReconcileAccounting asserts the ledger at any quiescent point.
-func (p *Proxy) EnableAccounting(chk *invariant.Checker) {
-	p.acctMu.Lock()
-	defer p.acctMu.Unlock()
-	p.chk = chk
-	p.acct = invariant.NewClusterAccountant(chk, "live")
-	p.acct.Lenient()
-	if p.fleet != nil && p.fleet.acct == nil {
-		p.fleet.acct = invariant.NewClusterAccountant(chk, "fleet-live")
-		p.fleet.acct.Lenient()
-	}
+// lenientAccountant is a live conservation oracle over a receipt
+// stream (invariant.ClusterAccountant, in lenient mode — live receipts
+// do not cover crash losses or races the way the simulator's do, so
+// only the ledger identity and the receipt-shape assertions apply); nil
+// without a checker.
+func lenientAccountant(chk *invariant.Checker, label string) *invariant.ClusterAccountant {
+	a := invariant.NewClusterAccountant(chk, label)
+	a.Lenient()
+	return a
 }
 
-// ReconcileAccounting checks the conservation ledgers — the pass-down
-// ledger and, on a fleet member, the replica-aware fleet ledger
-// (no-op without EnableAccounting).
+// ReconcileAccounting checks the conservation ledgers at a quiescent
+// point — the pass-down ledger and, on a fleet member, the
+// replica-aware fleet ledger (no-op without Options.Check).
 func (p *Proxy) ReconcileAccounting() {
 	p.acctMu.Lock()
 	defer p.acctMu.Unlock()

@@ -51,8 +51,7 @@ func newFakeDaemon(t *testing.T, body []byte) *fakeDaemon {
 // daemons, with the object's directory entry pre-planted.
 func defenseProxy(t *testing.T, d Defenses, daemons ...*fakeDaemon) (*Proxy, *httptest.Server) {
 	t.Helper()
-	px := NewProxy(1 << 20)
-	px.SetDefenses(d)
+	px := newProxy(t, Options{CapacityBytes: 1 << 20, Defenses: d})
 	srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(srv.Close)
 	for _, fd := range daemons {
@@ -147,7 +146,7 @@ func TestRelayHopDeadline(t *testing.T) {
 	t.Cleanup(hung.Close)
 	t.Cleanup(func() { close(release) })
 	hungAddr := strings.TrimPrefix(hung.URL, "http://")
-	cc := NewClientCache(1 << 20)
+	cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
 	ccSrv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	t.Cleanup(ccSrv.Close)
 
@@ -243,11 +242,12 @@ func TestBreakerDegradesToOrigin(t *testing.T) {
 	}))
 	t.Cleanup(badPeer.Close)
 
-	px, srv := defenseProxy(t, Defenses{
+	px := newProxy(t, Options{CapacityBytes: 1 << 20, Defenses: Defenses{
 		BreakerFailures: 2,
 		BreakerCooldown: time.Minute, // stays open for the whole test
-	})
-	px.SetPeers([]string{badPeer.URL})
+	}, Peers: []string{badPeer.URL}})
+	srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
+	t.Cleanup(srv.Close)
 
 	// Distinct cold objects so every request walks the peer step.
 	for i := 0; i < 6; i++ {
@@ -305,8 +305,7 @@ func TestContributionSweep(t *testing.T) {
 // [minPeerTimeout, configured PeerTimeout].
 func TestAdaptivePeerTimeout(t *testing.T) {
 	configured := 2 * time.Second
-	px := NewProxy(1 << 20)
-	px.SetDefenses(Defenses{PeerTimeout: configured, AdaptivePeerTimeout: true})
+	px := newProxy(t, Options{CapacityBytes: 1 << 20, Defenses: Defenses{PeerTimeout: configured, AdaptivePeerTimeout: true}})
 
 	// Cold histogram: fall back to the configured ceiling.
 	if got := px.peerTimeout(); got != configured {
@@ -323,8 +322,7 @@ func TestAdaptivePeerTimeout(t *testing.T) {
 	}
 
 	// A realistic LAN p99 lands between the clamps: 4x p99.
-	px2 := NewProxy(1 << 20)
-	px2.SetDefenses(Defenses{PeerTimeout: configured, AdaptivePeerTimeout: true})
+	px2 := newProxy(t, Options{CapacityBytes: 1 << 20, Defenses: Defenses{PeerTimeout: configured, AdaptivePeerTimeout: true}})
 	for i := 0; i < 2*adaptiveTimeoutSamples; i++ {
 		px2.lanLat.Observe(20 * time.Millisecond)
 	}
@@ -337,8 +335,7 @@ func TestAdaptivePeerTimeout(t *testing.T) {
 	}
 
 	// Pathological observations clamp down to the configured ceiling.
-	px3 := NewProxy(1 << 20)
-	px3.SetDefenses(Defenses{PeerTimeout: configured, AdaptivePeerTimeout: true})
+	px3 := newProxy(t, Options{CapacityBytes: 1 << 20, Defenses: Defenses{PeerTimeout: configured, AdaptivePeerTimeout: true}})
 	for i := 0; i < 2*adaptiveTimeoutSamples; i++ {
 		px3.lanLat.Observe(10 * time.Second)
 	}
@@ -347,8 +344,7 @@ func TestAdaptivePeerTimeout(t *testing.T) {
 	}
 
 	// With the flag off the histogram is ignored entirely.
-	px4 := NewProxy(1 << 20)
-	px4.SetDefenses(Defenses{PeerTimeout: configured})
+	px4 := newProxy(t, Options{CapacityBytes: 1 << 20, Defenses: Defenses{PeerTimeout: configured}})
 	for i := 0; i < 2*adaptiveTimeoutSamples; i++ {
 		px4.lanLat.Observe(200 * time.Microsecond)
 	}
@@ -372,8 +368,7 @@ func TestRelayRepairs(t *testing.T) {
 		t.Cleanup(peerSrv.Close)
 		objURL := origin.srv.URL + "/stale"
 		plantDir(peerPx, objURL)
-		px := NewProxy(1 << 20)
-		px.SetPeers([]string{peerSrv.URL})
+		px := newProxy(t, traced(Options{CapacityBytes: 1 << 20, Peers: []string{peerSrv.URL}}))
 		f := pin(t, px, "")
 		pullDigests(px)
 		endorsed := func() bool {
@@ -415,8 +410,7 @@ func TestRelayRepairs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := newFakeDaemon(t, []byte("the-bad!-body"))
-			peerPx, _, addrs := ringOf(t, 1<<20)
-			peerPx.SetDefenses(Defenses{VerifyEvery: 1})
+			peerPx, _, addrs := ringWith(t, Options{CapacityBytes: 1 << 20, Defenses: Defenses{VerifyEvery: 1}}, 1<<20)
 			peerPx.ring.add(bad.addr)
 			objURL := urlsOwnedBy(t, peerPx, bad.addr, "corrupt", 1)[0]
 			key := keyOf(objURL)

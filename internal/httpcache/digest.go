@@ -25,7 +25,7 @@ const (
 	digestFPRate = 0.01
 )
 
-// peerSet is the cooperating proxies SetPeers installed, in the order
+// peerSet is the cooperating proxies Options.Peers named, in the order
 // they are asked, with what this proxy holds of each one's digest.
 type peerSet struct {
 	bases   []string
@@ -80,9 +80,6 @@ func (p *Proxy) handleDigest(w http.ResponseWriter, _ *http.Request) {
 // A proxy whose requests never reach this tier pulls nothing.
 func (p *Proxy) digestAdmits(q fetchReq, base string) bool {
 	d := p.coop.Load().digests[base]
-	if d == nil {
-		return true // the peer set changed under this request
-	}
 	if p.stats.requests.Load() >= d.due.Load() && d.pulling.CompareAndSwap(false, true) {
 		p.pulls.Add(1)
 		go func() {

@@ -172,7 +172,7 @@ func TestClientCacheRecoveryReRegisters(t *testing.T) {
 	srv2 := httptest.NewServer(wiretest.StrictFraming(t, cc2.Handler()))
 	defer srv2.Close()
 
-	px := NewProxy(1 << 20)
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
 	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	defer pxSrv.Close()
 	payload, err := json.Marshal(registerBody{Recovered: rec})

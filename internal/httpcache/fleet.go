@@ -140,29 +140,23 @@ func (s *FleetStats) Add(o FleetStats) {
 	s.HotKeys += o.HotKeys
 }
 
-// EnableFleet turns this proxy into a fleet member.  Call before Serve
-// starts (it is not safe to toggle under traffic); EnableAccounting
-// may be called before or after.
-func (p *Proxy) EnableFleet(opts FleetOptions) {
+// newFleetState builds a member's fleet runtime, self on its ring, the
+// roster's base URLs normalized as a proxy's peers are.  acct is the
+// replica-aware ledger (nil without a checker).
+func newFleetState(opts FleetOptions, acct *invariant.ClusterAccountant) *fleetState {
 	opts.fillDefaults()
+	opts.Self = normalizeBaseURL(opts.Self)
+	opts.Members = normalizeBaseURLs(opts.Members)
 	f := &fleetState{
 		opts:    opts,
 		ring:    fleet.NewRingOf(fleet.DefaultVirtualNodes, opts.Members),
 		loads:   fleet.NewLoadTracker(0),
 		peers:   fleet.NewMemberLoads(),
 		hbFails: make(map[string]int),
+		acct:    acct,
 	}
 	f.ring.Add(opts.Self)
-	p.fleet = f
-	// The fleet route comes after the proxy's own caches and before the
-	// last two tiers, the cooperating proxies and the origin.
-	p.tiers = slices.Insert(p.tiers, len(p.tiers)-2, p.fleetTier())
-	p.acctMu.Lock()
-	if p.chk != nil {
-		f.acct = invariant.NewClusterAccountant(p.chk, "fleet-live")
-		f.acct.Lenient()
-	}
-	p.acctMu.Unlock()
+	return f
 }
 
 // FleetRing exposes the live membership ring (tests, telemetry).
@@ -174,8 +168,9 @@ func (p *Proxy) FleetRing() *fleet.Ring {
 }
 
 // fleetHandlers registers the membership endpoints.  They exist on
-// every proxy and answer 503 until EnableFleet, so a member can probe
-// a not-yet-fleet-enabled peer without a 404/handler ambiguity.
+// every proxy and answer 503 on one built without Options.Fleet, so a
+// member can probe a proxy outside the fleet without a 404/handler
+// ambiguity.
 func (p *Proxy) fleetHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("POST /fleet/join", p.handleFleetJoin)
 	mux.HandleFunc("POST /fleet/leave", p.handleFleetLeave)
@@ -311,7 +306,7 @@ func (p *Proxy) handleFleetStore(w http.ResponseWriter, r *http.Request) {
 // receipt says they displaced.
 func (p *Proxy) recordFleetReceipt(folded trace.ObjectID, rec *StoreReceipt, reason string) {
 	f := p.fleet
-	if f == nil || f.acct == nil {
+	if f.acct == nil {
 		return
 	}
 	evicted := foldHex(rec.Evicted)

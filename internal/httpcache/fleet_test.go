@@ -2,6 +2,7 @@ package httpcache
 
 import (
 	"fmt"
+	"net"
 	"net/http/httptest"
 	"net/url"
 	"os"
@@ -11,7 +12,6 @@ import (
 
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
-	"webcache/internal/wiretest"
 )
 
 // fleetRig deploys n fleet-enabled proxies (no client caches) over
@@ -25,27 +25,33 @@ type fleetRig struct {
 
 func newFleetRig(t *testing.T, n, replication, hotThreshold int, chk *invariant.Checker) *fleetRig {
 	t.Helper()
+	return newFleetRigWith(t, n, func(int) Options { return Options{CapacityBytes: 16 << 20, Check: chk} }, replication, hotThreshold)
+}
+
+// newFleetRigWith builds member i from opts(i), the fleet roster added:
+// every member's listener is bound first, so each is built knowing the
+// whole roster.
+func newFleetRigWith(t *testing.T, n int, opts func(i int) Options, replication, hotThreshold int) *fleetRig {
+	t.Helper()
 	rig := &fleetRig{origin: newTestOrigin()}
 	t.Cleanup(rig.origin.srv.Close)
-	for i := 0; i < n; i++ {
-		px := NewProxy(16 << 20)
-		srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
-		t.Cleanup(srv.Close)
-		rig.proxies = append(rig.proxies, px)
-		rig.servers = append(rig.servers, srv)
-		rig.urls = append(rig.urls, srv.URL)
+	lns := make([]net.Listener, n)
+	for i := range lns {
+		var u string
+		lns[i], u = listenLocal(t)
+		rig.urls = append(rig.urls, u)
 	}
-	for i, px := range rig.proxies {
-		px.SetDefenses(Defenses{})
-		if chk != nil {
-			px.EnableAccounting(chk)
-		}
-		px.EnableFleet(FleetOptions{
+	for i, ln := range lns {
+		o := opts(i)
+		o.Fleet = &FleetOptions{
 			Self:         rig.urls[i],
 			Members:      rig.urls,
 			Replication:  replication,
 			HotThreshold: hotThreshold,
-		})
+		}
+		px := newProxy(t, o)
+		rig.proxies = append(rig.proxies, px)
+		rig.servers = append(rig.servers, serveOn(t, ln, px.Handler()))
 	}
 	return rig
 }
@@ -133,16 +139,15 @@ func TestFleetRouting(t *testing.T) {
 // this package); under them the parent raced the first two holders
 // only and the front filled from origin itself.
 func TestFleetHopTriesEveryHolder(t *testing.T) {
-	rig := newFleetRig(t, 4, 3, 0, nil)
-	for _, px := range rig.proxies {
-		px.SetDefenses(Defenses{
+	rig := newFleetRigWith(t, 4, func(int) Options {
+		return Options{CapacityBytes: 16 << 20, Defenses: Defenses{
 			PeerTimeout:         75 * time.Millisecond,
 			AdaptivePeerTimeout: true,
 			VerifyEvery:         2,
 			BreakerFailures:     3,
 			BreakerCooldown:     500 * time.Millisecond,
-		})
-	}
+		}}
+	}, 3, 0)
 	objURL := rig.origin.srv.URL + "/fleet-third-holder"
 	folded := fold(keyOf(objURL))
 	holders := rig.proxies[0].FleetRing().ReplicasOf(folded, 3)
@@ -256,20 +261,20 @@ func TestFleetJoinLeaveRebalance(t *testing.T) {
 	// Members 0 and 1 bootstrap the fleet; member 2 joins later.
 	rig := &fleetRig{origin: newTestOrigin()}
 	t.Cleanup(rig.origin.srv.Close)
-	for i := 0; i < 3; i++ {
-		px := NewProxy(1 << 20)
-		srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
-		t.Cleanup(srv.Close)
-		rig.proxies = append(rig.proxies, px)
-		rig.servers = append(rig.servers, srv)
-		rig.urls = append(rig.urls, srv.URL)
+	lns := make([]net.Listener, 3)
+	for i := range lns {
+		var u string
+		lns[i], u = listenLocal(t)
+		rig.urls = append(rig.urls, u)
 	}
-	for i, px := range rig.proxies {
+	for i, ln := range lns {
 		members := rig.urls[:2]
 		if i == 2 {
 			members = rig.urls // the joiner knows the full roster
 		}
-		px.EnableFleet(FleetOptions{Self: rig.urls[i], Members: members})
+		px := newProxy(t, Options{CapacityBytes: 1 << 20, Fleet: &FleetOptions{Self: rig.urls[i], Members: members}})
+		rig.proxies = append(rig.proxies, px)
+		rig.servers = append(rig.servers, serveOn(t, ln, px.Handler()))
 	}
 
 	const objects = 60
@@ -370,8 +375,13 @@ func TestMetricsDocFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry("doc-smoke-fleet")
-	rig := newFleetRig(t, 2, 2, 4, nil)
-	rig.proxies[0].SetMetrics(reg)
+	rig := newFleetRigWith(t, 2, func(i int) Options {
+		o := Options{CapacityBytes: 16 << 20}
+		if i == 0 {
+			o.Metrics = reg
+		}
+		return o
+	}, 2, 4)
 	resp, err := rig.servers[0].Client().Get(rig.urls[0] + "/metrics")
 	if err != nil {
 		t.Fatal(err)

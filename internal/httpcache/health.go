@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"webcache/internal/obs"
-	"webcache/internal/obs/slo"
 )
 
 // SLOHeader tags a request with its SLO class: the load generator
@@ -29,7 +28,7 @@ const SLOHeader = "X-SLO-Class"
 // runs synchronously during construction, so MarkReady is called
 // after the remaining gates (client-cache registration, fleet
 // join/migration) complete.  Transitions are emitted to the event
-// log when one is attached via SetEvents.
+// log the daemon was built with (Options.Events).
 type readiness struct {
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -39,11 +38,6 @@ type readiness struct {
 
 	events *obs.EventLog
 }
-
-// SetEvents attaches the daemon's structured event log (events.go in
-// obs): readiness flips, breaker transitions, and fleet membership
-// changes are emitted to it.  Nil disables emission.
-func (h *readiness) SetEvents(l *obs.EventLog) { h.events = l }
 
 // MarkReady flips /readyz to 200.
 func (h *readiness) MarkReady() {
@@ -100,12 +94,6 @@ func (h *readiness) registerHealth(mux *http.ServeMux) {
 	mux.HandleFunc("GET /healthz", h.handleHealthz)
 	mux.HandleFunc("GET /readyz", h.handleReadyz)
 }
-
-// SetSLO attaches the proxy's server-side SLO tracker: every /fetch is
-// accounted against the class named by its X-SLO-Class header (the
-// tracker folds unknown classes into its first class).  Not safe to
-// call after Serve starts.
-func (p *Proxy) SetSLO(t *slo.Tracker) { p.slo = t }
 
 // statusWriter captures the response status for SLO accounting.
 type statusWriter struct {

@@ -25,7 +25,10 @@ func probe(t *testing.T, url string) (int, string) {
 // at boot, ready after MarkReady, draining during shutdown — with
 // /healthz answering 200 throughout.
 func TestHealthReadiness(t *testing.T) {
-	d := deploy(t, 1, 1, 1<<20, 1<<20)
+	events := obs.NewEventLog("proxy-0", nil)
+	d := deployWith(t, 1, 1,
+		func(int) Options { return Options{CapacityBytes: 1 << 20, Events: events} },
+		func(int, int) Options { return Options{CapacityBytes: 1 << 20} })
 	base := d.proxyS[0].URL
 	p := d.proxies[0]
 
@@ -39,8 +42,6 @@ func TestHealthReadiness(t *testing.T) {
 		t.Fatal("Ready() true before MarkReady")
 	}
 
-	events := obs.NewEventLog("proxy-0", nil)
-	p.SetEvents(events)
 	p.MarkReady()
 	if code, _ := probe(t, base+"/readyz"); code != 200 {
 		t.Fatalf("readyz after MarkReady = %d", code)
@@ -89,13 +90,13 @@ func TestHealthReadiness(t *testing.T) {
 // untagged ones fold into the first, and fleet hops are not
 // double-counted.
 func TestProxySLOAccounting(t *testing.T) {
-	d := deploy(t, 1, 1, 1<<20, 1<<20)
-	p := d.proxies[0]
-	tr := slo.NewTracker(nil, []slo.Class{
-		{Name: "interactive", Latency: 5 * time.Second, Availability: 0.99, Window: time.Minute},
-		{Name: "batch", Latency: 5 * time.Second, Availability: 0.9, Window: time.Minute},
-	}, slo.DefaultThresholds)
-	p.SetSLO(tr)
+	d := deployWith(t, 1, 1, func(int) Options {
+		return Options{CapacityBytes: 1 << 20, SLOClasses: []slo.Class{
+			{Name: "interactive", Latency: 5 * time.Second, Availability: 0.99, Window: time.Minute},
+			{Name: "batch", Latency: 5 * time.Second, Availability: 0.9, Window: time.Minute},
+		}}
+	}, func(int, int) Options { return Options{CapacityBytes: 1 << 20} })
+	tr := d.proxies[0].slo
 
 	get := func(path string, hdr map[string]string) {
 		t.Helper()

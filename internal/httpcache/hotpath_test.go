@@ -77,9 +77,8 @@ func TestStoreCostSanitized(t *testing.T) {
 		{"NaN", 1}, {"Inf", 1}, {"-Inf", 1}, {"1e400", 1}, {"-1", 1},
 		{"0", 1}, {"", 1}, {"x", 1}, {"2.5", 2.5},
 	} {
-		cc := NewClientCache(1 << 20)
-		px := NewProxy(1 << 20)
-		px.EnableFleet(FleetOptions{Self: "http://self", Members: []string{"http://self"}})
+		cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
+		px := newProxy(t, Options{CapacityBytes: 1 << 20, Fleet: &FleetOptions{Self: "http://self", Members: []string{"http://self"}}})
 		for _, d := range []struct {
 			path string
 			h    http.Handler

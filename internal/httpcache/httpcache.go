@@ -9,9 +9,17 @@
 // package is that argument made executable:
 //
 //	origin    := httpcache demo origin (any web server works)
-//	cacheA1.. := client-cache daemons   (NewClientCache + Serve)
-//	proxyA    := NewProxy(...);  client daemons register with it
+//	cacheA1.. := client-cache daemons   (NewClientCacheOpts + Serve)
+//	proxyA    := NewProxyOpts(Options{Peers: {proxyB}, ...});
+//	             client daemons register with it
 //	proxyB    := a cooperating proxy in another organization
+//
+// Each daemon is built whole from one Options value — capacity, disk
+// tier, registry, tracer, event log and, for a proxy, its SLO classes,
+// defenses, peers, fleet membership and conservation checker — and is
+// complete when its constructor returns: nothing is attached once it
+// serves.  A cluster whose members name each other binds every
+// listener first, to know the URLs, then builds and serves.
 //
 //	GET http://proxyA/fetch?url=http://origin/page
 //

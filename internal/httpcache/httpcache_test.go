@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -31,6 +32,51 @@ func newTestOrigin() *testOrigin {
 	return o
 }
 
+// newProxy builds a proxy from o, failing the test if it cannot.
+func newProxy(t testing.TB, o Options) *Proxy {
+	t.Helper()
+	px, err := NewProxyOpts(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return px
+}
+
+// newClientCache builds a client-cache daemon from o, failing the test
+// if it cannot.
+func newClientCache(t testing.TB, o Options) *ClientCache {
+	t.Helper()
+	cc, err := NewClientCacheOpts(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cc
+}
+
+// listenLocal binds a loopback listener ahead of the daemon that will
+// serve on it, so the daemon can be built knowing its own base URL and
+// its peers'.
+func listenLocal(t testing.TB) (net.Listener, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return ln, "http://" + ln.Addr().String()
+}
+
+// serveOn serves h on ln, strictly framed, until the test ends.
+func serveOn(t testing.TB, ln net.Listener, h http.Handler) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewUnstartedServer(wiretest.StrictFraming(t, h))
+	srv.Listener.Close()
+	srv.Listener = ln
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 // deployment spins up an origin, proxies, and client-cache daemons.
 type deployment struct {
 	t       *testing.T
@@ -43,19 +89,38 @@ type deployment struct {
 
 func deploy(t *testing.T, numProxies, cachesPerProxy int, proxyCap, cacheCap uint64) *deployment {
 	t.Helper()
+	return deployWith(t, numProxies, cachesPerProxy,
+		func(int) Options { return Options{CapacityBytes: proxyCap} },
+		func(int, int) Options { return Options{CapacityBytes: cacheCap} })
+}
+
+// deployWith builds proxy p from proxy(p), its cooperating full mesh
+// added, and its c-th client cache from cache(p, c).
+func deployWith(t *testing.T, numProxies, cachesPerProxy int, proxy func(p int) Options, cache func(p, c int) Options) *deployment {
+	t.Helper()
 	d := &deployment{t: t, origin: newTestOrigin()}
 	t.Cleanup(func() { d.origin.srv.Close() })
+	lns := make([]net.Listener, numProxies)
+	urls := make([]string, numProxies)
+	for p := range lns {
+		lns[p], urls[p] = listenLocal(t)
+	}
 	for p := 0; p < numProxies; p++ {
-		px := NewProxy(proxyCap)
-		srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
-		t.Cleanup(srv.Close)
+		o := proxy(p)
+		for q, u := range urls {
+			if q != p {
+				o.Peers = append(o.Peers, u)
+			}
+		}
+		px := newProxy(t, o)
+		srv := serveOn(t, lns[p], px.Handler())
 		d.proxies = append(d.proxies, px)
 		d.proxyS = append(d.proxyS, srv)
 
 		var ccs []*ClientCache
 		var ccsrv []*httptest.Server
 		for c := 0; c < cachesPerProxy; c++ {
-			cc := NewClientCache(cacheCap)
+			cc := newClientCache(t, cache(p, c))
 			s := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 			t.Cleanup(s.Close)
 			addr := strings.TrimPrefix(s.URL, "http://")
@@ -69,16 +134,6 @@ func deploy(t *testing.T, numProxies, cachesPerProxy int, proxyCap, cacheCap uin
 		}
 		d.caches = append(d.caches, ccs)
 		d.cacheS = append(d.cacheS, ccsrv)
-	}
-	// Wire cooperating proxies (full mesh).
-	for p, px := range d.proxies {
-		var peers []string
-		for q, s := range d.proxyS {
-			if q != p {
-				peers = append(peers, s.URL)
-			}
-		}
-		px.SetPeers(peers)
 	}
 	return d
 }
@@ -240,7 +295,7 @@ func TestDiversionOverHTTP(t *testing.T) {
 }
 
 func TestClientCacheDaemonEndpoints(t *testing.T) {
-	cc := NewClientCache(1 << 20)
+	cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
 	srv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	defer srv.Close()
 	key := pastry.HashString("http://x/y").String()

@@ -20,11 +20,9 @@ func TestMetricsDocHTTPCache(t *testing.T) {
 	}
 
 	preg := obs.NewRegistry("doc-smoke-proxy")
-	px := NewProxy(1 << 20)
-	px.SetMetrics(preg)
+	px := newProxy(t, Options{CapacityBytes: 1 << 20, Metrics: preg})
 	creg := obs.NewRegistry("doc-smoke-cache")
-	cc := NewClientCache(1 << 20)
-	cc.SetMetrics(creg)
+	cc := newClientCache(t, Options{CapacityBytes: 1 << 20, Metrics: creg})
 
 	for _, h := range []struct {
 		srv *httptest.Server

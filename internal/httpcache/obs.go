@@ -14,28 +14,6 @@ import (
 // merged offline by id).
 const TraceHeader = "X-Webcache-Trace"
 
-// SetTracer attaches a span tracer (wall clock); nil disables tracing
-// at zero cost.  Not safe to call after Serve starts.
-func (p *Proxy) SetTracer(t *obs.Tracer) { p.tracer = t }
-
-// SetMetrics attaches the registry backing the /metrics endpoint; nil
-// leaves /metrics serving an empty (but valid) exposition.  The store
-// layer's own instruments (store.*) attach to the same registry.
-func (p *Proxy) SetMetrics(reg *obs.Registry) {
-	p.metrics = reg
-	p.store.SetMetrics(reg)
-}
-
-// SetTracer attaches a span tracer (wall clock); nil disables tracing.
-func (c *ClientCache) SetTracer(t *obs.Tracer) { c.tracer = t }
-
-// SetMetrics attaches the registry backing the daemon's /metrics.  The
-// store layer's own instruments (store.*) attach to the same registry.
-func (c *ClientCache) SetMetrics(reg *obs.Registry) {
-	c.metrics = reg
-	c.store.SetMetrics(reg)
-}
-
 // traceStart opens a request's span trace: joining the caller's trace
 // when it propagated TraceHeader, else head-sampling a fresh one.
 func traceStart(t *obs.Tracer, r *http.Request, name string) *obs.SpanTrace {
@@ -62,6 +40,7 @@ func (p *Proxy) publishStats() {
 	g("client_hits", st.ClientHits)
 	g("remote_hits", st.RemoteHits)
 	g("origin_fetches", st.OriginFetch)
+	g("origin_replies", int(p.stats.originReplies.Load()))
 	g("coalesced_fetches", st.CoalescedFetches)
 	g("pass_downs", st.PassDowns)
 	g("diversions", st.Diversions)
@@ -102,10 +81,7 @@ func (p *Proxy) publishStats() {
 		fg("heartbeat_fails", st.Fleet.HeartbeatFails)
 		fg("hot_keys", st.Fleet.HotKeys)
 	}
-	p.store.PublishMetrics()
-	if p.disk != nil {
-		p.disk.PublishMetrics()
-	}
+	p.publishMetrics()
 	// Refresh the slo.* gauges (and fire burn-rate threshold events) at
 	// every scrape, so the cluster aggregator reads current burn rates.
 	p.slo.Report()
@@ -130,10 +106,7 @@ func (c *ClientCache) publishStats() {
 	g("misses", st.Misses)
 	g("stores", st.Stores)
 	g("disk_hits", st.DiskHits)
-	c.store.PublishMetrics()
-	if c.disk != nil {
-		c.disk.PublishMetrics()
-	}
+	c.publishMetrics()
 }
 
 func (c *ClientCache) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -1,0 +1,197 @@
+package httpcache
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"webcache/internal/invariant"
+	"webcache/internal/obs"
+	"webcache/internal/obs/slo"
+	"webcache/internal/store"
+)
+
+// seedDisk journals one object into a disk tier under dir and closes it,
+// so the next daemon opened there has something to recover.
+func seedDisk(t *testing.T, dir, objURL string) {
+	t.Helper()
+	cc := newClientCache(t, Options{CapacityBytes: 1 << 20, DiskDir: dir})
+	id := keyOf(objURL)
+	if _, stored, err := cc.tier.Put(fold(id), store.Object{HexKey: id.String(), Body: []byte("seeded"), Cost: 1}); !stored || err != nil {
+		t.Fatalf("seeding %s: stored %v, err %v", dir, stored, err)
+	}
+	if !cc.Sync() {
+		t.Fatal("seed sync failed")
+	}
+	if err := cc.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every Options field reaches the daemon it builds: each daemon is built
+// with all of them set, over a disk tier with an object to recover, and
+// serves one request.  A client cache ignores the proxy-only fields.
+func TestOptionsReachDaemon(t *testing.T) {
+	origin := newTestOrigin()
+	t.Cleanup(origin.srv.Close)
+	var asked atomic.Int64
+	peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/peer-lookup" {
+			asked.Add(1)
+		}
+		http.NotFound(w, r)
+	}))
+	t.Cleanup(peerSrv.Close)
+	seedURL, objURL := origin.srv.URL+"/seeded", origin.srv.URL+"/asked"
+
+	// built is a daemon as a row checks it after its one request.
+	type built struct {
+		h     http.Handler
+		ready func()
+		check func(t *testing.T)
+	}
+	for _, tc := range []struct {
+		name      string
+		path      string // the one request
+		span      string // a span it records
+		proxyOnly bool   // whether slo.* and fleet.* are published
+		build     func(t *testing.T, o Options) built
+	}{
+		{"proxy", "/fetch?url=" + url.QueryEscape(objURL), "origin.fetch", true, func(t *testing.T, o Options) built {
+			px := newProxy(t, o)
+			t.Cleanup(func() { px.Close() })
+			return built{px.Handler(), px.MarkReady, func(t *testing.T) {
+				if !px.FleetRing().Has(o.Fleet.Self) {
+					t.Errorf("fleet ring %v does not hold self %s", px.FleetRing().Members(), o.Fleet.Self)
+				}
+				if got := px.peerTimeout(); got != o.Defenses.PeerTimeout {
+					t.Errorf("per-hop deadline %v, want the configured %v", got, o.Defenses.PeerTimeout)
+				}
+				if n := asked.Load(); n != 1 {
+					t.Errorf("cooperating peer asked %d times, want 1", n)
+				}
+				if px.acct == nil || px.fleet.acct == nil {
+					t.Fatal("pass-down or fleet ledger missing")
+				}
+				px.ReconcileAccounting()
+				if err := o.Check.Err(); err != nil {
+					t.Errorf("ledgers do not reconcile: %v", err)
+				}
+			}}
+		}},
+		{"client cache", "/object?key=" + keyOf(seedURL).String(), "client.object", false, func(t *testing.T, o Options) built {
+			cc := newClientCache(t, o)
+			t.Cleanup(func() { cc.Close() })
+			return built{cc.Handler(), cc.MarkReady, func(t *testing.T) {
+				if st := cc.snapshotStats(); st.DiskHits != 1 {
+					t.Errorf("disk hits %d, want 1 (the recovered object)", st.DiskHits)
+				}
+			}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seedDisk(t, dir, seedURL)
+			reg := obs.NewRegistry(tc.name)
+			tr := obs.NewTracer(obs.TracerOptions{Origin: tc.name, Clock: obs.ClockWall})
+			events := obs.NewEventLog(tc.name, nil)
+			ln, base := listenLocal(t)
+			d := tc.build(t, Options{
+				CapacityBytes:     1 << 20,
+				DiskDir:           dir,
+				DiskCapacityBytes: 1 << 20,
+				Metrics:           reg,
+				Tracer:            tr,
+				Events:            events,
+				SLOClasses:        []slo.Class{{Name: "interactive", Latency: time.Second, Availability: 0.99}},
+				Defenses:          Defenses{PeerTimeout: 3 * time.Second},
+				Peers:             []string{peerSrv.URL},
+				Fleet:             &FleetOptions{Self: base, Members: []string{base}},
+				Check:             invariant.New(nil),
+			})
+			srv := serveOn(t, ln, d.h)
+			d.ready()
+			if status, _ := get(t, srv.URL+tc.path); status != http.StatusOK {
+				t.Fatalf("GET %s: status %d", tc.path, status)
+			}
+			if status, _ := get(t, srv.URL+"/metrics"); status != http.StatusOK {
+				t.Fatalf("GET /metrics: status %d", status)
+			}
+			d.check(t)
+
+			values := reg.Values()
+			has := func(prefix string) bool {
+				for name := range values {
+					if strings.HasPrefix(name, prefix) {
+						return true
+					}
+				}
+				return false
+			}
+			if values["store.disk.replay.objects"] != 1 {
+				t.Errorf("store.disk.replay.objects = %v, want the 1 recovered", values["store.disk.replay.objects"])
+			}
+			if !has("httpcache.") {
+				t.Error("no httpcache.* gauges in the registry")
+			}
+			for _, ns := range []string{"slo.", "fleet."} {
+				if has(ns) != tc.proxyOnly {
+					t.Errorf("%s* published: %v, want %v", ns, has(ns), tc.proxyOnly)
+				}
+			}
+			var spans []string
+			for _, st := range tr.Snapshots() {
+				for _, sp := range st.Spans {
+					spans = append(spans, sp.Name)
+				}
+			}
+			if !slices.Contains(spans, tc.span) {
+				t.Errorf("tracer recorded spans %v, want %s among them", spans, tc.span)
+			}
+			if !slices.ContainsFunc(events.Recent(10), func(ev obs.Event) bool { return ev.Type == "ready.up" }) {
+				t.Errorf("event log %v has no ready.up", events.Recent(10))
+			}
+		})
+	}
+}
+
+// Peers and the fleet roster may be given in operator shorthand: no
+// scheme, a stray space, a trailing slash.  The proxy normalizes them,
+// so a peer so written is asked, and serves.
+func TestPeersNormalized(t *testing.T) {
+	origin := newTestOrigin()
+	t.Cleanup(origin.srv.Close)
+	objURL := origin.srv.URL + "/normalized"
+	peerPx := newProxy(t, Options{CapacityBytes: 1 << 20})
+	peerSrv := httptest.NewServer(peerPx.Handler())
+	t.Cleanup(peerSrv.Close)
+	if status, tier := get(t, peerSrv.URL+"/fetch?url="+url.QueryEscape(objURL)); status != http.StatusOK || tier != TierOrigin {
+		t.Fatalf("warming the peer: status %d tier %q", status, tier)
+	}
+	hostPort := strings.TrimPrefix(peerSrv.URL, "http://")
+	for _, peers := range [][]string{
+		{hostPort + "/"},
+		{" " + peerSrv.URL},
+		{hostPort + "/", " " + peerSrv.URL},
+	} {
+		px := newProxy(t, Options{CapacityBytes: 1 << 20, Peers: peers})
+		srv := httptest.NewServer(px.Handler())
+		if status, tier := get(t, srv.URL+"/fetch?url="+url.QueryEscape(objURL)); status != http.StatusOK || tier != TierRemoteProxy {
+			t.Errorf("peers %q: status %d tier %q, want 200 %q", peers, status, tier, TierRemoteProxy)
+		}
+		srv.Close()
+		px.Close()
+	}
+
+	const base = "http://127.0.0.1:9" // never dialled
+	px := newProxy(t, Options{CapacityBytes: 1 << 20,
+		Fleet: &FleetOptions{Self: base + "/", Members: []string{" 127.0.0.1:9/"}}})
+	if got := px.FleetRing().Members(); !slices.Equal(got, []string{base}) {
+		t.Errorf("fleet ring %q, want self once as %q", got, base)
+	}
+}

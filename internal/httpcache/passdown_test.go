@@ -44,11 +44,17 @@ func evictedObj(u string) store.Object {
 // addresses.
 func ringOf(t *testing.T, capacities ...uint64) (*Proxy, []*ClientCache, []string) {
 	t.Helper()
-	px := NewProxy(1 << 20)
+	return ringWith(t, Options{CapacityBytes: 1 << 20}, capacities...)
+}
+
+// ringWith is ringOf with the proxy built from o.
+func ringWith(t *testing.T, o Options, capacities ...uint64) (*Proxy, []*ClientCache, []string) {
+	t.Helper()
+	px := newProxy(t, o)
 	var ccs []*ClientCache
 	var addrs []string
 	for _, c := range capacities {
-		cc := NewClientCache(c)
+		cc := newClientCache(t, Options{CapacityBytes: c})
 		srv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 		t.Cleanup(srv.Close)
 		addr := strings.TrimPrefix(srv.URL, "http://")
@@ -176,17 +182,17 @@ func TestPassDownStaleFigureCorrected(t *testing.T) {
 // once more, so the next pass-down asks it instead of passing it over
 // for a neighbour, and an empty cache stores without evicting.
 func TestPassDownReRegisterForgetsFigure(t *testing.T) {
-	px := NewProxy(1 << 20)
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
 	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
 
-	var owner atomic.Pointer[ClientCache] // swapped to restart the daemon on its address
-	owner.Store(NewClientCache(15))       // one ten-byte slot
+	var owner atomic.Pointer[ClientCache]                      // swapped to restart the daemon on its address
+	owner.Store(newClientCache(t, Options{CapacityBytes: 15})) // one ten-byte slot
 	ownerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		owner.Load().Handler().ServeHTTP(w, r)
 	}))
 	t.Cleanup(ownerSrv.Close)
-	roomy := NewClientCache(1 << 20)
+	roomy := newClientCache(t, Options{CapacityBytes: 1 << 20})
 	roomySrv := httptest.NewServer(wiretest.StrictFraming(t, roomy.Handler()))
 	t.Cleanup(roomySrv.Close)
 	a := strings.TrimPrefix(ownerSrv.URL, "http://")
@@ -200,7 +206,7 @@ func TestPassDownReRegisterForgetsFigure(t *testing.T) {
 		t.Fatalf("setup: %+v, owner still a candidate: %v", costOf(px), px.ring.mayFit(a, 10))
 	}
 
-	fresh := NewClientCache(15)
+	fresh := newClientCache(t, Options{CapacityBytes: 15})
 	owner.Store(fresh)
 	resp, err := http.Post(fmt.Sprintf("%s/register?addr=%s", pxSrv.URL, a), "text/plain", nil)
 	if err != nil {
@@ -224,7 +230,7 @@ func TestPassDownReRegisterForgetsFigure(t *testing.T) {
 // A daemon that predates the headroom header is probed as at the
 // parent: three refused trials and the forced store, every time.
 func TestPassDownHeaderlessDaemonProbed(t *testing.T) {
-	px := NewProxy(1 << 20)
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
 	var posts atomic.Int64
 	for i := 0; i < 3; i++ {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -252,7 +258,7 @@ func TestPassDownHeaderlessDaemonProbed(t *testing.T) {
 // connection usable: fifty of each against one daemon open one
 // connection each way, not fifty.
 func TestRefusedAndMissedRepliesKeepConnection(t *testing.T) {
-	cc := NewClientCache(15)
+	cc := newClientCache(t, Options{CapacityBytes: 15})
 	cc.store.Put(fold(keyOf("filler")), store.Object{HexKey: keyOf("filler").String(), Body: []byte("0123456789"), Cost: 1})
 	var opened atomic.Int64
 	srv := httptest.NewUnstartedServer(wiretest.StrictFraming(t, cc.Handler()))
@@ -264,7 +270,7 @@ func TestRefusedAndMissedRepliesKeepConnection(t *testing.T) {
 	srv.Start()
 	t.Cleanup(srv.Close)
 	addr := strings.TrimPrefix(srv.URL, "http://")
-	px := NewProxy(1 << 20)
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
 	px.ring.add(addr)
 
 	const n = 50
@@ -312,7 +318,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // byte of it is buffered, with the headroom on the refusal; without a
 // declared length the daemon has to read before it can tell.
 func TestStoreRefusesBeforeBuffering(t *testing.T) {
-	cc := NewClientCache(15)
+	cc := newClientCache(t, Options{CapacityBytes: 15})
 	cc.store.Put(fold(keyOf("filler")), store.Object{HexKey: keyOf("filler").String(), Body: []byte("0123456789"), Cost: 1})
 	target := fmt.Sprintf("/store?key=%s&cost=1&ifFree=1", keyOf("http://origin.test/big"))
 	for _, tc := range []struct {

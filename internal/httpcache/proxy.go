@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +21,6 @@ import (
 	"webcache/internal/p2p"
 	"webcache/internal/pastry"
 	"webcache/internal/store"
-	"webcache/internal/store/disk"
 )
 
 // ProxyStats is the proxy's /stats payload: where requests were served
@@ -83,6 +83,12 @@ type proxyCounters struct {
 	coalesced, passDowns, diversions, storeCalls, storeRefusals,
 	divertedHits, swept, diskHits atomic.Int64
 	digestPulls, digestPullFails, digestSkips, digestFalsePos atomic.Int64
+	// originReplies counts the replies sent with X-Served-By origin to
+	// requests that did not arrive as fleet hops: what the requesters saw
+	// come from origin, coalesced waiters and routed origin fills
+	// included, each counted once across a fleet.  It is published as
+	// httpcache.proxy.origin_replies only.
+	originReplies atomic.Int64
 	// Defense counters (defense.go).
 	breakerSkipped, breakerOpens, digestChecks, digestFailures,
 	contribSwept, peerTimeouts atomic.Int64
@@ -92,11 +98,7 @@ type proxyCounters struct {
 // sharded cache whose evictions destage into the registered client
 // caches, with a lookup directory and inter-proxy cooperation.
 type Proxy struct {
-	store *store.Store // memory tier
-	disk  *disk.Store  // persistent tier; nil without Options.DiskDir
-	// tier is the serving surface: store alone, or the Tiered layering
-	// when a disk tier is configured.
-	tier store.Interface
+	storage
 	// tiers is the /fetch cascade in the order it is walked, local its
 	// head that a /peer-lookup walks (tiers.go).
 	tiers, local []tier
@@ -127,16 +129,14 @@ type Proxy struct {
 	verifySeq atomic.Int64
 	lanLat    *obs.Histogram
 
-	// acct is the live conservation oracle over pass-down receipts
-	// (EnableAccounting); acctMu serializes it — the accountant itself
-	// is not thread-safe.  chk is kept so a later EnableFleet can
-	// attach its own replica-aware ledger to the same checker.
+	// acct is the live conservation oracle over pass-down receipts (nil
+	// without Options.Check); acctMu serializes it and the fleet ledger —
+	// the accountant itself is not thread-safe.
 	acctMu sync.Mutex
 	acct   *invariant.ClusterAccountant
-	chk    *invariant.Checker
 
 	// fleet is the fleet-membership runtime (fleet.go); nil unless
-	// EnableFleet was called.
+	// Options.Fleet was set.
 	fleet *fleetState
 
 	// tracer and metrics are the observability hooks (obs.go); both nil
@@ -145,7 +145,7 @@ type Proxy struct {
 	metrics *obs.Registry
 
 	// slo is the server-side per-class error-budget tracker (health.go);
-	// nil disables the accounting.
+	// nil without Options.SLOClasses.
 	slo *slo.Tracker
 
 	// readiness is the /healthz + /readyz probe surface (health.go); it
@@ -154,75 +154,76 @@ type Proxy struct {
 	readiness
 }
 
-// NewProxy creates a proxy with the given cache capacity in bytes and
-// no disk tier.
-func NewProxy(capacityBytes uint64) *Proxy {
-	p, err := NewProxyOpts(Options{CapacityBytes: capacityBytes})
-	if err != nil {
-		panic(err) // unreachable: without a disk tier nothing can fail
-	}
-	return p
-}
-
-// NewProxyOpts creates a proxy with explicit data-plane options; it
-// fails only when the disk tier cannot be opened.
+// NewProxyOpts creates a proxy from o, complete: its cascade, ledgers,
+// SLO tracker and, when o.Fleet is set, fleet membership are built here
+// and never changed after.  It fails only when the disk tier cannot be
+// opened.
 func NewProxyOpts(o Options) (*Proxy, error) {
-	st, dsk, tier, err := o.newTier("proxy")
+	st, err := o.newStorage("proxy")
 	if err != nil {
 		return nil, err
 	}
 	p := &Proxy{
-		store:       st,
-		disk:        dsk,
-		tier:        tier,
+		storage:     st,
 		ring:        newRing(),
 		dir:         directory.NewExact(),
 		client:      newHTTPClient(10 * time.Second),
 		probeClient: newHTTPClient(2 * time.Second),
 		lanLat:      &obs.Histogram{},
+		defenses:    o.Defenses,
+		acct:        lenientAccountant(o.Check, "live"),
+		tracer:      o.Tracer,
+		metrics:     o.Metrics,
+		readiness:   readiness{events: o.Events},
 	}
 	p.defenses.fillDefaults()
-	p.local, p.tiers = p.cascade()
-	p.coop.Store(&peerSet{})
-	return p, nil
-}
-
-// SetPeers configures the cooperating proxy cluster, by base URL.  No
-// digest is held of any of them until the first pull.
-func (p *Proxy) SetPeers(urls []string) {
-	set := &peerSet{bases: append([]string(nil), urls...), digests: make(map[string]*peerDigest, len(urls))}
-	for _, u := range urls {
+	if len(o.SLOClasses) > 0 {
+		p.slo = slo.NewTracker(o.Metrics, o.SLOClasses, slo.DefaultThresholds)
+		p.slo.SetEvents(o.Events)
+	}
+	peers := normalizeBaseURLs(o.Peers)
+	set := &peerSet{bases: peers, digests: make(map[string]*peerDigest, len(peers))}
+	for _, u := range peers {
 		set.digests[u] = &peerDigest{}
 	}
 	p.coop.Store(set)
+	if o.Fleet != nil {
+		p.fleet = newFleetState(*o.Fleet, lenientAccountant(o.Check, "fleet-live"))
+	}
+	p.local, p.tiers = p.cascade()
+	return p, nil
 }
 
-// Store exposes the proxy's sharded memory store (tests and
-// telemetry).
-func (p *Proxy) Store() *store.Store { return p.store }
-
-// Disk exposes the persistent tier (nil without Options.DiskDir).
-func (p *Proxy) Disk() *disk.Store { return p.disk }
-
-// Sync blocks until every acknowledged insert is durable on disk
-// (trivially true without a disk tier).
-func (p *Proxy) Sync() bool {
-	if p.disk == nil {
-		return true
+// normalizeBaseURL canonicalizes operator shorthand for a base URL
+// ("host:port", stray spaces, a trailing slash) into the exact string a
+// hop appends its path to and the fleet ring keys a member by —
+// otherwise a scheme-less roster entry and the derived self URL would
+// coexist as two distinct ring members.  A blank entry stays blank.
+func normalizeBaseURL(u string) string {
+	u = strings.TrimSpace(u)
+	if u != "" && !strings.Contains(u, "://") {
+		u = "http://" + u
 	}
-	return p.disk.Sync()
+	return strings.TrimRight(u, "/")
+}
+
+// normalizeBaseURLs normalizes a list of base URLs into a new slice,
+// dropping blank entries.
+func normalizeBaseURLs(in []string) []string {
+	var out []string
+	for _, u := range in {
+		if u = normalizeBaseURL(u); u != "" {
+			out = append(out, u)
+		}
+	}
+	return out
 }
 
 // Close waits out the digest pulls in flight (each bounded by the
-// per-hop deadline), then drains the disk tier's write-behind queue and
-// closes its files.  Call after the HTTP listener has drained, so every
-// acknowledged insert is journaled before exit.
+// per-hop deadline), then closes the storage as a client cache does.
 func (p *Proxy) Close() error {
 	p.pulls.Wait()
-	if p.disk == nil {
-		return nil
-	}
-	return p.disk.Close()
+	return p.storage.Close()
 }
 
 // Handler returns the proxy's HTTP interface:
@@ -235,7 +236,7 @@ func (p *Proxy) Close() error {
 //	GET  /healthz            liveness probe (health.go)
 //	GET  /readyz             readiness probe (health.go)
 //	/fleet/*                 fleet membership + replication (fleet.go;
-//	                         503 until EnableFleet)
+//	                         503 unless built with Options.Fleet)
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /fetch", p.withSLO(p.handleFetch))

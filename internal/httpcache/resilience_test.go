@@ -95,11 +95,11 @@ func TestConcurrentFetches(t *testing.T) {
 // The liveness sweep must evict a daemon that crashed while idle —
 // one the passive paths (lanFetch / pass-down failures) never touch.
 func TestLivenessSweep(t *testing.T) {
-	px := NewProxy(1 << 20)
-	live := NewClientCache(1 << 20)
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
+	live := newClientCache(t, Options{CapacityBytes: 1 << 20})
 	liveSrv := httptest.NewServer(wiretest.StrictFraming(t, live.Handler()))
 	t.Cleanup(liveSrv.Close)
-	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, NewClientCache(1<<20).Handler()))
+	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, newClientCache(t, Options{CapacityBytes: 1 << 20}).Handler()))
 	liveAddr := strings.TrimPrefix(liveSrv.URL, "http://")
 	deadAddr := strings.TrimPrefix(deadSrv.URL, "http://")
 	px.ring.add(liveAddr)
@@ -128,8 +128,8 @@ func TestLivenessSweep(t *testing.T) {
 // The background sweeper drives the same probe on a ticker and stops
 // cleanly (stop is idempotent).
 func TestStartSweeper(t *testing.T) {
-	px := NewProxy(1 << 20)
-	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, NewClientCache(1<<20).Handler()))
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
+	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, newClientCache(t, Options{CapacityBytes: 1 << 20}).Handler()))
 	deadAddr := strings.TrimPrefix(deadSrv.URL, "http://")
 	px.ring.add(deadAddr)
 	deadSrv.Close()
@@ -160,7 +160,7 @@ func TestCoalescedOriginFetch(t *testing.T) {
 	}))
 	t.Cleanup(origin.Close)
 
-	px := NewProxy(1 << 20)
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
 	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
 
@@ -227,7 +227,7 @@ func TestCoalescedOriginFetch(t *testing.T) {
 // A zero-length body is served but never cached, and the store
 // receipt says so explicitly instead of silently coercing the size.
 func TestEmptyBodyStoreReceipt(t *testing.T) {
-	cc := NewClientCache(1 << 20)
+	cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
 	srv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	t.Cleanup(srv.Close)
 	key := keyOf("http://origin.test/empty").String()
@@ -260,7 +260,7 @@ func TestOriginShortBody(t *testing.T) {
 	}))
 	t.Cleanup(origin.Close)
 
-	px := NewProxy(1 << 20)
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
 	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
 
@@ -326,7 +326,7 @@ func TestShortBodyPerHop(t *testing.T) {
 			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
 				short := shortFarEnd(t, declared, TierClientCache)
 				shortAddr := strings.TrimPrefix(short.URL, "http://")
-				px, _, addrs := ringOf(t, 1<<20)
+				px, _, addrs := ringWith(t, traced(Options{CapacityBytes: 1 << 20}), 1<<20)
 				px.ring.add(shortAddr)
 				objURL := urlsOwnedBy(t, px, shortAddr, "short", 1)[0]
 				resp, err := http.Post(fmt.Sprintf("http://%s/store?key=%s&cost=1", addrs[0], keyOf(objURL)),
@@ -352,7 +352,7 @@ func TestShortBodyPerHop(t *testing.T) {
 		{name: "client cache, the only holder",
 			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
 				short := shortFarEnd(t, declared, TierClientCache)
-				px := NewProxy(1 << 20)
+				px := newProxy(t, traced(Options{CapacityBytes: 1 << 20}))
 				px.ring.add(strings.TrimPrefix(short.URL, "http://"))
 				objURL := origin.srv.URL + "/short-daemon"
 				plantDir(px, objURL)
@@ -368,9 +368,7 @@ func TestShortBodyPerHop(t *testing.T) {
 		{name: "cooperating proxy",
 			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
 				short := shortFarEnd(t, declared, TierPeerProxy)
-				px := NewProxy(1 << 20)
-				px.SetDefenses(oneStrike)
-				px.SetPeers([]string{short.URL})
+				px := newProxy(t, traced(Options{CapacityBytes: 1 << 20, Defenses: oneStrike, Peers: []string{short.URL}}))
 				return pin(t, px, ""), origin.srv.URL + "/short-peer", func(t *testing.T) {
 					if px.peerAllowed(short.URL) {
 						t.Error("the short peer's breaker is still closed")
@@ -384,10 +382,10 @@ func TestShortBodyPerHop(t *testing.T) {
 		{name: "fleet holder",
 			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
 				short := shortFarEnd(t, declared, TierProxy)
-				px := NewProxy(1 << 20)
-				px.SetDefenses(oneStrike)
-				f := pin(t, px, "")
-				px.EnableFleet(FleetOptions{Self: f.base, Members: []string{f.base, short.URL}})
+				ln, base := listenLocal(t)
+				px := newProxy(t, traced(Options{CapacityBytes: 1 << 20, Defenses: oneStrike,
+					Fleet: &FleetOptions{Self: base, Members: []string{base, short.URL}}}))
+				f := pin(t, px, serveOn(t, ln, px.Handler()).URL)
 				for i := 0; ; i++ {
 					objURL := fmt.Sprintf("%s/short-holder-%d", origin.srv.URL, i)
 					if owner, _ := px.FleetRing().OwnerOf(fold(keyOf(objURL))); owner == short.URL {
@@ -457,8 +455,7 @@ func TestPassDownBoundedPerHop(t *testing.T) {
 	addr := strings.TrimPrefix(hung.URL, "http://")
 
 	const deadline = 150 * time.Millisecond
-	px := NewProxy(20) // one 17-byte body: the second fetch evicts the first
-	px.SetDefenses(Defenses{PeerTimeout: deadline})
+	px := newProxy(t, Options{CapacityBytes: 20, Defenses: Defenses{PeerTimeout: deadline}}) // one 17-byte body: the second fetch evicts the first
 	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
 	px.ring.add(addr)
@@ -536,7 +533,7 @@ func TestDigestPullFailures(t *testing.T) {
 	}
 	for _, tc := range faults {
 		t.Run(tc.name, func(t *testing.T) {
-			peerPx := NewProxy(1 << 20)
+			peerPx := newProxy(t, Options{CapacityBytes: 1 << 20})
 			var faulty atomic.Bool
 			peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if faulty.Load() && r.URL.Path == "/digest" {
@@ -546,9 +543,8 @@ func TestDigestPullFailures(t *testing.T) {
 				peerPx.Handler().ServeHTTP(w, r)
 			}))
 			t.Cleanup(peerSrv.Close)
-			px := NewProxy(1 << 20)
-			px.SetDefenses(Defenses{PeerTimeout: deadline, BreakerFailures: 1, BreakerCooldown: time.Minute})
-			px.SetPeers([]string{peerSrv.URL})
+			px := newProxy(t, traced(Options{CapacityBytes: 1 << 20,
+				Defenses: Defenses{PeerTimeout: deadline, BreakerFailures: 1, BreakerCooldown: time.Minute}, Peers: []string{peerSrv.URL}}))
 			f := pin(t, px, "")
 			held := px.coop.Load().digests[peerSrv.URL]
 

@@ -116,12 +116,25 @@ func (f pinned) fetchURL(objURL string) string {
 	return fmt.Sprintf("%s/fetch?url=%s", f.base, url.QueryEscape(objURL))
 }
 
-// pin attaches a tracer to a proxy nothing has been fetched through
-// yet and serves it unless a server is already given.
+// traced gives o a fresh wall-clock tracer, for a proxy pin reads.
+func traced(o Options) Options {
+	o.Tracer = obs.NewTracer(obs.TracerOptions{Origin: "pinned", Clock: obs.ClockWall})
+	return o
+}
+
+// tracedDeploy is deploy with every proxy built from traced options.
+func tracedDeploy(t *testing.T, numProxies, cachesPerProxy int, proxyCap, cacheCap uint64) *deployment {
+	t.Helper()
+	return deployWith(t, numProxies, cachesPerProxy,
+		func(int) Options { return traced(Options{CapacityBytes: proxyCap}) },
+		func(int, int) Options { return Options{CapacityBytes: cacheCap} })
+}
+
+// pin reads a proxy built from traced options that nothing has been
+// fetched through yet, and serves it unless a server is already given.
 func pin(t *testing.T, px *Proxy, base string) pinned {
 	t.Helper()
-	tr := obs.NewTracer(obs.TracerOptions{Origin: "pinned", Clock: obs.ClockWall})
-	px.SetTracer(tr)
+	tr := px.tracer
 	if base == "" {
 		srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 		t.Cleanup(srv.Close)
@@ -141,8 +154,8 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	t.Cleanup(origin.srv.Close)
 	from := func(f pinned, path string) string { return f.fetchURL(origin.srv.URL + path) }
 
-	roomyD := deploy(t, 2, 2, 1<<20, 1<<20) // nothing evicts
-	tinyD := deploy(t, 1, 3, 52, 1<<20)     // proxy holds ~3 objects: destaging
+	roomyD := tracedDeploy(t, 2, 2, 1<<20, 1<<20) // nothing evicts
+	tinyD := tracedDeploy(t, 1, 3, 52, 1<<20)     // proxy holds ~3 objects: destaging
 	roomy0 := pin(t, roomyD.proxies[0], roomyD.proxyS[0].URL)
 	roomy1 := pin(t, roomyD.proxies[1], roomyD.proxyS[1].URL)
 	tiny := pin(t, tinyD.proxies[0], tinyD.proxyS[0].URL)
@@ -161,7 +174,7 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	}
 
 	// One client cache holding a known object, for the /object path.
-	cc := NewClientCache(1 << 20)
+	cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
 	ccSrv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	t.Cleanup(ccSrv.Close)
 	storedKey := keyOf("http://origin.test/direct").String()
@@ -174,7 +187,7 @@ func TestServedByHeaderPerPath(t *testing.T) {
 
 	// Disk: a memory tier too small for any body, so a fetched object
 	// lives in the log only.
-	dskPx, err := NewProxyOpts(Options{CapacityBytes: 8, DiskDir: t.TempDir(), DiskCapacityBytes: 1 << 20})
+	dskPx, err := NewProxyOpts(traced(Options{CapacityBytes: 8, DiskDir: t.TempDir(), DiskCapacityBytes: 1 << 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +203,7 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	// Diversion, the read side of §4.3: two client caches with room for
 	// one ten-byte body each, the owner's taken, so the pass-down lands
 	// on the neighbour and /fetch has to find it there.
-	divPx, _, _ := ringOf(t, 15, 15)
+	divPx, _, _ := ringWith(t, traced(Options{CapacityBytes: 1 << 20}), 15, 15)
 	div := pin(t, divPx, "")
 	const divertedURL = "http://origin.test/diverted"
 	owner, _ := divPx.ring.owner(keyOf(divertedURL))
@@ -206,7 +219,7 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	}
 
 	// A directory entry nothing backs: both caches answer 404.
-	stalePx, _, _ := ringOf(t, 1<<20, 1<<20)
+	stalePx, _, _ := ringWith(t, traced(Options{CapacityBytes: 1 << 20}), 1<<20, 1<<20)
 	stale := pin(t, stalePx, "")
 	plantDir(stalePx, origin.srv.URL+"/stale")
 
@@ -215,9 +228,8 @@ func TestServedByHeaderPerPath(t *testing.T) {
 		http.Error(w, "broken", http.StatusInternalServerError)
 	}))
 	t.Cleanup(badPeer.Close)
-	brkPx := NewProxy(1 << 20)
-	brkPx.SetDefenses(Defenses{BreakerFailures: 1, BreakerCooldown: time.Minute})
-	brkPx.SetPeers([]string{badPeer.URL})
+	brkPx := newProxy(t, traced(Options{CapacityBytes: 1 << 20,
+		Defenses: Defenses{BreakerFailures: 1, BreakerCooldown: time.Minute}, Peers: []string{badPeer.URL}}))
 	brk := pin(t, brkPx, "")
 	get(t, from(brk, "/trips-the-breaker"))
 	brkPx.pulls.Wait() // its /digest answers 500 too: no digest held
@@ -230,19 +242,19 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	// /dropped, which proxy 1 has evicted since, its room of one object
 	// going to /filler.  gain: proxy 0 pulled proxy 1's digest while proxy
 	// 1 held nothing, and proxy 1 has fetched two objects since.
-	dropD := deploy(t, 2, 0, 30, 0)
+	dropD := tracedDeploy(t, 2, 0, 30, 0)
 	drop := pin(t, dropD.proxies[0], dropD.proxyS[0].URL)
 	dropD.fetch(1, "/dropped")
 	pullDigests(drop.px)
 	dropD.fetch(1, "/filler")
-	gainD := deploy(t, 2, 0, 1<<20, 0)
+	gainD := tracedDeploy(t, 2, 0, 1<<20, 0)
 	gain := pin(t, gainD.proxies[0], gainD.proxyS[0].URL)
 	pullDigests(gain.px)
 	gainD.fetch(1, "/gained1")
 	gainD.fetch(1, "/gained2")
 
 	// A fleet of three; the pinned member owns nothing of /fleet.
-	rig := newFleetRig(t, 3, 1, 0, nil)
+	rig := newFleetRigWith(t, 3, func(int) Options { return traced(Options{CapacityBytes: 16 << 20}) }, 1, 0)
 	fleetObj := rig.origin.srv.URL + "/fleet"
 	frontIdx := otherIndex(3, rig.ownerIndex(t, fleetObj))
 	front := pin(t, rig.proxies[frontIdx], rig.urls[frontIdx])
@@ -257,7 +269,7 @@ func TestServedByHeaderPerPath(t *testing.T) {
 		fmt.Fprintf(w, "content-of:%s", r.URL.Path)
 	}))
 	t.Cleanup(slowOrigin.Close)
-	herd := pin(t, NewProxy(1<<20), "")
+	herd := pin(t, newProxy(t, traced(Options{CapacityBytes: 1 << 20})), "")
 	coalesced := func(t *testing.T, id string) (int, string) {
 		u := herd.fetchURL(slowOrigin.URL + "/herd")
 		type result struct {
@@ -466,7 +478,7 @@ func TestDigestCoversWhatPeerLookupServes(t *testing.T) {
 	origin := newTestOrigin()
 	t.Cleanup(origin.srv.Close)
 	// Memory for one eight-byte body, so a fetched object lives on disk.
-	peerPx, err := NewProxyOpts(Options{CapacityBytes: 8, DiskDir: t.TempDir(), DiskCapacityBytes: 1 << 20})
+	peerPx, err := NewProxyOpts(traced(Options{CapacityBytes: 8, DiskDir: t.TempDir(), DiskCapacityBytes: 1 << 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,8 +494,7 @@ func TestDigestCoversWhatPeerLookupServes(t *testing.T) {
 		t.Fatalf("memory fixture: stored %v, err %v", stored, err)
 	}
 
-	px := NewProxy(1 << 20)
-	px.SetPeers([]string{peer.base})
+	px := newProxy(t, Options{CapacityBytes: 1 << 20, Peers: []string{peer.base}})
 	pullDigests(px)
 	f := px.coop.Load().digests[peer.base].filter.Load()
 	if f == nil {

@@ -138,6 +138,13 @@ func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
 	for _, ev := range s.evicted {
 		p.passDown(ev)
 	}
+	if s.by == TierOrigin && r.Header.Get(FleetHopHeader) == "" {
+		// The served-by count the aggregator's hit ratio is built on: a
+		// coalesced waiter and a holder's origin fill are origin replies
+		// as the requester sees them, and a hop's reply is counted by the
+		// member that answers the requester.
+		p.stats.originReplies.Add(1)
+	}
 	serve(w, s.body, s.by)
 	q.st.FinishWall(s.by)
 }
@@ -168,9 +175,10 @@ func (p *Proxy) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 	q.st.FinishWall(by)
 }
 
-// cascade builds the tier table of a proxy that is no fleet member, and
-// its head that the proxy serves from what it holds itself; EnableFleet
-// inserts the fleet route.
+// cascade builds the tier table, and its head that the proxy serves
+// from what it holds itself.  A fleet member routes to the key's
+// holders after its own caches and before the cooperating proxies and
+// the origin.
 func (p *Proxy) cascade() (local, tiers []tier) {
 	// unlist repairs a directory entry no cache backs any more (a
 	// crashed daemon, a raced eviction).
@@ -242,7 +250,11 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 		},
 		missed: unlist,
 	})
-	return local[:len(local):len(local)], append(local, tier{
+	tiers = local[:len(local):len(local)]
+	if p.fleet != nil {
+		tiers = append(tiers, p.fleetTier())
+	}
+	return local[:len(local):len(local)], append(tiers, tier{
 		// 3. Cooperating proxies, each behind its error-rate breaker (a
 		// peer that keeps failing at the transport level is passed over,
 		// the request degrading toward origin, until its cooldown admits
@@ -270,7 +282,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 			}
 			p.peerOK(base) // it answered, if only that it has not got the object
 			if rep.status == http.StatusNotFound {
-				if d := p.coop.Load().digests[base]; d != nil && d.filter.Load() != nil {
+				if p.coop.Load().digests[base].filter.Load() != nil {
 					p.stats.digestFalsePos.Add(1) // it was asked on its digest's word
 				}
 				return served{}, errMiss

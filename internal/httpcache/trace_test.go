@@ -13,24 +13,21 @@ import (
 	"webcache/internal/wiretest"
 )
 
-// attachObs wires a tracer and registry into every daemon of a
-// deployment, returning the proxy tracers and cache tracers.
-func attachObs(d *deployment) (proxyT []*obs.Tracer, cacheT [][]*obs.Tracer) {
-	for p, px := range d.proxies {
-		t := obs.NewTracer(obs.TracerOptions{Origin: fmt.Sprintf("proxy%d", p), Clock: obs.ClockWall})
-		px.SetTracer(t)
-		px.SetMetrics(obs.NewRegistry(fmt.Sprintf("proxy%d", p)))
-		proxyT = append(proxyT, t)
-		var row []*obs.Tracer
-		for c, cc := range d.caches[p] {
-			ct := obs.NewTracer(obs.TracerOptions{Origin: fmt.Sprintf("cache%d-%d", p, c), Clock: obs.ClockWall})
-			cc.SetTracer(ct)
-			cc.SetMetrics(obs.NewRegistry(fmt.Sprintf("cache%d-%d", p, c)))
-			row = append(row, ct)
-		}
-		cacheT = append(cacheT, row)
-	}
-	return proxyT, cacheT
+// obsDeploy is deploy with a tracer and a registry in every daemon; it
+// returns the proxy tracers and the cache tracers.
+func obsDeploy(t *testing.T, numProxies, cachesPerProxy int, proxyCap, cacheCap uint64) (d *deployment, proxyT []*obs.Tracer, cacheT [][]*obs.Tracer) {
+	t.Helper()
+	proxyT = make([]*obs.Tracer, numProxies)
+	cacheT = make([][]*obs.Tracer, numProxies)
+	d = deployWith(t, numProxies, cachesPerProxy, func(p int) Options {
+		proxyT[p] = obs.NewTracer(obs.TracerOptions{Origin: fmt.Sprintf("proxy%d", p), Clock: obs.ClockWall})
+		return Options{CapacityBytes: proxyCap, Tracer: proxyT[p], Metrics: obs.NewRegistry(fmt.Sprintf("proxy%d", p))}
+	}, func(p, c int) Options {
+		ct := obs.NewTracer(obs.TracerOptions{Origin: fmt.Sprintf("cache%d-%d", p, c), Clock: obs.ClockWall})
+		cacheT[p] = append(cacheT[p], ct)
+		return Options{CapacityBytes: cacheCap, Tracer: ct, Metrics: obs.NewRegistry(fmt.Sprintf("cache%d-%d", p, c))}
+	})
+	return d, proxyT, cacheT
 }
 
 // tracedFetch issues /fetch with an explicit trace id, as the load
@@ -61,8 +58,7 @@ func tracedFetch(t *testing.T, d *deployment, p int, path, traceID string) strin
 // a cross-proxy fetch: the requesting proxy, the peer proxy, and the
 // peer's client cache on the relay.
 func TestTraceIDPropagatesAcrossHops(t *testing.T) {
-	d := deploy(t, 2, 2, 1<<20, 1<<20)
-	proxyT, cacheT := attachObs(d)
+	d, proxyT, cacheT := obsDeploy(t, 2, 2, 1<<20, 1<<20)
 
 	// Warm proxy 1, then evict nothing: fetch via proxy 0 must go
 	// remote (peer-lookup into proxy 1's cache).
@@ -106,8 +102,7 @@ func TestTraceIDPropagatesAcrossHops(t *testing.T) {
 // The relay must carry the trace id down into the client cache:
 // requester proxy → peer proxy → peer's client cache.
 func TestTraceIDReachesClientCacheOnRelay(t *testing.T) {
-	d := deploy(t, 2, 3, 52, 1<<20)
-	proxyT, cacheT := attachObs(d)
+	d, proxyT, cacheT := obsDeploy(t, 2, 3, 52, 1<<20)
 
 	// Overflow proxy 0's tiny cache so objects destage into its client
 	// caches (the TestRelayAcrossProxies layout); then fetch them via
@@ -148,8 +143,7 @@ func TestTraceIDReachesClientCacheOnRelay(t *testing.T) {
 // /metrics on both daemons must serve parseable Prometheus text with
 // the httpcache namespaces populated.
 func TestMetricsEndpointsParse(t *testing.T) {
-	d := deploy(t, 1, 1, 1<<20, 1<<20)
-	attachObs(d)
+	d, _, _ := obsDeploy(t, 1, 1, 1<<20, 1<<20)
 	d.fetch(0, "/m1")
 	d.fetch(0, "/m1")
 
@@ -189,7 +183,7 @@ func TestMetricsEndpointsParse(t *testing.T) {
 
 	// Without a registry the endpoint still serves a valid (empty)
 	// exposition.
-	bare := httptest.NewServer(wiretest.StrictFraming(t, NewProxy(1<<20).Handler()))
+	bare := httptest.NewServer(wiretest.StrictFraming(t, newProxy(t, Options{CapacityBytes: 1 << 20}).Handler()))
 	defer bare.Close()
 	if n, err := obs.ParsePrometheusText(strings.NewReader(get(bare.URL + "/metrics"))); err != nil || n != 0 {
 		t.Fatalf("bare /metrics: %d samples, err %v", n, err)

@@ -77,14 +77,14 @@ func TestBodyRepliesDeclareLength(t *testing.T) {
 			fetchURL := func(base, path string) string { return pinned{base: base}.fetchURL(origin.URL + path) }
 			key := func(path string) string { return keyOf(origin.URL + path).String() }
 
-			dskPx, err := NewProxyOpts(Options{CapacityBytes: 8, DiskDir: t.TempDir(), DiskCapacityBytes: capacity})
+			dskPx, err := NewProxyOpts(traced(Options{CapacityBytes: 8, DiskDir: t.TempDir(), DiskCapacityBytes: capacity}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { dskPx.Close() })
 			dsk := pin(t, dskPx, "")
 
-			cc := NewClientCache(capacity)
+			cc := newClientCache(t, Options{CapacityBytes: capacity})
 			ccSrv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 			t.Cleanup(ccSrv.Close)
 			resp, err := http.Post(ccSrv.URL+"/store?key="+key("/direct")+"&cost=1", "application/octet-stream",
@@ -235,7 +235,7 @@ func TestDeclaredLengthUntrusted(t *testing.T) {
 		}
 	}))
 	t.Cleanup(origin.Close)
-	f := pin(t, NewProxy(1<<20), "")
+	f := pin(t, newProxy(t, traced(Options{CapacityBytes: 1 << 20})), "")
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -308,8 +308,7 @@ func FuzzHopReply(f *testing.F) {
 	// honest reply, a terabyte declared and ten bytes sent, a hang-up
 	// inside the headers, no length at all, more sent than declared.
 	addr := replyServer(f)
-	px := NewProxy(1 << 20)
-	px.SetDefenses(Defenses{PeerTimeout: 2 * time.Second})
+	px := newProxy(f, Options{CapacityBytes: 1 << 20, Defenses: Defenses{PeerTimeout: 2 * time.Second}})
 	f.Fuzz(func(t *testing.T, status uint16, declared int64, sent, closeAt uint16) {
 		path := fmt.Sprintf("/object?status=%03d&declared=%d&sent=%d&closeAt=%d", status, declared, sent, closeAt)
 		var before, after runtime.MemStats

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,8 +49,8 @@ type TopologyConfig struct {
 	// /metrics exposes only that member's counters.  The proxy
 	// registries are exposed as Topology.ProxyMetrics.
 	MetricsPerDaemon bool
-	// SLOClasses, when non-empty, attaches a server-side slo.Tracker
-	// with these classes to every proxy (httpcache.Proxy.SetSLO), so
+	// SLOClasses, when non-empty, gives every proxy a server-side
+	// slo.Tracker with these classes (httpcache.Options.SLOClasses), so
 	// each member publishes slo.<class>.* burn-rate gauges.
 	SLOClasses []slo.Class
 	// Events, when non-nil, receives every daemon's structured JSONL
@@ -60,16 +61,16 @@ type TopologyConfig struct {
 	// (per-hop deadlines, hedging, digest sampling, breakers).
 	Defenses *httpcache.Defenses
 	// Check, when non-nil, attaches a live conservation accountant to
-	// every proxy (httpcache.Proxy.EnableAccounting).
+	// every proxy (httpcache.Options.Check).
 	Check *invariant.Checker
 	// WrapProxy / WrapCache, when non-nil, wrap each daemon's handler —
 	// the chaos fault-injection hook (internal/chaos).  They receive
 	// the daemon's topology indices and must return a handler.
 	WrapProxy func(proxy int, h http.Handler) http.Handler
 	WrapCache func(proxy, cache int, h http.Handler) http.Handler
-	// Fleet wires the proxies as a consistent-hash fleet
-	// (httpcache.EnableFleet with the full member roster) instead of
-	// the cooperating full mesh (SetPeers).  FleetReplication is the
+	// Fleet builds the proxies as a consistent-hash fleet
+	// (httpcache.Options.Fleet with the full member roster) instead of
+	// the cooperating full mesh (Options.Peers).  FleetReplication is the
 	// hot-object copy count k (0 = 1, partitioning only) and
 	// FleetHotAfter the per-key access count that triggers replication
 	// (0 = the httpcache default).
@@ -133,8 +134,12 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		events = &lockedWriter{w: cfg.Events}
 	}
 	ok := false
+	var proxyLns []net.Listener
 	defer func() {
 		if !ok {
+			for _, ln := range proxyLns[len(t.Proxies):] {
+				ln.Close() // bound, never served
+			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
 			t.Close(ctx)
@@ -158,32 +163,54 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 	}))
 	t.OriginURL = "http://" + originLn.Addr().String()
 
-	for p := 0; p < cfg.Proxies; p++ {
+	// Every proxy's listener is bound first, so each daemon is built with
+	// its final peer mesh or fleet roster and serves only once complete.
+	for range cfg.Proxies {
+		ln, err := listen()
+		if err != nil {
+			return nil, err
+		}
+		proxyLns = append(proxyLns, ln)
+		t.ProxyURLs = append(t.ProxyURLs, "http://"+ln.Addr().String())
+	}
+	// daemon fills the options every daemon shares; name keys its own
+	// registry (MetricsPerDaemon) and its event log.
+	daemon := func(name string, capBytes uint64) httpcache.Options {
+		o := httpcache.Options{CapacityBytes: capBytes, Tracer: cfg.Tracer, Metrics: cfg.Metrics}
+		if cfg.MetricsPerDaemon {
+			o.Metrics = obs.NewRegistry(name)
+		}
+		if events != nil {
+			o.Events = obs.NewEventLog(name, events)
+		}
+		return o
+	}
+	for p, u := range t.ProxyURLs {
 		capBytes, err := pick(cfg.ProxyCapacityBytes, p)
 		if err != nil {
 			return nil, err
 		}
-		px := httpcache.NewProxy(capBytes)
-		px.SetTracer(cfg.Tracer)
-		pxReg := cfg.Metrics
+		o := daemon(fmt.Sprintf("proxy-%d", p), capBytes)
+		o.SLOClasses, o.Check = cfg.SLOClasses, cfg.Check
 		if cfg.MetricsPerDaemon {
-			pxReg = obs.NewRegistry(fmt.Sprintf("proxy-%d", p))
-			t.ProxyMetrics = append(t.ProxyMetrics, pxReg)
-		}
-		px.SetMetrics(pxReg)
-		if len(cfg.SLOClasses) > 0 {
-			px.SetSLO(slo.NewTracker(pxReg, cfg.SLOClasses, slo.DefaultThresholds))
-		}
-		if events != nil {
-			px.SetEvents(obs.NewEventLog(fmt.Sprintf("proxy-%d", p), events))
+			t.ProxyMetrics = append(t.ProxyMetrics, o.Metrics)
 		}
 		if cfg.Defenses != nil {
-			px.SetDefenses(*cfg.Defenses)
+			o.Defenses = *cfg.Defenses
 		}
-		if cfg.Check != nil {
-			px.EnableAccounting(cfg.Check)
+		if cfg.Fleet {
+			// Consistent-hash fleet: every proxy gets the full roster, its
+			// own URL included, instead of the peer mesh.
+			o.Fleet = &httpcache.FleetOptions{
+				Self:         u,
+				Members:      t.ProxyURLs,
+				Replication:  cfg.FleetReplication,
+				HotThreshold: cfg.FleetHotAfter,
+			}
+		} else {
+			o.Peers = slices.Delete(slices.Clone(t.ProxyURLs), p, p+1) // the full mesh
 		}
-		ln, err := listen()
+		px, err := httpcache.NewProxyOpts(o)
 		if err != nil {
 			return nil, err
 		}
@@ -191,10 +218,8 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		if cfg.WrapProxy != nil {
 			ph = cfg.WrapProxy(p, ph)
 		}
-		t.serve(ln, ph)
-		u := "http://" + ln.Addr().String()
+		t.serve(proxyLns[p], ph)
 		t.Proxies = append(t.Proxies, px)
-		t.ProxyURLs = append(t.ProxyURLs, u)
 
 		cacheBytes, err := pick(cfg.CacheCapacityBytes, p)
 		if err != nil {
@@ -202,15 +227,9 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		}
 		var addrs []string
 		for c := 0; c < cfg.CachesPerProxy; c++ {
-			cc := httpcache.NewClientCache(cacheBytes)
-			cc.SetTracer(cfg.Tracer)
-			if cfg.MetricsPerDaemon {
-				cc.SetMetrics(obs.NewRegistry(fmt.Sprintf("cache-%d-%d", p, c)))
-			} else {
-				cc.SetMetrics(cfg.Metrics)
-			}
-			if events != nil {
-				cc.SetEvents(obs.NewEventLog(fmt.Sprintf("cache-%d-%d", p, c), events))
+			cc, err := httpcache.NewClientCacheOpts(daemon(fmt.Sprintf("cache-%d-%d", p, c), cacheBytes))
+			if err != nil {
+				return nil, err
 			}
 			cln, err := listen()
 			if err != nil {
@@ -229,30 +248,6 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 			addrs = append(addrs, addr)
 		}
 		t.CacheAddrs = append(t.CacheAddrs, addrs)
-	}
-	if cfg.Fleet {
-		// Consistent-hash fleet: every proxy gets the full roster (its
-		// own URL included — EnableFleet adds Self to the ring either
-		// way) instead of the peer mesh.
-		for p, px := range t.Proxies {
-			px.EnableFleet(httpcache.FleetOptions{
-				Self:         t.ProxyURLs[p],
-				Members:      t.ProxyURLs,
-				Replication:  cfg.FleetReplication,
-				HotThreshold: cfg.FleetHotAfter,
-			})
-		}
-	} else {
-		// Cooperating full mesh.
-		for p, px := range t.Proxies {
-			var peers []string
-			for q, u := range t.ProxyURLs {
-				if q != p {
-					peers = append(peers, u)
-				}
-			}
-			px.SetPeers(peers)
-		}
 	}
 	// Everything is registered and wired (fleet rings included): flip
 	// the daemons ready, then gate on every /readyz answering 200 — the

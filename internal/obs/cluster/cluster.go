@@ -182,7 +182,8 @@ type Snapshot struct {
 	Members []MemberView `json:"members"`
 	// Requests/OriginFetches/HitRatio are the deduplicated cluster
 	// serving stats: fleet-hop serves are subtracted from the request
-	// sum so a request forwarded between members counts once.
+	// sum so a request forwarded between members counts once, and
+	// OriginFetches counts the replies served from origin (originReplies).
 	Requests      float64 `json:"requests"`
 	OriginFetches float64 `json:"origin_fetches"`
 	HitRatio      float64 `json:"hit_ratio"`
@@ -367,7 +368,7 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 	mins := map[string]float64{}
 	maxs := map[string]float64{}
 	classes := map[string]*ClassRollup{}
-	var hopServes float64
+	var hopServes, origin float64
 
 	for _, m := range a.members {
 		st := a.state[m.Name]
@@ -382,8 +383,8 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 		if st.data != nil {
 			mv.AgeSeconds = now.Sub(st.scrapedAt).Seconds()
 			mv.Requests = st.data.gauges["httpcache_proxy_requests"]
-			if origin := st.data.gauges["httpcache_proxy_origin_fetches"]; mv.Requests > 0 {
-				mv.HitRatio = 1 - origin/mv.Requests
+			if mv.Requests > 0 {
+				mv.HitRatio = 1 - originReplies(st.data.gauges)/mv.Requests
 			}
 			mv.BreakerOpens = st.data.gauges["httpcache_proxy_breaker_opens"]
 		}
@@ -418,6 +419,7 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 			reg.Histogram("cluster." + fam).Merge(h)
 		}
 		hopServes += st.data.gauges["fleet_hop_serves"]
+		origin += originReplies(st.data.gauges)
 
 		// Per-class SLO rollup from the member's slo_* gauges.
 		for fam, v := range st.data.gauges {
@@ -461,9 +463,12 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 
 	// Deduplicated cluster serving stats: a fleet-hopped request shows
 	// up as a request on both the first-contact member and the owner,
-	// so the hop serves come back out of the sum.
+	// so the hop serves come back out of the sum.  The origin count is
+	// by served-by label, each reply counted once by the member that
+	// answered the requester, so the hit ratio is the one the requesters
+	// saw.
 	snap.Requests = sums["httpcache_proxy_requests"] - hopServes
-	snap.OriginFetches = sums["httpcache_proxy_origin_fetches"]
+	snap.OriginFetches = origin
 	if snap.Requests > 0 {
 		snap.HitRatio = 1 - snap.OriginFetches/snap.Requests
 	}
@@ -487,6 +492,17 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 	}
 	snap.Values = reg.Values()
 	return snap
+}
+
+// originReplies is a member's count of replies served from origin: its
+// httpcache.proxy.origin_replies, which counts a coalesced waiter and a
+// fleet holder's origin fill the way the requester saw them, or, from a
+// member that does not publish that gauge, its origin_fetches.
+func originReplies(gauges map[string]float64) float64 {
+	if v, ok := gauges["httpcache_proxy_origin_replies"]; ok {
+		return v
+	}
+	return gauges["httpcache_proxy_origin_fetches"]
 }
 
 // sloFamily splits an exposition family like slo_interactive_burn_fast

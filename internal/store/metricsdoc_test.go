@@ -8,7 +8,7 @@ import (
 )
 
 // TestMetricsDocStore holds the store.* namespace in METRICS.md
-// against what the store registers, in both directions.  SetMetrics
+// against what the store registers, in both directions.  Config.Metrics
 // creates the live instruments, one GetOrLoad exercises the counters,
 // and PublishMetrics writes the occupancy gauges.
 func TestMetricsDocStore(t *testing.T) {

@@ -167,22 +167,13 @@ func New(cfg Config) (*Store, error) {
 		s.shards[i].policy = invariant.WrapPolicy(cache.NewGreedyDual(budget), cfg.Check, fmt.Sprintf("%s.shard%d", label, i))
 		s.shards[i].bodies = make(map[trace.ObjectID]Object)
 	}
-	s.SetMetrics(cfg.Metrics)
-	return s, nil
-}
-
-// SetMetrics attaches (or detaches, with nil) the registry receiving
-// the store.* namespace.  Not safe to call once the store is serving
-// traffic — same contract as the daemons' SetMetrics.
-func (s *Store) SetMetrics(reg *obs.Registry) {
-	s.reg = reg
-	if reg == nil {
-		s.lockWait, s.loads, s.coalesced = nil, nil, nil
-		return
+	if reg := cfg.Metrics; reg != nil {
+		s.reg = reg
+		s.lockWait = reg.Timer("store.lock_wait")
+		s.loads = reg.Counter("store.loads")
+		s.coalesced = reg.Counter("store.coalesced")
 	}
-	s.lockWait = reg.Timer("store.lock_wait")
-	s.loads = reg.Counter("store.loads")
-	s.coalesced = reg.Counter("store.coalesced")
+	return s, nil
 }
 
 // autoShards picks a power-of-two stripe count near GOMAXPROCS,
