@@ -46,7 +46,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryCodec -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzRecord -fuzztime=$(FUZZTIME) ./internal/store/disk
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/store/disk
-	$(GO) test -run='^$$' -fuzz=FuzzFleetRingChurn -fuzztime=$(FUZZTIME) ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzRegister -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzHopReply -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzIDTable -fuzztime=$(FUZZTIME) ./internal/pastry
 	$(GO) test -run='^$$' -fuzz=FuzzSlotTable -fuzztime=$(FUZZTIME) ./internal/cache
@@ -95,8 +95,8 @@ chaos-smoke:
 		-manifest BENCH_chaos.json
 
 # ~40s full chaos suite: every scenario (baseline, slow-peer,
-# flash-churn, churn-during-flash-crowd, byzantine, poison,
-# fleet-partition), same gates as chaos-smoke.
+# flash-churn, churn-during-flash-crowd, byzantine, poison), same
+# gates as chaos-smoke.
 chaos-bench:
 	$(GO) run ./cmd/hiergdd bench chaos \
 		-requests 1500 -objects 200 -clients 40 -proxies 2 -caches 3 \
@@ -110,8 +110,8 @@ trace-alloc:
 	$(GO) test -run='^$$' -bench=BenchmarkDisabledTracer -benchmem ./internal/obs
 
 # The hot-path zero-alloc gates: a replacement policy's hit and
-# evicting Add, an FC re-placement, steady-state simulator serves (LFU family, fleet
-# engine, Hier-GD and Squirrel over Pastry), a Pastry route, a P2P
+# evicting Add, an FC re-placement, steady-state simulator serves (LFU family,
+# Hier-GD and Squirrel over Pastry), a Pastry route, a P2P
 # lookup hit and pass-down replacement, the load generator's per-request
 # recorder, and the live proxy/client-cache memory-hit paths must not touch the
 # heap.  Run without -race on purpose —

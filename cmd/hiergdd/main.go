@@ -12,19 +12,11 @@
 //	hiergdd bench chaos              # adversarial scenarios, defenses off vs on: tail and SLO burn cuts, aggregator agreement
 //	hiergdd top -members a=http://h1:8080,b=http://h2:8080   # live cluster dashboard
 //
-// A proxy started with -fleet-members joins a consistent-hash fleet
-// instead of the -peers mesh: each key has one owner member (plus
-// -fleet-replication hot copies), a miss routes to the owner before
-// origin, -fleet-join announces a newcomer (the keys whose ownership
-// moved migrate to it), -fleet-heartbeat probes the roster and demotes
-// dead members, and a graceful shutdown leaves the fleet first so the
-// departing member's objects migrate to their new owners.
-//
 // Each daemon role binds its listener, builds its daemon from one
 // httpcache.Options value (registry, tracer, event log, disk tier and,
-// for a proxy, its peers, fleet roster, SLO classes), and only then
-// serves.  -peers, -self and -fleet-members take base URLs or
-// host:port shorthand; the proxy normalizes them.
+// for a proxy, its peers and SLO classes), and only then serves.
+// -peers and -self take base URLs or host:port shorthand; the proxy
+// normalizes them.
 //
 // Both daemons run greedy-dual, the paper's policy, in a store
 // (internal/store) striped by core count; the proxy takes -sweep to
@@ -53,10 +45,10 @@
 // drain completes.  Every role wires these flags through obs.Session.
 //
 // The SLO plane: both daemons serve /healthz (liveness) and /readyz
-// (readiness — 503 until recovery/registration/fleet wiring finish,
+// (readiness — 503 until recovery and registration finish,
 // and 503 again the moment a drain begins, before the listener
 // closes), and -events FILE appends structured JSONL state-transition
-// events (readiness, breakers, fleet membership, recovery, SLO burn
+// events (readiness, breakers, recovery, SLO burn
 // crossings).  The proxy's -slo-classes declares per-class objectives
 // ("interactive:100ms:0.99:1m,..."); requests tagged X-SLO-Class are
 // accounted per class and slo.* burn-rate gauges appear on /metrics.
@@ -208,16 +200,11 @@ func runProxy(args []string) error {
 	sweep := fs.Duration("sweep", 0, "probe registered client caches this often and deregister dead ones (0 = passive detection only)")
 	self := fs.String("self", "", "externally reachable base URL (default derived from the bound address)")
 	peers := fs.String("peers", "", "comma-separated cooperating proxy base URLs")
-	fleetMembers := fs.String("fleet-members", "", "comma-separated fleet member base URLs: enables consistent-hash fleet routing instead of the -peers mesh (self is added automatically)")
-	fleetReplication := fs.Int("fleet-replication", 1, "hot-object copy count k across the fleet")
-	fleetHotAfter := fs.Int("fleet-hot-after", 0, "per-key access count that triggers replication (0 = default)")
-	fleetJoin := fs.Bool("fleet-join", false, "announce this member to the roster on startup (POST /fleet/join), triggering rebalance toward it")
-	fleetHeartbeat := fs.Duration("fleet-heartbeat", 0, "probe fleet members this often, demoting dead ones from the ring (0 = off)")
 	diskDir := fs.String("disk-dir", "", "enable the persistent disk tier under this directory (recovered on boot)")
 	diskCap := fs.Uint64("disk-cap", 0, "disk-tier capacity in bytes (0 = 16x -capacity)")
 	sloClasses := fs.String("slo-classes", "", `SLO classes as "name:latency:availability[:window]", comma-separated (e.g. "interactive:50ms:0.99:1m,batch:500ms:0.9"): requests tagged X-SLO-Class are accounted per class and slo.* burn-rate gauges appear on /metrics`)
-	eventsPath := fs.String("events", "", "append structured JSONL state-transition events (readiness, breaker, fleet membership, SLO burn crossings) to this file")
-	clusterMembers := fs.String("cluster-members", "", `fleet members to aggregate as "name=url,..." — mounts /cluster/metrics and /cluster/snapshot on this daemon, scraping every member's /metrics + /fleet/heartbeat`)
+	eventsPath := fs.String("events", "", "append structured JSONL state-transition events (readiness, breaker, SLO burn crossings) to this file")
+	clusterMembers := fs.String("cluster-members", "", `proxies to aggregate as "name=url,..." — mounts /cluster/metrics and /cluster/snapshot on this daemon, scraping every member's /metrics`)
 	clusterScrape := fs.Duration("cluster-scrape", 2*time.Second, "cluster aggregator scrape interval")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	sess := obs.NewSession(fs, "hiergdd-proxy")
@@ -256,15 +243,6 @@ func runProxy(args []string) error {
 			return err
 		}
 	}
-	fleetOn := *fleetMembers != ""
-	if fleetOn {
-		o.Fleet = &httpcache.FleetOptions{
-			Self:         base,
-			Members:      strings.Split(*fleetMembers, ","),
-			Replication:  *fleetReplication,
-			HotThreshold: *fleetHotAfter,
-		}
-	}
 	p, err := httpcache.NewProxyOpts(o)
 	if err != nil {
 		ln.Close()
@@ -276,17 +254,6 @@ func runProxy(args []string) error {
 	if *sweep > 0 {
 		stop := p.StartSweeper(*sweep)
 		defer stop()
-	}
-	if fleetOn {
-		if *fleetJoin {
-			fmt.Printf("hiergdd proxy: fleet join announced to %d members\n", p.JoinFleet())
-		}
-		if *fleetHeartbeat > 0 {
-			stop := p.StartFleetHeartbeat(*fleetHeartbeat)
-			defer stop()
-		}
-		fmt.Printf("hiergdd proxy: fleet member among %d (replication k=%d)\n",
-			p.FleetRing().Size(), *fleetReplication)
 	}
 	fmt.Printf("hiergdd proxy: listening on %s (self=%s, %d-byte cache, %d shards)\n",
 		ln.Addr(), base, *capacity, p.Store().NumShards())
@@ -318,18 +285,13 @@ func runProxy(args []string) error {
 			len(members), *clusterScrape)
 	}
 
-	// Construction, recovery, registration, and fleet wiring are done:
+	// Construction and recovery are done:
 	// flip /readyz to 200 before the daemon takes traffic.
 	p.MarkReady()
 
 	// The disk drain runs after the HTTP drain, so every insert an
-	// in-flight request acknowledged is journaled before exit.  A fleet
-	// member leaves first: the departure is announced and the keys it
-	// owned migrate to their new owners while the peers still accept.
+	// in-flight request acknowledged is journaled before exit.
 	return serveDaemon(ln, handler, *drain, p.MarkDraining, func() {
-		if fleetOn {
-			fmt.Printf("hiergdd proxy: fleet leave migrated %d objects\n", p.LeaveFleet())
-		}
 		closeSession(sess)
 		if err := p.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "hiergdd: disk close:", err)

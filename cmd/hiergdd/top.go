@@ -13,11 +13,11 @@ import (
 	"webcache/internal/obs/cluster"
 )
 
-// runTop is the live terminal dashboard: it scrapes every fleet
-// member's /metrics and /fleet/heartbeat directly (no daemon-side
-// aggregator needed) and redraws the cluster view each interval —
-// cluster hit ratio, per-member throughput and load, per-class SLO
-// burn rates, and breaker states.
+// runTop is the live terminal dashboard: it scrapes every member's
+// /metrics directly (no daemon-side aggregator needed) and redraws the
+// cluster view each interval — cluster hit ratio, per-member
+// throughput and resident objects, per-class SLO burn rates, and
+// breaker states.
 //
 //	hiergdd top -members a=http://h1:8080,b=http://h2:8080 -interval 2s
 //
@@ -25,7 +25,7 @@ import (
 // scripts and transcripts.
 func runTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	members := fs.String("members", "", `fleet members to watch as "name=url,..." (name optional)`)
+	members := fs.String("members", "", `proxies to watch as "name=url,..." (name optional)`)
 	interval := fs.Duration("interval", 2*time.Second, "refresh interval")
 	once := fs.Bool("once", false, "render one frame and exit without clearing the screen")
 	fs.Parse(args)
@@ -63,7 +63,7 @@ func runTop(args []string) error {
 // renderDashboard renders one dashboard frame from the current
 // cluster snapshot; prev (nil on the first frame) supplies the
 // baseline for per-member throughput deltas.  Pure text in, text out
-// — the unit tests feed it snapshots from real loopback fleets.
+// — the unit tests feed it snapshots from a real loopback mesh.
 func renderDashboard(prev, cur *cluster.Snapshot) string {
 	var b strings.Builder
 	up := 0
@@ -86,8 +86,8 @@ func renderDashboard(prev, cur *cluster.Snapshot) string {
 			prevReq[m.Name] = m.Requests
 		}
 	}
-	fmt.Fprintf(&b, "%-12s %-6s %10s %8s %7s %9s %9s %8s\n",
-		"member", "state", "requests", "req/s", "hit", "load", "objects", "brk.open")
+	fmt.Fprintf(&b, "%-12s %-6s %10s %8s %7s %9s %8s\n",
+		"member", "state", "requests", "req/s", "hit", "objects", "brk.open")
 	for _, m := range cur.Members {
 		state := "up"
 		switch {
@@ -102,8 +102,8 @@ func renderDashboard(prev, cur *cluster.Snapshot) string {
 				rate = fmt.Sprintf("%.0f", (m.Requests-r)/elapsed)
 			}
 		}
-		fmt.Fprintf(&b, "%-12s %-6s %10.0f %8s %6.1f%% %9.0f %9.0f %8.0f\n",
-			m.Name, state, m.Requests, rate, 100*m.HitRatio, m.Load, m.Objects, m.BreakerOpens)
+		fmt.Fprintf(&b, "%-12s %-6s %10.0f %8s %6.1f%% %9.0f %8.0f\n",
+			m.Name, state, m.Requests, rate, 100*m.HitRatio, m.Objects, m.BreakerOpens)
 		if m.Err != "" {
 			fmt.Fprintf(&b, "%-12s   last error: %s\n", "", m.Err)
 		}

@@ -16,12 +16,13 @@ import (
 	"webcache/internal/obs/slo"
 )
 
-// The dashboard must render live cluster state from real fleet
-// members: a two-member loopback fleet with per-member registries and
-// SLO trackers is driven over HTTP, scraped twice through the same
-// aggregator `hiergdd top` uses, and the rendered frame must carry
-// both members as up, the cluster hit line, and the SLO class row.
-func TestTopDashboardFromLiveFleet(t *testing.T) {
+// The dashboard must render live cluster state from real members: a
+// two-proxy loopback mesh with per-member registries and SLO trackers
+// is driven over HTTP, scraped twice through the same aggregator
+// `hiergdd top` uses, and the rendered frame must carry both members
+// as up, the cluster hit line, and the SLO class row.  Each member's
+// object count is its store.objects gauge.
+func TestTopDashboardFromLiveMesh(t *testing.T) {
 	topo, err := loadgen.StartLoopback(loadgen.TopologyConfig{
 		Proxies:            2,
 		CachesPerProxy:     1,
@@ -32,8 +33,6 @@ func TestTopDashboardFromLiveFleet(t *testing.T) {
 		SLOClasses: []slo.Class{
 			{Name: "interactive", Latency: time.Second, Availability: 0.99, Window: time.Minute},
 		},
-		Fleet:            true,
-		FleetReplication: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,5 +95,11 @@ func TestTopDashboardFromLiveFleet(t *testing.T) {
 	if cur.Requests <= prev.Requests {
 		t.Fatalf("cluster requests did not advance between frames: %v -> %v",
 			prev.Requests, cur.Requests)
+	}
+	for i, m := range cur.Members {
+		gauge := topo.ProxyMetrics[i].Values()["store.objects"]
+		if m.Objects != gauge || m.Objects <= 0 {
+			t.Errorf("member %s: objects %v, want its store.objects gauge %v and > 0", m.Name, m.Objects, gauge)
+		}
 	}
 }

@@ -43,16 +43,6 @@ type Scenario struct {
 	// before the run (keys of real upcoming objects the cluster does
 	// not hold) — the directory-poisoning attack.
 	PoisonKeys int
-	// FleetSize switches the topology from the cooperating full mesh
-	// to a consistent-hash fleet of that many proxies (0 keeps the
-	// mesh); FleetReplication is the hot-object copy count k.
-	// FleetPartition isolates the highest-indexed member mid-run:
-	// its fleet-internal endpoints answer 503 until the end of the
-	// run, so hops into it fail and the other members' breakers must
-	// trip and route around it.
-	FleetSize        int
-	FleetReplication int
-	FleetPartition   bool
 }
 
 // Scenarios is the suite: every entry runs live and simulated, with
@@ -91,13 +81,6 @@ func Scenarios() []Scenario {
 			Name:        "poison",
 			Description: "bogus directory entries planted for objects the cluster does not hold",
 			PoisonKeys:  64,
-		},
-		{
-			Name:             "fleet-partition",
-			Description:      "one of three fleet members is isolated mid-run; breakers must trip and routing fall back",
-			FleetSize:        3,
-			FleetReplication: 2,
-			FleetPartition:   true,
 		},
 	}
 }

@@ -97,8 +97,8 @@ func TestCorruptingWriter(t *testing.T) {
 
 // TestChurnStormE2E is the mass-churn end-to-end: half the overlay
 // flash-disconnects mid-drive with the hardened defenses on, and the
-// run must finish with zero request errors (degraded, not failed) and
-// a clean conservation ledger.
+// run must finish with zero request errors (degraded, not failed), a
+// clean conservation ledger and an aggregator view that agrees.
 func TestChurnStormE2E(t *testing.T) {
 	scn, err := Lookup("flash-churn")
 	if err != nil {
@@ -137,68 +137,8 @@ func TestChurnStormE2E(t *testing.T) {
 	if rep.HitRatio <= 0 {
 		t.Fatal("zero hit ratio: the surviving overlay served nothing")
 	}
-}
-
-// TestFleetPartitionE2E is the fleet-partition end-to-end: a
-// three-member consistent-hash fleet loses one member's fleet-internal
-// endpoints mid-drive (503s).  With the hardened defenses on, the run
-// must finish with zero request errors (hops into the victim fail over
-// to origin, clients fronted at the victim are still served — the
-// partition is inter-proxy only), the healthy members' breakers must
-// actually trip, and the lenient fleet ledger must stay clean.
-func TestFleetPartitionE2E(t *testing.T) {
-	scn, err := Lookup("fleet-partition")
-	if err != nil {
-		t.Fatal(err)
-	}
-	chk := invariant.New(nil)
-	reg := obs.NewRegistry("fleet-partition-e2e")
-	rep, err := RunLive(LiveConfig{
-		Scenario:       scn,
-		Requests:       600,
-		Objects:        100,
-		Clients:        21,
-		ObjectBytes:    256,
-		Rate:           600,
-		Seed:           1,
-		Proxies:        1, // overridden: the scenario's FleetSize wins
-		CachesPerProxy: 2,
-		DefensesOn:     true,
-		Check:          chk,
-		Registry:       reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d request errors during the partition; want graceful degradation", rep.Errors)
-	}
-	if rep.Violations != 0 {
-		t.Fatalf("%d conservation violations during the partition", rep.Violations)
-	}
-	if err := chk.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if rep.HitRatio <= 0 {
-		t.Fatal("zero hit ratio: the fleet served nothing")
-	}
-	if !rep.Fleet.Enabled || rep.Fleet.Members != scn.FleetSize {
-		t.Fatalf("fleet stats not aggregated: %+v", rep.Fleet)
-	}
-	if rep.Fleet.Routed == 0 {
-		t.Fatal("no inter-proxy routing happened; the fleet was mis-wired")
-	}
-	if drops := reg.Counter("chaos.injected.partition_drops").Value(); drops == 0 {
-		t.Fatal("the victim dropped no fleet-internal requests; partition never fired")
-	}
-	if rep.Fleet.RouteFailed == 0 && rep.Fleet.RouteSkipped == 0 {
-		t.Fatalf("no failed or breaker-skipped routes after the cut: %+v", rep.Fleet)
-	}
-	if rep.Defense.BreakerOpens == 0 {
-		t.Fatalf("no breaker opened against the partitioned member: %+v", rep.Defense)
-	}
-	// The aggregator's fleet-hop dedup: a routed request is a request
-	// at the front and at the owner, yet must count once.
+	// The aggregator's scrape of the mesh agrees with the load generator,
+	// and its SLO rollup carries both request classes.
 	if err := rep.CheckCluster(); err != nil {
 		t.Fatal(err)
 	}
@@ -293,46 +233,6 @@ func TestChurnDuringFlashCrowdSim(t *testing.T) {
 	}
 	if rep.FlashChurned == 0 {
 		t.Fatal("sim churn storm downed nothing")
-	}
-	if rep.HitRatio <= 0 {
-		t.Fatal("zero sim hit ratio")
-	}
-}
-
-// TestFleetPartitionSim replays the same scenario through the
-// simulator's fleet engine: the victim's cut must surface as skipped
-// and failed routes while the (lenient) replica ledger stays clean.
-func TestFleetPartitionSim(t *testing.T) {
-	scn, err := Lookup("fleet-partition")
-	if err != nil {
-		t.Fatal(err)
-	}
-	chk := invariant.New(nil)
-	rep, err := RunSim(SimConfig{
-		Scenario:       scn,
-		Requests:       4000,
-		Objects:        400,
-		Clients:        60,
-		Proxies:        1, // overridden: the scenario's FleetSize wins
-		CachesPerProxy: 2,
-		Seed:           1,
-		DefensesOn:     true,
-		Check:          chk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Violations != 0 {
-		t.Fatalf("%d conservation violations in the fleet sim", rep.Violations)
-	}
-	if err := chk.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if rep.FleetRouted == 0 {
-		t.Fatal("sim fleet routed nothing")
-	}
-	if rep.FleetRouteSkipped == 0 {
-		t.Fatal("sim partition cut no routes")
 	}
 	if rep.HitRatio <= 0 {
 		t.Fatal("zero sim hit ratio")

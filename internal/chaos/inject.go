@@ -3,11 +3,8 @@ package chaos
 import (
 	"math"
 	"net/http"
-	"strings"
-	"sync/atomic"
 	"time"
 
-	"webcache/internal/httpcache"
 	"webcache/internal/obs"
 )
 
@@ -25,15 +22,9 @@ type Injector struct {
 	scn            Scenario
 	cachesPerProxy int
 
-	// partitioned flips mid-run (StartPartition): from then on the
-	// victim member — the highest-indexed fleet proxy — answers 503
-	// on every fleet-internal endpoint.
-	partitioned atomic.Bool
-
-	slowHolds      *obs.Counter
-	corruptBody    *obs.Counter
-	fakeReceipts   *obs.Counter
-	partitionDrops *obs.Counter
+	slowHolds    *obs.Counter
+	corruptBody  *obs.Counter
+	fakeReceipts *obs.Counter
 }
 
 // NewInjector builds the fault adapter for one scenario.  The
@@ -46,23 +37,7 @@ func NewInjector(scn Scenario, cachesPerProxy int, reg *obs.Registry) *Injector 
 		slowHolds:      reg.Counter("chaos.injected.slow_holds"),
 		corruptBody:    reg.Counter("chaos.injected.corrupt_bodies"),
 		fakeReceipts:   reg.Counter("chaos.injected.fake_receipts"),
-		partitionDrops: reg.Counter("chaos.injected.partition_drops"),
 	}
-}
-
-// StartPartition cuts the victim fleet member off (no-op unless the
-// scenario carries FleetPartition).
-func (in *Injector) StartPartition() { in.partitioned.Store(true) }
-
-// fleetInternal reports whether a request is inter-proxy fleet
-// traffic: the membership/replication endpoints, peer lookups, and
-// fetches that arrived as fleet hops — exactly what a network
-// partition between proxies would cut, while the member's own
-// clients keep reaching it.
-func fleetInternal(r *http.Request) bool {
-	return strings.HasPrefix(r.URL.Path, "/fleet/") ||
-		r.URL.Path == "/peer-lookup" ||
-		r.Header.Get(httpcache.FleetHopHeader) != ""
 }
 
 // affected reports whether daemon index i is in the first
@@ -79,22 +54,14 @@ func (in *Injector) affected(i int, fraction float64) bool {
 	return i < k
 }
 
-// WrapProxy injects the inter-proxy faults: the slow-peer stall on
-// every /peer-lookup this proxy serves, and — on the partition
-// victim, once StartPartition fires — a 503 on every fleet-internal
-// request.
-func (in *Injector) WrapProxy(proxy int, h http.Handler) http.Handler {
-	victim := in.scn.FleetPartition && proxy == in.scn.FleetSize-1
-	if in.scn.SlowPeerDelay <= 0 && !victim {
+// WrapProxy injects the inter-proxy fault: the slow-peer stall on
+// every /peer-lookup this proxy serves.
+func (in *Injector) WrapProxy(_ int, h http.Handler) http.Handler {
+	if in.scn.SlowPeerDelay <= 0 {
 		return h
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if victim && in.partitioned.Load() && fleetInternal(r) {
-			in.partitionDrops.Inc()
-			http.Error(w, "chaos: partitioned", http.StatusServiceUnavailable)
-			return
-		}
-		if in.scn.SlowPeerDelay > 0 && r.URL.Path == "/peer-lookup" {
+		if r.URL.Path == "/peer-lookup" {
 			in.slowHolds.Inc()
 			time.Sleep(in.scn.SlowPeerDelay)
 		}

@@ -83,12 +83,9 @@ type LiveReport struct {
 	MembersUp  int                    `json:"members_up"`
 	SLO        []cluster.ClassRollup  `json:"slo"`
 	Defense    httpcache.DefenseStats `json:"defense"`
-	// Fleet aggregates every member's fleet counters (fleet-partition
-	// scenario; zero when the topology runs the cooperating mesh).
-	Fleet      httpcache.FleetStats `json:"fleet"`
-	Churned    int                  `json:"churned_caches"`
-	Poisoned   int                  `json:"poisoned_keys"`
-	Violations int64                `json:"invariant_violations"`
+	Churned    int                    `json:"churned_caches"`
+	Poisoned   int                    `json:"poisoned_keys"`
+	Violations int64                  `json:"invariant_violations"`
 }
 
 // FastBurn is the named class's fast-window burn rate in the rollup
@@ -137,11 +134,6 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
-	// A fleet scenario dictates its own proxy count: the ring IS the
-	// topology, so the configured Proxies yields to FleetSize.
-	if cfg.Scenario.FleetSize > 1 {
-		cfg.Proxies = cfg.Scenario.FleetSize
-	}
 	tr, err := prowgen.Generate(prowgen.Config{
 		NumRequests: cfg.Requests,
 		NumObjects:  cfg.Objects,
@@ -185,9 +177,6 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 		Check:              cfg.Check,
 		WrapProxy:          inj.WrapProxy,
 		WrapCache:          inj.WrapCache,
-		Fleet:              cfg.Scenario.FleetSize > 1,
-		FleetReplication:   cfg.Scenario.FleetReplication,
-		FleetHotAfter:      8,
 		MetricsPerDaemon:   true,
 		SLOClasses:         []slo.Class{Interactive, Batch},
 	})
@@ -231,20 +220,6 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 		defer churnTimer.Stop()
 	}
 
-	// Mid-run partition: the victim member's fleet-internal endpoints
-	// start answering 503 halfway through the drive (same midpoint the
-	// churn storm uses), so the healthy members' breakers get live
-	// traffic both before and after the cut.
-	var partitionTimer *time.Timer
-	if cfg.Scenario.FleetPartition {
-		after := time.Duration(float64(cfg.Requests) / cfg.Rate / 2 * float64(time.Second))
-		partitionTimer = time.AfterFunc(after, inj.StartPartition)
-		defer partitionTimer.Stop()
-	}
-
-	// Fleet runs front requests at the client's home proxy too, not at
-	// the object's ring members: chaos wants the proxy-miss -> owner hop
-	// and its partition fallback exercised.
 	sched, err := loadgen.BuildSchedule(tr, topo.ProxyURLs, topo.OriginURL, simCfg.ProxyFor)
 	if err != nil {
 		return nil, err
@@ -304,14 +279,13 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 			return nil, err
 		}
 		rep.Defense.Add(st.Defense)
-		rep.Fleet.Add(st.Fleet)
 	}
 	for _, px := range topo.Proxies {
 		px.ReconcileAccounting()
 	}
 
 	// The aggregation path `hiergdd top` and /cluster/metrics use: scrape
-	// every member's /metrics (and /fleet/heartbeat) over HTTP and merge.
+	// every member's /metrics over HTTP and merge.
 	members := make([]cluster.Member, len(topo.ProxyURLs))
 	for i, u := range topo.ProxyURLs {
 		members[i] = cluster.Member{Name: fmt.Sprintf("member-%d", i), URL: u}

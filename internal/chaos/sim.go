@@ -39,16 +39,11 @@ type SimReport struct {
 	MeanMs     float64 `json:"mean_ms"`
 	P999Ms     float64 `json:"p999_ms"`
 	// Chaos telemetry echoed from the sim result.
-	FlashChurned      int `json:"flash_churned"`
-	PoisonInjected    int `json:"poison_injected"`
-	PoisonSwept       int `json:"poison_swept"`
-	ByzantineServes   int `json:"byzantine_serves"`
-	ByzantineDetected int `json:"byzantine_detected"`
-	// Fleet telemetry (fleet-partition scenario; zero otherwise).
-	FleetRouted       int   `json:"fleet_routed"`
-	FleetRouteSkipped int   `json:"fleet_route_skipped"`
-	FleetRouteFailed  int   `json:"fleet_route_failed"`
-	FleetReplicas     int   `json:"fleet_replicas"`
+	FlashChurned      int   `json:"flash_churned"`
+	PoisonInjected    int   `json:"poison_injected"`
+	PoisonSwept       int   `json:"poison_swept"`
+	ByzantineServes   int   `json:"byzantine_serves"`
+	ByzantineDetected int   `json:"byzantine_detected"`
 	Violations        int64 `json:"invariant_violations"`
 }
 
@@ -82,18 +77,9 @@ func simKnobs(cfg *sim.Config, scn Scenario, requests int, defensesOn bool) {
 			cfg.DirSweepEvery = 250
 		}
 	}
-	if scn.FleetSize > 1 {
-		cfg.FleetSize = scn.FleetSize
-		cfg.FleetReplication = scn.FleetReplication
-		if scn.FleetPartition {
-			// Same midpoint the live adapter's partition timer uses.
-			cfg.FleetPartitionAt = requests / 2
-		}
-	} else {
-		// The live side's cooperating proxies ask each other on digests
-		// pulled every DigestEvery of their own requests (DESIGN.md §9).
-		cfg.DigestInterval = httpcache.DigestEvery * cfg.NumProxies
-	}
+	// The live side's cooperating proxies ask each other on digests
+	// pulled every DigestEvery of their own requests (DESIGN.md §9).
+	cfg.DigestInterval = httpcache.DigestEvery * cfg.NumProxies
 }
 
 // SimDefended reports whether simKnobs maps a defense for the scenario
@@ -116,11 +102,6 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	// A fleet scenario dictates its own proxy count, same as the live
-	// side: the ring is the topology.
-	if cfg.Scenario.FleetSize > 1 {
-		cfg.Proxies = cfg.Scenario.FleetSize
 	}
 	// A private registry carries the per-run latency histogram the
 	// p999 is read from (sim.latency is cumulative on shared
@@ -154,10 +135,6 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 		PoisonSwept:       res.PoisonSwept,
 		ByzantineServes:   res.ByzantineServes,
 		ByzantineDetected: res.ByzantineDetected,
-		FleetRouted:       res.FleetRouted,
-		FleetRouteSkipped: res.FleetRouteSkipped,
-		FleetRouteFailed:  res.FleetRouteFailed,
-		FleetReplicas:     res.FleetReplicas,
 	}
 	if cfg.Check != nil {
 		rep.Violations = cfg.Check.ViolationCount()

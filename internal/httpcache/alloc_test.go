@@ -7,7 +7,7 @@ package httpcache
 // heap.  The pieces that make this hold are queryParam (no url.Values
 // per request), pastry.HashString (no []byte copy of the URL), the
 // preallocated servedBy header slices, and the store's lock-striped
-// Get (see hotpath.go and DESIGN.md §14).
+// Get (see hotpath.go and DESIGN.md §13).
 //
 // Excluded under the race detector (make check), whose instrumentation
 // allocates on paths the production build does not.

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"webcache/internal/fleet"
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
 	"webcache/internal/obs/slo"
@@ -20,14 +19,12 @@ import (
 )
 
 // fold compresses a 128-bit objectId into the 64-bit key the
-// replacement policies use.  A birthday collision would need ~2^32
-// distinct URLs in one cache — beyond any browser cache; the full hex
-// key is kept alongside the body for exactness on the wire.  The
-// formula lives in internal/fleet (fleet.Fold) so the consistent-hash
-// ring, the simulator, and the load generator all derive identical
-// keys.
+// replacement policies use (pastry.ID.Fold).  A birthday collision
+// would need ~2^32 distinct URLs in one cache — beyond any browser
+// cache; the full hex key is kept alongside the body for exactness on
+// the wire.
 func fold(id pastry.ID) trace.ObjectID {
-	return fleet.Fold(id)
+	return trace.ObjectID(id.Fold())
 }
 
 // Options is everything a daemon is built from; nothing is attached
@@ -52,7 +49,7 @@ type Options struct {
 	// disables tracing at zero cost.
 	Tracer *obs.Tracer
 	// Events receives the daemon's state transitions: readiness flips
-	// and, on a proxy, breaker, fleet membership and SLO burn events.
+	// and, on a proxy, breaker and SLO burn events.
 	Events *obs.EventLog
 
 	// The fields below configure a proxy; a client cache ignores them.
@@ -66,11 +63,8 @@ type Options struct {
 	Defenses Defenses
 	// Peers are the cooperating proxies, by base URL or host:port.
 	Peers []string
-	// Fleet makes the proxy a consistent-hash fleet member (fleet.go).
-	Fleet *FleetOptions
 	// Check, when non-nil, threads a live conservation oracle through the
-	// pass-down receipt stream and, on a fleet member, the /fleet/store
-	// one (ReconcileAccounting).
+	// pass-down receipt stream (ReconcileAccounting).
 	Check *invariant.Checker
 }
 

@@ -254,16 +254,12 @@ func lenientAccountant(chk *invariant.Checker, label string) *invariant.ClusterA
 	return a
 }
 
-// ReconcileAccounting checks the conservation ledgers at a quiescent
-// point — the pass-down ledger and, on a fleet member, the
-// replica-aware fleet ledger (no-op without Options.Check).
+// ReconcileAccounting checks the pass-down conservation ledger at a
+// quiescent point (no-op without Options.Check).
 func (p *Proxy) ReconcileAccounting() {
 	p.acctMu.Lock()
 	defer p.acctMu.Unlock()
 	p.acct.Reconcile(nil)
-	if p.fleet != nil {
-		p.fleet.acct.Reconcile(nil)
-	}
 }
 
 // recordReceipt feeds one pass-down store receipt into the live

@@ -2,6 +2,7 @@ package httpcache
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"webcache/internal/trace"
 	"webcache/internal/wiretest"
 )
 
@@ -228,6 +230,64 @@ func TestRegisterSkipsMalformedKeys(t *testing.T) {
 	if got := px.snapshotStats().DirEntries; got != 1 {
 		t.Fatalf("directory_entries = %d after one valid and one malformed key, want 1", got)
 	}
+}
+
+// FuzzRegister sends /register an arbitrary addr and raw body.  Whatever
+// arrives, the proxy does not panic and answers 200, 400 or 413; a 200
+// carries a cacheId, and the directory grows by exactly the well-formed
+// 32-hex keys of the body's recovered list that it did not hold.
+func FuzzRegister(f *testing.F) {
+	valid := keyOf("http://origin.test/fuzz").String()
+	f.Add("10.0.0.1:999", []byte(nil))
+	f.Add("cache.test:9001", []byte("not json"))
+	f.Add("10.0.0.2:999", []byte(`{"recovered":["zz","`+valid+`","`+strings.ToUpper(valid)+`",""]}`))
+	f.Add("", []byte(`{"recovered":["`+valid+`"]}`))
+	f.Add("10.0.0.3:999", []byte(`{"recovered":["`+strings.Repeat("a", registerBodyMax)+`"]}`))
+	px := newProxy(f, Options{CapacityBytes: 1 << 20})
+	h := px.Handler()
+	f.Fuzz(func(t *testing.T, addr string, body []byte) {
+		// The keys the body names, decoded as the handler decodes it; the
+		// directory holds each well-formed one after a 200.
+		var sent registerBody
+		json.NewDecoder(bytes.NewReader(body)).Decode(&sent)
+		keys := foldHex(sent.Recovered)
+		px.mu.Lock()
+		before := px.dir.Len()
+		fresh := map[trace.ObjectID]bool{}
+		for _, k := range keys {
+			if !px.dir.MayContain(k) {
+				fresh[k] = true
+			}
+		}
+		px.mu.Unlock()
+
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/register?addr="+url.QueryEscape(addr), bytes.NewReader(body)))
+
+		px.mu.Lock()
+		grew := px.dir.Len() - before
+		missing := slices.ContainsFunc(keys, func(k trace.ObjectID) bool { return !px.dir.MayContain(k) })
+		px.mu.Unlock()
+		switch rec.Code {
+		case http.StatusOK:
+			var reply struct {
+				CacheID string `json:"cacheId"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || reply.CacheID == "" {
+				t.Errorf("addr %q: 200 without a cacheId: %q", addr, rec.Body.String())
+			}
+			if grew != len(fresh) || missing {
+				t.Errorf("addr %q: directory grew by %d (a sent key missing: %v), want the %d new well-formed keys",
+					addr, grew, missing, len(fresh))
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if grew != 0 {
+				t.Errorf("addr %q: refused with %d, yet the directory grew by %d", addr, rec.Code, grew)
+			}
+		default:
+			t.Errorf("addr %q: status %d, want 200, 400 or 413", addr, rec.Code)
+		}
+	})
 }
 
 // TestBreakerDegradesToOrigin pins the per-peer circuit breaker and

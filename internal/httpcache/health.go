@@ -19,15 +19,14 @@ const SLOHeader = "X-SLO-Class"
 //
 //	GET /healthz  liveness — 200 whenever the process can serve at all
 //	GET /readyz   readiness — 503 until the daemon is constructed,
-//	              recovered, and (when applicable) registered/joined;
+//	              recovered, and (when applicable) registered;
 //	              503 "draining" again once graceful shutdown begins,
 //	              so load balancers stop routing before the listener
 //	              closes.
 //
 // The daemon bring-up path owns the transition: disk-tier recovery
 // runs synchronously during construction, so MarkReady is called
-// after the remaining gates (client-cache registration, fleet
-// join/migration) complete.  Transitions are emitted to the event
+// after the remaining gate (client-cache registration) completes.  Transitions are emitted to the event
 // log the daemon was built with (Options.Events).
 type readiness struct {
 	ready    atomic.Bool
@@ -108,12 +107,9 @@ func (sw *statusWriter) WriteHeader(code int) {
 
 // withSLO wraps the fetch handler with per-class accounting: wall
 // latency and 5xx failures spend the tagged class's error budget.
-// Fleet-hopped fetches are already accounted at the first-contact
-// member, so they are passed through untouched — the cluster rollup
-// sums per-member ledgers and must count each client request once.
 func (p *Proxy) withSLO(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if p.slo == nil || r.Header.Get(FleetHopHeader) != "" {
+		if p.slo == nil {
 			h(w, r)
 			return
 		}

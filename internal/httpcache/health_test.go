@@ -87,8 +87,7 @@ func TestHealthReadiness(t *testing.T) {
 
 // TestProxySLOAccounting drives tagged fetches through a proxy and
 // asserts the per-class ledger: tagged requests land on their class,
-// untagged ones fold into the first, and fleet hops are not
-// double-counted.
+// untagged and unknown ones fold into the first.
 func TestProxySLOAccounting(t *testing.T) {
 	d := deployWith(t, 1, 1, func(int) Options {
 		return Options{CapacityBytes: 1 << 20, SLOClasses: []slo.Class{
@@ -115,7 +114,6 @@ func TestProxySLOAccounting(t *testing.T) {
 	get("/b", map[string]string{SLOHeader: "interactive"})
 	get("/c", map[string]string{SLOHeader: "batch"})
 	get("/d", nil)                                     // untagged: folds into first class
-	get("/e", map[string]string{FleetHopHeader: "1"})  // hop: already counted upstream
 	get("/f", map[string]string{SLOHeader: "unknown"}) // unknown: folds into first class
 
 	reports := tr.Report()

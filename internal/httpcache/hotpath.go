@@ -12,7 +12,7 @@ import (
 // plane serves cache hits without allocating (TestFetchHitPathAllocs
 // holds it to zero allocs per request), so anything a handler does per
 // request either reuses a pooled buffer or touches nothing on the
-// heap.  See DESIGN.md §14.
+// heap.  See DESIGN.md §13.
 
 // queryParam returns the named parameter from a raw query string
 // without materializing url.Values (which allocates a map and a slice
@@ -96,8 +96,8 @@ func serve(w http.ResponseWriter, body []byte, tier string) {
 	if v, ok := servedBy[tier]; ok {
 		h[ServedByHeader] = v
 	} else {
-		// Unknown tier label (a fleet hop relaying a peer's tag):
-		// fall back to the allocating path.
+		// A label outside the precomputed set takes the allocating
+		// path.
 		h.Set(ServedByHeader, tier)
 	}
 	h["Content-Length"] = contentLength(len(body))

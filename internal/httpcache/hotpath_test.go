@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"testing"
-
-	"webcache/internal/store"
 )
 
 // TestQueryParamMatchesURLValues holds the zero-alloc query scanner to
@@ -51,7 +49,7 @@ func TestReceiptFastPathBytes(t *testing.T) {
 }
 
 // TestServedByFallback covers the allocating fallback for tier labels
-// outside the precomputed set (a fleet hop relaying a peer's tag).
+// outside the precomputed set.
 func TestServedByFallback(t *testing.T) {
 	rec := httptest.NewRecorder()
 	serve(rec, []byte("body"), "some-novel-tier")
@@ -65,9 +63,9 @@ func TestServedByFallback(t *testing.T) {
 	}
 }
 
-// TestStoreCostSanitized holds both store handlers, the client cache's
-// /store and a fleet member's /fleet/store, to one rule: the stored
-// greedy-dual cost is the query's when finite and positive, else 1.
+// TestStoreCostSanitized holds the client cache's /store to one rule:
+// the stored greedy-dual cost is the query's when finite and positive,
+// else 1.
 func TestStoreCostSanitized(t *testing.T) {
 	id := keyOf("http://origin/cost")
 	for _, tc := range []struct {
@@ -78,25 +76,15 @@ func TestStoreCostSanitized(t *testing.T) {
 		{"0", 1}, {"", 1}, {"x", 1}, {"2.5", 2.5},
 	} {
 		cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
-		px := newProxy(t, Options{CapacityBytes: 1 << 20, Fleet: &FleetOptions{Self: "http://self", Members: []string{"http://self"}}})
-		for _, d := range []struct {
-			path string
-			h    http.Handler
-			st   *store.Store
-		}{
-			{"/store", cc.Handler(), cc.Store()},
-			{"/fleet/store", px.Handler(), px.Store()},
-		} {
-			target := d.path + "?key=" + id.String() + "&cost=" + url.QueryEscape(tc.cost)
-			rec := httptest.NewRecorder()
-			d.h.ServeHTTP(rec, httptest.NewRequest("POST", target, bytes.NewReader([]byte("body"))))
-			obj, ok := d.st.Get(fold(id))
-			if rec.Code != http.StatusOK || !ok {
-				t.Fatalf("%s cost=%q: status %d, stored %v", d.path, tc.cost, rec.Code, ok)
-			}
-			if obj.Cost != tc.want {
-				t.Errorf("%s cost=%q: stored cost %v, want %v", d.path, tc.cost, obj.Cost, tc.want)
-			}
+		target := "/store?key=" + id.String() + "&cost=" + url.QueryEscape(tc.cost)
+		rec := httptest.NewRecorder()
+		cc.Handler().ServeHTTP(rec, httptest.NewRequest("POST", target, bytes.NewReader([]byte("body"))))
+		obj, ok := cc.Store().Get(fold(id))
+		if rec.Code != http.StatusOK || !ok {
+			t.Fatalf("cost=%q: status %d, stored %v", tc.cost, rec.Code, ok)
+		}
+		if obj.Cost != tc.want {
+			t.Errorf("cost=%q: stored cost %v, want %v", tc.cost, obj.Cost, tc.want)
 		}
 	}
 }

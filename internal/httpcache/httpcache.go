@@ -16,7 +16,7 @@
 //
 // Each daemon is built whole from one Options value — capacity, disk
 // tier, registry, tracer, event log and, for a proxy, its SLO classes,
-// defenses, peers, fleet membership and conservation checker — and is
+// defenses, peers and conservation checker — and is
 // complete when its constructor returns: nothing is attached once it
 // serves.  A cluster whose members name each other binds every
 // listener first, to know the URLs, then builds and serves.

@@ -61,26 +61,6 @@ func (p *Proxy) publishStats() {
 	g("digest_failures", st.Defense.DigestFailures)
 	g("contrib_swept", st.Defense.ContribSwept)
 	g("peer_timeouts", st.Defense.PeerTimeouts)
-	if st.Fleet.Enabled {
-		// Fleet membership gauges live in their own fleet.* namespace
-		// (METRICS.md holds it both ways via obs.CheckMetricsDoc).
-		fg := func(name string, v int) { reg.Gauge("fleet." + name).Set(float64(v)) }
-		fg("members", st.Fleet.Members)
-		fg("routed", st.Fleet.Routed)
-		fg("routed_hits", st.Fleet.RoutedHits)
-		fg("routed_origin", st.Fleet.RoutedOrigin)
-		fg("route_failed", st.Fleet.RouteFailed)
-		fg("route_skipped", st.Fleet.RouteSkipped)
-		fg("hop_serves", st.Fleet.HopServes)
-		fg("replicas_out", st.Fleet.ReplicasOut)
-		fg("replicas_in", st.Fleet.ReplicasIn)
-		fg("migrated_out", st.Fleet.MigratedOut)
-		fg("migrated_in", st.Fleet.MigratedIn)
-		fg("joins", st.Fleet.Joins)
-		fg("leaves", st.Fleet.Leaves)
-		fg("heartbeat_fails", st.Fleet.HeartbeatFails)
-		fg("hot_keys", st.Fleet.HotKeys)
-	}
 	p.publishMetrics()
 	// Refresh the slo.* gauges (and fire burn-rate threshold events) at
 	// every scrape, so the cluster aggregator reads current burn rates.

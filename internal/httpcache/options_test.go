@@ -59,28 +59,25 @@ func TestOptionsReachDaemon(t *testing.T) {
 		name      string
 		path      string // the one request
 		span      string // a span it records
-		proxyOnly bool   // whether slo.* and fleet.* are published
+		proxyOnly bool   // whether slo.* is published
 		build     func(t *testing.T, o Options) built
 	}{
 		{"proxy", "/fetch?url=" + url.QueryEscape(objURL), "origin.fetch", true, func(t *testing.T, o Options) built {
 			px := newProxy(t, o)
 			t.Cleanup(func() { px.Close() })
 			return built{px.Handler(), px.MarkReady, func(t *testing.T) {
-				if !px.FleetRing().Has(o.Fleet.Self) {
-					t.Errorf("fleet ring %v does not hold self %s", px.FleetRing().Members(), o.Fleet.Self)
-				}
 				if got := px.peerTimeout(); got != o.Defenses.PeerTimeout {
 					t.Errorf("per-hop deadline %v, want the configured %v", got, o.Defenses.PeerTimeout)
 				}
 				if n := asked.Load(); n != 1 {
 					t.Errorf("cooperating peer asked %d times, want 1", n)
 				}
-				if px.acct == nil || px.fleet.acct == nil {
-					t.Fatal("pass-down or fleet ledger missing")
+				if px.acct == nil {
+					t.Fatal("pass-down ledger missing")
 				}
 				px.ReconcileAccounting()
 				if err := o.Check.Err(); err != nil {
-					t.Errorf("ledgers do not reconcile: %v", err)
+					t.Errorf("ledger does not reconcile: %v", err)
 				}
 			}}
 		}},
@@ -100,7 +97,7 @@ func TestOptionsReachDaemon(t *testing.T) {
 			reg := obs.NewRegistry(tc.name)
 			tr := obs.NewTracer(obs.TracerOptions{Origin: tc.name, Clock: obs.ClockWall})
 			events := obs.NewEventLog(tc.name, nil)
-			ln, base := listenLocal(t)
+			ln, _ := listenLocal(t)
 			d := tc.build(t, Options{
 				CapacityBytes:     1 << 20,
 				DiskDir:           dir,
@@ -111,7 +108,6 @@ func TestOptionsReachDaemon(t *testing.T) {
 				SLOClasses:        []slo.Class{{Name: "interactive", Latency: time.Second, Availability: 0.99}},
 				Defenses:          Defenses{PeerTimeout: 3 * time.Second},
 				Peers:             []string{peerSrv.URL},
-				Fleet:             &FleetOptions{Self: base, Members: []string{base}},
 				Check:             invariant.New(nil),
 			})
 			srv := serveOn(t, ln, d.h)
@@ -139,10 +135,8 @@ func TestOptionsReachDaemon(t *testing.T) {
 			if !has("httpcache.") {
 				t.Error("no httpcache.* gauges in the registry")
 			}
-			for _, ns := range []string{"slo.", "fleet."} {
-				if has(ns) != tc.proxyOnly {
-					t.Errorf("%s* published: %v, want %v", ns, has(ns), tc.proxyOnly)
-				}
+			if has("slo.") != tc.proxyOnly {
+				t.Errorf("slo.* published: %v, want %v", has("slo."), tc.proxyOnly)
 			}
 			var spans []string
 			for _, st := range tr.Snapshots() {
@@ -160,7 +154,7 @@ func TestOptionsReachDaemon(t *testing.T) {
 	}
 }
 
-// Peers and the fleet roster may be given in operator shorthand: no
+// Peers may be given in operator shorthand: no
 // scheme, a stray space, a trailing slash.  The proxy normalizes them,
 // so a peer so written is asked, and serves.
 func TestPeersNormalized(t *testing.T) {
@@ -186,12 +180,5 @@ func TestPeersNormalized(t *testing.T) {
 		}
 		srv.Close()
 		px.Close()
-	}
-
-	const base = "http://127.0.0.1:9" // never dialled
-	px := newProxy(t, Options{CapacityBytes: 1 << 20,
-		Fleet: &FleetOptions{Self: base + "/", Members: []string{" 127.0.0.1:9/"}}})
-	if got := px.FleetRing().Members(); !slices.Equal(got, []string{base}) {
-		t.Errorf("fleet ring %q, want self once as %q", got, base)
 	}
 }

@@ -70,9 +70,6 @@ type ProxyStats struct {
 	// activity, digest verification, contribution sweeps, and per-hop
 	// peer timeouts.
 	Defense DefenseStats `json:"defense"`
-	// Fleet holds the fleet-membership counters (fleet.go); zero value
-	// with Enabled=false when the proxy is not a fleet member.
-	Fleet FleetStats `json:"fleet"`
 }
 
 // proxyCounters is the lock-free backing for ProxyStats: every
@@ -83,11 +80,9 @@ type proxyCounters struct {
 	coalesced, passDowns, diversions, storeCalls, storeRefusals,
 	divertedHits, swept, diskHits atomic.Int64
 	digestPulls, digestPullFails, digestSkips, digestFalsePos atomic.Int64
-	// originReplies counts the replies sent with X-Served-By origin to
-	// requests that did not arrive as fleet hops: what the requesters saw
-	// come from origin, coalesced waiters and routed origin fills
-	// included, each counted once across a fleet.  It is published as
-	// httpcache.proxy.origin_replies only.
+	// originReplies counts the replies sent with X-Served-By origin:
+	// what the requesters saw come from origin, coalesced waiters
+	// included.  It is published as httpcache.proxy.origin_replies only.
 	originReplies atomic.Int64
 	// Defense counters (defense.go).
 	breakerSkipped, breakerOpens, digestChecks, digestFailures,
@@ -130,14 +125,10 @@ type Proxy struct {
 	lanLat    *obs.Histogram
 
 	// acct is the live conservation oracle over pass-down receipts (nil
-	// without Options.Check); acctMu serializes it and the fleet ledger —
-	// the accountant itself is not thread-safe.
+	// without Options.Check); acctMu serializes it — the accountant
+	// itself is not thread-safe.
 	acctMu sync.Mutex
 	acct   *invariant.ClusterAccountant
-
-	// fleet is the fleet-membership runtime (fleet.go); nil unless
-	// Options.Fleet was set.
-	fleet *fleetState
 
 	// tracer and metrics are the observability hooks (obs.go); both nil
 	// by default and nil-safe throughout.
@@ -149,14 +140,12 @@ type Proxy struct {
 	slo *slo.Tracker
 
 	// readiness is the /healthz + /readyz probe surface (health.go); it
-	// also holds the structured event log both the breaker and the fleet
-	// runtime emit to.
+	// also holds the structured event log the breaker emits to.
 	readiness
 }
 
-// NewProxyOpts creates a proxy from o, complete: its cascade, ledgers,
-// SLO tracker and, when o.Fleet is set, fleet membership are built here
-// and never changed after.  It fails only when the disk tier cannot be
+// NewProxyOpts creates a proxy from o, complete: its cascade, ledger
+// and SLO tracker are built here and never changed after.  It fails only when the disk tier cannot be
 // opened.
 func NewProxyOpts(o Options) (*Proxy, error) {
 	st, err := o.newStorage("proxy")
@@ -187,34 +176,25 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		set.digests[u] = &peerDigest{}
 	}
 	p.coop.Store(set)
-	if o.Fleet != nil {
-		p.fleet = newFleetState(*o.Fleet, lenientAccountant(o.Check, "fleet-live"))
-	}
 	p.local, p.tiers = p.cascade()
 	return p, nil
 }
 
-// normalizeBaseURL canonicalizes operator shorthand for a base URL
-// ("host:port", stray spaces, a trailing slash) into the exact string a
-// hop appends its path to and the fleet ring keys a member by —
-// otherwise a scheme-less roster entry and the derived self URL would
-// coexist as two distinct ring members.  A blank entry stays blank.
-func normalizeBaseURL(u string) string {
-	u = strings.TrimSpace(u)
-	if u != "" && !strings.Contains(u, "://") {
-		u = "http://" + u
-	}
-	return strings.TrimRight(u, "/")
-}
-
-// normalizeBaseURLs normalizes a list of base URLs into a new slice,
+// normalizeBaseURLs canonicalizes operator shorthand for base URLs
+// ("host:port", stray spaces, a trailing slash) into the exact strings a
+// hop appends its path to and the breakers and digests key a peer by,
 // dropping blank entries.
 func normalizeBaseURLs(in []string) []string {
 	var out []string
 	for _, u := range in {
-		if u = normalizeBaseURL(u); u != "" {
-			out = append(out, u)
+		u = strings.TrimSpace(u)
+		if u == "" {
+			continue
 		}
+		if !strings.Contains(u, "://") {
+			u = "http://" + u
+		}
+		out = append(out, strings.TrimRight(u, "/"))
 	}
 	return out
 }
@@ -235,8 +215,6 @@ func (p *Proxy) Close() error {
 //	GET  /stats              counters
 //	GET  /healthz            liveness probe (health.go)
 //	GET  /readyz             readiness probe (health.go)
-//	/fleet/*                 fleet membership + replication (fleet.go;
-//	                         503 unless built with Options.Fleet)
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /fetch", p.withSLO(p.handleFetch))
@@ -246,7 +224,6 @@ func (p *Proxy) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", p.handleStats)
 	mux.HandleFunc("GET /metrics", p.handleMetrics)
 	p.registerHealth(mux)
-	p.fleetHandlers(mux)
 	return mux
 }
 
@@ -494,17 +471,12 @@ func (p *Proxy) SweepClientCaches() []string {
 }
 
 // StartSweeper runs SweepClientCaches every interval until the
-// returned stop func is called.  The passive paths (lanFetch and
-// pass-down connection failures) already deregister daemons they
-// catch dying; the sweep is the active guarantee that a daemon
-// crashing while idle is still evicted from the ring.
+// returned stop func is called (any number of times).  The passive
+// paths (lanFetch and pass-down connection failures) already
+// deregister daemons they catch dying; the sweep is the active
+// guarantee that a daemon crashing while idle is still evicted from
+// the ring.
 func (p *Proxy) StartSweeper(interval time.Duration) (stop func()) {
-	return every(interval, func() { p.SweepClientCaches() })
-}
-
-// every runs f each interval on a goroutine of its own until the
-// returned stop func is called (any number of times).
-func every(interval time.Duration, f func()) (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		t := time.NewTicker(interval)
@@ -514,7 +486,7 @@ func every(interval time.Duration, f func()) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				f()
+				p.SweepClientCaches()
 			}
 		}
 	}()
@@ -554,7 +526,6 @@ func (p *Proxy) snapshotStats() ProxyStats {
 			ContribSwept:   int(p.stats.contribSwept.Load()),
 			PeerTimeouts:   int(p.stats.peerTimeouts.Load()),
 		},
-		Fleet: p.snapshotFleet(),
 	}
 }
 

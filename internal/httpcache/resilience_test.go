@@ -301,8 +301,8 @@ func shortFarEnd(t *testing.T, n int, tier string) *httptest.Server {
 }
 
 // The short-body row of the failure matrix, for every hop that carries a
-// body back: a client cache, a cooperating proxy and a fleet holder that
-// declare 8 KiB and close after 4.  The /fetch is served whole by the next
+// body back: a client cache and a cooperating proxy that declare 8 KiB
+// and close after 4.  The /fetch is served whole by the next
 // candidate or the origin, the short body is served to nobody and cached
 // nowhere, and the far end is judged as hop judges any connection that
 // broke before its deadline: a daemon leaves the ring, a proxy takes a
@@ -379,27 +379,6 @@ func TestShortBodyPerHop(t *testing.T) {
 			tier:  TierOrigin,
 			delta: ProxyStats{Requests: 1, OriginFetch: 1, DigestPullFails: 1, Defense: DefenseStats{BreakerOpens: 1}},
 			spans: []string{"!proxy.cache", "!peer.lookup", "origin.fetch"}},
-		{name: "fleet holder",
-			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
-				short := shortFarEnd(t, declared, TierProxy)
-				ln, base := listenLocal(t)
-				px := newProxy(t, traced(Options{CapacityBytes: 1 << 20, Defenses: oneStrike,
-					Fleet: &FleetOptions{Self: base, Members: []string{base, short.URL}}}))
-				f := pin(t, px, serveOn(t, ln, px.Handler()).URL)
-				for i := 0; ; i++ {
-					objURL := fmt.Sprintf("%s/short-holder-%d", origin.srv.URL, i)
-					if owner, _ := px.FleetRing().OwnerOf(fold(keyOf(objURL))); owner == short.URL {
-						return f, objURL, func(t *testing.T) {
-							if px.peerAllowed(short.URL) {
-								t.Error("the short holder's breaker is still closed")
-							}
-						}
-					}
-				}
-			},
-			tier:  TierOrigin,
-			delta: ProxyStats{Requests: 1, OriginFetch: 1, Defense: DefenseStats{BreakerOpens: 1}, Fleet: FleetStats{RouteFailed: 1}},
-			spans: []string{"!proxy.cache", "!fleet.route", "origin.fetch"}},
 	}
 	for i, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -51,7 +51,7 @@ func tracedGet(u, traceID string) (status int, tier string, err error) {
 }
 
 // statsDelta is after − before over every counter of ProxyStats, the
-// defense and fleet slices included, so a row of the table below pins
+// defense slice included, so a row of the table below pins
 // exactly which counters one request moved.
 func statsDelta(before, after ProxyStats) ProxyStats {
 	var d ProxyStats
@@ -253,12 +253,6 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	gainD.fetch(1, "/gained1")
 	gainD.fetch(1, "/gained2")
 
-	// A fleet of three; the pinned member owns nothing of /fleet.
-	rig := newFleetRigWith(t, 3, func(int) Options { return traced(Options{CapacityBytes: 16 << 20}) }, 1, 0)
-	fleetObj := rig.origin.srv.URL + "/fleet"
-	frontIdx := otherIndex(3, rig.ownerIndex(t, fleetObj))
-	front := pin(t, rig.proxies[frontIdx], rig.urls[frontIdx])
-
 	// An origin that holds its first reply until released, so a second
 	// request finds the first one's fetch in flight.
 	gate := make(chan struct{})
@@ -391,16 +385,6 @@ func TestServedByHeaderPerPath(t *testing.T) {
 			tier:  TierOrigin,
 			delta: ProxyStats{Requests: 1, OriginFetch: 1, Defense: DefenseStats{BreakerSkipped: 1}},
 			spans: []string{"!proxy.cache", "origin.fetch"}},
-		{name: "fetch fleet owner's origin fill", at: &front,
-			url:   front.fetchURL(fleetObj),
-			tier:  TierOrigin,
-			delta: ProxyStats{Requests: 1, Fleet: FleetStats{Routed: 1, RoutedOrigin: 1}},
-			spans: []string{"!proxy.cache", "fleet.route"}},
-		{name: "fetch fleet owner's cache hit", at: &front,
-			url:   front.fetchURL(fleetObj),
-			tier:  TierRemoteProxy,
-			delta: ProxyStats{Requests: 1, Fleet: FleetStats{Routed: 1, RoutedHits: 1}},
-			spans: []string{"!proxy.cache", "fleet.route"}},
 		{name: "fetch coalesced onto another request's origin fetch", at: &herd,
 			run:   coalesced,
 			tier:  TierOrigin,

@@ -114,16 +114,6 @@ func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
 	p.stats.requests.Add(1)
 	id := keyOf(url)
 	q := fetchReq{r: r, url: url, id: id, folded: fold(id), st: traceStart(p.tracer, r, "fetch")}
-	if f := p.fleet; f != nil {
-		// Owner-side load accounting: hot keys this member owns
-		// replicate onto their ring successors (fleet.go).
-		p.fleetTouch(q.id, q.folded)
-		if r.Header.Get(FleetHopHeader) != "" {
-			// Counted at arrival, whatever tier ends up serving it —
-			// a hop the owner answers from cache is still a hop served.
-			f.hopServes.Add(1)
-		}
-	}
 	s, err := walk(q, p.tiers)
 	if err != nil {
 		// The origin is the last tier and is always asked: err is its.
@@ -138,11 +128,10 @@ func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
 	for _, ev := range s.evicted {
 		p.passDown(ev)
 	}
-	if s.by == TierOrigin && r.Header.Get(FleetHopHeader) == "" {
+	if s.by == TierOrigin {
 		// The served-by count the aggregator's hit ratio is built on: a
-		// coalesced waiter and a holder's origin fill are origin replies
-		// as the requester sees them, and a hop's reply is counted by the
-		// member that answers the requester.
+		// coalesced waiter's reply is an origin reply as the requester
+		// sees it.
 		p.stats.originReplies.Add(1)
 	}
 	serve(w, s.body, s.by)
@@ -176,9 +165,7 @@ func (p *Proxy) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 }
 
 // cascade builds the tier table, and its head that the proxy serves
-// from what it holds itself.  A fleet member routes to the key's
-// holders after its own caches and before the cooperating proxies and
-// the origin.
+// from what it holds itself.
 func (p *Proxy) cascade() (local, tiers []tier) {
 	// unlist repairs a directory entry no cache backs any more (a
 	// crashed daemon, a raced eviction).
@@ -250,11 +237,8 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 		},
 		missed: unlist,
 	})
-	tiers = local[:len(local):len(local)]
-	if p.fleet != nil {
-		tiers = append(tiers, p.fleetTier())
-	}
-	return local[:len(local):len(local)], append(tiers, tier{
+	local = local[:len(local):len(local)]
+	return local, append(local, tier{
 		// 3. Cooperating proxies, each behind its error-rate breaker (a
 		// peer that keeps failing at the transport level is passed over,
 		// the request degrading toward origin, until its cooldown admits

@@ -97,7 +97,6 @@ type peerKind int
 const (
 	clientCache peerKind = iota // a daemon on this proxy's ring, by the host:port it registered
 	coopProxy                   // a cooperating proxy, by base URL
-	fleetMember                 // a member of this proxy's fleet, by base URL
 )
 
 // reply is what a hop brought back: status and headers, and the whole
@@ -112,7 +111,7 @@ type reply struct {
 // place a per-hop deadline is set.  The deadline is peerTimeout()
 // layered on parent: a hop made for a requester passes the requester's
 // context, so hanging up cancels it, and one that must outlive the
-// request that caused it (a pass-down, a replica) passes its own.  A
+// request that caused it (a pass-down) passes its own.  A
 // non-nil body is POSTed; traceID, when set, joins the far end's spans
 // to the caller's trace.
 //
@@ -123,8 +122,7 @@ type reply struct {
 // sweeper weighs.  Anything else is a connection-level failure, and
 // only that takes a client cache off the ring.  For a proxy both are a
 // failure for its breaker.  What a status means is the caller's
-// business, a proxy's peerOK included.  A fleet member is told the
-// call is a fleet hop (FleetHopHeader).
+// business, a proxy's peerOK included.
 func (p *Proxy) hop(parent context.Context, to peer, method, pathQuery string, body []byte, traceID string) (reply, error) {
 	if err := parent.Err(); err != nil {
 		return reply{}, err // whoever the hop was for is gone: nobody is asked, nobody judged
@@ -148,9 +146,6 @@ func (p *Proxy) hop(parent context.Context, to peer, method, pathQuery string, b
 	}
 	if traceID != "" {
 		req.Header.Set(TraceHeader, traceID)
-	}
-	if to.kind == fleetMember {
-		req.Header.Set(FleetHopHeader, "1")
 	}
 	resp, err := p.client.Do(req)
 	if err == nil {

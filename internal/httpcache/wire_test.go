@@ -94,13 +94,8 @@ func TestBodyRepliesDeclareLength(t *testing.T) {
 			}
 			resp.Body.Close()
 
-			rig := newFleetRig(t, 3, 1, 0, nil)
-			ownerIdx := rig.ownerIndex(t, origin.URL+"/fleet")
-			owner, front := rig.urls[ownerIdx], rig.urls[otherIndex(3, ownerIdx)]
-
 			rows := []struct {
 				name, url, path, tier string
-				hdr                   []string
 				before                func()
 			}{
 				{name: "fetch origin", url: fetchURL(roomy.proxyS[0].URL, "/a"), path: "/a", tier: TierOrigin},
@@ -123,17 +118,12 @@ func TestBodyRepliesDeclareLength(t *testing.T) {
 					path: "/b", tier: TierPeerP2P},
 				{name: "client-cache /object", url: ccSrv.URL + "/object?key=" + key("/direct"),
 					path: "/direct", tier: TierClientCache},
-				{name: "fleet hop, the owner's origin fill", url: fetchURL(owner, "/fleet"), path: "/fleet", tier: TierOrigin,
-					hdr: []string{FleetHopHeader, "1"}},
-				{name: "fleet hop, the owner's cache hit", url: fetchURL(owner, "/fleet"), path: "/fleet", tier: TierProxy,
-					hdr: []string{FleetHopHeader, "1"}},
-				{name: "fetch relayed from the fleet owner", url: fetchURL(front, "/fleet"), path: "/fleet", tier: TierRemoteProxy},
 			}
 			for _, row := range rows {
 				if row.before != nil {
 					row.before()
 				}
-				resp, body := framedGet(t, row.url, row.hdr...)
+				resp, body := framedGet(t, row.url)
 				if resp.StatusCode != http.StatusOK || !bytes.Equal(body, sizedBody(row.path, size)) {
 					t.Fatalf("%s: status %d, %d body bytes, want 200 and the %d-byte object", row.name, resp.StatusCode, len(body), size)
 				}

@@ -30,17 +30,6 @@ type ClusterAccountant struct {
 	evicts   int64
 	lost     int64
 
-	// Replica ledger (fleet k-way replication).  copies counts the
-	// extra copies of each object beyond the one `resident` tracks;
-	// replicas is the running total of replica placements.  With
-	// replicas the conservation law generalizes to
-	//
-	//	stores + replicas − evictions − lost == total copies
-	//
-	// where total copies = len(resident) + Σ copies.
-	copies   map[trace.ObjectID]int64
-	replicas int64
-
 	strict bool
 }
 
@@ -55,7 +44,6 @@ func NewClusterAccountant(chk *Checker, label string) *ClusterAccountant {
 		chk:      chk,
 		label:    label,
 		resident: make(map[trace.ObjectID]struct{}),
-		copies:   make(map[trace.ObjectID]int64),
 		strict:   true,
 	}
 }
@@ -72,18 +60,9 @@ func (a *ClusterAccountant) Lenient() {
 // Strict reports whether ground-truth reconciliation is still on.
 func (a *ClusterAccountant) Strict() bool { return a != nil && a.strict }
 
-// remove takes one copy of obj off the ledger — a surplus replica
-// copy first, the primary residency last — asserting (in strict mode)
-// that the cluster is not reporting the removal of an object it never
-// stored.
+// remove takes obj off the ledger, asserting (in strict mode) that the
+// cluster is not reporting the removal of an object it never stored.
 func (a *ClusterAccountant) remove(obj trace.ObjectID, rule, how string) bool {
-	if a.copies[obj] > 0 {
-		a.copies[obj]--
-		if a.copies[obj] == 0 {
-			delete(a.copies, obj)
-		}
-		return true
-	}
 	_, ok := a.resident[obj]
 	if a.strict {
 		a.chk.assertf(ok, "p2p", rule,
@@ -115,28 +94,6 @@ func (a *ClusterAccountant) RecordStore(r p2p.Receipt) {
 		a.chk.assertf(gone != r.Stored, "p2p", "self-evict",
 			"cluster %s: store receipt for %d evicts the object being stored", a.label, r.Stored)
 		if a.remove(gone, "phantom-evict", "evicted") {
-			a.evicts++
-		}
-	}
-}
-
-// RecordReplica feeds a k-way replica placement into the ledger: one
-// extra copy of obj now exists somewhere in the fleet, displacing the
-// receipted evictions.  In strict mode the object must already be on
-// the ledger — a replica of an object never stored is a ghost copy.
-func (a *ClusterAccountant) RecordReplica(obj trace.ObjectID, evicted []trace.ObjectID) {
-	if a == nil {
-		return
-	}
-	if a.strict {
-		_, resident := a.resident[obj]
-		a.chk.assertf(resident || a.copies[obj] > 0, "p2p", "ghost-replica",
-			"cluster %s: replica of %d which the ledger does not hold", a.label, obj)
-	}
-	a.copies[obj]++
-	a.replicas++
-	for _, gone := range evicted {
-		if a.remove(gone, "phantom-evict", "replica-evicted") {
 			a.evicts++
 		}
 	}
@@ -184,9 +141,9 @@ func (a *ClusterAccountant) Reconcile(cl *p2p.Cluster) {
 	if a == nil {
 		return
 	}
-	a.chk.assertf(a.stores+a.replicas-a.evicts-a.lost == a.totalCopies(), "p2p", "conservation",
-		"cluster %s: stores %d + replicas %d − evictions %d − lost %d != %d total copies",
-		a.label, a.stores, a.replicas, a.evicts, a.lost, a.totalCopies())
+	a.chk.assertf(a.stores-a.evicts-a.lost == int64(len(a.resident)), "p2p", "conservation",
+		"cluster %s: stores %d − evictions %d − lost %d != %d resident",
+		a.label, a.stores, a.evicts, a.lost, len(a.resident))
 	if !a.strict || cl == nil {
 		return
 	}
@@ -195,51 +152,6 @@ func (a *ClusterAccountant) Reconcile(cl *p2p.Cluster) {
 	for obj := range a.resident {
 		a.chk.assertf(cl.Contains(obj), "p2p", "resident-missing",
 			"cluster %s: ledger holds %d but no client cache does", a.label, obj)
-	}
-}
-
-// totalCopies is the ledger's copy population: one per resident
-// object plus the surplus replica copies.
-func (a *ClusterAccountant) totalCopies() int64 {
-	n := int64(len(a.resident))
-	for _, c := range a.copies {
-		n += c
-	}
-	return n
-}
-
-// ReconcileCopies checks the replica ledger against ground truth: a
-// map from object to the number of copies actually resident across
-// the fleet's caches.  Runs the conservation identity first, then (in
-// strict mode) the per-object copy counts both ways.  This is the
-// replica-aware analogue of Reconcile's population check — used by
-// consumers whose ground truth is a fleet of caches rather than one
-// p2p.Cluster.
-func (a *ClusterAccountant) ReconcileCopies(ground map[trace.ObjectID]int64) {
-	if a == nil {
-		return
-	}
-	a.Reconcile(nil)
-	if !a.strict {
-		return
-	}
-	for obj, want := range ground {
-		have := a.copies[obj]
-		if _, ok := a.resident[obj]; ok {
-			have++
-		}
-		a.chk.assertf(have == want, "p2p", "replica-count",
-			"cluster %s: object %d has %d copies resident, ledger says %d", a.label, obj, want, have)
-	}
-	for obj := range a.resident {
-		_, ok := ground[obj]
-		a.chk.assertf(ok, "p2p", "resident-missing",
-			"cluster %s: ledger holds %d but no cache does", a.label, obj)
-	}
-	for obj := range a.copies {
-		_, ok := ground[obj]
-		a.chk.assertf(ok, "p2p", "resident-missing",
-			"cluster %s: ledger holds replica copies of %d but no cache does", a.label, obj)
 	}
 }
 

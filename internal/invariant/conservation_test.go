@@ -150,51 +150,3 @@ func TestClusterAccountantGhostHit(t *testing.T) {
 		t.Fatalf("expected a ghost-hit violation, got %v", chk.Violations())
 	}
 }
-
-func TestClusterAccountantReplicaConservation(t *testing.T) {
-	// The replica-aware identity: stores + replicas − evicts − lost ==
-	// total copies, with evictions draining surplus copies before the
-	// primary residency.
-	chk := New(nil)
-	acct := NewClusterAccountant(chk, "fleet")
-	store := func(obj trace.ObjectID) {
-		acct.RecordStore(p2p.Receipt{Stored: obj, StoredOK: true})
-	}
-	store(1)
-	store(2)
-	acct.RecordReplica(1, nil)
-	acct.RecordReplica(1, nil)
-	acct.RecordReplica(2, []trace.ObjectID{1}) // replica of 2 displaces a copy of 1
-	acct.ReconcileCopies(map[trace.ObjectID]int64{1: 2, 2: 2})
-	if err := chk.Err(); err != nil {
-		t.Fatalf("violations on a correct replica run: %v", err)
-	}
-	// Evicting 1 twice drains its last surplus copy then the primary.
-	acct.RecordLookup(1, &p2p.LookupResult{Found: true, Displaced: []trace.ObjectID{1}})
-	acct.RecordLookup(1, &p2p.LookupResult{Found: true, Displaced: []trace.ObjectID{1}})
-	acct.ReconcileCopies(map[trace.ObjectID]int64{2: 2})
-	if err := chk.Err(); err != nil {
-		t.Fatalf("violations after replica drain: %v", err)
-	}
-}
-
-func TestClusterAccountantReplicaViolations(t *testing.T) {
-	// A replica of an object never stored is a ghost copy.
-	chk := New(nil)
-	acct := NewClusterAccountant(chk, "fleet")
-	acct.RecordReplica(99, nil)
-	if chk.ViolationCount() == 0 {
-		t.Fatal("ghost replica went unnoticed")
-	}
-
-	// A ground-truth copy count that disagrees with the ledger trips
-	// replica-count.
-	chk2 := New(nil)
-	acct2 := NewClusterAccountant(chk2, "fleet")
-	acct2.RecordStore(p2p.Receipt{Stored: 5, StoredOK: true})
-	acct2.RecordReplica(5, nil)
-	acct2.ReconcileCopies(map[trace.ObjectID]int64{5: 3})
-	if chk2.ViolationCount() == 0 {
-		t.Fatal("copy-count mismatch went unnoticed")
-	}
-}

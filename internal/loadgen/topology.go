@@ -68,15 +68,6 @@ type TopologyConfig struct {
 	// the daemon's topology indices and must return a handler.
 	WrapProxy func(proxy int, h http.Handler) http.Handler
 	WrapCache func(proxy, cache int, h http.Handler) http.Handler
-	// Fleet builds the proxies as a consistent-hash fleet
-	// (httpcache.Options.Fleet with the full member roster) instead of
-	// the cooperating full mesh (Options.Peers).  FleetReplication is the
-	// hot-object copy count k (0 = 1, partitioning only) and
-	// FleetHotAfter the per-key access count that triggers replication
-	// (0 = the httpcache default).
-	Fleet            bool
-	FleetReplication int
-	FleetHotAfter    int
 }
 
 // Topology is a running loopback deployment.  Everything listens on
@@ -164,7 +155,7 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 	t.OriginURL = "http://" + originLn.Addr().String()
 
 	// Every proxy's listener is bound first, so each daemon is built with
-	// its final peer mesh or fleet roster and serves only once complete.
+	// its final peer mesh and serves only once complete.
 	for range cfg.Proxies {
 		ln, err := listen()
 		if err != nil {
@@ -198,18 +189,7 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		if cfg.Defenses != nil {
 			o.Defenses = *cfg.Defenses
 		}
-		if cfg.Fleet {
-			// Consistent-hash fleet: every proxy gets the full roster, its
-			// own URL included, instead of the peer mesh.
-			o.Fleet = &httpcache.FleetOptions{
-				Self:         u,
-				Members:      t.ProxyURLs,
-				Replication:  cfg.FleetReplication,
-				HotThreshold: cfg.FleetHotAfter,
-			}
-		} else {
-			o.Peers = slices.Delete(slices.Clone(t.ProxyURLs), p, p+1) // the full mesh
-		}
+		o.Peers = slices.Delete(slices.Clone(t.ProxyURLs), p, p+1) // the full mesh
 		px, err := httpcache.NewProxyOpts(o)
 		if err != nil {
 			return nil, err
@@ -249,7 +229,7 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		}
 		t.CacheAddrs = append(t.CacheAddrs, addrs)
 	}
-	// Everything is registered and wired (fleet rings included): flip
+	// Everything is registered and wired: flip
 	// the daemons ready, then gate on every /readyz answering 200 — the
 	// drivers never race a half-started topology.
 	for _, px := range t.Proxies {
@@ -274,21 +254,28 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 	return t, nil
 }
 
-// waitReady polls base's /readyz until it answers 200.
+// waitReady polls base's /readyz until it answers 200.  Each probe is
+// bounded by the time left before the deadline, so a daemon that never
+// answers costs timeout and no more.
 func waitReady(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
 	for {
-		resp, err := http.Get(base + "/readyz")
-		if err == nil {
+		req, err := http.NewRequestWithContext(ctx, "GET", base+"/readyz", nil)
+		if err != nil {
+			return err
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
 				return nil
 			}
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-ctx.Done():
 			return fmt.Errorf("loadgen: %s/readyz not ready after %s", base, timeout)
+		case <-time.After(5 * time.Millisecond):
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -1,7 +1,6 @@
-// Package cluster is the fleet-wide metrics aggregation plane: a
-// scraper that polls every fleet member's /metrics exposition (plus
-// its /fleet/heartbeat metadata) and merges the per-process registries
-// into one coherent cluster.* view.
+// Package cluster is the cluster-wide metrics aggregation plane: a
+// scraper that polls every member's /metrics exposition and merges the
+// per-process registries into one coherent cluster.* view.
 //
 // Merge semantics, per exposition family:
 //
@@ -92,14 +91,6 @@ type Options struct {
 	Now func() time.Time
 }
 
-// Heartbeat mirrors the fleet's GET /fleet/heartbeat payload.
-type Heartbeat struct {
-	Self    string `json:"self"`
-	Load    uint64 `json:"load"`
-	Objects int    `json:"objects"`
-	Members int    `json:"members"`
-}
-
 // memberData is one member's decoded exposition.
 type memberData struct {
 	counters map[string]float64
@@ -111,7 +102,6 @@ type memberData struct {
 type memberState struct {
 	member    Member
 	data      *memberData
-	heartbeat *Heartbeat
 	scrapedAt time.Time // last successful scrape
 	up        bool
 	err       string
@@ -156,12 +146,10 @@ type MemberView struct {
 	AgeSeconds float64 `json:"age_seconds"`
 	Requests   float64 `json:"requests"`
 	HitRatio   float64 `json:"hit_ratio"`
-	// Load and Objects come from the fleet heartbeat (0 when the
-	// member runs fleet-disabled).
-	Load         float64    `json:"load"`
-	Objects      float64    `json:"objects"`
-	BreakerOpens float64    `json:"breaker_opens"`
-	Heartbeat    *Heartbeat `json:"heartbeat,omitempty"`
+	// Objects is the member's store.objects gauge: what its memory
+	// cache holds.
+	Objects      float64 `json:"objects"`
+	BreakerOpens float64 `json:"breaker_opens"`
 }
 
 // ClassRollup is the cluster view of one SLO class: additive ledger
@@ -180,10 +168,9 @@ type ClassRollup struct {
 type Snapshot struct {
 	At      time.Time    `json:"at"`
 	Members []MemberView `json:"members"`
-	// Requests/OriginFetches/HitRatio are the deduplicated cluster
-	// serving stats: fleet-hop serves are subtracted from the request
-	// sum so a request forwarded between members counts once, and
-	// OriginFetches counts the replies served from origin (originReplies).
+	// Requests/OriginFetches/HitRatio are the cluster serving stats:
+	// Requests sums the members' requests, and OriginFetches counts the
+	// replies served from origin (originReplies).
 	Requests      float64 `json:"requests"`
 	OriginFetches float64 `json:"origin_fetches"`
 	HitRatio      float64 `json:"hit_ratio"`
@@ -200,41 +187,25 @@ type Snapshot struct {
 // Registry returns the merged cluster.* registry behind the snapshot.
 func (s *Snapshot) Registry() *obs.Registry { return s.merged }
 
-// scrapeMember fetches and decodes one member's exposition and
-// heartbeat.  The heartbeat is optional (fleet-disabled daemons answer
-// 503 / 404); only a /metrics failure fails the scrape.
-func (a *Aggregator) scrapeMember(ctx context.Context, m Member) (*memberData, *Heartbeat, error) {
+// scrapeMember fetches and decodes one member's exposition.
+func (a *Aggregator) scrapeMember(ctx context.Context, m Member) (*memberData, error) {
 	req, err := http.NewRequestWithContext(ctx, "GET", m.URL+"/metrics", nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	resp, err := a.opts.Client.Do(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, nil, fmt.Errorf("GET /metrics: %s", resp.Status)
+		return nil, fmt.Errorf("GET /metrics: %s", resp.Status)
 	}
 	samples, types, err := obs.ParsePrometheusSamples(resp.Body)
 	if err != nil {
-		return nil, nil, fmt.Errorf("parse /metrics: %v", err)
+		return nil, fmt.Errorf("parse /metrics: %v", err)
 	}
-	data := decodeSamples(samples, types)
-
-	var hb *Heartbeat
-	if req, err := http.NewRequestWithContext(ctx, "GET", m.URL+"/fleet/heartbeat", nil); err == nil {
-		if resp, err := a.opts.Client.Do(req); err == nil {
-			if resp.StatusCode == http.StatusOK {
-				var h Heartbeat
-				if json.NewDecoder(resp.Body).Decode(&h) == nil {
-					hb = &h
-				}
-			}
-			resp.Body.Close()
-		}
-	}
-	return data, hb, nil
+	return decodeSamples(samples, types), nil
 }
 
 // histAcc accumulates one _seconds_hist family during decoding.
@@ -320,14 +291,13 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) *Snapshot {
 	type result struct {
 		name string
 		data *memberData
-		hb   *Heartbeat
 		err  error
 	}
 	results := make(chan result, len(a.members))
 	for _, m := range a.members {
 		go func(m Member) {
-			data, hb, err := a.scrapeMember(ctx, m)
-			results <- result{m.Name, data, hb, err}
+			data, err := a.scrapeMember(ctx, m)
+			results <- result{m.Name, data, err}
 		}(m)
 	}
 	byName := map[string]result{}
@@ -343,7 +313,7 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) *Snapshot {
 		r := byName[m.Name]
 		wasUp := st.up
 		if r.err == nil {
-			st.data, st.heartbeat, st.scrapedAt = r.data, r.hb, now
+			st.data, st.scrapedAt = r.data, now
 			st.up, st.err = true, ""
 		} else {
 			st.up, st.err = false, r.err.Error()
@@ -368,7 +338,7 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 	mins := map[string]float64{}
 	maxs := map[string]float64{}
 	classes := map[string]*ClassRollup{}
-	var hopServes, origin float64
+	var origin float64
 
 	for _, m := range a.members {
 		st := a.state[m.Name]
@@ -387,11 +357,7 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 				mv.HitRatio = 1 - originReplies(st.data.gauges)/mv.Requests
 			}
 			mv.BreakerOpens = st.data.gauges["httpcache_proxy_breaker_opens"]
-		}
-		if st.heartbeat != nil {
-			mv.Heartbeat = st.heartbeat
-			mv.Load = float64(st.heartbeat.Load)
-			mv.Objects = float64(st.heartbeat.Objects)
+			mv.Objects = st.data.gauges["store_objects"]
 		}
 		snap.Members = append(snap.Members, mv)
 		if !contributes {
@@ -418,7 +384,6 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 		for fam, h := range st.data.hists {
 			reg.Histogram("cluster." + fam).Merge(h)
 		}
-		hopServes += st.data.gauges["fleet_hop_serves"]
 		origin += originReplies(st.data.gauges)
 
 		// Per-class SLO rollup from the member's slo_* gauges.
@@ -461,13 +426,10 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 		reg.Gauge("cluster." + fam).Set(v)
 	}
 
-	// Deduplicated cluster serving stats: a fleet-hopped request shows
-	// up as a request on both the first-contact member and the owner,
-	// so the hop serves come back out of the sum.  The origin count is
-	// by served-by label, each reply counted once by the member that
-	// answered the requester, so the hit ratio is the one the requesters
-	// saw.
-	snap.Requests = sums["httpcache_proxy_requests"] - hopServes
+	// Cluster serving stats: every request is counted by the one member
+	// it arrived at, and the origin count is by served-by label, so the
+	// hit ratio is the one the requesters saw.
+	snap.Requests = sums["httpcache_proxy_requests"]
 	snap.OriginFetches = origin
 	if snap.Requests > 0 {
 		snap.HitRatio = 1 - snap.OriginFetches/snap.Requests
@@ -495,9 +457,9 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 }
 
 // originReplies is a member's count of replies served from origin: its
-// httpcache.proxy.origin_replies, which counts a coalesced waiter and a
-// fleet holder's origin fill the way the requester saw them, or, from a
-// member that does not publish that gauge, its origin_fetches.
+// httpcache.proxy.origin_replies, which counts a coalesced waiter the
+// way the requester saw it, or, from a member that does not publish
+// that gauge, its origin_fetches.
 func originReplies(gauges map[string]float64) float64 {
 	if v, ok := gauges["httpcache_proxy_origin_replies"]; ok {
 		return v

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -13,31 +12,20 @@ import (
 	"webcache/internal/obs"
 )
 
-// fakeMember serves a registry exposition plus an optional heartbeat,
-// the way a fleet daemon does.
-func fakeMember(t *testing.T, reg *obs.Registry, hb *Heartbeat) *httptest.Server {
+// fakeMember serves a registry exposition the way a daemon does.
+func fakeMember(t *testing.T, reg *obs.Registry) *httptest.Server {
 	t.Helper()
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.PrometheusHandler(reg))
-	mux.HandleFunc("/fleet/heartbeat", func(w http.ResponseWriter, _ *http.Request) {
-		if hb == nil {
-			http.Error(w, "fleet disabled", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(hb)
-	})
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(obs.PrometheusHandler(reg))
 	t.Cleanup(srv.Close)
 	return srv
 }
 
-func memberRegistry(name string, requests, origin, hopServes float64, latencies []time.Duration) *obs.Registry {
+func memberRegistry(name string, requests, origin, objects float64, latencies []time.Duration) *obs.Registry {
 	reg := obs.NewRegistry(name)
 	reg.Counter("httpcache.proxy.sweeps").Add(3)
 	reg.Gauge("httpcache.proxy.requests").Set(requests)
 	reg.Gauge("httpcache.proxy.origin_fetches").Set(origin)
-	reg.Gauge("fleet.hop_serves").Set(hopServes)
+	reg.Gauge("store.objects").Set(objects)
 	reg.Gauge("slo.interactive.burn.fast").Set(requests / 100) // distinct per member
 	reg.Gauge("slo.interactive.good").Set(requests - origin)
 	reg.Gauge("slo.interactive.bad").Set(origin)
@@ -50,14 +38,14 @@ func memberRegistry(name string, requests, origin, hopServes float64, latencies 
 
 // TestAggregatorGolden scrapes two live members plus one unreachable
 // one, asserting the additive merge, the lossless histogram union,
-// the dedup'd cluster hit ratio, the worst-member SLO fold, and the
+// the cluster hit ratio, the worst-member SLO fold, and the
 // staleness flags — then kills a member and checks its last-good data
 // keeps contributing, flagged stale.
 func TestAggregatorGolden(t *testing.T) {
-	regA := memberRegistry("a", 100, 20, 0, []time.Duration{time.Millisecond, 2 * time.Millisecond})
-	regB := memberRegistry("b", 250, 30, 50, []time.Duration{10 * time.Millisecond})
-	srvA := fakeMember(t, regA, &Heartbeat{Self: "a", Load: 7, Objects: 40, Members: 2})
-	srvB := fakeMember(t, regB, nil)
+	regA := memberRegistry("a", 100, 20, 40, []time.Duration{time.Millisecond, 2 * time.Millisecond})
+	regB := memberRegistry("b", 250, 30, 0, []time.Duration{10 * time.Millisecond})
+	srvA := fakeMember(t, regA)
+	srvB := fakeMember(t, regB)
 
 	events := obs.NewEventLog("agg", nil)
 	agg := New([]Member{
@@ -80,19 +68,19 @@ func TestAggregatorGolden(t *testing.T) {
 	if byName["ghost"].Stale || byName["ghost"].Err == "" || byName["ghost"].AgeSeconds != -1 {
 		t.Fatalf("never-scraped member misreported: %+v", byName["ghost"])
 	}
-	if byName["a"].Heartbeat == nil || byName["a"].Load != 7 || byName["b"].Heartbeat != nil {
-		t.Fatalf("heartbeats: a=%+v b=%+v", byName["a"], byName["b"])
+	if byName["a"].Objects != 40 || byName["b"].Objects != 0 {
+		t.Fatalf("objects: a=%+v b=%+v", byName["a"], byName["b"])
 	}
 
-	// Counters and gauges sum; hop serves dedup the request count:
-	// (100 + 250 - 50) requests, 50 origin -> hit ratio 1 - 50/300.
+	// Counters and gauges sum: 100 + 250 requests, 50 origin -> hit
+	// ratio 1 - 50/350.
 	if got := snap.Values["cluster.httpcache_proxy_sweeps"]; got != 6 {
 		t.Fatalf("summed counter = %v", got)
 	}
-	if snap.Requests != 300 || snap.OriginFetches != 50 {
+	if snap.Requests != 350 || snap.OriginFetches != 50 {
 		t.Fatalf("requests=%v origin=%v", snap.Requests, snap.OriginFetches)
 	}
-	if want := 1 - 50.0/300; math.Abs(snap.HitRatio-want) > 1e-9 {
+	if want := 1 - 50.0/350; math.Abs(snap.HitRatio-want) > 1e-9 {
 		t.Fatalf("hit ratio = %v, want %v", snap.HitRatio, want)
 	}
 
@@ -133,7 +121,7 @@ func TestAggregatorGolden(t *testing.T) {
 	if byName["b"].AgeSeconds < 0 {
 		t.Fatalf("stale member lost its age: %+v", byName["b"])
 	}
-	if snap.Requests != 300 {
+	if snap.Requests != 350 {
 		t.Fatalf("stale member dropped from merge: requests=%v", snap.Requests)
 	}
 	if got := snap.Values["cluster.members_stale"]; got != 1 {
@@ -154,7 +142,7 @@ func TestAggregatorGolden(t *testing.T) {
 // StaleAfter and asserts it stops contributing to the merged totals.
 func TestAggregatorStaleDrop(t *testing.T) {
 	reg := memberRegistry("a", 100, 10, 0, nil)
-	srv := fakeMember(t, reg, nil)
+	srv := fakeMember(t, reg)
 	clock := time.Unix(5_000_000, 0)
 	agg := New([]Member{{Name: "a", URL: srv.URL}}, Options{
 		StaleAfter: 10 * time.Second,
@@ -181,7 +169,7 @@ func TestAggregatorStaleDrop(t *testing.T) {
 // TestAggregatorHandler drives the two HTTP surfaces.
 func TestAggregatorHandler(t *testing.T) {
 	reg := memberRegistry("a", 10, 1, 0, []time.Duration{time.Millisecond})
-	srv := fakeMember(t, reg, nil)
+	srv := fakeMember(t, reg)
 	agg := New([]Member{{Name: "a", URL: srv.URL}}, Options{})
 	h := agg.Handler()
 

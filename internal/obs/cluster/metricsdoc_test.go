@@ -17,8 +17,8 @@ func TestMetricsDocCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := memberRegistry("a", 100, 20, 0, []time.Duration{time.Millisecond})
-	srv := fakeMember(t, reg, &Heartbeat{Self: "a", Load: 1, Objects: 5, Members: 1})
+	reg := memberRegistry("a", 100, 20, 5, []time.Duration{time.Millisecond})
+	srv := fakeMember(t, reg)
 	agg := New([]Member{{Name: "a", URL: srv.URL}}, Options{})
 	snap := agg.ScrapeOnce(context.Background())
 

@@ -23,7 +23,7 @@ type Event struct {
 	Time time.Time `json:"ts"`
 	// Source names the emitting process ("proxy-1", "cache-0-2", ...).
 	Source string `json:"source,omitempty"`
-	// Type is the transition kind, dotted lowercase: "fleet.join",
+	// Type is the transition kind, dotted lowercase: "ready.up",
 	// "breaker.open", "recovery.done", "slo.page", "ready.drain", ...
 	Type string `json:"type"`
 	// Fields carries the transition's context (peer address, class

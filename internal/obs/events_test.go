@@ -10,7 +10,7 @@ import (
 func TestEventLogJSONLAndTail(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewEventLog("proxy-0", &buf)
-	l.Emit("fleet.join", map[string]string{"peer": "127.0.0.1:9"})
+	l.Emit("ready.up", map[string]string{"peer": "127.0.0.1:9"})
 	l.Emit("breaker.open", nil)
 	if l.Total() != 2 {
 		t.Fatalf("total = %d", l.Total())
@@ -23,11 +23,11 @@ func TestEventLogJSONLAndTail(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
 		t.Fatalf("line 0 not JSON: %v", err)
 	}
-	if ev.Source != "proxy-0" || ev.Type != "fleet.join" || ev.Fields["peer"] != "127.0.0.1:9" || ev.Time.IsZero() {
+	if ev.Source != "proxy-0" || ev.Type != "ready.up" || ev.Fields["peer"] != "127.0.0.1:9" || ev.Time.IsZero() {
 		t.Fatalf("event = %+v", ev)
 	}
 	recent := l.Recent(10)
-	if len(recent) != 2 || recent[0].Type != "fleet.join" || recent[1].Type != "breaker.open" {
+	if len(recent) != 2 || recent[0].Type != "ready.up" || recent[1].Type != "breaker.open" {
 		t.Fatalf("recent = %+v", recent)
 	}
 }

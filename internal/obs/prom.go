@@ -32,7 +32,7 @@ import (
 // layout is fixed (histogram.go), RestoreHistogram maps the le values
 // exactly back onto bucket indices — a scrape round-trips bucket for
 // bucket, which is what lets the cluster aggregator merge histograms
-// across fleet members without quantile distortion.
+// across members without quantile distortion.
 
 // promName sanitizes a dotted metric name into a Prometheus metric
 // name.
@@ -165,7 +165,7 @@ func ParsePrometheusText(r io.Reader) (samples int, err error) {
 // ParsePrometheusSamples parses a text-format exposition into its
 // samples plus the # TYPE declarations (family name -> type).  Same
 // grammar as ParsePrometheusText (which wraps it); this is the reader
-// the cluster aggregator scrapes fleet members with.
+// the cluster aggregator scrapes members with.
 func ParsePrometheusSamples(r io.Reader) (samples []Sample, types map[string]string, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)

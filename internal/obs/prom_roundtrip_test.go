@@ -101,7 +101,7 @@ func TestHistogramBucketRoundTrip(t *testing.T) {
 	}
 
 	// A second scrape merged on top doubles every bucket — the merge
-	// the aggregator performs across fleet members.
+	// the aggregator performs across members.
 	got.Merge(restoreFromExposition(t, buf.String(), "webcache_loadgen_latency_seconds_hist"))
 	if got.Count() != 2*h.Count() {
 		t.Fatalf("merged count: got %d want %d", got.Count(), 2*h.Count())

@@ -20,7 +20,7 @@
 //
 // The loadgen driver feeds a Tracker from its measured latencies, and
 // the proxy daemon feeds one from the X-SLO-Class request header, so
-// both the driver's manifest and the fleet's /metrics expose the same
+// both the driver's manifest and every proxy's /metrics expose the same
 // slo.* namespace (METRICS.md) for the cluster aggregator to merge.
 package slo
 

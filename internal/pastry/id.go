@@ -73,6 +73,11 @@ func (a ID) String() string {
 	return hex.EncodeToString(b[:])
 }
 
+// Fold compresses the 128-bit ID into the 64-bit key the live data
+// plane's caches are keyed by.  A birthday collision would need ~2^32
+// distinct ids in one cache.
+func (a ID) Fold() uint64 { return a[0] ^ bits.RotateLeft64(a[1], 31) }
+
 // Cmp compares a and b as unsigned 128-bit integers: -1, 0, or +1.
 func (a ID) Cmp(b ID) int {
 	switch {

@@ -3,11 +3,10 @@
 package sim
 
 // Zero-alloc gates on the simulator's steady-state inner loop.  After
-// one warmup replay, a serve must not touch the heap: the arena and
-// policy scratch buffers (arena.go, cache.Policy.Add) absorb every
-// per-request record, and the hoisted lookup tables (fc.go's dense
-// placement, fleet.go cands, tiered.go missLFU) replace the per-request
-// map and interface work.  testing.AllocsPerRun floor-divides total mallocs by
+// one warmup replay, a serve must not touch the heap: the policy
+// scratch buffers (cache.Policy.Add) absorb every per-request record,
+// and the hoisted lookup tables (fc.go's dense placement, tiered.go
+// missLFU) replace the per-request map and interface work.  testing.AllocsPerRun floor-divides total mallocs by
 // runs, so a rare map-rehash still passes while any per-request
 // allocation fails the gate at >= 1.
 //
@@ -58,22 +57,6 @@ func TestServeZeroAllocLFU(t *testing.T) {
 		if allocs := serveSteadyStateAllocs(t, cfg); allocs != 0 {
 			t.Errorf("SC-EC (digest interval %d) steady-state serve allocates %.1f objects/request, want 0", interval, allocs)
 		}
-	}
-}
-
-// TestServeZeroAllocFleet gates the fleet engine: consistent-hash
-// partitioning with hot-object replication, the heaviest serve path.
-func TestServeZeroAllocFleet(t *testing.T) {
-	cfg := Config{
-		Scheme:            HierGD,
-		ProxyCacheFrac:    0.3,
-		ClientsPerCluster: 16,
-		Seed:              1,
-		FleetSize:         4,
-		FleetReplication:  2,
-	}
-	if allocs := serveSteadyStateAllocs(t, cfg); allocs != 0 {
-		t.Errorf("fleet steady-state serve allocates %.1f objects/request, want 0", allocs)
 	}
 }
 

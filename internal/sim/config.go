@@ -139,21 +139,6 @@ type Config struct {
 	DirSweepEvery      int
 	ByzantineFraction  float64
 	VerifyFraction     float64
-	// FleetSize switches Hier-GD to the cooperating-fleet engine
-	// (internal/sim/fleet.go): that many proxy caches partitioned by a
-	// consistent-hash ring, no P2P client tier.  0 or 1 keeps the
-	// standard Hier-GD engine.  Setting it forces NumProxies ==
-	// FleetSize so the trace's client clusters map one-to-one onto
-	// fleet members.  FleetReplication is the copy count k for hot
-	// objects (default 1: partitioning only); FleetHotAfter is the
-	// per-key access count that triggers replication (default 16);
-	// FleetPartitionAt isolates the highest-indexed member at that
-	// request index (0 = never) — the sim analogue of the chaos
-	// fleet-partition scenario.
-	FleetSize        int
-	FleetReplication int
-	FleetHotAfter    int
-	FleetPartitionAt int
 	// BasePolicy selects the replacement policy of the LFU-family
 	// schemes (NC, SC, NC-EC, SC-EC): the paper fixes LFU (§2); the
 	// other values ablate that design choice.
@@ -244,15 +229,6 @@ func (c *Config) fillDefaults() {
 	if c.PoisonEvery > 0 && c.PoisonBatch == 0 {
 		c.PoisonBatch = 8
 	}
-	if c.FleetSize > 1 {
-		c.NumProxies = c.FleetSize
-		if c.FleetReplication == 0 {
-			c.FleetReplication = 1
-		}
-		if c.FleetHotAfter == 0 {
-			c.FleetHotAfter = 16
-		}
-	}
 }
 
 // Validate reports configuration errors (after defaulting).
@@ -286,6 +262,12 @@ func (c Config) Validate() error {
 	if c.WarmupRequests < 0 {
 		return fmt.Errorf("sim: negative warmup %d", c.WarmupRequests)
 	}
+	if c.FailEvery < 0 {
+		return fmt.Errorf("sim: negative failure period %d", c.FailEvery)
+	}
+	if c.ReplicateHotAfter < 0 {
+		return fmt.Errorf("sim: negative hot-replication threshold %d", c.ReplicateHotAfter)
+	}
 	if c.FlashChurnAt < 0 || c.PoisonEvery < 0 || c.PoisonBatch < 0 || c.DirSweepEvery < 0 {
 		return fmt.Errorf("sim: negative chaos period")
 	}
@@ -297,17 +279,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.VerifyFraction >= 0 && c.VerifyFraction <= 1) {
 		return fmt.Errorf("sim: verify fraction %g outside [0,1]", c.VerifyFraction)
-	}
-	if c.FleetSize < 0 || c.FleetPartitionAt < 0 {
-		return fmt.Errorf("sim: negative fleet parameter")
-	}
-	if c.FleetSize > 1 {
-		if c.Scheme != HierGD {
-			return fmt.Errorf("sim: FleetSize applies to the HierGD scheme only (got %v)", c.Scheme)
-		}
-		if c.FleetReplication < 1 || c.FleetReplication > c.FleetSize {
-			return fmt.Errorf("sim: fleet replication %d outside [1,%d]", c.FleetReplication, c.FleetSize)
-		}
 	}
 	return c.Net.Validate()
 }

@@ -50,23 +50,6 @@ type Result struct {
 	DigestStaleProbes int    // wasted Tc probes on stale digest entries
 	DigestMemoryBytes uint64 // advertised digest footprint per rebuild
 	DigestRebuilds    int
-	// Fleet telemetry (Config.FleetSize > 1; all zero otherwise).
-	// FleetMembers echoes the fleet size; Routed counts front misses
-	// sent to another member, split into RoutedHits (served from the
-	// member's cache) and RoutedOrigin (the member filled from origin
-	// on the front's behalf).  RouteFailed counts requests that fell
-	// through to origin uncached because no candidate was reachable;
-	// RouteSkipped counts candidates bypassed by the partition.
-	// FleetReplicas counts hot-object copies placed; FleetHotKeys is
-	// the load estimator's tracked-key count at finish.
-	FleetMembers      int
-	FleetRouted       int
-	FleetRoutedHits   int
-	FleetRoutedOrigin int
-	FleetRouteFailed  int
-	FleetRouteSkipped int
-	FleetReplicas     int
-	FleetHotKeys      int
 	// P2PMaxNodeServes is the hottest client cache's lookup-serve
 	// count across all clusters (the hotspot metric replication
 	// improves).
@@ -171,16 +154,6 @@ func (r *Result) PublishMetrics(reg *obs.Registry) {
 	reg.Counter("sim.digest.rebuilds").Add(int64(r.DigestRebuilds))
 	reg.Gauge("sim.digest.memory_bytes").SetMax(float64(r.DigestMemoryBytes))
 	reg.Gauge("sim.p2p.max_node_serves").SetMax(float64(r.P2PMaxNodeServes))
-	if r.FleetMembers > 0 {
-		reg.Gauge("sim.fleet.members").SetMax(float64(r.FleetMembers))
-		reg.Counter("sim.fleet.routed").Add(int64(r.FleetRouted))
-		reg.Counter("sim.fleet.routed_hits").Add(int64(r.FleetRoutedHits))
-		reg.Counter("sim.fleet.routed_origin").Add(int64(r.FleetRoutedOrigin))
-		reg.Counter("sim.fleet.route_failed").Add(int64(r.FleetRouteFailed))
-		reg.Counter("sim.fleet.route_skipped").Add(int64(r.FleetRouteSkipped))
-		reg.Counter("sim.fleet.replicas").Add(int64(r.FleetReplicas))
-		reg.Gauge("sim.fleet.hot_keys").SetMax(float64(r.FleetHotKeys))
-	}
 
 	p := r.P2P
 	for _, m := range []struct {

@@ -164,6 +164,8 @@ func TestConfigValidation(t *testing.T) {
 		{Scheme: HierGD, ByzantineFraction: math.NaN()},
 		{Scheme: HierGD, VerifyFraction: math.NaN()},
 		{Scheme: HierGD, FlashChurnAt: 100, FlashChurnFraction: math.NaN()},
+		{Scheme: HierGD, FailEvery: -1},
+		{Scheme: HierGD, ReplicateHotAfter: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(tr, cfg); err == nil {

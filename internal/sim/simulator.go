@@ -39,9 +39,6 @@ func newEngine(tr *trace.Trace, cfg Config, sz sizing) (engine, error) {
 	case FC, FCEC:
 		return newFCEngine(tr, cfg, sz)
 	case HierGD:
-		if cfg.FleetSize > 1 {
-			return newFleetEngine(cfg, sz), nil
-		}
 		return newHierGDEngine(cfg, sz)
 	case Squirrel:
 		return newSquirrelEngine(cfg, sz)

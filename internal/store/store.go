@@ -360,7 +360,7 @@ func (s *Store) Snapshot() []invariant.ShardSnapshot {
 }
 
 // Item pairs a resident object with its folded policy key, for
-// callers that need to enumerate the store (fleet rebalancing).
+// callers that need to enumerate the store (the /digest build).
 type Item struct {
 	Key    trace.ObjectID
 	Object Object

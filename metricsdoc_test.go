@@ -72,9 +72,7 @@ func TestMetricsDocLibraryNamespaces(t *testing.T) {
 	for _, m := range reg.Snapshot() {
 		names = append(names, m.Name)
 	}
-	// sim.fleet.* is owned by the fleet engine's own smoke test
-	// (internal/sim TestMetricsDocSimFleet), so carve it out here.
-	if err := obs.CheckMetricsDoc(md, names, "sim", "-sim.fleet", "core.sweep", "check", "trace"); err != nil {
+	if err := obs.CheckMetricsDoc(md, names, "sim", "core.sweep", "check", "trace"); err != nil {
 		t.Fatal(err)
 	}
 }
