@@ -385,56 +385,3 @@ func BenchmarkClusterAffinity(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkHotReplication quantifies the PAST-style replication
-// extension: maximum per-client-cache serve load with and without it.
-func BenchmarkHotReplication(b *testing.B) {
-	tr := benchTrace(b)
-	for _, after := range []int{0, 100} {
-		name := "single-copy"
-		if after > 0 {
-			name = fmt.Sprintf("replicate-after-%d", after)
-		}
-		b.Run(name, func(b *testing.B) {
-			var res *webcache.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = webcache.Run(tr, webcache.Config{
-					Scheme: webcache.HierGD, ProxyCacheFrac: 0.1,
-					ReplicateHotAfter: after, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMetric(b, float64(res.P2PMaxNodeServes), "max-node-serves")
-			reportMetric(b, float64(res.P2P.Replications), "replicas")
-			reportMetric(b, 100*res.HitRatio(webcache.SrcP2P), "p2p-hit%")
-		})
-	}
-}
-
-// BenchmarkBasePolicy ablates the paper's choice of LFU for the
-// non-greedy-dual schemes: the same SC-EC sweep point under four
-// baseline replacement policies.
-func BenchmarkBasePolicy(b *testing.B) {
-	tr := benchTrace(b)
-	for _, bp := range []webcache.BasePolicy{
-		webcache.BasePerfectLFU, webcache.BaseLFUInCache, webcache.BaseLRU, webcache.BaseGreedyDual,
-	} {
-		b.Run(bp.String(), func(b *testing.B) {
-			var res *webcache.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = webcache.Run(tr, webcache.Config{
-					Scheme: webcache.SCEC, ProxyCacheFrac: 0.2, BasePolicy: bp, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMetric(b, res.AvgLatency*1000, "mlat")
-			reportMetric(b, 100*res.LocalHitRatio(), "local-hit%")
-		})
-	}
-}

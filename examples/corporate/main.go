@@ -50,17 +50,14 @@ func main() {
 			Scheme: webcache.HierGD, ProxyCacheFrac: frac, Seed: 1}},
 		{"bloom directory, piggyback", webcache.Config{
 			Scheme: webcache.HierGD, ProxyCacheFrac: frac, Seed: 1,
-			Directory: webcache.DirBloom, BloomFPRate: 0.01}},
+			Directory: webcache.DirBloom}},
 		{"exact directory, no piggyback", webcache.Config{
 			Scheme: webcache.HierGD, ProxyCacheFrac: frac, Seed: 1,
 			DisablePiggyback: true}},
 		{"bloom + desktop churn (fail & replace)", webcache.Config{
 			Scheme: webcache.HierGD, ProxyCacheFrac: frac, Seed: 1,
-			Directory: webcache.DirBloom, BloomFPRate: 0.01,
+			Directory: webcache.DirBloom,
 			FailEvery: 10_000, ReplaceFailed: true}},
-		{"exact + hot-object replication", webcache.Config{
-			Scheme: webcache.HierGD, ProxyCacheFrac: frac, Seed: 1,
-			ReplicateHotAfter: 100}},
 	}
 
 	fmt.Printf("\n%-40s %8s %7s %10s %10s %8s %8s %8s\n",
@@ -88,6 +85,6 @@ func main() {
 	fmt.Println("    extra proxy->client connection per destaged object (messages);")
 	fmt.Println("  - desktop churn loses cached objects, yet replacements re-join the")
 	fmt.Println("    overlay and the latency gain degrades only mildly;")
-	fmt.Println("  - hot-object replication spreads lookup load across desktops without")
-	fmt.Println("    costing hit ratio (compare max per-desktop serves below).")
+	fmt.Println("  - maxload is the busiest desktop's lookup serves: each object has one")
+	fmt.Println("    copy, so the desktop that owns a popular object serves all its hits.")
 }

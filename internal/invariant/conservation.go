@@ -7,7 +7,7 @@ import (
 
 // ClusterAccountant is the P2P conservation oracle.  It watches the
 // receipt stream a proxy sees from its client cluster — store receipts,
-// eviction notices, lookup displacements, failure loss reports — and
+// eviction notices, lookup outcomes, failure loss reports — and
 // maintains its own resident-set ledger.  The conservation law it
 // enforces is the one the proxy's directory consistency (§4.3) rests
 // on:
@@ -16,11 +16,10 @@ import (
 //
 // Reconcile compares the ledger against the cluster's ground truth.
 //
-// Two events are not covered by receipts and force lenient mode, where
+// One event is not covered by receipts and forces lenient mode, where
 // only the ledger-internal identity is checked: JoinClient handoffs may
-// silently drop objects, and hot-object replication adds copies without
-// receipts.  Callers flag those via Lenient (the simulator does this
-// when ReplaceFailed or ReplicateHotAfter is configured).
+// silently drop objects.  Callers flag it via Lenient (the simulator
+// does this when ReplaceFailed is configured).
 type ClusterAccountant struct {
 	chk   *Checker
 	label string
@@ -114,16 +113,10 @@ func (a *ClusterAccountant) RecordLookup(obj trace.ObjectID, lr *p2p.LookupResul
 		a.chk.assertf(lr.Found || !resident, "p2p", "lost-object",
 			"cluster %s: lookup missed %d which the ledger holds", a.label, obj)
 	}
-	for _, gone := range lr.Displaced {
-		if a.remove(gone, "phantom-evict", "displaced") {
-			a.evicts++
-		}
-	}
 }
 
-// RecordFailure feeds a FailClient loss report into the ledger.  With
-// replication the failed node may have held copies of objects still
-// resident elsewhere, so phantom checks only run in strict mode.
+// RecordFailure feeds a FailClient loss report into the ledger.  Like
+// every removal, it checks for phantoms only in strict mode.
 func (a *ClusterAccountant) RecordFailure(lostObjs []trace.ObjectID) {
 	if a == nil {
 		return

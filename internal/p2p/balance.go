@@ -10,6 +10,8 @@ import (
 // the remaining free storage space among the client caches in a leaf
 // set."  These metrics quantify how well that works; the diversion
 // ablation shows the Gini coefficient dropping when diversion is on.
+// LoadBalance measures the other imbalance one copy per object leaves:
+// the lookup-serve load on the node that owns a popular object.
 
 // BalanceStats summarizes the distribution of storage utilization
 // across live client caches.
@@ -87,4 +89,33 @@ func gini(xs []float64) float64 {
 		cum += float64(i+1) * x
 	}
 	return 2*cum/(float64(n)*total) - float64(n+1)/float64(n)
+}
+
+// LoadStats summarizes the per-node lookup-serve distribution.
+type LoadStats struct {
+	TotalServes int
+	MaxServes   int
+	MeanServes  float64
+	// P99Serves is the 99th-percentile per-node serve count.
+	P99Serves int
+}
+
+// LoadBalance computes the serve-load distribution over live nodes.
+func (c *Cluster) LoadBalance() LoadStats {
+	var loads []int
+	total := 0
+	c.nodes.Range(func(n *clientNode) bool {
+		loads = append(loads, n.served)
+		total += n.served
+		return true
+	})
+	st := LoadStats{TotalServes: total}
+	if len(loads) == 0 {
+		return st
+	}
+	sort.Ints(loads)
+	st.MaxServes = loads[len(loads)-1]
+	st.MeanServes = float64(total) / float64(len(loads))
+	st.P99Serves = loads[(len(loads)-1)*99/100]
+	return st
 }

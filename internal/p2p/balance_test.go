@@ -103,3 +103,11 @@ func TestDisableDiversionSuppressesMechanism(t *testing.T) {
 		t.Error("no replacements despite overload and no diversion")
 	}
 }
+
+func TestLoadBalanceEmpty(t *testing.T) {
+	c := testCluster(t, 3, 4)
+	st := c.LoadBalance()
+	if st.TotalServes != 0 || st.MaxServes != 0 {
+		t.Errorf("fresh cluster load = %+v", st)
+	}
+}

@@ -104,8 +104,8 @@ func (c *Cluster) JoinClient() (int, error) {
 				c.add(n, e)
 				c.stats.Handoffs++
 			} else {
-				// New node full, or it already took a copy (a hot-object
-				// replica on another leaf): treat as an eviction.
+				// New node full, or it already took a copy from another
+				// peer: treat as an eviction.
 				c.stats.Evictions++
 			}
 		}

@@ -12,9 +12,6 @@ type LookupResult struct {
 	// ViaPointer marks a hit served through a diversion pointer (one
 	// extra LAN hop).
 	ViaPointer bool
-	// Displaced lists objects a hot-object replica pushed out of a
-	// neighbour's cache; the proxy scrubs them from its directory.
-	Displaced []trace.ObjectID
 	// Hops is the Pastry routing distance (plus one for a pointer hop).
 	Hops int
 	// Messages is the overlay message count for the operation.
@@ -101,14 +98,7 @@ func (c *Cluster) lookupAt(a *clientNode, obj trace.ObjectID, hops int, r *Looku
 	c.stats.RouteHops += hops
 
 	if a.cache.Access(obj) {
-		// Hot-object replication (extension): the owner may redirect
-		// this serve to one of its replicas to spread load.
-		server, extraHops, extraMsgs, displaced := c.maybeServeFromReplica(a, obj)
-		server.served++
-		r.Hops += extraHops
-		r.Messages += extraMsgs
-		r.Displaced = displaced
-		c.stats.RouteHops += extraHops
+		a.served++
 		r.Found = true
 		c.stats.LookupHits++
 		c.stats.Messages += r.Messages

@@ -40,19 +40,10 @@ type Config struct {
 	// PerClientCapacity is each client's cooperative-cache capacity in
 	// cache units (paper: 0.1% of the infinite cache size).
 	PerClientCapacity uint64
-	// B and LeafSetSize configure the Pastry overlay (defaults 4, 16).
-	B           int
-	LeafSetSize int
 	// DisableDiversion turns off leaf-set object diversion (§4.3), so
 	// a full destination cache always runs local replacement — the
 	// ablation that shows what diversion buys.
 	DisableDiversion bool
-	// ReplicateHotAfter enables PAST-style hot-object replication: a
-	// cache that has served the same object this many times since the
-	// last replication copies it to a leaf-set member, and lookups
-	// round-robin across the copies.  0 (default) disables it — the
-	// paper's design has exactly one copy per object.
-	ReplicateHotAfter int
 	// Seed drives overlay construction.
 	Seed int64
 	// WrapCache, when non-nil, wraps every client cache as it is
@@ -77,7 +68,6 @@ type Stats struct {
 	RouteHops     int // cumulative Pastry routing hops
 	Handoffs      int // objects re-homed when nodes join
 	LostOnFailure int // objects lost to client-cache failures
-	Replications  int // hot-object replicas created (extension)
 }
 
 // clientNode is one client's cooperative cache partition.
@@ -94,8 +84,6 @@ type clientNode struct {
 	heldFor map[trace.ObjectID]pastry.ID
 	// served counts lookups this node answered (hotspot metric).
 	served int
-	// repl holds hot-object replication state (lazily allocated).
-	repl *replicaState
 }
 
 func newClientNode(id pastry.ID, capacity uint64, wrap func(cache.Policy, string) cache.Policy) *clientNode {
@@ -169,7 +157,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.PerClientCapacity == 0 {
 		return nil, errors.New("p2p: per-client capacity must be positive")
 	}
-	ov, err := pastry.New(pastry.Config{B: cfg.B, LeafSetSize: cfg.LeafSetSize, Seed: cfg.Seed})
+	ov, err := pastry.New(pastry.Config{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -9,10 +9,8 @@ import (
 
 // FuzzClusterFreeTally runs scripts of pass-down stores, Squirrel's
 // lookup-or-store, lookups, crashes and joins on small clusters, with
-// object sizes 1 to 8 and, for most scripts, hot-object replication.
-// The first three bytes set up the cluster: clients, per-client
-// capacity, and one byte for the leaf-set size, the replication
-// threshold and the seed.  Each later byte is one
+// object sizes 1 to 8.  The first three bytes set up the cluster:
+// clients, per-client capacity and the seed.  Each later byte is one
 // operation: the low three bits pick it, the rest the object or client.
 // After every step Cluster.free must equal the free space summed over
 // the live caches, and a store that ended in replacement at a full
@@ -37,8 +35,6 @@ func FuzzClusterFreeTally(f *testing.F) {
 		c, err := NewCluster(Config{
 			NumClients:        2 + int(script[0]%10),
 			PerClientCapacity: 2 + uint64(script[1]%14),
-			LeafSetSize:       4 << (script[2] % 3), // 4, 8, 16
-			ReplicateHotAfter: int(script[2] % 4),
 			Seed:              int64(script[2]),
 		})
 		if err != nil {

@@ -43,7 +43,7 @@ func TestCheckedRunAllSchemes(t *testing.T) {
 // TestCheckedRunHierGDVariants stresses the Hier-GD oracles under the
 // configurations that bend the receipts flow: Bloom directories (false
 // positives), stale digests, client-cache churn with and without
-// replacement, hot-object replication, and the ablation switches.
+// replacement, and the ablation switches.
 func TestCheckedRunHierGDVariants(t *testing.T) {
 	tr := testTrace(t, 1)
 	variants := map[string]Config{
@@ -51,11 +51,10 @@ func TestCheckedRunHierGDVariants(t *testing.T) {
 		"digests":         {DigestInterval: 5_000},
 		"churn":           {FailEvery: 9_000},
 		"churn-replace":   {FailEvery: 9_000, ReplaceFailed: true},
-		"replication":     {ReplicateHotAfter: 50},
 		"no-piggyback":    {DisablePiggyback: true},
 		"no-diversion":    {DisableDiversion: true},
 		"bloom-churn":     {Directory: DirBloom, FailEvery: 9_000},
-		"kitchen-sink":    {Directory: DirBloom, DigestInterval: 5_000, FailEvery: 9_000, ReplaceFailed: true, ReplicateHotAfter: 50},
+		"kitchen-sink":    {Directory: DirBloom, DigestInterval: 5_000, FailEvery: 9_000, ReplaceFailed: true},
 		"four-proxies":    {NumProxies: 4},
 		"warmup-excluded": {WarmupRequests: 10_000},
 	}

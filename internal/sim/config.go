@@ -9,38 +9,6 @@ import (
 	"webcache/internal/trace"
 )
 
-// BasePolicy selects the replacement policy of the LFU-family schemes
-// (NC, SC, NC-EC, SC-EC).  The paper fixes LFU; the alternatives exist
-// to ablate that choice.
-type BasePolicy int
-
-const (
-	// BasePerfectLFU is the default: frequency counts persist across
-	// evictions (the "perfect frequency" reading of the paper's LFU).
-	BasePerfectLFU BasePolicy = iota
-	// BaseLFUInCache restarts counts when an object re-enters.
-	BaseLFUInCache
-	// BaseLRU uses recency instead of frequency.
-	BaseLRU
-	// BaseGreedyDual uses cost-aware greedy-dual even for the
-	// non-Hier-GD schemes.
-	BaseGreedyDual
-)
-
-// String implements fmt.Stringer.
-func (b BasePolicy) String() string {
-	switch b {
-	case BaseLFUInCache:
-		return "lfu-incache"
-	case BaseLRU:
-		return "lru"
-	case BaseGreedyDual:
-		return "greedy-dual"
-	default:
-		return "lfu-perfect"
-	}
-}
-
 // DirectoryKind selects a Hier-GD lookup directory representation
 // (paper §4.2).
 type DirectoryKind int
@@ -93,10 +61,9 @@ type Config struct {
 	// fraction of the infinite cache size (paper: 0.001, so a
 	// 100-client cluster yields a P2P cache of 10%).
 	ClientCacheFrac float64
-	// Directory selects Hier-GD's lookup directory; BloomFPRate sizes
-	// the Bloom variant.
-	Directory   DirectoryKind
-	BloomFPRate float64
+	// Directory selects Hier-GD's lookup directory; the Bloom variant
+	// is sized for DefaultBloomFPRate.
+	Directory DirectoryKind
 	// Piggyback destages proxy evictions on HTTP responses (§4.4);
 	// the paper's design enables it (default true via fillDefaults —
 	// set DisablePiggyback to turn it off for the ablation).
@@ -104,10 +71,6 @@ type Config struct {
 	// DisableDiversion turns off Hier-GD's leaf-set object diversion
 	// (§4.3) for the ablation bench.
 	DisableDiversion bool
-	// ReplicateHotAfter enables PAST-style hot-object replication in
-	// Hier-GD's P2P client caches (see internal/p2p/replicate.go);
-	// 0 disables it (the paper's single-copy design).
-	ReplicateHotAfter int
 	// SinglePoolEC simulates the EC schemes' P2P client cache as one
 	// pooled cache at proxy latency — the paper's literal upper bound
 	// — instead of the default exclusive two-level (proxy tier at Tl,
@@ -139,10 +102,6 @@ type Config struct {
 	DirSweepEvery      int
 	ByzantineFraction  float64
 	VerifyFraction     float64
-	// BasePolicy selects the replacement policy of the LFU-family
-	// schemes (NC, SC, NC-EC, SC-EC): the paper fixes LFU (§2); the
-	// other values ablate that design choice.
-	BasePolicy BasePolicy
 	// FCTrailing computes each FC/FC-EC window placement from the
 	// *previous* window's frequencies instead of the upcoming window.
 	// The default (upcoming window) matches the paper's framing of
@@ -220,9 +179,6 @@ func (c *Config) fillDefaults() {
 	if c.ClientCacheFrac == 0 {
 		c.ClientCacheFrac = DefaultClientCacheFrac
 	}
-	if c.BloomFPRate == 0 {
-		c.BloomFPRate = DefaultBloomFPRate
-	}
 	if c.FlashChurnAt > 0 && c.FlashChurnFraction == 0 {
 		c.FlashChurnFraction = 0.5
 	}
@@ -253,8 +209,8 @@ func (c Config) Validate() error {
 	if !(c.ClientCacheFrac > 0 && c.ClientCacheFrac <= 1) {
 		return fmt.Errorf("sim: client cache fraction %g outside (0,1]", c.ClientCacheFrac)
 	}
-	if !(c.BloomFPRate > 0 && c.BloomFPRate < 1) {
-		return fmt.Errorf("sim: bloom FP rate %g outside (0,1)", c.BloomFPRate)
+	if c.Directory != DirExact && c.Directory != DirBloom {
+		return fmt.Errorf("sim: invalid directory %d", c.Directory)
 	}
 	if c.DigestInterval < 0 {
 		return fmt.Errorf("sim: negative digest interval %d", c.DigestInterval)
@@ -264,9 +220,6 @@ func (c Config) Validate() error {
 	}
 	if c.FailEvery < 0 {
 		return fmt.Errorf("sim: negative failure period %d", c.FailEvery)
-	}
-	if c.ReplicateHotAfter < 0 {
-		return fmt.Errorf("sim: negative hot-replication threshold %d", c.ReplicateHotAfter)
 	}
 	if c.FlashChurnAt < 0 || c.PoisonEvery < 0 || c.PoisonBatch < 0 || c.DirSweepEvery < 0 {
 		return fmt.Errorf("sim: negative chaos period")

@@ -65,7 +65,6 @@ func newClientCluster(cfg Config, sz sizing, p int, label string, seedStride int
 		NumClients:        cfg.P2PClientCaches,
 		PerClientCapacity: sz.clientCap[p],
 		DisableDiversion:  cfg.DisableDiversion,
-		ReplicateHotAfter: cfg.ReplicateHotAfter,
 		Seed:              cfg.Seed + int64(p)*seedStride,
 	}
 	if cfg.Check != nil {
@@ -93,9 +92,8 @@ func (c clientCluster) finishCluster(chk *invariant.Checker, res *Result) {
 	res.addP2P(c.cluster.Stats())
 }
 
-// found records a client-cache lookup's receipt and the directory
-// repairs it implies: on a hit, the entries a hot-object replica
-// displaced; on a miss, the false-positive entry itself.
+// found records a client-cache lookup's receipt and, on a miss, drops
+// the false-positive directory entry.
 func (px *hierGDProxy) found(obj trace.ObjectID, lr *p2p.LookupResult, err error) bool {
 	if err == nil {
 		px.acct.RecordLookup(obj, lr)
@@ -104,9 +102,6 @@ func (px *hierGDProxy) found(obj trace.ObjectID, lr *p2p.LookupResult, err error
 		px.dir.Remove(obj)
 		px.dirFP.Inc()
 		return false
-	}
-	for _, gone := range lr.Displaced {
-		px.dir.Remove(gone)
 	}
 	return true
 }
@@ -125,18 +120,17 @@ func newHierGDEngine(cfg Config, sz sizing) (*hierGDEngine, error) {
 		}
 		var dir directory.Directory = directory.NewExact()
 		if cfg.Directory == DirBloom {
-			dir = directory.NewBloom(int(sz.p2pCap[p])+1, cfg.BloomFPRate)
+			dir = directory.NewBloom(int(sz.p2pCap[p])+1, DefaultBloomFPRate)
 		}
 		px := &hierGDProxy{
 			clientCluster: cc,
 			cache:         invariant.WrapPolicy(cache.NewGreedyDual(sz.proxyCap[p]), cfg.Check, label+".cache"),
 			dir:           invariant.WrapDirectory(dir, cfg.Check, label),
 		}
-		if cfg.ReplaceFailed || cfg.ReplicateHotAfter > 0 {
-			// Churn joins hand objects off without receipts and hot-object
-			// replication copies without them: ground-truth reconciliation
-			// would report false positives, so only the ledger identity
-			// stays on.
+		if cfg.ReplaceFailed {
+			// Churn joins hand objects off without receipts: ground-truth
+			// reconciliation would report false positives, so only the
+			// ledger identity stays on.
 			px.acct.Lenient()
 		}
 		e.proxies = append(e.proxies, px)

@@ -51,8 +51,8 @@ type Result struct {
 	DigestMemoryBytes uint64 // advertised digest footprint per rebuild
 	DigestRebuilds    int
 	// P2PMaxNodeServes is the hottest client cache's lookup-serve
-	// count across all clusters (the hotspot metric replication
-	// improves).
+	// count across all clusters: with one copy of each object, the
+	// owner of a popular object serves every lookup for it.
 	P2PMaxNodeServes int
 	// ProxyEvictions counts objects evicted from proxy-tier caches:
 	// destaged into the client tier (Hier-GD, EC schemes) or
@@ -166,7 +166,7 @@ func (r *Result) PublishMetrics(reg *obs.Registry) {
 		{"pointer_hits", p.PointerHits}, {"pushes", p.Pushes},
 		{"messages", p.Messages}, {"piggyback_saves", p.PiggybackSave},
 		{"route_hops", p.RouteHops}, {"handoffs", p.Handoffs},
-		{"lost_on_failure", p.LostOnFailure}, {"replications", p.Replications},
+		{"lost_on_failure", p.LostOnFailure},
 	} {
 		reg.Counter("sim.p2p." + m.name).Add(int64(m.v))
 	}
@@ -187,5 +187,4 @@ func (r *Result) addP2P(s p2p.Stats) {
 	r.P2P.RouteHops += s.RouteHops
 	r.P2P.Handoffs += s.Handoffs
 	r.P2P.LostOnFailure += s.LostOnFailure
-	r.P2P.Replications += s.Replications
 }

@@ -157,15 +157,14 @@ func TestConfigValidation(t *testing.T) {
 		{Scheme: NC, ProxyCacheFrac: 2},
 		{Scheme: NC, ClientCacheFrac: 2},
 		{Scheme: NC, NumProxies: -1},
-		{Scheme: HierGD, BloomFPRate: 2},
 		{Scheme: NC, ProxyCacheFrac: math.NaN()},
 		{Scheme: NC, ClientCacheFrac: math.NaN()},
-		{Scheme: HierGD, BloomFPRate: math.NaN()},
 		{Scheme: HierGD, ByzantineFraction: math.NaN()},
 		{Scheme: HierGD, VerifyFraction: math.NaN()},
 		{Scheme: HierGD, FlashChurnAt: 100, FlashChurnFraction: math.NaN()},
 		{Scheme: HierGD, FailEvery: -1},
-		{Scheme: HierGD, ReplicateHotAfter: -1},
+		{Scheme: HierGD, Directory: DirectoryKind(7)},
+		{Scheme: HierGD, Directory: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(tr, cfg); err == nil {
@@ -362,7 +361,7 @@ func TestResultString(t *testing.T) {
 }
 
 func TestTieredCachePromoteDemote(t *testing.T) {
-	tc := newTieredCache(2, 3, BasePerfectLFU, false, nil, "t")
+	tc := newTieredCache(2, 3, false, nil, "t")
 	ins := func(obj trace.ObjectID) { tc.insert(cache.Entry{Obj: obj, Size: 1, Cost: 1}) }
 	ins(1)
 	ins(2)
@@ -389,7 +388,7 @@ func TestTieredCachePromoteDemote(t *testing.T) {
 }
 
 func TestTieredCacheClientHitPromotes(t *testing.T) {
-	tc := newTieredCache(1, 2, BasePerfectLFU, false, nil, "t")
+	tc := newTieredCache(1, 2, false, nil, "t")
 	tc.insert(cache.Entry{Obj: 1, Size: 1, Cost: 1})
 	tc.insert(cache.Entry{Obj: 2, Size: 1, Cost: 1}) // 1 demotes
 	if !tc.lower.Contains(1) {
@@ -407,7 +406,7 @@ func TestTieredCacheClientHitPromotes(t *testing.T) {
 }
 
 func TestTieredCacheSinglePool(t *testing.T) {
-	tc := newTieredCache(2, 3, BasePerfectLFU, true, nil, "t")
+	tc := newTieredCache(2, 3, true, nil, "t")
 	for obj := trace.ObjectID(0); obj < 5; obj++ {
 		tc.insert(cache.Entry{Obj: obj, Size: 1, Cost: 1})
 	}
@@ -432,24 +431,4 @@ func genAffinity(affinity float64) (*trace.Trace, error) {
 		ClusterAffinity: affinity,
 		Seed:            9,
 	})
-}
-
-func TestHierGDHotReplication(t *testing.T) {
-	tr := testTrace(t, 70)
-	plain := run(t, tr, Config{Scheme: HierGD, ProxyCacheFrac: 0.1, Seed: 1})
-	repl := run(t, tr, Config{Scheme: HierGD, ProxyCacheFrac: 0.1, ReplicateHotAfter: 50, Seed: 1})
-	if repl.P2P.Replications == 0 {
-		t.Fatal("no replications with the option on")
-	}
-	if plain.P2P.Replications != 0 {
-		t.Fatal("replications without the option")
-	}
-	if repl.P2PMaxNodeServes >= plain.P2PMaxNodeServes {
-		t.Errorf("hotspot load not reduced: %d vs %d", repl.P2PMaxNodeServes, plain.P2PMaxNodeServes)
-	}
-	// Hit behaviour stays effectively unchanged.
-	dp := float64(repl.Sources[netmodel.SrcP2P]-plain.Sources[netmodel.SrcP2P]) / float64(tr.Len())
-	if dp < -0.02 {
-		t.Errorf("replication cost %0.3f of P2P hits", -dp)
-	}
 }

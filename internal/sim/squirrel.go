@@ -41,8 +41,6 @@ type squirrelEngine struct {
 }
 
 func newSquirrelEngine(cfg Config, sz sizing) (*squirrelEngine, error) {
-	// The home-store model keeps one copy of each object.
-	cfg.ReplicateHotAfter = 0
 	e := &squirrelEngine{cfg: cfg, net: cfg.Net}
 	for p := 0; p < cfg.NumProxies; p++ {
 		// Squirrel pools the whole client cache budget: the proxy-tier

@@ -20,51 +20,33 @@ import (
 type tieredCache struct {
 	upper      cache.Policy
 	lower      cache.Policy
-	history    *cache.History // shared perfect-LFU history (nil for in-cache LFU)
 	singlePool bool
-	// missLFU is the proxy tier's LFU resolved once at construction
-	// (reaching through the invariant wrapper), so recordMiss on the
-	// per-request miss path costs no type assertions.  Nil when the base
-	// policy is not an LFU.
+	// missLFU is the proxy tier's LFU kept from construction (upper may
+	// be its invariant wrapper), so recordMiss on the per-request miss
+	// path costs no type assertions.
 	missLFU *cache.LFU
 	// upperEvictions counts objects the proxy tier evicted (demoted
 	// or discarded) — the Result.ProxyEvictions telemetry.
 	upperEvictions int
 }
 
-// newTieredCache builds the unified cache for one proxy.  chk wires
-// invariant checking around both tiers (nil disables it); label
-// distinguishes proxies in violation reports.
-func newTieredCache(proxyCap, p2pCap uint64, kind BasePolicy, singlePool bool, chk *invariant.Checker, label string) *tieredCache {
+// newTieredCache builds the unified cache for one proxy: perfect LFU
+// in both tiers over one shared history.  chk wires invariant checking
+// around both tiers (nil disables it); label distinguishes proxies in
+// violation reports.
+func newTieredCache(proxyCap, p2pCap uint64, singlePool bool, chk *invariant.Checker, label string) *tieredCache {
 	t := &tieredCache{singlePool: singlePool}
-	mk := func(capacity uint64, tier string) cache.Policy {
-		var p cache.Policy
-		switch kind {
-		case BaseLFUInCache:
-			p = cache.NewLFU(capacity)
-		case BaseLRU:
-			p = cache.NewLRU(capacity)
-		case BaseGreedyDual:
-			p = cache.NewGreedyDual(capacity)
-		default: // BasePerfectLFU
-			if t.history == nil {
-				t.history = cache.NewHistory()
-			}
-			p = cache.NewPerfectLFUShared(capacity, t.history)
-		}
-		return invariant.WrapPolicy(p, chk, label+tier)
+	history := cache.NewHistory()
+	mk := func(capacity uint64, tier string) (*cache.LFU, cache.Policy) {
+		lfu := cache.NewPerfectLFUShared(capacity, history)
+		return lfu, invariant.WrapPolicy(lfu, chk, label+tier)
 	}
 	if singlePool {
-		t.upper = mk(proxyCap+p2pCap, ".pool")
+		t.missLFU, t.upper = mk(proxyCap+p2pCap, ".pool")
 	} else {
-		t.upper = mk(proxyCap, ".proxy")
-		t.lower = mk(p2pCap, ".client")
+		t.missLFU, t.upper = mk(proxyCap, ".proxy")
+		_, t.lower = mk(p2pCap, ".client")
 	}
-	p := t.upper
-	if u, ok := p.(interface{ Unwrap() cache.Policy }); ok {
-		p = u.Unwrap() // reach through the invariant wrapper
-	}
-	t.missLFU, _ = p.(*cache.LFU)
 	return t
 }
 
@@ -98,13 +80,9 @@ func (t *tieredCache) access(obj trace.ObjectID) tier {
 	return tierClient
 }
 
-// recordMiss updates perfect-LFU history for an uncached object.  The
-// LFU was resolved once at construction so this stays assertion-free
-// on the miss path.
+// recordMiss updates perfect-LFU history for an uncached object.
 func (t *tieredCache) recordMiss(obj trace.ObjectID) {
-	if t.missLFU != nil {
-		t.missLFU.RecordMiss(obj)
-	}
+	t.missLFU.RecordMiss(obj)
 }
 
 // insert adds a fetched object to the proxy tier, cascading evictions

@@ -7,8 +7,7 @@
 // The package is a facade over the implementation packages:
 //
 //	internal/pastry     the Pastry structured overlay
-//	internal/p2p        the P2P client cache (diversion, push, piggyback,
-//	                    hot-object replication)
+//	internal/p2p        the P2P client cache (diversion, push, piggyback)
 //	internal/directory  Exact and Bloom lookup directories
 //	internal/cache      LRU / LFU / greedy-dual / GDSF / Belady /
 //	                    cost-benefit placement
@@ -230,18 +229,6 @@ func FormatMarkdown(f *Figure) string { return core.FormatMarkdown(f) }
 func SweepSchemes(tr *Trace, base Config, schemes []Scheme, fracs []float64, workers int) (*Figure, error) {
 	return core.SweepSchemes(tr, base, schemes, fracs, workers)
 }
-
-// BasePolicy selects the replacement policy of the LFU-family schemes
-// (the paper fixes LFU; the alternatives ablate that choice).
-type BasePolicy = sim.BasePolicy
-
-// Baseline replacement policies for NC/SC/NC-EC/SC-EC.
-const (
-	BasePerfectLFU = sim.BasePerfectLFU
-	BaseLFUInCache = sim.BaseLFUInCache
-	BaseLRU        = sim.BaseLRU
-	BaseGreedyDual = sim.BaseGreedyDual
-)
 
 // MetricsRegistry is a run-scoped set of named counters, gauges, and
 // timers (METRICS.md has the glossary); attach one via Config.Obs or
