@@ -138,9 +138,9 @@ func (w *workload) generate() (*trace.Trace, error) {
 }
 
 // finish is the tail every gate shares: fingerprint the workload so
-// benchdiff refuses to compare manifests of different traces, echo the
-// config and notes, and close the session with reg (the gate's
-// registry) as the manifest's metrics.
+// manifests of different traces can be told apart, echo the config
+// and notes, and close the session with reg (the gate's registry) as
+// the manifest's metrics.
 func (w *workload) finish(tr *trace.Trace, reg *obs.Registry, config, notes map[string]any) error {
 	w.sess.Reg = reg
 	if tr != nil {
