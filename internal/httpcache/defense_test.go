@@ -232,6 +232,23 @@ func TestRegisterSkipsMalformedKeys(t *testing.T) {
 	}
 }
 
+// Register query-escapes addr, so a scoped IPv6 literal (its '%') and
+// a '+' reach the proxy's ring exactly as the daemon named them.
+func TestRegisterEscapesAddr(t *testing.T) {
+	px, srv := defenseProxy(t, Defenses{})
+	addrs := []string{"[fe80::1%eth0]:9001", "a+b:9001"}
+	for _, addr := range addrs {
+		if err := Register(srv.URL, addr, nil); err != nil {
+			t.Fatalf("Register(%q): %v", addr, err)
+		}
+	}
+	got := px.ring.addresses()
+	slices.Sort(got)
+	if !slices.Equal(got, addrs) {
+		t.Fatalf("ring addresses = %q, want %q", got, addrs)
+	}
+}
+
 // FuzzRegister sends /register an arbitrary addr and raw body.  Whatever
 // arrives, the proxy does not panic and answers 200, 400 or 413; a 200
 // carries a cacheId, and the directory grows by exactly the well-formed

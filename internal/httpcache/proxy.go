@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -255,7 +256,7 @@ func Register(proxyURL, addr string, recovered []string) error {
 		body, contentType = bytes.NewReader(b), "application/json"
 	}
 	client := http.Client{Timeout: registerTimeout}
-	resp, err := client.Post(fmt.Sprintf("%s/register?addr=%s", proxyURL, addr), contentType, body)
+	resp, err := client.Post(proxyURL+"/register?addr="+url.QueryEscape(addr), contentType, body)
 	if err != nil {
 		return fmt.Errorf("registering %s with %s: %w", addr, proxyURL, err)
 	}
