@@ -1,11 +1,11 @@
 // Package chaos is the fault-injection layer of the adversarial
-// scenario suite (ROADMAP item 4, DESIGN.md §11): a shared scenario
-// vocabulary that runs against both the live loopback topology
-// (internal/loadgen + internal/httpcache, via handler-wrapping fault
-// adapters) and the simulator (internal/sim's chaos knobs), reporting
-// hit-ratio degradation and tail latency (p999) per scenario with and
-// without the httpcache defenses.  invariant.ClusterAccountant rides
-// along as the oracle that no attack — and no defense — breaks cache
+// scenario suite (DESIGN.md §11): a shared scenario vocabulary that
+// runs against both the live loopback topology (internal/loadgen +
+// internal/httpcache, via handler-wrapping fault adapters) and the
+// simulator (internal/sim's chaos knobs), reporting hit-ratio
+// degradation and tail latency (p999) per scenario with and without
+// the httpcache defenses.  invariant.ClusterAccountant rides along as
+// the oracle that no attack — and no defense — breaks cache
 // conservation.
 package chaos
 

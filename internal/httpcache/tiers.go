@@ -103,8 +103,8 @@ func walk(q fetchReq, tiers []tier) (s served, err error) {
 // handleFetch walks the whole cascade.  The serving tier's counter, the
 // pass-down of what caching the body evicted, the reply and the trace's
 // label are written here and nowhere else.  Evictions go down before
-// the reply does (ROADMAP item 1 wants the order reversed: this is the
-// place).
+// the reply does; serving first and destaging after would reverse the
+// order here.
 func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
 	url := queryParam(r.URL.RawQuery, "url")
 	if url == "" {

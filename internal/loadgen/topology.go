@@ -58,7 +58,7 @@ type TopologyConfig struct {
 	// "cache-<p>-<c>", writes serialized).
 	Events io.Writer
 	// Defenses, when non-nil, configures every proxy's chaos defenses
-	// (per-hop deadlines, hedging, digest sampling, breakers).
+	// (per-hop deadlines, digest sampling, breakers).
 	Defenses *httpcache.Defenses
 	// Check, when non-nil, attaches a live conservation accountant to
 	// every proxy (httpcache.Options.Check).

@@ -3,8 +3,7 @@
 // CRC-32C checksums, rotated into bounded segments) indexed by an
 // append-only journal, written behind a bounded queue with batched
 // fsync, and recovered on boot by replaying the journal — so a
-// hiergdd restart no longer cold-starts the federation (ROADMAP item
-// 1: "persistent state to recover from crashes or restarts").
+// hiergdd restart no longer cold-starts the federation.
 //
 // Durability protocol, in order, per write-behind batch:
 //
