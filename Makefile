@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race bench vet fuzz-smoke bench-check bench-smoke chaos-smoke chaos-bench trace-alloc sim-alloc
+.PHONY: all build test check race bench vet fuzz-smoke bench-check bench-smoke chaos-smoke chaos-bench trace-alloc sim-alloc examples
 
 all: build test
 
@@ -55,6 +55,13 @@ fuzz-smoke:
 
 race:
 	$(GO) test -race ./...
+
+# Build and run every example (~3s in all): `go build ./...` only
+# compiles them, so one that dies on a Validate error or log.Fatal
+# would go unseen.  Their stdout is dropped; a failure's stderr shows.
+EXAMPLES = quickstart bounds corporate workloads overlay squidlog
+examples:
+	@for e in $(EXAMPLES); do echo "examples/$$e"; $(GO) run ./examples/$$e >/dev/null || exit 1; done
 
 # The repo benchmark (bench/, BENCHMARK.json) is its own module, so
 # `make test` cannot see an internal/* API change that breaks it; this
