@@ -57,8 +57,8 @@ func TestPropBeladyOptimal(t *testing.T) {
 		opt := ReplaySingleCache(NewBelady(capacity, seq), seq)
 		for _, p := range []Policy{
 			NewLRU(capacity),
-			NewLFU(capacity),
 			NewPerfectLFU(capacity),
+			NewPerfectLFUShared(capacity, NewHistory(20)),
 			NewGreedyDual(capacity),
 			NewGDSF(capacity),
 		} {

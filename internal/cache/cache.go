@@ -1,7 +1,7 @@
 // Package cache implements the replacement policies the paper's
-// caching schemes use: LRU, LFU (in-cache and perfect variants), the
-// greedy-dual algorithm (Young 1998) that Hier-GD runs at proxies and
-// client caches, and the offline cost-benefit placement that gives
+// caching schemes use: LRU, perfect-frequency LFU, the greedy-dual
+// algorithm (Young 1998) that Hier-GD runs at proxies and client
+// caches, and the offline cost-benefit placement that gives
 // FC/FC-EC their coordinated upper bound.
 //
 // All policies implement the Policy interface so the simulator can

@@ -12,35 +12,51 @@ import (
 )
 
 // diffCase builds the policies under test and their map-based
-// references (reference_test.go).  Most cases are one policy against
+// references (reference_test.go) for a script over n pool ids, which
+// are 0..n-1 on the dense seeds.  Most cases are one policy against
 // one reference; the shared-history LFU is two caches over one history
 // on each side, and the script spreads its operations over both.
 type diffCase struct {
 	name string
-	make func(capacity uint64, seq []trace.ObjectID) (got, want []Policy)
+	make func(capacity uint64, n int, seq []trace.ObjectID) (got, want []Policy)
 }
 
 func one(got, want Policy) ([]Policy, []Policy) { return []Policy{got}, []Policy{want} }
 
-var diffCases = []diffCase{
-	{"lfu", func(c uint64, _ []trace.ObjectID) ([]Policy, []Policy) {
-		return one(NewLFU(c), newRefInCacheLFU(c))
-	}},
-	{"lfu-perfect", func(c uint64, _ []trace.ObjectID) ([]Policy, []Policy) {
-		return one(NewPerfectLFU(c), newRefPerfectLFU(c))
-	}},
-	{"lfu-shared-history", func(c uint64, _ []trace.ObjectID) ([]Policy, []Policy) {
-		h, ref := NewHistory(), map[trace.ObjectID]uint64{}
+// lfuSingle and lfuShared build the perfect-LFU cases over a history
+// whose universe is the fraction frac of the pool: 1 puts every dense
+// id on the direct path, 0.5 splits the pool between the direct path
+// and the hashed one, and 0 declares no universe.
+func lfuSingle(frac float64) func(uint64, int, []trace.ObjectID) ([]Policy, []Policy) {
+	return func(c uint64, n int, _ []trace.ObjectID) ([]Policy, []Policy) {
+		return one(NewPerfectLFUShared(c, NewHistory(int(frac*float64(n)))), newRefPerfectLFU(c))
+	}
+}
+
+func lfuShared(frac float64) func(uint64, int, []trace.ObjectID) ([]Policy, []Policy) {
+	return func(c uint64, n int, _ []trace.ObjectID) ([]Policy, []Policy) {
+		h, ref := NewHistory(int(frac*float64(n))), map[trace.ObjectID]uint64{}
 		return []Policy{NewPerfectLFUShared(c, h), NewPerfectLFUShared(c/2+1, h)},
 			[]Policy{newRefPerfectLFUShared(c, ref), newRefPerfectLFUShared(c/2+1, ref)}
-	}},
-	{"greedy-dual", func(c uint64, _ []trace.ObjectID) ([]Policy, []Policy) {
+	}
+}
+
+var diffCases = []diffCase{
+	// "lfu" is perfect LFU as the simulator builds it, its universe
+	// covering the pool.
+	{"lfu", lfuSingle(1)},
+	{"lfu-perfect", lfuSingle(0)},
+	{"lfu-perfect-straddle", lfuSingle(0.5)},
+	{"lfu-shared-history", lfuShared(0)},
+	{"lfu-shared-history-dense", lfuShared(1)},
+	{"lfu-shared-history-straddle", lfuShared(0.5)},
+	{"greedy-dual", func(c uint64, _ int, _ []trace.ObjectID) ([]Policy, []Policy) {
 		return one(NewGreedyDual(c), newRefGreedyDual(c))
 	}},
-	{"gdsf", func(c uint64, _ []trace.ObjectID) ([]Policy, []Policy) {
+	{"gdsf", func(c uint64, _ int, _ []trace.ObjectID) ([]Policy, []Policy) {
 		return one(NewGDSF(c), newRefGDSF(c))
 	}},
-	{"belady", func(c uint64, seq []trace.ObjectID) ([]Policy, []Policy) {
+	{"belady", func(c uint64, _ int, seq []trace.ObjectID) ([]Policy, []Policy) {
 		return one(NewBelady(c, seq), newRefBelady(c, seq))
 	}},
 }
@@ -103,7 +119,7 @@ func runDiffScript(t *testing.T, dc diffCase, seed int64) {
 		// Squaring skews towards the front of the pool: some hot ids.
 		seq[i] = pool[int(float64(len(pool))*math.Pow(rng.Float64(), 2))]
 	}
-	gots, wants := dc.make(capacity, seq)
+	gots, wants := dc.make(capacity, len(pool), seq)
 
 	for step, obj := range seq {
 		k := rng.Intn(len(gots))

@@ -6,9 +6,9 @@ import (
 	"webcache/internal/trace"
 )
 
-// keyedHeap is the slab the heap-ordered policies (LFU, greedy-dual,
-// GDSF, Belady) keep all per-object state in: a node holds the cached
-// Entry, its position in the heap and the policy's per-object scalar.
+// keyedHeap is the slab the heap-ordered policies (greedy-dual, GDSF,
+// Belady) keep all per-object state in: a node holds the cached Entry,
+// its position in the heap and the policy's per-object scalar.
 // A slotTable resolves an object id to its slot, the only hashed lookup
 // an operation needs.  The binary min-heap holds items that carry their
 // own float64 key and tie-break sequence beside the slot, so a sift

@@ -10,18 +10,27 @@ import (
 
 func unit(obj trace.ObjectID) Entry { return Entry{Obj: obj, Size: 1, Cost: 1} }
 
-func allPolicies(capacity uint64) []Policy {
-	return []Policy{
-		NewLRU(capacity),
-		NewLFU(capacity),
-		NewPerfectLFU(capacity),
-		NewGreedyDual(capacity),
+// namedPolicy is one row of the policy tables.
+type namedPolicy struct {
+	name string
+	Policy
+}
+
+// allPolicies lists a policy of each kind.  The "lfu" row is perfect
+// LFU as the simulator builds it, over a history with a universe:
+// ids below 64 take the direct path, larger ones hash.
+func allPolicies(capacity uint64) []namedPolicy {
+	return []namedPolicy{
+		{"lru", NewLRU(capacity)},
+		{"lfu", NewPerfectLFUShared(capacity, NewHistory(64))},
+		{"lfu-perfect", NewPerfectLFU(capacity)},
+		{"greedy-dual", NewGreedyDual(capacity)},
 	}
 }
 
 func TestPolicyBasicCycle(t *testing.T) {
 	for _, p := range allPolicies(3) {
-		t.Run(p.Name(), func(t *testing.T) {
+		t.Run(p.name, func(t *testing.T) {
 			if p.Access(1) {
 				t.Fatal("hit on empty cache")
 			}
@@ -51,7 +60,7 @@ func TestPolicyBasicCycle(t *testing.T) {
 
 func TestPolicyCapacityNeverExceeded(t *testing.T) {
 	for _, p := range allPolicies(5) {
-		t.Run(p.Name(), func(t *testing.T) {
+		t.Run(p.name, func(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				p.Add(unit(trace.ObjectID(i)))
 				if p.Used() > p.Capacity() {
@@ -67,7 +76,7 @@ func TestPolicyCapacityNeverExceeded(t *testing.T) {
 
 func TestPolicyOversizeEntryRejected(t *testing.T) {
 	for _, p := range allPolicies(4) {
-		t.Run(p.Name(), func(t *testing.T) {
+		t.Run(p.name, func(t *testing.T) {
 			p.Add(unit(1))
 			ev := p.Add(Entry{Obj: 2, Size: 10, Cost: 1})
 			if len(ev) != 0 {
@@ -85,7 +94,7 @@ func TestPolicyOversizeEntryRejected(t *testing.T) {
 
 func TestPolicyDuplicateAddPanics(t *testing.T) {
 	for _, p := range allPolicies(4) {
-		t.Run(p.Name(), func(t *testing.T) {
+		t.Run(p.name, func(t *testing.T) {
 			p.Add(unit(1))
 			assertPanics(t, "dup add", func() { p.Add(unit(1)) })
 		})
@@ -94,7 +103,7 @@ func TestPolicyDuplicateAddPanics(t *testing.T) {
 
 func TestPolicyVariableSizes(t *testing.T) {
 	for _, p := range allPolicies(10) {
-		t.Run(p.Name(), func(t *testing.T) {
+		t.Run(p.name, func(t *testing.T) {
 			p.Add(Entry{Obj: 1, Size: 4, Cost: 1})
 			p.Add(Entry{Obj: 2, Size: 4, Cost: 1})
 			ev := p.Add(Entry{Obj: 3, Size: 6, Cost: 1})
@@ -129,7 +138,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestLFUEvictsLeastFrequent(t *testing.T) {
-	c := NewLFU(3)
+	c := NewPerfectLFU(3)
 	c.Add(unit(1))
 	c.Add(unit(2))
 	c.Add(unit(3))
@@ -148,23 +157,6 @@ func TestLFUEvictsLeastFrequent(t *testing.T) {
 	}
 }
 
-func TestLFUInCacheResetsFrequency(t *testing.T) {
-	c := NewLFU(2)
-	c.Add(unit(1))
-	c.Access(1)
-	c.Access(1) // freq 3
-	c.Add(unit(2))
-	c.Add(unit(3)) // evicts 2 (freq 1 vs 3's... both 1; FIFO tie → 2)
-	if c.Contains(2) {
-		t.Fatal("2 should be evicted (tie-break FIFO)")
-	}
-	c.Remove(1)
-	c.Add(unit(1))
-	if got := c.Frequency(1); got != 1 {
-		t.Fatalf("in-cache LFU frequency after re-add = %d, want 1", got)
-	}
-}
-
 func TestPerfectLFUKeepsHistory(t *testing.T) {
 	c := NewPerfectLFU(2)
 	c.Add(unit(1))
@@ -175,13 +167,6 @@ func TestPerfectLFUKeepsHistory(t *testing.T) {
 	c.Add(unit(1))  // count 5
 	if got := c.Frequency(1); got != 5 {
 		t.Fatalf("perfect LFU frequency = %d, want 5", got)
-	}
-	// In-cache variant ignores RecordMiss.
-	ic := NewLFU(2)
-	ic.RecordMiss(7)
-	ic.Add(unit(7))
-	if got := ic.Frequency(7); got != 1 {
-		t.Fatalf("in-cache frequency after RecordMiss = %d, want 1", got)
 	}
 }
 
@@ -272,7 +257,7 @@ func TestGreedyDualInflationMonotone(t *testing.T) {
 func TestPropPolicyInvariants(t *testing.T) {
 	mk := map[string]func(uint64) Policy{
 		"lru":         func(c uint64) Policy { return NewLRU(c) },
-		"lfu":         func(c uint64) Policy { return NewLFU(c) },
+		"lfu":         func(c uint64) Policy { return NewPerfectLFUShared(c, NewHistory(10)) },
 		"lfu-perfect": func(c uint64) Policy { return NewPerfectLFU(c) },
 		"greedy-dual": func(c uint64) Policy { return NewGreedyDual(c) },
 	}

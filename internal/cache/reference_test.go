@@ -169,37 +169,28 @@ func (h *refKeyedHeap) removeAt(i int) {
 	}
 }
 
-// LFU is a least-frequently-used cache.  The paper's NC, SC, NC-EC and
-// SC-EC schemes "implement the LFU replacement policy" (§5.1).
-//
-// Two frequency-bookkeeping variants are provided:
-//
-//   - in-cache LFU (Perfect=false): an object's count restarts at 1
-//     each time it (re-)enters the cache;
-//   - perfect LFU (Perfect=true): counts persist across evictions, the
-//     classic "perfect frequency knowledge" variant, which is the one
-//     the paper's upper-bound framing implies.
+// LFU is a perfect-frequency least-frequently-used cache.  The paper's
+// NC, SC, NC-EC and SC-EC schemes "implement the LFU replacement
+// policy" (§5.1); counts persist across evictions.
 //
 // Eviction takes the minimum-frequency object, breaking ties by least
 // recent touch.
 type refLFU struct {
 	capacity uint64
 	used     uint64
-	perfect  bool
 	entries  map[trace.ObjectID]Entry
 	heap     *refKeyedHeap
-	// history holds persistent counts for the perfect variant,
-	// including objects not currently cached.
+	// history holds persistent counts, including objects not currently
+	// cached.
 	history map[trace.ObjectID]uint64
 	// scratch backs the slice Add returns; see Policy.Add.
 	scratch []Entry
 }
 
-// newRefInCacheLFU returns an in-cache LFU cache.
-func newRefInCacheLFU(capacity uint64) *refLFU { return newRefLFU(capacity, false) }
-
 // newRefPerfectLFU returns a perfect-frequency LFU cache.
-func newRefPerfectLFU(capacity uint64) *refLFU { return newRefLFU(capacity, true) }
+func newRefPerfectLFU(capacity uint64) *refLFU {
+	return newRefPerfectLFUShared(capacity, make(map[trace.ObjectID]uint64))
+}
 
 // newRefPerfectLFUShared returns a perfect-frequency LFU cache whose
 // frequency history is the caller-provided map.  Passing the same map
@@ -207,55 +198,28 @@ func newRefPerfectLFU(capacity uint64) *refLFU { return newRefLFU(capacity, true
 // schemes use this so the proxy tier and client tier of a unified
 // cache rank objects consistently.
 func newRefPerfectLFUShared(capacity uint64, history map[trace.ObjectID]uint64) *refLFU {
-	c := newRefLFU(capacity, true)
-	c.history = history
-	return c
-}
-
-func newRefLFU(capacity uint64, perfect bool) *refLFU {
-	c := &refLFU{
+	return &refLFU{
 		capacity: capacity,
-		perfect:  perfect,
 		entries:  make(map[trace.ObjectID]Entry),
 		heap:     newRefKeyedHeap(64),
+		history:  history,
 	}
-	if perfect {
-		c.history = make(map[trace.ObjectID]uint64)
-	}
-	return c
 }
 
 // Name implements Policy.
-func (c *refLFU) Name() string {
-	if c.perfect {
-		return "lfu-perfect"
-	}
-	return "lfu"
-}
+func (c *refLFU) Name() string { return "lfu-perfect" }
 
-// RecordMiss lets the perfect variant count references to objects that
-// are not cached (so their history is warm when they are next added).
-// It is a no-op for in-cache LFU.
-func (c *refLFU) RecordMiss(obj trace.ObjectID) {
-	if c.perfect {
-		c.history[obj]++
-	}
-}
+// RecordMiss counts references to objects that are not cached (so
+// their history is warm when they are next added).
+func (c *refLFU) RecordMiss(obj trace.ObjectID) { c.history[obj]++ }
 
 // Access implements Policy.
 func (c *refLFU) Access(obj trace.ObjectID) bool {
 	if _, ok := c.entries[obj]; !ok {
 		return false
 	}
-	var f float64
-	if c.perfect {
-		c.history[obj]++
-		f = float64(c.history[obj])
-	} else {
-		cur, _ := c.heap.key(obj)
-		f = cur + 1
-	}
-	c.heap.update(obj, f)
+	c.history[obj]++
+	c.heap.update(obj, float64(c.history[obj]))
 	return true
 }
 
@@ -273,12 +237,8 @@ func (c *refLFU) Add(e Entry) []Entry {
 	}, c.scratch[:0])
 	evicted := c.scratch
 	c.entries[e.Obj] = e
-	f := 1.0
-	if c.perfect {
-		c.history[e.Obj]++
-		f = float64(c.history[e.Obj])
-	}
-	c.heap.push(e.Obj, f)
+	c.history[e.Obj]++
+	c.heap.push(e.Obj, float64(c.history[e.Obj]))
 	c.used += uint64(e.Size)
 	return evicted
 }
@@ -307,17 +267,9 @@ func (c *refLFU) Peek(obj trace.ObjectID) (Entry, bool) {
 	return e, ok
 }
 
-// Frequency reports the policy's current frequency for obj (0 if
-// unknown), exposed for tests and metrics.
-func (c *refLFU) Frequency(obj trace.ObjectID) uint64 {
-	if c.perfect {
-		return c.history[obj]
-	}
-	if f, ok := c.heap.key(obj); ok {
-		return uint64(f)
-	}
-	return 0
-}
+// Frequency reports obj's reference count (0 if never seen), exposed
+// for tests and metrics.
+func (c *refLFU) Frequency(obj trace.ObjectID) uint64 { return c.history[obj] }
 
 // Len implements Policy.
 func (c *refLFU) Len() int { return len(c.entries) }

@@ -20,12 +20,19 @@ import (
 // every operation on a shard linear.  There is no iteration, so nothing
 // the policies decide depends on the multiplier.
 //
-// The zero value is an empty table.
+// Ids below the table's universe skip the hashing: they index direct,
+// which holds slot+1 per id (0 = absent).  A trace's object ids are
+// dense below its NumObjects, so the simulator's LFU tiers declare that
+// as their universe and a lookup is one array load.
+//
+// The zero value is an empty table with no universe.
 type slotTable struct {
-	ents  []slotEnt
-	n     int
-	shift uint   // 64 - log2(len(ents))
-	mul   uint64 // odd; 0 until the first growth draws it
+	direct []int32
+	nd     int // ids held in direct
+	ents   []slotEnt
+	n      int    // ids held in ents
+	shift  uint   // 64 - log2(len(ents))
+	mul    uint64 // odd; 0 until the first growth draws it
 }
 
 type slotEnt struct {
@@ -49,11 +56,23 @@ func (t *slotTable) home(id trace.ObjectID) int {
 	return int(x * golden >> t.shift)
 }
 
+// newSlotTable returns an empty table whose ids below universe index
+// the direct array.
+func newSlotTable(universe int) slotTable {
+	return slotTable{direct: make([]int32, universe)}
+}
+
 // len returns the number of ids held.
-func (t *slotTable) len() int { return t.n }
+func (t *slotTable) len() int { return t.nd + t.n }
 
 // get returns the slot stored under id.
 func (t *slotTable) get(id trace.ObjectID) (int32, bool) {
+	if uint64(id) < uint64(len(t.direct)) {
+		if s := t.direct[id]; s != 0 {
+			return s - 1, true
+		}
+		return 0, false
+	}
 	if t.n == 0 {
 		return 0, false
 	}
@@ -78,6 +97,13 @@ func (t *slotTable) has(id trace.ObjectID) bool {
 // put stores slot s (which must be non-negative) under id, replacing
 // any slot already there.
 func (t *slotTable) put(id trace.ObjectID, s int32) {
+	if uint64(id) < uint64(len(t.direct)) {
+		if t.direct[id] == 0 {
+			t.nd++
+		}
+		t.direct[id] = s + 1
+		return
+	}
 	if 2*(t.n+1) > len(t.ents) {
 		t.grow()
 	}
@@ -98,6 +124,14 @@ func (t *slotTable) put(id trace.ObjectID, s int32) {
 
 // delete removes id and reports whether it was held.
 func (t *slotTable) delete(id trace.ObjectID) bool {
+	if uint64(id) < uint64(len(t.direct)) {
+		if t.direct[id] == 0 {
+			return false
+		}
+		t.direct[id] = 0
+		t.nd--
+		return true
+	}
 	if t.n == 0 {
 		return false
 	}

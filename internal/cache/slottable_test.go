@@ -52,13 +52,14 @@ func slotTablePool() []trace.ObjectID {
 	return pool
 }
 
-// FuzzSlotTable runs scripts of put, get and delete against a Go map.
+// FuzzSlotTable runs scripts of put, get and delete against a Go map,
+// on a table whose ids below the drawn universe take the direct path.
 // Each byte is one operation: the top two bits pick it (put, get,
 // delete, delete), the low six the id.  After every step get agrees
 // with the map for the id touched, and len with the map's size.  A
-// script that puts more than 32 ids grows the table mid-script.
+// script that puts more than 32 hashed ids grows the table mid-script.
 func FuzzSlotTable(f *testing.F) {
-	f.Add([]byte{0x00, 0x01, 0x02, 0x41, 0x81, 0x41, 0x02})
+	f.Add(uint8(0), []byte{0x00, 0x01, 0x02, 0x41, 0x81, 0x41, 0x02})
 	wrap := make([]byte, 0, 64)
 	for i := byte(48); i < 64; i++ {
 		wrap = append(wrap, i) // the wrapping group, in
@@ -69,7 +70,7 @@ func FuzzSlotTable(f *testing.F) {
 	for i := byte(48); i < 64; i++ {
 		wrap = append(wrap, 0x40|i) // and each looked up
 	}
-	f.Add(wrap)
+	f.Add(uint8(0), wrap)
 	fill := make([]byte, 0, 192)
 	for i := byte(0); i < 64; i++ {
 		fill = append(fill, i)
@@ -77,10 +78,14 @@ func FuzzSlotTable(f *testing.F) {
 	for i := byte(0); i < 64; i++ {
 		fill = append(fill, 0xc0|(i*37)&63, 0x40|(i*11)&63)
 	}
-	f.Add(fill)
+	// The small ids straddle a universe of 8 and all lie below one of
+	// 200; the other three groups always hash.
+	f.Add(uint8(8), fill)
+	f.Add(uint8(200), fill)
 	pool := slotTablePool()
-	f.Fuzz(func(t *testing.T, script []byte) {
-		tab := slotTable{mul: golden}
+	f.Fuzz(func(t *testing.T, universe uint8, script []byte) {
+		tab := newSlotTable(int(universe))
+		tab.mul = golden
 		want := map[trace.ObjectID]int32{}
 		for step, op := range script {
 			id := pool[op&63]

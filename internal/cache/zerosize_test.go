@@ -15,8 +15,8 @@ func TestAddZeroSizeRejected(t *testing.T) {
 		NewGreedyDual(10),
 		NewGDSF(10),
 		NewLRU(10),
-		NewLFU(10),
 		NewPerfectLFU(10),
+		NewPerfectLFUShared(10, NewHistory(4)),
 	}
 	for _, p := range policies {
 		if ev := p.Add(Entry{Obj: 1, Size: 0, Cost: 1}); len(ev) != 0 {

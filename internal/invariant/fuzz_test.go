@@ -20,9 +20,11 @@ func FuzzCheckedPolicy(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 0, 2, 4, 0, 3, 4, 1, 1, 0, 0, 1, 4, 2, 2, 0, 3, 3, 0})
 	f.Add([]byte{0, 5, 0, 0, 5, 9, 0, 6, 8, 0, 7, 8, 1, 6, 0, 0, 8, 8})
 	f.Fuzz(func(t *testing.T, script []byte) {
+		// Half the ids lie below the LFU history's universe, on the
+		// direct path; the rest hash.
 		policies := map[string]func() cache.Policy{
 			"lru":         func() cache.Policy { return cache.NewLRU(32) },
-			"lfu":         func() cache.Policy { return cache.NewLFU(32) },
+			"lfu":         func() cache.Policy { return cache.NewPerfectLFUShared(32, cache.NewHistory(24)) },
 			"greedy-dual": func() cache.Policy { return cache.NewGreedyDual(32) },
 			"gdsf":        func() cache.Policy { return cache.NewGDSF(32) },
 		}

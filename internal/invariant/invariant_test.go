@@ -115,7 +115,7 @@ func TestCheckedPolicyCleanOnRealPolicies(t *testing.T) {
 		"greedy-dual": func() cache.Policy { return cache.NewGreedyDual(64) },
 		"gdsf":        func() cache.Policy { return cache.NewGDSF(64) },
 		"lru":         func() cache.Policy { return cache.NewLRU(64) },
-		"lfu":         func() cache.Policy { return cache.NewLFU(64) },
+		"lfu":         func() cache.Policy { return cache.NewPerfectLFU(64) },
 	}
 	for name, f := range mk {
 		t.Run(name, func(t *testing.T) {

@@ -237,8 +237,10 @@ func (c Config) Validate() error {
 }
 
 // sizing holds what a run derives from the trace before the replay
-// starts: the per-cluster capacities and where each client sits.
+// starts: the per-cluster capacities, where each client sits and the
+// object id universe.
 type sizing struct {
+	objects   int          // tr.NumObjects: every object id lies below it
 	clients   []clientSlot // indexed by trace.ClientID, below tr.NumClients
 	infinite  []int        // per-cluster infinite cache size, in cache units
 	proxyCap  []uint64     // per-proxy cache capacity
@@ -263,6 +265,7 @@ func computeSizing(tr *trace.Trace, cfg Config) sizing {
 		inf[i] = int(u)
 	}
 	s := sizing{
+		objects:   tr.NumObjects,
 		clients:   clients,
 		infinite:  inf,
 		proxyCap:  make([]uint64, cfg.NumProxies),

@@ -361,7 +361,7 @@ func TestResultString(t *testing.T) {
 }
 
 func TestTieredCachePromoteDemote(t *testing.T) {
-	tc := newTieredCache(2, 3, false, nil, "t")
+	tc := newTieredCache(2, 3, false, 12, nil, "t")
 	ins := func(obj trace.ObjectID) { tc.insert(cache.Entry{Obj: obj, Size: 1, Cost: 1}) }
 	ins(1)
 	ins(2)
@@ -388,7 +388,7 @@ func TestTieredCachePromoteDemote(t *testing.T) {
 }
 
 func TestTieredCacheClientHitPromotes(t *testing.T) {
-	tc := newTieredCache(1, 2, false, nil, "t")
+	tc := newTieredCache(1, 2, false, 12, nil, "t")
 	tc.insert(cache.Entry{Obj: 1, Size: 1, Cost: 1})
 	tc.insert(cache.Entry{Obj: 2, Size: 1, Cost: 1}) // 1 demotes
 	if !tc.lower.Contains(1) {
@@ -406,7 +406,7 @@ func TestTieredCacheClientHitPromotes(t *testing.T) {
 }
 
 func TestTieredCacheSinglePool(t *testing.T) {
-	tc := newTieredCache(2, 3, true, nil, "t")
+	tc := newTieredCache(2, 3, true, 12, nil, "t")
 	for obj := trace.ObjectID(0); obj < 5; obj++ {
 		tc.insert(cache.Entry{Obj: obj, Size: 1, Cost: 1})
 	}
@@ -417,6 +417,30 @@ func TestTieredCacheSinglePool(t *testing.T) {
 		if got := tc.access(obj); got != tierProxy {
 			t.Fatalf("single-pool hit reported %v", got)
 		}
+	}
+}
+
+// The unified cache's shared LFU history counts tier moves as
+// references (DESIGN §2.5's recorded deviation): an object inserted,
+// demoted by one insert and then hit once in the client tier has been
+// referenced twice but reads 4, and the engine's miss path, which
+// records the miss before the insert, counts one missed reference as
+// 2.  Decisions and pinned digests rest on these counts; this test
+// changes with the fix that re-pins them.
+func TestTieredCacheHistoryCountsTierMoves(t *testing.T) {
+	tc := newTieredCache(1, 2, false, 12, nil, "t")
+	tc.insert(cache.Entry{Obj: 1, Size: 1, Cost: 1})
+	tc.insert(cache.Entry{Obj: 2, Size: 1, Cost: 1}) // 1 demotes
+	if got := tc.access(1); got != tierClient {
+		t.Fatalf("access(1) = %v, want tierClient", got)
+	}
+	if got := tc.missLFU.Frequency(1); got != 4 {
+		t.Errorf("object 1 after insert, demotion and a client-tier hit counts %d, want 4", got)
+	}
+	tc.recordMiss(3)
+	tc.insert(cache.Entry{Obj: 3, Size: 1, Cost: 1})
+	if got := tc.missLFU.Frequency(3); got != 2 {
+		t.Errorf("object 3 after one miss counts %d, want 2", got)
 	}
 }
 

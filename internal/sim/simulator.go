@@ -156,7 +156,7 @@ func newLFUEngine(cfg Config, sz sizing) *lfuEngine {
 		}
 		// Non-EC schemes have no client tier: pool with zero extra.
 		single := !ec || cfg.SinglePoolEC
-		e.caches[p] = newTieredCache(sz.proxyCap[p], p2pCap, single,
+		e.caches[p] = newTieredCache(sz.proxyCap[p], p2pCap, single, sz.objects,
 			cfg.Check, fmt.Sprintf("proxy%d", p))
 	}
 	e.peers = newPeerTier(cfg, sz, func(p int) []trace.ObjectID { return e.caches[p].objects() })

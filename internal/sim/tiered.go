@@ -31,12 +31,13 @@ type tieredCache struct {
 }
 
 // newTieredCache builds the unified cache for one proxy: perfect LFU
-// in both tiers over one shared history.  chk wires invariant checking
-// around both tiers (nil disables it); label distinguishes proxies in
-// violation reports.
-func newTieredCache(proxyCap, p2pCap uint64, singlePool bool, chk *invariant.Checker, label string) *tieredCache {
+// in both tiers over one shared history, whose ids below universe (the
+// trace's NumObjects) index arrays rather than hash.  chk wires
+// invariant checking around both tiers (nil disables it); label
+// distinguishes proxies in violation reports.
+func newTieredCache(proxyCap, p2pCap uint64, singlePool bool, universe int, chk *invariant.Checker, label string) *tieredCache {
 	t := &tieredCache{singlePool: singlePool}
-	history := cache.NewHistory()
+	history := cache.NewHistory(universe)
 	mk := func(capacity uint64, tier string) (*cache.LFU, cache.Policy) {
 		lfu := cache.NewPerfectLFUShared(capacity, history)
 		return lfu, invariant.WrapPolicy(lfu, chk, label+tier)
