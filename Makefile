@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race bench vet fuzz-smoke bench-check bench-smoke chaos-smoke chaos-bench trace-alloc sim-alloc examples
+.PHONY: all build test check race bench vet fuzz-smoke bench-check bench-golden bench-smoke chaos-smoke chaos-bench trace-alloc sim-alloc examples
 
 all: build test
 
@@ -70,6 +70,18 @@ examples:
 # measured there: bash bench/run.sh --workload <w> --seed 1 --seconds 20 --trace 1
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# The committed sim goldens (bench/golden/*.json) hold at full size
+# only, so bench-check's short tests cannot compare them: this runs one
+# pass of each sim workload at seeds 1 and 2 (~15s) and fails when a
+# run exits non-zero (a scheme's result digest differs from its golden)
+# or consulted no golden.
+bench-golden:
+	@for w in sim_compare sim_churn; do for s in 1 2; do \
+		echo "bench $$w seed $$s"; \
+		out=$$(bash bench/run.sh --workload $$w --seed $$s --seconds 1 --trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | grep -q '"golden_checked":true' || { echo "$$w seed $$s: no golden consulted"; exit 1; }; \
+	done; done
 
 # ~10s live loopback bench: 2 proxies x 3 client caches over real
 # sockets driven open-loop from a small ProWGen trace, then the same

@@ -51,7 +51,7 @@ import (
 func main() {
 	var (
 		fig        = flag.String("fig", "", "figure to regenerate: 2a 2b 3 4 5a 5b 5c 5d, or 'all'")
-		runOne     = flag.String("run", "", "run a single scheme (nc, sc, fc, nc-ec, sc-ec, fc-ec, hier-gd) and print details")
+		runOne     = flag.String("run", "", "run a single scheme (nc, sc, fc, nc-ec, sc-ec, fc-ec, hier-gd, squirrel) and print details")
 		scale      = flag.Float64("scale", 0.2, "workload scale (1.0 = the paper's 1M requests)")
 		frac       = flag.Float64("frac", 0.5, "proxy cache size fraction for -run")
 		seed       = flag.Int64("seed", 1, "random seed")
