@@ -20,7 +20,7 @@ vet:
 # The instrumentation gate: full vet plus race-enabled tests of the
 # metric registry, the invariant oracles, the simulator that feeds
 # them (the ./internal/sim run includes the checked end-to-end
-# replays), the concurrent data plane (sharded store + the HTTP
+# replays), the concurrent data plane (the store + the HTTP
 # daemons built on it), and what runs live traffic over it (load
 # generator, chaos suite, cluster aggregator), as CI's race job does.
 # It fails on any file gofmt would rewrite, and if the simulator

@@ -255,8 +255,8 @@ func runProxy(args []string) error {
 		stop := p.StartSweeper(*sweep)
 		defer stop()
 	}
-	fmt.Printf("hiergdd proxy: listening on %s (self=%s, %d-byte cache, %d shards)\n",
-		ln.Addr(), base, *capacity, p.Store().NumShards())
+	fmt.Printf("hiergdd proxy: listening on %s (self=%s, %d-byte cache)\n",
+		ln.Addr(), base, *capacity)
 	if *diskDir != "" {
 		fmt.Printf("hiergdd proxy: disk tier %s (%d-byte budget) recovered %d objects\n",
 			*diskDir, p.Disk().Capacity(), p.Disk().Recovered())

@@ -3,11 +3,11 @@
 package httpcache
 
 // Zero-alloc gate on the live proxy's memory-hit path: once an object
-// sits in the sharded memory store, serving it must not touch the
-// heap.  The pieces that make this hold are queryParam (no url.Values
-// per request), pastry.HashString (no []byte copy of the URL), the
-// preallocated servedBy header slices, and the store's lock-striped
-// Get (see hotpath.go and DESIGN.md §13).
+// sits in the memory store, serving it must not touch the heap.  The
+// pieces that make this hold are queryParam (no url.Values per
+// request), pastry.HashString (no []byte copy of the URL), the
+// preallocated servedBy header slices, and the store's Get (see
+// hotpath.go and DESIGN.md §13).
 //
 // Excluded under the race detector (make check), whose instrumentation
 // allocates on paths the production build does not.

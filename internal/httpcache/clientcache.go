@@ -68,7 +68,7 @@ type Options struct {
 	Check *invariant.Checker
 }
 
-// storage is the serving surface both daemons embed: the sharded memory
+// storage is the serving surface both daemons embed: the memory
 // store, the persistent disk tier under it (nil without DiskDir), and
 // tier, the store alone or the Tiered layering of the two.
 type storage struct {
@@ -100,7 +100,7 @@ func (o Options) newStorage(label string) (storage, error) {
 	return storage{mem, dsk, store.NewTiered(mem, dsk, TierProxyDisk)}, nil
 }
 
-// Store exposes the daemon's sharded memory store (tests and telemetry).
+// Store exposes the daemon's memory store (tests and telemetry).
 func (s *storage) Store() *store.Store { return s.store }
 
 // Disk exposes the persistent tier (nil without Options.DiskDir).
@@ -241,7 +241,7 @@ func foldHex(hexes []string) []trace.ObjectID {
 // it is a finite positive number.  The value becomes H = L + Cost/Size,
 // so an infinite cost (1e400 overflows to one) would pin the object for
 // good, and a NaN would break the heap order and, once evicted, turn
-// the shard's inflation L into NaN; the disk tier would journal either.
+// the store's inflation L into NaN; the disk tier would journal either.
 func parseCost(s string) float64 {
 	c, err := strconv.ParseFloat(s, 64)
 	if err != nil || !(c > 0 && c <= math.MaxFloat64) {
@@ -280,8 +280,8 @@ func (c *ClientCache) handleObject(w http.ResponseWriter, r *http.Request) {
 }
 
 // FreeHeader carries the daemon's headroom on every /store reply, 200
-// and 507 alike: the largest body it takes for any key without
-// evicting (store.Headroom, the minimum over its shards).  It is the
+// and 507 alike: the largest body it takes without evicting
+// (store.Headroom, its capacity less its resident bytes).  It is the
 // §4.3 free-space knowledge the proxy places evictions by instead of
 // trial stores; a sender that does not read it loses nothing.
 const FreeHeader = "X-Cache-Free"

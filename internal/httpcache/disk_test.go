@@ -91,7 +91,7 @@ func TestProxyDiskTierSurvivesRestart(t *testing.T) {
 	}
 }
 
-// An object too large for the proxy's memory shards still persists to
+// An object too large for the proxy's memory tier still persists to
 // the disk tier, so the next request for it is a disk serve instead
 // of a second origin fetch.
 func TestOversizedObjectServedFromDisk(t *testing.T) {
@@ -101,7 +101,7 @@ func TestOversizedObjectServedFromDisk(t *testing.T) {
 	defer origin.Close()
 
 	p, err := NewProxyOpts(Options{
-		CapacityBytes:     64, // every shard refuses a 4 KiB body
+		CapacityBytes:     64, // the memory tier refuses a 4 KiB body
 		DiskDir:           t.TempDir(),
 		DiskCapacityBytes: 1 << 20,
 	})

@@ -44,11 +44,9 @@
 // store only when unknown or stale: each /store reply carries the
 // largest body the daemon takes for any key without evicting, the ring
 // keeps the last figure per member, and pass-down picks owner,
-// neighbour or forced store from it.  The figure is the minimum over
-// the daemon's store shards, because free space is per shard and the
-// proxy cannot tell which shard a key lands in; its one cost is that a
-// neighbour with room in only some shards is passed over for the forced
-// store at the owner.
+// neighbour or forced store from it.  The figure is the daemon's
+// capacity less its resident bytes: one policy holds every key, so
+// whatever fits for one key fits for all.
 package httpcache
 
 import (

@@ -91,7 +91,7 @@ type proxyCounters struct {
 }
 
 // Proxy is the caching forward proxy of the paper's architecture: a
-// sharded cache whose evictions destage into the registered client
+// greedy-dual cache whose evictions destage into the registered client
 // caches, with a lookup directory and inter-proxy cooperation.
 type Proxy struct {
 	storage

@@ -8,9 +8,9 @@ import (
 )
 
 // Baseline is the reference implementation the differential test
-// (TestStoreMatchesBaselineSequentially) diffs the sharded Store
-// against: one mutex in front of one policy instance, and no miss
-// coalescing — N concurrent misses on the same key run N loader calls.
+// (TestStoreMatchesBaselineSequentially) diffs the Store against: one
+// mutex in front of one policy instance, and no miss coalescing — N
+// concurrent misses on the same key run N loader calls.
 type Baseline struct {
 	mu     sync.Mutex
 	policy cache.Policy

@@ -53,7 +53,7 @@ type LoadView struct {
 	// Stored and Evicted are set only for the flight winner
 	// (OutcomeLoaded): whether the loaded object was inserted, and
 	// what was evicted to make room — the winner destages these.
-	// Stored is false for empty or shard-oversized bodies, which are
+	// Stored is false for empty or oversized bodies, which are
 	// served uncached.
 	Stored  bool
 	Evicted []Object

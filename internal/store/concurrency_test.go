@@ -13,13 +13,13 @@ import (
 )
 
 // TestStoreConcurrentAccess hammers get/put/evict from many
-// goroutines across shards under the race detector, with every shard
-// wrapped in the invariant oracle and the cross-shard reconciliation
-// running periodically; the run must end violation-free with totals
-// that reconcile.
+// goroutines under the race detector, with the policy wrapped in the
+// invariant oracle and the body-map reconciliation running
+// periodically; the run must end violation-free with totals that
+// reconcile.
 func TestStoreConcurrentAccess(t *testing.T) {
 	chk := invariant.New(nil)
-	s := mustNew(t, Config{CapacityBytes: 8 << 10, shards: 8, Check: chk, Metrics: obs.NewRegistry("race")})
+	s := mustNew(t, Config{CapacityBytes: 8 << 10, Check: chk, Metrics: obs.NewRegistry("race")})
 	const workers = 8
 	const opsPerWorker = 2000
 	var wg sync.WaitGroup
@@ -50,15 +50,14 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	if chk.Checks() == 0 {
 		t.Fatal("invariant checker saw no assertions")
 	}
-	// The atomics must equal the locked ground truth when quiescent.
+	// The policy's totals must equal the resident bodies when quiescent.
 	var used uint64
-	n := 0
-	for _, snap := range s.Snapshot() {
-		used += snap.Used
-		n += snap.Len
+	items := s.Items()
+	for _, it := range items {
+		used += uint64(len(it.Object.Body))
 	}
-	if used != s.Used() || n != s.Len() {
-		t.Fatalf("atomic totals (%d, %d) != shard sums (%d, %d)", s.Used(), s.Len(), used, n)
+	if used != s.Used() || len(items) != s.Len() {
+		t.Fatalf("policy totals (%d, %d) != resident bodies (%d, %d)", s.Used(), s.Len(), used, len(items))
 	}
 }
 
@@ -67,7 +66,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 // body, and the coalesced counter accounts for the K-1 waiters.
 func TestStoreCoalescedLoad(t *testing.T) {
 	reg := obs.NewRegistry("coalesce")
-	s := mustNew(t, Config{CapacityBytes: 1 << 20, shards: 4, Metrics: reg})
+	s := mustNew(t, Config{CapacityBytes: 1 << 20, Metrics: reg})
 	const K = 32
 	var loads atomic.Int64
 	gate := make(chan struct{})
@@ -218,7 +217,7 @@ func TestStoreCoalesceEmptyBody(t *testing.T) {
 // TestStoreParallelDistinctLoads: misses on distinct keys do not
 // serialize on each other's flights.
 func TestStoreParallelDistinctLoads(t *testing.T) {
-	s := mustNew(t, Config{CapacityBytes: 1 << 20, shards: 8})
+	s := mustNew(t, Config{CapacityBytes: 1 << 20})
 	const K = 64
 	var loads atomic.Int64
 	var wg sync.WaitGroup

@@ -17,7 +17,7 @@ func TestMetricsDocStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry("doc-smoke-store")
-	s := mustNew(t, Config{CapacityBytes: 1 << 20, shards: 2, Metrics: reg})
+	s := mustNew(t, Config{CapacityBytes: 1 << 20, Metrics: reg})
 	if _, err := s.GetOrLoad(1, func() (Object, string, error) {
 		return Object{HexKey: "01", Body: body(8), Cost: 1}, "origin", nil
 	}); err != nil {

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"webcache/internal/cache"
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
 	"webcache/internal/trace"
@@ -30,7 +30,7 @@ func mustNew(t *testing.T, cfg Config) *Store {
 }
 
 func TestStoreBasicPutGet(t *testing.T) {
-	s := mustNew(t, Config{CapacityBytes: 1000, shards: 4})
+	s := mustNew(t, Config{CapacityBytes: 1000})
 	if _, ok := s.Get(1); ok {
 		t.Fatal("empty store reports a hit")
 	}
@@ -71,48 +71,35 @@ func TestStoreEmptyBodyRejectedExplicitly(t *testing.T) {
 	}
 }
 
-func TestStoreShardBudgetEdgeCases(t *testing.T) {
-	// 4 shards x 250 bytes: an object that fits the total capacity but
-	// not any single shard's budget is rejected (stored=false, no
-	// error) — the documented sharding artifact.
-	s := mustNew(t, Config{CapacityBytes: 1000, shards: 4})
-	_, stored, err := s.Put(1, Object{Body: body(600), Cost: 1})
-	if stored || err != nil {
-		t.Fatalf("shard-oversized Put = (stored=%v, err=%v), want (false, nil)", stored, err)
-	}
-	// At exactly the shard budget it fits.
-	if _, stored, _ := s.Put(2, Object{Body: body(250), Cost: 1}); !stored {
-		t.Fatal("shard-budget-sized object rejected")
-	}
-	// Larger than the whole capacity is rejected too.
-	if _, stored, _ := s.Put(3, Object{Body: body(1200), Cost: 1}); stored {
-		t.Fatal("capacity-oversized object stored")
-	}
-}
-
-func TestStoreCapacityPartitionExact(t *testing.T) {
-	// An odd capacity must still partition exactly (remainder spread
-	// one byte at a time), verified via the invariant checker.
-	for _, shards := range []int{1, 2, 4, 8, 16} {
-		chk := invariant.New(nil)
-		s := mustNew(t, Config{CapacityBytes: 1003, shards: shards, Check: chk})
-		s.CheckInvariants()
-		if err := chk.Err(); err != nil {
-			t.Fatalf("%d shards: %v", shards, err)
+// TestStoreBudgetEdgeCases: a body is stored exactly when it fits the
+// whole capacity, however large a share of it the body takes.
+func TestStoreBudgetEdgeCases(t *testing.T) {
+	for _, tc := range []struct {
+		capacity   uint64
+		size       int
+		wantStored bool
+	}{
+		{1000, 600, true},
+		{1000, 1000, true},
+		{1000, 1200, false},
+		{256 << 10, 200 << 10, true},
+		{0, 1, false}, // zero capacity is legal and stores nothing
+	} {
+		s := mustNew(t, Config{CapacityBytes: tc.capacity})
+		evicted, stored, err := s.Put(1, Object{Body: body(tc.size), Cost: 1})
+		if stored != tc.wantStored || err != nil || len(evicted) != 0 {
+			t.Fatalf("Put(%d B) into %d B = (%d evicted, stored=%v, err=%v), want stored=%v",
+				tc.size, tc.capacity, len(evicted), stored, err, tc.wantStored)
 		}
-		var sum uint64
-		for _, snap := range s.Snapshot() {
-			sum += snap.Capacity
-		}
-		if sum != 1003 {
-			t.Fatalf("%d shards: budgets sum to %d, want 1003", shards, sum)
+		if _, hit := s.Get(1); hit != tc.wantStored {
+			t.Fatalf("Get after Put(%d B) into %d B = %v", tc.size, tc.capacity, hit)
 		}
 	}
 }
 
 func TestStoreEvictionAccounting(t *testing.T) {
 	chk := invariant.New(nil)
-	s := mustNew(t, Config{CapacityBytes: 300, shards: 1, Check: chk})
+	s := mustNew(t, Config{CapacityBytes: 300, Check: chk})
 	for i := 0; i < 10; i++ {
 		if _, stored, err := s.Put(trace.ObjectID(i), Object{HexKey: fmt.Sprintf("%02d", i), Body: body(100), Cost: 1}); !stored || err != nil {
 			t.Fatalf("Put %d failed (stored=%v, err=%v)", i, stored, err)
@@ -128,7 +115,7 @@ func TestStoreEvictionAccounting(t *testing.T) {
 }
 
 func TestStoreFreeFor(t *testing.T) {
-	s := mustNew(t, Config{CapacityBytes: 200, shards: 1})
+	s := mustNew(t, Config{CapacityBytes: 200})
 	if !s.FreeFor(1, 200) {
 		t.Fatal("empty store reports no space for a capacity-sized object")
 	}
@@ -141,131 +128,110 @@ func TestStoreFreeFor(t *testing.T) {
 	}
 }
 
-// Headroom is capacity − used on one shard and the minimum over the
-// shards on several, so that whatever it promises FreeFor keeps for
-// every key.
+// Headroom is exactly capacity − used after any fill, and FreeFor
+// agrees with it for every key.
 func TestStoreHeadroom(t *testing.T) {
-	one := mustNew(t, Config{CapacityBytes: 200, shards: 1})
-	if got := one.Headroom(); got != 200 {
-		t.Fatalf("empty one-shard headroom = %d, want 200", got)
-	}
-	one.Put(1, Object{Body: body(150), Cost: 1})
-	if got := one.Headroom(); got != 50 {
-		t.Fatalf("one-shard headroom = %d, want capacity - used = 50", got)
-	}
-
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 20; round++ {
-		s := mustNew(t, Config{CapacityBytes: 4000, shards: 4})
+		s := mustNew(t, Config{CapacityBytes: 4000})
 		for i, puts := 0, rng.Intn(60); i < puts; i++ {
 			s.Put(trace.ObjectID(rng.Uint64()), Object{Body: body(1 + rng.Intn(200)), Cost: 1})
 		}
-		least := ^uint64(0)
-		for _, snap := range s.Snapshot() {
-			if free := snap.Capacity - snap.Used; free < least {
-				least = free
-			}
-		}
 		h := s.Headroom()
-		if h != least {
-			t.Fatalf("round %d: headroom = %d, want the least shard's %d", round, h, least)
+		if s.Capacity() != 4000 || h != s.Capacity()-s.Used() {
+			t.Fatalf("round %d: headroom = %d, want capacity %d - used %d", round, h, s.Capacity(), s.Used())
 		}
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 20; i++ {
 			k := trace.ObjectID(rng.Uint64())
-			if !s.FreeFor(k, int(h)) {
-				t.Fatalf("round %d: headroom %d but FreeFor(%d, %d) is false", round, h, k, h)
-			}
-		}
-		// The converse is what total free bytes would get wrong: one byte
-		// past the headroom no longer fits the fullest shard's keys.
-		refused := false
-		for i := 0; i < 200 && !refused; i++ {
-			refused = !s.FreeFor(trace.ObjectID(rng.Uint64()), int(h)+1)
-		}
-		if !refused {
-			t.Fatalf("round %d: headroom %d is not tight: %d bytes fit 200 random keys", round, h, h+1)
-		}
-	}
-}
-
-func TestStoreShardSizing(t *testing.T) {
-	// A tiny capacity degenerates to one shard, preserving the
-	// unsharded design's behaviour exactly.
-	if s := mustNew(t, Config{CapacityBytes: 4096}); s.NumShards() != 1 {
-		t.Fatalf("tiny store has %d shards, want 1", s.NumShards())
-	}
-	// A large one stripes to a power of two, every shard's budget at
-	// least minShardBudget.
-	for _, capacity := range []uint64{minShardBudget, 3 * minShardBudget, 1 << 30} {
-		n := mustNew(t, Config{CapacityBytes: capacity}).NumShards()
-		if n < 1 || n&(n-1) != 0 || (n > 1 && capacity/uint64(n) < minShardBudget) {
-			t.Fatalf("capacity %d: %d shards", capacity, n)
-		}
-	}
-	// Zero capacity is legal and stores nothing.
-	z := mustNew(t, Config{})
-	if _, stored, err := z.Put(1, Object{Body: body(1)}); stored || err != nil {
-		t.Fatalf("zero-capacity Put = (stored=%v, err=%v), want (false, nil)", stored, err)
-	}
-}
-
-// TestStoreShardsRunGreedyDual: every shard runs the paper's policy,
-// with or without the invariant oracle wrapped around it.
-func TestStoreShardsRunGreedyDual(t *testing.T) {
-	for _, chk := range []*invariant.Checker{nil, invariant.New(nil)} {
-		s := mustNew(t, Config{CapacityBytes: 1 << 20, shards: 4, Check: chk})
-		for i := range s.shards {
-			p := s.shards[i].policy
-			if w, ok := p.(*invariant.CheckedPolicy); ok {
-				p = w.Unwrap()
-			}
-			if _, ok := p.(*cache.GreedyDual); !ok {
-				t.Fatalf("shard %d runs %T, want *cache.GreedyDual", i, p)
+			if !s.FreeFor(k, int(h)) || s.FreeFor(k, int(h)+1) {
+				t.Fatalf("round %d: headroom %d, but FreeFor(%d) disagrees at %d or %d bytes", round, h, k, h, h+1)
 			}
 		}
 	}
 }
 
-// TestStoreMatchesBaselineSequentially diffs the sharded store
-// (forced to one shard) against the single-mutex Baseline over a
-// deterministic op mix: identical stores, hits, and evictions.
+// TestStoreMatchesBaselineSequentially diffs the store against the
+// single-mutex Baseline over a deterministic op mix, with and without
+// the invariant oracle wrapped around its policy: identical hits,
+// stores and evictions, victim by victim.  The 1 MiB case holds bodies
+// up to 8 KiB over a key set larger than the capacity, so the store's
+// one greedy-dual must evict exactly as the baseline's does.
 func TestStoreMatchesBaselineSequentially(t *testing.T) {
-	s := mustNew(t, Config{CapacityBytes: 1000, shards: 1})
-	b := NewBaseline(1000)
-	for i := 0; i < 500; i++ {
-		key := trace.ObjectID(i % 37)
-		size := 1 + (i*13)%200
-		_, okS := s.Get(key)
-		_, okB := b.Get(key)
-		if okS != okB {
-			t.Fatalf("op %d: Get diverged (%v vs %v)", i, okS, okB)
-		}
-		if !okS {
-			evS, stS, errS := s.Put(key, Object{Body: body(size), Cost: 1})
-			evB, stB, errB := b.Put(key, Object{Body: body(size), Cost: 1})
-			if stS != stB || (errS == nil) != (errB == nil) || len(evS) != len(evB) {
-				t.Fatalf("op %d: Put diverged (%v/%v/%v vs %v/%v/%v)", i, len(evS), stS, errS, len(evB), stB, errB)
+	for _, tc := range []struct {
+		capacity     uint64
+		keys, maxLen int
+		ops          int
+	}{
+		{1000, 37, 200, 500},
+		{1003, 41, 200, 500},
+		{1 << 20, 400, 8 << 10, 4000},
+	} {
+		for _, chk := range []*invariant.Checker{nil, invariant.New(nil)} {
+			s := mustNew(t, Config{CapacityBytes: tc.capacity, Check: chk})
+			b := NewBaseline(tc.capacity)
+			for i := 0; i < tc.ops; i++ {
+				key := trace.ObjectID((i * 7919) % tc.keys)
+				_, okS := s.Get(key)
+				_, okB := b.Get(key)
+				if okS != okB {
+					t.Fatalf("capacity %d op %d: Get diverged (%v vs %v)", tc.capacity, i, okS, okB)
+				}
+				if !okS {
+					obj := Object{HexKey: fmt.Sprintf("%x", key), Body: body(1 + (i*13)%tc.maxLen), Cost: float64(1 + i%3)}
+					evS, stS, errS := s.Put(key, obj)
+					evB, stB, errB := b.Put(key, obj)
+					if stS != stB || (errS == nil) != (errB == nil) || !slices.Equal(hexKeys(evS), hexKeys(evB)) {
+						t.Fatalf("capacity %d op %d: Put diverged (%v/%v/%v vs %v/%v/%v)",
+							tc.capacity, i, hexKeys(evS), stS, errS, hexKeys(evB), stB, errB)
+					}
+				}
+				if s.Len() != b.Len() || s.Used() != b.Used() {
+					t.Fatalf("capacity %d op %d: accounting diverged (%d/%d vs %d/%d)",
+						tc.capacity, i, s.Len(), s.Used(), b.Len(), b.Used())
+				}
+			}
+			s.CheckInvariants()
+			if err := chk.Err(); err != nil {
+				t.Fatalf("capacity %d: %v", tc.capacity, err)
 			}
 		}
-		if s.Len() != b.Len() || s.Used() != b.Used() {
-			t.Fatalf("op %d: accounting diverged (%d/%d vs %d/%d)", i, s.Len(), s.Used(), b.Len(), b.Used())
-		}
+	}
+}
+
+func hexKeys(objs []Object) []string {
+	keys := make([]string, len(objs))
+	for i, o := range objs {
+		keys[i] = o.HexKey
+	}
+	return keys
+}
+
+// TestStoreCheckCatchesBodyDrift: a body dropped behind the policy's
+// back is what the reconciliation exists to catch.
+func TestStoreCheckCatchesBodyDrift(t *testing.T) {
+	chk := invariant.New(nil)
+	s := mustNew(t, Config{CapacityBytes: 1000, Check: chk})
+	s.Put(1, Object{Body: body(10), Cost: 1})
+	s.Put(2, Object{Body: body(20), Cost: 1})
+	s.CheckInvariants()
+	if err := chk.Err(); err != nil {
+		t.Fatal(err)
+	}
+	delete(s.bodies, 2)
+	s.CheckInvariants()
+	if chk.ViolationCount() != 1 {
+		t.Fatalf("dropped body raised %d violations, want 1", chk.ViolationCount())
 	}
 }
 
 func TestStorePublishMetrics(t *testing.T) {
 	reg := obs.NewRegistry("store-test")
-	s := mustNew(t, Config{CapacityBytes: 1000, shards: 2, Metrics: reg})
+	s := mustNew(t, Config{CapacityBytes: 1000, Metrics: reg})
 	s.Put(1, Object{Body: body(10), Cost: 1})
 	s.PublishMetrics()
 	vals := reg.Values()
-	if vals["store.shards"] != 2 {
-		t.Fatalf("store.shards = %v, want 2", vals["store.shards"])
-	}
-	if vals["store.used_bytes"] != 10 {
-		t.Fatalf("store.used_bytes = %v, want 10", vals["store.used_bytes"])
-	}
-	if _, ok := vals["store.shard.0.used_bytes"]; !ok {
-		t.Fatal("per-shard occupancy gauges missing")
+	if vals["store.capacity_bytes"] != 1000 || vals["store.used_bytes"] != 10 || vals["store.objects"] != 1 {
+		t.Fatalf("store gauges = %v/%v/%v, want 1000/10/1",
+			vals["store.capacity_bytes"], vals["store.used_bytes"], vals["store.objects"])
 	}
 }

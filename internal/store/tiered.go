@@ -6,7 +6,7 @@ import (
 	"webcache/internal/store/disk"
 )
 
-// Tiered composes the sharded memory Store with the persistent disk
+// Tiered composes the memory Store with the persistent disk
 // tier (internal/store/disk) behind the same Interface: reads check
 // memory first and fall back to the disk log (promoting a disk hit
 // back into memory when it fits without evicting anything); writes
@@ -45,9 +45,10 @@ func fromDisk(obj disk.Object) Object {
 }
 
 // Get returns the object from memory, or from the disk log on a
-// memory miss.  A disk hit is promoted back into memory only when its
-// shard has free room — promotion must not evict hotter resident
-// objects on behalf of a colder disk one.
+// memory miss.  A disk hit is promoted back into memory only when the
+// memory tier has free room — promotion must not evict hotter resident
+// objects on behalf of a colder disk one, and it has no caller to pass
+// evictions down to.
 func (t *Tiered) Get(key trace.ObjectID) (Object, bool) {
 	if obj, ok := t.Store.Get(key); ok {
 		return obj, true
@@ -57,16 +58,14 @@ func (t *Tiered) Get(key trace.ObjectID) (Object, bool) {
 		return Object{}, false
 	}
 	obj := fromDisk(dobj)
-	if t.Store.FreeFor(key, len(obj.Body)) {
-		t.Store.Put(key, obj)
-	}
+	t.Store.putIfFree(key, obj)
 	return obj, true
 }
 
 // Put stores the object in memory (returning the memory tier's
 // evictions for destaging, exactly like the unlayered store) and
-// enqueues it for disk persistence.  An object too large for its
-// memory shard still persists to disk — the disk tier is typically
+// enqueues it for disk persistence.  An object too large for the
+// memory tier still persists to disk — the disk tier is typically
 // orders of magnitude larger — so stored=false no longer means the
 // object is unservable.
 func (t *Tiered) Put(key trace.ObjectID, obj Object) (evicted []Object, stored bool, err error) {
@@ -116,7 +115,7 @@ func (t *Tiered) PublishMetrics() {
 }
 
 // CheckInvariants runs both tiers' checks: the memory store's
-// cross-shard reconciliation and the disk tier's memory-index ↔
+// body-map reconciliation and the disk tier's memory-index ↔
 // disk-log agreement (against the store's attached Checker).
 func (t *Tiered) CheckInvariants() {
 	t.Store.CheckInvariants()

@@ -3,16 +3,19 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"strconv"
+	"sync"
 	"testing"
 
 	"webcache/internal/store/disk"
+	"webcache/internal/trace"
 )
 
 // newTiered builds a small memory store over a disk tier in a test
 // temp dir.
 func newTestTiered(t *testing.T, memCap, diskCap uint64) *Tiered {
 	t.Helper()
-	mem, err := New(Config{CapacityBytes: memCap, shards: 1, Label: "tiered-test"})
+	mem, err := New(Config{CapacityBytes: memCap, Label: "tiered-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +34,7 @@ func tieredObj(k uint64, n int) Object {
 }
 
 // An object evicted from the memory tier stays readable through the
-// disk log; promotion only happens when the memory shard has free
+// disk log; promotion only happens when the memory tier has free
 // room for it.
 func TestTieredReadFallsBackToDisk(t *testing.T) {
 	tr := newTestTiered(t, 512, 1<<20)
@@ -69,16 +72,14 @@ func TestTieredPromotion(t *testing.T) {
 	if !tr.Sync() {
 		t.Fatal("sync failed")
 	}
-	// Drop from memory only (shard 0 is the only shard), leaving the
-	// disk copy in place — the state a memory eviction leaves behind.
-	sh := &tr.Store.shards[0]
-	sh.mu.Lock()
-	if ent, ok := sh.policy.Remove(1); ok {
-		delete(sh.bodies, 1)
-		tr.Store.used.Add(-int64(ent.Size))
-		tr.Store.count.Add(-1)
+	// Drop from memory only, leaving the disk copy in place — the
+	// state a memory eviction leaves behind.
+	mem := tr.Store
+	mem.mu.Lock()
+	if _, ok := mem.policy.Remove(1); ok {
+		delete(mem.bodies, 1)
 	}
-	sh.mu.Unlock()
+	mem.mu.Unlock()
 
 	if _, ok := tr.Get(1); !ok {
 		t.Fatal("disk tier lost the object")
@@ -88,7 +89,7 @@ func TestTieredPromotion(t *testing.T) {
 	}
 }
 
-// An object too large for every memory shard still persists: stored
+// An object too large for the memory tier still persists: stored
 // is false (memory refused) but err is nil and the disk tier serves
 // it afterwards.
 func TestTieredOversizedObjectPersists(t *testing.T) {
@@ -139,5 +140,82 @@ func TestTieredGetOrLoad(t *testing.T) {
 	}
 	if !tr.Disk().Contains(8) {
 		t.Fatal("loaded object was not persisted to disk")
+	}
+}
+
+// TestTieredPromotionNeverEvicts races disk-tier promotions against
+// Puts on a nearly full memory tier.  A promotion has no caller to hand
+// evictions to, so it must take only free room: every object a Put
+// stored and no Put reported evicted is still resident at the end.
+// Run it under -race with a high -count; the lost object shows up only
+// when a Put lands between a promotion's room check and its insert.
+func TestTieredPromotionNeverEvicts(t *testing.T) {
+	tr := newTestTiered(t, 4<<10, 1<<22)
+	const diskKeys = 64 // keys below this live on disk only, until promoted
+	for k := uint64(0); k < diskKeys; k++ {
+		tr.disk.Put(trace.ObjectID(k), toDisk(tieredObj(k, 16+int(k%5)*8)))
+	}
+	if !tr.Sync() {
+		t.Fatal("sync failed")
+	}
+
+	const promoters, putters, puts = 4, 4, 400
+	var mu sync.Mutex
+	stored, evicted := 0, 0 // Put-range objects stored, and reported evicted
+	var putWG, promoteWG sync.WaitGroup
+	done := make(chan struct{})
+	for p := 0; p < promoters; p++ {
+		promoteWG.Add(1)
+		go func(p int) {
+			defer promoteWG.Done()
+			for i := p; ; i += 7 {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				tr.Get(trace.ObjectID(i % diskKeys))
+			}
+		}(p)
+	}
+	for w := 0; w < putters; w++ {
+		putWG.Add(1)
+		go func(w int) {
+			defer putWG.Done()
+			for i := 0; i < puts; i++ {
+				k := uint64(diskKeys + w*puts + i)
+				ev, ok, err := tr.Put(trace.ObjectID(k), tieredObj(k, 50+(i*37)%150))
+				if err != nil || !ok {
+					t.Errorf("put %d: stored=%v err=%v", k, ok, err)
+					return
+				}
+				n := 0
+				for _, obj := range ev {
+					// HexKey is tieredObj's %032x of the key, so it parses.
+					if key, _ := strconv.ParseUint(obj.HexKey, 16, 64); key >= diskKeys {
+						n++
+					}
+				}
+				mu.Lock()
+				stored, evicted = stored+1, evicted+n
+				mu.Unlock()
+			}
+		}(w)
+	}
+	putWG.Wait()
+	close(done)
+	promoteWG.Wait()
+
+	resident, promoted := 0, 0
+	for _, it := range tr.Store.Items() {
+		if it.Key >= diskKeys {
+			resident++
+		} else {
+			promoted++
+		}
+	}
+	if resident != stored-evicted || tr.Store.Len() != resident+promoted {
+		t.Fatalf("%d stored - %d evictions reported = %d, but %d resident (Len %d, %d promoted)",
+			stored, evicted, stored-evicted, resident, tr.Store.Len(), promoted)
 	}
 }
