@@ -48,6 +48,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/store/disk
 	$(GO) test -run='^$$' -fuzz=FuzzRegister -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzHopReply -fuzztime=$(FUZZTIME) ./internal/httpcache
+	$(GO) test -run='^$$' -fuzz=FuzzFrameRequest -fuzztime=$(FUZZTIME) ./internal/httpcache
+	$(GO) test -run='^$$' -fuzz=FuzzStoreReceipt -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzIDTable -fuzztime=$(FUZZTIME) ./internal/pastry
 	$(GO) test -run='^$$' -fuzz=FuzzSlotTable -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzPlacement -fuzztime=$(FUZZTIME) ./internal/cache

@@ -261,3 +261,44 @@ func TestMetricsDocChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFaultsFireOverFrames: the member-to-member hops travel as frames,
+// and each scenario's faults still reach them through the handler
+// wrappers.  A hop that went around the wrappers would leave these
+// counters at zero and the chaos gates measuring a fault-free run.
+func TestFaultsFireOverFrames(t *testing.T) {
+	for _, tc := range []struct {
+		scenario string
+		counters []string
+	}{
+		{"slow-peer", []string{"chaos.injected.slow_holds"}},
+		{"byzantine", []string{"chaos.injected.corrupt_bodies", "chaos.injected.fake_receipts"}},
+	} {
+		t.Run(tc.scenario, func(t *testing.T) {
+			scn, err := Lookup(tc.scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry("frames-" + tc.scenario)
+			if _, err := RunLive(LiveConfig{
+				Scenario:       scn,
+				Requests:       600,
+				Objects:        100,
+				Clients:        20,
+				ObjectBytes:    256,
+				Rate:           600,
+				Seed:           1,
+				Proxies:        2,
+				CachesPerProxy: 3,
+				Registry:       reg,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range tc.counters {
+				if n := reg.Counter(name).Value(); n <= 0 {
+					t.Errorf("%s = %d over framed hops, want > 0", name, n)
+				}
+			}
+		})
+	}
+}

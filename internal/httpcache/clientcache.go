@@ -166,6 +166,9 @@ type ClientCache struct {
 
 	// readiness is the /healthz + /readyz probe surface (health.go).
 	readiness
+
+	// frames serves the proxy's hops to this daemon (frame.go).
+	frames frameServer
 }
 
 // NewClientCacheOpts creates a daemon from o, proxy-only fields
@@ -188,6 +191,8 @@ func NewClientCacheOpts(o Options) (*ClientCache, error) {
 //	GET  /stats                   counters
 //	GET  /healthz                 liveness probe (health.go)
 //	GET  /readyz                  readiness probe (health.go)
+//	GET  /frames                  the upgrade to frames (frame.go), on
+//	                              which the proxy asks /object and /store
 func (c *ClientCache) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /object", c.handleObject)
@@ -195,7 +200,17 @@ func (c *ClientCache) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", c.handleStats)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	c.registerHealth(mux)
+	mux.Handle("GET "+framePath, &c.frames)
 	return mux
+}
+
+// Close ends the daemon: its frame connections, once the frames they are
+// serving are answered, then its storage.  http.Server.Shutdown drains
+// the frame connections as well; http.Server.Close does not, so a daemon
+// stopped hard is stopped by both.
+func (c *ClientCache) Close() error {
+	c.frames.Close()
+	return c.storage.Close()
 }
 
 func parseKey(r *http.Request) (pastry.ID, string, error) {

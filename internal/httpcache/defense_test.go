@@ -20,7 +20,7 @@ import (
 // fakeDaemon is a scriptable stand-in for a client-cache daemon: it
 // serves a fixed body on /object, optionally stalling first.
 type fakeDaemon struct {
-	srv   *httptest.Server
+	srv   *farEnd
 	addr  string
 	delay atomic.Int64 // nanoseconds of stall before answering /object
 	body  []byte
@@ -43,9 +43,8 @@ func newFakeDaemon(t *testing.T, body []byte) *fakeDaemon {
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("{}"))
 	})
-	d.srv = httptest.NewServer(mux)
-	t.Cleanup(d.srv.Close)
-	d.addr = strings.TrimPrefix(d.srv.URL, "http://")
+	d.srv = newFarEnd(t, mux)
+	d.addr = d.srv.addr
 	return d
 }
 
@@ -139,15 +138,14 @@ func TestSlowPeerDeadline(t *testing.T) {
 // the object for the proxy to relay.
 func TestRelayHopDeadline(t *testing.T) {
 	release := make(chan struct{})
-	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	hung := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-release:
 		case <-r.Context().Done():
 		}
 	}))
-	t.Cleanup(hung.Close)
 	t.Cleanup(func() { close(release) })
-	hungAddr := strings.TrimPrefix(hung.URL, "http://")
+	hungAddr := hung.addr
 	cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
 	ccSrv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	t.Cleanup(ccSrv.Close)
@@ -314,10 +312,9 @@ func FuzzRegister(f *testing.F) {
 func TestBreakerDegradesToOrigin(t *testing.T) {
 	origin := newTestOrigin()
 	t.Cleanup(origin.srv.Close)
-	badPeer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	badPeer := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "broken peer", http.StatusInternalServerError)
 	}))
-	t.Cleanup(badPeer.Close)
 
 	px := newProxy(t, Options{CapacityBytes: 1 << 20, Defenses: Defenses{
 		BreakerFailures: 2,

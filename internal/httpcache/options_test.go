@@ -40,13 +40,12 @@ func TestOptionsReachDaemon(t *testing.T) {
 	origin := newTestOrigin()
 	t.Cleanup(origin.srv.Close)
 	var asked atomic.Int64
-	peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	peerSrv := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/peer-lookup" {
 			asked.Add(1)
 		}
 		http.NotFound(w, r)
 	}))
-	t.Cleanup(peerSrv.Close)
 	seedURL, objURL := origin.srv.URL+"/seeded", origin.srv.URL+"/asked"
 
 	// built is a daemon as a row checks it after its one request.

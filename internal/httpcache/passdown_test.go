@@ -233,7 +233,7 @@ func TestPassDownHeaderlessDaemonProbed(t *testing.T) {
 	px := newProxy(t, Options{CapacityBytes: 1 << 20})
 	var posts atomic.Int64
 	for i := 0; i < 3; i++ {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			posts.Add(1)
 			io.Copy(io.Discard, r.Body)
 			if queryParam(r.URL.RawQuery, "ifFree") == "1" {
@@ -242,8 +242,7 @@ func TestPassDownHeaderlessDaemonProbed(t *testing.T) {
 			}
 			w.Write(receiptStoredClean)
 		}))
-		t.Cleanup(srv.Close)
-		px.ring.add(strings.TrimPrefix(srv.URL, "http://"))
+		px.ring.add(srv.addr)
 	}
 	const n = 5
 	for i := 0; i < n; i++ {

@@ -22,6 +22,7 @@ import (
 	"webcache/internal/p2p"
 	"webcache/internal/pastry"
 	"webcache/internal/store"
+	"webcache/internal/trace"
 )
 
 // ProxyStats is the proxy's /stats payload: where requests were served
@@ -99,7 +100,10 @@ type Proxy struct {
 	// head that a /peer-lookup walks (tiers.go).
 	tiers, local []tier
 	ring         *ring
-	client       *http.Client
+	// client fetches from origin servers; hops carries every hop to
+	// another daemon of the federation (frame.go).
+	client *http.Client
+	hops   *framePool
 	// probeClient is the liveness sweep's short-deadline client; a
 	// probe that cannot connect within its timeout marks the daemon
 	// dead.  It shares the tuned transport shape (transport.go).
@@ -143,6 +147,9 @@ type Proxy struct {
 	// readiness is the /healthz + /readyz probe surface (health.go); it
 	// also holds the structured event log the breaker emits to.
 	readiness
+
+	// frames serves the hops other daemons make to this one (frame.go).
+	frames frameServer
 }
 
 // NewProxyOpts creates a proxy from o, complete: its cascade, ledger
@@ -158,6 +165,7 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		ring:        newRing(),
 		dir:         directory.NewExact(),
 		client:      newHTTPClient(10 * time.Second),
+		hops:        newFramePool(),
 		probeClient: newHTTPClient(2 * time.Second),
 		lanLat:      &obs.Histogram{},
 		defenses:    o.Defenses,
@@ -201,9 +209,12 @@ func normalizeBaseURLs(in []string) []string {
 }
 
 // Close waits out the digest pulls in flight (each bounded by the
-// per-hop deadline), then closes the storage as a client cache does.
+// per-hop deadline), drops its pooled connections, then closes its frame
+// connections and storage as a client cache does.
 func (p *Proxy) Close() error {
 	p.pulls.Wait()
+	p.CloseIdleConnections()
+	p.frames.Close()
 	return p.storage.Close()
 }
 
@@ -216,6 +227,8 @@ func (p *Proxy) Close() error {
 //	GET  /stats              counters
 //	GET  /healthz            liveness probe (health.go)
 //	GET  /readyz             readiness probe (health.go)
+//	GET  /frames             the upgrade to frames (frame.go), on which
+//	                         /peer-lookup and /digest are asked
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /fetch", p.withSLO(p.handleFetch))
@@ -225,6 +238,7 @@ func (p *Proxy) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", p.handleStats)
 	mux.HandleFunc("GET /metrics", p.handleMetrics)
 	p.registerHealth(mux)
+	mux.Handle("GET "+framePath, &p.frames)
 	return mux
 }
 
@@ -388,7 +402,15 @@ func (p *Proxy) passDown(obj store.Object) {
 		}
 	}
 	p.stats.passDowns.Add(1)
-	folded, evicted := fold(id), foldHex(rec.Evicted)
+	p.applyReceipt(fold(id), obj.Body, rec, diverted)
+}
+
+// applyReceipt books what a client cache's store receipt says it did
+// with one passed-down body: the ledger, the directory (the stored key
+// listed, the evicted ones unlisted) and the body digests.  Evicted keys
+// that are not well formed are skipped.
+func (p *Proxy) applyReceipt(folded trace.ObjectID, body []byte, rec *StoreReceipt, diverted bool) {
+	evicted := foldHex(rec.Evicted)
 	p.recordReceipt(p2p.Receipt{Stored: folded, StoredOK: rec.Stored, Diverted: diverted, Evicted: evicted})
 	p.mu.Lock()
 	if rec.Stored {
@@ -399,7 +421,7 @@ func (p *Proxy) passDown(obj store.Object) {
 	}
 	p.mu.Unlock()
 	if rec.Stored {
-		p.recordDigest(folded, obj.Body)
+		p.recordDigest(folded, body)
 	}
 	for _, ev := range evicted {
 		p.dropDigest(ev)
@@ -423,8 +445,8 @@ func (p *Proxy) storeAt(target string, obj store.Object, ifFree bool) (*StoreRec
 	if err != nil {
 		return nil, err
 	}
-	if free, err := strconv.ParseInt(rep.header.Get(FreeHeader), 10, 64); err == nil && free >= 0 {
-		p.ring.noteFree(target, free)
+	if rep.free >= 0 {
+		p.ring.noteFree(target, rep.free)
 	}
 	if rep.status != http.StatusOK {
 		if rep.status == http.StatusInsufficientStorage {
@@ -433,9 +455,18 @@ func (p *Proxy) storeAt(target string, obj store.Object, ifFree bool) (*StoreRec
 		}
 		return nil, fmt.Errorf("store at %s: status %d", target, rep.status)
 	}
-	var rec StoreReceipt
-	if err := json.Unmarshal(rep.body, &rec); err != nil {
+	rec, err := decodeReceipt(rep.body)
+	if err != nil {
 		return nil, fmt.Errorf("store at %s: reading receipt: %w", target, err)
+	}
+	return rec, nil
+}
+
+// decodeReceipt reads a /store reply's receipt (StoreReceipt's JSON).
+func decodeReceipt(body []byte) (*StoreReceipt, error) {
+	var rec StoreReceipt
+	if err := json.Unmarshal(body, &rec); err != nil {
+		return nil, err
 	}
 	return &rec, nil
 }

@@ -33,8 +33,8 @@ func TestClientCacheCrash(t *testing.T) {
 		t.Fatal("nothing destaged before the crash")
 	}
 	// Crash every daemon.
-	for _, s := range d.cacheS[0] {
-		s.Close()
+	for i, s := range d.cacheS[0] {
+		crash(t, s, d.caches[0][i])
 	}
 	// Every object must still be fetchable (origin fallback).
 	for i := 0; i < n; i++ {
@@ -285,19 +285,16 @@ func TestOriginShortBody(t *testing.T) {
 	}
 }
 
-// shortFarEnd answers every request as the named tier would, with a body
-// that declares n bytes and ends after n/2: net/http closes the
-// connection on the shortfall, which is what a daemon dying mid-reply
+// shortReply answers as the named tier would, with a body that declares
+// n bytes and ends after n/2: the frame loop closes the connection on the
+// shortfall, as net/http does, which is what a daemon dying mid-reply
 // looks like from the other side.
-func shortFarEnd(t *testing.T, n int, tier string) *httptest.Server {
-	t.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+func shortReply(n int, tier string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(ServedByHeader, tier)
 		w.Header().Set("Content-Length", strconv.Itoa(n))
 		w.Write(bytes.Repeat([]byte("s"), n/2))
-	}))
-	t.Cleanup(srv.Close)
-	return srv
+	}
 }
 
 // The short-body row of the failure matrix, for every hop that carries a
@@ -324,8 +321,7 @@ func TestShortBodyPerHop(t *testing.T) {
 	}{
 		{name: "client cache, the neighbour has a copy",
 			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
-				short := shortFarEnd(t, declared, TierClientCache)
-				shortAddr := strings.TrimPrefix(short.URL, "http://")
+				shortAddr := newFarEnd(t, shortReply(declared, TierClientCache)).addr
 				px, _, addrs := ringWith(t, traced(Options{CapacityBytes: 1 << 20}), 1<<20)
 				px.ring.add(shortAddr)
 				objURL := urlsOwnedBy(t, px, shortAddr, "short", 1)[0]
@@ -351,9 +347,9 @@ func TestShortBodyPerHop(t *testing.T) {
 			spans: []string{"!proxy.cache", "!client.fetch", "client.fetch.divert"}},
 		{name: "client cache, the only holder",
 			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
-				short := shortFarEnd(t, declared, TierClientCache)
+				short := newFarEnd(t, shortReply(declared, TierClientCache))
 				px := newProxy(t, traced(Options{CapacityBytes: 1 << 20}))
-				px.ring.add(strings.TrimPrefix(short.URL, "http://"))
+				px.ring.add(short.addr)
 				objURL := origin.srv.URL + "/short-daemon"
 				plantDir(px, objURL)
 				return pin(t, px, ""), objURL, func(t *testing.T) {
@@ -367,7 +363,7 @@ func TestShortBodyPerHop(t *testing.T) {
 			spans: []string{"!proxy.cache", "!client.fetch", "origin.fetch"}},
 		{name: "cooperating proxy",
 			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
-				short := shortFarEnd(t, declared, TierPeerProxy)
+				short := newFarEnd(t, shortReply(declared, TierPeerProxy))
 				px := newProxy(t, traced(Options{CapacityBytes: 1 << 20, Defenses: oneStrike, Peers: []string{short.URL}}))
 				return pin(t, px, ""), origin.srv.URL + "/short-peer", func(t *testing.T) {
 					if px.peerAllowed(short.URL) {
@@ -423,15 +419,14 @@ func TestPassDownBoundedPerHop(t *testing.T) {
 	origin := newTestOrigin()
 	t.Cleanup(origin.srv.Close)
 	release := make(chan struct{})
-	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	hung := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-release:
 		case <-r.Context().Done():
 		}
 	}))
-	t.Cleanup(hung.Close)
 	t.Cleanup(func() { close(release) })
-	addr := strings.TrimPrefix(hung.URL, "http://")
+	addr := hung.addr
 
 	const deadline = 150 * time.Millisecond
 	px := newProxy(t, Options{CapacityBytes: 20, Defenses: Defenses{PeerTimeout: deadline}}) // one 17-byte body: the second fetch evicts the first
@@ -496,7 +491,7 @@ func TestDigestPullFailures(t *testing.T) {
 			tier:  TierRemoteProxy,
 			delta: ProxyStats{Requests: 1, RemoteHits: 1, DigestPullFails: 1}},
 		{name: "short",
-			fault: shortFarEnd(t, 8<<10, "").Config.Handler.ServeHTTP,
+			fault: shortReply(8<<10, ""),
 			tier:  TierOrigin,
 			delta: ProxyStats{Requests: 1, OriginFetch: 1, DigestPullFails: 1,
 				Defense: DefenseStats{BreakerSkipped: 1, BreakerOpens: 1}}},
@@ -514,14 +509,13 @@ func TestDigestPullFailures(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			peerPx := newProxy(t, Options{CapacityBytes: 1 << 20})
 			var faulty atomic.Bool
-			peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			peerSrv := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if faulty.Load() && r.URL.Path == "/digest" {
 					tc.fault(w, r)
 					return
 				}
 				peerPx.Handler().ServeHTTP(w, r)
 			}))
-			t.Cleanup(peerSrv.Close)
 			px := newProxy(t, traced(Options{CapacityBytes: 1 << 20,
 				Defenses: Defenses{PeerTimeout: deadline, BreakerFailures: 1, BreakerCooldown: time.Minute}, Peers: []string{peerSrv.URL}}))
 			f := pin(t, px, "")
@@ -539,7 +533,7 @@ func TestDigestPullFailures(t *testing.T) {
 			goroutines := runtime.NumGoroutine()
 			before := px.snapshotStats()
 			if tc.fault == nil {
-				peerSrv.Close()
+				peerSrv.kill()
 			} else {
 				faulty.Store(true)
 			}

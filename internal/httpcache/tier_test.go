@@ -224,10 +224,9 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	plantDir(stalePx, origin.srv.URL+"/stale")
 
 	// A cooperating proxy that answers 500, its breaker already open.
-	badPeer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	badPeer := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "broken", http.StatusInternalServerError)
 	}))
-	t.Cleanup(badPeer.Close)
 	brkPx := newProxy(t, traced(Options{CapacityBytes: 1 << 20,
 		Defenses: Defenses{BreakerFailures: 1, BreakerCooldown: time.Minute}, Peers: []string{badPeer.URL}}))
 	brk := pin(t, brkPx, "")
@@ -299,6 +298,14 @@ func TestServedByHeaderPerPath(t *testing.T) {
 			t.Fatalf("flight winner: status %d tier %q", w.status, w.tier)
 		}
 		return r.status, r.tier
+	}
+
+	// The member-to-member rows are asked over a frame, as a hop asks them.
+	framed := func(base, pathQuery string) func(t *testing.T, traceID string) (int, string) {
+		return func(t *testing.T, traceID string) (int, string) {
+			rep := askFramed(t, base, pathQuery, traceID)
+			return rep.status, rep.servedBy
+		}
 	}
 
 	// The origin answering 500 behind the 502 row.
@@ -396,15 +403,15 @@ func TestServedByHeaderPerPath(t *testing.T) {
 			delta: ProxyStats{Requests: 1},
 			spans: []string{"!proxy.cache", "!origin.fetch"}},
 		{name: "peer-lookup served from proxy cache", at: &roomy0,
-			url:   fmt.Sprintf("%s/peer-lookup?key=%s", roomy0.base, peerKey(roomyD, "/warm")),
+			run:   framed(roomy0.base, "/peer-lookup?key="+peerKey(roomyD, "/warm")),
 			tier:  TierPeerProxy,
 			spans: []string{"proxy.cache"}},
 		{name: "peer-lookup relayed from client cache", at: &tiny,
-			url:   fmt.Sprintf("%s/peer-lookup?key=%s", tiny.base, peerKey(tinyD, "/obj01")),
+			run:   framed(tiny.base, "/peer-lookup?key="+peerKey(tinyD, "/obj01")),
 			tier:  TierPeerP2P,
 			spans: []string{"!proxy.cache", "client.fetch"}},
 		{name: "client-cache /object",
-			url:  ccSrv.URL + "/object?key=" + storedKey,
+			run:  framed(ccSrv.URL, "/object?key="+storedKey),
 			tier: TierClientCache},
 	}
 	for i, tc := range tests {

@@ -1,17 +1,17 @@
 package httpcache
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 )
 
-// NewTransport returns the tuned *http.Transport every component of
-// the live system shares the shape of: the proxy's outbound client
-// (origin fetches, LAN fetches, peer lookups, digest pulls, pass-downs)
-// and the load generator's driver (internal/loadgen).
+// NewTransport returns the tuned *http.Transport every HTTP client of
+// the live system shares the shape of: the proxy's origin fetches and
+// the load generator's driver (internal/loadgen).  Member-to-member hops
+// travel as frames (frame.go).
 //
 // The stock http.DefaultTransport keeps only 2 idle connections per
 // host (MaxIdleConnsPerHost), so under load every hot peer or origin
@@ -34,13 +34,14 @@ func newHTTPClient(timeout time.Duration) *http.Client {
 }
 
 // drainCap bounds what drainClose reads from a reply nobody wants: the
-// error texts and receipts of this protocol are tens of bytes, and past
-// a few KiB a fresh connection is cheaper than the read.
+// error texts and probe answers it drains are tens of bytes, and past a
+// few KiB a fresh connection is cheaper than the read.
 const drainCap = 4 << 10
 
-// wireBuf sizes a pooled connection's write buffer and its read buffer:
-// headers and an object-sized body leave in one write and a reply is taken
-// in by one read, where the 4 KiB defaults cut an 8 KiB message in three.
+// wireBuf sizes a pooled connection's write buffer and its read buffer,
+// frame and HTTP alike: a head and an object-sized body leave in one write
+// and a reply is taken in by one read, where 4 KiB cuts an 8 KiB message
+// in three.
 // Twice that was measured and costs the tail (the arithmetic and the
 // measurement are in DESIGN.md §9, "The wire").
 const wireBuf = 16 << 10
@@ -77,10 +78,10 @@ func readBody(r io.Reader, declared int64) ([]byte, error) {
 
 // drainClose reads what is left of a reply, up to drainCap, and closes
 // it.  net/http returns a connection to the keep-alive pool only when
-// its reply was read to EOF; closing a refused store's or a missed
-// lookup's short text unread discards the connection, and the next call
-// to that daemon pays a TCP dial.  Every outbound call that can return
-// before reading its reply to the end closes it through here.
+// its reply was read to EOF; closing a short text unread discards the
+// connection, and the next call to that daemon pays a TCP dial.  Every
+// HTTP call that can return before reading its reply to the end (a
+// registration, a liveness probe) closes it through here.
 func drainClose(body io.ReadCloser) {
 	io.CopyN(io.Discard, body, drainCap)
 	body.Close()
@@ -99,16 +100,32 @@ const (
 	coopProxy                   // a cooperating proxy, by base URL
 )
 
-// reply is what a hop brought back: status and headers, and the whole
-// body when the status is 200 (any other reply's text is drained).
-type reply struct {
-	status int
-	header http.Header
-	body   []byte
+// hostPort is the address a hop dials: a client cache's own, a
+// cooperating proxy's base URL without its scheme and path.
+func (to peer) hostPort() string {
+	if to.kind == clientCache {
+		return to.addr
+	}
+	a := strings.TrimPrefix(to.addr, "http://")
+	if i := strings.IndexByte(a, '/'); i >= 0 {
+		a = a[:i]
+	}
+	return a
 }
 
-// hop is one call to another daemon of the federation, and the only
-// place a per-hop deadline is set.  The deadline is peerTimeout()
+// reply is what a hop brought back: the status, the two headers a caller
+// reads, and the whole body when the status is 200 (any other reply's
+// text is discarded).
+type reply struct {
+	status   int
+	servedBy string // X-Served-By
+	free     int64  // X-Cache-Free, or -1 when the reply carried none
+	body     []byte
+}
+
+// hop is one call to another daemon of the federation, over a pooled
+// frame connection (frame.go), and the only place a per-hop deadline is
+// set.  The deadline is peerTimeout()
 // layered on parent: a hop made for a requester passes the requester's
 // context, so hanging up cancels it, and one that must outlive the
 // request that caused it (a pass-down) passes its own.  A
@@ -129,39 +146,13 @@ func (p *Proxy) hop(parent context.Context, to peer, method, pathQuery string, b
 	}
 	ctx, cancel := context.WithTimeout(parent, p.peerTimeout())
 	defer cancel()
-	base := to.addr
-	if to.kind == clientCache {
-		base = "http://" + to.addr
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, base+pathQuery, rd)
-	if err != nil {
-		return reply{}, err
-	}
-	if body != nil {
-		req.Header["Content-Type"] = contentTypeOctet
-	}
-	if traceID != "" {
-		req.Header.Set(TraceHeader, traceID)
-	}
-	resp, err := p.client.Do(req)
+	rep, err := p.hops.exchange(ctx, to.hostPort(), method, pathQuery, body, traceID)
 	if err == nil {
-		rep := reply{status: resp.StatusCode, header: resp.Header}
-		if resp.StatusCode == http.StatusOK {
-			// Read to its end or broken: nothing is left to drain.
-			rep.body, err = readBody(resp.Body, resp.ContentLength)
-			resp.Body.Close()
-		} else {
-			drainClose(resp.Body)
-		}
-		if err == nil {
-			return rep, nil
-		}
+		return rep, nil
 	}
-	timedOut := ctx.Err() != nil
+	// The connection's deadline is the context's, and may be seen to run
+	// out a moment before the context's own timer.
+	timedOut := ctx.Err() != nil || isTimeout(err)
 	if timedOut {
 		p.stats.peerTimeouts.Add(1)
 	}
@@ -176,9 +167,13 @@ func (p *Proxy) hop(parent context.Context, to peer, method, pathQuery string, b
 	return reply{}, err
 }
 
-// CloseIdleConnections drops the proxy's pooled outbound connections.
-// Shutdown paths call this before draining servers: a connection the
-// transport dialed but never used sits in StateNew on the server side,
-// and http.Server.Shutdown only reaps those after a hard-coded 5s
-// grace — every graceful drain would stall that long otherwise.
-func (p *Proxy) CloseIdleConnections() { p.client.CloseIdleConnections() }
+// CloseIdleConnections drops the proxy's pooled outbound connections,
+// frame and HTTP alike.  Shutdown paths call this before draining
+// servers: a connection the transport dialed but never used sits in
+// StateNew on the server side, and http.Server.Shutdown only reaps those
+// after a hard-coded 5s grace, and a frame connection left open holds
+// its far end's frame loop.
+func (p *Proxy) CloseIdleConnections() {
+	p.client.CloseIdleConnections()
+	p.hops.closeIdle()
+}

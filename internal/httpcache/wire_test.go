@@ -1,7 +1,6 @@
 package httpcache
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -10,11 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"webcache/internal/store"
 	"webcache/internal/wiretest"
@@ -162,51 +159,6 @@ func (c countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestHopWritesOnce pins what the transport's buffers are sized for
-// (wireBuf): an object-sized message is one write, headers and body
-// together, and its reply is taken in by as many reads as the far end
-// made writes.  net/http's server writes an 8 KiB reply in two, through
-// its fixed 4 KiB buffer, so two reads is the floor for a LAN fetch.  A
-// body read to its declared end also leaves the connection in the pool
-// with nothing more to drain: every exchange below shares one.
-func TestHopWritesOnce(t *testing.T) {
-	var dials, writes, reads atomic.Int64
-	px, _, addrs := ringOf(t, 1<<20)
-	tr := px.client.Transport.(*http.Transport)
-	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		dials.Add(1)
-		conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
-		return countingConn{conn, &writes, &reads}, err
-	}
-	obj := store.Object{HexKey: keyOf("http://origin.test/8k").String(), Body: sizedBody("/8k", 8<<10), Cost: 1}
-	for i := 0; i < 5; i++ {
-		w, r := writes.Load(), reads.Load()
-		if rec, err := px.storeAt(addrs[0], obj, false); rec == nil || err != nil {
-			t.Fatalf("store = (%v, %v)", rec, err)
-		}
-		if got := writes.Load() - w; got != 1 {
-			t.Errorf("round %d: an 8 KiB /store POST took %d writes, want 1", i, got)
-		}
-		if got := reads.Load() - r; got != 1 {
-			t.Errorf("round %d: its receipt took %d reads, want 1", i, got)
-		}
-		w, r = writes.Load(), reads.Load()
-		body, ok := px.lanFetch(context.Background(), addrs[0], keyOf("http://origin.test/8k"), "")
-		if !ok || !bytes.Equal(body, obj.Body) {
-			t.Fatalf("LAN fetch = (%d bytes, %v)", len(body), ok)
-		}
-		if got := writes.Load() - w; got != 1 {
-			t.Errorf("round %d: a LAN fetch's GET took %d writes, want 1", i, got)
-		}
-		if got := reads.Load() - r; got > 2 {
-			t.Errorf("round %d: an 8 KiB LAN-fetch reply took %d reads, want at most 2", i, got)
-		}
-	}
-	if got := dials.Load(); got != 1 {
-		t.Errorf("ten exchanges with one daemon dialed %d connections, want 1", got)
-	}
-}
-
 // A declared length is the far end's word, not a fact.  An origin that
 // declares a terabyte and sends ten bytes is the existing short-body 502,
 // and costs no more memory than bodyTrust; an origin that declares nothing
@@ -249,75 +201,27 @@ func TestDeclaredLengthUntrusted(t *testing.T) {
 				resp.StatusCode, len(body), resp.Header.Get(ServedByHeader), tier)
 		}
 	}
-}
 
-// replyServer is a far end that speaks raw bytes: each request's query
-// says which status and Content-Length to announce (declared < 0: none),
-// how many body bytes to send, and after how many bytes of the reply as a
-// whole to close the connection.
-func replyServer(t testing.TB) (addr string) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	// A frame's declaration is as untrusted: a member that declares 4 GiB
+	// and sends ten bytes costs the hop no more memory than bodyTrust, and
+	// the hop is a connection failure.
+	liar := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "4294967295")
+		w.Write([]byte("only-ten-b"))
+	}))
+	f.px.ring.add(liar.addr)
+	runtime.ReadMemStats(&before)
+	_, err := f.px.hop(context.Background(), peer{clientCache, liar.addr}, "GET", "/object?key=x", nil, "")
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a body ten bytes into a 4 GiB declaration came back whole")
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				req, err := http.ReadRequest(bufio.NewReader(conn))
-				if err != nil {
-					return
-				}
-				q := req.URL.Query()
-				declared, _ := strconv.ParseInt(q.Get("declared"), 10, 64)
-				sent, _ := strconv.Atoi(q.Get("sent"))
-				closeAt, _ := strconv.Atoi(q.Get("closeAt"))
-				reply := "HTTP/1.1 " + q.Get("status") + " Fuzzed\r\n"
-				if declared >= 0 {
-					reply += "Content-Length: " + strconv.FormatInt(declared, 10) + "\r\n"
-				}
-				reply += "\r\n" + strings.Repeat("b", sent)
-				conn.Write([]byte(reply[:min(closeAt, len(reply))]))
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// FuzzHopReply puts hop in front of a far end that may announce one
-// length, send another and hang up anywhere.  Whatever it does, hop does
-// not panic, a body it returns is exactly as long as was declared, and no
-// declaration makes it allocate past bodyTrust before the bytes are there.
-func FuzzHopReply(f *testing.F) {
-	// The seeds are in testdata/fuzz/FuzzHopReply, one named file each: an
-	// honest reply, a terabyte declared and ten bytes sent, a hang-up
-	// inside the headers, no length at all, more sent than declared.
-	addr := replyServer(f)
-	px := newProxy(f, Options{CapacityBytes: 1 << 20, Defenses: Defenses{PeerTimeout: 2 * time.Second}})
-	f.Fuzz(func(t *testing.T, status uint16, declared int64, sent, closeAt uint16) {
-		path := fmt.Sprintf("/object?status=%03d&declared=%d&sent=%d&closeAt=%d", status, declared, sent, closeAt)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		rep, err := px.hop(context.Background(), peer{clientCache, addr}, "GET", path, nil, "")
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > 2*bodyTrust {
-			t.Errorf("%s: hop allocated %d bytes, want no more than bodyTrust (%d) and change", path, got, bodyTrust)
-		}
-		if err != nil {
-			return
-		}
-		if rep.status != http.StatusOK && rep.body != nil {
-			t.Errorf("%s: status %d came back with a %d-byte body", path, rep.status, len(rep.body))
-		}
-		if rep.status == http.StatusOK && declared >= 0 && int64(len(rep.body)) != declared {
-			t.Errorf("%s: hop returned %d body bytes of a reply that declared %d", path, len(rep.body), declared)
-		}
-	})
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*bodyTrust {
+		t.Errorf("a declared 4 GiB cost %d bytes of allocation, want no more than bodyTrust (%d) and change", got, bodyTrust)
+	}
+	if f.px.ring.size() != 0 {
+		t.Error("the short member is still on the ring")
+	}
 }
 
 // readBody itself, on both sides of bodyTrust: a declaration honoured is

@@ -86,10 +86,11 @@ type Topology struct {
 
 	servers []*http.Server
 	caches  []*httpcache.ClientCache
-	// cacheServers[addr] maps a client-cache address to its server so
-	// FlashDisconnect can kill it; closed remembers what died so Close
-	// does not double-close.
+	// cacheServers[addr] and cacheDaemons[addr] map a client-cache address
+	// to its server and its daemon so FlashDisconnect can kill both;
+	// closed remembers what died so Close does not double-close.
 	cacheServers map[string]*http.Server
+	cacheDaemons map[string]*httpcache.ClientCache
 	closedMu     sync.Mutex
 	closed       map[*http.Server]bool
 }
@@ -117,6 +118,7 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 	}
 	t := &Topology{
 		cacheServers: make(map[string]*http.Server),
+		cacheDaemons: make(map[string]*httpcache.ClientCache),
 		closed:       make(map[*http.Server]bool),
 	}
 	// The daemons' event logs share one writer; serialize their lines.
@@ -221,7 +223,7 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 			}
 			addr := cln.Addr().String()
 			t.caches = append(t.caches, cc)
-			t.cacheServers[addr] = t.serve(cln, ch)
+			t.cacheServers[addr], t.cacheDaemons[addr] = t.serve(cln, ch), cc
 			if err := httpcache.Register(u, addr, nil); err != nil {
 				return nil, fmt.Errorf("loadgen: %w", err)
 			}
@@ -305,9 +307,10 @@ func (t *Topology) serve(ln net.Listener, h http.Handler) *http.Server {
 
 // FlashDisconnect hard-closes a fraction of the client-cache daemons —
 // the mass-churn chaos scenario (50% of the overlay vanishing at
-// once).  The victims are a deterministic shuffle of the flat daemon
-// list under seed; the closed servers are remembered so Close skips
-// them.  Returns the downed addresses.
+// once): each one's server, and the daemon itself, which ends the frame
+// connections its proxy's hops ride.  The victims are a deterministic
+// shuffle of the flat daemon list under seed; the closed servers are
+// remembered so Close skips them.  Returns the downed addresses.
 func (t *Topology) FlashDisconnect(fraction float64, seed int64) []string {
 	var all []string
 	for _, addrs := range t.CacheAddrs {
@@ -329,6 +332,7 @@ func (t *Topology) FlashDisconnect(fraction float64, seed int64) []string {
 	for _, addr := range victims {
 		if srv := t.cacheServers[addr]; srv != nil && !t.closed[srv] {
 			srv.Close()
+			t.cacheDaemons[addr].Close()
 			t.closed[srv] = true
 		}
 	}
@@ -338,7 +342,8 @@ func (t *Topology) FlashDisconnect(fraction float64, seed int64) []string {
 // Close drains every server through http.Server.Shutdown under ctx's
 // deadline (the graceful path bench runs rely on to stop topologies
 // cleanly); servers still busy past the deadline are closed hard.
-// Servers already killed by FlashDisconnect are skipped.
+// Servers already killed by FlashDisconnect are skipped.  Then every
+// daemon is closed, which waits out its frame connections.
 func (t *Topology) Close(ctx context.Context) error {
 	// Drop every pooled client-side connection first.  A connection a
 	// transport dialed but never sent a request on is StateNew to its
@@ -362,6 +367,12 @@ func (t *Topology) Close(ctx context.Context) error {
 				firstErr = err
 			}
 		}
+	}
+	for _, px := range t.Proxies {
+		px.Close()
+	}
+	for _, cc := range t.caches {
+		cc.Close()
 	}
 	return firstErr
 }

@@ -72,10 +72,16 @@ func (c *Cluster) LookupOrStore(e cache.Entry, fromClient int) (lr LookupResult,
 		return lr, r, err
 	}
 	c.stats.PiggybackSave++
-	if again != start {
-		if a, hops, err = c.route(again, e.Obj); err != nil {
-			return lr, r, err
-		}
+	if again == start {
+		// The store's route is the lookup's, and lookupAt has probed a and
+		// its pointer for the object and dropped a stale pointer: the store
+		// starts at the placement.
+		c.countStore(hops, &r)
+		c.placeAt(a, e, &r)
+		return lr, r, nil
+	}
+	if a, hops, err = c.route(again, e.Obj); err != nil {
+		return lr, r, err
 	}
 	c.storeAt(a, e, hops, &r)
 	return lr, r, nil

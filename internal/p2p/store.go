@@ -66,14 +66,7 @@ func (c *Cluster) StoreEvicted(e cache.Entry, fromClient int, piggyback bool) (R
 // storeAt is a pass-down's work once its route of hops reached a: the
 // steps of StoreEvicted from (3) on, recorded in r.
 func (c *Cluster) storeAt(a *clientNode, e cache.Entry, hops int, r *Receipt) {
-	r.Hops = hops
-	r.Messages += hops
-	c.stats.RouteHops += hops
-	c.stats.Stores++
-
-	r.Messages++ // store receipt back to the proxy
-	c.stats.Messages += r.Messages
-
+	c.countStore(hops, r)
 	// Refresh rather than duplicate if the P2P cache already holds it
 	// (possible after directory false negatives or churn handoffs).
 	if a.cache.Access(e.Obj) {
@@ -87,7 +80,24 @@ func (c *Cluster) storeAt(a *clientNode, e cache.Entry, hops int, r *Receipt) {
 		}
 		delete(a.pointerTo, e.Obj) // stale pointer
 	}
+	c.placeAt(a, e, r)
+}
 
+// countStore books a store's route of hops and its receipt.
+func (c *Cluster) countStore(hops int, r *Receipt) {
+	r.Hops = hops
+	r.Messages += hops
+	c.stats.RouteHops += hops
+	c.stats.Stores++
+
+	r.Messages++ // store receipt back to the proxy
+	c.stats.Messages += r.Messages
+}
+
+// placeAt is storeAt past its probe, for an object known to be neither
+// at a nor behind a pointer of a's: free space at a, else a diversion,
+// else replacement at a.
+func (c *Cluster) placeAt(a *clientNode, e cache.Entry, r *Receipt) {
 	if uint64(e.Size) > a.cache.Capacity() {
 		// Larger than a whole client cache: cannot be passed down.
 		return

@@ -38,6 +38,10 @@ type framed struct {
 	unsized int // bytes written with no Content-Length declared
 }
 
+// Unwrap lets http.ResponseController reach the connection beneath, for
+// the daemons' upgrade to frames.
+func (f *framed) Unwrap() http.ResponseWriter { return f.ResponseWriter }
+
 func (f *framed) Write(p []byte) (int, error) {
 	if f.Header().Get("Content-Length") == "" {
 		f.unsized += len(p)
