@@ -60,9 +60,9 @@ var servedBy = map[string][]string{
 	TierPeerP2P:     {TierPeerP2P},
 }
 
-// contentTypeOctet is what every body of the protocol is declared as,
-// replies and POSTs alike; an undeclared reply has its first 512 bytes
-// sniffed for a type nobody reads.
+// contentTypeOctet is what every object body and digest is declared as
+// over HTTP; an undeclared reply has its first 512 bytes sniffed for a
+// type nobody reads.
 var contentTypeOctet = []string{"application/octet-stream"}
 
 // lengthValues memoizes Content-Length header values, one slot per length
