@@ -23,12 +23,14 @@ vet:
 # replays), the concurrent data plane (the store + the HTTP
 # daemons built on it), and what runs live traffic over it (load
 # generator, chaos suite, cluster aggregator), as CI's race job does.
-# It fails on any file gofmt would rewrite, and if the simulator
-# library (the root webcache package) links any package of the live
-# data plane.
+# It fails on any file gofmt would rewrite, if the simulator library
+# (the root webcache package) links any package of the live data
+# plane, and if the library, a command or an example links the disk
+# log only the benchmark's probes use.
 check: vet
 	@test -z "$$(gofmt -l . | tee /dev/stderr)" || { echo "gofmt -l . names the files above" >&2; exit 1; }
 	@test -z "$$($(GO) list -deps . | grep -E '^webcache/internal/(httpcache|loadgen|store|obs/slo)(/|$$)' | tee /dev/stderr)" || { echo "go list -deps . names the live data-plane packages above" >&2; exit 1; }
+	@test -z "$$($(GO) list -deps . ./cmd/... ./examples/... | grep -x 'webcache/internal/store/disk' | tee /dev/stderr)" || { echo "the product links the bench-only internal/store/disk" >&2; exit 1; }
 	$(GO) test -race ./internal/obs ./internal/invariant ./internal/sim \
 		./internal/core ./internal/store ./internal/store/disk ./internal/httpcache \
 		./internal/loadgen ./internal/chaos ./internal/obs/cluster

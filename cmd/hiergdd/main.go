@@ -13,23 +13,16 @@
 //	hiergdd top -members a=http://h1:8080,b=http://h2:8080   # live cluster dashboard
 //
 // Each daemon role binds its listener, builds its daemon from one
-// httpcache.Options value (registry, tracer, event log, disk tier and,
-// for a proxy, its peers and SLO classes), and only then serves.
-// -peers and -self take base URLs or host:port shorthand; the proxy
-// normalizes them.
+// httpcache.Options value (registry, tracer, event log and, for a
+// proxy, its peers and SLO classes), and only then serves.  -peers and
+// -self take base URLs or host:port shorthand; the proxy normalizes
+// them.
 //
-// Both daemons run greedy-dual, the paper's policy, in a store
-// (internal/store) striped by core count; the proxy takes -sweep to
-// probe registered client caches periodically and deregister dead
-// ones.
-//
-// Both daemons take -disk-dir to layer a persistent disk tier
-// (internal/store/disk) under the memory cache: acknowledged stores
-// ride a write-behind log, reads fall back to it on memory misses,
-// and a restart recovers the journal and serves the survivors
-// (-disk-cap bounds it; 0 = 16x -capacity).  A restarting cache
-// daemon re-registers its recovered objects with the proxy, so the
-// lookup directory re-learns what the cluster still holds.
+// Both daemons hold their objects in memory, in one greedy-dual store
+// (internal/store), the paper's policy, sized by -capacity; a cache
+// daemon registers with its proxy on start-up and holds nothing across
+// a restart.  The proxy takes -sweep to probe registered client caches
+// periodically and deregister dead ones.
 //
 // Both daemons accept -pprof addr to expose net/http/pprof on a side
 // listener (e.g. -pprof localhost:6060, then `go tool pprof
@@ -45,11 +38,10 @@
 // drain completes.  Every role wires these flags through obs.Session.
 //
 // The SLO plane: both daemons serve /healthz (liveness) and /readyz
-// (readiness — 503 until recovery and registration finish,
+// (readiness — 503 until construction and registration finish,
 // and 503 again the moment a drain begins, before the listener
 // closes), and -events FILE appends structured JSONL state-transition
-// events (readiness, breakers, recovery, SLO burn
-// crossings).  The proxy's -slo-classes declares per-class objectives
+// events (readiness, breakers, SLO burn crossings).  The proxy's -slo-classes declares per-class objectives
 // ("interactive:100ms:0.99:1m,..."); requests tagged X-SLO-Class are
 // accounted per class and slo.* burn-rate gauges appear on /metrics.
 // -cluster-members "name=url,..." makes a proxy scrape and merge every
@@ -169,7 +161,7 @@ func serveDaemon(ln net.Listener, h http.Handler, drain time.Duration, markDrain
 }
 
 // closeSession writes a daemon's trace exports at shutdown; a failed
-// export is reported, not fatal, so the disk drain still runs.
+// export is reported, not fatal, so the daemon's Close still runs.
 func closeSession(sess *obs.Session) {
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "hiergdd:", err)
@@ -200,8 +192,6 @@ func runProxy(args []string) error {
 	sweep := fs.Duration("sweep", 0, "probe registered client caches this often and deregister dead ones (0 = passive detection only)")
 	self := fs.String("self", "", "externally reachable base URL (default derived from the bound address)")
 	peers := fs.String("peers", "", "comma-separated cooperating proxy base URLs")
-	diskDir := fs.String("disk-dir", "", "enable the persistent disk tier under this directory (recovered on boot)")
-	diskCap := fs.Uint64("disk-cap", 0, "disk-tier capacity in bytes (0 = 16x -capacity)")
 	sloClasses := fs.String("slo-classes", "", `SLO classes as "name:latency:availability[:window]", comma-separated (e.g. "interactive:50ms:0.99:1m,batch:500ms:0.9"): requests tagged X-SLO-Class are accounted per class and slo.* burn-rate gauges appear on /metrics`)
 	eventsPath := fs.String("events", "", "append structured JSONL state-transition events (readiness, breaker, SLO burn crossings) to this file")
 	clusterMembers := fs.String("cluster-members", "", `proxies to aggregate as "name=url,..." — mounts /cluster/metrics and /cluster/snapshot on this daemon, scraping every member's /metrics`)
@@ -209,8 +199,6 @@ func runProxy(args []string) error {
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	sess := obs.NewSession(fs, "hiergdd-proxy")
 	fs.Parse(args)
-	// The registry opens before the proxy so the disk tier's recovery
-	// instruments (store.disk.replay.*) record boot progress.
 	if err := sess.Start(); err != nil {
 		return err
 	}
@@ -229,13 +217,11 @@ func runProxy(args []string) error {
 	}
 	defer closeEvents()
 	o := httpcache.Options{
-		CapacityBytes:     *capacity,
-		DiskDir:           *diskDir,
-		DiskCapacityBytes: *diskCap,
-		Metrics:           sess.Reg,
-		Tracer:            sess.Tracer,
-		Events:            events,
-		Peers:             strings.Split(*peers, ","),
+		CapacityBytes: *capacity,
+		Metrics:       sess.Reg,
+		Tracer:        sess.Tracer,
+		Events:        events,
+		Peers:         strings.Split(*peers, ","),
 	}
 	if *sloClasses != "" {
 		if o.SLOClasses, err = slo.ParseClasses(*sloClasses); err != nil {
@@ -243,11 +229,7 @@ func runProxy(args []string) error {
 			return err
 		}
 	}
-	p, err := httpcache.NewProxyOpts(o)
-	if err != nil {
-		ln.Close()
-		return err
-	}
+	p, _ := httpcache.NewProxyOpts(o) // never fails
 	if len(o.SLOClasses) > 0 {
 		fmt.Printf("hiergdd proxy: tracking %d SLO classes\n", len(o.SLOClasses))
 	}
@@ -257,12 +239,6 @@ func runProxy(args []string) error {
 	}
 	fmt.Printf("hiergdd proxy: listening on %s (self=%s, %d-byte cache)\n",
 		ln.Addr(), base, *capacity)
-	if *diskDir != "" {
-		fmt.Printf("hiergdd proxy: disk tier %s (%d-byte budget) recovered %d objects\n",
-			*diskDir, p.Disk().Capacity(), p.Disk().Recovered())
-		events.Emit("recovery.done", map[string]string{
-			"objects": fmt.Sprint(p.Disk().Recovered())})
-	}
 
 	// Handler stack: the aggregator's /cluster/* routes (when
 	// configured) in front of the proxy's own surface.
@@ -285,17 +261,13 @@ func runProxy(args []string) error {
 			len(members), *clusterScrape)
 	}
 
-	// Construction and recovery are done:
-	// flip /readyz to 200 before the daemon takes traffic.
+	// Construction is done: flip /readyz to 200 before the daemon takes
+	// traffic.
 	p.MarkReady()
 
-	// The disk drain runs after the HTTP drain, so every insert an
-	// in-flight request acknowledged is journaled before exit.
 	return serveDaemon(ln, handler, *drain, p.MarkDraining, func() {
 		closeSession(sess)
-		if err := p.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "hiergdd: disk close:", err)
-		}
+		p.Close()
 	})
 }
 
@@ -317,9 +289,7 @@ func runCache(args []string) error {
 	listen := fs.String("listen", ":9001", "listen address")
 	capacity := fs.Uint64("capacity", 16<<20, "cooperative cache capacity in bytes")
 	proxy := fs.String("proxy", "http://localhost:8080", "local proxy base URL")
-	diskDir := fs.String("disk-dir", "", "enable the persistent disk tier under this directory (recovered on boot)")
-	diskCap := fs.Uint64("disk-cap", 0, "disk-tier capacity in bytes (0 = 16x -capacity)")
-	eventsPath := fs.String("events", "", "append structured JSONL state-transition events (readiness, recovery) to this file")
+	eventsPath := fs.String("events", "", "append structured JSONL state-transition events (readiness) to this file")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	sess := obs.NewSession(fs, "hiergdd-cache")
 	fs.Parse(args)
@@ -338,37 +308,22 @@ func runCache(args []string) error {
 		return err
 	}
 	defer closeEvents()
-	cc, err := httpcache.NewClientCacheOpts(httpcache.Options{
-		CapacityBytes:     *capacity,
-		DiskDir:           *diskDir,
-		DiskCapacityBytes: *diskCap,
-		Metrics:           sess.Reg,
-		Tracer:            sess.Tracer,
-		Events:            events,
+	cc, _ := httpcache.NewClientCacheOpts(httpcache.Options{ // never fails
+		CapacityBytes: *capacity,
+		Metrics:       sess.Reg,
+		Tracer:        sess.Tracer,
+		Events:        events,
 	})
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	// A daemon restarting over its disk directory re-registers the
-	// recovered objects in the /register body, so the proxy's lookup
-	// directory re-learns what this partition still holds.
-	rec := cc.RecoveredHexKeys()
-	if len(rec) > 0 {
-		fmt.Printf("hiergdd cache: disk tier %s recovered %d objects\n", *diskDir, len(rec))
-	}
-	if err := httpcache.Register(*proxy, addr, rec); err != nil {
+	if err := httpcache.Register(*proxy, addr, nil); err != nil {
 		ln.Close()
 		return err
 	}
 	fmt.Printf("hiergdd cache: %s registered with %s (%d-byte partition)\n", addr, *proxy, *capacity)
-	// Recovery and proxy registration are done: flip /readyz to 200.
+	// Proxy registration is done: flip /readyz to 200.
 	cc.MarkReady()
 	return serveDaemon(ln, cc.Handler(), *drain, cc.MarkDraining, func() {
 		closeSession(sess)
-		if err := cc.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "hiergdd: disk close:", err)
-		}
+		cc.Close()
 	})
 }
 

@@ -192,8 +192,9 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	rep := &LiveReport{Scenario: cfg.Scenario.Name, DefensesOn: cfg.DefensesOn}
 
 	// Directory poisoning: re-register each proxy's first daemon with a
-	// fabricated "recovered" key list covering upcoming objects nobody
-	// holds, so real requests pay the wasted LAN probes.
+	// /register key list covering upcoming objects nobody holds, which
+	// the proxy's directory lists on the sender's word, so real requests
+	// pay the wasted LAN probes.
 	if cfg.Scenario.PoisonKeys > 0 {
 		keys := poisonKeys(tr, topo.OriginURL, cfg.Scenario.PoisonKeys)
 		for p, u := range topo.ProxyURLs {

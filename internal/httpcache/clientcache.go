@@ -14,7 +14,6 @@ import (
 	"webcache/internal/obs/slo"
 	"webcache/internal/pastry"
 	"webcache/internal/store"
-	"webcache/internal/store/disk"
 	"webcache/internal/trace"
 )
 
@@ -28,22 +27,14 @@ func fold(id pastry.ID) trace.ObjectID {
 }
 
 // Options is everything a daemon is built from; nothing is attached
-// after its constructor returns.  Both store tiers run greedy-dual, the
-// policy the paper runs everywhere (§4.4).  Every field but
+// after its constructor returns.  The daemon's store runs greedy-dual,
+// the policy the paper runs everywhere (§4.4).  Every field but
 // CapacityBytes is off at its zero value.
 type Options struct {
 	// CapacityBytes is the memory cache byte budget.
 	CapacityBytes uint64
-	// DiskDir, when non-empty, enables the persistent disk tier under
-	// this directory: writes ride its write-behind log, reads fall back
-	// to it on memory misses, and a restart recovers its contents.
-	DiskDir string
-	// DiskCapacityBytes bounds the disk tier's live bytes
-	// (0 = 16 x CapacityBytes — disk is the big tier).
-	DiskCapacityBytes uint64
-	// Metrics backs /metrics (nil serves an empty, valid exposition).
-	// The store layers' store.* and store.disk.* instruments attach to it
-	// before the disk tier recovers, so the replay counters see boot.
+	// Metrics backs /metrics (nil serves an empty, valid exposition),
+	// and the store's store.* instruments attach to it.
 	Metrics *obs.Registry
 	// Tracer records the daemon's request spans (wall clock); nil
 	// disables tracing at zero cost.
@@ -68,65 +59,19 @@ type Options struct {
 	Check *invariant.Checker
 }
 
-// storage is the serving surface both daemons embed: the memory
-// store, the persistent disk tier under it (nil without DiskDir), and
-// tier, the store alone or the Tiered layering of the two.
+// storage is the memory store both daemons embed.
 type storage struct {
 	store *store.Store
-	disk  *disk.Store
-	tier  store.Interface
 }
 
-// newStorage builds a daemon's storage, opening the disk tier here so
-// that recovery happens before the daemon serves its first request.
-func (o Options) newStorage(label string) (storage, error) {
-	mem, err := store.New(store.Config{CapacityBytes: o.CapacityBytes, Label: label, Metrics: o.Metrics})
-	if err != nil || o.DiskDir == "" {
-		return storage{mem, nil, mem}, err
-	}
-	diskCap := o.DiskCapacityBytes
-	if diskCap == 0 {
-		diskCap = 16 * o.CapacityBytes
-	}
-	dsk, err := disk.Open(disk.Config{
-		Dir:           o.DiskDir,
-		CapacityBytes: diskCap,
-		Metrics:       o.Metrics,
-		Label:         label + "-disk",
-	})
-	if err != nil {
-		return storage{}, err
-	}
-	return storage{mem, dsk, store.NewTiered(mem, dsk, TierProxyDisk)}, nil
+// newStorage builds a daemon's store.
+func (o Options) newStorage(label string) storage {
+	mem, _ := store.New(store.Config{CapacityBytes: o.CapacityBytes, Label: label, Metrics: o.Metrics}) // never fails
+	return storage{mem}
 }
 
 // Store exposes the daemon's memory store (tests and telemetry).
 func (s *storage) Store() *store.Store { return s.store }
-
-// Disk exposes the persistent tier (nil without Options.DiskDir).
-func (s *storage) Disk() *disk.Store { return s.disk }
-
-// Sync blocks until every acknowledged insert is durable on disk
-// (trivially true without a disk tier).
-func (s *storage) Sync() bool { return s.disk == nil || s.disk.Sync() }
-
-// Close drains the disk tier's write-behind queue and closes its files;
-// a daemon without one needs no teardown.  Call after the HTTP listener
-// has drained, so every acknowledged insert is journaled before exit.
-func (s *storage) Close() error {
-	if s.disk == nil {
-		return nil
-	}
-	return s.disk.Close()
-}
-
-// publishMetrics refreshes the store layers' scrape-time gauges.
-func (s *storage) publishMetrics() {
-	s.store.PublishMetrics()
-	if s.disk != nil {
-		s.disk.PublishMetrics()
-	}
-}
 
 // StoreReceipt is the §4.3 store receipt a client cache returns to its
 // proxy: what it kept and what it discarded to make room.
@@ -144,14 +89,11 @@ type ClientCacheStats struct {
 	Hits    int `json:"hits"`
 	Misses  int `json:"misses"`
 	Stores  int `json:"stores"`
-	// DiskHits counts hits served from the persistent disk tier after a
-	// memory miss (always 0 without Options.DiskDir).
-	DiskHits int `json:"disk_hits"`
 }
 
 // clientCounters is the lock-free backing for ClientCacheStats.
 type clientCounters struct {
-	hits, misses, stores, diskHits atomic.Int64
+	hits, misses, stores atomic.Int64
 }
 
 // ClientCache is a browser-cache daemon: the cooperative partition of
@@ -172,13 +114,10 @@ type ClientCache struct {
 }
 
 // NewClientCacheOpts creates a daemon from o, proxy-only fields
-// ignored; it fails only when the disk tier cannot be opened.
+// ignored.  The error is always nil; the result keeps the shape the
+// bench program destructures.
 func NewClientCacheOpts(o Options) (*ClientCache, error) {
-	st, err := o.newStorage("client-cache")
-	if err != nil {
-		return nil, err
-	}
-	return &ClientCache{storage: st, tracer: o.Tracer, metrics: o.Metrics, readiness: readiness{events: o.Events}}, nil
+	return &ClientCache{storage: o.newStorage("client-cache"), tracer: o.Tracer, metrics: o.Metrics, readiness: readiness{events: o.Events}}, nil
 }
 
 // Handler returns the daemon's HTTP interface:
@@ -204,13 +143,12 @@ func (c *ClientCache) Handler() http.Handler {
 	return mux
 }
 
-// Close ends the daemon: its frame connections, once the frames they are
-// serving are answered, then its storage.  http.Server.Shutdown drains
-// the frame connections as well; http.Server.Close does not, so a daemon
-// stopped hard is stopped by both.
-func (c *ClientCache) Close() error {
+// Close ends the daemon's frame connections, once the frames they are
+// serving are answered.  http.Server.Shutdown drains them as well;
+// http.Server.Close does not, so a daemon stopped hard is stopped by
+// both.
+func (c *ClientCache) Close() {
 	c.frames.Close()
-	return c.storage.Close()
 }
 
 func parseKey(r *http.Request) (pastry.ID, string, error) {
@@ -240,8 +178,7 @@ func hexID(hex string) (pastry.ID, bool) {
 }
 
 // foldHex folds the well-formed keys of a list another daemon sent (a
-// /register recovered set, a store receipt's evictions) and skips the
-// rest.
+// /register key list, a store receipt's evictions) and skips the rest.
 func foldHex(hexes []string) []trace.ObjectID {
 	var out []trace.ObjectID
 	for _, hex := range hexes {
@@ -256,7 +193,7 @@ func foldHex(hexes []string) []trace.ObjectID {
 // it is a finite positive number.  The value becomes H = L + Cost/Size,
 // so an infinite cost (1e400 overflows to one) would pin the object for
 // good, and a NaN would break the heap order and, once evicted, turn
-// the store's inflation L into NaN; the disk tier would journal either.
+// the store's inflation L into NaN.
 func parseCost(s string) float64 {
 	c, err := strconv.ParseFloat(s, 64)
 	if err != nil || !(c > 0 && c <= math.MaxFloat64) {
@@ -273,14 +210,7 @@ func (c *ClientCache) handleObject(w http.ResponseWriter, r *http.Request) {
 	}
 	st := traceStart(c.tracer, r, "object")
 	sp := st.StartSpan("client.object", "Tp2p")
-	// A disk-tier fallback is booked as the daemon's own DiskHits; the wire
-	// tier is TierClientCache whichever medium held the object.
 	obj, ok := c.store.Get(fold(id))
-	if !ok && c.disk != nil {
-		if obj, ok = c.tier.Get(fold(id)); ok {
-			c.stats.diskHits.Add(1)
-		}
-	}
 	if !ok {
 		sp.EndWasted()
 		st.FinishWall("miss")
@@ -302,15 +232,13 @@ func (c *ClientCache) handleObject(w http.ResponseWriter, r *http.Request) {
 const FreeHeader = "X-Cache-Free"
 
 // reportHeadroom stamps FreeHeader (already in canonical MIME form) on
-// the reply.  The figure is the memory tier's, as FreeFor's is.
+// the reply.
 func (c *ClientCache) reportHeadroom(w http.ResponseWriter) {
 	w.Header()[FreeHeader] = []string{strconv.FormatUint(c.store.Headroom(), 10)}
 }
 
 // refuseStore answers the diversion probe (§4.3): this cache would have
-// to evict, so the sender tries a neighbour.  FreeFor asks the memory
-// tier — the diversion protocol balances the hot tier, and the disk
-// tier's write-behind absorbs whatever lands.
+// to evict, so the sender tries a neighbour.
 func (c *ClientCache) refuseStore(w http.ResponseWriter) {
 	c.reportHeadroom(w)
 	http.Error(w, "no free space", http.StatusInsufficientStorage)
@@ -342,7 +270,7 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 		c.refuseStore(w)
 		return
 	}
-	evicted, stored, err := c.tier.Put(folded, store.Object{HexKey: hex, Body: body, Cost: cost})
+	evicted, stored, err := c.store.Put(folded, store.Object{HexKey: hex, Body: body, Cost: cost})
 	c.stats.stores.Add(1)
 	c.reportHeadroom(w)
 	if stored && err == nil && len(evicted) == 0 {
@@ -370,11 +298,10 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 // snapshotStats reads the lock-free counters into the /stats payload.
 func (c *ClientCache) snapshotStats() ClientCacheStats {
 	return ClientCacheStats{
-		Objects:  c.store.Len(),
-		Hits:     int(c.stats.hits.Load()),
-		Misses:   int(c.stats.misses.Load()),
-		Stores:   int(c.stats.stores.Load()),
-		DiskHits: int(c.stats.diskHits.Load()),
+		Objects: c.store.Len(),
+		Hits:    int(c.stats.hits.Load()),
+		Misses:  int(c.stats.misses.Load()),
+		Stores:  int(c.stats.stores.Load()),
 	}
 }
 
@@ -385,14 +312,3 @@ func (c *ClientCache) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // Objects reports the current cached-object count (tests).
 func (c *ClientCache) Objects() int { return c.store.Len() }
-
-// RecoveredHexKeys lists the hex objectIds the disk tier recovered at
-// startup, in journal order — the payload the daemon re-registers
-// with its proxy so the lookup directory learns what survived the
-// restart.  Nil without a disk tier.
-func (c *ClientCache) RecoveredHexKeys() []string {
-	if c.disk == nil {
-		return nil
-	}
-	return c.disk.RecoveredHexKeys()
-}

@@ -247,10 +247,11 @@ func TestRegisterEscapesAddr(t *testing.T) {
 	}
 }
 
-// FuzzRegister sends /register an arbitrary addr and raw body.  Whatever
+// FuzzRegister sends /register an arbitrary addr and raw body, as the
+// poison chaos scenario, the key list's one sender, might.  Whatever
 // arrives, the proxy does not panic and answers 200, 400 or 413; a 200
 // carries a cacheId, and the directory grows by exactly the well-formed
-// 32-hex keys of the body's recovered list that it did not hold.
+// 32-hex keys of the body's key list that it did not hold.
 func FuzzRegister(f *testing.F) {
 	valid := keyOf("http://origin.test/fuzz").String()
 	f.Add("10.0.0.1:999", []byte(nil))

@@ -45,8 +45,8 @@ type peerDigest struct {
 }
 
 // handleDigest publishes this proxy's digest, built on demand over what
-// /peer-lookup can serve: the memory tier, the disk tier and, as the
-// directory records them, the client caches.  The directory is copied
+// /peer-lookup can serve: the proxy cache and, as the directory records
+// them, the client caches.  The directory is copied
 // under the lock the request path shares, and not sorted there.
 func (p *Proxy) handleDigest(w http.ResponseWriter, _ *http.Request) {
 	items := p.store.Items()
@@ -55,9 +55,6 @@ func (p *Proxy) handleDigest(w http.ResponseWriter, _ *http.Request) {
 	p.mu.Unlock()
 	for _, it := range items {
 		keys = append(keys, it.Key)
-	}
-	if p.disk != nil {
-		keys = append(keys, p.disk.Keys()...)
 	}
 	f := bloom.NewForCapacity(len(keys), digestFPRate)
 	for _, key := range keys {

@@ -18,16 +18,16 @@ const SLOHeader = "X-SLO-Class"
 // readiness is the liveness/readiness surface both daemons embed:
 //
 //	GET /healthz  liveness — 200 whenever the process can serve at all
-//	GET /readyz   readiness — 503 until the daemon is constructed,
-//	              recovered, and (when applicable) registered;
+//	GET /readyz   readiness — 503 until the daemon is constructed
+//	              and (when applicable) registered;
 //	              503 "draining" again once graceful shutdown begins,
 //	              so load balancers stop routing before the listener
 //	              closes.
 //
-// The daemon bring-up path owns the transition: disk-tier recovery
-// runs synchronously during construction, so MarkReady is called
-// after the remaining gate (client-cache registration) completes.  Transitions are emitted to the event
-// log the daemon was built with (Options.Events).
+// The daemon bring-up path owns the transition: MarkReady is called
+// once construction and, for a client cache, registration with its
+// proxy complete.  Transitions are emitted to the event log the daemon
+// was built with (Options.Events).
 type readiness struct {
 	ready    atomic.Bool
 	draining atomic.Bool

@@ -52,7 +52,6 @@ func queryParam(rawQuery, key string) string {
 // canonical MIME form, so direct map assignment matches Header.Set.
 var servedBy = map[string][]string{
 	TierProxy:       {TierProxy},
-	TierProxyDisk:   {TierProxyDisk},
 	TierClientCache: {TierClientCache},
 	TierRemoteProxy: {TierRemoteProxy},
 	TierOrigin:      {TierOrigin},

@@ -14,11 +14,10 @@
 //	             client daemons register with it
 //	proxyB    := a cooperating proxy in another organization
 //
-// Each daemon is built whole from one Options value — capacity, disk
-// tier, registry, tracer, event log and, for a proxy, its SLO classes,
-// defenses, peers and conservation checker — and is
-// complete when its constructor returns: nothing is attached once it
-// serves.  A cluster whose members name each other binds every
+// Each daemon is built whole from one Options value — capacity,
+// registry, tracer, event log and, for a proxy, its SLO classes,
+// defenses, peers and conservation checker — and is complete when its
+// constructor returns: nothing is attached once it serves.  A cluster whose members name each other binds every
 // listener first, to know the URLs, then builds and serves.
 //
 //	GET http://proxyA/fetch?url=http://origin/page
@@ -68,7 +67,6 @@ const ServedByHeader = "X-Served-By"
 // peer-* pair appears only on the inter-proxy /peer-lookup channel.
 const (
 	TierProxy       = "proxy"        // local proxy cache hit
-	TierProxyDisk   = "proxy-disk"   // local proxy's persistent disk tier
 	TierClientCache = "client-cache" // own P2P client cache, via the directory
 	TierRemoteProxy = "remote-proxy" // served through a cooperating proxy
 	TierOrigin      = "origin"       // fetched from the origin server

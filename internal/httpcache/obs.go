@@ -52,7 +52,6 @@ func (p *Proxy) publishStats() {
 	g("digest_skips", st.DigestSkips)
 	g("digest_false_pos", st.DigestFalsePos)
 	g("swept_caches", st.SweptCaches)
-	g("disk_hits", st.DiskHits)
 	g("directory_entries", st.DirEntries)
 	g("client_caches", p.ring.size())
 	g("breaker_skipped", st.Defense.BreakerSkipped)
@@ -61,7 +60,7 @@ func (p *Proxy) publishStats() {
 	g("digest_failures", st.Defense.DigestFailures)
 	g("contrib_swept", st.Defense.ContribSwept)
 	g("peer_timeouts", st.Defense.PeerTimeouts)
-	p.publishMetrics()
+	p.store.PublishMetrics()
 	// Refresh the slo.* gauges (and fire burn-rate threshold events) at
 	// every scrape, so the cluster aggregator reads current burn rates.
 	p.slo.Report()
@@ -85,8 +84,7 @@ func (c *ClientCache) publishStats() {
 	g("hits", st.Hits)
 	g("misses", st.Misses)
 	g("stores", st.Stores)
-	g("disk_hits", st.DiskHits)
-	c.publishMetrics()
+	c.store.PublishMetrics()
 }
 
 func (c *ClientCache) handleMetrics(w http.ResponseWriter, r *http.Request) {

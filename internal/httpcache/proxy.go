@@ -63,11 +63,8 @@ type ProxyStats struct {
 	// SweptCaches counts client-cache daemons the liveness sweep
 	// deregistered after a failed probe.
 	SweptCaches int `json:"swept_caches"`
-	// DiskHits counts requests served from the proxy's persistent disk
-	// tier after a memory miss (always 0 without Options.DiskDir).
-	DiskHits   int `json:"disk_hits"`
-	DirEntries int `json:"directory_entries"`
-	ClientPool int `json:"client_caches"`
+	DirEntries  int `json:"directory_entries"`
+	ClientPool  int `json:"client_caches"`
 	// Defense holds the chaos-defense counters (defense.go): breaker
 	// activity, digest verification, contribution sweeps, and per-hop
 	// peer timeouts.
@@ -80,7 +77,7 @@ type ProxyStats struct {
 type proxyCounters struct {
 	requests, proxyHits, clientHits, remoteHits, originFetch,
 	coalesced, passDowns, diversions, storeCalls, storeRefusals,
-	divertedHits, swept, diskHits atomic.Int64
+	divertedHits, swept atomic.Int64
 	digestPulls, digestPullFails, digestSkips, digestFalsePos atomic.Int64
 	// originReplies counts the replies sent with X-Served-By origin:
 	// what the requesters saw come from origin, coalesced waiters
@@ -153,15 +150,12 @@ type Proxy struct {
 }
 
 // NewProxyOpts creates a proxy from o, complete: its cascade, ledger
-// and SLO tracker are built here and never changed after.  It fails only when the disk tier cannot be
-// opened.
+// and SLO tracker are built here and never changed after.  The error is
+// always nil; the result keeps the shape the bench program
+// destructures.
 func NewProxyOpts(o Options) (*Proxy, error) {
-	st, err := o.newStorage("proxy")
-	if err != nil {
-		return nil, err
-	}
 	p := &Proxy{
-		storage:     st,
+		storage:     o.newStorage("proxy"),
 		ring:        newRing(),
 		dir:         directory.NewExact(),
 		client:      newHTTPClient(10 * time.Second),
@@ -210,12 +204,11 @@ func normalizeBaseURLs(in []string) []string {
 
 // Close waits out the digest pulls in flight (each bounded by the
 // per-hop deadline), drops its pooled connections, then closes its frame
-// connections and storage as a client cache does.
-func (p *Proxy) Close() error {
+// connections as a client cache does.
+func (p *Proxy) Close() {
 	p.pulls.Wait()
 	p.CloseIdleConnections()
 	p.frames.Close()
-	return p.storage.Close()
 }
 
 // Handler returns the proxy's HTTP interface:
@@ -242,15 +235,15 @@ func (p *Proxy) Handler() http.Handler {
 	return mux
 }
 
-// registerBody is the optional JSON payload of POST /register: the
-// hex objectIds a restarting daemon's disk tier recovered, so the
-// proxy's lookup directory re-learns what the cluster still holds.
+// registerBody is the optional JSON payload of POST /register: hex
+// objectIds the registering daemon says it holds, which the proxy's
+// lookup directory lists.  No daemon sends one; its one sender is the
+// poison chaos scenario, which plants directory entries through it.
 type registerBody struct {
 	Recovered []string `json:"recovered"`
 }
 
-// registerBodyMax caps the /register payload: 1 MiB holds ~30k
-// recovered keys, far beyond any real daemon's disk tier.
+// registerBodyMax caps the /register payload: 1 MiB holds ~30k keys.
 const registerBodyMax = 1 << 20
 
 // registerTimeout bounds one POST /register: a proxy that accepts the
@@ -258,15 +251,16 @@ const registerBodyMax = 1 << 20
 const registerTimeout = 10 * time.Second
 
 // Register joins the client cache at addr (host:port) to the proxy at
-// proxyURL, announcing the hex objectIds its disk tier recovered, if
-// any.  Any answer but 200 is an error: the proxy refused the daemon
-// (400, or 413 for a recovered list over registerBodyMax) and it is
-// not on the proxy's ring.
-func Register(proxyURL, addr string, recovered []string) error {
+// proxyURL.  keys, when not empty, are hex objectIds for the proxy's
+// directory to list as held by the cluster (registerBody); daemons pass
+// nil.  Any answer but 200 is an error: the proxy refused the daemon
+// (400, or 413 for a key list over registerBodyMax) and it is not on
+// the proxy's ring.
+func Register(proxyURL, addr string, keys []string) error {
 	var body io.Reader
 	contentType := "text/plain"
-	if len(recovered) > 0 {
-		b, _ := json.Marshal(registerBody{Recovered: recovered}) // a []string always marshals
+	if len(keys) > 0 {
+		b, _ := json.Marshal(registerBody{Recovered: keys}) // a []string always marshals
 		body, contentType = bytes.NewReader(b), "application/json"
 	}
 	client := http.Client{Timeout: registerTimeout}
@@ -288,10 +282,9 @@ func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The body is optional and best-effort: a plain registration (no
-	// body, or a non-JSON one) registers with an empty recovered set.
-	// It is still size-capped — a byzantine client streaming an
-	// unbounded recovered list is rejected with 413 instead of being
-	// buffered into proxy memory.
+	// body, or a non-JSON one) lists no keys.  It is still size-capped —
+	// a byzantine client streaming an unbounded key list is rejected
+	// with 413 instead of being buffered into proxy memory.
 	var body registerBody
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, registerBodyMax)).Decode(&body); err != nil {
 		var tooBig *http.MaxBytesError
@@ -303,10 +296,9 @@ func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	id := p.ring.add(addr)
 	if len(body.Recovered) > 0 {
-		// Directory entries route through ring.owner, which may name a
-		// neighbour of the daemon that actually holds the object — the
-		// client-cache tier of /fetch probes neighbours on an owner
-		// miss, so recovered objects stay reachable either way.
+		// The listed keys are taken on the sender's word: an entry no
+		// cache backs costs one wasted LAN probe, and the client-cache
+		// tier of /fetch then repairs it (tiers.go's unlist).
 		keys := foldHex(body.Recovered)
 		p.mu.Lock()
 		for _, key := range keys {
@@ -548,7 +540,6 @@ func (p *Proxy) snapshotStats() ProxyStats {
 		DigestSkips:      int(p.stats.digestSkips.Load()),
 		DigestFalsePos:   int(p.stats.digestFalsePos.Load()),
 		SweptCaches:      int(p.stats.swept.Load()),
-		DiskHits:         int(p.stats.diskHits.Load()),
 		DirEntries:       dirLen,
 		Defense: DefenseStats{
 			BreakerSkipped: int(p.stats.breakerSkipped.Load()),

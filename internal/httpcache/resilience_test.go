@@ -20,6 +20,22 @@ import (
 	"webcache/internal/wiretest"
 )
 
+// fetchVia GETs objURL through the proxy at proxyURL and returns
+// (status, serving tier, body).
+func fetchVia(t *testing.T, proxyURL, objURL string) (int, string, string) {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/fetch?url=%s", proxyURL, url.QueryEscape(objURL)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get(ServedByHeader), string(body)
+}
+
 // A crashed client-cache daemon must not break the proxy: the stale
 // directory entry is repaired, the dead node leaves the ring, and the
 // request is served from the origin.
@@ -34,7 +50,7 @@ func TestClientCacheCrash(t *testing.T) {
 	}
 	// Crash every daemon.
 	for i, s := range d.cacheS[0] {
-		crash(t, s, d.caches[0][i])
+		crash(s, d.caches[0][i])
 	}
 	// Every object must still be fetchable (origin fallback).
 	for i := 0; i < n; i++ {

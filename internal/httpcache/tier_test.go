@@ -185,21 +185,6 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Disk: a memory tier too small for any body, so a fetched object
-	// lives in the log only.
-	dskPx, err := NewProxyOpts(traced(Options{CapacityBytes: 8, DiskDir: t.TempDir(), DiskCapacityBytes: 1 << 20}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dskPx.Close() })
-	dsk := pin(t, dskPx, "")
-	if _, tier := get(t, from(dsk, "/on-disk")); tier != TierOrigin {
-		t.Fatalf("disk fixture warm-up served by %q", tier)
-	}
-	if !dskPx.Sync() {
-		t.Fatal("disk sync failed")
-	}
-
 	// Diversion, the read side of §4.3: two client caches with room for
 	// one ten-byte body each, the owner's taken, so the pass-down lands
 	// on the neighbour and /fetch has to find it there.
@@ -339,11 +324,6 @@ func TestServedByHeaderPerPath(t *testing.T) {
 			tier:  TierProxy,
 			delta: ProxyStats{Requests: 1, ProxyHits: 1},
 			spans: []string{"proxy.cache"}},
-		{name: "fetch proxy disk hit", at: &dsk,
-			url:   from(dsk, "/on-disk"),
-			tier:  TierProxyDisk,
-			delta: ProxyStats{Requests: 1, DiskHits: 1},
-			spans: []string{"!proxy.cache", "proxy.disk"}},
 		// No digest held yet: the peer is asked, and its digest pulled.
 		{name: "fetch cooperating proxy", at: &roomy1,
 			url:   roomy1.fetchURL(roomyD.origin.srv.URL + "/warm"),
@@ -463,22 +443,14 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	}
 }
 
-// A digest covers everything /peer-lookup can serve: the memory tier,
-// the disk tier and the client caches the directory lists.
+// A digest covers everything /peer-lookup can serve: the proxy cache
+// and the client caches the directory lists.
 func TestDigestCoversWhatPeerLookupServes(t *testing.T) {
 	origin := newTestOrigin()
 	t.Cleanup(origin.srv.Close)
-	// Memory for one eight-byte body, so a fetched object lives on disk.
-	peerPx, err := NewProxyOpts(traced(Options{CapacityBytes: 8, DiskDir: t.TempDir(), DiskCapacityBytes: 1 << 20}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { peerPx.Close() })
+	peerPx := newProxy(t, traced(Options{CapacityBytes: 1 << 20}))
+	t.Cleanup(peerPx.Close)
 	peer := pin(t, peerPx, "")
-	get(t, peer.fetchURL(origin.srv.URL+"/on-disk"))
-	if !peerPx.Sync() {
-		t.Fatal("disk sync failed")
-	}
 	plantDir(peerPx, origin.srv.URL+"/listed")
 	inMemory := origin.srv.URL + "/in-memory"
 	if _, stored, err := peerPx.store.Put(fold(keyOf(inMemory)), store.Object{HexKey: keyOf(inMemory).String(), Body: []byte("eight-b!"), Cost: 1}); !stored || err != nil {
@@ -491,7 +463,7 @@ func TestDigestCoversWhatPeerLookupServes(t *testing.T) {
 	if f == nil {
 		t.Fatal("no digest pulled")
 	}
-	for _, path := range []string{"/on-disk", "/listed", "/in-memory"} {
+	for _, path := range []string{"/listed", "/in-memory"} {
 		if !f.MayContain(uint64(fold(keyOf(origin.srv.URL + path)))) {
 			t.Errorf("the digest does not endorse %s", path)
 		}

@@ -177,7 +177,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 	}
 
 	local = []tier{{
-		// 1. Proxy cache, memory.
+		// 1. Proxy cache.
 		spans: []string{"proxy.cache"}, cat: "Tl",
 		ask: func(q fetchReq, _ string, _ int) (served, error) {
 			obj, ok := p.store.Get(q.folded)
@@ -186,22 +186,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 			}
 			return served{body: obj.Body, by: TierProxy, hits: &p.stats.proxyHits}, nil
 		},
-	}}
-	if p.disk != nil {
-		local = append(local, tier{
-			// The persistent tier, which promotes a hit back into a free
-			// memory slot.
-			spans: []string{"proxy.disk"}, cat: "Tl",
-			ask: func(q fetchReq, _ string, _ int) (served, error) {
-				obj, ok := p.tier.Get(q.folded)
-				if !ok {
-					return served{}, errMiss
-				}
-				return served{body: obj.Body, by: TierProxyDisk, hits: &p.stats.diskHits}, nil
-			},
-		})
-	}
-	local = append(local, tier{
+	}, {
 		// 2. Own P2P client cache, per the lookup directory (§4.2): the
 		// ring owner, then its neighbours, where an ifFree store may have
 		// diverted the object (§4.3).  When none of them has it the entry
@@ -236,8 +221,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 			return served{body: body, by: TierClientCache, hits: &p.stats.clientHits, diverted: n > 0}, nil
 		},
 		missed: unlist,
-	})
-	local = local[:len(local):len(local)]
+	}}
 	return local, append(local, tier{
 		// 3. Cooperating proxies, each behind its error-rate breaker (a
 		// peer that keeps failing at the transport level is passed over,
@@ -273,7 +257,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 			}
 			// An empty body is served without being cached
 			// (store.ErrEmptyObject), which evicts nothing.
-			evicted, _, _ := p.tier.Put(q.folded, store.Object{HexKey: q.id.String(), Body: rep.body, Cost: remoteCost})
+			evicted, _, _ := p.store.Put(q.folded, store.Object{HexKey: q.id.String(), Body: rep.body, Cost: remoteCost})
 			return served{body: rep.body, by: TierRemoteProxy, hits: &p.stats.remoteHits, evicted: evicted}, nil
 		},
 	}, tier{
@@ -283,7 +267,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 		// body and has none.
 		spans: []string{"origin.fetch"}, cat: "Ts",
 		ask: func(q fetchReq, _ string, _ int) (served, error) {
-			view, err := p.tier.GetOrLoad(q.folded, func() (store.Object, string, error) {
+			view, err := p.store.GetOrLoad(q.folded, func() (store.Object, string, error) {
 				body, err := p.originFetch(q.url)
 				return store.Object{HexKey: q.id.String(), Body: body, Cost: originCost}, TierOrigin, err
 			})
@@ -291,17 +275,13 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 				return served{}, err
 			}
 			s := served{body: view.Object.Body, by: view.Tag, hits: &p.stats.originFetch, evicted: view.Evicted}
-			switch {
-			case view.Outcome == store.OutcomeHit:
+			switch view.Outcome {
+			case store.OutcomeHit:
 				// Another request's insert landed between the first tier
 				// and here: a proxy cache hit after all.
 				s.by, s.hits = TierProxy, &p.stats.proxyHits
-			case view.Outcome == store.OutcomeCoalesced:
+			case store.OutcomeCoalesced:
 				s.hits = &p.stats.coalesced
-			case view.Tag == TierProxyDisk:
-				// The tiered store satisfied the flight from its log: a
-				// disk-resident key that raced past the disk tier's probe.
-				s.hits = &p.stats.diskHits
 			}
 			return s, nil
 		},

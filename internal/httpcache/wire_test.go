@@ -74,13 +74,6 @@ func TestBodyRepliesDeclareLength(t *testing.T) {
 			fetchURL := func(base, path string) string { return pinned{base: base}.fetchURL(origin.URL + path) }
 			key := func(path string) string { return keyOf(origin.URL + path).String() }
 
-			dskPx, err := NewProxyOpts(traced(Options{CapacityBytes: 8, DiskDir: t.TempDir(), DiskCapacityBytes: capacity}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { dskPx.Close() })
-			dsk := pin(t, dskPx, "")
-
 			cc := newClientCache(t, Options{CapacityBytes: capacity})
 			ccSrv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 			t.Cleanup(ccSrv.Close)
@@ -100,13 +93,6 @@ func TestBodyRepliesDeclareLength(t *testing.T) {
 				{name: "fetch remote proxy", url: fetchURL(roomy.proxyS[1].URL, "/a"), path: "/a", tier: TierRemoteProxy},
 				{name: "peer-lookup from the proxy cache", url: roomy.proxyS[0].URL + "/peer-lookup?key=" + key("/a"),
 					path: "/a", tier: TierPeerProxy},
-				{name: "fetch proxy disk", url: dsk.fetchURL(origin.URL + "/d"), path: "/d", tier: TierProxyDisk,
-					before: func() {
-						get(t, dsk.fetchURL(origin.URL+"/d"))
-						if !dskPx.Sync() {
-							t.Fatal("disk sync failed")
-						}
-					}},
 				{name: "fetch client cache", url: fetchURL(p2p.proxyS[0].URL, "/b"), path: "/b", tier: TierClientCache,
 					before: func() {
 						p2p.proxies[0].passDown(store.Object{HexKey: key("/b"), Body: sizedBody("/b", size), Cost: 1})

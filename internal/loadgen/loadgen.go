@@ -84,11 +84,6 @@ func ParseTier(h string) Tier {
 	switch h {
 	case httpcache.TierProxy:
 		return TierProxy
-	case httpcache.TierProxyDisk:
-		// The persistent tier is still the local proxy serving the
-		// object (Tl in the latency model) — which medium held it is
-		// the proxy's own accounting, not a calibration tier.
-		return TierProxy
 	case httpcache.TierClientCache:
 		return TierClientCache
 	case httpcache.TierRemoteProxy:

@@ -16,7 +16,7 @@ import (
 )
 
 // TestStartLoopbackRefusedRegistration: a proxy that refuses a client
-// cache's /register (413, as for a recovered list over the body cap)
+// cache's /register (413, as for a key list over the body cap)
 // fails the stand-up, instead of a topology whose proxies have no
 // client caches on their rings.
 func TestStartLoopbackRefusedRegistration(t *testing.T) {

@@ -9,11 +9,11 @@ import (
 
 // Structured state-transition event log.  Daemons emit one JSONL
 // record per control-plane transition — member join/leave, breaker
-// open/close, disk recovery start/done, SLO burn-rate threshold
-// crossings, readiness flips — so an operator can reconstruct *why*
-// the data-plane metrics moved without correlating log prose.  The
-// log keeps a bounded in-memory tail for dashboards and tests, and
-// optionally streams every record to a writer (a file, or stderr).
+// open/close, SLO burn-rate threshold crossings, readiness flips — so
+// an operator can reconstruct *why* the data-plane metrics moved
+// without correlating log prose.  The log keeps a bounded in-memory
+// tail for dashboards and tests, and optionally streams every record
+// to a writer (a file, or stderr).
 //
 // Like every obs handle, a nil *EventLog ignores all operations, so
 // call sites emit unconditionally.
@@ -24,7 +24,7 @@ type Event struct {
 	// Source names the emitting process ("proxy-1", "cache-0-2", ...).
 	Source string `json:"source,omitempty"`
 	// Type is the transition kind, dotted lowercase: "ready.up",
-	// "breaker.open", "recovery.done", "slo.page", "ready.drain", ...
+	// "breaker.open", "slo.page", "ready.drain", ...
 	Type string `json:"type"`
 	// Fields carries the transition's context (peer address, class
 	// name, burn rate, ...), all values pre-rendered as strings so the

@@ -9,8 +9,7 @@ import (
 
 // Baseline is the reference implementation the differential test
 // (TestStoreMatchesBaselineSequentially) diffs the Store against: one
-// mutex in front of one policy instance, and no miss coalescing — N
-// concurrent misses on the same key run N loader calls.
+// mutex in front of one policy instance and its body map.
 type Baseline struct {
 	mu     sync.Mutex
 	policy cache.Policy
@@ -55,30 +54,6 @@ func (b *Baseline) Put(key trace.ObjectID, obj Object) (evicted []Object, stored
 	return evicted, true, nil
 }
 
-// GetOrLoad is deliberately uncoalesced: every concurrent miss runs
-// its own loader call, the old design's thundering-herd behaviour.
-func (b *Baseline) GetOrLoad(key trace.ObjectID, loader Loader) (LoadView, error) {
-	if obj, ok := b.Get(key); ok {
-		return LoadView{Object: obj, Outcome: OutcomeHit}, nil
-	}
-	obj, tag, err := loader()
-	if err != nil {
-		return LoadView{Outcome: OutcomeLoaded}, err
-	}
-	view := LoadView{Object: obj, Tag: tag, Outcome: OutcomeLoaded}
-	if evicted, stored, perr := b.Put(key, obj); perr == nil {
-		view.Stored, view.Evicted = stored, evicted
-	}
-	return view, nil
-}
-
-// FreeFor reports whether size bytes fit without eviction.
-func (b *Baseline) FreeFor(_ trace.ObjectID, size int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.policy.Used()+uint64(size) <= b.policy.Capacity()
-}
-
 // Len reports the cached object count.
 func (b *Baseline) Len() int {
 	b.mu.Lock()
@@ -92,10 +67,3 @@ func (b *Baseline) Used() uint64 {
 	defer b.mu.Unlock()
 	return b.policy.Used()
 }
-
-// Capacity is the configured byte budget.
-func (b *Baseline) Capacity() uint64 {
-	return b.policy.Capacity()
-}
-
-var _ Interface = (*Baseline)(nil)

@@ -46,18 +46,6 @@ type Object struct {
 	Cost float64
 }
 
-// Interface is the store surface the data plane programs against,
-// implemented by the memory Store and the memory-over-disk Tiered.
-type Interface interface {
-	Get(key trace.ObjectID) (Object, bool)
-	Put(key trace.ObjectID, obj Object) (evicted []Object, stored bool, err error)
-	GetOrLoad(key trace.ObjectID, loader Loader) (LoadView, error)
-	FreeFor(key trace.ObjectID, size int) bool
-	Len() int
-	Used() uint64
-	Capacity() uint64
-}
-
 // Config sizes a Store.
 type Config struct {
 	// CapacityBytes is the byte budget of the store's one policy.
@@ -164,21 +152,6 @@ func (s *Store) Put(key trace.ObjectID, obj Object) (evicted []Object, stored bo
 	return s.insert(key, obj), true, nil
 }
 
-// putIfFree stores an absent object only when it fits without
-// evicting anything, checking and inserting under one acquisition so
-// that a concurrent Put cannot take the room in between: the disk
-// tier's promotion (Tiered.Get), which has no caller to hand
-// evictions to.  A resident key is left untouched.
-func (s *Store) putIfFree(key trace.ObjectID, obj Object) {
-	s.lock()
-	defer s.mu.Unlock()
-	if len(obj.Body) == 0 || s.policy.Contains(key) ||
-		s.policy.Used()+uint64(len(obj.Body)) > s.policy.Capacity() {
-		return
-	}
-	s.insert(key, obj)
-}
-
 // insert adds an absent, admissible object under mu and returns the
 // bodies the policy evicted for it.
 func (s *Store) insert(key trace.ObjectID, obj Object) (evicted []Object) {
@@ -192,13 +165,6 @@ func (s *Store) insert(key trace.ObjectID, obj Object) (evicted []Object) {
 		s.checkLocked()
 	}
 	return evicted
-}
-
-// Contains reports presence without touching replacement metadata.
-func (s *Store) Contains(key trace.ObjectID) bool {
-	s.lock()
-	defer s.mu.Unlock()
-	return s.policy.Contains(key)
 }
 
 // FreeFor reports whether size bytes fit without eviction — the
@@ -287,5 +253,3 @@ func (s *Store) PublishMetrics() {
 	s.reg.Gauge("store.used_bytes").Set(float64(s.Used()))
 	s.reg.Gauge("store.objects").Set(float64(s.Len()))
 }
-
-var _ Interface = (*Store)(nil)
