@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzIDTable -fuzztime=$(FUZZTIME) ./internal/pastry
 	$(GO) test -run='^$$' -fuzz=FuzzSlotTable -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzPlacement -fuzztime=$(FUZZTIME) ./internal/cache
+	$(GO) test -run='^$$' -fuzz=FuzzGreedyDual -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzClusterFreeTally -fuzztime=$(FUZZTIME) ./internal/p2p
 
 race:

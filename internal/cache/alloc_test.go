@@ -26,21 +26,27 @@ func TestPolicyAllocsPerRun(t *testing.T) {
 	sparse := func(i int) trace.ObjectID { return trace.ObjectID(i) * 0x9e3779b97f4a7c15 }
 	dense := func(i int) trace.ObjectID { return trace.ObjectID(i) }
 	for _, row := range []struct {
-		name string
-		p    Policy
-		id   func(int) trace.ObjectID
+		name    string
+		p       Policy
+		id      func(int) trace.ObjectID
+		classes int // distinct costs the entries cycle through
 	}{
-		{"lru", NewLRU(capacity), sparse},
-		{"lfu-perfect", NewPerfectLFU(capacity), sparse},
+		{"lru", NewLRU(capacity), sparse, 5},
+		{"lfu-perfect", NewPerfectLFU(capacity), sparse, 5},
 		// Perfect LFU as the simulator builds it: every id the loops
 		// use lies below the universe, on the direct path.
-		{"lfu-perfect-dense", NewPerfectLFUShared(capacity, NewHistory(2*capacity)), dense},
-		{"greedy-dual", NewGreedyDual(capacity), sparse},
-		{"gdsf", NewGDSF(capacity), sparse},
+		{"lfu-perfect-dense", NewPerfectLFUShared(capacity, NewHistory(2*capacity)), dense, 5},
+		{"greedy-dual", NewGreedyDual(capacity), sparse, 5},
+		// Greedy-dual as the simulator's proxies build it.
+		{"greedy-dual-dense", NewGreedyDualDense(capacity, 2*capacity), dense, 4},
+		// More ratio classes than the heads scan holds: they are kept
+		// in a heap (checked below).
+		{"greedy-dual-many-classes", NewGreedyDual(capacity), sparse, 3 * scanClasses},
+		{"gdsf", NewGDSF(capacity), sparse, 5},
 	} {
 		p, name := row.p, row.name
 		entry := func(i int) Entry {
-			return Entry{Obj: row.id(i), Size: 1, Cost: float64(1 + i%5)}
+			return Entry{Obj: row.id(i), Size: 1, Cost: float64(1 + i%row.classes)}
 		}
 		// Warm up on twice as many ids as fit, twice over, so the table,
 		// the slab, the scratch slice and (perfect LFU) the history have
@@ -57,6 +63,10 @@ func TestPolicyAllocsPerRun(t *testing.T) {
 		}
 		if p.Len() != capacity {
 			t.Fatalf("%s: warm-up left %d of %d objects", name, p.Len(), capacity)
+		}
+
+		if gd, ok := p.(*GreedyDual); ok && row.classes > scanClasses && len(gd.heads) <= scanClasses {
+			t.Fatalf("%s: %d ratio classes live after warm-up, want more than %d", name, len(gd.heads), scanClasses)
 		}
 
 		tables := tableSizes(p)
@@ -91,7 +101,8 @@ func TestPolicyAllocsPerRun(t *testing.T) {
 }
 
 // slabLen is the number of object slots a policy ever allocated (for
-// LFU, of object or bucket slots, whichever is more).
+// LFU, of object or bucket slots, for greedy-dual of object or class
+// slots, whichever is more).
 func slabLen(p Policy) int {
 	switch c := p.(type) {
 	case *LRU:
@@ -99,7 +110,7 @@ func slabLen(p Policy) int {
 	case *LFU:
 		return max(len(c.nodes), len(c.buckets))
 	case *GreedyDual:
-		return len(c.nodes)
+		return max(len(c.nodes), len(c.classes))
 	case *GDSF:
 		return len(c.nodes)
 	}
@@ -107,7 +118,8 @@ func slabLen(p Policy) int {
 }
 
 // tableSizes is the entry count of p's id -> slot table and, for
-// perfect LFU, of its history's.
+// perfect LFU, of its history's, for greedy-dual of its ratio -> class
+// table.
 func tableSizes(p Policy) [2]int {
 	switch c := p.(type) {
 	case *LRU:
@@ -115,7 +127,7 @@ func tableSizes(p Policy) [2]int {
 	case *LFU:
 		return [2]int{len(c.slot.ents), len(c.history.index.ents)}
 	case *GreedyDual:
-		return [2]int{len(c.slot.ents)}
+		return [2]int{len(c.slot.ents), len(c.classOf.ents)}
 	case *GDSF:
 		return [2]int{len(c.slot.ents)}
 	}

@@ -53,6 +53,17 @@ var diffCases = []diffCase{
 	{"greedy-dual", func(c uint64, _ int, _ []trace.ObjectID) ([]Policy, []Policy) {
 		return one(NewGreedyDual(c), newRefGreedyDual(c))
 	}},
+	// Greedy-dual as the simulator's proxies build it, its universe
+	// covering the dense pools.
+	{"greedy-dual-dense", func(c uint64, n int, _ []trace.ObjectID) ([]Policy, []Policy) {
+		return one(NewGreedyDualDense(c, n), newRefGreedyDual(c))
+	}},
+	// A cache large enough to hold more than scanClasses Cost/Size
+	// classes at once, so the class heads sit in a heap (checked in
+	// runDiffScript).
+	{"greedy-dual-many-classes", func(c uint64, _ int, _ []trace.ObjectID) ([]Policy, []Policy) {
+		return one(NewGreedyDual(2*c+16), newRefGreedyDual(2*c+16))
+	}},
 	{"gdsf", func(c uint64, _ int, _ []trace.ObjectID) ([]Policy, []Policy) {
 		return one(NewGDSF(c), newRefGDSF(c))
 	}},
@@ -120,6 +131,7 @@ func runDiffScript(t *testing.T, dc diffCase, seed int64) {
 		seq[i] = pool[int(float64(len(pool))*math.Pow(rng.Float64(), 2))]
 	}
 	gots, wants := dc.make(capacity, len(pool), seq)
+	peakClasses := 0
 
 	for step, obj := range seq {
 		k := rng.Intn(len(gots))
@@ -185,6 +197,9 @@ func runDiffScript(t *testing.T, dc diffCase, seed int64) {
 		if g, w := policyState(got, obj), policyState(want, obj); g != w {
 			t.Fatalf("step %d obj %d after %s:\n got       %s\n reference %s", step, obj, what, g, w)
 		}
+		if gd, ok := got.(*GreedyDual); ok {
+			peakClasses = max(peakClasses, len(gd.heads))
+		}
 		if step%97 != 0 {
 			continue
 		}
@@ -198,5 +213,8 @@ func runDiffScript(t *testing.T, dc diffCase, seed int64) {
 				}
 			}
 		}
+	}
+	if strings.HasSuffix(dc.name, "-many-classes") && peakClasses <= scanClasses {
+		t.Fatalf("at most %d ratio classes were live at once: the heap over class heads never ran", peakClasses)
 	}
 }

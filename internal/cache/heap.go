@@ -6,8 +6,8 @@ import (
 	"webcache/internal/trace"
 )
 
-// keyedHeap is the slab the heap-ordered policies (greedy-dual, GDSF,
-// Belady) keep all per-object state in: a node holds the cached Entry,
+// keyedHeap is the slab the heap-ordered policies (GDSF, Belady) keep
+// all per-object state in: a node holds the cached Entry,
 // its position in the heap and the policy's per-object scalar.
 // A slotTable resolves an object id to its slot, the only hashed lookup
 // an operation needs.  The binary min-heap holds items that carry their
@@ -63,9 +63,6 @@ func (h *keyedHeap) find(obj trace.ObjectID) (*node, bool) {
 	}
 	return &h.nodes[s], true
 }
-
-// key returns n's ordering key.
-func (h *keyedHeap) key(n *node) float64 { return h.order[n.idx].key }
 
 // Contains implements Policy.
 func (h *keyedHeap) Contains(obj trace.ObjectID) bool { return h.slot.has(obj) }
@@ -225,7 +222,7 @@ func (c *heapCache) admit(name string, e Entry) bool {
 }
 
 // makeRoom evicts minimum-key entries into scratch until need more
-// units fit, and returns the key of the last victim (the greedy-dual
+// units fit, and returns the key of the last victim (GDSF's
 // inflation), ok=false when nothing had to go.
 func (c *heapCache) makeRoom(need uint32) (victimKey float64, ok bool) {
 	c.scratch = c.scratch[:0]

@@ -66,7 +66,7 @@ func TestKeyedHeapUpdate(t *testing.T) {
 	if obj := h.popObj(); obj != 2 {
 		t.Fatalf("after increase, min = %d, want 2", obj)
 	}
-	if n, ok := h.find(1); !ok || h.key(n) != 100 {
+	if n, ok := h.find(1); !ok || h.order[n.idx].key != 100 {
 		t.Fatalf("find(1) = %v %v", n, ok)
 	}
 }

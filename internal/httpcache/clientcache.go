@@ -192,7 +192,7 @@ func foldHex(hexes []string) []trace.ObjectID {
 // parseCost reads a /store's greedy-dual cost from the query: 1 unless
 // it is a finite positive number.  The value becomes H = L + Cost/Size,
 // so an infinite cost (1e400 overflows to one) would pin the object for
-// good, and a NaN would break the heap order and, once evicted, turn
+// good, and a NaN would break the victim order and, once evicted, turn
 // the store's inflation L into NaN.
 func parseCost(s string) float64 {
 	c, err := strconv.ParseFloat(s, 64)

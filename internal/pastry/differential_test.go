@@ -350,3 +350,104 @@ func TestCloserToThanMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRareCaseMatchesReference crashes the only node in a row-r >= 1
+// routing slot and routes keys that need that slot from the node whose
+// table held it.  The first route finds the entry dead and purges it;
+// from then on the slot is empty and the key lies outside the node's
+// leaf range, so NextHop takes the rare case with myPrefix = r, where
+// only table rows from r on are offered.  At every step NextHop, the
+// route and every node's table and leaf sides must match the
+// reference's.
+func TestRareCaseMatchesReference(t *testing.T) {
+	for _, prox := range []bool{false, true} {
+		const b = 4
+		p := newDiffPair(t, Config{B: b, LeafSetSize: 16, Seed: 5, ProximityAware: prox}, 5)
+		for p.next < 400 {
+			p.join()
+		}
+		p.compare("the initial joins")
+		x, y, row := findLoneEntry(p.o, b)
+		if row < 1 {
+			t.Fatalf("%s: no node's table holds the only node of a row >= 1 slot", p.name)
+		}
+		p.o.Fail(y)
+		p.ref.Fail(y)
+		p.compare("the crash")
+		xn := p.o.nodes.Get(x)
+		rare := 0
+		for i := 0; i < 60; i++ {
+			// A key sharing y's first row+1 digits: it needs y's slot.
+			bits := uint((row + 1) * b)
+			key := ID{p.rng.Uint64(), p.rng.Uint64()}
+			key[0] = y[0]&^(^uint64(0)>>bits) | key[0]&(^uint64(0)>>bits)
+			_, inLeafs := xn.leafs.Deliver(key)
+			_, inTable := xn.table.Lookup(key)
+			if !inLeafs && !inTable && x.CommonPrefixLen(key, b) >= 1 {
+				rare++
+			}
+			next, final := xn.NextHop(key)
+			wantNext, wantFinal := p.ref.nodes[x].NextHop(key)
+			if next != wantNext || final != wantFinal {
+				t.Fatalf("%s: route %d: NextHop(%v) = (%v, %v), reference (%v, %v)", p.name, i, key, next, final, wantNext, wantFinal)
+			}
+			for _, start := range []ID{x, p.randomLive()} {
+				dest, hops, path := p.o.routeFrom(start, key)
+				wantDest, wantHops, wantPath := p.ref.routeFrom(start, key)
+				if dest != wantDest || hops != wantHops || !slices.Equal(nodeIDs(path), wantPath) {
+					t.Fatalf("%s: route %d: routeFrom(%v, %v) = %v in %d hops via %v, reference %v in %d hops via %v",
+						p.name, i, start, key, dest, hops, nodeIDs(path), wantDest, wantHops, wantPath)
+				}
+			}
+			p.compare(fmt.Sprintf("route %d", i))
+		}
+		t.Logf("%s: the lone entry sat in row %d; %d of 60 routes from its node took the rare case", p.name, row, rare)
+		if rare == 0 {
+			t.Errorf("%s: no route took the rare case with myPrefix >= 1", p.name)
+		}
+	}
+}
+
+// findLoneEntry returns a node x, an entry y of x's routing-table row
+// row >= 1 that no other live node could replace (it is the only one
+// with its first row+1 digits), preferring the deepest such row.
+func findLoneEntry(o *Overlay, b int) (x, y ID, row int) {
+	row = -1
+	for _, id := range o.ids {
+		n := o.nodes.Get(id)
+		for _, e := range n.table.Entries() {
+			r := id.CommonPrefixLen(e, b)
+			if r < 1 || r <= row || n.leafs.Contains(e) {
+				continue
+			}
+			lone := true
+			for _, other := range o.ids {
+				if other != e && other.CommonPrefixLen(e, b) > r {
+					lone = false
+					break
+				}
+			}
+			if lone {
+				x, y, row = id, e, r
+			}
+		}
+	}
+	return x, y, row
+}
+
+// TestJoinOntoLargeRingMatchesReference joins one node onto a ring of
+// a thousand: the joiner hears far more distinct ids than a repair
+// (more than the l*l its offer set starts sized for), each offered once
+// against the reference's every offer, and must end with the same
+// table and leaf sides, as must every node it announced itself to.
+func TestJoinOntoLargeRingMatchesReference(t *testing.T) {
+	p := newDiffPair(t, Config{B: 4, LeafSetSize: 16, Seed: 9, ProximityAware: true}, 9)
+	for p.next < 1000 {
+		p.join()
+	}
+	p.join()
+	p.compare("the last join")
+	if l := p.o.LeafSetSize(); p.o.offered.n <= l*l {
+		t.Errorf("the join offered %d distinct ids, not more than l*l = %d", p.o.offered.n, l*l)
+	}
+}

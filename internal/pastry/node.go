@@ -74,22 +74,28 @@ func (n *Node) NextHop(key ID) (next ID, final bool) {
 		return hop, false
 	}
 	// Rare case: union of leaf set and routing table.  The choice is
-	// the minimum of a total order, so neither the scan order nor a
-	// leaf listed on both sides matters.
+	// the minimum of a total order, so neither the scan order, nor a
+	// leaf listed on both sides, nor leaving out a candidate that
+	// cannot qualify changes it.  That is what the table scan uses: an
+	// entry in row r shares exactly r digits with this node, which
+	// shares exactly myPrefix with the key.  Below myPrefix the entry
+	// differs from the key at digit r (where the key agrees with this
+	// node), so it shares r < myPrefix digits with the key and never
+	// qualifies; from myPrefix on it agrees with this node, hence with
+	// the key, on the first myPrefix digits and always qualifies.
 	myPrefix := n.id.CommonPrefixLen(key, n.table.b)
 	c := closest{key: key, id: n.id, dist: n.id.Distance(key)}
-	consider := func(t ID) {
-		if t.CommonPrefixLen(key, n.table.b) >= myPrefix {
-			c.offer(t)
+	for _, lf := range n.leafs.larger {
+		if lf.id.CommonPrefixLen(key, n.table.b) >= myPrefix {
+			c.offer(lf.id)
 		}
 	}
-	for _, lf := range n.leafs.larger {
-		consider(lf.id)
-	}
 	for _, lf := range n.leafs.smaller {
-		consider(lf.id)
+		if lf.id.CommonPrefixLen(key, n.table.b) >= myPrefix {
+			c.offer(lf.id)
+		}
 	}
-	n.table.each(consider)
+	n.table.offerRows(myPrefix, &c)
 	if c.id == n.id {
 		return ID{}, true // no better node known: deliver here
 	}

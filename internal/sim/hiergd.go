@@ -124,7 +124,7 @@ func newHierGDEngine(cfg Config, sz sizing) (*hierGDEngine, error) {
 		}
 		px := &hierGDProxy{
 			clientCluster: cc,
-			cache:         invariant.WrapPolicy(cache.NewGreedyDual(sz.proxyCap[p]), cfg.Check, label+".cache"),
+			cache:         invariant.WrapPolicy(cache.NewGreedyDualDense(sz.proxyCap[p], sz.objects), cfg.Check, label+".cache"),
 			dir:           invariant.WrapDirectory(dir, cfg.Check, label),
 		}
 		if cfg.ReplaceFailed {
