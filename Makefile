@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race bench vet fuzz-smoke bench-check bench-golden bench-smoke chaos-smoke chaos-bench trace-alloc sim-alloc examples
+.PHONY: all build test check guards race bench vet fuzz-smoke bench-check bench-golden bench-smoke chaos-smoke chaos-bench trace-alloc sim-alloc examples
 
 all: build test
 
@@ -22,18 +22,22 @@ vet:
 # them (the ./internal/sim run includes the checked end-to-end
 # replays), the concurrent data plane (the store + the HTTP
 # daemons built on it), and what runs live traffic over it (load
-# generator, chaos suite, cluster aggregator), as CI's race job does.
-# It fails on any file gofmt would rewrite, if the simulator library
-# (the root webcache package) links any package of the live data
-# plane, and if the library, a command or an example links the disk
-# log only the benchmark's probes use.
-check: vet
-	@test -z "$$(gofmt -l . | tee /dev/stderr)" || { echo "gofmt -l . names the files above" >&2; exit 1; }
-	@test -z "$$($(GO) list -deps . | grep -E '^webcache/internal/(httpcache|loadgen|store|obs/slo)(/|$$)' | tee /dev/stderr)" || { echo "go list -deps . names the live data-plane packages above" >&2; exit 1; }
-	@test -z "$$($(GO) list -deps . ./cmd/... ./examples/... | grep -x 'webcache/internal/store/disk' | tee /dev/stderr)" || { echo "the product links the bench-only internal/store/disk" >&2; exit 1; }
+# generator, chaos suite, cluster aggregator), as CI's race job does,
+# after the tree guards.
+check: vet guards
 	$(GO) test -race ./internal/obs ./internal/invariant ./internal/sim \
 		./internal/core ./internal/store ./internal/store/disk ./internal/httpcache \
 		./internal/loadgen ./internal/chaos ./internal/obs/cluster
+
+# The tree guards, which CI runs as this target too: they fail on any
+# file gofmt would rewrite, if the simulator library (the root webcache
+# package) links any package of the live data plane, and if the
+# library, a command or an example links the disk log only the
+# benchmark's probes use.
+guards:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)" || { echo "gofmt -l . names the files above" >&2; exit 1; }
+	@test -z "$$($(GO) list -deps . | grep -E '^webcache/internal/(httpcache|loadgen|store|obs/slo)(/|$$)' | tee /dev/stderr)" || { echo "go list -deps . names the live data-plane packages above" >&2; exit 1; }
+	@test -z "$$($(GO) list -deps . ./cmd/... ./examples/... | grep -x 'webcache/internal/store/disk' | tee /dev/stderr)" || { echo "the product links the bench-only internal/store/disk" >&2; exit 1; }
 
 # Ten seconds of each fuzz target (beyond replaying the checked-in
 # seed corpora, which plain `make test` already does).  FUZZTIME=1m

@@ -191,7 +191,7 @@ func runProxy(args []string) error {
 	capacity := fs.Uint64("capacity", 64<<20, "proxy cache capacity in bytes")
 	sweep := fs.Duration("sweep", 0, "probe registered client caches this often and deregister dead ones (0 = passive detection only)")
 	self := fs.String("self", "", "externally reachable base URL (default derived from the bound address)")
-	peers := fs.String("peers", "", "comma-separated cooperating proxy base URLs")
+	peers := fs.String("peers", "", "comma-separated cooperating proxies, each http://host:port or host:port")
 	sloClasses := fs.String("slo-classes", "", `SLO classes as "name:latency:availability[:window]", comma-separated (e.g. "interactive:50ms:0.99:1m,batch:500ms:0.9"): requests tagged X-SLO-Class are accounted per class and slo.* burn-rate gauges appear on /metrics`)
 	eventsPath := fs.String("events", "", "append structured JSONL state-transition events (readiness, breaker, SLO burn crossings) to this file")
 	clusterMembers := fs.String("cluster-members", "", `proxies to aggregate as "name=url,..." — mounts /cluster/metrics and /cluster/snapshot on this daemon, scraping every member's /metrics`)
@@ -229,7 +229,11 @@ func runProxy(args []string) error {
 			return err
 		}
 	}
-	p, _ := httpcache.NewProxyOpts(o) // never fails
+	p, err := httpcache.NewProxyOpts(o)
+	if err != nil {
+		ln.Close()
+		return err
+	}
 	if len(o.SLOClasses) > 0 {
 		fmt.Printf("hiergdd proxy: tracking %d SLO classes\n", len(o.SLOClasses))
 	}

@@ -280,6 +280,16 @@ func TestBindBasePortZero(t *testing.T) {
 	}
 }
 
+// A -peers entry a hop cannot dial stops the proxy before it serves,
+// with an error that names the entry.
+func TestProxyRefusesUndialablePeer(t *testing.T) {
+	const bad = "https://127.0.0.1:9"
+	err := runProxy([]string{"-listen", "127.0.0.1:0", "-peers", "127.0.0.1:8,http://127.0.0.1:7/," + bad})
+	if err == nil || !strings.Contains(err.Error(), `"`+bad+`"`) {
+		t.Fatalf("runProxy: %v, want an error naming %q", err, bad)
+	}
+}
+
 // The bench role end to end: tiny generated workload, loopback
 // topology, calibration within a loose tolerance, and a manifest that
 // round-trips through the validating reader.

@@ -39,9 +39,8 @@ func TestPolicyAllocsPerRun(t *testing.T) {
 		{"greedy-dual", NewGreedyDual(capacity), sparse, 5},
 		// Greedy-dual as the simulator's proxies build it.
 		{"greedy-dual-dense", NewGreedyDualDense(capacity, 2*capacity), dense, 4},
-		// More ratio classes than the heads scan holds: they are kept
-		// in a heap (checked below).
-		{"greedy-dual-many-classes", NewGreedyDual(capacity), sparse, 3 * scanClasses},
+		// More than manyClasses ratio classes (checked below).
+		{"greedy-dual-many-classes", NewGreedyDual(capacity), sparse, 3 * manyClasses},
 		{"gdsf", NewGDSF(capacity), sparse, 5},
 	} {
 		p, name := row.p, row.name
@@ -65,8 +64,8 @@ func TestPolicyAllocsPerRun(t *testing.T) {
 			t.Fatalf("%s: warm-up left %d of %d objects", name, p.Len(), capacity)
 		}
 
-		if gd, ok := p.(*GreedyDual); ok && row.classes > scanClasses && len(gd.heads) <= scanClasses {
-			t.Fatalf("%s: %d ratio classes live after warm-up, want more than %d", name, len(gd.heads), scanClasses)
+		if gd, ok := p.(*GreedyDual); ok && row.classes > manyClasses && len(gd.heads) <= manyClasses {
+			t.Fatalf("%s: %d ratio classes live after warm-up, want more than %d", name, len(gd.heads), manyClasses)
 		}
 
 		tables := tableSizes(p)

@@ -37,16 +37,16 @@ import (
 // on), and IEEE addition is monotone, so a later node's H is at least
 // an earlier one's and its sequence number is larger.  The victim is
 // therefore the least (H, seq) of the class heads, with keyedHeap's
-// tie-break: the lower H, then the older placement or refresh.  With at
-// most scanClasses live classes a scan of the heads finds it; beyond
-// that the heads are kept in a min-heap.  A class that empties is
-// retired, so variable sizes (the live store's) do not pile them up.
+// tie-break: the lower H, then the older placement or refresh.  The
+// heads are kept in a min-heap, whose root is the victim.  A class that
+// empties is retired, so variable sizes (the live store's) do not pile
+// them up.
 // A placement finds its class by the ratio's bits in a slotTable.
 type GreedyDual struct {
 	nodes   []gdNode
 	classes []gdClass
-	// heads lists the live classes; with more than scanClasses of them
-	// it is a binary min-heap by each class's head (H, seq).
+	// heads lists the live classes, a binary min-heap by each class's
+	// head (H, seq).
 	heads   []int32
 	slot    slotTable // id -> index into nodes
 	classOf slotTable // ratio bits of a live class -> index into classes
@@ -60,11 +60,6 @@ type GreedyDual struct {
 	// steady-state eviction path never allocates (see Policy.Add).
 	scratch []Entry
 }
-
-// scanClasses is the most live classes whose heads Add scans for the
-// victim; more are kept in a heap.  The simulator's Hier-GD costs are
-// netmodel.FetchCost's four latencies at unit size.
-const scanClasses = 8
 
 // gdNode is one cached entry, linked into its class's FIFO.
 type gdNode struct {
@@ -172,19 +167,10 @@ func (c *GreedyDual) Add(e Entry) []Entry {
 	return c.scratch
 }
 
-// victim returns the node with the least (H, seq): the least of the
-// class heads.
+// victim returns the node with the least (H, seq): the head of the
+// class at the heap's root.
 func (c *GreedyDual) victim() int32 {
-	if len(c.heads) > scanClasses {
-		return c.classes[c.heads[0]].head
-	}
-	best := c.classes[c.heads[0]].head
-	for _, k := range c.heads[1:] {
-		if h := c.classes[k].head; c.before(h, best) {
-			best = h
-		}
-	}
-	return best
+	return c.classes[c.heads[0]].head
 }
 
 // class returns the live class of the given ratio, making it (with no
@@ -215,23 +201,13 @@ func (c *GreedyDual) addHead(k int32) {
 	c.classOf.put(c.ratioKey(k), k)
 	c.classes[k].pos = int32(len(c.heads))
 	c.heads = append(c.heads, k)
-	switch n := len(c.heads); {
-	case n == scanClasses+1:
-		// The scanned list becomes a heap.
-		for i := n/2 - 1; i >= 0; i-- {
-			c.down(i)
-		}
-	case n > scanClasses+1:
-		c.up(n - 1)
-	}
+	c.up(len(c.heads) - 1)
 }
 
 // headRose restores the heads' order after class k's head key rose: its
 // head was refreshed or replaced by the next node.
 func (c *GreedyDual) headRose(k int32) {
-	if len(c.heads) > scanClasses {
-		c.down(int(c.classes[k].pos))
-	}
+	c.down(int(c.classes[k].pos))
 }
 
 // release unlinks node s, frees its slot and returns its entry; its
@@ -262,11 +238,8 @@ func (c *GreedyDual) retire(k int32) {
 	if i < last {
 		c.heads[i] = moved
 		c.classes[moved].pos = int32(i)
-		if last > scanClasses {
-			// More than scanClasses remain: they stay a heap.
-			c.down(i)
-			c.up(int(c.classes[moved].pos))
-		}
+		c.down(i)
+		c.up(int(c.classes[moved].pos))
 	}
 	c.classes[k].pos, c.freeClass = c.freeClass, k
 }

@@ -15,13 +15,14 @@ import (
 // two bits pick Access, Add, Remove or a refused Add and its low six
 // the id; the second gives the Add's size (top two bits, 1..4) and its
 // Cost/Size ratio, one of k quarter steps, so the script holds exactly
-// k ratio classes: k = 1, up to scanClasses (the heads are scanned) or
-// more (they are kept in a heap).  A refused Add is zero-size or
-// larger than the cache.  Every answer must match the reference: hits,
-// victim sequences and removed entries; after each step the touched
-// id's H value bits, the inflation bits, Len and Used, and that the
-// ratio index holds exactly the live classes; and every thirty-second
-// step and at the end, Objects.
+// k ratio classes: k = 1, up to manyClasses, or more.  A refused Add is
+// zero-size or larger than the cache.  Every answer must match the
+// reference: hits, victim sequences and removed entries; after each
+// step the touched id's H value bits, the inflation bits, Len and Used,
+// that the ratio index holds exactly the live classes, and that the
+// heads are a min-heap by each head's (H, seq) whose every class knows
+// its place in it; and every thirty-second step and at the end,
+// Objects.
 func FuzzGreedyDual(f *testing.F) {
 	script := func(k, n int) []byte {
 		var s []byte
@@ -33,9 +34,9 @@ func FuzzGreedyDual(f *testing.F) {
 		return s
 	}
 	f.Add(uint8(0), uint8(12), script(1, 64))    // one class
-	f.Add(uint8(3), uint8(20), script(4, 64))    // four, scanned
-	f.Add(uint8(7), uint8(30), script(8, 64))    // eight, the most scanned
-	f.Add(uint8(19), uint8(47), script(20, 100)) // twenty, in a heap
+	f.Add(uint8(3), uint8(20), script(4, 64))    // four
+	f.Add(uint8(7), uint8(30), script(8, 64))    // eight, manyClasses
+	f.Add(uint8(19), uint8(47), script(20, 100)) // twenty
 	f.Add(uint8(63), uint8(47), script(64, 100)) // sixty-four
 	f.Add(uint8(8), uint8(2), []byte{0x41, 9})   // nine classes in a tiny cache
 	f.Fuzz(func(t *testing.T, classes, capacity uint8, script []byte) {
@@ -80,8 +81,17 @@ func FuzzGreedyDual(f *testing.F) {
 				if g, w := gdStateOf(got, obj), gdStateOf(want, obj); g != w {
 					t.Fatalf("step %d obj %d: %T state %+v, reference %+v", step, obj, got, g, w)
 				}
-				if gd := got.(*GreedyDual); gd.classOf.len() != len(gd.heads) {
+				gd := got.(*GreedyDual)
+				if gd.classOf.len() != len(gd.heads) {
 					t.Fatalf("step %d: %d live classes, %d indexed by ratio", step, len(gd.heads), gd.classOf.len())
+				}
+				for i, k := range gd.heads {
+					if int(gd.classes[k].pos) != i {
+						t.Fatalf("step %d: class %d at heads[%d] says it is at %d", step, k, i, gd.classes[k].pos)
+					}
+					if i > 0 && gd.headBefore(i, (i-1)/2) {
+						t.Fatalf("step %d: heads[%d] comes before its parent heads[%d]", step, i, (i-1)/2)
+					}
 				}
 				if step%64 != 0 && step+3 < len(script) {
 					continue
@@ -93,6 +103,12 @@ func FuzzGreedyDual(f *testing.F) {
 		}
 	})
 }
+
+// manyClasses is the live ratio-class count the many-class rows
+// (TestPolicyAllocsPerRun, diffCases) must exceed: twice netmodel's four
+// fetch costs, so the heap over class heads is deeper than the
+// simulator's own runs make it.
+const manyClasses = 8
 
 // gdPolicy is a Policy with greedy-dual's side channels.
 type gdPolicy interface {

@@ -253,7 +253,7 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 	cost := parseCost(queryParam(r.URL.RawQuery, "cost"))
 	folded := fold(id)
 	ifFree := queryParam(r.URL.RawQuery, "ifFree") == "1"
-	if ifFree && r.ContentLength > 0 && !c.store.FreeFor(folded, int(r.ContentLength)) {
+	if ifFree && r.ContentLength > 0 && uint64(r.ContentLength) > c.store.Headroom() {
 		// A declared length that does not fit is refused before a byte of
 		// the body is read.
 		c.refuseStore(w)
@@ -264,7 +264,7 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if ifFree && !c.store.FreeFor(folded, len(body)) {
+	if ifFree && uint64(len(body)) > c.store.Headroom() {
 		// Unknown length (chunked), or the room went while the body was
 		// in flight.
 		c.refuseStore(w)

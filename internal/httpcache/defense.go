@@ -147,8 +147,9 @@ func (p *Proxy) verifyBody(folded trace.ObjectID, body []byte) bool {
 	return true
 }
 
-// contribution is one client cache's serve-vs-strike ledger; the
-// sweeper evicts clients whose strikes exhaust the budget.
+// contribution is one client cache's serve-vs-strike ledger, kept on
+// its ring record; the sweeper evicts clients whose strikes exhaust the
+// budget.
 type contribution struct {
 	serves      atomic.Int64
 	timeouts    atomic.Int64
@@ -159,49 +160,27 @@ func (c *contribution) strikes() int64 {
 	return c.timeouts.Load() + 4*c.digestFails.Load()
 }
 
-func (p *Proxy) contribFor(addr string) *contribution {
-	if c, ok := p.contrib.Load(addr); ok {
-		return c.(*contribution)
-	}
-	c, _ := p.contrib.LoadOrStore(addr, &contribution{})
-	return c.(*contribution)
-}
-
-// contribCondemned reports whether addr's strike ledger warrants
-// eviction: the strike budget is spent and the client has not earned
-// it back with serves.
-func (p *Proxy) contribCondemned(addr string) bool {
-	v, ok := p.contrib.Load(addr)
-	if !ok {
-		return false
-	}
-	c := v.(*contribution)
+// condemned reports whether the ledger warrants eviction: the strike
+// budget is spent and the client has not earned it back with serves.
+func (c *contribution) condemned() bool {
 	s := c.strikes()
 	return s >= sweepStrikes && s > c.serves.Load()/4
 }
 
-// breaker is a per-peer circuit breaker: consecutive transport
-// failures open it; after the cooldown one half-open probe is
-// admitted, and a success closes it again.
+// breaker is a cooperating proxy's circuit breaker, kept on its record:
+// consecutive transport failures open it; after the cooldown one
+// half-open probe is admitted, and a success closes it again.
 type breaker struct {
 	failures atomic.Int64
 	openedAt atomic.Int64 // unixnano; 0 = closed
 }
 
-func (p *Proxy) breakerFor(peer string) *breaker {
-	if b, ok := p.breakers.Load(peer); ok {
-		return b.(*breaker)
-	}
-	b, _ := p.breakers.LoadOrStore(peer, &breaker{})
-	return b.(*breaker)
-}
-
-// peerAllowed reports whether the breaker admits a call to peer.
-func (p *Proxy) peerAllowed(peer string) bool {
+// peerAllowed reports whether to's breaker admits a call to it.
+func (p *Proxy) peerAllowed(to *peer) bool {
 	if p.defenses.BreakerFailures <= 0 {
 		return true
 	}
-	b := p.breakerFor(peer)
+	b := &to.breaker
 	opened := b.openedAt.Load()
 	if opened == 0 {
 		return true
@@ -215,31 +194,31 @@ func (p *Proxy) peerAllowed(peer string) bool {
 	return b.openedAt.CompareAndSwap(opened, now)
 }
 
-// peerFailed records a transport failure against peer, opening the
+// peerFailed records a transport failure against to, opening the
 // breaker at the threshold.
-func (p *Proxy) peerFailed(peer string) {
+func (p *Proxy) peerFailed(to *peer) {
 	if p.defenses.BreakerFailures <= 0 {
 		return
 	}
-	b := p.breakerFor(peer)
+	b := &to.breaker
 	if int(b.failures.Add(1)) >= p.defenses.BreakerFailures {
 		if b.openedAt.CompareAndSwap(0, time.Now().UnixNano()) {
 			p.stats.breakerOpens.Add(1)
-			p.events.Emit("breaker.open", map[string]string{"peer": peer})
+			p.events.Emit("breaker.open", map[string]string{"peer": to.base})
 		}
 	}
 }
 
 // peerOK records a successful round trip (a miss answer counts —
 // the peer is healthy), closing the breaker.
-func (p *Proxy) peerOK(peer string) {
+func (p *Proxy) peerOK(to *peer) {
 	if p.defenses.BreakerFailures <= 0 {
 		return
 	}
-	b := p.breakerFor(peer)
+	b := &to.breaker
 	b.failures.Store(0)
 	if b.openedAt.Swap(0) != 0 {
-		p.events.Emit("breaker.close", map[string]string{"peer": peer})
+		p.events.Emit("breaker.close", map[string]string{"peer": to.base})
 	}
 }
 

@@ -2,6 +2,7 @@ package httpcache
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -95,9 +96,9 @@ func TestSlowPeerDeadline(t *testing.T) {
 			}
 			px, srv := defenseProxy(t, Defenses{PeerTimeout: deadline}, daemons...)
 			plantDir(px, objURL)
-			owner, _ := px.ring.owner(keyOf(objURL))
+			owner := px.ring.owner(keyOf(objURL))
 			slow := daemons[0]
-			if owner != slow.addr {
+			if owner.addr != slow.addr {
 				slow = daemons[1]
 			}
 			slow.delay.Store(int64(500 * time.Millisecond))
@@ -122,10 +123,10 @@ func TestSlowPeerDeadline(t *testing.T) {
 			// A timeout is a strike, not a death: the daemon stays in the
 			// ring (only connection-level failures evict) and its ledger
 			// carries the strike for the sweeper to judge.
-			if !slices.Contains(px.ring.addresses(), slow.addr) {
+			if !slices.Contains(addrsOf(px.ring.snapshot()), slow.addr) {
 				t.Fatal("timed-out daemon was evicted from the ring; timeouts must only strike")
 			}
-			if got := px.contribFor(slow.addr).timeouts.Load(); got != 1 {
+			if got := member(px, slow.addr).ledger.timeouts.Load(); got != 1 {
 				t.Fatalf("daemon has %d timeout strikes, want 1", got)
 			}
 		})
@@ -181,7 +182,7 @@ func TestRelayHopDeadline(t *testing.T) {
 	if px.ring.size() != 2 {
 		t.Fatal("a deadline took the daemon off the ring")
 	}
-	if got := px.contribFor(hungAddr).timeouts.Load(); got != 1 {
+	if got := member(px, hungAddr).ledger.timeouts.Load(); got != 1 {
 		t.Fatalf("hung daemon has %d timeout strikes, want 1", got)
 	}
 }
@@ -240,7 +241,7 @@ func TestRegisterEscapesAddr(t *testing.T) {
 			t.Fatalf("Register(%q): %v", addr, err)
 		}
 	}
-	got := px.ring.addresses()
+	got := addrsOf(px.ring.snapshot())
 	slices.Sort(got)
 	if !slices.Equal(got, addrs) {
 		t.Fatalf("ring addresses = %q, want %q", got, addrs)
@@ -362,7 +363,7 @@ func TestContributionSweep(t *testing.T) {
 			t.Fatalf("fetch %d: status %d", i, status)
 		}
 	}
-	if c := px.contribFor(daemon.addr); c.strikes() < sweepStrikes {
+	if c := &member(px, daemon.addr).ledger; c.strikes() < sweepStrikes {
 		t.Fatalf("strikes = %d, want >= %d", c.strikes(), sweepStrikes)
 	}
 	removed := px.SweepClientCaches()
@@ -372,6 +373,113 @@ func TestContributionSweep(t *testing.T) {
 	if st := px.snapshotStats(); st.Defense.ContribSwept != 1 {
 		t.Fatalf("contrib swept = %d, want 1", st.Defense.ContribSwept)
 	}
+}
+
+// A client cache's ledger and headroom figure last only as long as the
+// registration they belong to.  A daemon one strike short of
+// condemnation and known to be full is dropped by a connection-failed
+// hop, or by a failed sweep probe, or not at all, and registers again:
+// each way it comes back with an empty ledger and unknown headroom, so
+// one more strike does not condemn it.  A failed hop drops the record
+// it was made with and no other: a daemon that registered again
+// meanwhile keeps its new record.
+func TestLedgerLastsOneRegistration(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// drop runs while the daemon answers nothing whole, given the
+		// record it registered with; dropped says it leaves the ring.
+		drop    func(px *Proxy, m *peer)
+		dropped bool
+	}{
+		{"dropped by a connection-failed hop", func(px *Proxy, m *peer) {
+			px.lanFetch(context.Background(), m, keyOf("http://origin.test/ledger"), "")
+		}, true},
+		{"dropped by a failed sweep probe", func(px *Proxy, _ *peer) { px.SweepClientCaches() }, true},
+		{"registered again", func(*Proxy, *peer) {}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			px, d := ledgerRing(t)
+			first := d.register(t)
+			first.ledger.timeouts.Add(sweepStrikes - 1)
+			first.free.Store(0)
+			d.down.Store(true)
+			tc.drop(px, first)
+			d.down.Store(false)
+			if dropped := member(px, d.addr) == nil; dropped != tc.dropped {
+				t.Fatalf("daemon dropped: %v, want %v", dropped, tc.dropped)
+			}
+			again := d.register(t)
+			if s := again.ledger.strikes(); s != 0 || again.ledger.serves.Load() != 0 || again.free.Load() != freeUnknown {
+				t.Fatalf("registered again with %d strikes, %d serves, headroom %d; want an empty ledger and unknown headroom",
+					s, again.ledger.serves.Load(), again.free.Load())
+			}
+			again.ledger.timeouts.Add(1)
+			if removed := px.SweepClientCaches(); len(removed) != 0 {
+				t.Fatalf("the sweep removed %v: the old registration's strikes counted against the new one", removed)
+			}
+		})
+	}
+	t.Run("a failed hop on a replaced record", func(t *testing.T) {
+		px, d := ledgerRing(t)
+		old := d.register(t)
+		again := d.register(t)
+		d.down.Store(true)
+		if _, ok := px.lanFetch(context.Background(), old, keyOf("http://origin.test/ledger"), ""); ok {
+			t.Fatal("a daemon answering short served")
+		}
+		d.down.Store(false)
+		if m := member(px, d.addr); m != again || px.ring.size() != 1 {
+			t.Fatalf("ring holds %v (%d members), want the new registration alone", m, px.ring.size())
+		}
+	})
+}
+
+// ledgerDaemon is a client-cache stand-in that registers with a proxy
+// and, while down, answers frames short and plain HTTP by closing the
+// connection: a connection-level failure to a hop and to a sweep probe.
+type ledgerDaemon struct {
+	*farEnd
+	proxyURL string
+	px       *Proxy
+	down     atomic.Bool
+}
+
+// ledgerRing serves a proxy and starts one ledgerDaemon, not yet
+// registered.
+func ledgerRing(t *testing.T) (*Proxy, *ledgerDaemon) {
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
+	srv := httptest.NewServer(px.Handler())
+	t.Cleanup(srv.Close)
+	d := &ledgerDaemon{proxyURL: srv.URL, px: px}
+	short := shortReply(64, TierClientCache)
+	d.farEnd = newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case !d.down.Load():
+			http.NotFound(w, r)
+		case r.Proto == FrameProtocol:
+			short(w, r)
+		default:
+			c, _, err := http.NewResponseController(w).Hijack()
+			if err == nil {
+				c.Close()
+			}
+		}
+	}))
+	return px, d
+}
+
+// register registers the daemon through POST /register and returns the
+// proxy's record of it.
+func (d *ledgerDaemon) register(t *testing.T) *peer {
+	t.Helper()
+	if err := Register(d.proxyURL, d.addr, nil); err != nil {
+		t.Fatal(err)
+	}
+	m := member(d.px, d.addr)
+	if m == nil {
+		t.Fatal("registered, but not on the ring")
+	}
+	return m
 }
 
 // TestAdaptivePeerTimeout exercises the PeerTimeout auto-tuner: the
@@ -447,7 +555,7 @@ func TestRelayRepairs(t *testing.T) {
 		f := pin(t, px, "")
 		pullDigests(px)
 		endorsed := func() bool {
-			return px.coop.Load().digests[peerSrv.URL].filter.Load().MayContain(uint64(fold(keyOf(objURL))))
+			return coopPeer(px, peerSrv.URL).digest.filter.Load().MayContain(uint64(fold(keyOf(objURL))))
 		}
 		if !endorsed() {
 			t.Fatal("the peer's digest does not endorse its directory entry")
@@ -514,7 +622,7 @@ func TestRelayRepairs(t *testing.T) {
 			if got := statsDelta(before, peerPx.snapshotStats()); got != tc.delta {
 				t.Errorf("peer moved by %+v, want %+v", got, tc.delta)
 			}
-			if got := peerPx.contribFor(bad.addr).digestFails.Load(); got != 1 {
+			if got := member(peerPx, bad.addr).ledger.digestFails.Load(); got != 1 {
 				t.Errorf("the corrupting daemon has %d digest strikes, want 1", got)
 			}
 		})

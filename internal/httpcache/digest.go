@@ -25,14 +25,8 @@ const (
 	digestFPRate = 0.01
 )
 
-// peerSet is the cooperating proxies Options.Peers named, in the order
-// they are asked, with what this proxy holds of each one's digest.
-type peerSet struct {
-	bases   []string
-	digests map[string]*peerDigest
-}
-
-// peerDigest is the last digest pulled of one cooperating proxy.
+// peerDigest is the last digest pulled of one cooperating proxy, kept on
+// its record.
 type peerDigest struct {
 	// filter is nil while none is held — before the first pull, and after
 	// a pull that brought none — and the peer is then asked as it would
@@ -71,18 +65,18 @@ func (p *Proxy) handleDigest(w http.ResponseWriter, _ *http.Request) {
 	w.Write(body)
 }
 
-// digestAdmits reports whether base is worth asking for q's object: the
+// digestAdmits reports whether to is worth asking for q's object: the
 // digest held of it says it may have it, or none is held.  It also
 // keeps the digest fresh, pulling one that is due off the request path.
 // A proxy whose requests never reach this tier pulls nothing.
-func (p *Proxy) digestAdmits(q fetchReq, base string) bool {
-	d := p.coop.Load().digests[base]
+func (p *Proxy) digestAdmits(q fetchReq, to *peer) bool {
+	d := &to.digest
 	if p.stats.requests.Load() >= d.due.Load() && d.pulling.CompareAndSwap(false, true) {
 		p.pulls.Add(1)
 		go func() {
 			defer p.pulls.Done()
 			defer d.pulling.Store(false)
-			p.pullDigest(base, d)
+			p.pullDigest(to)
 		}()
 	}
 	if f := d.filter.Load(); f != nil && !f.MayContain(uint64(q.folded)) {
@@ -92,15 +86,16 @@ func (p *Proxy) digestAdmits(q fetchReq, base string) bool {
 	return true
 }
 
-// pullDigest fetches base's digest through hop, which judges a refusal
+// pullDigest fetches to's digest through hop, which judges a refusal
 // or a hang as it judges any hop to a proxy, and holds it for the next
 // DigestEvery requests.  Anything but a well-formed digest drops the one
 // held, so the peer is asked as if there were no digests, under its
 // breaker, until the next pull.
-func (p *Proxy) pullDigest(base string, d *peerDigest) {
+func (p *Proxy) pullDigest(to *peer) {
+	d := &to.digest
 	d.due.Store(p.stats.requests.Load() + DigestEvery)
 	var f *bloom.Filter
-	rep, err := p.hop(context.Background(), peer{coopProxy, base}, "GET", "/digest", nil, "")
+	rep, err := p.hop(context.Background(), to, "GET", "/digest", nil, "")
 	if err == nil && rep.status == http.StatusOK {
 		f = new(bloom.Filter)
 		if f.UnmarshalBinary(rep.body) != nil {
@@ -112,6 +107,6 @@ func (p *Proxy) pullDigest(base string, d *peerDigest) {
 		p.stats.digestPullFails.Add(1)
 		return
 	}
-	p.peerOK(base)
+	p.peerOK(to)
 	p.stats.digestPulls.Add(1)
 }

@@ -69,7 +69,11 @@ func askFramed(t testing.TB, base, pathQuery, traceID string) reply {
 	defer pool.closeIdle()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	rep, err := pool.exchange(ctx, peer{coopProxy, base}.hostPort(), "GET", pathQuery, nil, traceID)
+	to, err := parsePeers([]string{base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := pool.exchange(ctx, to[0].addr, "GET", pathQuery, nil, traceID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +94,13 @@ func TestHopWritesOnce(t *testing.T) {
 		return countingConn{conn, &writes, &reads}, err
 	}
 	// The upgrade's own write and read are not the hops'.
-	if _, ok := px.lanFetch(context.Background(), addrs[0], keyOf("http://origin.test/absent"), ""); ok {
+	if _, ok := px.lanFetch(context.Background(), member(px, addrs[0]), keyOf("http://origin.test/absent"), ""); ok {
 		t.Fatal("fetched an object the daemon does not hold")
 	}
 	obj := store.Object{HexKey: keyOf("http://origin.test/8k").String(), Body: sizedBody("/8k", 8<<10), Cost: 1}
 	for i := 0; i < 5; i++ {
 		w, r := writes.Load(), reads.Load()
-		if rec, err := px.storeAt(addrs[0], obj, false); rec == nil || err != nil {
+		if rec, err := px.storeAt(member(px, addrs[0]), obj, false); rec == nil || err != nil {
 			t.Fatalf("store = (%v, %v)", rec, err)
 		}
 		if got := writes.Load() - w; got != 1 {
@@ -106,7 +110,7 @@ func TestHopWritesOnce(t *testing.T) {
 			t.Errorf("round %d: its receipt took %d reads, want 1", i, got)
 		}
 		w, r = writes.Load(), reads.Load()
-		body, ok := px.lanFetch(context.Background(), addrs[0], keyOf("http://origin.test/8k"), "")
+		body, ok := px.lanFetch(context.Background(), member(px, addrs[0]), keyOf("http://origin.test/8k"), "")
 		if !ok || !bytes.Equal(body, obj.Body) {
 			t.Fatalf("LAN fetch = (%d bytes, %v)", len(body), ok)
 		}
@@ -266,7 +270,7 @@ func TestFrameShutdownClosesConnections(t *testing.T) {
 // ends the frame loops at the far end.
 func TestCloseIdleDropsFrames(t *testing.T) {
 	px, ccs, addrs := ringOf(t, 1<<20)
-	px.lanFetch(context.Background(), addrs[0], keyOf("absent"), "")
+	px.lanFetch(context.Background(), member(px, addrs[0]), keyOf("absent"), "")
 	if n := len(px.hops.idle[addrs[0]]); n != 1 {
 		t.Fatalf("%d idle frame connections after one hop, want 1", n)
 	}
@@ -305,11 +309,11 @@ func TestAbandonedPeerLookupCancelsRelay(t *testing.T) {
 	peerSrv := httptest.NewServer(peerPx.Handler())
 	t.Cleanup(peerSrv.Close)
 
-	px := newProxy(t, Options{CapacityBytes: 1 << 20, Defenses: Defenses{PeerTimeout: 10 * time.Second}})
+	px := newProxy(t, Options{CapacityBytes: 1 << 20, Defenses: Defenses{PeerTimeout: 10 * time.Second}, Peers: []string{peerSrv.URL}})
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := px.hop(ctx, peer{coopProxy, peerSrv.URL}, "GET", "/peer-lookup?key="+keyOf(objURL).String(), nil, "")
+		_, err := px.hop(ctx, px.coop[0], "GET", "/peer-lookup?key="+keyOf(objURL).String(), nil, "")
 		errc <- err
 	}()
 	time.Sleep(100 * time.Millisecond) // the relay's /object is out

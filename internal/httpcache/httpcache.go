@@ -41,14 +41,15 @@
 // quantifies what piggybacking saves), and the free-space knowledge
 // §4.3 places evictions by is headroom on every store reply, trial
 // store only when unknown or stale: each /store reply carries the
-// largest body the daemon takes for any key without evicting, the ring
-// keeps the last figure per member, and pass-down picks owner,
+// largest body the daemon takes for any key without evicting, each
+// member's ring record keeps the last figure, and pass-down picks owner,
 // neighbour or forced store from it.  The figure is the daemon's
 // capacity less its resident bytes: one policy holds every key, so
 // whatever fits for one key fits for all.
 package httpcache
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -79,78 +80,78 @@ const (
 func keyOf(url string) pastry.ID { return pastry.HashString(url) }
 
 // ring is a consistent-hash ring of registered client caches: the
-// proxy-side stand-in for DHT routing (see the package comment).
+// proxy-side stand-in for DHT routing (see the package comment).  The
+// zero value is an empty ring.
 type ring struct {
-	mu    sync.RWMutex
-	ids   []pastry.ID // sorted
-	addrs map[pastry.ID]string
-	// free holds, for every member, the headroom its latest /store reply
-	// reported (FreeHeader), or freeUnknown before the first one.
-	free map[string]int64
+	mu      sync.RWMutex
+	members []*peer // sorted by id
 }
 
 // freeUnknown marks a member whose headroom has not been reported
 // since it (re-)registered; pass-down probes it with a trial store.
 const freeUnknown = -1
 
-func newRing() *ring {
-	return &ring{addrs: make(map[pastry.ID]string), free: make(map[string]int64)}
+// search returns the index of the first member whose id is not below id.
+func (r *ring) search(id pastry.ID) int {
+	return sort.Search(len(r.members), func(i int) bool { return !r.members[i].id.Less(id) })
 }
 
-// add registers a cache daemon; its cacheId is the hash of its
-// address.  Returns the cacheId.  A daemon that registers again has
-// restarted, so whatever headroom it last reported is forgotten.
-func (r *ring) add(addr string) pastry.ID {
-	id := pastry.HashString(addr)
+// index returns m's index on the ring, or -1 once m has left it.
+func (r *ring) index(m *peer) int {
+	if i := r.search(m.id); i < len(r.members) && r.members[i] == m {
+		return i
+	}
+	return -1
+}
+
+// add registers the cache daemon at addr and returns its record, whose
+// id is the hash of addr.  A daemon that registers again has restarted:
+// its old record leaves the ring, and the new one starts with unknown
+// headroom and an empty ledger.
+func (r *ring) add(addr string) *peer {
+	m := &peer{kind: clientCache, addr: addr, id: pastry.HashString(addr)}
+	m.free.Store(freeUnknown)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.free[addr] = freeUnknown
-	if _, dup := r.addrs[id]; !dup {
-		i := sort.Search(len(r.ids), func(i int) bool { return !r.ids[i].Less(id) })
-		r.ids = append(r.ids, pastry.ID{})
-		copy(r.ids[i+1:], r.ids[i:])
-		r.ids[i] = id
-		r.addrs[id] = addr
+	i := r.search(m.id)
+	if i < len(r.members) && r.members[i].id == m.id {
+		r.members[i] = m
+	} else {
+		r.members = slices.Insert(r.members, i, m)
 	}
-	return id
+	return m
 }
 
-// remove drops a daemon (crash or deregistration).
-func (r *ring) remove(addr string) {
-	id := pastry.HashString(addr)
+// remove drops m (crash or deregistration) if it is still on the ring;
+// a record its daemon's re-registration replaced is gone already, and
+// the new one stays.
+func (r *ring) remove(m *peer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.addrs[id]; !ok {
-		return
-	}
-	delete(r.addrs, id)
-	delete(r.free, addr)
-	i := sort.Search(len(r.ids), func(i int) bool { return !r.ids[i].Less(id) })
-	if i < len(r.ids) && r.ids[i] == id {
-		r.ids = append(r.ids[:i], r.ids[i+1:]...)
+	if i := r.index(m); i >= 0 {
+		r.members = slices.Delete(r.members, i, i+1)
 	}
 }
 
-// neighbours returns the members next to addr on the ring, successor
-// then predecessor (one address on a ring of two, none alone), whether
-// or not addr is still a member itself: the stand-in for the owner's
-// leaf set, and so the diversion candidates (§4.3).
-func (r *ring) neighbours(addr string) []string {
-	id := pastry.HashString(addr)
+// neighbours returns the members next to m on the ring, successor then
+// predecessor (one on a ring of two, none alone), whether or not m is
+// still a member itself: the stand-in for the owner's leaf set, and so
+// the diversion candidates (§4.3).
+func (r *ring) neighbours(m *peer) []*peer {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	n := len(r.ids)
+	n := len(r.members)
 	if n == 0 {
 		return nil
 	}
-	i := sort.Search(n, func(i int) bool { return !r.ids[i].Less(id) })
+	i := r.search(m.id)
 	succ := i % n
-	if r.ids[succ] == id {
+	if r.members[succ].id == m.id {
 		succ = (i + 1) % n
 	}
-	var out []string
+	var out []*peer
 	for _, j := range [2]int{succ, (i + n - 1) % n} {
-		if a := r.addrs[r.ids[j]]; a != addr && (len(out) == 0 || out[0] != a) {
+		if a := r.members[j]; a.id != m.id && (len(out) == 0 || out[0] != a) {
 			out = append(out, a)
 		}
 	}
@@ -160,62 +161,52 @@ func (r *ring) neighbours(addr string) []string {
 // candidates returns owner followed by its ring neighbours: the caches
 // an object of owner's may be at, a diversion having placed it next
 // door (§4.3), in the order to place it or to look for it.
-func (r *ring) candidates(owner string) []string {
-	return append([]string{owner}, r.neighbours(owner)...)
+func (r *ring) candidates(owner *peer) []*peer {
+	return append([]*peer{owner}, r.neighbours(owner)...)
 }
 
-// owner returns the address of the cache whose id is numerically
-// closest to key (the destination client cache of §4.1).
-func (r *ring) owner(key pastry.ID) (string, bool) {
+// owner returns the cache whose id is numerically closest to key (the
+// destination client cache of §4.1), or nil on an empty ring.
+func (r *ring) owner(key pastry.ID) *peer {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.ids) == 0 {
-		return "", false
+	n := len(r.members)
+	if n == 0 {
+		return nil
 	}
-	i := sort.Search(len(r.ids), func(i int) bool { return !r.ids[i].Less(key) })
-	best := r.ids[i%len(r.ids)]
+	i := r.search(key)
+	best := r.members[i%n]
 	for _, j := range []int{i - 1, i, i + 1} {
-		c := r.ids[((j%len(r.ids))+len(r.ids))%len(r.ids)]
-		if c.CloserToThan(key, best) {
+		c := r.members[((j%n)+n)%n]
+		if c.id.CloserToThan(key, best.id) {
 			best = c
 		}
 	}
-	return r.addrs[best], true
+	return best
 }
 
-// noteFree records the headroom a member's /store reply reported; a
-// reply that outlives its sender's membership is dropped.
-func (r *ring) noteFree(addr string, free int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, member := r.free[addr]; member {
-		r.free[addr] = free
+// mayFit reports whether a body of size bytes is worth sending to m
+// with ifFree: m is still on the ring, and its last reported headroom
+// takes the body or none is known.
+func (r *ring) mayFit(m *peer, size int) bool {
+	if free := m.free.Load(); free != freeUnknown && free < int64(size) {
+		return false
 	}
-}
-
-// mayFit reports whether a body of size bytes is worth sending to addr
-// with ifFree: its last reported headroom takes it, or none is known.
-func (r *ring) mayFit(addr string, size int) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	free, member := r.free[addr]
-	return member && (free == freeUnknown || free >= int64(size))
+	return r.index(m) >= 0
 }
 
-// addresses snapshots the registered cache addresses (liveness sweep).
-func (r *ring) addresses() []string {
+// snapshot copies the member list (liveness sweep).
+func (r *ring) snapshot() []*peer {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.ids))
-	for _, id := range r.ids {
-		out = append(out, r.addrs[id])
-	}
-	return out
+	return slices.Clone(r.members)
 }
 
 // size reports the number of registered caches.
 func (r *ring) size() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.ids)
+	return len(r.members)
 }

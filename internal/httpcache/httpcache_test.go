@@ -346,12 +346,12 @@ func TestClientCacheDaemonEndpoints(t *testing.T) {
 }
 
 func TestRing(t *testing.T) {
-	r := newRing()
-	if _, ok := r.owner(pastry.HashString("k")); ok {
+	var r ring
+	if r.owner(pastry.HashString("k")) != nil {
 		t.Fatal("owner on empty ring")
 	}
 	r.add("a:1")
-	r.add("b:2")
+	b := r.add("b:2")
 	r.add("c:3")
 	r.add("a:1") // duplicate
 	if r.size() != 3 {
@@ -359,17 +359,17 @@ func TestRing(t *testing.T) {
 	}
 	// Ownership is deterministic and stable.
 	key := pastry.HashString("some-url")
-	o1, _ := r.owner(key)
-	o2, _ := r.owner(key)
+	o1 := r.owner(key)
+	o2 := r.owner(key)
 	if o1 != o2 {
 		t.Fatal("owner unstable")
 	}
-	r.remove("b:2")
-	r.remove("b:2") // idempotent
+	r.remove(b)
+	r.remove(b) // idempotent
 	if r.size() != 2 {
 		t.Fatalf("size after remove = %d", r.size())
 	}
-	if o, _ := r.owner(key); o == "b:2" {
+	if o := r.owner(key); o.addr == "b:2" {
 		t.Fatal("removed node still owns keys")
 	}
 }
@@ -379,15 +379,19 @@ func TestRing(t *testing.T) {
 // which on a ring of more than three left most owners nowhere to
 // divert once those two were full.
 func TestRingNeighbours(t *testing.T) {
-	r := newRing()
-	if got := r.neighbours("a:1"); len(got) != 0 {
+	var r ring
+	if got := r.neighbours(&peer{addr: "a:1", id: pastry.HashString("a:1")}); len(got) != 0 {
 		t.Fatalf("neighbours on an empty ring = %v", got)
 	}
 	var addrs []string
+	var first *peer
 	for i := 0; i < 7; i++ {
 		addrs = append(addrs, fmt.Sprintf("cache-%d:80", i))
-		r.add(addrs[i])
-		switch got := r.neighbours(addrs[0]); {
+		m := r.add(addrs[i])
+		if i == 0 {
+			first = m
+		}
+		switch got := addrsOf(r.neighbours(first)); {
 		case i == 0 && len(got) != 0:
 			t.Fatalf("neighbours of the only member = %v", got)
 		case i == 1 && !slices.Equal(got, addrs[1:2]):
@@ -401,16 +405,47 @@ func TestRingNeighbours(t *testing.T) {
 	n := len(sorted)
 	for i, a := range sorted {
 		want := []string{sorted[(i+1)%n], sorted[(i+n-1)%n]}
-		if got := r.neighbours(a); !slices.Equal(got, want) {
+		m := r.members[r.search(pastry.HashString(a))]
+		if got := addrsOf(r.neighbours(m)); !slices.Equal(got, want) {
 			t.Errorf("neighbours(%s) = %v, want successor and predecessor %v", a, got, want)
 		}
 		// A member that has just left still names the same neighbours.
-		r.remove(a)
-		if got := r.neighbours(a); !slices.Equal(got, want) {
+		r.remove(m)
+		if got := addrsOf(r.neighbours(m)); !slices.Equal(got, want) {
 			t.Errorf("neighbours(%s) after it left = %v, want %v", a, got, want)
 		}
 		r.add(a)
 	}
+}
+
+// addrsOf lists the addresses of ring records, in order.
+func addrsOf(ms []*peer) []string {
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = m.addr
+	}
+	return out
+}
+
+// member returns px's ring record of the client cache at addr, or nil
+// when none is registered there.
+func member(px *Proxy, addr string) *peer {
+	for _, m := range px.ring.snapshot() {
+		if m.addr == addr {
+			return m
+		}
+	}
+	return nil
+}
+
+// coopPeer returns px's record of the cooperating proxy at base.
+func coopPeer(px *Proxy, base string) *peer {
+	for _, c := range px.coop {
+		if c.base == base {
+			return c
+		}
+	}
+	return nil
 }
 
 func TestFoldDeterministic(t *testing.T) {

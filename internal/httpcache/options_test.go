@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -158,6 +159,49 @@ func TestPeersNormalized(t *testing.T) {
 			t.Errorf("peers %q: status %d tier %q, want 200 %q", peers, status, tier, TierRemoteProxy)
 		}
 		srv.Close()
+		px.Close()
+	}
+}
+
+// A Peers entry that a hop cannot dial is refused by name when the proxy
+// is built: hops are frames on plain TCP behind an Upgrade to the root
+// handler, dialled at the entry's host and port, so only an http:// URL
+// with a host, a port and no path reaches a peer.  The shorthand
+// TestPeersNormalized takes is accepted.
+func TestPeersRefused(t *testing.T) {
+	for _, tc := range []struct {
+		peers []string
+		bad   string // the entry the error names; "" = accepted
+		dial  string // the accepted last entry's dial address
+	}{
+		{peers: []string{"https://cache.example:8443"}, bad: "https://cache.example:8443"},
+		{peers: []string{"127.0.0.1:9000", "https://127.0.0.1:9001"}, bad: "https://127.0.0.1:9001"},
+		{peers: []string{"http://127.0.0.1:9000/proxy"}, bad: "http://127.0.0.1:9000/proxy"},
+		{peers: []string{"127.0.0.1:9000/proxy/"}, bad: "127.0.0.1:9000/proxy/"},
+		{peers: []string{"http://127.0.0.1:9000?x=1"}, bad: "http://127.0.0.1:9000?x=1"},
+		{peers: []string{"http://user@127.0.0.1:9000"}, bad: "http://user@127.0.0.1:9000"},
+		{peers: []string{"ftp://127.0.0.1:9000"}, bad: "ftp://127.0.0.1:9000"},
+		{peers: []string{"http://"}, bad: "http://"},
+		{peers: []string{"http://cache.example"}, bad: "http://cache.example"},
+		{peers: []string{"http://:9000"}, bad: "http://:9000"},
+		{peers: []string{" http://127.0.0.1:9000/ "}, dial: "127.0.0.1:9000"},
+		{peers: []string{"", "127.0.0.1:9000"}, dial: "127.0.0.1:9000"},
+		{peers: []string{"[::1]:9000"}, dial: "[::1]:9000"},
+	} {
+		px, err := NewProxyOpts(Options{CapacityBytes: 1 << 10, Peers: tc.peers})
+		if tc.bad != "" {
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.bad)) {
+				t.Errorf("peers %q: error %v, want one naming %q", tc.peers, err, tc.bad)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("peers %q: %v", tc.peers, err)
+			continue
+		}
+		if got := px.coop[len(px.coop)-1].addr; got != tc.dial {
+			t.Errorf("peers %q: a hop dials %q, want %q", tc.peers, got, tc.dial)
+		}
 		px.Close()
 	}
 }

@@ -27,7 +27,7 @@ func urlsOwnedBy(t *testing.T, px *Proxy, addr, prefix string, n int) []string {
 			t.Fatalf("no %d URLs owned by %s", n, addr)
 		}
 		u := fmt.Sprintf("http://origin.test/%s%05d", prefix, i)
-		if owner, _ := px.ring.owner(keyOf(u)); owner == addr {
+		if px.ring.owner(keyOf(u)).addr == addr {
 			out = append(out, u)
 		}
 	}
@@ -98,11 +98,11 @@ func TestPassDownOneStorePerEviction(t *testing.T) {
 	}
 	// keyOf hashes the URL the proxy sees, which carries the test
 	// origin's address.
-	owner := px.ring.addresses()[0]
+	owner := addrsOf(px.ring.snapshot())[0]
 	var fill []string
 	for i := 0; len(fill) < 3*slots+1; i++ {
 		path := fmt.Sprintf("/f%05d", i)
-		if o, _ := px.ring.owner(keyOf(d.origin.srv.URL + path)); o == owner {
+		if px.ring.owner(keyOf(d.origin.srv.URL+path)).addr == owner {
 			fill = append(fill, path)
 		}
 	}
@@ -145,7 +145,7 @@ func TestPassDownStaleFigureCorrected(t *testing.T) {
 	urls := urlsOwnedBy(t, px, a, "o", 3)
 
 	px.passDown(evictedObj(urls[0]))
-	if !px.ring.mayFit(a, 10) {
+	if !px.ring.mayFit(member(px, a), 10) {
 		t.Fatal("owner with one free slot is not a candidate")
 	}
 	// Behind the proxy's back: the owner's last slot goes.
@@ -164,7 +164,7 @@ func TestPassDownStaleFigureCorrected(t *testing.T) {
 	if ccs[1].Objects() != 1 || ccs[0].Objects() != 2 {
 		t.Fatalf("objects = %d at the owner, %d at the neighbour, want 2 and 1", ccs[0].Objects(), ccs[1].Objects())
 	}
-	if px.ring.mayFit(a, 10) || !px.ring.mayFit(a, 5) {
+	if px.ring.mayFit(member(px, a), 10) || !px.ring.mayFit(member(px, a), 5) {
 		t.Fatal("the 507 did not correct the owner's figure to its 5 free bytes")
 	}
 
@@ -202,8 +202,8 @@ func TestPassDownReRegisterForgetsFigure(t *testing.T) {
 
 	px.passDown(evictedObj(urls[0])) // fills the owner
 	px.passDown(evictedObj(urls[1])) // known full: diverted, and the neighbour's room is now known
-	if st := px.snapshotStats(); st.Diversions != 1 || st.StoreRefusals != 0 || px.ring.mayFit(a, 10) {
-		t.Fatalf("setup: %+v, owner still a candidate: %v", costOf(px), px.ring.mayFit(a, 10))
+	if st := px.snapshotStats(); st.Diversions != 1 || st.StoreRefusals != 0 || px.ring.mayFit(member(px, a), 10) {
+		t.Fatalf("setup: %+v, owner still a candidate: %v", costOf(px), px.ring.mayFit(member(px, a), 10))
 	}
 
 	fresh := newClientCache(t, Options{CapacityBytes: 15})
@@ -213,7 +213,7 @@ func TestPassDownReRegisterForgetsFigure(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !px.ring.mayFit(a, 10) {
+	if !px.ring.mayFit(member(px, a), 10) {
 		t.Fatal("re-registration did not reset the owner's figure to unknown")
 	}
 
@@ -274,7 +274,7 @@ func TestRefusedAndMissedRepliesKeepConnection(t *testing.T) {
 
 	const n = 50
 	for i := 0; i < n; i++ {
-		if rec, err := px.storeAt(addr, evictedObj("http://origin.test/refused"), true); rec != nil || err != nil {
+		if rec, err := px.storeAt(member(px, addr), evictedObj("http://origin.test/refused"), true); rec != nil || err != nil {
 			t.Fatalf("trial store %d into a full daemon = (%v, %v), want a refusal", i, rec, err)
 		}
 	}
@@ -285,7 +285,7 @@ func TestRefusedAndMissedRepliesKeepConnection(t *testing.T) {
 		t.Fatalf("%d refused stores opened %d connections, want 1", n, got)
 	}
 	for i := 0; i < n; i++ {
-		if _, ok := px.lanFetch(context.Background(), addr, keyOf("http://origin.test/absent"), ""); ok {
+		if _, ok := px.lanFetch(context.Background(), member(px, addr), keyOf("http://origin.test/absent"), ""); ok {
 			t.Fatal("fetched an object the daemon does not hold")
 		}
 	}

@@ -96,7 +96,9 @@ type Proxy struct {
 	// tiers is the /fetch cascade in the order it is walked, local its
 	// head that a /peer-lookup walks (tiers.go).
 	tiers, local []tier
-	ring         *ring
+	ring         ring
+	// coop is the cooperating proxies, in the order they are asked.
+	coop []*peer
 	// client fetches from origin servers; hops carries every hop to
 	// another daemon of the federation (frame.go).
 	client *http.Client
@@ -111,17 +113,13 @@ type Proxy struct {
 	mu  sync.Mutex
 	dir *directory.Exact
 
-	// coop is the cooperating proxies and their digests (digest.go);
-	// pulls tracks the digest pulls in flight.
-	coop  atomic.Pointer[peerSet]
+	// pulls tracks the digest pulls in flight (digest.go).
 	pulls sync.WaitGroup
 
-	// Defense state (defense.go): knobs, per-peer breakers, per-client
-	// contribution ledgers, sampled body digests, and the LAN-fetch
-	// latency histogram the adaptive per-hop deadline derives from.
+	// Defense state (defense.go): knobs, sampled body digests, and the
+	// LAN-fetch latency histogram the adaptive per-hop deadline derives
+	// from.  Breakers and contribution ledgers are kept on the records.
 	defenses  Defenses
-	breakers  sync.Map // peer URL -> *breaker
-	contrib   sync.Map // cache addr -> *contribution
 	digests   sync.Map // trace.ObjectID -> uint64 body digest
 	verifySeq atomic.Int64
 	lanLat    *obs.Histogram
@@ -149,14 +147,17 @@ type Proxy struct {
 	frames frameServer
 }
 
-// NewProxyOpts creates a proxy from o, complete: its cascade, ledger
-// and SLO tracker are built here and never changed after.  The error is
-// always nil; the result keeps the shape the bench program
-// destructures.
+// NewProxyOpts creates a proxy from o, complete: its cascade, ledger,
+// cooperating proxies and SLO tracker are built here and never changed
+// after.  It fails on a Peers entry a hop cannot dial (parsePeers).
 func NewProxyOpts(o Options) (*Proxy, error) {
+	coop, err := parsePeers(o.Peers)
+	if err != nil {
+		return nil, err
+	}
 	p := &Proxy{
 		storage:     o.newStorage("proxy"),
-		ring:        newRing(),
+		coop:        coop,
 		dir:         directory.NewExact(),
 		client:      newHTTPClient(10 * time.Second),
 		hops:        newFramePool(),
@@ -173,33 +174,41 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		p.slo = slo.NewTracker(o.Metrics, o.SLOClasses, slo.DefaultThresholds)
 		p.slo.SetEvents(o.Events)
 	}
-	peers := normalizeBaseURLs(o.Peers)
-	set := &peerSet{bases: peers, digests: make(map[string]*peerDigest, len(peers))}
-	for _, u := range peers {
-		set.digests[u] = &peerDigest{}
-	}
-	p.coop.Store(set)
 	p.local, p.tiers = p.cascade()
 	return p, nil
 }
 
-// normalizeBaseURLs canonicalizes operator shorthand for base URLs
-// ("host:port", stray spaces, a trailing slash) into the exact strings a
-// hop appends its path to and the breakers and digests key a peer by,
-// dropping blank entries.
-func normalizeBaseURLs(in []string) []string {
-	var out []string
-	for _, u := range in {
-		u = strings.TrimSpace(u)
-		if u == "" {
+// parsePeers makes the cooperating proxies' records from Options.Peers,
+// dropping blank entries.  Operator shorthand is taken ("host:port",
+// stray spaces, a trailing slash).  A hop is a frame on plain TCP behind
+// an Upgrade to the root handler, dialled at the entry's host and port,
+// so an entry with any scheme but http, without a host or a port, or
+// with a path, query, fragment or user, is refused: no hop could reach
+// what it names.
+func parsePeers(in []string) ([]*peer, error) {
+	var out []*peer
+	for _, raw := range in {
+		s := strings.TrimSpace(raw)
+		if s == "" {
 			continue
 		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
+		if !strings.Contains(s, "://") {
+			s = "http://" + s
 		}
-		out = append(out, strings.TrimRight(u, "/"))
+		u, err := url.Parse(s)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("httpcache: peer %q: %w", raw, err)
+		case u.Scheme != "http":
+			return nil, fmt.Errorf("httpcache: peer %q: scheme %q, but hops are plain TCP: only http:// peers can be dialled", raw, u.Scheme)
+		case u.Hostname() == "" || u.Port() == "":
+			return nil, fmt.Errorf("httpcache: peer %q names no host and port to dial: give http://host:port", raw)
+		case strings.TrimRight(u.Path, "/") != "" || u.RawQuery != "" || u.Fragment != "" || u.User != nil:
+			return nil, fmt.Errorf("httpcache: peer %q has a path, query or user, but hops go to the peer's root handler: give http://host:port", raw)
+		}
+		out = append(out, &peer{kind: coopProxy, addr: u.Host, base: "http://" + u.Host})
 	}
-	return out
+	return out, nil
 }
 
 // Close waits out the digest pulls in flight (each bounded by the
@@ -294,7 +303,7 @@ func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 		// Non-JSON or empty body: plain registration.
 	}
-	id := p.ring.add(addr)
+	m := p.ring.add(addr)
 	if len(body.Recovered) > 0 {
 		// The listed keys are taken on the sender's word: an entry no
 		// cache backs costs one wasted LAN probe, and the client-cache
@@ -307,7 +316,7 @@ func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 		p.mu.Unlock()
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]string{"cacheId": id.String()})
+	json.NewEncoder(w).Encode(map[string]string{"cacheId": m.id.String()})
 }
 
 // originFetch GETs the object body from its origin server.
@@ -338,14 +347,14 @@ const (
 // (same intranet — direct connections are allowed here; it is only
 // *cross-organization* connections the firewall forbids, which is why a
 // cooperating proxy's lookup is relayed through this proxy instead).
-func (p *Proxy) lanFetch(ctx context.Context, addr string, id pastry.ID, traceID string) ([]byte, bool) {
+func (p *Proxy) lanFetch(ctx context.Context, to *peer, id pastry.ID, traceID string) ([]byte, bool) {
 	start := time.Now()
-	rep, err := p.hop(ctx, peer{clientCache, addr}, "GET", "/object?key="+id.String(), nil, traceID)
+	rep, err := p.hop(ctx, to, "GET", "/object?key="+id.String(), nil, traceID)
 	if err != nil || rep.status != http.StatusOK {
 		return nil, false
 	}
 	p.lanLat.Observe(time.Since(start))
-	p.contribFor(addr).serves.Add(1)
+	to.ledger.serves.Add(1)
 	return rep.body, true
 }
 
@@ -362,8 +371,8 @@ func (p *Proxy) lanFetch(ctx context.Context, addr string, id pastry.ID, traceID
 // when nothing is known.
 func (p *Proxy) passDown(obj store.Object) {
 	id, _ := hexID(obj.HexKey) // the store holds only keys parseKey took
-	owner, ok := p.ring.owner(id)
-	if !ok {
+	owner := p.ring.owner(id)
+	if owner == nil {
 		return // no client caches registered: the object is dropped
 	}
 	var rec *StoreReceipt
@@ -427,29 +436,29 @@ func (p *Proxy) applyReceipt(folded trace.ObjectID, body []byte, rec *StoreRecei
 // no sense.  The hop does not descend from the /fetch that evicted: the
 // object has already left the proxy, and a requester hanging up must
 // not lose it.
-func (p *Proxy) storeAt(target string, obj store.Object, ifFree bool) (*StoreReceipt, error) {
+func (p *Proxy) storeAt(to *peer, obj store.Object, ifFree bool) (*StoreReceipt, error) {
 	path := "/store?key=" + obj.HexKey + "&cost=" + strconv.FormatFloat(obj.Cost, 'g', -1, 64)
 	if ifFree {
 		path += "&ifFree=1"
 	}
 	p.stats.storeCalls.Add(1)
-	rep, err := p.hop(context.Background(), peer{clientCache, target}, "POST", path, obj.Body, "")
+	rep, err := p.hop(context.Background(), to, "POST", path, obj.Body, "")
 	if err != nil {
 		return nil, err
 	}
 	if rep.free >= 0 {
-		p.ring.noteFree(target, rep.free)
+		to.free.Store(rep.free)
 	}
 	if rep.status != http.StatusOK {
 		if rep.status == http.StatusInsufficientStorage {
 			p.stats.storeRefusals.Add(1)
 			return nil, nil
 		}
-		return nil, fmt.Errorf("store at %s: status %d", target, rep.status)
+		return nil, fmt.Errorf("store at %s: status %d", to.addr, rep.status)
 	}
 	rec, err := decodeReceipt(rep.body)
 	if err != nil {
-		return nil, fmt.Errorf("store at %s: reading receipt: %w", target, err)
+		return nil, fmt.Errorf("store at %s: reading receipt: %w", to.addr, err)
 	}
 	return rec, nil
 }
@@ -467,26 +476,26 @@ func decodeReceipt(body []byte) (*StoreReceipt, error) {
 // (GET /stats on the short-deadline probe client) and deregisters the
 // ones that do not answer, so a crashed daemon stops poisoning its
 // key range (its keys re-home to the ring neighbours).  It returns
-// the deregistered addresses.
+// the deregistered addresses.  A record the sweep drops takes its
+// ledger with it.
 func (p *Proxy) SweepClientCaches() []string {
 	var removed []string
-	for _, addr := range p.ring.addresses() {
+	for _, m := range p.ring.snapshot() {
 		// Contribution condemnation first: a daemon whose strike
 		// ledger (timeouts + weighted digest failures) outweighs its
 		// serves is evicted even if it still answers probes — a
 		// byzantine or tail-amplifying client is worse than a dead one.
-		if p.contribCondemned(addr) {
-			p.ring.remove(addr)
-			p.contrib.Delete(addr)
+		if m.ledger.condemned() {
+			p.ring.remove(m)
 			p.stats.contribSwept.Add(1)
-			removed = append(removed, addr)
+			removed = append(removed, m.addr)
 			continue
 		}
-		resp, err := p.probeClient.Get(fmt.Sprintf("http://%s/stats", addr))
+		resp, err := p.probeClient.Get("http://" + m.addr + "/stats")
 		if err != nil {
-			p.ring.remove(addr)
+			p.ring.remove(m)
 			p.stats.swept.Add(1)
-			removed = append(removed, addr)
+			removed = append(removed, m.addr)
 			continue
 		}
 		drainClose(resp.Body)

@@ -129,7 +129,7 @@ func TestLivenessSweep(t *testing.T) {
 	if px.ring.size() != 1 {
 		t.Fatalf("ring size = %d after sweep, want 1", px.ring.size())
 	}
-	if got := px.ring.addresses(); len(got) != 1 || got[0] != liveAddr {
+	if got := addrsOf(px.ring.snapshot()); len(got) != 1 || got[0] != liveAddr {
 		t.Fatalf("survivor = %v, want [%s]", got, liveAddr)
 	}
 	if st := px.snapshotStats(); st.SweptCaches != 1 {
@@ -339,7 +339,7 @@ func TestShortBodyPerHop(t *testing.T) {
 			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
 				shortAddr := newFarEnd(t, shortReply(declared, TierClientCache)).addr
 				px, _, addrs := ringWith(t, traced(Options{CapacityBytes: 1 << 20}), 1<<20)
-				px.ring.add(shortAddr)
+				short := px.ring.add(shortAddr)
 				objURL := urlsOwnedBy(t, px, shortAddr, "short", 1)[0]
 				resp, err := http.Post(fmt.Sprintf("http://%s/store?key=%s&cost=1", addrs[0], keyOf(objURL)),
 					"application/octet-stream", strings.NewReader("the-neighbour's-copy"))
@@ -349,10 +349,10 @@ func TestShortBodyPerHop(t *testing.T) {
 				resp.Body.Close()
 				plantDir(px, objURL)
 				return pin(t, px, ""), objURL, func(t *testing.T) {
-					if got := px.ring.addresses(); !slices.Equal(got, addrs) {
+					if got := addrsOf(px.ring.snapshot()); !slices.Equal(got, addrs) {
 						t.Errorf("ring = %v, want only the live daemon %v", got, addrs)
 					}
-					if got := px.contribFor(shortAddr).timeouts.Load(); got != 0 {
+					if got := short.ledger.timeouts.Load(); got != 0 {
 						t.Errorf("short daemon booked %d timeout strikes, want 0", got)
 					}
 				}
@@ -382,7 +382,7 @@ func TestShortBodyPerHop(t *testing.T) {
 				short := newFarEnd(t, shortReply(declared, TierPeerProxy))
 				px := newProxy(t, traced(Options{CapacityBytes: 1 << 20, Defenses: oneStrike, Peers: []string{short.URL}}))
 				return pin(t, px, ""), origin.srv.URL + "/short-peer", func(t *testing.T) {
-					if px.peerAllowed(short.URL) {
+					if px.peerAllowed(coopPeer(px, short.URL)) {
 						t.Error("the short peer's breaker is still closed")
 					}
 				}
@@ -476,7 +476,7 @@ func TestPassDownBoundedPerHop(t *testing.T) {
 	if px.ring.size() != 1 {
 		t.Fatal("a deadline took the daemon off the ring")
 	}
-	if got := px.contribFor(addr).timeouts.Load(); got != 1 {
+	if got := member(px, addr).ledger.timeouts.Load(); got != 1 {
 		t.Fatalf("daemon has %d timeout strikes, want 1", got)
 	}
 }
@@ -535,7 +535,7 @@ func TestDigestPullFailures(t *testing.T) {
 			px := newProxy(t, traced(Options{CapacityBytes: 1 << 20,
 				Defenses: Defenses{PeerTimeout: deadline, BreakerFailures: 1, BreakerCooldown: time.Minute}, Peers: []string{peerSrv.URL}}))
 			f := pin(t, px, "")
-			held := px.coop.Load().digests[peerSrv.URL]
+			held := &coopPeer(px, peerSrv.URL).digest
 
 			// A good digest of the peer while it holds nothing; then the
 			// peer gains the object, which that digest says it has not got.

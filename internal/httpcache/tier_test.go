@@ -100,8 +100,8 @@ func finishedTrace(t *testing.T, tr *obs.Tracer, id string) (label string, spans
 
 // pullDigests has px pull every cooperating proxy's digest now.
 func pullDigests(px *Proxy) {
-	for base, d := range px.coop.Load().digests {
-		px.pullDigest(base, d)
+	for _, c := range px.coop {
+		px.pullDigest(c)
 	}
 }
 
@@ -191,8 +191,8 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	divPx, _, _ := ringWith(t, traced(Options{CapacityBytes: 1 << 20}), 15, 15)
 	div := pin(t, divPx, "")
 	const divertedURL = "http://origin.test/diverted"
-	owner, _ := divPx.ring.owner(keyOf(divertedURL))
-	resp, err = http.Post(fmt.Sprintf("http://%s/store?key=%s&cost=1", owner, keyOf("filler")),
+	owner := divPx.ring.owner(keyOf(divertedURL))
+	resp, err = http.Post(fmt.Sprintf("http://%s/store?key=%s&cost=1", owner.addr, keyOf("filler")),
 		"application/octet-stream", strings.NewReader("0123456789"))
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +459,7 @@ func TestDigestCoversWhatPeerLookupServes(t *testing.T) {
 
 	px := newProxy(t, Options{CapacityBytes: 1 << 20, Peers: []string{peer.base}})
 	pullDigests(px)
-	f := px.coop.Load().digests[peer.base].filter.Load()
+	f := coopPeer(px, peer.base).digest.filter.Load()
 	if f == nil {
 		t.Fatal("no digest pulled")
 	}

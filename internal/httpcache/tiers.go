@@ -55,19 +55,19 @@ type tier struct {
 	// from lists whom to ask, in order: nobody when the tier has no
 	// reason to think anyone has the object.  A tier that looks inside
 	// the proxy has none, and the one place to ask, here.
-	from func(q fetchReq) []string
-	// admit, when set, is put to each address as its turn comes; one it
+	from func(q fetchReq) []*peer
+	// admit, when set, is put to each peer as its turn comes; one it
 	// refuses is passed over without a span.
-	admit func(q fetchReq, addr string) bool
-	// ask asks the n-th address for the object.  A nil error is a serve;
+	admit func(q fetchReq, to *peer) bool
+	// ask asks the n-th peer for the object.  A nil error is a serve;
 	// the last tier's error is what a 502 reports.
-	ask func(q fetchReq, addr string, n int) (served, error)
+	ask func(q fetchReq, to *peer, n int) (served, error)
 	// missed, when set, runs once everyone from listed has been passed
 	// over or asked in vain.
 	missed func(q fetchReq)
 }
 
-var here = []string{""}
+var here = []*peer{nil}
 
 // walk asks the tiers in order until one serves.  Every attempt runs
 // under a span closed End when it serves and EndWasted when it does
@@ -81,12 +81,12 @@ func walk(q fetchReq, tiers []tier) (s served, err error) {
 		if t.from != nil {
 			asked = t.from(q)
 		}
-		for n, addr := range asked {
-			if t.admit != nil && !t.admit(q, addr) {
+		for n, to := range asked {
+			if t.admit != nil && !t.admit(q, to) {
 				continue
 			}
 			span := q.st.StartSpan(t.spans[min(n, len(t.spans)-1)], t.cat)
-			if s, err = t.ask(q, addr, n); err != nil {
+			if s, err = t.ask(q, to, n); err != nil {
 				span.EndWasted()
 				continue
 			}
@@ -179,7 +179,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 	local = []tier{{
 		// 1. Proxy cache.
 		spans: []string{"proxy.cache"}, cat: "Tl",
-		ask: func(q fetchReq, _ string, _ int) (served, error) {
+		ask: func(q fetchReq, _ *peer, _ int) (served, error) {
 			obj, ok := p.store.Get(q.folded)
 			if !ok {
 				return served{}, errMiss
@@ -192,22 +192,22 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 		// diverted the object (§4.3).  When none of them has it the entry
 		// is stale and is repaired.
 		spans: []string{"client.fetch", "client.fetch.divert"}, cat: "Tp2p",
-		from: func(q fetchReq) []string {
+		from: func(q fetchReq) []*peer {
 			p.mu.Lock()
 			listed := p.dir.MayContain(q.folded)
 			p.mu.Unlock()
 			if !listed {
 				return nil
 			}
-			owner, ok := p.ring.owner(q.id)
-			if !ok {
+			owner := p.ring.owner(q.id)
+			if owner == nil {
 				unlist(q) // listed, and no cache left that could hold it
 				return nil
 			}
 			return p.ring.candidates(owner)
 		},
-		ask: func(q fetchReq, addr string, n int) (served, error) {
-			body, ok := p.lanFetch(q.r.Context(), addr, q.id, q.st.TraceID())
+		ask: func(q fetchReq, to *peer, n int) (served, error) {
+			body, ok := p.lanFetch(q.r.Context(), to, q.id, q.st.TraceID())
 			if !ok {
 				return served{}, errMiss
 			}
@@ -215,7 +215,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 				// Digest mismatch, a byzantine serve: a strike on the
 				// daemon's ledger and a miss, for the next candidate or
 				// the origin to make good.
-				p.contribFor(addr).digestFails.Add(1)
+				to.ledger.digestFails.Add(1)
 				return served{}, errMiss
 			}
 			return served{body: body, by: TierClientCache, hits: &p.stats.clientHits, diverted: n > 0}, nil
@@ -229,28 +229,28 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 		// a probe) and its digest (one that says the peer cannot serve
 		// the object passes it over, digest.go).
 		spans: []string{"peer.lookup"}, cat: "Tc",
-		from: func(fetchReq) []string {
-			return p.coop.Load().bases
+		from: func(fetchReq) []*peer {
+			return p.coop
 		},
-		admit: func(q fetchReq, base string) bool {
-			if !p.peerAllowed(base) {
+		admit: func(q fetchReq, to *peer) bool {
+			if !p.peerAllowed(to) {
 				p.stats.breakerSkipped.Add(1)
 				return false
 			}
-			return p.digestAdmits(q, base)
+			return p.digestAdmits(q, to)
 		},
-		ask: func(q fetchReq, base string, _ int) (served, error) {
-			rep, err := p.hop(q.r.Context(), peer{coopProxy, base}, "GET", "/peer-lookup?key="+q.id.String(), nil, q.st.TraceID())
+		ask: func(q fetchReq, to *peer, _ int) (served, error) {
+			rep, err := p.hop(q.r.Context(), to, "GET", "/peer-lookup?key="+q.id.String(), nil, q.st.TraceID())
 			if err != nil {
 				return served{}, err
 			}
 			if rep.status != http.StatusOK && rep.status != http.StatusNotFound {
-				p.peerFailed(base)
+				p.peerFailed(to)
 				return served{}, errMiss
 			}
-			p.peerOK(base) // it answered, if only that it has not got the object
+			p.peerOK(to) // it answered, if only that it has not got the object
 			if rep.status == http.StatusNotFound {
-				if p.coop.Load().digests[base].filter.Load() != nil {
+				if to.digest.filter.Load() != nil {
 					p.stats.digestFalsePos.Add(1) // it was asked on its digest's word
 				}
 				return served{}, errMiss
@@ -266,7 +266,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 		// has the evictions to pass down; a waiter serves the winner's
 		// body and has none.
 		spans: []string{"origin.fetch"}, cat: "Ts",
-		ask: func(q fetchReq, _ string, _ int) (served, error) {
+		ask: func(q fetchReq, _ *peer, _ int) (served, error) {
 			view, err := p.store.GetOrLoad(q.folded, func() (store.Object, string, error) {
 				body, err := p.originFetch(q.url)
 				return store.Object{HexKey: q.id.String(), Body: body, Cost: originCost}, TierOrigin, err

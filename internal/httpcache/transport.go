@@ -4,8 +4,10 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"strings"
+	"sync/atomic"
 	"time"
+
+	"webcache/internal/pastry"
 )
 
 // NewTransport returns the tuned *http.Transport every HTTP client of
@@ -87,31 +89,34 @@ func drainClose(body io.ReadCloser) {
 	body.Close()
 }
 
-// peer names the far end of a hop.
+// peer is the proxy's one record of a daemon it makes hops to, shared
+// by pointer: a client cache on its ring, or a cooperating proxy.  A hop
+// dials addr.  Every field a request changes is atomic.
 type peer struct {
 	kind peerKind
-	addr string
+	addr string // the host:port a hop dials
+
+	// A client cache's: its ring id (the hash of addr), the headroom its
+	// latest /store reply reported (FreeHeader; freeUnknown before the
+	// first), and its contribution ledger.  A re-registration makes a new
+	// record, so none of them outlives the registration it belongs to.
+	id     pastry.ID
+	free   atomic.Int64
+	ledger contribution
+
+	// A cooperating proxy's: its base URL, as events name it, the digest
+	// last pulled of it (digest.go) and its breaker (defense.go).
+	base    string
+	digest  peerDigest
+	breaker breaker
 }
 
 type peerKind int
 
 const (
 	clientCache peerKind = iota // a daemon on this proxy's ring, by the host:port it registered
-	coopProxy                   // a cooperating proxy, by base URL
+	coopProxy                   // a cooperating proxy, one of Options.Peers
 )
-
-// hostPort is the address a hop dials: a client cache's own, a
-// cooperating proxy's base URL without its scheme and path.
-func (to peer) hostPort() string {
-	if to.kind == clientCache {
-		return to.addr
-	}
-	a := strings.TrimPrefix(to.addr, "http://")
-	if i := strings.IndexByte(a, '/'); i >= 0 {
-		a = a[:i]
-	}
-	return a
-}
 
 // reply is what a hop brought back: the status, the two headers a caller
 // reads, and the whole body when the status is 200 (any other reply's
@@ -137,16 +142,17 @@ type reply struct {
 // hop is out) means the far end may only be slow: it counts as a peer_timeout and, for a
 // client cache, as a strike on its contribution ledger, which the
 // sweeper weighs.  Anything else is a connection-level failure, and
-// only that takes a client cache off the ring.  For a proxy both are a
+// only that takes a client cache off the ring: the record the hop was
+// made with, not one its daemon has registered since.  For a proxy both are a
 // failure for its breaker.  What a status means is the caller's
 // business, a proxy's peerOK included.
-func (p *Proxy) hop(parent context.Context, to peer, method, pathQuery string, body []byte, traceID string) (reply, error) {
+func (p *Proxy) hop(parent context.Context, to *peer, method, pathQuery string, body []byte, traceID string) (reply, error) {
 	if err := parent.Err(); err != nil {
 		return reply{}, err // whoever the hop was for is gone: nobody is asked, nobody judged
 	}
 	ctx, cancel := context.WithTimeout(parent, p.peerTimeout())
 	defer cancel()
-	rep, err := p.hops.exchange(ctx, to.hostPort(), method, pathQuery, body, traceID)
+	rep, err := p.hops.exchange(ctx, to.addr, method, pathQuery, body, traceID)
 	if err == nil {
 		return rep, nil
 	}
@@ -158,11 +164,11 @@ func (p *Proxy) hop(parent context.Context, to peer, method, pathQuery string, b
 	}
 	switch {
 	case to.kind != clientCache:
-		p.peerFailed(to.addr)
+		p.peerFailed(to)
 	case timedOut:
-		p.contribFor(to.addr).timeouts.Add(1)
+		to.ledger.timeouts.Add(1)
 	default:
-		p.ring.remove(to.addr)
+		p.ring.remove(to) // this record only: one re-registered since is kept
 	}
 	return reply{}, err
 }

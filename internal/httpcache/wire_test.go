@@ -195,9 +195,9 @@ func TestDeclaredLengthUntrusted(t *testing.T) {
 		w.Header().Set("Content-Length", "4294967295")
 		w.Write([]byte("only-ten-b"))
 	}))
-	f.px.ring.add(liar.addr)
+	short := f.px.ring.add(liar.addr)
 	runtime.ReadMemStats(&before)
-	_, err := f.px.hop(context.Background(), peer{clientCache, liar.addr}, "GET", "/object?key=x", nil, "")
+	_, err := f.px.hop(context.Background(), short, "GET", "/object?key=x", nil, "")
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a body ten bytes into a 4 GiB declaration came back whole")

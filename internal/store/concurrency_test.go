@@ -33,7 +33,6 @@ func TestStoreConcurrentAccess(t *testing.T) {
 					s.Put(key, Object{HexKey: fmt.Sprintf("%x", key), Body: body(1 + i%128), Cost: 1})
 				}
 				if i%97 == 0 {
-					s.FreeFor(key, 64)
 					s.Headroom()
 					s.Len()
 					s.Used()

@@ -167,16 +167,10 @@ func (s *Store) insert(key trace.ObjectID, obj Object) (evicted []Object) {
 	return evicted
 }
 
-// FreeFor reports whether size bytes fit without eviction — the
-// diversion probe (§4.3).  A zero size trivially fits; empty bodies
-// are rejected by Put, not here.  The key does not matter: one policy
-// holds every key.
-func (s *Store) FreeFor(_ trace.ObjectID, size int) bool {
-	return uint64(size) <= s.Headroom()
-}
-
-// Headroom reports the largest body the store takes without evicting:
-// capacity − used.  Under concurrent Puts the figure is advisory.
+// Headroom reports the largest body the store takes without evicting,
+// for any key: capacity − used, one policy holding every key.  It is
+// the diversion probe (§4.3).  Under concurrent Puts the figure is
+// advisory.
 func (s *Store) Headroom() uint64 {
 	s.lock()
 	defer s.mu.Unlock()

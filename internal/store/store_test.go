@@ -116,36 +116,44 @@ func TestStoreEvictionAccounting(t *testing.T) {
 
 func TestStoreFreeFor(t *testing.T) {
 	s := mustNew(t, Config{CapacityBytes: 200})
-	if !s.FreeFor(1, 200) {
+	if s.Headroom() < 200 {
 		t.Fatal("empty store reports no space for a capacity-sized object")
 	}
 	s.Put(1, Object{Body: body(150), Cost: 1})
-	if s.FreeFor(2, 100) {
-		t.Fatal("FreeFor ignores residency")
+	if s.Headroom() >= 100 {
+		t.Fatal("Headroom ignores residency")
 	}
-	if !s.FreeFor(2, 50) {
-		t.Fatal("FreeFor rejects a fitting object")
+	if s.Headroom() < 50 {
+		t.Fatal("Headroom rejects a fitting object")
 	}
 }
 
-// Headroom is exactly capacity − used after any fill, and FreeFor
-// agrees with it for every key.
+// Headroom is exactly capacity − used after any fill, the same figure
+// whatever key is put next.
 func TestStoreHeadroom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 20; round++ {
-		s := mustNew(t, Config{CapacityBytes: 4000})
+		// Two stores given the same fill: one takes a body of exactly the
+		// headroom, the other one byte more.
+		fits, over := mustNew(t, Config{CapacityBytes: 4000}), mustNew(t, Config{CapacityBytes: 4000})
 		for i, puts := 0, rng.Intn(60); i < puts; i++ {
-			s.Put(trace.ObjectID(rng.Uint64()), Object{Body: body(1 + rng.Intn(200)), Cost: 1})
+			k, b := trace.ObjectID(rng.Uint64()), body(1+rng.Intn(200))
+			fits.Put(k, Object{Body: b, Cost: 1})
+			over.Put(k, Object{Body: b, Cost: 1})
 		}
-		h := s.Headroom()
-		if s.Capacity() != 4000 || h != s.Capacity()-s.Used() {
-			t.Fatalf("round %d: headroom = %d, want capacity %d - used %d", round, h, s.Capacity(), s.Used())
+		h := fits.Headroom()
+		if fits.Capacity() != 4000 || h != fits.Capacity()-fits.Used() || over.Headroom() != h {
+			t.Fatalf("round %d: headroom = %d, want capacity %d - used %d", round, h, fits.Capacity(), fits.Used())
 		}
-		for i := 0; i < 20; i++ {
-			k := trace.ObjectID(rng.Uint64())
-			if !s.FreeFor(k, int(h)) || s.FreeFor(k, int(h)+1) {
-				t.Fatalf("round %d: headroom %d, but FreeFor(%d) disagrees at %d or %d bytes", round, h, k, h, h+1)
-			}
+		if h == 0 || h == fits.Capacity() {
+			continue // no body fits exactly, or none is one byte too many
+		}
+		k := trace.ObjectID(rng.Uint64()) // a key not yet put
+		if ev, stored, _ := fits.Put(k, Object{Body: body(int(h)), Cost: 1}); !stored || len(ev) != 0 {
+			t.Fatalf("round %d: headroom %d, but a body that size under %d stored %v evicting %d", round, h, k, stored, len(ev))
+		}
+		if ev, _, _ := over.Put(k, Object{Body: body(int(h) + 1), Cost: 1}); len(ev) == 0 {
+			t.Fatalf("round %d: headroom %d, but %d bytes under %d evicted nothing", round, h, h+1, k)
 		}
 	}
 }
