@@ -19,9 +19,7 @@ import (
 	"testing"
 
 	"webcache"
-	"webcache/internal/cache"
 	"webcache/internal/pastry"
-	"webcache/internal/trace"
 )
 
 // benchScale reads the workload scale for figure benches (default 5%
@@ -317,36 +315,6 @@ func BenchmarkSquirrelVsHierGD(b *testing.B) {
 			}
 			reportMetric(b, res.AvgLatency*1000, "mlat")
 			reportMetric(b, 100*res.HitRatio(webcache.SrcP2P), "p2p-hit%")
-		})
-	}
-}
-
-// BenchmarkBelady reports each online policy's miss overhead over the
-// clairvoyant MIN bound on a skewed workload — how much headroom the
-// paper's greedy-dual leaves on the table.
-func BenchmarkBelady(b *testing.B) {
-	tr := benchTrace(b)
-	seq := make([]trace.ObjectID, tr.Len())
-	for i, r := range tr.Requests {
-		seq[i] = r.Object
-	}
-	const capacity = 150 // ~10% of distinct objects
-	opt := cache.ReplaySingleCache(cache.NewBelady(capacity, seq), seq)
-	policies := map[string]func() cache.Policy{
-		"lru":         func() cache.Policy { return cache.NewLRU(capacity) },
-		"lfu-perfect": func() cache.Policy { return cache.NewPerfectLFU(capacity) },
-		"greedy-dual": func() cache.Policy { return cache.NewGreedyDual(capacity) },
-		"gdsf":        func() cache.Policy { return cache.NewGDSF(capacity) },
-	}
-	for _, name := range []string{"lru", "lfu-perfect", "greedy-dual", "gdsf"} {
-		ctor := policies[name]
-		b.Run(name, func(b *testing.B) {
-			var misses int
-			for i := 0; i < b.N; i++ {
-				misses = cache.ReplaySingleCache(ctor(), seq)
-			}
-			reportMetric(b, float64(misses)/float64(opt), "x-optimal")
-			b.SetBytes(int64(len(seq)))
 		})
 	}
 }

@@ -312,7 +312,7 @@ func runCache(args []string) error {
 		return err
 	}
 	defer closeEvents()
-	cc, _ := httpcache.NewClientCacheOpts(httpcache.Options{ // never fails
+	cc := httpcache.NewClientCacheOpts(httpcache.Options{
 		CapacityBytes: *capacity,
 		Metrics:       sess.Reg,
 		Tracer:        sess.Tracer,

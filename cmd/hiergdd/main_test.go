@@ -72,10 +72,7 @@ func TestServeDaemonReadyzFlipsBeforeClose(t *testing.T) {
 	drainGrace = 600 * time.Millisecond
 	defer func() { drainGrace = oldGrace }()
 
-	cc, err := httpcache.NewClientCacheOpts(httpcache.Options{CapacityBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc := httpcache.NewClientCacheOpts(httpcache.Options{CapacityBytes: 1 << 20})
 	cc.MarkReady()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

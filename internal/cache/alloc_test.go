@@ -64,7 +64,7 @@ func TestPolicyAllocsPerRun(t *testing.T) {
 			t.Fatalf("%s: warm-up left %d of %d objects", name, p.Len(), capacity)
 		}
 
-		if gd, ok := p.(*GreedyDual); ok && row.classes > manyClasses && len(gd.heads) <= manyClasses {
+		if gd := greedyDualOf(p); gd != nil && row.classes > manyClasses && len(gd.heads) <= manyClasses {
 			t.Fatalf("%s: %d ratio classes live after warm-up, want more than %d", name, len(gd.heads), manyClasses)
 		}
 
@@ -100,35 +100,33 @@ func TestPolicyAllocsPerRun(t *testing.T) {
 }
 
 // slabLen is the number of object slots a policy ever allocated (for
-// LFU, of object or bucket slots, for greedy-dual of object or class
-// slots, whichever is more).
+// LFU, of object or bucket slots, for greedy-dual and GDSF of object or
+// class slots, whichever is more).
 func slabLen(p Policy) int {
 	switch c := p.(type) {
 	case *LRU:
 		return len(c.nodes) - 1 // the sentinel holds no object
 	case *LFU:
 		return max(len(c.nodes), len(c.buckets))
-	case *GreedyDual:
-		return max(len(c.nodes), len(c.classes))
-	case *GDSF:
-		return len(c.nodes)
+	}
+	if gd := greedyDualOf(p); gd != nil {
+		return max(len(gd.nodes), len(gd.classes))
 	}
 	return 0
 }
 
 // tableSizes is the entry count of p's id -> slot table and, for
-// perfect LFU, of its history's, for greedy-dual of its ratio -> class
-// table.
+// perfect LFU, of its history's, for greedy-dual and GDSF of their
+// ratio -> class table.
 func tableSizes(p Policy) [2]int {
 	switch c := p.(type) {
 	case *LRU:
 		return [2]int{len(c.index.ents)}
 	case *LFU:
 		return [2]int{len(c.slot.ents), len(c.history.index.ents)}
-	case *GreedyDual:
-		return [2]int{len(c.slot.ents), len(c.classOf.ents)}
-	case *GDSF:
-		return [2]int{len(c.slot.ents)}
+	}
+	if gd := greedyDualOf(p); gd != nil {
+		return [2]int{len(gd.slot.ents), len(gd.classOf.ents)}
 	}
 	return [2]int{}
 }

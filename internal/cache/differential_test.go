@@ -18,7 +18,7 @@ import (
 // on each side, and the script spreads its operations over both.
 type diffCase struct {
 	name string
-	make func(capacity uint64, n int, seq []trace.ObjectID) (got, want []Policy)
+	make func(capacity uint64, n int) (got, want []Policy)
 }
 
 func one(got, want Policy) ([]Policy, []Policy) { return []Policy{got}, []Policy{want} }
@@ -27,14 +27,14 @@ func one(got, want Policy) ([]Policy, []Policy) { return []Policy{got}, []Policy
 // whose universe is the fraction frac of the pool: 1 puts every dense
 // id on the direct path, 0.5 splits the pool between the direct path
 // and the hashed one, and 0 declares no universe.
-func lfuSingle(frac float64) func(uint64, int, []trace.ObjectID) ([]Policy, []Policy) {
-	return func(c uint64, n int, _ []trace.ObjectID) ([]Policy, []Policy) {
+func lfuSingle(frac float64) func(uint64, int) ([]Policy, []Policy) {
+	return func(c uint64, n int) ([]Policy, []Policy) {
 		return one(NewPerfectLFUShared(c, NewHistory(int(frac*float64(n)))), newRefPerfectLFU(c))
 	}
 }
 
-func lfuShared(frac float64) func(uint64, int, []trace.ObjectID) ([]Policy, []Policy) {
-	return func(c uint64, n int, _ []trace.ObjectID) ([]Policy, []Policy) {
+func lfuShared(frac float64) func(uint64, int) ([]Policy, []Policy) {
+	return func(c uint64, n int) ([]Policy, []Policy) {
 		h, ref := NewHistory(int(frac*float64(n))), map[trace.ObjectID]uint64{}
 		return []Policy{NewPerfectLFUShared(c, h), NewPerfectLFUShared(c/2+1, h)},
 			[]Policy{newRefPerfectLFUShared(c, ref), newRefPerfectLFUShared(c/2+1, ref)}
@@ -50,24 +50,21 @@ var diffCases = []diffCase{
 	{"lfu-shared-history", lfuShared(0)},
 	{"lfu-shared-history-dense", lfuShared(1)},
 	{"lfu-shared-history-straddle", lfuShared(0.5)},
-	{"greedy-dual", func(c uint64, _ int, _ []trace.ObjectID) ([]Policy, []Policy) {
+	{"greedy-dual", func(c uint64, _ int) ([]Policy, []Policy) {
 		return one(NewGreedyDual(c), newRefGreedyDual(c))
 	}},
 	// Greedy-dual as the simulator's proxies build it, its universe
 	// covering the dense pools.
-	{"greedy-dual-dense", func(c uint64, n int, _ []trace.ObjectID) ([]Policy, []Policy) {
+	{"greedy-dual-dense", func(c uint64, n int) ([]Policy, []Policy) {
 		return one(NewGreedyDualDense(c, n), newRefGreedyDual(c))
 	}},
 	// A cache large enough to hold more than manyClasses Cost/Size
 	// classes at once (checked in runDiffScript).
-	{"greedy-dual-many-classes", func(c uint64, _ int, _ []trace.ObjectID) ([]Policy, []Policy) {
+	{"greedy-dual-many-classes", func(c uint64, _ int) ([]Policy, []Policy) {
 		return one(NewGreedyDual(2*c+16), newRefGreedyDual(2*c+16))
 	}},
-	{"gdsf", func(c uint64, _ int, _ []trace.ObjectID) ([]Policy, []Policy) {
+	{"gdsf", func(c uint64, _ int) ([]Policy, []Policy) {
 		return one(NewGDSF(c), newRefGDSF(c))
-	}},
-	{"belady", func(c uint64, _ int, seq []trace.ObjectID) ([]Policy, []Policy) {
-		return one(NewBelady(c, seq), newRefBelady(c, seq))
 	}},
 }
 
@@ -129,7 +126,7 @@ func runDiffScript(t *testing.T, dc diffCase, seed int64) {
 		// Squaring skews towards the front of the pool: some hot ids.
 		seq[i] = pool[int(float64(len(pool))*math.Pow(rng.Float64(), 2))]
 	}
-	gots, wants := dc.make(capacity, len(pool), seq)
+	gots, wants := dc.make(capacity, len(pool))
 	peakClasses := 0
 
 	for step, obj := range seq {
@@ -178,25 +175,19 @@ func runDiffScript(t *testing.T, dc diffCase, seed int64) {
 				t.Fatalf("step %d obj %d: %s", step, obj, what)
 			}
 		default:
-			// Policy-specific side channels: a miss recorded in the LFU
-			// history (for a cached object too: a shared history is
-			// bumped by whichever tier sees the reference), a tick of
-			// the Belady clock.
+			// LFU's side channel: a miss recorded in its history (for a
+			// cached object too: a shared history is bumped by whichever
+			// tier sees the reference).
 			if x, ok := got.(interface{ RecordMiss(trace.ObjectID) }); ok {
 				x.RecordMiss(obj)
 				want.(interface{ RecordMiss(trace.ObjectID) }).RecordMiss(obj)
 				what = "RecordMiss"
 			}
-			if x, ok := got.(interface{ Tick() }); ok {
-				x.Tick()
-				want.(interface{ Tick() }).Tick()
-				what = "Tick"
-			}
 		}
 		if g, w := policyState(got, obj), policyState(want, obj); g != w {
 			t.Fatalf("step %d obj %d after %s:\n got       %s\n reference %s", step, obj, what, g, w)
 		}
-		if gd, ok := got.(*GreedyDual); ok {
+		if gd := greedyDualOf(got); gd != nil {
 			peakClasses = max(peakClasses, len(gd.heads))
 		}
 		if step%97 != 0 {

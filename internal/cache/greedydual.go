@@ -36,12 +36,13 @@ import (
 // non-negative, and every victim's H is at least the L it was built
 // on), and IEEE addition is monotone, so a later node's H is at least
 // an earlier one's and its sequence number is larger.  The victim is
-// therefore the least (H, seq) of the class heads, with keyedHeap's
-// tie-break: the lower H, then the older placement or refresh.  The
-// heads are kept in a min-heap, whose root is the victim.  A class that
-// empties is retired, so variable sizes (the live store's) do not pile
-// them up.
+// therefore the least (H, seq) of the class heads, with a per-object
+// heap's tie-break: the lower H, then the older placement or refresh.
+// The heads are kept in a min-heap, whose root is the victim.  A class
+// that empties is retired, so variable sizes (the live store's) do not
+// pile them up.
 // A placement finds its class by the ratio's bits in a slotTable.
+// GDSF runs on the same classes with a ratio scaled by frequency.
 type GreedyDual struct {
 	nodes   []gdNode
 	classes []gdClass
@@ -96,7 +97,7 @@ func NewGreedyDualDense(capacity uint64, universe int) *GreedyDual {
 // Name implements Policy.
 func (c *GreedyDual) Name() string { return "greedy-dual" }
 
-// before orders nodes by (H, seq), as keyedHeap's items.
+// before orders nodes by (H, seq).
 func (c *GreedyDual) before(a, b int32) bool {
 	x, y := &c.nodes[a], &c.nodes[b]
 	if x.h != y.h {
@@ -115,22 +116,10 @@ func (c *GreedyDual) headBefore(i, j int) bool {
 // its class.
 func (c *GreedyDual) Access(obj trace.ObjectID) bool {
 	s, ok := c.slot.get(obj)
-	if !ok {
-		return false
+	if ok {
+		c.refresh(s)
 	}
-	n := &c.nodes[s]
-	k := &c.classes[n.class]
-	c.seq++
-	n.h, n.seq = c.inflation+k.ratio, c.seq
-	wasHead := k.head == s
-	if k.tail != s {
-		c.unlink(s)
-		c.link(n.class, s)
-	}
-	if wasHead {
-		c.headRose(n.class)
-	}
-	return true
+	return ok
 }
 
 // Add implements Policy.
@@ -138,6 +127,13 @@ func (c *GreedyDual) Add(e Entry) []Entry {
 	if !addable(c.Name(), e, c.Contains(e.Obj), c.capacity) {
 		return nil
 	}
+	c.add(e, e.Cost/float64(e.Size))
+	return c.scratch
+}
+
+// add caches e, which addable admitted, in the class of ratio after
+// evicting into scratch until it fits, and returns its node.
+func (c *GreedyDual) add(e Entry, ratio float64) int32 {
 	c.scratch = c.scratch[:0]
 	for c.used+uint64(e.Size) > c.capacity {
 		v := c.victim()
@@ -153,18 +149,62 @@ func (c *GreedyDual) Add(e Entry) []Entry {
 		s = int32(len(c.nodes))
 		c.nodes = append(c.nodes, gdNode{})
 	}
-	ratio := e.Cost / float64(e.Size)
-	k := c.class(ratio)
-	c.seq++
-	c.nodes[s] = gdNode{Entry: e, h: c.inflation + ratio, seq: c.seq, class: k, prev: -1, next: -1}
+	c.nodes[s] = gdNode{Entry: e}
 	c.slot.put(e.Obj, s)
 	c.used += uint64(e.Size)
+	c.place(s, c.class(ratio))
+	return s
+}
+
+// move re-places the cached node s in the class of ratio, as a hit
+// with a new ratio: its H value becomes L + ratio and it goes to the
+// tail of that class.
+func (c *GreedyDual) move(s int32, ratio float64) {
+	from, to := c.nodes[s].class, c.class(ratio)
+	if to == from {
+		c.refresh(s)
+		return
+	}
+	wasHead := c.classes[from].head == s
+	c.unlink(s)
+	switch {
+	case c.classes[from].head < 0:
+		c.retire(from)
+	case wasHead:
+		c.headRose(from)
+	}
+	c.place(s, to)
+}
+
+// refresh restores node s's H value to L + its class's ratio with the
+// current inflation and moves it to the tail of its class.
+func (c *GreedyDual) refresh(s int32) {
+	n := &c.nodes[s]
+	k := &c.classes[n.class]
+	c.seq++
+	n.h, n.seq = c.inflation+k.ratio, c.seq
+	wasHead := k.head == s
+	if k.tail != s {
+		c.unlink(s)
+		c.link(n.class, s)
+	}
+	if wasHead {
+		c.headRose(n.class)
+	}
+}
+
+// place gives node s, in no class, the H value L + class k's ratio and
+// appends it to k's tail, listing k among the heads if s is its first
+// node.
+func (c *GreedyDual) place(s, k int32) {
+	c.seq++
+	n := &c.nodes[s]
+	n.h, n.seq, n.class = c.inflation+c.classes[k].ratio, c.seq, k
 	first := c.classes[k].head < 0
 	c.link(k, s)
 	if first {
 		c.addHead(k)
 	}
-	return c.scratch
 }
 
 // victim returns the node with the least (H, seq): the head of the

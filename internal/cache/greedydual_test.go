@@ -10,12 +10,14 @@ import (
 
 // FuzzGreedyDual drives the ratio-class GreedyDual, hashed and over a
 // universe of 32 (so ids 0..63 straddle the direct path and the hashed
-// one), each beside its own heap-ordered refGreedyDual, through
-// fuzz-chosen scripts.  Each operation is two bytes: the first's top
-// two bits pick Access, Add, Remove or a refused Add and its low six
-// the id; the second gives the Add's size (top two bits, 1..4) and its
-// Cost/Size ratio, one of k quarter steps, so the script holds exactly
-// k ratio classes: k = 1, up to manyClasses, or more.  A refused Add is
+// one), and GDSF, which runs on the same classes, each beside its own
+// heap-ordered reference (refGreedyDual, refGDSF), through fuzz-chosen
+// scripts.  Each operation is two bytes: the first's top two bits pick
+// Access, Add, Remove or a refused Add and its low six the id; the
+// second gives the Add's size (top two bits, 1..4) and its Cost/Size
+// ratio, one of k quarter steps, so greedy-dual holds exactly k ratio
+// classes: k = 1, up to manyClasses, or more.  GDSF holds more, as a
+// hit scales its object's ratio by the new frequency.  A refused Add is
 // zero-size or larger than the cache.  Every answer must match the
 // reference: hits, victim sequences and removed entries; after each
 // step the touched id's H value bits, the inflation bits, Len and Used,
@@ -39,12 +41,27 @@ func FuzzGreedyDual(f *testing.F) {
 	f.Add(uint8(19), uint8(47), script(20, 100)) // twenty
 	f.Add(uint8(63), uint8(47), script(64, 100)) // sixty-four
 	f.Add(uint8(8), uint8(2), []byte{0x41, 9})   // nine classes in a tiny cache
+	// Object 10 hit hundreds of times among adds that evict its
+	// neighbours: each GDSF hit makes its new ratio's class and retires
+	// the one it leaves.
+	var hot []byte
+	for i := 0; i < 6; i++ {
+		hot = append(hot, 0x40|byte(10+i), byte(i))
+	}
+	for i := 0; i < 300; i++ {
+		hot = append(hot, 0x00|10, 0)
+		if i%25 == 0 {
+			hot = append(hot, 0x40|byte(20+i/25), byte(i))
+		}
+	}
+	f.Add(uint8(3), uint8(5), append(hot, 0x80|10, 0))
 	f.Fuzz(func(t *testing.T, classes, capacity uint8, script []byte) {
 		k := 1 + int(classes)%64
 		c := 1 + uint64(capacity)%48
 		pairs := [][2]gdPolicy{
 			{NewGreedyDual(c), newRefGreedyDual(c)},
 			{NewGreedyDualDense(c, 32), newRefGreedyDual(c)},
+			{NewGDSF(c), newRefGDSF(c)},
 		}
 		for step := 0; step+1 < len(script); step += 2 {
 			op, arg := script[step], script[step+1]
@@ -81,7 +98,7 @@ func FuzzGreedyDual(f *testing.F) {
 				if g, w := gdStateOf(got, obj), gdStateOf(want, obj); g != w {
 					t.Fatalf("step %d obj %d: %T state %+v, reference %+v", step, obj, got, g, w)
 				}
-				gd := got.(*GreedyDual)
+				gd := greedyDualOf(got)
 				if gd.classOf.len() != len(gd.heads) {
 					t.Fatalf("step %d: %d live classes, %d indexed by ratio", step, len(gd.heads), gd.classOf.len())
 				}
@@ -109,6 +126,18 @@ func FuzzGreedyDual(f *testing.F) {
 // fetch costs, so the heap over class heads is deeper than the
 // simulator's own runs make it.
 const manyClasses = 8
+
+// greedyDualOf returns the ratio classes p runs on: p itself, or the
+// greedy-dual a GDSF embeds.  It is nil for any other policy.
+func greedyDualOf(p Policy) *GreedyDual {
+	switch c := p.(type) {
+	case *GreedyDual:
+		return c
+	case *GDSF:
+		return &c.GreedyDual
+	}
+	return nil
+}
 
 // gdPolicy is a Policy with greedy-dual's side channels.
 type gdPolicy interface {

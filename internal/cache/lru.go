@@ -9,7 +9,7 @@ import (
 // LRU is a least-recently-used cache.  It is not one of the paper's
 // headline policies but serves as a baseline comparator (the paper
 // cites Korupolu & Dahlin's finding that greedy-dual beats LRU and LFU,
-// which BenchmarkBelady and the scheme tests reproduce).
+// which TestGreedyDualBeatsLRUOnMixedCosts reproduces).
 type LRU struct {
 	capacity uint64
 	used     uint64

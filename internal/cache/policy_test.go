@@ -28,6 +28,16 @@ func allPolicies(capacity uint64) []namedPolicy {
 	}
 }
 
+func assertPanics(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", name)
+		}
+	}()
+	f()
+}
+
 func TestPolicyBasicCycle(t *testing.T) {
 	for _, p := range allPolicies(3) {
 		t.Run(p.name, func(t *testing.T) {

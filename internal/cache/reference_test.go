@@ -1,8 +1,8 @@
 package cache
 
 // The map-per-attribute policies this package shipped before the slab
-// layout (refKeyedHeap with a position map, and LFU / GreedyDual / GDSF /
-// Belady each keeping entries and frequencies in maps beside it), kept
+// layout (refKeyedHeap with a position map, and LFU / GreedyDual / GDSF
+// each keeping entries and frequencies in maps beside it), kept
 // verbatim under ref* names as the oracle for differential_test.go.
 // Test-only: nothing in the product tree refers to them.
 
@@ -135,14 +135,6 @@ func (h *refKeyedHeap) popMin() (trace.ObjectID, float64) {
 	top := h.items[0]
 	h.removeAt(0)
 	return top.obj, top.key
-}
-
-// min peeks at the minimum without removing it.
-func (h *refKeyedHeap) min() (trace.ObjectID, float64, bool) {
-	if len(h.items) == 0 {
-		return 0, 0, false
-	}
-	return h.items[0].obj, h.items[0].key, true
 }
 
 // remove deletes obj if present.
@@ -417,10 +409,8 @@ func (c *refGreedyDual) Objects() []trace.ObjectID { return refSortedObjects(c.e
 //
 //	H(o) = L + Frequency(o) * Cost(o) / Size(o)
 //
-// It is not part of the paper's design but is the natural upgrade path
-// for Hier-GD's proxy and client caches, so the library offers it as
-// an extension (Config.GDSF in the simulator) together with an
-// ablation comparison in the benchmark harness.
+// It is not part of the paper's design: the daemons and the simulator
+// run greedy-dual.
 type refGDSF struct {
 	capacity  uint64
 	used      uint64
@@ -508,6 +498,11 @@ func (c *refGDSF) Peek(obj trace.ObjectID) (Entry, bool) {
 	return e, ok
 }
 
+// HValue exposes the current H value of a cached object.
+func (c *refGDSF) HValue(obj trace.ObjectID) (float64, bool) {
+	return c.heap.key(obj)
+}
+
 // Frequency exposes the in-cache frequency counter.
 func (c *refGDSF) Frequency(obj trace.ObjectID) float64 { return c.freq[obj] }
 
@@ -527,139 +522,6 @@ func (c *refGDSF) Capacity() uint64 { return c.capacity }
 func (c *refGDSF) Objects() []trace.ObjectID { return refSortedObjects(c.entries) }
 
 var _ Policy = (*refGDSF)(nil)
-
-// Belady implements the clairvoyant MIN/OPT replacement (Belady 1966):
-// evict the cached object whose next reference is farthest in the
-// future.  For unit-size objects it minimizes misses over any request
-// sequence, which makes it the natural yardstick for how much headroom
-// the online policies (LFU, greedy-dual, GDSF) leave on the table —
-// the BenchmarkBelady harness reports exactly that gap.
-//
-// Clairvoyance comes from an index of the full request sequence built
-// up front; Access must be fed the same sequence positions in order.
-type refBelady struct {
-	capacity uint64
-	used     uint64
-	entries  map[trace.ObjectID]Entry
-	heap     *refKeyedHeap // key = -nextUse (max-heap over next use)
-	// nextUse[obj] is a queue of future positions of obj.
-	nextUse map[trace.ObjectID][]int
-	clock   int
-}
-
-// never is the key for objects with no future reference: the most
-// attractive victims.
-const refNever = 1 << 40
-
-// newRefBelady builds the oracle for a request sequence.
-func newRefBelady(capacity uint64, sequence []trace.ObjectID) *refBelady {
-	next := make(map[trace.ObjectID][]int)
-	for i, obj := range sequence {
-		next[obj] = append(next[obj], i)
-	}
-	return &refBelady{
-		capacity: capacity,
-		entries:  make(map[trace.ObjectID]Entry),
-		heap:     newRefKeyedHeap(64),
-		nextUse:  next,
-	}
-}
-
-// Name implements Policy.
-func (c *refBelady) Name() string { return "belady" }
-
-// futureOf pops positions of obj up to the current clock and returns
-// the next future position (or never).
-func (c *refBelady) futureOf(obj trace.ObjectID) int {
-	q := c.nextUse[obj]
-	for len(q) > 0 && q[0] <= c.clock {
-		q = q[1:]
-	}
-	c.nextUse[obj] = q
-	if len(q) == 0 {
-		return refNever
-	}
-	return q[0]
-}
-
-// Tick advances the oracle's position in the request sequence.  Call
-// it once per request, before Access/Add for that request.
-func (c *refBelady) Tick() { c.clock++ }
-
-// Access implements Policy.
-func (c *refBelady) Access(obj trace.ObjectID) bool {
-	if _, ok := c.entries[obj]; !ok {
-		return false
-	}
-	// Re-key by the next future use; farther = evicted sooner, so the
-	// min-heap holds -nextUse.
-	c.heap.update(obj, -float64(c.futureOf(obj)))
-	return true
-}
-
-// Add implements Policy.  True MIN may *bypass*: when the incoming
-// object's next use is farther than every cached object's, caching it
-// would only displace something more useful, so it is not cached.
-func (c *refBelady) Add(e Entry) []Entry {
-	_, present := c.entries[e.Obj]
-	if err := refCheckAddable(c.Name(), e, present, c.capacity); err != nil {
-		return nil
-	}
-	newNext := c.futureOf(e.Obj)
-	if c.used+uint64(e.Size) > c.capacity {
-		if _, farthest, ok := c.heap.min(); ok && float64(newNext) >= -farthest {
-			return nil // bypass: everything cached is re-used sooner
-		}
-	}
-	evicted := refEvictFor(e.Size, &c.used, c.capacity, func() Entry {
-		obj, _ := c.heap.popMin()
-		victim := c.entries[obj]
-		delete(c.entries, obj)
-		return victim
-	}, nil)
-	c.entries[e.Obj] = e
-	c.heap.push(e.Obj, -float64(newNext))
-	c.used += uint64(e.Size)
-	return evicted
-}
-
-// Remove implements Policy.
-func (c *refBelady) Remove(obj trace.ObjectID) (Entry, bool) {
-	e, ok := c.entries[obj]
-	if !ok {
-		return Entry{}, false
-	}
-	c.heap.remove(obj)
-	delete(c.entries, obj)
-	c.used -= uint64(e.Size)
-	return e, true
-}
-
-// Contains implements Policy.
-func (c *refBelady) Contains(obj trace.ObjectID) bool {
-	_, ok := c.entries[obj]
-	return ok
-}
-
-// Peek implements Policy.
-func (c *refBelady) Peek(obj trace.ObjectID) (Entry, bool) {
-	e, ok := c.entries[obj]
-	return e, ok
-}
-
-// Len implements Policy.
-func (c *refBelady) Len() int { return len(c.entries) }
-
-// Used implements Policy.
-func (c *refBelady) Used() uint64 { return c.used }
-
-// Capacity implements Policy.
-func (c *refBelady) Capacity() uint64 { return c.capacity }
-
-// Objects implements Policy.
-func (c *refBelady) Objects() []trace.ObjectID { return refSortedObjects(c.entries) }
-
-var _ Policy = (*refBelady)(nil)
 
 // refCheckAddable, refEvictFor and refSortedObjects are the helpers the
 // map-based policies shared.

@@ -54,7 +54,7 @@ func TestFetchHitPathAllocs(t *testing.T) {
 // path to the same bar — it is the LAN-fetch server side of every P2P
 // hit.
 func TestObjectHitPathAllocs(t *testing.T) {
-	c := newClientCache(t, Options{CapacityBytes: 1 << 20})
+	c := NewClientCacheOpts(Options{CapacityBytes: 1 << 20})
 	const url = "http://origin.example.com/objects/alloc-gate-object-0002"
 	id := keyOf(url)
 	body := bytes.Repeat([]byte("y"), 4096)

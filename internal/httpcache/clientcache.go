@@ -114,10 +114,9 @@ type ClientCache struct {
 }
 
 // NewClientCacheOpts creates a daemon from o, proxy-only fields
-// ignored.  The error is always nil; the result keeps the shape the
-// bench program destructures.
-func NewClientCacheOpts(o Options) (*ClientCache, error) {
-	return &ClientCache{storage: o.newStorage("client-cache"), tracer: o.Tracer, metrics: o.Metrics, readiness: readiness{events: o.Events}}, nil
+// ignored.
+func NewClientCacheOpts(o Options) *ClientCache {
+	return &ClientCache{storage: o.newStorage("client-cache"), tracer: o.Tracer, metrics: o.Metrics, readiness: readiness{events: o.Events}}
 }
 
 // Handler returns the daemon's HTTP interface:

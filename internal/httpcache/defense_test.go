@@ -147,7 +147,7 @@ func TestRelayHopDeadline(t *testing.T) {
 	}))
 	t.Cleanup(func() { close(release) })
 	hungAddr := hung.addr
-	cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
+	cc := NewClientCacheOpts(Options{CapacityBytes: 1 << 20})
 	ccSrv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	t.Cleanup(ccSrv.Close)
 

@@ -245,7 +245,7 @@ func FuzzStoreReceipt(f *testing.F) {
 // one at once, where http.Server.Shutdown would otherwise leave every
 // hijacked connection open.
 func TestFrameShutdownClosesConnections(t *testing.T) {
-	cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
+	cc := NewClientCacheOpts(Options{CapacityBytes: 1 << 20})
 	srv := httptest.NewServer(cc.Handler())
 	t.Cleanup(srv.Close)
 	addr := strings.TrimPrefix(srv.URL, "http://")

@@ -75,7 +75,7 @@ func TestStoreCostSanitized(t *testing.T) {
 		{"NaN", 1}, {"Inf", 1}, {"-Inf", 1}, {"1e400", 1}, {"-1", 1},
 		{"0", 1}, {"", 1}, {"x", 1}, {"2.5", 2.5},
 	} {
-		cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
+		cc := NewClientCacheOpts(Options{CapacityBytes: 1 << 20})
 		target := "/store?key=" + id.String() + "&cost=" + url.QueryEscape(tc.cost)
 		rec := httptest.NewRecorder()
 		cc.Handler().ServeHTTP(rec, httptest.NewRequest("POST", target, bytes.NewReader([]byte("body"))))

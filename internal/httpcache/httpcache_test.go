@@ -42,17 +42,6 @@ func newProxy(t testing.TB, o Options) *Proxy {
 	return px
 }
 
-// newClientCache builds a client-cache daemon from o, failing the test
-// if it cannot.
-func newClientCache(t testing.TB, o Options) *ClientCache {
-	t.Helper()
-	cc, err := NewClientCacheOpts(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cc
-}
-
 // listenLocal binds a loopback listener ahead of the daemon that will
 // serve on it, so the daemon can be built knowing its own base URL and
 // its peers'.
@@ -120,7 +109,7 @@ func deployWith(t *testing.T, numProxies, cachesPerProxy int, proxy func(p int) 
 		var ccs []*ClientCache
 		var ccsrv []*httptest.Server
 		for c := 0; c < cachesPerProxy; c++ {
-			cc := newClientCache(t, cache(p, c))
+			cc := NewClientCacheOpts(cache(p, c))
 			s := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 			t.Cleanup(s.Close)
 			addr := strings.TrimPrefix(s.URL, "http://")
@@ -295,7 +284,7 @@ func TestDiversionOverHTTP(t *testing.T) {
 }
 
 func TestClientCacheDaemonEndpoints(t *testing.T) {
-	cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
+	cc := NewClientCacheOpts(Options{CapacityBytes: 1 << 20})
 	srv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	defer srv.Close()
 	key := pastry.HashString("http://x/y").String()

@@ -22,7 +22,7 @@ func TestMetricsDocHTTPCache(t *testing.T) {
 	preg := obs.NewRegistry("doc-smoke-proxy")
 	px := newProxy(t, Options{CapacityBytes: 1 << 20, Metrics: preg})
 	creg := obs.NewRegistry("doc-smoke-cache")
-	cc := newClientCache(t, Options{CapacityBytes: 1 << 20, Metrics: creg})
+	cc := NewClientCacheOpts(Options{CapacityBytes: 1 << 20, Metrics: creg})
 
 	for _, h := range []struct {
 		srv *httptest.Server

@@ -65,7 +65,7 @@ func TestOptionsReachDaemon(t *testing.T) {
 			}}
 		}},
 		{"client cache", "/object?key=" + keyOf(seedURL).String(), "client.object", false, func(t *testing.T, o Options) built {
-			cc := newClientCache(t, o)
+			cc := NewClientCacheOpts(o)
 			t.Cleanup(cc.Close)
 			id := keyOf(seedURL)
 			if _, stored, err := cc.store.Put(fold(id), store.Object{HexKey: id.String(), Body: []byte("seeded"), Cost: 1}); !stored || err != nil {

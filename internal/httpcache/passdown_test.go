@@ -54,7 +54,7 @@ func ringWith(t *testing.T, o Options, capacities ...uint64) (*Proxy, []*ClientC
 	var ccs []*ClientCache
 	var addrs []string
 	for _, c := range capacities {
-		cc := newClientCache(t, Options{CapacityBytes: c})
+		cc := NewClientCacheOpts(Options{CapacityBytes: c})
 		srv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 		t.Cleanup(srv.Close)
 		addr := strings.TrimPrefix(srv.URL, "http://")
@@ -186,13 +186,13 @@ func TestPassDownReRegisterForgetsFigure(t *testing.T) {
 	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
 
-	var owner atomic.Pointer[ClientCache]                      // swapped to restart the daemon on its address
-	owner.Store(newClientCache(t, Options{CapacityBytes: 15})) // one ten-byte slot
+	var owner atomic.Pointer[ClientCache]                       // swapped to restart the daemon on its address
+	owner.Store(NewClientCacheOpts(Options{CapacityBytes: 15})) // one ten-byte slot
 	ownerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		owner.Load().Handler().ServeHTTP(w, r)
 	}))
 	t.Cleanup(ownerSrv.Close)
-	roomy := newClientCache(t, Options{CapacityBytes: 1 << 20})
+	roomy := NewClientCacheOpts(Options{CapacityBytes: 1 << 20})
 	roomySrv := httptest.NewServer(wiretest.StrictFraming(t, roomy.Handler()))
 	t.Cleanup(roomySrv.Close)
 	a := strings.TrimPrefix(ownerSrv.URL, "http://")
@@ -206,7 +206,7 @@ func TestPassDownReRegisterForgetsFigure(t *testing.T) {
 		t.Fatalf("setup: %+v, owner still a candidate: %v", costOf(px), px.ring.mayFit(member(px, a), 10))
 	}
 
-	fresh := newClientCache(t, Options{CapacityBytes: 15})
+	fresh := NewClientCacheOpts(Options{CapacityBytes: 15})
 	owner.Store(fresh)
 	resp, err := http.Post(fmt.Sprintf("%s/register?addr=%s", pxSrv.URL, a), "text/plain", nil)
 	if err != nil {
@@ -257,7 +257,7 @@ func TestPassDownHeaderlessDaemonProbed(t *testing.T) {
 // connection usable: fifty of each against one daemon open one
 // connection each way, not fifty.
 func TestRefusedAndMissedRepliesKeepConnection(t *testing.T) {
-	cc := newClientCache(t, Options{CapacityBytes: 15})
+	cc := NewClientCacheOpts(Options{CapacityBytes: 15})
 	cc.store.Put(fold(keyOf("filler")), store.Object{HexKey: keyOf("filler").String(), Body: []byte("0123456789"), Cost: 1})
 	var opened atomic.Int64
 	srv := httptest.NewUnstartedServer(wiretest.StrictFraming(t, cc.Handler()))
@@ -317,7 +317,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // byte of it is buffered, with the headroom on the refusal; without a
 // declared length the daemon has to read before it can tell.
 func TestStoreRefusesBeforeBuffering(t *testing.T) {
-	cc := newClientCache(t, Options{CapacityBytes: 15})
+	cc := NewClientCacheOpts(Options{CapacityBytes: 15})
 	cc.store.Put(fold(keyOf("filler")), store.Object{HexKey: keyOf("filler").String(), Body: []byte("0123456789"), Cost: 1})
 	target := fmt.Sprintf("/store?key=%s&cost=1&ifFree=1", keyOf("http://origin.test/big"))
 	for _, tc := range []struct {

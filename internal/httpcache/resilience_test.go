@@ -112,10 +112,10 @@ func TestConcurrentFetches(t *testing.T) {
 // one the passive paths (lanFetch / pass-down failures) never touch.
 func TestLivenessSweep(t *testing.T) {
 	px := newProxy(t, Options{CapacityBytes: 1 << 20})
-	live := newClientCache(t, Options{CapacityBytes: 1 << 20})
+	live := NewClientCacheOpts(Options{CapacityBytes: 1 << 20})
 	liveSrv := httptest.NewServer(wiretest.StrictFraming(t, live.Handler()))
 	t.Cleanup(liveSrv.Close)
-	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, newClientCache(t, Options{CapacityBytes: 1 << 20}).Handler()))
+	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, NewClientCacheOpts(Options{CapacityBytes: 1 << 20}).Handler()))
 	liveAddr := strings.TrimPrefix(liveSrv.URL, "http://")
 	deadAddr := strings.TrimPrefix(deadSrv.URL, "http://")
 	px.ring.add(liveAddr)
@@ -145,7 +145,7 @@ func TestLivenessSweep(t *testing.T) {
 // cleanly (stop is idempotent).
 func TestStartSweeper(t *testing.T) {
 	px := newProxy(t, Options{CapacityBytes: 1 << 20})
-	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, newClientCache(t, Options{CapacityBytes: 1 << 20}).Handler()))
+	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, NewClientCacheOpts(Options{CapacityBytes: 1 << 20}).Handler()))
 	deadAddr := strings.TrimPrefix(deadSrv.URL, "http://")
 	px.ring.add(deadAddr)
 	deadSrv.Close()
@@ -243,7 +243,7 @@ func TestCoalescedOriginFetch(t *testing.T) {
 // A zero-length body is served but never cached, and the store
 // receipt says so explicitly instead of silently coercing the size.
 func TestEmptyBodyStoreReceipt(t *testing.T) {
-	cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
+	cc := NewClientCacheOpts(Options{CapacityBytes: 1 << 20})
 	srv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	t.Cleanup(srv.Close)
 	key := keyOf("http://origin.test/empty").String()

@@ -174,7 +174,7 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	}
 
 	// One client cache holding a known object, for the /object path.
-	cc := newClientCache(t, Options{CapacityBytes: 1 << 20})
+	cc := NewClientCacheOpts(Options{CapacityBytes: 1 << 20})
 	ccSrv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 	t.Cleanup(ccSrv.Close)
 	storedKey := keyOf("http://origin.test/direct").String()

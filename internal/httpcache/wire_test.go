@@ -74,7 +74,7 @@ func TestBodyRepliesDeclareLength(t *testing.T) {
 			fetchURL := func(base, path string) string { return pinned{base: base}.fetchURL(origin.URL + path) }
 			key := func(path string) string { return keyOf(origin.URL + path).String() }
 
-			cc := newClientCache(t, Options{CapacityBytes: capacity})
+			cc := NewClientCacheOpts(Options{CapacityBytes: capacity})
 			ccSrv := httptest.NewServer(wiretest.StrictFraming(t, cc.Handler()))
 			t.Cleanup(ccSrv.Close)
 			resp, err := http.Post(ccSrv.URL+"/store?key="+key("/direct")+"&cost=1", "application/octet-stream",

@@ -24,7 +24,7 @@ func TestNilCheckerIsDisabled(t *testing.T) {
 		t.Fatal("nil checker recorded state")
 	}
 
-	p := cache.NewLRU(10)
+	p := cache.NewGreedyDual(10)
 	if got := WrapPolicy(p, nil, "t"); got != p {
 		t.Fatal("WrapPolicy(nil checker) did not return the unwrapped policy")
 	}
@@ -143,7 +143,7 @@ func (l lyingPolicy) Used() uint64 { return l.Policy.Used() + 1 }
 
 func TestCheckedPolicyCatchesBrokenAccounting(t *testing.T) {
 	chk := New(nil)
-	p := WrapPolicy(lyingPolicy{cache.NewLRU(64)}, chk, "test")
+	p := WrapPolicy(lyingPolicy{cache.NewGreedyDual(64)}, chk, "test")
 	p.Add(cache.Entry{Obj: 1, Size: 4, Cost: 1})
 	if chk.ViolationCount() == 0 {
 		t.Fatal("misreported Used() went unnoticed")
@@ -166,7 +166,7 @@ func (f forgetfulPolicy) Add(e cache.Entry) []cache.Entry { return nil }
 
 func TestCheckedPolicyCatchesSilentDrop(t *testing.T) {
 	chk := New(nil)
-	p := WrapPolicy(forgetfulPolicy{cache.NewLRU(64)}, chk, "test")
+	p := WrapPolicy(forgetfulPolicy{cache.NewGreedyDual(64)}, chk, "test")
 	p.Add(cache.Entry{Obj: 1, Size: 4, Cost: 1})
 	found := false
 	for _, v := range chk.Violations() {
@@ -180,7 +180,7 @@ func TestCheckedPolicyCatchesSilentDrop(t *testing.T) {
 }
 
 func TestCheckedPolicyUnwrap(t *testing.T) {
-	inner := cache.NewLRU(8)
+	inner := cache.NewGreedyDual(8)
 	w := WrapPolicy(inner, New(nil), "test").(*CheckedPolicy)
 	if w.Unwrap() != inner {
 		t.Fatal("Unwrap did not return the inner policy")

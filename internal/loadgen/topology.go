@@ -209,10 +209,7 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		}
 		var addrs []string
 		for c := 0; c < cfg.CachesPerProxy; c++ {
-			cc, err := httpcache.NewClientCacheOpts(daemon(fmt.Sprintf("cache-%d-%d", p, c), cacheBytes))
-			if err != nil {
-				return nil, err
-			}
+			cc := httpcache.NewClientCacheOpts(daemon(fmt.Sprintf("cache-%d-%d", p, c), cacheBytes))
 			cln, err := listen()
 			if err != nil {
 				return nil, err

@@ -62,7 +62,7 @@ func TestMetricsDocLibraryNamespaces(t *testing.T) {
 	// check.violations and check.violations.<layer> only register when
 	// an invariant actually fails; prove the wiring with a policy whose
 	// accounting is broken on purpose.
-	p := invariant.WrapPolicy(misreportingPolicy{cache.NewLRU(64)}, chk, "doc-smoke")
+	p := invariant.WrapPolicy(misreportingPolicy{cache.NewGreedyDual(64)}, chk, "doc-smoke")
 	p.Add(cache.Entry{Obj: 1, Size: 4, Cost: 1})
 	if chk.ViolationCount() == 0 {
 		t.Fatal("deliberately broken policy triggered no violation")

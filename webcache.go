@@ -9,7 +9,7 @@
 //	internal/pastry     the Pastry structured overlay
 //	internal/p2p        the P2P client cache (diversion, push, piggyback)
 //	internal/directory  Exact and Bloom lookup directories
-//	internal/cache      LRU / LFU / greedy-dual / GDSF / Belady /
+//	internal/cache      LRU / LFU / greedy-dual / GDSF /
 //	                    cost-benefit placement
 //	internal/prowgen    the ProWGen synthetic workload generator + presets
 //	internal/trace      trace model, codecs, statistics, Squid ingestion
