@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"webcache/internal/pastry"
@@ -65,8 +66,18 @@ func TestRingBalance(t *testing.T) {
 
 func TestFoldMatchesHTTPCacheFolding(t *testing.T) {
 	// Pin the folding formula the proxy (pastry.ID.Fold) and the benchmark share.
+	// The two words are read from the id's big-endian hex.
 	id := pastry.HashString("http://origin/obj/7")
-	want := trace.ObjectID(id[0] ^ (id[1]<<31 | id[1]>>33))
+	hex := id.String()
+	hi, err := strconv.ParseUint(hex[:16], 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, err := strconv.ParseUint(hex[16:], 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := trace.ObjectID(hi ^ (lo<<31 | lo>>33))
 	if got := Fold(id); got != want {
 		t.Fatalf("Fold = %x, want %x", got, want)
 	}

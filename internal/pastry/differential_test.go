@@ -71,7 +71,7 @@ func (p *diffPair) randomKey() ID {
 		return p.randomLive()
 	case 1:
 		id := p.randomLive()
-		return ID{id[0], id[1] + 1}
+		return ID{id.hi, id.lo + 1}
 	default:
 		return ID{p.rng.Uint64(), p.rng.Uint64()}
 	}
@@ -311,19 +311,19 @@ func TestCommonPrefixLenMatchesReference(t *testing.T) {
 		c := a
 		if keep := rng.Intn(IDBits + 1); keep < IDBits {
 			flip := ID{rng.Uint64(), rng.Uint64()}
-			flip[0] |= 1 << 63 // the first bit after the kept prefix differs
+			flip.hi |= 1 << 63 // the first bit after the kept prefix differs
 			var mask ID
 			switch {
 			case keep == 0:
 				mask = flip
 			case keep < 64:
-				mask = ID{flip[0] >> uint(keep), flip[1]}
+				mask = ID{flip.hi >> uint(keep), flip.lo}
 			case keep == 64:
-				mask = ID{0, flip[0]}
+				mask = ID{0, flip.hi}
 			default:
-				mask = ID{0, flip[0] >> uint(keep-64)}
+				mask = ID{0, flip.hi >> uint(keep-64)}
 			}
-			c = ID{a[0] ^ mask[0], a[1] ^ mask[1]}
+			c = ID{a.hi ^ mask.hi, a.lo ^ mask.lo}
 		}
 		for _, b := range []int{1, 2, 4, 8} {
 			if got, want := a.CommonPrefixLen(c, b), refCommonPrefixLen(a, c, b); got != want {
@@ -335,7 +335,7 @@ func TestCommonPrefixLenMatchesReference(t *testing.T) {
 
 func TestCloserToThanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	near := func(x ID) ID { return ID{x[0], x[1] + uint64(rng.Intn(5)) - 2} }
+	near := func(x ID) ID { return ID{x.hi, x.lo + uint64(rng.Intn(5)) - 2} }
 	for i := 0; i < 20000; i++ {
 		key := ID{rng.Uint64(), rng.Uint64()}
 		a, c := ID{rng.Uint64(), rng.Uint64()}, ID{rng.Uint64(), rng.Uint64()}
@@ -343,7 +343,7 @@ func TestCloserToThanMatchesReference(t *testing.T) {
 		case 0: // both a few ids from the key: ties and near-ties
 			a, c = near(key), near(key)
 		case 1: // half a ring away, where the two arcs are equal
-			a = near(ID{key[0] ^ 1<<63, key[1]})
+			a = near(ID{key.hi ^ 1<<63, key.lo})
 		}
 		if got, want := a.CloserToThan(key, c), refCloser(a, key, c); got != want {
 			t.Fatalf("%v.CloserToThan(%v, %v) = %v, reference %v", a, key, c, got, want)
@@ -380,7 +380,7 @@ func TestRareCaseMatchesReference(t *testing.T) {
 			// A key sharing y's first row+1 digits: it needs y's slot.
 			bits := uint((row + 1) * b)
 			key := ID{p.rng.Uint64(), p.rng.Uint64()}
-			key[0] = y[0]&^(^uint64(0)>>bits) | key[0]&(^uint64(0)>>bits)
+			key.hi = y.hi&^(^uint64(0)>>bits) | key.hi&(^uint64(0)>>bits)
 			_, inLeafs := xn.leafs.Deliver(key)
 			_, inTable := xn.table.Lookup(key)
 			if !inLeafs && !inTable && x.CommonPrefixLen(key, b) >= 1 {

@@ -27,14 +27,20 @@ import (
 // IDBits is the width of the Pastry identifier space.
 const IDBits = 128
 
-// ID is a 128-bit Pastry identifier on the circular id space,
-// big-endian: ID[0] holds the most significant 64 bits.
-type ID [2]uint64
+// ID is a 128-bit Pastry identifier on the circular id space, held as
+// two words: hi is the most significant 64 bits, lo the least.  It is
+// a struct rather than a [2]uint64 because the gc compiler keeps a
+// struct of two words in registers but spills an array longer than one
+// element to the stack, and every routing step compares, subtracts and
+// measures ids.  IDs are comparable with == and usable as map keys.
+type ID struct {
+	hi, lo uint64
+}
 
 // IDFromBytes builds an ID from the first 16 bytes of b (which must
 // have at least 16).
 func IDFromBytes(b []byte) ID {
-	return ID{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:16])}
+	return ID{hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:16])}
 }
 
 // HashID derives an ID by SHA-1, truncated to 128 bits — the paper's
@@ -68,26 +74,26 @@ func HashUint64(v uint64) ID {
 // String renders the ID as 32 hex digits.
 func (a ID) String() string {
 	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], a[0])
-	binary.BigEndian.PutUint64(b[8:], a[1])
+	binary.BigEndian.PutUint64(b[:8], a.hi)
+	binary.BigEndian.PutUint64(b[8:], a.lo)
 	return hex.EncodeToString(b[:])
 }
 
 // Fold compresses the 128-bit ID into the 64-bit key the live data
 // plane's caches are keyed by.  A birthday collision would need ~2^32
 // distinct ids in one cache.
-func (a ID) Fold() uint64 { return a[0] ^ bits.RotateLeft64(a[1], 31) }
+func (a ID) Fold() uint64 { return a.hi ^ bits.RotateLeft64(a.lo, 31) }
 
 // Cmp compares a and b as unsigned 128-bit integers: -1, 0, or +1.
 func (a ID) Cmp(b ID) int {
 	switch {
-	case a[0] < b[0]:
+	case a.hi < b.hi:
 		return -1
-	case a[0] > b[0]:
+	case a.hi > b.hi:
 		return 1
-	case a[1] < b[1]:
+	case a.lo < b.lo:
 		return -1
-	case a[1] > b[1]:
+	case a.lo > b.lo:
 		return 1
 	default:
 		return 0
@@ -99,12 +105,9 @@ func (a ID) Less(b ID) bool { return a.Cmp(b) < 0 }
 
 // sub returns a-b mod 2^128 (clockwise ring distance from b to a).
 func (a ID) sub(b ID) ID {
-	lo := a[1] - b[1]
-	var borrow uint64
-	if a[1] < b[1] {
-		borrow = 1
-	}
-	return ID{a[0] - b[0] - borrow, lo}
+	lo, borrow := bits.Sub64(a.lo, b.lo, 0)
+	hi, _ := bits.Sub64(a.hi, b.hi, borrow)
+	return ID{hi: hi, lo: lo}
 }
 
 // Distance returns the circular distance between a and b: the minimum
@@ -112,7 +115,7 @@ func (a ID) sub(b ID) ID {
 // a is the shorter exactly when its top bit is clear.
 func (a ID) Distance(b ID) ID {
 	d := a.sub(b)
-	if d[0]>>63 != 0 {
+	if d.hi>>63 != 0 {
 		return b.sub(a)
 	}
 	return d
@@ -134,7 +137,10 @@ func (a ID) CloserToThan(key, c ID) bool {
 // 2^b.  b must divide 64 evenly into digit boundaries (1, 2, 4, or 8).
 func (a ID) Digit(i, b int) int {
 	bitOffset := i * b
-	word := a[bitOffset/64]
+	word := a.hi
+	if bitOffset >= 64 {
+		word = a.lo
+	}
 	shift := 64 - b - bitOffset%64
 	return int(word>>uint(shift)) & ((1 << b) - 1)
 }
@@ -144,9 +150,9 @@ func (a ID) Digit(i, b int) int {
 // two, see ValidateB, so the division is a shift).
 func (a ID) CommonPrefixLen(other ID, b int) int {
 	shared := IDBits
-	if x := a[0] ^ other[0]; x != 0 {
+	if x := a.hi ^ other.hi; x != 0 {
 		shared = bits.LeadingZeros64(x)
-	} else if x := a[1] ^ other[1]; x != 0 {
+	} else if x := a.lo ^ other.lo; x != 0 {
 		shared = 64 + bits.LeadingZeros64(x)
 	}
 	return shared >> uint(bits.TrailingZeros(uint(b)))

@@ -1,6 +1,9 @@
 package pastry
 
 import (
+	"bytes"
+	"encoding/hex"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -146,9 +149,9 @@ func TestPropDigitsReconstruct(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			d := uint64(id.Digit(i, 4))
 			if i < 16 {
-				rebuilt[0] |= d << uint(60-4*i)
+				rebuilt.hi |= d << uint(60-4*i)
 			} else {
-				rebuilt[1] |= d << uint(60-4*(i-16))
+				rebuilt.lo |= d << uint(60-4*(i-16))
 			}
 		}
 		return rebuilt == id
@@ -178,15 +181,123 @@ func TestPropSubAddInverse(t *testing.T) {
 		b := ID{b0, b1}
 		d := a.sub(b)
 		// add d back to b
-		lo := b[1] + d[1]
+		lo := b.lo + d.lo
 		var carry uint64
-		if lo < b[1] {
+		if lo < b.lo {
 			carry = 1
 		}
-		sum := ID{b[0] + d[0] + carry, lo}
+		sum := ID{b.hi + d.hi + carry, lo}
 		return sum == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzIDArith holds the word arithmetic of ID to math/big on the
+// integers its 16 big-endian bytes spell: the ring difference and
+// distance, the orders, the digits and shared prefixes at every digit
+// width, the fold, and the bytes and hex round trip.  An input shorter
+// than 16 bytes is zero-padded, a longer one cut.
+func FuzzIDArith(f *testing.F) {
+	zero, ones := make([]byte, 16), bytes.Repeat([]byte{0xff}, 16)
+	top := append([]byte{0x80}, make([]byte, 15)...)
+	loMax := append(make([]byte, 8), bytes.Repeat([]byte{0xff}, 8)...)
+	hiOne := append(append(make([]byte, 7), 1), make([]byte, 8)...)
+	f.Add(zero, zero)
+	f.Add(zero, ones)
+	f.Add(zero, top)    // half a ring apart: the arcs tie
+	f.Add(loMax, hiOne) // adjacent across the word boundary
+	f.Add(ones, top)
+	f.Add([]byte("0123456789abcdef"), []byte("0123456789abcdeg"))
+	ring := new(big.Int).Lsh(big.NewInt(1), IDBits)
+	mask64 := new(big.Int).SetUint64(^uint64(0))
+	mod := func(x *big.Int) *big.Int { return x.Mod(x, ring) }
+	num := func(x ID) *big.Int {
+		b, _ := hex.DecodeString(x.String())
+		return new(big.Int).SetBytes(b)
+	}
+	f.Fuzz(func(t *testing.T, in1, in2 []byte) {
+		var b1, b2 [16]byte
+		copy(b1[:], in1)
+		copy(b2[:], in2)
+		a, b := IDFromBytes(b1[:]), IDFromBytes(b2[:])
+		x, y := new(big.Int).SetBytes(b1[:]), new(big.Int).SetBytes(b2[:])
+
+		for _, c := range []struct {
+			id  ID
+			raw []byte
+		}{{a, b1[:]}, {b, b2[:]}} {
+			if got, want := c.id.String(), hex.EncodeToString(c.raw); got != want {
+				t.Fatalf("String() = %s, want %s", got, want)
+			}
+			back, err := hex.DecodeString(c.id.String())
+			if err != nil || IDFromBytes(back) != c.id {
+				t.Fatalf("IDFromBytes(hex %s) = %v (%v), want %v", c.id.String(), IDFromBytes(back), err, c.id)
+			}
+			n := new(big.Int).SetBytes(c.raw)
+			hi := new(big.Int).Rsh(n, 64).Uint64()
+			lo := new(big.Int).And(n, mask64).Uint64()
+			if got, want := c.id.Fold(), hi^(lo<<31|lo>>33); got != want {
+				t.Fatalf("%v.Fold() = %x, want %x", c.id, got, want)
+			}
+		}
+
+		dxy := mod(new(big.Int).Sub(x, y))
+		dyx := mod(new(big.Int).Sub(y, x))
+		if got := num(a.sub(b)); got.Cmp(dxy) != 0 {
+			t.Fatalf("%v.sub(%v) = %x, want %x", a, b, got, dxy)
+		}
+		minor := dxy
+		if dyx.Cmp(dxy) < 0 {
+			minor = dyx
+		}
+		if got := num(a.Distance(b)); got.Cmp(minor) != 0 {
+			t.Fatalf("%v.Distance(%v) = %x, want %x", a, b, got, minor)
+		}
+		if got, want := a.Cmp(b), x.Cmp(y); got != want {
+			t.Fatalf("%v.Cmp(%v) = %d, want %d", a, b, got, want)
+		}
+		if got, want := a.Less(b), x.Cmp(y) < 0; got != want {
+			t.Fatalf("%v.Less(%v) = %v, want %v", a, b, got, want)
+		}
+
+		shared := IDBits - new(big.Int).Xor(x, y).BitLen()
+		for _, w := range []int{1, 2, 4, 8} {
+			if got := a.CommonPrefixLen(b, w); got != shared/w {
+				t.Fatalf("%v.CommonPrefixLen(%v, %d) = %d, want %d", a, b, w, got, shared/w)
+			}
+			digitMask := big.NewInt(1<<w - 1)
+			for i := 0; i < IDBits/w; i++ {
+				d := new(big.Int).Rsh(x, uint(IDBits-(i+1)*w))
+				if got, want := a.Digit(i, w), d.And(d, digitMask).Int64(); int64(got) != want {
+					t.Fatalf("%v.Digit(%d, %d) = %d, want %d", a, i, w, got, want)
+				}
+			}
+		}
+
+		// CloserToThan over every ordered triple of the two ids and the
+		// two that swap their words, which brings equal high words, and
+		// so near ties, into play.
+		ids := []ID{a, b, {a.hi, b.lo}, {b.hi, a.lo}}
+		dist := func(p, key ID) *big.Int {
+			d1 := mod(new(big.Int).Sub(num(p), num(key)))
+			d2 := mod(new(big.Int).Sub(num(key), num(p)))
+			if d2.Cmp(d1) < 0 {
+				return d2
+			}
+			return d1
+		}
+		for _, p := range ids {
+			for _, key := range ids {
+				for _, q := range ids {
+					cmp := dist(p, key).Cmp(dist(q, key))
+					want := cmp < 0 || (cmp == 0 && num(p).Cmp(num(q)) < 0)
+					if got := p.CloserToThan(key, q); got != want {
+						t.Fatalf("%v.CloserToThan(%v, %v) = %v, want %v", p, key, q, got, want)
+					}
+				}
+			}
+		}
+	})
 }

@@ -28,7 +28,7 @@ type idSlot[T any] struct {
 // either half only (in tests, in the low bits of the low half) still
 // spread.
 func (t *IDTable[T]) home(id ID) int {
-	return int(((id[0]*0x9e3779b97f4a7c15 + id[1]) * 0xbf58476d1ce4e5b9) >> t.shift)
+	return int(((id.hi*0x9e3779b97f4a7c15 + id.lo) * 0xbf58476d1ce4e5b9) >> t.shift)
 }
 
 // Len returns the number of entries.

@@ -160,8 +160,8 @@ func (ls *LeafSet) sidesOverlap() bool {
 		return false
 	}
 	a, b := ls.larger[len(ls.larger)-1].arc, ls.smaller[len(ls.smaller)-1].arc
-	_, carry := bits.Add64(a[1], b[1], 0)
-	_, carry = bits.Add64(a[0], b[0], carry)
+	_, carry := bits.Add64(a.lo, b.lo, 0)
+	_, carry = bits.Add64(a.hi, b.hi, carry)
 	return carry != 0
 }
 

@@ -139,7 +139,7 @@ func TestPropLeafSetClosestMatchesBruteForce(t *testing.T) {
 		key := ridRand(rng)
 		if len(all) > 0 && rng.Intn(2) == 0 {
 			near := all[rng.Intn(len(all))]
-			key = ID{near[0], near[1] + uint64(rng.Intn(9)) - 4}
+			key = ID{near.hi, near.lo + uint64(rng.Intn(9)) - 4}
 		}
 		got, ok := ls.Deliver(key)
 		if !ok {

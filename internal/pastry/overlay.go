@@ -84,7 +84,7 @@ func (s *idSet) reset() { s.epoch, s.n = s.epoch+1, 0 }
 // add inserts x and reports whether it was absent.
 func (s *idSet) add(x ID) bool {
 	mask := uint64(len(s.ids) - 1)
-	i := x[1] & mask
+	i := x.lo & mask
 	for s.stamp[i] == s.epoch {
 		if s.ids[i] == x {
 			return false
@@ -159,6 +159,10 @@ var ErrDuplicateID = errors.New("pastry: node id already in overlay")
 
 // ErrEmptyOverlay reports an operation requiring at least one node.
 var ErrEmptyOverlay = errors.New("pastry: overlay has no nodes")
+
+// ErrUnknownStart reports a route asked to start at an id that is not
+// a live node.
+var ErrUnknownStart = errors.New("pastry: route start is not a live node")
 
 func (o *Overlay) insertID(id ID) {
 	i := sort.Search(len(o.ids), func(i int) bool { return !o.ids[i].Less(id) })
@@ -349,14 +353,14 @@ func (o *Overlay) repairLeafSet(n *Node) {
 func (o *Overlay) maxRouteHops() int { return IDBits/o.b + o.l + 8 }
 
 // RouteFrom routes key from a specific start node.  It returns the
-// destination node id and the hop count (0 when start owns the key).
-// Dead routing entries encountered on the way are purged (lazy repair)
-// and routing continues.
+// destination node id and the hop count (0 when start owns the key),
+// or ErrUnknownStart when start is not a live node.  Dead routing
+// entries encountered on the way are purged (lazy repair) and routing
+// continues.
 func (o *Overlay) RouteFrom(start ID, key ID) (ID, int, error) {
 	dest, hops, path := o.routeFrom(start, key)
-	destNode := o.nodes.Get(dest)
-	if destNode == nil {
-		return ID{}, 0, ErrEmptyOverlay
+	if path == nil {
+		return ID{}, 0, ErrUnknownStart
 	}
 	o.routes++
 	o.hopsTotal += hops
@@ -365,14 +369,15 @@ func (o *Overlay) RouteFrom(start ID, key ID) (ID, int, error) {
 	}
 	if hops > 0 {
 		o.pathDist += pathDistance(path)
-		o.directDist += path[0].coord.DistanceTo(destNode.coord)
+		o.directDist += path[0].coord.DistanceTo(o.nodes.Get(dest).coord)
 	}
 	return dest, hops, nil
 }
 
 // routeFrom is the router: destination, hops, and the nodes visited
 // (start and destination included).  The path is the overlay's
-// scratch, good until the next route.
+// scratch, good until the next route; it is nil, and nothing is
+// routed, when start is not a live node.
 func (o *Overlay) routeFrom(start ID, key ID) (ID, int, []*Node) {
 	cur := o.nodes.Get(start)
 	if cur == nil {

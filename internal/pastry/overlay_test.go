@@ -1,6 +1,7 @@
 package pastry
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -289,8 +290,24 @@ func TestRouteFromSpecificStart(t *testing.T) {
 			t.Fatalf("from %v: got %v want %v", start, got, want)
 		}
 	}
-	if _, _, err := o.RouteFrom(HashString("not-a-node"), key); err == nil {
-		t.Error("route from dead start succeeded")
+	if _, _, err := o.RouteFrom(HashString("not-a-node"), key); !errors.Is(err, ErrUnknownStart) {
+		t.Errorf("route from dead start: err = %v, want ErrUnknownStart", err)
+	}
+	// A live node with the zero id must not stand in for a start that
+	// is not a node: the route is refused, not delivered there in 0 hops.
+	z, _ := New(Config{Seed: 21})
+	for _, id := range []ID{idNum(0), idNum(1 << 40), ID{1 << 63, 0}} {
+		if err := z.Join(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dest, hops, err := z.RouteFrom(idNum(7), key); !errors.Is(err, ErrUnknownStart) {
+		t.Errorf("route from a non-node beside a zero-id node = (%v, %d, %v), want ErrUnknownStart", dest, hops, err)
+	}
+	if got, _, err := z.RouteFrom(idNum(0), key); err != nil {
+		t.Errorf("route from the zero-id node: %v", err)
+	} else if want, _ := z.Owner(key); got != want {
+		t.Errorf("route from the zero-id node = %v, want %v", got, want)
 	}
 }
 

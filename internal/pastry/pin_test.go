@@ -39,8 +39,8 @@ func TestOverlayStatsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			var b [24]byte
-			binary.BigEndian.PutUint64(b[0:], dest[0])
-			binary.BigEndian.PutUint64(b[8:], dest[1])
+			binary.BigEndian.PutUint64(b[0:], dest.hi)
+			binary.BigEndian.PutUint64(b[8:], dest.lo)
 			binary.BigEndian.PutUint64(b[16:], uint64(hops))
 			h.Write(b[:])
 		}
