@@ -9,11 +9,9 @@ import (
 	"strings"
 	"time"
 
-	"webcache/internal/httpcache"
 	"webcache/internal/loadgen"
 	"webcache/internal/obs"
 	"webcache/internal/prowgen"
-	"webcache/internal/sim"
 	"webcache/internal/trace"
 )
 
@@ -64,8 +62,6 @@ func (e gateEntry) flagSet() (*flag.FlagSet, *workload, benchGate) {
 // ever set; every gate runs at these values.
 const (
 	benchSeed        int64 = 1                // workload and arrival-process seed
-	benchProxyFrac         = 0.05             // proxy cache size / infinite cache size
-	benchClientFrac        = 0.005            // per-client cache size / infinite cache size
 	benchMaxInflight       = 512              // open-loop in-flight bound
 	benchTimeout           = 10 * time.Second // per-request timeout
 )
@@ -167,25 +163,6 @@ func (t *topology) bind(fs *flag.FlagSet) {
 	fs.Float64Var(&t.rate, "rate", 500, "open-loop arrival rate in req/s (bursty: peak rate)")
 }
 
-// simConfig is the simulator configuration a loopback topology is
-// sized from (CapacityPlan) and routed by (ProxyFor), so live and
-// simulated runs of one workload share capacities and client mapping.
-// Its digests are the live proxies' (httpcache.DigestEvery of each
-// proxy's requests is that many times the proxies of all of them).
-func (t topology) simConfig(clients int) sim.Config {
-	return sim.Config{
-		Scheme:            sim.HierGD,
-		NumProxies:        t.proxies,
-		ClientsPerCluster: (clients + t.proxies - 1) / t.proxies,
-		P2PClientCaches:   t.caches,
-		Directory:         sim.DirExact,
-		ProxyCacheFrac:    benchProxyFrac,
-		ClientCacheFrac:   benchClientFrac,
-		DigestInterval:    httpcache.DigestEvery * t.proxies,
-		Seed:              benchSeed,
-	}
-}
-
 // unitsToBytes scales trace cache units to origin-body bytes.
 func unitsToBytes(units []uint64, objectBytes int) []uint64 {
 	out := make([]uint64, len(units))
@@ -255,7 +232,7 @@ func (g *liveGate) run() error {
 		warmup = tr.Len() / 10
 	}
 
-	simCfg := g.simConfig(traceClients(tr))
+	simCfg := loadgen.LoopbackSimConfig(g.proxies, g.caches, traceClients(tr), benchSeed)
 	simCfg.WarmupRequests = warmup
 	proxyCap, clientCap := simCfg.CapacityPlan(tr)
 

@@ -318,7 +318,7 @@ func runCache(args []string) error {
 		Tracer:        sess.Tracer,
 		Events:        events,
 	})
-	if err := httpcache.Register(*proxy, addr, nil); err != nil {
+	if err := httpcache.Register(*proxy, addr); err != nil {
 		ln.Close()
 		return err
 	}

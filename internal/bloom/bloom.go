@@ -270,11 +270,6 @@ func (c *Counting) MayContain(key uint64) bool {
 	return true
 }
 
-// EstimatedFPRate mirrors Filter.EstimatedFPRate.
-func (c *Counting) EstimatedFPRate() float64 {
-	return math.Pow(1-math.Exp(-float64(c.k)*float64(c.n)/float64(c.m)), float64(c.k))
-}
-
 // MemoryBytes reports the counter-array footprint (4-bit counters
 // packed two per byte — exactly what the implementation allocates).
 func (c *Counting) MemoryBytes() uint64 { return uint64(len(c.counters)) }

@@ -220,15 +220,6 @@ func resize[S ~[]E, E any](s S, n int) S {
 	return s[:n]
 }
 
-// ComputePlacement runs the greedy cost-benefit placement.
-func ComputePlacement(in PlacementInput) (*Placement, error) {
-	pl := new(Placement)
-	if err := pl.Compute(in); err != nil {
-		return nil, err
-	}
-	return pl, nil
-}
-
 // Compute runs the greedy cost-benefit placement into pl, replacing
 // what an earlier Compute left there and reusing its buffers.
 //

@@ -28,8 +28,8 @@ func twoProxyInput(freq []float64, capacity int, coop bool) PlacementInput {
 
 func TestPlacementRespectsCapacity(t *testing.T) {
 	in := twoProxyInput([]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, 3, true)
-	pl, err := ComputePlacement(in)
-	if err != nil {
+	pl := new(Placement)
+	if err := pl.Compute(in); err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, len(in.Tiers))
@@ -49,8 +49,8 @@ func TestPlacementRespectsCapacity(t *testing.T) {
 
 func TestPlacementPrefersPopularObjects(t *testing.T) {
 	in := twoProxyInput([]float64{100, 90, 80, 1, 1, 1}, 2, true)
-	pl, err := ComputePlacement(in)
-	if err != nil {
+	pl := new(Placement)
+	if err := pl.Compute(in); err != nil {
 		t.Fatal(err)
 	}
 	// The three popular objects must be placed somewhere before any
@@ -67,12 +67,12 @@ func TestPlacementCooperationAvoidsDuplication(t *testing.T) {
 	// more distinct objects than 2 independent caches would (which
 	// would both cache the same top objects).
 	freq := []float64{100, 99, 98, 97, 96, 95, 94, 93}
-	coop, err := ComputePlacement(twoProxyInput(freq, 4, true))
-	if err != nil {
+	coop := new(Placement)
+	if err := coop.Compute(twoProxyInput(freq, 4, true)); err != nil {
 		t.Fatal(err)
 	}
-	indep, err := ComputePlacement(twoProxyInput(freq, 4, false))
-	if err != nil {
+	indep := new(Placement)
+	if err := indep.Compute(twoProxyInput(freq, 4, false)); err != nil {
 		t.Fatal(err)
 	}
 	distinct := func(pl *Placement) int {
@@ -103,8 +103,8 @@ func TestPlacementDuplicatesWhenWorthIt(t *testing.T) {
 	// should hold their own copy (Tc > Tl makes a local copy worth a
 	// slot once coverage no longer suffers).
 	freq := []float64{1000, 1, 1}
-	pl, err := ComputePlacement(twoProxyInput(freq, 3, true))
-	if err != nil {
+	pl := new(Placement)
+	if err := pl.Compute(twoProxyInput(freq, 3, true)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := pl.HasCopy(0, 0); !ok {
@@ -126,8 +126,8 @@ func TestPlacementTwoTiersPutsHotObjectsInFastTier(t *testing.T) {
 		RemoteLatency: 0.1,
 		Cooperative:   false,
 	}
-	pl, err := ComputePlacement(in)
-	if err != nil {
+	pl := new(Placement)
+	if err := pl.Compute(in); err != nil {
 		t.Fatal(err)
 	}
 	for o := trace.ObjectID(0); o < 2; o++ {
@@ -144,8 +144,8 @@ func TestPlacementTwoTiersPutsHotObjectsInFastTier(t *testing.T) {
 
 func TestPlacementZeroBenefitObjectsUnplaced(t *testing.T) {
 	in := twoProxyInput([]float64{10, 0, 0, 0}, 3, true)
-	pl, err := ComputePlacement(in)
-	if err != nil {
+	pl := new(Placement)
+	if err := pl.Compute(in); err != nil {
 		t.Fatal(err)
 	}
 	for o := trace.ObjectID(1); o < 4; o++ {
@@ -159,27 +159,27 @@ func TestPlacementInputValidation(t *testing.T) {
 	base := twoProxyInput([]float64{1}, 1, true)
 	bad := base
 	bad.Freq = nil
-	if _, err := ComputePlacement(bad); err == nil {
+	if err := new(Placement).Compute(bad); err == nil {
 		t.Error("no proxies accepted")
 	}
 	bad = base
 	bad.Freq = [][]float64{{1}, {1, 2}}
-	if _, err := ComputePlacement(bad); err == nil {
+	if err := new(Placement).Compute(bad); err == nil {
 		t.Error("ragged freq accepted")
 	}
 	bad = base
 	bad.Tiers = []Tier{{Proxy: 5, Capacity: 1, HitLatency: 0.05}}
-	if _, err := ComputePlacement(bad); err == nil {
+	if err := new(Placement).Compute(bad); err == nil {
 		t.Error("bad tier proxy accepted")
 	}
 	bad = base
 	bad.ServerLatency = 0
-	if _, err := ComputePlacement(bad); err == nil {
+	if err := new(Placement).Compute(bad); err == nil {
 		t.Error("zero server latency accepted")
 	}
 	bad = base
 	bad.Tiers = []Tier{{Proxy: 0, Capacity: -1, HitLatency: 0.05}}
-	if _, err := ComputePlacement(bad); err == nil {
+	if err := new(Placement).Compute(bad); err == nil {
 		t.Error("negative capacity accepted")
 	}
 }
@@ -276,8 +276,8 @@ func TestPropPlacementNearOptimal(t *testing.T) {
 			RemoteLatency: 0.1,
 			Cooperative:   true,
 		}
-		pl, err := ComputePlacement(in)
-		if err != nil {
+		pl := new(Placement)
+		if err := pl.Compute(in); err != nil {
 			return false
 		}
 		baseline := 0.0
@@ -589,7 +589,7 @@ func decodePlacement(script []byte) PlacementInput {
 }
 
 // FuzzPlacement holds Compute to the single-heap greedy (refPlacement)
-// and to a fresh ComputePlacement, on one Placement reused across every
+// and to a fresh Placement, on one Placement reused across every
 // input.  The seeds are tie-heavy windows (many objects at one
 // frequency, two tiers of one proxy at one latency) and a window no
 // proxy asks anything of.
@@ -616,8 +616,8 @@ func FuzzPlacement(f *testing.F) {
 		if err := pl.Compute(in); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := ComputePlacement(in)
-		if err != nil {
+		fresh := new(Placement)
+		if err := fresh.Compute(in); err != nil {
 			t.Fatal(err)
 		}
 		// Placement 0 is the reused one, 1 the fresh one.

@@ -39,9 +39,10 @@ type Scenario struct {
 	// way out) and receipt-fabricators (claim "stored" without
 	// storing).
 	ByzantineFraction float64
-	// PoisonKeys plants this many bogus directory entries per proxy
-	// before the run (keys of real upcoming objects the cluster does
-	// not hold) — the directory-poisoning attack.
+	// PoisonKeys is the directory-poisoning attack: this many keys of
+	// real upcoming objects the cluster does not hold, which the live
+	// side lists in a /register body to each proxy before the run (and
+	// fails if any lands in a directory) and the simulator plants.
 	PoisonKeys int
 }
 
@@ -79,7 +80,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name:        "poison",
-			Description: "bogus directory entries planted for objects the cluster does not hold",
+			Description: "bogus directory entries for objects the cluster does not hold: refused live, planted in the simulator",
 			PoisonKeys:  64,
 		},
 	}

@@ -249,8 +249,7 @@ func TestMetricsDocChaos(t *testing.T) {
 	}
 	reg := obs.NewRegistry("chaos-doc-smoke")
 	NewInjector(Scenario{}, 1, reg)
-	// The two counters the live runner owns (poisoning, churn).
-	reg.Counter("chaos.poisoned_keys").Add(0)
+	// The counter the live runner owns.
 	reg.Counter("chaos.churned_caches").Add(0)
 
 	var names []string

@@ -1,9 +1,13 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/url"
 	"time"
 
 	"webcache/internal/httpcache"
@@ -14,7 +18,6 @@ import (
 	"webcache/internal/obs/slo"
 	"webcache/internal/pastry"
 	"webcache/internal/prowgen"
-	"webcache/internal/sim"
 	"webcache/internal/trace"
 )
 
@@ -84,7 +87,6 @@ type LiveReport struct {
 	SLO        []cluster.ClassRollup  `json:"slo"`
 	Defense    httpcache.DefenseStats `json:"defense"`
 	Churned    int                    `json:"churned_caches"`
-	Poisoned   int                    `json:"poisoned_keys"`
 	Violations int64                  `json:"invariant_violations"`
 }
 
@@ -144,15 +146,7 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	simCfg := sim.Config{
-		Scheme:            sim.HierGD,
-		NumProxies:        cfg.Proxies,
-		ClientsPerCluster: (cfg.Clients + cfg.Proxies - 1) / cfg.Proxies,
-		P2PClientCaches:   cfg.CachesPerProxy,
-		ProxyCacheFrac:    0.05,
-		ClientCacheFrac:   0.005,
-		Seed:              cfg.Seed,
-	}
+	simCfg := loadgen.LoopbackSimConfig(cfg.Proxies, cfg.CachesPerProxy, cfg.Clients, cfg.Seed)
 	proxyCap, clientCap := simCfg.CapacityPlan(tr)
 	toBytes := func(units []uint64) []uint64 {
 		out := make([]uint64, len(units))
@@ -191,22 +185,12 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 
 	rep := &LiveReport{Scenario: cfg.Scenario.Name, DefensesOn: cfg.DefensesOn}
 
-	// Directory poisoning: re-register each proxy's first daemon with a
-	// /register key list covering upcoming objects nobody holds, which
-	// the proxy's directory lists on the sender's word, so real requests
-	// pay the wasted LAN probes.
+	// Directory poisoning, as an attacker would try it: the keys of
+	// upcoming objects nobody holds, listed in a /register body.
 	if cfg.Scenario.PoisonKeys > 0 {
-		keys := poisonKeys(tr, topo.OriginURL, cfg.Scenario.PoisonKeys)
-		for p, u := range topo.ProxyURLs {
-			if len(topo.CacheAddrs[p]) == 0 {
-				continue
-			}
-			if err := httpcache.Register(u, topo.CacheAddrs[p][0], keys); err != nil {
-				return nil, fmt.Errorf("chaos: poisoning: %w", err)
-			}
-			rep.Poisoned += len(keys)
+		if err := poison(topo, poisonKeys(tr, topo.OriginURL, cfg.Scenario.PoisonKeys)); err != nil {
+			return nil, err
 		}
-		cfg.Registry.Counter("chaos.poisoned_keys").Add(int64(rep.Poisoned))
 	}
 
 	// Mass churn: flash-disconnect mid-run (half the expected drive
@@ -304,6 +288,35 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 		rep.Violations = cfg.Check.ViolationCount()
 	}
 	return rep, nil
+}
+
+// poison re-registers each proxy's first daemon with keys listed in the
+// /register body.  A registration lists nothing, so it fails if any
+// proxy's directory grew.
+func poison(topo *loadgen.Topology, keys []string) error {
+	body, _ := json.Marshal(map[string][]string{"recovered": keys}) // a []string always marshals
+	for p, u := range topo.ProxyURLs {
+		if len(topo.CacheAddrs[p]) == 0 {
+			continue
+		}
+		before, err := topo.ProxyStats(p)
+		if err != nil {
+			return err
+		}
+		resp, err := http.Post(u+"/register?addr="+url.QueryEscape(topo.CacheAddrs[p][0]), "application/json", bytes.NewReader(body))
+		if err != nil {
+			return fmt.Errorf("chaos: poisoning: %w", err)
+		}
+		resp.Body.Close()
+		after, err := topo.ProxyStats(p)
+		if err != nil {
+			return err
+		}
+		if grew := after.DirEntries - before.DirEntries; grew != 0 {
+			return fmt.Errorf("chaos: poisoning: a /register key list planted %d directory entries at proxy %d", grew, p)
+		}
+	}
+	return nil
 }
 
 // poisonKeys derives the directory keys of the first n distinct

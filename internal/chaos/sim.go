@@ -3,8 +3,8 @@ package chaos
 import (
 	"time"
 
-	"webcache/internal/httpcache"
 	"webcache/internal/invariant"
+	"webcache/internal/loadgen"
 	"webcache/internal/netmodel"
 	"webcache/internal/obs"
 	"webcache/internal/prowgen"
@@ -72,14 +72,10 @@ func simKnobs(cfg *sim.Config, scn Scenario, requests int, defensesOn bool) {
 	}
 	if scn.PoisonKeys > 0 {
 		cfg.PoisonEvery = 500
-		cfg.PoisonBatch = 8
 		if defensesOn {
 			cfg.DirSweepEvery = 250
 		}
 	}
-	// The live side's cooperating proxies ask each other on digests
-	// pulled every DigestEvery of their own requests (DESIGN.md §9).
-	cfg.DigestInterval = httpcache.DigestEvery * cfg.NumProxies
 }
 
 // SimDefended reports whether simKnobs maps a defense for the scenario
@@ -107,17 +103,8 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 	// p999 is read from (sim.latency is cumulative on shared
 	// registries, which would mix scenarios).
 	reg := obs.NewRegistry("chaos-sim")
-	simCfg := sim.Config{
-		Scheme:            sim.HierGD,
-		NumProxies:        cfg.Proxies,
-		ClientsPerCluster: (cfg.Clients + cfg.Proxies - 1) / cfg.Proxies,
-		P2PClientCaches:   cfg.CachesPerProxy,
-		ProxyCacheFrac:    0.05,
-		ClientCacheFrac:   0.005,
-		Seed:              cfg.Seed,
-		Obs:               reg,
-		Check:             cfg.Check,
-	}
+	simCfg := loadgen.LoopbackSimConfig(cfg.Proxies, cfg.CachesPerProxy, cfg.Clients, cfg.Seed)
+	simCfg.Obs, simCfg.Check = reg, cfg.Check
 	simKnobs(&simCfg, cfg.Scenario, cfg.Requests, cfg.DefensesOn)
 	res, err := sim.Run(tr, simCfg)
 	if err != nil {

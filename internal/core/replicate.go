@@ -21,6 +21,11 @@ func RunFigureReplicated(id string, opts Options, replicates int) (*Figure, erro
 	for r := 0; r < replicates; r++ {
 		o := opts
 		o.Seed = opts.Seed + int64(r)
+		if p := opts.Progress; p != nil {
+			// One sweep per replicate, each of the same jobs: progress
+			// counts the jobs of all of them.
+			o.Progress = func(done, total int) { p(r*total+done, replicates*total) }
+		}
 		f, err := RunFigure(id, o)
 		if err != nil {
 			return nil, fmt.Errorf("core: replicate %d: %w", r, err)

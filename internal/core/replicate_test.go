@@ -1,12 +1,29 @@
 package core
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
+// The replicates' sweeps report progress as one count: every job once,
+// against the total of all of them.
 func TestRunFigureReplicated(t *testing.T) {
 	opts := Options{Scale: 0.03, Fracs: []float64{0.2}, Seed: 1}
+	var mu sync.Mutex
+	var calls, lastDone, total int
+	opts.Progress = func(done, tot int) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		lastDone, total = max(lastDone, done), tot
+	}
 	fig, err := RunFigureReplicated("5a", opts, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if calls == 0 || calls != total || lastDone != total || total%3 != 0 {
+		t.Errorf("progress: %d calls, last done %d of %d; want one call per job of 3 replicates, ending at the total",
+			calls, lastDone, total)
 	}
 	for _, s := range fig.Series {
 		for _, p := range s.Points {

@@ -134,9 +134,6 @@ func (d *Bloom) Len() int { return len(d.present) }
 // MemoryBytes implements Directory: the filter's packed counters.
 func (d *Bloom) MemoryBytes() uint64 { return d.filter.MemoryBytes() }
 
-// FPRate exposes the filter's estimated false-positive rate.
-func (d *Bloom) FPRate() float64 { return d.filter.EstimatedFPRate() }
-
 // Reset implements Directory.
 func (d *Bloom) Reset() {
 	m, k := d.filter.M(), d.filter.K()

@@ -108,9 +108,6 @@ func TestBloomMemorySmallerThanExact(t *testing.T) {
 	if b.MemoryBytes() >= e.MemoryBytes() {
 		t.Errorf("bloom %d bytes not smaller than exact %d bytes", b.MemoryBytes(), e.MemoryBytes())
 	}
-	if r := b.FPRate(); r > 0.03 {
-		t.Errorf("bloom FP rate %.4f above ~1%% design point", r)
-	}
 }
 
 func TestBloomFalsePositivesBounded(t *testing.T) {

@@ -177,7 +177,7 @@ func hexID(hex string) (pastry.ID, bool) {
 }
 
 // foldHex folds the well-formed keys of a list another daemon sent (a
-// /register key list, a store receipt's evictions) and skips the rest.
+// store receipt's evictions) and skips the rest.
 func foldHex(hexes []string) []trace.ObjectID {
 	var out []trace.ObjectID
 	for _, hex := range hexes {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -14,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"webcache/internal/trace"
 	"webcache/internal/wiretest"
 )
 
@@ -41,8 +41,8 @@ func newFakeDaemon(t *testing.T, body []byte) *fakeDaemon {
 		}
 		w.Write(d.body)
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("{}"))
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("ok"))
 	})
 	d.srv = newFarEnd(t, mux)
 	d.addr = d.srv.addr
@@ -187,47 +187,54 @@ func TestRelayHopDeadline(t *testing.T) {
 	}
 }
 
-// TestRegisterBodyCap pins the /register size cap: an attacker
-// streaming an unbounded recovered-key list gets 413 before the proxy
-// buffers it; plain registrations (no body, junk body) still succeed.
-func TestRegisterBodyCap(t *testing.T) {
-	_, srv := defenseProxy(t, Defenses{})
-
-	huge := `{"recovered":["` + strings.Repeat("a", registerBodyMax+1024) + `"]}`
-	resp, err := http.Post(srv.URL+"/register?addr=10.0.0.1:999", "application/json",
-		strings.NewReader(huge))
+// A registration names an address and nothing else: a body listing
+// keys, as the poison chaos scenario sends one, plants no directory
+// entry, and the daemon is registered all the same.
+func TestRegisterListsNothing(t *testing.T) {
+	px, srv := defenseProxy(t, Defenses{})
+	listed := keyOf("http://origin.test/listed").String()
+	resp, err := http.Post(srv.URL+"/register?addr=10.0.0.3:999", "application/json",
+		strings.NewReader(`{"recovered":["`+listed+`"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize register: status %d, want 413", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || member(px, "10.0.0.3:999") == nil {
+		t.Fatalf("register with a key list: status %d, on the ring %v; want 200 and registered",
+			resp.StatusCode, member(px, "10.0.0.3:999") != nil)
 	}
-
-	resp, err = http.Post(srv.URL+"/register?addr=10.0.0.2:999", "text/plain",
-		strings.NewReader("not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plain register: status %d, want 200", resp.StatusCode)
+	if got := px.snapshotStats().DirEntries; got != 0 {
+		t.Fatalf("directory_entries = %d after a registration listing a key, want 0", got)
 	}
 }
 
-// A /register recovered list is outside input: only 32-hex-digit keys
-// reach the directory, and a malformed one is skipped, not read as id 0.
-func TestRegisterSkipsMalformedKeys(t *testing.T) {
+// /register refuses an addr that is not host:port with 400, as
+// NewProxyOpts refuses such a peer: every hop to it would fail.
+func TestRegisterAddrIsHostPort(t *testing.T) {
 	px, srv := defenseProxy(t, Defenses{})
-	valid := keyOf("http://origin.test/recovered").String()
-	resp, err := http.Post(srv.URL+"/register?addr=10.0.0.3:999", "application/json",
-		strings.NewReader(`{"recovered":["zz","`+valid+`"]}`))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		addr string
+		want int
+	}{
+		{"10.0.0.1:999", http.StatusOK},
+		{"[fe80::1%eth0]:9001", http.StatusOK},
+		{"", http.StatusBadRequest},
+		{"https://cache.test:9001", http.StatusBadRequest},
+		{"cache.test", http.StatusBadRequest},
+		{":9001", http.StatusBadRequest},
+		{"cache.test:", http.StatusBadRequest},
+	} {
+		resp, err := http.Post(srv.URL+"/register?addr="+url.QueryEscape(tc.addr), "text/plain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("register %q: status %d, want %d", tc.addr, resp.StatusCode, tc.want)
+		}
 	}
-	resp.Body.Close()
-	if got := px.snapshotStats().DirEntries; got != 1 {
-		t.Fatalf("directory_entries = %d after one valid and one malformed key, want 1", got)
+	if n := px.ring.size(); n != 2 {
+		t.Fatalf("ring holds %d members, want the 2 host:port registrations", n)
 	}
 }
 
@@ -237,7 +244,7 @@ func TestRegisterEscapesAddr(t *testing.T) {
 	px, srv := defenseProxy(t, Defenses{})
 	addrs := []string{"[fe80::1%eth0]:9001", "a+b:9001"}
 	for _, addr := range addrs {
-		if err := Register(srv.URL, addr, nil); err != nil {
+		if err := Register(srv.URL, addr); err != nil {
 			t.Fatalf("Register(%q): %v", addr, err)
 		}
 	}
@@ -248,61 +255,38 @@ func TestRegisterEscapesAddr(t *testing.T) {
 	}
 }
 
-// FuzzRegister sends /register an arbitrary addr and raw body, as the
-// poison chaos scenario, the key list's one sender, might.  Whatever
-// arrives, the proxy does not panic and answers 200, 400 or 413; a 200
-// carries a cacheId, and the directory grows by exactly the well-formed
-// 32-hex keys of the body's key list that it did not hold.
+// FuzzRegister sends /register an arbitrary addr and raw body.
+// Whatever arrives, the proxy does not panic, answers 200 with a
+// cacheId for a host:port addr and 400 for any other, and its directory
+// never grows: a registration lists nothing.
 func FuzzRegister(f *testing.F) {
-	valid := keyOf("http://origin.test/fuzz").String()
+	listed := keyOf("http://origin.test/fuzz").String()
 	f.Add("10.0.0.1:999", []byte(nil))
 	f.Add("cache.test:9001", []byte("not json"))
-	f.Add("10.0.0.2:999", []byte(`{"recovered":["zz","`+valid+`","`+strings.ToUpper(valid)+`",""]}`))
-	f.Add("", []byte(`{"recovered":["`+valid+`"]}`))
-	f.Add("10.0.0.3:999", []byte(`{"recovered":["`+strings.Repeat("a", registerBodyMax)+`"]}`))
+	f.Add("10.0.0.2:999", []byte(`{"recovered":["zz","`+listed+`","`+strings.ToUpper(listed)+`",""]}`))
+	f.Add("", []byte(`{"recovered":["`+listed+`"]}`))
+	f.Add("https://cache.test:9001", []byte(`{"recovered":["`+listed+`"]}`))
 	px := newProxy(f, Options{CapacityBytes: 1 << 20})
 	h := px.Handler()
 	f.Fuzz(func(t *testing.T, addr string, body []byte) {
-		// The keys the body names, decoded as the handler decodes it; the
-		// directory holds each well-formed one after a 200.
-		var sent registerBody
-		json.NewDecoder(bytes.NewReader(body)).Decode(&sent)
-		keys := foldHex(sent.Recovered)
-		px.mu.Lock()
-		before := px.dir.Len()
-		fresh := map[trace.ObjectID]bool{}
-		for _, k := range keys {
-			if !px.dir.MayContain(k) {
-				fresh[k] = true
-			}
-		}
-		px.mu.Unlock()
-
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", "/register?addr="+url.QueryEscape(addr), bytes.NewReader(body)))
-
-		px.mu.Lock()
-		grew := px.dir.Len() - before
-		missing := slices.ContainsFunc(keys, func(k trace.ObjectID) bool { return !px.dir.MayContain(k) })
-		px.mu.Unlock()
-		switch rec.Code {
-		case http.StatusOK:
+		if n := px.snapshotStats().DirEntries; n != 0 {
+			t.Errorf("addr %q: the directory holds %d entries after a registration", addr, n)
+		}
+		host, port, err := net.SplitHostPort(addr)
+		hostPort := err == nil && host != "" && port != ""
+		switch {
+		case rec.Code == http.StatusOK && hostPort:
 			var reply struct {
 				CacheID string `json:"cacheId"`
 			}
 			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || reply.CacheID == "" {
 				t.Errorf("addr %q: 200 without a cacheId: %q", addr, rec.Body.String())
 			}
-			if grew != len(fresh) || missing {
-				t.Errorf("addr %q: directory grew by %d (a sent key missing: %v), want the %d new well-formed keys",
-					addr, grew, missing, len(fresh))
-			}
-		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
-			if grew != 0 {
-				t.Errorf("addr %q: refused with %d, yet the directory grew by %d", addr, rec.Code, grew)
-			}
+		case rec.Code == http.StatusBadRequest && !hostPort:
 		default:
-			t.Errorf("addr %q: status %d, want 200, 400 or 413", addr, rec.Code)
+			t.Errorf("addr %q (host:port %v): status %d", addr, hostPort, rec.Code)
 		}
 	})
 }
@@ -435,8 +419,8 @@ func TestLedgerLastsOneRegistration(t *testing.T) {
 }
 
 // ledgerDaemon is a client-cache stand-in that registers with a proxy
-// and, while down, answers frames short and plain HTTP by closing the
-// connection: a connection-level failure to a hop and to a sweep probe.
+// and, while down, answers frames short: a connection-level failure to
+// a hop and to a sweep probe.
 type ledgerDaemon struct {
 	*farEnd
 	proxyURL string
@@ -453,17 +437,11 @@ func ledgerRing(t *testing.T) (*Proxy, *ledgerDaemon) {
 	d := &ledgerDaemon{proxyURL: srv.URL, px: px}
 	short := shortReply(64, TierClientCache)
 	d.farEnd = newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case !d.down.Load():
-			http.NotFound(w, r)
-		case r.Proto == FrameProtocol:
+		if d.down.Load() {
 			short(w, r)
-		default:
-			c, _, err := http.NewResponseController(w).Hijack()
-			if err == nil {
-				c.Close()
-			}
+			return
 		}
+		http.NotFound(w, r)
 	}))
 	return px, d
 }
@@ -472,7 +450,7 @@ func ledgerRing(t *testing.T) (*Proxy, *ledgerDaemon) {
 // proxy's record of it.
 func (d *ledgerDaemon) register(t *testing.T) *peer {
 	t.Helper()
-	if err := Register(d.proxyURL, d.addr, nil); err != nil {
+	if err := Register(d.proxyURL, d.addr); err != nil {
 		t.Fatal(err)
 	}
 	m := member(d.px, d.addr)

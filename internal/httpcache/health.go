@@ -3,7 +3,6 @@ package httpcache
 import (
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,7 +17,7 @@ const SLOHeader = "X-SLO-Class"
 // readiness is the liveness/readiness surface both daemons embed:
 //
 //	GET /healthz  liveness — 200 whenever the process can serve at all
-//	GET /readyz   readiness — 503 until the daemon is constructed
+//	GET /readyz   readiness — 503 "starting" until the daemon is constructed
 //	              and (when applicable) registered;
 //	              503 "draining" again once graceful shutdown begins,
 //	              so load balancers stop routing before the listener
@@ -32,9 +31,6 @@ type readiness struct {
 	ready    atomic.Bool
 	draining atomic.Bool
 
-	rmu    sync.Mutex
-	reason string // why not ready ("" = "starting")
-
 	events *obs.EventLog
 }
 
@@ -42,16 +38,6 @@ type readiness struct {
 func (h *readiness) MarkReady() {
 	if h.ready.CompareAndSwap(false, true) {
 		h.events.Emit("ready.up", nil)
-	}
-}
-
-// MarkNotReady flips /readyz to 503 with a reason.
-func (h *readiness) MarkNotReady(reason string) {
-	h.rmu.Lock()
-	h.reason = reason
-	h.rmu.Unlock()
-	if h.ready.CompareAndSwap(true, false) {
-		h.events.Emit("ready.down", map[string]string{"reason": reason})
 	}
 }
 
@@ -76,13 +62,7 @@ func (h *readiness) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	if !h.ready.Load() {
-		h.rmu.Lock()
-		reason := h.reason
-		h.rmu.Unlock()
-		if reason == "" {
-			reason = "starting"
-		}
-		http.Error(w, reason, http.StatusServiceUnavailable)
+		http.Error(w, "starting", http.StatusServiceUnavailable)
 		return
 	}
 	fmt.Fprintln(w, "ready")

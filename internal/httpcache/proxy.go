@@ -1,12 +1,10 @@
 package httpcache
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -103,10 +101,6 @@ type Proxy struct {
 	// another daemon of the federation (frame.go).
 	client *http.Client
 	hops   *framePool
-	// probeClient is the liveness sweep's short-deadline client; a
-	// probe that cannot connect within its timeout marks the daemon
-	// dead.  It shares the tuned transport shape (transport.go).
-	probeClient *http.Client
 
 	stats proxyCounters
 
@@ -156,18 +150,17 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		return nil, err
 	}
 	p := &Proxy{
-		storage:     o.newStorage("proxy"),
-		coop:        coop,
-		dir:         directory.NewExact(),
-		client:      newHTTPClient(10 * time.Second),
-		hops:        newFramePool(),
-		probeClient: newHTTPClient(2 * time.Second),
-		lanLat:      &obs.Histogram{},
-		defenses:    o.Defenses,
-		acct:        lenientAccountant(o.Check, "live"),
-		tracer:      o.Tracer,
-		metrics:     o.Metrics,
-		readiness:   readiness{events: o.Events},
+		storage:   o.newStorage("proxy"),
+		coop:      coop,
+		dir:       directory.NewExact(),
+		client:    newHTTPClient(10 * time.Second),
+		hops:      newFramePool(),
+		lanLat:    &obs.Histogram{},
+		defenses:  o.Defenses,
+		acct:      lenientAccountant(o.Check, "live"),
+		tracer:    o.Tracer,
+		metrics:   o.Metrics,
+		readiness: readiness{events: o.Events},
 	}
 	p.defenses.fillDefaults()
 	if len(o.SLOClasses) > 0 {
@@ -244,36 +237,16 @@ func (p *Proxy) Handler() http.Handler {
 	return mux
 }
 
-// registerBody is the optional JSON payload of POST /register: hex
-// objectIds the registering daemon says it holds, which the proxy's
-// lookup directory lists.  No daemon sends one; its one sender is the
-// poison chaos scenario, which plants directory entries through it.
-type registerBody struct {
-	Recovered []string `json:"recovered"`
-}
-
-// registerBodyMax caps the /register payload: 1 MiB holds ~30k keys.
-const registerBodyMax = 1 << 20
-
 // registerTimeout bounds one POST /register: a proxy that accepts the
 // connection and never answers must not hold a daemon's start-up.
 const registerTimeout = 10 * time.Second
 
 // Register joins the client cache at addr (host:port) to the proxy at
-// proxyURL.  keys, when not empty, are hex objectIds for the proxy's
-// directory to list as held by the cluster (registerBody); daemons pass
-// nil.  Any answer but 200 is an error: the proxy refused the daemon
-// (400, or 413 for a key list over registerBodyMax) and it is not on
-// the proxy's ring.
-func Register(proxyURL, addr string, keys []string) error {
-	var body io.Reader
-	contentType := "text/plain"
-	if len(keys) > 0 {
-		b, _ := json.Marshal(registerBody{Recovered: keys}) // a []string always marshals
-		body, contentType = bytes.NewReader(b), "application/json"
-	}
+// proxyURL.  Any answer but 200 is an error: the proxy refused the
+// daemon (400) and it is not on the proxy's ring.
+func Register(proxyURL, addr string) error {
 	client := http.Client{Timeout: registerTimeout}
-	resp, err := client.Post(proxyURL+"/register?addr="+url.QueryEscape(addr), contentType, body)
+	resp, err := client.Post(proxyURL+"/register?addr="+url.QueryEscape(addr), "text/plain", nil)
 	if err != nil {
 		return fmt.Errorf("registering %s with %s: %w", addr, proxyURL, err)
 	}
@@ -284,37 +257,17 @@ func Register(proxyURL, addr string, keys []string) error {
 	return nil
 }
 
+// handleRegister puts the daemon at addr on the ring.  A registration
+// names an address and nothing else: a body is not read, so no caller
+// can list directory entries on its own word.  An addr a hop could not
+// dial (not host:port, as parsePeers asks of a peer) is refused.
 func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 	addr := queryParam(r.URL.RawQuery, "addr")
-	if addr == "" {
-		http.Error(w, "missing addr", http.StatusBadRequest)
+	if host, port, err := net.SplitHostPort(addr); err != nil || host == "" || port == "" {
+		http.Error(w, "addr must be host:port", http.StatusBadRequest)
 		return
 	}
-	// The body is optional and best-effort: a plain registration (no
-	// body, or a non-JSON one) lists no keys.  It is still size-capped —
-	// a byzantine client streaming an unbounded key list is rejected
-	// with 413 instead of being buffered into proxy memory.
-	var body registerBody
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, registerBodyMax)).Decode(&body); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, "registration body too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		// Non-JSON or empty body: plain registration.
-	}
 	m := p.ring.add(addr)
-	if len(body.Recovered) > 0 {
-		// The listed keys are taken on the sender's word: an entry no
-		// cache backs costs one wasted LAN probe, and the client-cache
-		// tier of /fetch then repairs it (tiers.go's unlist).
-		keys := foldHex(body.Recovered)
-		p.mu.Lock()
-		for _, key := range keys {
-			p.dir.Add(key)
-		}
-		p.mu.Unlock()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]string{"cacheId": m.id.String()})
 }
@@ -472,12 +425,17 @@ func decodeReceipt(body []byte) (*StoreReceipt, error) {
 	return &rec, nil
 }
 
+// sweepTimeout is how long a liveness probe waits for its reply.
+const sweepTimeout = 2 * time.Second
+
 // SweepClientCaches probes every registered client-cache daemon once
-// (GET /stats on the short-deadline probe client) and deregisters the
-// ones that do not answer, so a crashed daemon stops poisoning its
-// key range (its keys re-home to the ring neighbours).  It returns
-// the deregistered addresses.  A record the sweep drops takes its
-// ledger with it.
+// (GET /healthz, a frame under its own sweepTimeout deadline) and
+// deregisters the ones that bring back no reply in time, so a crashed
+// daemon stops poisoning its key range (its keys re-home to the ring
+// neighbours).  Unlike hop's rule, a timeout here is a death, not a
+// strike: the probe asks nothing a live daemon could be slow at.  It
+// returns the deregistered addresses.  A record the sweep drops takes
+// its ledger with it.
 func (p *Proxy) SweepClientCaches() []string {
 	var removed []string
 	for _, m := range p.ring.snapshot() {
@@ -491,14 +449,14 @@ func (p *Proxy) SweepClientCaches() []string {
 			removed = append(removed, m.addr)
 			continue
 		}
-		resp, err := p.probeClient.Get("http://" + m.addr + "/stats")
+		ctx, cancel := context.WithTimeout(context.Background(), sweepTimeout)
+		_, err := p.hops.exchange(ctx, m.addr, "GET", "/healthz", nil, "")
+		cancel()
 		if err != nil {
 			p.ring.remove(m)
 			p.stats.swept.Add(1)
 			removed = append(removed, m.addr)
-			continue
 		}
-		drainClose(resp.Body)
 	}
 	return removed
 }

@@ -112,25 +112,21 @@ func TestConcurrentFetches(t *testing.T) {
 // one the passive paths (lanFetch / pass-down failures) never touch.
 func TestLivenessSweep(t *testing.T) {
 	px := newProxy(t, Options{CapacityBytes: 1 << 20})
-	live := NewClientCacheOpts(Options{CapacityBytes: 1 << 20})
-	liveSrv := httptest.NewServer(wiretest.StrictFraming(t, live.Handler()))
-	t.Cleanup(liveSrv.Close)
-	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, NewClientCacheOpts(Options{CapacityBytes: 1 << 20}).Handler()))
-	liveAddr := strings.TrimPrefix(liveSrv.URL, "http://")
-	deadAddr := strings.TrimPrefix(deadSrv.URL, "http://")
-	px.ring.add(liveAddr)
-	px.ring.add(deadAddr)
-	deadSrv.Close() // crash while idle: no request ever observes it
+	live := newFarEnd(t, wiretest.StrictFraming(t, NewClientCacheOpts(Options{CapacityBytes: 1 << 20}).Handler()))
+	dead := newFarEnd(t, wiretest.StrictFraming(t, NewClientCacheOpts(Options{CapacityBytes: 1 << 20}).Handler()))
+	px.ring.add(live.addr)
+	px.ring.add(dead.addr)
+	dead.kill() // crash while idle: no request ever observes it
 
 	removed := px.SweepClientCaches()
-	if len(removed) != 1 || removed[0] != deadAddr {
-		t.Fatalf("sweep removed %v, want [%s]", removed, deadAddr)
+	if len(removed) != 1 || removed[0] != dead.addr {
+		t.Fatalf("sweep removed %v, want [%s]", removed, dead.addr)
 	}
 	if px.ring.size() != 1 {
 		t.Fatalf("ring size = %d after sweep, want 1", px.ring.size())
 	}
-	if got := addrsOf(px.ring.snapshot()); len(got) != 1 || got[0] != liveAddr {
-		t.Fatalf("survivor = %v, want [%s]", got, liveAddr)
+	if got := addrsOf(px.ring.snapshot()); len(got) != 1 || got[0] != live.addr {
+		t.Fatalf("survivor = %v, want [%s]", got, live.addr)
 	}
 	if st := px.snapshotStats(); st.SweptCaches != 1 {
 		t.Fatalf("swept_caches = %d, want 1", st.SweptCaches)
@@ -141,14 +137,49 @@ func TestLivenessSweep(t *testing.T) {
 	}
 }
 
+// The sweep's probe is a frame on the proxy's pool, as every hop is:
+// the daemon sees GET /healthz arrive as a frame, and the proxy's
+// CloseIdleConnections closes the connection it came on.
+func TestSweepProbeIsAFrame(t *testing.T) {
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
+	asked := make(chan string, 4)
+	d := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case asked <- r.Proto + " " + r.Method + " " + r.URL.Path:
+		default:
+		}
+		w.Write([]byte("ok"))
+	}))
+	px.ring.add(d.addr)
+	if removed := px.SweepClientCaches(); len(removed) != 0 {
+		t.Fatalf("the sweep removed %v, a daemon that answers", removed)
+	}
+	if got, want := <-asked, FrameProtocol+" GET /healthz"; got != want {
+		t.Fatalf("the daemon was asked %q, want %q", got, want)
+	}
+	px.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		d.frames.mu.Lock()
+		open := len(d.frames.conns)
+		d.frames.mu.Unlock()
+		if open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frame connections still open after CloseIdleConnections", open)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // The background sweeper drives the same probe on a ticker and stops
 // cleanly (stop is idempotent).
 func TestStartSweeper(t *testing.T) {
 	px := newProxy(t, Options{CapacityBytes: 1 << 20})
-	deadSrv := httptest.NewServer(wiretest.StrictFraming(t, NewClientCacheOpts(Options{CapacityBytes: 1 << 20}).Handler()))
-	deadAddr := strings.TrimPrefix(deadSrv.URL, "http://")
-	px.ring.add(deadAddr)
-	deadSrv.Close()
+	dead := newFarEnd(t, wiretest.StrictFraming(t, NewClientCacheOpts(Options{CapacityBytes: 1 << 20}).Handler()))
+	px.ring.add(dead.addr)
+	dead.kill()
 
 	stop := px.StartSweeper(5 * time.Millisecond)
 	defer stop()

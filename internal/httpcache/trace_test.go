@@ -164,8 +164,8 @@ func TestMetricsEndpointsParse(t *testing.T) {
 	}
 
 	ptext := get(d.proxyS[0].URL + "/metrics")
-	if n, err := obs.ParsePrometheusText(strings.NewReader(ptext)); err != nil || n == 0 {
-		t.Fatalf("proxy /metrics: %d samples, err %v:\n%s", n, err, ptext)
+	if ss, _, err := obs.ParsePrometheusSamples(strings.NewReader(ptext)); err != nil || len(ss) == 0 {
+		t.Fatalf("proxy /metrics: %d samples, err %v:\n%s", len(ss), err, ptext)
 	}
 	for _, want := range []string{"webcache_httpcache_proxy_requests", "webcache_httpcache_proxy_proxy_hits"} {
 		if !strings.Contains(ptext, want) {
@@ -174,8 +174,8 @@ func TestMetricsEndpointsParse(t *testing.T) {
 	}
 
 	ctext := get(d.cacheS[0][0].URL + "/metrics")
-	if n, err := obs.ParsePrometheusText(strings.NewReader(ctext)); err != nil || n == 0 {
-		t.Fatalf("cache /metrics: %d samples, err %v:\n%s", n, err, ctext)
+	if ss, _, err := obs.ParsePrometheusSamples(strings.NewReader(ctext)); err != nil || len(ss) == 0 {
+		t.Fatalf("cache /metrics: %d samples, err %v:\n%s", len(ss), err, ctext)
 	}
 	if !strings.Contains(ctext, "webcache_httpcache_cache_objects") {
 		t.Fatalf("cache /metrics missing objects gauge:\n%s", ctext)
@@ -185,7 +185,7 @@ func TestMetricsEndpointsParse(t *testing.T) {
 	// exposition.
 	bare := httptest.NewServer(wiretest.StrictFraming(t, newProxy(t, Options{CapacityBytes: 1 << 20}).Handler()))
 	defer bare.Close()
-	if n, err := obs.ParsePrometheusText(strings.NewReader(get(bare.URL + "/metrics"))); err != nil || n != 0 {
-		t.Fatalf("bare /metrics: %d samples, err %v", n, err)
+	if ss, _, err := obs.ParsePrometheusSamples(strings.NewReader(get(bare.URL + "/metrics"))); err != nil || len(ss) != 0 {
+		t.Fatalf("bare /metrics: %d samples, err %v", len(ss), err)
 	}
 }

@@ -19,7 +19,29 @@ import (
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
 	"webcache/internal/obs/slo"
+	"webcache/internal/sim"
 )
+
+// LoopbackSimConfig is the Hier-GD simulator configuration every
+// loopback run is sized from (CapacityPlan) and routed by (ProxyFor),
+// so live and simulated runs of one workload share capacities and
+// client mapping: the clients split evenly over the proxies' clusters,
+// cachesPerProxy client caches in each, proxy caches 5 % and
+// per-client caches 0.5 % of the infinite cache size.  Its digests are the live proxies'
+// (httpcache.DigestEvery of each proxy's requests is that many times
+// the proxies of all of them).
+func LoopbackSimConfig(proxies, cachesPerProxy, clients int, seed int64) sim.Config {
+	return sim.Config{
+		Scheme:            sim.HierGD,
+		NumProxies:        proxies,
+		ClientsPerCluster: (clients + proxies - 1) / proxies,
+		P2PClientCaches:   cachesPerProxy,
+		ProxyCacheFrac:    0.05,
+		ClientCacheFrac:   0.005,
+		DigestInterval:    httpcache.DigestEvery * proxies,
+		Seed:              seed,
+	}
+}
 
 // TopologyConfig sizes a loopback deployment: an origin, Proxies
 // cooperating proxies (full mesh), and CachesPerProxy client-cache
@@ -221,7 +243,7 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 			addr := cln.Addr().String()
 			t.caches = append(t.caches, cc)
 			t.cacheServers[addr], t.cacheDaemons[addr] = t.serve(cln, ch), cc
-			if err := httpcache.Register(u, addr, nil); err != nil {
+			if err := httpcache.Register(u, addr); err != nil {
 				return nil, fmt.Errorf("loadgen: %w", err)
 			}
 			addrs = append(addrs, addr)

@@ -16,7 +16,7 @@ import (
 )
 
 // TestStartLoopbackRefusedRegistration: a proxy that refuses a client
-// cache's /register (413, as for a key list over the body cap)
+// cache's /register (400, as for an addr that is not host:port)
 // fails the stand-up, instead of a topology whose proxies have no
 // client caches on their rings.
 func TestStartLoopbackRefusedRegistration(t *testing.T) {
@@ -29,7 +29,7 @@ func TestStartLoopbackRefusedRegistration(t *testing.T) {
 		WrapProxy: func(_ int, h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/register" {
-					http.Error(w, "registration body too large", http.StatusRequestEntityTooLarge)
+					http.Error(w, "addr must be host:port", http.StatusBadRequest)
 					return
 				}
 				h.ServeHTTP(w, r)

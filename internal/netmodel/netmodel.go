@@ -149,22 +149,6 @@ const (
 	CompTp2p Component = "Tp2p" // client/proxy -> P2P client cache
 )
 
-// ComponentValue returns the model's latency for one component.
-func (m Model) ComponentValue(c Component) float64 {
-	switch c {
-	case CompTs:
-		return m.Ts
-	case CompTc:
-		return m.Tc
-	case CompTl:
-		return m.Tl
-	case CompTp2p:
-		return m.Tp2p
-	default:
-		return 0
-	}
-}
-
 // ServeComponent returns the component the serving leg beyond the
 // mandatory client->proxy hop is charged under; a local-proxy hit has
 // no extra leg, so it maps to CompTl.

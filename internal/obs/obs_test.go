@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -139,40 +142,43 @@ func TestSnapshotAndValues(t *testing.T) {
 	}
 }
 
-func TestProgressETA(t *testing.T) {
-	p := NewProgress(10)
-	if _, ok := p.ETA(); ok {
-		t.Fatal("ETA must be unavailable before any job completes")
+// The painter paints the count its callers pass: driven by 8 workers
+// at once, as a sweep's are (run it under -race), every line it paints
+// carries a count no lower than the one before, and the last reads the
+// whole total.
+func TestPainterConcurrentSteps(t *testing.T) {
+	const workers, each = 8, 200
+	var buf bytes.Buffer
+	p := newPainter(&buf, "fig 2a")
+	var done atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				p.step(int(done.Add(1)), workers*each)
+			}
+		}()
 	}
-	p.start = time.Now().Add(-10 * time.Second) // 5 jobs in 10s -> 2s/job
-	if got := p.Add(5); got != 5 {
-		t.Fatalf("Add returned %d, want 5", got)
-	}
-	eta, ok := p.ETA()
-	if !ok {
-		t.Fatal("ETA must be available after progress")
-	}
-	// 5 remaining at ~2s/job ≈ 10s.
-	if eta < 8*time.Second || eta > 12*time.Second {
-		t.Fatalf("eta = %v, want ~10s", eta)
-	}
-	if s := p.String(); !strings.Contains(s, "5/10") {
-		t.Fatalf("String() = %q", s)
-	}
-}
-
-func TestProgressPrinter(t *testing.T) {
-	var sb strings.Builder
-	pp := NewProgressPrinter(&sb, "fig 2a", 4)
-	for i := 0; i < 4; i++ {
-		pp.Step(1)
-	}
-	pp.Finish()
-	out := sb.String()
-	if !strings.Contains(out, "fig 2a") || !strings.Contains(out, "4/4") {
-		t.Fatalf("printer output %q missing label or completion", out)
-	}
+	wg.Wait()
+	p.finish()
+	out := buf.String()
 	if !strings.HasSuffix(out, "\n") {
-		t.Fatal("Finish must terminate the line")
+		t.Fatal("finish must end the line")
+	}
+	last := 0
+	for _, line := range strings.Split(strings.TrimSpace(out), "\r") {
+		var n, total int
+		if _, err := fmt.Sscanf(strings.TrimSpace(line), "fig 2a: %d/%d", &n, &total); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		if n < last || total != workers*each {
+			t.Fatalf("painted %d/%d after %d", n, total, last)
+		}
+		last = n
+	}
+	if last != workers*each {
+		t.Fatalf("last line reads %d, want %d", last, workers*each)
 	}
 }

@@ -3,121 +3,71 @@ package obs
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Progress tracks completion of a fixed number of jobs and estimates
-// the remaining time from the observed rate.  Safe for concurrent
-// Add calls from a worker pool.
-type Progress struct {
-	total int64
-	done  atomic.Int64
+// progressPeriod is how often a progress line is repainted at most.
+const progressPeriod = 100 * time.Millisecond
+
+// painter paints a live progress line, "label: done/total (pct%)
+// elapsed Xs eta Ys", carriage-return repainted on w: at most every
+// progressPeriod, and always when done reaches total.  Workers report
+// concurrently, so a count that arrives behind one already painted is
+// not painted.
+type painter struct {
+	mu    sync.Mutex
+	w     io.Writer
+	label string
 	start time.Time
+	last  time.Time
+	done  int
+	total int
+	width int
 }
 
-// NewProgress starts tracking total jobs.
-func NewProgress(total int) *Progress {
-	return &Progress{total: int64(total), start: time.Now()}
+func newPainter(w io.Writer, label string) *painter {
+	return &painter{w: w, label: label, start: time.Now()}
 }
 
-// Add records n completed jobs and returns the cumulative count.
-func (p *Progress) Add(n int) int { return int(p.done.Add(int64(n))) }
-
-// Done returns the completed-job count.
-func (p *Progress) Done() int { return int(p.done.Load()) }
-
-// Total returns the job count being tracked.
-func (p *Progress) Total() int { return int(p.total) }
-
-// Elapsed returns time since tracking started.
-func (p *Progress) Elapsed() time.Duration { return time.Since(p.start) }
-
-// ETA estimates the remaining time from the mean per-job rate so far.
-// ok is false until at least one job has completed.
-func (p *Progress) ETA() (eta time.Duration, ok bool) {
-	done := p.done.Load()
-	if done <= 0 || p.total <= 0 {
-		return 0, false
-	}
-	remaining := p.total - done
-	if remaining <= 0 {
-		return 0, true
-	}
-	perJob := p.Elapsed() / time.Duration(done)
-	return perJob * time.Duration(remaining), true
-}
-
-// String renders "done/total (pct%) elapsed Xs eta Ys".
-func (p *Progress) String() string {
-	done, total := p.Done(), p.Total()
-	pct := 0.0
-	if total > 0 {
-		pct = 100 * float64(done) / float64(total)
-	}
-	s := fmt.Sprintf("%d/%d (%.0f%%) elapsed %s", done, total, pct,
-		p.Elapsed().Round(time.Second))
-	if eta, ok := p.ETA(); ok && done < total {
-		s += fmt.Sprintf(" eta %s", eta.Round(time.Second))
-	}
-	return s
-}
-
-// ProgressPrinter renders live progress lines (carriage-return
-// overwritten) to a terminal-ish writer, throttled so tight job
-// streams don't flood the output.  Safe for concurrent Step calls.
-type ProgressPrinter struct {
-	mu       sync.Mutex
-	w        io.Writer
-	label    string
-	progress *Progress
-	last     time.Time
-	period   time.Duration
-	width    int
-}
-
-// NewProgressPrinter tracks total jobs under the given label,
-// printing to w at most every 100ms (plus always on completion).
-func NewProgressPrinter(w io.Writer, label string, total int) *ProgressPrinter {
-	return &ProgressPrinter{
-		w:        w,
-		label:    label,
-		progress: NewProgress(total),
-		period:   100 * time.Millisecond,
-	}
-}
-
-// Step records n completed jobs and repaints the line when due.
-func (pp *ProgressPrinter) Step(n int) {
-	done := pp.progress.Add(n)
-	pp.mu.Lock()
-	defer pp.mu.Unlock()
-	now := time.Now()
-	if done < pp.progress.Total() && now.Sub(pp.last) < pp.period {
+// step takes done of total jobs complete and repaints the line when due.
+func (p *painter) step(done, total int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if done <= p.done {
 		return
 	}
-	pp.last = now
-	pp.paint()
+	p.done, p.total = done, total
+	now := time.Now()
+	if done < total && now.Sub(p.last) < progressPeriod {
+		return
+	}
+	p.last = now
+	p.paint(now)
 }
 
-// paint redraws the progress line (pp.mu held).
-func (pp *ProgressPrinter) paint() {
-	line := fmt.Sprintf("%s: %s", pp.label, pp.progress)
-	pad := pp.width - len(line)
-	if len(line) > pp.width {
-		pp.width = len(line)
+// finish repaints the last count and ends the line, if one was started.
+func (p *painter) finish() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.total == 0 {
+		return
 	}
-	for i := 0; i < pad; i++ {
-		line += " "
-	}
-	fmt.Fprintf(pp.w, "\r%s", line)
+	p.paint(time.Now())
+	fmt.Fprintln(p.w)
 }
 
-// Finish repaints one final line and terminates it with a newline.
-func (pp *ProgressPrinter) Finish() {
-	pp.mu.Lock()
-	defer pp.mu.Unlock()
-	pp.paint()
-	fmt.Fprintln(pp.w)
+// paint redraws the line, padded over a longer one before it (p.mu held).
+func (p *painter) paint(now time.Time) {
+	elapsed := now.Sub(p.start)
+	line := fmt.Sprintf("%s: %d/%d (%.0f%%) elapsed %s", p.label, p.done, p.total,
+		100*float64(p.done)/float64(p.total), elapsed.Round(time.Second))
+	if p.done > 0 && p.done < p.total {
+		eta := elapsed / time.Duration(p.done) * time.Duration(p.total-p.done)
+		line += fmt.Sprintf(" eta %s", eta.Round(time.Second))
+	}
+	pad := p.width - len(line)
+	p.width = max(p.width, len(line))
+	fmt.Fprintf(p.w, "\r%s%s", line, strings.Repeat(" ", max(pad, 0)))
 }

@@ -15,9 +15,8 @@ import (
 // Prometheus text exposition (format version 0.0.4, the subset
 // OpenMetrics scrapers accept).  WritePrometheus renders a registry;
 // PrometheusHandler serves it as the daemons' /metrics endpoint;
-// ParsePrometheusText is the validating reader the acceptance test
-// scrapes with, and ParsePrometheusSamples the value-returning parser
-// the cluster aggregator merges from.
+// ParsePrometheusSamples is the validating parser the cluster
+// aggregator merges from and the tests scrape with.
 //
 // Name mapping: dots become underscores under a webcache_ prefix
 // (sim.serves.p2p -> webcache_sim_serves_p2p), counters gain the
@@ -153,19 +152,11 @@ type Sample struct {
 // Label returns the named label's value ("" when absent).
 func (s Sample) Label(key string) string { return s.Labels[key] }
 
-// ParsePrometheusText validates a text-format exposition and returns
-// the number of samples it carries.  It accepts the 0.0.4 grammar this
-// package emits: optional # HELP / # TYPE comments and
-// name{labels} value [timestamp] samples.
-func ParsePrometheusText(r io.Reader) (samples int, err error) {
-	ss, _, err := ParsePrometheusSamples(r)
-	return len(ss), err
-}
-
-// ParsePrometheusSamples parses a text-format exposition into its
-// samples plus the # TYPE declarations (family name -> type).  Same
-// grammar as ParsePrometheusText (which wraps it); this is the reader
-// the cluster aggregator scrapes members with.
+// ParsePrometheusSamples validates a text-format exposition and parses
+// it into its samples plus the # TYPE declarations (family name ->
+// type).  It accepts the 0.0.4 grammar this package emits: optional
+// # HELP / # TYPE comments and name{labels} value [timestamp] samples.
+// This is the reader the cluster aggregator scrapes members with.
 func ParsePrometheusSamples(r io.Reader) (samples []Sample, types map[string]string, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)

@@ -46,15 +46,15 @@ func TestWritePrometheusParses(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	n, err := ParsePrometheusText(strings.NewReader(out))
+	samples, _, err := ParsePrometheusSamples(strings.NewReader(out))
 	if err != nil {
 		t.Fatalf("our own exposition failed to parse: %v\n%s", err, out)
 	}
 	// counter + gauge + timer(sum,count) + histogram(4 quantiles + sum +
 	// count) + the lossless bucket family (at least +Inf, sum, count,
 	// min, max).
-	if n < 15 {
-		t.Fatalf("parsed %d samples, want >= 15:\n%s", n, out)
+	if len(samples) < 15 {
+		t.Fatalf("parsed %d samples, want >= 15:\n%s", len(samples), out)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestPrometheusHandler(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("content type %q", ct)
 	}
-	if n, err := ParsePrometheusText(rec.Body); err != nil || n == 0 {
-		t.Fatalf("scrape did not parse: n=%d err=%v", n, err)
+	if ss, _, err := ParsePrometheusSamples(rec.Body); err != nil || len(ss) == 0 {
+		t.Fatalf("scrape did not parse: n=%d err=%v", len(ss), err)
 	}
 }
 
@@ -123,12 +123,12 @@ func TestParsePrometheusRejects(t *testing.T) {
 		"webcache_x{quantile=\"0.5\"} 1\n", // quantile without a summary TYPE
 		"1metric 2\n",
 	} {
-		if _, err := ParsePrometheusText(strings.NewReader(bad)); err == nil {
+		if _, _, err := ParsePrometheusSamples(strings.NewReader(bad)); err == nil {
 			t.Fatalf("accepted malformed exposition %q", bad)
 		}
 	}
-	if n, err := ParsePrometheusText(strings.NewReader("# HELP x y\n\n# random comment\nok_metric 1\n")); err != nil || n != 1 {
-		t.Fatalf("comment handling: n=%d err=%v", n, err)
+	if ss, _, err := ParsePrometheusSamples(strings.NewReader("# HELP x y\n\n# random comment\nok_metric 1\n")); err != nil || len(ss) != 1 {
+		t.Fatalf("comment handling: n=%d err=%v", len(ss), err)
 	}
 }
 

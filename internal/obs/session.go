@@ -10,7 +10,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 
 	"webcache/internal/trace"
 )
@@ -188,26 +187,16 @@ func (s *Session) SetTrace(tr *trace.Trace, extra map[string]any) {
 	s.man.Trace = block
 }
 
-// Progress returns a callback that paints a live progress line with
-// ETA on stderr, and the func that ends the line; the callback is nil
-// when -progress is off.  The line starts on the first callback, when
-// the job total is known.
+// Progress returns a callback that paints the done/total count a
+// caller passes it as a live progress line with ETA on stderr, and the
+// func that ends the line; the callback is nil when -progress is off.
+// It is safe for concurrent calls.
 func (s *Session) Progress(label string) (step func(done, total int), finish func()) {
 	if !s.progress {
 		return nil, func() {}
 	}
-	var once sync.Once
-	var pp *ProgressPrinter
-	step = func(done, total int) {
-		once.Do(func() { pp = NewProgressPrinter(os.Stderr, label, total) })
-		pp.Step(1)
-	}
-	finish = func() {
-		if pp != nil {
-			pp.Finish()
-		}
-	}
-	return step, finish
+	p := newPainter(os.Stderr, label)
+	return p.step, p.finish
 }
 
 // Close writes the run record: it stops the CPU profile, writes the

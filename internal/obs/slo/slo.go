@@ -26,7 +26,6 @@ package slo
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -421,14 +420,4 @@ func Table(reports []ClassReport) string {
 			r.Latency.P99.Round(time.Microsecond), state)
 	}
 	return b.String()
-}
-
-// SortedNames is a stable name list for map-keyed report consumers.
-func SortedNames(reports []ClassReport) []string {
-	names := make([]string, 0, len(reports))
-	for _, r := range reports {
-		names = append(names, r.Class.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -348,15 +348,6 @@ func (t *Tracer) Len() int {
 	return len(t.traces)
 }
 
-// Dropped returns the number of sampled traces lost to the retention
-// limit.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}
-
 // PublishMetrics folds the tracer's totals into a registry under the
 // trace.* namespace.
 func (t *Tracer) PublishMetrics(reg *Registry) {

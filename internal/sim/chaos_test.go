@@ -56,7 +56,6 @@ func TestChaosPoisonAndSweep(t *testing.T) {
 	chk := invariant.New(nil)
 	cfg := chaosBase(chk)
 	cfg.PoisonEvery = 500
-	cfg.PoisonBatch = 8
 	cfg.DirSweepEvery = 250
 	res := run(t, tr, cfg)
 	if err := chk.Err(); err != nil {
@@ -85,7 +84,6 @@ func TestChaosPoisonWithoutSweep(t *testing.T) {
 	tr := testTrace(t, 1)
 	cfg := chaosBase(nil)
 	cfg.PoisonEvery = 500
-	cfg.PoisonBatch = 8
 	res := run(t, tr, cfg)
 	if res.PoisonInjected == 0 {
 		t.Fatal("poisoning configured but nothing injected")

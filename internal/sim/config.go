@@ -85,7 +85,7 @@ type Config struct {
 	// internal/chaos for the scenario vocabulary shared with the live
 	// topology).  FlashChurnAt fails FlashChurnFraction (default 0.5)
 	// of every cluster's live clients at that request index — the
-	// mass-churn storm.  PoisonEvery injects PoisonBatch (default 8)
+	// mass-churn storm.  PoisonEvery injects poisonBatch (8)
 	// bogus directory entries every N requests, drawn from recently
 	// requested objects the cluster does not hold — the directory-
 	// poisoning attack (each re-request pays a wasted Tp2p probe).
@@ -98,7 +98,6 @@ type Config struct {
 	FlashChurnAt       int
 	FlashChurnFraction float64
 	PoisonEvery        int
-	PoisonBatch        int
 	DirSweepEvery      int
 	ByzantineFraction  float64
 	VerifyFraction     float64
@@ -182,9 +181,6 @@ func (c *Config) fillDefaults() {
 	if c.FlashChurnAt > 0 && c.FlashChurnFraction == 0 {
 		c.FlashChurnFraction = 0.5
 	}
-	if c.PoisonEvery > 0 && c.PoisonBatch == 0 {
-		c.PoisonBatch = 8
-	}
 }
 
 // Validate reports configuration errors (after defaulting).
@@ -221,7 +217,7 @@ func (c Config) Validate() error {
 	if c.FailEvery < 0 {
 		return fmt.Errorf("sim: negative failure period %d", c.FailEvery)
 	}
-	if c.FlashChurnAt < 0 || c.PoisonEvery < 0 || c.PoisonBatch < 0 || c.DirSweepEvery < 0 {
+	if c.FlashChurnAt < 0 || c.PoisonEvery < 0 || c.DirSweepEvery < 0 {
 		return fmt.Errorf("sim: negative chaos period")
 	}
 	if !(c.FlashChurnFraction >= 0 && c.FlashChurnFraction <= 1) {

@@ -325,7 +325,11 @@ func (e *hierGDEngine) flashChurn(res *Result) {
 	}
 }
 
-// poisonDirectories injects PoisonBatch bogus entries per round into a
+// poisonBatch is how many bogus entries one poisoning round (every
+// Config.PoisonEvery requests) tries to plant.
+const poisonBatch = 8
+
+// poisonDirectories injects poisonBatch bogus entries per round into a
 // random proxy's directory: recently requested objects the cluster
 // does not hold, so Zipf re-requests pay the wasted Tp2p probe before
 // the serve path repairs the entry.
@@ -334,7 +338,7 @@ func (e *hierGDEngine) poisonDirectories(res *Result) {
 		return
 	}
 	px := e.proxies[e.rng.Intn(len(e.proxies))]
-	for n := 0; n < e.cfg.PoisonBatch; n++ {
+	for n := 0; n < poisonBatch; n++ {
 		obj := e.recent[e.rng.Intn(len(e.recent))]
 		if !px.cluster.Contains(obj) && !px.dir.MayContain(obj) {
 			px.dir.Add(obj)

@@ -77,11 +77,6 @@ func (r *Result) HitRatio(src netmodel.Source) float64 {
 	return float64(r.Sources[src]) / float64(r.Requests)
 }
 
-// LocalHitRatio is the combined local fraction (proxy + own P2P cache).
-func (r *Result) LocalHitRatio() float64 {
-	return r.HitRatio(netmodel.SrcLocalProxy) + r.HitRatio(netmodel.SrcP2P)
-}
-
 // ServerByteRatio is the fraction of requested bytes that still had to
 // come from origin servers — the load-reduction metric of the paper's
 // introduction ("reduce network traffic and the load on Web servers").

@@ -98,7 +98,3 @@ func (s Scheme) Cooperative() bool {
 	}
 	return false
 }
-
-// Coordinated reports whether replacement decisions are coordinated
-// across proxies (the FC family's cost-benefit placement).
-func (s Scheme) Coordinated() bool { return s == FC || s == FCEC }

@@ -199,14 +199,14 @@ func TestParseScheme(t *testing.T) {
 }
 
 func TestSchemePredicates(t *testing.T) {
-	if NC.Cooperative() || NC.UsesClientCaches() || NC.Coordinated() {
+	if NC.Cooperative() || NC.UsesClientCaches() {
 		t.Error("NC predicates wrong")
 	}
-	if !SCEC.Cooperative() || !SCEC.UsesClientCaches() || SCEC.Coordinated() {
+	if !SCEC.Cooperative() || !SCEC.UsesClientCaches() {
 		t.Error("SC-EC predicates wrong")
 	}
-	if !FCEC.Coordinated() || !HierGD.Cooperative() || !HierGD.UsesClientCaches() {
-		t.Error("FC-EC/Hier-GD predicates wrong")
+	if !HierGD.Cooperative() || !HierGD.UsesClientCaches() {
+		t.Error("Hier-GD predicates wrong")
 	}
 }
 
@@ -354,9 +354,6 @@ func TestResultString(t *testing.T) {
 	res := run(t, tr, Config{Scheme: SC, ProxyCacheFrac: 0.2, Seed: 1})
 	if res.String() == "" {
 		t.Error("empty result string")
-	}
-	if res.LocalHitRatio() <= 0 || res.LocalHitRatio() > 1 {
-		t.Errorf("local hit ratio %g", res.LocalHitRatio())
 	}
 }
 

@@ -72,8 +72,8 @@ func TestPlacementWithSizesRespectsUnits(t *testing.T) {
 		Cooperative:   false,
 		Sizes:         []uint32{8, 4, 4, 2},
 	}
-	pl, err := cache.ComputePlacement(in)
-	if err != nil {
+	pl := new(cache.Placement)
+	if err := pl.Compute(in); err != nil {
 		t.Fatal(err)
 	}
 	used := 0
@@ -105,8 +105,8 @@ func TestPlacementOversizeObjectSkipped(t *testing.T) {
 		RemoteLatency: 0.1,
 		Sizes:         []uint32{100},
 	}
-	pl, err := cache.ComputePlacement(in)
-	if err != nil {
+	pl := new(cache.Placement)
+	if err := pl.Compute(in); err != nil {
 		t.Fatal(err)
 	}
 	if pl.Anywhere(0) {
@@ -122,7 +122,7 @@ func TestPlacementSizesValidation(t *testing.T) {
 		RemoteLatency: 0.1,
 		Sizes:         []uint32{1}, // wrong length
 	}
-	if _, err := cache.ComputePlacement(in); err == nil {
+	if err := new(cache.Placement).Compute(in); err == nil {
 		t.Error("mismatched sizes accepted")
 	}
 }

@@ -38,9 +38,6 @@ func TestSquirrelSchemePredicates(t *testing.T) {
 	if !Squirrel.UsesClientCaches() {
 		t.Error("Squirrel is built from client caches")
 	}
-	if Squirrel.Coordinated() {
-		t.Error("Squirrel is not coordinated")
-	}
 	s, err := ParseScheme("squirrel")
 	if err != nil || s != Squirrel {
 		t.Errorf("ParseScheme(squirrel) = %v, %v", s, err)

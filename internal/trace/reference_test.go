@@ -7,31 +7,9 @@ import (
 	"testing"
 )
 
-// refInfiniteCacheSize and refInfiniteCacheUnits are the map-based
-// sizing rules this package shipped before the dense table, kept
-// verbatim as the oracle for TestInfiniteCacheMatchesReference.
-func refInfiniteCacheSize(t *Trace, clusters int, belongsTo func(ClientID) int) []int {
-	type key struct {
-		cluster int
-		obj     ObjectID
-	}
-	freq := make(map[key]int)
-	for _, r := range t.Requests {
-		c := belongsTo(r.Client)
-		if c < 0 || c >= clusters {
-			continue
-		}
-		freq[key{c, r.Object}]++
-	}
-	out := make([]int, clusters)
-	for k, f := range freq {
-		if f > 1 {
-			out[k.cluster]++
-		}
-	}
-	return out
-}
-
+// refInfiniteCacheUnits is the map-based sizing rule this package
+// shipped before the dense table, kept verbatim as the oracle for
+// TestInfiniteCacheMatchesReference.
 func refInfiniteCacheUnits(t *Trace, clusters int, belongsTo func(ClientID) int) []uint64 {
 	type key struct {
 		cluster int
@@ -91,9 +69,6 @@ func TestInfiniteCacheMatchesReference(t *testing.T) {
 				return int(c) % clusters
 			}
 			name := fmt.Sprintf("clusters=%d seed=%d", clusters, seed)
-			if got, want := InfiniteCacheSize(tr, clusters, belongsTo), refInfiniteCacheSize(tr, clusters, belongsTo); !slices.Equal(got, want) {
-				t.Errorf("%s: InfiniteCacheSize = %v, reference %v", name, got, want)
-			}
 			if got, want := InfiniteCacheUnits(tr, clusters, belongsTo), refInfiniteCacheUnits(tr, clusters, belongsTo); !slices.Equal(got, want) {
 				t.Errorf("%s: InfiniteCacheUnits = %v, reference %v", name, got, want)
 			}

@@ -106,35 +106,18 @@ func fitZipf(desc []int) float64 {
 	return -slope
 }
 
-// InfiniteCacheSize implements the paper's sizing rule (§5.1): the
-// infinite cache size of a client cluster is the number of distinct
-// objects accessed more than once by the clients of that cluster.
-// belongsTo maps a client to its cluster; the function returns the size
-// per cluster index (length = number of clusters).  Like every replay
-// it needs a trace that passes Validate (Object < NumObjects).
-func InfiniteCacheSize(t *Trace, clusters int, belongsTo func(ClientID) int) []int {
-	units := infiniteCache(t, clusters, belongsTo, false)
-	out := make([]int, clusters)
-	for c, u := range units {
-		out[c] = int(u)
-	}
-	return out
-}
-
-// InfiniteCacheUnits generalizes InfiniteCacheSize to variable object
-// sizes: per cluster, the total cache units needed to hold every
-// object accessed more than once by that cluster's clients (an object
-// counts at the size of its last request).  For unit-size traces it
-// equals InfiniteCacheSize.
+// InfiniteCacheUnits implements the paper's sizing rule (§5.1): the
+// infinite cache size of a client cluster is what it takes to hold
+// every distinct object accessed more than once by the clients of that
+// cluster, in cache units (an object counts at the size of its last
+// request; for the paper's unit-size traces, the number of such
+// objects).  belongsTo maps a client to its cluster; the function
+// returns the size per cluster index (length = number of clusters).
+// Like every replay it needs a trace that passes Validate (Object <
+// NumObjects).  The trace bounds the object universe, so the reference
+// counts are a dense clusters x NumObjects table that saturates at
+// "more than once", filled in one pass.
 func InfiniteCacheUnits(t *Trace, clusters int, belongsTo func(ClientID) int) []uint64 {
-	return infiniteCache(t, clusters, belongsTo, true)
-}
-
-// infiniteCache sums, per cluster, the objects referenced more than
-// once: at their size if sized, else at 1.  The trace bounds the object
-// universe, so the reference counts are a dense clusters x NumObjects
-// table that saturates at "more than once", filled in one pass.
-func infiniteCache(t *Trace, clusters int, belongsTo func(ClientID) int, sized bool) []uint64 {
 	n := t.NumObjects
 	refs := make([]uint8, clusters*n)
 	size := make([]uint32, n)
@@ -151,13 +134,8 @@ func infiniteCache(t *Trace, clusters int, belongsTo func(ClientID) int, sized b
 	out := make([]uint64, clusters)
 	for c := range out {
 		for obj, k := range refs[c*n : (c+1)*n] {
-			if k < 2 {
-				continue
-			}
-			if sized {
+			if k >= 2 {
 				out[c] += uint64(size[obj])
-			} else {
-				out[c]++
 			}
 		}
 	}

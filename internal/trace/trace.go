@@ -105,17 +105,5 @@ func (t *Trace) Slice(lo, hi int) *Trace {
 	}
 }
 
-// FilterClients returns a new trace containing only requests from
-// clients for which keep returns true.  Times and ids are preserved.
-func (t *Trace) FilterClients(keep func(ClientID) bool) *Trace {
-	out := &Trace{NumClients: t.NumClients, NumObjects: t.NumObjects}
-	for _, r := range t.Requests {
-		if keep(r.Client) {
-			out.Requests = append(out.Requests, r)
-		}
-	}
-	return out
-}
-
 // Len returns the number of requests.
 func (t *Trace) Len() int { return len(t.Requests) }

@@ -87,24 +87,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestFilterClients(t *testing.T) {
-	tr := mkTrace(
-		Request{Client: 0, Object: 0, Size: 1},
-		Request{Client: 1, Object: 1, Size: 1},
-		Request{Client: 0, Object: 2, Size: 1},
-		Request{Client: 2, Object: 3, Size: 1},
-	)
-	f := tr.FilterClients(func(c ClientID) bool { return c == 0 })
-	if f.Len() != 2 {
-		t.Fatalf("filtered len = %d, want 2", f.Len())
-	}
-	for _, r := range f.Requests {
-		if r.Client != 0 {
-			t.Errorf("filtered trace contains client %d", r.Client)
-		}
-	}
-}
-
 func TestAnalyze(t *testing.T) {
 	// Objects: 0 accessed 3x by clients {0,1}; 1 accessed 1x; 2 accessed 2x by client 2.
 	tr := mkTrace(
@@ -154,7 +136,7 @@ func TestInfiniteCacheSize(t *testing.T) {
 		Request{Client: 3, Object: 12, Size: 1}, // obj 12 multi-accessed in cluster 1
 		Request{Client: 2, Object: 12, Size: 1},
 	)
-	sizes := InfiniteCacheSize(tr, 2, func(c ClientID) int { return int(c) / 2 })
+	sizes := InfiniteCacheUnits(tr, 2, func(c ClientID) int { return int(c) / 2 })
 	if sizes[0] != 1 {
 		t.Errorf("cluster 0 infinite size = %d, want 1", sizes[0])
 	}
@@ -168,7 +150,7 @@ func TestInfiniteCacheSizeIgnoresOutOfRangeClusters(t *testing.T) {
 		Request{Client: 0, Object: 1, Size: 1},
 		Request{Client: 0, Object: 1, Size: 1},
 	)
-	sizes := InfiniteCacheSize(tr, 1, func(ClientID) int { return 5 })
+	sizes := InfiniteCacheUnits(tr, 1, func(ClientID) int { return 5 })
 	if sizes[0] != 0 {
 		t.Errorf("out-of-range cluster mapping should contribute nothing, got %d", sizes[0])
 	}
