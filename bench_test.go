@@ -269,8 +269,10 @@ func BenchmarkProximityRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkDiversionBalance quantifies §4.3's goal: object diversion
-// evens out storage utilization (lower Gini coefficient).
+// BenchmarkDiversionBalance reports how often Hier-GD diverts and its
+// P2P hit %, with and without §4.3's object diversion; the Gini
+// coefficient of storage load is held by internal/p2p's
+// TestDiversionImprovesBalance.
 func BenchmarkDiversionBalance(b *testing.B) {
 	tr := benchTrace(b)
 	for _, disable := range []bool{false, true} {

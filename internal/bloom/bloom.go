@@ -113,12 +113,6 @@ func (f *Filter) Reset() {
 	f.n = 0
 }
 
-// EstimatedFPRate estimates the current false-positive probability from
-// the number of insertions: (1 - e^{-kn/m})^k.
-func (f *Filter) EstimatedFPRate() float64 {
-	return math.Pow(1-math.Exp(-float64(f.k)*float64(f.n)/float64(f.m)), float64(f.k))
-}
-
 // MemoryBytes is the filter's bit-array footprint.
 func (f *Filter) MemoryBytes() uint64 { return uint64(len(f.bits)) * 8 }
 

@@ -83,7 +83,8 @@ type StoreReceipt struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// ClientCacheStats is the daemon's /stats payload.
+// ClientCacheStats is a snapshot of the daemon's counters, published
+// on /metrics as httpcache.cache.* gauges.
 type ClientCacheStats struct {
 	Objects int `json:"objects"`
 	Hits    int `json:"hits"`
@@ -126,7 +127,7 @@ func NewClientCacheOpts(o Options) *ClientCache {
 //	                              refuses instead of evicting (the
 //	                              diversion probe); every reply carries
 //	                              the daemon's headroom (FreeHeader)
-//	GET  /stats                   counters
+//	GET  /metrics                 counters and gauges (Prometheus text)
 //	GET  /healthz                 liveness probe (health.go)
 //	GET  /readyz                  readiness probe (health.go)
 //	GET  /frames                  the upgrade to frames (frame.go), on
@@ -135,7 +136,6 @@ func (c *ClientCache) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /object", c.handleObject)
 	mux.HandleFunc("POST /store", c.handleStore)
-	mux.HandleFunc("GET /stats", c.handleStats)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	c.registerHealth(mux)
 	mux.Handle("GET "+framePath, &c.frames)
@@ -294,7 +294,7 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(receipt)
 }
 
-// snapshotStats reads the lock-free counters into the /stats payload.
+// snapshotStats reads the lock-free counters.
 func (c *ClientCache) snapshotStats() ClientCacheStats {
 	return ClientCacheStats{
 		Objects: c.store.Len(),
@@ -302,11 +302,6 @@ func (c *ClientCache) snapshotStats() ClientCacheStats {
 		Misses:  int(c.stats.misses.Load()),
 		Stores:  int(c.stats.stores.Load()),
 	}
-}
-
-func (c *ClientCache) handleStats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(c.snapshotStats())
 }
 
 // Objects reports the current cached-object count (tests).

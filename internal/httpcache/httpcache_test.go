@@ -146,20 +146,6 @@ func (d *deployment) fetch(p int, path string) (string, string) {
 	return string(body), resp.Header.Get("X-Served-By")
 }
 
-func (d *deployment) proxyStats(p int) ProxyStats {
-	d.t.Helper()
-	resp, err := http.Get(d.proxyS[p].URL + "/stats")
-	if err != nil {
-		d.t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st ProxyStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		d.t.Fatal(err)
-	}
-	return st
-}
-
 func TestProxyCacheHit(t *testing.T) {
 	d := deploy(t, 1, 2, 1<<20, 1<<20)
 	body, tier := d.fetch(0, "/page1")
@@ -185,7 +171,7 @@ func TestPassDownAndClientCacheHit(t *testing.T) {
 	for i := 0; i < n; i++ {
 		d.fetch(0, fmt.Sprintf("/obj%02d", i))
 	}
-	st := d.proxyStats(0)
+	st := d.proxies[0].Stats()
 	if st.PassDowns == 0 {
 		t.Fatal("no pass-downs despite proxy overflow")
 	}
@@ -239,7 +225,7 @@ func TestRelayAcrossProxies(t *testing.T) {
 	for i := 0; i < n; i++ {
 		d.fetch(0, fmt.Sprintf("/p%02d", i))
 	}
-	if d.proxyStats(0).DirEntries == 0 {
+	if d.proxies[0].Stats().DirEntries == 0 {
 		t.Fatal("nothing destaged to client caches")
 	}
 	// Proxy 0 fetched each object once, from the origin, so every
@@ -274,7 +260,7 @@ func TestDiversionOverHTTP(t *testing.T) {
 	for i := 0; i < 43; i++ {
 		d.fetch(0, fmt.Sprintf("/d%02d", i))
 	}
-	st := d.proxyStats(0)
+	st := d.proxies[0].Stats()
 	if st.PassDowns == 0 {
 		t.Fatal("no pass-downs")
 	}
@@ -325,11 +311,7 @@ func TestClientCacheDaemonEndpoints(t *testing.T) {
 	}
 
 	// Stats.
-	resp, _ = http.Get(srv.URL + "/stats")
-	var st ClientCacheStats
-	json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if st.Objects != 1 || st.Hits != 1 {
+	if st := cc.snapshotStats(); st.Objects != 1 || st.Hits != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }

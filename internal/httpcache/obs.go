@@ -27,7 +27,7 @@ func traceStart(t *obs.Tracer, r *http.Request, name string) *obs.SpanTrace {
 }
 
 // publishStats folds the proxy's counters into its registry as
-// httpcache.proxy.* gauges (scrape-time snapshot, like /stats).
+// httpcache.proxy.* gauges (a scrape-time snapshot).
 func (p *Proxy) publishStats() {
 	reg := p.metrics
 	if reg == nil {

@@ -23,7 +23,8 @@ import (
 	"webcache/internal/trace"
 )
 
-// ProxyStats is the proxy's /stats payload: where requests were served
+// ProxyStats is a snapshot of the proxy's counters, published on
+// /metrics as httpcache.proxy.* gauges: where requests were served
 // from, plus pass-down and digest activity.
 type ProxyStats struct {
 	Requests    int `json:"requests"`
@@ -219,7 +220,7 @@ func (p *Proxy) Close() {
 //	GET  /peer-lookup?key=K  a cooperating proxy asking for an object
 //	GET  /digest             what /peer-lookup can serve, as a Bloom filter
 //	POST /register?addr=A    a client cache joining the cluster
-//	GET  /stats              counters
+//	GET  /metrics            counters and gauges (Prometheus text)
 //	GET  /healthz            liveness probe (health.go)
 //	GET  /readyz             readiness probe (health.go)
 //	GET  /frames             the upgrade to frames (frame.go), on which
@@ -230,7 +231,6 @@ func (p *Proxy) Handler() http.Handler {
 	mux.HandleFunc("GET /peer-lookup", p.handlePeerLookup)
 	mux.HandleFunc("GET /digest", p.handleDigest)
 	mux.HandleFunc("POST /register", p.handleRegister)
-	mux.HandleFunc("GET /stats", p.handleStats)
 	mux.HandleFunc("GET /metrics", p.handleMetrics)
 	p.registerHealth(mux)
 	mux.Handle("GET "+framePath, &p.frames)
@@ -485,7 +485,7 @@ func (p *Proxy) StartSweeper(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// snapshotStats reads the lock-free counters into the /stats payload.
+// snapshotStats reads the lock-free counters; ClientPool is left 0.
 func (p *Proxy) snapshotStats() ProxyStats {
 	p.mu.Lock()
 	dirLen := p.dir.Len()
@@ -519,9 +519,10 @@ func (p *Proxy) snapshotStats() ProxyStats {
 	}
 }
 
-func (p *Proxy) handleStats(w http.ResponseWriter, _ *http.Request) {
+// Stats reads the proxy's counters, the client-cache ring's size
+// included.
+func (p *Proxy) Stats() ProxyStats {
 	st := p.snapshotStats()
 	st.ClientPool = p.ring.size()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
+	return st
 }

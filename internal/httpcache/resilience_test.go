@@ -45,7 +45,7 @@ func TestClientCacheCrash(t *testing.T) {
 	for i := 0; i < n; i++ {
 		d.fetch(0, fmt.Sprintf("/x%02d", i))
 	}
-	if d.proxyStats(0).DirEntries == 0 {
+	if d.proxies[0].Stats().DirEntries == 0 {
 		t.Fatal("nothing destaged before the crash")
 	}
 	// Crash every daemon.
@@ -59,7 +59,7 @@ func TestClientCacheCrash(t *testing.T) {
 			t.Fatalf("wrong body %q after crash", body)
 		}
 	}
-	st := d.proxyStats(0)
+	st := d.proxies[0].Stats()
 	if st.ClientPool != 0 {
 		t.Errorf("dead daemons still in the ring: %d", st.ClientPool)
 	}

@@ -251,8 +251,8 @@ type Result struct {
 	// Tiers counts post-warmup outcomes by tier; PerTier holds the
 	// matching latency histograms; Overall merges the successful tiers.
 	Tiers   [numTiers]int
-	PerTier [numTiers]*Histogram
-	Overall *Histogram
+	PerTier [numTiers]*obs.Histogram
+	Overall *obs.Histogram
 }
 
 // HitRatio is the fraction of measured (post-warmup, successful)
@@ -281,8 +281,8 @@ type recorder struct {
 	errors    atomic.Int64
 	measured  atomic.Int64
 	tiers     [numTiers]atomic.Int64
-	perTier   [numTiers]*Histogram
-	overall   *Histogram
+	perTier   [numTiers]*obs.Histogram
+	overall   *obs.Histogram
 
 	reg      *obs.Registry
 	reqTimer *obs.Timer
@@ -299,7 +299,7 @@ func newRecorder(warmup int, reg *obs.Registry) *recorder {
 	// fall back to private histograms so Result keeps working.
 	overall := reg.Histogram("loadgen.latency")
 	if overall == nil {
-		overall = &Histogram{}
+		overall = &obs.Histogram{}
 	}
 	// Resolving a handle registers it, so every run exports the same
 	// metric names regardless of which paths fired — manifests stay
@@ -312,7 +312,7 @@ func newRecorder(warmup int, reg *obs.Registry) *recorder {
 	for i := range rec.perTier {
 		h := reg.Histogram("loadgen.latency.tier." + Tier(i).String())
 		if h == nil {
-			h = &Histogram{}
+			h = &obs.Histogram{}
 		}
 		rec.perTier[i] = h
 		rec.servesCtr[i] = reg.Counter("loadgen.serves." + Tier(i).String())

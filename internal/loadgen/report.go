@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"webcache/internal/obs"
 )
 
 // fmtDur renders a latency at report precision.
@@ -34,7 +36,7 @@ func (r *Result) Table() string {
 	}
 	fmt.Fprintf(&b, "\n%-13s %8s %7s  %9s %9s %9s %9s %9s\n",
 		"tier", "requests", "share", "p50", "p90", "p99", "p999", "max")
-	row := func(name string, count int, share float64, h *Histogram) {
+	row := func(name string, count int, share float64, h *obs.Histogram) {
 		s := h.Summary()
 		fmt.Fprintf(&b, "%-13s %8d %6.1f%%  %9s %9s %9s %9s %9s\n",
 			name, count, 100*share,

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -371,7 +370,7 @@ func (t *Topology) Close(ctx context.Context) error {
 	for _, px := range t.Proxies {
 		px.CloseIdleConnections()
 	}
-	http.DefaultClient.CloseIdleConnections() // registration + /stats probes
+	http.DefaultClient.CloseIdleConnections() // registration probes
 	var firstErr error
 	for i := len(t.servers) - 1; i >= 0; i-- {
 		t.closedMu.Lock()
@@ -396,16 +395,10 @@ func (t *Topology) Close(ctx context.Context) error {
 	return firstErr
 }
 
-// ProxyStats fetches proxy p's /stats counters over HTTP.
+// ProxyStats reads proxy p's counters in process.
 func (t *Topology) ProxyStats(p int) (httpcache.ProxyStats, error) {
-	var st httpcache.ProxyStats
-	if p < 0 || p >= len(t.ProxyURLs) {
-		return st, fmt.Errorf("loadgen: proxy %d of %d", p, len(t.ProxyURLs))
+	if p < 0 || p >= len(t.Proxies) {
+		return httpcache.ProxyStats{}, fmt.Errorf("loadgen: proxy %d of %d", p, len(t.Proxies))
 	}
-	resp, err := http.Get(t.ProxyURLs[p] + "/stats")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	return t.Proxies[p].Stats(), nil
 }

@@ -76,15 +76,15 @@ func ParseMembers(spec string) ([]Member, error) {
 	return out, nil
 }
 
+// staleAfter caps how long a failed member's last-good samples keep
+// contributing before they are dropped from the merged view entirely;
+// the member is flagged stale as soon as a scrape fails.
+const staleAfter = 30 * time.Second
+
 // Options tunes the aggregator.
 type Options struct {
 	// Client performs the scrapes (default: 2s-timeout client).
 	Client *http.Client
-	// StaleAfter caps how long a failed member's last-good samples
-	// keep contributing before they are dropped from the merged view
-	// entirely (default 30s; the member is flagged stale as soon as a
-	// scrape fails).
-	StaleAfter time.Duration
 	// Events receives member.up / member.down transitions.
 	Events *obs.EventLog
 	// Now injects a clock (tests).
@@ -121,9 +121,6 @@ type Aggregator struct {
 func New(members []Member, opts Options) *Aggregator {
 	if opts.Client == nil {
 		opts.Client = &http.Client{Timeout: 2 * time.Second}
-	}
-	if opts.StaleAfter <= 0 {
-		opts.StaleAfter = 30 * time.Second
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -346,7 +343,7 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 		contributes := st.data != nil
 		if !st.up {
 			mv.Stale = contributes
-			if contributes && now.Sub(st.scrapedAt) > a.opts.StaleAfter {
+			if contributes && now.Sub(st.scrapedAt) > staleAfter {
 				contributes = false // too old to trust at all
 			}
 		}

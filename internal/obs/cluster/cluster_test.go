@@ -137,14 +137,13 @@ func TestAggregatorGolden(t *testing.T) {
 }
 
 // TestAggregatorStaleDrop ages a dead member's last-good data past
-// StaleAfter and asserts it stops contributing to the merged totals.
+// staleAfter and asserts it stops contributing to the merged totals.
 func TestAggregatorStaleDrop(t *testing.T) {
 	reg := memberRegistry("a", 100, 10, 0, nil)
 	srv := fakeMember(t, reg)
 	clock := time.Unix(5_000_000, 0)
 	agg := New([]Member{{Name: "a", URL: srv.URL}}, Options{
-		StaleAfter: 10 * time.Second,
-		Now:        func() time.Time { return clock },
+		Now: func() time.Time { return clock },
 	})
 	if snap := agg.ScrapeOnce(context.Background()); snap.Requests != 100 {
 		t.Fatalf("live scrape: %v", snap.Requests)
@@ -154,7 +153,7 @@ func TestAggregatorStaleDrop(t *testing.T) {
 	if snap := agg.ScrapeOnce(context.Background()); snap.Requests != 100 {
 		t.Fatalf("fresh-stale data dropped early: %v", snap.Requests)
 	}
-	clock = clock.Add(30 * time.Second)
+	clock = clock.Add(staleAfter)
 	snap := agg.ScrapeOnce(context.Background())
 	if snap.Requests != 0 {
 		t.Fatalf("ancient data still contributing: %v", snap.Requests)

@@ -396,28 +396,3 @@ func (t *Tracker) reportClass(st *classState) ClassReport {
 	}
 	return r
 }
-
-// Table renders the class reports as an aligned text table for bench
-// output and the dashboard.
-func Table(reports []ClassReport) string {
-	if len(reports) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %10s %8s %10s %10s %8s %9s %9s %7s\n",
-		"class", "requests", "bad", "burn.fast", "burn.slow", "budget", "p50", "p99", "state")
-	for _, r := range reports {
-		state := "ok"
-		switch {
-		case r.Paging:
-			state = "PAGE"
-		case r.Ticketing:
-			state = "ticket"
-		}
-		fmt.Fprintf(&b, "%-14s %10d %8d %10.2f %10.2f %7.0f%% %9s %9s %7s\n",
-			r.Class.Name, r.Requests, r.Bad, r.FastBurn, r.SlowBurn,
-			100*r.BudgetRemaining, r.Latency.P50.Round(time.Microsecond),
-			r.Latency.P99.Round(time.Microsecond), state)
-	}
-	return b.String()
-}

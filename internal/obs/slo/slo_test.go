@@ -161,7 +161,4 @@ func TestTrackerNilSafe(t *testing.T) {
 	if r := tr2.Report()[0]; r.Requests != 1 {
 		t.Fatalf("registry-less tracker: %+v", r)
 	}
-	if Table(tr2.Report()) == "" {
-		t.Fatal("empty table")
-	}
 }

@@ -49,8 +49,6 @@ type Config struct {
 	// StackFrac is the LRU stack size as a fraction of the number of
 	// multi-accessed objects (the paper sweeps 5%–60%; default 20%).
 	StackFrac float64
-	// RequestsPerSecond spaces the synthetic timestamps (default 10).
-	RequestsPerSecond float64
 	// VariableSizes enables the lognormal/Pareto size model instead of
 	// the paper's unit-size assumption.
 	VariableSizes bool
@@ -78,6 +76,9 @@ const (
 	DefaultAlpha        = 0.7
 	DefaultStackFrac    = 0.2
 )
+
+// requestsPerSecond spaces the synthetic timestamps.
+const requestsPerSecond = 10
 
 // Default returns the paper's default synthetic workload configuration.
 func Default() Config {
@@ -110,9 +111,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.StackFrac == 0 {
 		c.StackFrac = d.StackFrac
-	}
-	if c.RequestsPerSecond == 0 {
-		c.RequestsPerSecond = 10
 	}
 }
 
@@ -249,7 +247,7 @@ func Generate(cfg Config) (*trace.Trace, error) {
 			obj = g.reref()
 			rerefsLeft--
 		}
-		tm := uint32(float64(i) / cfg.RequestsPerSecond)
+		tm := uint32(float64(i) / requestsPerSecond)
 		t.Requests = append(t.Requests, trace.Request{
 			Time:   tm,
 			Client: pickClient(obj),

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -135,218 +136,14 @@ func WriteBinary(w io.Writer, t *Trace) error {
 // ErrBadMagic reports a stream that is not a binary webcache trace.
 var ErrBadMagic = errors.New("trace: bad magic (not a binary webcache trace)")
 
-// batchBufSize is the BatchReader's internal byte buffer: large enough
-// that the per-refill cost amortizes to nothing, small enough that a
-// reader per open trace file is cheap.
-const batchBufSize = 64 * 1024
-
-// BatchReader decodes the binary trace format incrementally: the
-// header is validated at construction, then ReadBatch decodes request
-// records into a caller-owned slice.  All decoding runs over one
-// reused internal byte buffer with slice-based varint reads — no
-// per-record I/O calls and no per-record allocations — so a replay
-// driver can stream arbitrarily large traces through a fixed-size
-// batch.  A BatchReader is not safe for concurrent use.
-type BatchReader struct {
-	r   io.Reader
-	buf []byte
-	// buf[pos:lim] holds the undecoded bytes read so far.
-	pos, lim int
-	eof      bool // r reported EOF; buf holds all remaining bytes
-
-	n, decoded uint64 // declared request count / requests handed out
-	prev       uint32 // time-delta decoder state, carried across batches
-	numClients int
-	numObjects int
-}
-
-// NewBatchReader validates the header (magic, version, counts) and
-// returns a reader positioned at the first request record.
-func NewBatchReader(r io.Reader) (*BatchReader, error) {
-	b := &BatchReader{r: r, buf: make([]byte, batchBufSize)}
-	if err := b.refill(); err != nil && b.lim == 0 {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if b.lim-b.pos < len(binaryMagic) {
-		return nil, fmt.Errorf("trace: reading magic: %w", io.ErrUnexpectedEOF)
-	}
-	if string(b.buf[b.pos:b.pos+len(binaryMagic)]) != binaryMagic {
-		return nil, ErrBadMagic
-	}
-	b.pos += len(binaryMagic)
-	ver, err := b.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ver != binaryVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", ver)
-	}
-	if b.n, err = b.uvarint(); err != nil {
-		return nil, err
-	}
-	nc, err := b.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	no, err := b.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	const maxRequests = 1 << 31
-	if b.n > maxRequests {
-		return nil, fmt.Errorf("trace: implausible request count %d", b.n)
-	}
-	b.numClients = int(nc)
-	b.numObjects = int(no)
-	return b, nil
-}
-
-// Len is the total request count the header declares (untrusted until
-// the stream delivers it — a short stream fails ReadBatch with an
-// error, so callers should still clamp pre-allocations).
-func (b *BatchReader) Len() int { return int(b.n) }
-
-// Remaining is how many declared requests ReadBatch has not yet
-// delivered.
-func (b *BatchReader) Remaining() int { return int(b.n - b.decoded) }
-
-// NumClients is the header's client count.
-func (b *BatchReader) NumClients() int { return b.numClients }
-
-// NumObjects is the header's object count.
-func (b *BatchReader) NumObjects() int { return b.numObjects }
-
-// refill slides the undecoded tail to the front of the buffer and
-// reads as much as the source will give.
-func (b *BatchReader) refill() error {
-	if b.eof {
-		return io.ErrUnexpectedEOF
-	}
-	copy(b.buf, b.buf[b.pos:b.lim])
-	b.lim -= b.pos
-	b.pos = 0
-	for b.lim < len(b.buf) {
-		n, err := b.r.Read(b.buf[b.lim:])
-		b.lim += n
-		if err == io.EOF {
-			b.eof = true
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			return nil
-		}
-	}
-	return nil
-}
-
-// uvarint decodes one varint from the buffered window, refilling when
-// the window runs dry.
-func (b *BatchReader) uvarint() (uint64, error) {
-	for {
-		v, w := binary.Uvarint(b.buf[b.pos:b.lim])
-		if w > 0 {
-			b.pos += w
-			return v, nil
-		}
-		if w < 0 {
-			return 0, fmt.Errorf("trace: varint overflows 64 bits")
-		}
-		// Window too short for a full varint: pull more bytes.  At EOF
-		// the varint can never complete.
-		if b.eof {
-			if b.pos == b.lim {
-				return 0, io.EOF
-			}
-			return 0, io.ErrUnexpectedEOF
-		}
-		if err := b.refill(); err != nil {
-			return 0, err
-		}
-	}
-}
-
-// ReadBatch decodes up to len(dst) request records into dst and
-// returns how many it decoded.  It returns io.EOF once all declared
-// requests have been delivered; a stream ending early returns the
-// decode error positioned at the failing record.
-func (b *BatchReader) ReadBatch(dst []Request) (int, error) {
-	if b.decoded == b.n {
-		return 0, io.EOF
-	}
-	for i := range dst {
-		if b.decoded == b.n {
-			return i, nil
-		}
-		dt, err := b.uvarint()
-		if err != nil {
-			return i, fmt.Errorf("trace: request %d: %w", b.decoded, err)
-		}
-		var tm uint32
-		if dt&1 == 1 {
-			tm = uint32(dt >> 1)
-		} else {
-			tm = b.prev + uint32(dt>>1)
-		}
-		b.prev = tm
-		cl, err := b.uvarint()
-		if err != nil {
-			return i, fmt.Errorf("trace: request %d: %w", b.decoded, err)
-		}
-		ob, err := b.uvarint()
-		if err != nil {
-			return i, fmt.Errorf("trace: request %d: %w", b.decoded, err)
-		}
-		sz, err := b.uvarint()
-		if err != nil {
-			return i, fmt.Errorf("trace: request %d: %w", b.decoded, err)
-		}
-		dst[i] = Request{
-			Time:   tm,
-			Client: ClientID(cl),
-			Object: ObjectID(ob),
-			Size:   uint32(sz),
-		}
-		b.decoded++
-	}
-	return len(dst), nil
-}
-
-// ReadBinary parses the binary format written by WriteBinary.  It is a
-// thin wrapper over BatchReader that materializes the whole trace;
-// streaming consumers should use BatchReader directly.
+// ReadBinary parses the binary format written by WriteBinary.  It reads
+// r whole and decodes every record out of that one buffer.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	br, err := NewBatchReader(r)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	// The count is untrusted until the stream actually delivers it, so
-	// clamp the pre-allocation: a short stream claiming a huge count
-	// must fail with a read error, not a giant allocation.
-	pre := br.Len()
-	if pre > 1<<16 {
-		pre = 1 << 16
-	}
-	t := &Trace{
-		Requests:   make([]Request, 0, pre),
-		NumClients: br.NumClients(),
-		NumObjects: br.NumObjects(),
-	}
-	for br.Remaining() > 0 {
-		// Decode directly into the tail of the accumulating slice; the
-		// batch size is however much spare capacity append growth left.
-		if cap(t.Requests) == len(t.Requests) {
-			t.Requests = append(t.Requests, Request{})[:len(t.Requests)]
-		}
-		n, err := br.ReadBatch(t.Requests[len(t.Requests):cap(t.Requests)])
-		t.Requests = t.Requests[:len(t.Requests)+n]
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return decodeBinary(data)
 }
 
 // ReadFile loads the trace file at path in either interchange format:
@@ -355,19 +152,91 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 // binary trace but fails to decode (truncated, corrupt) reports the
 // binary decoder's error, not a text parse error about its first line.
 func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	t, err := ReadBinary(f)
+	t, err := decodeBinary(data)
 	if errors.Is(err, ErrBadMagic) {
-		if _, err = f.Seek(0, io.SeekStart); err == nil {
-			t, err = ReadText(f)
-		}
+		t, err = ReadText(bytes.NewReader(data))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("reading trace %s: %w", path, err)
 	}
 	return t, nil
+}
+
+// decodeBinary validates the header (magic, version, counts), then
+// decodes the declared records.  The count is untrusted: Requests is
+// sized to at most one record per four remaining bytes (a record is
+// four varints of at least one byte each), so a short buffer claiming
+// a huge count fails on a record, never on a giant allocation.
+func decodeBinary(data []byte) (*Trace, error) {
+	if len(data) < len(binaryMagic) {
+		return nil, fmt.Errorf("trace: reading magic: %w", io.ErrUnexpectedEOF)
+	}
+	if string(data[:len(binaryMagic)]) != binaryMagic {
+		return nil, ErrBadMagic
+	}
+	d := decoder{buf: data, pos: len(binaryMagic)}
+	if ver := d.uvarint(); d.err != nil {
+		return nil, d.err
+	} else if ver != binaryVersion {
+		return nil, fmt.Errorf("trace: unsupported version %d", ver)
+	}
+	n, nc, no := d.uvarint(), d.uvarint(), d.uvarint()
+	if d.err != nil {
+		return nil, d.err
+	}
+	const maxRequests = 1 << 31
+	if n > maxRequests {
+		return nil, fmt.Errorf("trace: implausible request count %d", n)
+	}
+	t := &Trace{
+		Requests:   make([]Request, min(n, uint64(len(data)-d.pos)/4)),
+		NumClients: int(nc),
+		NumObjects: int(no),
+	}
+	var tm uint32
+	for i := range n {
+		dt, cl, ob, sz := d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
+		if d.err != nil {
+			return nil, fmt.Errorf("trace: request %d: %w", i, d.err)
+		}
+		if dt&1 == 1 {
+			tm = uint32(dt >> 1) // a backwards jump, stored absolute
+		} else {
+			tm += uint32(dt >> 1)
+		}
+		t.Requests[i] = Request{Time: tm, Client: ClientID(cl), Object: ObjectID(ob), Size: uint32(sz)}
+	}
+	return t, nil
+}
+
+// decoder reads varints from buf[pos:].  The first varint that fails
+// sets err (io.EOF when the buffer ended before it, io.ErrUnexpectedEOF
+// when it ended inside it), and every later read returns 0.
+type decoder struct {
+	buf []byte
+	pos int
+	err error
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, w := binary.Uvarint(d.buf[d.pos:])
+	switch {
+	case w > 0:
+		d.pos += w
+		return v
+	case w < 0:
+		d.err = errors.New("trace: varint overflows 64 bits")
+	case d.pos == len(d.buf):
+		d.err = io.EOF
+	default:
+		d.err = io.ErrUnexpectedEOF
+	}
+	return 0
 }

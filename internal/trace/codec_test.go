@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,17 +115,58 @@ func TestReadBinaryBadMagic(t *testing.T) {
 	}
 }
 
+// Every cut of an encoding fails, and a cut past the header names the
+// request it fell in.
 func TestReadBinaryTruncated(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(3)), 50)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	for _, cut := range []int{2, 5, len(b) / 2, len(b) - 1} {
-		if _, err := ReadBinary(bytes.NewReader(b[:cut])); err == nil {
-			t.Errorf("truncated at %d: no error", cut)
+	encode := func(k int) []byte {
+		var buf bytes.Buffer
+		prefix := &Trace{Requests: tr.Requests[:k], NumClients: tr.NumClients, NumObjects: tr.NumObjects}
+		if err := WriteBinary(&buf, prefix); err != nil {
+			t.Fatal(err)
 		}
+		return buf.Bytes()
+	}
+	// ends[k] is where request k's record ends; the declared count is
+	// one varint byte for every prefix, so the offsets carry over.
+	header := len(encode(0))
+	ends := make([]int, len(tr.Requests))
+	for k := range ends {
+		ends[k] = len(encode(k + 1))
+	}
+	b := encode(len(tr.Requests))
+	for cut := 0; cut < len(b); cut++ {
+		_, err := ReadBinary(bytes.NewReader(b[:cut]))
+		if err == nil {
+			t.Fatalf("truncated at %d: no error", cut)
+		}
+		if cut < header {
+			continue
+		}
+		req := sort.SearchInts(ends, cut+1)
+		if want := fmt.Sprintf("trace: request %d: ", req); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("truncated at %d: err = %v, want prefix %q", cut, err, want)
+		}
+	}
+}
+
+// The decoder allocates the Trace and its Requests and nothing per
+// record, so its count does not grow with the trace.
+func TestDecodeBinaryAllocsPerRun(t *testing.T) {
+	allocs := func(n int) float64 {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, randomTrace(rand.New(rand.NewSource(6)), n)); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := decodeBinary(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1_000), allocs(100_000); small != large {
+		t.Errorf("allocs per decode: %v at 1 000 requests, %v at 100 000", small, large)
 	}
 }
 

@@ -74,6 +74,11 @@ func FuzzBinaryCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// The same three records under a header declaring 100: the records
+	// decode, then the bytes run out.
+	lying := bytes.Clone(buf.Bytes())
+	lying[5] = 100
+	f.Add(lying)
 	f.Add([]byte("WCTR"))
 	// A short stream claiming 2^30 requests: must fail on read, not
 	// pre-allocate gigabytes.

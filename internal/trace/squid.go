@@ -20,28 +20,15 @@ import (
 // URLs are interned to dense ids, sizes are rounded up to cache units,
 // and timestamps are rebased to the first request.
 
-// SquidOptions controls the conversion.
-type SquidOptions struct {
-	// UnitBytes is the cache-unit size; object sizes round up to it.
-	// 0 means 1024 (1 KB units).  UnitSize forces Size=1 regardless,
-	// matching the paper's equal-size assumption.
-	UnitBytes int
-	UnitSize  bool
-	// Methods restricts ingestion to the given HTTP methods
-	// (uppercase); empty means {GET}.
-	Methods []string
-	// KeepUncacheable also ingests entries whose status code is not
-	// 2xx/3xx (they are normally noise for caching studies).
-	KeepUncacheable bool
-}
+// squidUnitBytes is the cache unit object sizes round up to (1 KB).
+const squidUnitBytes = 1024
 
-func (o *SquidOptions) fill() {
-	if o.UnitBytes == 0 {
-		o.UnitBytes = 1024
-	}
-	if len(o.Methods) == 0 {
-		o.Methods = []string{"GET"}
-	}
+// SquidOptions controls the conversion.  Only GET requests with a 2xx
+// or 3xx status are ingested; the rest are noise for caching studies.
+type SquidOptions struct {
+	// UnitSize forces Size=1 regardless of the logged byte count,
+	// matching the paper's equal-size assumption.
+	UnitSize bool
 }
 
 // SquidResult reports what ReadSquid ingested and skipped.
@@ -57,11 +44,6 @@ type SquidResult struct {
 
 // ReadSquid parses a Squid native-format access log.
 func ReadSquid(r io.Reader, opts SquidOptions) (*SquidResult, error) {
-	opts.fill()
-	methods := make(map[string]bool, len(opts.Methods))
-	for _, m := range opts.Methods {
-		methods[strings.ToUpper(m)] = true
-	}
 	res := &SquidResult{Trace: &Trace{}}
 	clientIDs := map[string]ClientID{}
 	objectIDs := map[string]ObjectID{}
@@ -93,11 +75,7 @@ func ReadSquid(r io.Reader, opts SquidOptions) (*SquidResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: squid line %d: bad timestamp: %v", line, err)
 		}
-		if !methods[strings.ToUpper(f[5])] {
-			res.Skipped++
-			continue
-		}
-		if !opts.KeepUncacheable && !cacheableStatus(f[3]) {
+		if !strings.EqualFold(f[5], "GET") || !cacheableStatus(f[3]) {
 			res.Skipped++
 			continue
 		}
@@ -120,7 +98,7 @@ func ReadSquid(r io.Reader, opts SquidOptions) (*SquidResult, error) {
 		}
 		size := uint32(1)
 		if !opts.UnitSize {
-			units := (szBytes + int64(opts.UnitBytes) - 1) / int64(opts.UnitBytes)
+			units := (szBytes + squidUnitBytes - 1) / squidUnitBytes
 			if units < 1 {
 				units = 1
 			}

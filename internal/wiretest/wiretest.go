@@ -18,12 +18,12 @@ const undeclaredMax = 2 << 10
 // StrictFraming fails t when h writes a reply body longer than net/http's
 // pre-chunk buffer without having declared its length: the reply would
 // cross the hop chunked, which is what a handler writing an object body
-// around httpcache's serve does.  The operator endpoints (/stats,
-// /metrics) stream text of no fixed size and are not messages of the
-// protocol; they are let through.
+// around httpcache's serve does.  The operator endpoint /metrics
+// streams text of no fixed size and is not a message of the protocol;
+// it is let through.
 func StrictFraming(t testing.TB, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/stats" || r.URL.Path == "/metrics" {
+		if r.URL.Path == "/metrics" {
 			h.ServeHTTP(w, r)
 			return
 		}

@@ -275,23 +275,3 @@ type Checker = invariant.Checker
 // NewChecker creates an enabled invariant checker.  reg may be nil;
 // when set, check.* counters are published into it.
 func NewChecker(reg *MetricsRegistry) *Checker { return invariant.New(reg) }
-
-// TraceFingerprint hashes a trace's full content into a short stable
-// string for manifest comparison.
-func TraceFingerprint(tr *Trace) string { return trace.Fingerprint(tr) }
-
-// MergeTraces interleaves traces by timestamp with ids remapped into
-// disjoint ranges (two organizations' logs into one cluster workload).
-func MergeTraces(traces ...*Trace) (*Trace, error) { return trace.Merge(traces...) }
-
-// ConcatTraces appends traces end to end in time over one shared id
-// universe (phased workloads).
-func ConcatTraces(traces ...*Trace) (*Trace, error) { return trace.Concat(traces...) }
-
-// TimeSliceTrace cuts the sub-trace with Time in [from, to), rebased.
-func TimeSliceTrace(tr *Trace, from, to uint32) (*Trace, error) {
-	return trace.TimeSlice(tr, from, to)
-}
-
-// CompactTrace renumbers clients and objects densely after filtering.
-func CompactTrace(tr *Trace) *Trace { return trace.Compact(tr) }

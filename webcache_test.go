@@ -143,48 +143,3 @@ func TestFacadePresetsAndSweep(t *testing.T) {
 		t.Error("unknown preset accepted")
 	}
 }
-
-func TestFacadeTraceComposition(t *testing.T) {
-	a, err := webcache.GenerateWorkload(webcache.WorkloadConfig{
-		NumRequests: 6_000, NumObjects: 300, NumClients: 20, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := webcache.GenerateWorkload(webcache.WorkloadConfig{
-		NumRequests: 6_000, NumObjects: 300, NumClients: 20, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := webcache.MergeTraces(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 12_000 || m.NumObjects != 600 {
-		t.Fatalf("merged: %d reqs, %d objects", m.Len(), m.NumObjects)
-	}
-	c, err := webcache.ConcatTraces(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 12_000 {
-		t.Fatalf("concat len %d", c.Len())
-	}
-	sliced, err := webcache.TimeSliceTrace(a, 0, a.Requests[a.Len()-1].Time/2+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compacted := webcache.CompactTrace(sliced)
-	if compacted.NumObjects > sliced.NumObjects {
-		t.Error("compaction grew the universe")
-	}
-	// A merged two-organization trace replays through the simulator.
-	res, err := webcache.Run(m, webcache.Config{Scheme: webcache.SC, ProxyCacheFrac: 0.3, ClientsPerCluster: 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != m.Len() {
-		t.Error("merged trace replay incomplete")
-	}
-}
