@@ -143,7 +143,8 @@ trace-alloc:
 # Hier-GD and Squirrel over Pastry), a Pastry route, a P2P
 # lookup hit and pass-down replacement, the load generator's per-request
 # recorder, and the live proxy/client-cache memory-hit paths must not touch the
-# heap.  Run without -race on purpose —
+# heap, and loadgen.BuildSchedule makes at most one allocation per
+# request (TestBuildScheduleAllocsPerRun).  Run without -race on purpose —
 # race instrumentation allocates on paths the production build does
 # not, so these files are !race-tagged and invisible to `make check`.
 sim-alloc:

@@ -3,6 +3,7 @@
 package loadgen
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -29,5 +30,24 @@ func TestRecordAllocsPerRun(t *testing.T) {
 				t.Errorf("registry=%v index=%d: record allocates %.2f objects per call, want 0", reg != nil, idx, allocs)
 			}
 		}
+	}
+}
+
+// TestBuildScheduleAllocsPerRun: a schedule costs its URLs' bytes, one
+// allocation per request, plus a constant for the schedule itself and
+// the proxies' escaped prefixes.  Every id has at least three digits,
+// past strconv's cache of small numbers.
+func TestBuildScheduleAllocsPerRun(t *testing.T) {
+	const n, constant = 10_000, 16
+	tr := scheduleTrace(rand.New(rand.NewSource(2)), n, 40, 100, 1<<40)
+	proxies := []string{"http://127.0.0.1:41001", "http://[::1]:41002"}
+	proxyFor := clientModulo(len(proxies))
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := BuildSchedule(tr, proxies, "http://127.0.0.1:41000", proxyFor); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > n+constant {
+		t.Errorf("BuildSchedule of %d requests: %.0f allocations, want at most %d", n, allocs, n+constant)
 	}
 }

@@ -250,12 +250,12 @@ type sizing struct {
 // workloads).
 func computeSizing(tr *trace.Trace, cfg Config) sizing {
 	clients := make([]clientSlot, tr.NumClients)
+	proxyOf := make([]int, tr.NumClients)
 	for c := range clients {
 		clients[c].proxy, clients[c].member = clientMapping(&cfg, trace.ClientID(c))
+		proxyOf[c] = clients[c].proxy
 	}
-	units := trace.InfiniteCacheUnits(tr, cfg.NumProxies, func(c trace.ClientID) int {
-		return clients[c].proxy
-	})
+	units := trace.InfiniteCacheUnits(tr, cfg.NumProxies, proxyOf)
 	inf := make([]int, len(units))
 	for i, u := range units {
 		inf[i] = int(u)

@@ -148,16 +148,17 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 
 // ReadFile loads the trace file at path in either interchange format:
 // binary when the file opens with the binary magic, text otherwise.
-// Only ErrBadMagic falls back to the text parser — a file that is a
-// binary trace but fails to decode (truncated, corrupt) reports the
-// binary decoder's error, not a text parse error about its first line.
+// Only ErrBadMagic and the empty file fall back to the text parser — a
+// file that is a binary trace but fails to decode (truncated, corrupt,
+// or a nonempty prefix of the magic) reports the binary decoder's
+// error, not a text parse error about its first line.
 func ReadFile(path string) (*Trace, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	t, err := decodeBinary(data)
-	if errors.Is(err, ErrBadMagic) {
+	if errors.Is(err, ErrBadMagic) || len(data) == 0 {
 		t, err = ReadText(bytes.NewReader(data))
 	}
 	if err != nil {
@@ -167,27 +168,30 @@ func ReadFile(path string) (*Trace, error) {
 }
 
 // decodeBinary validates the header (magic, version, counts), then
-// decodes the declared records.  The count is untrusted: Requests is
-// sized to at most one record per four remaining bytes (a record is
-// four varints of at least one byte each), so a short buffer claiming
-// a huge count fails on a record, never on a giant allocation.
+// decodes the declared records.  Bytes that stop inside the magic are
+// a cut binary trace; any other start is ErrBadMagic.  The count is
+// untrusted: Requests is sized to at most one record per four
+// remaining bytes (a record is four varints of at least one byte
+// each), so a short buffer claiming a huge count fails on a record,
+// never on a giant allocation.
 func decodeBinary(data []byte) (*Trace, error) {
-	if len(data) < len(binaryMagic) {
-		return nil, fmt.Errorf("trace: reading magic: %w", io.ErrUnexpectedEOF)
-	}
-	if string(data[:len(binaryMagic)]) != binaryMagic {
+	if !bytes.HasPrefix(data, []byte(binaryMagic)) {
+		if len(data) < len(binaryMagic) && bytes.HasPrefix([]byte(binaryMagic), data) {
+			return nil, fmt.Errorf("trace: reading magic: %w", io.ErrUnexpectedEOF)
+		}
 		return nil, ErrBadMagic
 	}
 	d := decoder{buf: data, pos: len(binaryMagic)}
-	if ver := d.uvarint(); d.err != nil {
-		return nil, d.err
-	} else if ver != binaryVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", ver)
+	var hdr [4]uint64 // version, then the request, client and object counts
+	for i, field := range [...]string{"version", "request count", "client count", "object count"} {
+		if hdr[i] = d.uvarint(); d.err != nil {
+			return nil, fmt.Errorf("trace: header: reading %s: %w", field, d.err)
+		}
+		if i == 0 && hdr[0] != binaryVersion {
+			return nil, fmt.Errorf("trace: unsupported version %d", hdr[0])
+		}
 	}
-	n, nc, no := d.uvarint(), d.uvarint(), d.uvarint()
-	if d.err != nil {
-		return nil, d.err
-	}
+	n, nc, no := hdr[1], hdr[2], hdr[3]
 	const maxRequests = 1 << 31
 	if n > maxRequests {
 		return nil, fmt.Errorf("trace: implausible request count %d", n)
@@ -214,8 +218,9 @@ func decodeBinary(data []byte) (*Trace, error) {
 }
 
 // decoder reads varints from buf[pos:].  The first varint that fails
-// sets err (io.EOF when the buffer ended before it, io.ErrUnexpectedEOF
-// when it ended inside it), and every later read returns 0.
+// sets err, and every later read returns 0.  Every varint it reads is
+// one the format or the header declared, so a buffer that ends before
+// or inside one is io.ErrUnexpectedEOF, never io.EOF.
 type decoder struct {
 	buf []byte
 	pos int
@@ -232,9 +237,7 @@ func (d *decoder) uvarint() uint64 {
 		d.pos += w
 		return v
 	case w < 0:
-		d.err = errors.New("trace: varint overflows 64 bits")
-	case d.pos == len(d.buf):
-		d.err = io.EOF
+		d.err = errors.New("varint overflows 64 bits")
 	default:
 		d.err = io.ErrUnexpectedEOF
 	}

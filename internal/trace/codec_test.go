@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -115,8 +118,9 @@ func TestReadBinaryBadMagic(t *testing.T) {
 	}
 }
 
-// Every cut of an encoding fails, and a cut past the header names the
-// request it fell in.
+// Every cut of an encoding fails with io.ErrUnexpectedEOF, never
+// io.EOF (the header declared what is missing), and names where it
+// fell: the magic, the header field, or the request.
 func TestReadBinaryTruncated(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(3)), 50)
 	encode := func(k int) []byte {
@@ -129,10 +133,31 @@ func TestReadBinaryTruncated(t *testing.T) {
 	}
 	// ends[k] is where request k's record ends; the declared count is
 	// one varint byte for every prefix, so the offsets carry over.
-	header := len(encode(0))
 	ends := make([]int, len(tr.Requests))
 	for k := range ends {
 		ends[k] = len(encode(k + 1))
+	}
+	fields := []struct {
+		name string
+		v    uint64
+	}{
+		{"version", binaryVersion},
+		{"request count", uint64(len(tr.Requests))},
+		{"client count", uint64(tr.NumClients)},
+		{"object count", uint64(tr.NumObjects)},
+	}
+	wantPrefix := func(cut int) string {
+		if cut < len(binaryMagic) {
+			return "trace: reading magic: "
+		}
+		end := len(binaryMagic)
+		for _, f := range fields {
+			end += len(binary.AppendUvarint(nil, f.v))
+			if cut < end {
+				return "trace: header: reading " + f.name + ": "
+			}
+		}
+		return fmt.Sprintf("trace: request %d: ", sort.SearchInts(ends, cut+1))
 	}
 	b := encode(len(tr.Requests))
 	for cut := 0; cut < len(b); cut++ {
@@ -140,11 +165,10 @@ func TestReadBinaryTruncated(t *testing.T) {
 		if err == nil {
 			t.Fatalf("truncated at %d: no error", cut)
 		}
-		if cut < header {
-			continue
+		if !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			t.Errorf("truncated at %d: err = %v, want io.ErrUnexpectedEOF and not io.EOF", cut, err)
 		}
-		req := sort.SearchInts(ends, cut+1)
-		if want := fmt.Sprintf("trace: request %d: ", req); !strings.HasPrefix(err.Error(), want) {
+		if want := wantPrefix(cut); !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("truncated at %d: err = %v, want prefix %q", cut, err, want)
 		}
 	}
@@ -209,6 +233,33 @@ func TestReadFile(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(dir, "absent")); !os.IsNotExist(err) {
 		t.Errorf("missing file: err = %v, want not-exist", err)
+	}
+}
+
+// A file shorter than the magic loads as text unless it is a nonempty
+// prefix of the magic: ReadFile then gives what ReadText gives, and a
+// cut binary trace keeps the decoder's "reading magic" error.
+func TestReadFileShorterThanMagic(t *testing.T) {
+	dir := t.TempDir()
+	read := func(data string) (*Trace, error) {
+		path := filepath.Join(dir, "short")
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return ReadFile(path)
+	}
+	for _, data := range []string{"", "\n", "#\n", "1 2"} {
+		got, err := read(data)
+		want, wantErr := ReadText(strings.NewReader(data))
+		if !reflect.DeepEqual(got, want) || fmt.Sprint(errors.Unwrap(err)) != fmt.Sprint(wantErr) {
+			t.Errorf("ReadFile(%q) = %+v, %v; ReadText gives %+v, %v", data, got, err, want, wantErr)
+		}
+	}
+	for _, data := range []string{"W", "WC", "WCT"} {
+		if _, err := read(data); err == nil || !strings.Contains(err.Error(), "trace: reading magic: ") ||
+			!errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("ReadFile(%q): err = %v, want reading magic: unexpected EOF", data, err)
+		}
 	}
 }
 

@@ -68,8 +68,12 @@ func TestInfiniteCacheMatchesReference(t *testing.T) {
 				}
 				return int(c) % clusters
 			}
+			clusterOf := make([]int, tr.NumClients)
+			for c := range clusterOf {
+				clusterOf[c] = belongsTo(ClientID(c))
+			}
 			name := fmt.Sprintf("clusters=%d seed=%d", clusters, seed)
-			if got, want := InfiniteCacheUnits(tr, clusters, belongsTo), refInfiniteCacheUnits(tr, clusters, belongsTo); !slices.Equal(got, want) {
+			if got, want := InfiniteCacheUnits(tr, clusters, clusterOf), refInfiniteCacheUnits(tr, clusters, belongsTo); !slices.Equal(got, want) {
 				t.Errorf("%s: InfiniteCacheUnits = %v, reference %v", name, got, want)
 			}
 		}

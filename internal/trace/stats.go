@@ -111,18 +111,20 @@ func fitZipf(desc []int) float64 {
 // every distinct object accessed more than once by the clients of that
 // cluster, in cache units (an object counts at the size of its last
 // request; for the paper's unit-size traces, the number of such
-// objects).  belongsTo maps a client to its cluster; the function
-// returns the size per cluster index (length = number of clusters).
+// objects).  clusterOf[c] is client c's cluster, one entry per client
+// of the trace; a client mapped outside [0, clusters) counts nowhere.
+// The function returns the size per cluster index (length = number of
+// clusters).
 // Like every replay it needs a trace that passes Validate (Object <
 // NumObjects).  The trace bounds the object universe, so the reference
 // counts are a dense clusters x NumObjects table that saturates at
 // "more than once", filled in one pass.
-func InfiniteCacheUnits(t *Trace, clusters int, belongsTo func(ClientID) int) []uint64 {
+func InfiniteCacheUnits(t *Trace, clusters int, clusterOf []int) []uint64 {
 	n := t.NumObjects
 	refs := make([]uint8, clusters*n)
 	size := make([]uint32, n)
 	for _, r := range t.Requests {
-		c := belongsTo(r.Client)
+		c := clusterOf[r.Client]
 		if c < 0 || c >= clusters {
 			continue
 		}

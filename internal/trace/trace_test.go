@@ -136,7 +136,7 @@ func TestInfiniteCacheSize(t *testing.T) {
 		Request{Client: 3, Object: 12, Size: 1}, // obj 12 multi-accessed in cluster 1
 		Request{Client: 2, Object: 12, Size: 1},
 	)
-	sizes := InfiniteCacheUnits(tr, 2, func(c ClientID) int { return int(c) / 2 })
+	sizes := InfiniteCacheUnits(tr, 2, []int{0, 0, 1, 1})
 	if sizes[0] != 1 {
 		t.Errorf("cluster 0 infinite size = %d, want 1", sizes[0])
 	}
@@ -150,7 +150,7 @@ func TestInfiniteCacheSizeIgnoresOutOfRangeClusters(t *testing.T) {
 		Request{Client: 0, Object: 1, Size: 1},
 		Request{Client: 0, Object: 1, Size: 1},
 	)
-	sizes := InfiniteCacheUnits(tr, 1, func(ClientID) int { return 5 })
+	sizes := InfiniteCacheUnits(tr, 1, []int{5})
 	if sizes[0] != 0 {
 		t.Errorf("out-of-range cluster mapping should contribute nothing, got %d", sizes[0])
 	}
