@@ -21,13 +21,14 @@ vet:
 # metric registry, the invariant oracles, the simulator that feeds
 # them (the ./internal/sim run includes the checked end-to-end
 # replays), the concurrent data plane (the store + the HTTP
-# daemons built on it), and what runs live traffic over it (load
-# generator, chaos suite, cluster aggregator), as CI's race job does,
+# daemons built on it, and the SLO tracker their concurrent handlers
+# write while /metrics reads it), and what runs live traffic over it
+# (load generator, chaos suite, cluster view), as CI's race job does,
 # after the tree guards.
 check: vet guards
 	$(GO) test -race ./internal/obs ./internal/invariant ./internal/sim \
 		./internal/core ./internal/store ./internal/store/disk ./internal/httpcache \
-		./internal/loadgen ./internal/chaos ./internal/obs/cluster
+		./internal/loadgen ./internal/chaos ./internal/obs/cluster ./internal/obs/slo
 
 # The tree guards, which CI runs as this target too: they fail on any
 # file gofmt would rewrite, if the simulator library (the root webcache

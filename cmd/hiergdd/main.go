@@ -44,10 +44,8 @@
 // events (readiness, breakers, SLO burn crossings).  The proxy's -slo-classes declares per-class objectives
 // ("interactive:100ms:0.99:1m,..."); requests tagged X-SLO-Class are
 // accounted per class and slo.* burn-rate gauges appear on /metrics.
-// -cluster-members "name=url,..." makes a proxy scrape and merge every
-// member's /metrics into a cluster.* view on /cluster/metrics and
-// /cluster/snapshot; `hiergdd top` renders the same aggregation as a
-// live terminal dashboard.
+// `hiergdd top` scrapes every member's /metrics itself and renders the
+// cluster view as a live terminal dashboard (-once for scripts).
 //
 // The demo starts an origin, two cooperating proxies with three client
 // caches each (loadgen.StartLoopback), drives a request script through
@@ -73,7 +71,6 @@ import (
 	"webcache/internal/httpcache"
 	"webcache/internal/loadgen"
 	"webcache/internal/obs"
-	"webcache/internal/obs/cluster"
 	"webcache/internal/obs/slo"
 )
 
@@ -194,8 +191,6 @@ func runProxy(args []string) error {
 	peers := fs.String("peers", "", "comma-separated cooperating proxies, each http://host:port or host:port")
 	sloClasses := fs.String("slo-classes", "", `SLO classes as "name:latency:availability[:window]", comma-separated (e.g. "interactive:50ms:0.99:1m,batch:500ms:0.9"): requests tagged X-SLO-Class are accounted per class and slo.* burn-rate gauges appear on /metrics`)
 	eventsPath := fs.String("events", "", "append structured JSONL state-transition events (readiness, breaker, SLO burn crossings) to this file")
-	clusterMembers := fs.String("cluster-members", "", `proxies to aggregate as "name=url,..." — mounts /cluster/metrics and /cluster/snapshot on this daemon, scraping every member's /metrics`)
-	clusterScrape := fs.Duration("cluster-scrape", 2*time.Second, "cluster aggregator scrape interval")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline")
 	sess := obs.NewSession(fs, "hiergdd-proxy")
 	fs.Parse(args)
@@ -244,32 +239,11 @@ func runProxy(args []string) error {
 	fmt.Printf("hiergdd proxy: listening on %s (self=%s, %d-byte cache)\n",
 		ln.Addr(), base, *capacity)
 
-	// Handler stack: the aggregator's /cluster/* routes (when
-	// configured) in front of the proxy's own surface.
-	handler := http.Handler(p.Handler())
-	if *clusterMembers != "" {
-		members, err := cluster.ParseMembers(*clusterMembers)
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		agg := cluster.New(members, cluster.Options{Events: events})
-		aggCtx, aggStop := context.WithCancel(context.Background())
-		defer aggStop()
-		go agg.Start(aggCtx, *clusterScrape)
-		mux := http.NewServeMux()
-		mux.Handle("/cluster/", agg.Handler())
-		mux.Handle("/", handler)
-		handler = mux
-		fmt.Printf("hiergdd proxy: aggregating %d members on /cluster/metrics (every %s)\n",
-			len(members), *clusterScrape)
-	}
-
 	// Construction is done: flip /readyz to 200 before the daemon takes
 	// traffic.
 	p.MarkReady()
 
-	return serveDaemon(ln, handler, *drain, p.MarkDraining, func() {
+	return serveDaemon(ln, p.Handler(), *drain, p.MarkDraining, func() {
 		closeSession(sess)
 		p.Close()
 	})

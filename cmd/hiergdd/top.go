@@ -14,10 +14,9 @@ import (
 )
 
 // runTop is the live terminal dashboard: it scrapes every member's
-// /metrics directly (no daemon-side aggregator needed) and redraws the
-// cluster view each interval — cluster hit ratio, per-member
-// throughput and resident objects, per-class SLO burn rates, and
-// breaker states.
+// /metrics itself (package cluster) and redraws the cluster view each
+// interval — cluster hit ratio, per-member throughput and resident
+// objects, per-class SLO burn rates, and breaker states.
 //
 //	hiergdd top -members a=http://h1:8080,b=http://h2:8080 -interval 2s
 //
@@ -36,7 +35,7 @@ func runTop(args []string) error {
 	if err != nil {
 		return err
 	}
-	agg := cluster.New(ms, cluster.Options{})
+	agg := cluster.New(ms)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -60,7 +60,7 @@ func TestTopDashboardFromLiveMesh(t *testing.T) {
 		{Name: "alpha", URL: topo.ProxyURLs[0]},
 		{Name: "beta", URL: topo.ProxyURLs[1]},
 	}
-	agg := cluster.New(members, cluster.Options{})
+	agg := cluster.New(members)
 
 	for i := 0; i < 6; i++ {
 		fetch(i%2, fmt.Sprintf("/warm-%d", i%3))

@@ -269,13 +269,13 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 		px.ReconcileAccounting()
 	}
 
-	// The aggregation path `hiergdd top` and /cluster/metrics use: scrape
-	// every member's /metrics over HTTP and merge.
+	// The cluster view `hiergdd top` renders: scrape every member's
+	// /metrics over HTTP and sum.
 	members := make([]cluster.Member, len(topo.ProxyURLs))
 	for i, u := range topo.ProxyURLs {
 		members[i] = cluster.Member{Name: fmt.Sprintf("member-%d", i), URL: u}
 	}
-	snap := cluster.New(members, cluster.Options{}).ScrapeOnce(context.Background())
+	snap := cluster.New(members).ScrapeOnce(context.Background())
 	rep.ClusterHit = snap.HitRatio
 	rep.Members = len(members)
 	rep.SLO = snap.SLO

@@ -165,7 +165,7 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 	}
 	p.defenses.fillDefaults()
 	if len(o.SLOClasses) > 0 {
-		p.slo = slo.NewTracker(o.Metrics, o.SLOClasses, slo.DefaultThresholds)
+		p.slo = slo.NewTracker(o.Metrics, o.SLOClasses)
 		p.slo.SetEvents(o.Events)
 	}
 	p.local, p.tiers = p.cascade()

@@ -1,43 +1,28 @@
-// Package cluster is the cluster-wide metrics aggregation plane: a
-// scraper that polls every member's /metrics exposition and merges the
-// per-process registries into one coherent cluster.* view.
+// Package cluster is the cluster view: one scrape of every member's
+// /metrics, reduced to the hit ratio the requesters saw, each member's
+// serving state, and a per-class SLO rollup.  It has two readers, and
+// each calls ScrapeOnce itself: `hiergdd top` renders the snapshots as
+// a dashboard, and chaos.RunLive holds the cluster hit ratio against
+// the load generator's own accounting.
 //
-// Merge semantics, per exposition family:
-//
-//   - counters and plain gauges are summed across members (they are
-//     per-process totals, so the sum is the cluster total);
-//   - histogram bucket families (<name>_seconds_hist) are merged
-//     bucket-for-bucket via obs.RestoreHistogram — lossless, so the
-//     cluster quantiles are computed from the union of samples rather
-//     than averaging per-member quantiles;
-//   - ratio-shaped gauges (burn rates, paging flags, budget remaining)
-//     are NOT additive: burn rates and paging take the worst member
-//     (max), budget remaining the most-spent member (min);
-//   - summary families (timer/histogram quantile views) are skipped —
-//     the cluster view recomputes quantiles from merged buckets.
+// The view reads a handful of gauges and nothing else: each member's
+// httpcache.proxy.{requests,origin_replies,breaker_opens}, its
+// store.objects, and its slo.<class>.{good,bad,burn.fast,burn.slow,
+// paging}.  Requests and origin replies sum (every request arrives at
+// one member); burn rates take the worst member, and a class pages if
+// any member pages.
 //
 // Staleness: a member whose scrape fails keeps contributing its
-// last-good sample set, flagged stale with its age, so one crashed
-// daemon degrades the view instead of zeroing its share of the
-// cluster totals.  Member up/down transitions are emitted to the
-// event log.
-//
-// The merged view lands in a fresh obs.Registry per scrape under
-// metric names "cluster.<family>" (the exposition family name with
-// the webcache_ prefix stripped, underscores kept), exposed by
-// Handler as /cluster/metrics (Prometheus text) and /cluster/snapshot
-// (JSON).  hiergdd top renders the same snapshots as a live
-// dashboard.
+// last-good gauges, flagged stale, for up to staleAfter, so one
+// crashed daemon degrades the view instead of zeroing its share of
+// the cluster totals.
 package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -52,9 +37,11 @@ type Member struct {
 }
 
 // ParseMembers parses the flag syntax "name=url,name=url" (bare URLs
-// get member-<i> names).
+// get member-<i> names).  A repeated name is refused: the view keys a
+// member's rows by it.
 func ParseMembers(spec string) ([]Member, error) {
 	var out []Member
+	seen := map[string]bool{}
 	for i, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -64,6 +51,10 @@ func ParseMembers(spec string) ([]Member, error) {
 		if eq := strings.IndexByte(part, '='); eq > 0 && !strings.Contains(part[:eq], "/") {
 			m.Name, part = part[:eq], part[eq+1:]
 		}
+		if seen[m.Name] {
+			return nil, fmt.Errorf("cluster: member name %q given twice in %q", m.Name, spec)
+		}
+		seen[m.Name] = true
 		if !strings.Contains(part, "://") {
 			part = "http://" + part
 		}
@@ -76,77 +67,60 @@ func ParseMembers(spec string) ([]Member, error) {
 	return out, nil
 }
 
-// staleAfter caps how long a failed member's last-good samples keep
-// contributing before they are dropped from the merged view entirely;
-// the member is flagged stale as soon as a scrape fails.
+// staleAfter caps how long a failed member's last-good gauges keep
+// contributing before they are dropped from the cluster totals; the
+// member is flagged stale as soon as a scrape fails.
 const staleAfter = 30 * time.Second
 
-// Options tunes the aggregator.
-type Options struct {
-	// Client performs the scrapes (default: 2s-timeout client).
-	Client *http.Client
-	// Events receives member.up / member.down transitions.
-	Events *obs.EventLog
-	// Now injects a clock (tests).
-	Now func() time.Time
-}
-
-// memberData is one member's decoded exposition.
-type memberData struct {
-	counters map[string]float64
-	gauges   map[string]float64
-	hists    map[string]*obs.Histogram
-}
+// The gauge families the view reads, as exposition names without the
+// webcache_ prefix.
+const (
+	famRequests      = "httpcache_proxy_requests"
+	famOriginReplies = "httpcache_proxy_origin_replies"
+	famBreakerOpens  = "httpcache_proxy_breaker_opens"
+	famObjects       = "store_objects"
+)
 
 // memberState is the aggregator's rolling view of one member.
 type memberState struct {
-	member    Member
-	data      *memberData
-	scrapedAt time.Time // last successful scrape
+	gauges    map[string]float64 // last good scrape; nil before one
+	scrapedAt time.Time          // of gauges
 	up        bool
 	err       string
 }
 
-// Aggregator scrapes a fixed member set and merges the results.
+// Aggregator scrapes a fixed member set.
 type Aggregator struct {
 	members []Member
-	opts    Options
+	client  *http.Client
+	now     func() time.Time
 
 	mu    sync.Mutex
-	state map[string]*memberState
-	snap  *Snapshot
+	state []memberState // by position in members
 }
 
 // New builds an aggregator over the member set.
-func New(members []Member, opts Options) *Aggregator {
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 2 * time.Second}
+func New(members []Member) *Aggregator {
+	return &Aggregator{
+		members: members,
+		client:  &http.Client{Timeout: 2 * time.Second},
+		now:     time.Now,
+		state:   make([]memberState, len(members)),
 	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
-	a := &Aggregator{members: members, opts: opts, state: map[string]*memberState{}}
-	for _, m := range members {
-		a.state[m.Name] = &memberState{member: m}
-	}
-	return a
 }
 
-// MemberView is one member's slice of a snapshot.
+// MemberView is one member's row of a snapshot.
 type MemberView struct {
 	Member
-	Up    bool   `json:"up"`
-	Stale bool   `json:"stale"`
-	Err   string `json:"err,omitempty"`
-	// AgeSeconds is the age of the data contributing to the merged
-	// view (0 for a member scraped this round, -1 never scraped).
-	AgeSeconds float64 `json:"age_seconds"`
-	Requests   float64 `json:"requests"`
-	HitRatio   float64 `json:"hit_ratio"`
+	Up       bool
+	Stale    bool
+	Err      string
+	Requests float64
+	HitRatio float64
 	// Objects is the member's store.objects gauge: what its memory
 	// cache holds.
-	Objects      float64 `json:"objects"`
-	BreakerOpens float64 `json:"breaker_opens"`
+	Objects      float64
+	BreakerOpens float64
 }
 
 // ClassRollup is the cluster view of one SLO class: additive ledger
@@ -160,37 +134,30 @@ type ClassRollup struct {
 	Paging   bool    `json:"paging"`    // any member paging
 }
 
-// Snapshot is one aggregation round: the merged cluster.* values, the
-// per-member breakdown, and the derived cluster stats.
+// Snapshot is one scrape round: the per-member rows and the cluster
+// serving stats.
 type Snapshot struct {
-	At      time.Time    `json:"at"`
-	Members []MemberView `json:"members"`
-	// Requests/OriginFetches/HitRatio are the cluster serving stats:
+	At      time.Time
+	Members []MemberView
 	// Requests sums the members' requests, and OriginFetches counts the
-	// replies served from origin (originReplies).
-	Requests      float64 `json:"requests"`
-	OriginFetches float64 `json:"origin_fetches"`
-	HitRatio      float64 `json:"hit_ratio"`
+	// replies served from origin (each member's origin_replies), so
+	// HitRatio is the one the requesters saw.
+	Requests      float64
+	OriginFetches float64
+	HitRatio      float64
 	// SLO is the per-class rollup, present when any member publishes
-	// slo.* metrics.
-	SLO []ClassRollup `json:"slo,omitempty"`
-	// Values is the merged registry flattened (histograms contribute
-	// their quantile summaries), every name under cluster.*.
-	Values map[string]float64 `json:"values"`
-
-	merged *obs.Registry
+	// slo.* gauges.
+	SLO []ClassRollup
 }
 
-// Registry returns the merged cluster.* registry behind the snapshot.
-func (s *Snapshot) Registry() *obs.Registry { return s.merged }
-
-// scrapeMember fetches and decodes one member's exposition.
-func (a *Aggregator) scrapeMember(ctx context.Context, m Member) (*memberData, error) {
+// scrapeMember fetches one member's exposition and keeps the gauges
+// the view reads.
+func (a *Aggregator) scrapeMember(ctx context.Context, m Member) (map[string]float64, error) {
 	req, err := http.NewRequestWithContext(ctx, "GET", m.URL+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := a.opts.Client.Do(req)
+	resp, err := a.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -202,189 +169,77 @@ func (a *Aggregator) scrapeMember(ctx context.Context, m Member) (*memberData, e
 	if err != nil {
 		return nil, fmt.Errorf("parse /metrics: %v", err)
 	}
-	return decodeSamples(samples, types), nil
-}
-
-// histAcc accumulates one _seconds_hist family during decoding.
-type histAcc struct {
-	buckets       map[float64]int64
-	sum, min, max float64
-}
-
-// decodeSamples folds parsed exposition samples into per-family
-// counters, gauges, and reconstructed histograms.  Family names are
-// the exposition names with the webcache_ prefix and kind suffixes
-// stripped.
-func decodeSamples(samples []obs.Sample, types map[string]string) *memberData {
-	md := &memberData{
-		counters: map[string]float64{},
-		gauges:   map[string]float64{},
-		hists:    map[string]*obs.Histogram{},
-	}
-	accs := map[string]*histAcc{}
-	acc := func(base string) *histAcc {
-		h, ok := accs[base]
-		if !ok {
-			h = &histAcc{buckets: map[float64]int64{}}
-			accs[base] = h
-		}
-		return h
-	}
-	family := func(name string) string { return strings.TrimPrefix(name, "webcache_") }
+	gauges := map[string]float64{}
 	for _, s := range samples {
-		name := s.Name
-		switch {
-		case strings.HasSuffix(name, "_seconds_hist_bucket"):
-			base := strings.TrimSuffix(name, "_bucket")
-			le := math.Inf(1)
-			if v := s.Label("le"); v != "+Inf" {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					continue
-				}
-				le = f
-			}
-			acc(base).buckets[le] = int64(s.Value)
-		case strings.HasSuffix(name, "_seconds_hist_sum"):
-			acc(strings.TrimSuffix(name, "_sum")).sum = s.Value
-		case strings.HasSuffix(name, "_seconds_hist_count"):
-			// total derives from the +Inf bucket
-		case strings.HasSuffix(name, "_seconds_hist_min"):
-			acc(strings.TrimSuffix(name, "_min")).min = s.Value
-		case strings.HasSuffix(name, "_seconds_hist_max"):
-			acc(strings.TrimSuffix(name, "_max")).max = s.Value
-		case strings.HasSuffix(name, "_total") && types[name] == "counter":
-			md.counters[family(strings.TrimSuffix(name, "_total"))] += s.Value
-		case s.Label("quantile") != "":
-			// summary quantile view; recomputed from buckets
-		case strings.HasSuffix(name, "_seconds_sum"), strings.HasSuffix(name, "_seconds_count"):
-			// timer / summary sidecars; not mergeable, skip
-		default:
-			md.gauges[family(name)] += s.Value
+		if types[s.Name] != "gauge" {
+			continue
+		}
+		switch fam := strings.TrimPrefix(s.Name, "webcache_"); {
+		case fam == famRequests, fam == famOriginReplies, fam == famBreakerOpens,
+			fam == famObjects, strings.HasPrefix(fam, "slo_"):
+			gauges[fam] = s.Value
 		}
 	}
-	for base, h := range accs {
-		md.hists[family(strings.TrimSuffix(base, "_seconds_hist"))] =
-			obs.RestoreHistogram(h.buckets, h.sum, h.min, h.max)
-	}
-	return md
+	return gauges, nil
 }
 
-// mergeMode picks the cross-member fold for a scalar family.
-func mergeMode(fam string) string {
-	switch {
-	case strings.HasSuffix(fam, "_burn_fast"), strings.HasSuffix(fam, "_burn_slow"),
-		strings.HasSuffix(fam, "_paging"), strings.HasSuffix(fam, "_hit_ratio"):
-		return "max"
-	case strings.HasSuffix(fam, "_budget_remaining"):
-		return "min"
-	}
-	return "sum"
-}
-
-// ScrapeOnce polls every member once and rebuilds the merged view.
+// ScrapeOnce polls every member once and builds the snapshot.
 func (a *Aggregator) ScrapeOnce(ctx context.Context) *Snapshot {
-	now := a.opts.Now()
 	type result struct {
-		name string
-		data *memberData
-		err  error
+		gauges map[string]float64
+		err    error
 	}
-	results := make(chan result, len(a.members))
-	for _, m := range a.members {
-		go func(m Member) {
-			data, err := a.scrapeMember(ctx, m)
-			results <- result{m.Name, data, err}
-		}(m)
+	results := make([]result, len(a.members))
+	var wg sync.WaitGroup
+	for i, m := range a.members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := a.scrapeMember(ctx, m)
+			results[i] = result{g, err}
+		}()
 	}
-	byName := map[string]result{}
-	for range a.members {
-		r := <-results
-		byName[r.name] = r
-	}
+	wg.Wait()
 
+	now := a.now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, m := range a.members {
-		st := a.state[m.Name]
-		r := byName[m.Name]
-		wasUp := st.up
+	for i, r := range results {
+		st := &a.state[i]
 		if r.err == nil {
-			st.data, st.scrapedAt = r.data, now
+			st.gauges, st.scrapedAt = r.gauges, now
 			st.up, st.err = true, ""
 		} else {
 			st.up, st.err = false, r.err.Error()
 		}
-		if st.up != wasUp {
-			typ := "member.up"
-			if !st.up {
-				typ = "member.down"
-			}
-			a.opts.Events.Emit(typ, map[string]string{"member": m.Name, "url": m.URL, "err": st.err})
-		}
 	}
-	a.snap = a.merge(now)
-	return a.snap
+	return a.snapshot(now)
 }
 
-// merge folds the member states into a snapshot.  Caller holds a.mu.
-func (a *Aggregator) merge(now time.Time) *Snapshot {
-	reg := obs.NewRegistry("cluster")
-	snap := &Snapshot{At: now, merged: reg}
-	sums := map[string]float64{}
-	mins := map[string]float64{}
-	maxs := map[string]float64{}
+// snapshot folds the member states into a snapshot.  Caller holds a.mu.
+func (a *Aggregator) snapshot(now time.Time) *Snapshot {
+	snap := &Snapshot{At: now}
 	classes := map[string]*ClassRollup{}
-	var origin float64
-
-	for _, m := range a.members {
-		st := a.state[m.Name]
-		mv := MemberView{Member: st.member, Up: st.up, Err: st.err, AgeSeconds: -1}
-		contributes := st.data != nil
-		if !st.up {
-			mv.Stale = contributes
-			if contributes && now.Sub(st.scrapedAt) > staleAfter {
-				contributes = false // too old to trust at all
-			}
-		}
-		if st.data != nil {
-			mv.AgeSeconds = now.Sub(st.scrapedAt).Seconds()
-			mv.Requests = st.data.gauges["httpcache_proxy_requests"]
+	for i, m := range a.members {
+		st := &a.state[i]
+		g := st.gauges
+		mv := MemberView{Member: m, Up: st.up, Stale: !st.up && g != nil, Err: st.err}
+		if g != nil {
+			mv.Requests = g[famRequests]
 			if mv.Requests > 0 {
-				mv.HitRatio = 1 - originReplies(st.data.gauges)/mv.Requests
+				mv.HitRatio = 1 - g[famOriginReplies]/mv.Requests
 			}
-			mv.BreakerOpens = st.data.gauges["httpcache_proxy_breaker_opens"]
-			mv.Objects = st.data.gauges["store_objects"]
+			mv.BreakerOpens = g[famBreakerOpens]
+			mv.Objects = g[famObjects]
 		}
 		snap.Members = append(snap.Members, mv)
-		if !contributes {
-			continue
+		if g == nil || !st.up && now.Sub(st.scrapedAt) > staleAfter {
+			continue // never scraped, or too old to trust at all
 		}
 
-		for fam, v := range st.data.counters {
-			sums[fam] += v
-		}
-		for fam, v := range st.data.gauges {
-			switch mergeMode(fam) {
-			case "max":
-				if cur, ok := maxs[fam]; !ok || v > cur {
-					maxs[fam] = v
-				}
-			case "min":
-				if cur, ok := mins[fam]; !ok || v < cur {
-					mins[fam] = v
-				}
-			default:
-				sums[fam] += v
-			}
-		}
-		for fam, h := range st.data.hists {
-			reg.Histogram("cluster." + fam).Merge(h)
-		}
-		origin += originReplies(st.data.gauges)
-
-		// Per-class SLO rollup from the member's slo_* gauges.
-		for fam, v := range st.data.gauges {
+		snap.Requests += g[famRequests]
+		snap.OriginFetches += g[famOriginReplies]
+		for fam, v := range g {
 			cls, metric, ok := sloFamily(fam)
 			if !ok {
 				continue
@@ -400,68 +255,22 @@ func (a *Aggregator) merge(now time.Time) *Snapshot {
 			case "bad":
 				cr.Bad += v
 			case "burn_fast":
-				if v > cr.FastBurn {
-					cr.FastBurn = v
-				}
+				cr.FastBurn = max(cr.FastBurn, v)
 			case "burn_slow":
-				if v > cr.SlowBurn {
-					cr.SlowBurn = v
-				}
+				cr.SlowBurn = max(cr.SlowBurn, v)
 			case "paging":
 				cr.Paging = cr.Paging || v > 0
 			}
 		}
 	}
-
-	for fam, v := range sums {
-		reg.Gauge("cluster." + fam).Set(v)
-	}
-	for fam, v := range maxs {
-		reg.Gauge("cluster." + fam).Set(v)
-	}
-	for fam, v := range mins {
-		reg.Gauge("cluster." + fam).Set(v)
-	}
-
-	// Cluster serving stats: every request is counted by the one member
-	// it arrived at, and the origin count is by served-by label, so the
-	// hit ratio is the one the requesters saw.
-	snap.Requests = sums["httpcache_proxy_requests"]
-	snap.OriginFetches = origin
 	if snap.Requests > 0 {
 		snap.HitRatio = 1 - snap.OriginFetches/snap.Requests
 	}
-	var up, stale float64
-	for _, mv := range snap.Members {
-		if mv.Up {
-			up++
-		}
-		if mv.Stale {
-			stale++
-		}
+	for _, cr := range classes {
+		snap.SLO = append(snap.SLO, *cr)
 	}
-	reg.Gauge("cluster.members").Set(float64(len(a.members)))
-	reg.Gauge("cluster.members_up").Set(up)
-	reg.Gauge("cluster.members_stale").Set(stale)
-	reg.Gauge("cluster.requests").Set(snap.Requests)
-	reg.Gauge("cluster.origin_fetches").Set(snap.OriginFetches)
-	reg.Gauge("cluster.hit_ratio").Set(snap.HitRatio)
-	for _, name := range sortedClassNames(classes) {
-		snap.SLO = append(snap.SLO, *classes[name])
-	}
-	snap.Values = reg.Values()
+	sort.Slice(snap.SLO, func(i, j int) bool { return snap.SLO[i].Name < snap.SLO[j].Name })
 	return snap
-}
-
-// originReplies is a member's count of replies served from origin: its
-// httpcache.proxy.origin_replies, which counts a coalesced waiter the
-// way the requester saw it, or, from a member that does not publish
-// that gauge, its origin_fetches.
-func originReplies(gauges map[string]float64) float64 {
-	if v, ok := gauges["httpcache_proxy_origin_replies"]; ok {
-		return v
-	}
-	return gauges["httpcache_proxy_origin_fetches"]
 }
 
 // sloFamily splits an exposition family like slo_interactive_burn_fast
@@ -471,71 +280,10 @@ func sloFamily(fam string) (class, metric string, ok bool) {
 	if !found {
 		return "", "", false
 	}
-	for _, metric := range []string{"good", "bad", "burn_fast", "burn_slow", "budget_remaining", "paging"} {
+	for _, metric := range []string{"good", "bad", "burn_fast", "burn_slow", "paging"} {
 		if cls, found := strings.CutSuffix(rest, "_"+metric); found && cls != "" {
 			return cls, metric, true
 		}
 	}
 	return "", "", false
-}
-
-func sortedClassNames(m map[string]*ClassRollup) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns the latest merged view (nil before the first
-// scrape).
-func (a *Aggregator) Snapshot() *Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.snap
-}
-
-// Start runs the scrape loop until ctx is done.
-func (a *Aggregator) Start(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		a.ScrapeOnce(ctx)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				a.ScrapeOnce(ctx)
-			}
-		}
-	}()
-}
-
-// Handler serves the aggregated view: /cluster/metrics as Prometheus
-// text and /cluster/snapshot as JSON.  A request before the first
-// scrape triggers one synchronously, so the endpoints are usable
-// without Start.
-func (a *Aggregator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	latest := func(r *http.Request) *Snapshot {
-		if s := a.Snapshot(); s != nil {
-			return s
-		}
-		return a.ScrapeOnce(r.Context())
-	}
-	mux.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
-		snap := latest(r)
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		obs.WritePrometheus(w, snap.Registry())
-	})
-	mux.HandleFunc("/cluster/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(latest(r))
-	})
-	return mux
 }

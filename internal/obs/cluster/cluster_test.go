@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,63 +21,62 @@ func fakeMember(t *testing.T, reg *obs.Registry) *httptest.Server {
 	return srv
 }
 
-func memberRegistry(name string, requests, origin, objects float64, latencies []time.Duration) *obs.Registry {
+func memberRegistry(name string, requests, origin, objects float64) *obs.Registry {
 	reg := obs.NewRegistry(name)
 	reg.Counter("httpcache.proxy.sweeps").Add(3)
 	reg.Gauge("httpcache.proxy.requests").Set(requests)
-	reg.Gauge("httpcache.proxy.origin_fetches").Set(origin)
+	reg.Gauge("httpcache.proxy.origin_replies").Set(origin)
+	reg.Gauge("httpcache.proxy.breaker_opens").Set(objects / 10)
 	reg.Gauge("store.objects").Set(objects)
 	reg.Gauge("slo.interactive.burn.fast").Set(requests / 100) // distinct per member
 	reg.Gauge("slo.interactive.good").Set(requests - origin)
 	reg.Gauge("slo.interactive.bad").Set(origin)
-	h := reg.Histogram("loadgen.latency")
-	for _, d := range latencies {
-		h.Observe(d)
-	}
+	reg.Histogram("loadgen.latency").Observe(time.Millisecond)
 	return reg
 }
 
-// TestAggregatorGolden scrapes two live members plus one unreachable
-// one, asserting the additive merge, the lossless histogram union,
-// the cluster hit ratio, the worst-member SLO fold, and the
-// staleness flags — then kills a member and checks its last-good data
-// keeps contributing, flagged stale.
-func TestAggregatorGolden(t *testing.T) {
-	regA := memberRegistry("a", 100, 20, 40, []time.Duration{time.Millisecond, 2 * time.Millisecond})
-	regB := memberRegistry("b", 250, 30, 0, []time.Duration{10 * time.Millisecond})
-	srvA := fakeMember(t, regA)
-	srvB := fakeMember(t, regB)
+func byName(snap *Snapshot) map[string]MemberView {
+	out := map[string]MemberView{}
+	for _, mv := range snap.Members {
+		out[mv.Name] = mv
+	}
+	return out
+}
 
-	var events bytes.Buffer
+// TestAggregatorGolden scrapes two live members plus one unreachable
+// one, asserting the summed serving stats, the cluster and per-member
+// hit ratios, the worst-member SLO fold, and the staleness flags, then
+// kills a member and checks its last-good data keeps contributing,
+// flagged stale.
+func TestAggregatorGolden(t *testing.T) {
+	srvA := fakeMember(t, memberRegistry("a", 100, 20, 40))
+	srvB := fakeMember(t, memberRegistry("b", 250, 30, 0))
 	agg := New([]Member{
 		{Name: "a", URL: srvA.URL},
 		{Name: "b", URL: srvB.URL},
 		{Name: "ghost", URL: "http://127.0.0.1:1"}, // nothing listens here
-	}, Options{Events: obs.NewEventLog("agg", &events)})
+	})
 
 	snap := agg.ScrapeOnce(context.Background())
 	if len(snap.Members) != 3 {
 		t.Fatalf("members = %d", len(snap.Members))
 	}
-	byName := map[string]MemberView{}
-	for _, mv := range snap.Members {
-		byName[mv.Name] = mv
-	}
-	if !byName["a"].Up || !byName["b"].Up || byName["ghost"].Up {
+	m := byName(snap)
+	if !m["a"].Up || !m["b"].Up || m["ghost"].Up {
 		t.Fatalf("up flags: %+v", snap.Members)
 	}
-	if byName["ghost"].Stale || byName["ghost"].Err == "" || byName["ghost"].AgeSeconds != -1 {
-		t.Fatalf("never-scraped member misreported: %+v", byName["ghost"])
+	if m["ghost"].Stale || m["ghost"].Err == "" || m["ghost"].Requests != 0 {
+		t.Fatalf("never-scraped member misreported: %+v", m["ghost"])
 	}
-	if byName["a"].Objects != 40 || byName["b"].Objects != 0 {
-		t.Fatalf("objects: a=%+v b=%+v", byName["a"], byName["b"])
+	if m["a"].Objects != 40 || m["b"].Objects != 0 || m["a"].BreakerOpens != 4 {
+		t.Fatalf("objects/breakers: a=%+v b=%+v", m["a"], m["b"])
+	}
+	if m["a"].Requests != 100 || math.Abs(m["a"].HitRatio-0.8) > 1e-9 {
+		t.Fatalf("member a: %+v", m["a"])
 	}
 
-	// Counters and gauges sum: 100 + 250 requests, 50 origin -> hit
-	// ratio 1 - 50/350.
-	if got := snap.Values["cluster.httpcache_proxy_sweeps"]; got != 6 {
-		t.Fatalf("summed counter = %v", got)
-	}
+	// Requests and origin replies sum: 100 + 250 requests, 50 origin ->
+	// hit ratio 1 - 50/350.
 	if snap.Requests != 350 || snap.OriginFetches != 50 {
 		t.Fatalf("requests=%v origin=%v", snap.Requests, snap.OriginFetches)
 	}
@@ -85,66 +84,33 @@ func TestAggregatorGolden(t *testing.T) {
 		t.Fatalf("hit ratio = %v, want %v", snap.HitRatio, want)
 	}
 
-	// The histogram union: 3 samples across two members, exact count
-	// and max.
-	if got := snap.Values["cluster.loadgen_latency.count"]; got != 3 {
-		t.Fatalf("merged histogram count = %v", got)
-	}
-	if got := snap.Values["cluster.loadgen_latency.max"]; math.Abs(got-0.010) > 1e-9 {
-		t.Fatalf("merged histogram max = %v", got)
-	}
-
 	// SLO fold: burn is the worst member (250/100), ledger sums.
 	if len(snap.SLO) != 1 || snap.SLO[0].Name != "interactive" {
 		t.Fatalf("slo rollup = %+v", snap.SLO)
 	}
-	if snap.SLO[0].FastBurn != 2.5 || snap.SLO[0].Bad != 50 {
+	if snap.SLO[0].FastBurn != 2.5 || snap.SLO[0].Bad != 50 || snap.SLO[0].Good != 300 {
 		t.Fatalf("slo rollup = %+v", snap.SLO[0])
 	}
-	if got := snap.Values["cluster.slo_interactive_burn_fast"]; got != 2.5 {
-		t.Fatalf("merged burn gauge = %v (want worst member, not sum)", got)
-	}
 
-	if got := snap.Values["cluster.members_up"]; got != 2 {
-		t.Fatalf("members_up = %v", got)
-	}
-
-	// Kill B: its last-good samples keep contributing, flagged stale.
+	// Kill B: its last-good gauges keep contributing, flagged stale.
 	srvB.Close()
 	snap = agg.ScrapeOnce(context.Background())
-	byName = map[string]MemberView{}
-	for _, mv := range snap.Members {
-		byName[mv.Name] = mv
+	m = byName(snap)
+	if m["b"].Up || !m["b"].Stale || m["b"].Err == "" || m["b"].Requests != 250 {
+		t.Fatalf("dead member not stale: %+v", m["b"])
 	}
-	if byName["b"].Up || !byName["b"].Stale || byName["b"].Err == "" {
-		t.Fatalf("dead member not stale: %+v", byName["b"])
-	}
-	if byName["b"].AgeSeconds < 0 {
-		t.Fatalf("stale member lost its age: %+v", byName["b"])
-	}
-	if snap.Requests != 350 {
-		t.Fatalf("stale member dropped from merge: requests=%v", snap.Requests)
-	}
-	if got := snap.Values["cluster.members_stale"]; got != 1 {
-		t.Fatalf("members_stale = %v", got)
-	}
-
-	// Up/down transitions landed in the event log: a and b up, b down.
-	count := func(typ string) int { return strings.Count(events.String(), `"type":"`+typ+`"`) }
-	if count("member.up") != 2 || count("member.down") != 1 {
-		t.Fatalf("events = %q", events.String())
+	if snap.Requests != 350 || snap.SLO[0].FastBurn != 2.5 {
+		t.Fatalf("stale member dropped: requests=%v slo=%+v", snap.Requests, snap.SLO)
 	}
 }
 
 // TestAggregatorStaleDrop ages a dead member's last-good data past
-// staleAfter and asserts it stops contributing to the merged totals.
+// staleAfter and asserts it stops contributing to the cluster totals.
 func TestAggregatorStaleDrop(t *testing.T) {
-	reg := memberRegistry("a", 100, 10, 0, nil)
-	srv := fakeMember(t, reg)
+	srv := fakeMember(t, memberRegistry("a", 100, 10, 0))
 	clock := time.Unix(5_000_000, 0)
-	agg := New([]Member{{Name: "a", URL: srv.URL}}, Options{
-		Now: func() time.Time { return clock },
-	})
+	agg := New([]Member{{Name: "a", URL: srv.URL}})
+	agg.now = func() time.Time { return clock }
 	if snap := agg.ScrapeOnce(context.Background()); snap.Requests != 100 {
 		t.Fatalf("live scrape: %v", snap.Requests)
 	}
@@ -155,42 +121,84 @@ func TestAggregatorStaleDrop(t *testing.T) {
 	}
 	clock = clock.Add(staleAfter)
 	snap := agg.ScrapeOnce(context.Background())
-	if snap.Requests != 0 {
-		t.Fatalf("ancient data still contributing: %v", snap.Requests)
+	if snap.Requests != 0 || snap.SLO != nil {
+		t.Fatalf("ancient data still contributing: requests=%v slo=%+v", snap.Requests, snap.SLO)
 	}
 	if !snap.Members[0].Stale {
 		t.Fatalf("member view: %+v", snap.Members[0])
 	}
 }
 
-// TestAggregatorHandler drives the two HTTP surfaces.
-func TestAggregatorHandler(t *testing.T) {
-	reg := memberRegistry("a", 10, 1, 0, []time.Duration{time.Millisecond})
-	srv := fakeMember(t, reg)
-	agg := New([]Member{{Name: "a", URL: srv.URL}}, Options{})
-	h := agg.Handler()
+// switchable serves reg's exposition, a 500, or a malformed body,
+// as mode says.
+func switchable(t *testing.T, reg *obs.Registry, mode *atomic.Value) *httptest.Server {
+	t.Helper()
+	good := obs.PrometheusHandler(reg)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch mode.Load() {
+		case "500":
+			http.Error(w, "boom", http.StatusInternalServerError)
+		case "garbage":
+			w.Write([]byte("this is not an exposition\n"))
+		default:
+			good.ServeHTTP(w, r)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
 
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/cluster/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/cluster/metrics: %d", rec.Code)
+// TestAggregatorBadExposition: a member that answers 500, or answers
+// 200 with a body that does not parse, is shown down with its error,
+// and its last good gauges stay in the totals, marked stale.
+func TestAggregatorBadExposition(t *testing.T) {
+	var mode atomic.Value
+	mode.Store("ok")
+	srv := switchable(t, memberRegistry("a", 100, 25, 7), &mode)
+	agg := New([]Member{{Name: "a", URL: srv.URL}})
+	if snap := agg.ScrapeOnce(context.Background()); !snap.Members[0].Up || snap.Requests != 100 {
+		t.Fatalf("first scrape: %+v", snap)
 	}
-	body := rec.Body.String()
-	if ss, _, err := obs.ParsePrometheusSamples(strings.NewReader(body)); err != nil || len(ss) == 0 {
-		t.Fatalf("cluster exposition invalid: n=%d err=%v\n%s", len(ss), err, body)
+	for _, tc := range []struct{ mode, errHas string }{
+		{"500", "500"},
+		{"garbage", "parse /metrics"},
+	} {
+		mode.Store(tc.mode)
+		snap := agg.ScrapeOnce(context.Background())
+		mv := snap.Members[0]
+		if mv.Up || !mv.Stale || !strings.Contains(mv.Err, tc.errHas) {
+			t.Fatalf("%s: member view %+v, want down, stale, error naming %q", tc.mode, mv, tc.errHas)
+		}
+		if mv.Requests != 100 || mv.Objects != 7 || snap.Requests != 100 || snap.OriginFetches != 25 {
+			t.Fatalf("%s: last good data lost: member %+v, cluster %v/%v", tc.mode, mv, snap.Requests, snap.OriginFetches)
+		}
 	}
-	if !strings.Contains(body, "webcache_cluster_hit_ratio") {
-		t.Fatalf("missing cluster_hit_ratio:\n%s", body)
-	}
+}
 
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/cluster/snapshot", nil))
-	var snap Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot JSON: %v", err)
+// TestAggregatorMemberRecovers: a stale member that answers again is
+// up, no longer stale, has no error, and contributes its new gauges.
+func TestAggregatorMemberRecovers(t *testing.T) {
+	var mode atomic.Value
+	mode.Store("ok")
+	reg := memberRegistry("a", 100, 25, 7)
+	srvA := switchable(t, reg, &mode)
+	srvB := fakeMember(t, memberRegistry("b", 50, 5, 1))
+	agg := New([]Member{{Name: "a", URL: srvA.URL}, {Name: "b", URL: srvB.URL}})
+
+	agg.ScrapeOnce(context.Background())
+	mode.Store("500")
+	if snap := agg.ScrapeOnce(context.Background()); !snap.Members[0].Stale {
+		t.Fatalf("not stale: %+v", snap.Members[0])
 	}
-	if len(snap.Members) != 1 || snap.Requests != 10 {
-		t.Fatalf("snapshot = %+v", snap)
+	reg.Gauge("httpcache.proxy.requests").Set(300)
+	mode.Store("ok")
+	snap := agg.ScrapeOnce(context.Background())
+	mv := snap.Members[0]
+	if !mv.Up || mv.Stale || mv.Err != "" || mv.Requests != 300 {
+		t.Fatalf("recovered member: %+v", mv)
+	}
+	if snap.Requests != 350 || snap.OriginFetches != 30 {
+		t.Fatalf("cluster after recovery: %v requests, %v origin", snap.Requests, snap.OriginFetches)
 	}
 }
 
@@ -203,7 +211,13 @@ func TestParseMembers(t *testing.T) {
 		ms[1].Name != "member-1" || ms[1].URL != "http://h2:2" {
 		t.Fatalf("parsed %+v", ms)
 	}
-	if _, err := ParseMembers(" , "); err == nil {
-		t.Fatal("accepted empty member list")
+	for _, bad := range []string{
+		" , ",                         // no members
+		"a=http://h1:1,a=http://h2:2", // one name, two members
+		"h1:1,member-0=h2:2",          // a given name equal to a default one
+	} {
+		if ms, err := ParseMembers(bad); err == nil {
+			t.Fatalf("accepted %q as %+v", bad, ms)
+		}
 	}
 }

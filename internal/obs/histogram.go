@@ -11,8 +11,8 @@ import (
 // boundary lands in the final bucket (~268s with 224 buckets).
 // Quantiles report the geometric midpoint of their bucket clamped to
 // the observed min/max, so the worst-case relative error is
-// 2^(1/16)-1 ≈ 4.4% (asserted in internal/loadgen/histogram_test.go,
-// which exercises this type through its original home).
+// 2^(1/16)-1 ≈ 4.4% (asserted by TestHistogramQuantileErrorBounds in
+// histogram_test.go).
 const (
 	histBuckets = 224
 	histMin     = time.Microsecond

@@ -38,9 +38,6 @@ func TestWritePrometheusParses(t *testing.T) {
 		`webcache_loadgen_latency_seconds{quantile="0.5"}`,
 		`webcache_loadgen_latency_seconds{quantile="0.999"}`,
 		"webcache_loadgen_latency_seconds_count 100",
-		"# TYPE webcache_loadgen_latency_seconds_hist histogram",
-		`webcache_loadgen_latency_seconds_hist_bucket{le="+Inf"} 100`,
-		"webcache_loadgen_latency_seconds_hist_count 100",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -51,10 +48,9 @@ func TestWritePrometheusParses(t *testing.T) {
 		t.Fatalf("our own exposition failed to parse: %v\n%s", err, out)
 	}
 	// counter + gauge + timer(sum,count) + histogram(4 quantiles + sum +
-	// count) + the lossless bucket family (at least +Inf, sum, count,
-	// min, max).
-	if len(samples) < 15 {
-		t.Fatalf("parsed %d samples, want >= 15:\n%s", len(samples), out)
+	// count).
+	if len(samples) != 10 {
+		t.Fatalf("parsed %d samples, want 10:\n%s", len(samples), out)
 	}
 }
 
@@ -68,7 +64,7 @@ func TestParsePrometheusSamplesValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	if types["webcache_sim_requests_total"] != "counter" ||
-		types["webcache_loadgen_latency_seconds_hist"] != "histogram" {
+		types["webcache_loadgen_latency_seconds"] != "summary" {
 		t.Fatalf("types = %v", types)
 	}
 	byName := map[string]Sample{}
@@ -83,17 +79,19 @@ func TestParsePrometheusSamplesValues(t *testing.T) {
 	if got := byName["webcache_loadgen_achieved_rate"].Value; got != 123.5 {
 		t.Fatalf("gauge value = %v", got)
 	}
-	var infSeen bool
+	if got := byName["webcache_loadgen_latency_seconds_count"].Value; got != 100 {
+		t.Fatalf("summary count = %v, want 100", got)
+	}
+	// A labelled sample: the p999 of 1..100 ms, within the histogram's
+	// 4.4 % bound.
+	var p999 float64
 	for _, s := range samples {
-		if s.Name == "webcache_loadgen_latency_seconds_hist_bucket" && s.Label("le") == "+Inf" {
-			infSeen = true
-			if s.Value != 100 {
-				t.Fatalf("+Inf bucket = %v, want 100", s.Value)
-			}
+		if s.Name == "webcache_loadgen_latency_seconds" && s.Label("quantile") == "0.999" {
+			p999 = s.Value
 		}
 	}
-	if !infSeen {
-		t.Fatal("no +Inf bucket sample parsed")
+	if p999 < 0.095 || p999 > 0.105 {
+		t.Fatalf("p999 = %v s, want about 0.1", p999)
 	}
 }
 

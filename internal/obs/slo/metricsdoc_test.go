@@ -20,7 +20,7 @@ func TestMetricsDocSLO(t *testing.T) {
 	reg := obs.NewRegistry("doc-smoke")
 	tr := NewTracker(reg, []Class{
 		{Name: "interactive", Latency: 50 * time.Millisecond, Availability: 0.99, Window: time.Minute},
-	}, DefaultThresholds)
+	})
 	tr.Observe("interactive", 10*time.Millisecond, false)
 	tr.Observe("interactive", 200*time.Millisecond, false)
 	tr.Report()

@@ -10,18 +10,17 @@
 // derives two burn rates:
 //
 //   - fast window (Window/12, e.g. 5m of a 1h window) — catches sudden
-//     regressions; crossing Thresholds.Page emits an "slo.page" event;
-//   - slow window (the full Window) — catches slow bleeds; crossing
-//     Thresholds.Ticket emits an "slo.ticket" event.
+//     regressions; a burn of pageBurn (14.4) or more emits "slo.page";
+//   - slow window (the full Window) — catches slow bleeds; a burn of
+//     ticketBurn (3) or more emits "slo.ticket".
 //
 // A burn rate of 1.0 means the class is consuming its error budget
-// exactly as fast as the objective allows; 14.4 (the default page
-// threshold) exhausts a 30-day budget in 2 days.
+// exactly as fast as the objective allows; 14.4 exhausts a 30-day
+// budget in 2 days.
 //
-// The loadgen driver feeds a Tracker from its measured latencies, and
-// the proxy daemon feeds one from the X-SLO-Class request header, so
-// both the driver's manifest and every proxy's /metrics expose the same
-// slo.* namespace (METRICS.md) for the cluster aggregator to merge.
+// The proxy daemon feeds a Tracker from the X-SLO-Class request header
+// and publishes the slo.* gauges on its /metrics (METRICS.md), where
+// the cluster view (internal/obs/cluster) reads them.
 package slo
 
 import (
@@ -66,11 +65,15 @@ func (c *Class) fillDefaults() {
 
 // ParseClass parses the flag syntax "name:latency:availability[:window]"
 // ("interactive:50ms:0.999:1m"); empty latency/availability/window
-// fields take the defaults.
+// fields take the defaults.  A window must cover one nanosecond per
+// ring bucket.
 func ParseClass(spec string) (Class, error) {
 	parts := strings.Split(spec, ":")
-	if len(parts) < 1 || parts[0] == "" {
+	if parts[0] == "" {
 		return Class{}, fmt.Errorf("slo: class spec %q needs a name", spec)
+	}
+	if len(parts) > 4 {
+		return Class{}, fmt.Errorf("slo: class spec %q has more than four fields", spec)
 	}
 	c := Class{Name: parts[0]}
 	if len(parts) > 1 && parts[1] != "" {
@@ -92,15 +95,20 @@ func ParseClass(spec string) (Class, error) {
 		if err != nil {
 			return Class{}, fmt.Errorf("slo: class %q window: %v", c.Name, err)
 		}
+		if w < windowBuckets {
+			return Class{}, fmt.Errorf("slo: class %q window %v is shorter than %dns", c.Name, w, windowBuckets)
+		}
 		c.Window = w
 	}
 	c.fillDefaults()
 	return c, nil
 }
 
-// ParseClasses parses a comma-separated list of class specs.
+// ParseClasses parses a comma-separated list of class specs; a class
+// name may appear once.
 func ParseClasses(specs string) ([]Class, error) {
 	var out []Class
+	seen := map[string]bool{}
 	for _, spec := range strings.Split(specs, ",") {
 		spec = strings.TrimSpace(spec)
 		if spec == "" {
@@ -110,21 +118,21 @@ func ParseClasses(specs string) ([]Class, error) {
 		if err != nil {
 			return nil, err
 		}
+		if seen[c.Name] {
+			return nil, fmt.Errorf("slo: class %q declared twice", c.Name)
+		}
+		seen[c.Name] = true
 		out = append(out, c)
 	}
 	return out, nil
 }
 
-// Thresholds are the burn-rate alert levels: Page on the fast window,
-// Ticket on the slow window.
-type Thresholds struct {
-	Page   float64 `json:"page"`
-	Ticket float64 `json:"ticket"`
-}
-
-// DefaultThresholds are the SRE-workbook levels: 14.4x on the fast
+// The burn-rate alert levels of the SRE workbook: 14.4x on the fast
 // window pages, 3x on the slow window tickets.
-var DefaultThresholds = Thresholds{Page: 14.4, Ticket: 3}
+const (
+	pageBurn   = 14.4
+	ticketBurn = 3
+)
 
 // windowBuckets is the sliding-window resolution: the slow window is
 // covered by this many ring buckets, so the fast window (Window/12)
@@ -153,18 +161,15 @@ type classState struct {
 	paging  bool
 	ticking bool
 
-	lat *obs.Histogram
-
-	gGood, gBad, gFast, gSlow, gBudget, gPaging *obs.Gauge
+	gGood, gBad, gFast, gSlow, gPaging *obs.Gauge
 }
 
 // Tracker accounts requests against a set of SLO classes.
 type Tracker struct {
 	classes map[string]*classState
 	order   []string
-	thr     Thresholds
 	events  *obs.EventLog
-	now     func() time.Time
+	now     func() time.Time // the tests step it by hand
 }
 
 // NewTracker builds a tracker for the given classes, registering each
@@ -172,33 +177,21 @@ type Tracker struct {
 // publication but not accounting).  Requests observed under an
 // undeclared class are folded into the first declared class, so a
 // misconfigured client cannot open an unbounded namespace.
-func NewTracker(reg *obs.Registry, classes []Class, thr Thresholds) *Tracker {
-	if thr.Page <= 0 {
-		thr.Page = DefaultThresholds.Page
-	}
-	if thr.Ticket <= 0 {
-		thr.Ticket = DefaultThresholds.Ticket
-	}
-	t := &Tracker{classes: map[string]*classState{}, thr: thr, now: time.Now}
+func NewTracker(reg *obs.Registry, classes []Class) *Tracker {
+	t := &Tracker{classes: map[string]*classState{}, now: time.Now}
 	for _, c := range classes {
 		c.fillDefaults()
 		if _, dup := t.classes[c.Name]; dup || c.Name == "" {
 			continue
 		}
-		// The latency ledger exists even without a registry, so a
-		// registry-less tracker (the load generator's per-class view)
-		// still reports quantiles.
-		st := &classState{cls: c, lat: &obs.Histogram{}}
+		st := &classState{cls: c}
 		if reg != nil {
 			p := "slo." + c.Name + "."
-			st.lat = reg.Histogram(p + "latency")
 			st.gGood = reg.Gauge(p + "good")
 			st.gBad = reg.Gauge(p + "bad")
 			st.gFast = reg.Gauge(p + "burn.fast")
 			st.gSlow = reg.Gauge(p + "burn.slow")
-			st.gBudget = reg.Gauge(p + "budget_remaining")
 			st.gPaging = reg.Gauge(p + "paging")
-			st.gBudget.Set(1)
 		}
 		t.classes[c.Name] = st
 		t.order = append(t.order, c.Name)
@@ -212,25 +205,6 @@ func (t *Tracker) SetEvents(l *obs.EventLog) {
 	if t != nil {
 		t.events = l
 	}
-}
-
-// SetNow injects a clock (tests).
-func (t *Tracker) SetNow(now func() time.Time) {
-	if t != nil && now != nil {
-		t.now = now
-	}
-}
-
-// Classes returns the declared classes in declaration order.
-func (t *Tracker) Classes() []Class {
-	if t == nil {
-		return nil
-	}
-	out := make([]Class, 0, len(t.order))
-	for _, name := range t.order {
-		out = append(out, t.classes[name].cls)
-	}
-	return out
 }
 
 // resolve maps a request's class tag onto a declared class (first
@@ -256,7 +230,6 @@ func (t *Tracker) Observe(class string, latency time.Duration, failed bool) {
 	if st == nil {
 		return
 	}
-	st.lat.Observe(latency)
 	bad := failed || latency > st.cls.Latency
 	epoch := t.now().UnixNano() / int64(st.bucketDur())
 	st.mu.Lock()
@@ -277,9 +250,10 @@ func (t *Tracker) Observe(class string, latency time.Duration, failed bool) {
 	st.mu.Unlock()
 }
 
-// bucketDur is one ring slice of the class's slow window.
+// bucketDur is one ring slice of the class's slow window, at least
+// 1ns: a Class built in code is not checked by ParseClass.
 func (st *classState) bucketDur() time.Duration {
-	return st.cls.Window / windowBuckets
+	return max(st.cls.Window/windowBuckets, 1)
 }
 
 // windowCounts sums the ledger over the trailing n buckets ending at
@@ -317,12 +291,7 @@ type ClassReport struct {
 	Failed   int64   `json:"failed"`
 	FastBurn float64 `json:"fast_burn"`
 	SlowBurn float64 `json:"slow_burn"`
-	// BudgetRemaining is the slow window's unconsumed budget fraction
-	// (clamped to [0,1]; 1 = untouched, 0 = exhausted or overdrawn).
-	BudgetRemaining float64             `json:"budget_remaining"`
-	Latency         obs.QuantileSummary `json:"latency"`
-	Paging          bool                `json:"paging"`
-	Ticketing       bool                `json:"ticketing"`
+	Paging   bool    `json:"paging"`
 }
 
 // Report snapshots every class, updates the published gauges, and
@@ -351,23 +320,17 @@ func (t *Tracker) reportClass(st *classState) ClassReport {
 		FastBurn: BurnRate(fastBad, fastGood+fastBad, st.cls.Availability),
 		SlowBurn: BurnRate(slowBad, slowGood+slowBad, st.cls.Availability),
 	}
-	r.BudgetRemaining = 1 - r.SlowBurn
-	if r.BudgetRemaining < 0 {
-		r.BudgetRemaining = 0
-	}
-	paging := r.FastBurn >= t.thr.Page
-	ticking := r.SlowBurn >= t.thr.Ticket
+	paging := r.FastBurn >= pageBurn
+	ticking := r.SlowBurn >= ticketBurn
 	pageFlip, tickFlip := paging != st.paging, ticking != st.ticking
 	st.paging, st.ticking = paging, ticking
 	st.mu.Unlock()
-	r.Latency = st.lat.Summary()
-	r.Paging, r.Ticketing = paging, ticking
+	r.Paging = paging
 
 	st.gGood.Set(float64(r.Requests - r.Bad))
 	st.gBad.Set(float64(r.Bad))
 	st.gFast.Set(r.FastBurn)
 	st.gSlow.Set(r.SlowBurn)
-	st.gBudget.Set(r.BudgetRemaining)
 	if paging {
 		st.gPaging.Set(1)
 	} else {

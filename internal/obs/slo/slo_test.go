@@ -3,6 +3,7 @@ package slo
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,9 +20,9 @@ func testTracker(reg *obs.Registry) (*Tracker, *fakeClock) {
 	tr := NewTracker(reg, []Class{
 		{Name: "interactive", Latency: 50 * time.Millisecond, Availability: 0.99, Window: time.Minute},
 		{Name: "batch", Latency: 500 * time.Millisecond, Availability: 0.9, Window: time.Minute},
-	}, Thresholds{})
+	})
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-	tr.SetNow(clk.now)
+	tr.now = clk.now
 	return tr, clk
 }
 
@@ -34,7 +35,13 @@ func TestParseClasses(t *testing.T) {
 		cs[0].Window != time.Minute || cs[1].Name != "batch" || cs[1].Availability != 0.999 {
 		t.Fatalf("parsed %+v", cs)
 	}
-	for _, bad := range []string{":50ms", "x:zzz", "x:50ms:1.5", "x:50ms:0.9:zz"} {
+	for _, bad := range []string{
+		":50ms", "x:zzz", "x:50ms:1.5", "x:50ms:0.9:zz",
+		"x:1ms:0.9:30ns",      // a 60-bucket ring would slice it into 0ns buckets
+		"x:1ms:0.9:0s",        // likewise
+		"x:1ms:0.9:1m:extra",  // a fifth field is not silently dropped
+		"x:1ms, y:2ms, x:3ms", // a repeated class
+	} {
 		if _, err := ParseClasses(bad); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
@@ -89,7 +96,7 @@ func TestTrackerWindowedBurn(t *testing.T) {
 	clk.advance(2 * time.Minute)
 	tr.Observe("interactive", time.Millisecond, false)
 	r = tr.Report()[0]
-	if r.FastBurn != 0 || r.SlowBurn != 0 || r.BudgetRemaining != 1 {
+	if r.FastBurn != 0 || r.SlowBurn != 0 {
 		t.Fatalf("after slow window: %+v", r)
 	}
 }
@@ -152,13 +159,54 @@ func TestTrackerNilSafe(t *testing.T) {
 	var tr *Tracker
 	tr.Observe("x", time.Millisecond, false)
 	tr.SetEvents(nil)
-	if tr.Report() != nil || tr.Classes() != nil {
+	if tr.Report() != nil {
 		t.Fatal("nil tracker reported something")
 	}
 	// A tracker without a registry still accounts.
-	tr2 := NewTracker(nil, []Class{{Name: "only"}}, DefaultThresholds)
+	tr2 := NewTracker(nil, []Class{{Name: "only"}})
 	tr2.Observe("only", time.Millisecond, false)
 	if r := tr2.Report()[0]; r.Requests != 1 {
 		t.Fatalf("registry-less tracker: %+v", r)
+	}
+	// A window shorter than the ring, which ParseClass refuses, still
+	// accounts instead of dividing by zero.
+	tr3 := NewTracker(nil, []Class{{Name: "tiny", Window: 30 * time.Nanosecond}})
+	tr3.Observe("tiny", time.Millisecond, false)
+	if r := tr3.Report()[0]; r.Requests != 1 {
+		t.Fatalf("30ns window: %+v", r)
+	}
+}
+
+// TestTrackerConcurrent has request handlers observe while /metrics
+// scrapes report, as a proxy does; under -race it holds the ledger's
+// locking, and the lifetime totals count every request once.
+func TestTrackerConcurrent(t *testing.T) {
+	reg := obs.NewRegistry("slo-race")
+	tr, _ := testTracker(reg)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				tr.Observe("interactive", time.Duration(i%100)*time.Millisecond, i%50 == 0)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			tr.Report()
+		}
+	}()
+	wg.Wait()
+	<-done
+	r := tr.Report()[0]
+	if r.Requests != 2000 {
+		t.Fatalf("requests = %d, want 2000", r.Requests)
+	}
+	if got := reg.Gauge("slo.interactive.good").Value() + reg.Gauge("slo.interactive.bad").Value(); got != 2000 {
+		t.Fatalf("good+bad gauges = %v, want 2000", got)
 	}
 }
