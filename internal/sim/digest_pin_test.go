@@ -67,12 +67,10 @@ func TestResultDigestPinned(t *testing.T) {
 // trace.  The final four pin the P2P store where a
 // diversion depends on how much room is left rather than on whether
 // any is: Hier-GD and Squirrel on the variable-size trace, Hier-GD
-// there under churn, and Hier-GD with diversion off.  The three after
+// there under churn, and Hier-GD with diversion off.  The two after
 // them pin FC placements where tie order and the first-copy bonus
-// decide, at capacities that bind: FC-EC's trailing window, FC-EC's
-// single pool (both of a proxy's tiers at Tl, so one object ties with
-// itself across two tiers), and FC over four proxies (the bonus sums
-// over three peers).  The digest is over the whole JSON Result, so it
+// decide, at capacities that bind: FC-EC's trailing window and FC
+// over four proxies (the bonus sums over three peers).  The digest is over the whole JSON Result, so it
 // moves on a change to P2P.RouteHops or Messages that leaves every
 // serve and byte in place — which bench/'s goldens (requests, sources,
 // bytes, latency) do not notice.  A change to internal/pastry or internal/p2p
@@ -144,9 +142,6 @@ func TestChurnResultDigestPinned(t *testing.T) {
 		{"fc-ec-trailing", small,
 			Config{Scheme: FCEC, Seed: 1, ProxyCacheFrac: 0.3, FCTrailing: true},
 			"fe74a3c72b8a4d4977014c7d364a32d28ffcd23654a2227769ec750f1dbd4e0e"},
-		{"fc-ec-single-pool", small,
-			Config{Scheme: FCEC, Seed: 1, ProxyCacheFrac: 0.05, SinglePoolEC: true},
-			"e1169d6d7a23603be596916b60aa0d6ca8113445fee6f9777aaa5cf841161a67"},
 		{"fc-four-proxies", small,
 			Config{Scheme: FC, Seed: 1, NumProxies: 4, ClientsPerCluster: 50, ProxyCacheFrac: 0.05},
 			"eeb083e8ec2752d05bef6659c6857c4172d473add2fdcd7854898beac12ffb93"},
