@@ -95,14 +95,14 @@ bench-golden:
 	done; done
 
 # ~10s live loopback bench: 2 proxies x 3 client caches over real
-# sockets driven open-loop from a small ProWGen trace, then the same
+# sockets driven open-loop (Poisson) from a small ProWGen trace, then the same
 # prefix replayed through the simulator with identical capacities.
 # Exits non-zero if live and simulated aggregate hit ratios drift more
 # than 20pp apart (a loose bound — smoke traces are small) or if the
 # BENCH_live.json manifest fails to round-trip the validating reader.
 bench-smoke:
 	$(GO) run ./cmd/hiergdd bench live -requests 4000 -objects 400 -clients 40 \
-		-proxies 2 -caches 3 -mode open -arrival poisson -rate 600 \
+		-proxies 2 -caches 3 -mode open -rate 600 \
 		-duration 10s -object-bytes 512 -warmup 400 -tolerance 0.2 \
 		-manifest BENCH_live.json
 
@@ -117,11 +117,12 @@ bench-smoke:
 # live run has a member down or an aggregator hit ratio more than
 # 0.1pp from the load generator's, or if on slow-peer the per-hop deadlines
 # and strike sweeps fail to cut the interactive fast-window burn or
-# cut the live p999 by less than 1.3x; writes BENCH_chaos.json.
+# cut the live p999 by less than chaos.MinP999Cut (1.3x); writes
+# BENCH_chaos.json.
 chaos-smoke:
 	$(GO) run ./cmd/hiergdd bench chaos -chaos-scenarios slow-peer,flash-churn,churn-during-flash-crowd \
 		-requests 1500 -objects 200 -clients 40 -proxies 2 -caches 3 \
-		-object-bytes 512 -rate 750 -chaos-min-p999-cut 1.3 \
+		-object-bytes 512 -rate 750 \
 		-manifest BENCH_chaos.json
 
 # ~40s full chaos suite: every scenario (baseline, slow-peer,
@@ -130,7 +131,7 @@ chaos-smoke:
 chaos-bench:
 	$(GO) run ./cmd/hiergdd bench chaos \
 		-requests 1500 -objects 200 -clients 40 -proxies 2 -caches 3 \
-		-object-bytes 512 -rate 750 -chaos-min-p999-cut 1.3 \
+		-object-bytes 512 -rate 750 \
 		-manifest BENCH_chaos.json
 
 # The disabled-tracer cost gate: the nil tracer must stay zero-alloc

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,6 +29,11 @@ func TestParseBench(t *testing.T) {
 		{"other gate's flag", []string{"chaos", "-workers", "4"}, []string{"-workers"}},
 		{"chaos counts every request", []string{"chaos", "-warmup", "100"}, []string{"-warmup"}},
 		{"deleted knob", []string{"live", "-seed", "2"}, []string{"-seed"}},
+		{"deleted think time", []string{"live", "-mode", "closed", "-think", "1ms"}, []string{"-think"}},
+		{"deleted arrival process", []string{"live", "-arrival", "bursty"}, []string{"-arrival"}},
+		{"deleted drain deadline", []string{"live", "-drain", "1s"}, []string{"-drain"}},
+		{"deleted span export", []string{"live", "-trace-jsonl", "t.jsonl"}, []string{"-trace-jsonl"}},
+		{"p999 cut is a constant", []string{"chaos", "-chaos-min-p999-cut", "1.3"}, []string{"-chaos-min-p999-cut"}},
 		{"stray argument", []string{"chaos", "extra"}, []string{`"extra"`}},
 		{"live", []string{"live", "-trace", "t.bin", "-mode", "closed", "-workers", "4"}, nil},
 		{"chaos", []string{"chaos", "-chaos-scenarios", "poison", "-rate", "750"}, nil},
@@ -51,22 +57,27 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
-// The option budget: across the two gates the bench role registers at
-// most 25 distinct flag names (it was 64 on one flagset), and every
-// gate carries the shared workload block.
+// The option budget: each gate's exact flag list (the shared workload
+// block, the topology, the session's and its own), so a flag added or
+// dropped shows up here, the way obs.TestSessionFlags pins each tool's
+// observability flags.
 func TestBenchFlagBudget(t *testing.T) {
-	distinct := map[string]bool{}
+	want := map[string][]string{
+		"live": {"caches", "clients", "duration", "manifest", "mode", "object-bytes", "objects", "pprof",
+			"proxies", "rate", "requests", "tolerance", "trace", "trace-out", "trace-sample", "warmup", "workers"},
+		"chaos": {"caches", "chaos-scenarios", "clients", "manifest", "object-bytes", "objects", "pprof",
+			"proxies", "rate", "requests"},
+	}
+	if len(benchGates) != len(want) {
+		t.Errorf("%d gates are wired, the table lists %d", len(benchGates), len(want))
+	}
 	for _, entry := range benchGates {
 		fs, _, _ := entry.flagSet()
-		fs.VisitAll(func(f *flag.Flag) { distinct[f.Name] = true })
-		for _, shared := range []string{"requests", "objects", "clients", "object-bytes", "manifest"} {
-			if fs.Lookup(shared) == nil {
-				t.Errorf("gate %s lacks the shared -%s flag", entry.name, shared)
-			}
+		var got []string
+		fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+		if !slices.Equal(got, want[entry.name]) {
+			t.Errorf("bench %s binds %v, want %v", entry.name, got, want[entry.name])
 		}
-	}
-	if len(distinct) > 25 {
-		t.Errorf("bench registers %d distinct flags, budget is 25", len(distinct))
 	}
 }
 

@@ -17,19 +17,17 @@ import (
 // and the cluster aggregator's hit ratio within chaos.MaxClusterDelta
 // of the driver's; and, for slow-peer, the per-hop deadlines and
 // strike sweeps cutting the interactive class's fast burn and the live
-// p999 by at least -chaos-min-p999-cut, at a live hit-ratio price of at
+// p999 by at least chaos.MinP999Cut, at a live hit-ratio price of at
 // most chaos.MaxDefensePrice.
 type chaosGate struct {
 	*workload
 	topology
-	scenarios  string  // comma-separated names, empty = whole suite
-	minP999Cut float64 // slow-peer gate: p999(off)/p999(on) floor
+	scenarios string // comma-separated names, empty = whole suite
 }
 
 func (g *chaosGate) bind(fs *flag.FlagSet) {
 	g.topology.bind(fs)
 	fs.StringVar(&g.scenarios, "chaos-scenarios", "", "comma-separated scenario names (empty = whole suite)")
-	fs.Float64Var(&g.minP999Cut, "chaos-min-p999-cut", 0, "fail unless slow-peer defenses cut live p999 by this factor (0 = report only)")
 }
 
 func (g *chaosGate) run() error {
@@ -159,14 +157,11 @@ func (g *chaosGate) run() error {
 			return fmt.Errorf("chaos slow-peer: defenses cost %.4f of the live hit ratio (%.3f -> %.3f), gate allows %.2f",
 				price, row.LiveOff.HitRatio, row.LiveOn.HitRatio, chaos.MaxDefensePrice)
 		}
-		if g.minP999Cut <= 0 {
-			continue
-		}
-		if cut := row.P999Cut(); cut < g.minP999Cut {
+		if cut := row.P999Cut(); cut < chaos.MinP999Cut {
 			return fmt.Errorf("chaos slow-peer: defenses cut p999 only %.2fx (off %.1fms / on %.1fms), gate requires >= %.2fx",
-				cut, row.LiveOff.P999Ms, row.LiveOn.P999Ms, g.minP999Cut)
+				cut, row.LiveOff.P999Ms, row.LiveOn.P999Ms, chaos.MinP999Cut)
 		}
-		fmt.Printf("chaos: slow-peer p999 cut %.2fx >= %.2fx gate\n", row.P999Cut(), g.minP999Cut)
+		fmt.Printf("chaos: slow-peer p999 cut %.2fx >= %.2fx gate\n", row.P999Cut(), chaos.MinP999Cut)
 	}
 
 	return g.finish(tr, reg, map[string]any{
@@ -178,7 +173,6 @@ func (g *chaosGate) run() error {
 		"object_bytes":     g.objectBytes,
 		"rate":             g.rate,
 		"seed":             benchSeed,
-		"min_p999_cut":     g.minP999Cut,
 	}, map[string]any{"scenarios": rows})
 }
 

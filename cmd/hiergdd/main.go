@@ -31,11 +31,11 @@
 // to finish, then the process exits.
 //
 // Observability: both daemons serve Prometheus text exposition on
-// GET /metrics, and -trace-out FILE / -trace-jsonl FILE enable
-// per-request span tracing (head-sampling 1 in -trace-sample untagged
-// requests; requests carrying the X-Webcache-Trace header always
-// join), with the exports flushed during graceful shutdown after the
-// drain completes.  Every role wires these flags through obs.Session.
+// GET /metrics, and -trace-out FILE enables per-request span tracing
+// (head-sampling 1 in -trace-sample untagged requests; requests
+// carrying the X-Webcache-Trace header always join), with the Chrome
+// trace-event export flushed during graceful shutdown after the drain
+// completes.  Every role wires these flags through obs.Session.
 //
 // The SLO plane: both daemons serve /healthz (liveness) and /readyz
 // (readiness — 503 until construction and registration finish,
@@ -331,7 +331,7 @@ func demo(out io.Writer, proxyCap, cacheCap uint64) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer closeTopology(topo, 5*time.Second)
+	defer closeTopology(topo)
 	fmt.Fprintf(out, "topology: origin %s, proxies %v, 3 client caches each\n\n", topo.OriginURL, topo.ProxyURLs)
 
 	fetch := func(proxy int, path string) (string, error) {

@@ -141,16 +141,15 @@ func TestServeDaemonReadyzFlipsBeforeClose(t *testing.T) {
 
 // Graceful shutdown with work in flight: a slow request issued before
 // SIGTERM must complete within the -drain window, and the shutdown
-// flush must then export the trace files (valid Chrome trace-event
-// JSON + JSONL) and fold the tracer totals into the /metrics registry
-// — the daemons' trace/metrics flush path end to end.
+// flush must then export the trace file (valid Chrome trace-event
+// JSON holding the request) and fold the tracer totals into the
+// /metrics registry — the daemons' trace/metrics flush path end to end.
 func TestServeDaemonDrainFlushesExports(t *testing.T) {
 	dir := t.TempDir()
 	traceOut := filepath.Join(dir, "trace.json")
-	traceJSONL := filepath.Join(dir, "trace.jsonl")
 	fs := flag.NewFlagSet("proxy", flag.ContinueOnError)
 	sess := obs.NewSession(fs, "hiergdd-proxy")
-	if err := fs.Parse([]string{"-trace-out", traceOut, "-trace-jsonl", traceJSONL, "-trace-sample", "1"}); err != nil {
+	if err := fs.Parse([]string{"-trace-out", traceOut, "-trace-sample", "1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Start(); err != nil {
@@ -235,15 +234,12 @@ func TestServeDaemonDrainFlushesExports(t *testing.T) {
 	if err := obs.ValidateChromeTrace(data); err != nil {
 		t.Fatalf("chrome export invalid: %v", err)
 	}
-	jl, err := os.ReadFile(traceJSONL)
-	if err != nil {
-		t.Fatalf("jsonl export not written: %v", err)
+	// The traced request: its enclosing event and its one span.
+	if n := chromeEvents(t, data); n != 2 {
+		t.Fatalf("chrome export holds %d events, want the request and its span", n)
 	}
-	if len(jl) == 0 {
-		t.Fatal("jsonl export empty despite a traced request")
-	}
-	if got := reg.Values()["trace.sampled"]; got < 1 {
-		t.Fatalf("trace.sampled = %v after flush, want >= 1", got)
+	if got := reg.Values()["trace.sampled"]; got != 1 {
+		t.Fatalf("trace.sampled = %v after flush, want 1", got)
 	}
 }
 
@@ -297,14 +293,13 @@ func TestBenchSmoke(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "BENCH_live.json")
 	traceOut := filepath.Join(dir, "bench_trace.json")
-	traceJSONL := filepath.Join(dir, "bench_trace.jsonl")
 	err := runBench([]string{
 		"live", "-requests", "1500", "-objects", "150", "-clients", "20",
 		"-proxies", "2", "-caches", "2",
 		"-mode", "closed", "-workers", "8",
 		"-object-bytes", "128", "-warmup", "150",
 		"-tolerance", "0.25", "-manifest", manifest,
-		"-trace-out", traceOut, "-trace-jsonl", traceJSONL, "-trace-sample", "25",
+		"-trace-out", traceOut, "-trace-sample", "25",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,10 +317,18 @@ func TestBenchSmoke(t *testing.T) {
 	if _, ok := m.Notes["calibration"]; !ok {
 		t.Fatal("manifest missing calibration note")
 	}
-	// Live tracing acceptance: the bench's merged export is valid Chrome
-	// trace-event JSON with the expected sampled-root population (1500
-	// requests / sample 25 = 60 roots) plus joined daemon hops, and the
-	// tracer totals landed in the manifest's metrics snapshot.
+	// Live tracing acceptance: the tracer totals in the manifest show
+	// the expected sampled-root population (1500 requests / sample 25 =
+	// 60 roots) plus at least one joined daemon hop each, and the
+	// bench's merged export is valid Chrome trace-event JSON holding
+	// every one of those records and its spans.
+	sampled, joined, spans := m.Metrics["trace.sampled"], m.Metrics["trace.joined"], m.Metrics["trace.spans"]
+	if sampled != 60 {
+		t.Fatalf("manifest trace.sampled = %v, want 60 (1500 / 25)", sampled)
+	}
+	if joined < sampled {
+		t.Fatalf("manifest trace.joined = %v daemon hop records for %v roots", joined, sampled)
+	}
 	data, err := os.ReadFile(traceOut)
 	if err != nil {
 		t.Fatal(err)
@@ -333,29 +336,22 @@ func TestBenchSmoke(t *testing.T) {
 	if err := obs.ValidateChromeTrace(data); err != nil {
 		t.Fatalf("bench chrome export invalid: %v", err)
 	}
-	jl, err := os.ReadFile(traceJSONL)
-	if err != nil {
+	if n := strings.Count(string(data), `"cat":"request"`); float64(n) != sampled+joined {
+		t.Fatalf("export holds %d records, want %v roots + %v hops", n, sampled, joined)
+	}
+	if n := chromeEvents(t, data); float64(n) != sampled+joined+spans {
+		t.Fatalf("export holds %d events, want %v records + %v spans", n, sampled+joined, spans)
+	}
+}
+
+// chromeEvents counts the events of a Chrome trace-event export.
+func chromeEvents(t *testing.T, data []byte) int {
+	t.Helper()
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	roots, joins := 0, 0
-	for _, line := range strings.Split(strings.TrimSpace(string(jl)), "\n") {
-		var st obs.SpanTrace
-		if err := json.Unmarshal([]byte(line), &st); err != nil {
-			t.Fatalf("jsonl line %q: %v", line, err)
-		}
-		if st.Root {
-			roots++
-		} else {
-			joins++
-		}
-	}
-	if roots != 60 {
-		t.Fatalf("export holds %d sampled roots, want 60 (1500 / 25)", roots)
-	}
-	if joins < roots {
-		t.Fatalf("export holds %d daemon hop records for %d roots", joins, roots)
-	}
-	if m.Metrics["trace.sampled"] < 60 {
-		t.Fatalf("manifest trace.sampled = %v, want >= 60", m.Metrics["trace.sampled"])
-	}
+	return len(doc.TraceEvents)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -73,15 +74,15 @@ func TestRunManifestGolden(t *testing.T) {
 }
 
 // TestRunTraceExport drives -run with span tracing on: the sampled sim
-// run must emit valid Chrome trace-event JSON and JSONL, publish the
-// trace.* totals into the manifest, and record a decomposition note
+// run must emit valid Chrome trace-event JSON, publish the trace.*
+// totals into the manifest (one request event per sampled trace, one
+// event per span), and record a decomposition note
 // whose span-derived tiers match the analytic model.
 func TestRunTraceExport(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "trace.json")
-	jsonl := filepath.Join(dir, "trace.jsonl")
 	manifest := filepath.Join(dir, "run.json")
-	sess := startSession(t, "-manifest", manifest, "-trace-out", out, "-trace-jsonl", jsonl, "-trace-sample", "50")
+	sess := startSession(t, "-manifest", manifest, "-trace-out", out, "-trace-sample", "50")
 	if err := runScheme("hier-gd", traceSource{scale: 0.02, seed: 1}, 0.3, sess, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -96,21 +97,17 @@ func TestRunTraceExport(t *testing.T) {
 	if err := obs.ValidateChromeTrace(data); err != nil {
 		t.Fatalf("chrome export invalid: %v", err)
 	}
-	jl, err := os.ReadFile(jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(jl)), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("jsonl export empty")
-	}
-
 	m, err := obs.ReadManifestFile(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Metrics["trace.sampled"] != float64(len(lines)) {
-		t.Fatalf("trace.sampled = %v for %d exported traces", m.Metrics["trace.sampled"], len(lines))
+	traces := strings.Count(string(data), `"cat":"request"`)
+	if traces == 0 || m.Metrics["trace.sampled"] != float64(traces) {
+		t.Fatalf("trace.sampled = %v for %d exported traces", m.Metrics["trace.sampled"], traces)
+	}
+	if events := chromeEvents(t, data); float64(events) != m.Metrics["trace.sampled"]+m.Metrics["trace.spans"] {
+		t.Fatalf("chrome export holds %d events for %v traces and %v spans",
+			events, m.Metrics["trace.sampled"], m.Metrics["trace.spans"])
 	}
 	dec, ok := m.Notes["decomposition"].(map[string]any)
 	if !ok {
@@ -119,6 +116,18 @@ func TestRunTraceExport(t *testing.T) {
 	if within, _ := dec["within"].(bool); !within {
 		t.Fatalf("span-derived decomposition disagrees with the analytic model: %v", dec)
 	}
+}
+
+// chromeEvents counts the events of a Chrome trace-event export.
+func chromeEvents(t *testing.T, data []byte) int {
+	t.Helper()
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return len(doc.TraceEvents)
 }
 
 // TestCPUProfileFlag checks that -cpuprofile produces a pprof-format

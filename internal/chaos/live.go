@@ -41,9 +41,10 @@ type LiveConfig struct {
 	Check *invariant.Checker
 	// Registry, when non-nil, receives chaos.* and loadgen.* metrics.
 	Registry *obs.Registry
-	// Timeout is the per-request client timeout (default 10s).
-	Timeout time.Duration
 }
+
+// requestTimeout is a live run's per-request client timeout.
+const requestTimeout = 10 * time.Second
 
 // The two SLO classes every live run's requests are tagged with (every
 // third client is batch).  Each proxy scores them server-side, and the
@@ -55,16 +56,17 @@ var (
 
 // MaxClusterDelta bounds |ClusterHit - HitRatio|: the aggregator's
 // merged server-side counters must tell the same story as the driver.
-// Both count origin replies by their X-Served-By label, so on a run
-// whose every request succeeds they agree exactly; the bound leaves
-// room for about one errored request in a thousand, which the proxies
-// count as a request and the load generator does not.
+// Both count the served replies by their X-Served-By label, so they
+// agree exactly.
 // MaxDefensePrice bounds Row.DefensePrice on slow-peer: the deadlines
 // and sweeps may cost at most this much live hit ratio for the tail
 // they cut.
+// MinP999Cut is the floor on Row.P999Cut on slow-peer: the defenses
+// must cut the live p999 by at least this factor.
 const (
 	MaxClusterDelta = 0.001
 	MaxDefensePrice = 0.05
+	MinP999Cut      = 1.3
 )
 
 // LiveReport is one live scenario run's outcome.  Every request counts
@@ -133,9 +135,6 @@ func Hardened() *httpcache.Defenses {
 // drives the workload, and reports hit ratio, p999, defense activity,
 // and accountant violations.
 func RunLive(cfg LiveConfig) (*LiveReport, error) {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
 	tr, err := prowgen.Generate(prowgen.Config{
 		NumRequests: cfg.Requests,
 		NumObjects:  cfg.Objects,
@@ -224,7 +223,7 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	// The drive gets a private registry: loadgen.latency is a registry
 	// histogram, so sharing cfg.Registry across the suite's runs would
 	// pollute every later run's p999 with every earlier run's tail.
-	tgt := loadgen.NewHTTPTarget(cfg.Timeout)
+	tgt := loadgen.NewHTTPTarget(requestTimeout)
 	res, err := loadgen.Run(context.Background(), sched, tgt, loadgen.Options{
 		Mode:    loadgen.OpenLoop,
 		Arrival: arrival,

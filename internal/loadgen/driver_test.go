@@ -98,6 +98,76 @@ func TestOpenLoopFullSchedule(t *testing.T) {
 	}
 }
 
+// gatedTarget counts calls and holds each one until open is closed.
+type gatedTarget struct {
+	calls atomic.Int64
+	open  chan struct{}
+}
+
+func (g *gatedTarget) Do(r ScheduledRequest) Outcome {
+	g.calls.Add(1)
+	<-g.open
+	return Outcome{Tier: TierProxy, Latency: time.Millisecond, Status: 200}
+}
+
+// The open loop's in-flight bound: against a target that answers
+// nothing until released, the first maxInflight (512) releases go out
+// unthrottled, and the one after them blocks and counts as throttled.
+// On a fake clock, so no wall time passes between releases.
+func TestOpenLoopThrottlesPastMaxInflight(t *testing.T) {
+	for _, tc := range []struct {
+		requests      int
+		wantThrottled int
+	}{
+		{512, 0},
+		{513, 1},
+	} {
+		reg := obs.NewRegistry("test")
+		throttled := reg.Counter("loadgen.throttled")
+		tgt := &gatedTarget{open: make(chan struct{})}
+		type outcome struct {
+			res *Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := Run(context.Background(), testSchedule(tc.requests), tgt, Options{
+				Mode:    OpenLoop,
+				Arrival: constantGap(time.Millisecond),
+				Clock:   NewFakeClock(time.Unix(0, 0)),
+				Obs:     reg,
+			})
+			done <- outcome{res, err}
+		}()
+		// Hold every call until 512 are in flight and, when one
+		// more is scheduled, until its release has blocked.
+		deadline := time.Now().Add(10 * time.Second)
+		for tgt.calls.Load() < 512 || throttled.Value() < int64(tc.wantThrottled) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d requests: %d in flight, %d throttled after 10s",
+					tc.requests, tgt.calls.Load(), throttled.Value())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got := tgt.calls.Load(); got != 512 {
+			t.Fatalf("%d requests: %d in flight while the target holds them, want 512",
+				tc.requests, got)
+		}
+		close(tgt.open)
+		o := <-done
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if o.res.Issued != tc.requests || o.res.Throttled != tc.wantThrottled {
+			t.Fatalf("%d requests: issued %d, throttled %d, want %d throttled",
+				tc.requests, o.res.Issued, o.res.Throttled, tc.wantThrottled)
+		}
+		if got := throttled.Value(); got != int64(tc.wantThrottled) {
+			t.Fatalf("%d requests: loadgen.throttled = %d, want %d", tc.requests, got, tc.wantThrottled)
+		}
+	}
+}
+
 // Closed loop: 4 workers drain 100 requests exactly once each; the
 // first 10 outcomes are warmup-discarded from accounting but still
 // issued (they warm the caches).

@@ -9,8 +9,8 @@
 //     schedule (Poisson or bursty on/off, deterministically seeded)
 //     regardless of completions, so queueing delay shows up in the
 //     latency histogram instead of throttling the offered load;
-//   - closed loop: N workers issue back-to-back requests with optional
-//     think time, the classic saturation driver.
+//   - closed loop: N workers issue back-to-back requests, the classic
+//     saturation driver.
 //
 // Every response is attributed to its serving tier via the
 // httpcache.ServedByHeader header, latencies land in per-tier
@@ -186,7 +186,7 @@ type Mode int
 const (
 	// OpenLoop releases requests on the Arrival schedule.
 	OpenLoop Mode = iota
-	// ClosedLoop runs Workers back-to-back issuers with think time.
+	// ClosedLoop runs Workers back-to-back issuers.
 	ClosedLoop
 )
 
@@ -204,14 +204,8 @@ type Options struct {
 	Mode Mode
 	// Arrival is the open-loop release schedule (required for OpenLoop).
 	Arrival Arrival
-	// MaxInflight bounds open-loop concurrency (default 512).  When the
-	// target falls this far behind, releases block — the overload is
-	// counted in Result.Throttled rather than exhausting sockets.
-	MaxInflight int
-	// Workers is the closed-loop concurrency (default 8); Think is the
-	// per-worker pause between requests.
+	// Workers is the closed-loop concurrency (default 8).
 	Workers int
-	Think   time.Duration
 	// Duration stops issuing when the clock budget is spent (0 = run
 	// the whole schedule).  In-flight requests are always drained.
 	Duration time.Duration
@@ -242,7 +236,7 @@ type Result struct {
 	// post-warmup successful ones; Errors the post-warmup failures;
 	// WarmupDiscarded the outcomes dropped by the warmup rule.
 	Issued, Measured, Errors, WarmupDiscarded int
-	// Throttled counts open-loop releases that blocked on MaxInflight.
+	// Throttled counts open-loop releases that blocked on maxInflight.
 	Throttled int
 	// Elapsed is first release to last completion; AchievedRate is
 	// Issued/Elapsed in requests/second.
@@ -363,6 +357,11 @@ func (rec *recorder) result(mode Mode, elapsed time.Duration, throttled int) *Re
 	return res
 }
 
+// maxInflight bounds open-loop concurrency.  When the target falls
+// this far behind, releases block — the overload is counted in
+// Result.Throttled rather than exhausting sockets.
+const maxInflight = 512
+
 // Run drives the schedule against the target under the configured
 // discipline and returns the measurements.  Cancelling ctx stops
 // issuing; in-flight requests are drained either way.
@@ -418,10 +417,6 @@ func Run(ctx context.Context, sched *Schedule, tgt Target, opts Options) (*Resul
 		if opts.Arrival == nil {
 			return nil, fmt.Errorf("loadgen: open loop needs an Arrival process")
 		}
-		maxInflight := opts.MaxInflight
-		if maxInflight <= 0 {
-			maxInflight = 512
-		}
 		sem := make(chan struct{}, maxInflight)
 		inflightMax := rec.reg.Gauge("loadgen.inflight.max")
 		var cur atomic.Int64
@@ -471,9 +466,6 @@ func Run(ctx context.Context, sched *Schedule, tgt Target, opts Options) (*Resul
 						return
 					}
 					issue(i)
-					if opts.Think > 0 {
-						clock.Sleep(opts.Think)
-					}
 				}
 			}()
 		}

@@ -1,17 +1,13 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"math"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
-	"webcache/internal/obs"
 	"webcache/internal/obs/slo"
 	"webcache/internal/prowgen"
 	"webcache/internal/trace"
@@ -19,9 +15,8 @@ import (
 
 // TestClassTaggedRun drives a small loopback run with two SLO classes
 // and checks the whole tagging loop: the per-member registries the
-// proxies publish their server-side slo.* gauges to, and the JSONL
-// event stream — and that the server-side ledgers count exactly the
-// requests the driver issued.
+// proxies publish their server-side slo.* gauges to, and that the
+// server-side ledgers count exactly the requests the driver issued.
 func TestClassTaggedRun(t *testing.T) {
 	tr, err := prowgen.Generate(prowgen.Config{
 		NumRequests: 600,
@@ -36,7 +31,6 @@ func TestClassTaggedRun(t *testing.T) {
 		{Name: "interactive", Latency: 5 * time.Second, Availability: 0.99, Window: time.Minute},
 		{Name: "batch", Latency: 5 * time.Second, Availability: 0.9, Window: time.Minute},
 	}
-	var eventBuf bytes.Buffer
 	topo, err := StartLoopback(strictly(t, TopologyConfig{
 		Proxies:            2,
 		CachesPerProxy:     1,
@@ -45,7 +39,6 @@ func TestClassTaggedRun(t *testing.T) {
 		ObjectBytes:        64,
 		MetricsPerDaemon:   true,
 		SLOClasses:         classes,
-		Events:             &eventBuf,
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -104,18 +97,4 @@ func TestClassTaggedRun(t *testing.T) {
 		t.Fatalf("server-side slo total %v != driver total %d", serverTotal, total)
 	}
 
-	// The topology's event stream recorded the readiness flips as JSONL.
-	sawReady := false
-	for _, line := range strings.Split(strings.TrimSpace(eventBuf.String()), "\n") {
-		var ev obs.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("event stream line %q: %v", line, err)
-		}
-		if ev.Type == "ready.up" {
-			sawReady = true
-		}
-	}
-	if !sawReady {
-		t.Fatalf("no ready.up events in stream:\n%s", eventBuf.String())
-	}
 }

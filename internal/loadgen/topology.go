@@ -3,7 +3,6 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -74,10 +73,6 @@ type TopologyConfig struct {
 	// slo.Tracker with these classes (httpcache.Options.SLOClasses), so
 	// each member publishes slo.<class>.* burn-rate gauges.
 	SLOClasses []slo.Class
-	// Events, when non-nil, receives every daemon's structured JSONL
-	// event log (one obs.EventLog per daemon, sources "proxy-<i>" /
-	// "cache-<p>-<c>", writes serialized).
-	Events io.Writer
 	// Defenses, when non-nil, configures every proxy's chaos defenses
 	// (per-hop deadlines, digest sampling, breakers).
 	Defenses *httpcache.Defenses
@@ -142,11 +137,6 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		cacheDaemons: make(map[string]*httpcache.ClientCache),
 		closed:       make(map[*http.Server]bool),
 	}
-	// The daemons' event logs share one writer; serialize their lines.
-	var events io.Writer
-	if cfg.Events != nil {
-		events = &lockedWriter{w: cfg.Events}
-	}
 	ok := false
 	var proxyLns []net.Listener
 	defer func() {
@@ -188,14 +178,11 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		t.ProxyURLs = append(t.ProxyURLs, "http://"+ln.Addr().String())
 	}
 	// daemon fills the options every daemon shares; name keys its own
-	// registry (MetricsPerDaemon) and its event log.
+	// registry (MetricsPerDaemon).
 	daemon := func(name string, capBytes uint64) httpcache.Options {
 		o := httpcache.Options{CapacityBytes: capBytes, Tracer: cfg.Tracer, Metrics: cfg.Metrics}
 		if cfg.MetricsPerDaemon {
 			o.Metrics = obs.NewRegistry(name)
-		}
-		if events != nil {
-			o.Events = obs.NewEventLog(name, events)
 		}
 		return o
 	}
@@ -297,18 +284,6 @@ func waitReady(base string, timeout time.Duration) error {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-}
-
-// lockedWriter serializes the daemons' shared event-log writer.
-type lockedWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (lw *lockedWriter) Write(p []byte) (int, error) {
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
-	return lw.w.Write(p)
 }
 
 func listen() (net.Listener, error) {

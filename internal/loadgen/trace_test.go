@@ -122,18 +122,11 @@ func TestLiveTracePropagation(t *testing.T) {
 
 	// The merged Chrome export (driver + daemon spans) must validate.
 	var sb strings.Builder
-	if err := driverTracer.WriteChrome(&sb); err != nil {
+	if err := obs.WriteChromeTraces(&sb, append(driverTracer.Snapshots(), daemonTracer.Snapshots()...)); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.ValidateChromeTrace([]byte(sb.String())); err != nil {
-		t.Fatalf("driver chrome export: %v", err)
-	}
-	sb.Reset()
-	if err := daemonTracer.WriteChrome(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateChromeTrace([]byte(sb.String())); err != nil {
-		t.Fatalf("daemon chrome export: %v", err)
+		t.Fatalf("merged chrome export: %v", err)
 	}
 
 	// The per-tier latency histograms are registry-backed and folded

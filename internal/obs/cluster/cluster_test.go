@@ -25,6 +25,7 @@ func memberRegistry(name string, requests, origin, objects float64) *obs.Registr
 	reg := obs.NewRegistry(name)
 	reg.Counter("httpcache.proxy.sweeps").Add(3)
 	reg.Gauge("httpcache.proxy.requests").Set(requests)
+	reg.Gauge("httpcache.proxy.proxy_hits").Set(requests - origin)
 	reg.Gauge("httpcache.proxy.origin_replies").Set(origin)
 	reg.Gauge("httpcache.proxy.breaker_opens").Set(objects / 10)
 	reg.Gauge("store.objects").Set(objects)
@@ -101,6 +102,40 @@ func TestAggregatorGolden(t *testing.T) {
 	}
 	if snap.Requests != 350 || snap.SLO[0].FastBurn != 2.5 {
 		t.Fatalf("stale member dropped: requests=%v slo=%+v", snap.Requests, snap.SLO)
+	}
+}
+
+// The hit ratio is the cache tiers' share of the served replies: a
+// request the proxy counted but never served (a 502 after an origin
+// refusal) is neither a hit nor a miss, and a member that served
+// nothing reads 0.
+func TestAggregatorHitRatio(t *testing.T) {
+	for _, tc := range []struct {
+		name                                string
+		requests, proxy, client, remote, og float64
+		want                                float64
+	}{
+		{"every tier", 10, 3, 2, 1, 4, 0.6},
+		{"one failed request, no serves", 1, 0, 0, 0, 0, 0},
+		{"a failure beside serves", 5, 1, 1, 0, 2, 0.5},
+		{"all from origin", 4, 0, 0, 0, 4, 0},
+	} {
+		reg := obs.NewRegistry("m")
+		reg.Gauge("httpcache.proxy.requests").Set(tc.requests)
+		reg.Gauge("httpcache.proxy.proxy_hits").Set(tc.proxy)
+		reg.Gauge("httpcache.proxy.client_hits").Set(tc.client)
+		reg.Gauge("httpcache.proxy.remote_hits").Set(tc.remote)
+		reg.Gauge("httpcache.proxy.origin_replies").Set(tc.og)
+		snap := New([]Member{{Name: "m", URL: fakeMember(t, reg).URL}}).ScrapeOnce(context.Background())
+		if got := snap.HitRatio; math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("%s: cluster hit ratio %v, want %v", tc.name, got, tc.want)
+		}
+		if got := snap.Members[0].HitRatio; math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("%s: member hit ratio %v, want %v", tc.name, got, tc.want)
+		}
+		if snap.Requests != tc.requests {
+			t.Errorf("%s: requests %v, want %v", tc.name, snap.Requests, tc.requests)
+		}
 	}
 }
 

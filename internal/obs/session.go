@@ -4,7 +4,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux
 	"os"
@@ -22,7 +21,7 @@ const (
 	withManifest                          // -manifest
 	withProfiles                          // -cpuprofile, -memprofile
 	withProgress                          // -progress
-	withTraces                            // -trace-out, -trace-jsonl, -trace-sample
+	withTraces                            // -trace-out, -trace-sample
 	withPprof                             // -pprof
 )
 
@@ -66,7 +65,7 @@ type Session struct {
 
 	metrics, progress                bool
 	manifest, cpuprofile, memprofile string
-	traceOut, traceJSONL, pprofAddr  string
+	traceOut, pprofAddr              string
 	traceSample                      int
 
 	man     *Manifest
@@ -97,7 +96,6 @@ func NewSession(fs *flag.FlagSet, tool string) *Session {
 	}
 	if spec.flags&withTraces != 0 {
 		fs.StringVar(&s.traceOut, "trace-out", "", "write sampled request span traces as Chrome trace-event JSON to this file on exit")
-		fs.StringVar(&s.traceJSONL, "trace-jsonl", "", "write sampled request span traces as JSONL to this file on exit")
 		fs.IntVar(&s.traceSample, "trace-sample", 100, "head-sample 1 in N requests for span tracing (requests that arrive traced always join)")
 	}
 	if spec.flags&withPprof != 0 {
@@ -116,7 +114,7 @@ func (s *Session) Start() error {
 	if s.manifest != "" {
 		s.man = NewManifest(s.tool)
 	}
-	if s.traceOut != "" || s.traceJSONL != "" {
+	if s.traceOut != "" {
 		s.Tracer = NewTracer(TracerOptions{Origin: s.spec.origin, SampleEvery: s.traceSample, Clock: s.spec.clock})
 	}
 	if s.cpuprofile != "" {
@@ -201,7 +199,7 @@ func (s *Session) Progress(label string) (step func(done, total int), finish fun
 
 // Close writes the run record: it stops the CPU profile, writes the
 // heap profile, folds the tracers' totals into the registry, writes the
-// span exports, dumps the metrics, and writes the manifest and reads it
+// span export, dumps the metrics, and writes the manifest and reads it
 // back.  A failed step does not skip the rest; their errors are joined.
 // Call it once, after all work is done: tracer totals accumulate.
 func (s *Session) Close() error {
@@ -218,9 +216,7 @@ func (s *Session) Close() error {
 			t.PublishMetrics(s.Reg)
 			all = append(all, t.Snapshots()...)
 		}
-		errs = append(errs,
-			exportTraces(s.traceOut, all, WriteChromeTraces),
-			exportTraces(s.traceJSONL, all, WriteJSONLTraces))
+		errs = append(errs, exportTraces(s.traceOut, all))
 	}
 	if s.metrics {
 		fmt.Fprint(os.Stderr, s.Reg.String())
@@ -257,14 +253,11 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// exportTraces writes one span export to path ("" skips it).
-func exportTraces(path string, traces []SpanTrace, write func(io.Writer, []SpanTrace) error) error {
-	if path == "" {
-		return nil
-	}
+// exportTraces writes the traces to path as Chrome trace-event JSON.
+func exportTraces(path string, traces []SpanTrace) error {
 	f, err := os.Create(path)
 	if err == nil {
-		err = write(f, traces)
+		err = WriteChromeTraces(f, traces)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -15,12 +15,12 @@ import (
 // added to or dropped from any command's session fails here.
 func TestSessionFlags(t *testing.T) {
 	want := map[string][]string{
-		"webcachesim":   {"cpuprofile", "manifest", "memprofile", "metrics", "progress", "trace-jsonl", "trace-out", "trace-sample"},
+		"webcachesim":   {"cpuprofile", "manifest", "memprofile", "metrics", "progress", "trace-out", "trace-sample"},
 		"overlay":       {"cpuprofile", "manifest", "memprofile", "metrics", "progress"},
 		"tracegen":      {"cpuprofile", "manifest", "memprofile"},
-		"hiergdd-proxy": {"pprof", "trace-jsonl", "trace-out", "trace-sample"},
-		"hiergdd-cache": {"pprof", "trace-jsonl", "trace-out", "trace-sample"},
-		"hiergdd-bench": {"manifest", "pprof", "trace-jsonl", "trace-out", "trace-sample"},
+		"hiergdd-proxy": {"pprof", "trace-out", "trace-sample"},
+		"hiergdd-cache": {"pprof", "trace-out", "trace-sample"},
+		"hiergdd-bench": {"manifest", "pprof", "trace-out", "trace-sample"},
 		"hiergdd-chaos": {"manifest", "pprof"},
 	}
 	if len(tools) != len(want) {
@@ -75,8 +75,8 @@ func TestSessionOffByDefault(t *testing.T) {
 // config, notes and the trace block and reads back.
 func TestSessionRunRecord(t *testing.T) {
 	dir := t.TempDir()
-	man, out, jsonl := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json"), filepath.Join(dir, "t.jsonl")
-	s := startSession(t, "hiergdd-bench", "-manifest", man, "-trace-out", out, "-trace-jsonl", jsonl, "-trace-sample", "1")
+	man, out := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
+	s := startSession(t, "hiergdd-bench", "-manifest", man, "-trace-out", out, "-trace-sample", "1")
 	daemon := s.JoinTracer("daemon")
 	root := s.Tracer.StartTrace("request", 0)
 	daemon.StartTraceID(root.TraceID(), "fetch").FinishWall("proxy")
@@ -109,11 +109,7 @@ func TestSessionRunRecord(t *testing.T) {
 	if err := ValidateChromeTrace(data); err != nil {
 		t.Fatal(err)
 	}
-	lines, err := os.ReadFile(jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(lines), "\n"); n != 2 {
-		t.Fatalf("jsonl export holds %d records, want the root and its joined hop", n)
+	if n := strings.Count(string(data), `"cat":"request"`); n != 2 {
+		t.Fatalf("chrome export holds %d records, want the root and its joined hop", n)
 	}
 }

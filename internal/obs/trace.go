@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -389,16 +388,11 @@ type chromeEvent struct {
 // on the Perfetto timeline.
 const chromeScale = 1e6
 
-// WriteChrome writes every retained trace as Chrome trace-event JSON
-// ({"traceEvents": [...]}).  Each trace gets its own tid track: one
-// enclosing event for the request plus one event per span, with the
-// component tag as the category and wasted/tier/trace-id in args.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	return WriteChromeTraces(w, t.snapshots())
-}
-
 // WriteChromeTraces writes the given traces as one Chrome trace-event
-// JSON document.  This is the merge point for multi-collector runs: a
+// JSON document ({"traceEvents": [...]}).  Each trace gets its own tid
+// track: one enclosing event for the request plus one event per span,
+// with the component tag as the category and wasted/tier/trace-id in
+// args.  This is the merge point for multi-collector runs: a
 // bench passes the driver's sampled roots together with the daemons'
 // joined hop traces, and Perfetto shows each as its own track.  Traces
 // are emitted grouped by trace id (roots first), so a request's hops
@@ -438,26 +432,6 @@ func WriteChromeTraces(w io.Writer, traces []SpanTrace) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{"traceEvents": events})
-}
-
-// WriteJSONL writes one JSON object per retained trace, one per line —
-// the grep/jq-friendly export.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	return WriteJSONLTraces(w, t.snapshots())
-}
-
-// WriteJSONLTraces writes the given traces as JSONL, grouped by trace
-// id with roots first (see WriteChromeTraces).
-func WriteJSONLTraces(w io.Writer, traces []SpanTrace) error {
-	traces = groupByTraceID(traces)
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, st := range traces {
-		if err := enc.Encode(&st); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // groupByTraceID stably sorts traces so records sharing an id are

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"math"
@@ -160,8 +159,7 @@ func TestConcurrentSpanRecording(t *testing.T) {
 	}
 	// Exports may run while recording continues.
 	var buf bytes.Buffer
-	_ = tr.WriteChrome(&buf)
-	_ = tr.WriteJSONL(&buf)
+	_ = WriteChromeTraces(&buf, tr.Snapshots())
 	_ = tr.Decompose()
 	wg.Wait()
 	shared.Finish("proxy", 1)
@@ -181,7 +179,7 @@ func TestWriteChromeValidates(t *testing.T) {
 	st2.Finish("peer-proxy", 10)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteChromeTraces(&buf, tr.Snapshots()); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
@@ -214,34 +212,6 @@ func TestWriteChromeValidates(t *testing.T) {
 		if ValidateChromeTrace([]byte(bad)) == nil {
 			t.Fatalf("ValidateChromeTrace accepted %s", bad)
 		}
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	tr := NewTracer(TracerOptions{Origin: "sim"})
-	for i := 0; i < 3; i++ {
-		st := tr.StartTrace("request", float64(i))
-		st.Span("proxy.cache", "Tl", 1)
-		st.Finish("proxy", 1)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	lines := 0
-	for sc.Scan() {
-		var st SpanTrace
-		if err := json.Unmarshal(sc.Bytes(), &st); err != nil {
-			t.Fatalf("line %d: %v", lines, err)
-		}
-		if st.ID == "" || st.Tier != "proxy" || len(st.Spans) != 1 {
-			t.Fatalf("line %d: %+v", lines, st)
-		}
-		lines++
-	}
-	if lines != 3 {
-		t.Fatalf("got %d JSONL lines, want 3", lines)
 	}
 }
 

@@ -71,11 +71,6 @@ type Config struct {
 	// DisableDiversion turns off Hier-GD's leaf-set object diversion
 	// (§4.3) for the ablation bench.
 	DisableDiversion bool
-	// SinglePoolEC simulates the EC schemes' P2P client cache as one
-	// pooled cache at proxy latency — the paper's literal upper bound
-	// — instead of the default exclusive two-level (proxy tier at Tl,
-	// client tier at Tp2p).
-	SinglePoolEC bool
 	// FailEvery injects a client-cache crash every N requests
 	// (Hier-GD only; 0 disables).  ReplaceFailed re-joins a fresh
 	// client after each crash.

@@ -48,14 +48,10 @@ type DecompReport struct {
 //
 // The seven paper schemes satisfy this exactly (PerHop = 0): every
 // engine charges Latency(src) plus wasted probes, and wasted spans are
-// subtracted before comparing.  Two deliberate deviations exist and
-// are the caller's to expect:
-//
-//   - Squirrel serves without a proxy, so its p2p tier misses the Tl
-//     leg (Delta = -Tl) and its server tier misses it too;
-//   - FC-EC with SinglePoolEC serves pooled client-tier hits at proxy
-//     latency, so its p2p tier lands at Latency(local-proxy)
-//     (Delta = Tl - Tp2p).
+// subtracted before comparing.  One deliberate deviation exists and
+// is the caller's to expect: Squirrel serves without a proxy, so its
+// p2p tier misses the Tl leg (Delta = -Tl) and its server tier misses
+// it too.
 //
 // Tiers whose label does not parse as a netmodel source are skipped.
 func CheckDecomposition(m netmodel.Model, d *obs.Decomposition, tol float64) *DecompReport {

@@ -108,7 +108,7 @@ func TestSquirrelDecompositionDeviatesByTl(t *testing.T) {
 
 // A sampled sim run must emit Chrome trace-event JSON that passes the
 // schema validator (the Perfetto-loadable export in the acceptance
-// criteria), and JSONL with one object per trace.
+// criteria), with one request event per trace.
 func TestSimTraceExportsValidate(t *testing.T) {
 	tr, err := prowgen.Generate(prowgen.Config{
 		NumRequests: 30_000, NumObjects: 1_000, NumClients: 200, Seed: 3,
@@ -125,20 +125,14 @@ func TestSimTraceExportsValidate(t *testing.T) {
 	}
 
 	var chrome strings.Builder
-	if err := tc.WriteChrome(&chrome); err != nil {
+	if err := obs.WriteChromeTraces(&chrome, tc.Snapshots()); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.ValidateChromeTrace([]byte(chrome.String())); err != nil {
 		t.Fatalf("chrome export invalid: %v", err)
 	}
-
-	var jsonl strings.Builder
-	if err := tc.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(jsonl.String()), "\n")
-	if len(lines) != 300 {
-		t.Fatalf("JSONL has %d lines, want 300", len(lines))
+	if n := strings.Count(chrome.String(), `"cat":"request"`); n != 300 {
+		t.Fatalf("chrome export has %d request events, want 300", n)
 	}
 
 	rep := CheckDecomposition(netmodel.Default(), tc.Decompose(), 1e-9)

@@ -57,12 +57,7 @@ func newFCEngine(tr *trace.Trace, cfg Config, sz sizing) (*fcEngine, error) {
 		e.tiers = append(e.tiers, cache.Tier{Proxy: p, Capacity: int(sz.proxyCap[p]), HitLatency: cfg.Net.Tl})
 		if cfg.Scheme == FCEC {
 			e.tierKind = append(e.tierKind, netmodel.SrcP2P)
-			lat := cfg.Net.Tp2p
-			if cfg.SinglePoolEC {
-				// Literal pooled upper bound: client-tier hits at Tl.
-				lat = cfg.Net.Tl
-			}
-			e.tiers = append(e.tiers, cache.Tier{Proxy: p, Capacity: int(sz.p2pCap[p]), HitLatency: lat})
+			e.tiers = append(e.tiers, cache.Tier{Proxy: p, Capacity: int(sz.p2pCap[p]), HitLatency: cfg.Net.Tp2p})
 		}
 		e.freq[p] = make([]float64, tr.NumObjects)
 	}
@@ -136,12 +131,6 @@ func (e *fcEngine) serve(obj trace.ObjectID, _ uint32, proxy, _ int, st *obs.Spa
 	net := e.cfg.Net
 	if t := e.placement.ByProxy[proxy][obj]; t >= 0 {
 		src := e.tierKind[t]
-		if src == netmodel.SrcP2P && e.cfg.SinglePoolEC {
-			// Pooled client tier serves at proxy latency but is still
-			// accounted as a P2P-tier hit.
-			st.Span("pool.hit", string(netmodel.CompTl), net.Tl)
-			return src, net.Latency(netmodel.SrcLocalProxy)
-		}
 		st.Span("proxy.cache", string(netmodel.CompTl), net.Tl)
 		if src == netmodel.SrcP2P {
 			st.Span("p2p.fetch", string(netmodel.CompTp2p), net.Tp2p)

@@ -287,25 +287,6 @@ func TestHierGDFailureInjection(t *testing.T) {
 	}
 }
 
-func TestSinglePoolECMode(t *testing.T) {
-	tr := testTrace(t, 11)
-	two := run(t, tr, Config{Scheme: SCEC, ProxyCacheFrac: 0.2, Seed: 1})
-	pool := run(t, tr, Config{Scheme: SCEC, ProxyCacheFrac: 0.2, SinglePoolEC: true, Seed: 1})
-	// Pooled mode charges every unified hit at proxy latency, so no
-	// request is accounted to the P2P tier.
-	if pool.Sources[netmodel.SrcP2P] != 0 {
-		t.Errorf("single pool reported %d P2P-tier hits", pool.Sources[netmodel.SrcP2P])
-	}
-	if two.Sources[netmodel.SrcP2P] == 0 {
-		t.Error("two-level mode reported no client-tier hits")
-	}
-	// The two modes manage the same aggregate capacity: results stay
-	// in the same ballpark (the tier structures differ slightly).
-	if ratio := pool.AvgLatency / two.AvgLatency; ratio < 0.7 || ratio > 1.3 {
-		t.Errorf("pool/two-level latency ratio %.2f out of band", ratio)
-	}
-}
-
 func TestClientClusterSizeHelpsHierGD(t *testing.T) {
 	// Figure 5(c): more client caches -> bigger P2P cache -> more gain.
 	tr := testTrace(t, 12)
@@ -358,7 +339,7 @@ func TestResultString(t *testing.T) {
 }
 
 func TestTieredCachePromoteDemote(t *testing.T) {
-	tc := newTieredCache(2, 3, false, 12, nil, "t")
+	tc := newTieredCache(2, 3, 12, nil, "t")
 	ins := func(obj trace.ObjectID) { tc.insert(cache.Entry{Obj: obj, Size: 1, Cost: 1}) }
 	ins(1)
 	ins(2)
@@ -385,7 +366,7 @@ func TestTieredCachePromoteDemote(t *testing.T) {
 }
 
 func TestTieredCacheClientHitPromotes(t *testing.T) {
-	tc := newTieredCache(1, 2, false, 12, nil, "t")
+	tc := newTieredCache(1, 2, 12, nil, "t")
 	tc.insert(cache.Entry{Obj: 1, Size: 1, Cost: 1})
 	tc.insert(cache.Entry{Obj: 2, Size: 1, Cost: 1}) // 1 demotes
 	if !tc.lower.Contains(1) {
@@ -402,17 +383,26 @@ func TestTieredCacheClientHitPromotes(t *testing.T) {
 	}
 }
 
-func TestTieredCacheSinglePool(t *testing.T) {
-	tc := newTieredCache(2, 3, true, 12, nil, "t")
+// The non-EC schemes' unified cache is the proxy tier alone: nothing
+// demotes, and an object the proxy tier evicted is a miss.
+func TestTieredCacheWithoutClientTier(t *testing.T) {
+	tc := newTieredCache(2, 0, 12, nil, "t")
+	if tc.lower != nil {
+		t.Fatal("a zero client-tier capacity built a client tier")
+	}
 	for obj := trace.ObjectID(0); obj < 5; obj++ {
 		tc.insert(cache.Entry{Obj: obj, Size: 1, Cost: 1})
 	}
-	if tc.len() != 5 {
-		t.Fatalf("single pool holds %d, want 5", tc.len())
+	if tc.len() != 2 || tc.upperEvictions != 3 {
+		t.Fatalf("proxy tier holds %d after %d evictions, want 2 after 3", tc.len(), tc.upperEvictions)
 	}
 	for obj := trace.ObjectID(0); obj < 5; obj++ {
-		if got := tc.access(obj); got != tierProxy {
-			t.Fatalf("single-pool hit reported %v", got)
+		want := tierMiss
+		if tc.upper.Contains(obj) {
+			want = tierProxy
+		}
+		if got := tc.access(obj); got != want {
+			t.Fatalf("access(%d) = %v, want %v", obj, got, want)
 		}
 	}
 }
@@ -425,7 +415,7 @@ func TestTieredCacheSinglePool(t *testing.T) {
 // 2.  Decisions and pinned digests rest on these counts; this test
 // changes with the fix that re-pins them.
 func TestTieredCacheHistoryCountsTierMoves(t *testing.T) {
-	tc := newTieredCache(1, 2, false, 12, nil, "t")
+	tc := newTieredCache(1, 2, 12, nil, "t")
 	tc.insert(cache.Entry{Obj: 1, Size: 1, Cost: 1})
 	tc.insert(cache.Entry{Obj: 2, Size: 1, Cost: 1}) // 1 demotes
 	if got := tc.access(1); got != tierClient {

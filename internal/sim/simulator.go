@@ -150,13 +150,12 @@ func newLFUEngine(cfg Config, sz sizing) *lfuEngine {
 	e := &lfuEngine{cfg: cfg, caches: make([]*tieredCache, cfg.NumProxies)}
 	ec := cfg.Scheme.UsesClientCaches()
 	for p := range e.caches {
+		// Non-EC schemes have no client tier.
 		p2pCap := uint64(0)
 		if ec {
 			p2pCap = sz.p2pCap[p]
 		}
-		// Non-EC schemes have no client tier: pool with zero extra.
-		single := !ec || cfg.SinglePoolEC
-		e.caches[p] = newTieredCache(sz.proxyCap[p], p2pCap, single, sz.objects,
+		e.caches[p] = newTieredCache(sz.proxyCap[p], p2pCap, sz.objects,
 			cfg.Check, fmt.Sprintf("proxy%d", p))
 	}
 	e.peers = newPeerTier(cfg, sz, func(p int) []trace.ObjectID { return e.caches[p].objects() })

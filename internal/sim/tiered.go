@@ -14,13 +14,11 @@ import (
 // their own P2P client caches share cache contents and coordinate
 // replacement so that they appear as one unified cache" (§2).
 //
-// With singlePool=true the two capacities are pooled into one cache
-// whose hits all cost the proxy-tier latency: the paper's literal
-// "simulate a P2P client cache as one single cache" upper bound.
+// Without a client tier (lower nil, the non-EC schemes) it is the
+// proxy's LFU alone.
 type tieredCache struct {
-	upper      cache.Policy
-	lower      cache.Policy
-	singlePool bool
+	upper cache.Policy
+	lower cache.Policy
 	// missLFU is the proxy tier's LFU kept from construction (upper may
 	// be its invariant wrapper), so recordMiss on the per-request miss
 	// path costs no type assertions.
@@ -32,20 +30,19 @@ type tieredCache struct {
 
 // newTieredCache builds the unified cache for one proxy: perfect LFU
 // in both tiers over one shared history, whose ids below universe (the
-// trace's NumObjects) index arrays rather than hash.  chk wires
-// invariant checking around both tiers (nil disables it); label
-// distinguishes proxies in violation reports.
-func newTieredCache(proxyCap, p2pCap uint64, singlePool bool, universe int, chk *invariant.Checker, label string) *tieredCache {
-	t := &tieredCache{singlePool: singlePool}
+// trace's NumObjects) index arrays rather than hash.  A p2pCap of 0
+// builds no client tier.  chk wires invariant checking around both
+// tiers (nil disables it); label distinguishes proxies in violation
+// reports.
+func newTieredCache(proxyCap, p2pCap uint64, universe int, chk *invariant.Checker, label string) *tieredCache {
+	t := &tieredCache{}
 	history := cache.NewHistory(universe)
 	mk := func(capacity uint64, tier string) (*cache.LFU, cache.Policy) {
 		lfu := cache.NewPerfectLFUShared(capacity, history)
 		return lfu, invariant.WrapPolicy(lfu, chk, label+tier)
 	}
-	if singlePool {
-		t.missLFU, t.upper = mk(proxyCap+p2pCap, ".pool")
-	} else {
-		t.missLFU, t.upper = mk(proxyCap, ".proxy")
+	t.missLFU, t.upper = mk(proxyCap, ".proxy")
+	if p2pCap > 0 {
 		_, t.lower = mk(p2pCap, ".client")
 	}
 	return t
@@ -65,7 +62,7 @@ func (t *tieredCache) access(obj trace.ObjectID) tier {
 	if t.upper.Access(obj) {
 		return tierProxy
 	}
-	if t.singlePool {
+	if t.lower == nil {
 		return tierMiss
 	}
 	e, ok := t.lower.Peek(obj)
