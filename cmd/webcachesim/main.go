@@ -163,7 +163,7 @@ func runFigure(id string, sess *obs.Session, treg *obs.Registry, verbose bool, p
 
 	var f *webcache.Figure
 	var err error
-	if p.replicates > 1 {
+	if p.replicates != 1 { // RunFigureReplicated refuses a count below 1
 		f, err = webcache.RunFigureReplicated(id, opts, p.replicates)
 	} else {
 		f, err = webcache.RunFigure(id, opts)

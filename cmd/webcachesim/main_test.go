@@ -149,3 +149,15 @@ func TestCPUProfileFlag(t *testing.T) {
 		t.Fatalf("profile is not gzip-framed pprof data (%d bytes)", len(b))
 	}
 }
+
+// A -replicates count below 1 is refused before any sweep runs, not
+// taken as one replicate.
+func TestRunFigureRefusesReplicatesBelowOne(t *testing.T) {
+	sess := startSession(t)
+	for _, n := range []int{0, -1} {
+		err := runFigure("2a", sess, obs.NewRegistry("timing"), false, figureParams{scale: 0.02, seed: 1, replicates: n})
+		if err == nil || !strings.Contains(err.Error(), "replicates") {
+			t.Errorf("replicates %d: err %v, want the count refused", n, err)
+		}
+	}
+}

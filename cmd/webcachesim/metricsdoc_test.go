@@ -17,7 +17,7 @@ func TestMetricsDocFigureNamespace(t *testing.T) {
 	}
 	sess := startSession(t)
 	treg := obs.NewRegistry("doc-smoke")
-	if err := runFigure("5a", sess, treg, false, figureParams{scale: 0.02, seed: 1}); err != nil {
+	if err := runFigure("5a", sess, treg, false, figureParams{scale: 0.02, seed: 1, replicates: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Close(); err != nil {
