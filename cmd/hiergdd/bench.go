@@ -162,22 +162,6 @@ func (t *topology) bind(fs *flag.FlagSet) {
 	fs.Float64Var(&t.rate, "rate", 500, "open-loop arrival rate in req/s (a chaos flash crowd's peak rate)")
 }
 
-// unitsToBytes scales trace cache units to origin-body bytes.
-func unitsToBytes(units []uint64, objectBytes int) []uint64 {
-	out := make([]uint64, len(units))
-	for i, u := range units {
-		out[i] = u * uint64(objectBytes)
-	}
-	return out
-}
-
-// closeTopology drains a loopback topology within 5 s.
-func closeTopology(topo *loadgen.Topology) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	topo.Close(ctx)
-}
-
 // liveGate is the calibration gate: stand up a loopback
 // proxy/client-cache topology sized from the simulator's capacity
 // plan, replay a trace over real HTTP (Poisson open loop or closed
@@ -239,8 +223,8 @@ func (g *liveGate) run() error {
 	topo, err := loadgen.StartLoopback(loadgen.TopologyConfig{
 		Proxies:            g.proxies,
 		CachesPerProxy:     g.caches,
-		ProxyCapacityBytes: unitsToBytes(proxyCap, g.objectBytes),
-		CacheCapacityBytes: unitsToBytes(clientCap, g.objectBytes),
+		ProxyCapacityBytes: loadgen.UnitsToBytes(proxyCap, g.objectBytes),
+		CacheCapacityBytes: loadgen.UnitsToBytes(clientCap, g.objectBytes),
 		ObjectBytes:        g.objectBytes,
 		Tracer:             daemonTracer,
 		Metrics:            reg,
@@ -248,7 +232,7 @@ func (g *liveGate) run() error {
 	if err != nil {
 		return err
 	}
-	defer closeTopology(topo)
+	defer topo.Stop()
 	fmt.Printf("hiergdd bench: %d proxies x %d client caches on loopback, origin %s\n",
 		g.proxies, g.caches, topo.OriginURL)
 	fmt.Printf("  capacities (units x %dB objects): proxy %v, per-client %v\n",

@@ -35,15 +35,24 @@ func (g *chaosGate) run() error {
 	if err != nil {
 		return err
 	}
-	// Every RunLive/RunSim below regenerates this workload from the same
-	// parameters; generating it here validates them once and supplies
+	reg := g.sess.Reg
+	cfg := chaos.Config{
+		Requests:       g.requests,
+		Objects:        g.objects,
+		Clients:        g.clients,
+		ObjectBytes:    g.objectBytes,
+		Rate:           g.rate,
+		Proxies:        g.proxies,
+		CachesPerProxy: g.caches,
+		Registry:       reg,
+	}
+	// Every run below generates its scenario's workload from cfg; the
+	// unskewed one generated here validates the shape once and supplies
 	// the manifest's fingerprint.
-	tr, err := g.generate()
+	tr, err := cfg.Workload(chaos.Scenario{})
 	if err != nil {
 		return err
 	}
-
-	reg := g.sess.Reg
 
 	var rows []chaos.Row
 	for _, scn := range scns {
@@ -54,20 +63,7 @@ func (g *chaosGate) run() error {
 		// one (scenario, side, defenses) cell.
 		for _, on := range []bool{false, true} {
 			chk := invariant.New(reg)
-			rep, err := chaos.RunLive(chaos.LiveConfig{
-				Scenario:       scn,
-				Requests:       g.requests,
-				Objects:        g.objects,
-				Clients:        g.clients,
-				ObjectBytes:    g.objectBytes,
-				Rate:           g.rate,
-				Seed:           benchSeed,
-				Proxies:        g.proxies,
-				CachesPerProxy: g.caches,
-				DefensesOn:     on,
-				Check:          chk,
-				Registry:       reg,
-			})
+			rep, err := chaos.RunLive(cfg, scn, on, chk)
 			if err != nil {
 				return fmt.Errorf("chaos %s live defenses=%v: %w", scn.Name, on, err)
 			}
@@ -88,17 +84,7 @@ func (g *chaosGate) run() error {
 		}
 		for _, on := range sides {
 			chk := invariant.New(reg)
-			rep, err := chaos.RunSim(chaos.SimConfig{
-				Scenario:       scn,
-				Requests:       g.requests,
-				Objects:        g.objects,
-				Clients:        g.clients,
-				Proxies:        g.proxies,
-				CachesPerProxy: g.caches,
-				Seed:           benchSeed,
-				DefensesOn:     on,
-				Check:          chk,
-			})
+			rep, err := chaos.RunSim(cfg, scn, on, chk)
 			if err != nil {
 				return fmt.Errorf("chaos %s sim defenses=%v: %w", scn.Name, on, err)
 			}
@@ -172,7 +158,7 @@ func (g *chaosGate) run() error {
 		"caches_per_proxy": g.caches,
 		"object_bytes":     g.objectBytes,
 		"rate":             g.rate,
-		"seed":             benchSeed,
+		"seed":             chaos.Seed,
 	}, map[string]any{"scenarios": rows})
 }
 

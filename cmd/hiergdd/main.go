@@ -331,7 +331,7 @@ func demo(out io.Writer, proxyCap, cacheCap uint64) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer closeTopology(topo)
+	defer topo.Stop()
 	fmt.Fprintf(out, "topology: origin %s, proxies %v, 3 client caches each\n\n", topo.OriginURL, topo.ProxyURLs)
 
 	fetch := func(proxy int, path string) (string, error) {

@@ -37,11 +37,7 @@ func TestTopDashboardFromLiveMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		topo.Close(ctx)
-	}()
+	defer topo.Stop()
 
 	fetch := func(p int, path string) {
 		t.Helper()

@@ -12,7 +12,45 @@ package chaos
 import (
 	"fmt"
 	"time"
+
+	"webcache/internal/obs"
+	"webcache/internal/prowgen"
+	"webcache/internal/trace"
 )
+
+// Config is the workload and topology shape every run of the suite
+// shares, live and simulated.  Which scenario runs, with the defenses
+// off or on, and the checker attached are each run's own arguments
+// (RunLive, RunSim).
+type Config struct {
+	// The ProWGen workload (Workload).
+	Requests, Objects, Clients int
+	// ObjectBytes is the origin body size per object and Rate the
+	// open-loop arrival rate (a flash crowd's peak); the simulator reads
+	// neither.
+	ObjectBytes int
+	Rate        float64
+	// The topology: cooperating proxies, each with CachesPerProxy
+	// client caches (the simulator's clusters are sized alike).
+	Proxies, CachesPerProxy int
+	// Registry, when non-nil, receives the live runs' chaos.* metrics.
+	Registry *obs.Registry
+}
+
+// Seed seeds every run's workload, arrival process and churn.
+const Seed = 1
+
+// Workload generates the scenario's ProWGen trace at cfg's shape: a
+// scenario's FlashAlpha, when set, overrides the Zipf exponent.
+func (cfg Config) Workload(scn Scenario) (*trace.Trace, error) {
+	return prowgen.Generate(prowgen.Config{
+		NumRequests: cfg.Requests,
+		NumObjects:  cfg.Objects,
+		NumClients:  cfg.Clients,
+		Alpha:       scn.FlashAlpha, // 0 = prowgen default
+		Seed:        Seed,
+	})
+}
 
 // Scenario names one attack shape in terms both sides understand.
 // Zero-valued fields mean that fault is absent from the scenario.

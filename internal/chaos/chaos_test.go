@@ -95,6 +95,13 @@ func TestCorruptingWriter(t *testing.T) {
 	}
 }
 
+// smallLive is the live tests' shape: 600 requests of 256 B over 100
+// objects from 20 clients at 600 req/s, through 2 proxies x 3 caches.
+func smallLive(reg *obs.Registry) Config {
+	return Config{Requests: 600, Objects: 100, Clients: 20, ObjectBytes: 256, Rate: 600,
+		Proxies: 2, CachesPerProxy: 3, Registry: reg}
+}
+
 // TestChurnStormE2E is the mass-churn end-to-end: half the overlay
 // flash-disconnects mid-drive with the hardened defenses on, and the
 // run must finish with zero request errors (degraded, not failed), a
@@ -105,20 +112,7 @@ func TestChurnStormE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	chk := invariant.New(nil)
-	rep, err := RunLive(LiveConfig{
-		Scenario:       scn,
-		Requests:       600,
-		Objects:        100,
-		Clients:        20,
-		ObjectBytes:    256,
-		Rate:           600,
-		Seed:           1,
-		Proxies:        2,
-		CachesPerProxy: 3,
-		DefensesOn:     true,
-		Check:          chk,
-		Registry:       obs.NewRegistry("churn-e2e"),
-	})
+	rep, err := RunLive(smallLive(obs.NewRegistry("churn-e2e")), scn, true, chk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,20 +161,7 @@ func TestChurnDuringFlashCrowdE2E(t *testing.T) {
 		t.Fatalf("scenario lost a knob: %+v", scn)
 	}
 	chk := invariant.New(nil)
-	rep, err := RunLive(LiveConfig{
-		Scenario:       scn,
-		Requests:       600,
-		Objects:        100,
-		Clients:        20,
-		ObjectBytes:    256,
-		Rate:           600,
-		Seed:           1,
-		Proxies:        2,
-		CachesPerProxy: 3,
-		DefensesOn:     true,
-		Check:          chk,
-		Registry:       obs.NewRegistry("flash-crowd-e2e"),
-	})
+	rep, err := RunLive(smallLive(obs.NewRegistry("flash-crowd-e2e")), scn, true, chk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,17 +192,7 @@ func TestChurnDuringFlashCrowdSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	chk := invariant.New(nil)
-	rep, err := RunSim(SimConfig{
-		Scenario:       scn,
-		Requests:       4000,
-		Objects:        400,
-		Clients:        60,
-		Proxies:        2,
-		CachesPerProxy: 3,
-		Seed:           1,
-		DefensesOn:     true,
-		Check:          chk,
-	})
+	rep, err := RunSim(Config{Requests: 4000, Objects: 400, Clients: 60, Proxies: 2, CachesPerProxy: 3}, scn, true, chk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,18 +250,7 @@ func TestFaultsFireOverFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg := obs.NewRegistry("frames-" + tc.scenario)
-			if _, err := RunLive(LiveConfig{
-				Scenario:       scn,
-				Requests:       600,
-				Objects:        100,
-				Clients:        20,
-				ObjectBytes:    256,
-				Rate:           600,
-				Seed:           1,
-				Proxies:        2,
-				CachesPerProxy: 3,
-				Registry:       reg,
-			}); err != nil {
+			if _, err := RunLive(smallLive(reg), scn, false, nil); err != nil {
 				t.Fatal(err)
 			}
 			for _, name := range tc.counters {

@@ -17,31 +17,8 @@ import (
 	"webcache/internal/obs/cluster"
 	"webcache/internal/obs/slo"
 	"webcache/internal/pastry"
-	"webcache/internal/prowgen"
 	"webcache/internal/trace"
 )
-
-// LiveConfig sizes one live scenario run: a loopback topology driven
-// open-loop (Poisson) through the fault adapter, with the defenses on
-// or off.
-type LiveConfig struct {
-	Scenario Scenario
-	// Workload (ProWGen) and drive.
-	Requests, Objects, Clients int
-	ObjectBytes                int
-	Rate                       float64
-	Seed                       int64
-	// Topology.
-	Proxies, CachesPerProxy int
-	// DefensesOn runs the hardened proxy (short per-hop deadlines,
-	// digest sampling, breakers); off runs the pre-defense defaults.
-	DefensesOn bool
-	// Check, when non-nil, attaches the conservation accountant to
-	// every proxy and counts violations into the report.
-	Check *invariant.Checker
-	// Registry, when non-nil, receives chaos.* and loadgen.* metrics.
-	Registry *obs.Registry
-}
 
 // requestTimeout is a live run's per-request client timeout.
 const requestTimeout = 10 * time.Second
@@ -117,57 +94,28 @@ func (r *LiveReport) CheckCluster() error {
 	return nil
 }
 
-// Hardened is the defenses-on tuning for loopback chaos runs: per-hop
-// deadlines far under the injected 250ms stall, tightened from the
-// observed p99, a digest check on every second client serve, and a
-// fast breaker so degradation to origin happens within the run.
-func Hardened() *httpcache.Defenses {
-	return &httpcache.Defenses{
-		PeerTimeout:         75 * time.Millisecond,
-		AdaptivePeerTimeout: true,
-		VerifyEvery:         2,
-		BreakerFailures:     3,
-		BreakerCooldown:     500 * time.Millisecond,
-	}
-}
-
-// RunLive stands the topology up behind the scenario's fault adapter,
-// drives the workload, and reports hit ratio, p999, defense activity,
-// and accountant violations.
-func RunLive(cfg LiveConfig) (*LiveReport, error) {
-	tr, err := prowgen.Generate(prowgen.Config{
-		NumRequests: cfg.Requests,
-		NumObjects:  cfg.Objects,
-		NumClients:  cfg.Clients,
-		Alpha:       cfg.Scenario.FlashAlpha, // 0 = prowgen default
-		Seed:        cfg.Seed,
-	})
+// RunLive stands cfg's topology up behind scn's fault adapter, its
+// proxies hardened (httpcache.Options.Hardened) or not, drives the
+// workload open-loop, and reports hit ratio, p999 and defense activity.
+// A non-nil check is attached to every proxy, and its violations are
+// reported too.
+func RunLive(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) (*LiveReport, error) {
+	tr, err := cfg.Workload(scn)
 	if err != nil {
 		return nil, err
 	}
-	simCfg := loadgen.LoopbackSimConfig(cfg.Proxies, cfg.CachesPerProxy, cfg.Clients, cfg.Seed)
+	simCfg := loadgen.LoopbackSimConfig(cfg.Proxies, cfg.CachesPerProxy, cfg.Clients, Seed)
 	proxyCap, clientCap := simCfg.CapacityPlan(tr)
-	toBytes := func(units []uint64) []uint64 {
-		out := make([]uint64, len(units))
-		for i, u := range units {
-			out[i] = u * uint64(cfg.ObjectBytes)
-		}
-		return out
-	}
 
-	inj := NewInjector(cfg.Scenario, cfg.CachesPerProxy, cfg.Registry)
-	var defenses *httpcache.Defenses
-	if cfg.DefensesOn {
-		defenses = Hardened()
-	}
+	inj := NewInjector(scn, cfg.CachesPerProxy, cfg.Registry)
 	topo, err := loadgen.StartLoopback(loadgen.TopologyConfig{
 		Proxies:            cfg.Proxies,
 		CachesPerProxy:     cfg.CachesPerProxy,
-		ProxyCapacityBytes: toBytes(proxyCap),
-		CacheCapacityBytes: toBytes(clientCap),
+		ProxyCapacityBytes: loadgen.UnitsToBytes(proxyCap, cfg.ObjectBytes),
+		CacheCapacityBytes: loadgen.UnitsToBytes(clientCap, cfg.ObjectBytes),
 		ObjectBytes:        cfg.ObjectBytes,
-		Defenses:           defenses,
-		Check:              cfg.Check,
+		Hardened:           hardened,
+		Check:              check,
 		WrapProxy:          inj.WrapProxy,
 		WrapCache:          inj.WrapCache,
 		MetricsPerDaemon:   true,
@@ -176,18 +124,14 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		topo.Close(ctx)
-	}()
+	defer topo.Stop()
 
-	rep := &LiveReport{Scenario: cfg.Scenario.Name, DefensesOn: cfg.DefensesOn}
+	rep := &LiveReport{Scenario: scn.Name, DefensesOn: hardened}
 
 	// Directory poisoning, as an attacker would try it: the keys of
 	// upcoming objects nobody holds, listed in a /register body.
-	if cfg.Scenario.PoisonKeys > 0 {
-		if err := poison(topo, poisonKeys(tr, topo.OriginURL, cfg.Scenario.PoisonKeys)); err != nil {
+	if scn.PoisonKeys > 0 {
+		if err := poison(topo, poisonKeys(tr, topo.OriginURL, scn.PoisonKeys)); err != nil {
 			return nil, err
 		}
 	}
@@ -195,10 +139,10 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	// Mass churn: flash-disconnect mid-run (half the expected drive
 	// time at the configured Poisson rate).
 	var churnTimer *time.Timer
-	if cfg.Scenario.ChurnFraction > 0 {
+	if scn.ChurnFraction > 0 {
 		after := time.Duration(float64(cfg.Requests) / cfg.Rate / 2 * float64(time.Second))
 		churnTimer = time.AfterFunc(after, func() {
-			downed := topo.FlashDisconnect(cfg.Scenario.ChurnFraction, cfg.Seed)
+			downed := topo.FlashDisconnect(scn.ChurnFraction, Seed)
 			cfg.Registry.Counter("chaos.churned_caches").Add(int64(len(downed)))
 		})
 		defer churnTimer.Stop()
@@ -212,10 +156,10 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	// rate as the peak, so the churn storm lands under load spikes
 	// instead of a smooth Poisson stream.
 	var arrival loadgen.Arrival
-	if cfg.Scenario.Bursty {
-		arrival, err = loadgen.NewBursty(cfg.Rate, 500*time.Millisecond, 250*time.Millisecond, cfg.Seed)
+	if scn.Bursty {
+		arrival, err = loadgen.NewBursty(cfg.Rate, 500*time.Millisecond, 250*time.Millisecond, Seed)
 	} else {
-		arrival, err = loadgen.NewPoisson(cfg.Rate, cfg.Seed)
+		arrival, err = loadgen.NewPoisson(cfg.Rate, Seed)
 	}
 	if err != nil {
 		return nil, err
@@ -245,12 +189,12 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	for _, px := range topo.Proxies {
 		px.SweepClientCaches()
 	}
-	if cfg.Scenario.ChurnFraction > 0 {
+	if scn.ChurnFraction > 0 {
 		var all int
 		for _, addrs := range topo.CacheAddrs {
 			all += len(addrs)
 		}
-		rep.Churned = int(float64(all)*cfg.Scenario.ChurnFraction + 0.5)
+		rep.Churned = int(float64(all)*scn.ChurnFraction + 0.5)
 	}
 
 	rep.Requests = res.Measured
@@ -283,8 +227,8 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 			rep.MembersUp++
 		}
 	}
-	if cfg.Check != nil {
-		rep.Violations = cfg.Check.ViolationCount()
+	if check != nil {
+		rep.Violations = check.ViolationCount()
 	}
 	return rep, nil
 }

@@ -7,25 +7,8 @@ import (
 	"webcache/internal/loadgen"
 	"webcache/internal/netmodel"
 	"webcache/internal/obs"
-	"webcache/internal/prowgen"
 	"webcache/internal/sim"
 )
-
-// SimConfig sizes the simulator-side run of a scenario.  The same
-// workload shape as the live side, replayed through the Hier-GD engine
-// with the scenario mapped onto the sim chaos knobs; like the live
-// side, it counts every request (no warmup discard).
-type SimConfig struct {
-	Scenario                   Scenario
-	Requests, Objects, Clients int
-	Proxies, CachesPerProxy    int
-	Seed                       int64
-	DefensesOn                 bool
-	// Check, when non-nil, threads the full invariant subsystem
-	// (shadow policies, directory oracles, conservation ledger)
-	// through the run.
-	Check *invariant.Checker
-}
 
 // SimReport is one simulated scenario run's outcome.  P999Ms is in
 // simulator latency units observed as milliseconds (1 unit — the
@@ -55,7 +38,7 @@ type SimReport struct {
 // failure, byzantine clients corrupt P2P serves (with digest-sampling
 // detection as the defense), and poisoning becomes periodic bogus
 // directory entries (with the periodic sweep as the defense).
-func simKnobs(cfg *sim.Config, scn Scenario, requests int, defensesOn bool) {
+func simKnobs(cfg *sim.Config, scn Scenario, requests int, hardened bool) {
 	if scn.SlowPeerDelay > 0 {
 		cfg.Net = netmodel.Default()
 		cfg.Net.Tp2p *= 10
@@ -66,13 +49,13 @@ func simKnobs(cfg *sim.Config, scn Scenario, requests int, defensesOn bool) {
 	}
 	if scn.ByzantineFraction > 0 {
 		cfg.ByzantineFraction = scn.ByzantineFraction
-		if defensesOn {
+		if hardened {
 			cfg.VerifyFraction = 0.95
 		}
 	}
 	if scn.PoisonKeys > 0 {
 		cfg.PoisonEvery = 500
-		if defensesOn {
+		if hardened {
 			cfg.DirSweepEvery = 250
 		}
 	}
@@ -86,16 +69,15 @@ func SimDefended(scn Scenario) bool {
 	return scn.ByzantineFraction > 0 || scn.PoisonKeys > 0
 }
 
-// RunSim replays the scenario through the simulator and reports the
-// same degradation metrics as the live side.
-func RunSim(cfg SimConfig) (*SimReport, error) {
-	tr, err := prowgen.Generate(prowgen.Config{
-		NumRequests: cfg.Requests,
-		NumObjects:  cfg.Objects,
-		NumClients:  cfg.Clients,
-		Alpha:       cfg.Scenario.FlashAlpha, // 0 = prowgen default
-		Seed:        cfg.Seed,
-	})
+// RunSim replays scn's workload through the Hier-GD simulator at cfg's
+// shape, with scn mapped onto the sim chaos knobs (and their defenses,
+// where hardened and SimDefended), and reports the same degradation
+// metrics as the live side.  Like the live side, it counts every
+// request (no warmup discard).  check, when non-nil, threads the full
+// invariant subsystem (shadow policies, directory oracles,
+// conservation ledger) through the run.
+func RunSim(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) (*SimReport, error) {
+	tr, err := cfg.Workload(scn)
 	if err != nil {
 		return nil, err
 	}
@@ -103,16 +85,16 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 	// p999 is read from (sim.latency is cumulative on shared
 	// registries, which would mix scenarios).
 	reg := obs.NewRegistry("chaos-sim")
-	simCfg := loadgen.LoopbackSimConfig(cfg.Proxies, cfg.CachesPerProxy, cfg.Clients, cfg.Seed)
-	simCfg.Obs, simCfg.Check = reg, cfg.Check
-	simKnobs(&simCfg, cfg.Scenario, cfg.Requests, cfg.DefensesOn)
+	simCfg := loadgen.LoopbackSimConfig(cfg.Proxies, cfg.CachesPerProxy, cfg.Clients, Seed)
+	simCfg.Obs, simCfg.Check = reg, check
+	simKnobs(&simCfg, scn, cfg.Requests, hardened)
 	res, err := sim.Run(tr, simCfg)
 	if err != nil {
 		return nil, err
 	}
 	rep := &SimReport{
-		Scenario:          cfg.Scenario.Name,
-		DefensesOn:        cfg.DefensesOn,
+		Scenario:          scn.Name,
+		DefensesOn:        hardened,
 		Requests:          res.Requests,
 		HitRatio:          1 - res.HitRatio(netmodel.SrcServer),
 		MeanMs:            res.AvgLatency,
@@ -123,8 +105,8 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 		ByzantineServes:   res.ByzantineServes,
 		ByzantineDetected: res.ByzantineDetected,
 	}
-	if cfg.Check != nil {
-		rep.Violations = cfg.Check.ViolationCount()
+	if check != nil {
+		rep.Violations = check.ViolationCount()
 	}
 	return rep, nil
 }

@@ -49,9 +49,11 @@ type Options struct {
 	// X-SLO-Class header names (unknown ones fold into the first) and
 	// publishes slo.* burn-rate gauges on Metrics.
 	SLOClasses []slo.Class
-	// Defenses are the request-path protections; zero fields take their
-	// defaults.
-	Defenses Defenses
+	// Hardened turns on the request-path defenses (defense.go): a tight
+	// adaptive per-hop deadline, digest sampling of client serves, and
+	// per-peer circuit breakers.  Off, a hop is bounded by 2 s and
+	// nothing else.
+	Hardened bool
 	// Peers are the cooperating proxies, by base URL or host:port.
 	Peers []string
 	// Check, when non-nil, threads a live conservation oracle through the

@@ -49,8 +49,8 @@ func TestOptionsReachDaemon(t *testing.T) {
 			px := newProxy(t, o)
 			t.Cleanup(px.Close)
 			return built{px.Handler(), px.MarkReady, func(t *testing.T) {
-				if got := px.peerTimeout(); got != o.Defenses.PeerTimeout {
-					t.Errorf("per-hop deadline %v, want the configured %v", got, o.Defenses.PeerTimeout)
+				if got := px.peerTimeout(); got != hardenedPeerTimeout {
+					t.Errorf("per-hop deadline %v, want the hardened %v", got, hardenedPeerTimeout)
 				}
 				if n := asked.Load(); n != 1 {
 					t.Errorf("cooperating peer asked %d times, want 1", n)
@@ -89,7 +89,7 @@ func TestOptionsReachDaemon(t *testing.T) {
 				Tracer:        tr,
 				Events:        obs.NewEventLog(tc.name, &events),
 				SLOClasses:    []slo.Class{{Name: "interactive", Latency: time.Second, Availability: 0.99}},
-				Defenses:      Defenses{PeerTimeout: 3 * time.Second},
+				Hardened:      true,
 				Peers:         []string{peerSrv.URL},
 				Check:         invariant.New(nil),
 			})

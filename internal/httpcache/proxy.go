@@ -111,10 +111,11 @@ type Proxy struct {
 	// pulls tracks the digest pulls in flight (digest.go).
 	pulls sync.WaitGroup
 
-	// Defense state (defense.go): knobs, sampled body digests, and the
-	// LAN-fetch latency histogram the adaptive per-hop deadline derives
-	// from.  Breakers and contribution ledgers are kept on the records.
-	defenses  Defenses
+	// Defense state (defense.go): the switch, sampled body digests, and
+	// the LAN-fetch latency histogram the adaptive per-hop deadline
+	// derives from.  Breakers and contribution ledgers are kept on the
+	// records.
+	hardened  bool
 	digests   sync.Map // trace.ObjectID -> uint64 body digest
 	verifySeq atomic.Int64
 	lanLat    *obs.Histogram
@@ -157,13 +158,12 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		client:    newHTTPClient(10 * time.Second),
 		hops:      newFramePool(),
 		lanLat:    &obs.Histogram{},
-		defenses:  o.Defenses,
+		hardened:  o.Hardened,
 		acct:      lenientAccountant(o.Check, "live"),
 		tracer:    o.Tracer,
 		metrics:   o.Metrics,
 		readiness: readiness{events: o.Events},
 	}
-	p.defenses.fillDefaults()
 	if len(o.SLOClasses) > 0 {
 		p.slo = slo.NewTracker(o.Metrics, o.SLOClasses)
 		p.slo.SetEvents(o.Events)

@@ -356,7 +356,7 @@ func TestShortBodyPerHop(t *testing.T) {
 	const declared = 8 << 10
 	origin := newTestOrigin()
 	t.Cleanup(origin.srv.Close)
-	oneStrike := Defenses{BreakerFailures: 1, BreakerCooldown: time.Minute}
+	oneStrikeBreakers(t)
 
 	tests := []struct {
 		name  string
@@ -411,7 +411,7 @@ func TestShortBodyPerHop(t *testing.T) {
 		{name: "cooperating proxy",
 			setup: func(t *testing.T) (pinned, string, func(*testing.T)) {
 				short := newFarEnd(t, shortReply(declared, TierPeerProxy))
-				px := newProxy(t, traced(Options{CapacityBytes: 1 << 20, Defenses: oneStrike, Peers: []string{short.URL}}))
+				px := newProxy(t, traced(Options{CapacityBytes: 1 << 20, Hardened: true, Peers: []string{short.URL}}))
 				return pin(t, px, ""), origin.srv.URL + "/short-peer", func(t *testing.T) {
 					if px.peerAllowed(coopPeer(px, short.URL)) {
 						t.Error("the short peer's breaker is still closed")
@@ -475,8 +475,8 @@ func TestPassDownBoundedPerHop(t *testing.T) {
 	t.Cleanup(func() { close(release) })
 	addr := hung.addr
 
-	const deadline = 150 * time.Millisecond
-	px := newProxy(t, Options{CapacityBytes: 20, Defenses: Defenses{PeerTimeout: deadline}}) // one 17-byte body: the second fetch evicts the first
+	const deadline = hardenedPeerTimeout
+	px := newProxy(t, Options{CapacityBytes: 20, Hardened: true}) // one 17-byte body: the second fetch evicts the first
 	pxSrv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
 	t.Cleanup(pxSrv.Close)
 	px.ring.add(addr)
@@ -522,7 +522,7 @@ func TestPassDownBoundedPerHop(t *testing.T) {
 func TestDigestPullFailures(t *testing.T) {
 	origin := newTestOrigin()
 	t.Cleanup(origin.srv.Close)
-	const deadline = 50 * time.Millisecond
+	oneStrikeBreakers(t)
 	faults := []struct {
 		name  string
 		fault http.HandlerFunc // nil: the peer stops listening
@@ -564,7 +564,7 @@ func TestDigestPullFailures(t *testing.T) {
 				peerPx.Handler().ServeHTTP(w, r)
 			}))
 			px := newProxy(t, traced(Options{CapacityBytes: 1 << 20,
-				Defenses: Defenses{PeerTimeout: deadline, BreakerFailures: 1, BreakerCooldown: time.Minute}, Peers: []string{peerSrv.URL}}))
+				Hardened: true, Peers: []string{peerSrv.URL}}))
 			f := pin(t, px, "")
 			held := &coopPeer(px, peerSrv.URL).digest
 

@@ -212,8 +212,8 @@ func TestServedByHeaderPerPath(t *testing.T) {
 	badPeer := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "broken", http.StatusInternalServerError)
 	}))
-	brkPx := newProxy(t, traced(Options{CapacityBytes: 1 << 20,
-		Defenses: Defenses{BreakerFailures: 1, BreakerCooldown: time.Minute}, Peers: []string{badPeer.URL}}))
+	oneStrikeBreakers(t)
+	brkPx := newProxy(t, traced(Options{CapacityBytes: 1 << 20, Hardened: true, Peers: []string{badPeer.URL}}))
 	brk := pin(t, brkPx, "")
 	get(t, from(brk, "/trips-the-breaker"))
 	brkPx.pulls.Wait() // its /digest answers 500 too: no digest held

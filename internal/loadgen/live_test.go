@@ -75,11 +75,7 @@ func calibrationRun(t *testing.T) (*trace.Trace, *Result, sim.Config, *Topology)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		topo.Close(ctx)
-	})
+	t.Cleanup(topo.Stop)
 
 	sched, err := BuildSchedule(tr, topo.ProxyURLs, topo.OriginURL, simCfg.ProxyFor)
 	if err != nil {

@@ -43,11 +43,7 @@ func TestClassTaggedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		topo.Close(ctx)
-	}()
+	defer topo.Stop()
 	if len(topo.ProxyMetrics) != 2 {
 		t.Fatalf("per-daemon registries = %d", len(topo.ProxyMetrics))
 	}

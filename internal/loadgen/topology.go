@@ -41,6 +41,16 @@ func LoopbackSimConfig(proxies, cachesPerProxy, clients int, seed int64) sim.Con
 	}
 }
 
+// UnitsToBytes scales a capacity plan's trace cache units to
+// origin-body bytes, objectBytes per unit (TopologyConfig.ObjectBytes).
+func UnitsToBytes(units []uint64, objectBytes int) []uint64 {
+	out := make([]uint64, len(units))
+	for i, u := range units {
+		out[i] = u * uint64(objectBytes)
+	}
+	return out
+}
+
 // TopologyConfig sizes a loopback deployment: an origin, Proxies
 // cooperating proxies (full mesh), and CachesPerProxy client-cache
 // daemons registered with each.
@@ -73,9 +83,9 @@ type TopologyConfig struct {
 	// slo.Tracker with these classes (httpcache.Options.SLOClasses), so
 	// each member publishes slo.<class>.* burn-rate gauges.
 	SLOClasses []slo.Class
-	// Defenses, when non-nil, configures every proxy's chaos defenses
-	// (per-hop deadlines, digest sampling, breakers).
-	Defenses *httpcache.Defenses
+	// Hardened turns on every proxy's chaos defenses
+	// (httpcache.Options.Hardened).
+	Hardened bool
 	// Check, when non-nil, attaches a live conservation accountant to
 	// every proxy (httpcache.Options.Check).
 	Check *invariant.Checker
@@ -192,12 +202,9 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 			return nil, err
 		}
 		o := daemon(fmt.Sprintf("proxy-%d", p), capBytes)
-		o.SLOClasses, o.Check = cfg.SLOClasses, cfg.Check
+		o.SLOClasses, o.Check, o.Hardened = cfg.SLOClasses, cfg.Check, cfg.Hardened
 		if cfg.MetricsPerDaemon {
 			t.ProxyMetrics = append(t.ProxyMetrics, o.Metrics)
-		}
-		if cfg.Defenses != nil {
-			o.Defenses = *cfg.Defenses
 		}
 		o.Peers = slices.Delete(slices.Clone(t.ProxyURLs), p, p+1) // the full mesh
 		px, err := httpcache.NewProxyOpts(o)
@@ -368,6 +375,14 @@ func (t *Topology) Close(ctx context.Context) error {
 		cc.Close()
 	}
 	return firstErr
+}
+
+// Stop is Close under a 5 s drain deadline: how the commands and the
+// chaos runs take a topology down.
+func (t *Topology) Stop() {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	t.Close(ctx)
 }
 
 // ProxyStats reads proxy p's counters in process.

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,9 +36,7 @@ func TestStartLoopbackRefusedRegistration(t *testing.T) {
 		},
 	})
 	if err == nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		topo.Close(ctx)
+		topo.Stop()
 		t.Fatal("topology came up although the proxy refused its client cache's registration")
 	}
 }
@@ -76,9 +73,7 @@ func TestStartLoopbackReadyzHangs(t *testing.T) {
 	select {
 	case res := <-done:
 		if res.err == nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			res.topo.Close(ctx)
+			res.topo.Stop()
 			t.Fatal("topology came up although a client cache never answered /readyz")
 		}
 		if !strings.Contains(res.err.Error(), "/readyz") {
@@ -125,11 +120,7 @@ func TestWrappersSeeFramedHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		topo.Close(ctx)
-	}()
+	defer topo.Stop()
 	fetch := func(p int, path, traceID string) {
 		t.Helper()
 		req, err := http.NewRequest("GET", topo.ProxyURLs[p]+"/fetch?url="+url.QueryEscape(topo.OriginURL+path), nil)
