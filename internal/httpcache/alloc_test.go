@@ -14,8 +14,12 @@ package httpcache
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"webcache/internal/store"
@@ -70,5 +74,97 @@ func TestObjectHitPathAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(2000, func() { c.handleObject(w, req) })
 	if allocs != 0 {
 		t.Errorf("client-cache hit path allocates %.1f objects/request, want 0", allocs)
+	}
+}
+
+// TestHopAllocsPerRun counts what one member-to-member hop allocates,
+// both ends together (AllocsPerRun counts every goroutine's allocations,
+// the far end's frame loop included), on plain handlers: an 8 KiB LAN
+// fetch keeps one body, and an evicting store keeps the stored body at
+// the far end and books one receipt at the near one.  A pass-down is
+// that store with the ring's placement and the directory around it.
+func TestHopAllocsPerRun(t *testing.T) {
+	const size, slots, runs = 8 << 10, 4, 200
+	cc := NewClientCacheOpts(Options{CapacityBytes: slots * size})
+	srv := httptest.NewServer(cc.Handler())
+	t.Cleanup(srv.Close)
+	t.Cleanup(cc.Close)
+	addr := strings.TrimPrefix(srv.URL, "http://")
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
+	t.Cleanup(px.CloseIdleConnections)
+	to := px.ring.add(addr)
+
+	// objs are 8 KiB objects never stored before, one for each store
+	// AllocsPerRun makes (runs, and one to warm up) in each case.
+	next := 0
+	objs := make([]store.Object, 2*(runs+1)+slots)
+	for i := range objs {
+		u := fmt.Sprintf("http://origin.test/alloc/%d", i)
+		objs[i] = store.Object{HexKey: keyOf(u).String(), Body: sizedBody(u, size), Cost: 1}
+	}
+	take := func() store.Object { next++; return objs[next-1] }
+	for range slots { // fill the daemon, so every store below evicts
+		if rec, err := px.storeAt(to, take(), false); rec == nil || err != nil {
+			t.Fatalf("fill store = (%v, %v)", rec, err)
+		}
+	}
+	if to.free.Load() != 0 {
+		t.Fatalf("headroom %d after the fill, want 0", to.free.Load())
+	}
+
+	lan := keyOf("http://origin.test/alloc/0")
+	if _, ok := cc.store.Get(fold(lan)); !ok {
+		t.Fatal("the LAN fetch's object is not at the daemon")
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		hop  func()
+	}{
+		{"lan-fetch-8KiB", 3, func() {
+			if body, ok := px.lanFetch(context.Background(), to, lan, ""); !ok || len(body) != size {
+				t.Fatalf("LAN fetch = (%d bytes, %v)", len(body), ok)
+			}
+		}},
+		{"evicting-store", 12, func() {
+			if rec, err := px.storeAt(to, take(), false); rec == nil || err != nil {
+				t.Fatalf("store = (%v, %v)", rec, err)
+			}
+		}},
+		{"evicting-pass-down", 12, func() {
+			px.passDown(take())
+		}},
+	} {
+		allocs := testing.AllocsPerRun(runs, tc.hop)
+		t.Logf("%s: %.1f allocations per hop", tc.name, allocs)
+		if allocs > tc.max {
+			t.Errorf("%s allocates %.1f objects per hop, both ends, want at most %.0f", tc.name, allocs, tc.max)
+		}
+	}
+	if st := px.snapshotStats(); st.PassDowns != runs+1 || st.StoreRefusals != 0 {
+		t.Errorf("pass-downs %d, refusals %d: want %d forced stores and no trial", st.PassDowns, st.StoreRefusals, runs+1)
+	}
+}
+
+// TestDecimalValueZeroAlloc holds the header-value memo to its point on
+// live_cascade's mix: once each value has been formatted, an 8 KiB
+// object's Content-Length and a full cache's headroom, 0, interleaved
+// with other sizes, cost nothing.
+func TestDecimalValueZeroAlloc(t *testing.T) {
+	values := []int{0, 8 << 10, 512, 0, 16 << 10, 8 << 10, 4 << 10, 0}
+	want := make([]string, len(values))
+	for i, n := range values {
+		want[i] = strconv.Itoa(n)
+		decimalValue(n)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for i, n := range values {
+			if v := decimalValue(n); v[0] != want[i] {
+				t.Fatalf("decimalValue(%d) = %q", n, v[0])
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per round of %d memoized values, want 0", allocs, len(values))
 	}
 }

@@ -163,17 +163,24 @@ func parseKey(r *http.Request) (pastry.ID, string, error) {
 
 // hexID parses a 32-hex-digit objectId, the one key form a daemon
 // takes from the wire.
-func hexID(hex string) (pastry.ID, bool) {
+func hexID[T string | []byte](hex T) (pastry.ID, bool) {
 	if len(hex) != 32 {
 		return pastry.ID{}, false
 	}
 	var raw [16]byte
-	for i := 0; i < 32; i += 2 {
-		v, err := strconv.ParseUint(hex[i:i+2], 16, 8)
-		if err != nil {
+	for i := range 32 {
+		var v byte
+		switch c := hex[i]; {
+		case '0' <= c && c <= '9':
+			v = c - '0'
+		case 'a' <= c && c <= 'f':
+			v = c - 'a' + 10
+		case 'A' <= c && c <= 'F':
+			v = c - 'A' + 10
+		default:
 			return pastry.ID{}, false
 		}
-		raw[i/2] = byte(v)
+		raw[i/2] = raw[i/2]<<4 | v
 	}
 	return pastry.IDFromBytes(raw[:]), true
 }
@@ -188,6 +195,115 @@ func foldHex(hexes []string) []trace.ObjectID {
 		}
 	}
 	return out
+}
+
+// appendReceipt appends a store receipt exactly as json.Encoder writes
+// StoreReceipt{Stored: stored, Evicted: the evicted objects' keys,
+// Reason: reason}, the trailing newline included.  Neither a key (32 hex
+// digits, as parseKey took it) nor a reason (a constant) has a byte
+// encoding/json would escape, so both are written as they are.
+func appendReceipt(b []byte, stored bool, evicted []store.Object, reason string) []byte {
+	b = strconv.AppendBool(append(b, `{"stored":`...), stored)
+	if len(evicted) > 0 {
+		b = append(b, `,"evicted":[`...)
+		for i, ev := range evicted {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(append(append(b, '"'), ev.HexKey...), '"')
+		}
+		b = append(b, ']')
+	}
+	if reason != "" {
+		b = append(append(append(b, `,"reason":"`...), reason...), '"')
+	}
+	return append(b, "}\n"...)
+}
+
+// receipt is a store receipt as a pass-down books it: whether the daemon
+// kept the body, and the folded keys of the well-formed ones among the
+// objects it says it evicted for it.
+type receipt struct {
+	stored  bool
+	evicted []trace.ObjectID
+}
+
+// decodeReceipt reads a /store reply's receipt (StoreReceipt's JSON).
+// One laid out as appendReceipt writes it, or with an explicit null list
+// or reason, is scanned where it lies; anything else goes to
+// encoding/json, and reads the same either way (FuzzStoreReceipt).
+func decodeReceipt(body []byte) (*receipt, error) {
+	if rec, ok := scanReceipt(body); ok {
+		return rec, nil
+	}
+	var r StoreReceipt
+	if err := json.Unmarshal(body, &r); err != nil {
+		return nil, err
+	}
+	return &receipt{stored: r.Stored, evicted: foldHex(r.Evicted)}, nil
+}
+
+// scanReceipt reads b as `{"stored":B[,"evicted":null|[S,...]][,"reason":S]}`
+// and an optional newline, where each string S is free of escapes and
+// control bytes; ok is false for anything else.
+func scanReceipt(b []byte) (rec *receipt, ok bool) {
+	lit := func(l string) bool {
+		if len(b) < len(l) || string(b[:len(l)]) != l {
+			return false
+		}
+		b = b[len(l):]
+		return true
+	}
+	str := func() ([]byte, bool) {
+		if !lit(`"`) {
+			return nil, false
+		}
+		for i, c := range b {
+			switch {
+			case c == '"':
+				s := b[:i]
+				b = b[i+1:]
+				return s, true
+			case c < 0x20 || c == '\\':
+				return nil, false
+			}
+		}
+		return nil, false
+	}
+	rec = new(receipt)
+	if !lit(`{"stored":`) {
+		return nil, false
+	}
+	if rec.stored = lit("true"); !rec.stored && !lit("false") {
+		return nil, false
+	}
+	if lit(`,"evicted":`) && !lit("null") {
+		if !lit("[") {
+			return nil, false
+		}
+		for n := 0; !lit("]"); n++ {
+			if n > 0 && !lit(",") {
+				return nil, false
+			}
+			hex, ok := str()
+			if !ok {
+				return nil, false
+			}
+			if id, ok := hexID(hex); ok {
+				rec.evicted = append(rec.evicted, fold(id))
+			}
+		}
+	}
+	if lit(`,"reason":`) {
+		if _, ok := str(); !ok {
+			return nil, false
+		}
+	}
+	if !lit("}") {
+		return nil, false
+	}
+	lit("\n")
+	return rec, len(b) == 0
 }
 
 // parseCost reads a /store's greedy-dual cost from the query: 1 unless
@@ -235,7 +351,7 @@ const FreeHeader = "X-Cache-Free"
 // reportHeadroom stamps FreeHeader (already in canonical MIME form) on
 // the reply.
 func (c *ClientCache) reportHeadroom(w http.ResponseWriter) {
-	w.Header()[FreeHeader] = []string{strconv.FormatUint(c.store.Headroom(), 10)}
+	w.Header()[FreeHeader] = decimalValue(int(c.store.Headroom()))
 }
 
 // refuseStore answers the diversion probe (§4.3): this cache would have
@@ -274,26 +390,14 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 	evicted, stored, err := c.store.Put(folded, store.Object{HexKey: hex, Body: body, Cost: cost})
 	c.stats.stores.Add(1)
 	c.reportHeadroom(w)
-	if stored && err == nil && len(evicted) == 0 {
-		// The common steady-state receipt ("stored, nothing evicted")
-		// is pre-serialized: no per-store encoder or receipt struct.
-		// The bytes are exactly what json.Encoder emits for it, so
-		// receivers cannot tell the paths apart.
-		w.Header()["Content-Type"] = contentTypeJSON
-		w.Write(receiptStoredClean)
-		return
-	}
-	receipt := StoreReceipt{Stored: stored}
+	reason := ""
 	if errors.Is(err, store.ErrEmptyObject) {
 		// Surfaced explicitly rather than coerced: a zero-length body
 		// is never cached, and the sender's directory must not list it.
-		receipt.Reason = "empty-object"
+		reason = "empty-object"
 	}
-	for _, ev := range evicted {
-		receipt.Evicted = append(receipt.Evicted, ev.HexKey)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(receipt)
+	w.Header()["Content-Type"] = contentTypeJSON
+	w.Write(appendReceipt(make([]byte, 0, 64+36*len(evicted)), stored, evicted, reason))
 }
 
 // snapshotStats reads the lock-free counters.

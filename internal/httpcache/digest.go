@@ -60,7 +60,7 @@ func (p *Proxy) handleDigest(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	h := w.Header()
-	h["Content-Length"] = contentLength(len(body))
+	h["Content-Length"] = decimalValue(len(body))
 	h["Content-Type"] = contentTypeOctet
 	w.Write(body)
 }
@@ -95,7 +95,7 @@ func (p *Proxy) pullDigest(to *peer) {
 	d := &to.digest
 	d.due.Store(p.stats.requests.Load() + DigestEvery)
 	var f *bloom.Filter
-	rep, err := p.hop(context.Background(), to, "GET", "/digest", nil, "")
+	rep, err := p.hop(context.Background(), to, request{route: "/digest"}, nil, "")
 	if err == nil && rep.status == http.StatusOK {
 		f = new(bloom.Filter)
 		if f.UnmarshalBinary(rep.body) != nil {

@@ -11,8 +11,12 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
+	"time"
+
+	"webcache/internal/pastry"
 )
 
 // This file is the member-to-member wire (DESIGN.md §9, "The wire"): the
@@ -63,26 +67,59 @@ var (
 	errFrameLength = errors.New("httpcache: frame body longer than its declaration")
 )
 
-// appendRequest encodes a request frame's head, path and trace id; the
-// body follows it on the wire.
-func appendRequest(b []byte, method, pathQuery, traceID string, bodyLen int) ([]byte, error) {
-	var m byte
-	switch method {
-	case http.MethodGet:
-		m = 'G'
-	case http.MethodPost:
-		m = 'P'
-	default:
-		return b, fmt.Errorf("httpcache: method %q has no frame", method)
+// The routes a hop names an object on, by its key.
+const (
+	routeObject     = "/object"
+	routeStore      = "/store"
+	routePeerLookup = "/peer-lookup"
+)
+
+// request is what a hop asks: a route and the query it takes, rendered
+// straight into the frame (appendRequest), so no path string is built
+// for it.  A route outside the three keyed ones is sent as it is, query
+// and all.
+type request struct {
+	route string
+	key   pastry.ID // ?key=, on routeObject, routePeerLookup and routeStore
+	// A routeStore's &cost= and, for a trial store, &ifFree=1.
+	cost   float64
+	ifFree bool
+}
+
+// appendPathQuery renders q's path and query.
+func (q *request) appendPathQuery(b []byte) []byte {
+	b = append(b, q.route...)
+	switch q.route {
+	case routeObject, routePeerLookup, routeStore:
+		b = q.key.AppendHex(append(b, "?key="...))
 	}
+	if q.route == routeStore {
+		b = strconv.AppendFloat(append(b, "&cost="...), q.cost, 'g', -1, 64)
+		if q.ifFree {
+			b = append(b, "&ifFree=1"...)
+		}
+	}
+	return b
+}
+
+// appendRequest encodes a request frame's head, path and trace id, a
+// POST when post is set and a GET otherwise; the body follows it on the
+// wire.
+func appendRequest(b []byte, q *request, post bool, traceID string, bodyLen int) ([]byte, error) {
+	start := len(b)
+	m := byte('G')
+	if post {
+		m = 'P'
+	}
+	b = append(b, m, byte(len(traceID)), 0, 0)
+	b = binary.BigEndian.AppendUint32(b, uint32(bodyLen))
+	b = q.appendPathQuery(b)
+	pathQuery := b[start+frameHead:]
 	if len(pathQuery) == 0 || pathQuery[0] != '/' || len(pathQuery) > maxPathQuery ||
 		len(traceID) > math.MaxUint8 || bodyLen > maxBody {
-		return b, errFrame
+		return b[:start], errFrame
 	}
-	b = append(b, m, byte(len(traceID)))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(pathQuery)))
-	b = binary.BigEndian.AppendUint32(b, uint32(bodyLen))
-	b = append(b, pathQuery...)
+	binary.BigEndian.PutUint16(b[start+2:], uint16(len(pathQuery)))
 	return append(b, traceID...), nil
 }
 
@@ -216,6 +253,10 @@ type frameConn struct {
 	net.Conn
 	br *bufio.Reader
 	bw *bufio.Writer
+	// abort closes the connection.  The client end binds it once, and
+	// each exchange for a cancellable caller hands it to
+	// context.AfterFunc without a closure of its own.
+	abort func()
 }
 
 func newFrameConn(c net.Conn) *frameConn {
@@ -232,7 +273,8 @@ const maxIdleFrames = 256
 type framePool struct {
 	mu   sync.Mutex
 	idle map[string][]*frameConn
-	// dial opens a connection (tests count the bytes through it).
+	// dial opens a connection under ctx, whose deadline is the
+	// exchange's (tests count the bytes through it).
 	dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
@@ -245,8 +287,9 @@ func newFramePool() *framePool {
 }
 
 // get returns an idle connection to addr, or dials and upgrades a new
-// one under ctx.  reused reports which.
-func (p *framePool) get(ctx context.Context, addr string) (c *frameConn, reused bool, err error) {
+// one by deadline, which ctx's cancellation cuts short.  reused reports
+// which.
+func (p *framePool) get(ctx context.Context, deadline time.Time, addr string) (c *frameConn, reused bool, err error) {
 	p.mu.Lock()
 	if cs := p.idle[addr]; len(cs) > 0 {
 		c = cs[len(cs)-1]
@@ -256,15 +299,17 @@ func (p *framePool) get(ctx context.Context, addr string) (c *frameConn, reused 
 		return c, true, nil
 	}
 	p.mu.Unlock()
-	raw, err := p.dial(ctx, addr)
+	// A dial is once per connection, so it may take a context of its own.
+	dctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
+	raw, err := p.dial(dctx, addr)
 	if err != nil {
 		return nil, false, err
 	}
 	c = newFrameConn(raw)
-	if d, ok := ctx.Deadline(); ok {
-		c.SetDeadline(d)
-	}
-	stop := context.AfterFunc(ctx, func() { raw.Close() })
+	c.abort = func() { raw.Close() }
+	c.SetDeadline(deadline)
+	stop := context.AfterFunc(ctx, c.abort)
 	err = c.upgrade(addr)
 	if !stop() {
 		err = ctx.Err()
@@ -318,20 +363,22 @@ func (p *framePool) closeIdle() {
 	}
 }
 
-// exchange sends one request frame to addr and reads its reply, under
-// ctx's deadline, which is set on the connection.  A cancelled ctx closes
-// the connection.  A pooled connection that brings back no byte of a
-// reply was closed by the far end while it sat idle, and the request is
-// sent again, on the next pooled connection or a fresh one, as net/http's
-// transport retries a request on a kept-alive connection the server had
-// closed; a fresh connection is never retried.
-func (p *framePool) exchange(ctx context.Context, addr, method, pathQuery string, body []byte, traceID string) (reply, error) {
+// exchange sends one request frame to addr and reads its reply by
+// deadline, which is set on the connection: a pooled connection never
+// carries its last exchange's.  A cancellable ctx closes the connection
+// when it is cancelled; a context.Background caller registers nothing.
+// A non-nil body is POSTed.  A pooled connection that brings back no
+// byte of a reply was closed by the far end while it sat idle, and the
+// request is sent again, on the next pooled connection or a fresh one,
+// as net/http's transport retries a request on a kept-alive connection
+// the server had closed; a fresh connection is never retried.
+func (p *framePool) exchange(ctx context.Context, deadline time.Time, addr string, q request, body []byte, traceID string) (reply, error) {
 	for {
-		c, reused, err := p.get(ctx, addr)
+		c, reused, err := p.get(ctx, deadline, addr)
 		if err != nil {
 			return reply{}, err
 		}
-		rep, err := c.roundTrip(ctx, method, pathQuery, body, traceID)
+		rep, err := c.roundTrip(ctx, deadline, &q, body, traceID)
 		if err == nil {
 			p.put(addr, c)
 			return rep, nil
@@ -344,19 +391,17 @@ func (p *framePool) exchange(ctx context.Context, addr, method, pathQuery string
 	}
 }
 
-func (c *frameConn) roundTrip(ctx context.Context, method, pathQuery string, body []byte, traceID string) (rep reply, err error) {
-	if d, ok := ctx.Deadline(); ok {
-		c.SetDeadline(d)
-	}
+func (c *frameConn) roundTrip(ctx context.Context, deadline time.Time, q *request, body []byte, traceID string) (rep reply, err error) {
+	c.SetDeadline(deadline)
 	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() { c.Conn.Close() })
+		stop := context.AfterFunc(ctx, c.abort)
 		defer func() {
 			if !stop() {
 				rep, err = reply{}, ctx.Err()
 			}
 		}()
 	}
-	head, err := appendRequest(c.bw.AvailableBuffer(), method, pathQuery, traceID, len(body))
+	head, err := appendRequest(c.bw.AvailableBuffer(), q, body != nil, traceID, len(body))
 	if err != nil {
 		return reply{}, err
 	}
@@ -403,6 +448,7 @@ type serverConn struct {
 	peeked   chan error
 	watching bool
 	w        frameWriter
+	in       inbound
 }
 
 // ServeHTTP upgrades the connection and serves frames on it until it
@@ -447,6 +493,11 @@ func (s *frameServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.ctx, c.cancel = context.WithCancel(r.Context())
 	c.w.c = c
 	c.w.header = make(http.Header)
+	c.in.base = *(&http.Request{
+		Proto: FrameProtocol, ProtoMajor: 1, ProtoMinor: 1, RemoteAddr: r.RemoteAddr,
+	}).WithContext(c.ctx)
+	c.in.header = make(http.Header, 1)
+	c.in.body.c = c
 	s.mu.Lock()
 	if s.draining { // it began while the upgrade was under way
 		s.mu.Unlock()
@@ -473,7 +524,6 @@ func (s *frameServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if c.bw.Flush() != nil {
 		return
 	}
-	remote := r.RemoteAddr
 	for {
 		if c.watching {
 			c.watching = false
@@ -485,7 +535,7 @@ func (s *frameServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if err != nil || !s.begin(c) {
 			return
 		}
-		if !c.serve(root, q, remote) || !s.end(c) {
+		if !c.serve(root, q) || !s.end(c) {
 			return
 		}
 	}
@@ -545,33 +595,43 @@ func (c *serverConn) startWatch() {
 	c.watch <- struct{}{}
 }
 
-// inbound is what one frame's request is built from.
+// inbound is what a frame's request is built from.  A connection keeps
+// one and rebuilds it for every frame, so a handler must not keep r, or
+// anything it reaches — its URL, header or body — once it has returned
+// (every handler and wrapper of the federation reads r only while it
+// serves).  Strings taken from r are the handler's to keep.
 type inbound struct {
-	url  url.URL
-	body frameBody
+	base   http.Request // what every frame's request starts as: its context, protocol and remote address
+	req    http.Request
+	url    url.URL
+	header http.Header
+	trace  [1]string
+	body   frameBody
 }
 
 // serve dispatches one frame and writes its reply; false ends the
 // connection.
-func (c *serverConn) serve(root http.Handler, q frameRequest, remote string) bool {
-	in := &inbound{body: frameBody{c: c, left: q.bodyLen}}
+func (c *serverConn) serve(root http.Handler, q frameRequest) bool {
+	in := &c.in
+	in.url = url.URL{}
 	in.url.Path, in.url.RawQuery, _ = strings.Cut(q.pathQuery, "?")
-	req := http.Request{
-		Method: q.method, URL: &in.url, RequestURI: q.pathQuery,
-		Proto: FrameProtocol, ProtoMajor: 1, ProtoMinor: 1,
-		Header: make(http.Header, 1), Body: http.NoBody, ContentLength: q.bodyLen,
-		RemoteAddr: remote,
-	}
+	clear(in.header)
 	if q.traceID != "" {
-		req.Header[TraceHeader] = []string{q.traceID}
+		in.trace[0] = q.traceID
+		in.header[TraceHeader] = in.trace[:]
 	}
+	in.body.left = q.bodyLen
+	in.req = in.base // every field a handler or the mux set is reset
+	req := &in.req
+	req.Method, req.URL, req.RequestURI = q.method, &in.url, q.pathQuery
+	req.Header, req.Body, req.ContentLength = in.header, http.NoBody, q.bodyLen
 	if q.bodyLen > 0 {
 		req.Body = &in.body
 	} else {
 		c.startWatch()
 	}
 	c.w.reset()
-	root.ServeHTTP(&c.w, req.WithContext(c.ctx))
+	root.ServeHTTP(&c.w, req)
 	err := c.w.finish()
 	if ferr := c.bw.Flush(); err == nil {
 		err = ferr

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -67,13 +69,11 @@ func askFramed(t testing.TB, base, pathQuery, traceID string) reply {
 	t.Helper()
 	pool := newFramePool()
 	defer pool.closeIdle()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	to, err := parsePeers([]string{base})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pool.exchange(ctx, to[0].addr, "GET", pathQuery, nil, traceID)
+	rep, err := pool.exchange(context.Background(), time.Now().Add(5*time.Second), to[0].addr, request{route: pathQuery}, nil, traceID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +126,40 @@ func TestHopWritesOnce(t *testing.T) {
 	}
 }
 
+// A pooled connection never carries its last exchange's deadline: an
+// exchange under a 20 ms deadline, then, once that deadline has passed,
+// one under 2 s on the same connection, which succeeds.
+func TestPooledConnectionTakesEachDeadline(t *testing.T) {
+	f := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("ok"))
+	}))
+	pool := newFramePool()
+	t.Cleanup(pool.closeIdle)
+	var dials atomic.Int64
+	dial := pool.dial
+	pool.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return dial(ctx, addr)
+	}
+	ask := func(d time.Duration) error {
+		rep, err := pool.exchange(context.Background(), time.Now().Add(d), f.addr, request{route: "/ok"}, nil, "")
+		if err == nil && (rep.status != http.StatusOK || string(rep.body) != "ok") {
+			t.Fatalf("reply %d %q", rep.status, rep.body)
+		}
+		return err
+	}
+	if err := ask(20 * time.Millisecond); err != nil { // the dial, the upgrade and the exchange
+		t.Fatalf("the 20 ms exchange: %v", err)
+	}
+	time.Sleep(40 * time.Millisecond)
+	if err := ask(2 * time.Second); err != nil {
+		t.Fatalf("a 2 s exchange after a 20 ms one had run out: %v", err)
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("%d dials, want both exchanges on one connection", got)
+	}
+}
+
 // FuzzHopReply feeds the frame reply decoder whatever a far end may send:
 // any status, any declaration, a connection that ends anywhere.  Whatever
 // it gets, readReply does not panic, a body it returns is exactly as long
@@ -171,7 +205,7 @@ func FuzzFrameRequest(f *testing.F) {
 		{"POST", "/store?key=00112233445566778899aabbccddeeff&cost=1&ifFree=1", "", []byte("a body")},
 		{"GET", "/digest", "", nil},
 	} {
-		b, err := appendRequest(nil, seed.method, seed.path, seed.trace, len(seed.body))
+		b, err := appendRequest(nil, &request{route: seed.path}, seed.method == http.MethodPost, seed.trace, len(seed.body))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -204,38 +238,47 @@ func FuzzFrameRequest(f *testing.F) {
 }
 
 // FuzzStoreReceipt feeds a pass-down any receipt a client cache may send
-// (a /store reply's JSON).  A receipt decodeReceipt takes leaves the
-// directory listing the stored key if, and only if, the receipt says it
-// was stored and not also evicted, and listing none of the well-formed
-// keys it says were evicted; nothing panics.
+// (a /store reply's JSON).  decodeReceipt reads it as encoding/json reads
+// it into a StoreReceipt: it takes what json.Unmarshal takes and nothing
+// else, with the same stored flag and the same well-formed evicted keys,
+// whether the scan or the fallback read it.  A receipt it takes leaves
+// the directory listing the stored key if, and only if, the receipt says
+// it was stored and not also evicted, and listing none of the keys it
+// says were evicted; nothing panics.
 func FuzzStoreReceipt(f *testing.F) {
 	stored := keyOf("http://origin.test/stored")
 	other := keyOf("http://origin.test/other").String()
-	f.Add(receiptStoredClean)
+	f.Add([]byte("{\"stored\":true}\n"))
 	f.Add([]byte(`{"stored":true,"evicted":["` + other + `"]}`))
 	f.Add([]byte(`{"stored":false,"reason":"empty-object"}`))
 	f.Add([]byte(`{"stored":true,"evicted":["` + stored.String() + `","nothex",""]}`))
 	f.Add([]byte(`{"stored":true,"evicted":null,"reason":""}`))
+	f.Add([]byte(`{"stored":true,"evicted":["` + strings.ToUpper(other) + `"]}` + "\n"))
+	f.Add([]byte(`{"evicted":["` + other + `"],"stored":true}`))
+	f.Add([]byte(`{"stored":true,"evicted":["a\u0030"]} `))
 	f.Add([]byte(`[1,2]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeReceipt(data)
+		var want StoreReceipt
+		if jerr := json.Unmarshal(data, &want); (err == nil) != (jerr == nil) {
+			t.Fatalf("receipt %q: decodeReceipt error %v, json.Unmarshal error %v", data, err, jerr)
+		}
 		if err != nil {
 			return
+		}
+		if rec.stored != want.Stored || !slices.Equal(rec.evicted, foldHex(want.Evicted)) {
+			t.Fatalf("receipt %q: decoded (%v, %x), encoding/json reads (%v, %x)", data, rec.stored, rec.evicted, want.Stored, foldHex(want.Evicted))
 		}
 		px := newProxy(t, Options{CapacityBytes: 1 << 20})
 		px.dir.Add(fold(keyOf(other)))
 		px.applyReceipt(fold(stored), []byte("body"), rec, false)
-		evicted := foldHex(rec.Evicted)
-		for _, ev := range evicted {
+		for _, ev := range rec.evicted {
 			if px.dir.MayContain(ev) {
 				t.Errorf("receipt %q: evicted key %x still listed", data, ev)
 			}
 		}
-		selfEvicted := false
-		for _, ev := range evicted {
-			selfEvicted = selfEvicted || ev == fold(stored)
-		}
-		if want := rec.Stored && !selfEvicted; px.dir.MayContain(fold(stored)) != want {
+		selfEvicted := slices.Contains(rec.evicted, fold(stored))
+		if want := rec.stored && !selfEvicted; px.dir.MayContain(fold(stored)) != want {
 			t.Errorf("receipt %q: stored key listed %v, want %v", data, !want, want)
 		}
 	})
@@ -252,7 +295,7 @@ func TestFrameShutdownClosesConnections(t *testing.T) {
 	pool := newFramePool()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if rep, err := pool.exchange(ctx, addr, "GET", "/object?key="+keyOf("absent").String(), nil, ""); err != nil || rep.status != http.StatusNotFound {
+	if rep, err := pool.exchange(ctx, time.Now().Add(5*time.Second), addr, request{route: routeObject, key: keyOf("absent")}, nil, ""); err != nil || rep.status != http.StatusNotFound {
 		t.Fatalf("miss = (%d, %v), want a 404", rep.status, err)
 	}
 	conn := pool.idle[addr][0]
@@ -313,7 +356,7 @@ func TestAbandonedPeerLookupCancelsRelay(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := px.hop(ctx, px.coop[0], "GET", "/peer-lookup?key="+keyOf(objURL).String(), nil, "")
+		_, err := px.hop(ctx, px.coop[0], request{route: routePeerLookup, key: keyOf(objURL)}, nil, "")
 		errc <- err
 	}()
 	time.Sleep(100 * time.Millisecond) // the relay's /object is out

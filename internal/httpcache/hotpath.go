@@ -64,23 +64,29 @@ var servedBy = map[string][]string{
 // type nobody reads.
 var contentTypeOctet = []string{"application/octet-stream"}
 
-// lengthValues memoizes Content-Length header values, one slot per length
-// modulo the table size: a cache serves the same objects again and again,
-// so a hit finds its value here and allocates nothing, and lengths that
-// share a slot only cost each other a re-format.  Entries are immutable.
-var lengthValues [1 << 10]atomic.Pointer[lengthValue]
+// decimalValues memoizes decimal header values (Content-Length,
+// X-Cache-Free): a cache serves the same objects again and again, and a
+// full client cache reports the same headroom, so a hit finds its value
+// here and allocates nothing, and values that share a slot only cost each
+// other a re-format.  A value's slot is a multiplicative hash of it, not
+// the value modulo the table size, under which an object size and a full
+// cache's 0 headroom, a power of two apart, would evict each other on
+// every store.  Entries are immutable.
+const decimalBits = 10
 
-type lengthValue struct {
+var decimalValues [1 << decimalBits]atomic.Pointer[decimal]
+
+type decimal struct {
 	n int
 	v []string
 }
 
-func contentLength(n int) []string {
-	slot := &lengthValues[uint(n)%uint(len(lengthValues))]
+func decimalValue(n int) []string {
+	slot := &decimalValues[uint64(n)*0x9e3779b97f4a7c15>>(64-decimalBits)]
 	if e := slot.Load(); e != nil && e.n == n {
 		return e.v
 	}
-	e := &lengthValue{n, []string{strconv.Itoa(n)}}
+	e := &decimal{n, []string{strconv.Itoa(n)}}
 	slot.Store(e)
 	return e.v
 }
@@ -99,21 +105,13 @@ func serve(w http.ResponseWriter, body []byte, tier string) {
 		// path.
 		h.Set(ServedByHeader, tier)
 	}
-	h["Content-Length"] = contentLength(len(body))
+	h["Content-Length"] = decimalValue(len(body))
 	h["Content-Type"] = contentTypeOctet
 	w.Write(body)
 }
 
-// contentTypeJSON and receiptStoredClean back the store-receipt fast
-// path: the steady-state receipt ("stored, nothing evicted, no
-// refusal") is the overwhelmingly common one, and its serialization
-// never changes.  The bytes match json.Encoder's output for
-// StoreReceipt{Stored: true} exactly — including the trailing newline
-// — which TestReceiptFastPathBytes pins.
-var (
-	contentTypeJSON    = []string{"application/json"}
-	receiptStoredClean = []byte("{\"stored\":true}\n")
-)
+// contentTypeJSON is what a store receipt is declared as.
+var contentTypeJSON = []string{"application/json"}
 
 // maxBody bounds a POSTed object body.
 const maxBody = 64 << 20
@@ -125,5 +123,8 @@ func readRetainedBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	if r.ContentLength > maxBody {
 		return nil, &http.MaxBytesError{Limit: maxBody}
 	}
-	return readBody(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength)
+	if r.ContentLength >= 0 {
+		return readBody(r.Body, r.ContentLength) // read to its declaration and no further
+	}
+	return readBody(http.MaxBytesReader(w, r.Body, maxBody), -1)
 }

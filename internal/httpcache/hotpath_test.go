@@ -6,7 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
+
+	"webcache/internal/store"
 )
 
 // TestQueryParamMatchesURLValues holds the zero-alloc query scanner to
@@ -35,16 +38,35 @@ func TestQueryParamMatchesURLValues(t *testing.T) {
 	}
 }
 
-// TestReceiptFastPathBytes pins the pre-serialized receipt to what
-// json.Encoder emits for the same value, so the fast path is
-// indistinguishable on the wire from the encoding path it bypasses.
+// TestReceiptFastPathBytes pins the append-based receipt encoder to what
+// json.Encoder emits for the same StoreReceipt, so the receipt on the
+// wire is the one the encoder wrote: stored or not, with none, one or
+// several evicted keys (upper-case hex included), and with a reason.
 func TestReceiptFastPathBytes(t *testing.T) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(StoreReceipt{Stored: true}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), receiptStoredClean) {
-		t.Fatalf("receiptStoredClean = %q, json.Encoder emits %q", receiptStoredClean, buf.Bytes())
+	key := func(u string) store.Object { return store.Object{HexKey: keyOf(u).String()} }
+	for _, tc := range []struct {
+		stored  bool
+		evicted []store.Object
+		reason  string
+	}{
+		{stored: true},
+		{stored: false},
+		{stored: true, evicted: []store.Object{key("a")}},
+		{stored: true, evicted: []store.Object{key("a"), key("b"), key("c")}},
+		{stored: false, reason: "empty-object"},
+		{stored: true, evicted: []store.Object{{HexKey: strings.ToUpper(keyOf("d").String())}}},
+	} {
+		want := StoreReceipt{Stored: tc.stored, Reason: tc.reason}
+		for _, ev := range tc.evicted {
+			want.Evicted = append(want.Evicted, ev.HexKey)
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendReceipt(nil, tc.stored, tc.evicted, tc.reason); !bytes.Equal(got, buf.Bytes()) {
+			t.Errorf("appendReceipt = %q, json.Encoder emits %q", got, buf.Bytes())
+		}
 	}
 }
 

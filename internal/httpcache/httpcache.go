@@ -133,36 +133,36 @@ func (r *ring) remove(m *peer) {
 	}
 }
 
-// neighbours returns the members next to m on the ring, successor then
-// predecessor (one on a ring of two, none alone), whether or not m is
-// still a member itself: the stand-in for the owner's leaf set, and so
-// the diversion candidates (§4.3).
-func (r *ring) neighbours(m *peer) []*peer {
+// neighbours appends to dst the members next to m on the ring,
+// successor then predecessor (one on a ring of two, none alone), whether
+// or not m is still a member itself: the stand-in for the owner's leaf
+// set, and so the diversion candidates (§4.3).
+func (r *ring) neighbours(dst []*peer, m *peer) []*peer {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	n := len(r.members)
 	if n == 0 {
-		return nil
+		return dst
 	}
 	i := r.search(m.id)
 	succ := i % n
 	if r.members[succ].id == m.id {
 		succ = (i + 1) % n
 	}
-	var out []*peer
+	base := len(dst)
 	for _, j := range [2]int{succ, (i + n - 1) % n} {
-		if a := r.members[j]; a.id != m.id && (len(out) == 0 || out[0] != a) {
-			out = append(out, a)
+		if a := r.members[j]; a.id != m.id && (len(dst) == base || dst[base] != a) {
+			dst = append(dst, a)
 		}
 	}
-	return out
+	return dst
 }
 
-// candidates returns owner followed by its ring neighbours: the caches
-// an object of owner's may be at, a diversion having placed it next
-// door (§4.3), in the order to place it or to look for it.
-func (r *ring) candidates(owner *peer) []*peer {
-	return append([]*peer{owner}, r.neighbours(owner)...)
+// candidates appends to dst owner followed by its ring neighbours: the
+// caches an object of owner's may be at, a diversion having placed it
+// next door (§4.3), in the order to place it or to look for it.
+func (r *ring) candidates(dst []*peer, owner *peer) []*peer {
+	return r.neighbours(append(dst, owner), owner)
 }
 
 // owner returns the cache whose id is numerically closest to key (the

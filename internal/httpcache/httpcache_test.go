@@ -351,7 +351,7 @@ func TestRing(t *testing.T) {
 // divert once those two were full.
 func TestRingNeighbours(t *testing.T) {
 	var r ring
-	if got := r.neighbours(&peer{addr: "a:1", id: pastry.HashString("a:1")}); len(got) != 0 {
+	if got := r.neighbours(nil, &peer{addr: "a:1", id: pastry.HashString("a:1")}); len(got) != 0 {
 		t.Fatalf("neighbours on an empty ring = %v", got)
 	}
 	var addrs []string
@@ -362,7 +362,7 @@ func TestRingNeighbours(t *testing.T) {
 		if i == 0 {
 			first = m
 		}
-		switch got := addrsOf(r.neighbours(first)); {
+		switch got := addrsOf(r.neighbours(nil, first)); {
 		case i == 0 && len(got) != 0:
 			t.Fatalf("neighbours of the only member = %v", got)
 		case i == 1 && !slices.Equal(got, addrs[1:2]):
@@ -377,12 +377,12 @@ func TestRingNeighbours(t *testing.T) {
 	for i, a := range sorted {
 		want := []string{sorted[(i+1)%n], sorted[(i+n-1)%n]}
 		m := r.members[r.search(pastry.HashString(a))]
-		if got := addrsOf(r.neighbours(m)); !slices.Equal(got, want) {
+		if got := addrsOf(r.neighbours(nil, m)); !slices.Equal(got, want) {
 			t.Errorf("neighbours(%s) = %v, want successor and predecessor %v", a, got, want)
 		}
 		// A member that has just left still names the same neighbours.
 		r.remove(m)
-		if got := addrsOf(r.neighbours(m)); !slices.Equal(got, want) {
+		if got := addrsOf(r.neighbours(nil, m)); !slices.Equal(got, want) {
 			t.Errorf("neighbours(%s) after it left = %v, want %v", a, got, want)
 		}
 		r.add(a)
@@ -430,10 +430,15 @@ func TestFoldDeterministic(t *testing.T) {
 
 func TestKeyFromHexRoundTrip(t *testing.T) {
 	id := pastry.HashString("round-trip")
-	if got, ok := hexID(id.String()); !ok || got != id {
-		t.Fatalf("hexID(%s) = %v, %v, want %v", id, got, ok, id)
+	for _, hex := range []string{id.String(), strings.ToUpper(id.String())} {
+		if got, ok := hexID(hex); !ok || got != id {
+			t.Fatalf("hexID(%s) = %v, %v, want %v", hex, got, ok, id)
+		}
+		if got, ok := hexID([]byte(hex)); !ok || got != id {
+			t.Fatalf("hexID([]byte(%s)) = %v, %v, want %v", hex, got, ok, id)
+		}
 	}
-	for _, bad := range []string{"", "zz", id.String()[:31], id.String() + "0", "zz" + id.String()[2:]} {
+	for _, bad := range []string{"", "zz", id.String()[:31], id.String() + "0", "zz" + id.String()[2:], "+f" + id.String()[2:], "0x" + id.String()[2:]} {
 		if _, ok := hexID(bad); ok {
 			t.Errorf("hexID(%q) accepted a malformed key", bad)
 		}

@@ -240,7 +240,7 @@ func TestPassDownHeaderlessDaemonProbed(t *testing.T) {
 				http.Error(w, "no free space", http.StatusInsufficientStorage)
 				return
 			}
-			w.Write(receiptStoredClean)
+			w.Write([]byte("{\"stored\":true}\n"))
 		}))
 		px.ring.add(srv.addr)
 	}

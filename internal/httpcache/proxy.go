@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -302,7 +301,7 @@ const (
 // cooperating proxy's lookup is relayed through this proxy instead).
 func (p *Proxy) lanFetch(ctx context.Context, to *peer, id pastry.ID, traceID string) ([]byte, bool) {
 	start := time.Now()
-	rep, err := p.hop(ctx, to, "GET", "/object?key="+id.String(), nil, traceID)
+	rep, err := p.hop(ctx, to, request{route: routeObject, key: id}, nil, traceID)
 	if err != nil || rep.status != http.StatusOK {
 		return nil, false
 	}
@@ -328,10 +327,11 @@ func (p *Proxy) passDown(obj store.Object) {
 	if owner == nil {
 		return // no client caches registered: the object is dropped
 	}
-	var rec *StoreReceipt
+	var rec *receipt
 	var ownerErr error
 	diverted := false
-	for i, cand := range p.ring.candidates(owner) {
+	var cands [3]*peer
+	for i, cand := range p.ring.candidates(cands[:0], owner) {
 		if !p.ring.mayFit(cand, len(obj.Body)) {
 			continue
 		}
@@ -361,23 +361,21 @@ func (p *Proxy) passDown(obj store.Object) {
 
 // applyReceipt books what a client cache's store receipt says it did
 // with one passed-down body: the ledger, the directory (the stored key
-// listed, the evicted ones unlisted) and the body digests.  Evicted keys
-// that are not well formed are skipped.
-func (p *Proxy) applyReceipt(folded trace.ObjectID, body []byte, rec *StoreReceipt, diverted bool) {
-	evicted := foldHex(rec.Evicted)
-	p.recordReceipt(p2p.Receipt{Stored: folded, StoredOK: rec.Stored, Diverted: diverted, Evicted: evicted})
+// listed, the evicted ones unlisted) and the body digests.
+func (p *Proxy) applyReceipt(folded trace.ObjectID, body []byte, rec *receipt, diverted bool) {
+	p.recordReceipt(p2p.Receipt{Stored: folded, StoredOK: rec.stored, Diverted: diverted, Evicted: rec.evicted})
 	p.mu.Lock()
-	if rec.Stored {
+	if rec.stored {
 		p.dir.Add(folded)
 	}
-	for _, ev := range evicted {
+	for _, ev := range rec.evicted {
 		p.dir.Remove(ev)
 	}
 	p.mu.Unlock()
-	if rec.Stored {
+	if rec.stored {
 		p.recordDigest(folded, body)
 	}
-	for _, ev := range evicted {
+	for _, ev := range rec.evicted {
 		p.dropDigest(ev)
 	}
 }
@@ -389,13 +387,10 @@ func (p *Proxy) applyReceipt(folded trace.ObjectID, body []byte, rec *StoreRecei
 // no sense.  The hop does not descend from the /fetch that evicted: the
 // object has already left the proxy, and a requester hanging up must
 // not lose it.
-func (p *Proxy) storeAt(to *peer, obj store.Object, ifFree bool) (*StoreReceipt, error) {
-	path := "/store?key=" + obj.HexKey + "&cost=" + strconv.FormatFloat(obj.Cost, 'g', -1, 64)
-	if ifFree {
-		path += "&ifFree=1"
-	}
+func (p *Proxy) storeAt(to *peer, obj store.Object, ifFree bool) (*receipt, error) {
+	id, _ := hexID(obj.HexKey)
 	p.stats.storeCalls.Add(1)
-	rep, err := p.hop(context.Background(), to, "POST", path, obj.Body, "")
+	rep, err := p.hop(context.Background(), to, request{route: routeStore, key: id, cost: obj.Cost, ifFree: ifFree}, obj.Body, "")
 	if err != nil {
 		return nil, err
 	}
@@ -414,15 +409,6 @@ func (p *Proxy) storeAt(to *peer, obj store.Object, ifFree bool) (*StoreReceipt,
 		return nil, fmt.Errorf("store at %s: reading receipt: %w", to.addr, err)
 	}
 	return rec, nil
-}
-
-// decodeReceipt reads a /store reply's receipt (StoreReceipt's JSON).
-func decodeReceipt(body []byte) (*StoreReceipt, error) {
-	var rec StoreReceipt
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return nil, err
-	}
-	return &rec, nil
 }
 
 // sweepTimeout is how long a liveness probe waits for its reply.
@@ -449,9 +435,7 @@ func (p *Proxy) SweepClientCaches() []string {
 			removed = append(removed, m.addr)
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), sweepTimeout)
-		_, err := p.hops.exchange(ctx, m.addr, "GET", "/healthz", nil, "")
-		cancel()
+		_, err := p.hops.exchange(context.Background(), time.Now().Add(sweepTimeout), m.addr, request{route: "/healthz"}, nil, "")
 		if err != nil {
 			p.ring.remove(m)
 			p.stats.swept.Add(1)

@@ -512,6 +512,55 @@ func TestPassDownBoundedPerHop(t *testing.T) {
 	}
 }
 
+// A pass-down's hop has no context deadline, only the connection's: a
+// daemon that stalls past it and then answers still costs one per-hop
+// deadline, books exactly one peer_timeout and one strike, and keeps its
+// place on the ring.  Its late receipt is never read: the next pass-down
+// to it books its own object and not the stalled one.
+func TestPassDownStallPastDeadline(t *testing.T) {
+	const deadline = hardenedPeerTimeout
+	var stall atomic.Int64
+	stall.Store(int64(4 * deadline))
+	slow := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		time.Sleep(time.Duration(stall.Load()))
+		w.Header()[FreeHeader] = []string{"1000"}
+		w.Write([]byte("{\"stored\":true}\n"))
+	}))
+	px := newProxy(t, Options{CapacityBytes: 1 << 20, Hardened: true})
+	px.ring.add(slow.addr)
+	stalled, next := evictedObj("http://origin.test/stalled"), evictedObj("http://origin.test/next")
+
+	start := time.Now()
+	px.passDown(stalled)
+	if elapsed := time.Since(start); elapsed < deadline || elapsed > deadline+2*time.Second {
+		t.Fatalf("the stalled pass-down took %v, want one %v hop deadline (plus margin)", elapsed, deadline)
+	}
+	st := px.snapshotStats()
+	if st.StoreCalls != 1 || st.PassDowns != 0 || st.Defense.PeerTimeouts != 1 {
+		t.Fatalf("store_calls %d, pass_downs %d, peer_timeouts %d, want 1, 0, 1",
+			st.StoreCalls, st.PassDowns, st.Defense.PeerTimeouts)
+	}
+	if px.ring.size() != 1 {
+		t.Fatal("a deadline took the daemon off the ring")
+	}
+	if got := member(px, slow.addr).ledger.timeouts.Load(); got != 1 {
+		t.Fatalf("daemon has %d timeout strikes, want 1", got)
+	}
+
+	stall.Store(0)
+	time.Sleep(4 * deadline) // the stalled handler answers into a closed connection
+	px.passDown(next)
+	st = px.snapshotStats()
+	if st.StoreCalls != 2 || st.PassDowns != 1 || st.Defense.PeerTimeouts != 1 {
+		t.Fatalf("after the stall: store_calls %d, pass_downs %d, peer_timeouts %d, want 2, 1, 1",
+			st.StoreCalls, st.PassDowns, st.Defense.PeerTimeouts)
+	}
+	if px.dir.MayContain(fold(keyOf("http://origin.test/stalled"))) || !px.dir.MayContain(fold(keyOf("http://origin.test/next"))) {
+		t.Fatal("the directory lists the stalled object, or not the one stored after it")
+	}
+}
+
 // The digest row of the failure matrix: a cooperating proxy whose
 // /digest answers garbage, 5xx, a short body, a refusal or nothing at
 // all.  Each drops the digest held, so the peer is asked again as if

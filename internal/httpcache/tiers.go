@@ -204,7 +204,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 				unlist(q) // listed, and no cache left that could hold it
 				return nil
 			}
-			return p.ring.candidates(owner)
+			return p.ring.candidates(make([]*peer, 0, 3), owner)
 		},
 		ask: func(q fetchReq, to *peer, n int) (served, error) {
 			body, ok := p.lanFetch(q.r.Context(), to, q.id, q.st.TraceID())
@@ -240,7 +240,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 			return p.digestAdmits(q, to)
 		},
 		ask: func(q fetchReq, to *peer, _ int) (served, error) {
-			rep, err := p.hop(q.r.Context(), to, "GET", "/peer-lookup?key="+q.id.String(), nil, q.st.TraceID())
+			rep, err := p.hop(q.r.Context(), to, request{route: routePeerLookup, key: q.id}, nil, q.st.TraceID())
 			if err != nil {
 				return served{}, err
 			}

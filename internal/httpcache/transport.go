@@ -130,12 +130,12 @@ type reply struct {
 
 // hop is one call to another daemon of the federation, over a pooled
 // frame connection (frame.go), and the only place a per-hop deadline is
-// set.  The deadline is peerTimeout()
-// layered on parent: a hop made for a requester passes the requester's
-// context, so hanging up cancels it, and one that must outlive the
-// request that caused it (a pass-down) passes its own.  A
-// non-nil body is POSTed; traceID, when set, joins the far end's spans
-// to the caller's trace.
+// set: peerTimeout() from now, or parent's deadline if that comes first,
+// set on the connection.  A hop made for a requester passes the
+// requester's context, so hanging up cancels it, and one that must
+// outlive the request that caused it (a pass-down) passes
+// context.Background.  A non-nil body is POSTed; traceID, when set,
+// joins the far end's spans to the caller's trace.
 //
 // A hop that brings no complete reply is judged here, the same way for
 // every caller.  The deadline (or the parent's cancellation while the
@@ -146,19 +146,19 @@ type reply struct {
 // made with, not one its daemon has registered since.  For a proxy both are a
 // failure for its breaker.  What a status means is the caller's
 // business, a proxy's peerOK included.
-func (p *Proxy) hop(parent context.Context, to *peer, method, pathQuery string, body []byte, traceID string) (reply, error) {
+func (p *Proxy) hop(parent context.Context, to *peer, q request, body []byte, traceID string) (reply, error) {
 	if err := parent.Err(); err != nil {
 		return reply{}, err // whoever the hop was for is gone: nobody is asked, nobody judged
 	}
-	ctx, cancel := context.WithTimeout(parent, p.peerTimeout())
-	defer cancel()
-	rep, err := p.hops.exchange(ctx, to.addr, method, pathQuery, body, traceID)
+	deadline := time.Now().Add(p.peerTimeout())
+	if d, ok := parent.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	rep, err := p.hops.exchange(parent, deadline, to.addr, q, body, traceID)
 	if err == nil {
 		return rep, nil
 	}
-	// The connection's deadline is the context's, and may be seen to run
-	// out a moment before the context's own timer.
-	timedOut := ctx.Err() != nil || isTimeout(err)
+	timedOut := parent.Err() != nil || isTimeout(err)
 	if timedOut {
 		p.stats.peerTimeouts.Add(1)
 	}

@@ -197,7 +197,7 @@ func TestDeclaredLengthUntrusted(t *testing.T) {
 	}))
 	short := f.px.ring.add(liar.addr)
 	runtime.ReadMemStats(&before)
-	_, err := f.px.hop(context.Background(), short, "GET", "/object?key=x", nil, "")
+	_, err := f.px.hop(context.Background(), short, request{route: "/object?key=x"}, nil, "")
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a body ten bytes into a 4 GiB declaration came back whole")

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -133,6 +134,27 @@ func pick(caps []uint64, i int) (uint64, error) {
 	}
 }
 
+// origin is the loopback origin: a deterministic body per object path,
+// "origin:<path>:" padded with x to size bytes and cut there, so live
+// cache occupancy matches trace cache units.  The body is written in
+// pieces from the path and one shared pad, and never built.  It declares
+// its length and type as any real origin does; left to net/http, bodies
+// past 2 KiB would leave chunked.
+func origin(size int) http.Handler {
+	pad := strings.Repeat("x", size)
+	length, textPlain := []string{strconv.Itoa(size)}, []string{"text/plain; charset=utf-8"}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header()["Content-Length"], w.Header()["Content-Type"] = length, textPlain
+		left := size
+		for _, s := range [...]string{"origin:", r.URL.Path, ":", pad} {
+			if n := min(left, len(s)); n > 0 {
+				io.WriteString(w, s[:n])
+				left -= n
+			}
+		}
+	})
+}
+
 // StartLoopback stands the topology up.  On error, anything already
 // started is shut down.
 func StartLoopback(cfg TopologyConfig) (*Topology, error) {
@@ -160,21 +182,11 @@ func StartLoopback(cfg TopologyConfig) (*Topology, error) {
 		}
 	}()
 
-	// Origin: a deterministic body per object path, padded to
-	// ObjectBytes so live cache occupancy matches trace cache units.
-	// It declares its length and type as any real origin does; left to
-	// net/http, bodies past 2 KiB would leave chunked.
-	pad := strings.Repeat("x", cfg.ObjectBytes)
-	length, textPlain := []string{strconv.Itoa(cfg.ObjectBytes)}, []string{"text/plain; charset=utf-8"}
 	originLn, err := listen()
 	if err != nil {
 		return nil, err
 	}
-	t.serve(originLn, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body := "origin:" + r.URL.Path + ":" + pad
-		w.Header()["Content-Length"], w.Header()["Content-Type"] = length, textPlain
-		w.Write([]byte(body[:cfg.ObjectBytes]))
-	}))
+	t.serve(originLn, origin(cfg.ObjectBytes))
 	t.OriginURL = "http://" + originLn.Addr().String()
 
 	// Every proxy's listener is bound first, so each daemon is built with

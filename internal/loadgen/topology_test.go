@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -167,6 +169,25 @@ func TestWrappersSeeFramedHops(t *testing.T) {
 	for c, ok := range want {
 		if !ok {
 			t.Errorf("the %s wrapper never saw a framed %s with trace id %q", c.daemon, c.path, c.trace)
+		}
+	}
+}
+
+// The loopback origin writes its body in pieces; the bytes are the ones
+// the old rendering built whole, ("origin:"+path+":"+pad)[:size], at an
+// object size of 512 B and of 8 KiB, and at two sizes shorter than the
+// "origin:<path>:" prefix.
+func TestOriginBodyMatchesOldRendering(t *testing.T) {
+	const path = "/obj/1234567"
+	for _, size := range []int{512, 8 << 10, 3, len("origin:" + path)} {
+		rec := httptest.NewRecorder()
+		origin(size).ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		want := ("origin:" + path + ":" + strings.Repeat("x", size))[:size]
+		if got := rec.Body.String(); got != want {
+			t.Errorf("size %d: served %q, want %q", size, got, want)
+		}
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(size) {
+			t.Errorf("size %d: Content-Length %q", size, got)
 		}
 	}
 }

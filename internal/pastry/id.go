@@ -73,10 +73,16 @@ func HashUint64(v uint64) ID {
 
 // String renders the ID as 32 hex digits.
 func (a ID) String() string {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], a.hi)
-	binary.BigEndian.PutUint64(b[8:], a.lo)
-	return hex.EncodeToString(b[:])
+	var b [32]byte
+	return string(a.AppendHex(b[:0]))
+}
+
+// AppendHex appends the ID's 32 hex digits (String's) to b.
+func (a ID) AppendHex(b []byte) []byte {
+	var raw [16]byte
+	binary.BigEndian.PutUint64(raw[:8], a.hi)
+	binary.BigEndian.PutUint64(raw[8:], a.lo)
+	return hex.AppendEncode(b, raw[:])
 }
 
 // Fold compresses the 128-bit ID into the 64-bit key the live data

@@ -20,6 +20,9 @@ func TestIDFromBytesAndString(t *testing.T) {
 	if got, want := id.String(), "000102030405060708090a0b0c0d0e0f"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
+	if got, want := string(id.AppendHex([]byte("key="))), "key=000102030405060708090a0b0c0d0e0f"; got != want {
+		t.Errorf("AppendHex = %q, want %q", got, want)
+	}
 }
 
 func TestHashIDDeterministicAndSpread(t *testing.T) {

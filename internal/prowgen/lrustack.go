@@ -15,9 +15,11 @@ import (
 // Re-references sample a stack *position* with probability proportional
 // to 1/(position+1) from the top, so recently referenced objects are
 // re-referenced soonest — that is the temporal locality.  The slice is
-// kept dense with the top at the end; because sampled positions cluster
-// near the top, the shifts done by moveToTop/remove touch only a few
-// elements on average.
+// kept dense with the top at the end, so moveToTop and remove shift every
+// item above the object and rewrite its pos entry: an object p positions
+// from the top costs p moves.  Sampled positions cluster near the top,
+// but not tightly: the mean position is about k/ln(k+1) over a k-item
+// stack, some 140 moves per re-reference at the paper-default 1 000.
 type lruStack struct {
 	capacity int
 	items    []trace.ObjectID // dense in [head, len(items)); top at the end
