@@ -61,7 +61,8 @@ func (g *chaosGate) run() error {
 
 		// Each run gets its own checker so a violation is attributable to
 		// one (scenario, side, defenses) cell.
-		for _, on := range []bool{false, true} {
+		var live [2]*chaos.LiveReport
+		for i, on := range []bool{false, true} {
 			chk := invariant.New(reg)
 			rep, err := chaos.RunLive(cfg, scn, on, chk)
 			if err != nil {
@@ -72,12 +73,9 @@ func (g *chaosGate) run() error {
 			if err := rep.CheckCluster(); err != nil {
 				return fmt.Errorf("chaos %s live defenses=%v: %w", scn.Name, on, err)
 			}
-			if on {
-				row.LiveOn = rep
-			} else {
-				row.LiveOff = rep
-			}
+			live[i] = rep
 		}
+		row.SetLive(live[0], live[1])
 		sides := []bool{false}
 		if chaos.SimDefended(scn) {
 			sides = append(sides, true)
@@ -97,7 +95,7 @@ func (g *chaosGate) run() error {
 
 		fmt.Printf("  live: hit %.3f -> %.3f  p999 %7.1fms -> %7.1fms (cut %.2fx)  errors %d -> %d\n",
 			row.LiveOff.HitRatio, row.LiveOn.HitRatio,
-			row.LiveOff.P999Ms, row.LiveOn.P999Ms, row.P999Cut(),
+			row.LiveOff.P999Ms, row.LiveOn.P999Ms, row.P999Cut,
 			row.LiveOff.Errors, row.LiveOn.Errors)
 		fmt.Printf("  slo:  fast burn")
 		for _, class := range []string{chaos.Interactive.Name, chaos.Batch.Name} {
@@ -136,18 +134,18 @@ func (g *chaosGate) run() error {
 			return fmt.Errorf("chaos slow-peer: defenses did not cut the %s fast burn (off %.2f, on %.2f)",
 				chaos.Interactive.Name, off, on)
 		}
-		price := row.DefensePrice()
+		price := row.DefensePrice
 		fmt.Printf("chaos: slow-peer %s fast burn cut %.2f -> %.2f, defense price %.4f hit ratio (gate <= %.2f)\n",
 			chaos.Interactive.Name, off, on, price, chaos.MaxDefensePrice)
 		if price > chaos.MaxDefensePrice {
 			return fmt.Errorf("chaos slow-peer: defenses cost %.4f of the live hit ratio (%.3f -> %.3f), gate allows %.2f",
 				price, row.LiveOff.HitRatio, row.LiveOn.HitRatio, chaos.MaxDefensePrice)
 		}
-		if cut := row.P999Cut(); cut < chaos.MinP999Cut {
+		if cut := row.P999Cut; cut < chaos.MinP999Cut {
 			return fmt.Errorf("chaos slow-peer: defenses cut p999 only %.2fx (off %.1fms / on %.1fms), gate requires >= %.2fx",
 				cut, row.LiveOff.P999Ms, row.LiveOn.P999Ms, chaos.MinP999Cut)
 		}
-		fmt.Printf("chaos: slow-peer p999 cut %.2fx >= %.2fx gate\n", row.P999Cut(), chaos.MinP999Cut)
+		fmt.Printf("chaos: slow-peer p999 cut %.2fx >= %.2fx gate\n", row.P999Cut, chaos.MinP999Cut)
 	}
 
 	return g.finish(tr, reg, map[string]any{

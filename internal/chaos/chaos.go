@@ -2,7 +2,7 @@
 // scenario suite (DESIGN.md §11): a shared scenario vocabulary that
 // runs against both the live loopback topology (internal/loadgen +
 // internal/httpcache, via handler-wrapping fault adapters) and the
-// simulator (internal/sim's chaos knobs), reporting hit-ratio
+// simulator (internal/sim's Faults), reporting hit-ratio
 // degradation and tail latency (p999) per scenario with and without
 // the httpcache defenses.  invariant.ClusterAccountant rides along as
 // the oracle that no attack — and no defense — breaks cache
@@ -15,6 +15,7 @@ import (
 
 	"webcache/internal/obs"
 	"webcache/internal/prowgen"
+	"webcache/internal/sim"
 	"webcache/internal/trace"
 )
 
@@ -41,47 +42,56 @@ type Config struct {
 const Seed = 1
 
 // Workload generates the scenario's ProWGen trace at cfg's shape: a
-// scenario's FlashAlpha, when set, overrides the Zipf exponent.
+// flash crowd's flashAlpha overrides the Zipf exponent.
 func (cfg Config) Workload(scn Scenario) (*trace.Trace, error) {
+	alpha := 0.0 // prowgen default
+	if scn.FlashCrowd {
+		alpha = flashAlpha
+	}
 	return prowgen.Generate(prowgen.Config{
 		NumRequests: cfg.Requests,
 		NumObjects:  cfg.Objects,
 		NumClients:  cfg.Clients,
-		Alpha:       scn.FlashAlpha, // 0 = prowgen default
+		Alpha:       alpha,
 		Seed:        Seed,
 	})
 }
 
-// Scenario names one attack shape in terms both sides understand.
-// Zero-valued fields mean that fault is absent from the scenario.
+// The faults' magnitudes, one value each.  Churn and byzantine daemons
+// take the simulator's fractions, so both halves run the same attack.
+const (
+	slowPeerDelay     = 250 * time.Millisecond // a slow daemon's hold per request
+	slowPeerFraction  = 0.34                   // of each proxy's daemons are slow
+	churnFraction     = sim.ChurnFraction      // of the overlay disconnects mid-run
+	flashAlpha        = 1.1                    // a flash crowd's Zipf exponent
+	byzantineFraction = sim.ByzantineFraction  // of each proxy's daemons lie
+	poisonKeyCount    = 64                     // keys in the poisoning /register body
+)
+
+// Scenario names one attack shape in terms both sides understand: a
+// set of faults, each absent unless set.
 type Scenario struct {
 	Name        string
 	Description string
-	// SlowPeerDelay holds SlowPeerFraction of each proxy's client-cache
-	// daemons (and every proxy's /peer-lookup) for this long per
-	// request — the slow-peer tail-amplification attack.
-	SlowPeerDelay    time.Duration
-	SlowPeerFraction float64
-	// ChurnFraction flash-disconnects this fraction of the client-cache
-	// overlay mid-run — the mass-churn storm.
-	ChurnFraction float64
-	// FlashAlpha, when > 0, overrides the workload's Zipf exponent on
-	// both sides: a flash crowd concentrates demand on a few suddenly
-	// hot objects, which a steeper popularity skew models.  Bursty
-	// additionally drives the live side with the ON/OFF arrival
-	// process instead of Poisson, so the crowd arrives in surges.
-	FlashAlpha float64
-	Bursty     bool
-	// ByzantineFraction turns this fraction of each proxy's daemons
-	// byzantine: alternating corrupt-servers (bodies bit-flipped on the
-	// way out) and receipt-fabricators (claim "stored" without
-	// storing).
-	ByzantineFraction float64
-	// PoisonKeys is the directory-poisoning attack: this many keys of
-	// real upcoming objects the cluster does not hold, which the live
-	// side lists in a /register body to each proxy before the run (and
-	// fails if any lands in a directory) and the simulator plants.
-	PoisonKeys int
+	// SlowPeers holds slowPeerFraction of each proxy's client-cache
+	// daemons (and every proxy's /peer-lookup) for slowPeerDelay per
+	// request, the slow-peer tail-amplification attack; the simulator
+	// stretches Tp2p instead.
+	SlowPeers bool
+	// FlashCrowd steepens the workload's popularity skew to flashAlpha
+	// on both sides, concentrating demand on a few suddenly hot
+	// objects, and drives the live side with the ON/OFF arrival process
+	// instead of Poisson, so the crowd arrives in surges.
+	FlashCrowd bool
+	// The faults the simulator models too.  Live, Churn
+	// flash-disconnects churnFraction of the client-cache overlay
+	// mid-run; Byzantine turns byzantineFraction of each proxy's
+	// daemons into alternating corrupt-servers (bodies bit-flipped on
+	// the way out) and receipt-fabricators (claim "stored" without
+	// storing); Poison lists the keys of poisonKeyCount real upcoming
+	// objects the cluster does not hold in a /register body to each
+	// proxy before the run, and fails if any lands in a directory.
+	sim.Faults
 }
 
 // Scenarios is the suite: every entry runs live and simulated, with
@@ -93,33 +103,31 @@ func Scenarios() []Scenario {
 			Description: "no faults injected — the control row",
 		},
 		{
-			Name:             "slow-peer",
-			Description:      "a third of each proxy's daemons answer 250ms late; peer lookups stall too",
-			SlowPeerDelay:    250 * time.Millisecond,
-			SlowPeerFraction: 0.34,
+			Name:        "slow-peer",
+			Description: "a third of each proxy's daemons answer 250ms late; peer lookups stall too",
+			SlowPeers:   true,
 		},
 		{
-			Name:          "flash-churn",
-			Description:   "half the client-cache overlay disconnects at once mid-run",
-			ChurnFraction: 0.5,
+			Name:        "flash-churn",
+			Description: "half the client-cache overlay disconnects at once mid-run",
+			Faults:      sim.Faults{Churn: true},
 		},
 		{
 			Name: "churn-during-flash-crowd",
 			Description: "half the overlay disconnects at the peak of a flash crowd " +
 				"(steep popularity skew, surged arrivals)",
-			ChurnFraction: 0.5,
-			FlashAlpha:    1.1,
-			Bursty:        true,
+			FlashCrowd: true,
+			Faults:     sim.Faults{Churn: true},
 		},
 		{
-			Name:              "byzantine",
-			Description:       "half the daemons lie: corrupted bodies and fabricated store receipts",
-			ByzantineFraction: 0.5,
+			Name:        "byzantine",
+			Description: "half the daemons lie: corrupted bodies and fabricated store receipts",
+			Faults:      sim.Faults{Byzantine: true},
 		},
 		{
 			Name:        "poison",
 			Description: "bogus directory entries for objects the cluster does not hold: refused live, planted in the simulator",
-			PoisonKeys:  64,
+			Faults:      sim.Faults{Poison: true},
 		},
 	}
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
 	"webcache/internal/obs/cluster"
+	"webcache/internal/sim"
 )
 
 func TestLookup(t *testing.T) {
@@ -57,8 +59,8 @@ func TestInjectorAffected(t *testing.T) {
 // object bodies are bit-flipped, while non-200 control responses (404
 // misses, 507 ifFree rejections) pass through honest.
 func TestCorruptingWriter(t *testing.T) {
-	scn := Scenario{ByzantineFraction: 1}
-	in := NewInjector(scn, 2, nil)
+	// Four daemons, so byzantineFraction (0.5) covers indices 0 and 1.
+	in := NewInjector(Scenario{Faults: sim.Faults{Byzantine: true}}, 4, nil)
 
 	// Even cache index: the corrupt-server mode.
 	handler := in.WrapCache(0, 0, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -92,6 +94,28 @@ func TestCorruptingWriter(t *testing.T) {
 	fab.ServeHTTP(rec, httptest.NewRequest("POST", "/store?key=k", nil))
 	if rec.Code != http.StatusOK || rec.Body.String() != `{"stored":true,"evicted":null,"reason":""}` {
 		t.Fatalf("fabricated receipt: %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestRowCarriesDerivedDeltas: the defenses' p999 cut and hit-ratio
+// price are fields of a BENCH_chaos.json row, readable on every
+// scenario, not only printed for slow-peer.
+func TestRowCarriesDerivedDeltas(t *testing.T) {
+	var r Row
+	r.SetLive(&LiveReport{HitRatio: 0.5, P999Ms: 500}, &LiveReport{HitRatio: 0.25, P999Ms: 125})
+	blob, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		P999Cut      float64 `json:"p999_cut"`
+		DefensePrice float64 `json:"defense_price"`
+	}
+	if err := json.Unmarshal(blob, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.P999Cut != 4 || got.DefensePrice != 0.25 {
+		t.Fatalf("row %s: p999_cut %g, defense_price %g; want 4, 0.25", blob, got.P999Cut, got.DefensePrice)
 	}
 }
 
@@ -157,8 +181,8 @@ func TestChurnDuringFlashCrowdE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scn.ChurnFraction == 0 || scn.FlashAlpha == 0 || !scn.Bursty {
-		t.Fatalf("scenario lost a knob: %+v", scn)
+	if !scn.Churn || !scn.FlashCrowd {
+		t.Fatalf("scenario lost a fault: %+v", scn)
 	}
 	chk := invariant.New(nil)
 	rep, err := RunLive(smallLive(obs.NewRegistry("flash-crowd-e2e")), scn, true, chk)

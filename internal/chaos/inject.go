@@ -57,13 +57,13 @@ func (in *Injector) affected(i int, fraction float64) bool {
 // WrapProxy injects the inter-proxy fault: the slow-peer stall on
 // every /peer-lookup this proxy serves.
 func (in *Injector) WrapProxy(_ int, h http.Handler) http.Handler {
-	if in.scn.SlowPeerDelay <= 0 {
+	if !in.scn.SlowPeers {
 		return h
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/peer-lookup" {
 			in.slowHolds.Inc()
-			time.Sleep(in.scn.SlowPeerDelay)
+			time.Sleep(slowPeerDelay)
 		}
 		h.ServeHTTP(w, r)
 	})
@@ -72,8 +72,8 @@ func (in *Injector) WrapProxy(_ int, h http.Handler) http.Handler {
 // WrapCache injects the client-cache faults: tail amplification on the
 // serving paths of slow daemons, and the two byzantine behaviours.
 func (in *Injector) WrapCache(_, cache int, h http.Handler) http.Handler {
-	slow := in.scn.SlowPeerDelay > 0 && in.affected(cache, in.scn.SlowPeerFraction)
-	byz := in.affected(cache, in.scn.ByzantineFraction)
+	slow := in.scn.SlowPeers && in.affected(cache, slowPeerFraction)
+	byz := in.scn.Byzantine && in.affected(cache, byzantineFraction)
 	corrupts := byz && cache%2 == 0
 	fabricates := byz && cache%2 == 1
 	if !slow && !byz {
@@ -82,7 +82,7 @@ func (in *Injector) WrapCache(_, cache int, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if slow && r.URL.Path == "/object" {
 			in.slowHolds.Inc()
-			time.Sleep(in.scn.SlowPeerDelay)
+			time.Sleep(slowPeerDelay)
 		}
 		if fabricates && r.URL.Path == "/store" {
 			// Claim success without storing a byte: the proxy's

@@ -130,8 +130,8 @@ func RunLive(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) 
 
 	// Directory poisoning, as an attacker would try it: the keys of
 	// upcoming objects nobody holds, listed in a /register body.
-	if scn.PoisonKeys > 0 {
-		if err := poison(topo, poisonKeys(tr, topo.OriginURL, scn.PoisonKeys)); err != nil {
+	if scn.Poison {
+		if err := poison(topo, poisonKeys(tr, topo.OriginURL, poisonKeyCount)); err != nil {
 			return nil, err
 		}
 	}
@@ -139,10 +139,10 @@ func RunLive(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) 
 	// Mass churn: flash-disconnect mid-run (half the expected drive
 	// time at the configured Poisson rate).
 	var churnTimer *time.Timer
-	if scn.ChurnFraction > 0 {
+	if scn.Churn {
 		after := time.Duration(float64(cfg.Requests) / cfg.Rate / 2 * float64(time.Second))
 		churnTimer = time.AfterFunc(after, func() {
-			downed := topo.FlashDisconnect(scn.ChurnFraction, Seed)
+			downed := topo.FlashDisconnect(churnFraction, Seed)
 			cfg.Registry.Counter("chaos.churned_caches").Add(int64(len(downed)))
 		})
 		defer churnTimer.Stop()
@@ -156,7 +156,7 @@ func RunLive(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) 
 	// rate as the peak, so the churn storm lands under load spikes
 	// instead of a smooth Poisson stream.
 	var arrival loadgen.Arrival
-	if scn.Bursty {
+	if scn.FlashCrowd {
 		arrival, err = loadgen.NewBursty(cfg.Rate, 500*time.Millisecond, 250*time.Millisecond, Seed)
 	} else {
 		arrival, err = loadgen.NewPoisson(cfg.Rate, Seed)
@@ -189,12 +189,12 @@ func RunLive(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) 
 	for _, px := range topo.Proxies {
 		px.SweepClientCaches()
 	}
-	if scn.ChurnFraction > 0 {
+	if scn.Churn {
 		var all int
 		for _, addrs := range topo.CacheAddrs {
 			all += len(addrs)
 		}
-		rep.Churned = int(float64(all)*scn.ChurnFraction + 0.5)
+		rep.Churned = int(float64(all)*churnFraction + 0.5)
 	}
 
 	rep.Requests = res.Measured

@@ -11,24 +11,22 @@ type Row struct {
 	LiveOn      *LiveReport `json:"live_on"`
 	SimOff      *SimReport  `json:"sim_off"`
 	SimOn       *SimReport  `json:"sim_on,omitempty"`
+	// P999Cut is how much the defenses cut the live tail, p999(off) /
+	// p999(on): >1 means they helped.  DefensePrice is the live hit
+	// ratio they cost, hit(off) - hit(on): >0 means they gave up hits.
+	// SetLive derives both.
+	P999Cut      float64 `json:"p999_cut"`
+	DefensePrice float64 `json:"defense_price"`
 }
 
-// P999Cut is how much the defenses cut the live tail:
-// p999(off) / p999(on).  >1 means the defenses helped.
-func (r Row) P999Cut() float64 {
-	if r.LiveOff == nil || r.LiveOn == nil || r.LiveOn.P999Ms == 0 {
-		return 0
+// SetLive records the scenario's live runs, defenses off and on, and
+// the deltas between them.
+func (r *Row) SetLive(off, on *LiveReport) {
+	r.LiveOff, r.LiveOn = off, on
+	r.DefensePrice = off.HitRatio - on.HitRatio
+	if on.P999Ms > 0 {
+		r.P999Cut = off.P999Ms / on.P999Ms
 	}
-	return r.LiveOff.P999Ms / r.LiveOn.P999Ms
-}
-
-// DefensePrice is the live hit ratio the defenses cost:
-// hit(off) - hit(on).  >0 means the defenses gave up hits.
-func (r Row) DefensePrice() float64 {
-	if r.LiveOff == nil || r.LiveOn == nil {
-		return 0
-	}
-	return r.LiveOff.HitRatio - r.LiveOn.HitRatio
 }
 
 // Violations sums accountant violations across every run of the row —

@@ -30,52 +30,21 @@ type SimReport struct {
 	Violations        int64 `json:"invariant_violations"`
 }
 
-// simKnobs maps a scenario onto sim.Config's chaos fields.  The
-// mapping mirrors the live adapter: slow peers become a 10x Tp2p
-// stretch (the model's validator pins Tp2p strictly under Ts, so the
-// sim-side damage surfaces in the mean, not the p999 — origin misses
-// still own the analytic tail), churn becomes a mid-run flash
-// failure, byzantine clients corrupt P2P serves (with digest-sampling
-// detection as the defense), and poisoning becomes periodic bogus
-// directory entries (with the periodic sweep as the defense).
-func simKnobs(cfg *sim.Config, scn Scenario, requests int, hardened bool) {
-	if scn.SlowPeerDelay > 0 {
-		cfg.Net = netmodel.Default()
-		cfg.Net.Tp2p *= 10
-	}
-	if scn.ChurnFraction > 0 {
-		cfg.FlashChurnAt = requests / 2
-		cfg.FlashChurnFraction = scn.ChurnFraction
-	}
-	if scn.ByzantineFraction > 0 {
-		cfg.ByzantineFraction = scn.ByzantineFraction
-		if hardened {
-			cfg.VerifyFraction = 0.95
-		}
-	}
-	if scn.PoisonKeys > 0 {
-		cfg.PoisonEvery = 500
-		if hardened {
-			cfg.DirSweepEvery = 250
-		}
-	}
-}
-
-// SimDefended reports whether simKnobs maps a defense for the scenario
-// (digest verification for byzantine serves, the directory sweep for
-// poisoning).  For every other scenario a defenses-on replay is the
-// defenses-off replay, so the suite runs it once.
-func SimDefended(scn Scenario) bool {
-	return scn.ByzantineFraction > 0 || scn.PoisonKeys > 0
-}
+// SimDefended reports whether the simulator models a defense for one
+// of the scenario's faults (digest sampling against byzantine serves,
+// the directory sweep against poisoning).  For every other scenario a
+// hardened replay is the plain replay, so the suite runs it once.
+func SimDefended(scn Scenario) bool { return scn.Byzantine || scn.Poison }
 
 // RunSim replays scn's workload through the Hier-GD simulator at cfg's
-// shape, with scn mapped onto the sim chaos knobs (and their defenses,
-// where hardened and SimDefended), and reports the same degradation
-// metrics as the live side.  Like the live side, it counts every
-// request (no warmup discard).  check, when non-nil, threads the full
-// invariant subsystem (shadow policies, directory oracles,
-// conservation ledger) through the run.
+// shape, with scn's faults (and, hardened, their defenses) set, and
+// reports the same degradation metrics as the live side.  Slow peers
+// become a 10x Tp2p stretch: the model's validator pins Tp2p strictly
+// under Ts, so the damage surfaces in the mean, not the p999, as
+// origin misses still own the analytic tail.  Like the live side, it
+// counts every request (no warmup discard).  check, when non-nil,
+// threads the full invariant subsystem (shadow policies, directory
+// oracles, conservation ledger) through the run.
 func RunSim(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) (*SimReport, error) {
 	tr, err := cfg.Workload(scn)
 	if err != nil {
@@ -87,7 +56,11 @@ func RunSim(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) (
 	reg := obs.NewRegistry("chaos-sim")
 	simCfg := loadgen.LoopbackSimConfig(cfg.Proxies, cfg.CachesPerProxy, cfg.Clients, Seed)
 	simCfg.Obs, simCfg.Check = reg, check
-	simKnobs(&simCfg, scn, cfg.Requests, hardened)
+	simCfg.Faults, simCfg.Hardened = scn.Faults, hardened
+	if scn.SlowPeers {
+		simCfg.Net = netmodel.Default()
+		simCfg.Net.Tp2p *= 10
+	}
 	res, err := sim.Run(tr, simCfg)
 	if err != nil {
 		return nil, err

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"webcache/internal/invariant"
 )
 
-// chaosBase is the Hier-GD configuration the chaos-knob tests perturb.
+// chaosBase is the Hier-GD configuration the chaos-fault tests perturb.
 func chaosBase(chk *invariant.Checker) Config {
 	return Config{
 		Scheme:            HierGD,
@@ -20,21 +22,20 @@ func chaosBase(chk *invariant.Checker) Config {
 	}
 }
 
-// TestChaosFlashChurn pins the mass-churn knob: a mid-run flash
-// disconnect fails the configured fraction of daemons, the engine
+// TestChaosFlashChurn pins the mass-churn fault: a flash disconnect at
+// the trace's midpoint fails ChurnFraction of the daemons, the engine
 // keeps serving, and the full invariant subsystem stays clean.
 func TestChaosFlashChurn(t *testing.T) {
 	tr := testTrace(t, 1)
 	chk := invariant.New(nil)
 	cfg := chaosBase(chk)
-	cfg.FlashChurnAt = tr.Len() / 2
-	cfg.FlashChurnFraction = 0.5
+	cfg.Churn = true
 	res := run(t, tr, cfg)
 	if err := chk.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if res.FlashChurned == 0 {
-		t.Fatal("flash churn configured but no clients failed")
+		t.Fatal("churn set but no clients failed")
 	}
 	// 2 proxies x 4 caches, half churned, at least one survivor kept
 	// per proxy: between 2 and 6 victims.
@@ -46,8 +47,8 @@ func TestChaosFlashChurn(t *testing.T) {
 	}
 }
 
-// TestChaosPoisonAndSweep pins the directory-poisoning knob and its
-// defense: bogus entries are injected, the periodic sweep removes
+// TestChaosPoisonAndSweep pins the directory-poisoning fault and its
+// hardened defense: bogus entries are injected, the periodic sweep removes
 // them, and conservation holds throughout (the poison entries live in
 // the directory only — no cache state backs them, which is exactly
 // what the sweep detects).
@@ -55,17 +56,16 @@ func TestChaosPoisonAndSweep(t *testing.T) {
 	tr := testTrace(t, 1)
 	chk := invariant.New(nil)
 	cfg := chaosBase(chk)
-	cfg.PoisonEvery = 500
-	cfg.DirSweepEvery = 250
+	cfg.Poison, cfg.Hardened = true, true
 	res := run(t, tr, cfg)
 	if err := chk.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if res.PoisonInjected == 0 {
-		t.Fatal("poisoning configured but nothing injected")
+		t.Fatal("poison set but nothing injected")
 	}
 	if res.PoisonSwept == 0 {
-		t.Fatal("sweep configured but nothing swept")
+		t.Fatal("hardened but nothing swept")
 	}
 	if res.PoisonSwept < res.PoisonInjected {
 		t.Fatalf("swept %d < injected %d: poison left in the directory at finish",
@@ -83,36 +83,35 @@ func TestChaosPoisonAndSweep(t *testing.T) {
 func TestChaosPoisonWithoutSweep(t *testing.T) {
 	tr := testTrace(t, 1)
 	cfg := chaosBase(nil)
-	cfg.PoisonEvery = 500
+	cfg.Poison = true
 	res := run(t, tr, cfg)
 	if res.PoisonInjected == 0 {
-		t.Fatal("poisoning configured but nothing injected")
+		t.Fatal("poison set but nothing injected")
 	}
 	// The finish pass sweeps whatever the (absent) periodic sweep left;
-	// without DirSweepEvery everything still resident lands there.
+	// unhardened, everything still resident lands there.
 	if res.PoisonSwept == 0 {
 		t.Fatal("final sweep removed nothing — injection is not reaching the directory")
 	}
 }
 
-// TestChaosByzantine pins the byzantine-serve knob: corrupt P2P serves
-// happen, sampling detects a fraction of them, and detection never
+// TestChaosByzantine pins the byzantine-serve fault: corrupt P2P serves
+// happen, hardened sampling detects a fraction of them, and detection never
 // exceeds the corruption count.
 func TestChaosByzantine(t *testing.T) {
 	tr := testTrace(t, 1)
 	chk := invariant.New(nil)
 	cfg := chaosBase(chk)
-	cfg.ByzantineFraction = 0.5
-	cfg.VerifyFraction = 1.0
+	cfg.Byzantine, cfg.Hardened = true, true
 	res := run(t, tr, cfg)
 	if err := chk.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if res.ByzantineServes == 0 {
-		t.Fatal("byzantine fraction configured but no corrupt serves")
+		t.Fatal("byzantine set but no corrupt serves")
 	}
 	if res.ByzantineDetected == 0 {
-		t.Fatal("full verification sampling detected nothing")
+		t.Fatal("hardened verification sampling detected nothing")
 	}
 	if res.ByzantineDetected > res.ByzantineServes {
 		t.Fatalf("detected %d > served %d", res.ByzantineDetected, res.ByzantineServes)
@@ -122,14 +121,43 @@ func TestChaosByzantine(t *testing.T) {
 	}
 }
 
-// TestChaosKnobsOffMatchBaseline guards the digest pin the cheap way:
-// a run with every chaos knob zero must be bit-identical to a plain
-// run — the knobs may not consume rng draws or touch state when off.
-func TestChaosKnobsOffMatchBaseline(t *testing.T) {
+// TestHardenedActsOnlyOnItsFault holds Hardened to "a defense acts
+// only under its own fault", which keeps the digest pins safe: with no
+// fault set, or only Churn (which has no simulated defense), a
+// hardened run's Result is byte-identical to a plain one's; the sweep
+// ticks only under Poison, on its own period; digest sampling detects
+// only under Byzantine.
+func TestHardenedActsOnlyOnItsFault(t *testing.T) {
 	tr := testTrace(t, 1)
-	plain := run(t, tr, chaosBase(nil))
-	again := run(t, tr, chaosBase(nil))
-	if plain.HitRatio(0) != again.HitRatio(0) || plain.AvgLatency != again.AvgLatency {
-		t.Fatal("baseline replay is not deterministic")
+	for _, f := range []Faults{{}, {Churn: true}, {Byzantine: true}, {Poison: true}} {
+		cfg := chaosBase(nil)
+		cfg.Faults = f
+		plain := run(t, tr, cfg)
+		cfg.Hardened = true
+		hard := run(t, tr, cfg)
+		sweeps := 0
+		if f.Poison {
+			sweeps = (tr.Len() - 1) / dirSweepEvery
+		}
+		if d := hard.MaintenanceTicks - plain.MaintenanceTicks; d != sweeps {
+			t.Errorf("%+v: hardening added %d maintenance ticks, want %d sweeps", f, d, sweeps)
+		}
+		if (hard.ByzantineDetected > 0) != f.Byzantine || plain.ByzantineDetected != 0 {
+			t.Errorf("%+v: detected %d hardened, %d plain", f, hard.ByzantineDetected, plain.ByzantineDetected)
+		}
+		if f.Byzantine || f.Poison {
+			continue
+		}
+		a, err := json.Marshal(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(hard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%+v: hardening moved the Result:\n  plain    %s\n  hardened %s", f, a, b)
+		}
 	}
 }

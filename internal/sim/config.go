@@ -37,6 +37,19 @@ const (
 	DefaultBloomFPRate       = 0.01
 )
 
+// Faults names the chaos faults the simulator models.
+type Faults struct {
+	// Churn fails ChurnFraction of every cluster's live clients at the
+	// trace's midpoint: the mass-churn storm.
+	Churn bool
+	// Byzantine corrupts ByzantineFraction of P2P client-cache serves.
+	Byzantine bool
+	// Poison plants bogus directory entries every poisonEvery
+	// requests, drawn from recently requested objects the cluster does
+	// not hold, so each re-request pays a wasted Tp2p probe.
+	Poison bool
+}
+
 // Config parameterizes one simulation run.
 type Config struct {
 	// Scheme is the caching scheme to simulate.
@@ -76,26 +89,16 @@ type Config struct {
 	// client after each crash.
 	FailEvery     int
 	ReplaceFailed bool
-	// Chaos scenario knobs (Hier-GD only; all zero = off; see
-	// internal/chaos for the scenario vocabulary shared with the live
-	// topology).  FlashChurnAt fails FlashChurnFraction (default 0.5)
-	// of every cluster's live clients at that request index — the
-	// mass-churn storm.  PoisonEvery injects poisonBatch (8)
-	// bogus directory entries every N requests, drawn from recently
-	// requested objects the cluster does not hold — the directory-
-	// poisoning attack (each re-request pays a wasted Tp2p probe).
-	// DirSweepEvery is the defense: a periodic directory sweep that
-	// drops entries the cluster cannot back.  ByzantineFraction
-	// corrupts that fraction of P2P client-cache serves;
-	// VerifyFraction is the digest-sampling defense — the fraction of
-	// corrupt serves detected (a detected serve pays the wasted P2P
-	// fetch and falls through toward peers/origin).
-	FlashChurnAt       int
-	FlashChurnFraction float64
-	PoisonEvery        int
-	DirSweepEvery      int
-	ByzantineFraction  float64
-	VerifyFraction     float64
+	// Faults are the chaos faults the Hier-GD engine models (Churn,
+	// Byzantine, Poison: the vocabulary internal/chaos also runs live),
+	// each off unless set and ignored by the other schemes.  Hardened
+	// turns on the defense of each fault that is set, and no other:
+	// digest sampling that detects verifyFraction of corrupt serves
+	// under Byzantine, and a directory sweep every dirSweepEvery
+	// requests under Poison.  Churn has no simulated defense.  The
+	// magnitudes are constants beside the engine (hiergd.go).
+	Faults
+	Hardened bool
 	// FCTrailing computes each FC/FC-EC window placement from the
 	// *previous* window's frequencies instead of the upcoming window.
 	// The default (upcoming window) matches the paper's framing of
@@ -173,9 +176,6 @@ func (c *Config) fillDefaults() {
 	if c.ClientCacheFrac == 0 {
 		c.ClientCacheFrac = DefaultClientCacheFrac
 	}
-	if c.FlashChurnAt > 0 && c.FlashChurnFraction == 0 {
-		c.FlashChurnFraction = 0.5
-	}
 }
 
 // Validate reports configuration errors (after defaulting).
@@ -212,18 +212,6 @@ func (c Config) Validate() error {
 	if c.FailEvery < 0 {
 		return fmt.Errorf("sim: negative failure period %d", c.FailEvery)
 	}
-	if c.FlashChurnAt < 0 || c.PoisonEvery < 0 || c.DirSweepEvery < 0 {
-		return fmt.Errorf("sim: negative chaos period")
-	}
-	if !(c.FlashChurnFraction >= 0 && c.FlashChurnFraction <= 1) {
-		return fmt.Errorf("sim: flash churn fraction %g outside [0,1]", c.FlashChurnFraction)
-	}
-	if !(c.ByzantineFraction >= 0 && c.ByzantineFraction <= 1) {
-		return fmt.Errorf("sim: byzantine fraction %g outside [0,1]", c.ByzantineFraction)
-	}
-	if !(c.VerifyFraction >= 0 && c.VerifyFraction <= 1) {
-		return fmt.Errorf("sim: verify fraction %g outside [0,1]", c.VerifyFraction)
-	}
 	return c.Net.Validate()
 }
 
@@ -232,6 +220,7 @@ func (c Config) Validate() error {
 // object id universe.
 type sizing struct {
 	objects   int          // tr.NumObjects: every object id lies below it
+	requests  int          // tr.Len()
 	clients   []clientSlot // indexed by trace.ClientID, below tr.NumClients
 	infinite  []int        // per-cluster infinite cache size, in cache units
 	proxyCap  []uint64     // per-proxy cache capacity
@@ -257,6 +246,7 @@ func computeSizing(tr *trace.Trace, cfg Config) sizing {
 	}
 	s := sizing{
 		objects:   tr.NumObjects,
+		requests:  tr.Len(),
 		clients:   clients,
 		infinite:  inf,
 		proxyCap:  make([]uint64, cfg.NumProxies),

@@ -30,9 +30,11 @@ type hierGDEngine struct {
 	proxies []*hierGDProxy
 	peers   peerTier
 	rng     *rand.Rand
+	// churnAt is the trace's midpoint, where the Churn fault strikes.
+	churnAt int
 	// recent is a ring buffer of recently requested objects — the
 	// directory-poisoning attack's candidate pool (only maintained
-	// when PoisonEvery > 0, so the default run's state is untouched).
+	// under the Poison fault, so the default run's state is untouched).
 	recent    []trace.ObjectID
 	recentIdx int
 	// Byzantine telemetry (folded into the Result at finish).
@@ -108,9 +110,10 @@ func (px *hierGDProxy) found(obj trace.ObjectID, lr *p2p.LookupResult, err error
 
 func newHierGDEngine(cfg Config, sz sizing) (*hierGDEngine, error) {
 	e := &hierGDEngine{
-		cfg: cfg,
-		net: cfg.Net,
-		rng: rand.New(rand.NewSource(cfg.Seed + 0x5ee1)),
+		cfg:     cfg,
+		net:     cfg.Net,
+		rng:     rand.New(rand.NewSource(cfg.Seed + 0x5ee1)),
+		churnAt: sz.requests / 2,
 	}
 	for p := 0; p < cfg.NumProxies; p++ {
 		label := fmt.Sprintf("proxy%d", p)
@@ -165,7 +168,7 @@ func (e *hierGDEngine) serve(obj trace.ObjectID, size uint32, proxy, member int,
 
 	// The directory-poisoning attack draws its bogus entries from
 	// recently requested objects, so re-requests actually pay for them.
-	if e.cfg.PoisonEvery > 0 {
+	if e.cfg.Poison {
 		if len(e.recent) < 256 {
 			e.recent = append(e.recent, obj)
 		} else {
@@ -188,12 +191,12 @@ func (e *hierGDEngine) serve(obj trace.ObjectID, size uint32, proxy, member int,
 		} else {
 			lat := e.net.LatencyHops(netmodel.SrcP2P, lr.Hops)
 			// Byzantine clients corrupt a fraction of P2P serves.  A
-			// detected corruption (the digest-sampling defense) wastes
+			// corruption detected by the hardened digest sampling wastes
 			// the P2P fetch and falls through toward peers/origin — the
 			// object *is* resident, so the directory entry stands.  An
 			// undetected one is served to the client as if it were good.
-			corrupt := e.cfg.ByzantineFraction > 0 && e.rng.Float64() < e.cfg.ByzantineFraction
-			detected := corrupt && e.cfg.VerifyFraction > 0 && e.rng.Float64() < e.cfg.VerifyFraction
+			corrupt := e.cfg.Byzantine && e.rng.Float64() < ByzantineFraction
+			detected := corrupt && e.cfg.Hardened && e.rng.Float64() < verifyFraction
 			if corrupt {
 				e.byzantineServes++
 			}
@@ -257,20 +260,20 @@ func (e *hierGDEngine) peerServes(q int, obj trace.ObjectID, st *obs.SpanTrace) 
 
 // maintain rebuilds inter-proxy digests and injects client-cache
 // failures (and optional replacements) on their respective periods,
-// plus the chaos scenarios: the flash-churn storm, directory
-// poisoning, and the periodic directory sweep that defends against it.
+// plus the chaos faults: the flash-churn storm, directory poisoning,
+// and the periodic directory sweep that hardens against it.
 // FailEvery draws from e.rng after every other event.
 func (e *hierGDEngine) maintain(reqIdx int, res *Result) {
 	e.peers.maintain(reqIdx, res)
-	if e.cfg.FlashChurnAt > 0 && reqIdx == e.cfg.FlashChurnAt {
+	if e.cfg.Churn && reqIdx == e.churnAt {
 		res.MaintenanceTicks++
 		e.flashChurn(res)
 	}
-	if every(reqIdx, e.cfg.PoisonEvery) {
+	if e.cfg.Poison && every(reqIdx, poisonEvery) {
 		res.MaintenanceTicks++
 		e.poisonDirectories(res)
 	}
-	if every(reqIdx, e.cfg.DirSweepEvery) {
+	if e.cfg.Poison && e.cfg.Hardened && every(reqIdx, dirSweepEvery) {
 		res.MaintenanceTicks++
 		e.sweepDirectories(res)
 	}
@@ -308,14 +311,14 @@ func (e *hierGDEngine) failClient(px *hierGDProxy, i int, res *Result) bool {
 	return true
 }
 
-// flashChurn fails FlashChurnFraction of every cluster's live clients
+// flashChurn fails ChurnFraction of every cluster's live clients
 // at once — the mass-disconnect storm.  Victims are the lowest-index
 // live clients (deterministic: no rng draw, so enabling the scenario
 // does not perturb FailEvery's stream).  At least one client per
 // cluster survives.
 func (e *hierGDEngine) flashChurn(res *Result) {
 	for _, px := range e.proxies {
-		kill := int(float64(px.cluster.LiveClients()) * e.cfg.FlashChurnFraction)
+		kill := int(float64(px.cluster.LiveClients()) * ChurnFraction)
 		for i := 0; i < e.cfg.P2PClientCaches && kill > 0 && px.cluster.LiveClients() > 1; i++ {
 			if e.failClient(px, i, res) {
 				kill--
@@ -325,9 +328,17 @@ func (e *hierGDEngine) flashChurn(res *Result) {
 	}
 }
 
-// poisonBatch is how many bogus entries one poisoning round (every
-// Config.PoisonEvery requests) tries to plant.
-const poisonBatch = 8
+// The chaos faults' magnitudes in the simulator (internal/chaos runs
+// churn and byzantine daemons live at the same fractions), and the
+// tuning of the defenses Config.Hardened turns on.
+const (
+	ChurnFraction     = 0.5  // of every cluster's live clients fail under Churn
+	ByzantineFraction = 0.5  // of P2P serves are corrupt under Byzantine
+	poisonEvery       = 500  // requests between Poison's rounds
+	poisonBatch       = 8    // bogus entries one round tries to plant
+	dirSweepEvery     = 250  // requests between hardened directory sweeps
+	verifyFraction    = 0.95 // of corrupt serves hardened digest sampling detects
+)
 
 // poisonDirectories injects poisonBatch bogus entries per round into a
 // random proxy's directory: recently requested objects the cluster
@@ -365,7 +376,7 @@ func (e *hierGDEngine) finish(res *Result) {
 	// Unswept poison at end of run would trip the strict directory
 	// reconciliation (by design: the oracle is exact); a final sweep is
 	// part of the scenario's defense contract.
-	if e.cfg.PoisonEvery > 0 {
+	if e.cfg.Poison {
 		e.sweepDirectories(res)
 	}
 	res.ByzantineServes += e.byzantineServes

@@ -159,9 +159,6 @@ func TestConfigValidation(t *testing.T) {
 		{Scheme: NC, NumProxies: -1},
 		{Scheme: NC, ProxyCacheFrac: math.NaN()},
 		{Scheme: NC, ClientCacheFrac: math.NaN()},
-		{Scheme: HierGD, ByzantineFraction: math.NaN()},
-		{Scheme: HierGD, VerifyFraction: math.NaN()},
-		{Scheme: HierGD, FlashChurnAt: 100, FlashChurnFraction: math.NaN()},
 		{Scheme: HierGD, FailEvery: -1},
 		{Scheme: HierGD, Directory: DirectoryKind(7)},
 		{Scheme: HierGD, Directory: -1},
