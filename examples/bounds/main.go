@@ -6,9 +6,7 @@
 //
 // This example first compares the single-cache replacement policies
 // (LRU, perfect LFU, greedy-dual, GDSF) by their misses on one
-// workload, then measures scheme latency against the FC-EC envelope,
-// including the implementable trailing-window FC that shows *why*
-// perfect knowledge matters.
+// workload, then measures scheme latency against the FC-EC envelope.
 package main
 
 import (
@@ -67,7 +65,6 @@ func main() {
 	}{
 		{"SC", webcache.Config{Scheme: webcache.SC, ProxyCacheFrac: 0.2, Seed: 1}},
 		{"Hier-GD", webcache.Config{Scheme: webcache.HierGD, ProxyCacheFrac: 0.2, Seed: 1}},
-		{"FC (trailing window)", webcache.Config{Scheme: webcache.FC, ProxyCacheFrac: 0.2, FCTrailing: true, Seed: 1}},
 		{"FC (perfect knowledge)", webcache.Config{Scheme: webcache.FC, ProxyCacheFrac: 0.2, Seed: 1}},
 		{"FC-EC (upper bound)", webcache.Config{Scheme: webcache.FCEC, ProxyCacheFrac: 0.2, Seed: 1}},
 	}
@@ -78,9 +75,6 @@ func main() {
 		}
 		fmt.Printf("  %-24s %6.1f%%\n", row.name, 100*webcache.Gain(res.AvgLatency, nc.AvgLatency))
 	}
-	fmt.Println("\nThe trailing-window FC — the implementable form of coordinated")
-	fmt.Println("placement — collapses under temporal drift; the gap up to the")
-	fmt.Println("perfect-knowledge FC is what the paper's assumption is worth.")
 }
 
 // replaySingleCache replays a unit-size request sequence against one

@@ -99,14 +99,6 @@ type Config struct {
 	// magnitudes are constants beside the engine (hiergd.go).
 	Faults
 	Hardened bool
-	// FCTrailing computes each FC/FC-EC window placement from the
-	// *previous* window's frequencies instead of the upcoming window.
-	// The default (upcoming window) matches the paper's framing of
-	// FC/FC-EC as upper bounds ("yielding the upper bound on
-	// performance benefit of cooperating proxy caching"); the trailing
-	// variant is the implementable adaptive form and is strictly
-	// weaker — at small caches it can even lose to the online schemes.
-	FCTrailing bool
 	// DigestInterval switches inter-proxy cooperation from perfect
 	// instantaneous knowledge (0, the paper's idealization) to
 	// Summary-Cache-style Bloom digests rebuilt and exchanged every N

@@ -24,9 +24,7 @@ import (
 // cooperating proxy caching", and window-ahead knowledge is what
 // "perfect frequency knowledge" buys a coordinated replacement
 // algorithm.  (A whole-trace static placement would under-perform the
-// online schemes on workloads with temporal locality; the trailing-
-// window variant — Config.FCTrailing — is the implementable adaptive
-// form and is strictly weaker.)
+// online schemes on workloads with temporal locality.)
 //
 // For FC-EC each proxy contributes two tiers: its proxy cache at Tl
 // and its pooled P2P client cache at Tp2p.
@@ -77,26 +75,14 @@ func newFCEngine(tr *trace.Trace, cfg Config, sz sizing) (*fcEngine, error) {
 }
 
 // replace recomputes the coordinated placement when the replay reaches
-// request index at: from the upcoming window [at, at+fcWindow) by
-// default, or under FCTrailing from the previous window
-// [at-fcWindow, at) (the very first window has no past and always
-// looks forward).
+// request index at, from the upcoming window [at, at+fcWindow).
 func (e *fcEngine) replace(at int) error {
-	lo, hi := at, at+fcWindow
-	if e.cfg.FCTrailing && at > 0 {
-		lo, hi = at-fcWindow, at
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > e.tr.Len() {
-		hi = e.tr.Len()
-	}
+	hi := min(at+fcWindow, e.tr.Len())
 	for _, row := range e.freq {
 		clear(row)
 	}
 	unit := true
-	for _, r := range e.tr.Requests[lo:hi] {
+	for _, r := range e.tr.Requests[at:hi] {
 		e.freq[e.sz.clients[r.Client].proxy][r.Object]++
 		unit = unit && r.Size == 1
 	}
