@@ -103,25 +103,26 @@ func Scenarios() []Scenario {
 			Description: "no faults injected — the control row",
 		},
 		{
-			Name:        "slow-peer",
-			Description: "a third of each proxy's daemons answer 250ms late; peer lookups stall too",
-			SlowPeers:   true,
+			Name: "slow-peer",
+			Description: fmt.Sprintf("%s of each proxy's daemons answer %v late; peer lookups stall too",
+				percent(slowPeerFraction), slowPeerDelay),
+			SlowPeers: true,
 		},
 		{
 			Name:        "flash-churn",
-			Description: "half the client-cache overlay disconnects at once mid-run",
+			Description: percent(churnFraction) + " of the client-cache overlay disconnects at once mid-run",
 			Faults:      sim.Faults{Churn: true},
 		},
 		{
 			Name: "churn-during-flash-crowd",
-			Description: "half the overlay disconnects at the peak of a flash crowd " +
+			Description: percent(churnFraction) + " of the overlay disconnects at the peak of a flash crowd " +
 				"(steep popularity skew, surged arrivals)",
 			FlashCrowd: true,
 			Faults:     sim.Faults{Churn: true},
 		},
 		{
 			Name:        "byzantine",
-			Description: "half the daemons lie: corrupted bodies and fabricated store receipts",
+			Description: percent(byzantineFraction) + " of the daemons lie: corrupted bodies and fabricated store receipts",
 			Faults:      sim.Faults{Byzantine: true},
 		},
 		{
@@ -131,6 +132,9 @@ func Scenarios() []Scenario {
 		},
 	}
 }
+
+// percent renders a fault's fraction for a scenario's description.
+func percent(fraction float64) string { return fmt.Sprintf("%.0f%%", fraction*100) }
 
 // Lookup resolves a scenario by name.
 func Lookup(name string) (Scenario, error) {

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"webcache/internal/invariant"
@@ -26,6 +27,25 @@ func TestLookup(t *testing.T) {
 	}
 	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("Lookup of unknown scenario succeeded")
+	}
+}
+
+// Each description states its fault's magnitudes from the constants
+// the injector uses, so a changed constant cannot leave the manifest
+// describing the old value.
+func TestDescriptionsStateMagnitudes(t *testing.T) {
+	want := map[string][]string{
+		"slow-peer":                {percent(slowPeerFraction), slowPeerDelay.String()},
+		"flash-churn":              {percent(churnFraction)},
+		"churn-during-flash-crowd": {percent(churnFraction)},
+		"byzantine":                {percent(byzantineFraction)},
+	}
+	for _, s := range Scenarios() {
+		for _, w := range want[s.Name] {
+			if !strings.Contains(s.Description, w) {
+				t.Errorf("%s: description %q does not state %q", s.Name, s.Description, w)
+			}
+		}
 	}
 }
 
