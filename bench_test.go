@@ -1,97 +1,18 @@
-// Benchmark harness: one benchmark per figure of the paper's
-// evaluation section (§5.2) plus ablations for the design choices of
-// §4.  Each figure bench regenerates the figure's full sweep and
-// reports headline latency gains as custom metrics, so
+// Ablation benches for the design choices of §4 (DESIGN.md §5), each
+// reporting what the choice buys as custom metrics:
 //
-//	go test -bench=Fig -benchmem
+//	go test -bench=. -benchtime=1x -run '^$' .
 //
-// reproduces every table/figure, and
-//
-//	WEBCACHE_BENCH_SCALE=1.0 go test -bench=Fig2a -benchtime=1x
-//
-// replays it at the paper's full one-million-request scale.
+// The paper's figures come from `make paper` (results/figures.md).
 package webcache_test
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"webcache"
 	"webcache/internal/pastry"
 )
-
-// benchScale reads the workload scale for figure benches (default 5%
-// of the paper's size: shapes are stable and the full suite stays
-// fast).
-func benchScale() float64 {
-	if s := os.Getenv("WEBCACHE_BENCH_SCALE"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0.05
-}
-
-// benchFigure runs one figure sweep per iteration and reports the
-// first and last series' gains at the smallest cache size as metrics.
-func benchFigure(b *testing.B, id string) {
-	opts := webcache.FigureOptions{Scale: benchScale(), Seed: 1}
-	var fig *webcache.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = webcache.RunFigure(id, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, s := range fig.Series {
-		if len(s.Points) > 0 {
-			reportMetric(b, 100*s.Points[0].Gain, "gain10%_"+sanitize(s.Label))
-		}
-	}
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r == ' ' || r == '=' || r == '(' || r == ')':
-			out = append(out, '_')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
-}
-
-// Figure 2(a): latency gain vs. proxy cache size, synthetic workload,
-// all seven schemes.
-func BenchmarkFig2a(b *testing.B) { benchFigure(b, "2a") }
-
-// Figure 2(b): the same sweep on the reconstructed UCB Home-IP trace.
-func BenchmarkFig2b(b *testing.B) { benchFigure(b, "2b") }
-
-// Figure 3: sensitivity to the Zipf popularity exponent
-// (alpha ∈ {0.5, 0.7, 1.0}) for FC-EC, FC, Hier-GD, SC-EC.
-func BenchmarkFig3(b *testing.B) { benchFigure(b, "3") }
-
-// Figure 4: sensitivity to temporal locality (LRU stack ∈ {5%, 20%,
-// 60%}) for FC-EC, FC, Hier-GD, SC-EC.
-func BenchmarkFig4(b *testing.B) { benchFigure(b, "4") }
-
-// Figure 5(a): Hier-GD vs. proxy-to-proxy latency, Ts/Tc ∈ {2, 5, 10}.
-func BenchmarkFig5a(b *testing.B) { benchFigure(b, "5a") }
-
-// Figure 5(b): Hier-GD vs. client-to-proxy latency, Ts/Tl ∈ {5, 10, 20}.
-func BenchmarkFig5b(b *testing.B) { benchFigure(b, "5b") }
-
-// Figure 5(c): Hier-GD vs. client cluster size (100..1000 caches).
-func BenchmarkFig5c(b *testing.B) { benchFigure(b, "5c") }
-
-// Figure 5(d): Hier-GD vs. proxy cluster size (2, 5, 10 proxies).
-func BenchmarkFig5d(b *testing.B) { benchFigure(b, "5d") }
 
 // --- Ablation benches (DESIGN.md §5) ----------------------------------
 
@@ -161,24 +82,6 @@ func BenchmarkPiggyback(b *testing.B) {
 			}
 			reportMetric(b, float64(res.P2P.Messages), "messages")
 			reportMetric(b, float64(res.P2P.PiggybackSave), "saved")
-		})
-	}
-}
-
-// BenchmarkSchemes measures end-to-end replay throughput per scheme
-// (requests per second through the simulator).
-func BenchmarkSchemes(b *testing.B) {
-	tr := benchTrace(b)
-	for _, s := range webcache.AllSchemes() {
-		b.Run(s.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := webcache.Run(tr, webcache.Config{
-					Scheme: s, ProxyCacheFrac: 0.3, Seed: 1,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(tr.Len()))
 		})
 	}
 }

@@ -3,7 +3,7 @@
 // and written as a run-manifest JSON document when the test binary
 // exits, e.g.
 //
-//	WEBCACHE_BENCH_MANIFEST=bench.json go test -bench=Fig2a -benchtime=1x
+//	WEBCACHE_BENCH_MANIFEST=bench.json go test -bench=Piggyback -benchtime=1x -run '^$' .
 //
 // so benchmark results share the schema (METRICS.md) that webcachesim
 // -manifest uses, and runs can be diffed mechanically.
@@ -41,7 +41,6 @@ func reportMetric(b *testing.B, value float64, unit string) {
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if benchManifest != nil {
-		benchManifest.SetConfig("scale", benchScale())
 		benchManifest.Finish(benchReg)
 		if err := benchManifest.WriteFile(benchManifestPath); err != nil {
 			fmt.Fprintln(os.Stderr, "bench manifest:", err)

@@ -211,17 +211,11 @@ func RunFigureReplicated(id string, opts FigureOptions, replicates int) (*Figure
 // WriteFigureJSON writes a figure as JSON.
 func WriteFigureJSON(w io.Writer, f *Figure) error { return core.WriteJSON(w, f) }
 
-// ExportGnuplot writes a figure's gnuplot-ready .dat plus a .gp script
-// that renders it.
-func ExportGnuplot(dir string, f *Figure) error { return core.ExportGnuplot(dir, f) }
-
 // FigureIDs lists the reproducible figures.
 func FigureIDs() []string { return core.FigureIDs() }
 
-// FormatTable renders a figure as an aligned text table; FormatMarkdown
-// as a markdown table.
-func FormatTable(f *Figure) string    { return core.FormatTable(f) }
-func FormatMarkdown(f *Figure) string { return core.FormatMarkdown(f) }
+// FormatTable renders a figure as an aligned text table.
+func FormatTable(f *Figure) string { return core.FormatTable(f) }
 
 // SweepSchemes runs a custom latency-gain sweep of the given schemes
 // over the given cache fractions against any trace; the NC baseline is

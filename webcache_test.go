@@ -104,9 +104,6 @@ func TestFacadeFigure(t *testing.T) {
 	if !strings.Contains(out, "Figure 5a") {
 		t.Errorf("table output wrong:\n%s", out)
 	}
-	if md := webcache.FormatMarkdown(fig); !strings.Contains(md, "| cache% |") {
-		t.Errorf("markdown output wrong:\n%s", md)
-	}
 	if len(webcache.FigureIDs()) != 8 {
 		t.Error("expected 8 figure ids")
 	}
