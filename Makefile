@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzHopReply -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzFrameRequest -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzStoreReceipt -fuzztime=$(FUZZTIME) ./internal/httpcache
+	$(GO) test -run='^$$' -fuzz=FuzzOriginReply -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzIDTable -fuzztime=$(FUZZTIME) ./internal/pastry
 	$(GO) test -run='^$$' -fuzz=FuzzIDArith -fuzztime=$(FUZZTIME) ./internal/pastry
 	$(GO) test -run='^$$' -fuzz=FuzzSlotTable -fuzztime=$(FUZZTIME) ./internal/cache
@@ -147,15 +148,17 @@ trace-alloc:
 # recorder, and the live proxy/client-cache memory-hit paths must not touch the
 # heap, loadgen.BuildSchedule makes at most one allocation per
 # request (TestBuildScheduleAllocsPerRun), and a member-to-member hop,
-# both ends counted, allocates at most 3 objects for an 8 KiB LAN fetch
-# and 12 for an evicting store or pass-down (TestHopAllocsPerRun), whose
+# both ends counted, allocates at most 3 objects for an 8 KiB LAN fetch,
+# 2 for the same fetch under a cancellable requester's context, and 12
+# for an evicting store or pass-down (TestHopAllocsPerRun), whose
 # header values come from a memo that allocates nothing once warm
-# (TestDecimalValueZeroAlloc).  Run
+# (TestDecimalValueZeroAlloc), and an 8 KiB origin GET, both ends
+# counted, allocates at most 30 (TestOriginFetchAllocs).  Run
 # without -race on purpose — race instrumentation allocates on paths the
 # production build does not, so these files are !race-tagged and
 # invisible to `make check`.
 sim-alloc:
-	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs' ./internal/cache ./internal/sim ./internal/httpcache ./internal/pastry ./internal/p2p ./internal/loadgen
+	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs|OriginFetchAllocs' ./internal/cache ./internal/sim ./internal/httpcache ./internal/pastry ./internal/p2p ./internal/loadgen
 
 # The paper's figures and claims (~13 min on 2 CPUs): one build runs
 # every figure at the paper's scale and at 0.2, five seeds each, as

@@ -4,7 +4,8 @@
 //
 // Sweeps the Zipf popularity exponent (alpha), the temporal-locality
 // stack size, and the one-timer fraction, reporting SC-EC and Hier-GD
-// gains at a small proxy cache.
+// gains at one mid-range proxy cache size.  Each table ends with the
+// direction its gains moved, computed from its own rows.
 package main
 
 import (
@@ -42,39 +43,50 @@ func makeTrace(alpha, stack, oneTimers float64) *webcache.Trace {
 	return tr
 }
 
-func main() {
+// sweep prints one table of SC-EC and Hier-GD gains, a row per setting
+// of one workload knob, then the direction each gain moved from the
+// first setting to the last, read off the rows themselves.
+func sweep(title, knob string, labels []string, mk func(i int) *webcache.Trace) {
 	const frac = 0.5 // mid-range cache size, where the paper's sensitivity directions are clearest
-
-	fmt.Println("== Popularity skew (Figure 3's knob): smaller alpha = bigger working set ==")
-	fmt.Printf("%-12s %10s %10s\n", "alpha", "SC-EC", "Hier-GD")
-	for _, alpha := range []float64{0.5, 0.7, 1.0} {
-		tr := makeTrace(alpha, 0.2, 0.5)
-		fmt.Printf("%-12.1f %9.1f%% %9.1f%%\n", alpha,
-			100*gainFor(tr, webcache.SCEC, frac),
-			100*gainFor(tr, webcache.HierGD, frac))
+	fmt.Printf("== %s ==\n", title)
+	fmt.Printf("%-12s %10s %10s\n", knob, "SC-EC", "Hier-GD")
+	var scec, hgd []float64
+	for i, label := range labels {
+		tr := mk(i)
+		scec = append(scec, 100*gainFor(tr, webcache.SCEC, frac))
+		hgd = append(hgd, 100*gainFor(tr, webcache.HierGD, frac))
+		fmt.Printf("%-12s %9.1f%% %9.1f%%\n", label, scec[i], hgd[i])
 	}
-	fmt.Println("Cooperation is most effective when the working set is large (small alpha):")
-	fmt.Println("for the hottest objects only the first access can benefit from a peer.")
+	last := len(labels) - 1
+	fmt.Printf("From %s %s to %s, SC-EC's gain %s (%.1f%% -> %.1f%%) and Hier-GD's %s (%.1f%% -> %.1f%%).\n",
+		knob, labels[0], labels[last],
+		trend(scec[0], scec[last]), scec[0], scec[last],
+		trend(hgd[0], hgd[last]), hgd[0], hgd[last])
+}
 
-	fmt.Println("\n== Temporal locality (Figure 4's knob): LRU stack size ==")
-	fmt.Printf("%-12s %10s %10s\n", "stack", "SC-EC", "Hier-GD")
-	for _, stack := range []float64{0.05, 0.20, 0.60} {
-		tr := makeTrace(0.7, stack, 0.5)
-		fmt.Printf("%-12s %9.1f%% %9.1f%%\n", fmt.Sprintf("%.0f%%", stack*100),
-			100*gainFor(tr, webcache.SCEC, frac),
-			100*gainFor(tr, webcache.HierGD, frac))
+// trend names the way a gain moved, to the table's printed precision.
+func trend(from, to float64) string {
+	switch d := to - from; {
+	case d >= 0.05:
+		return "rises"
+	case d <= -0.05:
+		return "falls"
 	}
-	fmt.Println("Stronger temporal locality helps the NC baseline too, so the *relative*")
-	fmt.Println("gain of cooperation shrinks as the stack grows.")
+	return "holds"
+}
 
-	fmt.Println("\n== One-time referencing: objects no cache can help with ==")
-	fmt.Printf("%-12s %10s %10s\n", "one-timers", "SC-EC", "Hier-GD")
-	for _, ot := range []float64{0.3, 0.5, 0.7} {
-		tr := makeTrace(0.7, 0.2, ot)
-		fmt.Printf("%-12s %9.1f%% %9.1f%%\n", fmt.Sprintf("%.0f%%", ot*100),
-			100*gainFor(tr, webcache.SCEC, frac),
-			100*gainFor(tr, webcache.HierGD, frac))
-	}
-	fmt.Println("One-timers dilute every cache equally; the UCB-like trace's high")
-	fmt.Println("one-timer fraction is why Figure 2(b)'s gains sit below Figure 2(a)'s.")
+func main() {
+	alphas := []float64{0.5, 0.7, 1.0}
+	sweep("Popularity skew (Figure 3's knob): smaller alpha = bigger working set", "alpha",
+		[]string{"0.5", "0.7", "1.0"}, func(i int) *webcache.Trace { return makeTrace(alphas[i], 0.2, 0.5) })
+
+	stacks := []float64{0.05, 0.20, 0.60}
+	fmt.Println()
+	sweep("Temporal locality (Figure 4's knob): LRU stack size", "stack",
+		[]string{"5%", "20%", "60%"}, func(i int) *webcache.Trace { return makeTrace(0.7, stacks[i], 0.5) })
+
+	oneTimers := []float64{0.3, 0.5, 0.7}
+	fmt.Println()
+	sweep("One-time referencing: objects no cache can help with", "one-timers",
+		[]string{"30%", "50%", "70%"}, func(i int) *webcache.Trace { return makeTrace(0.7, 0.2, oneTimers[i]) })
 }

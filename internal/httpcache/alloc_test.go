@@ -18,9 +18,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"webcache/internal/store"
 )
@@ -80,9 +82,12 @@ func TestObjectHitPathAllocs(t *testing.T) {
 // TestHopAllocsPerRun counts what one member-to-member hop allocates,
 // both ends together (AllocsPerRun counts every goroutine's allocations,
 // the far end's frame loop included), on plain handlers: an 8 KiB LAN
-// fetch keeps one body, and an evicting store keeps the stored body at
-// the far end and books one receipt at the near one.  A pass-down is
-// that store with the ring's placement and the directory around it.
+// fetch keeps one body, whether its requester can hang up or not (the
+// connection's watcher takes the cancellable parent's context without
+// allocating), and an evicting store keeps the stored body at the far
+// end and books one receipt at the near one.  A pass-down is that store
+// with the ring's placement and the directory around it.  Dropping the
+// idle connections ends the watcher.
 func TestHopAllocsPerRun(t *testing.T) {
 	const size, slots, runs = 8 << 10, 4, 200
 	cc := NewClientCacheOpts(Options{CapacityBytes: slots * size})
@@ -116,6 +121,9 @@ func TestHopAllocsPerRun(t *testing.T) {
 	if _, ok := cc.store.Get(fold(lan)); !ok {
 		t.Fatal("the LAN fetch's object is not at the daemon")
 	}
+	requester, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	before := watchers() // other tests' proxies may leave theirs running
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -123,6 +131,11 @@ func TestHopAllocsPerRun(t *testing.T) {
 	}{
 		{"lan-fetch-8KiB", 3, func() {
 			if body, ok := px.lanFetch(context.Background(), to, lan, ""); !ok || len(body) != size {
+				t.Fatalf("LAN fetch = (%d bytes, %v)", len(body), ok)
+			}
+		}},
+		{"lan-fetch-8KiB-cancellable-parent", 2, func() {
+			if body, ok := px.lanFetch(requester, to, lan, ""); !ok || len(body) != size {
 				t.Fatalf("LAN fetch = (%d bytes, %v)", len(body), ok)
 			}
 		}},
@@ -144,6 +157,21 @@ func TestHopAllocsPerRun(t *testing.T) {
 	if st := px.snapshotStats(); st.PassDowns != runs+1 || st.StoreRefusals != 0 {
 		t.Errorf("pass-downs %d, refusals %d: want %d forced stores and no trial", st.PassDowns, st.StoreRefusals, runs+1)
 	}
+	if n := watchers() - before; n != 1 {
+		t.Fatalf("%d connection watchers started by the cancellable fetches on one connection, want 1", n)
+	}
+	px.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); watchers() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connection watchers left after CloseIdleConnections", watchers()-before)
+		}
+	}
+}
+
+// watchers counts the goroutines running a client connection's watcher.
+func watchers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*wireConn).watchCancel(")
 }
 
 // TestDecimalValueZeroAlloc holds the header-value memo to its point on
@@ -166,5 +194,31 @@ func TestDecimalValueZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("%.1f allocations per round of %d memoized values, want 0", allocs, len(values))
+	}
+}
+
+// TestOriginFetchAllocs counts what one origin GET allocates, both ends
+// together, against an origin that declares its 8 KiB body as the load
+// generator's does: at the proxy the body it keeps, the URL and net/http's
+// reading of the reply head; at the origin net/http's server.
+func TestOriginFetchAllocs(t *testing.T) {
+	const size = 8 << 10
+	body, length := sizedBody("/origin", size), []string{strconv.Itoa(size)}
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header()["Content-Length"] = length
+		w.Write(body)
+	}))
+	t.Cleanup(origin.Close)
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
+	t.Cleanup(px.CloseIdleConnections)
+	u := origin.URL + "/objects/0001"
+	allocs := testing.AllocsPerRun(200, func() {
+		if got, err := px.originFetch(u); err != nil || len(got) != size {
+			t.Fatalf("origin fetch = (%d bytes, %v)", len(got), err)
+		}
+	})
+	t.Logf("%.1f allocations per origin GET, both ends", allocs)
+	if allocs > 30 {
+		t.Errorf("an 8 KiB origin GET allocates %.1f objects, both ends, want at most 30", allocs)
 	}
 }

@@ -46,6 +46,8 @@ import (
 //
 // Every body declares its length, and a body that ends short of it is an
 // error, never a short slice; readBody reads it within the trust bound.
+// The client end's connections are a connPool's (transport.go), which
+// upgrades each as it dials it.
 
 // framePath is the route a daemon upgrades to frames on, and
 // FrameProtocol the Upgrade token both ends name.  A handler meets a
@@ -248,81 +250,40 @@ func parseDecimal[T string | []byte](b T) int64 {
 	return v
 }
 
-// frameConn is one upgraded connection, at either end.
-type frameConn struct {
-	net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
-	// abort closes the connection.  The client end binds it once, and
-	// each exchange for a cancellable caller hands it to
-	// context.AfterFunc without a closure of its own.
-	abort func()
-}
-
-func newFrameConn(c net.Conn) *frameConn {
-	return &frameConn{Conn: c, br: bufio.NewReaderSize(c, wireBuf), bw: bufio.NewWriterSize(c, wireBuf)}
-}
-
-// maxIdleFrames is how many idle connections the pool keeps per peer, as
-// NewTransport's MaxIdleConnsPerHost.
-const maxIdleFrames = 256
-
-// framePool is the client end: idle frame connections by peer address.
-// A connection goes back only after an exchange that ended cleanly; one
-// that saw any error is closed.
-type framePool struct {
-	mu   sync.Mutex
-	idle map[string][]*frameConn
-	// dial opens a connection under ctx, whose deadline is the
-	// exchange's (tests count the bytes through it).
-	dial func(ctx context.Context, addr string) (net.Conn, error)
-}
-
-func newFramePool() *framePool {
-	d := &net.Dialer{}
-	return &framePool{
-		idle: make(map[string][]*frameConn),
-		dial: func(ctx context.Context, addr string) (net.Conn, error) { return d.DialContext(ctx, "tcp", addr) },
-	}
-}
-
-// get returns an idle connection to addr, or dials and upgrades a new
-// one by deadline, which ctx's cancellation cuts short.  reused reports
-// which.
-func (p *framePool) get(ctx context.Context, deadline time.Time, addr string) (c *frameConn, reused bool, err error) {
-	p.mu.Lock()
-	if cs := p.idle[addr]; len(cs) > 0 {
-		c = cs[len(cs)-1]
-		cs[len(cs)-1] = nil
-		p.idle[addr] = cs[:len(cs)-1]
-		p.mu.Unlock()
-		return c, true, nil
-	}
-	p.mu.Unlock()
-	// A dial is once per connection, so it may take a context of its own.
-	dctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	raw, err := p.dial(dctx, addr)
+// exchange sends one request frame to addr and reads its reply by
+// deadline, which is set on the connection: a pooled connection never
+// carries its last exchange's.  A cancellable ctx closes the connection
+// when it is cancelled, through the connection's watcher; a
+// context.Background caller hands it nothing.  A non-nil body is POSTed.
+// A pooled connection that brings back no byte of a reply was closed by
+// the far end while it sat idle, and the request is sent again (do).
+func (p *connPool) exchange(ctx context.Context, deadline time.Time, addr string, q request, body []byte, traceID string) (reply, error) {
+	var rep reply
+	err := p.do(ctx, deadline, addr, func(c *wireConn) (keep bool, err error) {
+		rep, err = c.roundTrip(&q, body, traceID)
+		return err == nil, err
+	})
 	if err != nil {
-		return nil, false, err
+		return reply{}, err
 	}
-	c = newFrameConn(raw)
-	c.abort = func() { raw.Close() }
-	c.SetDeadline(deadline)
-	stop := context.AfterFunc(ctx, c.abort)
-	err = c.upgrade(addr)
-	if !stop() {
-		err = ctx.Err()
-	}
+	return rep, nil
+}
+
+func (c *wireConn) roundTrip(q *request, body []byte, traceID string) (reply, error) {
+	head, err := appendRequest(c.bw.AvailableBuffer(), q, body != nil, traceID, len(body))
 	if err != nil {
-		raw.Close()
-		return nil, false, err
+		return reply{}, err
 	}
-	return c, false, nil
+	c.bw.Write(head) // a write error sticks, and Flush returns it
+	c.bw.Write(body)
+	if err := c.bw.Flush(); err != nil {
+		return reply{}, errNoReply{err}
+	}
+	return readReply(c.br)
 }
 
 // upgrade asks the far end to switch the connection to frames.
-func (c *frameConn) upgrade(host string) error {
+func (c *wireConn) upgrade(host string) error {
 	fmt.Fprintf(c.bw, "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", framePath, host, FrameProtocol)
 	if err := c.bw.Flush(); err != nil {
 		return err
@@ -335,82 +296,6 @@ func (c *frameConn) upgrade(host string) error {
 		return fmt.Errorf("httpcache: %s answered the frame upgrade with %s", host, resp.Status)
 	}
 	return nil
-}
-
-func (p *framePool) put(addr string, c *frameConn) {
-	p.mu.Lock()
-	if cs := p.idle[addr]; len(cs) < maxIdleFrames {
-		p.idle[addr] = append(cs, c)
-		c = nil
-	}
-	p.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
-
-// closeIdle closes every idle connection; those out on an exchange close
-// as they come back with an error or are pooled again.
-func (p *framePool) closeIdle() {
-	p.mu.Lock()
-	idle := p.idle
-	p.idle = make(map[string][]*frameConn)
-	p.mu.Unlock()
-	for _, cs := range idle {
-		for _, c := range cs {
-			c.Close()
-		}
-	}
-}
-
-// exchange sends one request frame to addr and reads its reply by
-// deadline, which is set on the connection: a pooled connection never
-// carries its last exchange's.  A cancellable ctx closes the connection
-// when it is cancelled; a context.Background caller registers nothing.
-// A non-nil body is POSTed.  A pooled connection that brings back no
-// byte of a reply was closed by the far end while it sat idle, and the
-// request is sent again, on the next pooled connection or a fresh one,
-// as net/http's transport retries a request on a kept-alive connection
-// the server had closed; a fresh connection is never retried.
-func (p *framePool) exchange(ctx context.Context, deadline time.Time, addr string, q request, body []byte, traceID string) (reply, error) {
-	for {
-		c, reused, err := p.get(ctx, deadline, addr)
-		if err != nil {
-			return reply{}, err
-		}
-		rep, err := c.roundTrip(ctx, deadline, &q, body, traceID)
-		if err == nil {
-			p.put(addr, c)
-			return rep, nil
-		}
-		c.Close()
-		var idle errNoReply
-		if !reused || !errors.As(err, &idle) || ctx.Err() != nil || isTimeout(err) {
-			return reply{}, err
-		}
-	}
-}
-
-func (c *frameConn) roundTrip(ctx context.Context, deadline time.Time, q *request, body []byte, traceID string) (rep reply, err error) {
-	c.SetDeadline(deadline)
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, c.abort)
-		defer func() {
-			if !stop() {
-				rep, err = reply{}, ctx.Err()
-			}
-		}()
-	}
-	head, err := appendRequest(c.bw.AvailableBuffer(), q, body != nil, traceID, len(body))
-	if err != nil {
-		return reply{}, err
-	}
-	c.bw.Write(head) // a write error sticks, and Flush returns it
-	c.bw.Write(body)
-	if err := c.bw.Flush(); err != nil {
-		return reply{}, errNoReply{err}
-	}
-	return readReply(c.br)
 }
 
 // isTimeout reports a connection deadline that ran out.
@@ -437,7 +322,7 @@ type frameServer struct {
 // every frame's request context: it is cancelled when the connection
 // ends, the caller hanging up included, as net/http cancels a request's.
 type serverConn struct {
-	*frameConn
+	*wireConn
 	ctx    context.Context
 	cancel context.CancelFunc
 	busy   bool // a frame is being served (guarded by frameServer.mu)
@@ -489,7 +374,7 @@ func (s *frameServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		raw.Close()
 		return
 	}
-	c := &serverConn{frameConn: newFrameConn(raw), watch: make(chan struct{}), peeked: make(chan error)}
+	c := &serverConn{wireConn: newWireConn(raw), watch: make(chan struct{}), peeked: make(chan error)}
 	c.ctx, c.cancel = context.WithCancel(r.Context())
 	c.w.c = c
 	c.w.header = make(http.Header)

@@ -67,7 +67,7 @@ func crash(srv *httptest.Server, daemon interface{ Close() }) {
 // from a pool of its own.
 func askFramed(t testing.TB, base, pathQuery, traceID string) reply {
 	t.Helper()
-	pool := newFramePool()
+	pool := newConnPool(dialTCP, true)
 	defer pool.closeIdle()
 	to, err := parsePeers([]string{base})
 	if err != nil {
@@ -133,7 +133,7 @@ func TestPooledConnectionTakesEachDeadline(t *testing.T) {
 	f := newFarEnd(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok"))
 	}))
-	pool := newFramePool()
+	pool := newConnPool(dialTCP, true)
 	t.Cleanup(pool.closeIdle)
 	var dials atomic.Int64
 	dial := pool.dial
@@ -292,7 +292,7 @@ func TestFrameShutdownClosesConnections(t *testing.T) {
 	srv := httptest.NewServer(cc.Handler())
 	t.Cleanup(srv.Close)
 	addr := strings.TrimPrefix(srv.URL, "http://")
-	pool := newFramePool()
+	pool := newConnPool(dialTCP, true)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if rep, err := pool.exchange(ctx, time.Now().Add(5*time.Second), addr, request{route: routeObject, key: keyOf("absent")}, nil, ""); err != nil || rep.status != http.StatusNotFound {

@@ -97,10 +97,9 @@ type Proxy struct {
 	ring         ring
 	// coop is the cooperating proxies, in the order they are asked.
 	coop []*peer
-	// client fetches from origin servers; hops carries every hop to
-	// another daemon of the federation (frame.go).
-	client *http.Client
-	hops   *framePool
+	// hops carries every hop to another daemon of the federation
+	// (frame.go), origins every GET to an origin server (originFetch).
+	hops, origins *connPool
 
 	stats proxyCounters
 
@@ -154,8 +153,8 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		storage:   o.newStorage("proxy"),
 		coop:      coop,
 		dir:       directory.NewExact(),
-		client:    newHTTPClient(10 * time.Second),
-		hops:      newFramePool(),
+		hops:      newConnPool(dialTCP, true),
+		origins:   newConnPool(dialOrigin, false),
 		lanLat:    &obs.Histogram{},
 		hardened:  o.Hardened,
 		acct:      lenientAccountant(o.Check, "live"),
@@ -271,21 +270,58 @@ func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"cacheId": m.id.String()})
 }
 
-// originFetch GETs the object body from its origin server.
-func (p *Proxy) originFetch(url string) ([]byte, error) {
-	resp, err := p.client.Get(url)
+// originTimeout bounds one origin GET, dial and reply together: the
+// bound net/http's Client.Timeout gave it.
+const originTimeout = 10 * time.Second
+
+// originFetch GETs the object body from its origin server, on a pooled
+// connection under one deadline, originTimeout from now.  The GET is
+// made for no requester (the coalescer's flight outlives any one), so
+// nothing but the deadline ends it.  Any reply but a 200 is an error,
+// redirects included.
+func (p *Proxy) originFetch(rawURL string) ([]byte, error) {
+	u, err := url.Parse(rawURL)
 	if err != nil {
 		return nil, err
 	}
-	body, err := readBody(resp.Body, resp.ContentLength)
-	resp.Body.Close()
+	addr, err := originAddr(rawURL, u)
 	if err != nil {
-		return nil, fmt.Errorf("reading origin body: %w", err)
+		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("origin status %d", resp.StatusCode)
+	var body []byte
+	err = p.origins.do(context.Background(), time.Now().Add(originTimeout), addr, func(c *wireConn) (keep bool, err error) {
+		writeGet(c.bw, u)
+		if err := c.bw.Flush(); err != nil {
+			return false, errNoReply{err}
+		}
+		body, keep, err = readOriginReply(c.br)
+		return keep, err
+	})
+	return body, err
+}
+
+// originAddr names the pool an origin's connections are kept in,
+// scheme://host:port.  The URL as given starts with it when it spells
+// its port (the load generator's do), and no string is built then.
+func originAddr(rawURL string, u *url.URL) (string, error) {
+	if u.Scheme != "http" && u.Scheme != "https" || u.Host == "" {
+		return "", fmt.Errorf("origin URL %q: only http:// and https:// URLs with a host are fetched", rawURL)
 	}
-	return body, nil
+	if strings.IndexByte(u.RawQuery, ' ') >= 0 {
+		return "", fmt.Errorf("origin URL %q: a space in the query cannot go on a request line", rawURL)
+	}
+	if u.Port() == "" {
+		port := "80"
+		if u.Scheme == "https" {
+			port = "443"
+		}
+		return u.Scheme + "://" + net.JoinHostPort(u.Hostname(), port), nil
+	}
+	n := len(u.Scheme) + len("://") + len(u.Host)
+	if len(rawURL) >= n && rawURL[:len(u.Scheme)] == u.Scheme && rawURL[len(u.Scheme):len(u.Scheme)+3] == "://" && rawURL[len(u.Scheme)+3:n] == u.Host {
+		return rawURL[:n], nil
+	}
+	return u.Scheme + "://" + u.Host, nil
 }
 
 // Greedy-dual costs mirror the latency model: origin fetches are the

@@ -1,38 +1,240 @@
 package httpcache
 
 import (
+	"bufio"
 	"context"
+	"crypto/tls"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"webcache/internal/pastry"
 )
 
-// NewTransport returns the tuned *http.Transport every HTTP client of
-// the live system shares the shape of: the proxy's origin fetches and
-// the load generator's driver (internal/loadgen).  Member-to-member hops
-// travel as frames (frame.go).
+// NewTransport returns the tuned *http.Transport of the load generator's
+// driver (internal/loadgen), the live system's one HTTP client of note.
+// The proxy's own outbound traffic, hops and origin GETs alike, travels
+// on a connPool (below).
 //
 // The stock http.DefaultTransport keeps only 2 idle connections per
-// host (MaxIdleConnsPerHost), so under load every hot peer or origin
-// serializes on two pooled connections and the rest of the traffic
-// pays a fresh TCP handshake per request.  A proxy's outbound fan-in
-// concentrates on a handful of hosts — its client caches, its peers,
-// the origins — which is exactly the topology that default starves.
+// host (MaxIdleConnsPerHost), so under load every hot proxy serializes
+// on two pooled connections and the rest of the traffic pays a fresh
+// TCP handshake per request.
 func NewTransport() *http.Transport {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConns = 0 // no global cap; the per-host limit governs
-	tr.MaxIdleConnsPerHost = 256
+	tr.MaxIdleConnsPerHost = maxIdleConns
 	tr.IdleConnTimeout = 90 * time.Second
 	tr.WriteBufferSize, tr.ReadBufferSize = wireBuf, wireBuf
 	return tr
 }
 
-// newHTTPClient builds a client on a fresh tuned transport.
-func newHTTPClient(timeout time.Duration) *http.Client {
-	return &http.Client{Timeout: timeout, Transport: NewTransport()}
+// wireConn is one connection of the proxy's outbound wire, a hop's
+// (upgraded to frames) or an origin GET's, or at the far end one a frame
+// server holds (frame.go).
+type wireConn struct {
+	net.Conn
+	br *bufio.Reader
+	bw *bufio.Writer
+	// The client end's watcher (watchCancel) closes the connection when
+	// the context an exchange hands it on ctxs is cancelled; the exchange
+	// takes the context back by receiving on fired, which says whether
+	// it was.  Both are made on the connection's first cancellable
+	// exchange.
+	ctxs  chan context.Context
+	fired chan bool
+}
+
+func newWireConn(c net.Conn) *wireConn {
+	return &wireConn{Conn: c, br: bufio.NewReaderSize(c, wireBuf), bw: bufio.NewWriterSize(c, wireBuf)}
+}
+
+// maxIdleConns is how many idle connections a pool keeps per address.
+const maxIdleConns = 256
+
+// connPool is the client end of the proxy's outbound wire: idle
+// connections by address.  The proxy keeps two, one per use: its hops'
+// (upgrade set: each connection is upgraded to frames as it is dialled)
+// and its origin GETs'.  A connection goes back only after an exchange
+// that ended cleanly; one that saw any error is closed.
+type connPool struct {
+	mu      sync.Mutex
+	idle    map[string][]*wireConn
+	upgrade bool
+	// dial opens a connection to an address under ctx, whose deadline is
+	// the exchange's (tests count the bytes through it).
+	dial func(ctx context.Context, addr string) (net.Conn, error)
+}
+
+func newConnPool(dial func(context.Context, string) (net.Conn, error), upgrade bool) *connPool {
+	return &connPool{idle: make(map[string][]*wireConn), upgrade: upgrade, dial: dial}
+}
+
+// dialTCP dials a hop's host:port.
+func dialTCP(ctx context.Context, addr string) (net.Conn, error) {
+	var d net.Dialer
+	return d.DialContext(ctx, "tcp", addr)
+}
+
+// dialOrigin dials an origin by its pool address, scheme://host:port
+// (originAddr): an https origin through crypto/tls, with the system's
+// roots and full verification.
+func dialOrigin(ctx context.Context, addr string) (net.Conn, error) {
+	scheme, hostPort, _ := strings.Cut(addr, "://")
+	if scheme == "https" {
+		var d tls.Dialer
+		return d.DialContext(ctx, "tcp", hostPort)
+	}
+	return dialTCP(ctx, hostPort)
+}
+
+// get returns an idle connection to addr, or dials (and upgrades, for
+// hops) a new one by deadline, which ctx's cancellation cuts short.
+// reused reports which.
+func (p *connPool) get(ctx context.Context, deadline time.Time, addr string) (c *wireConn, reused bool, err error) {
+	p.mu.Lock()
+	if cs := p.idle[addr]; len(cs) > 0 {
+		c = cs[len(cs)-1]
+		cs[len(cs)-1] = nil
+		p.idle[addr] = cs[:len(cs)-1]
+		p.mu.Unlock()
+		return c, true, nil
+	}
+	p.mu.Unlock()
+	// A dial is once per connection, so it may take a context of its own.
+	dctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
+	raw, err := p.dial(dctx, addr)
+	if err != nil {
+		return nil, false, err
+	}
+	c = newWireConn(raw)
+	if p.upgrade {
+		if _, err = c.exchange(ctx, deadline, func(c *wireConn) (bool, error) { return true, c.upgrade(addr) }); err != nil {
+			c.close()
+			return nil, false, err
+		}
+	}
+	return c, false, nil
+}
+
+func (p *connPool) put(addr string, c *wireConn) {
+	p.mu.Lock()
+	if cs := p.idle[addr]; len(cs) < maxIdleConns {
+		p.idle[addr] = append(cs, c)
+		c = nil
+	}
+	p.mu.Unlock()
+	if c != nil {
+		c.close()
+	}
+}
+
+// closeIdle closes every idle connection; those out on an exchange close
+// as they come back with an error or are pooled again.
+func (p *connPool) closeIdle() {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle = make(map[string][]*wireConn)
+	p.mu.Unlock()
+	for _, cs := range idle {
+		for _, c := range cs {
+			c.close()
+		}
+	}
+}
+
+// do runs one exchange with addr by deadline: rt writes the request on
+// a connection and reads the reply, and reports whether the connection
+// may be pooled after it.  A pooled connection that brings back no byte
+// of a reply (errNoReply) was closed by the far end while it sat idle,
+// and the request is sent again, on the next pooled connection or a
+// fresh one, as net/http's transport retries a request on a kept-alive
+// connection the server had closed; a fresh connection is never retried.
+func (p *connPool) do(ctx context.Context, deadline time.Time, addr string, rt func(*wireConn) (keep bool, err error)) error {
+	for {
+		c, reused, err := p.get(ctx, deadline, addr)
+		if err != nil {
+			return err
+		}
+		keep, err := c.exchange(ctx, deadline, rt)
+		if err == nil && keep {
+			p.put(addr, c)
+		} else {
+			c.close()
+		}
+		if err == nil {
+			return nil
+		}
+		var idle errNoReply
+		if !reused || !errors.As(err, &idle) || ctx.Err() != nil || isTimeout(err) {
+			return err
+		}
+	}
+}
+
+// exchange runs rt on c under deadline, the connection's one bound for
+// it, and under ctx's watch: a cancelled ctx closes the connection, and
+// the exchange ends with ctx's error.
+func (c *wireConn) exchange(ctx context.Context, deadline time.Time, rt func(*wireConn) (bool, error)) (keep bool, err error) {
+	c.SetDeadline(deadline)
+	if c.watch(ctx) {
+		defer func() {
+			if <-c.fired {
+				keep, err = false, ctx.Err()
+			}
+		}()
+	}
+	return rt(c)
+}
+
+// watch hands ctx to the connection's watcher for one exchange, which
+// then takes it back by receiving on fired.  The watcher starts on the
+// connection's first cancellable exchange; a ctx that is never cancelled
+// (context.Background) is not handed over, and watch reports false.
+func (c *wireConn) watch(ctx context.Context) bool {
+	if ctx.Done() == nil {
+		return false
+	}
+	if c.ctxs == nil {
+		c.ctxs, c.fired = make(chan context.Context), make(chan bool)
+		go c.watchCancel()
+	}
+	c.ctxs <- ctx
+	return true
+}
+
+// watchCancel is the client end's watcher: it closes the connection when
+// the context of the exchange under way is cancelled, which ends a read
+// the far end has not answered, and it ends with the connection (close).
+func (c *wireConn) watchCancel() {
+	defer close(c.fired)
+	for ctx := range c.ctxs {
+		select {
+		case <-ctx.Done():
+			c.Conn.Close()
+			c.fired <- true
+		case c.fired <- false:
+		}
+	}
+}
+
+// close ends the connection and its watcher, and returns once the
+// watcher has stopped.  No exchange is out: the watcher is waiting for
+// the next.
+func (c *wireConn) close() {
+	c.Conn.Close()
+	if c.ctxs != nil {
+		close(c.ctxs)
+		<-c.fired
+	}
 }
 
 // drainCap bounds what drainClose reads from a reply nobody wants: the
@@ -76,6 +278,49 @@ func readBody(r io.Reader, declared int64) ([]byte, error) {
 		read = copy(grown, body)
 		body = grown
 	}
+}
+
+// writeGet writes an origin GET for u: the request line, with u's path
+// and query, and the Host header, nothing else (DESIGN.md §9, "The
+// wire").
+func writeGet(w *bufio.Writer, u *url.URL) {
+	path := u.EscapedPath()
+	if path == "" {
+		path = "/"
+	}
+	w.WriteString("GET ")
+	w.WriteString(path)
+	if u.RawQuery != "" || u.ForceQuery {
+		w.WriteByte('?')
+		w.WriteString(u.RawQuery)
+	}
+	w.WriteString(" HTTP/1.1\r\nHost: ")
+	w.WriteString(u.Host)
+	w.WriteString("\r\n\r\n")
+}
+
+// readOriginReply reads one origin reply, which net/http's parser takes
+// apart (chunked, close-delimited and HTTP/1.0 replies included), and
+// returns a 200's body, read whole by readBody; any other status is an
+// error.  keep reports a reply after which the connection may carry the
+// next GET: one read to its end that did not ask to close, with nothing
+// past it buffered.  A connection that ends before the first byte is
+// errNoReply.
+func readOriginReply(br *bufio.Reader) (body []byte, keep bool, err error) {
+	if _, err := br.Peek(1); err != nil {
+		return nil, false, errNoReply{err}
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, false, fmt.Errorf("origin status %d", resp.StatusCode)
+	}
+	if body, err = readBody(resp.Body, resp.ContentLength); err != nil {
+		return nil, false, fmt.Errorf("reading origin body: %w", err)
+	}
+	return body, !resp.Close && br.Buffered() == 0, nil
 }
 
 // drainClose reads what is left of a reply, up to drainCap, and closes
@@ -128,8 +373,8 @@ type reply struct {
 	body     []byte
 }
 
-// hop is one call to another daemon of the federation, over a pooled
-// frame connection (frame.go), and the only place a per-hop deadline is
+// hop is one call to another daemon of the federation, a frame on a
+// pooled connection (frame.go), and the only place a per-hop deadline is
 // set: peerTimeout() from now, or parent's deadline if that comes first,
 // set on the connection.  A hop made for a requester passes the
 // requester's context, so hanging up cancels it, and one that must
@@ -174,12 +419,10 @@ func (p *Proxy) hop(parent context.Context, to *peer, q request, body []byte, tr
 }
 
 // CloseIdleConnections drops the proxy's pooled outbound connections,
-// frame and HTTP alike.  Shutdown paths call this before draining
-// servers: a connection the transport dialed but never used sits in
-// StateNew on the server side, and http.Server.Shutdown only reaps those
-// after a hard-coded 5s grace, and a frame connection left open holds
-// its far end's frame loop.
+// hops' and origin GETs' alike.  Shutdown paths call this before
+// draining servers: a frame connection left open holds its far end's
+// frame loop, and an idle connection's watcher ends with it.
 func (p *Proxy) CloseIdleConnections() {
-	p.client.CloseIdleConnections()
 	p.hops.closeIdle()
+	p.origins.closeIdle()
 }

@@ -1,14 +1,17 @@
 package httpcache
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -243,4 +246,186 @@ func TestReadBody(t *testing.T) {
 				tc.declared, tc.available, len(body), cap(body), err, len(want))
 		}
 	}
+}
+
+// TestOriginWire pins the origin GET's wire (DESIGN.md §9): what each
+// kind of origin reply serves, and whether the connection it came on is
+// pooled for the next GET.  A connection the origin closed while it sat
+// idle costs a second dial, not a failed request or a second fetch; and
+// an https origin is dialled through TLS with the system's roots, so a
+// certificate they do not vouch for is a 502 that names it.
+func TestOriginWire(t *testing.T) {
+	const size = 8 << 10
+	want := sizedBody("/object", size)
+	var dials, gets atomic.Int64
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
+		switch r.URL.Path {
+		case "/declared":
+			w.Header().Set("Content-Length", strconv.Itoa(size))
+			w.Write(want)
+		case "/chunked":
+			for i := 0; i < size; i += 2048 {
+				w.Write(want[i : i+2048])
+				w.(http.Flusher).Flush()
+			}
+		case "/close":
+			w.Header().Set("Connection", "close")
+			w.Header().Set("Content-Length", strconv.Itoa(size))
+			w.Write(want)
+		case "/http10": // no length: the body ends with the connection
+			c, rw, err := http.NewResponseController(w).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rw.WriteString("HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\n\r\n")
+			rw.Write(want)
+			rw.Flush()
+			c.Close()
+		case "/short":
+			w.Header().Set("Content-Length", strconv.Itoa(size))
+			w.Write(want[:10]) // net/http closes the connection on the shortfall
+		case "/moved":
+			http.Redirect(w, r, "/declared", http.StatusMovedPermanently)
+		}
+	})
+	origin := httptest.NewUnstartedServer(handler)
+	origin.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	origin.Start()
+	t.Cleanup(origin.Close)
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
+	t.Cleanup(px.CloseIdleConnections)
+	f := pin(t, px, "")
+	pooled := func() int {
+		px.origins.mu.Lock()
+		defer px.origins.mu.Unlock()
+		return len(px.origins.idle[origin.URL])
+	}
+	get := func(path string, status int, text string, pool int) {
+		t.Helper()
+		resp, body := framedGet(t, f.fetchURL(origin.URL+path))
+		switch {
+		case resp.StatusCode != status:
+			t.Errorf("%s: status %d (%.80q), want %d", path, resp.StatusCode, body, status)
+		case status == http.StatusOK && (!bytes.Equal(body, want) || resp.Header.Get(ServedByHeader) != TierOrigin):
+			t.Errorf("%s: %d bytes served by %q, want the origin's %d", path, len(body), resp.Header.Get(ServedByHeader), size)
+		case status != http.StatusOK && !strings.Contains(string(body), text):
+			t.Errorf("%s: 502 text %q does not name %q", path, body, text)
+		}
+		if got := pooled(); got != pool {
+			t.Errorf("%s: %d idle origin connections after the GET, want %d", path, got, pool)
+		}
+	}
+
+	for _, tc := range []struct {
+		path   string
+		status int
+		text   string // what a 502 names
+		pooled bool
+	}{
+		{"/declared", http.StatusOK, "", true},
+		{"/chunked", http.StatusOK, "", true},
+		{"/close", http.StatusOK, "", false},
+		{"/http10", http.StatusOK, "", false},
+		{"/short", http.StatusBadGateway, "reading origin body", false},
+		{"/moved", http.StatusBadGateway, "origin status 301", false},
+	} {
+		px.CloseIdleConnections()
+		pool := 0
+		if tc.pooled {
+			pool = 1
+		}
+		get(tc.path+"?case=table", tc.status, tc.text, pool)
+	}
+
+	px.CloseIdleConnections()
+	get("/declared?case=idle-1", http.StatusOK, "", 1)
+	origin.CloseClientConnections()
+	d, g, fetched := dials.Load(), gets.Load(), px.snapshotStats().OriginFetch
+	get("/declared?case=idle-2", http.StatusOK, "", 1)
+	if d, g, fetched := dials.Load()-d, gets.Load()-g, px.snapshotStats().OriginFetch-fetched; d != 1 || g != 1 || fetched != 1 {
+		t.Errorf("a GET on a connection the origin had closed: %d dials, %d GETs at the origin, %d origin_fetches, want 1 of each", d, g, fetched)
+	}
+
+	untrusted := httptest.NewUnstartedServer(handler)
+	untrusted.Config.ErrorLog = log.New(io.Discard, "", 0) // its side of the refused handshake
+	untrusted.StartTLS()
+	t.Cleanup(untrusted.Close)
+	resp, msg := framedGet(t, f.fetchURL(untrusted.URL+"/declared"))
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(msg), "x509") {
+		t.Errorf("an origin whose certificate the system does not trust: status %d %q, want a 502 naming the x509 error", resp.StatusCode, msg)
+	}
+}
+
+// FuzzOriginReply feeds the origin reply reader whatever an origin may
+// send.  Whatever it gets, readOriginReply does not panic; a body it
+// returns is the one net/http reads from the same bytes, never short of
+// a declared length; no declaration makes it allocate past bodyTrust
+// before the bytes are there; and it keeps the connection only at the
+// end of a complete reply, with nothing after it buffered: net/http
+// reads the same reply, to its end, from exactly the bytes it consumed.
+func FuzzOriginReply(f *testing.F) {
+	for _, seed := range []string{
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 5\r\n\r\nhello",
+		"HTTP/1.0 200 OK\r\n\r\nhello",
+		"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 5\r\n\r\nhello",
+		"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\nonly-ten-b",
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhelloHTTP/1.1 200 OK\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhel",
+		"HTTP/1.1 301 Moved Permanently\r\nLocation: /x\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		br := bufio.NewReaderSize(src, wireBuf)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body, keep, err := readOriginReply(br)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*bodyTrust+4*uint64(len(data)) {
+			t.Errorf("readOriginReply allocated %d bytes of a %d-byte reply, want no more than bodyTrust (%d) and change", got, len(data), bodyTrust)
+		}
+		if err != nil {
+			if keep || body != nil {
+				t.Errorf("error %v came back with a %d-byte body, keep %v", err, len(body), keep)
+			}
+			return
+		}
+		ref, rerr := http.ReadResponse(bufio.NewReader(bytes.NewReader(data)), nil)
+		if rerr != nil {
+			t.Fatalf("read a reply net/http refuses: %v", rerr)
+		}
+		refBody, rerr := io.ReadAll(ref.Body)
+		if rerr != nil || ref.StatusCode != http.StatusOK || !bytes.Equal(body, refBody) {
+			t.Fatalf("read %d body bytes where net/http reads status %d, %d bytes, %v", len(body), ref.StatusCode, len(refBody), rerr)
+		}
+		if ref.ContentLength >= 0 && int64(len(body)) != ref.ContentLength {
+			t.Fatalf("read %d body bytes of a reply that declared %d", len(body), ref.ContentLength)
+		}
+		if !keep {
+			return
+		}
+		if n := br.Buffered(); n > 0 {
+			t.Fatalf("kept the connection with %d bytes nobody asked for buffered", n)
+		}
+		consumed := data[:len(data)-src.Len()]
+		end, rerr := http.ReadResponse(bufio.NewReader(bytes.NewReader(consumed)), nil)
+		if rerr != nil {
+			t.Fatalf("kept the connection after %d bytes, which net/http cannot read a reply from: %v", len(consumed), rerr)
+		}
+		endBody, rerr := io.ReadAll(end.Body)
+		if rerr != nil || end.Close || !bytes.Equal(endBody, body) {
+			t.Fatalf("kept the connection after %d bytes, which are not one whole reply (%d bytes, close %v, %v)", len(consumed), len(endBody), end.Close, rerr)
+		}
+	})
 }
