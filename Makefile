@@ -32,13 +32,16 @@ check: vet guards
 
 # The tree guards, which CI runs as this target too: they fail on any
 # file gofmt would rewrite, if the simulator library (the root webcache
-# package) links any package of the live data plane, and if the
+# package) links any package of the live data plane, if the
 # library, a command or an example links the disk log only the
-# benchmark's probes use.
+# benchmark's probes use, and if DESIGN.md passes 800 lines or
+# EXPERIMENTS.md 900, so the prose describes the code at HEAD.
 guards:
 	@test -z "$$(gofmt -l . | tee /dev/stderr)" || { echo "gofmt -l . names the files above" >&2; exit 1; }
 	@test -z "$$($(GO) list -deps . | grep -E '^webcache/internal/(httpcache|loadgen|store|obs/slo)(/|$$)' | tee /dev/stderr)" || { echo "go list -deps . names the live data-plane packages above" >&2; exit 1; }
 	@test -z "$$($(GO) list -deps . ./cmd/... ./examples/... | grep -x 'webcache/internal/store/disk' | tee /dev/stderr)" || { echo "the product links the bench-only internal/store/disk" >&2; exit 1; }
+	@test $$(wc -l < DESIGN.md) -le 800 || { echo "DESIGN.md has $$(wc -l < DESIGN.md) lines, more than 800" >&2; exit 1; }
+	@test $$(wc -l < EXPERIMENTS.md) -le 900 || { echo "EXPERIMENTS.md has $$(wc -l < EXPERIMENTS.md) lines, more than 900" >&2; exit 1; }
 
 # Ten seconds of each fuzz target (beyond replaying the checked-in
 # seed corpora, which plain `make test` already does).  FUZZTIME=1m
@@ -152,13 +155,15 @@ trace-alloc:
 # 2 for the same fetch under a cancellable requester's context, and 12
 # for an evicting store or pass-down (TestHopAllocsPerRun), whose
 # header values come from a memo that allocates nothing once warm
-# (TestDecimalValueZeroAlloc), and an 8 KiB origin GET, both ends
-# counted, allocates at most 30 (TestOriginFetchAllocs).  Run
+# (TestDecimalValueZeroAlloc), an 8 KiB origin GET, both ends
+# counted, allocates at most 30 (TestOriginFetchAllocs), and
+# trace.ReadBinary on a bytes.Reader allocates the input, the Trace and
+# its Requests, 3 in all (TestReadBinaryAllocsPerRun).  Run
 # without -race on purpose — race instrumentation allocates on paths the
 # production build does not, so these files are !race-tagged and
 # invisible to `make check`.
 sim-alloc:
-	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs|OriginFetchAllocs' ./internal/cache ./internal/sim ./internal/httpcache ./internal/pastry ./internal/p2p ./internal/loadgen
+	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs|OriginFetchAllocs' ./internal/cache ./internal/sim ./internal/httpcache ./internal/pastry ./internal/p2p ./internal/loadgen ./internal/trace
 
 # The paper's figures and claims (~13 min on 2 CPUs): one build runs
 # every figure at the paper's scale and at 0.2, five seeds each, as

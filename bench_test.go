@@ -52,9 +52,9 @@ func BenchmarkObjectDiversion(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			reportMetric(b, 100*res.HitRatio(webcache.SrcP2P), "p2p-hit%")
-			reportMetric(b, float64(res.P2P.Evictions), "evictions")
-			reportMetric(b, float64(res.P2P.Diversions), "diversions")
+			b.ReportMetric(100*res.HitRatio(webcache.SrcP2P), "p2p-hit%")
+			b.ReportMetric(float64(res.P2P.Evictions), "evictions")
+			b.ReportMetric(float64(res.P2P.Diversions), "diversions")
 		})
 	}
 }
@@ -80,8 +80,8 @@ func BenchmarkPiggyback(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			reportMetric(b, float64(res.P2P.Messages), "messages")
-			reportMetric(b, float64(res.P2P.PiggybackSave), "saved")
+			b.ReportMetric(float64(res.P2P.Messages), "messages")
+			b.ReportMetric(float64(res.P2P.PiggybackSave), "saved")
 		})
 	}
 }
@@ -109,9 +109,9 @@ func BenchmarkInterProxyDigests(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			reportMetric(b, 100*res.HitRatio(webcache.SrcRemoteProxy), "remote-hit%")
-			reportMetric(b, float64(res.DigestStaleProbes), "stale-probes")
-			reportMetric(b, res.AvgLatency*1000, "mlat")
+			b.ReportMetric(100*res.HitRatio(webcache.SrcRemoteProxy), "remote-hit%")
+			b.ReportMetric(float64(res.DigestStaleProbes), "stale-probes")
+			b.ReportMetric(res.AvgLatency*1000, "mlat")
 		})
 	}
 }
@@ -137,7 +137,7 @@ func BenchmarkVariableSizes(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			reportMetric(b, res.AvgLatency*1000, "mlat")
+			b.ReportMetric(res.AvgLatency*1000, "mlat")
 			b.SetBytes(int64(tr.Len()))
 		})
 	}
@@ -166,8 +166,8 @@ func BenchmarkProximityRouting(b *testing.B) {
 				}
 			}
 			st := ov.Stats()
-			reportMetric(b, st.MeanStretch, "stretch")
-			reportMetric(b, st.MeanHops, "hops")
+			b.ReportMetric(st.MeanStretch, "stretch")
+			b.ReportMetric(st.MeanHops, "hops")
 		})
 	}
 }
@@ -195,8 +195,8 @@ func BenchmarkDiversionBalance(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			reportMetric(b, float64(res.P2P.Diversions), "diversions")
-			reportMetric(b, 100*res.HitRatio(webcache.SrcP2P), "p2p-hit%")
+			b.ReportMetric(float64(res.P2P.Diversions), "diversions")
+			b.ReportMetric(100*res.HitRatio(webcache.SrcP2P), "p2p-hit%")
 		})
 	}
 }
@@ -218,8 +218,8 @@ func BenchmarkSquirrelVsHierGD(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			reportMetric(b, res.AvgLatency*1000, "mlat")
-			reportMetric(b, 100*res.HitRatio(webcache.SrcP2P), "p2p-hit%")
+			b.ReportMetric(res.AvgLatency*1000, "mlat")
+			b.ReportMetric(100*res.HitRatio(webcache.SrcP2P), "p2p-hit%")
 		})
 	}
 }
@@ -252,8 +252,8 @@ func BenchmarkClusterAffinity(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				reportMetric(b, 100*webcache.Gain(sc.AvgLatency, nc.AvgLatency), "sc-gain%")
-				reportMetric(b, 100*webcache.Gain(hg.AvgLatency, nc.AvgLatency), "hiergd-gain%")
+				b.ReportMetric(100*webcache.Gain(sc.AvgLatency, nc.AvgLatency), "sc-gain%")
+				b.ReportMetric(100*webcache.Gain(hg.AvgLatency, nc.AvgLatency), "hiergd-gain%")
 			}
 		})
 	}

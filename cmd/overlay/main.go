@@ -79,9 +79,7 @@ func run(args []string) (reg *obs.Registry, err error) {
 	if err != nil {
 		return reg, err
 	}
-	buildStop := reg.Timer("overlay.build").Start()
 	ids, err := ov.JoinN(*nodes, "overlay-cli")
-	buildStop()
 	if err != nil {
 		return reg, err
 	}
@@ -102,17 +100,14 @@ func run(args []string) (reg *obs.Registry, err error) {
 				killed++
 			}
 		}
-		reg.Counter("overlay.failed_nodes").Add(int64(killed))
 		fmt.Printf("crashed %d nodes abruptly; %d remain\n", killed, ov.Len())
 		if *stabilize {
 			repairs := ov.Stabilize()
-			reg.Counter("overlay.stabilize_repairs").Add(int64(repairs))
 			fmt.Printf("stabilization round repaired %d state entries\n", repairs)
 		}
 	}
 
 	step, finishProgress := sess.Progress("routing")
-	routeStop := reg.Timer("overlay.routing").Start()
 	hist := map[int]int{}
 	mismatches := 0
 	for i := 0; i < *routes; i++ {
@@ -131,21 +126,10 @@ func run(args []string) (reg *obs.Registry, err error) {
 			step(i+1, *routes)
 		}
 	}
-	routeStop()
 	finishProgress()
 
 	st := ov.Stats()
-	if reg.Enabled() {
-		reg.Counter("overlay.nodes").Add(int64(ov.Len()))
-		reg.Counter("overlay.routes").Add(int64(st.Routes))
-		reg.Gauge("overlay.mean_hops").Set(st.MeanHops)
-		reg.Gauge("overlay.max_hops").SetMax(float64(st.MaxHops))
-		reg.Counter("overlay.repairs").Add(int64(st.Repairs))
-		reg.Counter("overlay.route_mismatches").Add(int64(mismatches))
-		if *proximity {
-			reg.Gauge("overlay.mean_stretch").Set(st.MeanStretch)
-		}
-	}
+	reg.Counter("overlay.nodes").Add(int64(ov.Len()))
 	bound := math.Ceil(math.Log(float64(ov.Len())) / math.Log(float64(int(1)<<*b)))
 	fmt.Printf("\nroutes: %d   mean hops: %.2f   max: %d   log_%d(N) bound: %.0f\n",
 		st.Routes, st.MeanHops, st.MaxHops, 1<<*b, bound)

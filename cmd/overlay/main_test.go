@@ -8,11 +8,7 @@ import (
 )
 
 // TestMetricsDocOverlay holds the overlay.* namespace in METRICS.md
-// against what one CLI run registers, both directions.  The flag set
-// is chosen so every conditional registration fires: failures for
-// overlay.failed_nodes, a stabilization round for
-// overlay.stabilize_repairs, proximity tables for
-// overlay.mean_stretch.
+// against what one CLI run registers, both directions.
 func TestMetricsDocOverlay(t *testing.T) {
 	md, err := os.ReadFile("../../METRICS.md")
 	if err != nil {

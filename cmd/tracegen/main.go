@@ -174,11 +174,7 @@ func run(args []string) (reg *obs.Registry, err error) {
 		return reg, errUsage
 	}
 
-	if reg.Enabled() {
-		reg.Counter("tracegen.requests").Add(int64(tr.Len()))
-		reg.Counter("tracegen.objects").Add(int64(tr.NumObjects))
-		reg.Counter("tracegen.clients").Add(int64(tr.NumClients))
-	}
+	reg.Counter("tracegen.requests").Add(int64(tr.Len()))
 	sess.SetTrace(tr, nil)
 	return reg, nil
 }

@@ -111,12 +111,6 @@ func main() {
 	case *runOne != "":
 		err = runScheme(*runOne, src, *frac, sess, chk)
 	default:
-		// Timing goes through the obs timer API; when no registry was
-		// requested a private one backs the -v output.
-		treg := sess.Reg
-		if treg == nil {
-			treg = obs.NewRegistry("webcachesim-timing")
-		}
 		ids := []string{*fig}
 		if *fig == "all" {
 			ids = webcache.FigureIDs()
@@ -126,7 +120,7 @@ func main() {
 		var figs []*webcache.Figure
 		for _, id := range ids {
 			var f *webcache.Figure
-			if f, err = runFigure(id, opts, *replicates, *jsonOut, sess, treg, *verbose); err != nil {
+			if f, err = runFigure(id, opts, *replicates, *jsonOut, sess, *verbose); err != nil {
 				break
 			}
 			figs = append(figs, f)
@@ -147,11 +141,10 @@ func main() {
 	}
 }
 
-// runFigure regenerates and renders one figure, timing it under
-// "figure.<id>" in treg and reporting sweep progress when enabled.
-func runFigure(id string, opts webcache.FigureOptions, replicates int, jsonOut bool, sess *obs.Session, treg *obs.Registry, verbose bool) (*webcache.Figure, error) {
-	timer := treg.Timer("figure." + id)
-	stop := timer.Start()
+// runFigure regenerates and renders one figure, timing it for -v and
+// reporting sweep progress when enabled.
+func runFigure(id string, opts webcache.FigureOptions, replicates int, jsonOut bool, sess *obs.Session, verbose bool) (*webcache.Figure, error) {
+	start := time.Now()
 	opts.Obs = sess.Reg
 	progress, finishProgress := sess.Progress("fig " + id)
 	opts.Progress = progress
@@ -159,7 +152,7 @@ func runFigure(id string, opts webcache.FigureOptions, replicates int, jsonOut b
 	// One replicate is the plain run, its CIs zero.
 	f, err := webcache.RunFigureReplicated(id, opts, replicates)
 	finishProgress()
-	stop()
+	took := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +164,7 @@ func runFigure(id string, opts webcache.FigureOptions, replicates int, jsonOut b
 		fmt.Println(webcache.FormatTable(f))
 	}
 	if verbose {
-		fmt.Fprintf(os.Stderr, "figure %s took %v\n", id, timer.Total().Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "figure %s took %v\n", id, took.Round(time.Millisecond))
 	}
 	return f, nil
 }

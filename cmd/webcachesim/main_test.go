@@ -156,7 +156,7 @@ func TestCPUProfileFlag(t *testing.T) {
 func TestRunFigureRefusesReplicatesBelowOne(t *testing.T) {
 	sess := startSession(t)
 	for _, n := range []int{0, -1} {
-		_, err := runFigure("2a", webcache.FigureOptions{Scale: 0.02, Seed: 1}, n, false, sess, obs.NewRegistry("timing"), false)
+		_, err := runFigure("2a", webcache.FigureOptions{Scale: 0.02, Seed: 1}, n, false, sess, false)
 		if err == nil || !strings.Contains(err.Error(), "replicates") {
 			t.Errorf("replicates %d: err %v, want the count refused", n, err)
 		}

@@ -141,10 +141,7 @@ func RunLive(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) 
 	var churnTimer *time.Timer
 	if scn.Churn {
 		after := time.Duration(float64(cfg.Requests) / cfg.Rate / 2 * float64(time.Second))
-		churnTimer = time.AfterFunc(after, func() {
-			downed := topo.FlashDisconnect(churnFraction, Seed)
-			cfg.Registry.Counter("chaos.churned_caches").Add(int64(len(downed)))
-		})
+		churnTimer = time.AfterFunc(after, func() { topo.FlashDisconnect(churnFraction, Seed) })
 		defer churnTimer.Stop()
 	}
 

@@ -118,7 +118,6 @@ func sweep(id, title string, curves []curve, opts Options) (*Figure, error) {
 
 	if opts.Obs.Enabled() {
 		opts.Obs.Counter("core.sweep.jobs").Add(int64(len(jobs)))
-		opts.Obs.Gauge("core.sweep.workers").Set(float64(workers))
 		// Busy time over the pool's total capacity: 1.0 means every
 		// worker computed the whole time (jobs may outnumber
 		// workers, so utilization is also capped by job

@@ -51,15 +51,10 @@ func (p *Proxy) publishStats() {
 	g("digest_pull_fails", st.DigestPullFails)
 	g("digest_skips", st.DigestSkips)
 	g("digest_false_pos", st.DigestFalsePos)
-	g("swept_caches", st.SweptCaches)
-	g("directory_entries", st.DirEntries)
-	g("client_caches", p.ring.size())
 	g("breaker_skipped", st.Defense.BreakerSkipped)
 	g("breaker_opens", st.Defense.BreakerOpens)
 	g("digest_checks", st.Defense.DigestChecks)
 	g("digest_failures", st.Defense.DigestFailures)
-	g("contrib_swept", st.Defense.ContribSwept)
-	g("peer_timeouts", st.Defense.PeerTimeouts)
 	p.store.PublishMetrics()
 	// Refresh the slo.* gauges (and fire burn-rate threshold events) at
 	// every scrape, so the cluster aggregator reads current burn rates.

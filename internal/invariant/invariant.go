@@ -65,15 +65,14 @@ type Checker struct {
 	checks     int64
 	violations []Violation
 	dropped    int64 // violations beyond maxRecordedViolations
+	coldServes int64 // OriginOracle counts; not violations
 
-	// Metrics (nil-safe, following obs): check.checks counts assertions
-	// evaluated, check.violations counts failures, per-layer counters
-	// live under check.violations.<layer>.
+	// reg, when set, counts failures under check.violations.
 	reg *obs.Registry
 }
 
 // New creates an enabled Checker.  reg may be nil; when set, the
-// checker publishes check.* counters into it (see METRICS.md).
+// checker counts violations into it (see METRICS.md).
 func New(reg *obs.Registry) *Checker {
 	return &Checker{reg: reg}
 }
@@ -89,9 +88,6 @@ func (c *Checker) observe(n int64) {
 	c.mu.Lock()
 	c.checks += n
 	c.mu.Unlock()
-	if c.reg != nil {
-		c.reg.Counter("check.checks").Add(n)
-	}
 }
 
 // violatef records a violation.
@@ -109,7 +105,6 @@ func (c *Checker) violatef(layer, rule, format string, args ...any) {
 	c.mu.Unlock()
 	if c.reg != nil {
 		c.reg.Counter("check.violations").Inc()
-		c.reg.Counter("check.violations." + layer).Inc()
 	}
 }
 

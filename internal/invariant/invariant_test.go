@@ -73,9 +73,6 @@ func TestCheckerRecordsViolations(t *testing.T) {
 	if reg.Counter("check.violations").Value() != 1 {
 		t.Fatal("check.violations counter not incremented")
 	}
-	if reg.Counter("check.violations.cache").Value() != 1 {
-		t.Fatal("per-layer violation counter not incremented")
-	}
 }
 
 func TestCheckerCapsRecordedViolations(t *testing.T) {

@@ -275,22 +275,21 @@ type recorder struct {
 	errors    atomic.Int64
 	measured  atomic.Int64
 	tiers     [numTiers]atomic.Int64
-	perTier   [numTiers]*obs.Histogram
+	perTier   [numTiers]obs.Histogram
 	overall   *obs.Histogram
 
-	reg      *obs.Registry
-	reqTimer *obs.Timer
+	reg *obs.Registry
 	// The per-request counters, resolved once (nil without a registry)
 	// so record neither builds a name nor takes the registry lock.
-	issuedCtr, discardedCtr *obs.Counter
-	servesCtr               [numTiers]*obs.Counter
+	issuedCtr *obs.Counter
+	servesCtr [numTiers]*obs.Counter
 }
 
 func newRecorder(warmup int, reg *obs.Registry) *recorder {
-	// The latency distributions ARE registry histograms when a registry
-	// is attached — first-class metrics, flattened to .p50/.p90/... in
-	// Values() and exported as summaries on /metrics.  Without one they
-	// fall back to private histograms so Result keeps working.
+	// The overall latency distribution IS a registry histogram when a
+	// registry is attached, flattened to .p50/.p90/... in Values() and
+	// exported as a summary on /metrics.  Without one it falls back to a
+	// private histogram so Result keeps working.
 	overall := reg.Histogram("loadgen.latency")
 	if overall == nil {
 		overall = &obs.Histogram{}
@@ -300,29 +299,19 @@ func newRecorder(warmup int, reg *obs.Registry) *recorder {
 	// diffable run to run and the doc-drift test can hold any smoke run
 	// against the METRICS.md glossary.
 	rec := &recorder{warmup: warmup, reg: reg, overall: overall,
-		reqTimer:     reg.Timer("loadgen.request"),
-		issuedCtr:    reg.Counter("loadgen.issued"),
-		discardedCtr: reg.Counter("loadgen.warmup_discarded")}
-	for i := range rec.perTier {
-		h := reg.Histogram("loadgen.latency.tier." + Tier(i).String())
-		if h == nil {
-			h = &obs.Histogram{}
-		}
-		rec.perTier[i] = h
+		issuedCtr: reg.Counter("loadgen.issued")}
+	for i := range rec.servesCtr {
 		rec.servesCtr[i] = reg.Counter("loadgen.serves." + Tier(i).String())
 	}
 	reg.Counter("loadgen.throttled").Add(0)
-	reg.Gauge("loadgen.inflight.max").SetMax(0)
 	return rec
 }
 
 func (rec *recorder) record(idx int, o Outcome) {
 	rec.issued.Add(1)
 	rec.issuedCtr.Inc()
-	rec.reqTimer.Observe(o.Latency)
 	if idx < rec.warmup {
 		rec.discarded.Add(1)
-		rec.discardedCtr.Inc()
 		return
 	}
 	rec.tiers[o.Tier].Add(1)
@@ -349,7 +338,7 @@ func (rec *recorder) result(mode Mode, elapsed time.Duration, throttled int) *Re
 	}
 	for i := range res.Tiers {
 		res.Tiers[i] = int(rec.tiers[i].Load())
-		res.PerTier[i] = rec.perTier[i]
+		res.PerTier[i] = &rec.perTier[i]
 	}
 	if elapsed > 0 {
 		res.AchievedRate = float64(res.Issued) / elapsed.Seconds()
@@ -418,8 +407,6 @@ func Run(ctx context.Context, sched *Schedule, tgt Target, opts Options) (*Resul
 			return nil, fmt.Errorf("loadgen: open loop needs an Arrival process")
 		}
 		sem := make(chan struct{}, maxInflight)
-		inflightMax := rec.reg.Gauge("loadgen.inflight.max")
-		var cur atomic.Int64
 		var wg sync.WaitGroup
 		for i := range sched.Requests {
 			if expired() {
@@ -439,9 +426,7 @@ func Run(ctx context.Context, sched *Schedule, tgt Target, opts Options) (*Resul
 			go func(i int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				inflightMax.SetMax(float64(cur.Add(1)))
 				issue(i)
-				cur.Add(-1)
 			}(i)
 		}
 		wg.Wait()
@@ -475,27 +460,5 @@ func Run(ctx context.Context, sched *Schedule, tgt Target, opts Options) (*Resul
 		return nil, fmt.Errorf("loadgen: unknown mode %d", opts.Mode)
 	}
 
-	res := rec.result(opts.Mode, clock.Now().Sub(start), throttled)
-	res.PublishMetrics(opts.Obs)
-	return res, nil
-}
-
-// PublishMetrics folds the run's summary into the registry.  The
-// latency distributions are already first-class registry histograms
-// when the run streamed into reg (newRecorder registered them), so
-// only a *different* registry needs them merged in — the identity
-// guard prevents double counting.  A nil registry is a no-op.
-func (r *Result) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	if h := reg.Histogram("loadgen.latency"); h != r.Overall {
-		h.Merge(r.Overall)
-	}
-	for i, ph := range r.PerTier {
-		if h := reg.Histogram("loadgen.latency.tier." + Tier(i).String()); h != ph {
-			h.Merge(ph)
-		}
-	}
-	reg.Gauge("loadgen.achieved_rate").Set(r.AchievedRate)
+	return rec.result(opts.Mode, clock.Now().Sub(start), throttled), nil
 }

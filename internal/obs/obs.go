@@ -55,8 +55,8 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic float64 value.  Set overwrites, Add accumulates,
-// SetMax keeps the maximum.  A nil *Gauge ignores all operations.
+// Gauge is an atomic float64 value that Set overwrites.  A nil *Gauge
+// ignores all operations.
 type Gauge struct {
 	bits atomic.Uint64
 }
@@ -65,36 +65,6 @@ type Gauge struct {
 func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add accumulates v into the gauge.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// SetMax raises the gauge to v if v exceeds the current value.
-func (g *Gauge) SetMax(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if v <= math.Float64frombits(old) {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
 	}
 }
 

@@ -33,29 +33,23 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-// TestGaugeConcurrent exercises the CAS paths of Add and SetMax.
+// TestGaugeConcurrent: concurrent Sets never tear; the gauge holds
+// one of the values written.
 func TestGaugeConcurrent(t *testing.T) {
-	reg := NewRegistry("test")
-	sum := reg.Gauge("sum")
-	max := reg.Gauge("max")
+	g := NewRegistry("test").Gauge("g")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				sum.Add(1)
-				max.SetMax(float64(w*1000 + i))
+				g.Set(float64(w*1000 + i))
 			}
 		}()
 	}
 	wg.Wait()
-	if got := sum.Value(); got != 8000 {
-		t.Fatalf("gauge sum = %g, want 8000", got)
-	}
-	if got := max.Value(); got != 7999 {
-		t.Fatalf("gauge max = %g, want 7999", got)
+	if v := g.Value(); v < 999 || v > 7999 || v != float64(int(v)/1000*1000+999) {
+		t.Fatalf("gauge = %g, want some worker's last value", v)
 	}
 }
 
@@ -71,8 +65,6 @@ func TestDisabledZeroAlloc(t *testing.T) {
 		reg.Counter("sim.requests").Inc()
 		c.Add(3)
 		g.Set(1.5)
-		g.Add(2)
-		g.SetMax(9)
 		tm.Observe(time.Second)
 		tm.Start()()
 	})

@@ -231,9 +231,22 @@ func TestFailClientLosesObjects(t *testing.T) {
 	popBefore := c.TotalCached()
 	var lostTotal int
 	for i := 0; i < 5; i++ {
+		// What the node held: its own cache and the objects it
+		// diverted to live neighbours.
+		node := c.nodes.Get(c.clientIDs[i])
+		held := node.cache.Objects()
+		for obj := range node.pointerTo {
+			held = append(held, obj)
+		}
 		lost, err := c.FailClient(i)
 		if err != nil {
 			t.Fatal(err)
+		}
+		got := slices.Clone(lost)
+		slices.Sort(got)
+		slices.Sort(held)
+		if !slices.Equal(got, held) {
+			t.Errorf("client %d: FailClient lost %v, the node held %v", i, got, held)
 		}
 		lostTotal += len(lost)
 		for _, obj := range lost {

@@ -119,36 +119,19 @@ func sourceMetric(src netmodel.Source) string {
 }
 
 // PublishMetrics folds the result into a metric registry under the
-// sim.* namespace (see METRICS.md for the full glossary).  Everything
-// cumulative is a counter so concurrent sweep runs sharing one
-// registry aggregate correctly; per-run peaks use SetMax gauges.
-// A nil registry makes this a no-op.
+// sim.* namespace (see METRICS.md for the full glossary).  Every
+// metric is a counter so concurrent sweep runs sharing one registry
+// aggregate correctly.  A nil registry makes this a no-op.
 func (r *Result) PublishMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	reg.Counter("sim.runs").Inc()
 	reg.Counter("sim.requests").Add(int64(r.Requests))
-	reg.Gauge("sim.latency.total").Add(r.TotalLatency)
 	for src := 0; src < netmodel.NumSources; src++ {
-		name := sourceMetric(netmodel.Source(src))
-		reg.Counter("sim.serves." + name).Add(int64(r.Sources[src]))
-		reg.Counter("sim.bytes." + name).Add(int64(r.Bytes[src]))
+		reg.Counter("sim.serves." + sourceMetric(netmodel.Source(src))).Add(int64(r.Sources[src]))
 	}
 	reg.Counter("sim.proxy.evictions").Add(int64(r.ProxyEvictions))
-	reg.Counter("sim.maintenance.ticks").Add(int64(r.MaintenanceTicks))
-	reg.Counter("sim.failed_clients").Add(int64(r.FailedClients))
-	reg.Counter("sim.chaos.flash_churned").Add(int64(r.FlashChurned))
-	reg.Counter("sim.chaos.poison_injected").Add(int64(r.PoisonInjected))
-	reg.Counter("sim.chaos.poison_swept").Add(int64(r.PoisonSwept))
-	reg.Counter("sim.chaos.byzantine_serves").Add(int64(r.ByzantineServes))
-	reg.Counter("sim.chaos.byzantine_detected").Add(int64(r.ByzantineDetected))
-	reg.Counter("sim.directory.false_positives").Add(int64(r.DirectoryFalsePositives))
-	reg.Gauge("sim.directory.memory_bytes").SetMax(float64(r.DirectoryMemoryBytes))
-	reg.Counter("sim.digest.stale_probes").Add(int64(r.DigestStaleProbes))
-	reg.Counter("sim.digest.rebuilds").Add(int64(r.DigestRebuilds))
-	reg.Gauge("sim.digest.memory_bytes").SetMax(float64(r.DigestMemoryBytes))
-	reg.Gauge("sim.p2p.max_node_serves").SetMax(float64(r.P2PMaxNodeServes))
 
 	p := r.P2P
 	for _, m := range []struct {

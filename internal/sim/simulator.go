@@ -2,10 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"webcache/internal/cache"
+	"webcache/internal/invariant"
 	"webcache/internal/netmodel"
 	"webcache/internal/obs"
 	"webcache/internal/trace"
@@ -92,21 +92,18 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	// sequentially, so cumulative charged latency lays sampled traces
 	// end-to-end on the Perfetto timeline.
 	simClock := 0.0
-	// With a registry attached, account the replay loop's allocation
-	// rate (sim.alloc.*) from the runtime's malloc counters.  The
-	// numbers are process-wide, so they are only exact for a single
-	// replay at a time — which is how the alloc gate runs them.  The
-	// reads happen outside the loop; an uninstrumented run skips them.
-	var memBefore runtime.MemStats
-	if cfg.Obs.Enabled() {
-		runtime.ReadMemStats(&memBefore)
-	}
+	// cold counts cache serves that beat origin to their object; nil,
+	// and free, without a Checker.
+	cold := invariant.NewOriginOracle(cfg.Check, tr.NumObjects)
 	for i, r := range tr.Requests {
 		eng.maintain(i, res)
 		at := sz.clients[r.Client]
 		st := cfg.Tracer.StartTrace("request", simClock)
 		src, lat := eng.serve(r.Object, r.Size, at.proxy, at.member, st)
 		st.Finish(src.String(), lat)
+		if cold != nil {
+			cold.Serve(r.Object, src == netmodel.SrcServer)
+		}
 		simClock += lat
 		if i < cfg.WarmupRequests {
 			continue // warm the caches without measuring
@@ -117,16 +114,11 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		res.Bytes[src] += uint64(r.Size)
 		res.TotalLatency += lat
 	}
-	if cfg.Obs.Enabled() {
-		var memAfter runtime.MemStats
-		runtime.ReadMemStats(&memAfter)
-		cfg.Obs.Counter("sim.alloc.mallocs").Add(int64(memAfter.Mallocs - memBefore.Mallocs))
-		cfg.Obs.Counter("sim.alloc.bytes").Add(int64(memAfter.TotalAlloc - memBefore.TotalAlloc))
-	}
 	if res.Requests > 0 {
 		res.AvgLatency = res.TotalLatency / float64(res.Requests)
 	}
 	eng.finish(res)
+	cold.Finish()
 	if cfg.Check != nil {
 		// Cumulative across runs sharing one Checker, like the obs
 		// registry; per-run deltas are the caller's job.

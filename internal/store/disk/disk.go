@@ -9,7 +9,6 @@ import (
 
 	"webcache/internal/cache"
 	"webcache/internal/invariant"
-	"webcache/internal/obs"
 	"webcache/internal/trace"
 )
 
@@ -32,10 +31,6 @@ type Config struct {
 	// BatchRecords caps how many queued objects one fsync batch
 	// absorbs (0 = 256).
 	BatchRecords int
-	// Metrics, when non-nil, receives the store.disk.* namespace (see
-	// METRICS.md).  Instruments are created before recovery runs so
-	// the replay counters observe boot progress.
-	Metrics *obs.Registry
 	// Check, when non-nil, enables CheckInvariants (the memory-index ↔
 	// disk-log agreement check), which also runs once after recovery.
 	Check *invariant.Checker
@@ -118,24 +113,6 @@ type Store struct {
 
 	// Recovery results (immutable after Open).
 	recoveredHex []string
-
-	// Metrics (all nil-safe when disabled).
-	reg           *obs.Registry
-	writes        *obs.Counter
-	writeBytes    *obs.Counter
-	deletes       *obs.Counter
-	evictions     *obs.Counter
-	hits          *obs.Counter
-	misses        *obs.Counter
-	readBytes     *obs.Counter
-	corrupt       *obs.Counter
-	fsyncTimer    *obs.Timer
-	queueWait     *obs.Timer
-	compactions   *obs.Counter
-	compactedB    *obs.Counter
-	replayObjects *obs.Counter
-	replayDropped *obs.Counter
-	replayTimer   *obs.Timer
 }
 
 // Open creates or recovers a disk store in cfg.Dir: it replays the
@@ -174,7 +151,6 @@ func Open(cfg Config) (*Store, error) {
 		segs:     make(map[uint32]*segment),
 		queue:    make(chan persistReq, queueDepth),
 	}
-	d.setMetrics(cfg.Metrics)
 	if err := d.recover(); err != nil {
 		d.closeFiles()
 		return nil, err
@@ -189,27 +165,6 @@ func Open(cfg Config) (*Store, error) {
 	d.workerWG.Add(1)
 	go d.worker(batch)
 	return d, nil
-}
-
-// setMetrics creates the store.disk.* instruments (no-ops when reg is
-// nil).
-func (d *Store) setMetrics(reg *obs.Registry) {
-	d.reg = reg
-	d.writes = reg.Counter("store.disk.writes")
-	d.writeBytes = reg.Counter("store.disk.write_bytes")
-	d.deletes = reg.Counter("store.disk.deletes")
-	d.evictions = reg.Counter("store.disk.evictions")
-	d.hits = reg.Counter("store.disk.hits")
-	d.misses = reg.Counter("store.disk.misses")
-	d.readBytes = reg.Counter("store.disk.read_bytes")
-	d.corrupt = reg.Counter("store.disk.corrupt")
-	d.fsyncTimer = reg.Timer("store.disk.fsync")
-	d.queueWait = reg.Timer("store.disk.queue_wait")
-	d.compactions = reg.Counter("store.disk.compactions")
-	d.compactedB = reg.Counter("store.disk.compacted_bytes")
-	d.replayObjects = reg.Counter("store.disk.replay.objects")
-	d.replayDropped = reg.Counter("store.disk.replay.dropped")
-	d.replayTimer = reg.Timer("store.disk.replay")
 }
 
 // segPath names segment id's file.
@@ -254,9 +209,7 @@ func (d *Store) enqueue(req persistReq) bool {
 		return true
 	default:
 	}
-	stop := d.queueWait.Start()
 	d.queue <- req
-	stop()
 	return true
 }
 
@@ -281,7 +234,6 @@ func (d *Store) Get(key trace.ObjectID) (Object, bool) {
 		}
 		d.mu.Unlock()
 		if !ok {
-			d.misses.Inc()
 			return Object{}, false
 		}
 		if f == nil {
@@ -303,11 +255,8 @@ func (d *Store) Get(key trace.ObjectID) (Object, bool) {
 			d.dropCorrupt(key, e)
 			return Object{}, false
 		}
-		d.hits.Inc()
-		d.readBytes.Add(int64(e.rlen))
 		return obj, true
 	}
-	d.misses.Inc()
 	return Object{}, false
 }
 
@@ -332,7 +281,6 @@ func (d *Store) entryMoved(key trace.ObjectID, e indexEntry) bool {
 func (d *Store) dropCorrupt(key trace.ObjectID, e indexEntry) {
 	d.mu.Lock()
 	if cur, ok := d.idx[key]; ok && cur == e {
-		d.corrupt.Inc()
 		delete(d.idx, key)
 		d.policy.Remove(key)
 		if s := d.segs[e.seg]; s != nil {
@@ -343,7 +291,6 @@ func (d *Store) dropCorrupt(key trace.ObjectID, e indexEntry) {
 		d.appendJournalLocked([]journalEntry{{op: opDelete, key: uint64(key)}}, false)
 	}
 	d.mu.Unlock()
-	d.misses.Inc()
 }
 
 // Keys snapshots the indexed keys, in no particular order.
@@ -465,7 +412,6 @@ func (d *Store) persistBatch(batch []persistReq) {
 	// overwritten.
 	seg := d.activeSegment()
 	if seg == nil {
-		d.corrupt.Inc()
 		return
 	}
 	var encoded []byte
@@ -483,8 +429,6 @@ func (d *Store) persistBatch(batch []persistReq) {
 		// torn bytes; the tier keeps serving what it has.
 		return
 	}
-	d.writes.Add(int64(len(plan)))
-	d.writeBytes.Add(int64(len(encoded)))
 
 	// Apply under mu: retire superseded locations, evict per policy,
 	// journal the batch (fsynced), and publish the index entries.
@@ -506,7 +450,6 @@ func (d *Store) persistBatch(batch []persistReq) {
 					s.dead += int64(old.rlen)
 				}
 			}
-			d.evictions.Inc()
 			entries = append(entries, journalEntry{op: opDelete, key: uint64(ev.Obj)})
 		}
 		rlen := uint32(recordLen(len(r.obj.HexKey), len(r.obj.Body)))
@@ -532,21 +475,13 @@ func (d *Store) persistBatch(batch []persistReq) {
 	d.mu.Unlock()
 }
 
-// writeAndSync writes buf at off and fsyncs, timing the fsync and
-// counting a failure as corruption.
+// writeAndSync writes buf at off and fsyncs, reporting whether both
+// succeeded.
 func (d *Store) writeAndSync(f *os.File, buf []byte, off int64) bool {
 	if _, err := f.WriteAt(buf, off); err != nil {
-		d.corrupt.Inc()
 		return false
 	}
-	stop := d.fsyncTimer.Start()
-	err := f.Sync()
-	stop()
-	if err != nil {
-		d.corrupt.Inc()
-		return false
-	}
-	return true
+	return f.Sync() == nil
 }
 
 // activeSegment returns the active segment, creating the first one on
@@ -601,26 +536,16 @@ func (d *Store) appendJournalLocked(entries []journalEntry, sync bool) {
 		return
 	}
 	var buf []byte
-	deletes := int64(0)
 	for _, e := range entries {
 		buf = appendJournalEntry(buf, e)
-		if e.op == opDelete {
-			deletes++
-		}
 	}
 	if _, err := d.journal.WriteAt(buf, d.jnlSize); err != nil {
-		d.corrupt.Inc()
 		return
 	}
 	if sync {
-		stop := d.fsyncTimer.Start()
-		if err := d.journal.Sync(); err != nil {
-			d.corrupt.Inc()
-		}
-		stop()
+		d.journal.Sync()
 	}
 	d.jnlSize += int64(len(buf))
-	d.deletes.Add(deletes)
 }
 
 // Close drains the write-behind queue (every accepted Put becomes
@@ -724,12 +649,9 @@ func (d *Store) compactRound() {
 			}
 		}
 		delete(d.segs, victim.id)
-		reclaimed := victim.size
 		d.mu.Unlock()
 		f.Close()
 		os.Remove(d.segPath(victim.id))
-		d.compactions.Inc()
-		d.compactedB.Add(reclaimed)
 	}
 }
 
@@ -739,7 +661,6 @@ func (d *Store) compactRound() {
 func (d *Store) relocate(key trace.ObjectID, old indexEntry, obj Object) bool {
 	seg := d.activeSegment()
 	if seg == nil {
-		d.corrupt.Inc()
 		return false
 	}
 	encoded := appendRecord(nil, uint64(key), obj)
@@ -747,8 +668,6 @@ func (d *Store) relocate(key trace.ObjectID, old indexEntry, obj Object) bool {
 	if !d.writeAndSync(seg.f, encoded, base) {
 		return false
 	}
-	d.writes.Inc()
-	d.writeBytes.Add(int64(len(encoded)))
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -780,27 +699,4 @@ func (d *Store) Compact() {
 	d.batchMu.Lock()
 	defer d.batchMu.Unlock()
 	d.compactRound()
-}
-
-// PublishMetrics writes the occupancy gauges (scrape-time snapshot;
-// counters and timers accumulate live).  No-op without a registry.
-func (d *Store) PublishMetrics() {
-	if d.reg == nil {
-		return
-	}
-	d.mu.Lock()
-	live := d.policy.Used()
-	objects := len(d.idx)
-	segments := len(d.segs)
-	var logBytes int64
-	for _, s := range d.segs {
-		logBytes += s.size
-	}
-	d.mu.Unlock()
-	d.reg.Gauge("store.disk.capacity_bytes").Set(float64(d.capacity))
-	d.reg.Gauge("store.disk.live_bytes").Set(float64(live))
-	d.reg.Gauge("store.disk.log_bytes").Set(float64(logBytes))
-	d.reg.Gauge("store.disk.objects").Set(float64(objects))
-	d.reg.Gauge("store.disk.segments").Set(float64(segments))
-	d.reg.Gauge("store.disk.queue_depth").Set(float64(len(d.queue)))
 }

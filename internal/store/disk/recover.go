@@ -20,9 +20,6 @@ import (
 // old segments are never appended to, so their journaled extents stay
 // immutable.
 func (d *Store) recover() error {
-	stop := d.replayTimer.Start()
-	defer stop()
-
 	// Open every segment file; its stat size bounds the valid extent
 	// (journaled bytes never exceed it, orphaned tails inside it are
 	// dead bytes).
@@ -84,7 +81,6 @@ func (d *Store) recover() error {
 			e.size == 0 || int(e.rlen) < recordLen(len(e.hexKey), int(e.size)) {
 			// Compacted-away segment or a superseded extent: the entry
 			// lost a race with its own supersession at crash time.
-			d.replayDropped.Inc()
 			continue
 		}
 		key := trace.ObjectID(e.key)
@@ -96,14 +92,11 @@ func (d *Store) recover() error {
 					sg.dead += int64(old.rlen)
 				}
 			}
-			d.evictions.Inc()
 		}
 		if !d.policy.Contains(key) {
-			d.replayDropped.Inc()
 			continue
 		}
 		d.idx[key] = indexEntry{seg: e.seg, off: e.off, rlen: e.rlen, size: e.size, cost: e.cost}
-		d.replayObjects.Inc()
 	}
 
 	// Dead-byte accounting: everything in a segment not referenced by

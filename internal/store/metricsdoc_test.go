@@ -29,8 +29,7 @@ func TestMetricsDocStore(t *testing.T) {
 	for _, m := range reg.Snapshot() {
 		names = append(names, m.Name)
 	}
-	// store.disk.* is owned by the disk package's own doc test.
-	if err := obs.CheckMetricsDoc(md, names, "store", "-store.disk"); err != nil {
+	if err := obs.CheckMetricsDoc(md, names, "store"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,7 +19,6 @@ package store
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"webcache/internal/cache"
 	"webcache/internal/invariant"
@@ -51,8 +50,8 @@ type Config struct {
 	// CapacityBytes is the byte budget of the store's one policy.
 	CapacityBytes uint64
 	// Metrics, when non-nil, receives the store.* namespace (see
-	// METRICS.md): the lock-wait timer and miss-coalescing counters
-	// live, occupancy on PublishMetrics.
+	// METRICS.md): the miss-coalescing counters live, occupancy on
+	// PublishMetrics.
 	Metrics *obs.Registry
 	// Check, when non-nil, wraps the policy in invariant.CheckedPolicy
 	// and enables the body-map reconciliation (CheckInvariants, also
@@ -81,7 +80,6 @@ type Store struct {
 
 	// Metrics (nil when disabled).
 	reg       *obs.Registry
-	lockWait  *obs.Timer
 	loads     *obs.Counter
 	coalesced *obs.Counter
 }
@@ -103,28 +101,15 @@ func New(cfg Config) (*Store, error) {
 	s.flight.calls = make(map[trace.ObjectID]*flightCall)
 	if reg := cfg.Metrics; reg != nil {
 		s.reg = reg
-		s.lockWait = reg.Timer("store.lock_wait")
 		s.loads = reg.Counter("store.loads")
 		s.coalesced = reg.Counter("store.coalesced")
 	}
 	return s, nil
 }
 
-// lock acquires the store's mutex, observing the wait when metrics
-// are on.
-func (s *Store) lock() {
-	if s.lockWait == nil {
-		s.mu.Lock()
-		return
-	}
-	start := time.Now()
-	s.mu.Lock()
-	s.lockWait.Observe(time.Since(start))
-}
-
 // Get returns the object and refreshes its replacement metadata.
 func (s *Store) Get(key trace.ObjectID) (Object, bool) {
-	s.lock()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.policy.Access(key) {
 		return Object{}, false
@@ -141,7 +126,7 @@ func (s *Store) Put(key trace.ObjectID, obj Object) (evicted []Object, stored bo
 	if len(obj.Body) == 0 {
 		return nil, false, ErrEmptyObject
 	}
-	s.lock()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.policy.Access(key) {
 		return nil, true, nil
@@ -172,21 +157,21 @@ func (s *Store) insert(key trace.ObjectID, obj Object) (evicted []Object) {
 // the diversion probe (§4.3).  Under concurrent Puts the figure is
 // advisory.
 func (s *Store) Headroom() uint64 {
-	s.lock()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.policy.Capacity() - s.policy.Used()
 }
 
 // Len reports the cached object count.
 func (s *Store) Len() int {
-	s.lock()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.policy.Len()
 }
 
 // Used reports the resident bytes.
 func (s *Store) Used() uint64 {
-	s.lock()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.policy.Used()
 }
@@ -205,7 +190,7 @@ type Item struct {
 // Items returns every resident object.  Bodies are shared, not copied
 // — callers must treat them as read-only.
 func (s *Store) Items() []Item {
-	s.lock()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Item, 0, len(s.bodies))
 	for key, obj := range s.bodies {
@@ -221,7 +206,7 @@ func (s *Store) CheckInvariants() {
 	if s.check == nil {
 		return
 	}
-	s.lock()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.checkLocked()
 }
@@ -236,9 +221,8 @@ func (s *Store) checkLocked() {
 }
 
 // PublishMetrics folds the store's occupancy into its registry as
-// store.* gauges (scrape-time snapshot; the live counters and the
-// lock-wait timer accumulate continuously).  No-op without a
-// registry.
+// store.* gauges (scrape-time snapshot; the live counters accumulate
+// continuously).  No-op without a registry.
 func (s *Store) PublishMetrics() {
 	if s.reg == nil {
 		return

@@ -139,11 +139,36 @@ var ErrBadMagic = errors.New("trace: bad magic (not a binary webcache trace)")
 // ReadBinary parses the binary format written by WriteBinary.  It reads
 // r whole and decodes every record out of that one buffer.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return decodeBinary(data)
+}
+
+// readAll reads r to its end.  A reader that reports how many bytes it
+// has left (bytes.Reader, strings.Reader) fills one buffer of that size;
+// one byte of spare capacity confirms the end without another
+// allocation, and a reader whose Len understated is read on to its end.
+func readAll(r io.Reader) ([]byte, error) {
+	sized, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	n := sized.Len()
+	data := make([]byte, n, n+1)
+	if _, err := io.ReadFull(r, data); err != nil {
+		return nil, err
+	}
+	switch _, err := io.ReadFull(r, data[n:n+1]); err {
+	case io.EOF:
+		return data, nil
+	case nil:
+		rest, err := io.ReadAll(r)
+		return append(data[:n+1], rest...), err
+	default:
+		return nil, err
+	}
 }
 
 // ReadFile loads the trace file at path in either interchange format:
