@@ -156,14 +156,15 @@ trace-alloc:
 # for an evicting store or pass-down (TestHopAllocsPerRun), whose
 # header values come from a memo that allocates nothing once warm
 # (TestDecimalValueZeroAlloc), an 8 KiB origin GET, both ends
-# counted, allocates at most 30 (TestOriginFetchAllocs), and
-# trace.ReadBinary on a bytes.Reader allocates the input, the Trace and
+# counted, allocates at most 30 (TestOriginFetchAllocs), the same GET
+# through the load generator's transport at most 28 (TestTransportAllocs),
+# and trace.ReadBinary on a bytes.Reader allocates the input, the Trace and
 # its Requests, 3 in all (TestReadBinaryAllocsPerRun).  Run
 # without -race on purpose — race instrumentation allocates on paths the
 # production build does not, so these files are !race-tagged and
 # invisible to `make check`.
 sim-alloc:
-	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs|OriginFetchAllocs' ./internal/cache ./internal/sim ./internal/httpcache ./internal/pastry ./internal/p2p ./internal/loadgen ./internal/trace
+	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs|OriginFetchAllocs|TransportAllocs' ./internal/cache ./internal/sim ./internal/httpcache ./internal/pastry ./internal/p2p ./internal/loadgen ./internal/trace
 
 # The paper's figures and claims (~13 min on 2 CPUs): one build runs
 # every figure at the paper's scale and at 0.2, five seeds each, as

@@ -58,12 +58,8 @@ func (e gateEntry) flagSet() (*flag.FlagSet, *workload, benchGate) {
 	return fs, w, g
 }
 
-// Knobs that were flags no Makefile line, CI step, test or runbook
-// ever set; every gate runs at these values.
-const (
-	benchSeed    int64 = 1                // workload and arrival-process seed
-	benchTimeout       = 10 * time.Second // per-request timeout
-)
+// benchSeed is the workload and arrival-process seed every gate runs at.
+const benchSeed int64 = 1
 
 // runBench is the bench role's entry point.
 func runBench(args []string) error {
@@ -262,9 +258,9 @@ func (g *liveGate) run() error {
 		return fmt.Errorf("unknown mode %q", g.mode)
 	}
 
-	tgt := loadgen.NewHTTPTarget(benchTimeout)
+	tgt := loadgen.NewHTTPTarget()
 	res, err := loadgen.Run(context.Background(), sched, tgt, opts)
-	tgt.CloseIdleConnections() // pre-dialed pool conns would stall the drain
+	tgt.CloseIdleConnections() // before the topology drains
 	if err != nil {
 		return err
 	}

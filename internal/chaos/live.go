@@ -20,9 +20,6 @@ import (
 	"webcache/internal/trace"
 )
 
-// requestTimeout is a live run's per-request client timeout.
-const requestTimeout = 10 * time.Second
-
 // The two SLO classes every live run's requests are tagged with (every
 // third client is batch).  Each proxy scores them server-side, and the
 // cluster aggregator rolls them up after the drive.
@@ -164,7 +161,7 @@ func RunLive(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) 
 	// The drive gets a private registry: loadgen.latency is a registry
 	// histogram, so sharing cfg.Registry across the suite's runs would
 	// pollute every later run's p999 with every earlier run's tail.
-	tgt := loadgen.NewHTTPTarget(requestTimeout)
+	tgt := loadgen.NewHTTPTarget()
 	res, err := loadgen.Run(context.Background(), sched, tgt, loadgen.Options{
 		Mode:    loadgen.OpenLoop,
 		Arrival: arrival,
@@ -176,7 +173,7 @@ func RunLive(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) 
 			return Interactive.Name
 		},
 	})
-	tgt.CloseIdleConnections() // pre-dialed pool conns would stall the drain
+	tgt.CloseIdleConnections() // before the topology drains
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/http"
 	"testing"
-	"time"
 
 	"webcache/internal/httpcache"
 	"webcache/internal/netmodel"
@@ -83,7 +82,7 @@ func calibrationRun(t *testing.T) (*trace.Trace, *Result, sim.Config, *Topology)
 	}
 	// Cleanups run last first: the driver's pooled connections are gone
 	// before the topology drains (a dialed, unused one stalls Shutdown).
-	tgt := NewHTTPTarget(10 * time.Second)
+	tgt := NewHTTPTarget()
 	t.Cleanup(tgt.CloseIdleConnections)
 	res, err := Run(context.Background(), sched, tgt, Options{
 		Mode:    ClosedLoop,

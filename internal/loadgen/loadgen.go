@@ -129,25 +129,23 @@ type Target interface {
 
 // HTTPTarget is the real-socket target: GET the scheduled URL, read
 // the body to completion (latency includes the transfer), attribute
-// the tier from the response header.
+// the tier from the response header.  Requests go straight to the
+// transport's RoundTrip, with no http.Client around it, whose timer
+// would cost a goroutine per request: the transport's deadline,
+// 10 s for the whole exchange, is the one bound.
 type HTTPTarget struct {
-	Client *http.Client
+	Transport *httpcache.Transport
 }
 
-// NewHTTPTarget builds a target with the given per-request timeout on
-// the daemons' shared tuned transport (httpcache.NewTransport): the
-// driver concentrates its whole request stream on a handful of proxy
-// hosts, the exact topology the stock per-host idle limit starves.
-func NewHTTPTarget(timeout time.Duration) *HTTPTarget {
-	return &HTTPTarget{Client: &http.Client{Timeout: timeout, Transport: httpcache.NewTransport()}}
+// NewHTTPTarget builds a target on a fresh httpcache.Transport.
+func NewHTTPTarget() *HTTPTarget {
+	return &HTTPTarget{Transport: httpcache.NewTransport()}
 }
 
-// CloseIdleConnections drops the driver's pooled connections.  Bench
-// runs call this between Run and Topology.Close: connections the
-// transport dialed but never used are StateNew to the daemons, and
-// http.Server.Shutdown reaps those only after a 5s grace — an undropped
-// driver pool stalls every topology drain by that long.
-func (t *HTTPTarget) CloseIdleConnections() { t.Client.CloseIdleConnections() }
+// CloseIdleConnections drops the driver's pooled connections, and the
+// watchers of any a cancellable request used.  Runs call this between
+// Run and Topology.Close.
+func (t *HTTPTarget) CloseIdleConnections() { t.Transport.CloseIdleConnections() }
 
 // Do implements Target.
 func (t *HTTPTarget) Do(r ScheduledRequest) Outcome {
@@ -162,7 +160,7 @@ func (t *HTTPTarget) Do(r ScheduledRequest) Outcome {
 		req.Header.Set(httpcache.SLOHeader, r.Class)
 	}
 	start := time.Now()
-	resp, err := t.Client.Do(req)
+	resp, err := t.Transport.RoundTrip(req)
 	if err != nil {
 		return Outcome{Tier: TierError, Latency: time.Since(start), Err: err}
 	}

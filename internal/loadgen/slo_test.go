@@ -53,7 +53,7 @@ func TestClassTaggedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), sched, NewHTTPTarget(10*time.Second), Options{
+	res, err := Run(context.Background(), sched, NewHTTPTarget(), Options{
 		Mode:    ClosedLoop,
 		Workers: 4,
 		ClassFor: func(r ScheduledRequest) string {

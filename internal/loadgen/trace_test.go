@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"webcache/internal/obs"
 	"webcache/internal/prowgen"
@@ -59,7 +58,7 @@ func TestLiveTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	driverTracer := obs.NewTracer(obs.TracerOptions{Origin: "loadgen", SampleEvery: 10, Clock: obs.ClockWall})
-	res, err := Run(context.Background(), sched, NewHTTPTarget(10*time.Second), Options{
+	res, err := Run(context.Background(), sched, NewHTTPTarget(), Options{
 		Mode: ClosedLoop, Workers: 4,
 		Obs:    reg,
 		Tracer: driverTracer,
