@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"webcache/internal/httpcache"
 	"webcache/internal/invariant"
+	"webcache/internal/loadgen"
 	"webcache/internal/obs"
 	"webcache/internal/obs/cluster"
 	"webcache/internal/sim"
@@ -300,5 +302,32 @@ func TestFaultsFireOverFrames(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// poison's check that no directory entry was planted means something only
+// if the proxy took the registration: a proxy that refuses it (here a
+// 400, for an address a hop could not dial) fails the run, and one that
+// takes it passes.
+func TestPoisonFailsOnRefusal(t *testing.T) {
+	px, err := httpcache.NewProxyOpts(httpcache.Options{CapacityBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(px.Handler())
+	t.Cleanup(srv.Close)
+	t.Cleanup(px.Close)
+	for _, tc := range []struct {
+		addr    string
+		refused bool
+	}{
+		{"no-port", true},
+		{"127.0.0.1:1", false},
+	} {
+		topo := &loadgen.Topology{ProxyURLs: []string{srv.URL}, Proxies: []*httpcache.Proxy{px}, CacheAddrs: [][]string{{tc.addr}}}
+		err := poison(topo, []string{"00ff"})
+		if refused := err != nil && strings.Contains(err.Error(), "400"); refused != tc.refused {
+			t.Errorf("registering %q: poison = %v, want refused %v", tc.addr, err, tc.refused)
+		}
 	}
 }

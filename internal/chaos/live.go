@@ -229,7 +229,8 @@ func RunLive(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) 
 
 // poison re-registers each proxy's first daemon with keys listed in the
 // /register body.  A registration lists nothing, so it fails if any
-// proxy's directory grew.
+// proxy's directory grew; and it fails if a proxy refused the
+// registration, since a refused one tests nothing.
 func poison(topo *loadgen.Topology, keys []string) error {
 	body, _ := json.Marshal(map[string][]string{"recovered": keys}) // a []string always marshals
 	for p, u := range topo.ProxyURLs {
@@ -245,6 +246,9 @@ func poison(topo *loadgen.Topology, keys []string) error {
 			return fmt.Errorf("chaos: poisoning: %w", err)
 		}
 		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("chaos: poisoning: proxy %d answered the /register with %s, so no registration was tried", p, resp.Status)
+		}
 		after, err := topo.ProxyStats(p)
 		if err != nil {
 			return err

@@ -47,7 +47,7 @@ import (
 // Every body declares its length, and a body that ends short of it is an
 // error, never a short slice; readBody reads it within the trust bound.
 // The client end's connections are a connPool's (transport.go), which
-// upgrades each as it dials it.
+// upgrades a fresh one before its first frame (connPool.send).
 
 // framePath is the route a daemon upgrades to frames on, and
 // FrameProtocol the Upgrade token both ends name.  A handler meets a
@@ -250,22 +250,26 @@ func parseDecimal[T string | []byte](b T) int64 {
 	return v
 }
 
-// exchange sends one request frame to addr and reads its reply by
-// deadline, which is set on the connection: a pooled connection never
-// carries its last exchange's.  A cancellable ctx closes the connection
-// when it is cancelled, through the connection's watcher; a
-// context.Background caller hands it nothing.  A non-nil body is POSTed.
-// A pooled connection that brings back no byte of a reply was closed by
-// the far end while it sat idle, and the request is sent again (do).
-func (p *connPool) exchange(ctx context.Context, deadline time.Time, addr string, q request, body []byte, traceID string) (reply, error) {
+// exchange sends one request frame to addr and reads its reply, by the
+// earlier of timeout from now and ctx's deadline (connPool.send).  A
+// cancellable ctx closes the connection when it is cancelled, through the
+// connection's watcher; a context.Background caller hands it nothing.  A
+// non-nil body is POSTed.  The connection goes back to the pool once the
+// reply is in, unless ctx was cancelled as it came.
+func (p *connPool) exchange(ctx context.Context, timeout time.Duration, addr string, q request, body []byte, traceID string) (reply, error) {
 	var rep reply
-	err := p.do(ctx, deadline, addr, func(c *wireConn) (keep bool, err error) {
+	c, watched, err := p.send(ctx, timeout, addr, func(c *wireConn) (err error) {
 		rep, err = c.roundTrip(&q, body, traceID)
-		return err == nil, err
+		return err
 	})
 	if err != nil {
 		return reply{}, err
 	}
+	if c.unwatch(watched) {
+		c.close()
+		return reply{}, ctx.Err()
+	}
+	p.put(addr, c)
 	return rep, nil
 }
 

@@ -73,7 +73,7 @@ func askFramed(t testing.TB, base, pathQuery, traceID string) reply {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pool.exchange(context.Background(), time.Now().Add(5*time.Second), to[0].addr, request{route: pathQuery}, nil, traceID)
+	rep, err := pool.exchange(context.Background(), 5*time.Second, to[0].addr, request{route: pathQuery}, nil, traceID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestPooledConnectionTakesEachDeadline(t *testing.T) {
 		return dial(ctx, addr)
 	}
 	ask := func(d time.Duration) error {
-		rep, err := pool.exchange(context.Background(), time.Now().Add(d), f.addr, request{route: "/ok"}, nil, "")
+		rep, err := pool.exchange(context.Background(), d, f.addr, request{route: "/ok"}, nil, "")
 		if err == nil && (rep.status != http.StatusOK || string(rep.body) != "ok") {
 			t.Fatalf("reply %d %q", rep.status, rep.body)
 		}
@@ -295,7 +295,7 @@ func TestFrameShutdownClosesConnections(t *testing.T) {
 	pool := newConnPool(dialTCP, true)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if rep, err := pool.exchange(ctx, time.Now().Add(5*time.Second), addr, request{route: routeObject, key: keyOf("absent")}, nil, ""); err != nil || rep.status != http.StatusNotFound {
+	if rep, err := pool.exchange(ctx, 5*time.Second, addr, request{route: routeObject, key: keyOf("absent")}, nil, ""); err != nil || rep.status != http.StatusNotFound {
 		t.Fatalf("miss = (%d, %v), want a 404", rep.status, err)
 	}
 	conn := pool.idle[addr][0]

@@ -100,7 +100,8 @@ type Proxy struct {
 	coop []*peer
 	// hops carries every hop to another daemon of the federation
 	// (frame.go), origins every GET to an origin server (originFetch).
-	hops, origins *connPool
+	hops    *connPool
+	origins *Transport
 
 	stats proxyCounters
 
@@ -155,7 +156,7 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		coop:      coop,
 		dir:       directory.NewExact(),
 		hops:      newConnPool(dialTCP, true),
-		origins:   newConnPool(dialOrigin, false),
+		origins:   NewTransport(),
 		lanLat:    &obs.Histogram{},
 		hardened:  o.Hardened,
 		acct:      lenientAccountant(o.Check, "live"),
@@ -271,13 +272,13 @@ func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"cacheId": m.id.String()})
 }
 
-// originTimeout bounds one exchange on the HTTP wire, an origin GET or a
-// Transport request, dial, reply and body together.
+// originTimeout bounds one Transport exchange, an origin GET or a load
+// generator's request, dial, reply and body together.
 const originTimeout = 10 * time.Second
 
-// originFetch GETs the object body from its origin server, on a pooled
-// connection under one deadline, originTimeout from now.  The GET is
-// made for no requester (the coalescer's flight outlives any one), so
+// originFetch GETs the object body from its origin server through the
+// proxy's Transport, under one deadline, originTimeout from now.  The GET
+// is made for no requester (the coalescer's flight outlives any one), so
 // nothing but the deadline ends it.  Any reply but a 200 is an error,
 // redirects included.
 func (p *Proxy) originFetch(rawURL string) ([]byte, error) {
@@ -285,43 +286,26 @@ func (p *Proxy) originFetch(rawURL string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	addr, err := originAddr(rawURL, u)
+	addr, err := poolAddr(u)
+	if err == nil {
+		err = checkGet(u, u.Host, nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("origin URL %q: %w", rawURL, err)
+	}
+	resp, err := p.origins.get(context.Background(), addr, u, u.Host, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkGet(u, u.Host, nil); err != nil {
-		return nil, fmt.Errorf("origin URL %q: %w", rawURL, err)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("origin status %d", resp.StatusCode)
 	}
-	var body []byte
-	err = p.origins.do(context.Background(), time.Now().Add(originTimeout), addr, func(c *wireConn) (keep bool, err error) {
-		if err := c.writeGet(u, u.Host, nil); err != nil {
-			return false, err
-		}
-		body, keep, err = readOriginReply(c.br)
-		return keep, err
-	})
-	return body, err
-}
-
-// originAddr names the pool an origin's connections are kept in,
-// scheme://host:port.  The URL as given starts with it when it spells
-// its port (the load generator's do), and no string is built then.
-func originAddr(rawURL string, u *url.URL) (string, error) {
-	if u.Scheme != "http" && u.Scheme != "https" || u.Host == "" {
-		return "", fmt.Errorf("origin URL %q: only http:// and https:// URLs with a host are fetched", rawURL)
+	body, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("reading origin body: %w", err)
 	}
-	if u.Port() == "" {
-		port := "80"
-		if u.Scheme == "https" {
-			port = "443"
-		}
-		return u.Scheme + "://" + net.JoinHostPort(u.Hostname(), port), nil
-	}
-	n := len(u.Scheme) + len("://") + len(u.Host)
-	if len(rawURL) >= n && rawURL[:len(u.Scheme)] == u.Scheme && rawURL[len(u.Scheme):len(u.Scheme)+3] == "://" && rawURL[len(u.Scheme)+3:n] == u.Host {
-		return rawURL[:n], nil
-	}
-	return u.Scheme + "://" + u.Host, nil
+	return body, nil
 }
 
 // Greedy-dual costs mirror the latency model: origin fetches are the
@@ -471,7 +455,7 @@ func (p *Proxy) SweepClientCaches() []string {
 			removed = append(removed, m.addr)
 			continue
 		}
-		_, err := p.hops.exchange(context.Background(), time.Now().Add(sweepTimeout), m.addr, request{route: "/healthz"}, nil, "")
+		_, err := p.hops.exchange(context.Background(), sweepTimeout, m.addr, request{route: "/healthz"}, nil, "")
 		if err != nil {
 			p.ring.remove(m)
 			p.stats.swept.Add(1)

@@ -18,15 +18,17 @@ import (
 	"webcache/internal/pastry"
 )
 
-// Transport is the load generator's HTTP client (internal/loadgen), an
-// http.RoundTripper on the wire the proxy's origin GETs travel
-// (originFetch): HTTP/1.1 on a connPool of its own that does not upgrade,
-// keyed by host:port.  A request is a GET with no body to an http:// URL,
-// and it goes out as the request line, Host and the request's header
-// fields, nothing else: no User-Agent, no Accept-Encoding.  One deadline
-// bounds each exchange, dial, reply and body together: originTimeout from
-// now, or the request context's deadline if that comes first; the
-// context's cancellation closes the connection through its watcher.
+// Transport is the outbound wire's HTTP/1.1 client, which the proxy's
+// origin GETs (originFetch) and the load generator's requests
+// (internal/loadgen) both travel: each is a GET on a connection of a
+// connPool that does not upgrade, pooled by poolAddr.  A request is a GET
+// with no body to an http:// or https:// URL, and it goes out as the
+// request line, Host and the request's header fields, nothing else: no
+// User-Agent, no Accept-Encoding.  An https URL is dialled through
+// crypto/tls with the system's roots (dialOrigin).  One deadline bounds
+// each exchange, dial, reply and body together: originTimeout from now,
+// or the request context's deadline if that comes first (connPool.send);
+// the context's cancellation closes the connection through its watcher.
 //
 // The reply's body streams from the connection (replyBody).  A body read
 // to its end goes back to the pool at Close when the reply left its
@@ -43,87 +45,88 @@ type Transport struct{ pool *connPool }
 
 // NewTransport returns a Transport with no connection yet.  Its replies'
 // bodies are the caller's until Close and not after (Transport).
-func NewTransport() *Transport { return &Transport{pool: newConnPool(dialTCP, false)} }
+func NewTransport() *Transport { return &Transport{pool: newConnPool(dialOrigin, false)} }
 
-// RoundTrip implements http.RoundTripper.  A pooled connection that
-// brings back no byte of a reply is sent the request again, as connPool.do
-// does for an origin GET.
+// RoundTrip implements http.RoundTripper for a GET with no body; any
+// other request is refused before anything is dialled, and its body
+// closed.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	host := req.Host
 	if host == "" {
 		host = req.URL.Host
 	}
-	addr, err := transportAddr(req, host)
+	addr, err := poolAddr(req.URL)
+	switch {
+	case req.Method != "" && req.Method != http.MethodGet:
+		err = fmt.Errorf("the transport sends GET only, not %s", req.Method)
+	case req.Body != nil && req.Body != http.NoBody:
+		err = errors.New("the transport sends no request body")
+	case err == nil:
+		err = checkGet(req.URL, host, req.Header)
+	}
 	if err != nil {
 		if req.Body != nil {
 			req.Body.Close()
 		}
-		return nil, err
+		return nil, fmt.Errorf("httpcache: %w", err)
 	}
-	ctx := req.Context()
-	deadline := time.Now().Add(originTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	for {
-		c, reused, err := t.pool.get(ctx, deadline, addr)
-		if err != nil {
-			return nil, err
-		}
-		c.SetDeadline(deadline)
-		watched := c.watch(ctx)
-		var resp *http.Response
-		if err = c.writeGet(req.URL, host, req.Header); err == nil {
+	return t.get(req.Context(), addr, req.URL, host, req.Header, req)
+}
+
+// get sends a GET for u to host, with hdr's fields, on a connection to
+// addr (poolAddr), and returns the reply as soon as its head is in; the
+// body streams from the connection (replyBody).  req, when set, is the
+// request the reply answers (http.ReadResponse).
+func (t *Transport) get(ctx context.Context, addr string, u *url.URL, host string, hdr http.Header, req *http.Request) (*http.Response, error) {
+	var resp *http.Response
+	c, watched, err := t.pool.send(ctx, originTimeout, addr, func(c *wireConn) (err error) {
+		if err = c.writeGet(u, host, hdr); err == nil {
 			resp, err = readReplyHead(c.br, req)
 		}
-		if err == nil {
-			c.body = replyBody{c: c, pool: t.pool, addr: addr, ctx: ctx, watched: watched, r: resp.Body, resp: resp}
-			resp.Body = &c.body
-			return resp, nil
-		}
-		if c.unwatch(watched) {
-			err = ctx.Err()
-		}
-		c.close()
-		if !retry(ctx, reused, err) {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	c.body = replyBody{c: c, pool: t.pool, addr: addr, ctx: ctx, watched: watched, r: resp.Body, resp: resp}
+	resp.Body = &c.body
+	return resp, nil
 }
 
 // CloseIdleConnections closes the Transport's idle connections, and with
 // them their watchers.
 func (t *Transport) CloseIdleConnections() { t.pool.closeIdle() }
 
-// transportAddr vets req for the Transport's wire and names the pool its
-// connection comes from: the URL's host and port, 80 if it names none.
-func transportAddr(req *http.Request, host string) (string, error) {
-	u := req.URL
-	switch {
-	case req.Method != "" && req.Method != http.MethodGet:
-		return "", fmt.Errorf("httpcache: the transport sends GET only, not %s", req.Method)
-	case req.Body != nil && req.Body != http.NoBody:
-		return "", errors.New("httpcache: the transport sends no request body")
-	case u.Scheme != "http" || u.Host == "":
-		return "", fmt.Errorf("httpcache: the transport dials http:// URLs with a host, not %q", u.Redacted())
+// poolAddr names the pool u's connections are kept in, which is also
+// what dialOrigin dials: host:port for an http URL, u.Host itself when the
+// URL spells its port, so nothing is built then; https://host:port for an
+// https one.  A port left out is the scheme's.
+func poolAddr(u *url.URL) (string, error) {
+	if u.Scheme != "http" && u.Scheme != "https" || u.Host == "" {
+		return "", errors.New("only http:// and https:// URLs with a host are fetched")
 	}
-	if err := checkGet(u, host, req.Header); err != nil {
-		return "", fmt.Errorf("httpcache: %w", err)
-	}
+	addr := u.Host
 	if u.Port() == "" {
-		return net.JoinHostPort(u.Hostname(), "80"), nil
+		port := "80"
+		if u.Scheme == "https" {
+			port = "443"
+		}
+		addr = net.JoinHostPort(u.Hostname(), port)
 	}
-	return u.Host, nil
+	if u.Scheme == "https" {
+		return "https://" + addr, nil
+	}
+	return addr, nil
 }
 
 // replyBody is a Transport reply's body: net/http's reader of the reply's
 // framing, over the connection the reply came on, which holds it (one per
 // connection, so a request allocates none).  The read's first error or
 // EOF ends the exchange and takes its context back from the watcher.
-// Close then pools the connection if the body was read to its end and the
-// reply left it reusable, and closes it otherwise.  After Close the
-// connection may carry another request, and this body with it, so the
-// caller reads and closes a body once.
+// Close then pools the connection if the body was read to its end, or
+// there was none, and the reply left it reusable, and closes it
+// otherwise.  After Close the connection may carry another request, and
+// this body with it, so the caller reads and closes a body once.
 type replyBody struct {
 	c       *wireConn
 	pool    *connPool
@@ -156,8 +159,10 @@ func (b *replyBody) Close() error {
 	}
 	b.closed = true
 	if b.end == nil {
-		b.c.unwatch(b.watched)
 		b.end = errBodyClosed
+		if !b.c.unwatch(b.watched) && b.r == http.NoBody {
+			b.end = io.EOF // a reply with no body ended with its head
+		}
 	}
 	if b.end == io.EOF && reusable(b.resp, b.c.br) {
 		b.pool.put(b.addr, b.c)
@@ -170,9 +175,9 @@ func (b *replyBody) Close() error {
 // errBodyClosed is what a body closed short of its end reads.
 var errBodyClosed = errors.New("httpcache: read on a closed reply body")
 
-// wireConn is one connection of the outbound wire, a hop's (upgraded to
-// frames), an origin GET's or a Transport request's, or at the far end one
-// a frame server holds (frame.go).
+// wireConn is one connection of the outbound wire: a hop's, upgraded to
+// frames, or a Transport's, which carries HTTP/1.1 GETs; or, at the far
+// end, one a frame server holds (frame.go).
 type wireConn struct {
 	net.Conn
 	br *bufio.Reader
@@ -196,10 +201,12 @@ func newWireConn(c net.Conn) *wireConn {
 const maxIdleConns = 256
 
 // connPool is the client end of the outbound wire: idle connections by
-// address.  The proxy keeps two, one per use: its hops' (upgrade set:
-// each connection is upgraded to frames as it is dialled) and its origin
-// GETs'; a Transport keeps one of its own.  A connection goes back only
-// after an exchange that ended cleanly; one that saw any error is closed.
+// address, and the one loop every exchange runs (send).  The proxy keeps
+// two: its hops' (upgrade set: a fresh connection is upgraded to frames
+// before its first exchange) and its Transport's, which carries the
+// origin GETs; the load generator's Transport keeps one of its own.  A
+// connection goes back only after an exchange that ended cleanly; one
+// that saw any error is closed.
 type connPool struct {
 	mu      sync.Mutex
 	idle    map[string][]*wireConn
@@ -219,21 +226,19 @@ func dialTCP(ctx context.Context, addr string) (net.Conn, error) {
 	return d.DialContext(ctx, "tcp", addr)
 }
 
-// dialOrigin dials an origin by its pool address, scheme://host:port
-// (originAddr): an https origin through crypto/tls, with the system's
-// roots and full verification.
+// dialOrigin dials a Transport's pool address (poolAddr): host:port over
+// TCP, and https://host:port through crypto/tls, with the system's roots
+// and full verification.
 func dialOrigin(ctx context.Context, addr string) (net.Conn, error) {
-	scheme, hostPort, _ := strings.Cut(addr, "://")
-	if scheme == "https" {
+	if hostPort, ok := strings.CutPrefix(addr, "https://"); ok {
 		var d tls.Dialer
 		return d.DialContext(ctx, "tcp", hostPort)
 	}
-	return dialTCP(ctx, hostPort)
+	return dialTCP(ctx, addr)
 }
 
-// get returns an idle connection to addr, or dials (and upgrades, for
-// hops) a new one by deadline, which ctx's cancellation cuts short.
-// reused reports which.
+// get returns an idle connection to addr, or dials a new one by
+// deadline, which ctx's cancellation cuts short.  reused reports which.
 func (p *connPool) get(ctx context.Context, deadline time.Time, addr string) (c *wireConn, reused bool, err error) {
 	p.mu.Lock()
 	if cs := p.idle[addr]; len(cs) > 0 {
@@ -251,14 +256,7 @@ func (p *connPool) get(ctx context.Context, deadline time.Time, addr string) (c 
 	if err != nil {
 		return nil, false, err
 	}
-	c = newWireConn(raw)
-	if p.upgrade {
-		if _, err = c.exchange(ctx, deadline, func(c *wireConn) (bool, error) { return true, c.upgrade(addr) }); err != nil {
-			c.close()
-			return nil, false, err
-		}
-	}
-	return c, false, nil
+	return newWireConn(raw), false, nil
 }
 
 func (p *connPool) put(addr string, c *wireConn) {
@@ -287,52 +285,51 @@ func (p *connPool) closeIdle() {
 	}
 }
 
-// do runs one exchange with addr by deadline: rt writes the request on
-// a connection and reads the reply, and reports whether the connection
-// may be pooled after it.  A pooled connection that brings back no byte
-// of a reply (errNoReply) was closed by the far end while it sat idle,
-// and the request is sent again, on the next pooled connection or a
-// fresh one, as net/http's transport retries a request on a kept-alive
-// connection the server had closed; a fresh connection is never retried.
-func (p *connPool) do(ctx context.Context, deadline time.Time, addr string, rt func(*wireConn) (keep bool, err error)) error {
+// send starts one exchange with addr, a hop's frame or a Transport's
+// GET: it takes a connection (get), sets on it the exchange's one
+// deadline, the earlier of timeout from now and ctx's, hands ctx to the
+// connection's watcher, and upgrades a fresh hop connection to frames;
+// then rt writes the request and reads the reply, or its head.
+//
+// A pooled connection that brings back no byte of a reply (errNoReply)
+// was closed by the far end while it sat idle, and the request is sent
+// again, on the next pooled connection or a fresh one, as net/http's
+// transport retries a request on a kept-alive connection the server had
+// closed; a fresh connection, a cancelled ctx or a deadline that ran out
+// is never retried.  A connection that saw an error is closed.  One whose
+// exchange succeeded comes back still watched (watched reports whether
+// ctx was handed over): the caller takes ctx back (unwatch) when the
+// exchange ends, and pools or closes the connection.
+func (p *connPool) send(ctx context.Context, timeout time.Duration, addr string, rt func(*wireConn) error) (*wireConn, bool, error) {
+	deadline := time.Now().Add(timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
 	for {
 		c, reused, err := p.get(ctx, deadline, addr)
 		if err != nil {
-			return err
+			return nil, false, err
 		}
-		keep, err := c.exchange(ctx, deadline, rt)
-		if err == nil && keep {
-			p.put(addr, c)
-		} else {
-			c.close()
+		c.SetDeadline(deadline)
+		watched := c.watch(ctx)
+		if !reused && p.upgrade {
+			err = c.upgrade(addr)
 		}
-		if err == nil || !retry(ctx, reused, err) {
-			return err
+		if err == nil {
+			err = rt(c)
+		}
+		if err == nil {
+			return c, watched, nil
+		}
+		if c.unwatch(watched) {
+			err = ctx.Err()
+		}
+		c.close()
+		var idle errNoReply
+		if !reused || !errors.As(err, &idle) || ctx.Err() != nil || isTimeout(err) {
+			return nil, false, err
 		}
 	}
-}
-
-// retry reports whether a request whose exchange failed with err is sent
-// again: only when the connection was a pooled one that brought back no
-// byte of a reply, and neither ctx nor the deadline has run out.
-func retry(ctx context.Context, reused bool, err error) bool {
-	var idle errNoReply
-	return reused && errors.As(err, &idle) && ctx.Err() == nil && !isTimeout(err)
-}
-
-// exchange runs rt on c under deadline, the connection's one bound for
-// it, and under ctx's watch: a cancelled ctx closes the connection, and
-// the exchange ends with ctx's error.
-func (c *wireConn) exchange(ctx context.Context, deadline time.Time, rt func(*wireConn) (bool, error)) (keep bool, err error) {
-	c.SetDeadline(deadline)
-	if c.watch(ctx) {
-		defer func() {
-			if c.unwatch(true) {
-				keep, err = false, ctx.Err()
-			}
-		}()
-	}
-	return rt(c)
 }
 
 // watch hands ctx to the connection's watcher for one exchange, which
@@ -382,9 +379,9 @@ func (c *wireConn) close() {
 	}
 }
 
-// drainCap bounds what drainClose reads from a reply nobody wants: the
-// error texts and probe answers it drains are tens of bytes, and past a
-// few KiB a fresh connection is cheaper than the read.
+// drainCap bounds what drainClose reads from a reply nobody wants: a
+// registration's answer or refusal is tens of bytes, and past a few KiB a
+// fresh connection is cheaper than the read.
 const drainCap = 4 << 10
 
 // wireBuf sizes a pooled connection's write buffer and its read buffer,
@@ -509,36 +506,19 @@ func readReplyHead(br *bufio.Reader, req *http.Request) (*http.Response, error) 
 }
 
 // reusable reports whether a connection may carry the next request once
-// resp's body has been read to its end: the reply did not ask to close,
-// and nothing past it is buffered.
+// resp's body has been read to its end: the reply was a final one (an
+// informational 1xx is followed by the real reply), it did not ask to
+// close, and nothing past it is buffered.
 func reusable(resp *http.Response, br *bufio.Reader) bool {
-	return !resp.Close && br.Buffered() == 0
-}
-
-// readOriginReply reads one origin reply (readReplyHead) and returns a
-// 200's body, read whole by readBody; any other status is an error.  keep
-// reports a reply after which the connection may carry the next GET: one
-// read to its end that left it reusable.
-func readOriginReply(br *bufio.Reader) (body []byte, keep bool, err error) {
-	resp, err := readReplyHead(br, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("origin status %d", resp.StatusCode)
-	}
-	if body, err = readBody(resp.Body, resp.ContentLength); err != nil {
-		return nil, false, fmt.Errorf("reading origin body: %w", err)
-	}
-	return body, reusable(resp, br), nil
+	return resp.StatusCode >= 200 && !resp.Close && br.Buffered() == 0
 }
 
 // drainClose reads what is left of a reply, up to drainCap, and closes
 // it.  net/http returns a connection to the keep-alive pool only when
 // its reply was read to EOF; closing a short text unread discards the
-// connection, and the next call to that daemon pays a TCP dial.  Every
-// HTTP call that can return before reading its reply to the end (a
-// registration, a liveness probe) closes it through here.
+// connection, and the next call to that daemon pays a TCP dial.  Register
+// is the one call that returns before reading its reply to the end (the
+// liveness sweep's probe is a frame, which readReply reads whole).
 func drainClose(body io.ReadCloser) {
 	io.CopyN(io.Discard, body, drainCap)
 	body.Close()
@@ -584,9 +564,9 @@ type reply struct {
 }
 
 // hop is one call to another daemon of the federation, a frame on a
-// pooled connection (frame.go), and the only place a per-hop deadline is
-// set: peerTimeout() from now, or parent's deadline if that comes first,
-// set on the connection.  A hop made for a requester passes the
+// pooled connection (frame.go), and the only place a per-hop timeout is
+// chosen: peerTimeout(), or parent's deadline if that comes first
+// (connPool.send).  A hop made for a requester passes the
 // requester's context, so hanging up cancels it, and one that must
 // outlive the request that caused it (a pass-down) passes
 // context.Background.  A non-nil body is POSTed; traceID, when set,
@@ -605,11 +585,7 @@ func (p *Proxy) hop(parent context.Context, to *peer, q request, body []byte, tr
 	if err := parent.Err(); err != nil {
 		return reply{}, err // whoever the hop was for is gone: nobody is asked, nobody judged
 	}
-	deadline := time.Now().Add(p.peerTimeout())
-	if d, ok := parent.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	rep, err := p.hops.exchange(parent, deadline, to.addr, q, body, traceID)
+	rep, err := p.hops.exchange(parent, p.peerTimeout(), to.addr, q, body, traceID)
 	if err == nil {
 		return rep, nil
 	}
@@ -634,5 +610,5 @@ func (p *Proxy) hop(parent context.Context, to *peer, q request, body []byte, tr
 // frame loop, and an idle connection's watcher ends with it.
 func (p *Proxy) CloseIdleConnections() {
 	p.hops.closeIdle()
-	p.origins.closeIdle()
+	p.origins.CloseIdleConnections()
 }

@@ -251,12 +251,14 @@ func TestReadBody(t *testing.T) {
 	}
 }
 
-// TestOriginWire pins the origin GET's wire (DESIGN.md §9): what each
-// kind of origin reply serves, and whether the connection it came on is
-// pooled for the next GET.  A connection the origin closed while it sat
-// idle costs a second dial, not a failed request or a second fetch; and
-// an https origin is dialled through TLS with the system's roots, so a
-// certificate they do not vouch for is a 502 that names it.
+// TestOriginWire pins what the origin GET adds to the Transport's wire,
+// whose reply framings and pooled states TestTransportWire pins: any
+// status but 200 is a 502 that names it, and a short body one that names
+// the read, each closing its connection; an empty 200 keeps it.  A
+// connection the origin closed while it sat idle costs a second dial, not
+// a failed request or a second fetch; and an https origin is dialled
+// through TLS with the system's roots, so a certificate they do not vouch
+// for is a 502 that names it.
 func TestOriginWire(t *testing.T) {
 	const size = 8 << 10
 	want := sizedBody("/object", size)
@@ -267,25 +269,8 @@ func TestOriginWire(t *testing.T) {
 		case "/declared":
 			w.Header().Set("Content-Length", strconv.Itoa(size))
 			w.Write(want)
-		case "/chunked":
-			for i := 0; i < size; i += 2048 {
-				w.Write(want[i : i+2048])
-				w.(http.Flusher).Flush()
-			}
-		case "/close":
-			w.Header().Set("Connection", "close")
-			w.Header().Set("Content-Length", strconv.Itoa(size))
-			w.Write(want)
-		case "/http10": // no length: the body ends with the connection
-			c, rw, err := http.NewResponseController(w).Hijack()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			rw.WriteString("HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\n\r\n")
-			rw.Write(want)
-			rw.Flush()
-			c.Close()
+		case "/empty":
+			w.Header().Set("Content-Length", "0")
 		case "/short":
 			w.Header().Set("Content-Length", strconv.Itoa(size))
 			w.Write(want[:10]) // net/http closes the connection on the shortfall
@@ -305,18 +290,23 @@ func TestOriginWire(t *testing.T) {
 	t.Cleanup(px.CloseIdleConnections)
 	f := pin(t, px, "")
 	pooled := func() int {
-		px.origins.mu.Lock()
-		defer px.origins.mu.Unlock()
-		return len(px.origins.idle[origin.URL])
+		pool := px.origins.pool
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+		return len(pool.idle[strings.TrimPrefix(origin.URL, "http://")])
 	}
 	get := func(path string, status int, text string, pool int) {
 		t.Helper()
 		resp, body := framedGet(t, f.fetchURL(origin.URL+path))
+		wantBody := want
+		if strings.HasPrefix(path, "/empty") {
+			wantBody = nil
+		}
 		switch {
 		case resp.StatusCode != status:
 			t.Errorf("%s: status %d (%.80q), want %d", path, resp.StatusCode, body, status)
-		case status == http.StatusOK && (!bytes.Equal(body, want) || resp.Header.Get(ServedByHeader) != TierOrigin):
-			t.Errorf("%s: %d bytes served by %q, want the origin's %d", path, len(body), resp.Header.Get(ServedByHeader), size)
+		case status == http.StatusOK && (!bytes.Equal(body, wantBody) || resp.Header.Get(ServedByHeader) != TierOrigin):
+			t.Errorf("%s: %d bytes served by %q, want the origin's %d", path, len(body), resp.Header.Get(ServedByHeader), len(wantBody))
 		case status != http.StatusOK && !strings.Contains(string(body), text):
 			t.Errorf("%s: 502 text %q does not name %q", path, body, text)
 		}
@@ -329,21 +319,14 @@ func TestOriginWire(t *testing.T) {
 		path   string
 		status int
 		text   string // what a 502 names
-		pooled bool
+		pooled int
 	}{
-		{"/declared", http.StatusOK, "", true},
-		{"/chunked", http.StatusOK, "", true},
-		{"/close", http.StatusOK, "", false},
-		{"/http10", http.StatusOK, "", false},
-		{"/short", http.StatusBadGateway, "reading origin body", false},
-		{"/moved", http.StatusBadGateway, "origin status 301", false},
+		{"/moved", http.StatusBadGateway, "origin status 301", 0},
+		{"/short", http.StatusBadGateway, "reading origin body", 0},
+		{"/empty", http.StatusOK, "", 1},
 	} {
 		px.CloseIdleConnections()
-		pool := 0
-		if tc.pooled {
-			pool = 1
-		}
-		get(tc.path+"?case=table", tc.status, tc.text, pool)
+		get(tc.path+"?case=table", tc.status, tc.text, tc.pooled)
 	}
 
 	px.CloseIdleConnections()
@@ -365,15 +348,16 @@ func TestOriginWire(t *testing.T) {
 	}
 }
 
-// TestTransportWire pins the Transport's wire (DESIGN.md §9) as
-// TestOriginWire pins the origin GET's: what each kind of reply reads as,
+// TestTransportWire pins the HTTP/1.1 wire (DESIGN.md §9) that the origin
+// GET and the load generator share: what each kind of reply reads as,
 // and whether its connection is pooled once the body is closed, under a
 // Background and a cancellable context alike.  Only the request's own
 // fields and Host go out.  A connection the server closed while it sat
 // idle costs a second dial, not a failed request; a cancelled context or
 // a deadline ends a body read that waits on the server, and closes the
 // connection; a request the wire cannot carry is refused before a byte
-// of it is written; and dropping the idle connections leaves no watcher
+// of it is written; an https server is dialled through TLS with the
+// system's roots; and dropping the idle connections leaves no watcher
 // running.
 func TestTransportWire(t *testing.T) {
 	const size = 8 << 10
@@ -601,6 +585,18 @@ func TestTransportWire(t *testing.T) {
 		t.Errorf("refused requests: %d dials, %d GETs at the server, %d pooled, want 0, 0 and 1", d, g, pooled())
 	}
 
+	untrusted := httptest.NewUnstartedServer(handler)
+	untrusted.Config.ErrorLog = log.New(io.Discard, "", 0) // its side of the refused handshake
+	untrusted.StartTLS()
+	t.Cleanup(untrusted.Close)
+	https, err := http.NewRequest("GET", untrusted.URL+"/declared", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.RoundTrip(https); err == nil || !strings.Contains(err.Error(), "x509") {
+		t.Errorf("a server whose certificate the system does not trust: error %v, want the x509 error", err)
+	}
+
 	tr.CloseIdleConnections()
 	for deadline := time.Now().Add(5 * time.Second); watchers() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -626,13 +622,27 @@ func watchers() int {
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*wireConn).watchCancel(")
 }
 
-// FuzzOriginReply feeds the origin reply reader whatever an origin may
-// send.  Whatever it gets, readOriginReply does not panic; a body it
-// returns is the one net/http reads from the same bytes, never short of
-// a declared length; no declaration makes it allocate past bodyTrust
-// before the bytes are there; and it keeps the connection only at the
-// end of a complete reply, with nothing after it buffered: net/http
-// reads the same reply, to its end, from exactly the bytes it consumed.
+// replayConn is an origin that answers whatever it is sent with the
+// bytes of src, then ends.  Only the methods a Transport exchange calls
+// are defined.
+type replayConn struct {
+	net.Conn
+	src *bytes.Reader
+}
+
+func (c replayConn) Read(p []byte) (int, error)  { return c.src.Read(p) }
+func (c replayConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c replayConn) Close() error                { return nil }
+func (c replayConn) SetDeadline(time.Time) error { return nil }
+
+// FuzzOriginReply feeds the origin GET whatever an origin may send, on a
+// connection that replays the fuzz bytes.  Whatever it gets, originFetch
+// does not panic; a body it returns is the one net/http reads from the
+// same bytes, never short of a declared length; no declaration makes it
+// allocate past bodyTrust before the bytes are there; and it pools the
+// connection only at the end of a complete reply, with nothing after it
+// buffered: net/http reads the same reply, to its end, from exactly the
+// bytes it consumed.
 func FuzzOriginReply(f *testing.F) {
 	for _, seed := range []string{
 		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
@@ -643,53 +653,61 @@ func FuzzOriginReply(f *testing.F) {
 		"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\nonly-ten-b",
 		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhelloHTTP/1.1 200 OK\r\n",
 		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhel",
+		"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
 		"HTTP/1.1 301 Moved Permanently\r\nLocation: /x\r\nContent-Length: 0\r\n\r\n",
 		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.1 100 Continue\r\n\r\n",
 		"",
 	} {
 		f.Add([]byte(seed))
 	}
+	px, err := NewProxyOpts(Options{CapacityBytes: 1 << 20})
+	if err != nil {
+		f.Fatal(err)
+	}
+	const origin, addr = "http://origin.test/object", "origin.test:80"
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := bytes.NewReader(data)
-		br := bufio.NewReaderSize(src, wireBuf)
+		px.origins.pool.dial = func(context.Context, string) (net.Conn, error) { return replayConn{src: src}, nil }
+		defer px.CloseIdleConnections()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		body, keep, err := readOriginReply(br)
+		body, err := px.originFetch(origin)
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > 2*bodyTrust+4*uint64(len(data)) {
-			t.Errorf("readOriginReply allocated %d bytes of a %d-byte reply, want no more than bodyTrust (%d) and change", got, len(data), bodyTrust)
+			t.Errorf("the origin GET allocated %d bytes of a %d-byte reply, want no more than bodyTrust (%d) and change", got, len(data), bodyTrust)
 		}
-		if err != nil {
-			if keep || body != nil {
-				t.Errorf("error %v came back with a %d-byte body, keep %v", err, len(body), keep)
+		if err != nil && body != nil {
+			t.Errorf("error %v came back with a %d-byte body", err, len(body))
+		}
+		if err == nil {
+			ref, rerr := http.ReadResponse(bufio.NewReader(bytes.NewReader(data)), nil)
+			if rerr != nil {
+				t.Fatalf("read a reply net/http refuses: %v", rerr)
 			}
+			refBody, rerr := io.ReadAll(ref.Body)
+			if rerr != nil || ref.StatusCode != http.StatusOK || !bytes.Equal(body, refBody) {
+				t.Fatalf("read %d body bytes where net/http reads status %d, %d bytes, %v", len(body), ref.StatusCode, len(refBody), rerr)
+			}
+			if ref.ContentLength >= 0 && int64(len(body)) != ref.ContentLength {
+				t.Fatalf("read %d body bytes of a reply that declared %d", len(body), ref.ContentLength)
+			}
+		}
+		idle := px.origins.pool.idle[addr]
+		if len(idle) == 0 {
 			return
 		}
-		ref, rerr := http.ReadResponse(bufio.NewReader(bytes.NewReader(data)), nil)
-		if rerr != nil {
-			t.Fatalf("read a reply net/http refuses: %v", rerr)
-		}
-		refBody, rerr := io.ReadAll(ref.Body)
-		if rerr != nil || ref.StatusCode != http.StatusOK || !bytes.Equal(body, refBody) {
-			t.Fatalf("read %d body bytes where net/http reads status %d, %d bytes, %v", len(body), ref.StatusCode, len(refBody), rerr)
-		}
-		if ref.ContentLength >= 0 && int64(len(body)) != ref.ContentLength {
-			t.Fatalf("read %d body bytes of a reply that declared %d", len(body), ref.ContentLength)
-		}
-		if !keep {
-			return
-		}
-		if n := br.Buffered(); n > 0 {
-			t.Fatalf("kept the connection with %d bytes nobody asked for buffered", n)
+		if n := idle[0].br.Buffered(); n > 0 {
+			t.Fatalf("pooled the connection with %d bytes nobody asked for buffered", n)
 		}
 		consumed := data[:len(data)-src.Len()]
 		end, rerr := http.ReadResponse(bufio.NewReader(bytes.NewReader(consumed)), nil)
 		if rerr != nil {
-			t.Fatalf("kept the connection after %d bytes, which net/http cannot read a reply from: %v", len(consumed), rerr)
+			t.Fatalf("pooled the connection after %d bytes, which net/http cannot read a reply from: %v", len(consumed), rerr)
 		}
 		endBody, rerr := io.ReadAll(end.Body)
-		if rerr != nil || end.Close || !bytes.Equal(endBody, body) {
-			t.Fatalf("kept the connection after %d bytes, which are not one whole reply (%d bytes, close %v, %v)", len(consumed), len(endBody), end.Close, rerr)
+		if rerr != nil || end.Close || end.StatusCode < 200 || !bytes.Equal(endBody, body) {
+			t.Fatalf("pooled the connection after %d bytes, which are not one whole reply (status %d, %d bytes, close %v, %v)", len(consumed), end.StatusCode, len(endBody), end.Close, rerr)
 		}
 	})
 }
