@@ -34,14 +34,17 @@ check: vet guards
 # file gofmt would rewrite, if the simulator library (the root webcache
 # package) links any package of the live data plane, if the
 # library, a command or an example links the disk log only the
-# benchmark's probes use, and if DESIGN.md passes 800 lines or
-# EXPERIMENTS.md 900, so the prose describes the code at HEAD.
+# benchmark's probes use, if DESIGN.md passes 800 lines or
+# EXPERIMENTS.md 900, so the prose describes the code at HEAD, and if
+# CHANGES.md passes 64 KiB, past which older entries are collapsed to
+# one line each with their commit ids (FOUND: lines kept verbatim).
 guards:
 	@test -z "$$(gofmt -l . | tee /dev/stderr)" || { echo "gofmt -l . names the files above" >&2; exit 1; }
 	@test -z "$$($(GO) list -deps . | grep -E '^webcache/internal/(httpcache|loadgen|store|obs/slo)(/|$$)' | tee /dev/stderr)" || { echo "go list -deps . names the live data-plane packages above" >&2; exit 1; }
 	@test -z "$$($(GO) list -deps . ./cmd/... ./examples/... | grep -x 'webcache/internal/store/disk' | tee /dev/stderr)" || { echo "the product links the bench-only internal/store/disk" >&2; exit 1; }
 	@test $$(wc -l < DESIGN.md) -le 800 || { echo "DESIGN.md has $$(wc -l < DESIGN.md) lines, more than 800" >&2; exit 1; }
 	@test $$(wc -l < EXPERIMENTS.md) -le 900 || { echo "EXPERIMENTS.md has $$(wc -l < EXPERIMENTS.md) lines, more than 900" >&2; exit 1; }
+	@test $$(wc -c < CHANGES.md) -le 65536 || { echo "CHANGES.md has $$(wc -c < CHANGES.md) bytes, more than 65536: collapse its oldest entries" >&2; exit 1; }
 
 # Ten seconds of each fuzz target (beyond replaying the checked-in
 # seed corpora, which plain `make test` already does).  FUZZTIME=1m

@@ -88,8 +88,7 @@ func (in *Injector) WrapCache(_, cache int, h http.Handler) http.Handler {
 			// Claim success without storing a byte: the proxy's
 			// directory learns a key this daemon will never serve.
 			in.fakeReceipts.Inc()
-			w.Header().Set("Content-Type", "application/json")
-			w.Write([]byte(`{"stored":true,"evicted":null,"reason":""}`))
+			w.Write([]byte("1"))
 			return
 		}
 		if corrupts && r.URL.Path == "/object" {

@@ -71,9 +71,10 @@ var Claims = []Claim{
 			"Hier-GD alpha=0.5 > Hier-GD alpha=0.7 > Hier-GD alpha=1.0",
 			"SC-EC alpha=0.5 > SC-EC alpha=0.7 > SC-EC alpha=1.0"),
 		// Figure 4: for FC, FC-EC and Hier-GD smaller LRU stacks (weaker
-		// temporal locality) give larger gains, because locality helps
-		// the NC baseline more than it helps cooperation; for
-		// SC/SC-EC/NC-EC the direction flips with cache size.
+		// temporal locality) give larger gains; for SC/SC-EC/NC-EC the
+		// direction flips with cache size.  Here locality helps
+		// cooperation more than it helps the NC baseline, so this
+		// ordering fails (TestFig4LocalityDecomposition).
 		chains("4",
 			"FC-EC stack=5% > FC-EC stack=20% > FC-EC stack=60%",
 			"FC stack=5% > FC stack=20% > FC stack=60%",

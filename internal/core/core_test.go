@@ -127,6 +127,43 @@ func TestFig2aShape(t *testing.T) {
 	}
 }
 
+// TestFig4LocalityDecomposition pins what Figure 4's gains are made
+// of at scale 0.05, seed 1: the NC baseline's latency L_NC and Hier-GD's
+// L per LRU stack size, at the 10 % and 20 % caches.  From a 5 % to a
+// 60 % stack L_NC falls 17 % and 21 %, and L_Hier-GD 40 % and 27 %:
+// stronger locality helps cooperation more than it helps the NC
+// baseline, so Hier-GD's gain is higher at a 60 % stack than at 5 %,
+// the opposite of claim (3)'s Figure 4 ordering.
+func TestFig4LocalityDecomposition(t *testing.T) {
+	f, err := RunFigure("4", Options{Scale: 0.05, Seed: 1, Fracs: []float64{0.1, 0.2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pins[stack][cache] is {L_NC, L_Hier-GD}.
+	pins := map[string][2][2]float64{
+		"5%":  {{0.5987599999995157, 0.17144459999997175}, {0.4592199999996076, 0.11987200000000828}},
+		"20%": {{0.5449999999994904, 0.11758020000000885}, {0.40555999999958164, 0.09028560000004959}},
+		"60%": {{0.4951999999994841, 0.10216300000002408}, {0.36459999999956094, 0.08727660000004694}},
+	}
+	for stack, want := range pins {
+		s, ok := f.SeriesByLabel("Hier-GD stack=" + stack)
+		if !ok {
+			t.Fatalf("figure 4 has no Hier-GD stack=%s series", stack)
+		}
+		for i, p := range s.Points {
+			if got := [2]float64{p.NCLatency, p.AvgLatency}; got != want[i] {
+				t.Errorf("stack %s, cache %.0f%%: (L_NC, L_Hier-GD) = %v, want %v", stack, p.CacheFrac*100, got, want[i])
+			}
+		}
+	}
+	for i, frac := range []string{"10%", "20%"} {
+		lo, hi := pins["5%"][i], pins["60%"][i]
+		if ncFall, hgFall := 1-hi[0]/lo[0], 1-hi[1]/lo[1]; !(hgFall > ncFall) {
+			t.Errorf("cache %s: from a 5%% to a 60%% stack L_NC falls %.3f and L_Hier-GD %.3f, want Hier-GD's fall the larger", frac, ncFall, hgFall)
+		}
+	}
+}
+
 func TestFormatTable(t *testing.T) {
 	f := &Figure{
 		ID: "x", Title: "test",

@@ -62,3 +62,48 @@ func TestPaperGolden(t *testing.T) {
 		t.Fatalf("%s differs from its rendering of the runs beside it: make paper regenerates both, -update rewrites it", golden)
 	}
 }
+
+// TestResultsCurrent recomputes, from the code under test, the points
+// that decide the claims in results/scale-0.2.json: Figures 2(a) and
+// 2(b) at the 10 % and 20 % caches, five replicates from seed 1, as
+// `make paper` runs them.  They must be bit-identical to the committed
+// JSON, so a change that moves a result cannot leave stale verdicts in
+// results/figures.md.
+func TestResultsCurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five replicates of two figures")
+	}
+	f, err := os.Open("../../results/scale-0.2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs, err := ReadJSON(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"2a", "2b"} {
+		i := slices.IndexFunc(figs, func(f *Figure) bool { return f.ID == id })
+		if i < 0 {
+			t.Fatalf("results/scale-0.2.json has no figure %s", id)
+		}
+		got, err := RunFigureReplicated(id, Options{Scale: 0.2, Seed: 1, Fracs: DefaultFracs()[:2]}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Series) != len(figs[i].Series) {
+			t.Fatalf("figure %s: %d series recomputed, %d committed", id, len(got.Series), len(figs[i].Series))
+		}
+		for _, s := range got.Series {
+			want, ok := figs[i].SeriesByLabel(s.Label)
+			if !ok || len(want.Points) < len(s.Points) {
+				t.Fatalf("figure %s: committed series %q missing or short", id, s.Label)
+			}
+			for j, p := range s.Points {
+				if p != want.Points[j] {
+					t.Errorf("figure %s %s at %.0f%%: recomputed %+v, committed %+v (make paper)", id, s.Label, p.CacheFrac*100, p, want.Points[j])
+				}
+			}
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package httpcache
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -75,16 +73,6 @@ func (o Options) newStorage(label string) storage {
 // Store exposes the daemon's memory store (tests and telemetry).
 func (s *storage) Store() *store.Store { return s.store }
 
-// StoreReceipt is the §4.3 store receipt a client cache returns to its
-// proxy: what it kept and what it discarded to make room.
-type StoreReceipt struct {
-	Stored  bool     `json:"stored"`
-	Evicted []string `json:"evicted,omitempty"` // hex objectIds
-	// Reason explains a refusal ("empty-object" for zero-length
-	// bodies, which are never cached — see store.ErrEmptyObject).
-	Reason string `json:"reason,omitempty"`
-}
-
 // ClientCacheStats is a snapshot of the daemon's counters, published
 // on /metrics as httpcache.cache.* gauges.
 type ClientCacheStats struct {
@@ -125,7 +113,10 @@ func NewClientCacheOpts(o Options) *ClientCache {
 // Handler returns the daemon's HTTP interface:
 //
 //	GET  /object?key=HEX          serve a cached object (LAN fetch)
-//	POST /store?key=HEX&cost=F    pass-down from the proxy; ?ifFree=1
+//	POST /store?key=HEX&cost=F    pass-down from the proxy, answered
+//	                              with the store receipt: 1 (stored) or
+//	                              0, then each evicted key's 32 hex
+//	                              digits (appendReceipt); ?ifFree=1
 //	                              refuses instead of evicting (the
 //	                              diversion probe); every reply carries
 //	                              the daemon's headroom (FreeHeader)
@@ -185,39 +176,20 @@ func hexID[T string | []byte](hex T) (pastry.ID, bool) {
 	return pastry.IDFromBytes(raw[:]), true
 }
 
-// foldHex folds the well-formed keys of a list another daemon sent (a
-// store receipt's evictions) and skips the rest.
-func foldHex(hexes []string) []trace.ObjectID {
-	var out []trace.ObjectID
-	for _, hex := range hexes {
-		if id, ok := hexID(hex); ok {
-			out = append(out, fold(id))
-		}
+// appendReceipt appends the §4.3 store receipt a client cache returns
+// to its proxy: the flag 1 if it kept the body, else 0, then the key of
+// each object it evicted to make room, 32 hex digits as parseKey took
+// it, back to back.
+func appendReceipt(b []byte, stored bool, evicted []store.Object) []byte {
+	flag := byte('0')
+	if stored {
+		flag = '1'
 	}
-	return out
-}
-
-// appendReceipt appends a store receipt exactly as json.Encoder writes
-// StoreReceipt{Stored: stored, Evicted: the evicted objects' keys,
-// Reason: reason}, the trailing newline included.  Neither a key (32 hex
-// digits, as parseKey took it) nor a reason (a constant) has a byte
-// encoding/json would escape, so both are written as they are.
-func appendReceipt(b []byte, stored bool, evicted []store.Object, reason string) []byte {
-	b = strconv.AppendBool(append(b, `{"stored":`...), stored)
-	if len(evicted) > 0 {
-		b = append(b, `,"evicted":[`...)
-		for i, ev := range evicted {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(append(append(b, '"'), ev.HexKey...), '"')
-		}
-		b = append(b, ']')
+	b = append(b, flag)
+	for _, ev := range evicted {
+		b = append(b, ev.HexKey...)
 	}
-	if reason != "" {
-		b = append(append(append(b, `,"reason":"`...), reason...), '"')
-	}
-	return append(b, "}\n"...)
+	return b
 }
 
 // receipt is a store receipt as a pass-down books it: whether the daemon
@@ -228,82 +200,21 @@ type receipt struct {
 	evicted []trace.ObjectID
 }
 
-// decodeReceipt reads a /store reply's receipt (StoreReceipt's JSON).
-// One laid out as appendReceipt writes it, or with an explicit null list
-// or reason, is scanned where it lies; anything else goes to
-// encoding/json, and reads the same either way (FuzzStoreReceipt).
+// decodeReceipt reads a /store reply's receipt as appendReceipt writes
+// it.  A flag other than 0 or 1, or a body that is not the flag and
+// whole 32-byte keys, is an error; a key that is not hex is skipped
+// (FuzzStoreReceipt).
 func decodeReceipt(body []byte) (*receipt, error) {
-	if rec, ok := scanReceipt(body); ok {
-		return rec, nil
+	if len(body) == 0 || body[0] != '0' && body[0] != '1' || (len(body)-1)%32 != 0 {
+		return nil, fmt.Errorf("httpcache: a %d-byte store receipt is not a 0/1 flag and whole keys", len(body))
 	}
-	var r StoreReceipt
-	if err := json.Unmarshal(body, &r); err != nil {
-		return nil, err
-	}
-	return &receipt{stored: r.Stored, evicted: foldHex(r.Evicted)}, nil
-}
-
-// scanReceipt reads b as `{"stored":B[,"evicted":null|[S,...]][,"reason":S]}`
-// and an optional newline, where each string S is free of escapes and
-// control bytes; ok is false for anything else.
-func scanReceipt(b []byte) (rec *receipt, ok bool) {
-	lit := func(l string) bool {
-		if len(b) < len(l) || string(b[:len(l)]) != l {
-			return false
-		}
-		b = b[len(l):]
-		return true
-	}
-	str := func() ([]byte, bool) {
-		if !lit(`"`) {
-			return nil, false
-		}
-		for i, c := range b {
-			switch {
-			case c == '"':
-				s := b[:i]
-				b = b[i+1:]
-				return s, true
-			case c < 0x20 || c == '\\':
-				return nil, false
-			}
-		}
-		return nil, false
-	}
-	rec = new(receipt)
-	if !lit(`{"stored":`) {
-		return nil, false
-	}
-	if rec.stored = lit("true"); !rec.stored && !lit("false") {
-		return nil, false
-	}
-	if lit(`,"evicted":`) && !lit("null") {
-		if !lit("[") {
-			return nil, false
-		}
-		for n := 0; !lit("]"); n++ {
-			if n > 0 && !lit(",") {
-				return nil, false
-			}
-			hex, ok := str()
-			if !ok {
-				return nil, false
-			}
-			if id, ok := hexID(hex); ok {
-				rec.evicted = append(rec.evicted, fold(id))
-			}
+	rec := &receipt{stored: body[0] == '1'}
+	for keys := body[1:]; len(keys) > 0; keys = keys[32:] {
+		if id, ok := hexID(keys[:32]); ok {
+			rec.evicted = append(rec.evicted, fold(id))
 		}
 	}
-	if lit(`,"reason":`) {
-		if _, ok := str(); !ok {
-			return nil, false
-		}
-	}
-	if !lit("}") {
-		return nil, false
-	}
-	lit("\n")
-	return rec, len(b) == 0
+	return rec, nil
 }
 
 // parseCost reads a /store's greedy-dual cost from the query: 1 unless
@@ -387,17 +298,13 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 		c.refuseStore(w)
 		return
 	}
-	evicted, stored, err := c.store.Put(folded, store.Object{HexKey: hex, Body: body, Cost: cost})
+	// A zero-length body is never cached (store.ErrEmptyObject): its
+	// receipt reads 0, and the sender's directory does not list it.
+	evicted, stored, _ := c.store.Put(folded, store.Object{HexKey: hex, Body: body, Cost: cost})
 	c.stats.stores.Add(1)
 	c.reportHeadroom(w)
-	reason := ""
-	if errors.Is(err, store.ErrEmptyObject) {
-		// Surfaced explicitly rather than coerced: a zero-length body
-		// is never cached, and the sender's directory must not list it.
-		reason = "empty-object"
-	}
-	w.Header()["Content-Type"] = contentTypeJSON
-	w.Write(appendReceipt(make([]byte, 0, 64+36*len(evicted)), stored, evicted, reason))
+	w.Header()["Content-Type"] = contentTypeOctet
+	w.Write(appendReceipt(make([]byte, 0, 1+32*len(evicted)), stored, evicted))
 }
 
 // snapshotStats reads the lock-free counters.

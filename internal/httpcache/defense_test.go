@@ -3,7 +3,6 @@ package httpcache
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -256,9 +255,9 @@ func TestRegisterEscapesAddr(t *testing.T) {
 }
 
 // FuzzRegister sends /register an arbitrary addr and raw body.
-// Whatever arrives, the proxy does not panic, answers 200 with a
-// cacheId for a host:port addr and 400 for any other, and its directory
-// never grows: a registration lists nothing.
+// Whatever arrives, the proxy does not panic, answers 200 with the
+// daemon's 32-hex-digit ring id for a host:port addr and 400 for any
+// other, and its directory never grows: a registration lists nothing.
 func FuzzRegister(f *testing.F) {
 	listed := keyOf("http://origin.test/fuzz").String()
 	f.Add("10.0.0.1:999", []byte(nil))
@@ -278,11 +277,8 @@ func FuzzRegister(f *testing.F) {
 		hostPort := err == nil && host != "" && port != ""
 		switch {
 		case rec.Code == http.StatusOK && hostPort:
-			var reply struct {
-				CacheID string `json:"cacheId"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || reply.CacheID == "" {
-				t.Errorf("addr %q: 200 without a cacheId: %q", addr, rec.Body.String())
+			if _, ok := hexID(rec.Body.Bytes()); !ok {
+				t.Errorf("addr %q: 200 without a 32-hex ring id: %q", addr, rec.Body.String())
 			}
 		case rec.Code == http.StatusBadRequest && !hostPort:
 		default:

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"webcache/internal/store"
+	"webcache/internal/trace"
 )
 
 // farEnd is a stand-in member of the federation: h answers the frames a
@@ -238,36 +238,47 @@ func FuzzFrameRequest(f *testing.F) {
 }
 
 // FuzzStoreReceipt feeds a pass-down any receipt a client cache may send
-// (a /store reply's JSON).  decodeReceipt reads it as encoding/json reads
-// it into a StoreReceipt: it takes what json.Unmarshal takes and nothing
-// else, with the same stored flag and the same well-formed evicted keys,
-// whether the scan or the fallback read it.  A receipt it takes leaves
-// the directory listing the stored key if, and only if, the receipt says
-// it was stored and not also evicted, and listing none of the keys it
-// says were evicted; nothing panics.
+// (a /store reply's body).  decodeReceipt takes exactly a 0/1 flag and
+// whole 32-byte keys, lists the hex ones among them as evicted, and
+// reads back what appendReceipt writes for what it read.  A receipt it
+// takes leaves the directory listing the stored key if, and only if,
+// the receipt says it was stored and not also evicted, and listing none
+// of the keys it says were evicted; nothing panics.
 func FuzzStoreReceipt(f *testing.F) {
 	stored := keyOf("http://origin.test/stored")
 	other := keyOf("http://origin.test/other").String()
-	f.Add([]byte("{\"stored\":true}\n"))
-	f.Add([]byte(`{"stored":true,"evicted":["` + other + `"]}`))
-	f.Add([]byte(`{"stored":false,"reason":"empty-object"}`))
-	f.Add([]byte(`{"stored":true,"evicted":["` + stored.String() + `","nothex",""]}`))
-	f.Add([]byte(`{"stored":true,"evicted":null,"reason":""}`))
-	f.Add([]byte(`{"stored":true,"evicted":["` + strings.ToUpper(other) + `"]}` + "\n"))
-	f.Add([]byte(`{"evicted":["` + other + `"],"stored":true}`))
-	f.Add([]byte(`{"stored":true,"evicted":["a\u0030"]} `))
-	f.Add([]byte(`[1,2]`))
+	f.Add([]byte("1"))
+	f.Add([]byte("0"))
+	f.Add([]byte("1" + other))
+	f.Add([]byte("0" + other + stored.String()))
+	f.Add([]byte("1" + stored.String() + strings.Repeat("z", 32)))
+	f.Add([]byte("1" + strings.ToUpper(other)))
+	f.Add([]byte(""))
+	f.Add([]byte("2" + other))
+	f.Add([]byte("1" + other[:31]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeReceipt(data)
-		var want StoreReceipt
-		if jerr := json.Unmarshal(data, &want); (err == nil) != (jerr == nil) {
-			t.Fatalf("receipt %q: decodeReceipt error %v, json.Unmarshal error %v", data, err, jerr)
+		wellFormed := len(data) > 0 && (data[0] == '0' || data[0] == '1') && (len(data)-1)%32 == 0
+		if (err == nil) != wellFormed {
+			t.Fatalf("receipt %q: decodeReceipt error %v", data, err)
 		}
 		if err != nil {
 			return
 		}
-		if rec.stored != want.Stored || !slices.Equal(rec.evicted, foldHex(want.Evicted)) {
-			t.Fatalf("receipt %q: decoded (%v, %x), encoding/json reads (%v, %x)", data, rec.stored, rec.evicted, want.Stored, foldHex(want.Evicted))
+		var keys []store.Object
+		var want []trace.ObjectID
+		for k := data[1:]; len(k) > 0; k = k[32:] {
+			if id, ok := hexID(k[:32]); ok {
+				keys = append(keys, store.Object{HexKey: string(k[:32])})
+				want = append(want, fold(id))
+			}
+		}
+		if rec.stored != (data[0] == '1') || !slices.Equal(rec.evicted, want) {
+			t.Fatalf("receipt %q: decoded (%v, %x), want (%v, %x)", data, rec.stored, rec.evicted, data[0] == '1', want)
+		}
+		again, err := decodeReceipt(appendReceipt(nil, rec.stored, keys))
+		if err != nil || again.stored != rec.stored || !slices.Equal(again.evicted, rec.evicted) {
+			t.Fatalf("receipt %q: appendReceipt's rewrite reads (%v, %v)", data, again, err)
 		}
 		px := newProxy(t, Options{CapacityBytes: 1 << 20})
 		px.dir.Add(fold(keyOf(other)))

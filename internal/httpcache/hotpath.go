@@ -59,9 +59,9 @@ var servedBy = map[string][]string{
 	TierPeerP2P:     {TierPeerP2P},
 }
 
-// contentTypeOctet is what every object body and digest is declared as
-// over HTTP; an undeclared reply has its first 512 bytes sniffed for a
-// type nobody reads.
+// contentTypeOctet is what every object body, digest and store receipt
+// is declared as over HTTP; an undeclared reply has its first 512
+// bytes sniffed for a type nobody reads.
 var contentTypeOctet = []string{"application/octet-stream"}
 
 // decimalValues memoizes decimal header values (Content-Length,
@@ -109,9 +109,6 @@ func serve(w http.ResponseWriter, body []byte, tier string) {
 	h["Content-Type"] = contentTypeOctet
 	w.Write(body)
 }
-
-// contentTypeJSON is what a store receipt is declared as.
-var contentTypeJSON = []string{"application/json"}
 
 // maxBody bounds a POSTed object body.
 const maxBody = 64 << 20

@@ -2,14 +2,15 @@ package httpcache
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
 	"webcache/internal/store"
+	"webcache/internal/trace"
 )
 
 // TestQueryParamMatchesURLValues holds the zero-alloc query scanner to
@@ -38,34 +39,38 @@ func TestQueryParamMatchesURLValues(t *testing.T) {
 	}
 }
 
-// TestReceiptFastPathBytes pins the append-based receipt encoder to what
-// json.Encoder emits for the same StoreReceipt, so the receipt on the
-// wire is the one the encoder wrote: stored or not, with none, one or
-// several evicted keys (upper-case hex included), and with a reason.
+// TestReceiptFastPathBytes pins the store receipt's bytes, stored or
+// not, with none, one or several evicted keys (upper-case hex included),
+// and that decodeReceipt reads back the flag and the keys' folds.
 func TestReceiptFastPathBytes(t *testing.T) {
-	key := func(u string) store.Object { return store.Object{HexKey: keyOf(u).String()} }
+	a, b, c := keyOf("a").String(), keyOf("b").String(), keyOf("c").String()
+	upper := strings.ToUpper(keyOf("d").String())
 	for _, tc := range []struct {
 		stored  bool
-		evicted []store.Object
-		reason  string
+		evicted []string
+		want    string
 	}{
-		{stored: true},
-		{stored: false},
-		{stored: true, evicted: []store.Object{key("a")}},
-		{stored: true, evicted: []store.Object{key("a"), key("b"), key("c")}},
-		{stored: false, reason: "empty-object"},
-		{stored: true, evicted: []store.Object{{HexKey: strings.ToUpper(keyOf("d").String())}}},
+		{stored: true, want: "1"},
+		{stored: false, want: "0"},
+		{stored: true, evicted: []string{a}, want: "1" + a},
+		{stored: true, evicted: []string{a, b, c}, want: "1" + a + b + c},
+		{stored: false, evicted: []string{a}, want: "0" + a},
+		{stored: true, evicted: []string{upper}, want: "1" + upper},
 	} {
-		want := StoreReceipt{Stored: tc.stored, Reason: tc.reason}
-		for _, ev := range tc.evicted {
-			want.Evicted = append(want.Evicted, ev.HexKey)
+		var objs []store.Object
+		var folds []trace.ObjectID
+		for _, hex := range tc.evicted {
+			objs = append(objs, store.Object{HexKey: hex})
+			id, _ := hexID(hex)
+			folds = append(folds, fold(id))
 		}
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(want); err != nil {
-			t.Fatal(err)
+		got := appendReceipt(nil, tc.stored, objs)
+		if string(got) != tc.want {
+			t.Errorf("appendReceipt = %q, want %q", got, tc.want)
 		}
-		if got := appendReceipt(nil, tc.stored, tc.evicted, tc.reason); !bytes.Equal(got, buf.Bytes()) {
-			t.Errorf("appendReceipt = %q, json.Encoder emits %q", got, buf.Bytes())
+		rec, err := decodeReceipt(got)
+		if err != nil || rec.stored != tc.stored || !slices.Equal(rec.evicted, folds) {
+			t.Errorf("decodeReceipt(%q) = (%+v, %v), want stored %v, evicted %x", got, rec, err, tc.stored, folds)
 		}
 	}
 }

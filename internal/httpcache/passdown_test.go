@@ -240,7 +240,7 @@ func TestPassDownHeaderlessDaemonProbed(t *testing.T) {
 				http.Error(w, "no free space", http.StatusInsufficientStorage)
 				return
 			}
-			w.Write([]byte("{\"stored\":true}\n"))
+			w.Write([]byte("1"))
 		}))
 		px.ring.add(srv.addr)
 	}

@@ -2,7 +2,6 @@ package httpcache
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -257,10 +256,11 @@ func Register(proxyURL, addr string) error {
 	return nil
 }
 
-// handleRegister puts the daemon at addr on the ring.  A registration
-// names an address and nothing else: a body is not read, so no caller
-// can list directory entries on its own word.  An addr a hop could not
-// dial (not host:port, as parsePeers asks of a peer) is refused.
+// handleRegister puts the daemon at addr on the ring and answers its
+// ring id in 32 hex digits.  A registration names an address and
+// nothing else: a body is not read, so no caller can list directory
+// entries on its own word.  An addr a hop could not dial (not
+// host:port, as parsePeers asks of a peer) is refused.
 func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 	addr := queryParam(r.URL.RawQuery, "addr")
 	if host, port, err := net.SplitHostPort(addr); err != nil || host == "" || port == "" {
@@ -268,8 +268,8 @@ func (p *Proxy) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := p.ring.add(addr)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]string{"cacheId": m.id.String()})
+	w.Header().Set("Content-Type", "text/plain")
+	w.Write([]byte(m.id.String()))
 }
 
 // originTimeout bounds one Transport exchange, an origin GET or a load

@@ -33,12 +33,6 @@ type Model struct {
 	Tc   float64 // proxy -> cooperating proxy
 	Tl   float64 // client -> local proxy
 	Tp2p float64 // client/proxy -> P2P client cache
-
-	// PerHop is the additional LAN latency charged per Pastry routing
-	// hop beyond the first when HopAware accounting is enabled.  The
-	// paper folds routing hops into the single average Tp2p; PerHop
-	// lets ablation benches expose the hop count instead.
-	PerHop float64
 }
 
 // Params selects a Model through the paper's normalized ratios.
@@ -47,7 +41,6 @@ type Params struct {
 	ServerProxyRatio  float64 // Ts/Tc; DefaultServerProxyRatio if zero
 	ServerClientRatio float64 // Ts/Tl; DefaultServerClientRatio if zero
 	P2PClientRatio    float64 // Tp2p/Tl; DefaultP2PClientRatio if zero
-	PerHop            float64 // optional per-Pastry-hop LAN latency
 }
 
 // ErrBadRatio reports a non-positive latency ratio.
@@ -74,11 +67,10 @@ func New(p Params) (Model, error) {
 	}
 	tl := p.Ts / p.ServerClientRatio
 	return Model{
-		Ts:     p.Ts,
-		Tc:     p.Ts / p.ServerProxyRatio,
-		Tl:     tl,
-		Tp2p:   tl * p.P2PClientRatio,
-		PerHop: p.PerHop,
+		Ts:   p.Ts,
+		Tc:   p.Ts / p.ServerProxyRatio,
+		Tl:   tl,
+		Tp2p: tl * p.P2PClientRatio,
 	}, nil
 }
 
@@ -183,17 +175,6 @@ func (m Model) Latency(src Source) float64 {
 	default:
 		panic("netmodel: unknown source")
 	}
-}
-
-// LatencyHops is Latency for a P2P fetch that took the given number of
-// Pastry routing hops: hops beyond the first each add PerHop.  For
-// sources other than SrcP2P it matches Latency.
-func (m Model) LatencyHops(src Source, hops int) float64 {
-	l := m.Latency(src)
-	if src == SrcP2P && hops > 1 {
-		l += float64(hops-1) * m.PerHop
-	}
-	return l
 }
 
 // FetchCost returns the cost the *proxy* pays to bring the object in

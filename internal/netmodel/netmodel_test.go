@@ -82,22 +82,6 @@ func TestLatencyComposition(t *testing.T) {
 	}
 }
 
-func TestLatencyHops(t *testing.T) {
-	m := Default()
-	m.PerHop = 0.01
-	base := m.Latency(SrcP2P)
-	if got := m.LatencyHops(SrcP2P, 1); !almostEq(got, base) {
-		t.Errorf("1 hop should add nothing: %g vs %g", got, base)
-	}
-	if got := m.LatencyHops(SrcP2P, 4); !almostEq(got, base+3*0.01) {
-		t.Errorf("4 hops = %g, want %g", got, base+0.03)
-	}
-	// Non-P2P sources ignore hops.
-	if got := m.LatencyHops(SrcServer, 7); !almostEq(got, m.Latency(SrcServer)) {
-		t.Errorf("server latency with hops = %g, want %g", got, m.Latency(SrcServer))
-	}
-}
-
 func TestFetchCostExcludesClientLeg(t *testing.T) {
 	m := Default()
 	if got := m.FetchCost(SrcLocalProxy); got != 0 {

@@ -46,12 +46,11 @@ type DecompReport struct {
 // serving latency (total charged latency minus wasted probes, per
 // request) must equal m.Latency(source) to within tol.
 //
-// The seven paper schemes satisfy this exactly (PerHop = 0): every
-// engine charges Latency(src) plus wasted probes, and wasted spans are
-// subtracted before comparing.  One deliberate deviation exists and
-// is the caller's to expect: Squirrel serves without a proxy, so its
-// p2p tier misses the Tl leg (Delta = -Tl) and its server tier misses
-// it too.
+// The seven paper schemes satisfy this exactly: every engine charges
+// Latency(src) plus wasted probes, and wasted spans are subtracted
+// before comparing.  One deliberate deviation exists and is the
+// caller's to expect: Squirrel serves without a proxy, so its p2p tier
+// misses the Tl leg (Delta = -Tl) and its server tier misses it too.
 //
 // Tiers whose label does not parse as a netmodel source are skipped.
 func CheckDecomposition(m netmodel.Model, d *obs.Decomposition, tol float64) *DecompReport {

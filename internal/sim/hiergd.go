@@ -189,7 +189,7 @@ func (e *hierGDEngine) serve(obj trace.ObjectID, size uint32, proxy, member int,
 			st.WastedSpan("dir.false_positive", string(netmodel.CompTp2p), e.net.Tp2p)
 			extra += e.net.Tp2p
 		} else {
-			lat := e.net.LatencyHops(netmodel.SrcP2P, lr.Hops)
+			lat := e.net.Latency(netmodel.SrcP2P)
 			// Byzantine clients corrupt a fraction of P2P serves.  A
 			// corruption detected by the hardened digest sampling wastes
 			// the P2P fetch and falls through toward peers/origin — the

@@ -70,12 +70,8 @@ func (e *squirrelEngine) serve(obj trace.ObjectID, size uint32, proxy, member in
 	if err == nil && lr.Found {
 		// Home-node hit: the request goes client -> home node directly
 		// over the LAN; there is no proxy leg (Tl) at all.
-		lat := e.net.Tp2p
-		if lr.Hops > 1 {
-			lat += float64(lr.Hops-1) * e.net.PerHop
-		}
-		st.Span("p2p.route", string(netmodel.CompTp2p), lat)
-		return netmodel.SrcP2P, lat
+		st.Span("p2p.route", string(netmodel.CompTp2p), e.net.Tp2p)
+		return netmodel.SrcP2P, e.net.Tp2p
 	}
 	// Miss: the requesting client fetched from the origin server and
 	// handed the object to its home node for storage.  No proxy: the
