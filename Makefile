@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameRequest -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzStoreReceipt -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzOriginReply -fuzztime=$(FUZZTIME) ./internal/httpcache
+	$(GO) test -run='^$$' -fuzz=FuzzReplyHead -fuzztime=$(FUZZTIME) ./internal/httpcache
 	$(GO) test -run='^$$' -fuzz=FuzzIDTable -fuzztime=$(FUZZTIME) ./internal/pastry
 	$(GO) test -run='^$$' -fuzz=FuzzIDArith -fuzztime=$(FUZZTIME) ./internal/pastry
 	$(GO) test -run='^$$' -fuzz=FuzzSlotTable -fuzztime=$(FUZZTIME) ./internal/cache
@@ -132,11 +133,14 @@ chaos-smoke:
 		-object-bytes 512 -rate 750 \
 		-manifest BENCH_chaos.json
 
-# ~40s full chaos suite: every scenario (baseline, slow-peer,
-# flash-churn, churn-during-flash-crowd, byzantine, poison), same
-# gates as chaos-smoke.
+# ~2min full chaos suite: every scenario (baseline, slow-peer,
+# flash-churn, churn-during-flash-crowd, byzantine, poison), each live
+# pair run three times, same gates as chaos-smoke on every slow-peer
+# replicate; prints each row's median and range and, against the
+# baseline's range (the noise floor), whether its cuts and price
+# resolve.
 chaos-bench:
-	$(GO) run ./cmd/hiergdd bench chaos \
+	$(GO) run ./cmd/hiergdd bench chaos -replicates 3 \
 		-requests 1500 -objects 200 -clients 40 -proxies 2 -caches 3 \
 		-object-bytes 512 -rate 750 \
 		-manifest BENCH_chaos.json

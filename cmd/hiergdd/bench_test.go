@@ -57,6 +57,19 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// A replicate count below 1 is refused before any scenario runs.
+func TestChaosReplicatesRefused(t *testing.T) {
+	for _, n := range []string{"0", "-2"} {
+		_, g, err := parseBench([]string{"chaos", "-replicates", n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.run(); err == nil || !strings.Contains(err.Error(), "-replicates") {
+			t.Errorf("-replicates %s: run() = %v, want the count refused", n, err)
+		}
+	}
+}
+
 // The option budget: each gate's exact flag list (the shared workload
 // block, the topology, the session's and its own), so a flag added or
 // dropped shows up here, the way obs.TestSessionFlags pins each tool's
@@ -66,7 +79,7 @@ func TestBenchFlagBudget(t *testing.T) {
 		"live": {"caches", "clients", "duration", "manifest", "mode", "object-bytes", "objects", "pprof",
 			"proxies", "rate", "requests", "tolerance", "trace", "trace-out", "trace-sample", "warmup", "workers"},
 		"chaos": {"caches", "chaos-scenarios", "clients", "manifest", "object-bytes", "objects", "pprof",
-			"proxies", "rate", "requests"},
+			"proxies", "rate", "replicates", "requests"},
 	}
 	if len(benchGates) != len(want) {
 		t.Errorf("%d gates are wired, the table lists %d", len(benchGates), len(want))

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -124,7 +125,7 @@ func TestCorruptingWriter(t *testing.T) {
 // scenario, not only printed for slow-peer.
 func TestRowCarriesDerivedDeltas(t *testing.T) {
 	var r Row
-	r.SetLive(&LiveReport{HitRatio: 0.5, P999Ms: 500}, &LiveReport{HitRatio: 0.25, P999Ms: 125})
+	r.AddLive(&LiveReport{HitRatio: 0.5, P999Ms: 500}, &LiveReport{HitRatio: 0.25, P999Ms: 125})
 	blob, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +139,31 @@ func TestRowCarriesDerivedDeltas(t *testing.T) {
 	}
 	if got.P999Cut != 4 || got.DefensePrice != 0.25 {
 		t.Fatalf("row %s: p999_cut %g, defense_price %g; want 4, 0.25", blob, got.P999Cut, got.DefensePrice)
+	}
+}
+
+// TestRowReplicates: a row over several live pairs carries each pair's
+// deltas and their medians, its range is the noise floor a row's median
+// is resolved against, and its violations count every pair's runs.
+func TestRowReplicates(t *testing.T) {
+	var r Row
+	for _, p999 := range []float64{100, 400, 200} {
+		r.AddLive(&LiveReport{HitRatio: 0.5, P99Ms: 2 * p999, P999Ms: p999, Violations: 1}, &LiveReport{HitRatio: 0.4, P99Ms: 100, P999Ms: 100})
+	}
+	if len(r.Replicates) != 3 || r.P999Cut != 2 || r.P99Cut != 4 || math.Abs(r.DefensePrice-0.1) > 1e-12 || r.Violations() != 3 {
+		t.Fatalf("row %+v: want 3 replicates, p999 cut 2, p99 cut 4, price 0.1 and 3 violations", r)
+	}
+	floor := r.Spread(func(x Replicate) float64 { return x.P999Cut })
+	if floor != (Spread{Median: 2, Min: 1, Max: 4}) {
+		t.Fatalf("p999 cut spread %+v, want median 2 in [1, 4]", floor)
+	}
+	for _, tc := range []struct {
+		median   float64
+		resolved bool
+	}{{0.9, true}, {1, false}, {3.9, false}, {4.1, true}} {
+		if got := (Spread{Median: tc.median}).Resolved(floor); got != tc.resolved {
+			t.Errorf("median %g against [1, 4]: resolved %v, want %v", tc.median, got, tc.resolved)
+		}
 	}
 }
 

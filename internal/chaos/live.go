@@ -32,11 +32,11 @@ var (
 // merged server-side counters must tell the same story as the driver.
 // Both count the served replies by their X-Served-By label, so they
 // agree exactly.
-// MaxDefensePrice bounds Row.DefensePrice on slow-peer: the deadlines
-// and sweeps may cost at most this much live hit ratio for the tail
-// they cut.
-// MinP999Cut is the floor on Row.P999Cut on slow-peer: the defenses
-// must cut the live p999 by at least this factor.
+// MaxDefensePrice bounds every replicate's DefensePrice on slow-peer:
+// the deadlines and sweeps may cost at most this much live hit ratio
+// for the tail they cut.
+// MinP999Cut is the floor on every replicate's P999Cut on slow-peer:
+// the defenses must cut the live p999 by at least this factor.
 const (
 	MaxClusterDelta = 0.001
 	MaxDefensePrice = 0.05
@@ -52,6 +52,7 @@ type LiveReport struct {
 	Requests   int     `json:"requests"`
 	Errors     int     `json:"errors"`
 	HitRatio   float64 `json:"hit_ratio"`
+	P99Ms      float64 `json:"p99_ms"`
 	P999Ms     float64 `json:"p999_ms"`
 	// ClusterHit is the aggregator's deduplicated hit ratio from one
 	// scrape of every member's /metrics after the drive; MembersUp of
@@ -194,6 +195,7 @@ func RunLive(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) 
 	rep.Requests = res.Measured
 	rep.Errors = res.Errors
 	rep.HitRatio = res.AggregateHitRatio()
+	rep.P99Ms = float64(res.Overall.Quantile(0.99)) / float64(time.Millisecond)
 	rep.P999Ms = float64(res.Overall.Quantile(0.999)) / float64(time.Millisecond)
 	for p := range topo.Proxies {
 		st, err := topo.ProxyStats(p)

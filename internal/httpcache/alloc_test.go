@@ -193,8 +193,10 @@ func TestDecimalValueZeroAlloc(t *testing.T) {
 
 // TestOriginFetchAllocs counts what one origin GET allocates, both ends
 // together, against an origin that declares its 8 KiB body as the load
-// generator's does: at the proxy the body it keeps, the URL and net/http's
-// reading of the reply head; at the origin net/http's server.
+// generator's does: at the proxy the body it keeps and the URL, 2 of the
+// 20 (the reply head is parsed in the connection's buffer, and no
+// http.Response is built); at the origin net/http's server, the other 18.
+// When net/http's parser read the head, the same GET allocated 30.
 func TestOriginFetchAllocs(t *testing.T) {
 	const size = 8 << 10
 	body, length := sizedBody("/origin", size), []string{strconv.Itoa(size)}
@@ -212,18 +214,19 @@ func TestOriginFetchAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per origin GET, both ends", allocs)
-	if allocs > 30 {
-		t.Errorf("an 8 KiB origin GET allocates %.1f objects, both ends, want at most 30", allocs)
+	if allocs > 20 {
+		t.Errorf("an 8 KiB origin GET allocates %.1f objects, both ends, want at most 20", allocs)
 	}
 }
 
 // TestTransportAllocs counts what one GET through the Transport
 // allocates, both ends together, against a server that declares its
-// 8 KiB body as a proxy's /fetch does: at the client only net/http's
-// reading of the reply head (9 of the 28), at the server net/http's
-// server.  The request is built once, as a caller that reuses it would.
-// Through the tuned *http.Transport this replaced, the same GET allocated
-// 61.
+// 8 KiB body as a proxy's /fetch does: at the client only the reply RoundTrip
+// hands back, 5 of the 23 (the head's string, the http.Response, and its
+// Header's map, map group and value slice); at the server net/http's
+// server, the other 18.  The request is built once, as a caller that
+// reuses it would.  When net/http's parser read the head the same GET
+// allocated 28, and through the tuned *http.Transport before that, 61.
 func TestTransportAllocs(t *testing.T) {
 	const size = 8 << 10
 	body, length := sizedBody("/object", size), []string{strconv.Itoa(size)}
@@ -250,7 +253,7 @@ func TestTransportAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per GET, both ends", allocs)
-	if allocs > 28 {
-		t.Errorf("an 8 KiB GET through the transport allocates %.1f objects, both ends, want at most 28", allocs)
+	if allocs > 23 {
+		t.Errorf("an 8 KiB GET through the transport allocates %.1f objects, both ends, want at most 23", allocs)
 	}
 }

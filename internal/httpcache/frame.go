@@ -292,12 +292,11 @@ func (c *wireConn) upgrade(host string) error {
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	resp, err := http.ReadResponse(c.br, nil)
-	if err != nil {
+	if err := c.readReplyHead(false); err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != FrameProtocol {
-		return fmt.Errorf("httpcache: %s answered the frame upgrade with %s", host, resp.Status)
+	if c.head.code != http.StatusSwitchingProtocols || c.head.get("Upgrade") != FrameProtocol {
+		return fmt.Errorf("httpcache: %s answered the frame upgrade with %s", host, c.head.status)
 	}
 	return nil
 }

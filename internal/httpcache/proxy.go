@@ -279,8 +279,9 @@ const originTimeout = 10 * time.Second
 // originFetch GETs the object body from its origin server through the
 // proxy's Transport, under one deadline, originTimeout from now.  The GET
 // is made for no requester (the coalescer's flight outlives any one), so
-// nothing but the deadline ends it.  Any reply but a 200 is an error,
-// redirects included.
+// nothing but the deadline ends it.  It reads the reply's status and
+// length from the connection's parsed head, so no http.Response or
+// Header is built.  Any reply but a 200 is an error, redirects included.
 func (p *Proxy) originFetch(rawURL string) ([]byte, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil {
@@ -293,15 +294,15 @@ func (p *Proxy) originFetch(rawURL string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("origin URL %q: %w", rawURL, err)
 	}
-	resp, err := p.origins.get(context.Background(), addr, u, u.Host, nil, nil)
+	c, err := p.origins.get(context.Background(), addr, u, u.Host, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("origin status %d", resp.StatusCode)
+	defer c.body.Close()
+	if c.head.code != http.StatusOK {
+		return nil, fmt.Errorf("origin status %d", c.head.code)
 	}
-	body, err := readBody(resp.Body, resp.ContentLength)
+	body, err := readBody(&c.body, c.head.length)
 	if err != nil {
 		return nil, fmt.Errorf("reading origin body: %w", err)
 	}

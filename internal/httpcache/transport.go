@@ -2,18 +2,25 @@ package httpcache
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"context"
 	"crypto/tls"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
+	"net/http/httputil"
+	"net/textproto"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"webcache/internal/pastry"
 )
@@ -30,10 +37,12 @@ import (
 // or the request context's deadline if that comes first (connPool.send);
 // the context's cancellation closes the connection through its watcher.
 //
-// The reply's body streams from the connection (replyBody).  A body read
-// to its end goes back to the pool at Close when the reply left its
-// connection fit for the next request (reusable); one closed short of its
-// end closes the connection.
+// The reply's head is read by the Transport's own reader
+// (readReplyHead), by net/http's rules, up to http.DefaultMaxHeaderBytes,
+// with informational 1xx heads skipped; its body streams from the
+// connection (replyBody).  A body read to its end goes back to the pool
+// at Close when the reply left its connection fit for the next request
+// (reusable); one closed short of its end closes the connection.
 //
 // The body belongs to its connection, not to the reply, so that a request
 // allocates none: the caller reads a body and closes it from one
@@ -49,7 +58,12 @@ func NewTransport() *Transport { return &Transport{pool: newConnPool(dialOrigin,
 
 // RoundTrip implements http.RoundTripper for a GET with no body; any
 // other request is refused before anything is dialled, and its body
-// closed.
+// closed.  It is the one place a reply becomes an http.Response, because
+// its callers (http.Client among them) read the Header after Close: the
+// Response, its Header and the head's string are the reply's own.  A
+// chunked reply's Trailer declares the keys its head names, and the
+// trailer's fields fill it in when the body reaches its end (readTrailer),
+// as net/http's does.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	host := req.Host
 	if host == "" {
@@ -70,27 +84,46 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		return nil, fmt.Errorf("httpcache: %w", err)
 	}
-	return t.get(req.Context(), addr, req.URL, host, req.Header, req)
+	c, err := t.get(req.Context(), addr, req.URL, host, req.Header, true)
+	if err != nil {
+		return nil, err
+	}
+	h := &c.head
+	resp := &http.Response{
+		Status: h.status, StatusCode: h.code,
+		Proto: h.proto, ProtoMajor: h.major, ProtoMinor: h.minor,
+		Header: h.header(), Body: &c.body, ContentLength: h.length, Close: h.close,
+		Request: req,
+	}
+	if h.chunked {
+		resp.TransferEncoding = []string{"chunked"}
+		resp.Trailer = h.trailer()
+		c.body.trailer = &resp.Trailer
+	}
+	return resp, nil
 }
 
 // get sends a GET for u to host, with hdr's fields, on a connection to
-// addr (poolAddr), and returns the reply as soon as its head is in; the
-// body streams from the connection (replyBody).  req, when set, is the
-// request the reply answers (http.ReadResponse).
-func (t *Transport) get(ctx context.Context, addr string, u *url.URL, host string, hdr http.Header, req *http.Request) (*http.Response, error) {
-	var resp *http.Response
+// addr (poolAddr), and returns the connection as soon as the reply's head
+// is in (readReplyHead, whose own it passes on): its head is the parsed
+// reply, and its body streams the reply's body (replyBody).  Both are the
+// connection's, so the caller reads what it needs of the head before it
+// closes the body.
+func (t *Transport) get(ctx context.Context, addr string, u *url.URL, host string, hdr http.Header, own bool) (*wireConn, error) {
 	c, watched, err := t.pool.send(ctx, originTimeout, addr, func(c *wireConn) (err error) {
 		if err = c.writeGet(u, host, hdr); err == nil {
-			resp, err = readReplyHead(c.br, req)
+			err = c.readReplyHead(own)
 		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.body = replyBody{c: c, pool: t.pool, addr: addr, ctx: ctx, watched: watched, r: resp.Body, resp: resp}
-	resp.Body = &c.body
-	return resp, nil
+	c.body = replyBody{c: c, pool: t.pool, addr: addr, ctx: ctx, watched: watched, left: c.head.length}
+	if c.head.chunked && c.head.length < 0 {
+		c.body.chunks = httputil.NewChunkedReader(c.br)
+	}
+	return c, nil
 }
 
 // CloseIdleConnections closes the Transport's idle connections, and with
@@ -119,31 +152,55 @@ func poolAddr(u *url.URL) (string, error) {
 	return addr, nil
 }
 
-// replyBody is a Transport reply's body: net/http's reader of the reply's
-// framing, over the connection the reply came on, which holds it (one per
-// connection, so a request allocates none).  The read's first error or
-// EOF ends the exchange and takes its context back from the watcher.
-// Close then pools the connection if the body was read to its end, or
-// there was none, and the reply left it reusable, and closes it
-// otherwise.  After Close the connection may carry another request, and
-// this body with it, so the caller reads and closes a body once.
+// replyBody is a Transport reply's body, read from the connection the
+// reply came on, which holds it (one per connection, so a request
+// allocates none): a declared length counted down, chunks
+// (httputil.NewChunkedReader) and their trailer, or everything to the
+// connection's end.  The read's first error or EOF ends the exchange and
+// takes its context back from the watcher.  Close then pools the
+// connection if the body was read to its end, or there was none, and the
+// reply left it reusable, and closes it otherwise.  After Close the
+// connection may carry another request, and this body with it, so the
+// caller reads and closes a body once.
 type replyBody struct {
 	c       *wireConn
 	pool    *connPool
 	addr    string
 	ctx     context.Context
 	watched bool
-	r       io.Reader
-	resp    *http.Response
-	end     error // the read's first error; io.EOF at the body's end
+	left    int64        // the declared bytes not yet read; -1 when the body ends with the connection
+	chunks  io.Reader    // a chunked body's reader, which left does not count
+	trailer *http.Header // where a chunked body's trailer goes (RoundTrip's Response), or nil
+	end     error        // the read's first error; io.EOF at the body's end
 	closed  bool
 }
 
-func (b *replyBody) Read(p []byte) (int, error) {
+func (b *replyBody) Read(p []byte) (n int, err error) {
 	if b.end != nil {
 		return 0, b.end
 	}
-	n, err := b.r.Read(p)
+	switch {
+	case b.chunks != nil:
+		if n, err = b.chunks.Read(p); err == io.EOF {
+			err = b.c.readTrailer(b.trailer)
+		}
+	case b.left < 0:
+		n, err = b.c.br.Read(p)
+	case b.left == 0:
+		err = io.EOF
+	default:
+		if int64(len(p)) > b.left {
+			p = p[:b.left]
+		}
+		n, err = b.c.br.Read(p)
+		b.left -= int64(n)
+		switch {
+		case err == io.EOF && b.left > 0:
+			err = io.ErrUnexpectedEOF
+		case err == nil && b.left == 0:
+			err = io.EOF // with the last bytes, so the connection is pooled without a further Read
+		}
+	}
 	if err != nil {
 		if b.c.unwatch(b.watched) {
 			err = b.ctx.Err()
@@ -160,11 +217,11 @@ func (b *replyBody) Close() error {
 	b.closed = true
 	if b.end == nil {
 		b.end = errBodyClosed
-		if !b.c.unwatch(b.watched) && b.r == http.NoBody {
+		if !b.c.unwatch(b.watched) && b.left == 0 && b.chunks == nil {
 			b.end = io.EOF // a reply with no body ended with its head
 		}
 	}
-	if b.end == io.EOF && reusable(b.resp, b.c.br) {
+	if b.end == io.EOF && reusable(&b.c.head, b.c.br) {
 		b.pool.put(b.addr, b.c)
 	} else {
 		b.c.close()
@@ -189,8 +246,11 @@ type wireConn struct {
 	// exchange.
 	ctxs  chan context.Context
 	fired chan bool
-	// body is the body of the Transport reply the connection carries.
-	body replyBody
+	// head is the Transport reply the connection carries, read into
+	// headBuf (readReplyHead), and body its body.
+	head    replyHead
+	headBuf []byte
+	body    replyBody
 }
 
 func newWireConn(c net.Conn) *wireConn {
@@ -487,30 +547,420 @@ func checkGet(u *url.URL, host string, hdr http.Header) error {
 // isToken reports an HTTP token (RFC 9110 §5.6.2), what a field name is.
 func isToken(s string) bool {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c <= ' ' || c >= 0x7f || strings.IndexByte(`"(),/:;<=>?@[\]{}`, c) >= 0 {
+		if !tokenByte(s[i]) {
 			return false
 		}
 	}
 	return s != ""
 }
 
-// readReplyHead reads one reply's head, which net/http's parser takes
-// apart (chunked, close-delimited and HTTP/1.0 replies included); the
-// response's Body reads the body from br.  A connection that ends before
-// the first byte is errNoReply.
-func readReplyHead(br *bufio.Reader, req *http.Request) (*http.Response, error) {
-	if _, err := br.Peek(1); err != nil {
-		return nil, errNoReply{err}
+func tokenByte(c byte) bool {
+	return c > ' ' && c < 0x7f && strings.IndexByte(`"(),/:;<=>?@[\]{}`, c) < 0
+}
+
+// replyHead is one reply's head as readReplyHead took it apart, by
+// net/http's rules (ReadResponse) for the reply to a GET.  Every string
+// in it is a substring of the head's one string (a canonicalised name or
+// a folded value aside), which is the head's own only when readReplyHead
+// was asked for that, and a view of the connection's buffer otherwise
+// (forget); fields is the connection's, and its next reply reuses it.
+type replyHead struct {
+	proto, status string // "HTTP/1.1", "200 OK"
+	code          int
+	major, minor  int
+	fields        []field // in the order they came; each name canonical unless it holds a space
+	// The framing.  length is the body's: a declared length, 0 when the
+	// status has none (1xx, 204, 304), and -1 for chunks (chunked) or a
+	// body that ends with the connection.  close says the connection ends
+	// with the reply, which a close-delimited body implies; connClose
+	// that it was the Connection field that said so.
+	length           int64
+	chunked          bool
+	close, connClose bool
+}
+
+type field struct{ name, value string }
+
+// errHeadTooLarge is a reply whose heads, a final one and the 1xx before
+// it, pass http.DefaultMaxHeaderBytes.
+var errHeadTooLarge = errors.New("httpcache: reply head larger than http.DefaultMaxHeaderBytes")
+
+// readReplyHead reads the head of the reply on c, skipping informational
+// 1xx heads other than 101 as net/http's transport does, and parses it
+// into c.head; the body is left in c.br.  With own, the head is one
+// string of its own, which a caller may keep (RoundTrip's Response);
+// without, its strings view the connection's buffer, so the head costs no
+// allocation.  The origin GET and the frame upgrade read it that way:
+// they read a status, a length and a field, and keep no string of it, and
+// readLines drops the views before it writes the buffer again.  A
+// connection that ends before the first byte is errNoReply.
+func (c *wireConn) readReplyHead(own bool) error {
+	if _, err := c.br.Peek(1); err != nil {
+		return errNoReply{err}
 	}
-	return http.ReadResponse(br, req)
+	budget := http.DefaultMaxHeaderBytes
+	for {
+		lines, err := c.readLines(true, budget)
+		if err != nil {
+			return err
+		}
+		head := unsafe.String(unsafe.SliceData(lines), len(lines))
+		if own {
+			head = string(lines)
+		}
+		if err := c.head.parse(head); err != nil {
+			return err
+		}
+		if code := c.head.code; code < 100 || code > 199 || code == http.StatusSwitchingProtocols {
+			return nil
+		}
+		budget -= len(lines)
+	}
+}
+
+// readLines reads lines through c.br into the connection's buffer, up to
+// and including the empty line ("\n" or "\r\n") that ends a head or a
+// trailer, and returns them there, until its next read.  A head's first
+// line, the status line, never ends it (lead).  More than budget bytes is
+// errHeadTooLarge, and an end before the empty line io.ErrUnexpectedEOF.
+// The head's strings, which may view the buffer, are dropped first.
+func (c *wireConn) readLines(lead bool, budget int) ([]byte, error) {
+	c.head.forget()
+	buf := c.headBuf[:0]
+	for start := 0; ; start = len(buf) {
+		line, err := c.br.ReadSlice('\n')
+		for err == bufio.ErrBufferFull { // a line longer than the reader's buffer
+			if buf = append(buf, line...); len(buf) > budget {
+				return nil, errHeadTooLarge
+			}
+			line, err = c.br.ReadSlice('\n')
+		}
+		if buf = append(buf, line...); len(buf) > budget {
+			return nil, errHeadTooLarge
+		}
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if lead && start == 0 {
+			continue
+		}
+		if n := len(buf) - start; n == 1 || n == 2 && buf[start] == '\r' {
+			if cap(buf) <= wireBuf {
+				c.headBuf = buf
+			}
+			return buf, nil
+		}
+	}
+}
+
+// forget drops the head's strings, so that none of them outlives the
+// bytes of the buffer it may view; its status code and framing stay, for
+// reusable.
+func (h *replyHead) forget() {
+	h.proto, h.status = "", ""
+	clear(h.fields)
+	h.fields = h.fields[:0]
+}
+
+// nextLine cuts s's first line, without its "\n" or "\r\n", from the
+// rest.  s ends with a line break (readLines).
+func nextLine(s string) (line, rest string) {
+	line, rest, _ = strings.Cut(s, "\n")
+	return strings.TrimSuffix(line, "\r"), rest
+}
+
+// parse takes apart a head readLines read: the status line as net/http
+// reads it, then the fields (parseFields), then the framing (frame).
+func (h *replyHead) parse(head string) (err error) {
+	line, rest := nextLine(head)
+	proto, status, ok := strings.Cut(line, " ")
+	status = strings.TrimLeft(status, " ")
+	code, _, _ := strings.Cut(status, " ")
+	if !ok || len(code) != 3 {
+		return fmt.Errorf("httpcache: malformed reply status line %q", line)
+	}
+	if h.code, err = strconv.Atoi(code); err != nil || h.code < 0 {
+		return fmt.Errorf("httpcache: malformed reply status code %q", code)
+	}
+	if h.major, h.minor, ok = http.ParseHTTPVersion(proto); !ok {
+		return fmt.Errorf("httpcache: malformed reply version %q", proto)
+	}
+	h.proto, h.status = proto, status
+	if h.fields, err = parseFields(rest, h.fields[:0]); err != nil {
+		return err
+	}
+	return h.frame()
+}
+
+// frame sets the head's framing from its fields.  The rules are
+// net/http's for the reply to a GET: a Transfer-Encoding other than one
+// "chunked" is refused, and HTTP/1.0's ignored; Content-Length values
+// that differ, or one that is not a decimal, are refused; 1xx, 204 and
+// 304 carry no body, chunks override a length, and a body neither
+// declares is read to the connection's end.  A Trailer naming a framing
+// field is refused on a chunked reply.
+func (h *replyHead) frame() error {
+	var te, cl string
+	var tes, cls int
+	keepAlive := false
+	h.connClose = false
+	for _, f := range h.fields {
+		switch f.name {
+		case "Transfer-Encoding":
+			if tes++; tes == 1 {
+				te = f.value
+			}
+		case "Content-Length":
+			if cls++; cls == 1 {
+				cl = textproto.TrimString(f.value)
+			} else if textproto.TrimString(f.value) != cl {
+				return fmt.Errorf("httpcache: differing Content-Length values %q and %q", cl, f.value)
+			}
+		case "Connection":
+			h.connClose = h.connClose || hasToken(f.value, "close")
+			keepAlive = keepAlive || hasToken(f.value, "keep-alive")
+		}
+	}
+	// HTTP/0.0 closes (shouldClose), yet its transfer coding is read as
+	// HTTP/1.1's (readTransfer's default).
+	h.close = h.major < 1 || h.connClose || h.major == 1 && h.minor == 0 && !keepAlive
+	h.chunked = false
+	if tes > 0 && (h.major > 1 || h.major == 1 && h.minor >= 1 || h.major == 0 && h.minor == 0) {
+		if tes != 1 || !tokenEqual(te, "chunked") {
+			return fmt.Errorf("httpcache: unsupported transfer encoding %q (%d fields)", te, tes)
+		}
+		h.chunked = true
+	}
+	h.length = -1
+	if cls > 0 {
+		n, err := strconv.ParseUint(cl, 10, 63)
+		if err != nil {
+			return fmt.Errorf("httpcache: bad Content-Length %q", cl)
+		}
+		h.length = int64(n)
+	}
+	switch {
+	case h.code/100 == 1 || h.code == http.StatusNoContent || h.code == http.StatusNotModified:
+		h.length = 0
+	case h.chunked:
+		h.length = -1
+	case h.length < 0:
+		h.close = true
+	}
+	if !h.chunked {
+		return nil
+	}
+	return h.trailerKeys(func(k string) error {
+		switch k {
+		case "Transfer-Encoding", "Trailer", "Content-Length":
+			return fmt.Errorf("httpcache: bad trailer key %q", k)
+		}
+		return nil
+	})
+}
+
+// trailerKeys calls fn with each key the head's Trailer fields name,
+// canonicalised, as net/http splits them (foreachHeaderElement), and
+// returns fn's first error.
+func (h *replyHead) trailerKeys(fn func(string) error) error {
+	for _, f := range h.fields {
+		if f.name != "Trailer" {
+			continue
+		}
+		for v := f.value; v != ""; {
+			var k string
+			k, v, _ = strings.Cut(v, ",")
+			if k = textproto.TrimString(k); k == "" {
+				continue
+			}
+			if err := fn(textproto.CanonicalMIMEHeaderKey(k)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// trailer declares a chunked reply's trailer keys with no value yet, as
+// net/http's Response.Trailer does before the body is read; nil when the
+// head names none.
+func (h *replyHead) trailer() http.Header {
+	var t http.Header
+	h.trailerKeys(func(k string) error {
+		if t == nil {
+			t = make(http.Header)
+		}
+		t[k] = nil
+		return nil
+	})
+	return t
+}
+
+// parseFields appends to fields the fields of a head's or a trailer's
+// lines, as textproto's ReadMIMEHeader takes them: a name is a token (a
+// space is let through, and keeps the name as it came), canonicalised
+// only when it is not already canonical; a line that starts with a space
+// or a tab continues the one before, and the first may not; a value's
+// bytes are visible ASCII, space, tab or obs-text, and its leading blanks
+// are cut.  A folded value is joined in one buffer and made a string of
+// its own once, so folding costs time in proportion to the head's size.
+func parseFields(rest string, fields []field) ([]field, error) {
+	var folded []byte
+	line, rest := nextLine(rest)
+	for line != "" {
+		colon := strings.IndexByte(line, ':')
+		if colon <= 0 || line[0] == ' ' || line[0] == '\t' {
+			return nil, fmt.Errorf("httpcache: malformed reply field %q", line)
+		}
+		name, value := line[:colon], strings.TrimRight(line[colon+1:], " \t")
+		if line, rest = nextLine(rest); line != "" && (line[0] == ' ' || line[0] == '\t') {
+			folded = append(folded[:0], value...)
+			for ; line != "" && (line[0] == ' ' || line[0] == '\t'); line, rest = nextLine(rest) {
+				folded = append(append(folded, ' '), strings.Trim(line, " \t")...)
+			}
+			value = string(folded)
+		}
+		canon := true
+		for i := 0; i < len(name); i++ {
+			if c := name[i]; c == ' ' {
+				canon = false
+			} else if !tokenByte(c) {
+				return nil, fmt.Errorf("httpcache: malformed reply field name %q", name)
+			}
+		}
+		for i := 0; i < len(value); i++ {
+			if c := value[i]; c < ' ' && c != '\t' || c == 0x7f {
+				return nil, fmt.Errorf("httpcache: malformed reply field %s", name)
+			}
+		}
+		if canon {
+			name = textproto.CanonicalMIMEHeaderKey(name)
+		}
+		fields = append(fields, field{name, strings.TrimLeft(value, " \t")})
+	}
+	return fields, nil
+}
+
+// hasToken reports whether the comma-separated list v holds token, case
+// aside (httpguts.HeaderValuesContainsToken, one value of it).
+func hasToken(v, token string) bool {
+	for v != "" {
+		var t string
+		t, v, _ = strings.Cut(v, ",")
+		if tokenEqual(strings.Trim(t, " \t"), token) {
+			return true
+		}
+	}
+	return false
+}
+
+// tokenEqual compares s with the ASCII token t, case aside, as net/http
+// does.  The length check keeps strings.EqualFold to ASCII: it would
+// match the Kelvin sign (U+212A, three bytes) to the k of "chunked".
+func tokenEqual(s, t string) bool { return len(s) == len(t) && strings.EqualFold(s, t) }
+
+// get returns the value of the head's first field called name.
+func (h *replyHead) get(name string) string {
+	for _, f := range h.fields {
+		if f.name == name {
+			return f.value
+		}
+	}
+	return ""
+}
+
+// header builds the head's fields into a Header, as net/http's
+// ReadResponse leaves it: the framing fields it consumed are gone
+// (Transfer-Encoding; Content-Length and Trailer when chunks carry the
+// body; a Connection that closed a reply of HTTP/1.1 or later), repeated
+// equal lengths are one, and Pragma: no-cache implies Cache-Control:
+// no-cache.  One slice holds the first value of every name.
+func (h *replyHead) header() http.Header {
+	hdr := make(http.Header, len(h.fields))
+	firsts := make([]string, len(h.fields))
+	for i, f := range h.fields {
+		switch f.name {
+		case "Transfer-Encoding":
+			continue
+		case "Content-Length":
+			if h.chunked && h.length < 0 {
+				continue
+			}
+		case "Trailer":
+			if h.chunked {
+				continue
+			}
+		case "Connection":
+			if h.connClose && h.major >= 1 && !(h.major == 1 && h.minor == 0) {
+				continue
+			}
+		}
+		if vs, ok := hdr[f.name]; ok {
+			hdr[f.name] = append(vs, f.value)
+		} else {
+			firsts[i] = f.value
+			hdr[f.name] = firsts[i : i+1 : i+1]
+		}
+	}
+	if cl := hdr["Content-Length"]; len(cl) > 1 {
+		hdr["Content-Length"] = []string{textproto.TrimString(cl[0])}
+	}
+	if p := hdr["Pragma"]; len(p) > 0 && p[0] == "no-cache" && hdr["Cache-Control"] == nil {
+		hdr["Cache-Control"] = []string{"no-cache"}
+	}
+	return hdr
+}
+
+// readTrailer reads what follows a chunked body's last chunk as
+// net/http's body does: an empty trailer's CRLF, or fields that a CRLF
+// CRLF within the read buffer ends, which are checked and, when into is
+// not nil, set in it, each name's values replacing any it had.  It
+// returns io.EOF when the body ended cleanly.
+func (c *wireConn) readTrailer(into *http.Header) error {
+	if b, _ := c.br.Peek(2); string(b) == "\r\n" {
+		c.br.Discard(2)
+		return io.EOF
+	} else if len(b) < 2 {
+		return io.ErrUnexpectedEOF
+	}
+	for n := 4; ; n++ {
+		b, err := c.br.Peek(n)
+		if bytes.HasSuffix(b, []byte("\r\n\r\n")) {
+			break
+		}
+		if err != nil {
+			return errors.New("httpcache: a chunked reply's trailer is longer than the read buffer")
+		}
+	}
+	trailer, err := c.readLines(false, wireBuf)
+	if err != nil {
+		return err
+	}
+	fields, err := parseFields(string(trailer), nil)
+	if err != nil || into == nil {
+		return cmp.Or(err, io.EOF)
+	}
+	got := make(http.Header, len(fields))
+	for _, f := range fields {
+		got[f.name] = append(got[f.name], f.value)
+	}
+	if *into == nil {
+		*into = got
+	} else {
+		maps.Copy(*into, got)
+	}
+	return io.EOF
 }
 
 // reusable reports whether a connection may carry the next request once
-// resp's body has been read to its end: the reply was a final one (an
-// informational 1xx is followed by the real reply), it did not ask to
-// close, and nothing past it is buffered.
-func reusable(resp *http.Response, br *bufio.Reader) bool {
-	return resp.StatusCode >= 200 && !resp.Close && br.Buffered() == 0
+// the body of the reply h heads has been read to its end: the reply was a
+// final one (a 101 is the only 1xx readReplyHead returns), it did not ask
+// to close, and nothing past it is buffered.
+func reusable(h *replyHead, br *bufio.Reader) bool {
+	return h.code >= 200 && !h.close && br.Buffered() == 0
 }
 
 // drainClose reads what is left of a reply, up to drainCap, and closes

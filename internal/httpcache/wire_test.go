@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -635,6 +636,21 @@ func (c replayConn) Write(p []byte) (int, error) { return len(p), nil }
 func (c replayConn) Close() error                { return nil }
 func (c replayConn) SetDeadline(time.Time) error { return nil }
 
+// referenceReply is the oracle for the Transport's reader: the reply
+// net/http reads from data, its informational 1xx heads other than 101
+// skipped as net/http's transport skips them, through a reader the size
+// of a pooled connection's, on whose size a chunk line's limit and a
+// trailer's depend.
+func referenceReply(data []byte) (*http.Response, error) {
+	br := bufio.NewReaderSize(bytes.NewReader(data), wireBuf)
+	for {
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil || resp.StatusCode < 100 || resp.StatusCode > 199 || resp.StatusCode == http.StatusSwitchingProtocols {
+			return resp, err
+		}
+	}
+}
+
 // FuzzOriginReply feeds the origin GET whatever an origin may send, on a
 // connection that replays the fuzz bytes.  Whatever it gets, originFetch
 // does not panic; a body it returns is the one net/http reads from the
@@ -681,7 +697,7 @@ func FuzzOriginReply(f *testing.F) {
 			t.Errorf("error %v came back with a %d-byte body", err, len(body))
 		}
 		if err == nil {
-			ref, rerr := http.ReadResponse(bufio.NewReader(bytes.NewReader(data)), nil)
+			ref, rerr := referenceReply(data)
 			if rerr != nil {
 				t.Fatalf("read a reply net/http refuses: %v", rerr)
 			}
@@ -701,7 +717,7 @@ func FuzzOriginReply(f *testing.F) {
 			t.Fatalf("pooled the connection with %d bytes nobody asked for buffered", n)
 		}
 		consumed := data[:len(data)-src.Len()]
-		end, rerr := http.ReadResponse(bufio.NewReader(bytes.NewReader(consumed)), nil)
+		end, rerr := referenceReply(consumed)
 		if rerr != nil {
 			t.Fatalf("pooled the connection after %d bytes, which net/http cannot read a reply from: %v", len(consumed), rerr)
 		}
@@ -710,4 +726,192 @@ func FuzzOriginReply(f *testing.F) {
 			t.Fatalf("pooled the connection after %d bytes, which are not one whole reply (status %d, %d bytes, close %v, %v)", len(consumed), end.StatusCode, len(endBody), end.Close, rerr)
 		}
 	})
+}
+
+// FuzzReplyHead holds the Transport's reply-head reader to net/http's on
+// the same bytes: RoundTrip, on a connection that replays them, accepts
+// exactly the replies referenceReply does, and what it returns reads as
+// net/http's Response does (status, version, Header, length, transfer
+// coding, Close, the body, or an error while reading it, and the Trailer
+// the body's end leaves).  The one difference allowed is a head past
+// http.DefaultMaxHeaderBytes, which the Transport refuses.
+func FuzzReplyHead(f *testing.F) {
+	for _, seed := range []string{
+		"HTTP/0.0 200 \n0:\x00\n\n0", // a NUL in a field value is refused
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+		"HTTP/1.1 200 OK\r\ncontent-length: 5\r\nx-served-by: proxy\r\nSet-Cookie: a=1\r\nSet-Cookie: b=2\r\n\r\nhello",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum\r\n\r\n5\r\nhello\r\n0\r\nX-Sum: 1\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: x-sum, ,X-Late\r\n\r\n0\r\nX-Sum: 1\r\nX-Other: 2\r\nx-sum: 3\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\n\r\n\r\n", // an empty trailer that is not a CRLF
+		"HTTP/1.1 200 OK\r\nTrailer: X-Sum\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: Content-Length\r\n\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chun\u212aed\r\n\r\n", // the Kelvin sign is no k
+		"HTTP/1.0 200 OK\r\nConnection: \u212aeep-alive\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5 \r\n\r\nhello",
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello",
+		"HTTP/1.1 200 OK\r\nX-Folded: a\r\n  b\r\n \r\n\r\n",
+		"HTTP/1.1 200 OK\r\n X-Lead: a\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nBad Name: a\r\nConnection: close\r\n\r\nrest",
+		"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.0 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+		"HTTP/1.1 204 No Content\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\n",
+		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.1 101 Switching Protocols\r\nUpgrade: x\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nPragma: no-cache\r\n\r\n",
+		"HTTP/1.1 +99 OK\r\n\r\n",
+		"HTTP/1.1 200 OK\n\nhello",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	tr := NewTransport()
+	req, err := http.NewRequest("GET", "http://origin.test/object", nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		tr.pool.dial = func(context.Context, string) (net.Conn, error) { return replayConn{src: src}, nil }
+		defer tr.CloseIdleConnections()
+		resp, err := tr.RoundTrip(req)
+		ref, rerr := referenceReply(data)
+		switch {
+		case err != nil && errors.Is(err, errHeadTooLarge) && len(data) > http.DefaultMaxHeaderBytes:
+			return
+		case err != nil && rerr == nil:
+			t.Fatalf("refused a reply net/http reads (%v)", err)
+		case err == nil && rerr != nil:
+			resp.Body.Close()
+			t.Fatalf("read a reply net/http refuses (%v)", rerr)
+		case err != nil:
+			return
+		}
+		body, berr := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		refBody, refErr := io.ReadAll(ref.Body)
+		got := fmt.Sprintf("%d %q %q %d.%d %v %d %v %v", resp.StatusCode, resp.Status, resp.Proto, resp.ProtoMajor, resp.ProtoMinor,
+			resp.Header, resp.ContentLength, resp.TransferEncoding, resp.Close)
+		want := fmt.Sprintf("%d %q %q %d.%d %v %d %v %v", ref.StatusCode, ref.Status, ref.Proto, ref.ProtoMajor, ref.ProtoMinor,
+			ref.Header, ref.ContentLength, ref.TransferEncoding, ref.Close)
+		if got != want {
+			t.Fatalf("read the reply as\n%s\nwhere net/http reads\n%s", got, want)
+		}
+		if !bytes.Equal(body, refBody) || (berr == nil) != (refErr == nil) {
+			t.Fatalf("read %d body bytes (%v) where net/http reads %d (%v)", len(body), berr, len(refBody), refErr)
+		}
+		if !reflect.DeepEqual(resp.Trailer, ref.Trailer) {
+			t.Fatalf("left the trailer %#v where net/http leaves %#v", resp.Trailer, ref.Trailer)
+		}
+	})
+}
+
+// TestFoldedHeadCost holds a reply head near http.DefaultMaxHeaderBytes
+// made of folded lines, which any origin a client names may send, to a
+// cost in proportion to its size: one field continued half a million
+// times reads as net/http reads it, with about a hundred allocations and
+// nine times the head's bytes allocated in all (the growing buffers the
+// head and the folded value are read into, and a string of each).
+// Joining each fold onto the value so far would copy about 10^11 bytes.
+func TestFoldedHeadCost(t *testing.T) {
+	var head bytes.Buffer
+	head.WriteString("HTTP/1.1 200 OK\r\nX-Folded: a\r\n")
+	for head.Len() < http.DefaultMaxHeaderBytes-64 {
+		head.WriteString(" \n")
+	}
+	head.WriteString("\tz\r\nContent-Length: 2\r\n\r\nok")
+	data := head.Bytes()
+	ref, err := referenceReply(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTransport()
+	t.Cleanup(tr.CloseIdleConnections)
+	req, err := http.NewRequest("GET", "http://origin.test/object", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func() *http.Response {
+		tr.pool.dial = func(context.Context, string) (net.Conn, error) {
+			return replayConn{src: bytes.NewReader(data)}, nil
+		}
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	if resp := get(); !reflect.DeepEqual(resp.Header, ref.Header) {
+		t.Fatalf("read the folded head's fields as %.80q, where net/http reads %.80q", resp.Header, ref.Header)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	get()
+	runtime.ReadMemStats(&after)
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("a %d-byte folded head: %d allocations, %d bytes", len(data), allocs, bytes)
+	if allocs > 150 || bytes > 12*uint64(len(data)) {
+		t.Errorf("a %d-byte folded head allocates %d objects and %d bytes, want at most 150 and %d", len(data), allocs, bytes, 12*len(data))
+	}
+}
+
+// TestClientOverTransport drives an http.Client over the Transport, as
+// the load generator's callers may: it follows a redirect by its
+// Location, and the reply's Header keeps repeated fields in order,
+// canonical names and nothing of an informational 100 it skipped.
+func TestClientOverTransport(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/moved":
+			http.Redirect(w, r, "/cookies", http.StatusMovedPermanently)
+		case "/cookies":
+			w.Header()["Set-Cookie"] = []string{"a=1", "b=2"}
+		case "/lower":
+			w.Header()["x-served-by"] = []string{TierProxy} // written as it is spelled
+		case "/continue":
+			c, rw, err := http.NewResponseController(w).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rw.WriteString("HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+			rw.Flush()
+			c.Close()
+		}
+	}))
+	t.Cleanup(srv.Close)
+	tr := NewTransport()
+	t.Cleanup(tr.CloseIdleConnections)
+	client := &http.Client{Transport: tr}
+	for _, tc := range []struct {
+		path, final string
+		header      http.Header
+		body        string
+	}{
+		{"/moved", "/cookies", http.Header{"Set-Cookie": {"a=1", "b=2"}}, ""},
+		{"/cookies", "/cookies", http.Header{"Set-Cookie": {"a=1", "b=2"}}, ""},
+		{"/lower", "/lower", http.Header{ServedByHeader: {TierProxy}}, ""},
+		{"/continue", "/continue", http.Header{"Content-Length": {"2"}}, "ok"},
+	} {
+		resp, err := client.Get(srv.URL + tc.path)
+		if err != nil {
+			t.Errorf("%s: %v", tc.path, err)
+			continue
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || string(body) != tc.body || resp.Request.URL.Path != tc.final {
+			t.Errorf("%s: status %d, body %q, %v, answered %s; want 200, %q from %s", tc.path, resp.StatusCode, body, err, resp.Request.URL.Path, tc.body, tc.final)
+		}
+		for name, want := range tc.header {
+			if got := resp.Header[name]; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: %s = %q, want %q", tc.path, name, got, want)
+			}
+		}
+		if _, ok := resp.Header["X-Interim"]; ok {
+			t.Errorf("%s: the skipped 100's field reached the final reply", tc.path)
+		}
+	}
 }
