@@ -73,3 +73,15 @@ func TestServeZeroAllocPastry(t *testing.T) {
 		}
 	}
 }
+
+// TestServeZeroAllocFC gates FC and FC-EC, the last engines on the
+// cascade: a local rung is a lookup in the dense placement table, a
+// peer rung the same lookup for each cooperating proxy.
+func TestServeZeroAllocFC(t *testing.T) {
+	for _, s := range []Scheme{FC, FCEC} {
+		cfg := Config{Scheme: s, ProxyCacheFrac: 0.3, ClientsPerCluster: 16, Seed: 1}
+		if allocs := serveSteadyStateAllocs(t, cfg); allocs != 0 {
+			t.Errorf("%v steady-state serve allocates %.1f objects/request, want 0", s, allocs)
+		}
+	}
+}

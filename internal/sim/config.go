@@ -229,6 +229,9 @@ func computeSizing(tr *trace.Trace, cfg Config) sizing {
 	proxyOf := make([]int, tr.NumClients)
 	for c := range clients {
 		clients[c].proxy, clients[c].member = clientMapping(&cfg, trace.ClientID(c))
+		// Only the first P2PClientCaches members contribute cache nodes;
+		// requests from other members route via their nearest contributor.
+		clients[c].member %= cfg.P2PClientCaches
 		proxyOf[c] = clients[c].proxy
 	}
 	units := trace.InfiniteCacheUnits(tr, cfg.NumProxies, proxyOf)
@@ -301,8 +304,8 @@ func (c Config) ProxyFor(client trace.ClientID) int {
 	return p
 }
 
-// clientSlot is where a trace client sits: its proxy cluster and its
-// member index there.
+// clientSlot is where a trace client sits: its proxy cluster and the
+// client cache its requests enter that cluster's overlay at.
 type clientSlot struct{ proxy, member int }
 
 // clientMapping resolves a trace client onto (proxy, member index).

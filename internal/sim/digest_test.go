@@ -10,7 +10,7 @@ import (
 func TestDigestRebuildTracksContents(t *testing.T) {
 	contents := []trace.ObjectID{1, 2, 3}
 	d := newPeerTier(Config{Scheme: SC, NumProxies: 1, DigestInterval: 1},
-		sizing{proxyCap: []uint64{100}, p2pCap: []uint64{0}},
+		sizing{proxyCap: []uint64{100}, p2pCap: []uint64{0}}, nil,
 		func(int) []trace.ObjectID { return contents })
 	for _, obj := range contents {
 		if !d.mayContain(0, obj) {

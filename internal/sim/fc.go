@@ -29,6 +29,7 @@ import (
 // For FC-EC each proxy contributes two tiers: its proxy cache at Tl
 // and its pooled P2P client cache at Tp2p.
 type fcEngine struct {
+	peerTier
 	cfg       Config
 	tr        *trace.Trace
 	sz        sizing
@@ -50,6 +51,11 @@ const fcWindow = 10_000
 
 func newFCEngine(tr *trace.Trace, cfg Config, sz sizing) (*fcEngine, error) {
 	e := &fcEngine{cfg: cfg, tr: tr, sz: sz, freq: make([][]float64, cfg.NumProxies)}
+	// Perfect frequency knowledge spans the cluster, so FC's proxies
+	// publish no digests.
+	noDigests := cfg
+	noDigests.DigestInterval = 0
+	e.peerTier = newPeerTier(noDigests, sz, e, nil)
 	for p := 0; p < cfg.NumProxies; p++ {
 		e.tierKind = append(e.tierKind, netmodel.SrcLocalProxy)
 		e.tiers = append(e.tiers, cache.Tier{Proxy: p, Capacity: int(sz.proxyCap[p]), HitLatency: cfg.Net.Tl})
@@ -113,25 +119,22 @@ func (e *fcEngine) maintain(reqIdx int, res *Result) {
 	}
 }
 
-func (e *fcEngine) serve(obj trace.ObjectID, _ uint32, proxy, _ int, st *obs.SpanTrace) (netmodel.Source, float64) {
-	net := e.cfg.Net
+func (e *fcEngine) own(obj trace.ObjectID, proxy, _ int, _ *obs.SpanTrace) (netmodel.Source, float64) {
 	if t := e.placement.ByProxy[proxy][obj]; t >= 0 {
-		src := e.tierKind[t]
-		st.Span("proxy.cache", string(netmodel.CompTl), net.Tl)
-		if src == netmodel.SrcP2P {
-			st.Span("p2p.fetch", string(netmodel.CompTp2p), net.Tp2p)
-		}
-		return src, net.Latency(src)
+		return e.tierKind[t], 0
 	}
-	st.Span("proxy.cache", string(netmodel.CompTl), net.Tl)
-	// Any other proxy's copy (proxy tier or, via push, its P2P client
-	// cache) serves at Tc.
-	if e.placement.Anywhere(obj) {
-		st.Span("peer.fetch", string(netmodel.CompTc), net.Tc)
-		return netmodel.SrcRemoteProxy, net.Latency(netmodel.SrcRemoteProxy)
-	}
-	st.Span("origin.fetch", string(netmodel.CompTs), net.Ts)
-	return netmodel.SrcServer, net.Latency(netmodel.SrcServer)
+	return netmodel.SrcServer, 0
 }
 
-func (e *fcEngine) finish(*Result) {}
+// peerServes serves obj from proxy q's copy, in its proxy tier or, via
+// push, its P2P client cache.
+func (e *fcEngine) peerServes(q int, obj trace.ObjectID, st *obs.SpanTrace) (bool, float64) {
+	if e.placement.ByProxy[q][obj] < 0 {
+		return false, 0
+	}
+	st.Span("peer.fetch", string(netmodel.CompTc), e.net.Tc)
+	return true, 0
+}
+
+// fill caches nothing: only the window re-placement moves objects.
+func (e *fcEngine) fill(trace.ObjectID, uint32, int, int, netmodel.Source) {}

@@ -25,10 +25,9 @@ import (
 //   - cooperating proxies serve each other from proxy caches or, via
 //     the push mechanism, from their P2P client caches.
 type hierGDEngine struct {
+	peerTier
 	cfg     Config
-	net     netmodel.Model
 	proxies []*hierGDProxy
-	peers   peerTier
 	rng     *rand.Rand
 	// churnAt is the trace's midpoint, where the Churn fault strikes.
 	churnAt int
@@ -111,7 +110,6 @@ func (px *hierGDProxy) found(obj trace.ObjectID, lr *p2p.LookupResult, err error
 func newHierGDEngine(cfg Config, sz sizing) (*hierGDEngine, error) {
 	e := &hierGDEngine{
 		cfg:     cfg,
-		net:     cfg.Net,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 0x5ee1)),
 		churnAt: sz.requests / 2,
 	}
@@ -140,31 +138,19 @@ func newHierGDEngine(cfg Config, sz sizing) (*hierGDEngine, error) {
 	}
 	// A proxy can serve a peer from its own cache and from its P2P
 	// client cache, as recorded in its directory.
-	e.peers = newPeerTier(cfg, sz, func(q int) []trace.ObjectID {
+	e.peerTier = newPeerTier(cfg, sz, e, func(q int) []trace.ObjectID {
 		return append(e.proxies[q].cache.Objects(), e.proxies[q].dir.Objects()...)
 	})
 	return e, nil
 }
 
-func (e *hierGDEngine) serve(obj trace.ObjectID, size uint32, proxy, member int, st *obs.SpanTrace) (netmodel.Source, float64) {
+// own tries px's proxy cache (a greedy-dual hit refreshes H), then its
+// P2P client cache when the lookup directory says so (§4.2).
+func (e *hierGDEngine) own(obj trace.ObjectID, proxy, member int, st *obs.SpanTrace) (netmodel.Source, float64) {
 	px := e.proxies[proxy]
-	// Only the first P2PClientCaches members contribute cache nodes;
-	// requests from other members route via their nearest contributor.
-	member %= e.cfg.P2PClientCaches
-
-	// 1. Local proxy cache (greedy-dual hit refreshes H).
 	if px.cache.Access(obj) {
-		st.Span("proxy.cache", string(netmodel.CompTl), e.net.Tl)
-		return netmodel.SrcLocalProxy, e.net.Latency(netmodel.SrcLocalProxy)
+		return netmodel.SrcLocalProxy, 0
 	}
-
-	// Every miss path below still pays the client->proxy leg.
-	st.Span("proxy.cache", string(netmodel.CompTl), e.net.Tl)
-
-	// extra accumulates the latency of wasted probes (stale digests,
-	// directory false positives) charged on top of wherever the object
-	// is finally found.
-	extra := 0.0
 
 	// The directory-poisoning attack draws its bogus entries from
 	// recently requested objects, so re-requests actually pay for them.
@@ -177,48 +163,44 @@ func (e *hierGDEngine) serve(obj trace.ObjectID, size uint32, proxy, member int,
 		}
 	}
 
-	// 2. Own P2P client cache, if the lookup directory says so (§4.2).
-	//    The object is served from the client cache and stays there —
-	//    the proxy redirects the request, the response does not flow
-	//    through the proxy cache.
-	if px.dir.MayContain(obj) {
-		lr, err := px.cluster.Lookup(obj, member)
-		if !px.found(obj, &lr, err) {
-			// False positive (Bloom aliasing, poisoning, or object lost
-			// to churn): found repaired the directory; fall through.
-			st.WastedSpan("dir.false_positive", string(netmodel.CompTp2p), e.net.Tp2p)
-			extra += e.net.Tp2p
-		} else {
-			lat := e.net.Latency(netmodel.SrcP2P)
-			// Byzantine clients corrupt a fraction of P2P serves.  A
-			// corruption detected by the hardened digest sampling wastes
-			// the P2P fetch and falls through toward peers/origin — the
-			// object *is* resident, so the directory entry stands.  An
-			// undetected one is served to the client as if it were good.
-			corrupt := e.cfg.Byzantine && e.rng.Float64() < ByzantineFraction
-			detected := corrupt && e.cfg.Hardened && e.rng.Float64() < verifyFraction
-			if corrupt {
-				e.byzantineServes++
-			}
-			if !detected {
-				st.Span("p2p.fetch", string(netmodel.CompTp2p), lat-e.net.Tl)
-				return netmodel.SrcP2P, lat + extra
-			}
-			e.byzantineDetected++
-			st.WastedSpan("p2p.corrupt", string(netmodel.CompTp2p), lat-e.net.Tl)
-			extra += lat - e.net.Tl
-		}
+	// The object is served from the client cache and stays there — the
+	// proxy redirects the request, the response does not flow through
+	// the proxy cache.
+	if !px.dir.MayContain(obj) {
+		return netmodel.SrcServer, 0
 	}
+	lr, err := px.cluster.Lookup(obj, member)
+	if !px.found(obj, &lr, err) {
+		// False positive (Bloom aliasing, poisoning, or object lost to
+		// churn): found repaired the directory; fall through.
+		st.WastedSpan("dir.false_positive", string(netmodel.CompTp2p), e.net.Tp2p)
+		return netmodel.SrcServer, e.net.Tp2p
+	}
+	// Byzantine clients corrupt a fraction of P2P serves.  A corruption
+	// detected by the hardened digest sampling wastes the P2P fetch and
+	// falls through toward peers/origin — the object *is* resident, so
+	// the directory entry stands.  An undetected one is served to the
+	// client as if it were good.
+	corrupt := e.cfg.Byzantine && e.rng.Float64() < ByzantineFraction
+	detected := corrupt && e.cfg.Hardened && e.rng.Float64() < verifyFraction
+	if corrupt {
+		e.byzantineServes++
+	}
+	if !detected {
+		return netmodel.SrcP2P, 0
+	}
+	e.byzantineDetected++
+	wasted := e.net.Latency(netmodel.SrcP2P) - e.net.Tl
+	st.WastedSpan("p2p.corrupt", string(netmodel.CompTp2p), wasted)
+	return netmodel.SrcServer, wasted
+}
 
-	// 3. Cooperating proxies: their proxy caches first, then their P2P
-	//    client caches via push (§4.5), each asked only when its digest
-	//    (if any) endorses the object.
-	src, extra := e.peers.fetch(obj, proxy, st, extra, e.peerServes)
-
-	// 4. Fetch and cache at the proxy; greedy-dual cost is the fetch
-	//    latency actually paid.  Evictions pass down into the P2P
-	//    client cache (§3, Figure 1), piggybacked on the HTTP response
-	//    to the requesting client (§4.4).
+// fill caches what a miss fetched at the proxy; greedy-dual cost is the
+// fetch latency actually paid.  Evictions pass down into the P2P client
+// cache (§3, Figure 1), piggybacked on the HTTP response to the
+// requesting client (§4.4).
+func (e *hierGDEngine) fill(obj trace.ObjectID, size uint32, proxy, member int, src netmodel.Source) {
+	px := e.proxies[proxy]
 	evicted := px.cache.Add(cache.Entry{Obj: obj, Size: size, Cost: e.net.FetchCost(src)})
 	px.evictions.Add(int64(len(evicted)))
 	for _, ev := range evicted {
@@ -234,7 +216,6 @@ func (e *hierGDEngine) serve(obj trace.ObjectID, size uint32, proxy, member int,
 			px.dir.Remove(gone)
 		}
 	}
-	return src, e.net.Latency(src) + extra
 }
 
 // peerServes asks cooperating proxy q for obj: its proxy cache first,
@@ -264,7 +245,7 @@ func (e *hierGDEngine) peerServes(q int, obj trace.ObjectID, st *obs.SpanTrace) 
 // and the periodic directory sweep that hardens against it.
 // FailEvery draws from e.rng after every other event.
 func (e *hierGDEngine) maintain(reqIdx int, res *Result) {
-	e.peers.maintain(reqIdx, res)
+	e.peerTier.maintain(reqIdx, res)
 	if e.cfg.Churn && reqIdx == e.churnAt {
 		res.MaintenanceTicks++
 		e.flashChurn(res)
@@ -381,7 +362,7 @@ func (e *hierGDEngine) finish(res *Result) {
 	}
 	res.ByzantineServes += e.byzantineServes
 	res.ByzantineDetected += e.byzantineDetected
-	e.peers.finish(res)
+	e.peerTier.finish(res)
 	for p, px := range e.proxies {
 		px.finishCluster(e.cfg.Check, res)
 		if chk := e.cfg.Check; chk != nil && px.acct.Strict() {

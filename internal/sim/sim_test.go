@@ -344,7 +344,7 @@ func TestTieredCachePromoteDemote(t *testing.T) {
 	if tc.len() != 3 {
 		t.Fatalf("population = %d, want 3", tc.len())
 	}
-	if got := tc.access(1); got == tierMiss {
+	if got := tc.access(1); got == netmodel.SrcServer {
 		t.Fatal("object 1 lost from unified cache")
 	}
 	// Fill the client tier and beyond: total capacity 5.
@@ -369,8 +369,8 @@ func TestTieredCacheClientHitPromotes(t *testing.T) {
 	if !tc.lower.Contains(1) {
 		t.Fatal("expected 1 in client tier")
 	}
-	if got := tc.access(1); got != tierClient {
-		t.Fatalf("access(1) = %v, want tierClient", got)
+	if got := tc.access(1); got != netmodel.SrcP2P {
+		t.Fatalf("access(1) = %v, want SrcP2P", got)
 	}
 	if !tc.upper.Contains(1) {
 		t.Error("client-tier hit did not promote")
@@ -394,9 +394,9 @@ func TestTieredCacheWithoutClientTier(t *testing.T) {
 		t.Fatalf("proxy tier holds %d after %d evictions, want 2 after 3", tc.len(), tc.upperEvictions)
 	}
 	for obj := trace.ObjectID(0); obj < 5; obj++ {
-		want := tierMiss
+		want := netmodel.SrcServer
 		if tc.upper.Contains(obj) {
-			want = tierProxy
+			want = netmodel.SrcLocalProxy
 		}
 		if got := tc.access(obj); got != want {
 			t.Fatalf("access(%d) = %v, want %v", obj, got, want)
@@ -415,13 +415,15 @@ func TestTieredCacheHistoryCountsTierMoves(t *testing.T) {
 	tc := newTieredCache(1, 2, 12, nil, "t")
 	tc.insert(cache.Entry{Obj: 1, Size: 1, Cost: 1})
 	tc.insert(cache.Entry{Obj: 2, Size: 1, Cost: 1}) // 1 demotes
-	if got := tc.access(1); got != tierClient {
-		t.Fatalf("access(1) = %v, want tierClient", got)
+	if got := tc.access(1); got != netmodel.SrcP2P {
+		t.Fatalf("access(1) = %v, want SrcP2P", got)
 	}
 	if got := tc.missLFU.Frequency(1); got != 4 {
 		t.Errorf("object 1 after insert, demotion and a client-tier hit counts %d, want 4", got)
 	}
-	tc.recordMiss(3)
+	if got := tc.access(3); got != netmodel.SrcServer {
+		t.Fatalf("access(3) = %v, want a miss", got)
+	}
 	tc.insert(cache.Entry{Obj: 3, Size: 1, Cost: 1})
 	if got := tc.missLFU.Frequency(3); got != 2 {
 		t.Errorf("object 3 after one miss counts %d, want 2", got)

@@ -13,10 +13,12 @@ import (
 
 // engine is one scheme's per-request logic.  serve processes a request
 // by a member of a proxy's cluster and returns the serving tier plus
-// the end-to-end latency charged to the client.  st is the request's
-// span trace (nil when the request is unsampled or tracing is off);
-// engines append one span per hop, with durations that sum exactly to
-// the latency they return — the decomposition cross-check
+// the end-to-end latency charged to the client.  Every scheme but
+// Squirrel serves through peerTier.serve, the one cascade walk, and
+// supplies only its tiers (proxyTiers).  st is the request's span
+// trace (nil when the request is unsampled or tracing is off); engines
+// append one span per hop, with durations that sum exactly to the
+// latency they return — the decomposition cross-check
 // (CheckDecomposition) holds them to it.
 type engine interface {
 	serve(obj trace.ObjectID, size uint32, proxy, member int, st *obs.SpanTrace) (netmodel.Source, float64)
@@ -133,13 +135,12 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 // (unified with the P2P client-cache tier for the EC variants) with
 // optional inter-proxy miss sharing, no replacement coordination.
 type lfuEngine struct {
-	cfg    Config
+	peerTier
 	caches []*tieredCache
-	peers  peerTier
 }
 
 func newLFUEngine(cfg Config, sz sizing) *lfuEngine {
-	e := &lfuEngine{cfg: cfg, caches: make([]*tieredCache, cfg.NumProxies)}
+	e := &lfuEngine{caches: make([]*tieredCache, cfg.NumProxies)}
 	ec := cfg.Scheme.UsesClientCaches()
 	for p := range e.caches {
 		// Non-EC schemes have no client tier.
@@ -150,31 +151,12 @@ func newLFUEngine(cfg Config, sz sizing) *lfuEngine {
 		e.caches[p] = newTieredCache(sz.proxyCap[p], p2pCap, sz.objects,
 			cfg.Check, fmt.Sprintf("proxy%d", p))
 	}
-	e.peers = newPeerTier(cfg, sz, func(p int) []trace.ObjectID { return e.caches[p].objects() })
+	e.peerTier = newPeerTier(cfg, sz, e, func(p int) []trace.ObjectID { return e.caches[p].objects() })
 	return e
 }
 
-func (e *lfuEngine) maintain(reqIdx int, res *Result) { e.peers.maintain(reqIdx, res) }
-
-func (e *lfuEngine) serve(obj trace.ObjectID, size uint32, proxy, _ int, st *obs.SpanTrace) (netmodel.Source, float64) {
-	net := e.cfg.Net
-	c := e.caches[proxy]
-	switch c.access(obj) {
-	case tierProxy:
-		st.Span("proxy.cache", string(netmodel.CompTl), net.Tl)
-		return netmodel.SrcLocalProxy, net.Latency(netmodel.SrcLocalProxy)
-	case tierClient:
-		st.Span("proxy.cache", string(netmodel.CompTl), net.Tl)
-		st.Span("p2p.fetch", string(netmodel.CompTp2p), net.Tp2p)
-		return netmodel.SrcP2P, net.Latency(netmodel.SrcP2P)
-	}
-	c.recordMiss(obj)
-	st.Span("proxy.cache", string(netmodel.CompTl), net.Tl)
-	src, extra := e.peers.fetch(obj, proxy, st, 0, e.peerServes)
-	// "Once a proxy fetches an object from another proxy, it caches
-	// the object locally" (§2) — and likewise for server fetches.
-	c.insert(cache.Entry{Obj: obj, Size: size, Cost: net.FetchCost(src)})
-	return src, net.Latency(src) + extra
+func (e *lfuEngine) own(obj trace.ObjectID, proxy, _ int, _ *obs.SpanTrace) (netmodel.Source, float64) {
+	return e.caches[proxy].access(obj), 0
 }
 
 // peerServes serves obj to a cooperating proxy from proxy q's unified
@@ -185,12 +167,16 @@ func (e *lfuEngine) peerServes(q int, obj trace.ObjectID, st *obs.SpanTrace) (bo
 		return false, 0
 	}
 	peer.touchRemote(obj)
-	st.Span("peer.fetch", string(netmodel.CompTc), e.cfg.Net.Tc)
+	st.Span("peer.fetch", string(netmodel.CompTc), e.net.Tc)
 	return true, 0
 }
 
+func (e *lfuEngine) fill(obj trace.ObjectID, size uint32, proxy, _ int, src netmodel.Source) {
+	e.caches[proxy].insert(cache.Entry{Obj: obj, Size: size, Cost: e.net.FetchCost(src)})
+}
+
 func (e *lfuEngine) finish(res *Result) {
-	e.peers.finish(res)
+	e.peerTier.finish(res)
 	for _, c := range e.caches {
 		res.ProxyEvictions += c.upperEvictions
 	}

@@ -57,7 +57,6 @@ func newSquirrelEngine(cfg Config, sz sizing) (*squirrelEngine, error) {
 
 func (e *squirrelEngine) serve(obj trace.ObjectID, size uint32, proxy, member int, st *obs.SpanTrace) (netmodel.Source, float64) {
 	cc := e.clusters[proxy]
-	member %= e.cfg.P2PClientCaches
 	// One route to the home node serves both halves: the lookup and, on
 	// a miss, the store of what the requester fetched from the origin.
 	lr, r, err := cc.cluster.LookupOrStore(cache.Entry{Obj: obj, Size: size, Cost: e.net.Ts}, member)

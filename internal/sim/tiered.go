@@ -3,6 +3,7 @@ package sim
 import (
 	"webcache/internal/cache"
 	"webcache/internal/invariant"
+	"webcache/internal/netmodel"
 	"webcache/internal/trace"
 )
 
@@ -20,7 +21,7 @@ type tieredCache struct {
 	upper cache.Policy
 	lower cache.Policy
 	// missLFU is the proxy tier's LFU kept from construction (upper may
-	// be its invariant wrapper), so recordMiss on the per-request miss
+	// be its invariant wrapper), so recording a miss on the per-request
 	// path costs no type assertions.
 	missLFU *cache.LFU
 	// upperEvictions counts objects the proxy tier evicted (demoted
@@ -48,39 +49,26 @@ func newTieredCache(proxyCap, p2pCap uint64, universe int, chk *invariant.Checke
 	return t
 }
 
-// tier identifies where a unified-cache hit was served.
-type tier int
-
-const (
-	tierMiss tier = iota
-	tierProxy
-	tierClient
-)
-
 // access looks obj up in the unified cache, promoting client-tier hits.
-func (t *tieredCache) access(obj trace.ObjectID) tier {
+// A miss (SrcServer) enters obj in the perfect-LFU history.
+func (t *tieredCache) access(obj trace.ObjectID) netmodel.Source {
 	if t.upper.Access(obj) {
-		return tierProxy
+		return netmodel.SrcLocalProxy
 	}
-	if t.lower == nil {
-		return tierMiss
+	if t.lower != nil {
+		if e, ok := t.lower.Peek(obj); ok {
+			// Promote: the object moves up; whatever the proxy tier
+			// evicts to make room demotes down.  Count the access in the
+			// shared history via Access before removal so LFU ranks stay
+			// truthful.
+			t.lower.Access(obj)
+			t.lower.Remove(obj)
+			t.insert(e)
+			return netmodel.SrcP2P
+		}
 	}
-	e, ok := t.lower.Peek(obj)
-	if !ok {
-		return tierMiss
-	}
-	// Promote: the object moves up; whatever the proxy tier evicts to
-	// make room demotes down.  Count the access in the shared history
-	// via Access before removal so LFU ranks stay truthful.
-	t.lower.Access(obj)
-	t.lower.Remove(obj)
-	t.insert(e)
-	return tierClient
-}
-
-// recordMiss updates perfect-LFU history for an uncached object.
-func (t *tieredCache) recordMiss(obj trace.ObjectID) {
 	t.missLFU.RecordMiss(obj)
+	return netmodel.SrcServer
 }
 
 // insert adds a fetched object to the proxy tier, cascading evictions
