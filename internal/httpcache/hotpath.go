@@ -16,12 +16,20 @@ import (
 
 // queryParam returns the named parameter from a raw query string
 // without materializing url.Values (which allocates a map and a slice
-// per key).  The common case — an unescaped value, which is what the
-// loopback drivers and the load generator send — returns a substring
-// of rawQuery and allocates nothing; values carrying '%' or '+'
-// escapes fall back to url.QueryUnescape.  A malformed escape returns
-// "" (url.ParseQuery would have dropped the pair).
+// per key).  An unescaped value returns a substring of rawQuery and
+// allocates nothing; values carrying '%' or '+' escapes go through
+// url.QueryUnescape.  A malformed escape returns "" (url.ParseQuery
+// would have dropped the pair).
 func queryParam(rawQuery, key string) string {
+	dec, err := url.QueryUnescape(queryRaw(rawQuery, key))
+	if err != nil {
+		return ""
+	}
+	return dec
+}
+
+// queryRaw returns the named parameter as sent, still escaped.
+func queryRaw(rawQuery, key string) string {
 	for q := rawQuery; q != ""; {
 		var kv string
 		if i := strings.IndexByte(q, '&'); i >= 0 {
@@ -29,20 +37,46 @@ func queryParam(rawQuery, key string) string {
 		} else {
 			kv, q = q, ""
 		}
-		if len(kv) <= len(key) || kv[len(key)] != '=' || kv[:len(key)] != key {
-			continue
+		if len(kv) > len(key) && kv[len(key)] == '=' && kv[:len(key)] == key {
+			return kv[len(key)+1:]
 		}
-		v := kv[len(key)+1:]
-		if strings.IndexByte(v, '%') < 0 && strings.IndexByte(v, '+') < 0 {
-			return v
-		}
-		dec, err := url.QueryUnescape(v)
-		if err != nil {
-			return ""
-		}
-		return dec
 	}
 	return ""
+}
+
+// appendUnescaped appends s, unescaped as url.QueryUnescape does, to
+// dst; false on a malformed escape.  Into a caller's stack buffer it
+// decodes an escaped /fetch URL for hashing without a heap string.
+func appendUnescaped(dst []byte, s string) ([]byte, bool) {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch c {
+		case '+':
+			c = ' '
+		case '%':
+			if i+2 >= len(s) || !isHex(s[i+1]) || !isHex(s[i+2]) {
+				return dst, false
+			}
+			c = unhex(s[i+1])<<4 | unhex(s[i+2])
+			i += 2
+		}
+		dst = append(dst, c)
+	}
+	return dst, true
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+func unhex(c byte) byte {
+	switch {
+	case c <= '9':
+		return c - '0'
+	case c <= 'F':
+		return c - 'A' + 10
+	}
+	return c - 'a' + 10
 }
 
 // servedBy holds one preallocated header value per serving tier, so

@@ -39,6 +39,22 @@ func TestQueryParamMatchesURLValues(t *testing.T) {
 	}
 }
 
+// FuzzAppendUnescaped holds the stack-buffer decoder that keys an
+// escaped /fetch URL to url.QueryUnescape: the same bytes, and a
+// malformed escape refused by both.
+func FuzzAppendUnescaped(f *testing.F) {
+	for _, s := range []string{"", "plain", "http%3A%2F%2Forigin%2Fa%20page", "a+b", "%", "%4", "%zz", "%41%4a%4A", "100%"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := url.QueryUnescape(s)
+		got, ok := appendUnescaped(nil, s)
+		if ok != (err == nil) || ok && string(got) != want {
+			t.Fatalf("appendUnescaped(%q) = %q, %v; url.QueryUnescape = %q, %v", s, got, ok, want, err)
+		}
+	})
+}
+
 // TestReceiptFastPathBytes pins the store receipt's bytes, stored or
 // not, with none, one or several evicted keys (upper-case hex included),
 // and that decodeReceipt reads back the flag and the keys' folds.

@@ -3,6 +3,7 @@ package httpcache
 import (
 	"errors"
 	"net/http"
+	"net/url"
 	"sync/atomic"
 
 	"webcache/internal/obs"
@@ -24,7 +25,7 @@ type fetchReq struct {
 	// r gives a tier the requester's context, which a hop made on its
 	// behalf descends from, and its headers.
 	r      *http.Request
-	url    string
+	rawURL string // a /fetch's url parameter as sent, still escaped
 	id     pastry.ID
 	folded trace.ObjectID
 	st     *obs.SpanTrace
@@ -106,14 +107,18 @@ func walk(q fetchReq, tiers []tier) (s served, err error) {
 // the reply does; serving first and destaging after would reverse the
 // order here.
 func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
-	url := queryParam(r.URL.RawQuery, "url")
-	if url == "" {
+	// The key is keyOf the unescaped URL, hashed from a stack buffer:
+	// only the origin tier needs the URL as a string.
+	raw := queryRaw(r.URL.RawQuery, "url")
+	var buf [256]byte
+	dec, ok := appendUnescaped(buf[:0], raw)
+	if len(dec) == 0 || !ok {
 		http.Error(w, "missing url", http.StatusBadRequest)
 		return
 	}
 	p.stats.requests.Add(1)
-	id := keyOf(url)
-	q := fetchReq{r: r, url: url, id: id, folded: fold(id), st: traceStart(p.tracer, r, "fetch")}
+	id := pastry.HashID(dec)
+	q := fetchReq{r: r, rawURL: raw, id: id, folded: fold(id), st: traceStart(p.tracer, r, "fetch")}
 	s, err := walk(q, p.tiers)
 	if err != nil {
 		// The origin is the last tier and is always asked: err is its.
@@ -268,7 +273,9 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 		spans: []string{"origin.fetch"}, cat: "Ts",
 		ask: func(q fetchReq, _ *peer, _ int) (served, error) {
 			view, err := p.store.GetOrLoad(q.folded, func() (store.Object, string, error) {
-				body, err := p.originFetch(q.url)
+				// handleFetch refused a malformed escape.
+				u, _ := url.QueryUnescape(q.rawURL)
+				body, err := p.originFetch(u)
 				return store.Object{HexKey: q.id.String(), Body: body, Cost: originCost}, TierOrigin, err
 			})
 			if err != nil {
