@@ -66,6 +66,10 @@ const (
 	flashAlpha        = 1.1                    // a flash crowd's Zipf exponent
 	byzantineFraction = sim.ByzantineFraction  // of each proxy's daemons lie
 	poisonKeyCount    = 64                     // keys in the poisoning /register body
+	// strikeBudget is the strikes that condemn a daemon which never
+	// served (httpcache's sweepStrikes): a hardened proxy strikes each
+	// request a slow daemon holds past its deadline.
+	strikeBudget = 8
 )
 
 // Scenario names one attack shape in terms both sides understand: a
@@ -83,6 +87,12 @@ type Scenario struct {
 	// objects, and drives the live side with the ON/OFF arrival process
 	// instead of Poisson, so the crowd arrives in surges.
 	FlashCrowd bool
+	// Launder, live only, has every slow daemon register again with its
+	// proxy right before the sweep, to shed the strikes its late answers
+	// earned; hardened, that one sweep must still condemn each one that
+	// held strikeBudget requests (K = 1).  The simulator has no
+	// registrations.
+	Launder bool
 	// The faults the simulator models too.  Live, Churn
 	// flash-disconnects churnFraction of the client-cache overlay
 	// mid-run; Byzantine turns byzantineFraction of each proxy's
@@ -124,6 +134,12 @@ func Scenarios() []Scenario {
 			Name:        "byzantine",
 			Description: percent(byzantineFraction) + " of the daemons lie: corrupted bodies and fabricated store receipts",
 			Faults:      sim.Faults{Byzantine: true},
+		},
+		{
+			Name:        "launder",
+			Description: "slow-peer, and each slow daemon registers again right before the sweep to shed its strikes",
+			SlowPeers:   true,
+			Launder:     true,
 		},
 		{
 			Name:        "poison",

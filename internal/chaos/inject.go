@@ -3,6 +3,7 @@ package chaos
 import (
 	"math"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"webcache/internal/obs"
@@ -25,6 +26,9 @@ type Injector struct {
 	slowHolds    *obs.Counter
 	corruptBody  *obs.Counter
 	fakeReceipts *obs.Counter
+	// stalls counts the /object requests each slow daemon held, by
+	// (proxy, cache index); WrapCache fills it as the topology starts.
+	stalls map[[2]int]*atomic.Int64
 }
 
 // NewInjector builds the fault adapter for one scenario.  The
@@ -37,6 +41,7 @@ func NewInjector(scn Scenario, cachesPerProxy int, reg *obs.Registry) *Injector 
 		slowHolds:      reg.Counter("chaos.injected.slow_holds"),
 		corruptBody:    reg.Counter("chaos.injected.corrupt_bodies"),
 		fakeReceipts:   reg.Counter("chaos.injected.fake_receipts"),
+		stalls:         make(map[[2]int]*atomic.Int64),
 	}
 }
 
@@ -71,7 +76,7 @@ func (in *Injector) WrapProxy(_ int, h http.Handler) http.Handler {
 
 // WrapCache injects the client-cache faults: tail amplification on the
 // serving paths of slow daemons, and the two byzantine behaviours.
-func (in *Injector) WrapCache(_, cache int, h http.Handler) http.Handler {
+func (in *Injector) WrapCache(proxy, cache int, h http.Handler) http.Handler {
 	slow := in.scn.SlowPeers && in.affected(cache, slowPeerFraction)
 	byz := in.scn.Byzantine && in.affected(cache, byzantineFraction)
 	corrupts := byz && cache%2 == 0
@@ -79,9 +84,14 @@ func (in *Injector) WrapCache(_, cache int, h http.Handler) http.Handler {
 	if !slow && !byz {
 		return h
 	}
+	stalls := new(atomic.Int64)
+	if slow {
+		in.stalls[[2]int{proxy, cache}] = stalls
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if slow && r.URL.Path == "/object" {
 			in.slowHolds.Inc()
+			stalls.Add(1)
 			time.Sleep(slowPeerDelay)
 		}
 		if fabricates && r.URL.Path == "/store" {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"time"
 
 	"webcache/internal/httpcache"
@@ -180,9 +181,30 @@ func RunLive(cfg Config, scn Scenario, hardened bool, check *invariant.Checker) 
 	}
 
 	// One sweep pass so contribution condemnation (and dead-daemon
-	// eviction after churn) lands inside the run's report.
-	for _, px := range topo.Proxies {
-		px.SweepClientCaches()
+	// eviction after churn) lands inside the run's report.  Under
+	// launder each slow daemon registers again first; hardened, every
+	// one held long enough to be condemned must still be.
+	condemnable := 0
+	for p, px := range topo.Proxies {
+		var held map[string]int64
+		if scn.Launder {
+			if held, err = launder(topo, p, inj); err != nil {
+				return nil, err
+			}
+		}
+		removed := px.SweepClientCaches()
+		for addr, n := range held {
+			if !hardened || n < strikeBudget {
+				continue
+			}
+			condemnable++
+			if !slices.Contains(removed, addr) {
+				return nil, fmt.Errorf("chaos: launder: daemon %s held %d requests past the deadline, registered again and escaped the sweep at proxy %d", addr, n, p)
+			}
+		}
+	}
+	if scn.Launder && hardened && condemnable == 0 {
+		return nil, fmt.Errorf("chaos: launder: no slow daemon held %d requests, so the sweep was not tested", strikeBudget)
 	}
 	if scn.Churn {
 		var all int
@@ -260,6 +282,23 @@ func poison(topo *loadgen.Topology, keys []string) error {
 		}
 	}
 	return nil
+}
+
+// launder registers each of proxy p's slow daemons again, as a daemon
+// would to shed its strikes, and returns how many requests each held.
+func launder(topo *loadgen.Topology, p int, inj *Injector) (map[string]int64, error) {
+	held := make(map[string]int64)
+	for i, addr := range topo.CacheAddrs[p] {
+		n, ok := inj.stalls[[2]int{p, i}]
+		if !ok {
+			continue
+		}
+		if err := httpcache.Register(topo.ProxyURLs[p], addr); err != nil {
+			return nil, fmt.Errorf("chaos: launder: %w", err)
+		}
+		held[addr] = n.Load()
+	}
+	return held, nil
 }
 
 // poisonKeys derives the directory keys of the first n distinct
