@@ -341,7 +341,7 @@ func TestContributionSweep(t *testing.T) {
 			t.Fatalf("fetch %d: status %d", i, status)
 		}
 	}
-	if c := &member(px, daemon.addr).ledger; c.strikes() < sweepStrikes {
+	if c := member(px, daemon.addr).ledger; c.strikes() < sweepStrikes {
 		t.Fatalf("strikes = %d, want >= %d", c.strikes(), sweepStrikes)
 	}
 	removed := px.SweepClientCaches()

@@ -105,16 +105,19 @@ func (r *ring) index(m *peer) int {
 }
 
 // add registers the cache daemon at addr and returns its record, whose
-// id is the hash of addr.  A daemon that registers again has restarted:
-// its old record leaves the ring, and the new one starts with unknown
-// headroom and an empty ledger.
+// id is the hash of addr.  A daemon that registers again may have
+// restarted: its old record leaves the ring, and the new one starts
+// with unknown headroom.  It keeps the old record's ledger, though, or
+// a daemon would shed its strikes by registering again; only a daemon
+// off the ring starts with an empty one.
 func (r *ring) add(addr string) *peer {
-	m := &peer{kind: clientCache, addr: addr, id: pastry.HashString(addr)}
+	m := &peer{kind: clientCache, addr: addr, id: pastry.HashString(addr), ledger: new(contribution)}
 	m.free.Store(freeUnknown)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	i := r.search(m.id)
 	if i < len(r.members) && r.members[i].id == m.id {
+		m.ledger = r.members[i].ledger
 		r.members[i] = m
 	} else {
 		r.members = slices.Insert(r.members, i, m)

@@ -984,10 +984,10 @@ type peer struct {
 	// A client cache's: its ring id (the hash of addr), the headroom its
 	// latest /store reply reported (FreeHeader; freeUnknown before the
 	// first), and its contribution ledger.  A re-registration makes a new
-	// record, so none of them outlives the registration it belongs to.
+	// record that shares the old one's ledger (ring.add).
 	id     pastry.ID
 	free   atomic.Int64
-	ledger contribution
+	ledger *contribution
 
 	// A cooperating proxy's: its base URL, as events name it, the digest
 	// last pulled of it (digest.go) and its breaker (defense.go).
