@@ -136,10 +136,11 @@ func Scenarios() []Scenario {
 			Faults:      sim.Faults{Byzantine: true},
 		},
 		{
-			Name:        "launder",
-			Description: "slow-peer, and each slow daemon registers again right before the sweep to shed its strikes",
-			SlowPeers:   true,
-			Launder:     true,
+			Name: "launder",
+			Description: fmt.Sprintf("%s of each proxy's daemons answer %v late and register again right before the sweep to shed their strikes",
+				percent(slowPeerFraction), slowPeerDelay),
+			SlowPeers: true,
+			Launder:   true,
 		},
 		{
 			Name:        "poison",

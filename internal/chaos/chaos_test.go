@@ -42,6 +42,7 @@ func TestDescriptionsStateMagnitudes(t *testing.T) {
 		"flash-churn":              {percent(churnFraction)},
 		"churn-during-flash-crowd": {percent(churnFraction)},
 		"byzantine":                {percent(byzantineFraction)},
+		"launder":                  {percent(slowPeerFraction), slowPeerDelay.String()},
 	}
 	for _, s := range Scenarios() {
 		for _, w := range want[s.Name] {

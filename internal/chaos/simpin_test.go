@@ -34,6 +34,7 @@ func TestSimRowsPinned(t *testing.T) {
 		"churn-during-flash-crowd/off": {0.5553333333333333, 0.5090266666666474, 1.15, 2, 0, 0, 0, 0},
 		"byzantine/off":                {0.4046666666666666, 0.65929999999998, 1.15, 0, 0, 0, 74, 0},
 		"byzantine/on":                 {0.3766666666666667, 0.6871933333333122, 1.22, 0, 0, 0, 67, 61},
+		"launder/off":                  {0.4046666666666666, 0.7201999999999792, 1.15, 0, 0, 0, 0, 0}, // slow-peer's replay
 		"poison/off":                   {0.4046666666666666, 0.6599799999999802, 1.22, 0, 13, 7, 0, 0},
 		"poison/on":                    {0.4046666666666666, 0.65929999999998, 1.15, 0, 13, 13, 0, 0},
 	}
