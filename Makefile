@@ -135,7 +135,7 @@ chaos-smoke:
 		-manifest BENCH_chaos.json
 
 # ~2min full chaos suite: every scenario (baseline, slow-peer,
-# flash-churn, churn-during-flash-crowd, byzantine, poison), each live
+# flash-churn, churn-during-flash-crowd, byzantine, launder, poison), each live
 # pair run three times, same gates as chaos-smoke on every slow-peer
 # replicate; prints each row's median and range and, against the
 # baseline's range (the noise floor), whether its cuts and price
@@ -153,19 +153,20 @@ trace-alloc:
 	$(GO) test -run='^$$' -bench=BenchmarkDisabledTracer -benchmem ./internal/obs
 
 # The hot-path zero-alloc gates: a replacement policy's hit and
-# evicting Add, an FC re-placement, steady-state simulator serves (LFU family,
-# Hier-GD and Squirrel over Pastry), a Pastry route, a P2P
-# lookup hit and pass-down replacement, the load generator's per-request
-# recorder, and the live proxy/client-cache memory-hit paths must not touch the
-# heap, loadgen.BuildSchedule makes at most one allocation per
+# evicting Add, an FC re-placement, steady-state simulator serves (every
+# sim engine: the LFU family, FC and FC-EC, Hier-GD and Squirrel over
+# Pastry), a Pastry route, a P2P lookup hit and pass-down replacement, the
+# load generator's per-request recorder, and the live proxy/client-cache
+# memory-hit paths (the proxy's for a raw and a query-escaped URL) must not
+# touch the heap, loadgen.BuildSchedule makes at most one allocation per
 # request (TestBuildScheduleAllocsPerRun), and a member-to-member hop,
 # both ends counted, allocates at most 3 objects for an 8 KiB LAN fetch,
 # 2 for the same fetch under a cancellable requester's context, and 12
 # for an evicting store or pass-down (TestHopAllocsPerRun), whose
 # header values come from a memo that allocates nothing once warm
 # (TestDecimalValueZeroAlloc), an 8 KiB origin GET, both ends
-# counted, allocates at most 30 (TestOriginFetchAllocs), the same GET
-# through the load generator's transport at most 28 (TestTransportAllocs),
+# counted, allocates at most 20 (TestOriginFetchAllocs), the same GET
+# through the load generator's transport at most 23 (TestTransportAllocs),
 # and trace.ReadBinary on a bytes.Reader allocates the input, the Trace and
 # its Requests, 3 in all (TestReadBinaryAllocsPerRun).  Run
 # without -race on purpose — race instrumentation allocates on paths the
