@@ -163,9 +163,9 @@ func (e *hierGDEngine) own(obj trace.ObjectID, proxy, member int, st *obs.SpanTr
 		}
 	}
 
-	// The object is served from the client cache and stays there — the
-	// proxy redirects the request, the response does not flow through
-	// the proxy cache.
+	// A client-cache hit is served from the client cache and stays there
+	// — the proxy redirects the request, the response does not flow
+	// through the proxy cache.
 	if !px.dir.MayContain(obj) {
 		return netmodel.SrcServer, 0
 	}
@@ -190,9 +190,8 @@ func (e *hierGDEngine) own(obj trace.ObjectID, proxy, member int, st *obs.SpanTr
 		return netmodel.SrcP2P, 0
 	}
 	e.byzantineDetected++
-	wasted := e.net.Latency(netmodel.SrcP2P) - e.net.Tl
-	st.WastedSpan("p2p.corrupt", string(netmodel.CompTp2p), wasted)
-	return netmodel.SrcServer, wasted
+	st.WastedSpan("p2p.corrupt", string(netmodel.CompTp2p), e.net.Tp2p)
+	return netmodel.SrcServer, e.net.Tp2p
 }
 
 // fill caches what a miss fetched at the proxy; greedy-dual cost is the
