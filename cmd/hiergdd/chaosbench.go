@@ -15,10 +15,12 @@ import (
 // to each run.  Every request counts on both sides (no warmup).  It
 // gates on zero accountant violations anywhere; on every live run, all
 // members up and the cluster aggregator's hit ratio within
-// chaos.MaxClusterDelta of the driver's; and, for slow-peer, on every
-// replicate, the per-hop deadlines and strike sweeps cutting the
-// interactive class's fast burn and the live p999 by at least
-// chaos.MinP999Cut, at a live hit-ratio price of at most
+// chaos.MaxClusterDelta of the driver's; for launder, on every slow
+// daemon that held the strike budget being condemned although it
+// registered again just before the sweep (chaos.RunLive); and, for
+// slow-peer, on every replicate, the per-hop deadlines and strike
+// sweeps cutting the interactive class's fast burn and the live p999
+// by at least chaos.MinP999Cut, at a live hit-ratio price of at most
 // chaos.MaxDefensePrice.  Each row prints the replicates' median and
 // range, and, when the baseline row ran, whether its cuts and price lie
 // outside the baseline's range, the suite's noise floor.
