@@ -54,29 +54,19 @@ func appendUnescaped(dst []byte, s string) ([]byte, bool) {
 		case '+':
 			c = ' '
 		case '%':
-			if i+2 >= len(s) || !isHex(s[i+1]) || !isHex(s[i+2]) {
+			if i+2 >= len(s) {
 				return dst, false
 			}
-			c = unhex(s[i+1])<<4 | unhex(s[i+2])
+			v, err := strconv.ParseUint(s[i+1:i+3], 16, 8)
+			if err != nil {
+				return dst, false
+			}
+			c = byte(v)
 			i += 2
 		}
 		dst = append(dst, c)
 	}
 	return dst, true
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-func unhex(c byte) byte {
-	switch {
-	case c <= '9':
-		return c - '0'
-	case c <= 'F':
-		return c - 'A' + 10
-	}
-	return c - 'a' + 10
 }
 
 // servedBy holds one preallocated header value per serving tier, so
