@@ -55,6 +55,22 @@ func FuzzAppendUnescaped(f *testing.F) {
 	})
 }
 
+// A /fetch whose url is missing, empty or malformed in its escapes is a
+// 400 that asks no tier and counts no request.
+func TestFetchRefusesMalformedURL(t *testing.T) {
+	p := newProxy(t, Options{CapacityBytes: 1 << 20})
+	for _, q := range []string{"", "url=", "url=%", "url=http%3A%2", "url=http%3A%2F%2Forigin%zz", "other=1"} {
+		rec := httptest.NewRecorder()
+		p.handleFetch(rec, httptest.NewRequest("GET", "/fetch?"+q, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("/fetch?%s: status %d, want 400", q, rec.Code)
+		}
+	}
+	if got := p.snapshotStats().Requests; got != 0 {
+		t.Errorf("%d requests counted, want 0", got)
+	}
+}
+
 // TestReceiptFastPathBytes pins the store receipt's bytes, stored or
 // not, with none, one or several evicted keys (upper-case hex included),
 // and that decodeReceipt reads back the flag and the keys' folds.
