@@ -267,7 +267,3 @@ func (c *Counting) MayContain(key uint64) bool {
 // MemoryBytes reports the counter-array footprint (4-bit counters
 // packed two per byte — exactly what the implementation allocates).
 func (c *Counting) MemoryBytes() uint64 { return uint64(len(c.counters)) }
-
-// K returns the hash count; M the counter count.
-func (c *Counting) K() int    { return c.k }
-func (c *Counting) M() uint64 { return c.m }

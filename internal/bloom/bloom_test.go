@@ -195,7 +195,7 @@ func TestMemoryBytes(t *testing.T) {
 	if c.MemoryBytes() != 512 {
 		t.Errorf("counting memory = %d, want 512 (4-bit packed)", c.MemoryBytes())
 	}
-	if f.K() != 4 || f.M() != 1024 || c.K() != 4 || c.M() != 1024 {
+	if f.K() != 4 || f.M() != 1024 || c.k != 4 || c.m != 1024 {
 		t.Error("accessors wrong")
 	}
 }

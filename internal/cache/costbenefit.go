@@ -80,8 +80,6 @@ type Placement struct {
 	// ByProxy[p][o] is the index (into PlacementInput.Tiers) of the tier
 	// holding proxy p's copy of o, or -1 when p holds none.
 	ByProxy [][]int16
-	// Tiers echoes the input tiers for latency lookup during replay.
-	Tiers []Tier
 
 	// copies[o] counts the proxies holding o.
 	copies []int
@@ -95,18 +93,6 @@ type Placement struct {
 	radix     []candidate
 	stale     candidateHeap
 }
-
-// HasCopy reports whether proxy p holds o, and at what hit latency.
-func (pl *Placement) HasCopy(p int, o trace.ObjectID) (float64, bool) {
-	t := pl.ByProxy[p][o]
-	if t < 0 {
-		return 0, false
-	}
-	return pl.Tiers[t].HitLatency, true
-}
-
-// Anywhere reports whether any proxy holds o.
-func (pl *Placement) Anywhere(o trace.ObjectID) bool { return pl.copies[o] > 0 }
 
 // candidate is one potential (object, tier) placement in the lazy queue.
 type candidate struct {
@@ -263,7 +249,6 @@ func (pl *Placement) Compute(in PlacementInput) error {
 		return fmt.Errorf("cache: latencies must be positive")
 	}
 
-	pl.Tiers = in.Tiers
 	pl.ByProxy = resize(pl.ByProxy, numProxies)
 	for p := range pl.ByProxy {
 		row := resize(pl.ByProxy[p], numObjects)

@@ -26,6 +26,16 @@ func twoProxyInput(freq []float64, capacity int, coop bool) PlacementInput {
 	}
 }
 
+// placed reports whether any proxy holds o.
+func placed(pl *Placement, o trace.ObjectID) bool {
+	for _, row := range pl.ByProxy {
+		if row[o] >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func TestPlacementRespectsCapacity(t *testing.T) {
 	in := twoProxyInput([]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, 3, true)
 	pl := new(Placement)
@@ -56,7 +66,7 @@ func TestPlacementPrefersPopularObjects(t *testing.T) {
 	// The three popular objects must be placed somewhere before any
 	// unpopular one.
 	for o := trace.ObjectID(0); o < 3; o++ {
-		if !pl.Anywhere(o) {
+		if !placed(pl, o) {
 			t.Errorf("popular object %d not placed", o)
 		}
 	}
@@ -107,10 +117,10 @@ func TestPlacementDuplicatesWhenWorthIt(t *testing.T) {
 	if err := pl.Compute(twoProxyInput(freq, 3, true)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := pl.HasCopy(0, 0); !ok {
+	if pl.ByProxy[0][0] < 0 {
 		t.Error("proxy 0 lacks copy of hot object")
 	}
-	if _, ok := pl.HasCopy(1, 0); !ok {
+	if pl.ByProxy[1][0] < 0 {
 		t.Error("proxy 1 lacks copy of hot object")
 	}
 }
@@ -149,7 +159,7 @@ func TestPlacementZeroBenefitObjectsUnplaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	for o := trace.ObjectID(1); o < 4; o++ {
-		if pl.Anywhere(o) {
+		if placed(pl, o) {
 			t.Errorf("zero-frequency object %d placed", o)
 		}
 	}
@@ -192,9 +202,9 @@ func evaluate(in PlacementInput, pl *Placement) float64 {
 	for p := range in.Freq {
 		for o := 0; o < numObjects; o++ {
 			lat := in.ServerLatency
-			if l, ok := pl.HasCopy(p, trace.ObjectID(o)); ok {
-				lat = l
-			} else if in.Cooperative && pl.Anywhere(trace.ObjectID(o)) && in.RemoteLatency < lat {
+			if t := pl.ByProxy[p][o]; t >= 0 {
+				lat = in.Tiers[t].HitLatency
+			} else if in.Cooperative && placed(pl, trace.ObjectID(o)) && in.RemoteLatency < lat {
 				lat = in.RemoteLatency
 			}
 			total += in.Freq[p][o] * lat
@@ -219,20 +229,14 @@ func bruteForce(in PlacementInput) float64 {
 			if popcount(m1) > capacity1 {
 				continue
 			}
-			pl := &Placement{
-				ByProxy: [][]int16{make([]int16, numObjects), make([]int16, numObjects)},
-				Tiers:   in.Tiers,
-				copies:  make([]int, numObjects),
-			}
+			pl := &Placement{ByProxy: [][]int16{make([]int16, numObjects), make([]int16, numObjects)}}
 			for o := 0; o < numObjects; o++ {
 				pl.ByProxy[0][o], pl.ByProxy[1][o] = -1, -1
 				if m0&(1<<o) != 0 {
 					pl.ByProxy[0][o] = 0
-					pl.copies[o]++
 				}
 				if m1&(1<<o) != 0 {
 					pl.ByProxy[1][o] = 1
-					pl.copies[o]++
 				}
 			}
 			v := evaluate(in, pl)
@@ -502,7 +506,8 @@ func TestPlacementMatchesHeapReference(t *testing.T) {
 
 // checkPlacement reports the first way any of pls differs from what the
 // single-heap greedy (refPlacement) places for in: a (proxy, object)
-// held in another tier, or an object Anywhere gets wrong.
+// held in another tier, or an object whose copy count says it is held
+// when the reference holds it nowhere, or the other way round.
 func checkPlacement(in PlacementInput, pls ...*Placement) error {
 	want := refPlacement(in)
 	for o := range in.Freq[0] {
@@ -521,8 +526,8 @@ func checkPlacement(in PlacementInput, pls ...*Placement) error {
 			}
 		}
 		for i, pl := range pls {
-			if got := pl.Anywhere(id); got != anywhere {
-				return fmt.Errorf("placement %d: Anywhere(%d) = %v, reference %v", i, o, got, anywhere)
+			if got := pl.copies[id] > 0; got != anywhere {
+				return fmt.Errorf("placement %d: object %d held %v by its copy count, reference %v", i, o, got, anywhere)
 			}
 		}
 	}

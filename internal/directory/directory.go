@@ -39,8 +39,6 @@ type Directory interface {
 	MemoryBytes() uint64
 	// Objects snapshots the recorded object ids in ascending order.
 	Objects() []trace.ObjectID
-	// Reset clears the directory.
-	Reset()
 }
 
 // Exact is the paper's Exact-Directory: a hashtable of objectIds.
@@ -77,9 +75,6 @@ func (d *Exact) Len() int { return len(d.set) }
 func (d *Exact) MemoryBytes() uint64 {
 	return uint64(len(d.set)) * (20 + 12)
 }
-
-// Reset implements Directory.
-func (d *Exact) Reset() { d.set = make(map[trace.ObjectID]struct{}) }
 
 var _ Directory = (*Exact)(nil)
 
@@ -134,17 +129,6 @@ func (d *Bloom) Len() int { return len(d.present) }
 // MemoryBytes implements Directory: the filter's packed counters.
 func (d *Bloom) MemoryBytes() uint64 { return d.filter.MemoryBytes() }
 
-// Reset implements Directory.
-func (d *Bloom) Reset() {
-	m, k := d.filter.M(), d.filter.K()
-	f, err := bloom.NewCounting(m, k)
-	if err != nil {
-		panic("directory: rebuilding counting filter: " + err.Error())
-	}
-	d.filter = f
-	d.present = make(map[trace.ObjectID]struct{})
-}
-
 var _ Directory = (*Bloom)(nil)
 
 // sortedIDs snapshots a set's keys in ascending order.
@@ -159,16 +143,6 @@ func sortedIDs[V any](m map[trace.ObjectID]V) []trace.ObjectID {
 
 // Objects implements Directory.
 func (d *Exact) Objects() []trace.ObjectID { return sortedIDs(d.set) }
-
-// AppendObjects appends the recorded object ids to dst in no particular
-// order: Objects without the sort, for a snapshot taken under a lock
-// the request path also needs.
-func (d *Exact) AppendObjects(dst []trace.ObjectID) []trace.ObjectID {
-	for obj := range d.set {
-		dst = append(dst, obj)
-	}
-	return dst
-}
 
 // Objects implements Directory.
 func (d *Bloom) Objects() []trace.ObjectID { return sortedIDs(d.present) }

@@ -71,32 +71,6 @@ func TestDirectoryRemoveAbsentHarmless(t *testing.T) {
 	}
 }
 
-func TestDirectoryReset(t *testing.T) {
-	for _, d := range implementations() {
-		t.Run(d.Name(), func(t *testing.T) {
-			for i := trace.ObjectID(0); i < 50; i++ {
-				d.Add(i)
-			}
-			d.Reset()
-			if d.Len() != 0 {
-				t.Fatalf("len after reset = %d", d.Len())
-			}
-			fps := 0
-			for i := trace.ObjectID(0); i < 50; i++ {
-				if d.MayContain(i) {
-					fps++
-				}
-			}
-			if d.Name() == "exact" && fps != 0 {
-				t.Errorf("exact: %d present after reset", fps)
-			}
-			if fps > 5 {
-				t.Errorf("%d of 50 still reported present after reset", fps)
-			}
-		})
-	}
-}
-
 func TestBloomMemorySmallerThanExact(t *testing.T) {
 	const n = 10000
 	e := NewExact()
@@ -135,9 +109,8 @@ func TestPropNoFalseNegatives(t *testing.T) {
 		func() Directory { return NewExact() },
 		func() Directory { return NewBloom(500, 0.01) },
 	} {
-		d := mk()
 		f := func(seed int64, ops []uint8) bool {
-			d.Reset()
+			d := mk()
 			rng := rand.New(rand.NewSource(seed))
 			live := map[trace.ObjectID]bool{}
 			for _, op := range ops {
@@ -161,7 +134,7 @@ func TestPropNoFalseNegatives(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-			t.Errorf("%s: %v", d.Name(), err)
+			t.Errorf("%s: %v", mk().Name(), err)
 		}
 	}
 }

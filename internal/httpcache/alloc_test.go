@@ -90,7 +90,7 @@ func TestObjectHitPathAllocs(t *testing.T) {
 // fetch keeps one body, whether its requester can hang up or not (the
 // connection's watcher takes the cancellable parent's context without
 // allocating), and an evicting store keeps the stored body at the far
-// end and books one receipt at the near one.  A pass-down is that store
+// end and decodes its receipt at the near one.  A pass-down is that store
 // with the ring's placement and the directory around it.  Dropping the
 // idle connections ends the watcher.
 func TestHopAllocsPerRun(t *testing.T) {
@@ -114,8 +114,8 @@ func TestHopAllocsPerRun(t *testing.T) {
 	}
 	take := func() store.Object { next++; return objs[next-1] }
 	for range slots { // fill the daemon, so every store below evicts
-		if rec, err := px.storeAt(to, take(), false); rec == nil || err != nil {
-			t.Fatalf("fill store = (%v, %v)", rec, err)
+		if _, ok, err := px.storeAt(to, take(), false); !ok || err != nil {
+			t.Fatalf("fill store = (%v, %v)", ok, err)
 		}
 	}
 	if to.free.Load() != 0 {
@@ -145,8 +145,8 @@ func TestHopAllocsPerRun(t *testing.T) {
 			}
 		}},
 		{"evicting-store", 12, func() {
-			if rec, err := px.storeAt(to, take(), false); rec == nil || err != nil {
-				t.Fatalf("store = (%v, %v)", rec, err)
+			if _, ok, err := px.storeAt(to, take(), false); !ok || err != nil {
+				t.Fatalf("store = (%v, %v)", ok, err)
 			}
 		}},
 		{"evicting-pass-down", 12, func() {

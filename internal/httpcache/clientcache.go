@@ -10,6 +10,7 @@ import (
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
 	"webcache/internal/obs/slo"
+	"webcache/internal/p2p"
 	"webcache/internal/pastry"
 	"webcache/internal/store"
 	"webcache/internal/trace"
@@ -192,26 +193,20 @@ func appendReceipt(b []byte, stored bool, evicted []store.Object) []byte {
 	return b
 }
 
-// receipt is a store receipt as a pass-down books it: whether the daemon
-// kept the body, and the folded keys of the well-formed ones among the
-// objects it says it evicted for it.
-type receipt struct {
-	stored  bool
-	evicted []trace.ObjectID
-}
-
 // decodeReceipt reads a /store reply's receipt as appendReceipt writes
-// it.  A flag other than 0 or 1, or a body that is not the flag and
-// whole 32-byte keys, is an error; a key that is not hex is skipped
-// (FuzzStoreReceipt).
-func decodeReceipt(body []byte) (*receipt, error) {
+// it: whether the daemon kept the body (StoredOK), and the folded keys
+// of the well-formed ones among the objects it says it evicted for it.
+// The sender fills in the rest.  A flag other than 0 or 1, or a body
+// that is not the flag and whole 32-byte keys, is an error; a key that
+// is not hex is skipped (FuzzStoreReceipt).
+func decodeReceipt(body []byte) (p2p.Receipt, error) {
 	if len(body) == 0 || body[0] != '0' && body[0] != '1' || (len(body)-1)%32 != 0 {
-		return nil, fmt.Errorf("httpcache: a %d-byte store receipt is not a 0/1 flag and whole keys", len(body))
+		return p2p.Receipt{}, fmt.Errorf("httpcache: a %d-byte store receipt is not a 0/1 flag and whole keys", len(body))
 	}
-	rec := &receipt{stored: body[0] == '1'}
+	rec := p2p.Receipt{StoredOK: body[0] == '1'}
 	for keys := body[1:]; len(keys) > 0; keys = keys[32:] {
 		if id, ok := hexID(keys[:32]); ok {
-			rec.evicted = append(rec.evicted, fold(id))
+			rec.Evicted = append(rec.Evicted, fold(id))
 		}
 	}
 	return rec, nil

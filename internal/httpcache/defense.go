@@ -95,36 +95,22 @@ func bodyDigest(b []byte) uint64 {
 	return h
 }
 
-// recordDigest remembers the digest of a body passed down to the
-// client caches (only on a hardened proxy — the map tracks the
-// directory's resident set, so dropDigest mirrors every dir.Remove
-// site).
-func (p *Proxy) recordDigest(folded trace.ObjectID, body []byte) {
-	if p.hardened {
-		p.digests.Store(folded, bodyDigest(body))
-	}
-}
-
-func (p *Proxy) dropDigest(folded trace.ObjectID) {
-	if p.hardened {
-		p.digests.Delete(folded)
-	}
-}
-
 // verifyBody samples client-cache serves and digest-checks them
-// against the body recorded at pass-down.  It reports false on a
-// mismatch — a byzantine (or bit-flipping) client cache; the caller
-// treats the serve as a miss.
+// against the body's digest the directory listed it with at pass-down.
+// It reports false on a mismatch — a byzantine (or bit-flipping) client
+// cache; the caller treats the serve as a miss.
 func (p *Proxy) verifyBody(folded trace.ObjectID, body []byte) bool {
 	if !p.hardened || int(p.verifySeq.Add(1))%verifyEvery != 0 {
 		return true
 	}
-	want, ok := p.digests.Load(folded)
-	if !ok {
-		return true // nothing recorded for this object (pre-defense store)
+	p.mu.Lock()
+	want := p.dir[folded]
+	p.mu.Unlock()
+	if want == 0 {
+		return true // not listed any more, or listed with no digest
 	}
 	p.stats.digestChecks.Add(1)
-	if want.(uint64) != bodyDigest(body) {
+	if want != bodyDigest(body) {
 		p.stats.digestFailures.Add(1)
 		return false
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"webcache/internal/pastry"
 	"webcache/internal/wiretest"
 )
 
@@ -61,10 +62,28 @@ func defenseProxy(t *testing.T, hardened bool, daemons ...*fakeDaemon) (*Proxy, 
 	return px, srv
 }
 
-func plantDir(px *Proxy, objURL string) {
+// plantDir lists objURL's object in px's directory with no digest.
+func plantDir(px *Proxy, objURL string) { plantPassDown(px, objURL, nil) }
+
+// plantPassDown lists objURL's object as a pass-down of body to a
+// client cache does: with body's digest on a hardened proxy.
+func plantPassDown(px *Proxy, objURL string, body []byte) {
+	var sum uint64
+	if px.hardened && body != nil {
+		sum = bodyDigest(body)
+	}
 	px.mu.Lock()
-	px.dir.Add(fold(keyOf(objURL)))
+	px.dir[fold(keyOf(objURL))] = sum
 	px.mu.Unlock()
+}
+
+// listing reads id's directory entry: its digest, and whether it is
+// listed.
+func listing(px *Proxy, id pastry.ID) (uint64, bool) {
+	px.mu.Lock()
+	defer px.mu.Unlock()
+	sum, ok := px.dir[fold(id)]
+	return sum, ok
 }
 
 // TestSlowPeerDeadline is the slow-peer regression test: a client
@@ -564,8 +583,7 @@ func TestRelayRepairs(t *testing.T) {
 			objURL := urlsOwnedBy(t, peerPx, bad.addr, "corrupt", 1)[0]
 			key := keyOf(objURL)
 			// What a pass-down to the owner records.
-			peerPx.recordDigest(fold(key), good)
-			plantDir(peerPx, objURL)
+			plantPassDown(peerPx, objURL, good)
 			if tc.copyNextDoor {
 				resp, err := http.Post(fmt.Sprintf("http://%s/store?key=%s&cost=1", addrs[0], key),
 					"application/octet-stream", bytes.NewReader(good))
@@ -661,8 +679,7 @@ func TestUnhardenedProxyDefendsNothing(t *testing.T) {
 	}
 
 	for _, objURL := range urlsOwnedBy(t, px, liar.addr, "unverified", 2*verifyEvery) {
-		px.recordDigest(fold(keyOf(objURL)), []byte("the-body-passed-down"))
-		plantDir(px, objURL)
+		plantPassDown(px, objURL, []byte("the-body-passed-down"))
 		if status, tier, body := fetchVia(t, srv.URL, objURL); status != http.StatusOK || tier != TierClientCache || body != string(liar.body) {
 			t.Fatalf("status %d tier %q body %q, want the client cache's body unchecked", status, tier, body)
 		}

@@ -30,7 +30,7 @@ const (
 type peerDigest struct {
 	// filter is nil while none is held — before the first pull, and after
 	// a pull that brought none — and the peer is then asked as it would
-	// be without digests.
+	// be with no digest exchange at all.
 	filter atomic.Pointer[bloom.Filter]
 	// due is the request count from which the digest is pulled again;
 	// pulling is set while a pull is in flight, so there is one at most.
@@ -45,7 +45,10 @@ type peerDigest struct {
 func (p *Proxy) handleDigest(w http.ResponseWriter, _ *http.Request) {
 	items := p.store.Items()
 	p.mu.Lock()
-	keys := p.dir.AppendObjects(make([]trace.ObjectID, 0, len(items)+p.dir.Len()))
+	keys := make([]trace.ObjectID, 0, len(items)+len(p.dir))
+	for key := range p.dir {
+		keys = append(keys, key)
+	}
 	p.mu.Unlock()
 	for _, it := range items {
 		keys = append(keys, it.Key)
@@ -89,7 +92,7 @@ func (p *Proxy) digestAdmits(q fetchReq, to *peer) bool {
 // pullDigest fetches to's digest through hop, which judges a refusal
 // or a hang as it judges any hop to a proxy, and holds it for the next
 // DigestEvery requests.  Anything but a well-formed digest drops the one
-// held, so the peer is asked as if there were no digests, under its
+// held, so the peer is asked as if no digest were exchanged, under its
 // breaker, until the next pull.
 func (p *Proxy) pullDigest(to *peer) {
 	d := &to.digest

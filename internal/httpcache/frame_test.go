@@ -100,8 +100,8 @@ func TestHopWritesOnce(t *testing.T) {
 	obj := store.Object{HexKey: keyOf("http://origin.test/8k").String(), Body: sizedBody("/8k", 8<<10), Cost: 1}
 	for i := 0; i < 5; i++ {
 		w, r := writes.Load(), reads.Load()
-		if rec, err := px.storeAt(member(px, addrs[0]), obj, false); rec == nil || err != nil {
-			t.Fatalf("store = (%v, %v)", rec, err)
+		if _, ok, err := px.storeAt(member(px, addrs[0]), obj, false); !ok || err != nil {
+			t.Fatalf("store = (%v, %v)", ok, err)
 		}
 		if got := writes.Load() - w; got != 1 {
 			t.Errorf("round %d: an 8 KiB /store frame took %d writes, want 1", i, got)
@@ -241,9 +241,10 @@ func FuzzFrameRequest(f *testing.F) {
 // (a /store reply's body).  decodeReceipt takes exactly a 0/1 flag and
 // whole 32-byte keys, lists the hex ones among them as evicted, and
 // reads back what appendReceipt writes for what it read.  A receipt it
-// takes leaves the directory listing the stored key if, and only if,
-// the receipt says it was stored and not also evicted, and listing none
-// of the keys it says were evicted; nothing panics.
+// takes leaves a hardened proxy's directory listing the stored key, with
+// the passed-down body's digest, if and only if the receipt says it was
+// stored and not also evicted, and listing none of the keys it says were
+// evicted; nothing panics.
 func FuzzStoreReceipt(f *testing.F) {
 	stored := keyOf("http://origin.test/stored")
 	other := keyOf("http://origin.test/other").String()
@@ -273,24 +274,29 @@ func FuzzStoreReceipt(f *testing.F) {
 				want = append(want, fold(id))
 			}
 		}
-		if rec.stored != (data[0] == '1') || !slices.Equal(rec.evicted, want) {
-			t.Fatalf("receipt %q: decoded (%v, %x), want (%v, %x)", data, rec.stored, rec.evicted, data[0] == '1', want)
+		if rec.StoredOK != (data[0] == '1') || !slices.Equal(rec.Evicted, want) {
+			t.Fatalf("receipt %q: decoded (%v, %x), want (%v, %x)", data, rec.StoredOK, rec.Evicted, data[0] == '1', want)
 		}
-		again, err := decodeReceipt(appendReceipt(nil, rec.stored, keys))
-		if err != nil || again.stored != rec.stored || !slices.Equal(again.evicted, rec.evicted) {
+		again, err := decodeReceipt(appendReceipt(nil, rec.StoredOK, keys))
+		if err != nil || again.StoredOK != rec.StoredOK || !slices.Equal(again.Evicted, rec.Evicted) {
 			t.Fatalf("receipt %q: appendReceipt's rewrite reads (%v, %v)", data, again, err)
 		}
-		px := newProxy(t, Options{CapacityBytes: 1 << 20})
-		px.dir.Add(fold(keyOf(other)))
-		px.applyReceipt(fold(stored), []byte("body"), rec, false)
-		for _, ev := range rec.evicted {
-			if px.dir.MayContain(ev) {
+		px := newProxy(t, Options{CapacityBytes: 1 << 20, Hardened: true})
+		px.dir[fold(keyOf(other))] = 1
+		rec.Stored = fold(stored)
+		px.applyReceipt(rec, []byte("body"))
+		for _, ev := range rec.Evicted {
+			if _, ok := px.dir[ev]; ok {
 				t.Errorf("receipt %q: evicted key %x still listed", data, ev)
 			}
 		}
-		selfEvicted := slices.Contains(rec.evicted, fold(stored))
-		if want := rec.stored && !selfEvicted; px.dir.MayContain(fold(stored)) != want {
-			t.Errorf("receipt %q: stored key listed %v, want %v", data, !want, want)
+		selfEvicted := slices.Contains(rec.Evicted, fold(stored))
+		sum, listed := px.dir[fold(stored)]
+		if want := rec.StoredOK && !selfEvicted; listed != want {
+			t.Errorf("receipt %q: stored key listed %v, want %v", data, listed, want)
+		}
+		if listed && sum != bodyDigest([]byte("body")) {
+			t.Errorf("receipt %q: stored key listed with digest %x, want the body's", data, sum)
 		}
 	})
 }

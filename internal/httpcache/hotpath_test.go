@@ -101,7 +101,7 @@ func TestReceiptFastPathBytes(t *testing.T) {
 			t.Errorf("appendReceipt = %q, want %q", got, tc.want)
 		}
 		rec, err := decodeReceipt(got)
-		if err != nil || rec.stored != tc.stored || !slices.Equal(rec.evicted, folds) {
+		if err != nil || rec.StoredOK != tc.stored || !slices.Equal(rec.Evicted, folds) {
 			t.Errorf("decodeReceipt(%q) = (%+v, %v), want stored %v, evicted %x", got, rec, err, tc.stored, folds)
 		}
 	}

@@ -75,10 +75,6 @@ const (
 	TierPeerP2P     = "peer-p2p"     // peer-lookup: relayed from a client cache
 )
 
-// keyOf derives the 128-bit objectId of a URL (§4.1: SHA-1 of the
-// URL).
-func keyOf(url string) pastry.ID { return pastry.HashString(url) }
-
 // ring is a consistent-hash ring of registered client caches: the
 // proxy-side stand-in for DHT routing (see the package comment).  The
 // zero value is an empty ring.

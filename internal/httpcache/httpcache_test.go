@@ -16,6 +16,10 @@ import (
 	"webcache/internal/wiretest"
 )
 
+// keyOf derives the 128-bit objectId of a URL as /fetch does (§4.1:
+// SHA-1 of the URL).
+func keyOf(url string) pastry.ID { return pastry.HashString(url) }
+
 // testOrigin is a deterministic origin server counting its hits.
 type testOrigin struct {
 	srv  *httptest.Server

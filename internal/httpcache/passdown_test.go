@@ -274,8 +274,8 @@ func TestRefusedAndMissedRepliesKeepConnection(t *testing.T) {
 
 	const n = 50
 	for i := 0; i < n; i++ {
-		if rec, err := px.storeAt(member(px, addr), evictedObj("http://origin.test/refused"), true); rec != nil || err != nil {
-			t.Fatalf("trial store %d into a full daemon = (%v, %v), want a refusal", i, rec, err)
+		if _, ok, err := px.storeAt(member(px, addr), evictedObj("http://origin.test/refused"), true); ok || err != nil {
+			t.Fatalf("trial store %d into a full daemon = (%v, %v), want a refusal", i, ok, err)
 		}
 	}
 	if got := px.snapshotStats().StoreRefusals; got != n {
@@ -345,5 +345,63 @@ func TestStoreRefusesBeforeBuffering(t *testing.T) {
 	}
 	if st := cc.snapshotStats(); st.Stores != 0 || st.Objects != 1 {
 		t.Fatalf("refused stores changed the daemon: %+v", st)
+	}
+}
+
+// A hardened proxy books a store receipt once, in its one directory
+// table: the key the receipt stores is listed with the digest of the
+// body passed down, the key it evicts is gone, and a stale listing the
+// client-cache tier repairs takes its digest with it, so a copy listed
+// again without one is not held to the old body.
+func TestHardenedReceiptListsDigest(t *testing.T) {
+	verifyEveryServe(t)
+	origin := httptest.NewServer(http.NotFoundHandler()) // every miss is a 502
+	t.Cleanup(origin.Close)
+	const bodyLen = 10
+	px, ccs, addrs := ringWith(t, Options{CapacityBytes: 1 << 20, Hardened: true}, bodyLen+bodyLen/2)
+	srv := httptest.NewServer(wiretest.StrictFraming(t, px.Handler()))
+	t.Cleanup(srv.Close)
+	evicted, kept := origin.URL+"/evicted", origin.URL+"/kept"
+	keptBody := []byte("kept-body!")
+	// storeDirect puts body under u's key at the daemon behind the
+	// proxy's back, evicting what it held.
+	storeDirect := func(u, body string) {
+		t.Helper()
+		resp, err := http.Post(fmt.Sprintf("http://%s/store?key=%s&cost=1", addrs[0], keyOf(u)),
+			"application/octet-stream", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
+	px.passDown(store.Object{HexKey: keyOf(evicted).String(), Body: []byte("evicted!!!"), Cost: 1})
+	px.passDown(store.Object{HexKey: keyOf(kept).String(), Body: keptBody, Cost: 1})
+	if _, ok := ccs[0].store.Get(fold(keyOf(evicted))); ok {
+		t.Fatal("the daemon kept both objects; the second store evicted nothing")
+	}
+	if sum, ok := listing(px, keyOf(kept)); !ok || sum != bodyDigest(keptBody) {
+		t.Errorf("stored key listed %v with digest %x, want listed with %x", ok, sum, bodyDigest(keptBody))
+	}
+	if _, ok := listing(px, keyOf(evicted)); ok {
+		t.Error("evicted key still listed")
+	}
+
+	storeDirect(origin.URL+"/other", "other-body")
+	if status, _, _ := fetchVia(t, srv.URL, kept); status != http.StatusBadGateway {
+		t.Fatalf("status %d, want 502: the listing is stale and the origin has nothing", status)
+	}
+	if _, ok := listing(px, keyOf(kept)); ok {
+		t.Fatal("the stale listing was not repaired")
+	}
+
+	storeDirect(kept, "other-body")
+	plantDir(px, kept)
+	before := px.snapshotStats()
+	if status, tier, body := fetchVia(t, srv.URL, kept); status != http.StatusOK || tier != TierClientCache || body != "other-body" {
+		t.Fatalf("status %d tier %q body %q, want the client cache's copy", status, tier, body)
+	}
+	if got := statsDelta(before, px.snapshotStats()); got != (ProxyStats{Requests: 1, ClientHits: 1}) {
+		t.Errorf("a copy listed with no digest moved the proxy by %+v, want one unchecked client hit", got)
 	}
 }

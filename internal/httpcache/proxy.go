@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"webcache/internal/directory"
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
 	"webcache/internal/obs/slo"
@@ -49,7 +48,7 @@ type ProxyStats struct {
 	// diversion passthrough: the owner missed but a ring neighbour
 	// (where an ifFree store diverted the object) had it.
 	DivertedHits int `json:"diverted_hits"`
-	// DigestPulls counts cooperating proxies' digests pulled and held,
+	// DigestPulls counts the pulls that brought a peer's digest to hold,
 	// DigestPullFails the pulls that brought none (refused, hung, not 200,
 	// malformed), each dropping the digest held.  DigestSkips counts peers
 	// not asked because their digest said no, DigestFalsePos peers asked on
@@ -104,18 +103,21 @@ type Proxy struct {
 
 	stats proxyCounters
 
+	// dir is the lookup directory (§4.2), booked from store receipts:
+	// what the client caches hold, each listing with the FNV-1a digest of
+	// the body passed down on a hardened proxy (bodyDigest) and 0
+	// otherwise.
 	mu  sync.Mutex
-	dir *directory.Exact
+	dir map[trace.ObjectID]uint64
 
 	// pulls tracks the digest pulls in flight (digest.go).
 	pulls sync.WaitGroup
 
-	// Defense state (defense.go): the switch, sampled body digests, and
-	// the LAN-fetch latency histogram the adaptive per-hop deadline
-	// derives from.  Breakers and contribution ledgers are kept on the
-	// records.
+	// Defense state (defense.go): the switch, the serve count digest
+	// sampling runs on, and the LAN-fetch latency histogram the adaptive
+	// per-hop deadline derives from.  Breakers and contribution ledgers
+	// are kept on the records, each body's digest in dir.
 	hardened  bool
-	digests   sync.Map // trace.ObjectID -> uint64 body digest
 	verifySeq atomic.Int64
 	lanLat    *obs.Histogram
 
@@ -153,7 +155,7 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 	p := &Proxy{
 		storage:   o.newStorage("proxy"),
 		coop:      coop,
-		dir:       directory.NewExact(),
+		dir:       make(map[trace.ObjectID]uint64),
 		hops:      newConnPool(dialTCP, true),
 		origins:   NewTransport(),
 		lanLat:    &obs.Histogram{},
@@ -348,72 +350,73 @@ func (p *Proxy) passDown(obj store.Object) {
 	if owner == nil {
 		return // no client caches registered: the object is dropped
 	}
-	var rec *receipt
+	var rec p2p.Receipt
 	var ownerErr error
-	diverted := false
+	placed := false
 	var cands [3]*peer
 	for i, cand := range p.ring.candidates(cands[:0], owner) {
 		if !p.ring.mayFit(cand, len(obj.Body)) {
 			continue
 		}
-		r, err := p.storeAt(cand, obj, true)
+		r, ok, err := p.storeAt(cand, obj, true)
 		if i == 0 {
 			ownerErr = err
 		}
-		if r != nil {
-			rec, diverted = r, i > 0
+		if ok {
+			rec, placed = r, true
+			rec.Diverted = i > 0
 			break
 		}
 	}
-	if diverted {
+	if rec.Diverted {
 		p.stats.diversions.Add(1)
 	}
-	if rec == nil {
+	if !placed {
 		if ownerErr != nil {
 			return // the owner just hung or died: not asked twice, the object is lost
 		}
-		if rec, _ = p.storeAt(owner, obj, false); rec == nil {
+		if rec, placed, _ = p.storeAt(owner, obj, false); !placed {
 			return
 		}
 	}
+	rec.Stored = fold(id)
 	p.stats.passDowns.Add(1)
-	p.applyReceipt(fold(id), obj.Body, rec, diverted)
+	p.applyReceipt(rec, obj.Body)
 }
 
 // applyReceipt books what a client cache's store receipt says it did
-// with one passed-down body: the ledger, the directory (the stored key
-// listed, the evicted ones unlisted) and the body digests.
-func (p *Proxy) applyReceipt(folded trace.ObjectID, body []byte, rec *receipt, diverted bool) {
-	p.recordReceipt(p2p.Receipt{Stored: folded, StoredOK: rec.stored, Diverted: diverted, Evicted: rec.evicted})
-	p.mu.Lock()
-	if rec.stored {
-		p.dir.Add(folded)
+// with one passed-down body, once for the ledger and once in the
+// directory: the stored key listed with its body's digest, the evicted
+// ones unlisted.
+func (p *Proxy) applyReceipt(rec p2p.Receipt, body []byte) {
+	p.recordReceipt(rec)
+	var sum uint64
+	if rec.StoredOK && p.hardened {
+		sum = bodyDigest(body)
 	}
-	for _, ev := range rec.evicted {
-		p.dir.Remove(ev)
+	p.mu.Lock()
+	if rec.StoredOK {
+		p.dir[rec.Stored] = sum
+	}
+	for _, ev := range rec.Evicted {
+		delete(p.dir, ev)
 	}
 	p.mu.Unlock()
-	if rec.stored {
-		p.recordDigest(folded, body)
-	}
-	for _, ev := range rec.evicted {
-		p.dropDigest(ev)
-	}
 }
 
 // storeAt POSTs one evicted object to a client cache, with ifFree as a
 // trial the daemon refuses rather than evict for.  The returns split
-// the daemon's health from its answer: a receipt when it stored,
-// (nil, nil) when it refused, an error when it did not answer or made
-// no sense.  The hop does not descend from the /fetch that evicted: the
-// object has already left the proxy, and a requester hanging up must
-// not lose it.
-func (p *Proxy) storeAt(to *peer, obj store.Object, ifFree bool) (*receipt, error) {
+// the daemon's health from its answer: its receipt and true when it
+// stored, false and no error when it refused, an error when it did not
+// answer or made no sense.  The hop does not descend from the /fetch
+// that evicted: the object has already left the proxy, and a requester
+// hanging up must not lose it.
+func (p *Proxy) storeAt(to *peer, obj store.Object, ifFree bool) (p2p.Receipt, bool, error) {
 	id, _ := hexID(obj.HexKey)
 	p.stats.storeCalls.Add(1)
 	rep, err := p.hop(context.Background(), to, request{route: routeStore, key: id, cost: obj.Cost, ifFree: ifFree}, obj.Body, "")
 	if err != nil {
-		return nil, err
+		return p2p.Receipt{}, false, err
 	}
 	if rep.free >= 0 {
 		to.free.Store(rep.free)
@@ -421,15 +424,15 @@ func (p *Proxy) storeAt(to *peer, obj store.Object, ifFree bool) (*receipt, erro
 	if rep.status != http.StatusOK {
 		if rep.status == http.StatusInsufficientStorage {
 			p.stats.storeRefusals.Add(1)
-			return nil, nil
+			return p2p.Receipt{}, false, nil
 		}
-		return nil, fmt.Errorf("store at %s: status %d", to.addr, rep.status)
+		return p2p.Receipt{}, false, fmt.Errorf("store at %s: status %d", to.addr, rep.status)
 	}
 	rec, err := decodeReceipt(rep.body)
 	if err != nil {
-		return nil, fmt.Errorf("store at %s: reading receipt: %w", to.addr, err)
+		return p2p.Receipt{}, false, fmt.Errorf("store at %s: reading receipt: %w", to.addr, err)
 	}
-	return rec, nil
+	return rec, true, nil
 }
 
 // sweepTimeout is how long a liveness probe waits for its reply.
@@ -493,7 +496,7 @@ func (p *Proxy) StartSweeper(interval time.Duration) (stop func()) {
 // snapshotStats reads the lock-free counters; ClientPool is left 0.
 func (p *Proxy) snapshotStats() ProxyStats {
 	p.mu.Lock()
-	dirLen := p.dir.Len()
+	dirLen := len(p.dir)
 	p.mu.Unlock()
 	return ProxyStats{
 		Requests:         int(p.stats.requests.Load()),

@@ -107,8 +107,8 @@ func walk(q fetchReq, tiers []tier) (s served, err error) {
 // the reply does; serving first and destaging after would reverse the
 // order here.
 func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
-	// The key is keyOf the unescaped URL, hashed from a stack buffer:
-	// only the origin tier needs the URL as a string.
+	// The key is the objectId of the unescaped URL (§4.1), hashed from a
+	// stack buffer: only the origin tier needs the URL as a string.
 	raw := queryRaw(r.URL.RawQuery, "url")
 	var buf [256]byte
 	dec, ok := appendUnescaped(buf[:0], raw)
@@ -176,9 +176,8 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 	// crashed daemon, a raced eviction).
 	unlist := func(q fetchReq) {
 		p.mu.Lock()
-		p.dir.Remove(q.folded)
+		delete(p.dir, q.folded)
 		p.mu.Unlock()
-		p.dropDigest(q.folded)
 	}
 
 	local = []tier{{
@@ -199,7 +198,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 		spans: []string{"client.fetch", "client.fetch.divert"}, cat: "Tp2p",
 		from: func(q fetchReq) []*peer {
 			p.mu.Lock()
-			listed := p.dir.MayContain(q.folded)
+			_, listed := p.dir[q.folded]
 			p.mu.Unlock()
 			if !listed {
 				return nil

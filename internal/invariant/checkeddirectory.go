@@ -1,9 +1,19 @@
 package invariant
 
-import (
-	"webcache/internal/directory"
-	"webcache/internal/trace"
-)
+import "webcache/internal/trace"
+
+// lookupDirectory is directory.Directory's method set.  Naming it here
+// rather than importing the package keeps internal/directory out of
+// what the live proxy, which links this package, links.
+type lookupDirectory interface {
+	Name() string
+	Add(obj trace.ObjectID)
+	Remove(obj trace.ObjectID)
+	MayContain(obj trace.ObjectID) bool
+	Len() int
+	MemoryBytes() uint64
+	Objects() []trace.ObjectID
+}
 
 // CheckedDirectory wraps a lookup directory with a shadow set of every
 // object the proxy told it about, and enforces the §4.2 contract:
@@ -17,7 +27,7 @@ import (
 //
 // It implements directory.Directory and is transparent to callers.
 type CheckedDirectory struct {
-	inner directory.Directory
+	inner lookupDirectory
 	chk   *Checker
 	label string
 
@@ -26,24 +36,21 @@ type CheckedDirectory struct {
 	exact bool
 }
 
-// WrapDirectory wraps d with invariant checking.  With a nil Checker
+// WrapDirectory wraps d, a directory.Directory, with invariant
+// checking; one named "exact" is held to exactness.  With a nil Checker
 // it returns d unchanged.
-func WrapDirectory(d directory.Directory, chk *Checker, label string) directory.Directory {
+func WrapDirectory(d lookupDirectory, chk *Checker, label string) lookupDirectory {
 	if chk == nil {
 		return d
 	}
-	_, exact := d.(*directory.Exact)
 	return &CheckedDirectory{
 		inner:  d,
 		chk:    chk,
 		label:  label,
 		shadow: make(map[trace.ObjectID]struct{}),
-		exact:  exact,
+		exact:  d.Name() == "exact",
 	}
 }
-
-// Unwrap returns the wrapped directory.
-func (w *CheckedDirectory) Unwrap() directory.Directory { return w.inner }
 
 // Name implements directory.Directory.
 func (w *CheckedDirectory) Name() string { return w.inner.Name() }
@@ -97,22 +104,13 @@ func (w *CheckedDirectory) MemoryBytes() uint64 { return w.inner.MemoryBytes() }
 // Objects implements directory.Directory.
 func (w *CheckedDirectory) Objects() []trace.ObjectID { return w.inner.Objects() }
 
-// Reset implements directory.Directory.
-func (w *CheckedDirectory) Reset() {
-	w.inner.Reset()
-	w.shadow = make(map[trace.ObjectID]struct{})
-	w.lenAgree()
-}
-
-var _ directory.Directory = (*CheckedDirectory)(nil)
-
 // ReconcileDirectory checks a directory against the ground-truth
 // holdings of the cluster it indexes: every directory entry must name
 // a resident object (Exact must be exact up to in-flight churn the
 // caller already repaired) and every resident object the proxy was
 // told about must be visible.  contains reports ground-truth
 // residency; resident enumerates it.
-func ReconcileDirectory(chk *Checker, label string, dir directory.Directory,
+func ReconcileDirectory(chk *Checker, label string, dir lookupDirectory,
 	contains func(trace.ObjectID) bool, resident []trace.ObjectID) {
 	if chk == nil {
 		return

@@ -65,7 +65,6 @@ type Checker struct {
 	checks     int64
 	violations []Violation
 	dropped    int64 // violations beyond maxRecordedViolations
-	coldServes int64 // OriginOracle counts; not violations
 
 	// reg, when set, counts failures under check.violations.
 	reg *obs.Registry

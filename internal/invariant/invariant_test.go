@@ -206,12 +206,13 @@ func TestCheckedDirectoryCleanOnRealDirectories(t *testing.T) {
 		for i := 50; i < 100; i++ {
 			d.MayContain(trace.ObjectID(i))
 		}
-		d.Reset()
 		if err := chk.Err(); err != nil {
 			t.Fatalf("%s: violations on a correct directory: %v", d.Name(), err)
 		}
 	}
 }
+
+var _ directory.Directory = (*CheckedDirectory)(nil)
 
 // denyingDirectory forgets everything: MayContain always answers false,
 // violating the no-false-negative guarantee.

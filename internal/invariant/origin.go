@@ -6,8 +6,8 @@ import "webcache/internal/trace"
 // client cache, a cooperating proxy) of an object that the origin has
 // not yet served in this run.  A cache that fills only on a miss can
 // hold nothing origin did not send first, so a cold serve is a copy
-// placed ahead of demand.  The count is a Checker counter, not a
-// violation: FC and FC-EC place each window's objects in advance
+// placed ahead of demand.  The count is the check.cold_serves counter,
+// not a violation: FC and FC-EC place each window's objects in advance
 // (DESIGN §2.4), and every one of their serves is cold until they fill
 // on a miss.
 type OriginOracle struct {
@@ -38,24 +38,10 @@ func (o *OriginOracle) Serve(obj trace.ObjectID, fromOrigin bool) {
 	}
 }
 
-// Finish adds the run's cold serves to the Checker's count.
+// Finish adds the run's cold serves to the check.cold_serves counter.
 func (o *OriginOracle) Finish() {
 	if o == nil {
 		return
 	}
-	o.chk.mu.Lock()
-	o.chk.coldServes += o.cold
-	o.chk.mu.Unlock()
 	o.chk.reg.Counter("check.cold_serves").Add(o.cold)
-}
-
-// ColdServes returns the cold serves OriginOracles have counted into
-// the Checker (0 when disabled).
-func (c *Checker) ColdServes() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.coldServes
 }

@@ -88,11 +88,11 @@ func TestPlacementWithSizesRespectsUnits(t *testing.T) {
 	// Density favours the small objects: 90/4, 80/4 and 70/2 beat
 	// 100/8, so objects 1,2,3 (10 units) should fill the tier.
 	for _, o := range []trace.ObjectID{1, 2, 3} {
-		if _, ok := pl.HasCopy(0, o); !ok {
+		if pl.ByProxy[0][o] < 0 {
 			t.Errorf("dense object %d not placed", o)
 		}
 	}
-	if _, ok := pl.HasCopy(0, 0); ok {
+	if pl.ByProxy[0][0] >= 0 {
 		t.Error("bulky object 0 placed over denser set")
 	}
 }
@@ -109,7 +109,7 @@ func TestPlacementOversizeObjectSkipped(t *testing.T) {
 	if err := pl.Compute(in); err != nil {
 		t.Fatal(err)
 	}
-	if pl.Anywhere(0) {
+	if pl.ByProxy[0][0] >= 0 {
 		t.Error("object larger than the tier placed anyway")
 	}
 }
