@@ -53,6 +53,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCounting -fuzztime=$(FUZZTIME) ./internal/bloom
 	$(GO) test -run='^$$' -fuzz=FuzzFilterUnmarshal -fuzztime=$(FUZZTIME) ./internal/bloom
+	$(GO) test -run='^$$' -fuzz=FuzzDigestSummary -fuzztime=$(FUZZTIME) ./internal/bloom
 	$(GO) test -run='^$$' -fuzz=FuzzCheckedPolicy -fuzztime=$(FUZZTIME) ./internal/invariant
 	$(GO) test -run='^$$' -fuzz=FuzzRingChurn -fuzztime=$(FUZZTIME) ./internal/invariant
 	$(GO) test -run='^$$' -fuzz=FuzzTextCodec -fuzztime=$(FUZZTIME) ./internal/trace
@@ -173,7 +174,7 @@ trace-alloc:
 # production build does not, so these files are !race-tagged and
 # invisible to `make check`.
 sim-alloc:
-	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs|OriginFetchAllocs|TransportAllocs' ./internal/cache ./internal/sim ./internal/httpcache ./internal/pastry ./internal/p2p ./internal/loadgen ./internal/trace
+	$(GO) test -run='ZeroAlloc|AllocsPerRun|HitPathAllocs|OriginFetchAllocs|TransportAllocs|DigestPublishAllocs' ./internal/cache ./internal/sim ./internal/httpcache ./internal/pastry ./internal/p2p ./internal/loadgen ./internal/trace
 
 # The paper's figures and claims (~13 min on 2 CPUs): one build runs
 # every figure at the paper's scale and at 0.2, five seeds each, as

@@ -3,7 +3,8 @@
 // reference [7]).  The paper's proxies can use a Bloom filter as the
 // lookup directory over their P2P client cache (§4.2), trading memory
 // for a false-positive ratio; the counting variant supports the
-// deletions that client-cache evictions require.
+// deletions that client-cache evictions require, and Summary keeps one
+// in step with a plain filter, the digest a live proxy publishes.
 package bloom
 
 import (
@@ -188,7 +189,6 @@ type Counting struct {
 	counters []uint8 // 4-bit counters, two per byte: low nibble = even index
 	m        uint64
 	k        int
-	n        uint64
 }
 
 const countingMax = 15
@@ -202,6 +202,26 @@ func (c *Counting) counter(idx uint64) uint8 {
 func (c *Counting) setCounter(idx uint64, v uint8) {
 	shift := 4 * (idx % 2)
 	c.counters[idx/2] = c.counters[idx/2]&^(0xf<<shift) | v<<shift
+}
+
+// inc counts one more at idx, short of saturation, and reports whether
+// the counter was zero.
+func (c *Counting) inc(idx uint64) (wasZero bool) {
+	v := c.counter(idx)
+	if v < countingMax {
+		c.setCounter(idx, v+1)
+	}
+	return v == 0
+}
+
+// dec counts one less at idx unless the counter is zero or saturated,
+// and reports whether it fell to zero.
+func (c *Counting) dec(idx uint64) (nowZero bool) {
+	v := c.counter(idx)
+	if v > 0 && v < countingMax {
+		c.setCounter(idx, v-1)
+	}
+	return v == 1
 }
 
 // NewCounting creates a counting filter with m counters and k hashes.
@@ -223,41 +243,29 @@ func NewCountingForCapacity(n int, p float64) *Counting {
 	return c
 }
 
-func (c *Counting) index(key uint64, i int) uint64 {
-	h1, h2 := hashes(key)
-	return (h1 + uint64(i)*h2) % c.m
-}
-
 // Add inserts key.
 func (c *Counting) Add(key uint64) {
+	h1, h2 := hashes(key)
 	for i := 0; i < c.k; i++ {
-		idx := c.index(key, i)
-		if v := c.counter(idx); v < countingMax {
-			c.setCounter(idx, v+1)
-		}
+		c.inc((h1 + uint64(i)*h2) % c.m)
 	}
-	c.n++
 }
 
 // Remove deletes one insertion of key.  Removing a key that was never
 // added corrupts the filter (as with any counting Bloom filter); the
 // directory layer guards against it.
 func (c *Counting) Remove(key uint64) {
+	h1, h2 := hashes(key)
 	for i := 0; i < c.k; i++ {
-		idx := c.index(key, i)
-		if v := c.counter(idx); v > 0 && v < countingMax {
-			c.setCounter(idx, v-1)
-		}
-	}
-	if c.n > 0 {
-		c.n--
+		c.dec((h1 + uint64(i)*h2) % c.m)
 	}
 }
 
 // MayContain reports whether key may be present.
 func (c *Counting) MayContain(key uint64) bool {
+	h1, h2 := hashes(key)
 	for i := 0; i < c.k; i++ {
-		if c.counter(c.index(key, i)) == 0 {
+		if c.counter((h1+uint64(i)*h2)%c.m) == 0 {
 			return false
 		}
 	}

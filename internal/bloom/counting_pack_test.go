@@ -58,7 +58,8 @@ func TestCountingPackedSaturation(t *testing.T) {
 	for i := 0; i < countingMax+10; i++ {
 		c.Add(key)
 	}
-	idx := c.index(key, 0)
+	h1, _ := hashes(key)
+	idx := h1 % c.m // k = 1: the one probe
 	if got := c.counter(idx); got != countingMax {
 		t.Errorf("counter = %d after %d adds, want saturation at %d", got, countingMax+10, countingMax)
 	}

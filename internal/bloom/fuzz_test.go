@@ -85,3 +85,106 @@ func FuzzCounting(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDigestSummary replays an op script against a Summary sized for
+// four keys, so scripts soon outgrow it, while a shadow multiset tracks
+// what it holds.  Each publish (and the end of the script) grows the
+// summary if it is full, counting the shadow into the grown one as a
+// proxy counts its directory and store, then checks what it published:
+// the filter endorses every key held and, while no counter has
+// saturated, it is bit for bit the Filter that Add builds over those
+// keys, n included.
+func FuzzDigestSummary(f *testing.F) {
+	// Add/remove churn over a handful of keys, publishing between.
+	f.Add([]byte{0, 1, 0, 2, 2, 0, 0, 3, 1, 1, 2, 0, 0, 1, 1, 2, 2, 0})
+	// Forty distinct keys, then half of them out: growth and removal.
+	seed := make([]byte, 0, 130)
+	for i := byte(0); i < 40; i++ {
+		seed = append(seed, 0, i)
+	}
+	seed = append(seed, 2, 0)
+	for i := byte(0); i < 40; i += 2 {
+		seed = append(seed, 1, i)
+	}
+	f.Add(append(seed, 2, 0))
+	// One key past the 4-bit saturation point, then drained.
+	seed = seed[:0]
+	for range 20 {
+		seed = append(seed, 0, 7)
+	}
+	for range 20 {
+		seed = append(seed, 1, 7)
+	}
+	f.Add(append(seed, 0, 8, 2, 0))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		s := NewSummary(4, 0.01)
+		live := make(map[uint64]int)
+		publish := func(at int) {
+			if next := s.Grown(); next != nil {
+				for key, n := range live {
+					for range n {
+						next.Add(key)
+					}
+				}
+				s.Replace(next)
+			}
+			if s.Full() {
+				t.Fatalf("op %d: the summary is full after growing", at)
+			}
+			data, err := s.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got Filter
+			if err := got.UnmarshalBinary(data); err != nil {
+				t.Fatalf("op %d: the published digest does not unmarshal: %v", at, err)
+			}
+			for key, n := range live {
+				if n > 0 && !got.MayContain(key) {
+					t.Fatalf("op %d: the published digest does not endorse held key %d", at, key)
+				}
+			}
+			if saturated(&s.count) {
+				return
+			}
+			want, _ := New(got.M(), got.K())
+			for key, n := range live {
+				for range n {
+					want.Add(key)
+				}
+			}
+			if wire, _ := want.MarshalBinary(); !bytes.Equal(wire, data) {
+				t.Fatalf("op %d: the published digest differs from Filter.Add over the %d keys held", at, len(live))
+			}
+		}
+		for i := 0; i+1 < len(script); i += 2 {
+			key := uint64(script[i+1])
+			switch script[i] % 3 {
+			case 0:
+				s.Add(key)
+				live[key]++
+			case 1:
+				if live[key] > 0 {
+					s.Remove(key)
+					if live[key]--; live[key] == 0 {
+						delete(live, key)
+					}
+				}
+			case 2:
+				publish(i / 2)
+			}
+		}
+		publish(len(script) / 2)
+	})
+}
+
+// saturated reports whether any of c's counters is stuck at
+// countingMax.
+func saturated(c *Counting) bool {
+	for idx := uint64(0); idx < c.m; idx++ {
+		if c.counter(idx) == countingMax {
+			return true
+		}
+	}
+	return false
+}

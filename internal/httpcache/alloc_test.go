@@ -37,7 +37,12 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(int)             {}
 
+// TestFetchHitPathAllocs holds the memory hit to 0 allocations on a
+// reused header map, which measures the handler alone, and to exactly 1
+// on a fresh one per request, as net/http's response hands each
+// request: the first insert into the empty map.
 func TestFetchHitPathAllocs(t *testing.T) {
+	const runs = 2000
 	p := newProxy(t, Options{CapacityBytes: 1 << 20})
 	const url = "http://origin.example.com/objects/alloc-gate-object-0001"
 	id := keyOf(url)
@@ -54,9 +59,21 @@ func TestFetchHitPathAllocs(t *testing.T) {
 		if got := w.h.Get(ServedByHeader); got != TierProxy {
 			t.Fatalf("warmup request for %q served by %q, want %q (gate must measure the memory-hit path)", sent, got, TierProxy)
 		}
-		allocs := testing.AllocsPerRun(2000, func() { p.handleFetch(w, req) })
+		allocs := testing.AllocsPerRun(runs, func() { p.handleFetch(w, req) })
 		if allocs != 0 {
 			t.Errorf("proxy memory-hit path for %q allocates %.1f objects/request, want 0", sent, allocs)
+		}
+		// One fresh map for each run AllocsPerRun makes, and one to warm up.
+		fresh := make([]http.Header, runs+1)
+		for i := range fresh {
+			fresh[i] = make(http.Header)
+		}
+		allocs = testing.AllocsPerRun(runs, func() {
+			w.h, fresh = fresh[0], fresh[1:]
+			p.handleFetch(w, req)
+		})
+		if allocs != 1 {
+			t.Errorf("proxy memory-hit path for %q on a fresh header map allocates %.1f objects/request, want 1", sent, allocs)
 		}
 	}
 }
@@ -170,6 +187,35 @@ func TestHopAllocsPerRun(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d connection watchers left after CloseIdleConnections", watchers()-before)
 		}
+	}
+}
+
+// TestDigestPublishAllocs holds a /digest publish at live_cascade's
+// size, 1 100 stored and 3 300 listed keys, to a copy of the summary's
+// words: the body and nothing per key.  Rebuilding the filter on every
+// pull made about 5 allocations, some 100 KB.
+func TestDigestPublishAllocs(t *testing.T) {
+	const stored, listed = 1100, 3300
+	px := newProxy(t, Options{CapacityBytes: 1 << 20})
+	for i := range stored {
+		u := fmt.Sprintf("http://origin.test/stored/%d", i)
+		if _, ok, err := px.store.Put(fold(keyOf(u)), store.Object{HexKey: keyOf(u).String(), Body: []byte("body"), Cost: 1}); !ok || err != nil {
+			t.Fatalf("store %s = (%v, %v)", u, ok, err)
+		}
+	}
+	px.mu.Lock()
+	for i := range listed {
+		px.list(fold(keyOf(fmt.Sprintf("http://origin.test/listed/%d", i))), 0)
+	}
+	px.mu.Unlock()
+	w := &discardWriter{h: make(http.Header, 4)}
+	req := httptest.NewRequest("GET", "/digest", nil)
+	allocs := testing.AllocsPerRun(200, func() { px.handleDigest(w, req) })
+	if allocs > 2 {
+		t.Errorf("a /digest publish allocates %.1f objects, want at most 2", allocs)
+	}
+	if px.summary.Full() {
+		t.Error("the summary is still full after a publish grew it")
 	}
 }
 

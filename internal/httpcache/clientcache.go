@@ -65,9 +65,10 @@ type storage struct {
 	store *store.Store
 }
 
-// newStorage builds a daemon's store.
-func (o Options) newStorage(label string) storage {
-	mem, _ := store.New(store.Config{CapacityBytes: o.CapacityBytes, Label: label, Metrics: o.Metrics}) // never fails
+// newStorage builds a daemon's store, which tells changes, when it is
+// not nil, of each key it inserts or evicts (store.Config.Changes).
+func (o Options) newStorage(label string, changes func(trace.ObjectID, bool)) storage {
+	mem, _ := store.New(store.Config{CapacityBytes: o.CapacityBytes, Label: label, Metrics: o.Metrics, Changes: changes}) // never fails
 	return storage{mem}
 }
 
@@ -108,7 +109,7 @@ type ClientCache struct {
 // NewClientCacheOpts creates a daemon from o, proxy-only fields
 // ignored.
 func NewClientCacheOpts(o Options) *ClientCache {
-	return &ClientCache{storage: o.newStorage("client-cache"), tracer: o.Tracer, metrics: o.Metrics, readiness: readiness{events: o.Events}}
+	return &ClientCache{storage: o.newStorage("client-cache", nil), tracer: o.Tracer, metrics: o.Metrics, readiness: readiness{events: o.Events}}
 }
 
 // Handler returns the daemon's HTTP interface:

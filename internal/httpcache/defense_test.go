@@ -73,7 +73,7 @@ func plantPassDown(px *Proxy, objURL string, body []byte) {
 		sum = bodyDigest(body)
 	}
 	px.mu.Lock()
-	px.dir[fold(keyOf(objURL))] = sum
+	px.list(fold(keyOf(objURL)), sum)
 	px.mu.Unlock()
 }
 

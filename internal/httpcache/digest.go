@@ -23,6 +23,9 @@ const (
 	DigestEvery = 100
 	// digestFPRate is the simulator's default (sim.DefaultBloomFPRate).
 	digestFPRate = 0.01
+	// digestKeys is the capacity a proxy's digest summary starts at; it
+	// doubles as the proxy comes to hold more (growDigest).
+	digestKeys = 1024
 )
 
 // peerDigest is the last digest pulled of one cooperating proxy, kept on
@@ -38,26 +41,15 @@ type peerDigest struct {
 	pulling atomic.Bool
 }
 
-// handleDigest publishes this proxy's digest, built on demand over what
+// handleDigest publishes this proxy's digest, the summary of what
 // /peer-lookup can serve: the proxy cache and, as the directory records
-// them, the client caches.  The directory is copied
-// under the lock the request path shares, and not sorted there.
+// them, the client caches.  It is a copy of the summary's bit view,
+// after growDigest if the summary has outgrown its size.
 func (p *Proxy) handleDigest(w http.ResponseWriter, _ *http.Request) {
-	items := p.store.Items()
-	p.mu.Lock()
-	keys := make([]trace.ObjectID, 0, len(items)+len(p.dir))
-	for key := range p.dir {
-		keys = append(keys, key)
+	if p.summary.Full() {
+		p.growDigest()
 	}
-	p.mu.Unlock()
-	for _, it := range items {
-		keys = append(keys, it.Key)
-	}
-	f := bloom.NewForCapacity(len(keys), digestFPRate)
-	for _, key := range keys {
-		f.Add(uint64(key))
-	}
-	body, err := f.MarshalBinary()
+	body, err := p.summary.MarshalBinary()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -66,6 +58,25 @@ func (p *Proxy) handleDigest(w http.ResponseWriter, _ *http.Request) {
 	h["Content-Length"] = decimalValue(len(body))
 	h["Content-Type"] = contentTypeOctet
 	w.Write(body)
+}
+
+// growDigest moves the summary to one sized for what it holds, counted
+// afresh from the directory and the store.  It holds p.mu and then the
+// store's lock until the new summary is in place, so no change is
+// counted into the old one meanwhile: the one order in which any
+// holder of both takes them.  The store's change reports take the
+// summary's lock under the store's, and list and unlist under p.mu.
+func (p *Proxy) growDigest() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	next := p.summary.Grown()
+	if next == nil {
+		return // another publish grew it first
+	}
+	for key := range p.dir {
+		next.Add(uint64(key))
+	}
+	p.store.Keys(func(key trace.ObjectID) { next.Add(uint64(key)) }, func() { p.summary.Replace(next) })
 }
 
 // digestAdmits reports whether to is worth asking for q's object: the

@@ -282,7 +282,7 @@ func FuzzStoreReceipt(f *testing.F) {
 			t.Fatalf("receipt %q: appendReceipt's rewrite reads (%v, %v)", data, again, err)
 		}
 		px := newProxy(t, Options{CapacityBytes: 1 << 20, Hardened: true})
-		px.dir[fold(keyOf(other))] = 1
+		px.list(fold(keyOf(other)), 1)
 		rec.Stored = fold(stored)
 		px.applyReceipt(rec, []byte("body"))
 		for _, ev := range rec.Evicted {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"webcache/internal/bloom"
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
 	"webcache/internal/obs/slo"
@@ -106,9 +107,13 @@ type Proxy struct {
 	// dir is the lookup directory (§4.2), booked from store receipts:
 	// what the client caches hold, each listing with the FNV-1a digest of
 	// the body passed down on a hardened proxy (bodyDigest) and 0
-	// otherwise.
+	// otherwise.  list and unlist are its only writers.
 	mu  sync.Mutex
 	dir map[trace.ObjectID]uint64
+	// summary is the digest /digest publishes (digest.go): every key the
+	// store holds and every key dir lists, counted in and out under the
+	// store's lock and p.mu as each changes.
+	summary *bloom.Summary
 
 	// pulls tracks the digest pulls in flight (digest.go).
 	pulls sync.WaitGroup
@@ -153,8 +158,8 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		return nil, err
 	}
 	p := &Proxy{
-		storage:   o.newStorage("proxy"),
 		coop:      coop,
+		summary:   bloom.NewSummary(digestKeys, digestFPRate),
 		dir:       make(map[trace.ObjectID]uint64),
 		hops:      newConnPool(dialTCP, true),
 		origins:   NewTransport(),
@@ -165,6 +170,15 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		metrics:   o.Metrics,
 		readiness: readiness{events: o.Events},
 	}
+	// The store counts each key it inserts or evicts into the summary,
+	// under its lock.
+	p.storage = o.newStorage("proxy", func(key trace.ObjectID, in bool) {
+		if in {
+			p.summary.Add(uint64(key))
+		} else {
+			p.summary.Remove(uint64(key))
+		}
+	})
 	if len(o.SLOClasses) > 0 {
 		p.slo = slo.NewTracker(o.Metrics, o.SLOClasses)
 		p.slo.SetEvents(o.Events)
@@ -396,12 +410,29 @@ func (p *Proxy) applyReceipt(rec p2p.Receipt, body []byte) {
 	}
 	p.mu.Lock()
 	if rec.StoredOK {
-		p.dir[rec.Stored] = sum
+		p.list(rec.Stored, sum)
 	}
 	for _, ev := range rec.Evicted {
-		delete(p.dir, ev)
+		p.unlist(ev)
 	}
 	p.mu.Unlock()
+}
+
+// list enters key in the directory with its body's digest, and unlist
+// takes it out; both run under p.mu and count the key in or out of the
+// digest summary as its listing comes or goes.
+func (p *Proxy) list(key trace.ObjectID, sum uint64) {
+	if _, listed := p.dir[key]; !listed {
+		p.summary.Add(uint64(key))
+	}
+	p.dir[key] = sum
+}
+
+func (p *Proxy) unlist(key trace.ObjectID) {
+	if _, listed := p.dir[key]; listed {
+		delete(p.dir, key)
+		p.summary.Remove(uint64(key))
+	}
 }
 
 // storeAt POSTs one evicted object to a client cache, with ifFree as a

@@ -172,11 +172,11 @@ func (p *Proxy) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 // cascade builds the tier table, and its head that the proxy serves
 // from what it holds itself.
 func (p *Proxy) cascade() (local, tiers []tier) {
-	// unlist repairs a directory entry no cache backs any more (a
+	// repair unlists a directory entry no cache backs any more (a
 	// crashed daemon, a raced eviction).
-	unlist := func(q fetchReq) {
+	repair := func(q fetchReq) {
 		p.mu.Lock()
-		delete(p.dir, q.folded)
+		p.unlist(q.folded)
 		p.mu.Unlock()
 	}
 
@@ -205,7 +205,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 			}
 			owner := p.ring.owner(q.id)
 			if owner == nil {
-				unlist(q) // listed, and no cache left that could hold it
+				repair(q) // listed, and no cache left that could hold it
 				return nil
 			}
 			return p.ring.candidates(make([]*peer, 0, 3), owner)
@@ -224,7 +224,7 @@ func (p *Proxy) cascade() (local, tiers []tier) {
 			}
 			return served{body: body, by: TierClientCache, hits: &p.stats.clientHits, diverted: n > 0}, nil
 		},
-		missed: unlist,
+		missed: repair,
 	}}
 	return local, append(local, tier{
 		// 3. Cooperating proxies, each behind its error-rate breaker (a

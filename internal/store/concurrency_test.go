@@ -51,12 +51,11 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 	// The policy's totals must equal the resident bodies when quiescent.
 	var used uint64
-	items := s.Items()
-	for _, it := range items {
-		used += uint64(len(it.Object.Body))
+	for _, obj := range s.bodies {
+		used += uint64(len(obj.Body))
 	}
-	if used != s.Used() || len(items) != s.Len() {
-		t.Fatalf("policy totals (%d, %d) != resident bodies (%d, %d)", s.Used(), s.Len(), used, len(items))
+	if used != s.Used() || len(s.bodies) != s.Len() {
+		t.Fatalf("policy totals (%d, %d) != resident bodies (%d, %d)", s.Used(), s.Len(), used, len(s.bodies))
 	}
 }
 

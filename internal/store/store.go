@@ -60,6 +60,11 @@ type Config struct {
 	// Label distinguishes multiple stores in violation details and
 	// defaults to "store".
 	Label string
+	// Changes, when non-nil, is told of each key the store inserts (in
+	// true) and each it evicts (in false), under the store's lock, so
+	// what it keeps of the key set is never behind the store.  It must
+	// not call into the store.
+	Changes func(key trace.ObjectID, in bool)
 }
 
 // checkEvery is the mutation period of the body-map reconciliation
@@ -73,8 +78,9 @@ type Store struct {
 	bodies map[trace.ObjectID]Object
 	muts   int // mutations under mu, driving the periodic check
 
-	label string
-	check *invariant.Checker
+	label   string
+	check   *invariant.Checker
+	changes func(key trace.ObjectID, in bool)
 
 	flight flightGroup
 
@@ -93,10 +99,11 @@ func New(cfg Config) (*Store, error) {
 		label = "store"
 	}
 	s := &Store{
-		policy: invariant.WrapPolicy(cache.NewGreedyDual(cfg.CapacityBytes), cfg.Check, label),
-		bodies: make(map[trace.ObjectID]Object),
-		label:  label,
-		check:  cfg.Check,
+		policy:  invariant.WrapPolicy(cache.NewGreedyDual(cfg.CapacityBytes), cfg.Check, label),
+		bodies:  make(map[trace.ObjectID]Object),
+		label:   label,
+		check:   cfg.Check,
+		changes: cfg.Changes,
 	}
 	s.flight.calls = make(map[trace.ObjectID]*flightCall)
 	if reg := cfg.Metrics; reg != nil {
@@ -143,8 +150,14 @@ func (s *Store) insert(key trace.ObjectID, obj Object) (evicted []Object) {
 	for _, ev := range s.policy.Add(cache.Entry{Obj: key, Size: uint32(len(obj.Body)), Cost: obj.Cost}) {
 		evicted = append(evicted, s.bodies[ev.Obj])
 		delete(s.bodies, ev.Obj)
+		if s.changes != nil {
+			s.changes(ev.Obj, false)
+		}
 	}
 	s.bodies[key] = obj
+	if s.changes != nil {
+		s.changes(key, true)
+	}
 	s.muts++
 	if s.check != nil && s.muts%checkEvery == 0 {
 		s.checkLocked()
@@ -180,23 +193,17 @@ func (s *Store) Used() uint64 {
 // never changes, so it is read without the lock.
 func (s *Store) Capacity() uint64 { return s.policy.Capacity() }
 
-// Item pairs a resident object with its folded policy key, for
-// callers that need to enumerate the store (the /digest build).
-type Item struct {
-	Key    trace.ObjectID
-	Object Object
-}
-
-// Items returns every resident object.  Bodies are shared, not copied
-// — callers must treat them as read-only.
-func (s *Store) Items() []Item {
+// Keys calls each with every key the store holds, then then, all
+// under the store's lock: nothing is inserted or evicted, so no change
+// is reported, until then returns.  It copies no object, and neither
+// function may call into the store.
+func (s *Store) Keys(each func(trace.ObjectID), then func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Item, 0, len(s.bodies))
-	for key, obj := range s.bodies {
-		out = append(out, Item{Key: key, Object: obj})
+	for key := range s.bodies {
+		each(key)
 	}
-	return out
+	then()
 }
 
 // CheckInvariants reconciles the body map against the policy's

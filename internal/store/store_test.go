@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -241,5 +242,42 @@ func TestStorePublishMetrics(t *testing.T) {
 	if vals["store.capacity_bytes"] != 1000 || vals["store.used_bytes"] != 10 || vals["store.objects"] != 1 {
 		t.Fatalf("store gauges = %v/%v/%v, want 1000/10/1",
 			vals["store.capacity_bytes"], vals["store.used_bytes"], vals["store.objects"])
+	}
+}
+
+// TestStoreReportsKeyChanges holds Config.Changes to the store's key
+// set: a set kept from its reports alone, through inserts that evict,
+// refreshes, and oversized and empty bodies the store refuses, is the
+// set Keys walks, and Keys calls then once the walk is done.
+func TestStoreReportsKeyChanges(t *testing.T) {
+	held := make(map[trace.ObjectID]bool)
+	s := mustNew(t, Config{CapacityBytes: 100, Changes: func(key trace.ObjectID, in bool) {
+		if in == held[key] {
+			t.Errorf("key %d reported in=%v, and held=%v", key, in, held[key])
+		}
+		if in {
+			held[key] = true
+		} else {
+			delete(held, key)
+		}
+	}})
+	for i := range 300 {
+		s.Put(trace.ObjectID(i%37), Object{Body: body(8 + i%3*4), Cost: 1})
+	}
+	s.Put(1000, Object{Body: body(101), Cost: 1})
+	s.Put(1001, Object{Cost: 1})
+	walked := make(map[trace.ObjectID]bool)
+	then := false
+	s.Keys(func(key trace.ObjectID) {
+		if then {
+			t.Error("Keys walked a key after calling then")
+		}
+		walked[key] = true
+	}, func() { then = true })
+	if !then {
+		t.Error("Keys never called then")
+	}
+	if !maps.Equal(held, walked) || len(walked) != s.Len() {
+		t.Errorf("the reports hold %d keys, Keys walks %d, Len is %d", len(held), len(walked), s.Len())
 	}
 }
